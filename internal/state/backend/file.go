@@ -1,24 +1,31 @@
 package backend
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"scmove/internal/hashing"
 )
 
 // File is the log-structured file-backed store: a simplified RocksDB built
 // only on the standard library. All writes append to the active segment
-// file; an in-memory index maps each account / slot key to the offset of
-// its newest value, so point reads are one ReadAt. Overwritten and deleted
-// records become dead bytes; once they outweigh the live ones the store
-// compacts by rewriting the live set into a fresh segment and deleting the
-// old files. Commit markers carry the state root, so a reopened store knows
-// which committed root its contents correspond to.
+// file; an in-memory index maps each account, slot and code key to the
+// offset of its newest value, so point reads are one ReadAt. Overwritten and
+// deleted records become dead bytes; once they outweigh the live ones the
+// store compacts by rewriting the live set into a fresh segment and deleting
+// the old files. Commit markers carry the state root, so a reopened store
+// knows which committed root its contents correspond to.
+//
+// The index is split by record kind, and slots again by contract, so
+// iterating one contract's storage touches that contract's keys only —
+// never the rest of the state.
 //
 // RSS is bounded by the index (a few dozen bytes per live key), not by the
 // data: values live on disk until read.
@@ -30,10 +37,13 @@ type File struct {
 	buf     []byte              // batch encode scratch
 	written int64               // bytes appended to the active segment
 
-	index     map[string]loc // account (20-byte) and slot (52-byte) keys
-	liveBytes int64          // record bytes reachable through the index
-	deadBytes int64          // record bytes superseded or deleted
-	root      hashing.Hash   // latest committed root
+	accounts  map[hashing.Address]loc
+	slots     map[hashing.Address]*contractSlots
+	codes     map[hashing.Hash]loc
+	liveSlots int          // live slot keys over all contracts
+	liveBytes int64        // record bytes reachable through the index
+	deadBytes int64        // record bytes superseded or deleted
+	root      hashing.Hash // latest committed root
 	hasRoot   bool
 
 	// CompactMinBytes is the dead-byte floor below which compaction never
@@ -51,9 +61,42 @@ type loc struct {
 	reclen uint32 // full record length, for dead-byte accounting
 }
 
+// contractSlots indexes the live slots of one contract.
+type contractSlots struct {
+	locs map[Word]loc
+	// order caches the keys ascending until the key set changes (nil then);
+	// overwriting a value keeps it. Atomic because IterateStorage fills it
+	// and readers may run concurrently: two that race build the same slice.
+	order atomic.Pointer[[]Word]
+}
+
+// sortedKeys returns the contract's slot keys in ascending order.
+func (cs *contractSlots) sortedKeys() []Word {
+	if p := cs.order.Load(); p != nil {
+		return *p
+	}
+	keys := make([]Word, 0, len(cs.locs))
+	for k := range cs.locs {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b Word) int { return bytes.Compare(a[:], b[:]) })
+	cs.order.Store(&keys)
+	return keys
+}
+
 var _ Backend = (*File)(nil)
 
-const defaultCompactMinBytes = 4 << 20
+const (
+	defaultCompactMinBytes = 4 << 20
+
+	// slotRecLen is the encoded length of every slot upsert record, and
+	// therefore the distance between the values of two slots written back
+	// to back.
+	slotRecLen = 1 + slotSize + 1 + wordSize + crcSize
+	// maxRunSlots bounds how many back-to-back slot values IterateStorage
+	// fetches with one read (≈ 64 KiB).
+	maxRunSlots = (64 << 10) / slotRecLen
+)
 
 // OpenFile opens (or creates) a log-structured store in dir, replaying the
 // segments into the in-memory index. A truncated tail record in the newest
@@ -69,7 +112,9 @@ func OpenFile(dir string, retain int) (*File, error) {
 		dir:             dir,
 		hist:            newHistory(retain),
 		segs:            make(map[uint32]*os.File),
-		index:           make(map[string]loc),
+		accounts:        make(map[hashing.Address]loc),
+		slots:           make(map[hashing.Address]*contractSlots),
+		codes:           make(map[hashing.Hash]loc),
 		CompactMinBytes: defaultCompactMinBytes,
 	}
 	ids, err := segmentIDs(dir)
@@ -166,33 +211,82 @@ func (f *File) replaySegment(id uint32, tail bool) error {
 
 // applyRecord folds one decoded record into the index.
 func (f *File) applyRecord(seg uint32, off int64, rec record, reclen int) {
+	l := loc{
+		seg:    seg,
+		off:    off + int64(valueOffset(rec)),
+		vlen:   uint32(len(rec.Value)),
+		reclen: uint32(reclen),
+	}
 	switch rec.Kind {
-	case recAccount, recSlot, recCode:
-		key := string(rec.Key)
-		if old, ok := f.index[key]; ok {
-			f.deadBytes += int64(old.reclen)
-			f.liveBytes -= int64(old.reclen)
+	case recAccount:
+		addr := hashing.Address(rec.Key)
+		old, ok := f.accounts[addr]
+		f.accounts[addr] = l
+		f.replaced(old, ok, reclen)
+	case recAccountDel:
+		addr := hashing.Address(rec.Key)
+		old, ok := f.accounts[addr]
+		delete(f.accounts, addr)
+		f.deleted(old, ok, reclen)
+	case recSlot:
+		addr, key := hashing.Address(rec.Key[:addrSize]), Word(rec.Key[addrSize:])
+		cs := f.slots[addr]
+		if cs == nil {
+			cs = &contractSlots{locs: make(map[Word]loc)}
+			f.slots[addr] = cs
 		}
-		f.index[key] = loc{
-			seg:    seg,
-			off:    off + int64(valueOffset(rec)),
-			vlen:   uint32(len(rec.Value)),
-			reclen: uint32(reclen),
+		old, ok := cs.locs[key]
+		cs.locs[key] = l
+		if !ok {
+			cs.order.Store(nil)
+			f.liveSlots++
 		}
-		f.liveBytes += int64(reclen)
-	case recAccountDel, recSlotDel:
-		key := string(rec.Key)
-		if old, ok := f.index[key]; ok {
-			f.deadBytes += int64(old.reclen)
-			f.liveBytes -= int64(old.reclen)
-			delete(f.index, key)
+		f.replaced(old, ok, reclen)
+	case recSlotDel:
+		addr, key := hashing.Address(rec.Key[:addrSize]), Word(rec.Key[addrSize:])
+		var old loc
+		var ok bool
+		if cs := f.slots[addr]; cs != nil {
+			if old, ok = cs.locs[key]; ok {
+				delete(cs.locs, key)
+				cs.order.Store(nil)
+				f.liveSlots--
+				if len(cs.locs) == 0 {
+					delete(f.slots, addr)
+				}
+			}
 		}
-		f.deadBytes += int64(reclen)
+		f.deleted(old, ok, reclen)
+	case recCode:
+		h := hashing.Hash(rec.Key)
+		old, ok := f.codes[h]
+		f.codes[h] = l
+		f.replaced(old, ok, reclen)
 	case recCommit:
 		copy(f.root[:], rec.Key)
 		f.hasRoot = true
 		f.deadBytes += int64(reclen) // markers are never live
 	}
+}
+
+// replaced accounts for an upsert record of reclen bytes that superseded old
+// (if one existed).
+func (f *File) replaced(old loc, existed bool, reclen int) {
+	if existed {
+		f.deadBytes += int64(old.reclen)
+		f.liveBytes -= int64(old.reclen)
+	}
+	f.liveBytes += int64(reclen)
+}
+
+// deleted accounts for a tombstone of reclen bytes that retired old (if one
+// existed); the tombstone itself is never live.
+func (f *File) deleted(old loc, existed bool, reclen int) {
+	if existed {
+		f.deadBytes += int64(old.reclen)
+		f.liveBytes -= int64(old.reclen)
+	}
+	f.deadBytes += int64(reclen)
 }
 
 // readValue fetches one live value from its segment.
@@ -210,7 +304,7 @@ func (f *File) readValue(l loc) ([]byte, bool) {
 
 // Account implements Reader.
 func (f *File) Account(addr hashing.Address) ([]byte, bool) {
-	l, ok := f.index[string(addr[:])]
+	l, ok := f.accounts[addr]
 	if !ok {
 		return nil, false
 	}
@@ -219,62 +313,85 @@ func (f *File) Account(addr hashing.Address) ([]byte, bool) {
 
 // Slot implements Reader.
 func (f *File) Slot(k SlotKey) (Word, bool) {
-	var key [slotSize]byte
-	copy(key[:addrSize], k.Addr[:])
-	copy(key[addrSize:], k.Key[:])
-	l, ok := f.index[string(key[:])]
+	cs := f.slots[k.Addr]
+	if cs == nil {
+		return Word{}, false
+	}
+	l, ok := cs.locs[k.Key]
 	if !ok {
 		return Word{}, false
 	}
-	v, ok := f.readValue(l)
+	file, ok := f.segs[l.seg]
 	if !ok {
 		return Word{}, false
 	}
 	var w Word
-	copy(w[:], v)
+	if _, err := file.ReadAt(w[:], l.off); err != nil {
+		return Word{}, false
+	}
 	return w, true
 }
 
-// sortedKeys returns the index keys of the given length with the given
-// prefix, ascending.
-func (f *File) sortedKeys(prefix []byte, keyLen int) []string {
-	out := make([]string, 0, 64)
-	for k := range f.index {
-		if len(k) == keyLen && strings.HasPrefix(k, string(prefix)) {
-			out = append(out, k)
-		}
+// sortedMapKeys returns the keys of one index map in ascending order.
+func sortedMapKeys[K interface{ ~[20]byte | ~[32]byte }](m map[K]loc, cmp func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(out)
-	return out
+	slices.SortFunc(keys, cmp)
+	return keys
 }
+
+func cmpAddr(a, b hashing.Address) int { return bytes.Compare(a[:], b[:]) }
+func cmpHash(a, b hashing.Hash) int    { return bytes.Compare(a[:], b[:]) }
 
 // IterateAccounts implements Reader.
 func (f *File) IterateAccounts(fn func(addr hashing.Address, enc []byte) bool) {
-	for _, k := range f.sortedKeys(nil, addrSize) {
-		v, ok := f.readValue(f.index[k])
+	for _, addr := range sortedMapKeys(f.accounts, cmpAddr) {
+		v, ok := f.readValue(f.accounts[addr])
 		if !ok {
 			continue
 		}
-		var addr hashing.Address
-		copy(addr[:], k)
 		if !fn(addr, v) {
 			return
 		}
 	}
 }
 
-// IterateStorage implements Reader.
+// IterateStorage implements Reader. It walks addr's own keys only, and
+// fetches slots that sit back to back in a segment — a creation or a Move2
+// writes a contract's slots that way, in key order — with one read per run
+// instead of one per slot.
 func (f *File) IterateStorage(addr hashing.Address, fn func(key, val Word) bool) {
-	for _, k := range f.sortedKeys(addr[:], slotSize) {
-		v, ok := f.readValue(f.index[k])
+	cs := f.slots[addr]
+	if cs == nil {
+		return
+	}
+	keys := cs.sortedKeys()
+	buf := make([]byte, min(len(keys), maxRunSlots)*slotRecLen)
+	for i := 0; i < len(keys); {
+		first := cs.locs[keys[i]]
+		n := 1
+		for last := first; i+n < len(keys) && n < maxRunSlots; n++ {
+			next := cs.locs[keys[i+n]]
+			if next.seg != last.seg || next.off != last.off+slotRecLen {
+				break
+			}
+			last = next
+		}
+		run := keys[i : i+n]
+		i += n
+		file, ok := f.segs[first.seg]
 		if !ok {
 			continue
 		}
-		var key, val Word
-		copy(key[:], k[addrSize:])
-		copy(val[:], v)
-		if !fn(key, val) {
-			return
+		if _, err := file.ReadAt(buf[:(n-1)*slotRecLen+wordSize], first.off); err != nil {
+			continue
+		}
+		for j, key := range run {
+			if !fn(key, Word(buf[j*slotRecLen:j*slotRecLen+wordSize])) {
+				return
+			}
 		}
 	}
 }
@@ -332,82 +449,99 @@ func (f *File) Commit(root hashing.Hash, batch Batch) error {
 }
 
 // compact rewrites the live set into a fresh segment and deletes the old
-// files. The index is rewritten to point into the new segment; historical
-// OpenAt views are unaffected (the reverse-diff ring lives in memory).
+// files: accounts, then every contract's slots in key order (so each
+// contract becomes one run for IterateStorage), then code blobs. The index
+// is rewritten to point into the new segment; historical OpenAt views are
+// unaffected (the reverse-diff ring lives in memory).
 func (f *File) compact() error {
-	keys := make([]string, 0, len(f.index)+1)
-	for k := range f.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	newID := f.active + 1
-	path := segmentPath(f.dir, newID)
-	out, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_RDWR|os.O_APPEND, 0o644)
+	out, err := os.OpenFile(segmentPath(f.dir, newID), os.O_CREATE|os.O_TRUNC|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("backend: compact: %w", err)
 	}
-	newIndex := make(map[string]loc, len(f.index))
-	var written int64
-	var live int64
+	var written, live int64
 	f.buf = f.buf[:0]
 	flush := func() error {
-		if len(f.buf) == 0 {
-			return nil
-		}
 		if _, err := out.Write(f.buf); err != nil {
 			return fmt.Errorf("backend: compact write: %w", err)
 		}
+		written += int64(len(f.buf))
 		f.buf = f.buf[:0]
 		return nil
 	}
-	for _, k := range keys {
-		v, ok := f.readValue(f.index[k])
+	// move copies one live record into the new segment and returns where
+	// its value now lives.
+	move := func(kind byte, key []byte, old loc) (loc, error) {
+		v, ok := f.readValue(old)
 		if !ok {
-			out.Close()
-			return fmt.Errorf("backend: compact: lost value for key %x", k)
+			return loc{}, fmt.Errorf("backend: compact: lost value for key %x", key)
 		}
-		var kind byte
-		switch len(k) {
-		case addrSize:
-			kind = recAccount
-		case slotSize:
-			kind = recSlot
-		default: // hashing.HashSize: content-addressed code
-			kind = recCode
-		}
-		start := len(f.buf)
-		f.buf = appendRecord(f.buf, kind, []byte(k), v)
-		reclen := len(f.buf) - start
-		rec := record{Kind: kind, Key: []byte(k), Value: v}
-		newIndex[k] = loc{
-			seg:    newID,
-			off:    written + int64(start) + int64(valueOffset(rec)),
-			vlen:   uint32(len(v)),
-			reclen: uint32(reclen),
-		}
-		live += int64(reclen)
 		if len(f.buf) >= 1<<20 {
-			written += int64(len(f.buf))
 			if err := flush(); err != nil {
-				out.Close()
-				return err
+				return loc{}, err
 			}
 		}
+		start := len(f.buf)
+		f.buf = appendRecord(f.buf, kind, key, v)
+		reclen := len(f.buf) - start
+		live += int64(reclen)
+		return loc{
+			seg:    newID,
+			off:    written + int64(start) + int64(valueOffset(record{Kind: kind, Key: key, Value: v})),
+			vlen:   uint32(len(v)),
+			reclen: uint32(reclen),
+		}, nil
 	}
-	written += int64(len(f.buf))
-	if err := flush(); err != nil {
+	accounts := make(map[hashing.Address]loc, len(f.accounts))
+	slots := make(map[hashing.Address]*contractSlots, len(f.slots))
+	codes := make(map[hashing.Hash]loc, len(f.codes))
+	rewrite := func() error {
+		for _, addr := range sortedMapKeys(f.accounts, cmpAddr) {
+			l, err := move(recAccount, addr[:], f.accounts[addr])
+			if err != nil {
+				return err
+			}
+			accounts[addr] = l
+		}
+		owners := make([]hashing.Address, 0, len(f.slots))
+		for addr := range f.slots {
+			owners = append(owners, addr)
+		}
+		slices.SortFunc(owners, cmpAddr)
+		var slotKey [slotSize]byte
+		for _, addr := range owners {
+			old := f.slots[addr]
+			keys := old.sortedKeys()
+			cs := &contractSlots{locs: make(map[Word]loc, len(keys))}
+			cs.order.Store(&keys)
+			copy(slotKey[:addrSize], addr[:])
+			for _, key := range keys {
+				copy(slotKey[addrSize:], key[:])
+				l, err := move(recSlot, slotKey[:], old.locs[key])
+				if err != nil {
+					return err
+				}
+				cs.locs[key] = l
+			}
+			slots[addr] = cs
+		}
+		for _, h := range sortedMapKeys(f.codes, cmpHash) {
+			l, err := move(recCode, h[:], f.codes[h])
+			if err != nil {
+				return err
+			}
+			codes[h] = l
+		}
+		// Re-assert the latest root in the new segment so a reopen of the
+		// compacted store still knows it.
+		if f.hasRoot {
+			f.buf = appendRecord(f.buf, recCommit, f.root[:], nil)
+		}
+		return flush()
+	}
+	if err := rewrite(); err != nil {
 		out.Close()
 		return err
-	}
-	// Re-assert the latest root in the new segment so a reopen of the
-	// compacted store still knows it.
-	if f.hasRoot {
-		f.buf = appendRecord(f.buf[:0], recCommit, f.root[:], nil)
-		written += int64(len(f.buf))
-		if err := flush(); err != nil {
-			out.Close()
-			return err
-		}
 	}
 	for id, file := range f.segs {
 		file.Close()
@@ -417,7 +551,7 @@ func (f *File) compact() error {
 	f.segs[newID] = out
 	f.active = newID
 	f.written = written
-	f.index = newIndex
+	f.accounts, f.slots, f.codes = accounts, slots, codes
 	f.liveBytes = live
 	f.deadBytes = 0
 	return nil
@@ -449,7 +583,7 @@ func (f *File) Kind() Kind { return KindFile }
 
 // Code implements CodeStore.
 func (f *File) Code(h hashing.Hash) ([]byte, bool) {
-	l, ok := f.index[string(h[:])]
+	l, ok := f.codes[h]
 	if !ok {
 		return nil, false
 	}
@@ -458,13 +592,11 @@ func (f *File) Code(h hashing.Hash) ([]byte, bool) {
 
 // IterateCodes implements CodeStore.
 func (f *File) IterateCodes(fn func(h hashing.Hash, code []byte) bool) {
-	for _, k := range f.sortedKeys(nil, hashing.HashSize) {
-		v, ok := f.readValue(f.index[k])
+	for _, h := range sortedMapKeys(f.codes, cmpHash) {
+		v, ok := f.readValue(f.codes[h])
 		if !ok {
 			continue
 		}
-		var h hashing.Hash
-		copy(h[:], k)
 		if !fn(h, v) {
 			return
 		}
@@ -475,8 +607,9 @@ func (f *File) IterateCodes(fn func(h hashing.Hash, code []byte) bool) {
 // so trees above may be dropped and rebuilt on demand.
 func (f *File) Persistent() bool { return true }
 
-// LiveKeys returns the number of live index entries (accounts + slots).
-func (f *File) LiveKeys() int { return len(f.index) }
+// LiveKeys returns the number of live index entries (accounts, slots and
+// code blobs).
+func (f *File) LiveKeys() int { return len(f.accounts) + f.liveSlots + len(f.codes) }
 
 // SegmentBytes returns the live/dead byte split of the store.
 func (f *File) SegmentBytes() (live, dead int64) { return f.liveBytes, f.deadBytes }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"testing"
+	"time"
 
 	"scmove/internal/hashing"
 )
@@ -264,6 +265,88 @@ func TestFileCompaction(t *testing.T) {
 	}
 	if v, ok := re.Account(tAddr(2)); !ok || string(v) != "post" {
 		t.Fatalf("post-compaction commit lost: %q %v", v, ok)
+	}
+}
+
+// TestIterateStorageCostIsPerContract pins what a storage walk costs on
+// the file store: the contract's own keys, read run by run — whatever else
+// the store holds. A 1000-slot contract is iterated alone and beside
+// 100 000 unrelated accounts (a tenth of them contracts with a slot of
+// their own); the walk may neither allocate more nor get slower, and its
+// allocations stay far below one per slot. One slot is overwritten later, so
+// the walk also has to cross a run boundary.
+func TestIterateStorageCostIsPerContract(t *testing.T) {
+	const slots = 1000
+	contract := tAddr(0xC0)
+	slotKey := func(i int) Word {
+		var w Word
+		w[30], w[31] = byte(i>>8), byte(i)
+		return w
+	}
+	measure := func(unrelated int) (allocs float64, best time.Duration) {
+		f, err := OpenFile(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var crowd Batch
+		for i := 0; i < unrelated; i++ {
+			var a hashing.Address
+			a[0], a[1], a[2], a[3] = 0x01, byte(i>>16), byte(i>>8), byte(i)
+			crowd.Accounts = append(crowd.Accounts, AccountChange{Addr: a, Cur: []byte("unrelated")})
+			if i%10 == 0 {
+				crowd.Slots = append(crowd.Slots, SlotChange{Key: SlotKey{Addr: a, Key: tWord(1)}, Cur: tWord(2), CurExists: true})
+			}
+		}
+		if err := f.Commit(tRoot(1), crowd); err != nil {
+			t.Fatal(err)
+		}
+		var own Batch
+		for i := 0; i < slots; i++ {
+			own.Slots = append(own.Slots, SlotChange{Key: SlotKey{Addr: contract, Key: slotKey(i)}, Cur: tWord(byte(i%251 + 1)), CurExists: true})
+		}
+		if err := f.Commit(tRoot(2), own); err != nil {
+			t.Fatal(err)
+		}
+		rewrite := Batch{Slots: []SlotChange{{Key: SlotKey{Addr: contract, Key: slotKey(500)}, Cur: tWord(0xFF), CurExists: true}}}
+		if err := f.Commit(tRoot(3), rewrite); err != nil {
+			t.Fatal(err)
+		}
+		walk := func() {
+			i := 0
+			f.IterateStorage(contract, func(key, val Word) bool {
+				want := tWord(byte(i%251 + 1))
+				if i == 500 {
+					want = tWord(0xFF)
+				}
+				if key != slotKey(i) || val != want {
+					t.Fatalf("slot %d: got %x = %x", i, key, val)
+				}
+				i++
+				return true
+			})
+			if i != slots {
+				t.Fatalf("walk visited %d slots, want %d", i, slots)
+			}
+		}
+		walk()
+		allocs = testing.AllocsPerRun(10, walk)
+		for r := 0; r < 20; r++ {
+			start := time.Now()
+			walk()
+			if d := time.Since(start); r == 0 || d < best {
+				best = d
+			}
+		}
+		return allocs, best
+	}
+	aloneAllocs, aloneBest := measure(0)
+	crowdAllocs, crowdBest := measure(100_000)
+	if crowdAllocs > aloneAllocs || aloneAllocs > slots/100 {
+		t.Fatalf("allocations per walk: %.0f alone, %.0f beside 100k accounts; want equal and at most %d", aloneAllocs, crowdAllocs, slots/100)
+	}
+	if crowdBest > 4*aloneBest+200*time.Microsecond {
+		t.Fatalf("walk takes %v alone and %v beside 100k accounts", aloneBest, crowdBest)
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"scmove/internal/evm"
@@ -16,14 +19,54 @@ import (
 // The conformance suite drives every backend configuration through one
 // identical randomized block script and asserts they are indistinguishable:
 // same roots after every commit, same account records, same storage, same
-// proof bytes, same historical snapshots, and (for the file backend) the
-// same state again after a close-and-reopen. Any divergence between the
-// in-memory trees, the log-structured file store, and the flat cache is a
-// consensus bug, so this is a detsmoke test.
+// proof bytes, same storage iteration (keys, values, order), same historical
+// snapshots, and (for the file backend) the same state again after a
+// close-and-reopen — at the end for every file store, and in the middle of
+// the script, between compactions, for one of them. Any divergence between
+// the in-memory trees, the log-structured file store, and the flat cache is
+// a consensus bug, so this is a detsmoke test.
 
 type confConfig struct {
 	name string
 	opts Options
+	// churn makes a file store compact at every commit that leaves more
+	// dead bytes than live ones, and close and reopen mid-script.
+	churn bool
+}
+
+// confBlocks is the script length; confReopenAfter is the block after which
+// churned stores reopen — early enough that every root retained at the end
+// was committed after it (retained roots do not survive a reopen).
+const (
+	confBlocks      = 20
+	confReopenAfter = 8
+)
+
+// openConformanceDB opens (create=false: reopens) one configuration.
+func openConformanceDB(t *testing.T, kind trie.Kind, cfg confConfig, create bool) *DB {
+	t.Helper()
+	open := OpenDB
+	if create {
+		open = NewDBWith
+	}
+	db, err := open(localChain, kind, cfg.opts)
+	if err != nil {
+		t.Fatalf("%s: %v", cfg.name, err)
+	}
+	if cfg.churn {
+		db.Backend().(*backend.File).CompactMinBytes = 1
+	}
+	return db
+}
+
+// backendStorage lists addr's slots as the backend itself iterates them.
+func backendStorage(db *DB, addr hashing.Address) []StorageEntry {
+	var out []StorageEntry
+	db.Backend().IterateStorage(addr, func(key, val backend.Word) bool {
+		out = append(out, StorageEntry{Key: key, Value: val})
+		return true
+	})
+	return out
 }
 
 func conformanceConfigs(t *testing.T) []confConfig {
@@ -40,7 +83,7 @@ func conformanceConfigs(t *testing.T) []confConfig {
 			FlatSlots:        16,
 			StorageTreeLimit: 2,
 		}},
-		{name: "file_noflat", opts: Options{
+		{name: "file_noflat_churn", churn: true, opts: Options{
 			Backend:          backend.KindFile,
 			Dir:              t.TempDir(),
 			DisableFlatCache: true,
@@ -212,14 +255,10 @@ func testBackendConformance(t *testing.T, kind trie.Kind, seed int64) {
 	configs := conformanceConfigs(t)
 	dbs := make([]*DB, len(configs))
 	for i, cfg := range configs {
-		db, err := NewDBWith(localChain, kind, cfg.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.name, err)
-		}
-		dbs[i] = db
+		dbs[i] = openConformanceDB(t, kind, cfg, true)
 	}
 
-	script := genConformanceScript(seed, 12, 40)
+	script := genConformanceScript(seed, confBlocks, 40)
 	ref := dbs[0]
 	var snaps []confSnapshot
 
@@ -236,8 +275,29 @@ func testBackendConformance(t *testing.T, kind trie.Kind, seed int64) {
 					b, configs[0].name, root, configs[i+1].name, got)
 			}
 		}
+		if b == confReopenAfter {
+			for i, cfg := range configs {
+				if !cfg.churn {
+					continue
+				}
+				if err := dbs[i].Close(); err != nil {
+					t.Fatalf("%s: close mid-script: %v", cfg.name, err)
+				}
+				dbs[i] = openConformanceDB(t, kind, cfg, false)
+				if got := dbs[i].Root(); got != root {
+					t.Fatalf("%s: reopened mid-script at %s, committed %s", cfg.name, got, root)
+				}
+			}
+		}
 		// Every read surface must agree at the new head.
 		for _, a := range script.pool {
+			wantIter := backendStorage(ref, a)
+			for i, db := range dbs[1:] {
+				if got := backendStorage(db, a); !slices.Equal(got, wantIter) {
+					t.Fatalf("block %d: IterateStorage(%s): %s yields %d slots %v, %s yields %d slots %v",
+						b, a, configs[0].name, len(wantIter), wantIter, configs[i+1].name, len(got), got)
+				}
+			}
 			want, wantOK := ref.GetAccount(a)
 			for i, db := range dbs[1:] {
 				got, ok := db.GetAccount(a)
@@ -295,7 +355,7 @@ func testBackendConformance(t *testing.T, kind trie.Kind, seed int64) {
 		retained[r] = true
 	}
 	if len(retained) == 0 {
-		t.Fatal("no retained roots after 12 commits")
+		t.Fatalf("no retained roots after %d commits", confBlocks)
 	}
 	checked := 0
 	for _, snap := range snaps {
@@ -339,6 +399,9 @@ func testBackendConformance(t *testing.T, kind trie.Kind, seed int64) {
 	for i, cfg := range configs {
 		if cfg.opts.Backend != backend.KindFile {
 			continue
+		}
+		if _, err := os.Stat(filepath.Join(cfg.opts.Dir, "seg-000000.log")); cfg.churn == (err == nil) {
+			t.Fatalf("%s: first segment present = %v, want compaction only under churn", cfg.name, err == nil)
 		}
 		if err := dbs[i].Close(); err != nil {
 			t.Fatalf("%s: close: %v", cfg.name, err)

@@ -67,9 +67,10 @@ type Cluster struct {
 	net        simnet.Transport
 	app        App
 	validators []*Validator
-	committed  map[uint64]bool
-
-	commitTimes map[uint64]time.Duration
+	// committed is the highest committed height. Heights commit in order
+	// (a validator only reaches height h after h-1 committed), so one number
+	// says everything a per-height set would.
+	committed uint64
 
 	counters *metrics.Counters
 	evidence []Evidence
@@ -140,23 +141,16 @@ func NewCluster(sched simclock.Clock, net simnet.Transport, app App,
 	if len(ids) == 0 || len(ids) != len(regions) {
 		return nil, fmt.Errorf("tendermint: need matching ids and regions, got %d/%d", len(ids), len(regions))
 	}
-	c := &Cluster{
-		cfg:         cfg,
-		sched:       sched,
-		net:         net,
-		app:         app,
-		committed:   make(map[uint64]bool),
-		commitTimes: make(map[uint64]time.Duration),
-	}
+	c := &Cluster{cfg: cfg, sched: sched, net: net, app: app}
 	c.validators = make([]*Validator, len(ids))
 	for i, id := range ids {
 		v := &Validator{
-			cluster:   c,
-			id:        id,
-			index:     i,
-			n:         len(ids),
-			votes:     make(map[voteKey]map[int]bool),
-			firstSeen: make(map[evKey]*seenRec),
+			cluster: c,
+			id:      id,
+			index:   i,
+			n:       len(ids),
+			seen:    make(map[slotKey]seenRec),
+			tally:   make(map[tallyKey]int),
 		}
 		c.validators[i] = v
 		if err := net.Register(id, regions[i], func(from simnet.NodeID, payload any) {
@@ -196,10 +190,8 @@ func (c *Cluster) RestartValidator(i int) {
 	}
 	c.net.SetNodeDown(v.id, false)
 	v.crashed = false
-	v.votes = make(map[voteKey]map[int]bool)
-	v.firstSeen = make(map[evKey]*seenRec)
 	v.pending = nil
-	v.startHeight(c.CommittedHeight() + 1)
+	v.startHeight(c.committed + 1) // resets the per-height vote tables
 }
 
 // ScheduleCrashRestart crashes validator i at simulated time `at` and
@@ -222,29 +214,14 @@ func (c *Cluster) NodeIDs() []simnet.NodeID {
 }
 
 // CommittedHeight returns the highest committed height.
-func (c *Cluster) CommittedHeight() uint64 {
-	var max uint64
-	for h := range c.committed {
-		if h > max {
-			max = h
-		}
-	}
-	return max
-}
-
-// CommitTime returns the simulated time at which a height committed.
-func (c *Cluster) CommitTime(height uint64) (time.Duration, bool) {
-	t, ok := c.commitTimes[height]
-	return t, ok
-}
+func (c *Cluster) CommittedHeight() uint64 { return c.committed }
 
 // commit applies the payload once per height.
 func (c *Cluster) commit(height uint64, payload []byte) {
-	if c.committed[height] {
+	if height <= c.committed {
 		return
 	}
-	c.committed[height] = true
-	c.commitTimes[height] = c.sched.Now()
+	c.committed = height
 	c.app.Commit(height, payload)
 }
 
@@ -273,21 +250,13 @@ type msgVote struct {
 	From        int
 }
 
-type voteKey struct {
-	kind   voteKind
-	height uint64
-	round  int
-	hash   hashing.Hash
-}
-
-// evKey identifies the slot a sender may speak in exactly once: one
-// proposal (or one vote of each kind) per (height, round, sender).
-type evKey struct {
-	proposal bool
-	kind     voteKind
-	height   uint64
-	round    int
-	from     int
+// slotKey identifies, within the validator's current height, the slot a
+// sender may speak in exactly once: one proposal (kind 0) or one vote of
+// each kind per (round, sender).
+type slotKey struct {
+	kind  voteKind
+	round int
+	from  int
 }
 
 // seenRec remembers the first message hash seen in a slot; reported
@@ -297,6 +266,15 @@ type evKey struct {
 type seenRec struct {
 	hash     hashing.Hash
 	reported bool
+}
+
+// tallyKey identifies one vote set of the current height. The set itself is
+// a count: seen admits each sender's slot once, so every admitted first
+// delivery is a distinct voter.
+type tallyKey struct {
+	kind  voteKind
+	round int
+	hash  hashing.Hash
 }
 
 // Validator is one consensus participant.
@@ -316,33 +294,46 @@ type Validator struct {
 	precommitted bool
 	decided      bool
 
-	votes     map[voteKey]map[int]bool
-	firstSeen map[evKey]*seenRec
-	pending   []any // messages for heights/rounds not yet started
-	byz       ByzantineBehavior
+	// seen and tally hold the current height only. onProposal and onVote
+	// drop every message of another height before consulting them (future
+	// heights wait in pending), so startHeight resets both: they are bounded
+	// by n senders x the rounds of one height, not by chain history.
+	seen    map[slotKey]seenRec
+	tally   map[tallyKey]int
+	pending []any // messages for heights/rounds not yet started
+	byz     ByzantineBehavior
 }
 
-// noteFirstSeen enforces one-message-per-slot: the first hash in a slot is
-// remembered, identical re-deliveries (network duplicates) pass, and a
-// conflicting hash records equivocation evidence and is rejected.
-func (v *Validator) noteFirstSeen(key evKey, h hashing.Hash) bool {
-	rec, ok := v.firstSeen[key]
-	if !ok {
-		v.firstSeen[key] = &seenRec{hash: h}
-		return true
+// noteFirstSeen enforces one-message-per-slot at the current height: the
+// first hash in a slot is remembered, identical re-deliveries (network
+// duplicates) pass, and a conflicting hash records equivocation evidence
+// and is rejected. first reports the delivery that opened the slot.
+func (v *Validator) noteFirstSeen(key slotKey, h hashing.Hash) (ok, first bool) {
+	rec, known := v.seen[key]
+	if !known {
+		v.seen[key] = seenRec{hash: h}
+		return true, true
 	}
 	if rec.hash == h {
-		return true
+		return true, false
 	}
 	if !rec.reported {
 		rec.reported = true
+		v.seen[key] = rec
 		v.cluster.noteEquivocation(Evidence{
-			Proposal: key.proposal, Kind: key.kind,
-			Height: key.height, Round: key.round,
+			Proposal: key.kind == 0, Kind: key.kind,
+			Height: v.height, Round: key.round,
 			From: key.from, Detector: v.index,
 		})
 	}
-	return false
+	return false, false
+}
+
+// resetVotes empties the per-height tables, keeping their storage: the next
+// height's votes land in the buckets this one grew.
+func (v *Validator) resetVotes() {
+	clear(v.seen)
+	clear(v.tally)
 }
 
 // proposerIndex implements round-robin proposer rotation.
@@ -356,6 +347,7 @@ func (v *Validator) startHeight(h uint64) {
 	}
 	v.height = h
 	v.round = 0
+	v.resetVotes()
 	v.startRound()
 }
 
@@ -458,10 +450,10 @@ func (v *Validator) castVote(vote msgVote) {
 // behind forever and erodes the quorum at the current height — under
 // message loss the cluster would grind to a halt within a few blocks.
 func (v *Validator) catchUp(msgHeight uint64) {
-	if v.decided || msgHeight <= v.height || !v.cluster.committed[v.height] {
+	if v.decided || msgHeight <= v.height || v.height == 0 || v.height > v.cluster.committed {
 		return
 	}
-	v.startHeight(v.cluster.CommittedHeight() + 1)
+	v.startHeight(v.cluster.committed + 1)
 }
 
 func (v *Validator) handle(payload any) {
@@ -497,7 +489,7 @@ func (v *Validator) onProposal(msg msgProposal) {
 		return
 	}
 	h := hashing.Sum(msg.Payload)
-	if !v.noteFirstSeen(evKey{proposal: true, height: msg.Height, round: msg.Round, from: msg.From}, h) {
+	if ok, _ := v.noteFirstSeen(slotKey{round: msg.Round, from: msg.From}, h); !ok {
 		return
 	}
 	if v.hasProposal {
@@ -527,21 +519,23 @@ func (v *Validator) onVote(msg msgVote) {
 	// double-vote is recorded as equivocation evidence and excluded from
 	// quorum counting, so a Byzantine voter cannot help two different
 	// payloads toward quorum in the same round.
-	if !v.noteFirstSeen(evKey{kind: msg.Kind, height: msg.Height, round: msg.Round, from: msg.From}, msg.PayloadHash) {
+	ok, first := v.noteFirstSeen(slotKey{kind: msg.Kind, round: msg.Round, from: msg.From}, msg.PayloadHash)
+	if !ok {
 		return
 	}
-	key := voteKey{kind: msg.Kind, height: msg.Height, round: msg.Round, hash: msg.PayloadHash}
-	set := v.votes[key]
-	if set == nil {
-		set = make(map[int]bool)
-		v.votes[key] = set
+	key := tallyKey{kind: msg.Kind, round: msg.Round, hash: msg.PayloadHash}
+	votes := v.tally[key]
+	if first {
+		votes++
+		v.tally[key] = votes
 	}
-	set[msg.From] = true
+	// A duplicate re-evaluates the quorum too: the proposal may have arrived
+	// after the vote that completed it.
 	quorum := v.cluster.Quorum()
 
 	switch msg.Kind {
 	case votePrevote:
-		if len(set) >= quorum && v.hasProposal && msg.PayloadHash == v.proposalHash && !v.precommitted {
+		if votes >= quorum && v.hasProposal && msg.PayloadHash == v.proposalHash && !v.precommitted {
 			v.precommitted = true
 			v.castVote(msgVote{
 				Kind: votePrecommit, Height: v.height, Round: msg.Round,
@@ -549,7 +543,7 @@ func (v *Validator) onVote(msg msgVote) {
 			})
 		}
 	case votePrecommit:
-		if len(set) >= quorum && v.hasProposal && msg.PayloadHash == v.proposalHash && !v.decided {
+		if votes >= quorum && v.hasProposal && msg.PayloadHash == v.proposalHash && !v.decided {
 			v.decided = true
 			v.cluster.commit(v.height, v.proposal)
 			height := v.height

@@ -9,14 +9,17 @@ import (
 	"scmove/internal/simnet"
 )
 
-// recordingApp captures commits and hands out height-tagged payloads.
+// recordingApp captures commits (and, given a clock, their simulated times)
+// and hands out height-tagged payloads.
 type recordingApp struct {
 	commits map[uint64][]byte
 	order   []uint64
+	now     func() time.Duration
+	times   map[uint64]time.Duration
 }
 
 func newRecordingApp() *recordingApp {
-	return &recordingApp{commits: make(map[uint64][]byte)}
+	return &recordingApp{commits: make(map[uint64][]byte), times: make(map[uint64]time.Duration)}
 }
 
 func (a *recordingApp) Propose(height uint64) []byte {
@@ -29,6 +32,9 @@ func (a *recordingApp) Commit(height uint64, payload []byte) {
 	}
 	a.commits[height] = payload
 	a.order = append(a.order, height)
+	if a.now != nil {
+		a.times[height] = a.now()
+	}
 }
 
 func newCluster(t *testing.T, n int) (*simclock.Scheduler, *Cluster, *recordingApp) {
@@ -72,11 +78,12 @@ func TestClusterCommitsSuccessiveHeights(t *testing.T) {
 }
 
 func TestCommitLatencyAboveInterval(t *testing.T) {
-	sched, cluster, _ := newCluster(t, 10)
+	sched, cluster, app := newCluster(t, 10)
+	app.now = sched.Now
 	cluster.Start()
 	sched.RunUntil(60 * time.Second)
-	t2, ok2 := cluster.CommitTime(2)
-	t3, ok3 := cluster.CommitTime(3)
+	t2, ok2 := app.times[2]
+	t3, ok3 := app.times[3]
 	if !ok2 || !ok3 {
 		t.Fatal("heights 2 and 3 must commit")
 	}
@@ -238,5 +245,65 @@ func TestDeterministicRuns(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("runs must be deterministic")
 		}
+	}
+}
+
+// TestVoteTablesBoundedByCurrentHeight runs a long chain with an
+// equivocating voter and a crashed proposer (so some heights take extra
+// rounds) and requires every validator's vote tables to hold the current
+// height only: per round at most one proposal slot and two vote slots per
+// sender, and no more vote sets than vote slots.
+func TestVoteTablesBoundedByCurrentHeight(t *testing.T) {
+	const n = 7
+	sched, cluster, _ := newCluster(t, n)
+	cluster.SetByzantine(2, ByzantineBehavior{EquivocateVotes: true})
+	cluster.CrashValidator(5)
+	cluster.Start()
+	check := func() {
+		t.Helper()
+		for _, v := range cluster.validators {
+			perRound := 2*n + 1
+			if limit := (v.round + 1) * perRound; len(v.seen) > limit || len(v.tally) > limit {
+				t.Fatalf("validator %d at height %d round %d: %d slots, %d vote sets, want <= %d each",
+					v.index, v.height, v.round, len(v.seen), len(v.tally), limit)
+			}
+		}
+	}
+	for cluster.CommittedHeight() < 1000 {
+		sched.RunUntil(sched.Now() + time.Minute)
+		check()
+		if sched.Now() > 4*time.Hour {
+			t.Fatalf("only %d heights after %v", cluster.CommittedHeight(), sched.Now())
+		}
+	}
+	if len(cluster.Evidence()) == 0 {
+		t.Fatal("the equivocating voter left no evidence: the run exercised nothing")
+	}
+}
+
+// TestOnVoteSteadyStateZeroAllocs pins the per-height tables' cost: once
+// they have grown to one height's traffic, a new height's votes (first
+// deliveries, duplicates and a conflicting twin) allocate nothing.
+func TestOnVoteSteadyStateZeroAllocs(t *testing.T) {
+	_, cluster, _ := newCluster(t, 10)
+	v := cluster.validators[0]
+	v.height = 1
+	twin := msgVote{Kind: votePrevote, Height: 1, PayloadHash: [32]byte{0xEE}, From: 3}
+	allocs := testing.AllocsPerRun(100, func() {
+		// Reset as startHeight does, then stay below quorum so that no vote
+		// is cast (and sent, which allocates) in reply.
+		v.resetVotes()
+		for from := 0; from < cluster.Quorum()-1; from++ {
+			for _, kind := range []voteKind{votePrevote, votePrecommit} {
+				vote := msgVote{Kind: kind, Height: 1, PayloadHash: [32]byte{0xAB}, From: from}
+				v.onVote(vote)
+				v.onVote(vote)
+			}
+		}
+		v.onVote(twin)
+		cluster.evidence = cluster.evidence[:0]
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state onVote allocates %.1f times per height", allocs)
 	}
 }

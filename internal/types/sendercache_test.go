@@ -70,6 +70,9 @@ func TestSenderCacheReplayedSignatureOnDifferentPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	forged.Value = u256.FromUint64(1 << 40)
+	if forged, err = DecodeTransaction(forged.Encode()); err != nil { // as the altered bytes arrive
+		t.Fatal(err)
+	}
 	before := ReadSenderCacheStats()
 	if _, err := forged.Sender(); err == nil {
 		t.Fatal("replayed signature on altered payload must fail verification")

@@ -68,6 +68,11 @@ type Move2Payload struct {
 }
 
 // Transaction is a signed message submitted to one chain.
+//
+// A transaction is immutable once Sign, SignOn or DecodeTransaction has
+// produced it: those three fix its identifier, and ID returns that value
+// from then on. Code that changes a signed field afterwards must sign again
+// (or go through Encode and DecodeTransaction, as bytes on the wire do).
 type Transaction struct {
 	// ChainID pins the transaction to its destination chain so it cannot be
 	// replayed on another chain.
@@ -85,6 +90,12 @@ type Transaction struct {
 	Move2    *Move2Payload // only for TxMove2
 
 	Sig keys.Signature
+
+	// id is the identifier fixed by Sign, SignOn or DecodeTransaction — each
+	// writes it before the transaction is shared, so readers need no
+	// synchronization. Zero on a transaction built by hand, whose ID hashes
+	// on every call.
+	id hashing.Hash
 
 	// verifiedID caches the tx id whose signature already checked out, so
 	// pools and executors do not repeat the ECDSA verification for the same
@@ -196,11 +207,20 @@ func DecodeMove2Payload(b []byte) (*Move2Payload, error) {
 // Signatures are excluded so the id is stable under re-signing, keeping
 // block hashes deterministic in simulations.
 //
-// The hash is computed through a pooled hasher rather than by materializing
-// encodeUnsigned(): ID is recomputed on every signature-cache check (see
-// Sender), which makes it one of the hottest functions in the system.
-// hashUnsigned must stay byte-identical to encodeUnsigned.
+// A signed or decoded transaction carries its id (a Move2 is ≈ 65 KiB to
+// hash, and pool, proposer, executor and receipt all ask for it); only
+// hand-built transactions hash here.
 func (tx *Transaction) ID() hashing.Hash {
+	if !tx.id.IsZero() {
+		return tx.id
+	}
+	return tx.computeID()
+}
+
+// computeID hashes the signed fields through a pooled hasher rather than by
+// materializing encodeUnsigned(). hashUnsigned must stay byte-identical to
+// encodeUnsigned.
+func (tx *Transaction) computeID() hashing.Hash {
 	h := hashing.AcquireHasher()
 	tx.hashUnsigned(h)
 	id := h.Sum()
@@ -244,7 +264,8 @@ func (tx *Transaction) hashUnsigned(h *hashing.Hasher) {
 // Sign sets From to the key's address and signs the transaction.
 func (tx *Transaction) Sign(kp *keys.KeyPair) error {
 	tx.From = kp.Address()
-	id := tx.ID()
+	id := tx.computeID()
+	tx.id = id
 	sig, err := kp.Sign(id)
 	if err != nil {
 		return fmt.Errorf("sign tx: %w", err)
@@ -264,7 +285,8 @@ func (tx *Transaction) Sign(kp *keys.KeyPair) error {
 // the signature. A nil pool falls back to the shared pool.
 func (tx *Transaction) SignOn(kp *keys.KeyPair, pool *keys.Pool) {
 	tx.From = kp.Address()
-	id := tx.ID()
+	id := tx.computeID()
+	tx.id = id
 	done := make(chan error, 1)
 	tx.sigDone = done
 	if pool == nil {
@@ -400,5 +422,8 @@ func DecodeTransaction(b []byte) (*Transaction, error) {
 	if err := ur.Finish(); err != nil {
 		return nil, fmt.Errorf("decode tx: %w", err)
 	}
+	// Hash the decoded fields, not the received bytes: the id must not depend
+	// on how a sender chose to encode them.
+	tx.id = tx.computeID()
 	return &tx, nil
 }

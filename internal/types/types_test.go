@@ -56,9 +56,51 @@ func TestTxIDExcludesSignature(t *testing.T) {
 func TestTxTamperDetected(t *testing.T) {
 	kp := keys.Deterministic(1)
 	tx := mkTx(t, kp)
+	// A signed transaction is immutable in memory; tampering reaches a chain
+	// as altered bytes, whose decoding fixes the id of the altered content.
 	tx.Value = u256.FromUint64(999)
-	if _, err := tx.Sender(); !errors.Is(err, ErrBadTxSignature) {
+	forged, err := DecodeTransaction(tx.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := forged.Sender(); !errors.Is(err, ErrBadTxSignature) {
 		t.Fatalf("want ErrBadTxSignature, got %v", err)
+	}
+}
+
+// TestTxIDFixedBySignAndDecode pins where the id is fixed: Sign, SignOn and
+// DecodeTransaction each leave exactly the hash of the signed fields, and
+// signing again after an edit replaces it.
+func TestTxIDFixedBySignAndDecode(t *testing.T) {
+	kp := keys.Deterministic(1)
+	tx := mkTx(t, kp)
+	if tx.id.IsZero() || tx.id != tx.computeID() || tx.ID() != tx.id {
+		t.Fatalf("Sign left id %s, fields hash to %s", tx.id, tx.computeID())
+	}
+	dec, err := DecodeTransaction(tx.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.id != tx.id {
+		t.Fatalf("decoded id %s, signed %s", dec.id, tx.id)
+	}
+	tx.Nonce++
+	if err := tx.Sign(kp); err != nil {
+		t.Fatal(err)
+	}
+	if tx.ID() == dec.ID() || tx.ID() != tx.computeID() {
+		t.Fatal("signing again must fix the id of the new content")
+	}
+	tx.Nonce++
+	tx.SignOn(kp, nil)
+	if tx.ID() != tx.computeID() {
+		t.Fatal("SignOn must fix the id before the signature lands")
+	}
+	if err := tx.WaitSig(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Sender(); err != nil {
+		t.Fatal(err)
 	}
 }
 
