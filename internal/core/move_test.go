@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
 	"scmove/internal/state"
+	"scmove/internal/state/backend"
 	"scmove/internal/trie"
 	"scmove/internal/types"
 	"scmove/internal/u256"
@@ -356,5 +358,120 @@ func TestMoveToInputRoundTrip(t *testing.T) {
 	}
 	if !IsMoveFinishInput(MoveFinishInput) || IsMoveFinishInput(input) {
 		t.Fatal("move finish recognition broken")
+	}
+}
+
+// TestRevertedMove2RestoresStaleCopy pins the Move2 install's undo: the
+// target still holds the stale copy of an earlier residency (three slots;
+// abroad one was deleted and one changed), a Move2 replaces that storage,
+// moveFinish writes and then fails, and the revert must put back the stale
+// copy exactly — every slot, the record and the state root. The second
+// attempt then commits, and the slot deleted abroad is gone from the flat
+// backend too. Run on the memory backend (the stale tree is resident) and on
+// the file backend with the tree evicted (the stale copy is only on disk).
+func TestRevertedMove2RestoresStaleCopy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts func(t *testing.T) state.Options
+	}{
+		{"memory", func(*testing.T) state.Options { return state.Options{} }},
+		{"file_evicted", func(t *testing.T) state.Options {
+			return state.Options{Backend: backend.KindFile, Dir: t.TempDir(), StorageTreeLimit: 1}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := state.NewDB(chainA, trie.KindMPT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, err := state.NewDBWith(chainB, trie.KindIAVL, tc.opts(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dst.Close()
+			contract, other := addr(0xc0), addr(0xc1)
+
+			// The stale copy at home, then unrelated traffic that evicts its
+			// tree where trees are evictable.
+			dst.CreateContract(contract, []byte("movable code"))
+			for i := byte(1); i <= 3; i++ {
+				dst.SetStorage(contract, word(i), word(10*i))
+			}
+			dst.SetLocation(contract, chainA)
+			dst.SetMoveNonce(contract, 1)
+			dst.Commit()
+			dst.CreateContract(other, []byte("other"))
+			dst.SetStorage(other, word(1), word(1))
+			staleRoot := dst.Commit()
+			_, resident := dst.StorageTreeAt(contract)
+			if want := tc.name == "memory"; resident != want {
+				t.Fatalf("stale tree resident = %v, want %v", resident, want)
+			}
+			staleAcct, _ := dst.GetAccount(contract)
+			stale := dst.StorageEntries(contract)
+
+			// Abroad: slot 3 deleted, slot 1 changed, then locked towards home.
+			src.CreateContract(contract, []byte("movable code"))
+			src.SetStorage(contract, word(1), word(11))
+			src.SetStorage(contract, word(2), word(20))
+			src.SetLocation(contract, chainB)
+			src.SetMoveNonce(contract, 2)
+			src.Commit()
+			payload, err := BuildMoveProof(src, contract, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := NewHeaderStore(paramsA(), paramsB())
+			publish(t, hs, paramsA(), 1, src.Root())
+
+			attempt := func() int {
+				snap := dst.Snapshot()
+				acct, err := VerifyMove2(chainB, dst, hs, payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ApplyMove2(dst, payload, acct)
+				if got := dst.GetStorage(contract, word(3)); got != (evm.Word{}) {
+					t.Fatalf("slot deleted abroad reads %x after the install", got)
+				}
+				if got := dst.GetStorage(contract, word(1)); got != word(11) {
+					t.Fatalf("slot changed abroad reads %x after the install", got)
+				}
+				dst.SetStorage(contract, word(9), word(99)) // moveFinish at work
+				return snap
+			}
+			dst.RevertToSnapshot(attempt()) // moveFinish failed
+			dst.DiscardJournal()
+			if got := dst.StorageEntries(contract); !slices.Equal(got, stale) {
+				t.Fatalf("storage after the revert %v, stale copy %v", got, stale)
+			}
+			for _, k := range []byte{1, 2, 3, 9} {
+				want := word(10 * k)
+				if k == 9 {
+					want = evm.Word{}
+				}
+				if got := dst.GetStorage(contract, word(k)); got != want {
+					t.Fatalf("slot %d after the revert reads %x, want %x", k, got, want)
+				}
+			}
+			if got, _ := dst.GetAccount(contract); got != staleAcct {
+				t.Fatalf("record after the revert %+v, want %+v", got, staleAcct)
+			}
+			if got := dst.Commit(); got != staleRoot {
+				t.Fatalf("root after the revert %s, want %s", got, staleRoot)
+			}
+
+			attempt() // this time moveFinish succeeds
+			dst.Commit()
+			want := []state.StorageEntry{{Key: word(1), Value: word(11)}, {Key: word(2), Value: word(20)}, {Key: word(9), Value: word(99)}}
+			var flat []state.StorageEntry
+			dst.Backend().IterateStorage(contract, func(key, val backend.Word) bool {
+				flat = append(flat, state.StorageEntry{Key: key, Value: val})
+				return true
+			})
+			if !slices.Equal(flat, want) || !slices.Equal(dst.StorageEntries(contract), want) {
+				t.Fatalf("committed storage: backend %v, state %v, want %v", flat, dst.StorageEntries(contract), want)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
 	"scmove/internal/state/backend"
+	"scmove/internal/trie"
 )
 
 // journal records inverse operations so transaction execution can roll back
@@ -17,10 +18,11 @@ type journal struct {
 type journalKind uint8
 
 const (
-	jAccount journalKind = iota + 1 // restore a full account record
-	jStorage                        // restore one storage slot
-	jCode                           // forget a code blob added to the store
-	jLog                            // drop the most recent log
+	jAccount     journalKind = iota + 1 // restore a full account record
+	jStorage                            // restore one storage slot
+	jCode                               // forget a code blob added to the store
+	jLog                                // drop the most recent log
+	jStorageTree                        // put back a whole storage tree
 )
 
 type journalEntry struct {
@@ -32,6 +34,9 @@ type journalEntry struct {
 	prevValue   evm.Word // jStorage
 	prevExisted bool     // jStorage
 	codeHash    hashing.Hash
+
+	prevTree     trie.Tree // jStorageTree: nil means no tree was resident
+	firstInstall bool      // jStorageTree: this install opened the account's replaced record
 }
 
 func (j *journal) append(e journalEntry) { j.entries = append(j.entries, e) }
@@ -67,6 +72,18 @@ func (j *journal) revert(db *DB, id int) {
 			// value through so a revert cannot leave a stale hit behind.
 			if db.flat != nil {
 				db.flat.UpdateSlot(backend.SlotKey{Addr: e.addr, Key: e.key}, e.prevValue, e.prevExisted)
+			}
+		case jStorageTree:
+			if e.prevTree != nil {
+				db.storage[e.addr] = e.prevTree
+			} else {
+				delete(db.storage, e.addr)
+			}
+			if e.firstInstall {
+				delete(db.replaced, e.addr)
+			}
+			if db.flat != nil {
+				db.flat.WipeStorage(e.addr)
 			}
 		case jCode:
 			delete(db.codes, e.codeHash)

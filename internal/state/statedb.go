@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -74,6 +75,13 @@ type DB struct {
 	slotDelta map[backend.SlotKey]prevSlot
 	// slotKeyScratch is the reusable sort scratch for appendSlotChanges.
 	slotKeyScratch []backend.SlotKey
+	// replaced holds, for every account whose storage was installed
+	// wholesale since the last Commit (Move2 import, SELFDESTRUCT, stale
+	// pruning), the tree that was live before the first install — nil when
+	// none was resident and the backend holds the committed slots. Writes to
+	// such an account skip slotDelta: Commit diffs its whole storage, old
+	// against new, instead.
+	replaced map[hashing.Address]trie.Tree
 	// newCodes lists code hashes first seen since the last Commit, so a
 	// persistent backend can store the blobs.
 	newCodes []hashing.Hash
@@ -177,6 +185,7 @@ func newDBCore(chainID hashing.ChainID, kind trie.Kind, opts Options) (*DB, erro
 		cache:        make(map[hashing.Address]*Account),
 		dirty:        make(map[hashing.Address]struct{}),
 		slotDelta:    make(map[backend.SlotKey]prevSlot),
+		replaced:     make(map[hashing.Address]trie.Tree),
 		storageTouch: make(map[hashing.Address]uint64),
 	}
 	if !opts.DisableFlatCache {
@@ -533,8 +542,10 @@ func (db *DB) SetStorage(addr hashing.Address, key, value evm.Word) {
 	})
 	sk := backend.SlotKey{Addr: addr, Key: key}
 	if _, seen := db.slotDelta[sk]; !seen {
-		// First write this block: the live value still is the committed one.
-		db.slotDelta[sk] = prevSlot{val: backend.Word(prev), existed: hadPrev}
+		if _, whole := db.replaced[addr]; !whole {
+			// First write this block: the live value still is the committed one.
+			db.slotDelta[sk] = prevSlot{val: backend.Word(prev), existed: hadPrev}
+		}
 	}
 	db.markDirty(addr)
 	var zero evm.Word
@@ -591,34 +602,33 @@ func (db *DB) DeleteAccount(addr hashing.Address) {
 		addr:        addr,
 		prevAccount: cloneAccount(db.account(addr)),
 	})
-	db.journalStorageWipe(addr)
 	db.cache[addr] = nil
+	db.WipeStorage(addr)
+}
+
+// WipeStorage empties addr's storage (the account record is untouched).
+func (db *DB) WipeStorage(addr hashing.Address) {
+	db.installStorage(addr, trees.MustNew(db.kind, 32))
+}
+
+// installStorage makes t the whole storage of addr, journaling the tree it
+// displaces as one entry: a revert puts that tree back, whatever its size.
+// The displaced tree is never mutated again, so the first one displaced in a
+// block still shows (up to the earlier writes slotDelta remembers) what the
+// last Commit left — Commit diffs it against the live tree.
+func (db *DB) installStorage(addr hashing.Address, t trie.Tree) {
+	prev := db.storage[addr] // nil: not resident
+	_, again := db.replaced[addr]
+	db.journal.append(journalEntry{kind: jStorageTree, addr: addr, prevTree: prev, firstInstall: !again})
+	if !again {
+		db.replaced[addr] = prev
+	}
+	db.storage[addr] = t
+	db.touchStorage(addr)
 	db.markDirty(addr)
-	db.storage[addr] = trees.MustNew(db.kind, 32)
 	if db.flat != nil {
 		db.flat.WipeStorage(addr)
 	}
-}
-
-// journalStorageWipe records every live storage entry of addr so a revert
-// can restore them, and folds the wiped slots into the per-block committed
-// pre-image set. Evicted trees are rebuilt first: their entries must enter
-// the journal too.
-func (db *DB) journalStorageWipe(addr hashing.Address) {
-	t := db.storageTree(addr)
-	t.Iterate(func(k, v []byte) bool {
-		var key, value evm.Word
-		copy(key[:], k)
-		copy(value[:], v)
-		db.journal.append(journalEntry{
-			kind: jStorage, addr: addr, key: key, prevValue: value, prevExisted: true,
-		})
-		sk := backend.SlotKey{Addr: addr, Key: key}
-		if _, seen := db.slotDelta[sk]; !seen {
-			db.slotDelta[sk] = prevSlot{val: backend.Word(value), existed: true}
-		}
-		return true
-	})
 }
 
 // AddLog implements evm.StateAccess.
@@ -713,6 +723,7 @@ func (db *DB) Commit() hashing.Hash {
 	clear(db.dirty)
 	db.dirtyOrder = db.dirtyOrder[:0]
 	clear(db.slotDelta)
+	clear(db.replaced)
 	db.newCodes = db.newCodes[:0]
 	db.journal.reset()
 	// Release the decoded working set: entries are either dirty (now
@@ -785,49 +796,137 @@ func (db *DB) dropCommittedAccount(addr hashing.Address) {
 	}
 }
 
-// appendSlotChanges turns the per-block slot pre-image map into the sorted
-// slot changes of the commit batch. Called after the account flush so
-// commit-time deletions read back as missing slots.
+// appendSlotChanges turns the per-block slot pre-image map, and the whole
+// storage of every account in replaced, into the sorted slot changes of the
+// commit batch. Called after the account flush so commit-time deletions read
+// back as missing slots.
 func (db *DB) appendSlotChanges(batch *backend.Batch) {
-	if len(db.slotDelta) > 0 {
-		// The key scratch is reused across commits (keys are values, nothing
-		// retains them); the change slice is presized to skip growth copies.
-		keys := db.slotKeyScratch[:0]
-		if cap(keys) < len(db.slotDelta) {
-			keys = make([]backend.SlotKey, 0, len(db.slotDelta))
-		}
-		for sk := range db.slotDelta {
-			keys = append(keys, sk)
-		}
-		if batch.Slots == nil {
-			batch.Slots = make([]backend.SlotChange, 0, len(db.slotDelta))
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if c := bytes.Compare(keys[i].Addr[:], keys[j].Addr[:]); c != 0 {
-				return c < 0
-			}
-			return bytes.Compare(keys[i].Key[:], keys[j].Key[:]) < 0
-		})
-		for _, sk := range keys {
-			prev := db.slotDelta[sk]
-			var cur backend.Word
-			var exists bool
-			if t, ok := db.storage[sk.Addr]; ok {
-				if v, found := t.Get(sk.Key[:]); found {
-					copy(cur[:], v)
-					exists = true
-				}
-			}
-			if exists == prev.existed && cur == prev.val {
-				continue // written, then restored to the committed value
-			}
-			batch.Slots = append(batch.Slots, backend.SlotChange{
-				Key: sk, Prev: prev.val, Cur: cur,
-				PrevExisted: prev.existed, CurExists: exists,
-			})
-		}
-		db.slotKeyScratch = keys
+	if len(db.slotDelta) == 0 && len(db.replaced) == 0 {
+		return
 	}
+	// The key scratch is reused across commits (keys are values, nothing
+	// retains them); the change slice is presized to skip growth copies.
+	keys := db.slotKeyScratch[:0]
+	if cap(keys) < len(db.slotDelta) {
+		keys = make([]backend.SlotKey, 0, len(db.slotDelta))
+	}
+	for sk := range db.slotDelta {
+		keys = append(keys, sk)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if c := bytes.Compare(keys[i].Addr[:], keys[j].Addr[:]); c != 0 {
+			return c < 0
+		}
+		return bytes.Compare(keys[i].Key[:], keys[j].Key[:]) < 0
+	})
+	whole := make([]hashing.Address, 0, len(db.replaced))
+	for addr := range db.replaced {
+		whole = append(whole, addr)
+	}
+	sort.Slice(whole, func(i, j int) bool { return bytes.Compare(whole[i][:], whole[j][:]) < 0 })
+	if batch.Slots == nil {
+		batch.Slots = make([]backend.SlotChange, 0, len(db.slotDelta))
+	}
+	for i := 0; i < len(keys); {
+		sk := keys[i]
+		for len(whole) > 0 && bytes.Compare(whole[0][:], sk.Addr[:]) < 0 {
+			db.appendStorageDiff(batch, whole[0], nil)
+			whole = whole[1:]
+		}
+		if len(whole) > 0 && whole[0] == sk.Addr {
+			// Writes from before the install: they only correct what the
+			// displaced tree says the last Commit left.
+			j := i
+			for j < len(keys) && keys[j].Addr == sk.Addr {
+				j++
+			}
+			db.appendStorageDiff(batch, sk.Addr, keys[i:j])
+			whole = whole[1:]
+			i = j
+			continue
+		}
+		i++
+		prev := db.slotDelta[sk]
+		var cur backend.Word
+		var exists bool
+		if t, ok := db.storage[sk.Addr]; ok {
+			if v, found := t.Get(sk.Key[:]); found {
+				copy(cur[:], v)
+				exists = true
+			}
+		}
+		if exists == prev.existed && cur == prev.val {
+			continue // written, then restored to the committed value
+		}
+		batch.Slots = append(batch.Slots, backend.SlotChange{
+			Key: sk, Prev: prev.val, Cur: cur,
+			PrevExisted: prev.existed, CurExists: exists,
+		})
+	}
+	for _, addr := range whole {
+		db.appendStorageDiff(batch, addr, nil)
+	}
+	db.slotKeyScratch = keys
+}
+
+// appendStorageDiff appends the slot changes of one account in replaced:
+// a merge of its committed storage (both sides ascending by key) with the
+// live tree. written lists the account's slotDelta keys, ascending.
+func (db *DB) appendStorageDiff(batch *backend.Batch, addr hashing.Address, written []backend.SlotKey) {
+	old := db.committedStorage(addr, written)
+	gone := func(e StorageEntry) {
+		batch.Slots = append(batch.Slots, backend.SlotChange{
+			Key: backend.SlotKey{Addr: addr, Key: e.Key}, Prev: e.Value, PrevExisted: true,
+		})
+	}
+	if t, ok := db.storage[addr]; ok {
+		t.Iterate(func(k, v []byte) bool {
+			for len(old) > 0 && bytes.Compare(old[0].Key[:], k) < 0 {
+				gone(old[0])
+				old = old[1:]
+			}
+			ch := backend.SlotChange{Key: backend.SlotKey{Addr: addr, Key: evm.Word(k)}, Cur: evm.Word(v), CurExists: true}
+			if len(old) > 0 && old[0].Key == ch.Key.Key {
+				ch.Prev, ch.PrevExisted = old[0].Value, true
+				old = old[1:]
+			}
+			if !ch.PrevExisted || ch.Prev != ch.Cur {
+				batch.Slots = append(batch.Slots, ch)
+			}
+			return true
+		})
+	}
+	for _, e := range old {
+		gone(e)
+	}
+}
+
+// committedStorage returns what the last Commit left in the storage of an
+// account in replaced, ascending by key: the contents of the tree its first
+// install displaced (or the backend's slots when none was resident), with
+// the slots written before that install put back to their pre-images.
+func (db *DB) committedStorage(addr hashing.Address, written []backend.SlotKey) []StorageEntry {
+	var old []StorageEntry
+	if t := db.replaced[addr]; t != nil {
+		old = treeEntries(t)
+	} else if db.back.Persistent() {
+		old = db.backendEntries(addr)
+	}
+	for _, sk := range written {
+		pre := db.slotDelta[sk]
+		i, found := slices.BinarySearchFunc(old, sk.Key, func(e StorageEntry, k evm.Word) int {
+			return bytes.Compare(e.Key[:], k[:])
+		})
+		switch {
+		case pre.existed && found:
+			old[i].Value = pre.val
+		case pre.existed:
+			old = slices.Insert(old, i, StorageEntry{Key: sk.Key, Value: pre.val})
+		case found:
+			old = slices.Delete(old, i, i+1)
+		}
+	}
+	return old
 }
 
 // evictStorageTrees drops the least recently touched clean storage trees
@@ -920,24 +1019,28 @@ func (db *DB) ProveAccount(addr hashing.Address) ([]byte, error) {
 // state payload V of a move proof (paper Alg. 1, Move2). Accounts whose
 // tree is not resident read straight from the backend.
 func (db *DB) StorageEntries(addr hashing.Address) []StorageEntry {
-	t, ok := db.storage[addr]
-	if !ok {
-		if !db.back.Persistent() {
-			return nil
-		}
-		var out []StorageEntry
-		db.back.IterateStorage(addr, func(key, val backend.Word) bool {
-			out = append(out, StorageEntry{Key: evm.Word(key), Value: evm.Word(val)})
-			return true
-		})
-		return out
+	if t, ok := db.storage[addr]; ok {
+		return treeEntries(t)
 	}
+	if !db.back.Persistent() {
+		return nil
+	}
+	return db.backendEntries(addr)
+}
+
+func treeEntries(t trie.Tree) []StorageEntry {
 	out := make([]StorageEntry, 0, t.Len())
 	t.Iterate(func(k, v []byte) bool {
-		var e StorageEntry
-		copy(e.Key[:], k)
-		copy(e.Value[:], v)
-		out = append(out, e)
+		out = append(out, StorageEntry{Key: evm.Word(k), Value: evm.Word(v)})
+		return true
+	})
+	return out
+}
+
+func (db *DB) backendEntries(addr hashing.Address) []StorageEntry {
+	var out []StorageEntry
+	db.back.IterateStorage(addr, func(key, val backend.Word) bool {
+		out = append(out, StorageEntry{Key: key, Value: val})
 		return true
 	})
 	return out
@@ -950,8 +1053,10 @@ type StorageEntry struct {
 }
 
 // ImportAccount installs a full account record (Move2 recreation). The
-// caller has verified proofs; this writes through the normal journaled path
-// so a failing transaction rolls everything back.
+// caller has verified proofs; this writes through the journaled path so a
+// failing transaction rolls everything back. entries become the account's
+// whole storage: a stale copy kept from an earlier residency is replaced,
+// not merged into — a slot deleted abroad must not come back to life here.
 func (db *DB) ImportAccount(addr hashing.Address, acct Account, code []byte, entries []StorageEntry) {
 	working := db.mutable(addr)
 	working.Nonce = acct.Nonce
@@ -969,9 +1074,20 @@ func (db *DB) ImportAccount(addr hashing.Address, acct Account, code []byte, ent
 		}
 		working.CodeHash = h
 	}
+	t := trees.MustNew(db.kind, 32)
 	for _, e := range entries {
-		db.SetStorage(addr, e.Key, e.Value)
+		// As with SetStorage, the zero word means no entry.
+		var err error
+		if e.Value == (evm.Word{}) {
+			err = t.Delete(e.Key[:])
+		} else {
+			err = t.Set(e.Key[:], e.Value[:])
+		}
+		if err != nil {
+			panic(fmt.Sprintf("state: import storage: %v", err))
+		}
 	}
+	db.installStorage(addr, t)
 }
 
 // PruneStale removes the storage and code reference of a contract that has
@@ -987,11 +1103,7 @@ func (db *DB) PruneStale(addr hashing.Address) error {
 		return fmt.Errorf("state: prune %s: contract is still local", addr)
 	}
 	working := db.mutable(addr)
-	db.journalStorageWipe(addr)
-	db.storage[addr] = trees.MustNew(db.kind, 32)
-	if db.flat != nil {
-		db.flat.WipeStorage(addr)
-	}
+	db.WipeStorage(addr)
 	working.CodeHash = hashing.ZeroHash
 	working.StorageRoot = hashing.ZeroHash
 	working.Balance = u256.Zero()

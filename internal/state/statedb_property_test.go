@@ -117,7 +117,7 @@ func TestStatePropertyRandomOpsWithSnapshots(t *testing.T) {
 			}
 
 			for step := 0; step < 4000; step++ {
-				switch rng.Intn(12) {
+				switch rng.Intn(13) {
 				case 0: // snapshot
 					if len(stack) < 4 {
 						stack = append(stack, frame{snap: db.Snapshot(), model: m.clone()})
@@ -185,6 +185,16 @@ func TestStatePropertyRandomOpsWithSnapshots(t *testing.T) {
 						db.DeleteAccount(a)
 						delete(m.accounts, a)
 					}
+				case 12: // Move2 import: the record's fields and the whole storage
+					a := addrOf()
+					in := Account{Nonce: uint64(rng.Intn(50)), Balance: u256.FromUint64(uint64(rng.Intn(10_000))), MoveNonce: uint64(rng.Intn(5))}
+					code := []byte{byte(rng.Intn(200) + 1)}
+					entries := []StorageEntry{{Key: wordOf(), Value: word(byte(rng.Intn(7) + 1))}}
+					db.ImportAccount(a, in, code, entries)
+					acct := m.get(a)
+					acct.nonce, acct.balance, acct.moveN = in.Nonce, in.Balance.Uint64(), in.MoveNonce
+					acct.code, acct.location = string(code), localChain
+					acct.storage = map[evm.Word]evm.Word{entries[0].Key: entries[0].Value}
 				}
 			}
 			check(4000)

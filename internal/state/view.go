@@ -59,11 +59,13 @@ type viewSlotKey struct {
 // viewAccount that snapshots roll back: read sets must survive reverts,
 // because a reverted subcall still observed the parent values it read.
 type acctWrites struct {
-	// wiped disables parent fall-through entirely (DeleteAccount). epoch
-	// identifies the wipe generation; slot writes from older generations
-	// are dead.
-	wiped bool
-	epoch int
+	// wiped disables parent fall-through entirely (DeleteAccount); cleared
+	// disables it for storage only (a Move2 import replaces the storage and
+	// keeps the record). epoch identifies the wipe-or-clear generation; slot
+	// writes from older generations are dead.
+	wiped   bool
+	cleared bool
+	epoch   int
 
 	nonceSet bool
 	nonce    uint64
@@ -288,7 +290,7 @@ func (v *View) GetStorage(addr hashing.Address, key evm.Word) evm.Word {
 	if s != nil && s.w.written && s.w.epoch == a.w.epoch {
 		return s.w.val
 	}
-	if a.w.wiped {
+	if a.w.wiped || a.w.cleared {
 		return evm.Word{}
 	}
 	if s == nil {
@@ -377,9 +379,18 @@ func (v *View) DeleteAccount(addr hashing.Address) {
 	a.w = acctWrites{wiped: true, epoch: v.epochCounter}
 }
 
+// WipeStorage empties addr's storage, keeping the record (see DB.WipeStorage):
+// parent slots are shielded and a fresh epoch kills the buffered writes.
+func (v *View) WipeStorage(addr hashing.Address) {
+	a := v.mutate(addr)
+	v.epochCounter++
+	a.w.cleared, a.w.epoch = true, v.epochCounter
+}
+
 // ImportAccount installs a full account record (Move2 recreation), matching
-// DB.ImportAccount field for field.
+// DB.ImportAccount field for field: entries replace the account's storage.
 func (v *View) ImportAccount(addr hashing.Address, acct Account, code []byte, entries []StorageEntry) {
+	v.WipeStorage(addr)
 	a := v.mutate(addr)
 	a.w.nonceSet, a.w.nonce = true, acct.Nonce
 	a.w.balSet, a.w.balBase = true, acct.Balance
@@ -444,7 +455,7 @@ func (v *View) Accesses(
 ) {
 	for addr, a := range v.accounts {
 		metaRead := a.readExists || a.readNonce || a.readCode || a.readLoc || a.readMove
-		metaWrite := a.w.wiped || a.w.nonceSet || a.w.codeSet || a.w.locSet || a.w.moveSet
+		metaWrite := a.w.wiped || a.w.cleared || a.w.nonceSet || a.w.codeSet || a.w.locSet || a.w.moveSet
 		if metaRead || metaWrite || a.readBal || a.w.balSet || a.w.balTouched {
 			acct(addr, metaRead, metaWrite, a.readBal, a.w.balSet, a.w.balTouched)
 		}
@@ -495,16 +506,23 @@ func (v *View) Validate(st evm.StateAccess) bool {
 	return true
 }
 
+// ApplyTarget is what a view flushes into: the canonical DB, or the view
+// that accumulates a block's committed writes.
+type ApplyTarget interface {
+	evm.StateAccess
+	WipeStorage(addr hashing.Address)
+}
+
 // ApplyTo replays the final write overlay into st through the ordinary
 // setters, in sorted (address, key) order so the flush is deterministic.
 // Field-granular replay reproduces exactly the records serial execution
 // would have produced — including account-creation side effects (zero-delta
-// balance touches) and SELFDESTRUCT wipes. Logs are not replayed: the
-// transaction's receipt already carries them.
-func (v *View) ApplyTo(st evm.StateAccess) {
+// balance touches), SELFDESTRUCT wipes and Move2 storage replacement. Logs
+// are not replayed: the transaction's receipt already carries them.
+func (v *View) ApplyTo(st ApplyTarget) {
 	addrs := make([]hashing.Address, 0, len(v.accounts))
 	for addr, a := range v.accounts {
-		if a.w.written() || a.w.wiped {
+		if a.w.written() || a.w.wiped || a.w.cleared {
 			addrs = append(addrs, addr)
 		}
 	}
@@ -515,6 +533,8 @@ func (v *View) ApplyTo(st evm.StateAccess) {
 		w := &v.accounts[addr].w
 		if w.wiped {
 			st.DeleteAccount(addr)
+		} else if w.cleared {
+			st.WipeStorage(addr)
 		}
 		if w.codeSet {
 			st.CreateContract(addr, w.code)

@@ -138,8 +138,9 @@ func TestViewImportAccountMatchesDB(t *testing.T) {
 // TestViewPropertyDifferentialRandomOps drives a DB directly and a View (over
 // an identically seeded parent) through the same random operation stream —
 // including nested snapshot/revert pairs, SELFDESTRUCT wipes, re-creation
-// after wipes, and Move2 imports — comparing every observable getter after
-// each revert, and the committed state roots after the view flushes.
+// after wipes, and Move2 imports (which replace the account's storage) —
+// comparing every observable getter after each revert, and the committed
+// state roots after the view flushes.
 func TestViewPropertyDifferentialRandomOps(t *testing.T) {
 	for _, kind := range []trie.Kind{trie.KindMPT, trie.KindIAVL} {
 		kind := kind
@@ -259,6 +260,17 @@ func TestViewPropertyDifferentialRandomOps(t *testing.T) {
 					entries := []StorageEntry{{Key: wordOf(), Value: word(byte(rng.Intn(7) + 1))}}
 					v.ImportAccount(a, acct, code, entries)
 					serial.ImportAccount(a, acct, code, entries)
+					// The import replaces the storage: whatever the account
+					// held before (seeded, written or imported) is gone.
+					for k := byte(0); k < 8; k++ {
+						want := evm.Word{}
+						if word(k) == entries[0].Key {
+							want = entries[0].Value
+						}
+						if got, sgot := v.GetStorage(a, word(k)), serial.GetStorage(a, word(k)); got != want || sgot != want {
+							t.Fatalf("step %d: %s storage[%d] after import: view %x, serial %x, want %x", step, a, k, got, sgot, want)
+						}
+					}
 				}
 			}
 			check(6000)

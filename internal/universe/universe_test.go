@@ -1,6 +1,7 @@
 package universe
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"scmove/internal/contracts"
 	"scmove/internal/hashing"
 	"scmove/internal/relay"
+	"scmove/internal/state"
 	"scmove/internal/u256"
 )
 
@@ -145,6 +147,51 @@ func TestMoveRoundTripReturns(t *testing.T) {
 	// contract from either chain (§III-G(b)).
 	if u.Chain(1).StateDB().GetLocation(store) != 2 {
 		t.Fatal("source tombstone must point at the contract's home")
+	}
+}
+
+// TestMoveHomeDropsSlotsDeletedAbroad is the return-home regression: a slot
+// zeroed while the contract lived on another chain must be gone when the
+// contract comes back, not resurrected from the stale copy its home kept
+// (§III-G(c) lets a chain keep that copy; Move2 installs the proven storage
+// in its place).
+func TestMoveHomeDropsSlotsDeletedAbroad(t *testing.T) {
+	u := newIBCUniverse(t, 1)
+	cl := u.Client(0)
+	eth, bur := u.Chain(1), u.Chain(2)
+
+	store, err := u.MustDeploy(cl, bur, contracts.StoreName,
+		contracts.StoreConstructorArgs(cl.Address(), 5), u256.Zero(), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.MoveAndWait(cl, 2, 1, store, 5*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var zero [32]byte
+	if _, err := u.MustCall(cl, eth, store,
+		contracts.EncodeCall("set", contracts.ArgUint(3), contracts.ArgWord(zero)), u256.Zero(), 5*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.MoveAndWait(cl, 1, 2, store, 10*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 5; i++ {
+		v, err := bur.StaticCall(cl.Address(), store, contracts.EncodeCall("get", contracts.ArgUint(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gone := u256.FromBytes(v).IsZero(); gone != (i == 3) {
+			t.Fatalf("slot %d back home reads %x", i, v)
+		}
+	}
+	// The home holds exactly the slots the proof carried — the key set of
+	// the locked copy left abroad. (Values may differ where moveFinish wrote
+	// after the import.)
+	home, abroad := bur.StateDB().StorageEntries(store), eth.StateDB().StorageEntries(store)
+	sameKeys := slices.EqualFunc(home, abroad, func(a, b state.StorageEntry) bool { return a.Key == b.Key })
+	if !sameKeys {
+		t.Fatalf("home holds %d slots %v, the proven copy abroad %d slots %v", len(home), home, len(abroad), abroad)
 	}
 }
 
