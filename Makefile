@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test vet race bench benchsmoke benchdiff benchgate detsmoke expsmoke fuzzsmoke statesmoke rpcsmoke shardsmoke experiments
+.PHONY: check build test vet race bench benchsmoke benchdiff benchgate benchtest detsmoke expsmoke fuzzsmoke statesmoke rpcsmoke shardsmoke experiments
 
-check: vet race detsmoke benchsmoke benchgate expsmoke fuzzsmoke statesmoke rpcsmoke shardsmoke
+check: vet race detsmoke benchsmoke benchgate benchtest expsmoke fuzzsmoke statesmoke rpcsmoke shardsmoke
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,11 @@ benchgate:
 		echo "benchgate: skipped ($(OLD) and $(NEW) not both present)"; \
 	fi
 
+# benchtest runs the tests of the repository benchmark (benchmark/ is a
+# nested module, so `go test ./...` at the root does not reach them).
+benchtest:
+	$(GO) test -C benchmark ./...
+
 # detsmoke runs the seeded cross-GOMAXPROCS (1, 2, NumCPU) determinism
 # checks for the parallel crypto pool, the parallel state commit, the
 # workload signing pipeline, and both parallel block executors — the
@@ -58,10 +63,14 @@ benchgate:
 # scheduled/optimistic/serial differential, no-storm counter pin, Kitties
 # breeding DAG, grouped batch selection), plus the parallel per-tick
 # universe driver (16-chain policy-on scaling cell, serial vs laned
-# drivers): bit-identical results at every worker count.
+# drivers): bit-identical results at every worker count. It also holds the
+# Move-cost pins: consensus vote tables bounded by the current height and
+# allocation-free, a reverted Move2 restoring the stale copy exactly, and a
+# contract returning home without the slots deleted abroad.
 detsmoke:
-	$(GO) test -run 'TestVerifyBatchMatchesSerial|TestRecoverSendersMatchesSerialAcrossGOMAXPROCS|TestCommitParallelMatchesSerial|TestHashParallelMatchesRootHashAndProofs|TestApplyBlockParallelDeterminism|TestApplyBlockParallelDifferential|TestParallelAbortFallback|TestParallelPerTargetCutoff|TestApplyBlockScheduledDifferential|TestScheduledConflictingNoStorm|TestScheduledKittiesDAG|TestNextBatchGroupedPreservesFIFO|TestViewPropertyDifferentialRandomOps|TestKittiesReplayCrossGOMAXPROCSDeterminism|TestApplyBlockParallelMatchesSerial|TestChaosCellCrossGOMAXPROCS|TestBackendConformanceDifferential|TestShardedScalingCrossGOMAXPROCSDeterminism|TestRunUntilParallelMatchesSerial' \
-		./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ ./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/simclock/
+	$(GO) test -run 'TestVoteTablesBoundedByCurrentHeight|TestOnVoteSteadyStateZeroAllocs|TestRevertedMove2RestoresStaleCopy|TestMoveHomeDropsSlotsDeletedAbroad|TestVerifyBatchMatchesSerial|TestRecoverSendersMatchesSerialAcrossGOMAXPROCS|TestCommitParallelMatchesSerial|TestHashParallelMatchesRootHashAndProofs|TestApplyBlockParallelDeterminism|TestApplyBlockParallelDifferential|TestParallelAbortFallback|TestParallelPerTargetCutoff|TestApplyBlockScheduledDifferential|TestScheduledConflictingNoStorm|TestScheduledKittiesDAG|TestNextBatchGroupedPreservesFIFO|TestViewPropertyDifferentialRandomOps|TestKittiesReplayCrossGOMAXPROCSDeterminism|TestApplyBlockParallelMatchesSerial|TestChaosCellCrossGOMAXPROCS|TestBackendConformanceDifferential|TestShardedScalingCrossGOMAXPROCSDeterminism|TestRunUntilParallelMatchesSerial' \
+		./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ ./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/simclock/ \
+		./internal/tendermint/ ./internal/core/ ./internal/universe/
 
 # expsmoke is the experiment-output sanity gate: a CI-scale ablations run
 # plus a chaos run with metrics and span tracing on, captured to /tmp and
@@ -115,10 +124,13 @@ rpcsmoke:
 # genesis on the log-structured file backend with capped resident storage
 # trees, an RSS ceiling, a close-and-reopen root check, root identity
 # against the in-memory backend on the same update script, and a Kitties
-# replay whose deterministic counters must match across backends.
-# SCMOVE_STATESMOKE_ACCOUNTS scales the genesis for quicker local runs.
+# replay whose deterministic counters must match across backends — and the
+# pin that iterating one contract's storage costs the same beside 100 k
+# unrelated accounts. SCMOVE_STATESMOKE_ACCOUNTS scales the genesis for
+# quicker local runs.
 statesmoke:
 	SCMOVE_STATESMOKE=1 $(GO) test -run TestStateSmoke -count=1 -timeout 900s ./internal/bench/
+	$(GO) test -run TestIterateStorageCostIsPerContract -count=1 ./internal/state/backend/
 
 # shardsmoke is the sharded-universe scale gate: a 64-chain laned universe
 # with a 100k keyed-user population (SCMOVE_SHARDSMOKE_USERS=1000000 for

@@ -40,7 +40,6 @@ type File struct {
 	accounts  map[hashing.Address]loc
 	slots     map[hashing.Address]*contractSlots
 	codes     map[hashing.Hash]loc
-	liveSlots int          // live slot keys over all contracts
 	liveBytes int64        // record bytes reachable through the index
 	deadBytes int64        // record bytes superseded or deleted
 	root      hashing.Hash // latest committed root
@@ -75,11 +74,7 @@ func (cs *contractSlots) sortedKeys() []Word {
 	if p := cs.order.Load(); p != nil {
 		return *p
 	}
-	keys := make([]Word, 0, len(cs.locs))
-	for k := range cs.locs {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b Word) int { return bytes.Compare(a[:], b[:]) })
+	keys := sortedMapKeys(cs.locs, cmpWord)
 	cs.order.Store(&keys)
 	return keys
 }
@@ -239,7 +234,6 @@ func (f *File) applyRecord(seg uint32, off int64, rec record, reclen int) {
 		cs.locs[key] = l
 		if !ok {
 			cs.order.Store(nil)
-			f.liveSlots++
 		}
 		f.replaced(old, ok, reclen)
 	case recSlotDel:
@@ -250,7 +244,6 @@ func (f *File) applyRecord(seg uint32, off int64, rec record, reclen int) {
 			if old, ok = cs.locs[key]; ok {
 				delete(cs.locs, key)
 				cs.order.Store(nil)
-				f.liveSlots--
 				if len(cs.locs) == 0 {
 					delete(f.slots, addr)
 				}
@@ -333,7 +326,7 @@ func (f *File) Slot(k SlotKey) (Word, bool) {
 }
 
 // sortedMapKeys returns the keys of one index map in ascending order.
-func sortedMapKeys[K interface{ ~[20]byte | ~[32]byte }](m map[K]loc, cmp func(a, b K) int) []K {
+func sortedMapKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
 	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -344,6 +337,7 @@ func sortedMapKeys[K interface{ ~[20]byte | ~[32]byte }](m map[K]loc, cmp func(a
 
 func cmpAddr(a, b hashing.Address) int { return bytes.Compare(a[:], b[:]) }
 func cmpHash(a, b hashing.Hash) int    { return bytes.Compare(a[:], b[:]) }
+func cmpWord(a, b Word) int            { return bytes.Compare(a[:], b[:]) }
 
 // IterateAccounts implements Reader.
 func (f *File) IterateAccounts(fn func(addr hashing.Address, enc []byte) bool) {
@@ -503,13 +497,8 @@ func (f *File) compact() error {
 			}
 			accounts[addr] = l
 		}
-		owners := make([]hashing.Address, 0, len(f.slots))
-		for addr := range f.slots {
-			owners = append(owners, addr)
-		}
-		slices.SortFunc(owners, cmpAddr)
 		var slotKey [slotSize]byte
-		for _, addr := range owners {
+		for _, addr := range sortedMapKeys(f.slots, cmpAddr) {
 			old := f.slots[addr]
 			keys := old.sortedKeys()
 			cs := &contractSlots{locs: make(map[Word]loc, len(keys))}
@@ -609,7 +598,13 @@ func (f *File) Persistent() bool { return true }
 
 // LiveKeys returns the number of live index entries (accounts, slots and
 // code blobs).
-func (f *File) LiveKeys() int { return len(f.accounts) + f.liveSlots + len(f.codes) }
+func (f *File) LiveKeys() int {
+	n := len(f.accounts) + len(f.codes)
+	for _, cs := range f.slots {
+		n += len(cs.locs)
+	}
+	return n
+}
 
 // SegmentBytes returns the live/dead byte split of the store.
 func (f *File) SegmentBytes() (live, dead int64) { return f.liveBytes, f.deadBytes }

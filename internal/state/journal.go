@@ -30,13 +30,12 @@ type journalEntry struct {
 	addr hashing.Address
 
 	prevAccount *Account // jAccount: nil means the account did not exist
-	key         evm.Word // jStorage
+	key         evm.Word // jStorage: the slot; jCode: the blob's hash
 	prevValue   evm.Word // jStorage
 	prevExisted bool     // jStorage
-	codeHash    hashing.Hash
-
+	// jStorageTree: this install opened the account's replaced record
+	firstInstall bool
 	prevTree     trie.Tree // jStorageTree: nil means no tree was resident
-	firstInstall bool      // jStorageTree: this install opened the account's replaced record
 }
 
 func (j *journal) append(e journalEntry) { j.entries = append(j.entries, e) }
@@ -86,7 +85,7 @@ func (j *journal) revert(db *DB, id int) {
 				db.flat.WipeStorage(e.addr)
 			}
 		case jCode:
-			delete(db.codes, e.codeHash)
+			delete(db.codes, hashing.Hash(e.key))
 		case jLog:
 			db.logs = db.logs[:len(db.logs)-1]
 		}

@@ -398,7 +398,7 @@ func (db *DB) CreateContract(addr hashing.Address, code []byte) {
 	copy(codeCopy, code)
 	h := hashing.Sum(codeCopy)
 	if _, ok := db.codes[h]; !ok {
-		db.journal.append(journalEntry{kind: jCode, codeHash: h})
+		db.journal.append(journalEntry{kind: jCode, key: evm.Word(h)})
 		db.codes[h] = codeCopy
 		db.newCodes = append(db.newCodes, h)
 	}
@@ -910,7 +910,12 @@ func (db *DB) committedStorage(addr hashing.Address, written []backend.SlotKey) 
 	if t := db.replaced[addr]; t != nil {
 		old = treeEntries(t)
 	} else if db.back.Persistent() {
-		old = db.backendEntries(addr)
+		// A returning contract usually comes back about as large as it left.
+		sizeHint := 0
+		if cur, ok := db.storage[addr]; ok {
+			sizeHint = cur.Len()
+		}
+		old = db.backendEntries(addr, sizeHint)
 	}
 	for _, sk := range written {
 		pre := db.slotDelta[sk]
@@ -1025,7 +1030,7 @@ func (db *DB) StorageEntries(addr hashing.Address) []StorageEntry {
 	if !db.back.Persistent() {
 		return nil
 	}
-	return db.backendEntries(addr)
+	return db.backendEntries(addr, 0)
 }
 
 func treeEntries(t trie.Tree) []StorageEntry {
@@ -1037,8 +1042,10 @@ func treeEntries(t trie.Tree) []StorageEntry {
 	return out
 }
 
-func (db *DB) backendEntries(addr hashing.Address) []StorageEntry {
-	var out []StorageEntry
+// backendEntries reads addr's committed slots from the backend, ascending by
+// key; sizeHint presizes the result.
+func (db *DB) backendEntries(addr hashing.Address, sizeHint int) []StorageEntry {
+	out := make([]StorageEntry, 0, sizeHint)
 	db.back.IterateStorage(addr, func(key, val backend.Word) bool {
 		out = append(out, StorageEntry{Key: key, Value: val})
 		return true
@@ -1068,7 +1075,7 @@ func (db *DB) ImportAccount(addr hashing.Address, acct Account, code []byte, ent
 		copy(codeCopy, code)
 		h := hashing.Sum(codeCopy)
 		if _, ok := db.codes[h]; !ok {
-			db.journal.append(journalEntry{kind: jCode, codeHash: h})
+			db.journal.append(journalEntry{kind: jCode, key: evm.Word(h)})
 			db.codes[h] = codeCopy
 			db.newCodes = append(db.newCodes, h)
 		}
