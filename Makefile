@@ -65,12 +65,16 @@ benchtest:
 # universe driver (16-chain policy-on scaling cell, serial vs laned
 # drivers): bit-identical results at every worker count. It also holds the
 # Move-cost pins: consensus vote tables bounded by the current height and
-# allocation-free, a reverted Move2 restoring the stale copy exactly, and a
-# contract returning home without the slots deleted abroad.
+# allocation-free, a reverted Move2 restoring the stale copy exactly, a
+# contract returning home without the slots deleted abroad, and the bulk tree
+# constructors every Move and every rebuild goes through — indistinguishable
+# from a Set loop (root, proofs, later writes), refusing runs that are not
+# strictly ascending, constant in allocations, and hashed to the same root at
+# every worker count.
 detsmoke:
-	$(GO) test -run 'TestVoteTablesBoundedByCurrentHeight|TestOnVoteSteadyStateZeroAllocs|TestRevertedMove2RestoresStaleCopy|TestMoveHomeDropsSlotsDeletedAbroad|TestVerifyBatchMatchesSerial|TestRecoverSendersMatchesSerialAcrossGOMAXPROCS|TestCommitParallelMatchesSerial|TestHashParallelMatchesRootHashAndProofs|TestApplyBlockParallelDeterminism|TestApplyBlockParallelDifferential|TestParallelAbortFallback|TestParallelPerTargetCutoff|TestApplyBlockScheduledDifferential|TestScheduledConflictingNoStorm|TestScheduledKittiesDAG|TestNextBatchGroupedPreservesFIFO|TestViewPropertyDifferentialRandomOps|TestKittiesReplayCrossGOMAXPROCSDeterminism|TestApplyBlockParallelMatchesSerial|TestChaosCellCrossGOMAXPROCS|TestBackendConformanceDifferential|TestShardedScalingCrossGOMAXPROCSDeterminism|TestRunUntilParallelMatchesSerial' \
+	$(GO) test -run 'TestBuildMatchesIncremental|TestBuildRefusesBadRuns|TestBuildAllocsAreConstant|TestBuiltTreeHashParallelMatchesRootHash|TestVoteTablesBoundedByCurrentHeight|TestOnVoteSteadyStateZeroAllocs|TestRevertedMove2RestoresStaleCopy|TestMoveHomeDropsSlotsDeletedAbroad|TestVerifyBatchMatchesSerial|TestRecoverSendersMatchesSerialAcrossGOMAXPROCS|TestCommitParallelMatchesSerial|TestHashParallelMatchesRootHashAndProofs|TestApplyBlockParallelDeterminism|TestApplyBlockParallelDifferential|TestParallelAbortFallback|TestParallelPerTargetCutoff|TestApplyBlockScheduledDifferential|TestScheduledConflictingNoStorm|TestScheduledKittiesDAG|TestNextBatchGroupedPreservesFIFO|TestViewPropertyDifferentialRandomOps|TestKittiesReplayCrossGOMAXPROCSDeterminism|TestApplyBlockParallelMatchesSerial|TestChaosCellCrossGOMAXPROCS|TestBackendConformanceDifferential|TestShardedScalingCrossGOMAXPROCSDeterminism|TestRunUntilParallelMatchesSerial' \
 		./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ ./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/simclock/ \
-		./internal/tendermint/ ./internal/core/ ./internal/universe/
+		./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/
 
 # expsmoke is the experiment-output sanity gate: a CI-scale ablations run
 # plus a chaos run with metrics and span tracing on, captured to /tmp and
@@ -103,6 +107,7 @@ fuzzsmoke:
 		'./internal/types FuzzDecodeMove2Payload' \
 		'./internal/core FuzzVerifyMove2AccountProof' \
 		'./internal/core FuzzVerifyMove2Storage' \
+		'./internal/trees FuzzBuildVsIncremental' \
 		'./internal/state/backend FuzzSegmentDecode' \
 		'./internal/simnet FuzzFrameDecode' \
 	; do \
@@ -127,9 +132,10 @@ rpcsmoke:
 # replay whose deterministic counters must match across backends — and the
 # pin that iterating one contract's storage costs the same beside 100 k
 # unrelated accounts. SCMOVE_STATESMOKE_ACCOUNTS scales the genesis for
-# quicker local runs.
+# quicker local runs. -v shows the test's log: populate time, RSS, and the
+# wall time of the reopen (one bulk build of the account tree).
 statesmoke:
-	SCMOVE_STATESMOKE=1 $(GO) test -run TestStateSmoke -count=1 -timeout 900s ./internal/bench/
+	SCMOVE_STATESMOKE=1 $(GO) test -v -run TestStateSmoke -count=1 -timeout 900s ./internal/bench/
 	$(GO) test -run TestIterateStorageCostIsPerContract -count=1 ./internal/state/backend/
 
 # shardsmoke is the sharded-universe scale gate: a 64-chain laned universe

@@ -100,10 +100,12 @@ func TestStateSmoke(t *testing.T) {
 	if err := fdb.Close(); err != nil {
 		t.Fatal(err)
 	}
+	start = time.Now()
 	re, err := state.OpenDB(fdb.ChainID(), kind, cfg.Options)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
+	t.Logf("file backend: reopened %d accounts in %v", accounts, time.Since(start))
 	if got := re.Root(); got != finalRoot {
 		t.Fatalf("reopened root %s, committed %s", got, finalRoot)
 	}

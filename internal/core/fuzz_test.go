@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"scmove/internal/state"
@@ -59,8 +60,11 @@ func FuzzVerifyMove2AccountProof(f *testing.F) {
 	})
 }
 
-// FuzzVerifyMove2Storage mutates one storage entry: completeness must
-// reject any change.
+// FuzzVerifyMove2Storage mutates the storage payload — a byte of one entry
+// flipped, two neighbours swapped, or one entry carried twice (pos >= 128
+// selects the last two) — and completeness must reject any change. The
+// swap and the duplicate leave the set of slots what the source proved:
+// they are refused because a payload lists each slot once, in key order.
 func FuzzVerifyMove2Storage(f *testing.F) {
 	src, err := state.NewDB(chainA, trie.KindMPT)
 	if err != nil {
@@ -84,9 +88,12 @@ func FuzzVerifyMove2Storage(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add(uint8(0), uint8(0), uint8(0))  // identity
-	f.Add(uint8(1), uint8(31), uint8(1)) // flip value byte
-	f.Add(uint8(2), uint8(0), uint8(9))  // flip key byte
+	f.Add(uint8(0), uint8(0), uint8(0))   // identity
+	f.Add(uint8(1), uint8(31), uint8(1))  // flip value byte
+	f.Add(uint8(2), uint8(0), uint8(9))   // flip key byte
+	f.Add(uint8(1), uint8(128), uint8(0)) // swap entries 1 and 2
+	f.Add(uint8(3), uint8(128), uint8(0)) // swap the last entry with the first
+	f.Add(uint8(2), uint8(192), uint8(0)) // carry entry 2 twice
 
 	f.Fuzz(func(t *testing.T, entry, pos, delta uint8) {
 		dst, err := state.NewDB(chainB, trie.KindIAVL)
@@ -96,8 +103,16 @@ func FuzzVerifyMove2Storage(f *testing.F) {
 		p := *payload
 		p.Storage = append([]types.StorageEntry{}, payload.Storage...)
 		mutated := false
-		if len(p.Storage) > 0 && delta != 0 {
-			i := int(entry) % len(p.Storage)
+		i := int(entry) % len(p.Storage)
+		switch {
+		case pos >= 192:
+			p.Storage = slices.Insert(p.Storage, i, p.Storage[i])
+			mutated = true
+		case pos >= 128:
+			j := (i + 1) % len(p.Storage)
+			p.Storage[i], p.Storage[j] = p.Storage[j], p.Storage[i]
+			mutated = true
+		case delta != 0:
 			e := p.Storage[i]
 			if pos%2 == 0 {
 				e.Key[pos%32] ^= delta

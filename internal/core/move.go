@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"scmove/internal/evm"
 	"scmove/internal/hashing"
 	"scmove/internal/state"
 	"scmove/internal/trees"
@@ -46,7 +47,7 @@ func IsMoveFinishInput(input []byte) bool {
 // the parallel block executor implement it.
 type MoveState interface {
 	GetMoveNonce(addr hashing.Address) uint64
-	ImportAccount(addr hashing.Address, acct state.Account, code []byte, entries []state.StorageEntry)
+	ImportAccount(addr hashing.Address, acct state.Account, code []byte, entries []evm.StorageEntry)
 }
 
 // BuildMoveProof assembles the Move2 payload for a locked contract against
@@ -67,18 +68,13 @@ func BuildMoveProof(db *state.DB, contract hashing.Address, height uint64) (*typ
 	if err != nil {
 		return nil, fmt.Errorf("core: build proof: %w", err)
 	}
-	entries := db.StorageEntries(contract)
-	storage := make([]types.StorageEntry, len(entries))
-	for i, e := range entries {
-		storage[i] = types.StorageEntry{Key: e.Key, Value: e.Value}
-	}
 	return &types.Move2Payload{
 		Contract:     contract,
 		SourceChain:  db.ChainID(),
 		SourceHeight: height,
 		AccountProof: accountProof,
 		Code:         db.GetCode(contract),
-		Storage:      storage,
+		Storage:      db.StorageEntries(contract),
 	}, nil
 }
 
@@ -107,13 +103,9 @@ func BuildMoveProofAt(db *state.DB, contract hashing.Address, height uint64, roo
 	if err != nil {
 		return nil, fmt.Errorf("core: build proof at %d: %w", height, err)
 	}
-	entries, err := db.StorageEntriesAt(contract, root)
+	storage, err := db.StorageEntriesAt(contract, root)
 	if err != nil {
 		return nil, fmt.Errorf("core: build proof at %d: %w", height, err)
-	}
-	storage := make([]types.StorageEntry, len(entries))
-	for i, e := range entries {
-		storage[i] = types.StorageEntry{Key: e.Key, Value: e.Value}
 	}
 	var code []byte
 	if !acct.CodeHash.IsZero() {
@@ -195,22 +187,26 @@ func checkCode(codeHash hashing.Hash, code []byte) error {
 	return nil
 }
 
+// checkStorageComplete recomputes the storage root, in the source chain's
+// tree kind, over the carried entries. They must be what the source's
+// StorageEntries lists: every slot once, in strictly ascending key order,
+// none zero. The root is computed in one pass that relies on that order and
+// keeps no tree, so a payload out of order or with a key repeated is
+// refused as such, not sorted into shape.
 func checkStorageComplete(params ChainParams, storageRoot hashing.Hash, entries []types.StorageEntry) error {
-	tree, err := trees.New(params.TreeKind, 32)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		var zero [32]byte
-		if e.Value == zero {
+	for i := range entries {
+		if entries[i].Value == (evm.Word{}) {
 			return fmt.Errorf("%w: zero-valued storage entry", ErrIncompleteSet)
 		}
-		if err := tree.Set(e.Key[:], e.Value[:]); err != nil {
-			return fmt.Errorf("%w: %v", ErrIncompleteSet, err)
-		}
 	}
-	if tree.RootHash() != storageRoot {
-		return fmt.Errorf("%w: rebuilt root %s, proven %s", ErrIncompleteSet, tree.RootHash(), storageRoot)
+	root, err := trees.RootOf(params.TreeKind, 32, len(entries), func(i int) (key, value []byte) {
+		return entries[i].Key[:], entries[i].Value[:]
+	})
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrIncompleteSet, err)
+	}
+	if root != storageRoot {
+		return fmt.Errorf("%w: rebuilt root %s, proven %s", ErrIncompleteSet, root, storageRoot)
 	}
 	return nil
 }
@@ -220,9 +216,5 @@ func checkStorageComplete(params ChainParams, storageRoot hashing.Hash, entries 
 // installed, and every storage entry rewritten through the journaled state
 // so a later failure in moveFinish rolls the recreation back too.
 func ApplyMove2(db MoveState, p *types.Move2Payload, acct state.Account) {
-	entries := make([]state.StorageEntry, len(p.Storage))
-	for i, e := range p.Storage {
-		entries[i] = state.StorageEntry{Key: e.Key, Value: e.Value}
-	}
-	db.ImportAccount(p.Contract, acct, p.Code, entries)
+	db.ImportAccount(p.Contract, acct, p.Code, p.Storage)
 }

@@ -8,6 +8,14 @@ import (
 // Word is a 32-byte storage key or value.
 type Word = [32]byte
 
+// StorageEntry is one storage key-value pair of a contract. The state
+// database lists a contract's storage as a key-ordered slice of them, and a
+// Move2 payload carries that very slice (paper Alg. 1, the state payload V).
+type StorageEntry struct {
+	Key   Word
+	Value Word
+}
+
 // Log is an event emitted by contract execution (LOG0-LOG4 or a native
 // contract's Emit). Receipts aggregate the logs of a transaction.
 type Log struct {

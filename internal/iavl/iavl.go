@@ -30,11 +30,9 @@ type node struct {
 	prio        hashing.Hash
 	left, right *node
 
-	// hash and enc cache the node hash and its canonical encoding while the
-	// subtree is clean, so unchanged subtrees are neither re-encoded nor
-	// re-hashed by RootHash or Prove.
+	// hash caches the node hash while the subtree is clean, so unchanged
+	// subtrees are not re-hashed by RootHash or Prove.
 	hash  hashing.Hash
-	enc   []byte
 	clean bool
 }
 
@@ -134,8 +132,16 @@ func (t *Tree) Iterate(fn func(key, value []byte) bool) {
 	walk(t.root)
 }
 
+// priority is SumTagged(tagPrio, key). Keys up to a storage word, the
+// longest a state tree has, are tagged in a stack buffer: a bulk build draws
+// one priority per entry and should not depend on a pooled hasher for it.
 func priority(key []byte) hashing.Hash {
-	return hashing.SumTagged(tagPrio, key)
+	var buf [1 + 32]byte
+	if len(key) >= len(buf) {
+		return hashing.SumTagged(tagPrio, key)
+	}
+	buf[0] = tagPrio
+	return hashing.Sum(buf[:1+copy(buf[1:], key)])
 }
 
 // higher reports whether priority a wins over b (max-treap ordering).
@@ -231,46 +237,52 @@ func rotateLeft(n *node) *node {
 	return r
 }
 
-// appendEncode appends the canonical node encoding to b, byte-identical to
+// encScratch sizes the stack buffer a node is encoded into for hashing and
+// proving: tag, two length prefixes, a 32-byte key, a 32-byte value and two
+// child hashes need 131 bytes, an account record somewhat more. A longer
+// encoding spills to the heap through append; nothing depends on the size.
+const encScratch = 256
+
+// appendNode appends the canonical node encoding to b, byte-identical to
 // the codec.Writer format proofs decode: uvarint tag, length-prefixed key
-// and value, raw child hashes.
-func (n *node) appendEncode(b []byte) []byte {
+// and value, raw child hashes (zero for an absent child).
+func appendNode(b, key, value []byte, left, right hashing.Hash) []byte {
 	b = binary.AppendUvarint(b, tagNode)
-	b = binary.AppendUvarint(b, uint64(len(n.key)))
-	b = append(b, n.key...)
-	b = binary.AppendUvarint(b, uint64(len(n.value)))
-	b = append(b, n.value...)
-	if n.left == nil {
-		b = append(b, hashing.ZeroHash[:]...)
-	} else {
-		h := n.left.hashNode()
-		b = append(b, h[:]...)
-	}
-	if n.right == nil {
-		b = append(b, hashing.ZeroHash[:]...)
-	} else {
-		h := n.right.hashNode()
-		b = append(b, h[:]...)
-	}
-	return b
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	b = append(b, key...)
+	b = binary.AppendUvarint(b, uint64(len(value)))
+	b = append(b, value...)
+	b = append(b, left[:]...)
+	return append(b, right[:]...)
 }
 
-// encode returns the canonical encoding of a clean node, hashing (and
-// caching) it first if needed. The returned slice is the node's cache;
-// callers must not retain or mutate it across tree mutations.
-func (n *node) encode() []byte {
-	if !n.clean {
-		n.hashNode()
+// appendEncode appends n's canonical encoding to b. Encodings are not
+// cached: a clean node keeps only its hash, and Prove re-encodes the few
+// nodes on its path. n's children must be clean. It does not recurse, which
+// is what lets callers hand it a stack buffer.
+func (n *node) appendEncode(b []byte) []byte {
+	var left, right hashing.Hash
+	if n.left != nil {
+		left = n.left.hash
 	}
-	return n.enc
+	if n.right != nil {
+		right = n.right.hash
+	}
+	return appendNode(b, n.key, n.value, left, right)
 }
 
 func (n *node) hashNode() hashing.Hash {
 	if n.clean {
 		return n.hash
 	}
-	n.enc = n.appendEncode(n.enc[:0])
-	n.hash = hashing.Sum(n.enc)
+	if n.left != nil {
+		n.left.hashNode()
+	}
+	if n.right != nil {
+		n.right.hashNode()
+	}
+	var buf [encScratch]byte
+	n.hash = hashing.Sum(n.appendEncode(buf[:0]))
 	n.clean = true
 	return n.hash
 }

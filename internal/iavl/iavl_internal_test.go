@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
+
+	"scmove/internal/hashing"
 )
 
 // TestTreapInvariants checks the two structural invariants after arbitrary
@@ -83,6 +85,20 @@ func TestHashCacheMatchesRecomputation(t *testing.T) {
 			if rebuilt.RootHash() != cached {
 				t.Fatalf("op %d: cached root diverges from recomputation", op)
 			}
+		}
+	}
+}
+
+// TestPriorityIsTheTaggedKeyHash pins the priority function across its two
+// code paths: priorities fix the tree's shape, hence every root.
+func TestPriorityIsTheTaggedKeyHash(t *testing.T) {
+	for _, n := range []int{1, 4, 20, 32, 33, 64} {
+		key := make([]byte, n)
+		for i := range key {
+			key[i] = byte(i*7 + n)
+		}
+		if got, want := priority(key), hashing.SumTagged(tagPrio, key); got != want {
+			t.Fatalf("%d-byte key: priority %s, want %s", n, got, want)
 		}
 	}
 }

@@ -16,27 +16,39 @@ func (t *Tree) Prove(key []byte) ([]byte, error) {
 	if len(key) != t.keyLen {
 		return nil, fmt.Errorf("%w: got %d want %d", trie.ErrKeyLength, len(key), t.keyLen)
 	}
-	w := codec.NewWriter(512)
-	body := codec.NewWriter(512)
-	var steps int
-	n := t.root
-	for n != nil {
-		body.WriteBytes(n.encode())
-		steps++
+	// Find the path first: the proof opens with its length, and knowing it
+	// sizes the one buffer the proof is written into.
+	var pathBuf [spineDepth]*node
+	path, size := pathBuf[:0], 0
+	for n := t.root; ; {
+		if n == nil {
+			return nil, fmt.Errorf("%w: key absent", trie.ErrInvalidProof)
+		}
+		path = append(path, n)
+		size += len(n.key) + len(n.value)
 		cmp := bytes.Compare(key, n.key)
 		if cmp == 0 {
-			w.WriteUvarint(uint64(steps))
-			return append(w.Bytes(), body.Bytes()...), nil
+			break
 		}
 		if cmp < 0 {
-			body.WriteBool(false) // went left
 			n = n.left
 		} else {
-			body.WriteBool(true) // went right
 			n = n.right
 		}
 	}
-	return nil, fmt.Errorf("%w: key absent", trie.ErrInvalidProof)
+	// Besides key and value a step holds a tag, two child hashes, up to
+	// three length prefixes and its direction.
+	w := codec.NewWriter(size + 80*len(path))
+	w.WriteUvarint(uint64(len(path)))
+	t.RootHash() // nodes encode their children's cached hashes
+	var enc [encScratch]byte
+	for i, n := range path {
+		w.WriteBytes(n.appendEncode(enc[:0]))
+		if i+1 < len(path) {
+			w.WriteBool(path[i+1] == n.right) // false: went left
+		}
+	}
+	return w.Bytes(), nil
 }
 
 // VerifyProof checks an encoded membership proof against root and returns

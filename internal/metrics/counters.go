@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Counters is a set of named monotonic event counters. The chaos tooling
@@ -12,19 +13,67 @@ import (
 // events (message drops, duplicates, relayer retries, recoveries, timed-out
 // moves) next to the throughput/latency metrics.
 //
-// A mutex guards the map: laned universes increment shared counters from
-// concurrent per-chain wave workers. Addition commutes, so final values are
-// deterministic even though increment order is not; reads that must be
-// consistent (Snapshot, String) happen after the run, like everything else
-// that inspects results.
+// A mutex guards the map and every cell is atomic: laned universes
+// increment shared counters from concurrent per-chain wave workers.
+// Addition commutes, so final values are deterministic even though
+// increment order is not; reads that must be consistent (Snapshot, String)
+// happen after the run, like everything else that inspects results.
 type Counters struct {
 	mu   sync.Mutex
-	vals map[string]uint64
+	vals map[string]*cell
 }
+
+// cell is one counter. It is listed (Names, Snapshot, String) once it has
+// been added to by name, even by zero, or holds a count; a cell that only a
+// Handle has resolved stays out of every listing until its first event, so
+// resolving handles up front cannot change what a run reports.
+type cell struct {
+	n     atomic.Uint64
+	named bool
+}
+
+func (c *cell) listed() bool { return c.named || c.n.Load() > 0 }
 
 // NewCounters returns an empty counter set.
 func NewCounters() *Counters {
-	return &Counters{vals: make(map[string]uint64)}
+	return &Counters{vals: make(map[string]*cell)}
+}
+
+// cell returns the named counter's cell, creating it if needed. Callers
+// hold c.mu.
+func (c *Counters) cell(name string) *cell {
+	v := c.vals[name]
+	if v == nil {
+		v = new(cell)
+		c.vals[name] = v
+	}
+	return v
+}
+
+// Handle is a counter resolved once, for call sites that fire per message:
+// Inc and Add are a single atomic add — no lock, no name to build or hash.
+// The zero Handle, which is also what a nil *Counters resolves to, counts
+// nothing.
+type Handle struct{ n *atomic.Uint64 }
+
+// Handle resolves the named counter. Resolving alone does not list it.
+func (c *Counters) Handle(name string) Handle {
+	if c == nil {
+		return Handle{}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Handle{n: &c.cell(name).n}
+}
+
+// Inc adds one to the counter.
+func (h Handle) Inc() { h.Add(1) }
+
+// Add adds n to the counter.
+func (h Handle) Add(n uint64) {
+	if h.n != nil {
+		h.n.Add(n)
+	}
 }
 
 // Inc adds one to the named counter, creating it at zero first if needed.
@@ -33,15 +82,20 @@ func (c *Counters) Inc(name string) { c.Add(name, 1) }
 // Add adds n to the named counter.
 func (c *Counters) Add(name string, n uint64) {
 	c.mu.Lock()
-	c.vals[name] += n
+	v := c.cell(name)
+	v.named = true
 	c.mu.Unlock()
+	v.n.Add(n)
 }
 
 // Get returns the named counter's value (zero if never incremented).
 func (c *Counters) Get(name string) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.vals[name]
+	if v := c.vals[name]; v != nil {
+		return v.n.Load()
+	}
+	return 0
 }
 
 // Names returns every counter name in sorted order.
@@ -49,8 +103,10 @@ func (c *Counters) Names() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	names := make([]string, 0, len(c.vals))
-	for name := range c.vals {
-		names = append(names, name)
+	for name, v := range c.vals {
+		if v.listed() {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -62,7 +118,9 @@ func (c *Counters) Snapshot() map[string]uint64 {
 	defer c.mu.Unlock()
 	out := make(map[string]uint64, len(c.vals))
 	for name, v := range c.vals {
-		out[name] = v
+		if v.listed() {
+			out[name] = v.n.Load()
+		}
 	}
 	return out
 }
@@ -75,7 +133,7 @@ func (c *Counters) Sum(prefix string) uint64 {
 	var sum uint64
 	for name, v := range c.vals {
 		if strings.HasPrefix(name, prefix) {
-			sum += v
+			sum += v.n.Load()
 		}
 	}
 	return sum

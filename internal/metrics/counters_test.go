@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -58,5 +59,79 @@ func TestCountersStringTable(t *testing.T) {
 	s := c.String()
 	if !strings.Contains(s, "wan.dropped") || !strings.Contains(s, "42") {
 		t.Fatalf("table output missing row: %q", s)
+	}
+}
+
+// TestHandleCountsIntoTheNamedCounter: a handle and the by-name calls are
+// two ways to reach one counter.
+func TestHandleCountsIntoTheNamedCounter(t *testing.T) {
+	c := NewCounters()
+	h := c.Handle("wan.delivered")
+	h.Inc()
+	h.Add(2)
+	c.Inc("wan.delivered")
+	if got := c.Get("wan.delivered"); got != 4 {
+		t.Fatalf("wan.delivered = %d, want 4", got)
+	}
+	if got := c.Sum("wan."); got != 4 {
+		t.Fatalf("Sum(wan.) = %d, want 4", got)
+	}
+	if snap := c.Snapshot(); len(snap) != 1 || snap["wan.delivered"] != 4 {
+		t.Fatalf("snapshot = %v", snap)
+	}
+}
+
+// TestUnusedHandleIsNotListed: run fingerprints list counters by name, so
+// resolving a handle for an event that never fires must leave no trace,
+// while a by-name Add of zero still lists, as it always has.
+func TestUnusedHandleIsNotListed(t *testing.T) {
+	c := NewCounters()
+	h := c.Handle("wan.corrupted")
+	c.Add("relay.retries", 0)
+	if names := c.Names(); len(names) != 1 || names[0] != "relay.retries" {
+		t.Fatalf("names = %v, want only relay.retries", names)
+	}
+	if _, ok := c.Snapshot()["wan.corrupted"]; ok {
+		t.Fatal("snapshot lists a counter no event reached")
+	}
+	if strings.Contains(c.String(), "wan.corrupted") {
+		t.Fatal("table lists a counter no event reached")
+	}
+	h.Inc()
+	if names := c.Names(); len(names) != 2 || names[1] != "wan.corrupted" {
+		t.Fatalf("names after the first event = %v", names)
+	}
+}
+
+// TestZeroHandleCountsNothing: components resolve their handles from an
+// optional *Counters; without one every handle is the zero Handle.
+func TestZeroHandleCountsNothing(t *testing.T) {
+	var c *Counters
+	h := c.Handle("anything")
+	h.Inc()
+	h.Add(7)
+	Handle{}.Inc()
+}
+
+// TestHandleConcurrentInc: laned universes count from concurrent wave
+// workers (run under -race).
+func TestHandleConcurrentInc(t *testing.T) {
+	c := NewCounters()
+	const workers, each = 8, 1000
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			h := c.Handle("wan.delivered")
+			for i := 0; i < each; i++ {
+				h.Inc()
+				c.Inc("wan.dropped")
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := c.Get("wan.delivered")+c.Get("wan.dropped"), uint64(2*workers*each); got != want {
+		t.Fatalf("counted %d events, want %d", got, want)
 	}
 }

@@ -43,11 +43,9 @@ type node struct {
 	child    *node  // ext only
 	children [16]*node
 
-	// hash and enc cache the node hash and its canonical encoding while the
-	// subtree is clean, so unchanged subtrees are neither re-encoded nor
-	// re-hashed by RootHash or Prove.
+	// hash caches the node hash while the subtree is clean, so unchanged
+	// subtrees are not re-hashed by RootHash or Prove.
 	hash  hashing.Hash
-	enc   []byte
 	clean bool
 }
 
@@ -123,10 +121,7 @@ func (t *Tree) GetShared(key []byte) ([]byte, bool) {
 	var nibs []byte
 	if need := len(key) * 2; need <= len(buf) {
 		nibs = buf[:need]
-		for i, b := range key {
-			nibs[i*2] = b >> 4
-			nibs[i*2+1] = b & 0x0f
-		}
+		expandNibbles(nibs, key)
 	} else {
 		nibs = bytesToNibbles(key)
 	}
@@ -363,53 +358,76 @@ func commonPrefix(a, b []byte) int {
 	return i
 }
 
-// appendEncode appends the canonical byte encoding of a node to b. The
-// format is byte-identical to the codec.Writer encoding proofs decode:
-// uvarint tag, length-prefixed byte strings, raw 32-byte hashes.
-func (n *node) appendEncode(b []byte) []byte {
-	switch n.kind {
-	case kindLeaf:
-		b = binary.AppendUvarint(b, tagLeaf)
-		b = binary.AppendUvarint(b, uint64(len(n.nibbles)))
-		b = append(b, n.nibbles...)
-		b = binary.AppendUvarint(b, uint64(len(n.value)))
-		b = append(b, n.value...)
-	case kindExt:
-		b = binary.AppendUvarint(b, tagExt)
-		b = binary.AppendUvarint(b, uint64(len(n.nibbles)))
-		b = append(b, n.nibbles...)
-		h := n.child.hashNode()
-		b = append(b, h[:]...)
-	default:
-		b = binary.AppendUvarint(b, tagBranch)
-		for i := 0; i < 16; i++ {
-			if n.children[i] == nil {
-				b = append(b, hashing.ZeroHash[:]...)
-			} else {
-				h := n.children[i].hashNode()
-				b = append(b, h[:]...)
-			}
-		}
+// encScratch sizes the stack buffer a node is encoded into for hashing and
+// proving. A branch, the largest fixed-size node, takes 1 + 16·32 = 513
+// bytes; a leaf holding an account record stays well below that. A longer
+// encoding spills to the heap through append; nothing depends on the size.
+const encScratch = 544
+
+// appendLeaf, appendExt and appendBranch append the canonical byte encoding
+// of a node to b. The format is byte-identical to the codec.Writer encoding
+// proofs decode: uvarint tag, length-prefixed byte strings, raw 32-byte
+// hashes (zero for an absent branch child).
+func appendLeaf(b, nibbles, value []byte) []byte {
+	b = binary.AppendUvarint(b, tagLeaf)
+	b = binary.AppendUvarint(b, uint64(len(nibbles)))
+	b = append(b, nibbles...)
+	b = binary.AppendUvarint(b, uint64(len(value)))
+	return append(b, value...)
+}
+
+func appendExt(b, nibbles []byte, child hashing.Hash) []byte {
+	b = binary.AppendUvarint(b, tagExt)
+	b = binary.AppendUvarint(b, uint64(len(nibbles)))
+	b = append(b, nibbles...)
+	return append(b, child[:]...)
+}
+
+func appendBranch(b []byte, children *[16]hashing.Hash) []byte {
+	b = binary.AppendUvarint(b, tagBranch)
+	for i := range children {
+		b = append(b, children[i][:]...)
 	}
 	return b
 }
 
-// encode returns the canonical encoding of a clean node, hashing (and
-// caching) it first if needed. The returned slice is the node's cache;
-// callers must not retain or mutate it across tree mutations.
-func (n *node) encode() []byte {
-	if !n.clean {
-		n.hashNode()
+// appendEncode appends n's canonical encoding to b. Encodings are not
+// cached: a clean node keeps only its hash, and Prove re-encodes the few
+// nodes on its path. n's children must be clean. It does not recurse, which
+// is what lets callers hand it a stack buffer.
+func (n *node) appendEncode(b []byte) []byte {
+	switch n.kind {
+	case kindLeaf:
+		return appendLeaf(b, n.nibbles, n.value)
+	case kindExt:
+		return appendExt(b, n.nibbles, n.child.hash)
+	default:
+		var children [16]hashing.Hash
+		for i, c := range n.children {
+			if c != nil {
+				children[i] = c.hash
+			}
+		}
+		return appendBranch(b, &children)
 	}
-	return n.enc
 }
 
 func (n *node) hashNode() hashing.Hash {
 	if n.clean {
 		return n.hash
 	}
-	n.enc = n.appendEncode(n.enc[:0])
-	n.hash = hashing.Sum(n.enc)
+	switch n.kind {
+	case kindExt:
+		n.child.hashNode()
+	case kindBranch:
+		for _, c := range n.children {
+			if c != nil {
+				c.hashNode()
+			}
+		}
+	}
+	var buf [encScratch]byte
+	n.hash = hashing.Sum(n.appendEncode(buf[:0]))
 	n.clean = true
 	return n.hash
 }
@@ -422,20 +440,23 @@ func (t *Tree) keyNibbles(key []byte) []byte {
 		t.nibScratch = make([]byte, need)
 	}
 	nibs := t.nibScratch[:need]
-	for i, b := range key {
-		nibs[i*2] = b >> 4
-		nibs[i*2+1] = b & 0x0f
-	}
+	expandNibbles(nibs, key)
 	return nibs
 }
 
-// bytesToNibbles expands each byte into two hex nibbles (high first).
+// expandNibbles writes the two hex nibbles of each key byte, high first,
+// into dst, which must hold 2·len(key) bytes.
+func expandNibbles(dst, key []byte) {
+	for i, b := range key {
+		dst[i*2] = b >> 4
+		dst[i*2+1] = b & 0x0f
+	}
+}
+
+// bytesToNibbles returns key expanded into a fresh nibble slice.
 func bytesToNibbles(key []byte) []byte {
 	out := make([]byte, len(key)*2)
-	for i, b := range key {
-		out[i*2] = b >> 4
-		out[i*2+1] = b & 0x0f
-	}
+	expandNibbles(out, key)
 	return out
 }
 

@@ -17,36 +17,54 @@ func (t *Tree) Prove(key []byte) ([]byte, error) {
 	if len(key) != t.keyLen {
 		return nil, fmt.Errorf("%w: got %d want %d", trie.ErrKeyLength, len(key), t.keyLen)
 	}
+	// Find the path first: the proof opens with its length, and knowing it
+	// sizes the one buffer the proof is written into.
+	var pathBuf [16]*node
+	path, size := pathBuf[:0], 0
 	nibs := t.keyNibbles(key)
-	w := codec.NewWriter(512)
-	var steps int
-	body := codec.NewWriter(512)
-	n := t.root
-	for n != nil {
-		body.WriteBytes(n.encode())
-		steps++
-		switch n.kind {
-		case kindLeaf:
-			if !bytes.Equal(n.nibbles, nibs) {
+	for n, rest := t.root, nibs; ; {
+		if n == nil {
+			return nil, fmt.Errorf("%w: key absent", trie.ErrInvalidProof)
+		}
+		path = append(path, n)
+		// Upper bounds of a step: the encoding, its length prefix and, after
+		// a branch, the direction taken.
+		if n.kind == kindLeaf {
+			if !bytes.Equal(n.nibbles, rest) {
 				return nil, fmt.Errorf("%w: key absent", trie.ErrInvalidProof)
 			}
-			w.WriteUvarint(uint64(steps))
-			return append(w.Bytes(), body.Bytes()...), nil
-		case kindExt:
-			if !bytes.HasPrefix(nibs, n.nibbles) {
+			size += 16 + len(n.nibbles) + len(n.value)
+			break
+		}
+		if n.kind == kindExt {
+			if !bytes.HasPrefix(rest, n.nibbles) {
 				return nil, fmt.Errorf("%w: key absent", trie.ErrInvalidProof)
 			}
-			nibs = nibs[len(n.nibbles):]
-			n = n.child
-		default: // branch
-			if len(nibs) == 0 {
+			size += 8 + len(n.nibbles) + hashing.HashSize
+			n, rest = n.child, rest[len(n.nibbles):]
+		} else {
+			if len(rest) == 0 {
 				return nil, fmt.Errorf("%w: key absent", trie.ErrInvalidProof)
 			}
-			body.WriteUvarint(uint64(nibs[0]))
-			n, nibs = n.children[nibs[0]], nibs[1:]
+			size += 4 + 1 + 16*hashing.HashSize
+			n, rest = n.children[rest[0]], rest[1:]
 		}
 	}
-	return nil, fmt.Errorf("%w: key absent", trie.ErrInvalidProof)
+	w := codec.NewWriter(size + 4)
+	w.WriteUvarint(uint64(len(path)))
+	t.RootHash() // nodes encode their children's cached hashes
+	var enc [encScratch]byte
+	for _, n := range path {
+		w.WriteBytes(n.appendEncode(enc[:0]))
+		switch n.kind {
+		case kindExt:
+			nibs = nibs[len(n.nibbles):]
+		case kindBranch:
+			w.WriteUvarint(uint64(nibs[0]))
+			nibs = nibs[1:]
+		}
+	}
+	return w.Bytes(), nil
 }
 
 // VerifyProof checks an encoded membership proof against root and returns

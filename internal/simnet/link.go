@@ -94,9 +94,9 @@ type Link struct {
 	tamper TamperFunc
 	cut    bool
 
-	stats    LinkStats
-	counters *metrics.Counters
-	prefix   string
+	stats  LinkStats
+	shared eventCounters
+	prefix string
 
 	reg       *metrics.Registry // optional; feeds in-flight gauges
 	gInflight string
@@ -123,8 +123,36 @@ func NewLink(sched simclock.Clock, base time.Duration, faults LinkFaults, seed i
 // Observe mirrors the link's events into the shared counter set under
 // prefix (e.g. "submit" yields "submit.dropped").
 func (l *Link) Observe(c *metrics.Counters, prefix string) {
-	l.counters = c
+	l.shared = resolveEventCounters(c, prefix)
 	l.prefix = prefix
+}
+
+// eventCounters are the shared counters a network or link mirrors its
+// delivery events into, resolved once: the mirror runs for every message.
+type eventCounters struct {
+	delivered, dropped, duplicated, reordered, corrupted, rejected metrics.Handle
+	// byzCorrupted and byzRejected are universe-wide totals over every
+	// path, beside the per-prefix counts.
+	byzCorrupted, byzRejected metrics.Handle
+}
+
+func resolveEventCounters(c *metrics.Counters, prefix string) eventCounters {
+	return eventCounters{
+		delivered:    c.Handle(prefix + ".delivered"),
+		dropped:      c.Handle(prefix + ".dropped"),
+		duplicated:   c.Handle(prefix + ".duplicated"),
+		reordered:    c.Handle(prefix + ".reordered"),
+		corrupted:    c.Handle(prefix + ".corrupted"),
+		rejected:     c.Handle(prefix + ".rejected"),
+		byzCorrupted: c.Handle("byzantine.corrupted"),
+		byzRejected:  c.Handle("byzantine.rejected"),
+	}
+}
+
+// count records one event in the owner's own tally and the shared counter.
+func count(shared metrics.Handle, own *uint64) {
+	*own++
+	shared.Inc()
 }
 
 // SetRegistry attaches an observability registry: the link then tracks its
@@ -166,17 +194,8 @@ func (l *Link) Stats() LinkStats { return l.stats }
 // Callers must only invoke it for deterministic rejections (content derived
 // from seeded state); see the byzantine design note in DESIGN.md §12.
 func (l *Link) NoteRejected() {
-	l.count("rejected", &l.stats.Rejected)
-	if l.counters != nil {
-		l.counters.Inc("byzantine.rejected")
-	}
-}
-
-func (l *Link) count(event string, field *uint64) {
-	*field++
-	if l.counters != nil {
-		l.counters.Inc(l.prefix + "." + event)
-	}
+	count(l.shared.rejected, &l.stats.Rejected)
+	l.shared.byzRejected.Inc()
 }
 
 // tamperRNG returns a fresh RNG for the idx-th corruption event on this
@@ -203,7 +222,7 @@ func (l *Link) delay() time.Duration {
 		if max > 0 {
 			d += time.Duration(l.rng.Int63n(int64(max) + 1))
 		}
-		l.count("reordered", &l.stats.Reordered)
+		count(l.shared.reordered, &l.stats.Reordered)
 	}
 	if d < 0 {
 		d = 0
@@ -220,13 +239,13 @@ func (l *Link) delay() time.Duration {
 // as fully untrusted input.
 func (l *Link) DeliverBytes(encode func() []byte, fn func(b []byte, corrupted bool)) {
 	if l.cut || (l.faults.DropRate > 0 && l.rng.Float64() < l.faults.DropRate) {
-		l.count("dropped", &l.stats.Dropped)
+		count(l.shared.dropped, &l.stats.Dropped)
 		return
 	}
 	copies := 1
 	if l.faults.DupRate > 0 && l.rng.Float64() < l.faults.DupRate {
 		copies = 2
-		l.count("duplicated", &l.stats.Duplicated)
+		count(l.shared.duplicated, &l.stats.Duplicated)
 	}
 	for i := 0; i < copies; i++ {
 		var b []byte
@@ -238,12 +257,10 @@ func (l *Link) DeliverBytes(encode func() []byte, fn func(b []byte, corrupted bo
 				tamper = DefaultTamper
 			}
 			b = tamper(l.tamperRNG(l.stats.Corrupted), encode())
-			l.count("corrupted", &l.stats.Corrupted)
-			if l.counters != nil {
-				l.counters.Inc("byzantine.corrupted")
-			}
+			count(l.shared.corrupted, &l.stats.Corrupted)
+			l.shared.byzCorrupted.Inc()
 		}
-		l.count("delivered", &l.stats.Delivered)
+		count(l.shared.delivered, &l.stats.Delivered)
 		deliver := func() { fn(b, corrupted) }
 		if l.reg.Enabled() {
 			l.reg.AddGauge(l.gInflight, 1)
@@ -263,16 +280,16 @@ func (l *Link) DeliverBytes(encode func() []byte, fn func(b []byte, corrupted bo
 // delay.
 func (l *Link) Deliver(fn func()) {
 	if l.cut || (l.faults.DropRate > 0 && l.rng.Float64() < l.faults.DropRate) {
-		l.count("dropped", &l.stats.Dropped)
+		count(l.shared.dropped, &l.stats.Dropped)
 		return
 	}
 	copies := 1
 	if l.faults.DupRate > 0 && l.rng.Float64() < l.faults.DupRate {
 		copies = 2
-		l.count("duplicated", &l.stats.Duplicated)
+		count(l.shared.duplicated, &l.stats.Duplicated)
 	}
 	for i := 0; i < copies; i++ {
-		l.count("delivered", &l.stats.Delivered)
+		count(l.shared.delivered, &l.stats.Delivered)
 		if l.reg.Enabled() {
 			l.reg.AddGauge(l.gInflight, 1)
 			l.reg.MaxGauge(l.gPeak, l.reg.Gauge(l.gInflight))

@@ -130,8 +130,8 @@ type Network struct {
 	reordered  uint64
 	corrupted  uint64
 
-	counters *metrics.Counters
-	reg      *metrics.Registry // optional; feeds in-flight gauges
+	shared eventCounters
+	reg    *metrics.Registry // optional; feeds in-flight gauges
 	// gInflight/gPeak are the in-flight gauge names ("wan.inflight" by
 	// default), precomputed so the per-message send/delivery paths never
 	// build strings. Laned universes run one Network per chain and give
@@ -164,7 +164,7 @@ func New(sched simclock.Clock, cfg Config) *Network {
 
 // Observe mirrors the network's fault events into the shared counter set
 // under the "wan." prefix.
-func (n *Network) Observe(c *metrics.Counters) { n.counters = c }
+func (n *Network) Observe(c *metrics.Counters) { n.shared = resolveEventCounters(c, "wan") }
 
 // SetRegistry attaches an observability registry: the network then tracks
 // the number of WAN messages in flight ("<label>.inflight") and its
@@ -178,13 +178,6 @@ func (n *Network) SetRegistry(reg *metrics.Registry) { n.reg = reg }
 func (n *Network) SetGaugeLabel(label string) {
 	n.gInflight = label + ".inflight"
 	n.gPeak = label + ".inflight.peak"
-}
-
-func (n *Network) count(event string, field *uint64) {
-	*field++
-	if n.counters != nil {
-		n.counters.Inc("wan." + event)
-	}
 }
 
 // Register adds a node in the given region. Registering an existing id
@@ -217,11 +210,11 @@ func (n *Network) Send(from, to NodeID, payload any) {
 	src, okFrom := n.nodes[from]
 	dst, okTo := n.nodes[to]
 	if !okFrom || !okTo {
-		n.count("dropped", &n.dropped)
+		count(n.shared.dropped, &n.dropped)
 		return
 	}
 	if n.down[from] || n.cut[linkKey(from, to)] {
-		n.count("dropped", &n.dropped)
+		count(n.shared.dropped, &n.dropped)
 		return
 	}
 	faults := n.cfg.faults()
@@ -229,13 +222,13 @@ func (n *Network) Send(from, to NodeID, payload any) {
 		faults = override
 	}
 	if faults.DropRate > 0 && n.rng.Float64() < faults.DropRate {
-		n.count("dropped", &n.dropped)
+		count(n.shared.dropped, &n.dropped)
 		return
 	}
 	copies := 1
 	if faults.DupRate > 0 && n.rng.Float64() < faults.DupRate {
 		copies = 2
-		n.count("duplicated", &n.duplicated)
+		count(n.shared.duplicated, &n.duplicated)
 	}
 	base := Latency(src.region, dst.region)
 	for i := 0; i < copies; i++ {
@@ -248,10 +241,8 @@ func (n *Network) Send(from, to NodeID, payload any) {
 				trng := rand.New(rand.NewSource(n.cfg.Seed ^ int64(n.corrupted)*0x6A09E667F3BCC909 ^ 0x2545F4914F6CDD1D))
 				if tampered, ok := n.cfg.Tamper(trng, payload); ok {
 					msg = tampered
-					n.count("corrupted", &n.corrupted)
-					if n.counters != nil {
-						n.counters.Inc("byzantine.corrupted")
-					}
+					count(n.shared.corrupted, &n.corrupted)
+					n.shared.byzCorrupted.Inc()
 				}
 			}
 		}
@@ -268,7 +259,7 @@ func (n *Network) Send(from, to NodeID, payload any) {
 			if max > 0 {
 				delay += time.Duration(n.rng.Int63n(int64(max) + 1))
 			}
-			n.count("reordered", &n.reordered)
+			count(n.shared.reordered, &n.reordered)
 		}
 		if n.reg.Enabled() {
 			n.reg.AddGauge(n.gInflight, 1)
@@ -282,10 +273,10 @@ func (n *Network) Send(from, to NodeID, payload any) {
 			// that happen while the message is in flight take effect.
 			info, ok := n.nodes[to]
 			if !ok || n.down[to] {
-				n.count("dropped", &n.dropped)
+				count(n.shared.dropped, &n.dropped)
 				return
 			}
-			n.count("delivered", &n.delivered)
+			count(n.shared.delivered, &n.delivered)
 			info.handler(from, msg)
 		})
 	}

@@ -5,7 +5,6 @@ import (
 
 	"scmove/internal/hashing"
 	"scmove/internal/state/backend"
-	"scmove/internal/trees"
 	"scmove/internal/trie"
 )
 
@@ -98,16 +97,7 @@ func (db *DB) historicalTree(root hashing.Hash) (trie.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := trees.New(db.kind, hashing.AddressSize)
-	if err != nil {
-		return nil, err
-	}
-	r.IterateAccounts(func(addr hashing.Address, enc []byte) bool {
-		if err == nil {
-			err = t.Set(addr[:], enc)
-		}
-		return err == nil
-	})
+	t, err := buildAccountTree(db.kind, r)
 	if err != nil {
 		return nil, fmt.Errorf("state: historical tree at %s: %w", root, err)
 	}

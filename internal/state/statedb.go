@@ -144,13 +144,7 @@ func OpenDB(chainID hashing.ChainID, kind trie.Kind, opts Options) (*DB, error) 
 	if err != nil {
 		return nil, err
 	}
-	db.back.IterateAccounts(func(addr hashing.Address, enc []byte) bool {
-		if err == nil {
-			err = db.accountTree.Set(addr[:], enc)
-		}
-		return err == nil
-	})
-	if err != nil {
+	if db.accountTree, err = buildAccountTree(kind, db.back); err != nil {
 		db.Close()
 		return nil, fmt.Errorf("open state: rebuild account tree: %w", err)
 	}
@@ -472,17 +466,42 @@ func (db *DB) storageTree(addr hashing.Address) trie.Tree {
 	if t, ok := db.storage[addr]; ok {
 		return t
 	}
-	t := trees.MustNew(db.kind, 32)
+	var t trie.Tree
 	if db.back.Persistent() {
-		db.back.IterateStorage(addr, func(key, val backend.Word) bool {
-			if err := t.Set(key[:], val[:]); err != nil {
-				panic(fmt.Sprintf("state: storage rebuild: %v", err))
-			}
-			return true
-		})
+		t = db.buildStorageTree(db.backendEntries(addr, 0))
+	} else {
+		t = trees.MustNew(db.kind, 32)
 	}
 	db.storage[addr] = t
 	return t
+}
+
+// buildStorageTree returns the storage tree of exactly these slots, which
+// must be what StorageEntries lists: ascending by key, no slot twice, none
+// zero.
+func (db *DB) buildStorageTree(entries []StorageEntry) trie.Tree {
+	t, err := trees.Build(db.kind, 32, len(entries), func(i int) (key, value []byte) {
+		return entries[i].Key[:], entries[i].Value[:]
+	})
+	if err != nil {
+		panic(fmt.Sprintf("state: build storage tree: %v", err))
+	}
+	return t
+}
+
+// buildAccountTree returns the account tree over the records r lists.
+func buildAccountTree(kind trie.Kind, r backend.Reader) (trie.Tree, error) {
+	var (
+		addrs []hashing.Address
+		encs  [][]byte
+	)
+	r.IterateAccounts(func(addr hashing.Address, enc []byte) bool {
+		addrs, encs = append(addrs, addr), append(encs, enc)
+		return true
+	})
+	return trees.Build(kind, hashing.AddressSize, len(addrs), func(i int) (key, value []byte) {
+		return addrs[i][:], encs[i]
+	})
 }
 
 // touchStorage refreshes addr's eviction recency.
@@ -1054,10 +1073,7 @@ func (db *DB) backendEntries(addr hashing.Address, sizeHint int) []StorageEntry 
 }
 
 // StorageEntry is one storage key-value pair of a contract.
-type StorageEntry struct {
-	Key   evm.Word
-	Value evm.Word
-}
+type StorageEntry = evm.StorageEntry
 
 // ImportAccount installs a full account record (Move2 recreation). The
 // caller has verified proofs; this writes through the journaled path so a
@@ -1081,20 +1097,38 @@ func (db *DB) ImportAccount(addr hashing.Address, acct Account, code []byte, ent
 		}
 		working.CodeHash = h
 	}
-	t := trees.MustNew(db.kind, 32)
-	for _, e := range entries {
-		// As with SetStorage, the zero word means no entry.
-		var err error
-		if e.Value == (evm.Word{}) {
-			err = t.Delete(e.Key[:])
-		} else {
-			err = t.Set(e.Key[:], e.Value[:])
-		}
-		if err != nil {
-			panic(fmt.Sprintf("state: import storage: %v", err))
+	db.installStorage(addr, db.buildStorageTree(storageRun(entries)))
+}
+
+// storageRun returns entries as a storage tree is built from: ascending by
+// key, each key once, no zero value. A verified Move2 payload is such a run
+// already and comes back as it is. Anything else is read as the writes it
+// would be through SetStorage, in order: the last entry of a key counts,
+// and the zero word means no entry.
+func storageRun(entries []StorageEntry) []StorageEntry {
+	isRun := true
+	for i := range entries {
+		if entries[i].Value == (evm.Word{}) ||
+			i > 0 && bytes.Compare(entries[i-1].Key[:], entries[i].Key[:]) >= 0 {
+			isRun = false
+			break
 		}
 	}
-	db.installStorage(addr, t)
+	if isRun {
+		return entries
+	}
+	sorted := slices.Clone(entries)
+	slices.SortStableFunc(sorted, func(a, b StorageEntry) int { return bytes.Compare(a.Key[:], b.Key[:]) })
+	out := sorted[:0]
+	for i, e := range sorted {
+		if i+1 < len(sorted) && sorted[i+1].Key == e.Key {
+			continue
+		}
+		if e.Value != (evm.Word{}) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // PruneStale removes the storage and code reference of a contract that has

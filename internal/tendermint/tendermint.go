@@ -27,7 +27,8 @@ import (
 // on the current proposer only; Commit exactly once per height, at the
 // simulated time the first validator observes a precommit quorum.
 type App interface {
-	// Propose returns the payload (an encoded tx batch) for height.
+	// Propose returns the payload (an encoded tx batch) for height. The
+	// bytes are final: every validator is handed this slice, not a copy.
 	Propose(height uint64) []byte
 	// Commit applies the decided payload for height.
 	Commit(height uint64, payload []byte)
@@ -72,8 +73,34 @@ type Cluster struct {
 	// says everything a per-height set would.
 	committed uint64
 
-	counters *metrics.Counters
-	evidence []Evidence
+	// The "byzantine.*" detection events, mirrored into the universe's
+	// shared counter set once Observe has resolved them.
+	equivocatedProposal, equivocatedVote, badProposer, badVoter metrics.Handle
+	evidence                                                    []Evidence
+
+	// hashed memoises the hash of the proposal payload seen last. On the
+	// simulated network every honest copy of a proposal is the proposer's
+	// own slice, so n validators hash a Move2 of tens of KiB once between
+	// them. The memo goes by the slice's identity, never its contents: a
+	// tampered or equivocating twin is another array and is hashed on its
+	// own, as is each validator's decoded copy on the TCP path. Holding the
+	// array's first byte keeps it from being freed and its address reused.
+	hashed struct {
+		first *byte
+		len   int
+		hash  hashing.Hash
+	}
+}
+
+// payloadHash returns hashing.Sum(payload).
+func (c *Cluster) payloadHash(payload []byte) hashing.Hash {
+	if len(payload) == 0 {
+		return hashing.Sum(payload)
+	}
+	if m := &c.hashed; m.first != &payload[0] || m.len != len(payload) {
+		m.first, m.len, m.hash = &payload[0], len(payload), hashing.Sum(payload)
+	}
+	return c.hashed.hash
 }
 
 // Evidence records one detected equivocation: a validator observed two
@@ -113,22 +140,21 @@ func (c *Cluster) SetByzantine(i int, b ByzantineBehavior) {
 
 // Observe mirrors Byzantine-detection events ("byzantine.equivocation.*",
 // "byzantine.badproposer") into the shared counter set.
-func (c *Cluster) Observe(m *metrics.Counters) { c.counters = m }
+func (c *Cluster) Observe(m *metrics.Counters) {
+	c.equivocatedProposal = m.Handle("byzantine.equivocation.proposal")
+	c.equivocatedVote = m.Handle("byzantine.equivocation.vote")
+	c.badProposer = m.Handle("byzantine.badproposer")
+	c.badVoter = m.Handle("byzantine.badvoter")
+}
 
 // Evidence returns all recorded equivocation evidence, in detection order.
 func (c *Cluster) Evidence() []Evidence { return c.evidence }
 
-func (c *Cluster) inc(name string) {
-	if c.counters != nil {
-		c.counters.Inc(name)
-	}
-}
-
 func (c *Cluster) noteEquivocation(ev Evidence) {
 	if ev.Proposal {
-		c.inc("byzantine.equivocation.proposal")
+		c.equivocatedProposal.Inc()
 	} else {
-		c.inc("byzantine.equivocation.vote")
+		c.equivocatedVote.Inc()
 	}
 	c.evidence = append(c.evidence, ev)
 }
@@ -485,10 +511,10 @@ func (v *Validator) onProposal(msg msgProposal) {
 	// Only the round's legitimate proposer may propose; anything else is a
 	// forged injection (record and ignore, never stall).
 	if msg.From < 0 || msg.From >= v.n || proposerIndex(msg.Height, msg.Round, v.n) != msg.From {
-		v.cluster.inc("byzantine.badproposer")
+		v.cluster.badProposer.Inc()
 		return
 	}
-	h := hashing.Sum(msg.Payload)
+	h := v.cluster.payloadHash(msg.Payload)
 	if ok, _ := v.noteFirstSeen(slotKey{round: msg.Round, from: msg.From}, h); !ok {
 		return
 	}
@@ -512,7 +538,7 @@ func (v *Validator) onVote(msg msgVote) {
 		return
 	}
 	if msg.From < 0 || msg.From >= v.n {
-		v.cluster.inc("byzantine.badvoter")
+		v.cluster.badVoter.Inc()
 		return
 	}
 	// One vote of each kind per (height, round, sender): a conflicting

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"scmove/internal/hashing"
 	"scmove/internal/simclock"
 	"scmove/internal/simnet"
 )
@@ -305,5 +306,37 @@ func TestOnVoteSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state onVote allocates %.1f times per height", allocs)
+	}
+}
+
+// TestPayloadHashGoesByIdentityNotContents: the memo may only ever answer
+// for the very slice it hashed. A twin with other bytes — tampered on the
+// wire, or an equivocating proposer's second version — is another array and
+// must get its own hash, or equivocation would go unseen.
+func TestPayloadHashGoesByIdentityNotContents(t *testing.T) {
+	_, cluster, _ := newCluster(t, 4)
+	honest := []byte("a proposal every honest validator is handed as one slice")
+	for i := 0; i < 3; i++ {
+		if got := cluster.payloadHash(honest); got != hashing.Sum(honest) {
+			t.Fatalf("delivery %d: memoised hash differs from hashing.Sum", i)
+		}
+	}
+	twin := append(append([]byte(nil), honest...), 0xDE, 0xAD)
+	if got := cluster.payloadHash(twin); got != hashing.Sum(twin) {
+		t.Fatal("a longer twin was answered from the memo")
+	}
+	flipped := append([]byte(nil), honest...)
+	flipped[3] ^= 1
+	if got := cluster.payloadHash(flipped); got != hashing.Sum(flipped) {
+		t.Fatal("a same-length twin was answered from the memo")
+	}
+	if got := cluster.payloadHash(honest[:10]); got != hashing.Sum(honest[:10]) {
+		t.Fatal("a prefix of the memoised array was answered from the memo")
+	}
+	if got := cluster.payloadHash(nil); got != hashing.Sum(nil) {
+		t.Fatal("the empty payload hashes wrong")
+	}
+	if got := cluster.payloadHash(honest); got != hashing.Sum(honest) {
+		t.Fatal("the memo did not recover after other payloads")
 	}
 }

@@ -102,3 +102,47 @@ func BenchmarkProofVerify(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRebuild1000 compares the three ways to get from a sorted run of
+// 1000 storage slots to its root: a Set loop (what every rebuild used to
+// be), Build + RootHash (a tree that stays), RootOf (a completeness check).
+func BenchmarkRebuild1000(b *testing.B) {
+	forKinds(b, func(b *testing.B, kind trie.Kind) {
+		keys := make([][32]byte, 1000)
+		for i := range keys {
+			binary.BigEndian.PutUint64(keys[i][24:], uint64(i+1))
+		}
+		at := func(i int) ([]byte, []byte) { return keys[i][:], keys[(i+7)%len(keys)][:] }
+		b.Run("set-loop", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr := trees.MustNew(kind, 32)
+				for j := range keys {
+					k, v := at(j)
+					if err := tr.Set(k, v); err != nil {
+						b.Fatal(err)
+					}
+				}
+				tr.RootHash()
+			}
+		})
+		b.Run("build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr, err := trees.Build(kind, 32, len(keys), at)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tr.RootHash()
+			}
+		})
+		b.Run("root-of", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := trees.RootOf(kind, 32, len(keys), at); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
+}

@@ -13,7 +13,9 @@
 package trie
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 
 	"scmove/internal/hashing"
 )
@@ -50,7 +52,39 @@ var (
 	// ErrKeyLength reports a key whose length differs from the tree's fixed
 	// key length. Fixed-length keys keep both tree shapes canonical.
 	ErrKeyLength = errors.New("trie: key length does not match tree key length")
+	// ErrRunOrder reports a bulk-construction run whose keys are not
+	// strictly ascending (out of order, or a key repeated).
+	ErrRunOrder = errors.New("trie: run keys are not strictly ascending")
+	// ErrEmptyValue reports a bulk-construction run carrying an empty value;
+	// absent keys are simply left out of a run.
+	ErrEmptyValue = errors.New("trie: empty value in run")
 )
+
+// CheckRun validates a bulk-construction run — n entries read through
+// at(0) … at(n-1) — and returns the total length of its values. Every key
+// must be keyLen bytes long and strictly greater than its predecessor, and
+// every value non-empty. Both tree kinds build from such a run in one
+// linear pass, and both rely on the order: they call CheckRun before
+// anything else. at must be a pure accessor: the slices it returns stay
+// valid and unchanged until the constructor returns, and are not retained.
+func CheckRun(keyLen, n int, at func(i int) (key, value []byte)) (valueBytes int, err error) {
+	var prev []byte
+	for i := 0; i < n; i++ {
+		key, value := at(i)
+		if len(key) != keyLen {
+			return 0, fmt.Errorf("%w: entry %d: got %d want %d", ErrKeyLength, i, len(key), keyLen)
+		}
+		if len(value) == 0 {
+			return 0, fmt.Errorf("%w: entry %d", ErrEmptyValue, i)
+		}
+		if i > 0 && bytes.Compare(prev, key) >= 0 {
+			return 0, fmt.Errorf("%w: entry %d", ErrRunOrder, i)
+		}
+		prev = key
+		valueBytes += len(value)
+	}
+	return valueBytes, nil
+}
 
 // Tree is an authenticated key-value store with membership proofs.
 //

@@ -43,10 +43,7 @@ func (k TxKind) String() string {
 }
 
 // StorageEntry is one storage key-value pair carried in a Move2 payload.
-type StorageEntry struct {
-	Key   evm.Word
-	Value evm.Word
-}
+type StorageEntry = evm.StorageEntry
 
 // Move2Payload is the proof bundle of a Move2 transaction: everything the
 // target chain needs to verify V ↦ m and recreate contract c (§III-C,E).
