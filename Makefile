@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test vet race bench benchsmoke benchdiff benchgate benchtest detsmoke expsmoke fuzzsmoke statesmoke rpcsmoke shardsmoke experiments
+.PHONY: check build test vet race benchtest detsmoke expsmoke fuzzsmoke statesmoke rpcsmoke shardsmoke experiments
 
-check: vet race detsmoke benchsmoke benchgate benchtest expsmoke fuzzsmoke statesmoke rpcsmoke shardsmoke
+check: vet race detsmoke benchtest expsmoke fuzzsmoke statesmoke rpcsmoke shardsmoke
 
 build:
 	$(GO) build ./...
@@ -16,40 +16,6 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# bench writes a full performance snapshot as BENCH_<n>.json (next free
-# index). Compare two snapshots with `make benchdiff OLD=... NEW=...`.
-bench:
-	$(GO) run ./cmd/benchsnap
-
-# benchsmoke is the CI-scale sanity pass: a quick snapshot into /tmp plus a
-# self-compare, proving the harness and the diff gate both run. Quick-mode
-# numbers are too noisy to gate on, so it only checks the machinery.
-benchsmoke:
-	$(GO) run ./cmd/benchsnap -quick -out /tmp/scmove_bench_smoke.json
-	$(GO) run ./cmd/benchdiff /tmp/scmove_bench_smoke.json /tmp/scmove_bench_smoke.json
-
-OLD ?= BENCH_5.json
-NEW ?= BENCH_6.json
-# Wall-clock gate threshold. This host cannot support a tight time gate:
-# same-binary captures drift +/-25% run to run, and binary code layout
-# alone moves tight-loop cells up to ~2x (measured: a one-file main-package
-# edit shifted evm_tight_loop +95% with zero semantic change — see
-# DESIGN.md section 14). allocs/op is deterministic, so it stays strictly
-# gated at benchdiff's 5% default; time is a gross-regression backstop.
-TIME_GATE ?= 1.5
-benchdiff:
-	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
-
-# benchgate diffs the committed baseline against the committed current
-# snapshot when both exist (skipped otherwise, so fresh checkouts and
-# baseline-only branches still pass check).
-benchgate:
-	@if [ -f $(OLD) ] && [ -f $(NEW) ]; then \
-		$(GO) run ./cmd/benchdiff -threshold $(TIME_GATE) $(OLD) $(NEW); \
-	else \
-		echo "benchgate: skipped ($(OLD) and $(NEW) not both present)"; \
-	fi
-
 # benchtest runs the tests of the repository benchmark (benchmark/ is a
 # nested module, so `go test ./...` at the root does not reach them).
 benchtest:
@@ -57,24 +23,40 @@ benchtest:
 
 # detsmoke runs the seeded cross-GOMAXPROCS (1, 2, NumCPU) determinism
 # checks for the parallel crypto pool, the parallel state commit, the
-# workload signing pipeline, and both parallel block executors — the
-# optimistic engine (randomized differential traffic, per-target cutoff,
-# conflict-heavy chaos cell) and the conflict-aware scheduler (three-way
-# scheduled/optimistic/serial differential, no-storm counter pin, Kitties
-# breeding DAG, grouped batch selection), plus the parallel per-tick
-# universe driver (16-chain policy-on scaling cell, serial vs laned
-# drivers): bit-identical results at every worker count. It also holds the
-# Move-cost pins: consensus vote tables bounded by the current height and
-# allocation-free, a reverted Move2 restoring the stale copy exactly, a
-# contract returning home without the slots deleted abroad, and the bulk tree
-# constructors every Move and every rebuild goes through — indistinguishable
-# from a Set loop (root, proofs, later writes), refusing runs that are not
-# strictly ascending, constant in allocations, and hashed to the same root at
-# every worker count.
+# workload signing pipeline, ApplyBlock (fuzz traffic pinned to a digest,
+# the chaos cell), batch selection against its first implementation, and the
+# parallel per-tick universe driver (16-chain policy-on scaling cell, serial
+# vs laned drivers): bit-identical results at every worker count. It also
+# holds the Move-cost pins: consensus vote tables bounded by the current
+# height and allocation-free, a reverted Move2 restoring the stale copy
+# exactly, a contract returning home without the slots deleted abroad, and
+# the bulk tree constructors every Move and every rebuild goes through —
+# indistinguishable from a Set loop (root, proofs, later writes), refusing
+# runs that are not strictly ascending, constant in allocations, and hashed
+# to the same root at every worker count.
+#
+# `go test -run 'A|B'` passes when a name matches nothing, so the target
+# first checks every listed name against `go test -list`: a test that is
+# deleted, renamed or misspelt fails the gate instead of narrowing it.
+DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
+	TestBuildAllocsAreConstant TestBuiltTreeHashParallelMatchesRootHash \
+	TestVoteTablesBoundedByCurrentHeight TestOnVoteSteadyStateZeroAllocs \
+	TestRevertedMove2RestoresStaleCopy TestMoveHomeDropsSlotsDeletedAbroad \
+	TestVerifyBatchMatchesSerial TestRecoverSendersMatchesSerialAcrossGOMAXPROCS \
+	TestCommitParallelMatchesSerial TestHashParallelMatchesRootHashAndProofs \
+	TestApplyBlockParallelDeterminism TestApplyBlockFuzzTraffic \
+	TestNextBatchPreservesFIFO TestKittiesReplayCrossGOMAXPROCSDeterminism \
+	TestChaosCellCrossGOMAXPROCS TestBackendConformanceDifferential \
+	TestShardedScalingCrossGOMAXPROCSDeterminism TestRunUntilParallelMatchesSerial
+DETSMOKE_PKGS = ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
+	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/simclock/ \
+	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/
 detsmoke:
-	$(GO) test -run 'TestBuildMatchesIncremental|TestBuildRefusesBadRuns|TestBuildAllocsAreConstant|TestBuiltTreeHashParallelMatchesRootHash|TestVoteTablesBoundedByCurrentHeight|TestOnVoteSteadyStateZeroAllocs|TestRevertedMove2RestoresStaleCopy|TestMoveHomeDropsSlotsDeletedAbroad|TestVerifyBatchMatchesSerial|TestRecoverSendersMatchesSerialAcrossGOMAXPROCS|TestCommitParallelMatchesSerial|TestHashParallelMatchesRootHashAndProofs|TestApplyBlockParallelDeterminism|TestApplyBlockParallelDifferential|TestParallelAbortFallback|TestParallelPerTargetCutoff|TestApplyBlockScheduledDifferential|TestScheduledConflictingNoStorm|TestScheduledKittiesDAG|TestNextBatchGroupedPreservesFIFO|TestViewPropertyDifferentialRandomOps|TestKittiesReplayCrossGOMAXPROCSDeterminism|TestApplyBlockParallelMatchesSerial|TestChaosCellCrossGOMAXPROCS|TestBackendConformanceDifferential|TestShardedScalingCrossGOMAXPROCSDeterminism|TestRunUntilParallelMatchesSerial' \
-		./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ ./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/simclock/ \
-		./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/
+	@have=$$($(GO) test -list '.*' $(DETSMOKE_PKGS)) || { echo "$$have"; exit 1; }; \
+	for t in $(DETSMOKE_TESTS); do \
+		echo "$$have" | grep -qx "$$t" || { echo "detsmoke: no test named $$t in the listed packages"; exit 1; }; \
+	done
+	$(GO) test -run "^($$(echo $(DETSMOKE_TESTS) | tr ' ' '|'))\$$" $(DETSMOKE_PKGS)
 
 # expsmoke is the experiment-output sanity gate: a CI-scale ablations run
 # plus a chaos run with metrics and span tracing on, captured to /tmp and
@@ -146,7 +128,6 @@ statesmoke:
 shardsmoke:
 	SCMOVE_SHARDSMOKE=1 $(GO) test -run TestShardSmoke -count=1 -timeout 900s ./internal/workload/
 
-# experiments reruns the paper's figure experiments end to end (the old
-# `make bench` behaviour, before bench came to mean performance snapshots).
+# experiments reruns the paper's figure experiments end to end.
 experiments:
 	$(GO) run ./cmd/movebench -experiment all -scale 0.08

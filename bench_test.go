@@ -11,7 +11,6 @@ import (
 	"scmove/internal/bench"
 	"scmove/internal/contracts"
 	"scmove/internal/u256"
-	"scmove/internal/workload"
 )
 
 // BenchmarkFig5Kitties replays the synthetic CryptoKitties trace on 1, 2
@@ -149,21 +148,5 @@ func BenchmarkSingleMove(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.Total().Seconds(), "sim-latency-s")
-	}
-}
-
-// BenchmarkKittiesReplayThroughput is the single-config replay micro
-// benchmark used to track simulator performance regressions.
-func BenchmarkKittiesReplayThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := workload.RunKitties(workload.KittiesConfig{
-			Shards: 2, Users: 32, PromoCats: 200, Breeds: 400,
-			LocalityBias: 0.93, OutstandingLimit: 250, Seed: 5,
-			MaxDuration: 4 * time.Hour,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Throughput, "sim-tx/s")
 	}
 }

@@ -12,11 +12,7 @@ import (
 // chaosFingerprint reduces one chaos run to everything simulated: per-move
 // latencies plus the counter table, minus the sendercache.* counters (the
 // cache is process-wide and other parallel tests pollute its hit/miss
-// deltas) and the parallel.* counters (they describe the host's execution
-// strategy — how many lanes speculated or aborted — not simulated events,
-// and legitimately differ between GOMAXPROCS settings and metrics on/off;
-// the schedule.* counters are excluded for the same reason; every other
-// counter is driven solely by this run's seeded RNGs).
+// deltas; every other counter is driven solely by this run's seeded RNGs).
 func chaosFingerprint(t *testing.T, metricsOn, trace bool) string {
 	t.Helper()
 	cfg := ChaosConfig{DropRate: 0.20, DupRate: 0.20, Seed: 12345, Moves: 2,
@@ -31,8 +27,7 @@ func chaosFingerprint(t *testing.T, metricsOn, trace bool) string {
 	}
 	names := make([]string, 0, len(res.Counters))
 	for name := range res.Counters {
-		if !strings.HasPrefix(name, "sendercache.") && !strings.HasPrefix(name, "parallel.") &&
-			!strings.HasPrefix(name, "schedule.") {
+		if !strings.HasPrefix(name, "sendercache.") {
 			names = append(names, name)
 		}
 	}
@@ -71,6 +66,26 @@ func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 			t.Fatalf("GOMAXPROCS=%d: simulated results diverged from GOMAXPROCS=%d run\nbase:\n%sgot:\n%s",
 				p, procs[0], baseline, off)
 		}
+	}
+}
+
+// TestChaosCellCrossGOMAXPROCS is the chaos cell of the determinism suite:
+// the full fault-injected Move scenario (20% drops, 20% duplicates on every
+// path) must produce identical simulated results on one CPU and on all of
+// them — sender pre-recovery, commit hashing and the harness fan out across
+// the worker pool; what they compute may not depend on it.
+func TestChaosCellCrossGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-GOMAXPROCS chaos runs are slow in -short mode")
+	}
+	prev := runtime.GOMAXPROCS(1)
+	serial := chaosFingerprint(t, true, false)
+	runtime.GOMAXPROCS(runtime.NumCPU())
+	parallel := chaosFingerprint(t, true, false)
+	runtime.GOMAXPROCS(prev)
+	if serial != parallel {
+		t.Fatalf("GOMAXPROCS changed simulated chaos results\none CPU:\n%sall CPUs:\n%s",
+			serial, parallel)
 	}
 }
 

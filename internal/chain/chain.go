@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"scmove/internal/chain/schedule"
 	"scmove/internal/codec"
 	"scmove/internal/core"
 	"scmove/internal/evm"
@@ -31,7 +30,10 @@ type Config struct {
 	ChainID  hashing.ChainID
 	TreeKind trie.Kind
 	Schedule evm.Schedule
-	// BlockGasLimit caps the gas of one block.
+	// BlockGasLimit is the limit the chain advertises: it goes into every
+	// header and is what GASLIMIT returns. Nothing enforces it — MaxBlockTxs
+	// is the only cap on a block. ROADMAP item 5 is where fitting the
+	// per-block limit becomes a Move1 precondition.
 	BlockGasLimit uint64
 	// MaxBlockTxs caps the transactions per block.
 	MaxBlockTxs int
@@ -46,22 +48,22 @@ type Config struct {
 	Natives *evm.Registry
 	// PoolLimit bounds the pending transaction pool.
 	PoolLimit int
-	// ParallelThreshold is the minimum block size ApplyBlock executes with
-	// the parallel executor (spawning lanes for a couple of transactions
-	// costs more than it saves). 0 means DefaultParallelThreshold; negative
-	// disables parallel execution entirely. Results are bit-identical
-	// either way.
-	ParallelThreshold int
-	// Strategy selects the parallel executor: conflict-aware scheduled
-	// waves (the zero value, the default) or PR-5 blind optimistic
-	// speculation. Results are bit-identical under both.
-	Strategy ParallelStrategy
 	// State tunes the state database's storage layer: backend selection
 	// (in-memory trees or the bounded-RSS log-structured file store), flat
 	// read-cache sizing, and the retained-root window for historical
 	// proofs. The zero value keeps the historical in-memory behaviour.
 	State state.Options
 }
+
+// Deprecated: ApplyBlock has one executor and no strategy. This type and its
+// one constant are kept only because benchmark/layers.go:433 — frozen in the
+// PR that deleted the parallel executors — passes the constant to
+// bench.BuildKittiesDAGChain. Both go, with chain.apply_serial_ratio, in the
+// next PR that may edit benchmark/.
+type ParallelStrategy int
+
+// Deprecated: see the type; benchmark/layers.go:433 is its only user.
+const StrategyScheduled ParallelStrategy = 0
 
 // Params returns the interoperability parameters peers configure (§IV-A).
 func (c Config) Params() core.ChainParams {
@@ -109,10 +111,6 @@ type Chain struct {
 	pool      *txpool.Pool
 	listeners []BlockListener
 	txWaiters map[hashing.Hash][]TxListener
-
-	// planner holds the conflict scheduler's access-pattern cache and wave
-	// scratch for the StrategyScheduled executor.
-	planner *schedule.Planner
 
 	// Optional observability (SetObserver): block-interval histogram, block
 	// commit trace events, and pool-depth gauges. The chain cannot see the
@@ -167,7 +165,6 @@ func New(cfg Config, headers *core.HeaderStore, genesis func(db *state.DB)) (*Ch
 		txHeights: make(map[hashing.Hash]uint64),
 		pool:      txpool.New(cfg.ChainID, cfg.PoolLimit),
 		txWaiters: make(map[hashing.Hash][]TxListener),
-		planner:   schedule.NewPlanner(schedule.DefaultCacheSize),
 	}, nil
 }
 
@@ -378,10 +375,12 @@ func (c *Chain) ProposeBatch() []*types.Transaction {
 	return c.pool.NextBatch(c.cfg.MaxBlockTxs, c.db.GetNonce)
 }
 
-// ApplyBlock executes txs as the next block at simulated unix time now,
-// proposed by the given address, and commits it. The write lock is held
-// from execution through commit and index updates; listeners and waiters
-// fire after it is released, so they can freely call back into the chain.
+// ApplyBlock executes txs one after another, in block order, as the next
+// block at simulated unix time now, proposed by the given address, and
+// commits it; DESIGN §11 records why there is no other executor. The write
+// lock is held from execution through commit and index updates; listeners
+// and waiters fire after it is released, so they can freely call back into
+// the chain.
 func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashing.Address) (*types.Block, []*types.Receipt) {
 	c.mu.Lock()
 	height := c.head().Height + 1
@@ -394,38 +393,18 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 		BlockHash: c.blockHashFn(),
 	}
 	receipts := make([]*types.Receipt, 0, len(txs))
-	var pstats parallelStats
-	var sstats scheduleStats
-	switch {
-	case len(txs) == 0:
-		// Empty block: nothing to recover, execute, or evict.
-	case c.parallelEligible(len(txs)):
-		// Pre-recover every sender on the crypto worker pool (see the
-		// serial branch), then run the configured parallel executor:
-		// conflict-aware waves by default, or the PR-5 optimistic engine.
-		// Both are bit-identical to the loop below by construction.
-		types.RecoverSenders(txs)
-		if c.cfg.Strategy == StrategyOptimistic {
-			receipts, pstats = c.applyBlockParallel(txs, blockCtx)
-		} else {
-			receipts, sstats = c.applyBlockScheduled(txs, blockCtx)
-		}
-	default:
-		// Pre-recover every sender on the crypto worker pool before the
-		// serial execution loop. Recovery is pure per transaction and
-		// results land in input order, so execution below observes exactly
-		// what it would have computed inline — this only moves the ECDSA
-		// work off the critical path (and, for consensus-decoded copies,
-		// usually finds it already in the sender cache). Failures are
-		// re-surfaced by applyTx's own Sender call, which by then is a
-		// memoized lookup.
-		types.RecoverSenders(txs)
-		for _, tx := range txs {
-			receipts = append(receipts, c.applyTx(c.db, tx, blockCtx))
-		}
-	}
+	// Pre-recover every sender on the crypto worker pool before the
+	// execution loop. Recovery is pure per transaction and results land in
+	// input order, so execution below observes exactly what it would have
+	// computed inline — this only moves the ECDSA work off the critical
+	// path (and, for consensus-decoded copies, usually finds it already in
+	// the sender cache). Failures are re-surfaced by applyTx's own Sender
+	// call, which by then is a memoized lookup.
+	types.RecoverSenders(txs)
 	var gasUsed uint64
-	for _, rec := range receipts {
+	for _, tx := range txs {
+		rec := c.applyTx(tx, blockCtx)
+		receipts = append(receipts, rec)
 		gasUsed += rec.GasUsed
 	}
 	root := c.db.Commit()
@@ -491,8 +470,6 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 	} else {
 		fire()
 	}
-	c.observeParallel(pstats)
-	c.observeScheduled(sstats)
 	c.observeBlock(block)
 	return block, receipts
 }
@@ -530,20 +507,11 @@ func (c *Chain) blockHashFn() func(uint64) hashing.Hash {
 	}
 }
 
-// execState is the state surface transaction application drives: the
-// interpreter's view plus Move2 recreation. Both the chain's canonical DB
-// and the speculative views of the parallel executor implement it.
-type execState interface {
-	evm.ExecState
-	core.MoveState
-}
-
-// applyTx executes one transaction against st, charging fees and producing
-// a receipt. Failed transactions still pay for the gas they consumed. With
-// st == c.db this is exactly the serial execution path; the parallel
-// scheduler passes speculative views and commit overlays instead, and the
-// receipt it keeps is byte-identical by construction.
-func (c *Chain) applyTx(st execState, tx *types.Transaction, blockCtx evm.BlockContext) *types.Receipt {
+// applyTx executes one transaction against the chain's state, charging fees
+// and producing a receipt. Failed transactions still pay for the gas they
+// consumed.
+func (c *Chain) applyTx(tx *types.Transaction, blockCtx evm.BlockContext) *types.Receipt {
+	st := c.db
 	rec := &types.Receipt{TxID: tx.ID(), Status: types.ReceiptFailed}
 	// Authenticate before touching state: executing on a trusted tx.From
 	// would let a forged From spend any account's balance. Sender memoizes
@@ -592,7 +560,7 @@ func (c *Chain) applyTx(st execState, tx *types.Transaction, blockCtx evm.BlockC
 	case types.TxCreate:
 		rec.Created, gasLeft, execErr = vm.Create(sender, tx.Data, tx.Value, gas)
 	case types.TxMove2:
-		gasLeft, execErr = c.applyMove2(vm, st, tx, gas)
+		gasLeft, execErr = c.applyMove2(vm, tx, gas)
 	default:
 		execErr = fmt.Errorf("unknown tx kind %d", tx.Kind)
 	}
@@ -615,7 +583,7 @@ func (c *Chain) applyTx(st execState, tx *types.Transaction, blockCtx evm.BlockC
 // applyMove2 charges the recreation gas of Alg. 1 (contract creation plus
 // one SSTORE per storage entry plus proof verification), verifies the
 // payload, imports the contract, and runs moveFinish(·).
-func (c *Chain) applyMove2(vm *evm.EVM, st execState, tx *types.Transaction, gas uint64) (uint64, error) {
+func (c *Chain) applyMove2(vm *evm.EVM, tx *types.Transaction, gas uint64) (uint64, error) {
 	if !tx.Value.IsZero() {
 		return gas, errors.New("move2 transaction must not carry value")
 	}
@@ -625,6 +593,7 @@ func (c *Chain) applyMove2(vm *evm.EVM, st execState, tx *types.Transaction, gas
 		return 0, fmt.Errorf("%w: move2 needs %d", evm.ErrOutOfGas, cost)
 	}
 	gas -= cost
+	st := c.db
 	snap := st.Snapshot()
 	acct, err := core.VerifyMove2(c.cfg.ChainID, st, c.headers, p)
 	if err != nil {

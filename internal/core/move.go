@@ -41,15 +41,6 @@ func IsMoveFinishInput(input []byte) bool {
 	return bytes.Equal(input, MoveFinishInput)
 }
 
-// MoveState is the slice of world state that Move2 verification and
-// recreation touch: the replay-protection high-water mark and the journaled
-// account import. Both the canonical *state.DB and the speculative views of
-// the parallel block executor implement it.
-type MoveState interface {
-	GetMoveNonce(addr hashing.Address) uint64
-	ImportAccount(addr hashing.Address, acct state.Account, code []byte, entries []evm.StorageEntry)
-}
-
 // BuildMoveProof assembles the Move2 payload for a locked contract against
 // the source chain's *current committed state* — call it right after the
 // block containing Move1 commits, while the database root equals that
@@ -138,7 +129,7 @@ func BuildMoveProofAt(db *state.DB, contract hashing.Address, height uint64, roo
 //
 // On success it returns the proven account record; the caller applies it
 // with ApplyMove2.
-func VerifyMove2(local hashing.ChainID, db MoveState, hs *HeaderStore, p *types.Move2Payload) (state.Account, error) {
+func VerifyMove2(local hashing.ChainID, db *state.DB, hs *HeaderStore, p *types.Move2Payload) (state.Account, error) {
 	params, err := hs.Params(p.SourceChain)
 	if err != nil {
 		return state.Account{}, err
@@ -215,6 +206,6 @@ func checkStorageComplete(params ChainParams, storageRoot hashing.Hash, entries 
 // the account record is imported with this chain as its location, the code
 // installed, and every storage entry rewritten through the journaled state
 // so a later failure in moveFinish rolls the recreation back too.
-func ApplyMove2(db MoveState, p *types.Move2Payload, acct state.Account) {
+func ApplyMove2(db *state.DB, p *types.Move2Payload, acct state.Account) {
 	db.ImportAccount(p.Contract, acct, p.Code, p.Storage)
 }

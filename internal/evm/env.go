@@ -81,17 +81,6 @@ type StateAccess interface {
 	AddLog(log *Log)
 }
 
-// ExecState is the state surface the transaction-application layer drives:
-// the interpreter's StateAccess plus per-transaction log draining. It is
-// implemented by the canonical journaled DB and by the speculative views
-// the parallel block executor hands to each lane.
-type ExecState interface {
-	StateAccess
-	// TakeLogs returns and clears the logs accumulated since the last call
-	// (called once per transaction to populate the receipt).
-	TakeLogs() []*Log
-}
-
 // BlockContext is the immutable per-block execution environment.
 type BlockContext struct {
 	ChainID    hashing.ChainID

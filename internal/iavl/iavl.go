@@ -75,10 +75,6 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 	return nil, false
 }
 
-// GetShared implements trie.SharedReader. The read path is a pure
-// comparison walk with no scratch state, so it is Get verbatim.
-func (t *Tree) GetShared(key []byte) ([]byte, bool) { return t.Get(key) }
-
 // Set stores value under key.
 func (t *Tree) Set(key, value []byte) error {
 	if len(key) != t.keyLen {

@@ -77,60 +77,13 @@ func (t *Tree) KeyLen() int { return t.keyLen }
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.count }
 
-// Get returns the value stored under key. The traversal is duplicated in
-// getNibbles rather than delegated: the loop is too big to inline, and the
-// extra call frame showed up as a double-digit regression on the mpt_get
-// benchmark.
+// Get returns the value stored under key.
 func (t *Tree) Get(key []byte) ([]byte, bool) {
 	if len(key) != t.keyLen {
 		return nil, false
 	}
 	n := t.root
 	nibs := t.keyNibbles(key)
-	for n != nil {
-		switch n.kind {
-		case kindLeaf:
-			if bytes.Equal(n.nibbles, nibs) {
-				return n.value, true
-			}
-			return nil, false
-		case kindExt:
-			if !bytes.HasPrefix(nibs, n.nibbles) {
-				return nil, false
-			}
-			nibs = nibs[len(n.nibbles):]
-			n = n.child
-		case kindBranch:
-			if len(nibs) == 0 {
-				return nil, false
-			}
-			n, nibs = n.children[nibs[0]], nibs[1:]
-		}
-	}
-	return nil, false
-}
-
-// GetShared implements trie.SharedReader: a read that expands the key into
-// a stack buffer instead of the tree's shared nibble scratch, so any number
-// of readers can run concurrently on a frozen tree.
-func (t *Tree) GetShared(key []byte) ([]byte, bool) {
-	if len(key) != t.keyLen {
-		return nil, false
-	}
-	var buf [64]byte // covers 32-byte keys; both state trees are ≤ 32
-	var nibs []byte
-	if need := len(key) * 2; need <= len(buf) {
-		nibs = buf[:need]
-		expandNibbles(nibs, key)
-	} else {
-		nibs = bytesToNibbles(key)
-	}
-	return t.getNibbles(nibs)
-}
-
-// getNibbles walks the trie for an already-expanded key.
-func (t *Tree) getNibbles(nibs []byte) ([]byte, bool) {
-	n := t.root
 	for n != nil {
 		switch n.kind {
 		case kindLeaf:
@@ -451,13 +404,6 @@ func expandNibbles(dst, key []byte) {
 		dst[i*2] = b >> 4
 		dst[i*2+1] = b & 0x0f
 	}
-}
-
-// bytesToNibbles returns key expanded into a fresh nibble slice.
-func bytesToNibbles(key []byte) []byte {
-	out := make([]byte, len(key)*2)
-	expandNibbles(out, key)
-	return out
 }
 
 // nibblesToBytes packs nibbles back into bytes; the count must be even.

@@ -10,10 +10,8 @@ import (
 
 func TestNibbleRoundTrip(t *testing.T) {
 	f := func(key []byte) bool {
-		nibs := bytesToNibbles(key)
-		if len(nibs) != 2*len(key) {
-			return false
-		}
+		nibs := make([]byte, 2*len(key))
+		expandNibbles(nibs, key)
 		for _, n := range nibs {
 			if n > 0x0f {
 				return false

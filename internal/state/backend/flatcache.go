@@ -17,8 +17,7 @@ import "scmove/internal/hashing"
 //
 // Warm hits are zero-alloc: entries are recycled through an embedded free
 // list, and lookups only splice intrusive list links. Not safe for
-// concurrent use; the speculative read paths of the parallel executor
-// bypass the cache for exactly that reason.
+// concurrent use.
 // The account value type A is the owner's decoded record (state.Account),
 // kept generic so this package stays importable from the state package.
 type FlatCache[A any] struct {

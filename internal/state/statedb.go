@@ -235,15 +235,6 @@ func (db *DB) FlatCacheStats() (hits, misses uint64) {
 	return db.flat.Stats()
 }
 
-// DropCaches empties the decoded working set and the flat cache (cold-read
-// benchmarking and memory-pressure hooks). Committed state is unaffected.
-func (db *DB) DropCaches() {
-	db.cache = make(map[hashing.Address]*Account)
-	if db.flat != nil {
-		db.flat = backend.NewFlatCache[Account](db.opts.FlatAccounts, db.opts.FlatSlots)
-	}
-}
-
 // account returns the cached working copy of addr, loading it through the
 // flat cache (no tree walk on a hit) or from the account tree on first
 // touch. Returns nil if the account does not exist.
@@ -286,66 +277,6 @@ func (db *DB) account(addr hashing.Address) *Account {
 	db.cache[addr] = &acct
 	return &acct
 }
-
-// sharedGet reads a tree without mutating it, so concurrent readers are
-// safe while the tree is frozen. Both shipped tree kinds implement
-// trie.SharedReader; the plain-Get fallback keeps hypothetical third kinds
-// working in single-reader contexts.
-func sharedGet(t trie.Tree, key []byte) ([]byte, bool) {
-	if sr, ok := t.(trie.SharedReader); ok {
-		return sr.GetShared(key)
-	}
-	return t.Get(key)
-}
-
-// sharedAccount returns a copy of addr's record without installing cache
-// entries (account() negative-caches misses, which would race — the flat
-// cache's LRU splicing likewise). Safe for concurrent readers while the DB
-// itself is quiescent — the contract the parallel executor upholds during
-// its speculation phase.
-func (db *DB) sharedAccount(addr hashing.Address) (Account, bool) {
-	if acct, ok := db.cache[addr]; ok {
-		if acct == nil {
-			return Account{}, false
-		}
-		return *acct, true
-	}
-	enc, ok := sharedGet(db.accountTree, addr[:])
-	if !ok {
-		return Account{}, false
-	}
-	acct, err := DecodeAccount(enc)
-	if err != nil {
-		panic(fmt.Sprintf("state: corrupt account record for %s: %v", addr, err))
-	}
-	return acct, true
-}
-
-// sharedStorage reads one storage slot under the same frozen-DB contract as
-// sharedAccount. Storage of accounts whose tree was evicted (persistent
-// backends only) reads through the backend — those accounts are clean by
-// construction, so the committed value is the live one.
-func (db *DB) sharedStorage(addr hashing.Address, key evm.Word) (evm.Word, bool) {
-	t, ok := db.storage[addr]
-	if !ok {
-		if db.back.Persistent() {
-			v, ok := db.back.Slot(backend.SlotKey{Addr: addr, Key: key})
-			return evm.Word(v), ok
-		}
-		return evm.Word{}, false
-	}
-	v, ok := sharedGet(t, key[:])
-	if !ok {
-		return evm.Word{}, false
-	}
-	var w evm.Word
-	copy(w[:], v)
-	return w, true
-}
-
-// sharedCode reads the content-addressed code store (append-only between
-// commits, so concurrent reads are safe while the DB is quiescent).
-func (db *DB) sharedCode(h hashing.Hash) []byte { return db.codes[h] }
 
 // mutable returns the working copy of addr, creating the account if absent,
 // and journals the previous version for revert.

@@ -128,18 +128,6 @@ type ParallelHasher interface {
 	HashParallel(r Runner) hashing.Hash
 }
 
-// SharedReader is implemented by trees whose point reads may run
-// concurrently with each other, as long as no writer runs at the same time.
-// The speculative execution lanes of the parallel block executor read one
-// frozen tree from many goroutines through this interface. Both tree kinds
-// here implement it: the MPT routes around its reusable scratch buffers and
-// the IAVL read path is a pure traversal already.
-type SharedReader interface {
-	// GetShared behaves exactly like Tree.Get but must not mutate the tree
-	// or any shared scratch state.
-	GetShared(key []byte) ([]byte, bool)
-}
-
 // ProvenEntry is the result of verifying a membership proof: the key/value
 // pair the proof commits to under the given root.
 type ProvenEntry struct {

@@ -34,22 +34,13 @@ type Pool struct {
 	queue   []*entry
 	pending map[hashing.Hash]struct{}
 
-	// Selection scratch reused across NextBatch/NextBatchGrouped calls so
-	// the per-proposal hot path allocates nothing beyond the returned
-	// slice(s). All are cleared (not freed) between calls.
-	selScratch []selRec
-	giOf       map[hashing.Address]int    // sender → group index this pass
+	// Selection scratch reused across NextBatch calls so the per-proposal
+	// hot path allocates nothing beyond the returned slice. All are cleared
+	// (not freed) between calls.
+	selScratch []*types.Transaction
+	chainOf    map[hashing.Address]int    // sender → index into lastNonce this pass
 	nonceMemo  map[hashing.Address]uint64 // committed nonce, one nonceOf per sender
-	lastNonce  []uint64                   // per-group last selected nonce
-	cntScratch []int                      // per-group selection counts
-}
-
-// selRec records one selected transaction during the shared selection pass:
-// the pool entry and the group (sender) it chained onto. Selection order is
-// the flat FIFO batch order.
-type selRec struct {
-	e  *entry
-	gi int
+	lastNonce  []uint64                   // last selected nonce per selecting sender
 }
 
 type entry struct {
@@ -67,7 +58,7 @@ func New(chainID hashing.ChainID, limit int) *Pool {
 		chainID:   chainID,
 		limit:     limit,
 		pending:   make(map[hashing.Hash]struct{}),
-		giOf:      make(map[hashing.Address]int),
+		chainOf:   make(map[hashing.Address]int),
 		nonceMemo: make(map[hashing.Address]uint64),
 	}
 }
@@ -152,23 +143,11 @@ func (p *Pool) Contains(id hashing.Hash) bool {
 	return ok
 }
 
-// SenderGroup is one sender's selected transactions: a nonce-ordered chain
-// that must execute in sequence. Pos holds each transaction's position in
-// the flat FIFO batch, so flattening the groups reproduces the historical
-// NextBatch order bit-exactly.
-type SenderGroup struct {
-	Sender hashing.Address
-	Txs    []*types.Transaction
-	Pos    []int
-}
-
-// NextBatchGrouped selects up to max transactions exactly like NextBatch —
-// FIFO order across senders, per-sender nonce sequencing against the
-// provided committed account nonces, stale-entry eviction — but returns
-// them as per-sender nonce-ordered chains (groups appear in order of their
-// first selected transaction), exposing the sender/nonce dependency graph
-// the conflict scheduler consumes instead of re-deriving it from a flat
-// slice.
+// NextBatch selects up to max transactions in FIFO order, respecting
+// per-sender nonce sequencing against the provided current account nonces:
+// a transaction whose nonce is not the sender's next is skipped (left in
+// the pool) so it can run in a later block; a sender's consecutive nonces
+// chain within one batch.
 //
 // Selection does not consume: the batch stays pending until Remove (called
 // by the chain when a block commits). A consensus round that fails after
@@ -181,76 +160,13 @@ type SenderGroup struct {
 // batch-mates selected in this same pass: those selections are not
 // committed yet, and evicting against them would destroy a competing
 // same-nonce transaction that must survive if the proposed block fails.
-func (p *Pool) NextBatchGrouped(max int, nonceOf func(hashing.Address) uint64) []SenderGroup {
-	if max <= 0 {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sel, ngroups := p.selectBatch(max, nonceOf)
-	if len(sel) == 0 {
-		return nil
-	}
-	// Materialize: one header slice plus two flat backing arrays carved
-	// into per-group subslices (full-slice expressions pin the capacities,
-	// so the in-capacity appends below can never cross groups).
-	cnt := p.cntScratch[:0]
-	for gi := 0; gi < ngroups; gi++ {
-		cnt = append(cnt, 0)
-	}
-	p.cntScratch = cnt
-	for _, r := range sel {
-		cnt[r.gi]++
-	}
-	groups := make([]SenderGroup, ngroups)
-	txFlat := make([]*types.Transaction, 0, len(sel))
-	posFlat := make([]int, 0, len(sel))
-	off := 0
-	for gi := 0; gi < ngroups; gi++ {
-		groups[gi].Txs = txFlat[off : off : off+cnt[gi]]
-		groups[gi].Pos = posFlat[off : off : off+cnt[gi]]
-		off += cnt[gi]
-	}
-	for i, r := range sel {
-		g := &groups[r.gi]
-		if len(g.Txs) == 0 {
-			g.Sender = r.e.sender
-		}
-		g.Txs = append(g.Txs, r.e.tx)
-		g.Pos = append(g.Pos, i)
-	}
-	return groups
-}
-
-// NextBatch selects up to max transactions in FIFO order, respecting
-// per-sender nonce sequencing against the provided current account nonces:
-// a transaction whose nonce is not the sender's next is skipped (left in
-// the pool) so it can run in a later block. It materializes the same
-// single selection pass as NextBatchGrouped in flat form — selection order
-// *is* the historical FIFO batch order (the regression test pins them
-// bit-exact against the pre-grouping algorithm).
 func (p *Pool) NextBatch(max int, nonceOf func(hashing.Address) uint64) []*types.Transaction {
 	if max <= 0 {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	sel, _ := p.selectBatch(max, nonceOf)
-	batch := make([]*types.Transaction, len(sel))
-	for i, r := range sel {
-		batch[i] = r.e.tx
-	}
-	return batch
-}
-
-// selectBatch is the shared selection/eviction pass behind NextBatch and
-// NextBatchGrouped: FIFO over the queue, per-sender nonce chaining, stale
-// eviction. It returns the selections in flat FIFO order (each tagged with
-// its sender-group index, groups numbered in order of first selection) and
-// the number of groups. The returned slice aliases pool-owned scratch and
-// is only valid until the next call. Callers must hold p.mu.
-func (p *Pool) selectBatch(max int, nonceOf func(hashing.Address) uint64) ([]selRec, int) {
-	clear(p.giOf)
+	clear(p.chainOf)
 	clear(p.nonceMemo)
 	sel := p.selScratch[:0]
 	lastNonce := p.lastNonce[:0]
@@ -269,26 +185,28 @@ func (p *Pool) selectBatch(max int, nonceOf func(hashing.Address) uint64) ([]sel
 		if len(sel) >= max {
 			continue
 		}
-		gi, selecting := p.giOf[e.sender]
+		ci, selecting := p.chainOf[e.sender]
 		want := base
 		if selecting {
-			want = lastNonce[gi] + 1
+			want = lastNonce[ci] + 1
 		}
 		if e.tx.Nonce != want {
 			continue
 		}
 		if !selecting {
-			gi = len(lastNonce)
+			ci = len(lastNonce)
 			lastNonce = append(lastNonce, 0)
-			p.giOf[e.sender] = gi
+			p.chainOf[e.sender] = ci
 		}
-		lastNonce[gi] = e.tx.Nonce
-		sel = append(sel, selRec{e: e, gi: gi})
+		lastNonce[ci] = e.tx.Nonce
+		sel = append(sel, e.tx)
 	}
 	p.queue = keep
 	p.selScratch = sel
 	p.lastNonce = lastNonce
-	return sel, len(lastNonce)
+	batch := make([]*types.Transaction, len(sel))
+	copy(batch, sel)
+	return batch
 }
 
 // Remove drops a transaction (e.g. once included in a block received from a

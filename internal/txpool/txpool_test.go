@@ -262,8 +262,9 @@ func TestSequentialNoncesInOneBatch(t *testing.T) {
 	}
 }
 
-// legacyNextBatch is the pre-grouping NextBatch selection loop, kept
-// verbatim as the reference for the bit-exactness regression below. It
+// legacyNextBatch is the first NextBatch selection loop (two maps, no
+// scratch reuse), kept verbatim as the reference for the bit-exactness
+// regression below. It
 // must never be called on a pool the test still needs: it evicts stale
 // entries just like the real implementation.
 func legacyNextBatch(p *Pool, max int, nonceOf func(hashing.Address) uint64) []*types.Transaction {
@@ -299,13 +300,12 @@ func legacyNextBatch(p *Pool, max int, nonceOf func(hashing.Address) uint64) []*
 	return batch
 }
 
-// TestNextBatchGroupedPreservesFIFO builds two identical pools — stale
-// entries, nonce gaps, competing same-nonce transactions, interleaved
-// senders, a max cutoff mid-stream — and checks that flattening the
-// grouped selection reproduces the legacy flat FIFO batch bit-exactly
-// (same transactions, same order, same surviving queue), and that each
-// group is one sender's gapless nonce chain.
-func TestNextBatchGroupedPreservesFIFO(t *testing.T) {
+// TestNextBatchPreservesFIFO builds two identical pools — stale entries,
+// nonce gaps, competing same-nonce transactions, interleaved senders, a
+// max cutoff mid-stream — and checks that NextBatch reproduces the legacy
+// flat FIFO batch bit-exactly: same transactions, same order, same
+// surviving queue.
+func TestNextBatchPreservesFIFO(t *testing.T) {
 	kps := []*keys.KeyPair{keys.Deterministic(1), keys.Deterministic(2), keys.Deterministic(3)}
 	nonceOf := func(a hashing.Address) uint64 {
 		if a == kps[2].Address() {
@@ -342,39 +342,7 @@ func TestNextBatchGroupedPreservesFIFO(t *testing.T) {
 		want := legacyNextBatch(ref, max, nonceOf)
 
 		p := build()
-		groups := p.NextBatchGrouped(max, nonceOf)
-		n := 0
-		for _, g := range groups {
-			n += len(g.Txs)
-		}
-		flat := make([]*types.Transaction, n)
-		for _, g := range groups {
-			if len(g.Txs) != len(g.Pos) {
-				t.Fatalf("max=%d: group %s has %d txs but %d positions", max, g.Sender, len(g.Txs), len(g.Pos))
-			}
-			for j, tx := range g.Txs {
-				sender, err := tx.Sender()
-				if err != nil || sender != g.Sender {
-					t.Fatalf("max=%d: tx in group %s has sender %s", max, g.Sender, sender)
-				}
-				if j > 0 && tx.Nonce != g.Txs[j-1].Nonce+1 {
-					t.Fatalf("max=%d: group %s nonces not gapless: %d after %d", max, g.Sender, tx.Nonce, g.Txs[j-1].Nonce)
-				}
-				flat[g.Pos[j]] = tx
-			}
-		}
-		if len(flat) != len(want) {
-			t.Fatalf("max=%d: flattened %d txs, legacy %d", max, len(flat), len(want))
-		}
-		for i := range want {
-			if flat[i] == nil || flat[i].ID() != want[i].ID() {
-				t.Fatalf("max=%d: position %d diverges from legacy order", max, i)
-			}
-		}
-		// The wrapper itself must match too, and both pools must keep the
-		// same surviving queue (evictions identical).
-		p2 := build()
-		got := p2.NextBatch(max, nonceOf)
+		got := p.NextBatch(max, nonceOf)
 		if len(got) != len(want) {
 			t.Fatalf("max=%d: NextBatch %d txs, legacy %d", max, len(got), len(want))
 		}
@@ -383,8 +351,8 @@ func TestNextBatchGroupedPreservesFIFO(t *testing.T) {
 				t.Fatalf("max=%d: NextBatch position %d diverges", max, i)
 			}
 		}
-		if p2.Len() != ref.Len() {
-			t.Fatalf("max=%d: surviving queue %d vs legacy %d", max, p2.Len(), ref.Len())
+		if p.Len() != ref.Len() {
+			t.Fatalf("max=%d: surviving queue %d vs legacy %d", max, p.Len(), ref.Len())
 		}
 	}
 }

@@ -322,9 +322,9 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 
 // shardedFingerprint reduces the run to everything simulated: committed
 // count, per-chain heights and state roots, final contract locations, move
-// stats, and the deterministic counters. Process-level caches and
-// intra-block executor stats (sendercache.*, parallel.*, schedule.*) are
-// excluded — they vary with GOMAXPROCS without affecting simulated results.
+// stats, and the deterministic counters. The process-level sender cache's
+// counters (sendercache.*) are excluded — they vary with GOMAXPROCS without
+// affecting simulated results.
 func shardedFingerprint(u *universe.Universe, res *ShardedScalingResult,
 	addrs []hashing.Address, loc func(int) hashing.ChainID) string {
 	var sb strings.Builder
@@ -340,9 +340,7 @@ func shardedFingerprint(u *universe.Universe, res *ShardedScalingResult,
 	snap := u.Counters().Snapshot()
 	names := make([]string, 0, len(snap))
 	for name := range snap {
-		if strings.HasPrefix(name, "sendercache.") ||
-			strings.HasPrefix(name, "parallel.") ||
-			strings.HasPrefix(name, "schedule.") {
+		if strings.HasPrefix(name, "sendercache.") {
 			continue
 		}
 		names = append(names, name)
