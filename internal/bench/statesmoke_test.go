@@ -34,7 +34,7 @@ func readRSS() int64 {
 }
 
 // TestStateSmoke is the `make statesmoke` gate: a million-account genesis
-// on the file backend with bounded resident-tree and flat-cache budgets,
+// on the file backend with a bounded resident-tree budget,
 // update blocks, an RSS ceiling, a close-and-reopen root check, root
 // identity against the memory backend on the same script, and a Kitties
 // replay on the file backend matching the memory replay's deterministic

@@ -49,9 +49,10 @@ type Config struct {
 	// PoolLimit bounds the pending transaction pool.
 	PoolLimit int
 	// State tunes the state database's storage layer: backend selection
-	// (in-memory trees or the bounded-RSS log-structured file store), flat
-	// read-cache sizing, and the retained-root window for historical
-	// proofs. The zero value keeps the historical in-memory behaviour.
+	// (in-memory trees or the bounded-RSS log-structured file store), the
+	// storage-tree residency cap, and the retained-root window for
+	// historical proofs. The zero value keeps the historical in-memory
+	// behaviour.
 	State state.Options
 }
 
@@ -88,12 +89,12 @@ type BlockListener func(block *types.Block, receipts []*types.Receipt)
 //     index updates, releasing it before block listeners and tx waiters
 //     fire (listeners call back into chain accessors — the header relay
 //     reads HeaderAt of the very chain that committed).
-//   - Read accessors (Head, HeaderAt, BlockAt, RootAt, Receipt, TxHeight)
+//   - Read accessors (Head, HeaderAt, RootAt, Receipt, TxHeight)
 //     take the read lock; internal unlocked variants serve the execution
 //     path, which already holds the write lock.
 //   - Query* and StaticCall take the full write lock even though they are
-//     logically reads: state.DB reads mutate working-set and flat-cache
-//     structures. Historical Query*At reads are served between blocks by
+//     logically reads: state.DB reads fill the decoded working set.
+//     Historical Query*At reads are served between blocks by
 //     construction — the lock excludes a concurrent mid-block Commit.
 //   - SubmitTx/SubmitTxs take no chain lock at all; the pool has its own.
 //     Lock order is chain.mu before pool.mu (ProposeBatch), never the
@@ -123,10 +124,8 @@ type Chain struct {
 	hInterval   string // "block.interval.<chain>"
 
 	// dispatch, when set, receives the closure that fires block listeners
-	// and tx waiters after ApplyBlock commits. Laned universes route it to
-	// the chain lane's Post so cross-chain callbacks (header relays, client
-	// nonce bookkeeping, workload drivers) run as global events between
-	// waves instead of inside a concurrent wave slot. Nil fires inline.
+	// and tx waiters after ApplyBlock commits (see SetDispatcher). Nil fires
+	// inline.
 	dispatch func(func())
 }
 
@@ -204,16 +203,6 @@ func (c *Chain) headerAt(height uint64) (*types.Header, bool) {
 		return nil, false
 	}
 	return c.blocks[height].Header, true
-}
-
-// BlockAt returns the block at a height.
-func (c *Chain) BlockAt(height uint64) (*types.Block, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if height >= uint64(len(c.blocks)) {
-		return nil, false
-	}
-	return c.blocks[height], true
 }
 
 // Close releases the state database's backend resources (file handles of
@@ -307,11 +296,12 @@ func (c *Chain) SetObserver(reg *metrics.Registry, now func() time.Duration) {
 }
 
 // SetDispatcher routes ApplyBlock's post-commit listener and waiter fires
-// through d instead of invoking them inline. Laned universes pass the chain
-// lane's Post so callbacks that touch other chains or shared client state
-// run serially on the global timeline — in both the serial and parallel
-// drivers, keeping their event streams identical. A nil d restores inline
-// firing.
+// through d instead of invoking them inline. Universes with Config.Lanes
+// pass a d that schedules the fire as a fresh event at the current simulated
+// time, so callbacks that touch other chains or shared client state (header
+// relays, client nonce bookkeeping, workload drivers) run after the event
+// that committed the block has returned, not inside it. A nil d restores
+// inline firing.
 func (c *Chain) SetDispatcher(d func(func())) { c.dispatch = d }
 
 // observePoolDepth refreshes the pool-depth gauge and its high-water mark.
@@ -636,8 +626,8 @@ func (c *Chain) QueryHead() (*types.Header, hashing.Hash) {
 }
 
 // QueryAccount returns addr's account record at the head state. It takes
-// the write lock even though it is logically a read: state-DB reads warm
-// working-set and flat-cache structures.
+// the write lock even though it is logically a read: state-DB reads fill
+// the decoded working set.
 func (c *Chain) QueryAccount(addr hashing.Address) (state.Account, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

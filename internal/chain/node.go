@@ -3,7 +3,6 @@ package chain
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"scmove/internal/codec"
 	"scmove/internal/hashing"
@@ -30,14 +29,14 @@ func ProposerAddress(chain hashing.ChainID, index int) hashing.Address {
 type BFTNode struct {
 	Chain   *Chain
 	Cluster *tendermint.Cluster
-	sched   simclock.Clock
+	sched   *simclock.Scheduler
 	app     *bftApp
 }
 
 // bftApp adapts Chain to the tendermint.App interface.
 type bftApp struct {
 	chain    *Chain
-	sched    simclock.Clock
+	sched    *simclock.Scheduler
 	counters *metrics.Counters
 }
 
@@ -69,7 +68,7 @@ func (a *bftApp) Commit(height uint64, payload []byte) {
 // consensus traffic: the deterministic discrete-event network by default,
 // or real TCP sockets for wall-clock runs. Call Start to begin producing
 // blocks.
-func NewBFTNode(sched simclock.Clock, net simnet.Transport, c *Chain,
+func NewBFTNode(sched *simclock.Scheduler, net simnet.Transport, c *Chain,
 	cfg tendermint.Config, ids []simnet.NodeID, regions []simnet.Region) (*BFTNode, error) {
 	app := &bftApp{chain: c, sched: sched}
 	cluster, err := tendermint.NewCluster(sched, net, app, cfg, ids, regions)
@@ -95,7 +94,7 @@ func (n *BFTNode) Observe(c *metrics.Counters) {
 // configuration) by a rotating set of miners.
 type PoWNode struct {
 	Chain *Chain
-	sched simclock.Clock
+	sched *simclock.Scheduler
 	timer *pow.Timer
 
 	minerCount int
@@ -105,7 +104,7 @@ type PoWNode struct {
 
 // NewPoWNode creates a PoW-driven chain with the given miner count and a
 // seeded block timer.
-func NewPoWNode(sched simclock.Clock, c *Chain, seed int64, minerCount int) *PoWNode {
+func NewPoWNode(sched *simclock.Scheduler, c *Chain, seed int64, minerCount int) *PoWNode {
 	if minerCount <= 0 {
 		minerCount = 1
 	}
@@ -135,20 +134,13 @@ func (n *PoWNode) scheduleNext() {
 	})
 }
 
-// ConnectHeaderRelay wires the light-client header feed from src to dst:
-// every block committed on src is relayed (header plus head height) to
-// dst's header store after the given network delay. Miners/validators of
-// interoperating chains run exactly this kind of relay (paper §IV-A).
-func ConnectHeaderRelay(sched simclock.Clock, src, dst *Chain, delay time.Duration) {
-	ConnectHeaderRelayVia(src, dst, simnet.NewLink(sched, delay, simnet.LinkFaults{}, 0), 1)
-}
-
-// ConnectHeaderRelayVia wires the header feed from src to dst through a
-// (possibly lossy) link. Each committed block relays the last `window`
-// headers plus the head height, so a dropped relay message heals as soon as
-// any later one gets through — the retransmission behaviour real IBC
-// relayers implement. Use a window comfortably larger than the longest
-// outage, in blocks, the deployment should ride out.
+// ConnectHeaderRelayVia wires the light-client header feed from src to dst
+// through a (possibly lossy) link — miners/validators of interoperating
+// chains run exactly this kind of relay (paper §IV-A). Each committed block
+// relays the last `window` headers plus the head height, so a dropped relay
+// message heals as soon as any later one gets through — the retransmission
+// behaviour real IBC relayers implement. Use a window comfortably larger
+// than the longest outage, in blocks, the deployment should ride out.
 func ConnectHeaderRelayVia(src, dst *Chain, link *simnet.Link, window int) {
 	if window < 1 {
 		window = 1

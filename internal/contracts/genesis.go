@@ -30,8 +30,3 @@ func GenesisKittyRegistry(db *state.DB, addr, owner hashing.Address) {
 	db.CreateContract(addr, evm.NativeCode(KittyRegistryName))
 	db.SetStorage(addr, slotOwner, wordOfAddress(owner))
 }
-
-// GenesisTokenRelay installs a TokenRelay into genesis state.
-func GenesisTokenRelay(db *state.DB, addr hashing.Address) {
-	db.CreateContract(addr, evm.NativeCode(TokenRelayName))
-}

@@ -144,14 +144,6 @@ func Swap(n int) Opcode {
 	return SWAP1 + Opcode(n-1)
 }
 
-// LogN returns LOGn (0 <= n <= 4).
-func LogN(n int) Opcode {
-	if n < 0 || n > 4 {
-		panic(fmt.Sprintf("evm: invalid log topic count %d", n))
-	}
-	return LOG0 + Opcode(n)
-}
-
 var opNames = map[Opcode]string{
 	STOP: "STOP", ADD: "ADD", MUL: "MUL", SUB: "SUB", DIV: "DIV",
 	SDIV: "SDIV", MOD: "MOD", SMOD: "SMOD", ADDMOD: "ADDMOD",

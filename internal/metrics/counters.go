@@ -13,11 +13,13 @@ import (
 // events (message drops, duplicates, relayer retries, recoveries, timed-out
 // moves) next to the throughput/latency metrics.
 //
-// A mutex guards the map and every cell is atomic: laned universes
-// increment shared counters from concurrent per-chain wave workers.
-// Addition commutes, so final values are deterministic even though
-// increment order is not; reads that must be consistent (Snapshot, String)
-// happen after the run, like everything else that inspects results.
+// A mutex guards the map and every cell is atomic. Nothing on the
+// discrete-event path needs that: every event, and with it every increment,
+// runs on the one goroutine that drives the scheduler. The synchronisation
+// stays for Realtime universes, whose events run on the driver's goroutine
+// while the harness that owns the set may read it (Universe.Counters,
+// Snapshot) from its own. Addition commutes, so final values do not depend
+// on increment order.
 type Counters struct {
 	mu   sync.Mutex
 	vals map[string]*cell
@@ -51,8 +53,9 @@ func (c *Counters) cell(name string) *cell {
 }
 
 // Handle is a counter resolved once, for call sites that fire per message:
-// Inc and Add are a single atomic add — no lock, no name to build or hash.
-// The zero Handle, which is also what a nil *Counters resolves to, counts
+// Inc and Add are a single atomic add — no lock, no name to build or hash;
+// atomic for the reason Counters gives, not for concurrent incrementers, of
+// which there are none. The zero Handle, which is also what a nil *Counters resolves to, counts
 // nothing.
 type Handle struct{ n *atomic.Uint64 }
 

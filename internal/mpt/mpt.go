@@ -71,9 +71,6 @@ func New(keyLen int) *Tree {
 	return &Tree{keyLen: keyLen}
 }
 
-// KeyLen returns the fixed key length in bytes.
-func (t *Tree) KeyLen() int { return t.keyLen }
-
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.count }
 

@@ -17,9 +17,8 @@ import (
 // universe handle, so it composes with any harness and imports no wiring
 // packages.
 type Config struct {
-	// Clock is the global scheduler. Ticks, move submissions, and location
-	// updates are all global events: in a laned universe the policy reads
-	// and steers every chain, so it must run between waves.
+	// Clock is the universe's scheduler: ticks, move submissions, and
+	// location updates are events on it.
 	Clock *simclock.Scheduler
 	// Chains lists the shards in configuration order.
 	Chains []*chain.Chain
@@ -50,10 +49,8 @@ type Stats struct {
 
 // Engine watches traffic and congestion across a universe's shards and
 // migrates tracked contracts per its policy. All state is touched only
-// from global scheduler events (block listeners arrive re-dispatched onto
-// the global timeline, ticks are global by construction), so the engine
-// needs no locking and behaves identically under the serial and parallel
-// drivers.
+// from scheduler events (ticks and block listeners), so the engine needs no
+// locking.
 type Engine struct {
 	cfg      Config
 	interval time.Duration

@@ -40,10 +40,6 @@ type ContractLoad struct {
 	ByHome map[hashing.ChainID]uint64
 }
 
-// Remote returns the window's calls from users homed off the contract's
-// current chain.
-func (c *ContractLoad) Remote() uint64 { return c.Total - c.ByHome[c.Home] }
-
 // ChainLoad is one shard's congestion signals over the last window.
 type ChainLoad struct {
 	ID hashing.ChainID
@@ -53,14 +49,6 @@ type ChainLoad struct {
 	Blocks, Txs uint64
 	// MaxTxs is the chain's per-block transaction cap.
 	MaxTxs int
-}
-
-// Fullness is the window's mean block utilization in [0, 1].
-func (c ChainLoad) Fullness() float64 {
-	if c.Blocks == 0 || c.MaxTxs <= 0 {
-		return 0
-	}
-	return float64(c.Txs) / (float64(c.Blocks) * float64(c.MaxTxs))
 }
 
 // Snapshot is what a policy sees at each tick. All slices are in

@@ -86,12 +86,11 @@ func DefaultTamper(rng *rand.Rand, msg []byte) []byte {
 // it. Faults are drawn from a seeded RNG so chaos runs are deterministic,
 // and the link can be cut outright to model a partitioned relayer.
 type Link struct {
-	sched  simclock.Clock
+	sched  *simclock.Scheduler
 	rng    *rand.Rand
 	seed   int64
 	base   time.Duration
 	faults LinkFaults
-	tamper TamperFunc
 	cut    bool
 
 	stats  LinkStats
@@ -104,13 +103,8 @@ type Link struct {
 }
 
 // NewLink returns a link with the given base one-way delay and fault
-// configuration, drawing fault decisions from the seeded RNG. The clock
-// decides where deliveries run: laned universes build each header-relay
-// link on the destination chain's lane, so deliveries (which touch only
-// that chain's header store) execute on its lane. Sends — and with them
-// every RNG draw — must happen from global contexts in a laned universe so
-// the fault stream stays deterministic.
-func NewLink(sched simclock.Clock, base time.Duration, faults LinkFaults, seed int64) *Link {
+// configuration, drawing fault decisions from the seeded RNG.
+func NewLink(sched *simclock.Scheduler, base time.Duration, faults LinkFaults, seed int64) *Link {
 	return &Link{
 		sched:  sched,
 		rng:    rand.New(rand.NewSource(seed)),
@@ -175,13 +169,6 @@ func (l *Link) SetCut(cut bool) { l.cut = cut }
 
 // Cut reports whether the link is currently severed.
 func (l *Link) Cut() bool { return l.cut }
-
-// SetFaults replaces the fault configuration.
-func (l *Link) SetFaults(f LinkFaults) { l.faults = f }
-
-// SetTamper replaces the corruption function used when CorruptRate fires.
-// A nil tamper falls back to DefaultTamper.
-func (l *Link) SetTamper(t TamperFunc) { l.tamper = t }
 
 // Corrupts reports whether the link can tamper message bytes; senders use
 // it to decide whether a byte-level delivery path is needed at all.
@@ -252,11 +239,7 @@ func (l *Link) DeliverBytes(encode func() []byte, fn func(b []byte, corrupted bo
 		corrupted := false
 		if l.faults.CorruptRate > 0 && l.rng.Float64() < l.faults.CorruptRate {
 			corrupted = true
-			tamper := l.tamper
-			if tamper == nil {
-				tamper = DefaultTamper
-			}
-			b = tamper(l.tamperRNG(l.stats.Corrupted), encode())
+			b = DefaultTamper(l.tamperRNG(l.stats.Corrupted), encode())
 			count(l.shared.corrupted, &l.stats.Corrupted)
 			l.shared.byzCorrupted.Inc()
 		}

@@ -115,7 +115,7 @@ func (c Config) faults() LinkFaults {
 // Network delivers messages between registered nodes over the simulated
 // clock. It is single-threaded, like everything on the scheduler.
 type Network struct {
-	sched simclock.Clock
+	sched *simclock.Scheduler
 	cfg   Config
 	rng   *rand.Rand
 
@@ -134,9 +134,9 @@ type Network struct {
 	reg    *metrics.Registry // optional; feeds in-flight gauges
 	// gInflight/gPeak are the in-flight gauge names ("wan.inflight" by
 	// default), precomputed so the per-message send/delivery paths never
-	// build strings. Laned universes run one Network per chain and give
-	// each a per-chain label, keeping gauge high-water marks lane-local
-	// and thus deterministic under the parallel driver.
+	// build strings. Universes with Config.Lanes run one Network per chain
+	// and give each a per-chain label, so every chain reports its own
+	// high-water mark.
 	gInflight, gPeak string
 }
 
@@ -145,10 +145,10 @@ type nodeInfo struct {
 	handler Handler
 }
 
-// New returns an empty network on the given clock (the global scheduler,
-// or a per-chain lane in a laned universe — each consensus cluster's WAN
-// traffic is confined to its own chain).
-func New(sched simclock.Clock, cfg Config) *Network {
+// New returns an empty network on the given scheduler. A universe with
+// Config.Lanes builds one per chain, so each consensus cluster's WAN traffic
+// draws from its own seeded fault stream.
+func New(sched *simclock.Scheduler, cfg Config) *Network {
 	return &Network{
 		sched:      sched,
 		cfg:        cfg,
@@ -191,15 +191,6 @@ func (n *Network) Register(id NodeID, region Region, h Handler) error {
 	}
 	n.nodes[id] = &nodeInfo{region: region, handler: h}
 	return nil
-}
-
-// RegionOf returns the region a node was registered in.
-func (n *Network) RegionOf(id NodeID) (Region, bool) {
-	info, ok := n.nodes[id]
-	if !ok {
-		return 0, false
-	}
-	return info.region, true
 }
 
 // Send schedules delivery of payload from one node to another, applying the

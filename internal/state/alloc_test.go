@@ -25,7 +25,7 @@ func TestCommitReleasesWorkingSet(t *testing.T) {
 	if len(db.slotDelta) != 0 {
 		t.Fatalf("slot delta holds %d entries after commit", len(db.slotDelta))
 	}
-	// Reads still see the committed values (now through the flat cache).
+	// Reads still see the committed values (now from the trees).
 	if got := db.GetBalance(addr(5)); got.Cmp(u256.FromUint64(5)) != 0 {
 		t.Fatalf("balance after release: %v", got)
 	}
@@ -34,9 +34,10 @@ func TestCommitReleasesWorkingSet(t *testing.T) {
 	}
 }
 
-// TestWarmFlatCacheReadsZeroAlloc guards the whole point of the flat cache:
-// a warm storage or balance read must not walk a tree and must not allocate.
-func TestWarmFlatCacheReadsZeroAlloc(t *testing.T) {
+// TestWarmReadsZeroAlloc pins the read path's cost: an account read served
+// by the working set and a slot read served by the resident storage tree must
+// not allocate.
+func TestWarmReadsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
 	}
@@ -46,8 +47,7 @@ func TestWarmFlatCacheReadsZeroAlloc(t *testing.T) {
 	db.SetStorage(a, word(1), word(42))
 	db.Commit()
 
-	// Warm both cache lines: the first post-commit read re-decodes the
-	// account into the working set and populates the flat slot line.
+	// The first post-commit read re-decodes the account into the working set.
 	db.GetBalance(a)
 	db.GetStorage(a, word(1))
 
@@ -64,10 +64,5 @@ func TestWarmFlatCacheReadsZeroAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("warm GetBalance allocates %.1f per call", avg)
-	}
-
-	hits, _ := db.FlatCacheStats()
-	if hits == 0 {
-		t.Fatal("flat cache never hit")
 	}
 }

@@ -23,8 +23,8 @@ import (
 // snapshots, and (for the file backend) the same state again after a
 // close-and-reopen — at the end for every file store, and in the middle of
 // the script, between compactions, for one of them. Any divergence between
-// the in-memory trees, the log-structured file store, and the flat cache is
-// a consensus bug, so this is a detsmoke test.
+// the in-memory trees and the log-structured file store is a consensus bug,
+// so this is a detsmoke test.
 
 type confConfig struct {
 	name string
@@ -72,21 +72,17 @@ func backendStorage(db *DB, addr hashing.Address) []StorageEntry {
 func conformanceConfigs(t *testing.T) []confConfig {
 	t.Helper()
 	return []confConfig{
-		{name: "memory_flat", opts: Options{}},
-		{name: "memory_noflat", opts: Options{DisableFlatCache: true}},
-		{name: "file_flat", opts: Options{
-			Backend: backend.KindFile,
-			Dir:     t.TempDir(),
-			// A tiny flat cache and tree cap force eviction, LRU reuse,
-			// and backend rebuild paths that generous defaults never hit.
-			FlatAccounts:     8,
-			FlatSlots:        16,
-			StorageTreeLimit: 2,
-		}},
-		{name: "file_noflat_churn", churn: true, opts: Options{
+		{name: "memory", opts: Options{}},
+		// Tree caps of 1 and 2 force the eviction and rebuild-from-backend
+		// paths that keeping every tree resident never hits.
+		{name: "file_treecap", opts: Options{
 			Backend:          backend.KindFile,
 			Dir:              t.TempDir(),
-			DisableFlatCache: true,
+			StorageTreeLimit: 1,
+		}},
+		{name: "file_churn", churn: true, opts: Options{
+			Backend:          backend.KindFile,
+			Dir:              t.TempDir(),
 			StorageTreeLimit: 2,
 		}},
 	}
@@ -177,7 +173,7 @@ func genConformanceScript(seed int64, blocks, opsPerBlock int) confScript {
 				{Key: slots[rng.Intn(len(slots))], Value: word(byte(rng.Intn(4) + 1))},
 			}
 			return func(db *DB) { db.ImportAccount(addr, acct, code, entries) }
-		default: // snapshot, nested ops, revert — exercises journal + flat write-through
+		default: // snapshot, nested ops, revert — exercises the journal
 			if depth > 1 {
 				key := slots[rng.Intn(len(slots))]
 				val := word(byte(rng.Intn(5)))

@@ -5,7 +5,6 @@ import (
 
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
-	"scmove/internal/state/backend"
 	"scmove/internal/trie"
 )
 
@@ -67,11 +66,6 @@ func (j *journal) revert(db *DB, id int) {
 					panic(fmt.Sprintf("state: journal revert delete: %v", err))
 				}
 			}
-			// The flat cache mirrors the live tree; write the restored
-			// value through so a revert cannot leave a stale hit behind.
-			if db.flat != nil {
-				db.flat.UpdateSlot(backend.SlotKey{Addr: e.addr, Key: e.key}, e.prevValue, e.prevExisted)
-			}
 		case jStorageTree:
 			if e.prevTree != nil {
 				db.storage[e.addr] = e.prevTree
@@ -80,9 +74,6 @@ func (j *journal) revert(db *DB, id int) {
 			}
 			if e.firstInstall {
 				delete(db.replaced, e.addr)
-			}
-			if db.flat != nil {
-				db.flat.WipeStorage(e.addr)
 			}
 		case jCode:
 			delete(db.codes, hashing.Hash(e.key))

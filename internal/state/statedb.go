@@ -17,9 +17,8 @@ import (
 	"scmove/internal/u256"
 )
 
-// Options tunes the state database's storage layer. The zero value is the
-// historical behaviour: in-memory trees, default flat-cache sizes, and the
-// default retained-root window.
+// Options tunes the state database's storage layer. The zero value is
+// in-memory trees and the default retained-root window.
 type Options struct {
 	// Backend selects where the flat state (account records and storage
 	// slots) authoritatively lives: the in-memory trees themselves
@@ -30,11 +29,8 @@ type Options struct {
 	// RetainRoots is how many committed roots OpenAt/ProveAccountAt serve
 	// (0 = backend.DefaultRetainRoots).
 	RetainRoots int
-	// FlatAccounts / FlatSlots bound the flat-state read cache
-	// (0 = backend defaults).
-	FlatAccounts, FlatSlots int
-	// DisableFlatCache turns the flat cache off entirely (differential
-	// testing; reads then always walk the trees).
+	// Deprecated: ignored — there is no flat cache. The field stays only
+	// because benchmark/layers.go:589 sets it.
 	DisableFlatCache bool
 	// StorageTreeLimit caps the number of resident per-account storage
 	// trees when the backend is persistent: after each commit, the least
@@ -47,11 +43,10 @@ type Options struct {
 // with snapshot/revert journaling, and commits into an authenticated account
 // tree of the chain's configured kind for headers and Merkle proofs.
 //
-// Reads are layered: the per-block decoded working set, then the bounded
-// flat-state cache (no tree walk), then the authenticated trees, then — for
-// storage of accounts whose tree is not resident — the backend. Commits
-// flush the trees and the backend together, so state roots are bit-identical
-// across backends by construction.
+// Reads are layered: the per-block decoded working set, then the
+// authenticated trees, then — for storage of accounts whose tree is not
+// resident — the backend. Commits flush the trees and the backend together,
+// so state roots are bit-identical across backends by construction.
 //
 // DB is not safe for concurrent use; each chain node owns one.
 type DB struct {
@@ -66,7 +61,6 @@ type DB struct {
 	dirty       map[hashing.Address]struct{}  // accounts to flush on Commit
 	dirtyOrder  []hashing.Address             // dirty addresses, insertion order (sorted at Commit)
 
-	flat *backend.FlatCache[Account] // nil when disabled
 	back backend.Backend
 
 	// slotDelta records, per block, the committed pre-image of every
@@ -98,6 +92,7 @@ type DB struct {
 	histTree trie.Tree
 
 	lastRoot hashing.Hash // root of the last Commit
+	keyBuf   [32]byte     // see treeKey
 
 	logs    []*evm.Log
 	journal journal
@@ -112,8 +107,7 @@ var _ evm.StateAccess = (*DB)(nil)
 var _ backend.TreeSource = (*DB)(nil)
 
 // NewDB returns an empty state for the given chain, using the chain's state
-// tree kind for commitments and proofs, the in-memory backend, and default
-// flat-cache sizing.
+// tree kind for commitments and proofs, and the in-memory backend.
 func NewDB(chainID hashing.ChainID, kind trie.Kind) (*DB, error) {
 	return NewDBWith(chainID, kind, Options{})
 }
@@ -182,9 +176,6 @@ func newDBCore(chainID hashing.ChainID, kind trie.Kind, opts Options) (*DB, erro
 		replaced:     make(map[hashing.Address]trie.Tree),
 		storageTouch: make(map[hashing.Address]uint64),
 	}
-	if !opts.DisableFlatCache {
-		db.flat = backend.NewFlatCache[Account](opts.FlatAccounts, opts.FlatSlots)
-	}
 	switch opts.Backend {
 	case backend.KindMemory:
 		db.back = backend.NewMemory(db, opts.RetainRoots)
@@ -226,43 +217,15 @@ func (db *DB) StorageTreeAt(addr hashing.Address) (trie.Tree, bool) {
 	return t, ok
 }
 
-// FlatCacheStats returns the flat cache's hit/miss counters (both zero when
-// the cache is disabled).
-func (db *DB) FlatCacheStats() (hits, misses uint64) {
-	if db.flat == nil {
-		return 0, 0
-	}
-	return db.flat.Stats()
-}
-
-// account returns the cached working copy of addr, loading it through the
-// flat cache (no tree walk on a hit) or from the account tree on first
-// touch. Returns nil if the account does not exist.
+// account returns the cached working copy of addr, decoding it from the
+// account tree on first touch. Returns nil if the account does not exist.
 func (db *DB) account(addr hashing.Address) *Account {
 	if acct, ok := db.cache[addr]; ok {
 		return acct
 	}
-	if db.flat != nil {
-		if acct, exists, known := db.flat.Account(addr); known {
-			if !exists {
-				db.cache[addr] = nil
-				return nil
-			}
-			cp := acct
-			db.cache[addr] = &cp
-			return &cp
-		}
-	}
-	// Slice a local copy for the tree walk: addr[:] through the interface
-	// call would move the parameter itself to the heap and cost the warm
-	// cache-hit paths above an allocation per read.
-	treeKey := addr
-	enc, ok := db.accountTree.Get(treeKey[:])
+	enc, ok := db.accountTree.Get(db.treeKey(addr[:]))
 	if !ok {
 		db.cache[addr] = nil
-		if db.flat != nil {
-			db.flat.PutAccount(addr, Account{}, false)
-		}
 		return nil
 	}
 	acct, err := DecodeAccount(enc)
@@ -271,12 +234,15 @@ func (db *DB) account(addr hashing.Address) *Account {
 		// corrupted-state invariant violation.
 		panic(fmt.Sprintf("state: corrupt account record for %s: %v", addr, err))
 	}
-	if db.flat != nil {
-		db.flat.PutAccount(addr, acct, true)
-	}
 	db.cache[addr] = &acct
 	return &acct
 }
+
+// treeKey copies k into the DB's scratch buffer for a read of a tree. The
+// trees are reached through an interface, so slicing a parameter for the call
+// would move the parameter to the heap — an allocation per read, taken before
+// the working set is even consulted. Get does not retain its key.
+func (db *DB) treeKey(k []byte) []byte { return append(db.keyBuf[:0], k...) }
 
 // mutable returns the working copy of addr, creating the account if absent,
 // and journals the previous version for revert.
@@ -444,37 +410,16 @@ func (db *DB) touchStorage(addr hashing.Address) {
 	db.storageTouch[addr] = db.touchSeq
 }
 
-// GetStorage implements evm.StateAccess. The flat cache serves warm reads
-// with no tree walk and no allocation; misses fall back to the live tree
-// (or, for accounts whose tree is not resident, the backend) and populate
-// the cache.
+// GetStorage implements evm.StateAccess: a read of the live tree or, for an
+// account whose tree is not resident, of the backend.
 func (db *DB) GetStorage(addr hashing.Address, key evm.Word) evm.Word {
-	sk := backend.SlotKey{Addr: addr, Key: key}
-	if db.flat != nil {
-		if v, exists, known := db.flat.Slot(sk); known {
-			if !exists {
-				return evm.Word{}
-			}
-			return evm.Word(v)
-		}
-	}
 	var w evm.Word
-	var ok bool
 	if t, resident := db.storage[addr]; resident {
-		// Local copy for the same reason as in account(): key[:] through
-		// the Tree interface would heap-allocate the parameter and tax the
-		// flat-cache hit path above.
-		treeKey := key
-		var v []byte
-		v, ok = t.Get(treeKey[:])
+		v, _ := t.Get(db.treeKey(key[:]))
 		copy(w[:], v)
 	} else if db.back.Persistent() {
-		var v backend.Word
-		v, ok = db.back.Slot(sk)
+		v, _ := db.back.Slot(backend.SlotKey{Addr: addr, Key: key})
 		w = evm.Word(v)
-	}
-	if db.flat != nil {
-		db.flat.PutSlot(sk, backend.Word(w), ok)
 	}
 	return w
 }
@@ -505,16 +450,10 @@ func (db *DB) SetStorage(addr hashing.Address, key, value evm.Word) {
 		if err := t.Delete(key[:]); err != nil {
 			panic(fmt.Sprintf("state: storage delete: %v", err))
 		}
-		if db.flat != nil {
-			db.flat.UpdateSlot(sk, backend.Word{}, false)
-		}
 		return
 	}
 	if err := t.Set(key[:], value[:]); err != nil {
 		panic(fmt.Sprintf("state: storage set: %v", err))
-	}
-	if db.flat != nil {
-		db.flat.UpdateSlot(sk, backend.Word(value), true)
 	}
 }
 
@@ -576,9 +515,6 @@ func (db *DB) installStorage(addr hashing.Address, t trie.Tree) {
 	db.storage[addr] = t
 	db.touchStorage(addr)
 	db.markDirty(addr)
-	if db.flat != nil {
-		db.flat.WipeStorage(addr)
-	}
 }
 
 // AddLog implements evm.StateAccess.
@@ -609,7 +545,7 @@ func (db *DB) DiscardJournal() { db.journal.reset() }
 // Commit flushes dirty accounts into the account tree and the backend, and
 // returns the state root. The journal is discarded: committed state cannot
 // be reverted. The decoded working set is released (it would otherwise grow
-// monotonically across blocks); the flat cache carries the hot set forward.
+// monotonically across blocks); the next block re-decodes what it touches.
 func (db *DB) Commit() hashing.Hash {
 	// Hash dirty storage trees on the worker pool first. Each tree is an
 	// independent object and a root hash is a pure function of contents, so
@@ -648,9 +584,6 @@ func (db *DB) Commit() hashing.Hash {
 		if err := db.accountTree.Set(addr[:], enc); err != nil {
 			panic(fmt.Sprintf("state: commit set: %v", err))
 		}
-		if db.flat != nil {
-			db.flat.PutAccount(addr, *acct, true)
-		}
 	}
 	// Drop no-op account transitions (created then deleted in one block, or
 	// dirtied but restored by a revert): they would pollute the reverse
@@ -677,8 +610,7 @@ func (db *DB) Commit() hashing.Hash {
 	db.newCodes = db.newCodes[:0]
 	db.journal.reset()
 	// Release the decoded working set: entries are either dirty (now
-	// flushed into the tree and the flat cache) or clean read-throughs the
-	// flat cache still holds.
+	// flushed into the tree) or clean read-throughs of it.
 	clear(db.cache)
 	// The account tree itself fans dirty-subtree hashing out when it can;
 	// HashParallel is specified to equal RootHash bit for bit.
@@ -727,8 +659,8 @@ func (db *DB) buildBatch() backend.Batch {
 }
 
 // dropCommittedAccount removes a deleted (or empty) account's record and
-// every trace of its storage: the committed tree entry, the resident
-// storage tree, and the flat-cache lines. Slots the backend still holds
+// every trace of its storage: the committed tree entry and the resident
+// storage tree. Slots the backend still holds
 // are deleted by the slot delta, which is materialized after this runs and
 // reads the now-missing tree as all-gone. Without the teardown, storage
 // written after an in-block DeleteAccount would outlive the account in the
@@ -740,10 +672,6 @@ func (db *DB) dropCommittedAccount(addr hashing.Address) {
 	}
 	delete(db.storage, addr)
 	delete(db.storageTouch, addr)
-	if db.flat != nil {
-		db.flat.DropAccount(addr)
-		db.flat.WipeStorage(addr)
-	}
 }
 
 // appendSlotChanges turns the per-block slot pre-image map, and the whole

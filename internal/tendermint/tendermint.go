@@ -64,7 +64,7 @@ func DefaultConfig() Config {
 // validators would be byte-identical, so the simulation skips it).
 type Cluster struct {
 	cfg        Config
-	sched      simclock.Clock
+	sched      *simclock.Scheduler
 	net        simnet.Transport
 	app        App
 	validators []*Validator
@@ -162,7 +162,7 @@ func (c *Cluster) noteEquivocation(ev Evidence) {
 // NewCluster creates n validators on the given network nodes and regions.
 // Nodes must already be distinct ids; regions assigns each validator's
 // placement.
-func NewCluster(sched simclock.Clock, net simnet.Transport, app App,
+func NewCluster(sched *simclock.Scheduler, net simnet.Transport, app App,
 	cfg Config, ids []simnet.NodeID, regions []simnet.Region) (*Cluster, error) {
 	if len(ids) == 0 || len(ids) != len(regions) {
 		return nil, fmt.Errorf("tendermint: need matching ids and regions, got %d/%d", len(ids), len(regions))

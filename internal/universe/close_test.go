@@ -1,6 +1,8 @@
 package universe
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -52,5 +54,33 @@ func TestCloseCleanUniverse(t *testing.T) {
 	}
 	if err := u.Close(); err != nil {
 		t.Fatalf("clean close: %v", err)
+	}
+}
+
+// New releases what it opened when a later step fails: the second chain's
+// state directory is a regular file, so its store cannot open, and the first
+// chain's segment files must not stay open behind the error.
+func TestNewClosesOpenedChainsOnError(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	dir := t.TempDir()
+	notADir := filepath.Join(dir, "file")
+	if err := os.WriteFile(notADir, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	cfg := ShardedConfig(2, 1)
+	cfg.Specs[0].Config.State = state.Options{Backend: backend.KindFile, Dir: filepath.Join(dir, "a")}
+	cfg.Specs[1].Config.State = state.Options{Backend: backend.KindFile, Dir: notADir}
+	before := openFDs()
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New accepted a state directory that is a regular file")
+	}
+	if after := openFDs(); after != before {
+		t.Fatalf("open file descriptors: %d before New, %d after it failed", before, after)
 	}
 }

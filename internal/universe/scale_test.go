@@ -126,17 +126,12 @@ func TestBulkUserProvisioning(t *testing.T) {
 	}
 }
 
-// TestLanedConfigValidation pins the laned mode's compatibility matrix.
+// TestLanedConfigValidation pins the one combination Lanes rejects.
 func TestLanedConfigValidation(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Lanes = true
 	cfg.Realtime = true
 	if _, err := New(cfg); err == nil {
 		t.Fatal("Lanes+Realtime accepted")
-	}
-	cfg = DefaultConfig(1)
-	cfg.ParallelTick = true
-	if _, err := New(cfg); err == nil {
-		t.Fatal("ParallelTick without Lanes accepted")
 	}
 }

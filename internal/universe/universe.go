@@ -173,13 +173,16 @@ type Config struct {
 	// encoded frames between validator goroutines — instead of the
 	// discrete-event network. Requires Realtime.
 	TCPWan bool
-	// Lanes confines each chain — its consensus cluster, WAN instance, and
-	// block commits — to its own scheduler lane: same-timestamp events of
-	// distinct chains may then execute concurrently under the parallel
-	// per-tick driver (ParallelTick) with results bit-identical to the
-	// serial driver. Block listeners and tx waiters are re-dispatched onto
-	// the global timeline, so cross-chain callbacks (header relays, movers,
-	// workload drivers) are unaffected. Incompatible with Realtime/TCPWan.
+	// Lanes means exactly the two things the sharded fingerprint depends
+	// on, and nothing else. Each chain's consensus cluster gets its own
+	// simnet.Network, seeded NetSeed + position·1 000 003 + 11 and labelled
+	// "wan.<chain>" in the gauges, instead of sharing Universe.Net. And each
+	// chain's block listeners and tx waiters fire from a fresh event at the
+	// current simulated time (chain.SetDispatcher with
+	// sched.At(sched.Now(), fn)), after the event that committed the block
+	// has returned, instead of inside it. Every chain still runs on the one
+	// timeline (DESIGN.md §16 has the name's history). Rejected with
+	// Realtime.
 	Lanes bool
 	// LazyRelays skips building the O(chains²) bidirectional header-relay
 	// mesh at construction: links come into existence on first use, when
@@ -200,13 +203,6 @@ type Config struct {
 	// UserFunds is each user's genesis balance on its home chain (defaults
 	// to ClientFunds when zero).
 	UserFunds u256.Int
-	// ParallelTick runs the simulation with the parallel per-tick driver:
-	// within one simulated timestamp, events of distinct chains execute on a
-	// bounded worker pool. Requires Lanes. Results are bit-identical to the
-	// serial driver.
-	ParallelTick bool
-	// TickWorkers bounds the parallel driver's worker pool (0 = GOMAXPROCS).
-	TickWorkers int
 }
 
 // DefaultConfig returns a two-chain (Ethereum + Burrow) universe matching
@@ -245,17 +241,15 @@ func ShardedConfig(shards, clients int) Config {
 }
 
 // ShardedScaleConfig returns an S-shard Burrow deployment tuned for the
-// scaling experiments: laned chains under the parallel per-tick driver, a
-// lazily built header-relay mesh, and a keyed user population funded across
-// the shards. validators ≤ 0 keeps the paper's 10 per shard; the scaling
-// grid uses 4 to keep the consensus message volume proportionate at 64
-// chains. A handful of regular clients ride along as relayer/deployer
-// identities.
+// scaling experiments: a WAN instance per chain (Lanes), a lazily built
+// header-relay mesh, and a keyed user population funded across the shards.
+// validators ≤ 0 keeps the paper's 10 per shard; the scaling grid uses 4 to
+// keep the consensus message volume proportionate at 64 chains. A handful of
+// regular clients ride along as relayer/deployer identities.
 func ShardedScaleConfig(shards, validators, users int) Config {
 	cfg := ShardedConfig(shards, 4)
 	cfg.Lanes = true
 	cfg.LazyRelays = true
-	cfg.ParallelTick = true
 	cfg.Users = users
 	cfg.UserFunds = u256.FromUint64(1 << 50)
 	if validators > 0 {
@@ -330,18 +324,15 @@ type Universe struct {
 	submitLinks map[hashing.ChainID]*simnet.Link
 	relayLinks  map[[2]hashing.ChainID]*simnet.Link
 
-	// Laned/scaling state (Config.Lanes, LazyRelays, Users, ParallelTick).
-	lanes        map[hashing.ChainID]*simclock.Lane
-	pos          map[hashing.ChainID]int // chain position in configuration order
-	lazyRelays   bool
-	relayDelay   time.Duration
-	relayFaults  simnet.LinkFaults
-	relayWindow  int
-	relaySeed    int64
-	users        int
-	submitDelay  time.Duration
-	parallelTick bool
-	tickWorkers  int
+	// Scaling state (Config.LazyRelays, Users).
+	pos         map[hashing.ChainID]int // chain position in configuration order
+	lazyRelays  bool
+	relayDelay  time.Duration
+	relayFaults simnet.LinkFaults
+	relayWindow int
+	relaySeed   int64
+	users       int
+	submitDelay time.Duration
 
 	driver  *simclock.Realtime // non-nil with Config.Realtime
 	tcp     *simnet.TCP        // non-nil with Config.TCPWan
@@ -361,10 +352,7 @@ func New(cfg Config) (*Universe, error) {
 		return nil, errors.New("universe: Chaos is a discrete-event feature, incompatible with Realtime")
 	}
 	if cfg.Lanes && cfg.Realtime {
-		return nil, errors.New("universe: Lanes is a discrete-event feature, incompatible with Realtime")
-	}
-	if cfg.ParallelTick && !cfg.Lanes {
-		return nil, errors.New("universe: ParallelTick requires Lanes")
+		return nil, errors.New("universe: Lanes makes a per-chain simnet.Network the transport (TCPWan would be silently ignored), and Lanes with Realtime has no test")
 	}
 	sched := simclock.New()
 	netCfg := simnet.Config{JitterFrac: 0.1, Seed: cfg.NetSeed}
@@ -404,11 +392,6 @@ func New(cfg Config) (*Universe, error) {
 		relayWindow: 1,
 		users:       cfg.Users,
 		submitDelay: cfg.SubmitDelay,
-	}
-	if cfg.Lanes {
-		u.lanes = make(map[hashing.ChainID]*simclock.Lane, len(cfg.Specs))
-		u.parallelTick = cfg.ParallelTick
-		u.tickWorkers = cfg.TickWorkers
 	}
 	net.Observe(u.counters)
 	if cfg.Realtime {
@@ -501,6 +484,13 @@ func New(cfg Config) (*Universe, error) {
 		params = append(params, spec.Config.Params())
 	}
 
+	// fail releases what the universe has opened so far — file-backend
+	// segments of the chains already built, TCP listeners, RPC servers.
+	fail := func(err error) (*Universe, error) {
+		u.Close() // the construction error is the one to report
+		return nil, fmt.Errorf("universe: %w", err)
+	}
+
 	var nextNodeID simnet.NodeID = 1
 	for pos, spec := range cfg.Specs {
 		if spec.Config.State == (state.Options{}) && cfg.State != (state.Options{}) {
@@ -513,7 +503,7 @@ func New(cfg Config) (*Universe, error) {
 		}
 		c, err := chain.New(spec.Config, core.NewHeaderStore(params...), genesisFor(spec.Config.ChainID))
 		if err != nil {
-			return nil, fmt.Errorf("universe: %w", err)
+			return fail(err)
 		}
 		u.chains[spec.Config.ChainID] = c
 		u.order = append(u.order, spec.Config.ChainID)
@@ -523,30 +513,18 @@ func New(cfg Config) (*Universe, error) {
 			c.SetObserver(u.reg, sched.Now)
 		}
 
-		// In laned mode each chain gets its own lane and its own WAN
-		// instance built on it: consensus timers, validator message
-		// deliveries, and block commits all become lane events, executable
-		// concurrently with other chains' same-timestamp events. Block
-		// listeners and tx waiters are re-dispatched onto the global
-		// timeline via Post — cross-chain callbacks must run between waves,
-		// and routing them in both drivers keeps the serial and parallel
-		// event streams identical.
-		clk := simclock.Clock(sched)
 		tp := transport
 		if cfg.Lanes {
-			lane := sched.NewLane()
-			u.lanes[spec.Config.ChainID] = lane
-			clk = lane
 			laneNetCfg := netCfg
 			laneNetCfg.Seed = netCfg.Seed + int64(pos)*1_000_003 + 11
-			cnet := simnet.New(lane, laneNetCfg)
+			cnet := simnet.New(sched, laneNetCfg)
 			cnet.Observe(u.counters)
 			cnet.SetGaugeLabel("wan." + spec.Config.ChainID.String())
 			if u.reg != nil {
 				cnet.SetRegistry(u.reg)
 			}
 			tp = cnet
-			c.SetDispatcher(lane.Post)
+			c.SetDispatcher(func(fire func()) { sched.At(sched.Now(), fire) })
 		}
 
 		switch spec.Consensus {
@@ -561,9 +539,9 @@ func New(cfg Config) (*Universe, error) {
 			}
 			tmCfg := tendermint.DefaultConfig()
 			tmCfg.Interval = spec.Config.BlockInterval
-			node, err := chain.NewBFTNode(clk, tp, c, tmCfg, ids, regions)
+			node, err := chain.NewBFTNode(sched, tp, c, tmCfg, ids, regions)
 			if err != nil {
-				return nil, fmt.Errorf("universe: %w", err)
+				return fail(err)
 			}
 			node.Observe(u.counters)
 			if cfg.Chaos != nil {
@@ -576,9 +554,9 @@ func New(cfg Config) (*Universe, error) {
 			}
 			u.bft = append(u.bft, node)
 		case ConsensusPoW:
-			u.pow = append(u.pow, chain.NewPoWNode(clk, c, spec.Seed, spec.Validators))
+			u.pow = append(u.pow, chain.NewPoWNode(sched, c, spec.Seed, spec.Validators))
 		default:
-			return nil, fmt.Errorf("universe: unknown consensus kind %d", spec.Consensus)
+			return fail(fmt.Errorf("unknown consensus kind %d", spec.Consensus))
 		}
 	}
 
@@ -601,13 +579,7 @@ func New(cfg Config) (*Universe, error) {
 		for _, a := range u.order {
 			for _, b := range u.order {
 				if a != b {
-					clk := simclock.Clock(sched)
-					if lane, ok := u.lanes[b]; ok {
-						// Deliveries touch only the destination chain's
-						// header store; build the link on its lane.
-						clk = lane
-					}
-					link := simnet.NewLink(clk, cfg.RelayDelay, relayFaults, chaosSeed+int64(pair)*104729+2)
+					link := simnet.NewLink(sched, cfg.RelayDelay, relayFaults, chaosSeed+int64(pair)*104729+2)
 					link.Observe(u.counters, "headers")
 					if u.reg != nil {
 						link.SetRegistry(u.reg)
@@ -629,8 +601,7 @@ func New(cfg Config) (*Universe, error) {
 		for _, id := range u.order {
 			srv := rpc.NewServer(u.chains[id], u.wallReg)
 			if err := srv.Start(""); err != nil {
-				u.Close()
-				return nil, fmt.Errorf("universe: %w", err)
+				return fail(err)
 			}
 			u.rpcs[id] = srv
 		}
@@ -657,10 +628,6 @@ func (u *Universe) Counters() *metrics.Counters {
 // record into and renders nothing.
 func (u *Universe) Metrics() *metrics.Registry { return u.reg }
 
-// SubmitLink returns the client→chain submission link of a chain (cut it to
-// isolate clients from the chain).
-func (u *Universe) SubmitLink(id hashing.ChainID) *simnet.Link { return u.submitLinks[id] }
-
 // RelayLink returns the header relay link from chain a to chain b, or nil
 // when it does not exist yet (Config.LazyRelays defers creation to first
 // use; see EnsureRelay).
@@ -677,19 +644,14 @@ func (u *Universe) RelayLinkCount() int { return len(u.relayLinks) }
 // registering its OnBlock forwarder) on first use. The link's fault seed
 // derives from the pair's configuration positions, so a lazily built mesh
 // behaves identically no matter which order traffic first touches the
-// pairs. Must be called from a global context (not inside a lane event):
-// it registers a block listener on chain a.
+// pairs.
 func (u *Universe) EnsureRelay(a, b hashing.ChainID) *simnet.Link {
 	key := [2]hashing.ChainID{a, b}
 	if link, ok := u.relayLinks[key]; ok {
 		return link
 	}
-	clk := simclock.Clock(u.Sched)
-	if lane, ok := u.lanes[b]; ok {
-		clk = lane
-	}
 	seed := u.relaySeed + (int64(u.pos[a])*int64(len(u.order))+int64(u.pos[b]))*104729 + 2
-	link := simnet.NewLink(clk, u.relayDelay, u.relayFaults, seed)
+	link := simnet.NewLink(u.Sched, u.relayDelay, u.relayFaults, seed)
 	link.Observe(u.counters, "headers")
 	if u.reg != nil {
 		link.SetRegistry(u.reg)
@@ -784,10 +746,6 @@ func (u *Universe) WallMetrics() *metrics.Registry { return u.wallReg }
 //	go u.Driver().Run(stop)
 func (u *Universe) Driver() *simclock.Realtime { return u.driver }
 
-// BFTNodes returns every BFT consensus node, in chain configuration order —
-// chaos harnesses inspect their clusters for equivocation evidence.
-func (u *Universe) BFTNodes() []*chain.BFTNode { return u.bft }
-
 // ChainIDs returns the chain ids in configuration order.
 func (u *Universe) ChainIDs() []hashing.ChainID {
 	out := make([]hashing.ChainID, len(u.order))
@@ -837,26 +795,9 @@ func (u *Universe) Mover(src, dst hashing.ChainID) *relay.Mover {
 	return m
 }
 
-// SetParallelTick switches the parallel per-tick driver on or off (only
-// meaningful in a laned universe; workers ≤ 0 means GOMAXPROCS). Results
-// are bit-identical either way — this is purely a wall-clock knob.
-func (u *Universe) SetParallelTick(on bool, workers int) {
-	u.parallelTick = on && u.lanes != nil
-	u.tickWorkers = workers
-}
-
 // Run advances the simulation by d.
 func (u *Universe) Run(d time.Duration) {
-	u.runTo(u.Sched.Now() + d)
-}
-
-// runTo advances to an absolute simulated time on the configured driver.
-func (u *Universe) runTo(t time.Duration) {
-	if u.parallelTick {
-		u.Sched.RunUntilParallel(t, u.tickWorkers)
-		return
-	}
-	u.Sched.RunUntil(t)
+	u.Sched.RunUntil(u.Sched.Now() + d)
 }
 
 // RunUntil advances the simulation until cond holds or the timeout elapses,
@@ -867,7 +808,7 @@ func (u *Universe) RunUntil(cond func() bool, timeout time.Duration) bool {
 		if cond() {
 			return true
 		}
-		u.runTo(u.Sched.Now() + 100*time.Millisecond)
+		u.Sched.RunUntil(u.Sched.Now() + 100*time.Millisecond)
 	}
 	return cond()
 }

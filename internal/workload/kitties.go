@@ -44,7 +44,7 @@ type KittiesConfig struct {
 	// MaxDuration aborts a replay that stops making progress.
 	MaxDuration time.Duration
 	// State, if non-zero, selects every shard's state-storage options
-	// (backend kind, flat-cache sizing, storage-tree residency cap) — the
+	// (backend kind, storage-tree residency cap) — the
 	// bounded-RSS replay runs on the file backend through this.
 	State state.Options
 }

@@ -45,20 +45,6 @@ type SCoinConfig struct {
 	Seed      int64
 }
 
-// DefaultSCoinConfig returns a scaled-down version of the paper's setup
-// (the paper runs 250 clients per shard; the default here keeps simulation
-// time reasonable while preserving every trend).
-func DefaultSCoinConfig(shards int, crossFraction float64) SCoinConfig {
-	return SCoinConfig{
-		Shards:            shards,
-		ClientsPerShard:   250,
-		ReceiversPerShard: 16,
-		CrossFraction:     crossFraction,
-		Duration:          5 * time.Minute,
-		Seed:              11,
-	}
-}
-
 // SCoinResult aggregates the benchmark measurements.
 type SCoinResult struct {
 	Config SCoinConfig
