@@ -12,7 +12,10 @@ test:
 
 # benchmark/ is a nested module, invisible to `go vet ./...`; vetting it is
 # what notices a deprecated shim that no longer matches what benchmark/ sets.
+# `gofmt -l .` walks both modules; any file it lists fails the target.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "vet: gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -C benchmark ./...
 
@@ -25,11 +28,14 @@ benchtest:
 	$(GO) test -C benchmark ./...
 
 # detsmoke runs the seeded cross-GOMAXPROCS (1, 2, NumCPU) determinism
-# checks for the parallel crypto pool, the parallel state commit, the
+# checks for the parallel crypto pool (sender recovery of a block mixing
+# cached, uncached and forged transactions), the parallel state commit, the
 # workload signing pipeline, ApplyBlock (fuzz traffic pinned to a digest,
 # the chaos cell), batch selection against its first implementation, and the
 # sharded universe (16-chain policy-on scaling cell, pinned to a digest):
-# bit-identical results at every worker count. It also holds the Move-cost
+# bit-identical results at every worker count. It pins signing to RFC 6979's
+# known answer (a signature is a pure function of key and digest), and it
+# also holds the Move-cost
 # pins: consensus vote tables bounded by the current height and
 # allocation-free, a reverted Move2 restoring the stale copy
 # exactly, a contract returning home without the slots deleted abroad, and
@@ -46,6 +52,7 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestVoteTablesBoundedByCurrentHeight TestOnVoteSteadyStateZeroAllocs \
 	TestRevertedMove2RestoresStaleCopy TestMoveHomeDropsSlotsDeletedAbroad \
 	TestVerifyBatchMatchesSerial TestRecoverSendersMatchesSerialAcrossGOMAXPROCS \
+	TestSignRFC6979KnownAnswer TestRecoverSendersMixedBlockMatchesSerial \
 	TestCommitParallelMatchesSerial TestHashParallelMatchesRootHashAndProofs \
 	TestApplyBlockParallelDeterminism TestApplyBlockFuzzTraffic \
 	TestNextBatchPreservesFIFO TestKittiesReplayCrossGOMAXPROCSDeterminism \

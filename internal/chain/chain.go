@@ -112,6 +112,7 @@ type Chain struct {
 	pool      *txpool.Pool
 	listeners []BlockListener
 	txWaiters map[hashing.Hash][]TxListener
+	evictIDs  []hashing.Hash // ApplyBlock's pool-eviction scratch
 
 	// Optional observability (SetObserver): block-interval histogram, block
 	// commit trace events, and pool-depth gauges. The chain cannot see the
@@ -383,13 +384,13 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 		BlockHash: c.blockHashFn(),
 	}
 	receipts := make([]*types.Receipt, 0, len(txs))
-	// Pre-recover every sender on the crypto worker pool before the
-	// execution loop. Recovery is pure per transaction and results land in
+	// Pre-recover every sender before the execution loop: sender-cache hits
+	// (usual for consensus-decoded copies) inline, misses on the crypto
+	// worker pool. Recovery is pure per transaction and results land in
 	// input order, so execution below observes exactly what it would have
 	// computed inline — this only moves the ECDSA work off the critical
-	// path (and, for consensus-decoded copies, usually finds it already in
-	// the sender cache). Failures are re-surfaced by applyTx's own Sender
-	// call, which by then is a memoized lookup.
+	// path. Failures are re-surfaced by applyTx's own Sender call, which by
+	// then is a memoized lookup.
 	types.RecoverSenders(txs)
 	var gasUsed uint64
 	for _, tx := range txs {
@@ -417,12 +418,15 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 	}
 	block := &types.Block{Header: header, Txs: txs}
 	c.blocks = append(c.blocks, block)
-	// Evict included transactions from the pool only now: proposals select
-	// without consuming, so a failed consensus round cannot lose traffic.
-	// Empty blocks have nothing to evict.
+	// Evict included transactions from the pool only now, in one pass:
+	// proposals select without consuming, so a failed consensus round cannot
+	// lose traffic. Empty blocks have nothing to evict.
+	ids := c.evictIDs[:0]
 	for _, tx := range txs {
-		c.pool.Remove(tx.ID())
+		ids = append(ids, tx.ID())
 	}
+	c.pool.Remove(ids...)
+	c.evictIDs = ids
 	for _, rec := range receipts {
 		c.receipts[rec.TxID] = rec
 		c.txHeights[rec.TxID] = height

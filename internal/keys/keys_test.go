@@ -1,7 +1,12 @@
 package keys
 
 import (
+	"bytes"
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/sha256"
 	"errors"
+	"math/big"
 	"testing"
 
 	"scmove/internal/hashing"
@@ -81,6 +86,67 @@ func TestAddressMatchesSignerAddress(t *testing.T) {
 	}
 	if addr != kp.Address() {
 		t.Fatal("SignerAddress must match the key pair address")
+	}
+}
+
+// TestSignRFC6979KnownAnswer pins Sign's nonce to RFC 6979 §A.2.5 (P-256,
+// SHA-256, message "sample"): the exact (r, s) of the RFC, accepted by
+// Verify, and the same bytes on every call.
+func TestSignRFC6979KnownAnswer(t *testing.T) {
+	hexInt := func(s string) *big.Int {
+		v, ok := new(big.Int).SetString(s, 16)
+		if !ok {
+			t.Fatalf("bad hex %q", s)
+		}
+		return v
+	}
+	curve := elliptic.P256()
+	priv := &ecdsa.PrivateKey{D: hexInt("C9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721")}
+	priv.Curve = curve
+	priv.X, priv.Y = curve.ScalarBaseMult(priv.D.Bytes())
+	kp := fromPriv(priv)
+	digest := hashing.Hash(sha256.Sum256([]byte("sample")))
+
+	sig, err := kp.Sign(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantR := hexInt("EFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EAF3716").Bytes()
+	wantS := hexInt("F7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8").Bytes()
+	if !bytes.Equal(sig.R, wantR) || !bytes.Equal(sig.S, wantS) {
+		t.Fatalf("(r, s) = (%X, %X), want RFC 6979 A.2.5 (%X, %X)", sig.R, sig.S, wantR, wantS)
+	}
+	if addr, err := sig.Verify(digest); err != nil || addr != kp.Address() {
+		t.Fatalf("Verify = %s, %v", addr, err)
+	}
+	again, err := kp.Sign(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.R, sig.R) || !bytes.Equal(again.S, sig.S) {
+		t.Fatal("signing one digest twice must give identical bytes")
+	}
+}
+
+// TestSplitDER pins the DER parsing Sign relies on: sign bytes stripped to
+// big.Int.Bytes form, and anything but one short-form SEQUENCE of two
+// INTEGERs refused.
+func TestSplitDER(t *testing.T) {
+	r, s, ok := splitDER([]byte{0x30, 0x07, 0x02, 0x02, 0x00, 0x80, 0x02, 0x01, 0x05})
+	if !ok || !bytes.Equal(r, []byte{0x80}) || !bytes.Equal(s, []byte{0x05}) {
+		t.Fatalf("splitDER = %X, %X, %v", r, s, ok)
+	}
+	for _, der := range [][]byte{
+		nil,
+		{0x31, 0x06, 0x02, 0x01, 0x01, 0x02, 0x01, 0x01},       // not a SEQUENCE
+		{0x30, 0x07, 0x02, 0x01, 0x01, 0x02, 0x01, 0x01},       // length overruns
+		{0x30, 0x06, 0x02, 0x01, 0x01, 0x04, 0x01, 0x01},       // s not an INTEGER
+		{0x30, 0x06, 0x02, 0x02, 0x01, 0x02, 0x01, 0x01},       // r swallows s's tag
+		{0x30, 0x07, 0x02, 0x01, 0x01, 0x02, 0x01, 0x01, 0x00}, // trailing byte
+	} {
+		if _, _, ok := splitDER(der); ok {
+			t.Fatalf("splitDER(%X) accepted malformed input", der)
+		}
 	}
 }
 

@@ -21,13 +21,26 @@ type Pool struct {
 	once sync.Once
 }
 
+// queueDepth is how many submitted jobs a pool holds beyond the ones its
+// workers are running. Deferred client signing (types.SignOn) submits one
+// job per simulated transaction from the event loop and waits for it only
+// at the delivery event, 50 ms of simulated time later; a buffer of
+// `workers` jobs (2 on a 2-core host) instead blocked the loop in Go for
+// 0.7 s of three Kitties rounds, so the overlap deferral promised mostly
+// did not happen. The measured in-flight peaks are 1 908 jobs
+// (shard_migrate), 961 (kitties_replay) and 3 (move_store); this is twice
+// the largest, and 65 536 measured the same. It stays bounded: bulk
+// submitters (the RPC workloads pre-sign 130 k transactions back to back)
+// still block in Go, so a pool never holds more than queueDepth closures.
+const queueDepth = 1 << 12
+
 // NewPool returns a pool with the given number of workers; workers <= 0
 // sizes it to GOMAXPROCS.
 func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{jobs: make(chan func(), workers)}
+	p := &Pool{jobs: make(chan func(), queueDepth)}
 	for i := 0; i < workers; i++ {
 		go p.worker()
 	}
@@ -40,8 +53,10 @@ func (p *Pool) worker() {
 	}
 }
 
-// Go runs job on a pool worker. It blocks when every worker is busy and the
-// small submission buffer is full — backpressure, not unbounded queueing.
+// Go runs job on a pool worker. It returns at once while fewer than
+// queueDepth jobs wait, and blocks beyond that depth — backpressure, not
+// unbounded queueing. Jobs start in submission order, so a caller that
+// waits on its own jobs also waits for everything queued before them.
 func (p *Pool) Go(job func()) {
 	p.jobs <- job
 }

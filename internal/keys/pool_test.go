@@ -3,7 +3,9 @@ package keys
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"scmove/internal/hashing"
 )
@@ -63,6 +65,58 @@ func TestVerifyBatchEmptyAndMismatch(t *testing.T) {
 		}
 	}()
 	VerifyBatch(make([]hashing.Hash, 2), make([]Signature, 1))
+}
+
+// TestPoolGoDoesNotBlockUpToQueueDepth holds every worker on a gate and
+// requires Go to accept queueDepth more jobs without blocking — the event
+// loop's deferred signatures must not wait for a free worker — and each job
+// to run exactly once after the gate opens.
+func TestPoolGoDoesNotBlockUpToQueueDepth(t *testing.T) {
+	const workers = 2
+	p := NewPool(workers)
+	defer p.Close()
+	gate := make(chan struct{})
+	var held sync.WaitGroup
+	held.Add(workers)
+	for i := 0; i < workers; i++ {
+		p.Go(func() {
+			held.Done()
+			<-gate
+		})
+	}
+	held.Wait() // both workers are parked on the gate, the queue is empty
+
+	runs := make([]atomic.Int32, queueDepth)
+	var ran sync.WaitGroup
+	ran.Add(queueDepth)
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		for i := range runs {
+			i := i
+			p.Go(func() {
+				runs[i].Add(1)
+				ran.Done()
+			})
+		}
+	}()
+	blocked := false
+	select {
+	case <-submitted:
+	case <-time.After(5 * time.Second):
+		blocked = true
+	}
+	close(gate)
+	<-submitted
+	ran.Wait()
+	if blocked {
+		t.Fatalf("Go blocked before %d jobs were queued behind busy workers", queueDepth)
+	}
+	for i := range runs {
+		if n := runs[i].Load(); n != 1 {
+			t.Fatalf("job %d ran %d times", i, n)
+		}
+	}
 }
 
 func TestPoolRunsAllJobs(t *testing.T) {

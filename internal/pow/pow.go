@@ -23,9 +23,9 @@ import (
 
 // Errors returned by the header chain.
 var (
-	ErrUnknownParent  = errors.New("pow: unknown parent header")
-	ErrDuplicate      = errors.New("pow: duplicate header")
-	ErrBadHeight      = errors.New("pow: height does not extend parent")
+	ErrUnknownParent = errors.New("pow: unknown parent header")
+	ErrDuplicate     = errors.New("pow: duplicate header")
+	ErrBadHeight     = errors.New("pow: height does not extend parent")
 	ErrBadDifficulty = errors.New("pow: invalid difficulty")
 	ErrWrongChain    = errors.New("pow: header belongs to another chain")
 	ErrBadTime       = errors.New("pow: header time before parent")

@@ -142,14 +142,15 @@ func (cl *Client) deliver(c *chain.Chain, tx *types.Transaction) {
 	}
 	// Corrupting link: clean copies take the fast path above (no
 	// serialization); corrupted copies are re-encoded, tampered, and pushed
-	// through the chain's full untrusted ingest. Their rejection is silent
-	// by design — whether a given tamper breaks the *framing* (decode error)
-	// or only the *signature* (pool rejection) depends on the encoded
-	// signature lengths, which crypto/rand varies run to run, so any
-	// rejection-reason counter here would break same-seed determinism. The
-	// link's own corrupted counter records the event deterministically, and
-	// the nonce is never rolled back: a corrupted copy is a separate forged
-	// transaction, not this client's traffic failing.
+	// through the chain's full untrusted ingest. Their rejection is silent:
+	// whether a given tamper breaks the *framing* (decode error) or only the
+	// *signature* (pool rejection) depends on the encoded signature lengths.
+	// Since signing became deterministic (RFC 6979) those lengths, and so
+	// the rejection reasons, repeat for a seed, but they stay uncounted —
+	// counting them would move the byzantine counter tables. The link's own
+	// corrupted counter records the event, and the nonce is never rolled
+	// back: a corrupted copy is a separate forged transaction, not this
+	// client's traffic failing.
 	link.DeliverBytes(
 		func() []byte {
 			_ = tx.WaitSig()
@@ -169,8 +170,8 @@ func (cl *Client) deliver(c *chain.Chain, tx *types.Transaction) {
 }
 
 // sign signs tx, rolling the consumed nonce back on failure. With a signer
-// pool configured the ECDSA is deferred to a worker and a failure (which
-// crypto/rand makes all but impossible) surfaces at delivery time instead,
+// pool configured the ECDSA is deferred to a worker and a failure (which a
+// valid key makes all but impossible) surfaces at delivery time instead,
 // where the nonce is likewise rolled back.
 func (cl *Client) sign(c *chain.Chain, tx *types.Transaction) (*types.Transaction, error) {
 	// With one CPU there is nothing to overlap with and the worker handoff

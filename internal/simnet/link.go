@@ -188,7 +188,9 @@ func (l *Link) NoteRejected() {
 // tamperRNG returns a fresh RNG for the idx-th corruption event on this
 // link. Deriving a per-event RNG (instead of sharing l.rng) keeps the
 // link's fault stream independent of how many draws a tamper makes, which
-// may depend on non-deterministic content such as ECDSA signature lengths.
+// depends on the message's length — for a transaction, on its ECDSA
+// signature lengths (deterministic since RFC 6979 signing, but a property of
+// the content, not of the link's seed).
 func (l *Link) tamperRNG(idx uint64) *rand.Rand {
 	return rand.New(rand.NewSource(l.seed ^ int64(idx)*0x6A09E667F3BCC909 ^ 0x5DEECE66D))
 }

@@ -363,7 +363,7 @@ func TestFileOpenAtHistory(t *testing.T) {
 			b.Accounts[0].Prev = []byte{'v', i - 1}
 		}
 		b.Slots = []SlotChange{{
-			Key: SlotKey{Addr: tAddr(1), Key: tWord(1)},
+			Key:  SlotKey{Addr: tAddr(1), Key: tWord(1)},
 			Prev: tWord(i - 1), Cur: tWord(i),
 			PrevExisted: i > 1, CurExists: true,
 		}}

@@ -41,6 +41,8 @@ type Pool struct {
 	chainOf    map[hashing.Address]int    // sender → index into lastNonce this pass
 	nonceMemo  map[hashing.Address]uint64 // committed nonce, one nonceOf per sender
 	lastNonce  []uint64                   // last selected nonce per selecting sender
+
+	dropScratch map[hashing.Hash]struct{} // Remove's id set, empty between calls
 }
 
 type entry struct {
@@ -55,11 +57,12 @@ type entry struct {
 // per node.
 func New(chainID hashing.ChainID, limit int) *Pool {
 	return &Pool{
-		chainID:   chainID,
-		limit:     limit,
-		pending:   make(map[hashing.Hash]struct{}),
-		chainOf:   make(map[hashing.Address]int),
-		nonceMemo: make(map[hashing.Address]uint64),
+		chainID:     chainID,
+		limit:       limit,
+		pending:     make(map[hashing.Hash]struct{}),
+		chainOf:     make(map[hashing.Address]int),
+		nonceMemo:   make(map[hashing.Address]uint64),
+		dropScratch: make(map[hashing.Hash]struct{}),
 	}
 }
 
@@ -209,19 +212,31 @@ func (p *Pool) NextBatch(max int, nonceOf func(hashing.Address) uint64) []*types
 	return batch
 }
 
-// Remove drops a transaction (e.g. once included in a block received from a
-// peer proposer).
-func (p *Pool) Remove(id hashing.Hash) {
+// Remove drops the given transactions (e.g. a committed block's), keeping
+// the survivors in FIFO order. Ids that are not pending are ignored. The
+// queue is compacted in one pass however many ids there are: a block's
+// worth of single-id removals, each a scan and a splice, cost O(pending ×
+// block) pointer moves under the lock.
+func (p *Pool) Remove(ids ...hashing.Hash) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.pending[id]; !ok {
-		return
-	}
-	delete(p.pending, id)
-	for i, e := range p.queue {
-		if e.id == id {
-			p.queue = append(p.queue[:i], p.queue[i+1:]...)
-			return
+	drop := p.dropScratch
+	for _, id := range ids {
+		if _, ok := p.pending[id]; ok {
+			delete(p.pending, id)
+			drop[id] = struct{}{}
 		}
 	}
+	if len(drop) == 0 {
+		return
+	}
+	keep := p.queue[:0]
+	for _, e := range p.queue {
+		if _, gone := drop[e.id]; !gone {
+			keep = append(keep, e)
+		}
+	}
+	clear(p.queue[len(keep):]) // release dropped entries to the GC
+	p.queue = keep
+	clear(drop)
 }

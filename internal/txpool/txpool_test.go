@@ -1,7 +1,9 @@
 package txpool
 
 import (
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"scmove/internal/hashing"
@@ -169,6 +171,96 @@ func TestRemove(t *testing.T) {
 		t.Fatal("remove must drop the tx")
 	}
 	p.Remove(tx.ID()) // idempotent
+}
+
+// syntheticPool builds a pool of n pending transactions with distinct ids,
+// senders drawn at random from a few accounts and consecutive nonces per
+// sender. It bypasses Add: eviction and selection never read signatures.
+func syntheticPool(rng *rand.Rand, n, senders int) *Pool {
+	p := New(1, n)
+	next := make([]uint64, senders)
+	for i := 0; i < n; i++ {
+		s := rng.Intn(senders)
+		tx := &types.Transaction{ChainID: 1, Nonce: next[s], Kind: types.TxCall}
+		next[s]++
+		var id hashing.Hash
+		binary.BigEndian.PutUint64(id[:], uint64(i)+1)
+		p.pending[id] = struct{}{}
+		p.queue = append(p.queue, &entry{tx: tx, sender: hashing.Address{byte(s)}, id: id})
+	}
+	return p
+}
+
+// TestRemoveManyMatchesSingleRemovals checks that one Remove of a block's
+// ids — repeats and ids never pending included — leaves exactly what that
+// many single-id removals leave: the same survivors in the same FIFO order,
+// Len, Contains, and the next NextBatch. Each pool takes two blocks, so the
+// reused scratch set is exercised too.
+func TestRemoveManyMatchesSingleRemovals(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, senders := 1+rng.Intn(300), 1+rng.Intn(8)
+		many := syntheticPool(rand.New(rand.NewSource(seed)), n, senders)
+		single := syntheticPool(rand.New(rand.NewSource(seed)), n, senders)
+		all := make([]hashing.Hash, n)
+		for i, e := range many.queue {
+			all[i] = e.id
+		}
+		for round := 0; round < 2; round++ {
+			ids := []hashing.Hash{{0xff}} // never pending
+			for k := rng.Intn(n + 1); k > 0; k-- {
+				ids = append(ids, all[rng.Intn(n)])
+			}
+			many.Remove(ids...)
+			for _, id := range ids {
+				single.Remove(id)
+			}
+			if many.Len() != single.Len() {
+				t.Fatalf("seed %d round %d: Len %d, single-id removals leave %d", seed, round, many.Len(), single.Len())
+			}
+			for i := range many.queue {
+				if many.queue[i].id != single.queue[i].id {
+					t.Fatalf("seed %d round %d: survivor %d differs", seed, round, i)
+				}
+			}
+			for _, id := range all {
+				if many.Contains(id) != single.Contains(id) {
+					t.Fatalf("seed %d round %d: Contains(%s) differs", seed, round, id)
+				}
+			}
+		}
+		idOf := make(map[*types.Transaction]hashing.Hash)
+		for _, p := range []*Pool{many, single} {
+			for _, e := range p.queue {
+				idOf[e.tx] = e.id
+			}
+		}
+		got, want := many.NextBatch(n, zeroNonce), single.NextBatch(n, zeroNonce)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: next batch %d txs, single-id removals %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if idOf[got[i]] != idOf[want[i]] {
+				t.Fatalf("seed %d: next batch position %d differs", seed, i)
+			}
+		}
+	}
+}
+
+// BenchmarkRemoveBlock evicts a committed 5 000-transaction block from the
+// front of a 50 000-deep pool, the shape of rpc_submit_sat's replay check.
+func BenchmarkRemoveBlock(b *testing.B) {
+	const pending, block = 50_000, 5_000
+	ids := make([]hashing.Hash, block)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := syntheticPool(rand.New(rand.NewSource(1)), pending, 64)
+		for j := range ids {
+			ids[j] = p.queue[j].id
+		}
+		b.StartTimer()
+		p.Remove(ids...)
+	}
 }
 
 // TestSameNonceCompetitorSurvivesFailedRound pins the select-don't-consume

@@ -19,8 +19,10 @@ import (
 // out. The cache is content-addressed — tx ID plus a digest of the exact
 // signature bytes — so it is hit only by the identical (content, signature)
 // pair that previously verified; replaying a signature on different content
-// changes the ID and misses, and re-signing the same content changes the
-// signature digest and misses.
+// changes the ID and misses, and a signature by another key changes the
+// signature digest and misses. Signing is deterministic (RFC 6979), so the
+// same key re-signing the same content yields the same bytes and rightly
+// hits.
 
 // senderCacheEntry is one recovered (tx ID, signature) → address mapping,
 // linked into an intrusive LRU list so hits and evictions allocate nothing.
@@ -136,7 +138,8 @@ func (c *senderCacheState) store(id hashing.Hash, sig *keys.Signature, addr hash
 	sum := sigDigest(sig)
 	c.mu.Lock()
 	if e, ok := c.entries[id]; ok {
-		// Same content re-signed (or malleated): keep the newest signature.
+		// Same content under another valid signature (malleated, or signed
+		// with a random nonce elsewhere): keep the newest signature.
 		e.sigSum = sum
 		e.addr = addr
 		c.moveToFront(e)
@@ -201,52 +204,62 @@ func (c *senderCacheState) moveToFront(e *senderCacheEntry) {
 	c.pushFront(e)
 }
 
-// RecoverSenders verifies the signatures of txs on the shared crypto worker
-// pool and returns each recovered sender in input order, with a per-index
-// error for every transaction that failed. It is the batch front door the
-// txpool and ApplyBlock use to pull signature recovery off the serial
-// execution path: all ECDSA work for a block completes (in parallel) before
-// the strictly sequential EVM loop starts, and because results are indexed
-// by input position the outcome is bit-identical at every GOMAXPROCS.
+// RecoverSenders recovers the sender of every transaction in txs and returns
+// them in input order, with a per-index error for every transaction that
+// failed. It is the batch front door the txpool and ApplyBlock use to pull
+// signature recovery off the serial execution path: all ECDSA work for a
+// block completes (in parallel) before the strictly sequential EVM loop
+// starts, and because results are indexed by input position the outcome is
+// bit-identical at every GOMAXPROCS.
 //
-// Duplicate pointers in txs are recovered once and share the result.
+// The cheap tiers (verifiedID memo, sender cache) run inline and only the
+// misses go to the shared crypto pool. A block of consensus-decoded copies
+// is nearly all cache hits, and the pool's FIFO may hold thousands of
+// queued client signatures: a hit must not wait behind them. Each distinct
+// transaction consults the cache once; duplicate pointers share the first
+// occurrence's result.
 func RecoverSenders(txs []*Transaction) ([]hashing.Address, []error) {
 	addrs := make([]hashing.Address, len(txs))
 	errs := make([]error, len(txs))
-	if len(txs) == 0 {
-		return addrs, errs
-	}
-	if len(txs) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for i, tx := range txs {
-			addrs[i], errs[i] = tx.Sender()
-		}
-		return addrs, errs
-	}
-	// Sender mutates the transaction's verifiedID memo, so the same pointer
-	// must not be recovered by two workers at once.
-	firstIdx := make(map[*Transaction]int, len(txs))
-	dup := make([]int, len(txs)) // dup[i] = index of first occurrence
-	pool := keys.SharedPool()
-	var wg sync.WaitGroup
+	var (
+		misses  []int                // index of each distinct miss
+		missIdx map[*Transaction]int // first index of each missed pointer
+		dups    [][2]int             // (index, first index) of repeated misses
+	)
 	for i, tx := range txs {
-		if j, seen := firstIdx[tx]; seen {
-			dup[i] = j
+		if j, seen := missIdx[tx]; seen {
+			dups = append(dups, [2]int{i, j})
 			continue
 		}
-		firstIdx[tx] = i
-		dup[i] = i
-		i, tx := i, tx
-		wg.Add(1)
-		pool.Go(func() {
-			defer wg.Done()
-			addrs[i], errs[i] = tx.Sender()
-		})
-	}
-	wg.Wait()
-	for i, j := range dup {
-		if i != j {
-			addrs[i], errs[i] = addrs[j], errs[j]
+		if addr, ok := tx.knownSender(); ok {
+			addrs[i] = addr
+			continue
 		}
+		if missIdx == nil {
+			missIdx = make(map[*Transaction]int)
+		}
+		missIdx[tx] = i
+		misses = append(misses, i)
+	}
+	if len(misses) == 1 || runtime.GOMAXPROCS(0) == 1 {
+		for _, i := range misses {
+			addrs[i], errs[i] = txs[i].verifySender()
+		}
+	} else if len(misses) > 1 {
+		pool := keys.SharedPool()
+		var wg sync.WaitGroup
+		wg.Add(len(misses))
+		for _, i := range misses {
+			i := i
+			pool.Go(func() {
+				defer wg.Done()
+				addrs[i], errs[i] = txs[i].verifySender()
+			})
+		}
+		wg.Wait()
+	}
+	for _, d := range dups {
+		addrs[d[0]], errs[d[0]] = addrs[d[1]], errs[d[1]]
 	}
 	return addrs, errs
 }

@@ -1,8 +1,11 @@
 package types
 
 import (
+	"fmt"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"scmove/internal/hashing"
 	"scmove/internal/keys"
@@ -104,12 +107,13 @@ func TestSenderCacheEvictionAtCapacity(t *testing.T) {
 	resetSenderCache(t, capacity)
 	kp := keys.Deterministic(1)
 	txs := make([]*Transaction, capacity+4)
+	base := ReadSenderCacheStats() // the counters are cumulative across tests
 	for i := range txs {
 		txs[i] = signedTx(t, kp, uint64(i)) // Sign stores each entry
 	}
 	stats := ReadSenderCacheStats()
-	if stats.Evictions != uint64(len(txs)-capacity) {
-		t.Fatalf("evictions = %d, want %d", stats.Evictions, len(txs)-capacity)
+	if got := stats.Evictions - base.Evictions; got != uint64(len(txs)-capacity) {
+		t.Fatalf("evictions = %d, want %d", got, len(txs)-capacity)
 	}
 	if got := len(senderCache.entries); got != capacity {
 		t.Fatalf("cache holds %d entries, cap is %d", got, capacity)
@@ -256,6 +260,152 @@ func TestRecoverSendersMatchesSerialAcrossGOMAXPROCS(t *testing.T) {
 				t.Fatalf("GOMAXPROCS=%d index %d: got (%s, %v), want (%s, err=%v)",
 					procs, i, addrs[i], errs[i], want[i], wantErr[i])
 			}
+		}
+	}
+}
+
+// sharedPoolWorkers is the size of keys.SharedPool: creating the pool here,
+// at package init, sizes it to the process's GOMAXPROCS before any test
+// changes that.
+var sharedPoolWorkers = func() int {
+	keys.SharedPool()
+	return runtime.GOMAXPROCS(0)
+}()
+
+// TestRecoverSendersCachedBlockSkipsPool holds every shared crypto worker
+// and requires a block of consensus-decoded copies, all in the sender cache,
+// to recover anyway: cache hits resolve inline and never queue behind the
+// pool's backlog of client signatures. Each transaction consults the cache
+// exactly once.
+func TestRecoverSendersCachedBlockSkipsPool(t *testing.T) {
+	resetSenderCache(t, 4096)
+	block := make([]*Transaction, 100)
+	for i := range block {
+		signed := signedTx(t, keys.Deterministic(uint64(i%7+1)), uint64(i)) // Sign seeds the cache
+		c, err := DecodeTransaction(signed.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		block[i] = c
+	}
+
+	gate := make(chan struct{})
+	var held sync.WaitGroup
+	held.Add(sharedPoolWorkers)
+	for i := 0; i < sharedPoolWorkers; i++ {
+		keys.SharedPool().Go(func() {
+			held.Done()
+			<-gate
+		})
+	}
+	held.Wait()
+
+	before := ReadSenderCacheStats()
+	var addrs []hashing.Address
+	var errs []error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		addrs, errs = RecoverSenders(block)
+	}()
+	blocked := false
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		blocked = true
+	}
+	close(gate)
+	<-done
+	if blocked {
+		t.Fatal("RecoverSenders waited on the crypto pool for a block of cache hits")
+	}
+	after := ReadSenderCacheStats()
+	if after.Hits != before.Hits+100 || after.Misses != before.Misses {
+		t.Fatalf("want +100 hits, +0 misses: before %+v after %+v", before, after)
+	}
+	for i, tx := range block {
+		if errs[i] != nil || addrs[i] != tx.From {
+			t.Fatalf("index %d: got (%s, %v), want (%s, nil)", i, addrs[i], errs[i], tx.From)
+		}
+	}
+}
+
+// TestRecoverSendersMixedBlockMatchesSerial runs a block of cached, uncached
+// and one forged transaction through RecoverSenders at GOMAXPROCS 1, 2 and
+// NumCPU and requires exactly the addresses and errors of a serial Sender
+// loop, with one cache miss per uncached transaction and one hit per cached
+// one.
+func TestRecoverSendersMixedBlockMatchesSerial(t *testing.T) {
+	resetSenderCache(t, 4096)
+	const n, forgedAt = 40, 13
+	encoded := make([][]byte, n)
+	for i := range encoded {
+		encoded[i] = signedTx(t, keys.Deterministic(uint64(i%5+1)), uint64(i)).Encode()
+	}
+	// A genuine signature on altered content: uncached, and it fails.
+	forged, err := DecodeTransaction(encoded[forgedAt])
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged.Value = u256.FromUint64(1 << 40)
+	encoded[forgedAt] = forged.Encode()
+	cached := func(i int) bool { return i%3 == 0 }
+	wantHits := uint64(0)
+	for i := range encoded {
+		if cached(i) {
+			wantHits++
+		}
+	}
+
+	decode := func(b []byte) *Transaction {
+		tx, err := DecodeTransaction(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	// fresh decodes a new copy of the block, with exactly the cached
+	// subset's signatures verified before (on other copies).
+	fresh := func() []*Transaction {
+		SetSenderCacheCapacity(4096)
+		txs := make([]*Transaction, n)
+		for i, b := range encoded {
+			if cached(i) {
+				if _, err := decode(b).Sender(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			txs[i] = decode(b)
+		}
+		return txs
+	}
+
+	ref := fresh()
+	want := make([]hashing.Address, n)
+	wantErr := make([]string, n)
+	for i, tx := range ref {
+		addr, err := tx.Sender()
+		want[i], wantErr[i] = addr, fmt.Sprint(err)
+	}
+	if wantErr[forgedAt] == "<nil>" {
+		t.Fatal("the forged transaction must fail the serial loop")
+	}
+
+	for _, procs := range []int{1, 2, runtime.NumCPU()} {
+		txs := fresh()
+		before := ReadSenderCacheStats()
+		prev := runtime.GOMAXPROCS(procs)
+		addrs, errs := RecoverSenders(txs)
+		runtime.GOMAXPROCS(prev)
+		after := ReadSenderCacheStats()
+		for i := range txs {
+			if addrs[i] != want[i] || fmt.Sprint(errs[i]) != wantErr[i] {
+				t.Fatalf("GOMAXPROCS=%d index %d: got (%s, %v), want (%s, %s)",
+					procs, i, addrs[i], errs[i], want[i], wantErr[i])
+			}
+		}
+		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != wantHits || misses != n-wantHits {
+			t.Fatalf("GOMAXPROCS=%d: %d hits, %d misses; want %d, %d", procs, hits, misses, wantHits, n-wantHits)
 		}
 	}
 }

@@ -322,14 +322,30 @@ func (tx *Transaction) WaitSig() error {
 // signature verified before, possibly on a different copy), and finally the
 // full ECDSA verification, whose success populates both tiers.
 func (tx *Transaction) Sender() (hashing.Address, error) {
+	if addr, ok := tx.knownSender(); ok {
+		return addr, nil
+	}
+	return tx.verifySender()
+}
+
+// knownSender is Sender's two cheap tiers: the verifiedID memo, then one
+// sender-cache lookup (counted as one hit or one miss). It reports false
+// when only a full verification can decide.
+func (tx *Transaction) knownSender() (hashing.Address, bool) {
 	id := tx.ID()
 	if !tx.verifiedID.IsZero() && tx.verifiedID == id {
-		return tx.From, nil
+		return tx.From, true
 	}
 	if addr, ok := senderCache.lookup(id, &tx.Sig); ok && addr == tx.From {
 		tx.verifiedID = id
-		return addr, nil
+		return addr, true
 	}
+	return hashing.Address{}, false
+}
+
+// verifySender is Sender's ECDSA tier, run after knownSender missed.
+func (tx *Transaction) verifySender() (hashing.Address, error) {
+	id := tx.ID()
 	addr, err := tx.Sig.Verify(id)
 	if err != nil {
 		return hashing.Address{}, fmt.Errorf("%w: %v", ErrBadTxSignature, err)

@@ -45,7 +45,7 @@ func TestTxIDExcludesSignature(t *testing.T) {
 	kp := keys.Deterministic(1)
 	tx := mkTx(t, kp)
 	id1 := tx.ID()
-	if err := tx.Sign(kp); err != nil { // re-sign: new randomness
+	if err := tx.Sign(kp); err != nil { // re-sign: the id is fixed again from the fields
 		t.Fatal(err)
 	}
 	if tx.ID() != id1 {
