@@ -29,31 +29,29 @@ benchtest:
 
 # detsmoke runs the seeded cross-GOMAXPROCS (1, 2, NumCPU) determinism
 # checks for the parallel crypto pool (sender recovery of a block mixing
-# cached, uncached and forged transactions), the parallel state commit, the
-# workload signing pipeline, ApplyBlock (fuzz traffic pinned to a digest,
-# the chaos cell), batch selection against its first implementation, and the
-# sharded universe (16-chain policy-on scaling cell, pinned to a digest):
-# bit-identical results at every worker count. It pins signing to RFC 6979's
-# known answer (a signature is a pure function of key and digest), and it
-# also holds the Move-cost
-# pins: consensus vote tables bounded by the current height and
-# allocation-free, a reverted Move2 restoring the stale copy
-# exactly, a contract returning home without the slots deleted abroad, and
-# the bulk tree constructors every Move and every rebuild goes through —
-# indistinguishable from a Set loop (root, proofs, later writes), refusing
-# runs that are not strictly ascending, constant in allocations, and hashed
-# to the same root at every worker count.
+# cached, uncached and forged transactions), the workload signing pipeline,
+# ApplyBlock (fuzz traffic pinned to a digest, the chaos cell), batch
+# selection against its first implementation, and the sharded universe
+# (16-chain policy-on scaling cell, pinned to a digest): bit-identical
+# results at every worker count. It pins signing to RFC 6979's known answer
+# (a signature is a pure function of key and digest) and a state commit that
+# never waits on the crypto pool, and it also holds the Move-cost pins:
+# consensus vote tables bounded by the current height and allocation-free, a
+# reverted Move2 restoring the stale copy exactly, a contract returning home
+# without the slots deleted abroad, and the bulk tree constructors every Move
+# and every rebuild goes through — indistinguishable from a Set loop (root,
+# proofs, later writes), refusing runs that are not strictly ascending, and
+# constant in allocations.
 #
 # `go test -run 'A|B'` passes when a name matches nothing, so the target
 # first checks every listed name against `go test -list`: a test that is
 # deleted, renamed or misspelt fails the gate instead of narrowing it.
 DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
-	TestBuildAllocsAreConstant TestBuiltTreeHashParallelMatchesRootHash \
+	TestBuildAllocsAreConstant TestCommitDoesNotWaitOnSharedPool \
 	TestVoteTablesBoundedByCurrentHeight TestOnVoteSteadyStateZeroAllocs \
 	TestRevertedMove2RestoresStaleCopy TestMoveHomeDropsSlotsDeletedAbroad \
 	TestVerifyBatchMatchesSerial TestRecoverSendersMatchesSerialAcrossGOMAXPROCS \
 	TestSignRFC6979KnownAnswer TestRecoverSendersMixedBlockMatchesSerial \
-	TestCommitParallelMatchesSerial TestHashParallelMatchesRootHashAndProofs \
 	TestApplyBlockParallelDeterminism TestApplyBlockFuzzTraffic \
 	TestNextBatchPreservesFIFO TestKittiesReplayCrossGOMAXPROCSDeterminism \
 	TestChaosCellCrossGOMAXPROCS TestBackendConformanceDifferential \

@@ -4,8 +4,13 @@
 package bench
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"scmove/internal/hashing"
+	"scmove/internal/metrics"
 )
 
 func TestFig5ShapeThroughputScales(t *testing.T) {
@@ -51,6 +56,36 @@ func TestFig5ShapeThroughputScales(t *testing.T) {
 	}
 	if len(res.Timeline) == 0 {
 		t.Error("Fig. 5 right timeline missing")
+	}
+}
+
+// The limit-reached markers of Fig. 5 right are a map; the rendering must
+// not inherit its iteration order, or two runs of one seed print different
+// text.
+func TestFig5MarkersRenderSorted(t *testing.T) {
+	res := &Fig5Result{
+		Timeline:  []metrics.Point{{At: 30 * time.Second, TPS: 1}},
+		StarvedAt: make(map[hashing.ChainID]time.Duration),
+	}
+	for id := hashing.ChainID(8); id >= 1; id-- {
+		res.StarvedAt[id] = time.Duration(200-id) * time.Second
+	}
+	want := res.String()
+	for i := 0; i < 20; i++ {
+		if got := res.String(); got != want {
+			t.Fatalf("render %d differs:\n%s\nvs\n%s", i, got, want)
+		}
+	}
+	_, markers, ok := strings.Cut(want, "limit-reached markers:\n")
+	if !ok {
+		t.Fatalf("no markers in:\n%s", want)
+	}
+	var lines []string
+	for id := hashing.ChainID(1); id <= 8; id++ {
+		lines = append(lines, fmt.Sprintf("  %s at %s", id, fmtDur(res.StarvedAt[id])))
+	}
+	if got := strings.TrimSuffix(markers, "\n"); got != strings.Join(lines, "\n") {
+		t.Fatalf("markers not in ascending chain order:\n%s", got)
 	}
 }
 

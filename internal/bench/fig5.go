@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"scmove/internal/hashing"
@@ -124,8 +126,8 @@ func (r *Fig5Result) String() string {
 		out += tl.String()
 		if len(r.StarvedAt) > 0 {
 			out += "limit-reached markers:\n"
-			for id, at := range r.StarvedAt {
-				out += fmt.Sprintf("  %s at %s\n", id, fmtDur(at))
+			for _, id := range slices.Sorted(maps.Keys(r.StarvedAt)) {
+				out += fmt.Sprintf("  %s at %s\n", id, fmtDur(r.StarvedAt[id]))
 			}
 		}
 	}

@@ -72,8 +72,8 @@ func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 // TestChaosCellCrossGOMAXPROCS is the chaos cell of the determinism suite:
 // the full fault-injected Move scenario (20% drops, 20% duplicates on every
 // path) must produce identical simulated results on one CPU and on all of
-// them — sender pre-recovery, commit hashing and the harness fan out across
-// the worker pool; what they compute may not depend on it.
+// them — sender pre-recovery and the harness fan out across the worker
+// pool; what they compute may not depend on it.
 func TestChaosCellCrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-GOMAXPROCS chaos runs are slow in -short mode")

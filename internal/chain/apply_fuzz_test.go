@@ -208,10 +208,9 @@ var fuzzTrafficDigests = map[string]string{
 // TestApplyBlockFuzzTraffic replays randomized traffic — conflicts,
 // failures, forgeries, duplicates, self-destructs, creates, chaotic block
 // sizes — and requires bit-identical roots, header hashes and receipts at
-// every GOMAXPROCS (sender pre-recovery and commit hashing fan out), and
-// equal to the pinned digest: a change to what any transaction does to
-// state or reports in its receipt fails here, not only in an end-to-end
-// fingerprint.
+// every GOMAXPROCS (sender pre-recovery fans out), and equal to the pinned
+// digest: a change to what any transaction does to state or reports in its
+// receipt fails here, not only in an end-to-end fingerprint.
 func TestApplyBlockFuzzTraffic(t *testing.T) {
 	for _, cfgOf := range []func(hashing.ChainID) Config{ethConfig, burrowConfig} {
 		cfg := cfgOf(1)

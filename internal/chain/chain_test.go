@@ -488,8 +488,8 @@ func TestAddBatchMatchesSequentialAdd(t *testing.T) {
 
 // TestApplyBlockParallelDeterminism commits the same traffic serially
 // (GOMAXPROCS=1, every parallel path falls back inline) and with parallel
-// pre-recovery and commit hashing, and requires bit-identical headers,
-// roots, and receipts.
+// sender pre-recovery, and requires bit-identical headers, roots, and
+// receipts.
 func TestApplyBlockParallelDeterminism(t *testing.T) {
 	run := func(procs int) (roots []hashing.Hash, headers []hashing.Hash, receipts []*types.Receipt) {
 		prev := runtime.GOMAXPROCS(procs)

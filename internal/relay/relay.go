@@ -45,7 +45,6 @@ type Client struct {
 	nonces      map[hashing.ChainID]uint64
 	desynced    map[hashing.ChainID]bool
 	links       map[hashing.ChainID]*simnet.Link
-	signer      *keys.Pool // nil = sign inline on the event loop
 }
 
 // NewClient returns a client submitting with the given client-to-chain
@@ -72,14 +71,6 @@ func (cl *Client) Key() *keys.KeyPair { return cl.kp }
 func (cl *Client) SetSubmitLink(id hashing.ChainID, link *simnet.Link) {
 	cl.links[id] = link
 }
-
-// SetSigner moves this client's ECDSA signing onto the given worker pool.
-// The transaction's From and id are still fixed synchronously — nothing the
-// simulation orders on can change — while the signature itself overlaps
-// with whatever the event loop does until the submission delay elapses; the
-// delivery event then waits for it. Simulated timelines are identical with
-// and without a signer; only wall-clock changes.
-func (cl *Client) SetSigner(pool *keys.Pool) { cl.signer = pool }
 
 // nextNonce hands out the next nonce for a chain, resyncing from committed
 // chain state first if a previous submission failure desynchronized the
@@ -169,15 +160,19 @@ func (cl *Client) deliver(c *chain.Chain, tx *types.Transaction) {
 		})
 }
 
-// sign signs tx, rolling the consumed nonce back on failure. With a signer
-// pool configured the ECDSA is deferred to a worker and a failure (which a
-// valid key makes all but impossible) surfaces at delivery time instead,
-// where the nonce is likewise rolled back.
+// sign signs tx, rolling the consumed nonce back on failure. With more
+// than one CPU the ECDSA is deferred to the shared crypto pool: From and the
+// id are still fixed synchronously, so nothing the simulation orders on can
+// change, while the signature overlaps with the event loop's work until the
+// submission delay elapses and the delivery event waits for it. A failure
+// (which a valid key makes all but impossible) then surfaces at delivery,
+// where the nonce is likewise rolled back. Simulated timelines are identical
+// either way; only wall-clock changes.
 func (cl *Client) sign(c *chain.Chain, tx *types.Transaction) (*types.Transaction, error) {
 	// With one CPU there is nothing to overlap with and the worker handoff
 	// is pure overhead, so the deferred path requires real parallelism.
-	if cl.signer != nil && runtime.GOMAXPROCS(0) > 1 {
-		tx.SignOn(cl.kp, cl.signer)
+	if runtime.GOMAXPROCS(0) > 1 {
+		tx.SignOn(cl.kp, keys.SharedPool())
 		return tx, nil
 	}
 	if err := tx.Sign(cl.kp); err != nil {

@@ -3,14 +3,11 @@ package state
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
-	"scmove/internal/keys"
 	"scmove/internal/state/backend"
 	"scmove/internal/trees"
 	"scmove/internal/trie"
@@ -120,6 +117,7 @@ func NewDBWith(chainID hashing.ChainID, kind trie.Kind, opts Options) (*DB, erro
 	}
 	if opts.Backend == backend.KindFile {
 		if fb, ok := db.back.(*backend.File); ok && fb.LiveKeys() > 0 {
+			db.Close()
 			return nil, fmt.Errorf("new state: %s is not empty (use OpenDB to reopen)", opts.Dir)
 		}
 	}
@@ -547,11 +545,6 @@ func (db *DB) DiscardJournal() { db.journal.reset() }
 // be reverted. The decoded working set is released (it would otherwise grow
 // monotonically across blocks); the next block re-decodes what it touches.
 func (db *DB) Commit() hashing.Hash {
-	// Hash dirty storage trees on the worker pool first. Each tree is an
-	// independent object and a root hash is a pure function of contents, so
-	// this only warms the per-node hash caches the serial flush below will
-	// read — it cannot change what the flush computes.
-	db.warmStorageRoots()
 	// markDirty appends in first-touch order; sort once for the
 	// deterministic flush (map iteration is randomized).
 	sort.Slice(db.dirtyOrder, func(i, j int) bool {
@@ -612,14 +605,7 @@ func (db *DB) Commit() hashing.Hash {
 	// Release the decoded working set: entries are either dirty (now
 	// flushed into the tree) or clean read-throughs of it.
 	clear(db.cache)
-	// The account tree itself fans dirty-subtree hashing out when it can;
-	// HashParallel is specified to equal RootHash bit for bit.
-	var root hashing.Hash
-	if ph, ok := db.accountTree.(trie.ParallelHasher); ok {
-		root = ph.HashParallel(keys.SharedPool())
-	} else {
-		root = db.accountTree.RootHash()
-	}
+	root := db.accountTree.RootHash()
 	if err := db.back.Commit(root, batch); err != nil {
 		panic(fmt.Sprintf("state: backend commit: %v", err))
 	}
@@ -839,40 +825,6 @@ func (db *DB) evictStorageTrees() {
 		delete(db.storage, c.addr)
 		delete(db.storageTouch, c.addr)
 	}
-}
-
-// warmStorageRoots pre-hashes the storage trees of dirty live accounts on
-// the shared worker pool. Trees of distinct accounts share no nodes, and
-// each worker runs the ordinary serial RootHash, so parallelism here moves
-// work without reordering or changing any result; with one CPU (or fewer
-// than two trees to hash) the serial flush simply does the hashing itself.
-func (db *DB) warmStorageRoots() {
-	if runtime.GOMAXPROCS(0) == 1 {
-		return
-	}
-	var tasks []trie.Tree
-	for _, addr := range db.dirtyOrder {
-		if db.cache[addr] == nil {
-			continue
-		}
-		if t, ok := db.storage[addr]; ok {
-			tasks = append(tasks, t)
-		}
-	}
-	if len(tasks) < 2 {
-		return
-	}
-	pool := keys.SharedPool()
-	var wg sync.WaitGroup
-	wg.Add(len(tasks))
-	for _, t := range tasks {
-		t := t
-		pool.Go(func() {
-			defer wg.Done()
-			t.RootHash()
-		})
-	}
-	wg.Wait()
 }
 
 // Root returns the last committed state root without flushing.

@@ -1,11 +1,18 @@
 package state
 
 import (
+	"encoding/binary"
+	"os"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
+	"scmove/internal/keys"
+	"scmove/internal/state/backend"
 	"scmove/internal/trie"
 	"scmove/internal/u256"
 )
@@ -364,5 +371,110 @@ func TestCommitDeterministicAcrossDirtyOrder(t *testing.T) {
 	}
 	if db1.Commit() != db2.Commit() {
 		t.Fatal("commit order must not affect the root")
+	}
+}
+
+// buildDirtyState creates a DB with many dirty accounts and storage trees,
+// deterministic in its inputs.
+func buildDirtyState(t *testing.T, kind trie.Kind, accounts, slots int) *DB {
+	t.Helper()
+	db, err := NewDB(1, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < accounts; a++ {
+		var raw [8]byte
+		binary.BigEndian.PutUint64(raw[:], uint64(a+1))
+		addr := hashing.AddressFromBytes(raw[:])
+		db.AddBalance(addr, u256.FromUint64(uint64(1000+a)))
+		db.SetNonce(addr, uint64(a))
+		for s := 0; s < slots; s++ {
+			var key, val evm.Word
+			key[31] = byte(s + 1)
+			val[0] = byte(a + 1)
+			val[31] = byte(s + 1)
+			db.SetStorage(addr, key, val)
+		}
+	}
+	return db
+}
+
+// sharedPoolWorkers is the size of keys.SharedPool: creating the pool here,
+// at package init, sizes it to the process's GOMAXPROCS before any test
+// changes that.
+var sharedPoolWorkers = func() int {
+	keys.SharedPool()
+	return runtime.GOMAXPROCS(0)
+}()
+
+// TestCommitDoesNotWaitOnSharedPool holds every shared crypto worker and
+// requires a commit of many dirty accounts with storage, on both tree kinds
+// and with more than one CPU, to return anyway: commit hashing runs on the
+// committing goroutine and never queues behind the pool's client signatures.
+func TestCommitDoesNotWaitOnSharedPool(t *testing.T) {
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	defer runtime.GOMAXPROCS(prev)
+	var dbs []*DB
+	for _, kind := range []trie.Kind{trie.KindMPT, trie.KindIAVL} {
+		dbs = append(dbs, buildDirtyState(t, kind, 24, 6))
+	}
+
+	gate := make(chan struct{})
+	var held sync.WaitGroup
+	held.Add(sharedPoolWorkers)
+	for i := 0; i < sharedPoolWorkers; i++ {
+		keys.SharedPool().Go(func() {
+			held.Done()
+			<-gate
+		})
+	}
+	held.Wait()
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, db := range dbs {
+			db.Commit()
+		}
+	}()
+	blocked := false
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		blocked = true
+	}
+	close(gate)
+	<-done
+	if blocked {
+		t.Fatal("Commit waited on the crypto pool")
+	}
+}
+
+// NewDBWith refuses a file backend directory that already holds state, and
+// must close the store it opened to find that out.
+func TestNewDBWithClosesRefusedStore(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	opts := Options{Backend: backend.KindFile, Dir: t.TempDir()}
+	db, err := NewDBWith(localChain, trie.KindMPT, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.AddBalance(addr(1), u256.FromUint64(1))
+	db.Commit()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := openFDs()
+	if _, err := NewDBWith(localChain, trie.KindMPT, opts); err == nil {
+		t.Fatal("NewDBWith accepted a directory that already holds state")
+	}
+	if after := openFDs(); after != before {
+		t.Fatalf("open file descriptors: %d before NewDBWith, %d after it refused", before, after)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -272,42 +271,6 @@ func TestBuildAllocsAreConstant(t *testing.T) {
 		probe := r[len(r)/2].k
 		if a := testing.AllocsPerRun(200, func() { built.Get(probe) }); a != 0 {
 			t.Errorf("Get on a built tree allocates %.0f objects, want 0", a)
-		}
-	})
-}
-
-type goRunner struct{}
-
-func (goRunner) Go(f func()) { go f() }
-
-// TestBuiltTreeHashParallelMatchesRootHash: a built tree is all dirty, the
-// most a parallel hash ever has to do; every worker count must land on the
-// serial root and leave the same proofs behind.
-func TestBuiltTreeHashParallelMatchesRootHash(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	forEachKind(t, func(t *testing.T, kind trie.Kind) {
-		rng := rand.New(rand.NewSource(77))
-		r := randomRun(rng, 2000, 32, 32)
-		ref := incremental(t, rng, kind, 32, r)
-		for _, procs := range []int{1, 2, runtime.NumCPU()} {
-			runtime.GOMAXPROCS(procs)
-			built, err := trees.Build(kind, 32, len(r), r.at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := built.(trie.ParallelHasher).HashParallel(goRunner{}), ref.RootHash(); got != want {
-				t.Fatalf("GOMAXPROCS %d: HashParallel %s, serial root %s", procs, got, want)
-			}
-			if built.RootHash() != ref.RootHash() {
-				t.Fatalf("GOMAXPROCS %d: RootHash differs after HashParallel", procs)
-			}
-			for i := 0; i < len(r); i += 97 {
-				gp, _ := built.Prove(r[i].k)
-				wp, _ := ref.Prove(r[i].k)
-				if len(gp) == 0 || !bytes.Equal(gp, wp) {
-					t.Fatalf("GOMAXPROCS %d: proof of entry %d differs", procs, i)
-				}
-			}
 		}
 	})
 }

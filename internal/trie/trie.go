@@ -111,23 +111,6 @@ type Tree interface {
 	Len() int
 }
 
-// Runner schedules independent closures onto a bounded set of workers; Go
-// may block for backpressure but must eventually run the closure.
-// keys.Pool satisfies it, so state commits share the crypto worker pool
-// instead of spawning their own.
-type Runner interface {
-	Go(func())
-}
-
-// ParallelHasher is implemented by trees that can fan the hashing of
-// disjoint dirty subtrees out to a Runner. HashParallel(nil) and
-// HashParallel(r) must both return exactly RootHash()'s value — both tree
-// kinds here are canonical, and a node hash is a pure function of subtree
-// contents, so where it is computed cannot change what it is.
-type ParallelHasher interface {
-	HashParallel(r Runner) hashing.Hash
-}
-
 // ProvenEntry is the result of verifying a membership proof: the key/value
 // pair the proof commits to under the given root.
 type ProvenEntry struct {

@@ -446,11 +446,6 @@ func New(cfg Config) (*Universe, error) {
 	kg.Wait()
 	for i := range clientKeys {
 		cl := relay.NewClient(clientKeys[i], sched, cfg.SubmitDelay)
-		// All clients sign on the shared crypto pool: the ECDSA overlaps
-		// with the event loop's work during the submission delay instead of
-		// serializing in front of it. Simulated results are unaffected (the
-		// signature is excluded from tx ids and waited on before admission).
-		cl.SetSigner(keys.SharedPool())
 		for id, link := range u.submitLinks {
 			cl.SetSubmitLink(id, link)
 		}
@@ -765,12 +760,11 @@ func (u *Universe) UserHome(i int) hashing.ChainID {
 }
 
 // UserClient builds a client over the i-th synthetic user's key, wired to
-// every chain's submission link and the shared signing pool. The universe
-// does not retain it — workloads create clients for exactly the users they
-// drive, which is what keeps a million-user universe cheap.
+// every chain's submission link. The universe does not retain it —
+// workloads create clients for exactly the users they drive, which is what
+// keeps a million-user universe cheap.
 func (u *Universe) UserClient(i int) *relay.Client {
 	cl := relay.NewClient(UserKey(i), u.Sched, u.submitDelay)
-	cl.SetSigner(keys.SharedPool())
 	for id, link := range u.submitLinks {
 		cl.SetSubmitLink(id, link)
 	}

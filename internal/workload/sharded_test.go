@@ -19,8 +19,7 @@ const shardedCellDigest = "4f4fba323908678973f28afccc0ddf0f3af84133a61600da2f173
 // TestShardedScalingCrossGOMAXPROCSDeterminism pins a 16-chain policy-on
 // scaling cell's fingerprint (state roots, contract locations, move stats,
 // deterministic counters) to shardedCellDigest at every GOMAXPROCS: the
-// crypto pool and the HashParallel commit still vary with it, the event
-// order must not. Wired into `make detsmoke`.
+// crypto pool still varies with it, the event order must not. Wired into `make detsmoke`.
 func TestShardedScalingCrossGOMAXPROCSDeterminism(t *testing.T) {
 	seen := map[int]bool{}
 	for _, procs := range []int{1, 2, runtime.NumCPU()} {
