@@ -30,10 +30,14 @@ benchtest:
 # detsmoke runs the seeded cross-GOMAXPROCS (1, 2, NumCPU) determinism
 # checks for the parallel crypto pool (sender recovery of a block mixing
 # cached, uncached and forged transactions), the workload signing pipeline,
-# ApplyBlock (fuzz traffic pinned to a digest, the chaos cell), batch
-# selection against its first implementation, and the sharded universe
-# (16-chain policy-on scaling cell, pinned to a digest): bit-identical
-# results at every worker count. It pins signing to RFC 6979's known answer
+# ApplyBlock (fuzz traffic pinned to a digest), batch selection against its
+# first implementation, and the sharded universe (16-chain policy-on scaling
+# cell, pinned to a digest): bit-identical results at every worker count.
+# The fault-heavy cells are pinned to digests too — the chaos and Byzantine
+# Move cells, and a ten-validator cluster under drops, duplicates, reorders,
+# tampering, a partition, a crash-restart and an equivocator — so a change to
+# the consensus or WAN hot paths that moves one simulated event fails here.
+# It pins signing to RFC 6979's known answer
 # (a signature is a pure function of key and digest) and a state commit that
 # never waits on the crypto pool, and it also holds the Move-cost pins:
 # consensus vote tables bounded by the current height and allocation-free, a
@@ -54,8 +58,8 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestSignRFC6979KnownAnswer TestRecoverSendersMixedBlockMatchesSerial \
 	TestApplyBlockParallelDeterminism TestApplyBlockFuzzTraffic \
 	TestNextBatchPreservesFIFO TestKittiesReplayCrossGOMAXPROCSDeterminism \
-	TestChaosCellCrossGOMAXPROCS TestBackendConformanceDifferential \
-	TestShardedScalingCrossGOMAXPROCSDeterminism
+	TestChaosCellCrossGOMAXPROCS TestByzantineDeterminism TestFaultyClusterDigest \
+	TestBackendConformanceDifferential TestShardedScalingCrossGOMAXPROCSDeterminism
 DETSMOKE_PKGS = ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -54,12 +56,19 @@ func TestByzantineCellInvariants(t *testing.T) {
 	}
 }
 
+// byzantineCellDigest is the sha256 of the two-Move Byzantine cell's
+// fingerprint, computed at commit 95d553f. The cell drives every fault path
+// of the consensus WAN at once: drops, duplicates, tampered proposals and
+// votes, and an equivocating validator's evidence.
+const byzantineCellDigest = "02ea980fcb51ad45234c887da17c4b1b4aaf4304da81efc41adf914c78866f48"
+
 // TestByzantineDeterminism is the determinism contract under active
 // corruption: the same seed must produce byte-identical latencies, final
 // state roots, and fault counters at GOMAXPROCS 1, 2, and the host's CPU
-// count, with the observability layer on or off. Corruption decisions and
-// tamper bytes all come from seeded RNGs keyed by event index, so any
-// divergence means a fault drew from a nondeterministic source.
+// count, with the observability layer on or off — and that fingerprint must
+// hash to byzantineCellDigest. Corruption decisions and tamper bytes all
+// come from seeded RNGs keyed by event index, so any divergence means a
+// fault drew from a nondeterministic source. Wired into `make detsmoke`.
 func TestByzantineDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-GOMAXPROCS byzantine runs are slow in -short mode")
@@ -80,5 +89,8 @@ func TestByzantineDeterminism(t *testing.T) {
 			t.Fatalf("GOMAXPROCS=%d: results diverged from GOMAXPROCS=%d\nbase:\n%sgot:\n%s",
 				p, procs[0], baseline, off)
 		}
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(baseline))); got != byzantineCellDigest {
+		t.Fatalf("fingerprint digest %s, want %s:\n%s", got, byzantineCellDigest, baseline)
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"sort"
@@ -69,11 +70,16 @@ func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 	}
 }
 
+// chaosCellDigest is the sha256 of the chaos cell's fingerprint (metrics
+// on, no trace), computed at commit 95d553f.
+const chaosCellDigest = "0812c3dba8bd794d1103ca3524445b21f11a77b2ff942858c127b070ad50ea90"
+
 // TestChaosCellCrossGOMAXPROCS is the chaos cell of the determinism suite:
 // the full fault-injected Move scenario (20% drops, 20% duplicates on every
 // path) must produce identical simulated results on one CPU and on all of
 // them — sender pre-recovery and the harness fan out across the worker
-// pool; what they compute may not depend on it.
+// pool; what they compute may not depend on it — and those results must
+// hash to chaosCellDigest.
 func TestChaosCellCrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-GOMAXPROCS chaos runs are slow in -short mode")
@@ -86,6 +92,9 @@ func TestChaosCellCrossGOMAXPROCS(t *testing.T) {
 	if serial != parallel {
 		t.Fatalf("GOMAXPROCS changed simulated chaos results\none CPU:\n%sall CPUs:\n%s",
 			serial, parallel)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(serial))); got != chaosCellDigest {
+		t.Fatalf("fingerprint digest %s, want %s:\n%s", got, chaosCellDigest, serial)
 	}
 }
 

@@ -135,25 +135,45 @@ func (s *HeaderStore) TrustedStateRoot(chain hashing.ChainID, height uint64) (ha
 	if err != nil {
 		return hashing.Hash{}, err
 	}
-	rootHeight := height
-	if p.LaggingStateRoot {
-		rootHeight = height + 1
-	}
-	h, ok := s.headers[chain][rootHeight]
-	if !ok {
+	h, rootHeight, confirmed := s.rootHeader(p, height)
+	if h == nil {
 		return hashing.Hash{}, fmt.Errorf("%w: %s height %d", ErrNoHeader, chain, rootHeight)
 	}
-	if head := s.heads[chain]; head < rootHeight+p.ConfirmationDepth {
+	if !confirmed {
+		// Update stores headers above the head it is given, so the header
+		// may be above the head: it is then 0 deep.
+		var depth uint64
+		if head := s.heads[chain]; head > rootHeight {
+			depth = head - rootHeight
+		}
 		return hashing.Hash{}, fmt.Errorf("%w: %s height %d is %d deep, need %d",
-			ErrNotConfirmed, chain, rootHeight, head-rootHeight, p.ConfirmationDepth)
+			ErrNotConfirmed, chain, rootHeight, depth, p.ConfirmationDepth)
 	}
 	return h.StateRoot, nil
 }
 
 // ConfirmedAt reports whether a proof against the given height would pass
 // the depth check right now — the relayer uses this to time Move2
-// submission.
+// submission, polling it through the p-block wait, so it decides without
+// building TrustedStateRoot's error.
 func (s *HeaderStore) ConfirmedAt(chain hashing.ChainID, height uint64) bool {
-	_, err := s.TrustedStateRoot(chain, height)
-	return err == nil
+	p, ok := s.params[chain]
+	if !ok {
+		return false
+	}
+	h, _, confirmed := s.rootHeader(p, height)
+	return h != nil && confirmed
+}
+
+// rootHeader is the depth check TrustedStateRoot and ConfirmedAt share. It
+// returns the stored header carrying the state root of height (nil if there
+// is none), that header's height — height+1 on a lagging chain — and
+// whether the peer's known head is at least p blocks above it.
+func (s *HeaderStore) rootHeader(p ChainParams, height uint64) (h *types.Header, rootHeight uint64, confirmed bool) {
+	rootHeight = height
+	if p.LaggingStateRoot {
+		rootHeight = height + 1
+	}
+	confirmed = s.heads[p.ID] >= rootHeight+p.ConfirmationDepth
+	return s.headers[p.ID][rootHeight], rootHeight, confirmed
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"scmove/internal/evm"
@@ -336,6 +337,60 @@ func TestHeaderStoreReorgOverwrite(t *testing.T) {
 	}
 	if root != h2.StateRoot {
 		t.Fatal("reorged header must win")
+	}
+}
+
+// TestHeaderStoreDepthOfHeaderAboveHead: Update stores headers above the
+// head it is given, so a header can sit higher than the chain's known head.
+// Its depth is then 0, not head-height wrapped around 2^64.
+func TestHeaderStoreDepthOfHeaderAboveHead(t *testing.T) {
+	hs := NewHeaderStore(paramsA(), paramsB())
+	if err := hs.Update(chainA, []*types.Header{{ChainID: chainA, Height: 8}}, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := hs.Update(chainB, []*types.Header{{ChainID: chainB, Height: 4}}, 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		chain  hashing.ChainID
+		height uint64
+		want   string
+	}{
+		{chainA, 8, "height 8 is 0 deep, need 6"},
+		{chainB, 3, "height 4 is 0 deep, need 2"}, // lagging: root of 3 is in header 4
+	} {
+		_, err := hs.TrustedStateRoot(c.chain, c.height)
+		if !errors.Is(err, ErrNotConfirmed) || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s height %d: err = %v, want ErrNotConfirmed saying %q", c.chain, c.height, err, c.want)
+		}
+	}
+}
+
+// TestConfirmedAtAgreesWithTrustedStateRoot holds ConfirmedAt, which decides
+// without building an error, to TrustedStateRoot's verdict on every height
+// around the stored ones as the head advances, on a plain and a lagging
+// chain.
+func TestConfirmedAtAgreesWithTrustedStateRoot(t *testing.T) {
+	hs := NewHeaderStore(paramsA(), paramsB())
+	for _, chain := range []hashing.ChainID{chainA, chainB} {
+		var headers []*types.Header
+		for h := uint64(3); h <= 9; h++ {
+			headers = append(headers, &types.Header{ChainID: chain, Height: h})
+		}
+		for head := uint64(0); head <= 20; head++ {
+			if err := hs.Update(chain, headers, head); err != nil {
+				t.Fatal(err)
+			}
+			for h := uint64(0); h <= 12; h++ {
+				_, err := hs.TrustedStateRoot(chain, h)
+				if got := hs.ConfirmedAt(chain, h); got != (err == nil) {
+					t.Fatalf("%s head %d height %d: ConfirmedAt = %v, TrustedStateRoot err = %v", chain, head, h, got, err)
+				}
+			}
+		}
+	}
+	if hs.ConfirmedAt(hashing.ChainID(42), 0) {
+		t.Fatal("an unknown chain confirms nothing")
 	}
 }
 

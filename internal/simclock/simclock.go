@@ -20,8 +20,11 @@ import (
 // through Realtime.Post.
 //
 // The event queue is a hand-rolled binary heap over event values (not
-// pointers), so scheduling an event allocates nothing beyond amortized
-// slice growth — the scheduler sits on every hot path of the simulator.
+// pointers), so the queue allocates nothing beyond amortized slice growth —
+// the scheduler sits on every hot path of the simulator. The func a caller
+// hands in is the caller's cost: a closure literal capturing variables
+// allocates at every call. Hot callers schedule a func value bound once
+// instead, as simnet does with a pooled record per WAN message.
 type Scheduler struct {
 	now    time.Duration
 	queue  []event

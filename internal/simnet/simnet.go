@@ -119,10 +119,19 @@ type Network struct {
 	cfg   Config
 	rng   *rand.Rand
 
-	nodes      map[NodeID]*nodeInfo
+	nodes map[NodeID]*nodeInfo
+	// down, cut and linkFaults hold only what is in effect — reviving a
+	// node or healing a link deletes its entry — so Send skips each lookup
+	// while its map is empty, as it is outside chaos, byzantine and
+	// partition runs.
 	down       map[NodeID]bool
 	cut        map[[2]NodeID]bool
 	linkFaults map[[2]NodeID]LinkFaults
+
+	// free holds the delivery records not in flight. A record returns to it
+	// as its delivery starts, so it never holds more than the in-flight
+	// high-water mark.
+	free []*delivery
 
 	delivered  uint64
 	dropped    uint64
@@ -143,6 +152,52 @@ type Network struct {
 type nodeInfo struct {
 	region  Region
 	handler Handler
+}
+
+// delivery is one WAN message copy in flight. Its run func, bound when the
+// record is first allocated, is what the scheduler calls, so a delivery
+// costs no closure: consensus sends ≈ 2 000 of them per Move.
+type delivery struct {
+	net      *Network
+	from, to NodeID
+	dst      *nodeInfo
+	msg      any
+	run      func()
+}
+
+// newDelivery takes a record off the free list, or allocates one when every
+// record is in flight.
+func (n *Network) newDelivery(from, to NodeID, dst *nodeInfo, msg any) *delivery {
+	var d *delivery
+	if k := len(n.free); k > 0 {
+		d = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		d = &delivery{net: n}
+		d.run = d.deliver
+	}
+	d.from, d.to, d.dst, d.msg = from, to, dst, msg
+	return d
+}
+
+// deliver hands the message to its receiver. The record goes back on the
+// free list before the handler runs, because handlers send.
+func (d *delivery) deliver() {
+	n, from, to, dst, msg := d.net, d.from, d.to, d.dst, d.msg
+	d.dst, d.msg = nil, nil
+	n.free = append(n.free, d)
+	if n.reg.Enabled() {
+		n.reg.AddGauge(n.gInflight, -1)
+	}
+	// Down-state and handler are read at delivery time, so a crash or a
+	// re-registration while the message is in flight takes effect (Register
+	// updates a known node's record in place).
+	if len(n.down) > 0 && n.down[to] {
+		count(n.shared.dropped, &n.dropped)
+		return
+	}
+	count(n.shared.delivered, &n.delivered)
+	dst.handler(from, msg)
 }
 
 // New returns an empty network on the given scheduler. A universe with
@@ -189,6 +244,10 @@ func (n *Network) Register(id NodeID, region Region, h Handler) error {
 	if h == nil {
 		return fmt.Errorf("simnet: nil handler for node %d", id)
 	}
+	if info, ok := n.nodes[id]; ok {
+		info.region, info.handler = region, h
+		return nil
+	}
 	n.nodes[id] = &nodeInfo{region: region, handler: h}
 	return nil
 }
@@ -204,13 +263,15 @@ func (n *Network) Send(from, to NodeID, payload any) {
 		count(n.shared.dropped, &n.dropped)
 		return
 	}
-	if n.down[from] || n.cut[linkKey(from, to)] {
+	if len(n.down) > 0 && n.down[from] || len(n.cut) > 0 && n.cut[linkKey(from, to)] {
 		count(n.shared.dropped, &n.dropped)
 		return
 	}
 	faults := n.cfg.faults()
-	if override, ok := n.linkFaults[linkKey(from, to)]; ok {
-		faults = override
+	if len(n.linkFaults) > 0 {
+		if override, ok := n.linkFaults[linkKey(from, to)]; ok {
+			faults = override
+		}
 	}
 	if faults.DropRate > 0 && n.rng.Float64() < faults.DropRate {
 		count(n.shared.dropped, &n.dropped)
@@ -256,42 +317,29 @@ func (n *Network) Send(from, to NodeID, payload any) {
 			n.reg.AddGauge(n.gInflight, 1)
 			n.reg.MaxGauge(n.gPeak, n.reg.Gauge(n.gInflight))
 		}
-		n.sched.After(delay, func() {
-			if n.reg.Enabled() {
-				n.reg.AddGauge(n.gInflight, -1)
-			}
-			// Down-state and handler are re-checked at delivery time so crashes
-			// that happen while the message is in flight take effect.
-			info, ok := n.nodes[to]
-			if !ok || n.down[to] {
-				count(n.shared.dropped, &n.dropped)
-				return
-			}
-			count(n.shared.delivered, &n.delivered)
-			info.handler(from, msg)
-		})
-	}
-}
-
-// Broadcast sends payload from one node to every other registered node.
-func (n *Network) Broadcast(from NodeID, payload any) {
-	for id := range n.nodes {
-		if id != from {
-			n.Send(from, id, payload)
-		}
+		n.sched.After(delay, n.newDelivery(from, to, dst, msg).run)
 	}
 }
 
 // SetNodeDown crashes or revives a node; a down node neither sends nor
 // receives.
 func (n *Network) SetNodeDown(id NodeID, down bool) {
-	n.down[id] = down
+	if down {
+		n.down[id] = true
+	} else {
+		delete(n.down, id)
+	}
 }
 
 // SetLinkCut severs or restores the (bidirectional) link between two nodes.
 func (n *Network) SetLinkCut(a, b NodeID, cut bool) {
-	n.cut[linkKey(a, b)] = cut
-	n.cut[linkKey(b, a)] = cut
+	if cut {
+		n.cut[linkKey(a, b)] = true
+		n.cut[linkKey(b, a)] = true
+	} else {
+		delete(n.cut, linkKey(a, b))
+		delete(n.cut, linkKey(b, a))
+	}
 }
 
 // SetLinkFaults overrides the fault configuration of the (bidirectional)

@@ -56,18 +56,6 @@ func TestLatencyMatrixSymmetricAndPositive(t *testing.T) {
 	}
 }
 
-func TestBroadcastReachesAllButSender(t *testing.T) {
-	sched, net, boxes := setup(t, Config{})
-	net.Broadcast(1, "b")
-	sched.Run()
-	if len(boxes[1].msgs) != 0 {
-		t.Fatal("sender must not receive its own broadcast")
-	}
-	if len(boxes[2].msgs) != 1 || len(boxes[3].msgs) != 1 {
-		t.Fatal("all other nodes must receive the broadcast")
-	}
-}
-
 func TestUnknownNodesDrop(t *testing.T) {
 	sched, net, _ := setup(t, Config{})
 	net.Send(1, 99, "x")

@@ -15,6 +15,7 @@ package tendermint
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"scmove/internal/hashing"
@@ -170,14 +171,7 @@ func NewCluster(sched *simclock.Scheduler, net simnet.Transport, app App,
 	c := &Cluster{cfg: cfg, sched: sched, net: net, app: app}
 	c.validators = make([]*Validator, len(ids))
 	for i, id := range ids {
-		v := &Validator{
-			cluster: c,
-			id:      id,
-			index:   i,
-			n:       len(ids),
-			seen:    make(map[slotKey]seenRec),
-			tally:   make(map[tallyKey]int),
-		}
+		v := &Validator{cluster: c, id: id, index: i, n: len(ids)}
 		c.validators[i] = v
 		if err := net.Register(id, regions[i], func(from simnet.NodeID, payload any) {
 			v.handle(payload)
@@ -276,31 +270,70 @@ type msgVote struct {
 	From        int
 }
 
-// slotKey identifies, within the validator's current height, the slot a
-// sender may speak in exactly once: one proposal (kind 0) or one vote of
-// each kind per (round, sender).
-type slotKey struct {
-	kind  voteKind
+// roundVotes holds one round's share of a validator's vote tables at the
+// current height.
+type roundVotes struct {
 	round int
-	from  int
+	// seen has, per kind (0 = proposal, then votePrevote, votePrecommit) and
+	// per sender, the slot that sender may speak in exactly once.
+	seen [3][]slot
+	// tally has, per vote kind, the vote sets of this round (proposals are
+	// not tallied: tally[0] stays empty). A set is a count: seen admits each
+	// sender's slot once, so every admitted first delivery is a distinct
+	// voter, and a kind holds at most n hashes.
+	tally [3][]hashCount
 }
 
-// seenRec remembers the first message hash seen in a slot; reported
-// ensures each conflicting slot is converted to evidence at most once per
-// detector, so a flood of conflicting copies cannot grow evidence
-// unboundedly.
-type seenRec struct {
-	hash     hashing.Hash
-	reported bool
+// slot remembers the first message hash seen in it; reported ensures each
+// conflicting slot is converted to evidence at most once per detector, so a
+// flood of conflicting copies cannot grow evidence unboundedly.
+type slot struct {
+	hash           hashing.Hash
+	used, reported bool
 }
 
-// tallyKey identifies one vote set of the current height. The set itself is
-// a count: seen admits each sender's slot once, so every admitted first
-// delivery is a distinct voter.
-type tallyKey struct {
-	kind  voteKind
-	round int
+type hashCount struct {
 	hash  hashing.Hash
+	count int
+}
+
+// open readies rv for round: empty slots, no vote sets. A record that held
+// an earlier round keeps its storage; a new one gets 3n slots and room for
+// 2n vote sets in one allocation each.
+func (rv *roundVotes) open(round, n int) {
+	rv.round = round
+	if rv.seen[0] == nil {
+		slots := make([]slot, 3*n)
+		counts := make([]hashCount, 2*n)
+		for k := range rv.seen {
+			rv.seen[k] = slots[k*n : (k+1)*n : (k+1)*n]
+		}
+		rv.tally[votePrevote] = counts[:0:n]
+		rv.tally[votePrecommit] = counts[n : n : 2*n]
+		return
+	}
+	for k := range rv.seen {
+		clear(rv.seen[k])
+		rv.tally[k] = rv.tally[k][:0]
+	}
+}
+
+// count returns the size of kind's vote set for h, first adding the voter
+// whose first delivery this is.
+func (rv *roundVotes) count(kind voteKind, h hashing.Hash, first bool) int {
+	sets := rv.tally[kind]
+	i := 0
+	for i < len(sets) && sets[i].hash != h {
+		i++
+	}
+	if i == len(sets) {
+		sets = append(sets, hashCount{hash: h})
+		rv.tally[kind] = sets
+	}
+	if first {
+		sets[i].count++
+	}
+	return sets[i].count
 }
 
 // Validator is one consensus participant.
@@ -320,46 +353,60 @@ type Validator struct {
 	precommitted bool
 	decided      bool
 
-	// seen and tally hold the current height only. onProposal and onVote
+	// votes holds the vote tables of the current height, one entry per
+	// round a message was admitted in — usually one. onProposal and onVote
 	// drop every message of another height before consulting them (future
-	// heights wait in pending), so startHeight resets both: they are bounded
-	// by n senders x the rounds of one height, not by chain history.
-	seen    map[slotKey]seenRec
-	tally   map[tallyKey]int
+	// heights wait in pending), so startHeight truncates votes, keeping each
+	// entry's storage for the next height: the tables hold 3n slots per
+	// round seen at this height, nothing of chain history.
+	votes   []roundVotes
 	pending []any // messages for heights/rounds not yet started
 	byz     ByzantineBehavior
+}
+
+// roundVotes returns the tables of round at the current height, opening
+// them on first use.
+func (v *Validator) roundVotes(round int) *roundVotes {
+	for i := range v.votes {
+		if v.votes[i].round == round {
+			return &v.votes[i]
+		}
+	}
+	v.votes = slices.Grow(v.votes, 1)[:len(v.votes)+1]
+	rv := &v.votes[len(v.votes)-1]
+	rv.open(round, v.n)
+	return rv
 }
 
 // noteFirstSeen enforces one-message-per-slot at the current height: the
 // first hash in a slot is remembered, identical re-deliveries (network
 // duplicates) pass, and a conflicting hash records equivocation evidence
-// and is rejected. first reports the delivery that opened the slot.
-func (v *Validator) noteFirstSeen(key slotKey, h hashing.Hash) (ok, first bool) {
-	rec, known := v.seen[key]
-	if !known {
-		v.seen[key] = seenRec{hash: h}
+// and is rejected. first reports the delivery that opened the slot. from
+// must be a validator index.
+func (v *Validator) noteFirstSeen(rv *roundVotes, kind voteKind, from int, h hashing.Hash) (ok, first bool) {
+	s := &rv.seen[kind][from]
+	if !s.used {
+		*s = slot{hash: h, used: true}
 		return true, true
 	}
-	if rec.hash == h {
+	if s.hash == h {
 		return true, false
 	}
-	if !rec.reported {
-		rec.reported = true
-		v.seen[key] = rec
+	if !s.reported {
+		s.reported = true
 		v.cluster.noteEquivocation(Evidence{
-			Proposal: key.kind == 0, Kind: key.kind,
-			Height: v.height, Round: key.round,
-			From: key.from, Detector: v.index,
+			Proposal: kind == 0, Kind: kind,
+			Height: v.height, Round: rv.round,
+			From: from, Detector: v.index,
 		})
 	}
 	return false, false
 }
 
 // resetVotes empties the per-height tables, keeping their storage: the next
-// height's votes land in the buckets this one grew.
+// height's votes land in the slots this one opened.
 func (v *Validator) resetVotes() {
-	clear(v.seen)
-	clear(v.tally)
+	v.votes = v.votes[:0]
 }
 
 // proposerIndex implements round-robin proposer rotation.
@@ -515,7 +562,7 @@ func (v *Validator) onProposal(msg msgProposal) {
 		return
 	}
 	h := v.cluster.payloadHash(msg.Payload)
-	if ok, _ := v.noteFirstSeen(slotKey{round: msg.Round, from: msg.From}, h); !ok {
+	if ok, _ := v.noteFirstSeen(v.roundVotes(msg.Round), 0, msg.From, h); !ok {
 		return
 	}
 	if v.hasProposal {
@@ -537,7 +584,7 @@ func (v *Validator) onVote(msg msgVote) {
 	if msg.Height != v.height {
 		return
 	}
-	if msg.From < 0 || msg.From >= v.n {
+	if msg.From < 0 || msg.From >= v.n || (msg.Kind != votePrevote && msg.Kind != votePrecommit) {
 		v.cluster.badVoter.Inc()
 		return
 	}
@@ -545,18 +592,14 @@ func (v *Validator) onVote(msg msgVote) {
 	// double-vote is recorded as equivocation evidence and excluded from
 	// quorum counting, so a Byzantine voter cannot help two different
 	// payloads toward quorum in the same round.
-	ok, first := v.noteFirstSeen(slotKey{kind: msg.Kind, round: msg.Round, from: msg.From}, msg.PayloadHash)
+	rv := v.roundVotes(msg.Round)
+	ok, first := v.noteFirstSeen(rv, msg.Kind, msg.From, msg.PayloadHash)
 	if !ok {
 		return
 	}
-	key := tallyKey{kind: msg.Kind, round: msg.Round, hash: msg.PayloadHash}
-	votes := v.tally[key]
-	if first {
-		votes++
-		v.tally[key] = votes
-	}
 	// A duplicate re-evaluates the quorum too: the proposal may have arrived
 	// after the vote that completed it.
+	votes := rv.count(msg.Kind, msg.PayloadHash, first)
 	quorum := v.cluster.Quorum()
 
 	switch msg.Kind {

@@ -1,11 +1,14 @@
 package tendermint
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"scmove/internal/hashing"
+	"scmove/internal/metrics"
 	"scmove/internal/simclock"
 	"scmove/internal/simnet"
 )
@@ -249,24 +252,153 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// faultyClusterDigest is the sha256 of faultyClusterFingerprint, computed at
+// commit 95d553f.
+const faultyClusterDigest = "0036b8917bf495a8f9f7ab4ef0a2614733bcd9b029b6ab5674e79878493fd321"
+
+// faultyClusterFingerprint runs ten validators for fifteen simulated minutes
+// under every fault the network and the cluster inject — drops, duplicates,
+// reordering, tampered proposals and votes, a lossy per-link override, a
+// partition that halts the cluster until it heals, a crash-restart, and a
+// validator equivocating both proposals and votes — and reduces the run to
+// its commits, the evidence in detection order, where each validator stands
+// and the network's fault counts.
+func faultyClusterFingerprint(t *testing.T) (string, *Cluster, *simnet.Network) {
+	t.Helper()
+	sched := simclock.New()
+	net := simnet.New(sched, simnet.Config{
+		Seed: 7, JitterFrac: 0.1, DropRate: 0.1, DupRate: 0.2,
+		ReorderFrac: 0.1, MaxReorderDelay: 300 * time.Millisecond,
+		CorruptRate: 0.05, Tamper: WireTamper(),
+	})
+	app := newRecordingApp()
+	app.now = sched.Now
+	const n = 10
+	ids := make([]simnet.NodeID, n)
+	regions := make([]simnet.Region, n)
+	for i := range ids {
+		ids[i] = simnet.NodeID(i + 1)
+		regions[i] = simnet.Region(i % simnet.RegionCount)
+	}
+	cluster, err := NewCluster(sched, net, app, DefaultConfig(), ids, regions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.SetByzantine(3, ByzantineBehavior{EquivocateProposals: true, EquivocateVotes: true})
+	cluster.ScheduleCrashRestart(5, 40*time.Second, 100*time.Second)
+	net.SetLinkFaults(ids[7], ids[8], simnet.LinkFaults{DropRate: 0.5, JitterFrac: 0.3})
+	net.SchedulePartition(3*time.Minute, 4*time.Minute, ids[:4]...)
+	cluster.Start()
+	sched.RunUntil(15 * time.Minute)
+
+	var sb strings.Builder
+	for _, h := range app.order {
+		sum := hashing.Sum(app.commits[h])
+		fmt.Fprintf(&sb, "commit %d at %d: %x\n", h, int64(app.times[h]), sum[:])
+	}
+	for _, ev := range cluster.Evidence() {
+		fmt.Fprintf(&sb, "evidence %+v\n", ev)
+	}
+	for _, v := range cluster.validators {
+		fmt.Fprintf(&sb, "validator %d: height %d round %d\n", v.index, v.height, v.round)
+	}
+	fmt.Fprintf(&sb, "wan %+v\n", net.FaultStats())
+	return sb.String(), cluster, net
+}
+
+// TestFaultyClusterDigest pins the vote tables, the evidence rules and every
+// fault path of the simulated WAN at once: the faulty run must exercise each
+// of them and its fingerprint must hash to faultyClusterDigest. Wired into
+// `make detsmoke`.
+func TestFaultyClusterDigest(t *testing.T) {
+	fp, cluster, net := faultyClusterFingerprint(t)
+	var proposals, votes int
+	for _, ev := range cluster.Evidence() {
+		if ev.Proposal {
+			proposals++
+		} else {
+			votes++
+		}
+	}
+	s := net.FaultStats()
+	if cluster.CommittedHeight() < 20 || proposals == 0 || votes == 0 ||
+		s.Dropped == 0 || s.Duplicated == 0 || s.Reordered == 0 || s.Corrupted == 0 {
+		t.Fatalf("the run left a fault path unexercised: height %d, evidence %d proposal / %d vote, wan %+v",
+			cluster.CommittedHeight(), proposals, votes, s)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp))); got != faultyClusterDigest {
+		t.Fatalf("fingerprint digest %s, want %s:\n%.2000s", got, faultyClusterDigest, fp)
+	}
+}
+
 // TestVoteTablesBoundedByCurrentHeight runs a long chain with an
 // equivocating voter and a crashed proposer (so some heights take extra
 // rounds) and requires every validator's vote tables to hold the current
-// height only: per round at most one proposal slot and two vote slots per
-// sender, and no more vote sets than vote slots.
+// height only: no more rounds than the validator has seen at its height —
+// its own, and those of the messages the network delivered to it — each
+// round 3n slots (a proposal and two votes per sender), and per vote kind
+// one vote set per distinct hash whose counts sum to the slots opened.
 func TestVoteTablesBoundedByCurrentHeight(t *testing.T) {
 	const n = 7
-	sched, cluster, _ := newCluster(t, n)
+	sched := simclock.New()
+	log := &roundLog{
+		Transport: simnet.New(sched, simnet.Config{Seed: 1, JitterFrac: 0.1}),
+		seen:      make(map[simnet.NodeID]map[[2]uint64]bool),
+	}
+	ids := make([]simnet.NodeID, n)
+	regions := make([]simnet.Region, n)
+	for i := range ids {
+		ids[i] = simnet.NodeID(i + 1)
+		regions[i] = simnet.Region(i % simnet.RegionCount)
+	}
+	cluster, err := NewCluster(sched, log, newRecordingApp(), DefaultConfig(), ids, regions)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cluster.SetByzantine(2, ByzantineBehavior{EquivocateVotes: true})
 	cluster.CrashValidator(5)
 	cluster.Start()
 	check := func() {
 		t.Helper()
 		for _, v := range cluster.validators {
-			perRound := 2*n + 1
-			if limit := (v.round + 1) * perRound; len(v.seen) > limit || len(v.tally) > limit {
-				t.Fatalf("validator %d at height %d round %d: %d slots, %d vote sets, want <= %d each",
-					v.index, v.height, v.round, len(v.seen), len(v.tally), limit)
+			seen := v.round + 1
+			for hr := range log.seen[v.id] {
+				if hr[0] == v.height && int(hr[1]) > v.round {
+					seen++
+				}
+			}
+			if len(v.votes) > seen {
+				t.Fatalf("validator %d at height %d round %d holds %d rounds, has seen %d",
+					v.index, v.height, v.round, len(v.votes), seen)
+			}
+			for i, rv := range v.votes {
+				opened := [3]int{}
+				for k := range rv.seen {
+					if len(rv.seen[k]) != n {
+						t.Fatalf("validator %d round %d: %d slots of kind %d, want %d", v.index, rv.round, len(rv.seen[k]), k, n)
+					}
+					for _, s := range rv.seen[k] {
+						if s.used {
+							opened[k]++
+						}
+					}
+					counted := 0
+					for _, set := range rv.tally[k] {
+						counted += set.count
+					}
+					if k > 0 && counted != opened[k] || len(rv.tally[k]) > n {
+						t.Fatalf("validator %d round %d kind %d: %d vote sets counting %d voters, %d slots opened",
+							v.index, rv.round, k, len(rv.tally[k]), counted, opened[k])
+					}
+				}
+				if opened == [3]int{} {
+					t.Fatalf("validator %d holds round %d with no slot opened", v.index, rv.round)
+				}
+				for _, other := range v.votes[:i] {
+					if other.round == rv.round {
+						t.Fatalf("validator %d holds round %d twice", v.index, rv.round)
+					}
+				}
 			}
 		}
 	}
@@ -280,6 +412,27 @@ func TestVoteTablesBoundedByCurrentHeight(t *testing.T) {
 	if len(cluster.Evidence()) == 0 {
 		t.Fatal("the equivocating voter left no evidence: the run exercised nothing")
 	}
+}
+
+// roundLog is a transport that records, per receiving node, the (height,
+// round) of every consensus message delivered to it.
+type roundLog struct {
+	simnet.Transport
+	seen map[simnet.NodeID]map[[2]uint64]bool
+}
+
+func (l *roundLog) Register(id simnet.NodeID, region simnet.Region, h simnet.Handler) error {
+	seen := make(map[[2]uint64]bool)
+	l.seen[id] = seen
+	return l.Transport.Register(id, region, func(from simnet.NodeID, payload any) {
+		switch msg := payload.(type) {
+		case msgProposal:
+			seen[[2]uint64{msg.Height, uint64(msg.Round)}] = true
+		case msgVote:
+			seen[[2]uint64{msg.Height, uint64(msg.Round)}] = true
+		}
+		h(from, payload)
+	})
 }
 
 // TestOnVoteSteadyStateZeroAllocs pins the per-height tables' cost: once
@@ -306,6 +459,26 @@ func TestOnVoteSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state onVote allocates %.1f times per height", allocs)
+	}
+}
+
+// TestOnVoteRejectsUnknownKind: a vote whose kind is neither prevote nor
+// precommit counts as a bad voter and touches no table — a kind-0 vote in
+// particular cannot take its sender's proposal slot.
+func TestOnVoteRejectsUnknownKind(t *testing.T) {
+	_, cluster, _ := newCluster(t, 4)
+	counters := metrics.NewCounters()
+	cluster.Observe(counters)
+	v := cluster.validators[0]
+	v.height = 1
+	for _, kind := range []voteKind{0, votePrecommit + 1, 255} {
+		v.onVote(msgVote{Kind: kind, Height: 1, PayloadHash: [32]byte{1}, From: 1})
+	}
+	if got := counters.Get("byzantine.badvoter"); got != 3 {
+		t.Fatalf("badvoter = %d, want 3", got)
+	}
+	if len(v.votes) != 0 || len(cluster.Evidence()) != 0 {
+		t.Fatalf("unknown kinds opened %d rounds and left %d evidence", len(v.votes), len(cluster.Evidence()))
 	}
 }
 
