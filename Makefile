@@ -45,7 +45,10 @@ benchtest:
 # without the slots deleted abroad, and the bulk tree constructors every Move
 # and every rebuild goes through — indistinguishable from a Set loop (root,
 # proofs, later writes), refusing runs that are not strictly ascending, and
-# constant in allocations.
+# constant in allocations. A Move2 prepared at pool admission, off the event
+# loop, must apply exactly as one computed at apply (receipts, gas, error
+# text, roots; MPT ↔ IAVL and IAVL → IAVL), and the preparation itself must
+# fail and install exactly as VerifyMove2 and ApplyMove2 do.
 #
 # `go test -run 'A|B'` passes when a name matches nothing, so the target
 # first checks every listed name against `go test -list`: a test that is
@@ -59,7 +62,8 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestApplyBlockParallelDeterminism TestApplyBlockFuzzTraffic \
 	TestNextBatchPreservesFIFO TestKittiesReplayCrossGOMAXPROCSDeterminism \
 	TestChaosCellCrossGOMAXPROCS TestByzantineDeterminism TestFaultyClusterDigest \
-	TestBackendConformanceDifferential TestShardedScalingCrossGOMAXPROCSDeterminism
+	TestBackendConformanceDifferential TestShardedScalingCrossGOMAXPROCSDeterminism \
+	TestPreparedMove2MatchesInline TestPreparedMove2MatchesVerifyAndApply
 DETSMOKE_PKGS = ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/

@@ -1,12 +1,14 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"scmove/internal/codec"
 	"scmove/internal/core"
 	"scmove/internal/evm"
 	"scmove/internal/evm/asm"
@@ -45,7 +47,7 @@ func burrowConfig(id hashing.ChainID) Config {
 	}
 }
 
-func newChain(t *testing.T, cfg Config, peers []core.ChainParams, kp *keys.KeyPair) *Chain {
+func newChain(t testing.TB, cfg Config, peers []core.ChainParams, kp *keys.KeyPair) *Chain {
 	t.Helper()
 	hs := core.NewHeaderStore(peers...)
 	c, err := New(cfg, hs, func(db *state.DB) {
@@ -178,7 +180,7 @@ func TestBadNonceFailsWithoutFee(t *testing.T) {
 	kp := keys.Deterministic(1)
 	c := newChain(t, ethConfig(1), nil, kp)
 	tx := signedCall(t, kp, 1, 7, hashing.AddressFromBytes([]byte{1}), nil, 0)
-	rec := c.applyTx(tx, evm.BlockContext{ChainID: 1, GasLimit: 30_000_000})
+	rec := c.applyTx(tx, evm.BlockContext{ChainID: 1, GasLimit: 30_000_000}, nil)
 	if rec.Succeeded() || rec.GasUsed != 0 {
 		t.Fatalf("receipt %+v", rec)
 	}
@@ -399,6 +401,51 @@ func TestTxListRoundTrip(t *testing.T) {
 	empty, err := DecodeTxList(EncodeTxList(nil))
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty list: %v %d", err, len(empty))
+	}
+}
+
+// encodeTxListNested is EncodeTxList as it was first written — each
+// transaction encoded on its own, then copied behind its length — kept as
+// the reference the one-buffer encoder must match byte for byte.
+func encodeTxListNested(txs []*types.Transaction) []byte {
+	w := codec.NewWriter(256 * (len(txs) + 1))
+	w.WriteUvarint(uint64(len(txs)))
+	for _, tx := range txs {
+		w.WriteBytes(tx.Encode())
+	}
+	return w.Bytes()
+}
+
+// TestEncodeTxListMatchesNestedForm holds EncodeTxList to the nested form on
+// lists of calls, creates and Move2s whose lengths straddle the one-, two-
+// and three-byte length prefixes, and pins it at one allocation: the buffer
+// it returns.
+func TestEncodeTxListMatchesNestedForm(t *testing.T) {
+	kp := keys.Deterministic(1)
+	payloads, _ := lockedPayloads(t, mptSource, 2, movedContract{stopCode, 1}, movedContract{stopCode, 300})
+	var txs []*types.Transaction
+	for i, n := range []int{0, 1, 126, 127, 128, 16_383, 16_384} {
+		txs = append(txs, signedCall(t, kp, 1, uint64(i), hashing.AddressFromBytes([]byte{1}), make([]byte, n), 0))
+	}
+	create := &types.Transaction{ChainID: 1, Nonce: 9, Kind: types.TxCreate, GasLimit: 1, Data: []byte("code")}
+	if err := create.Sign(kp); err != nil {
+		t.Fatal(err)
+	}
+	txs = append(txs, create, move2Tx(t, kp, 1, 10, payloads[0]), move2Tx(t, kp, 1, 11, payloads[1]))
+	for _, list := range [][]*types.Transaction{nil, txs[:1], txs[4:5], txs} {
+		got, want := EncodeTxList(list), encodeTxListNested(list)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d txs: EncodeTxList differs from the nested form (%d vs %d bytes)", len(list), len(got), len(want))
+		}
+		if len(got) != cap(got) {
+			t.Fatalf("%d txs: buffer of capacity %d holds %d bytes", len(list), cap(got), len(got))
+		}
+	}
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under -race")
+	}
+	if a := testing.AllocsPerRun(20, func() { EncodeTxList(txs) }); a != 1 {
+		t.Fatalf("EncodeTxList allocates %.1f times, want 1", a)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"scmove/internal/hashing"
 )
@@ -38,6 +39,14 @@ func (w *Writer) Bytes() []byte { return w.buf }
 
 // Len returns the number of bytes written so far.
 func (w *Writer) Len() int { return len(w.buf) }
+
+// SizeUvarint returns the number of bytes WriteUvarint writes for v.
+func SizeUvarint(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// SizeBytes returns the number of bytes WriteBytes writes for an n-byte
+// string: the length prefix and the string. Encoders that know their size
+// up front presize one buffer with it and write each byte once.
+func SizeBytes(n int) int { return SizeUvarint(uint64(n)) + n }
 
 // WriteUvarint appends an unsigned varint.
 func (w *Writer) WriteUvarint(v uint64) {
@@ -144,6 +153,20 @@ func (r *Reader) ReadBool() bool {
 // proportional to the claim is touched. This invariant is what lets every
 // decoder built on Reader face adversarial bytes safely.
 func (r *Reader) ReadBytes() []byte {
+	b := r.ReadBytesView()
+	if r.err != nil {
+		return nil
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
+}
+
+// ReadBytesView is ReadBytes without the copy: the returned slice aliases
+// the reader's input, so it lives only as long as that input and must not
+// be written. Decoders read an enclosing body they parse further, and do
+// not keep, through it; what they keep they read with ReadBytes.
+func (r *Reader) ReadBytesView() []byte {
 	n := r.ReadUvarint()
 	if r.err != nil {
 		return nil
@@ -152,10 +175,7 @@ func (r *Reader) ReadBytes() []byte {
 		r.fail(ErrOverflow)
 		return nil
 	}
-	b := r.take(int(n))
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	return r.take(int(n))
 }
 
 // ReadBytesMax reads a length-prefixed byte string whose length must not

@@ -111,20 +111,31 @@ func TestReadBytesReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestPropertyBytesRoundTrip also holds SizeBytes to what WriteBytes writes
+// and ReadBytesView to ReadBytes, reading each string in place.
 func TestPropertyBytesRoundTrip(t *testing.T) {
 	f := func(chunks [][]byte) bool {
 		w := NewWriter(64)
 		for _, c := range chunks {
+			before := w.Len()
 			w.WriteBytes(c)
+			if w.Len()-before != SizeBytes(len(c)) {
+				return false
+			}
 		}
-		r := NewReader(w.Bytes())
+		enc := w.Bytes()
+		r, view := NewReader(enc), NewReader(enc)
 		for _, c := range chunks {
 			got := r.ReadBytes()
 			if len(got) != len(c) || (len(c) > 0 && !bytes.Equal(got, c)) {
 				return false
 			}
+			v := view.ReadBytesView()
+			if !bytes.Equal(v, c) || len(v) > 0 && &v[0] != &enc[view.off-len(v)] {
+				return false
+			}
 		}
-		return r.Finish() == nil
+		return r.Finish() == nil && view.Finish() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -135,7 +146,11 @@ func TestPropertyUvarintRoundTrip(t *testing.T) {
 	f := func(vs []uint64) bool {
 		w := NewWriter(64)
 		for _, v := range vs {
+			before := w.Len()
 			w.WriteUvarint(v)
+			if w.Len()-before != SizeUvarint(v) {
+				return false
+			}
 		}
 		r := NewReader(w.Bytes())
 		for _, v := range vs {
@@ -147,5 +162,13 @@ func TestPropertyUvarintRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	// Random draws are almost all ten bytes long; pin every length boundary.
+	var edges []uint64
+	for shift := 0; shift < 64; shift += 7 {
+		edges = append(edges, 1<<shift-1, 1<<shift)
+	}
+	if !f(append(edges, 1<<64-1)) {
+		t.Fatal("SizeUvarint disagrees with WriteUvarint at a length boundary")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -65,6 +66,7 @@ func FuzzVerifyMove2AccountProof(f *testing.F) {
 // selects the last two) — and completeness must reject any change. The
 // swap and the duplicate leave the set of slots what the source proved:
 // they are refused because a payload lists each slot once, in key order.
+// Verifying with PrepareMove2's result must give the inline verdict.
 func FuzzVerifyMove2Storage(f *testing.F) {
 	src, err := state.NewDB(chainA, trie.KindMPT)
 	if err != nil {
@@ -130,6 +132,11 @@ func FuzzVerifyMove2Storage(f *testing.F) {
 		}
 		if !mutated && err != nil {
 			t.Fatalf("unmutated payload rejected: %v", err)
+		}
+		// The prepared verdict is the inline one, error text included.
+		_, prepErr := VerifyPreparedMove2(chainB, dst, hs, &p, PrepareMove2(hs, dst.TreeKind(), &p))
+		if fmt.Sprint(prepErr) != fmt.Sprint(err) {
+			t.Fatalf("prepared verification says %v, inline %v", prepErr, err)
 		}
 	})
 }

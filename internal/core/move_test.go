@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -413,6 +414,83 @@ func TestMoveToInputRoundTrip(t *testing.T) {
 	}
 	if !IsMoveFinishInput(MoveFinishInput) || IsMoveFinishInput(input) {
 		t.Fatal("move finish recognition broken")
+	}
+}
+
+// TestPreparedMove2MatchesVerifyAndApply holds PrepareMove2 to the functions
+// it replaces on a chain: verifying with its result must fail exactly as
+// VerifyMove2 does, error text included, and installing its tree must leave
+// the state root ApplyMove2 leaves — for MPT → IAVL, IAVL → MPT and
+// IAVL → IAVL, at sizes on both sides of the two-goroutine split.
+func TestPreparedMove2MatchesVerifyAndApply(t *testing.T) {
+	kinds := map[hashing.ChainID]trie.Kind{chainA: trie.KindMPT, chainB: trie.KindIAVL, 3: trie.KindIAVL}
+	params := func(id hashing.ChainID) ChainParams {
+		return ChainParams{ID: id, TreeKind: kinds[id], ConfirmationDepth: 1}
+	}
+	for _, pair := range [][2]hashing.ChainID{{chainA, chainB}, {chainB, chainA}, {3, chainB}} {
+		for _, slots := range []int{3, splitMin - 1, splitMin + 50} {
+			src, err := state.NewDB(pair[0], kinds[pair[0]])
+			if err != nil {
+				t.Fatal(err)
+			}
+			contract := addr(0xd0)
+			src.CreateContract(contract, []byte("moved"))
+			for i := 0; i < slots; i++ {
+				src.SetStorage(contract, evm.Word{0: 1, 30: byte(i >> 8), 31: byte(i)}, word(byte(i%250+1)))
+			}
+			src.SetLocation(contract, pair[1])
+			src.SetMoveNonce(contract, 1)
+			src.Commit()
+			valid, err := BuildMoveProof(src, contract, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := NewHeaderStore(params(pair[0]))
+			publish(t, hs, params(pair[0]), 1, src.Root())
+			edit := func(f func(s []types.StorageEntry) []types.StorageEntry) *types.Move2Payload {
+				p := *valid
+				p.Storage = f(slices.Clone(valid.Storage))
+				return &p
+			}
+			payloads := []*types.Move2Payload{
+				valid,
+				edit(func(s []types.StorageEntry) []types.StorageEntry { s[1].Value = evm.Word{}; return s }),
+				edit(func(s []types.StorageEntry) []types.StorageEntry { s[0], s[1] = s[1], s[0]; return s }),
+				edit(func(s []types.StorageEntry) []types.StorageEntry { return slices.Insert(s, 1, s[1]) }),
+				edit(func(s []types.StorageEntry) []types.StorageEntry { s[2].Value[0] ^= 1; return s }),
+				edit(func(s []types.StorageEntry) []types.StorageEntry { return s[1:] }),
+				edit(func(s []types.StorageEntry) []types.StorageEntry { return nil }),
+				{Contract: contract, SourceChain: 42}, // unknown source
+			}
+			for i, p := range payloads {
+				ref, err := state.NewDB(pair[1], kinds[pair[1]])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := state.NewDB(pair[1], kinds[pair[1]])
+				if err != nil {
+					t.Fatal(err)
+				}
+				refAcct, refErr := VerifyMove2(pair[1], ref, hs, p)
+				s := PrepareMove2(hs, kinds[pair[1]], p)
+				acct, gotErr := VerifyPreparedMove2(pair[1], got, hs, p, s)
+				if fmt.Sprint(gotErr) != fmt.Sprint(refErr) {
+					t.Fatalf("%s→%s, %d slots, payload %d: prepared says %v, VerifyMove2 %v",
+						pair[0], pair[1], slots, i, gotErr, refErr)
+				}
+				if (refErr == nil) != (i == 0) {
+					t.Fatalf("%s→%s, %d slots, payload %d: VerifyMove2 says %v", pair[0], pair[1], slots, i, refErr)
+				}
+				if refErr != nil {
+					continue
+				}
+				ApplyMove2(ref, p, refAcct)
+				got.ImportAccount(p.Contract, acct, p.Code, s.Tree)
+				if g, r := got.Commit(), ref.Commit(); g != r {
+					t.Fatalf("%s→%s, %d slots: prepared install commits to %s, ApplyMove2 to %s", pair[0], pair[1], slots, g, r)
+				}
+			}
+		}
 	}
 }
 

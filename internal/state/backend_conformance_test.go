@@ -168,11 +168,17 @@ func genConformanceScript(seed int64, blocks, opsPerBlock int) confScript {
 				MoveNonce: uint64(rng.Intn(9) + 1),
 			}
 			code := []byte{0xCC, byte(rng.Intn(4))}
+			// A verified payload is a storage run: keys strictly ascending,
+			// no zero value.
 			entries := []StorageEntry{
 				{Key: slots[rng.Intn(len(slots))], Value: word(byte(rng.Intn(4) + 1))},
 				{Key: slots[rng.Intn(len(slots))], Value: word(byte(rng.Intn(4) + 1))},
 			}
-			return func(db *DB) { db.ImportAccount(addr, acct, code, entries) }
+			slices.SortFunc(entries, func(a, b StorageEntry) int { return bytes.Compare(a.Key[:], b.Key[:]) })
+			if entries[0].Key == entries[1].Key {
+				entries = entries[:1]
+			}
+			return func(db *DB) { db.ImportAccount(addr, acct, code, db.buildStorageTree(entries)) }
 		default: // snapshot, nested ops, revert — exercises the journal
 			if depth > 1 {
 				key := slots[rng.Intn(len(slots))]

@@ -888,10 +888,11 @@ type StorageEntry = evm.StorageEntry
 
 // ImportAccount installs a full account record (Move2 recreation). The
 // caller has verified proofs; this writes through the journaled path so a
-// failing transaction rolls everything back. entries become the account's
-// whole storage: a stale copy kept from an earlier residency is replaced,
-// not merged into — a slot deleted abroad must not come back to life here.
-func (db *DB) ImportAccount(addr hashing.Address, acct Account, code []byte, entries []StorageEntry) {
+// failing transaction rolls everything back. storage, a tree of the DB's
+// kind that the DB owns from here on, becomes the account's whole storage:
+// a stale copy kept from an earlier residency is replaced, not merged into
+// — a slot deleted abroad must not come back to life here.
+func (db *DB) ImportAccount(addr hashing.Address, acct Account, code []byte, storage trie.Tree) {
 	working := db.mutable(addr)
 	working.Nonce = acct.Nonce
 	working.Balance = acct.Balance
@@ -908,38 +909,7 @@ func (db *DB) ImportAccount(addr hashing.Address, acct Account, code []byte, ent
 		}
 		working.CodeHash = h
 	}
-	db.installStorage(addr, db.buildStorageTree(storageRun(entries)))
-}
-
-// storageRun returns entries as a storage tree is built from: ascending by
-// key, each key once, no zero value. A verified Move2 payload is such a run
-// already and comes back as it is. Anything else is read as the writes it
-// would be through SetStorage, in order: the last entry of a key counts,
-// and the zero word means no entry.
-func storageRun(entries []StorageEntry) []StorageEntry {
-	isRun := true
-	for i := range entries {
-		if entries[i].Value == (evm.Word{}) ||
-			i > 0 && bytes.Compare(entries[i-1].Key[:], entries[i].Key[:]) >= 0 {
-			isRun = false
-			break
-		}
-	}
-	if isRun {
-		return entries
-	}
-	sorted := slices.Clone(entries)
-	slices.SortStableFunc(sorted, func(a, b StorageEntry) int { return bytes.Compare(a.Key[:], b.Key[:]) })
-	out := sorted[:0]
-	for i, e := range sorted {
-		if i+1 < len(sorted) && sorted[i+1].Key == e.Key {
-			continue
-		}
-		if e.Value != (evm.Word{}) {
-			out = append(out, e)
-		}
-	}
-	return out
+	db.installStorage(addr, storage)
 }
 
 // PruneStale removes the storage and code reference of a contract that has

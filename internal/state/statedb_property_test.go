@@ -190,7 +190,7 @@ func TestStatePropertyRandomOpsWithSnapshots(t *testing.T) {
 					in := Account{Nonce: uint64(rng.Intn(50)), Balance: u256.FromUint64(uint64(rng.Intn(10_000))), MoveNonce: uint64(rng.Intn(5))}
 					code := []byte{byte(rng.Intn(200) + 1)}
 					entries := []StorageEntry{{Key: wordOf(), Value: word(byte(rng.Intn(7) + 1))}}
-					db.ImportAccount(a, in, code, entries)
+					db.ImportAccount(a, in, code, db.buildStorageTree(entries))
 					acct := m.get(a)
 					acct.nonce, acct.balance, acct.moveN = in.Nonce, in.Balance.Uint64(), in.MoveNonce
 					acct.code, acct.location = string(code), localChain

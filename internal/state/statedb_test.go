@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"os"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -239,7 +238,7 @@ func TestImportAccount(t *testing.T) {
 	entries := []StorageEntry{{Key: word(1), Value: word(7)}, {Key: word(2), Value: word(8)}}
 	db.ImportAccount(a, Account{
 		Nonce: 2, Balance: u256.FromUint64(99), MoveNonce: 4,
-	}, code, entries)
+	}, code, db.buildStorageTree(entries))
 
 	acct, ok := db.GetAccount(a)
 	if !ok {
@@ -259,37 +258,11 @@ func TestImportAccount(t *testing.T) {
 	}
 }
 
-// TestImportAccountReadsEntriesAsWrites: a list that is not a storage run —
-// out of order, a key twice, a zero value — imports as the SetStorage calls
-// it spells, exactly as a View imports it.
-func TestImportAccountReadsEntriesAsWrites(t *testing.T) {
-	entries := []StorageEntry{
-		{Key: word(5), Value: word(1)},
-		{Key: word(2), Value: word(2)},
-		{Key: word(5), Value: word(3)}, // overwrites the first entry
-		{Key: word(2), Value: word(0)}, // deletes slot 2 again
-		{Key: word(1), Value: word(4)},
-	}
-	imported, written := newTestDB(t), newTestDB(t)
-	imported.ImportAccount(addr(3), Account{Nonce: 1}, nil, entries)
-	written.ImportAccount(addr(3), Account{Nonce: 1}, nil, nil)
-	for _, e := range entries {
-		written.SetStorage(addr(3), e.Key, e.Value)
-	}
-	want := []StorageEntry{{Key: word(1), Value: word(4)}, {Key: word(5), Value: word(3)}}
-	if got := imported.StorageEntries(addr(3)); !slices.Equal(got, want) {
-		t.Fatalf("imported storage %v, want %v", got, want)
-	}
-	if got, want := imported.Commit(), written.Commit(); got != want {
-		t.Fatalf("import commits to %s, the same writes to %s", got, want)
-	}
-}
-
 func TestImportAccountRevertable(t *testing.T) {
 	db := newTestDB(t)
 	a := addr(3)
 	snap := db.Snapshot()
-	db.ImportAccount(a, Account{Nonce: 1}, []byte("c"), []StorageEntry{{Key: word(1), Value: word(1)}})
+	db.ImportAccount(a, Account{Nonce: 1}, []byte("c"), db.buildStorageTree([]StorageEntry{{Key: word(1), Value: word(1)}}))
 	db.RevertToSnapshot(snap)
 	if db.Exists(a) {
 		t.Fatal("import must roll back")

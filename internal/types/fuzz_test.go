@@ -1,6 +1,7 @@
 package types
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -105,13 +106,15 @@ func fuzzSeedTx(tb testing.TB, kind TxKind) *Transaction {
 
 // FuzzDecodeTransaction feeds arbitrary bytes to the transaction decoder:
 // it must never panic, and anything it accepts must survive a re-encode /
-// re-decode round trip with identical identity.
+// re-decode round trip with identical identity, re-encode to EncodedSize
+// bytes exactly as the nested form does, and not alias the input.
 func FuzzDecodeTransaction(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(fuzzSeedTx(f, TxCall).Encode())
 	f.Add(fuzzSeedTx(f, TxMove2).Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tx, err := DecodeTransaction(data)
+		in := bytes.Clone(data) // the engine's input must not be written
+		tx, err := DecodeTransaction(in)
 		if err != nil {
 			return
 		}
@@ -119,6 +122,16 @@ func FuzzDecodeTransaction(f *testing.F) {
 		// embedded public key and signature scalars).
 		_, _ = tx.Sender()
 		enc := tx.Encode()
+		if tx.EncodedSize() != len(enc) {
+			t.Fatalf("EncodedSize %d, Encode wrote %d bytes", tx.EncodedSize(), len(enc))
+		}
+		if !bytes.Equal(enc, encodeNested(tx)) {
+			t.Fatal("Encode differs from the nested form")
+		}
+		clear(in) // the decoded transaction keeps copies, never the input
+		if !bytes.Equal(tx.Encode(), enc) {
+			t.Fatal("the decoded transaction changed with its input")
+		}
 		tx2, err := DecodeTransaction(enc)
 		if err != nil {
 			t.Fatalf("re-decode of accepted transaction failed: %v", err)

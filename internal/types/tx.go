@@ -111,9 +111,21 @@ var (
 	ErrMissingPayload = errors.New("types: move2 transaction without payload")
 )
 
-// encodeUnsigned encodes every field covered by the signature.
-func (tx *Transaction) encodeUnsigned() []byte {
-	w := codec.NewWriter(256)
+// unsignedSize is the number of bytes writeUnsigned writes, computed from
+// the field lengths alone.
+func (tx *Transaction) unsignedSize() int {
+	n := codec.SizeUvarint(uint64(tx.ChainID)) + codec.SizeUvarint(tx.Nonce) +
+		codec.SizeUvarint(uint64(tx.Kind)) + 2*hashing.AddressSize + 32 +
+		codec.SizeUvarint(tx.GasLimit) + 32 + codec.SizeBytes(len(tx.Data)) + 1
+	if m := tx.Move2; m != nil {
+		n += move2Size(m)
+	}
+	return n
+}
+
+// writeUnsigned appends the encoding of every field covered by the
+// signature to w.
+func (tx *Transaction) writeUnsigned(w *codec.Writer) {
 	w.WriteUvarint(uint64(tx.ChainID))
 	w.WriteUvarint(tx.Nonce)
 	w.WriteUvarint(uint64(tx.Kind))
@@ -129,7 +141,14 @@ func (tx *Transaction) encodeUnsigned() []byte {
 	} else {
 		w.WriteBool(false)
 	}
-	return w.Bytes()
+}
+
+// move2Size is the length of encodeMove2's output.
+func move2Size(m *Move2Payload) int {
+	return hashing.AddressSize + codec.SizeUvarint(uint64(m.SourceChain)) +
+		codec.SizeUvarint(m.SourceHeight) + codec.SizeBytes(len(m.AccountProof)) +
+		codec.SizeBytes(len(m.Code)) + codec.SizeUvarint(uint64(len(m.Storage))) +
+		storageEntrySize*len(m.Storage)
 }
 
 func encodeMove2(w *codec.Writer, m *Move2Payload) {
@@ -179,7 +198,7 @@ func decodeMove2(r *codec.Reader) *Move2Payload {
 // EncodeMove2Payload serializes a standalone Move2 payload (the relay
 // journal persists in-flight payloads between crash and recovery).
 func EncodeMove2Payload(m *Move2Payload) []byte {
-	w := codec.NewWriter(256 + storageEntrySize*len(m.Storage))
+	w := codec.NewWriter(move2Size(m))
 	encodeMove2(w, m)
 	return w.Bytes()
 }
@@ -215,8 +234,8 @@ func (tx *Transaction) ID() hashing.Hash {
 }
 
 // computeID hashes the signed fields through a pooled hasher rather than by
-// materializing encodeUnsigned(). hashUnsigned must stay byte-identical to
-// encodeUnsigned.
+// materializing writeUnsigned's output. hashUnsigned must stay byte-identical
+// to writeUnsigned.
 func (tx *Transaction) computeID() hashing.Hash {
 	h := hashing.AcquireHasher()
 	tx.hashUnsigned(h)
@@ -226,7 +245,7 @@ func (tx *Transaction) computeID() hashing.Hash {
 }
 
 // hashUnsigned feeds the signed-field encoding into h, mirroring
-// encodeUnsigned byte for byte (TestIDMatchesUnsignedEncoding holds the two
+// writeUnsigned byte for byte (TestIDMatchesUnsignedEncoding holds the two
 // in lockstep).
 func (tx *Transaction) hashUnsigned(h *hashing.Hasher) {
 	h.Uvarint(uint64(tx.ChainID))
@@ -383,14 +402,33 @@ func (tx *Transaction) Validate(chain hashing.ChainID) error {
 	return nil
 }
 
-// Encode serializes the full signed transaction.
+// Encode serializes the full signed transaction into one buffer of exactly
+// EncodedSize bytes.
 func (tx *Transaction) Encode() []byte {
-	w := codec.NewWriter(320)
-	w.WriteBytes(tx.encodeUnsigned())
+	w := codec.NewWriter(tx.EncodedSize())
+	tx.EncodeTo(w)
+	return w.Bytes()
+}
+
+// EncodedSize returns len(tx.Encode()) without encoding anything.
+func (tx *Transaction) EncodedSize() int {
+	return codec.SizeBytes(tx.unsignedSize()) + codec.SizeBytes(len(tx.Sig.PubKey)) +
+		codec.SizeBytes(len(tx.Sig.R)) + codec.SizeBytes(len(tx.Sig.S))
+}
+
+// EncodeTo appends tx.Encode() to w, writing each byte once: the unsigned
+// body goes straight into w behind its precomputed length.
+func (tx *Transaction) EncodeTo(w *codec.Writer) {
+	size := tx.unsignedSize()
+	w.WriteUvarint(uint64(size))
+	start := w.Len()
+	tx.writeUnsigned(w)
+	if got := w.Len() - start; got != size {
+		panic(fmt.Sprintf("types: unsigned body is %d bytes, its prefix says %d", got, size))
+	}
 	w.WriteBytes(tx.Sig.PubKey)
 	w.WriteBytes(tx.Sig.R)
 	w.WriteBytes(tx.Sig.S)
-	return w.Bytes()
 }
 
 // Maximum encoded sizes of the ECDSA P-256 signature fields (generous over
@@ -400,10 +438,12 @@ const (
 	maxSigScalarLn = 48
 )
 
-// DecodeTransaction parses an encoded signed transaction.
+// DecodeTransaction parses an encoded signed transaction. The unsigned body
+// is parsed where it lies in b; only the fields the transaction keeps are
+// copied out, so b may be reused once it returns.
 func DecodeTransaction(b []byte) (*Transaction, error) {
 	r := codec.NewReader(b)
-	unsigned := r.ReadBytes()
+	unsigned := r.ReadBytesView()
 	var tx Transaction
 	tx.Sig.PubKey = r.ReadBytesMax(maxPubKeyLen)
 	tx.Sig.R = r.ReadBytesMax(maxSigScalarLn)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"scmove/internal/codec"
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
 	"scmove/internal/keys"
@@ -230,7 +231,68 @@ func TestReceiptSucceeded(t *testing.T) {
 	}
 }
 
-// TestIDMatchesUnsignedEncoding pins hashUnsigned to encodeUnsigned: ID is
+// encodeUnsigned is the unsigned body on its own, in a writer grown from 256
+// bytes as it was first written: its length is what it is, not what
+// unsignedSize says.
+func (tx *Transaction) encodeUnsigned() []byte {
+	w := codec.NewWriter(256)
+	tx.writeUnsigned(w)
+	return w.Bytes()
+}
+
+// encodeNested is Encode as it was first written — the unsigned body
+// encoded on its own, then copied behind its length — kept as the reference
+// the one-buffer encoder must match byte for byte.
+func encodeNested(tx *Transaction) []byte {
+	w := codec.NewWriter(320)
+	w.WriteBytes(tx.encodeUnsigned())
+	w.WriteBytes(tx.Sig.PubKey)
+	w.WriteBytes(tx.Sig.R)
+	w.WriteBytes(tx.Sig.S)
+	return w.Bytes()
+}
+
+// TestEncodeMatchesNestedForm holds Encode to the nested form, and
+// EncodedSize to its length, on transactions whose unsigned bodies straddle
+// the one-, two- and three-byte length prefixes, and pins Encode at one
+// allocation: the buffer it returns.
+func TestEncodeMatchesNestedForm(t *testing.T) {
+	kp := keys.Deterministic(2)
+	var txs []*Transaction
+	for _, n := range []int{0, 1, 100, 127, 128, 16_300, 16_383, 16_384} {
+		tx := mkTx(t, kp)
+		tx.Data = make([]byte, n)
+		txs = append(txs, tx)
+	}
+	for _, slots := range []int{0, 1, 255, 1000} {
+		tx := fuzzSeedTx(t, TxMove2)
+		tx.Move2.Storage = make([]StorageEntry, slots)
+		txs = append(txs, tx)
+	}
+	for _, tx := range txs {
+		if err := tx.Sign(kp); err != nil {
+			t.Fatal(err)
+		}
+		got, want := tx.Encode(), encodeNested(tx)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d data bytes: Encode differs from the nested form", len(tx.Data))
+		}
+		if tx.EncodedSize() != len(got) || cap(got) != len(got) {
+			t.Fatalf("%d data bytes: EncodedSize %d, encoding %d bytes in a %d-byte buffer",
+				len(tx.Data), tx.EncodedSize(), len(got), cap(got))
+		}
+	}
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under -race")
+	}
+	for _, tx := range []*Transaction{txs[0], txs[len(txs)-1]} {
+		if a := testing.AllocsPerRun(20, func() { tx.Encode() }); a != 1 {
+			t.Fatalf("Encode of a %s allocates %.1f times, want 1", tx.Kind, a)
+		}
+	}
+}
+
+// TestIDMatchesUnsignedEncoding pins hashUnsigned to writeUnsigned: ID is
 // computed from a streaming hasher for speed, and the two encodings must
 // never drift apart or every stored transaction id would change.
 func TestIDMatchesUnsignedEncoding(t *testing.T) {

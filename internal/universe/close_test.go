@@ -3,11 +3,17 @@ package universe
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"scmove/internal/contracts"
+	"scmove/internal/keys"
 	"scmove/internal/state"
 	"scmove/internal/state/backend"
+	"scmove/internal/types"
+	"scmove/internal/u256"
 )
 
 // Close aggregates shutdown failures instead of keeping only the first:
@@ -54,6 +60,53 @@ func TestCloseCleanUniverse(t *testing.T) {
 	}
 	if err := u.Close(); err != nil {
 		t.Fatalf("clean close: %v", err)
+	}
+}
+
+// A large Move2 is prepared on goroutines of its own from pool admission.
+// After a real Move of a Store-100 and four Move2s that can never be
+// included (their nonces leave a gap) are admitted, Close must wait for
+// every preparation: the goroutine count comes back to what it was before
+// New.
+func TestCloseWaitsForMove2Preparations(t *testing.T) {
+	keys.SharedPool() // the crypto workers live for the process
+	base := runtime.NumGoroutine()
+	u, err := New(DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u.Start()
+	cl, ids := u.Client(0), u.ChainIDs()
+	store, err := u.MustDeploy(cl, u.Chain(ids[0]), contracts.StoreName,
+		contracts.StoreConstructorArgs(cl.Address(), 100), u256.Zero(), 30*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.MoveAndWait(cl, ids[0], ids[1], store, 30*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	payload := &types.Move2Payload{Contract: store, SourceChain: ids[0], SourceHeight: 1}
+	for i := 1; i <= 100; i++ {
+		payload.Storage = append(payload.Storage, types.StorageEntry{Key: [32]byte{31: byte(i)}, Value: [32]byte{31: 1}})
+	}
+	for n := uint64(1000); n < 1004; n++ {
+		tx := &types.Transaction{ChainID: ids[1], Nonce: n, Kind: types.TxMove2, GasLimit: 1 << 30, Move2: payload}
+		if err := tx.Sign(ClientKey(0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := u.Chain(ids[1]).SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := u.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
 	}
 }
 
