@@ -48,7 +48,10 @@ benchtest:
 # constant in allocations. A Move2 prepared at pool admission, off the event
 # loop, must apply exactly as one computed at apply (receipts, gas, error
 # text, roots; MPT ↔ IAVL and IAVL → IAVL), and the preparation itself must
-# fail and install exactly as VerifyMove2 and ApplyMove2 do.
+# fail and install exactly as VerifyMove2 and ApplyMove2 do; so must one
+# started by ExpectMove2 before its transaction existed, which only a Move2
+# with the same source chain and storage entries may adopt. The Move timeline
+# of 24 Moves MPT ↔ IAVL on the file backend is pinned to a digest.
 #
 # `go test -run 'A|B'` passes when a name matches nothing, so the target
 # first checks every listed name against `go test -list`: a test that is
@@ -63,7 +66,9 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestNextBatchPreservesFIFO TestKittiesReplayCrossGOMAXPROCSDeterminism \
 	TestChaosCellCrossGOMAXPROCS TestByzantineDeterminism TestFaultyClusterDigest \
 	TestBackendConformanceDifferential TestShardedScalingCrossGOMAXPROCSDeterminism \
-	TestPreparedMove2MatchesInline TestPreparedMove2MatchesVerifyAndApply
+	TestPreparedMove2MatchesInline TestPreparedMove2MatchesVerifyAndApply \
+	TestExpectedMove2MatchesInline TestExpectedMove2MatchesByContent \
+	TestMovePingPongDigest
 DETSMOKE_PKGS = ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/

@@ -46,8 +46,8 @@ func fuzzSenders() []*keys.KeyPair {
 // creates, self-destruct calls, bad nonces, underfunded value sends, forged
 // senders, and duplicated pointers — then chunks them into random block
 // batches including empty ones. Every transaction is decoded from its wire
-// form so no run inherits memoized senders, and duplicate pointers stay
-// duplicates.
+// form, which must give back every field, so no run inherits memoized
+// senders, and duplicate pointers stay duplicates.
 func buildFuzzTraffic(t *testing.T, seed int64, chainID hashing.ChainID) [][]*types.Transaction {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -60,6 +60,11 @@ func buildFuzzTraffic(t *testing.T, seed int64, chainID hashing.ChainID) [][]*ty
 		if err != nil {
 			t.Fatal(err)
 		}
+		again, err := types.DecodeTransaction(dec.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireRoundTrip(t, again, dec)
 		txs = append(txs, dec)
 	}
 

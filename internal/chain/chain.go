@@ -8,6 +8,7 @@ package chain
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -66,6 +67,10 @@ type ParallelStrategy int
 // Deprecated: see the type; benchmark/layers.go:433 is its only user.
 const StrategyScheduled ParallelStrategy = 0
 
+// ErrBadNonce begins the receipt error of a transaction whose nonce is not
+// its sender's account nonce: "bad nonce N, account at M".
+var ErrBadNonce = errors.New("bad nonce")
+
 // Params returns the interoperability parameters peers configure (§IV-A).
 func (c Config) Params() core.ChainParams {
 	return core.ChainParams{
@@ -96,9 +101,10 @@ type BlockListener func(block *types.Block, receipts []*types.Receipt)
 //     logically reads: state.DB reads fill the decoded working set.
 //     Historical Query*At reads are served between blocks by
 //     construction — the lock excludes a concurrent mid-block Commit.
-//   - SubmitTx/SubmitTxs take no chain lock at all; the pool and the
-//     prepared-Move2 table have their own. Lock order is chain.mu before
-//     prepMu before pool.mu (ProposeBatch), never the reverse.
+//   - SubmitTx/SubmitTxs and ExpectMove2 take no chain lock at all; the
+//     pool and the prepared-Move2 table have their own. Lock order is
+//     chain.mu before prepMu before pool.mu (ProposeBatch), never the
+//     reverse.
 type Chain struct {
 	cfg     Config
 	db      *state.DB
@@ -130,27 +136,32 @@ type Chain struct {
 	dispatch func(func())
 
 	// prep holds, by transaction id, the storage work of pooled Move2s that
-	// SubmitTx started on goroutines of their own (see prepare). An entry
-	// leaves when ApplyBlock takes it for a block, when its transaction
-	// leaves the pool unapplied (ProposeBatch drops it), or at Close, which
-	// waits on prepWG for every goroutine started.
+	// SubmitTx started on goroutines of their own or adopted from expect
+	// (see prepare). An entry leaves when ApplyBlock takes it for a block,
+	// when its transaction leaves the pool unapplied (ProposeBatch drops
+	// it), or at Close, which waits on prepWG for every goroutine started.
+	// expect holds, oldest first, the storage work ExpectMove2 started for
+	// payloads no admitted transaction carries yet.
 	prepMu     sync.Mutex
 	prep       map[hashing.Hash]*move2Prep
+	expect     []*move2Prep
 	prepClosed bool
 	prepWG     sync.WaitGroup
 }
 
-// move2Prep is one pooled Move2's storage work; res is set before done
-// closes.
+// move2Prep is the storage work of the Move2 payload p; res is set before
+// done closes.
 type move2Prep struct {
+	p    *types.Move2Payload
 	done chan struct{}
 	res  *core.Move2Storage
 }
 
-// maxPrepared bounds the table: a Store-1900 Move2's prepared tree takes
-// 0.37 MiB (IAVL) to 0.63 MiB (MPT), and the Move workloads here have at
-// most one preparable Move2 pending at a time. A Move2 admitted while the
-// table is full is computed at apply.
+// maxPrepared bounds the table and, separately, the expectation list: a
+// Store-1900 Move2's prepared tree takes 0.37 MiB (IAVL) to 0.63 MiB (MPT),
+// and the Move workloads here have at most one preparable Move2 expected or
+// pending at a time. A Move2 admitted while the table is full is computed at
+// apply; an expectation beyond the bound drops the oldest.
 const maxPrepared = 32
 
 // TxListener observes one transaction's execution.
@@ -237,6 +248,7 @@ func (c *Chain) Close() error {
 	c.prepMu.Lock()
 	c.prepClosed = true
 	clear(c.prep)
+	c.expect = nil
 	c.prepMu.Unlock()
 	c.prepWG.Wait()
 	return c.db.Close()
@@ -386,35 +398,88 @@ func preparable(tx *types.Transaction) bool {
 	return tx.Kind == types.TxMove2 && tx.Move2 != nil && len(tx.Move2.Storage) >= prepareMin
 }
 
-// prepare starts computing an admitted Move2's storage work — the
-// completeness root and the tree to install, core.PrepareMove2 — on a
-// goroutine of its own, so it runs beside the event loop while the
-// transaction waits for its block. The result is filed under the
-// transaction id, which hashes every payload entry: the copy a consensus
-// commit decodes finds it as well as the pooled object does. A Move2 that is
-// not prepared here (too small, a full table, or never pooled locally) is
-// computed by applyMove2 with the same function, whose result depends on
-// the payload alone, so which path ran never shows in a result.
+// ExpectMove2 starts the storage work of a Move2 payload that a transaction
+// is expected to carry here later: a relayer calls it as soon as it holds
+// the payload, so core.PrepareMove2 runs on a goroutine of the chain's own
+// while the relayer waits out the source's confirmation depth, not after
+// the Move2 arrives. The admission of a Move2 with the same source chain and
+// the same storage entries adopts the result (see prepare); p must not be
+// modified afterwards. A payload below prepareMin entries, or one already
+// expected, is ignored, and at most maxPrepared expectations are kept: a new
+// one beyond that drops the oldest. Simulated results never depend on
+// whether, or when, this ran.
+func (c *Chain) ExpectMove2(p *types.Move2Payload) {
+	if p == nil || len(p.Storage) < prepareMin {
+		return
+	}
+	c.prepMu.Lock()
+	defer c.prepMu.Unlock()
+	if c.prepClosed || c.findExpected(p) >= 0 {
+		return
+	}
+	if len(c.expect) == maxPrepared {
+		c.expect = slices.Delete(c.expect, 0, 1)
+	}
+	c.expect = append(c.expect, c.startPrep(p))
+}
+
+// prepare files the storage work of an admitted Move2 — the completeness
+// root and the tree to install, core.PrepareMove2 — under the transaction
+// id: the expectation of the same payload when there is one (it leaves the
+// list, and is dropped if the table is full), else a new goroutine of its
+// own, so it runs beside the event loop while the transaction waits for its
+// block. The id hashes every payload entry, so the
+// copy a consensus commit decodes finds the entry as well as the pooled
+// object does. A Move2 that is not prepared here (too small, a full table,
+// or never pooled locally) is computed by applyMove2 with the same function,
+// whose result depends on the payload alone, so which path ran never shows
+// in a result.
 func (c *Chain) prepare(tx *types.Transaction) {
 	if !preparable(tx) {
 		return
 	}
 	id := tx.ID()
 	c.prepMu.Lock()
-	if c.prepClosed || len(c.prep) >= maxPrepared || c.prep[id] != nil {
-		c.prepMu.Unlock()
+	defer c.prepMu.Unlock()
+	if c.prepClosed || c.prep[id] != nil {
 		return
 	}
-	e := &move2Prep{done: make(chan struct{})}
+	var e *move2Prep
+	if i := c.findExpected(tx.Move2); i >= 0 {
+		e = c.expect[i]
+		c.expect = slices.Delete(c.expect, i, i+1) // clears the vacated slot
+	}
+	switch {
+	case len(c.prep) >= maxPrepared:
+		return
+	case e == nil:
+		e = c.startPrep(tx.Move2)
+	}
 	c.prep[id] = e
+}
+
+// findExpected returns the index of the expectation whose payload has p's
+// source chain and storage entries, the only parts of a payload
+// core.PrepareMove2 reads, or -1. Entries are compared by value: a payload
+// that differs in one slot, forged or rebuilt, is not the one expected. The
+// caller holds prepMu.
+func (c *Chain) findExpected(p *types.Move2Payload) int {
+	return slices.IndexFunc(c.expect, func(e *move2Prep) bool {
+		return e.p.SourceChain == p.SourceChain && slices.Equal(e.p.Storage, p.Storage)
+	})
+}
+
+// startPrep starts core.PrepareMove2 for p on a goroutine of its own, which
+// Close waits for. The caller holds prepMu.
+func (c *Chain) startPrep(p *types.Move2Payload) *move2Prep {
+	e := &move2Prep{p: p, done: make(chan struct{})}
 	c.prepWG.Add(1)
-	c.prepMu.Unlock()
-	p := tx.Move2
 	go func() {
 		defer c.prepWG.Done()
 		e.res = core.PrepareMove2(c.headers, c.cfg.TreeKind, p)
 		close(e.done)
 	}()
+	return e
 }
 
 // takePrepared removes the table entries of txs' Move2s and returns their
@@ -657,7 +722,7 @@ func (c *Chain) applyTx(tx *types.Transaction, blockCtx evm.BlockContext, s *cor
 	sched := &c.cfg.Schedule
 
 	if got := st.GetNonce(sender); tx.Nonce != got {
-		rec.Err = fmt.Sprintf("bad nonce %d, account at %d", tx.Nonce, got)
+		rec.Err = fmt.Sprintf("%v %d, account at %d", ErrBadNonce, tx.Nonce, got)
 		return rec
 	}
 	intrinsic := sched.IntrinsicGas(tx.Data, tx.Kind == types.TxCreate)

@@ -109,6 +109,7 @@ func wireCopy(t testing.TB, tx *types.Transaction) *types.Transaction {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireRoundTrip(t, dec, tx)
 	return dec
 }
 
@@ -153,6 +154,99 @@ func waitGoroutines(t testing.TB, want int) {
 	}
 }
 
+// expectedCount is the length of c's expectation list.
+func expectedCount(c *Chain) int {
+	c.prepMu.Lock()
+	defer c.prepMu.Unlock()
+	return len(c.expect)
+}
+
+// move2Pair is a source and a target of the Move2 differentials.
+type move2Pair struct {
+	name string
+	src  core.ChainParams
+	dst  Config
+}
+
+var (
+	mptToIAVL  = move2Pair{"mpt-iavl", mptSource, burrowConfig(2)}
+	iavlToMPT  = move2Pair{"iavl-mpt", iavlSource, ethConfig(1)}
+	iavlToIAVL = move2Pair{"iavl-iavl", iavlSource, burrowConfig(2)}
+)
+
+// move2Case is one Move2 of the differentials, applied in a block of its own
+// with the case's index as its nonce.
+type move2Case struct {
+	name    string
+	payload *types.Move2Payload
+	err     string // a substring of the receipt's error; "" is success
+}
+
+// move2Cases returns the differentials' Move2 sequence towards pair.dst,
+// with the source root that makes its proofs valid: every failure class,
+// two checks failing at once, a reverting moveFinish, and payloads of 200
+// entries (split across two goroutines when the kinds differ), 70 (prepared
+// on one) and 10 (computed at apply on every chain).
+func move2Cases(t *testing.T, pair move2Pair) ([]move2Case, hashing.Hash) {
+	t.Helper()
+	payloads, root := lockedPayloads(t, pair.src, pair.dst.ChainID,
+		movedContract{stopCode, 200}, movedContract{revertCode, 70}, movedContract{stopCode, 10})
+	valid, reverting, small := payloads[0], payloads[1], payloads[2]
+	zero := func(s []types.StorageEntry) []types.StorageEntry { s[6].Value = [32]byte{}; return s }
+	swap := func(s []types.StorageEntry) []types.StorageEntry { s[3], s[4] = s[4], s[3]; return s }
+	return []move2Case{
+		{"zero value", tampered(valid, zero), "zero-valued storage entry"},
+		{"out of order", tampered(valid, swap), "not strictly ascending"},
+		{"duplicate key", tampered(valid, func(s []types.StorageEntry) []types.StorageEntry {
+			return slices.Insert(s, 5, s[5])
+		}), "not strictly ascending"},
+		{"zero value and out of order", tampered(valid, func(s []types.StorageEntry) []types.StorageEntry {
+			return zero(swap(s))
+		}), "zero-valued storage entry"},
+		{"wrong root", tampered(valid, func(s []types.StorageEntry) []types.StorageEntry {
+			s[7].Value[0] ^= 1
+			return s
+		}), "rebuilt root"},
+		{"moveFinish reverts", reverting, "moveFinish"},
+		{"small payload", small, ""},
+		{"valid", valid, ""},
+		{"replayed nonce", valid, "stale move nonce"},
+		{"wrong root and replayed nonce", tampered(valid, func(s []types.StorageEntry) []types.StorageEntry {
+			return s[1:]
+		}), "rebuilt root"},
+	}, root
+}
+
+// requireSameBlocks applies tx, as wire copies, in one block on each chain
+// and requires the receipts (status, gas, error text, logs), state roots and
+// header hashes to agree, and the receipt's error to be the case's.
+func requireSameBlocks(t *testing.T, tc move2Case, tx *types.Transaction, now uint64, chains ...*Chain) {
+	t.Helper()
+	var (
+		first *types.Block
+		recs  []*types.Receipt
+	)
+	for i, c := range chains {
+		b, r := c.ApplyBlock([]*types.Transaction{wireCopy(t, tx)}, now, ProposerAddress(c.ChainID(), 0))
+		if n := preparedCount(c); n != 0 {
+			t.Fatalf("%s: chain %d has %d prepared entries left after the block", tc.name, i, n)
+		}
+		if i == 0 {
+			first, recs = b, r
+			continue
+		}
+		if !reflect.DeepEqual(r, recs) {
+			t.Fatalf("%s: chain %d receipt %+v, chain 0 %+v", tc.name, i, r[0], recs[0])
+		}
+		if b.Header.Hash() != first.Header.Hash() || c.db.Root() != chains[0].db.Root() {
+			t.Fatalf("%s: chain %d diverges from chain 0", tc.name, i)
+		}
+	}
+	if got := recs[0].Err; tc.err == "" && !recs[0].Succeeded() || !strings.Contains(got, tc.err) {
+		t.Fatalf("%s: receipt error %q, want one containing %q", tc.name, got, tc.err)
+	}
+}
+
 // TestPreparedMove2MatchesInline is the differential of the two ways a Move2
 // reaches its storage work: prepared at pool admission, off the event loop,
 // or computed inline at apply because the chain's pool never saw it. One
@@ -162,55 +256,14 @@ func waitGoroutines(t testing.TB, want int) {
 // MPT → IAVL, IAVL → MPT and IAVL → IAVL, on valid payloads and on every
 // failure class — and where two checks fail, the same one must win.
 func TestPreparedMove2MatchesInline(t *testing.T) {
-	for _, pair := range []struct {
-		name string
-		src  core.ChainParams
-		dst  Config
-	}{
-		{"mpt-iavl", mptSource, burrowConfig(2)},
-		{"iavl-mpt", iavlSource, ethConfig(1)},
-		{"iavl-iavl", iavlSource, burrowConfig(2)},
-	} {
+	for _, pair := range []move2Pair{mptToIAVL, iavlToMPT, iavlToIAVL} {
 		t.Run(pair.name, func(t *testing.T) {
 			kp := keys.Deterministic(1)
-			// 200 entries split across two goroutines when the kinds differ,
-			// 70 are prepared on one, 10 are computed at apply on both chains.
-			payloads, root := lockedPayloads(t, pair.src, pair.dst.ChainID,
-				movedContract{stopCode, 200}, movedContract{revertCode, 70}, movedContract{stopCode, 10})
-			valid, reverting, small := payloads[0], payloads[1], payloads[2]
-			zero := func(s []types.StorageEntry) []types.StorageEntry { s[6].Value = [32]byte{}; return s }
-			swap := func(s []types.StorageEntry) []types.StorageEntry { s[3], s[4] = s[4], s[3]; return s }
-			cases := []struct {
-				name    string
-				payload *types.Move2Payload
-				err     string // a substring of the receipt's error; "" is success
-			}{
-				{"zero value", tampered(valid, zero), "zero-valued storage entry"},
-				{"out of order", tampered(valid, swap), "not strictly ascending"},
-				{"duplicate key", tampered(valid, func(s []types.StorageEntry) []types.StorageEntry {
-					return slices.Insert(s, 5, s[5])
-				}), "not strictly ascending"},
-				{"zero value and out of order", tampered(valid, func(s []types.StorageEntry) []types.StorageEntry {
-					return zero(swap(s))
-				}), "zero-valued storage entry"},
-				{"wrong root", tampered(valid, func(s []types.StorageEntry) []types.StorageEntry {
-					s[7].Value[0] ^= 1
-					return s
-				}), "rebuilt root"},
-				{"moveFinish reverts", reverting, "moveFinish"},
-				{"small payload", small, ""},
-				{"valid", valid, ""},
-				{"replayed nonce", valid, "stale move nonce"},
-				{"wrong root and replayed nonce", tampered(valid, func(s []types.StorageEntry) []types.StorageEntry {
-					return s[1:]
-				}), "rebuilt root"},
-			}
-
+			cases, root := move2Cases(t, pair)
 			prep := newChain(t, pair.dst, []core.ChainParams{pair.src}, kp)
 			inline := newChain(t, pair.dst, []core.ChainParams{pair.src}, kp)
 			trustSource(t, prep, pair.src, root)
 			trustSource(t, inline, pair.src, root)
-			proposer := ProposerAddress(pair.dst.ChainID, 0)
 			for i, tc := range cases {
 				tx := move2Tx(t, kp, pair.dst.ChainID, uint64(i), tc.payload)
 				if err := prep.SubmitTx(tx); err != nil {
@@ -224,23 +277,170 @@ func TestPreparedMove2MatchesInline(t *testing.T) {
 					t.Fatalf("%s: %d prepared entries after admitting %d slots, want %d",
 						tc.name, got, len(tc.payload.Storage), want)
 				}
-				bp, rp := prep.ApplyBlock([]*types.Transaction{wireCopy(t, tx)}, uint64(100+i), proposer)
-				bi, ri := inline.ApplyBlock([]*types.Transaction{wireCopy(t, tx)}, uint64(100+i), proposer)
-				if n := preparedCount(prep); n != 0 {
-					t.Fatalf("%s: %d prepared entries left after the block", tc.name, n)
-				}
-				if !reflect.DeepEqual(rp, ri) {
-					t.Fatalf("%s: prepared receipt %+v, inline %+v", tc.name, rp[0], ri[0])
-				}
-				if bp.Header.Hash() != bi.Header.Hash() || prep.db.Root() != inline.db.Root() {
-					t.Fatalf("%s: prepared and inline chains diverge", tc.name)
-				}
-				if got := rp[0].Err; tc.err == "" && !rp[0].Succeeded() || !strings.Contains(got, tc.err) {
-					t.Fatalf("%s: receipt error %q, want one containing %q", tc.name, got, tc.err)
-				}
+				requireSameBlocks(t, tc, tx, uint64(100+i), prep, inline)
 			}
 		})
 	}
+}
+
+// TestExpectedMove2MatchesInline extends the differential to a Move2 whose
+// storage work started before its transaction existed: one chain is told to
+// expect each payload (ExpectMove2, as the relayer does when it builds one)
+// and then admits the transaction, which must adopt that very preparation; a
+// second only admits it; a third is only handed the blocks. All three must
+// agree block for block, MPT → IAVL and IAVL → MPT, on every case of
+// TestPreparedMove2MatchesInline.
+func TestExpectedMove2MatchesInline(t *testing.T) {
+	for _, pair := range []move2Pair{mptToIAVL, iavlToMPT} {
+		t.Run(pair.name, func(t *testing.T) {
+			kp := keys.Deterministic(1)
+			cases, root := move2Cases(t, pair)
+			expected := newChain(t, pair.dst, []core.ChainParams{pair.src}, kp)
+			admitted := newChain(t, pair.dst, []core.ChainParams{pair.src}, kp)
+			inline := newChain(t, pair.dst, []core.ChainParams{pair.src}, kp)
+			for _, c := range []*Chain{expected, admitted, inline} {
+				trustSource(t, c, pair.src, root)
+			}
+			for i, tc := range cases {
+				tx := move2Tx(t, kp, pair.dst.ChainID, uint64(i), tc.payload)
+				expected.ExpectMove2(tc.payload)
+				var want *move2Prep
+				if len(tc.payload.Storage) >= prepareMin {
+					want = expected.expect[0]
+				}
+				if err := expected.SubmitTx(tx); err != nil {
+					t.Fatalf("%s: admission: %v", tc.name, err)
+				}
+				if err := admitted.SubmitTx(tx); err != nil {
+					t.Fatalf("%s: admission: %v", tc.name, err)
+				}
+				if n := expectedCount(expected); n != 0 {
+					t.Fatalf("%s: %d expectations left after admission", tc.name, n)
+				}
+				if got := expected.prep[tx.ID()]; got != want {
+					t.Fatalf("%s: admission filed %p, want the expectation %p", tc.name, got, want)
+				}
+				requireSameBlocks(t, tc, tx, uint64(100+i), expected, admitted, inline)
+			}
+		})
+	}
+}
+
+// TestExpectedMove2MatchesByContent: an expectation is adopted only by a
+// Move2 carrying the same source chain and the same storage entries. A Move2
+// whose expectation names another source chain is prepared afresh at
+// admission and succeeds; one whose storage differs from the expected in one
+// slot's value is prepared afresh and still fails completeness. Both
+// expectations stay listed until Close.
+func TestExpectedMove2MatchesByContent(t *testing.T) {
+	kp := keys.Deterministic(1)
+	payloads, root := lockedPayloads(t, mptSource, 2, movedContract{stopCode, 100})
+	honest := payloads[0]
+	c := newChain(t, burrowConfig(2), []core.ChainParams{mptSource, iavlSource}, kp)
+	trustSource(t, c, mptSource, root)
+	submit := func(nonce uint64, p *types.Move2Payload) *types.Receipt {
+		t.Helper()
+		tx := move2Tx(t, kp, 2, nonce, p)
+		if err := c.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+		c.prepMu.Lock()
+		expected, fresh := len(c.expect), c.prep[tx.ID()] != nil
+		c.prepMu.Unlock()
+		if expected != int(nonce)+1 || !fresh {
+			t.Fatalf("Move2 %d: %d expectations left, prepared afresh %v; want %d and true",
+				nonce, expected, fresh, nonce+1)
+		}
+		_, recs := c.ApplyBlock(c.ProposeBatch(), 10+nonce, ProposerAddress(2, 0))
+		if len(recs) != 1 {
+			t.Fatalf("Move2 %d: %d receipts", nonce, len(recs))
+		}
+		return recs[0]
+	}
+
+	otherSource := *honest
+	otherSource.SourceChain = iavlSource.ID
+	c.ExpectMove2(&otherSource)
+	if rec := submit(0, honest); !rec.Succeeded() {
+		t.Fatalf("honest Move2: %s", rec.Err)
+	}
+
+	c.ExpectMove2(honest)
+	forged := tampered(honest, func(s []types.StorageEntry) []types.StorageEntry {
+		s[42].Value[31] ^= 1
+		return s
+	})
+	if rec := submit(1, forged); !strings.Contains(rec.Err, core.ErrIncompleteSet.Error()) {
+		t.Fatalf("forged storage: %q, want %v", rec.Err, core.ErrIncompleteSet)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := expectedCount(c); n != 0 {
+		t.Fatalf("%d expectations after Close", n)
+	}
+}
+
+// TestExpectedMove2Bounded: expectations that no admission ever adopts stay
+// at maxPrepared, the oldest leaving first, a payload expected twice is
+// prepared once, and one below prepareMin not at all; one adopted from the
+// middle of the list leaves no pointer behind in its backing array. Close
+// waits for every preparation started, after which the goroutine count is
+// back where it was before the chain existed.
+func TestExpectedMove2Bounded(t *testing.T) {
+	keys.SharedPool() // the crypto workers live for the process
+	base := runtime.NumGoroutine()
+	specs := make([]movedContract, maxPrepared+8)
+	for i := range specs {
+		specs[i] = movedContract{stopCode, prepareMin + i}
+	}
+	payloads, _ := lockedPayloads(t, mptSource, 2, specs...)
+	small, _ := lockedPayloads(t, mptSource, 2, movedContract{stopCode, prepareMin - 1})
+	kp := keys.Deterministic(1)
+	c := newChain(t, burrowConfig(2), []core.ChainParams{mptSource}, kp)
+	c.ExpectMove2(small[0])
+	c.ExpectMove2(nil)
+	for _, p := range payloads {
+		c.ExpectMove2(p)
+		c.ExpectMove2(p)
+	}
+	if n := expectedCount(c); n != maxPrepared {
+		t.Fatalf("%d expectations, want the bound %d", n, maxPrepared)
+	}
+	listed := payloads[len(payloads)-maxPrepared:]
+	c.prepMu.Lock()
+	for i, e := range c.expect {
+		if e.p != listed[i] {
+			t.Errorf("expectation %d is for %s, want %s", i, e.p.Contract, listed[i].Contract)
+		}
+	}
+	c.prepMu.Unlock()
+	if err := c.SubmitTx(move2Tx(t, kp, 2, 0, listed[maxPrepared/2])); err != nil {
+		t.Fatal(err)
+	}
+	c.prepMu.Lock()
+	if n := len(c.expect); n != maxPrepared-1 {
+		t.Errorf("%d expectations after one was adopted, want %d", n, maxPrepared-1)
+	}
+	if spare := c.expect[len(c.expect):cap(c.expect)]; slices.ContainsFunc(spare, func(e *move2Prep) bool { return e != nil }) {
+		t.Error("an adopted expectation is still reachable from the list's backing array")
+	}
+	left := slices.Clone(c.expect)
+	for _, e := range c.prep {
+		left = append(left, e)
+	}
+	c.prepMu.Unlock()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		select {
+		case <-e.done:
+		default:
+			t.Fatal("Close returned with a preparation still running")
+		}
+	}
+	waitGoroutines(t, base)
 }
 
 // TestPreparedMove2Lifetime: entries leave the table when their transaction
@@ -303,9 +503,11 @@ func TestPreparedMove2Lifetime(t *testing.T) {
 }
 
 // TestConcurrentMove2Submission prepares Move2s submitted from several
-// goroutines at once, through SubmitTx and SubmitTxs and each twice, while a
-// drainer proposes and applies blocks; run it under -race (`make race`).
-// Every Move2 must commit exactly once, and the table must end empty.
+// goroutines at once, through SubmitTx and SubmitTxs and each twice, half of
+// them announced by ExpectMove2 first, while a drainer proposes and applies
+// blocks; run it under -race (`make race`, or `-race -count=10`). Every
+// Move2 must commit exactly once, and the table and the expectation list
+// must end empty.
 func TestConcurrentMove2Submission(t *testing.T) {
 	const (
 		goroutines = 4
@@ -336,9 +538,12 @@ func TestConcurrentMove2Submission(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := range txs {
 		wg.Add(1)
-		go func(batch []*types.Transaction, useBatch bool) {
+		go func(batch []*types.Transaction, useBatch, expect bool) {
 			defer wg.Done()
 			for _, tx := range batch {
+				if expect {
+					c.ExpectMove2(tx.Move2)
+				}
 				// The second submission is a duplicate while the first is
 				// pending, or re-admitted once it committed and then evicted
 				// as stale; it must never commit twice.
@@ -354,7 +559,7 @@ func TestConcurrentMove2Submission(t *testing.T) {
 					}
 				}
 			}
-		}(txs[g], g%2 == 1)
+		}(txs[g], g%2 == 1, g < goroutines/2)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -392,8 +597,8 @@ func TestConcurrentMove2Submission(t *testing.T) {
 			}
 		}
 	}
-	if n := preparedCount(c); n != 0 {
-		t.Fatalf("%d prepared entries left with the pool empty", n)
+	if n, e := preparedCount(c), expectedCount(c); n != 0 || e != 0 {
+		t.Fatalf("%d prepared entries and %d expectations left with the pool empty", n, e)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

@@ -312,7 +312,10 @@ func (m *Mover) Recover(cl *Client) error {
 		case StageWaitConfirm:
 			// The confirmation deadline restarts: a recovering relayer has no
 			// way to know how long the previous incarnation already waited.
+			// The target may still hold the crashed incarnation's expectation
+			// of this payload; ExpectMove2 then keeps that one.
 			e.confirmAt = m.sched.Now()
+			m.dst.ExpectMove2(e.Payload)
 			m.pollConfirm(cl, e)
 		case StageMove2Submitted:
 			cl.SubmitSigned(m.dst, e.Move2)
@@ -389,7 +392,7 @@ func (m *Mover) watchMove1(cl *Client, e *Entry) {
 			// A nonce failure is transient (the client desynced after a lost
 			// submission): resync and rebuild. Everything else — a reverting
 			// moveTo guard above all — is terminal.
-			if strings.Contains(rec.Err, "bad nonce") && m.budget(e) {
+			if badNonce(rec.Err) && m.budget(e) {
 				m.counters.Inc("relay.move1_retries")
 				m.event("move1.retry", e, metrics.A("reason", "bad nonce"))
 				cl.NoteBadNonce(m.src.ChainID())
@@ -456,6 +459,9 @@ func (m *Mover) startConfirm(cl *Client, e *Entry) {
 			return
 		}
 		e.Payload = payload
+		// The payload is final: the target's storage work can run while the
+		// source's headers become p blocks deep.
+		m.dst.ExpectMove2(payload)
 	}
 	e.Stage = StageWaitConfirm
 	e.Attempts = 0
@@ -509,13 +515,18 @@ func (m *Mover) submitMove2(cl *Client, e *Entry) {
 	m.watchMove2(cl, e)
 }
 
+// badNonce reports a receipt error of a transaction whose nonce the chain
+// refused.
+func badNonce(msg string) bool { return strings.Contains(msg, chain.ErrBadNonce.Error()) }
+
 // transientMove2 reports receipt errors worth a retry: nonce desyncs and
 // confirmation races (the depth check can regress only if our poll and the
-// chain's header store briefly disagree).
+// chain's header store briefly disagree). Receipts carry errors as text, so
+// each is recognised by the text of the error value that produced it.
 func transientMove2(msg string) bool {
-	return strings.Contains(msg, "bad nonce") ||
-		strings.Contains(msg, "not yet p blocks deep") ||
-		strings.Contains(msg, "header not known")
+	return badNonce(msg) ||
+		strings.Contains(msg, core.ErrNotConfirmed.Error()) ||
+		strings.Contains(msg, core.ErrNoHeader.Error())
 }
 
 // watchMove2 arms the Move2 receipt watcher and the stage deadline.
@@ -536,11 +547,13 @@ func (m *Mover) watchMove2(cl *Client, e *Entry) {
 			if transientMove2(rec.Err) && m.budget(e) {
 				m.counters.Inc("relay.move2_retries")
 				m.event("move2.retry", e, metrics.A("reason", rec.Err))
-				if strings.Contains(rec.Err, "bad nonce") {
+				if badNonce(rec.Err) {
 					cl.NoteBadNonce(m.dst.ChainID())
 				}
 				// Rebuild with a fresh nonce and re-verify confirmation depth
-				// before resubmitting.
+				// before resubmitting. The failed attempt consumed the target's
+				// preparation of the payload; start another.
+				m.dst.ExpectMove2(e.Payload)
 				e.Move2 = nil
 				e.Stage = StageWaitConfirm
 				e.confirmAt = m.sched.Now()

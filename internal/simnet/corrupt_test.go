@@ -31,13 +31,20 @@ func TestDefaultTamperAlwaysChangesMessage(t *testing.T) {
 	}
 }
 
+// TestDefaultTamperPreservesInput: the tamper copies before it changes a
+// byte, and returns no view of the input's array. Consensus rests on it: an
+// honest proposal is one slice that the proposing app later compares decided
+// payloads against, and that validators' hash memo knows by identity.
 func TestDefaultTamperPreservesInput(t *testing.T) {
 	msg := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	orig := append([]byte(nil), msg...)
 	for seed := int64(0); seed < 50; seed++ {
-		DefaultTamper(rand.New(rand.NewSource(seed)), msg)
+		out := DefaultTamper(rand.New(rand.NewSource(seed)), msg)
 		if !bytes.Equal(msg, orig) {
 			t.Fatalf("seed %d: tamper mutated the input", seed)
+		}
+		if len(out) > 0 && &out[0] == &msg[0] {
+			t.Fatalf("seed %d: tamper returned the input's array", seed)
 		}
 	}
 }

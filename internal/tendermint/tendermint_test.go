@@ -1,8 +1,10 @@
 package tendermint
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -479,6 +481,62 @@ func TestOnVoteRejectsUnknownKind(t *testing.T) {
 	}
 	if len(v.votes) != 0 || len(cluster.Evidence()) != 0 {
 		t.Fatalf("unknown kinds opened %d rounds and left %d evidence", len(v.votes), len(cluster.Evidence()))
+	}
+}
+
+// proposalKeeper is a recordingApp that keeps every payload it proposed
+// together with a private copy of its bytes.
+type proposalKeeper struct {
+	*recordingApp
+	proposed, copies [][]byte
+}
+
+func (a *proposalKeeper) Propose(height uint64) []byte {
+	p := a.recordingApp.Propose(height)
+	a.proposed = append(a.proposed, p)
+	a.copies = append(a.copies, bytes.Clone(p))
+	return p
+}
+
+// TestTamperingCopiesProposalPayload: neither WireTamper nor an equivocating
+// proposer's twin changes a byte of the payload the app proposed — every
+// honest validator is handed that one slice, payloadHash knows it by
+// identity, and the proposing app compares decided payloads against it.
+func TestTamperingCopiesProposalPayload(t *testing.T) {
+	payload := []byte("an honest proposal")
+	orig := bytes.Clone(payload)
+	tamper := WireTamper()
+	for seed := int64(0); seed < 50; seed++ {
+		out, ok := tamper(rand.New(rand.NewSource(seed)), msgProposal{Payload: payload})
+		got := out.(msgProposal).Payload
+		if !ok || bytes.Equal(got, payload) {
+			t.Fatalf("seed %d: the proposal was not tampered", seed)
+		}
+		if !bytes.Equal(payload, orig) || len(got) > 0 && &got[0] == &payload[0] {
+			t.Fatalf("seed %d: the tampered copy shares the proposal's bytes", seed)
+		}
+	}
+
+	sched := simclock.New()
+	net := simnet.New(sched, simnet.Config{Seed: 3, JitterFrac: 0.1, CorruptRate: 0.3, Tamper: WireTamper()})
+	app := &proposalKeeper{recordingApp: newRecordingApp()}
+	ids := []simnet.NodeID{1, 2, 3, 4}
+	regions := make([]simnet.Region, len(ids))
+	cluster, err := NewCluster(sched, net, app, DefaultConfig(), ids, regions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.SetByzantine(1, ByzantineBehavior{EquivocateProposals: true})
+	cluster.Start()
+	sched.RunUntil(2 * time.Minute)
+	if len(app.order) < 5 || len(cluster.Evidence()) == 0 || net.FaultStats().Corrupted == 0 {
+		t.Fatalf("%d commits, %d evidence, %d corrupted: the run exercised too little",
+			len(app.order), len(cluster.Evidence()), net.FaultStats().Corrupted)
+	}
+	for i, p := range app.proposed {
+		if !bytes.Equal(p, app.copies[i]) {
+			t.Fatalf("proposal %d was changed in place: %q, proposed %q", i, p, app.copies[i])
+		}
 	}
 }
 

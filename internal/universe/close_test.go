@@ -63,11 +63,12 @@ func TestCloseCleanUniverse(t *testing.T) {
 	}
 }
 
-// A large Move2 is prepared on goroutines of its own from pool admission.
-// After a real Move of a Store-100 and four Move2s that can never be
-// included (their nonces leave a gap) are admitted, Close must wait for
-// every preparation: the goroutine count comes back to what it was before
-// New.
+// A large Move2 is prepared on goroutines of its own from pool admission,
+// or from ExpectMove2 before that. After a real Move of a Store-100, four
+// Move2s that can never be included (their nonces leave a gap) are admitted
+// and 40 payloads that no transaction will ever carry are expected, Close
+// must wait for every preparation: the goroutine count comes back to what it
+// was before New.
 func TestCloseWaitsForMove2Preparations(t *testing.T) {
 	keys.SharedPool() // the crypto workers live for the process
 	base := runtime.NumGoroutine()
@@ -97,6 +98,11 @@ func TestCloseWaitsForMove2Preparations(t *testing.T) {
 		if err := u.Chain(ids[1]).SubmitTx(tx); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i := 0; i < 40; i++ {
+		never := *payload
+		never.Storage = payload.Storage[i%2 : 50+i]
+		u.Chain(ids[1]).ExpectMove2(&never)
 	}
 	if err := u.Close(); err != nil {
 		t.Fatal(err)
