@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race benchtest detsmoke expsmoke fuzzsmoke statesmoke rpcsmoke shardsmoke experiments
+.PHONY: check build test vet race benchtest detsmoke expsmoke fuzzsmoke statesmoke rpcsmoke shardsmoke experiments loc
 
 check: vet race detsmoke benchtest expsmoke fuzzsmoke statesmoke rpcsmoke shardsmoke
 
@@ -45,13 +45,14 @@ benchtest:
 # without the slots deleted abroad, and the bulk tree constructors every Move
 # and every rebuild goes through — indistinguishable from a Set loop (root,
 # proofs, later writes), refusing runs that are not strictly ascending, and
-# constant in allocations. A Move2 prepared at pool admission, off the event
-# loop, must apply exactly as one computed at apply (receipts, gas, error
-# text, roots; MPT ↔ IAVL and IAVL → IAVL), and the preparation itself must
-# fail and install exactly as VerifyMove2 and ApplyMove2 do; so must one
-# started by ExpectMove2 before its transaction existed, which only a Move2
-# with the same source chain and storage entries may adopt. The Move timeline
-# of 24 Moves MPT ↔ IAVL on the file backend is pinned to a digest.
+# constant in allocations. A Move2 prepared off the event loop from the
+# moment ExpectMove2 announces its payload must apply exactly as one computed
+# at apply (receipts, gas, error text, roots, and an installed storage that
+# reads back as a Set loop over the payload; MPT ↔ IAVL and IAVL → IAVL),
+# only a Move2 with the same source chain and storage entries may take the
+# preparation, and the preparation itself must fail and install exactly as
+# VerifyMove2 and ApplyMove2 do. The Move timeline of 24 Moves MPT ↔ IAVL on
+# the file backend is pinned to a digest.
 #
 # `go test -run 'A|B'` passes when a name matches nothing, so the target
 # first checks every listed name against `go test -list`: a test that is
@@ -152,3 +153,8 @@ shardsmoke:
 # experiments reruns the paper's figure experiments end to end.
 experiments:
 	$(GO) run ./cmd/movebench -experiment all -scale 0.08
+
+# loc prints the non-test Go lines outside benchmark/: the size of the
+# program that ROADMAP.md's "Minimal" aim tracks. It is not part of check.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -exec cat {} + | wc -l

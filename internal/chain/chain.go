@@ -102,9 +102,9 @@ type BlockListener func(block *types.Block, receipts []*types.Receipt)
 //     Historical Query*At reads are served between blocks by
 //     construction — the lock excludes a concurrent mid-block Commit.
 //   - SubmitTx/SubmitTxs and ExpectMove2 take no chain lock at all; the
-//     pool and the prepared-Move2 table have their own. Lock order is
-//     chain.mu before prepMu before pool.mu (ProposeBatch), never the
-//     reverse.
+//     pool and the Move2 preparation list have their own. prepMu is never
+//     held together with chain.mu or pool.mu: ApplyBlock takes its
+//     preparations before it locks.
 type Chain struct {
 	cfg     Config
 	db      *state.DB
@@ -135,16 +135,13 @@ type Chain struct {
 	// inline.
 	dispatch func(func())
 
-	// prep holds, by transaction id, the storage work of pooled Move2s that
-	// SubmitTx started on goroutines of their own or adopted from expect
-	// (see prepare). An entry leaves when ApplyBlock takes it for a block,
-	// when its transaction leaves the pool unapplied (ProposeBatch drops
-	// it), or at Close, which waits on prepWG for every goroutine started.
-	// expect holds, oldest first, the storage work ExpectMove2 started for
-	// payloads no admitted transaction carries yet.
+	// prep holds, oldest first, the storage work ExpectMove2 started for
+	// Move2 payloads a transaction is expected to carry here. An entry
+	// leaves when ApplyBlock takes it for a Move2 with the same content,
+	// when a newer one beyond maxPrepared drops it, or at Close, which
+	// waits on prepWG for every goroutine started.
 	prepMu     sync.Mutex
-	prep       map[hashing.Hash]*move2Prep
-	expect     []*move2Prep
+	prep       []*move2Prep
 	prepClosed bool
 	prepWG     sync.WaitGroup
 }
@@ -157,11 +154,10 @@ type move2Prep struct {
 	res  *core.Move2Storage
 }
 
-// maxPrepared bounds the table and, separately, the expectation list: a
-// Store-1900 Move2's prepared tree takes 0.37 MiB (IAVL) to 0.63 MiB (MPT),
-// and the Move workloads here have at most one preparable Move2 expected or
-// pending at a time. A Move2 admitted while the table is full is computed at
-// apply; an expectation beyond the bound drops the oldest.
+// maxPrepared bounds the preparation list: a Store-1900 Move2's prepared
+// tree takes 0.37 MiB (IAVL) to 0.63 MiB (MPT), and the Move workloads here
+// have at most one preparable Move2 expected at a time. An expectation
+// beyond the bound drops the oldest.
 const maxPrepared = 32
 
 // TxListener observes one transaction's execution.
@@ -199,7 +195,6 @@ func New(cfg Config, headers *core.HeaderStore, genesis func(db *state.DB)) (*Ch
 		txHeights: make(map[hashing.Hash]uint64),
 		pool:      txpool.New(cfg.ChainID, cfg.PoolLimit),
 		txWaiters: make(map[hashing.Hash][]TxListener),
-		prep:      make(map[hashing.Hash]*move2Prep),
 	}, nil
 }
 
@@ -247,8 +242,7 @@ func (c *Chain) headerAt(height uint64) (*types.Header, bool) {
 func (c *Chain) Close() error {
 	c.prepMu.Lock()
 	c.prepClosed = true
-	clear(c.prep)
-	c.expect = nil
+	c.prep = nil
 	c.prepMu.Unlock()
 	c.prepWG.Wait()
 	return c.db.Close()
@@ -359,13 +353,9 @@ func (c *Chain) observePoolDepth() {
 	c.reg.MaxGauge(c.gPeak, depth)
 }
 
-// SubmitTx admits a transaction to the pending pool, and starts preparing
-// an admitted Move2 (see prepare).
+// SubmitTx admits a transaction to the pending pool.
 func (c *Chain) SubmitTx(tx *types.Transaction) error {
 	err := c.pool.Add(tx)
-	if err == nil {
-		c.prepare(tx)
-	}
 	c.observePoolDepth()
 	return err
 }
@@ -375,96 +365,58 @@ func (c *Chain) SubmitTx(tx *types.Transaction) error {
 // calling SubmitTx in a loop. One error slot is returned per transaction.
 func (c *Chain) SubmitTxs(txs []*types.Transaction) []error {
 	errs := c.pool.AddBatch(txs)
-	for i, tx := range txs {
-		if errs[i] == nil {
-			c.prepare(tx)
-		}
-	}
 	c.observePoolDepth()
 	return errs
 }
 
-// prepareMin is the smallest Move2 payload, in storage entries, that SubmitTx
-// prepares. What the event loop pays for one Move2 — admission plus the
-// block that applies it, MPT → IAVL on a 2-core host — computed at apply
-// against prepared is 15 against 20 µs at 4 entries, 22 against 22 at 8 and
-// 24 against 19 at 16; from there the inline cost grows with the payload
-// and the prepared one barely moves. Every Kitties (4–8 entries) and
-// sharded (2–3) Move stays below it.
+// prepareMin is the smallest Move2 payload, in storage entries, that
+// ExpectMove2 prepares. What the event loop pays for one Move2 — admission
+// plus the block that applies it, MPT → IAVL on a 2-core host — computed at
+// apply against prepared is 15 against 20 µs at 4 entries, 22 against 22 at
+// 8 and 24 against 19 at 16; from there the inline cost grows with the
+// payload and the prepared one barely moves. Every Kitties (4–8 entries)
+// and sharded (2–3) Move stays below it.
 const prepareMin = 16
 
-// preparable reports whether tx is a Move2 that SubmitTx prepares.
+// preparable reports whether tx is a Move2 whose payload ExpectMove2 would
+// prepare.
 func preparable(tx *types.Transaction) bool {
 	return tx.Kind == types.TxMove2 && tx.Move2 != nil && len(tx.Move2.Storage) >= prepareMin
 }
 
-// ExpectMove2 starts the storage work of a Move2 payload that a transaction
-// is expected to carry here later: a relayer calls it as soon as it holds
-// the payload, so core.PrepareMove2 runs on a goroutine of the chain's own
-// while the relayer waits out the source's confirmation depth, not after
-// the Move2 arrives. The admission of a Move2 with the same source chain and
-// the same storage entries adopts the result (see prepare); p must not be
-// modified afterwards. A payload below prepareMin entries, or one already
-// expected, is ignored, and at most maxPrepared expectations are kept: a new
-// one beyond that drops the oldest. Simulated results never depend on
-// whether, or when, this ran.
+// ExpectMove2 starts core.PrepareMove2 — the completeness root and the tree
+// to install — for a Move2 payload that a transaction is expected to carry
+// here later, on a goroutine of the chain's own. A relayer calls it as soon
+// as it holds the payload, so the work overlaps the source's confirmation
+// wait. ApplyBlock takes the result for a Move2 with the same source chain
+// and storage entries (see takePrepared); p must not be modified afterwards.
+// A payload below prepareMin entries, or one already expected, is ignored;
+// beyond maxPrepared expectations a new one drops the oldest. A Move2 nobody
+// announced (sent over RPC, replayed, forged) is computed by applyMove2 with
+// the same pure function, so simulated results never depend on this.
 func (c *Chain) ExpectMove2(p *types.Move2Payload) {
 	if p == nil || len(p.Storage) < prepareMin {
 		return
 	}
 	c.prepMu.Lock()
 	defer c.prepMu.Unlock()
-	if c.prepClosed || c.findExpected(p) >= 0 {
+	if c.prepClosed || c.findPrepared(p) >= 0 {
 		return
 	}
-	if len(c.expect) == maxPrepared {
-		c.expect = slices.Delete(c.expect, 0, 1)
+	if len(c.prep) == maxPrepared {
+		c.prep = slices.Delete(c.prep, 0, 1)
 	}
-	c.expect = append(c.expect, c.startPrep(p))
+	c.prep = append(c.prep, c.startPrep(p))
 }
 
-// prepare files the storage work of an admitted Move2 — the completeness
-// root and the tree to install, core.PrepareMove2 — under the transaction
-// id: the expectation of the same payload when there is one (it leaves the
-// list, and is dropped if the table is full), else a new goroutine of its
-// own, so it runs beside the event loop while the transaction waits for its
-// block. The id hashes every payload entry, so the
-// copy a consensus commit decodes finds the entry as well as the pooled
-// object does. A Move2 that is not prepared here (too small, a full table,
-// or never pooled locally) is computed by applyMove2 with the same function,
-// whose result depends on the payload alone, so which path ran never shows
-// in a result.
-func (c *Chain) prepare(tx *types.Transaction) {
-	if !preparable(tx) {
-		return
-	}
-	id := tx.ID()
-	c.prepMu.Lock()
-	defer c.prepMu.Unlock()
-	if c.prepClosed || c.prep[id] != nil {
-		return
-	}
-	var e *move2Prep
-	if i := c.findExpected(tx.Move2); i >= 0 {
-		e = c.expect[i]
-		c.expect = slices.Delete(c.expect, i, i+1) // clears the vacated slot
-	}
-	switch {
-	case len(c.prep) >= maxPrepared:
-		return
-	case e == nil:
-		e = c.startPrep(tx.Move2)
-	}
-	c.prep[id] = e
-}
-
-// findExpected returns the index of the expectation whose payload has p's
+// findPrepared returns the index of the preparation whose payload has p's
 // source chain and storage entries, the only parts of a payload
 // core.PrepareMove2 reads, or -1. Entries are compared by value: a payload
-// that differs in one slot, forged or rebuilt, is not the one expected. The
-// caller holds prepMu.
-func (c *Chain) findExpected(p *types.Move2Payload) int {
-	return slices.IndexFunc(c.expect, func(e *move2Prep) bool {
+// that differs in one slot, forged or rebuilt, is not the one expected, and
+// the copy a consensus commit decodes finds the entry as well as the
+// relayer's own object does. The caller holds prepMu.
+func (c *Chain) findPrepared(p *types.Move2Payload) int {
+	return slices.IndexFunc(c.prep, func(e *move2Prep) bool {
 		return e.p.SourceChain == p.SourceChain && slices.Equal(e.p.Storage, p.Storage)
 	})
 }
@@ -482,22 +434,24 @@ func (c *Chain) startPrep(p *types.Move2Payload) *move2Prep {
 	return e
 }
 
-// takePrepared removes the table entries of txs' Move2s and returns their
-// results, waiting for any still being computed: res[i] belongs to txs[i]
-// and is nil where there was none (res itself is nil when no transaction
-// had one). ApplyBlock calls it before taking c.mu, so neither readers nor
-// submitters wait on a preparation. A taken result whose transaction fails
-// before applyMove2 is dropped with the block.
+// takePrepared removes the preparations of txs' Move2s from the list and
+// returns their results, waiting for any still being computed: res[i]
+// belongs to txs[i] and is nil where there was none (res itself is nil when
+// no transaction had one). ApplyBlock calls it before taking c.mu, so
+// neither readers nor submitters wait on a preparation. A taken result whose
+// transaction fails before applyMove2 is dropped with the block.
 func (c *Chain) takePrepared(txs []*types.Transaction) []*core.Move2Storage {
 	var res []*core.Move2Storage
 	for i, tx := range txs {
 		if !preparable(tx) {
 			continue
 		}
-		id := tx.ID()
+		var e *move2Prep
 		c.prepMu.Lock()
-		e := c.prep[id]
-		delete(c.prep, id)
+		if j := c.findPrepared(tx.Move2); j >= 0 {
+			e = c.prep[j]
+			c.prep = slices.Delete(c.prep, j, j+1) // clears the vacated slot
+		}
 		c.prepMu.Unlock()
 		if e == nil {
 			continue
@@ -509,20 +463,6 @@ func (c *Chain) takePrepared(txs []*types.Transaction) []*core.Move2Storage {
 		res[i] = e.res
 	}
 	return res
-}
-
-// dropUnpooled forgets the entries of transactions that left the pool
-// without being applied — NextBatch evicts one whose nonce a committed
-// transaction used — and of any applied between admission and prepare's
-// insert. Their goroutines finish on their own; Close waits for them.
-func (c *Chain) dropUnpooled() {
-	c.prepMu.Lock()
-	defer c.prepMu.Unlock()
-	for id := range c.prep {
-		if !c.pool.Contains(id) {
-			delete(c.prep, id)
-		}
-	}
 }
 
 // PendingTxs returns the pool size.
@@ -551,16 +491,13 @@ func (c *Chain) NotifyTx(id hashing.Hash, l TxListener) {
 	l(rec, block)
 }
 
-// ProposeBatch selects the next block's transactions from the pool, and
-// drops the prepared Move2 work of any the selection evicted.
-// The chain lock covers the pool's nonceOf callbacks into the state DB
-// (nonce reads warm DB caches); lock order chain.mu → pool.mu.
+// ProposeBatch selects the next block's transactions from the pool. The
+// chain lock covers the pool's nonceOf callbacks into the state DB (nonce
+// reads warm DB caches); lock order chain.mu → pool.mu.
 func (c *Chain) ProposeBatch() []*types.Transaction {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	batch := c.pool.NextBatch(c.cfg.MaxBlockTxs, c.db.GetNonce)
-	c.dropUnpooled()
-	return batch
+	return c.pool.NextBatch(c.cfg.MaxBlockTxs, c.db.GetNonce)
 }
 
 // ApplyBlock executes txs one after another, in block order, as the next
@@ -779,7 +716,7 @@ func (c *Chain) applyTx(tx *types.Transaction, blockCtx evm.BlockContext, s *cor
 // applyMove2 charges the recreation gas of Alg. 1 (contract creation plus
 // one SSTORE per storage entry plus proof verification), verifies the
 // payload, imports the contract, and runs moveFinish(·). s is the payload's
-// storage work prepared at admission; without one it is computed here.
+// storage work ExpectMove2 prepared; without one it is computed here.
 func (c *Chain) applyMove2(vm *evm.EVM, tx *types.Transaction, gas uint64, s *core.Move2Storage) (uint64, error) {
 	if !tx.Value.IsZero() {
 		return gas, errors.New("move2 transaction must not carry value")

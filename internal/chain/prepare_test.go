@@ -15,6 +15,7 @@ import (
 	"scmove/internal/hashing"
 	"scmove/internal/keys"
 	"scmove/internal/state"
+	"scmove/internal/trees"
 	"scmove/internal/trie"
 	"scmove/internal/txpool"
 	"scmove/internal/types"
@@ -120,24 +121,11 @@ func tampered(p *types.Move2Payload, edit func(s []types.StorageEntry) []types.S
 	return &cp
 }
 
-// preparedCount is the size of c's prepared-Move2 table.
+// preparedCount is the length of c's Move2 preparation list.
 func preparedCount(c *Chain) int {
 	c.prepMu.Lock()
 	defer c.prepMu.Unlock()
 	return len(c.prep)
-}
-
-// waitPrepared waits for every preparation in c's table to finish.
-func waitPrepared(c *Chain) {
-	c.prepMu.Lock()
-	running := make([]*move2Prep, 0, len(c.prep))
-	for _, e := range c.prep {
-		running = append(running, e)
-	}
-	c.prepMu.Unlock()
-	for _, e := range running {
-		<-e.done
-	}
 }
 
 // waitGoroutines waits up to a few seconds for the goroutine count to fall
@@ -152,13 +140,6 @@ func waitGoroutines(t testing.TB, want int) {
 		}
 		runtime.Gosched()
 	}
-}
-
-// expectedCount is the length of c's expectation list.
-func expectedCount(c *Chain) int {
-	c.prepMu.Lock()
-	defer c.prepMu.Unlock()
-	return len(c.expect)
 }
 
 // move2Pair is a source and a target of the Move2 differentials.
@@ -186,7 +167,7 @@ type move2Case struct {
 // with the source root that makes its proofs valid: every failure class,
 // two checks failing at once, a reverting moveFinish, and payloads of 200
 // entries (split across two goroutines when the kinds differ), 70 (prepared
-// on one) and 10 (computed at apply on every chain).
+// on one) and 10 (below prepareMin: computed at apply on every chain).
 func move2Cases(t *testing.T, pair move2Pair) ([]move2Case, hashing.Hash) {
 	t.Helper()
 	payloads, root := lockedPayloads(t, pair.src, pair.dst.ChainID,
@@ -219,7 +200,9 @@ func move2Cases(t *testing.T, pair move2Pair) ([]move2Case, hashing.Hash) {
 
 // requireSameBlocks applies tx, as wire copies, in one block on each chain
 // and requires the receipts (status, gas, error text, logs), state roots and
-// header hashes to agree, and the receipt's error to be the case's.
+// header hashes to agree, the receipt's error to be the case's, no
+// preparation to be left listed, and a Move2 that succeeded to read back on
+// every chain (requireReadBack).
 func requireSameBlocks(t *testing.T, tc move2Case, tx *types.Transaction, now uint64, chains ...*Chain) {
 	t.Helper()
 	var (
@@ -245,16 +228,48 @@ func requireSameBlocks(t *testing.T, tc move2Case, tx *types.Transaction, now ui
 	if got := recs[0].Err; tc.err == "" && !recs[0].Succeeded() || !strings.Contains(got, tc.err) {
 		t.Fatalf("%s: receipt error %q, want one containing %q", tc.name, got, tc.err)
 	}
+	if recs[0].Succeeded() {
+		for _, c := range chains {
+			requireReadBack(t, tc.name, c, tx.Move2)
+		}
+	}
+}
+
+// requireReadBack checks c's copy of a contract that a Move2 carrying p
+// installed by a path that shares nothing with core.PrepareMove2, which
+// both sides of a differential go through: the contract's storage root must
+// be that of an empty tree of c's kind given one Set per payload entry, and
+// every entry must read back through GetStorage.
+func requireReadBack(t *testing.T, name string, c *Chain, p *types.Move2Payload) {
+	t.Helper()
+	want := trees.MustNew(c.cfg.TreeKind, 32)
+	for _, e := range p.Storage {
+		if err := want.Set(e.Key[:], e.Value[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if acct, _ := c.db.GetAccount(p.Contract); acct.StorageRoot != want.RootHash() {
+		t.Fatalf("%s: chain %s installed storage root %s, a Set loop over the payload gives %s",
+			name, c.ChainID(), acct.StorageRoot, want.RootHash())
+	}
+	for _, e := range p.Storage {
+		if got := c.db.GetStorage(p.Contract, e.Key); got != e.Value {
+			t.Fatalf("%s: chain %s reads slot %x as %x, the payload carries %x",
+				name, c.ChainID(), e.Key, got, e.Value)
+		}
+	}
 }
 
 // TestPreparedMove2MatchesInline is the differential of the two ways a Move2
-// reaches its storage work: prepared at pool admission, off the event loop,
-// or computed inline at apply because the chain's pool never saw it. One
-// chain admits every transaction through SubmitTx, the other is only handed
-// the blocks, both as wire copies; the receipts (status, gas, error text,
-// logs), state roots and header hashes must agree block for block, for
-// MPT → IAVL, IAVL → MPT and IAVL → IAVL, on valid payloads and on every
-// failure class — and where two checks fail, the same one must win.
+// reaches its storage work: prepared off the event loop from the moment a
+// relayer announces the payload (ExpectMove2), or computed inline at apply
+// because nobody did. Neither chain's pool sees the transaction, as on a
+// validator handed another's proposal: one chain is told to expect each
+// payload, the other is not, and both are handed the blocks as wire copies.
+// The receipts (status, gas, error text, logs), state roots and header
+// hashes must agree block for block, for MPT → IAVL, IAVL → MPT and
+// IAVL → IAVL, on valid payloads and on every failure class — and where two
+// checks fail, the same one must win.
 func TestPreparedMove2MatchesInline(t *testing.T) {
 	for _, pair := range []move2Pair{mptToIAVL, iavlToMPT, iavlToIAVL} {
 		t.Run(pair.name, func(t *testing.T) {
@@ -266,15 +281,13 @@ func TestPreparedMove2MatchesInline(t *testing.T) {
 			trustSource(t, inline, pair.src, root)
 			for i, tc := range cases {
 				tx := move2Tx(t, kp, pair.dst.ChainID, uint64(i), tc.payload)
-				if err := prep.SubmitTx(tx); err != nil {
-					t.Fatalf("%s: admission: %v", tc.name, err)
-				}
+				prep.ExpectMove2(tc.payload)
 				want := 0
 				if len(tc.payload.Storage) >= prepareMin {
 					want = 1
 				}
 				if got := preparedCount(prep); got != want {
-					t.Fatalf("%s: %d prepared entries after admitting %d slots, want %d",
+					t.Fatalf("%s: %d preparations listed for %d slots, want %d",
 						tc.name, got, len(tc.payload.Storage), want)
 				}
 				requireSameBlocks(t, tc, tx, uint64(100+i), prep, inline)
@@ -283,55 +296,51 @@ func TestPreparedMove2MatchesInline(t *testing.T) {
 	}
 }
 
-// TestExpectedMove2MatchesInline extends the differential to a Move2 whose
-// storage work started before its transaction existed: one chain is told to
-// expect each payload (ExpectMove2, as the relayer does when it builds one)
-// and then admits the transaction, which must adopt that very preparation; a
-// second only admits it; a third is only handed the blocks. All three must
-// agree block for block, MPT → IAVL and IAVL → MPT, on every case of
-// TestPreparedMove2MatchesInline.
+// TestExpectedMove2MatchesInline extends the differential to pool
+// admission, which prepares nothing: one chain is told to expect each
+// payload and then admits the transaction, which must leave the expectation
+// for the block; the other only admits it, which must list nothing. Both
+// must agree block for block on every case of TestPreparedMove2MatchesInline.
 func TestExpectedMove2MatchesInline(t *testing.T) {
-	for _, pair := range []move2Pair{mptToIAVL, iavlToMPT} {
+	for _, pair := range []move2Pair{mptToIAVL, iavlToMPT, iavlToIAVL} {
 		t.Run(pair.name, func(t *testing.T) {
 			kp := keys.Deterministic(1)
 			cases, root := move2Cases(t, pair)
 			expected := newChain(t, pair.dst, []core.ChainParams{pair.src}, kp)
 			admitted := newChain(t, pair.dst, []core.ChainParams{pair.src}, kp)
-			inline := newChain(t, pair.dst, []core.ChainParams{pair.src}, kp)
-			for _, c := range []*Chain{expected, admitted, inline} {
-				trustSource(t, c, pair.src, root)
-			}
+			trustSource(t, expected, pair.src, root)
+			trustSource(t, admitted, pair.src, root)
 			for i, tc := range cases {
 				tx := move2Tx(t, kp, pair.dst.ChainID, uint64(i), tc.payload)
 				expected.ExpectMove2(tc.payload)
-				var want *move2Prep
+				want := 0
 				if len(tc.payload.Storage) >= prepareMin {
-					want = expected.expect[0]
+					want = 1
 				}
-				if err := expected.SubmitTx(tx); err != nil {
-					t.Fatalf("%s: admission: %v", tc.name, err)
+				for _, c := range []*Chain{expected, admitted} {
+					if err := c.SubmitTx(tx); err != nil {
+						t.Fatalf("%s: admission: %v", tc.name, err)
+					}
 				}
-				if err := admitted.SubmitTx(tx); err != nil {
-					t.Fatalf("%s: admission: %v", tc.name, err)
+				if got := preparedCount(expected); got != want {
+					t.Fatalf("%s: %d preparations listed after admitting %d slots, want %d",
+						tc.name, got, len(tc.payload.Storage), want)
 				}
-				if n := expectedCount(expected); n != 0 {
-					t.Fatalf("%s: %d expectations left after admission", tc.name, n)
+				if n := preparedCount(admitted); n != 0 {
+					t.Fatalf("%s: admission alone listed %d preparations", tc.name, n)
 				}
-				if got := expected.prep[tx.ID()]; got != want {
-					t.Fatalf("%s: admission filed %p, want the expectation %p", tc.name, got, want)
-				}
-				requireSameBlocks(t, tc, tx, uint64(100+i), expected, admitted, inline)
+				requireSameBlocks(t, tc, tx, uint64(100+i), expected, admitted)
 			}
 		})
 	}
 }
 
-// TestExpectedMove2MatchesByContent: an expectation is adopted only by a
+// TestExpectedMove2MatchesByContent: a block takes an expectation only for a
 // Move2 carrying the same source chain and the same storage entries. A Move2
-// whose expectation names another source chain is prepared afresh at
-// admission and succeeds; one whose storage differs from the expected in one
-// slot's value is prepared afresh and still fails completeness. Both
-// expectations stay listed until Close.
+// whose expectation names another source chain is computed at apply and
+// succeeds; one whose storage differs from the expected in one slot's value
+// is computed at apply and still fails completeness. Both expectations stay
+// listed after their blocks, until Close.
 func TestExpectedMove2MatchesByContent(t *testing.T) {
 	kp := keys.Deterministic(1)
 	payloads, root := lockedPayloads(t, mptSource, 2, movedContract{stopCode, 100})
@@ -340,20 +349,15 @@ func TestExpectedMove2MatchesByContent(t *testing.T) {
 	trustSource(t, c, mptSource, root)
 	submit := func(nonce uint64, p *types.Move2Payload) *types.Receipt {
 		t.Helper()
-		tx := move2Tx(t, kp, 2, nonce, p)
-		if err := c.SubmitTx(tx); err != nil {
+		if err := c.SubmitTx(move2Tx(t, kp, 2, nonce, p)); err != nil {
 			t.Fatal(err)
-		}
-		c.prepMu.Lock()
-		expected, fresh := len(c.expect), c.prep[tx.ID()] != nil
-		c.prepMu.Unlock()
-		if expected != int(nonce)+1 || !fresh {
-			t.Fatalf("Move2 %d: %d expectations left, prepared afresh %v; want %d and true",
-				nonce, expected, fresh, nonce+1)
 		}
 		_, recs := c.ApplyBlock(c.ProposeBatch(), 10+nonce, ProposerAddress(2, 0))
 		if len(recs) != 1 {
 			t.Fatalf("Move2 %d: %d receipts", nonce, len(recs))
+		}
+		if n := preparedCount(c); n != int(nonce)+1 {
+			t.Fatalf("Move2 %d: %d expectations left after its block, want %d", nonce, n, nonce+1)
 		}
 		return recs[0]
 	}
@@ -376,17 +380,17 @@ func TestExpectedMove2MatchesByContent(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := expectedCount(c); n != 0 {
+	if n := preparedCount(c); n != 0 {
 		t.Fatalf("%d expectations after Close", n)
 	}
 }
 
-// TestExpectedMove2Bounded: expectations that no admission ever adopts stay
-// at maxPrepared, the oldest leaving first, a payload expected twice is
-// prepared once, and one below prepareMin not at all; one adopted from the
-// middle of the list leaves no pointer behind in its backing array. Close
-// waits for every preparation started, after which the goroutine count is
-// back where it was before the chain existed.
+// TestExpectedMove2Bounded: expectations that no block ever takes stay at
+// maxPrepared, the oldest leaving first, a payload expected twice is
+// prepared once, and one below prepareMin not at all; one a block takes from
+// the middle of the list leaves no pointer behind in its backing array.
+// Close waits for every preparation started, after which the goroutine count
+// is back where it was before the chain existed.
 func TestExpectedMove2Bounded(t *testing.T) {
 	keys.SharedPool() // the crypto workers live for the process
 	base := runtime.NumGoroutine()
@@ -404,31 +408,33 @@ func TestExpectedMove2Bounded(t *testing.T) {
 		c.ExpectMove2(p)
 		c.ExpectMove2(p)
 	}
-	if n := expectedCount(c); n != maxPrepared {
+	if n := preparedCount(c); n != maxPrepared {
 		t.Fatalf("%d expectations, want the bound %d", n, maxPrepared)
 	}
 	listed := payloads[len(payloads)-maxPrepared:]
 	c.prepMu.Lock()
-	for i, e := range c.expect {
+	for i, e := range c.prep {
 		if e.p != listed[i] {
 			t.Errorf("expectation %d is for %s, want %s", i, e.p.Contract, listed[i].Contract)
 		}
 	}
 	c.prepMu.Unlock()
-	if err := c.SubmitTx(move2Tx(t, kp, 2, 0, listed[maxPrepared/2])); err != nil {
-		t.Fatal(err)
+	taken := listed[maxPrepared/2]
+	tx := wireCopy(t, move2Tx(t, kp, 2, 0, taken))
+	if _, recs := c.ApplyBlock([]*types.Transaction{tx}, 10, ProposerAddress(2, 0)); len(recs) != 1 {
+		t.Fatalf("%d receipts", len(recs))
 	}
 	c.prepMu.Lock()
-	if n := len(c.expect); n != maxPrepared-1 {
-		t.Errorf("%d expectations after one was adopted, want %d", n, maxPrepared-1)
+	if n := len(c.prep); n != maxPrepared-1 {
+		t.Errorf("%d expectations after a block took one, want %d", n, maxPrepared-1)
 	}
-	if spare := c.expect[len(c.expect):cap(c.expect)]; slices.ContainsFunc(spare, func(e *move2Prep) bool { return e != nil }) {
-		t.Error("an adopted expectation is still reachable from the list's backing array")
+	if slices.ContainsFunc(c.prep, func(e *move2Prep) bool { return e.p == taken }) {
+		t.Error("the block's Move2 left its expectation listed")
 	}
-	left := slices.Clone(c.expect)
-	for _, e := range c.prep {
-		left = append(left, e)
+	if spare := c.prep[len(c.prep):cap(c.prep)]; slices.ContainsFunc(spare, func(e *move2Prep) bool { return e != nil }) {
+		t.Error("a taken expectation is still reachable from the list's backing array")
 	}
+	left := slices.Clone(c.prep)
 	c.prepMu.Unlock()
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -443,71 +449,11 @@ func TestExpectedMove2Bounded(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestPreparedMove2Lifetime: entries leave the table when their transaction
-// leaves the pool unapplied, not only when a block takes them, and Close
-// waits out every preparation: a Move2 evicted as stale, because a transfer
-// used its nonce, is forgotten at the next proposal, and Move2s that can
-// never be included (a nonce gap) are dropped by Close, after which the
-// goroutine count is back where it was before the chain existed.
-func TestPreparedMove2Lifetime(t *testing.T) {
-	keys.SharedPool() // the crypto workers live for the process
-	base := runtime.NumGoroutine()
-	kp := keys.Deterministic(1)
-	payloads, root := lockedPayloads(t, mptSource, 2,
-		movedContract{stopCode, 100}, movedContract{stopCode, 100}, movedContract{stopCode, 100})
-	c := newChain(t, burrowConfig(2), []core.ChainParams{mptSource}, kp)
-	trustSource(t, c, mptSource, root)
-
-	if err := c.SubmitTx(signedCall(t, kp, 2, 0, hashing.AddressFromBytes([]byte{1}), nil, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SubmitTx(move2Tx(t, kp, 2, 0, payloads[0])); err != nil {
-		t.Fatal(err)
-	}
-	gapped := []*types.Transaction{move2Tx(t, kp, 2, 7, payloads[1]), move2Tx(t, kp, 2, 8, payloads[2])}
-	if errs := c.SubmitTxs(gapped); errs[0] != nil || errs[1] != nil {
-		t.Fatalf("admission: %v", errs)
-	}
-	if n := preparedCount(c); n != 3 {
-		t.Fatalf("%d prepared entries after admitting three Move2s", n)
-	}
-	if _, recs := c.ApplyBlock(c.ProposeBatch(), 10, ProposerAddress(2, 0)); len(recs) != 1 || !recs[0].Succeeded() {
-		t.Fatalf("first block: %+v", recs)
-	}
-	if batch := c.ProposeBatch(); len(batch) != 0 {
-		t.Fatalf("proposed %d transactions, want none", len(batch))
-	}
-	if n, pending := preparedCount(c), c.PendingTxs(); n != 2 || pending != 2 {
-		t.Fatalf("after the stale Move2's eviction: %d prepared, %d pending; want 2 and 2", n, pending)
-	}
-	c.prepMu.Lock()
-	left := make([]*move2Prep, 0, len(c.prep))
-	for _, e := range c.prep {
-		left = append(left, e)
-	}
-	c.prepMu.Unlock()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := preparedCount(c); n != 0 {
-		t.Fatalf("%d prepared entries after Close", n)
-	}
-	for _, e := range left {
-		select {
-		case <-e.done:
-		default:
-			t.Fatal("Close returned with a preparation still running")
-		}
-	}
-	waitGoroutines(t, base)
-}
-
-// TestConcurrentMove2Submission prepares Move2s submitted from several
-// goroutines at once, through SubmitTx and SubmitTxs and each twice, half of
-// them announced by ExpectMove2 first, while a drainer proposes and applies
-// blocks; run it under -race (`make race`, or `-race -count=10`). Every
-// Move2 must commit exactly once, and the table and the expectation list
-// must end empty.
+// TestConcurrentMove2Submission submits Move2s from several goroutines at
+// once, through SubmitTx and SubmitTxs and each twice, half of them announced
+// by ExpectMove2 first, while a drainer proposes and applies blocks; run it
+// under -race (`make race`, or `-race -count=10`). Every Move2 must commit
+// exactly once, and the preparation list must end empty.
 func TestConcurrentMove2Submission(t *testing.T) {
 	const (
 		goroutines = 4
@@ -587,9 +533,6 @@ func TestConcurrentMove2Submission(t *testing.T) {
 	for c.PendingTxs() > 0 {
 		drain()
 	}
-	// A submission that lost the race to its own block inserts its entry
-	// after the block took the table's; the next proposal drops it.
-	c.ProposeBatch()
 	for _, batch := range txs {
 		for _, tx := range batch {
 			if n := committed[tx.ID()]; n != 1 {
@@ -597,8 +540,8 @@ func TestConcurrentMove2Submission(t *testing.T) {
 			}
 		}
 	}
-	if n, e := preparedCount(c), expectedCount(c); n != 0 || e != 0 {
-		t.Fatalf("%d prepared entries and %d expectations left with the pool empty", n, e)
+	if n := preparedCount(c); n != 0 {
+		t.Fatalf("%d preparations left with the pool empty", n)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

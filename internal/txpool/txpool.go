@@ -138,14 +138,6 @@ func (p *Pool) AddBatch(txs []*types.Transaction) []error {
 	return errs
 }
 
-// Contains reports whether the transaction is pending.
-func (p *Pool) Contains(id hashing.Hash) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.pending[id]
-	return ok
-}
-
 // NextBatch selects up to max transactions in FIFO order, respecting
 // per-sender nonce sequencing against the provided current account nonces:
 // a transaction whose nonce is not the sender's next is skipped (left in

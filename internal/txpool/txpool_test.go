@@ -167,10 +167,18 @@ func TestRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Remove(tx.ID())
-	if p.Len() != 0 || p.Contains(tx.ID()) {
+	if p.Len() != 0 || isPending(p, tx.ID()) {
 		t.Fatal("remove must drop the tx")
 	}
 	p.Remove(tx.ID()) // idempotent
+}
+
+// isPending reports whether the transaction with the given id is pending.
+func isPending(p *Pool, id hashing.Hash) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, ok := p.pending[id]
+	return ok
 }
 
 // syntheticPool builds a pool of n pending transactions with distinct ids,
@@ -194,8 +202,8 @@ func syntheticPool(rng *rand.Rand, n, senders int) *Pool {
 // TestRemoveManyMatchesSingleRemovals checks that one Remove of a block's
 // ids — repeats and ids never pending included — leaves exactly what that
 // many single-id removals leave: the same survivors in the same FIFO order,
-// Len, Contains, and the next NextBatch. Each pool takes two blocks, so the
-// reused scratch set is exercised too.
+// Len, which ids are pending, and the next NextBatch. Each pool takes two
+// blocks, so the reused scratch set is exercised too.
 func TestRemoveManyMatchesSingleRemovals(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -224,8 +232,8 @@ func TestRemoveManyMatchesSingleRemovals(t *testing.T) {
 				}
 			}
 			for _, id := range all {
-				if many.Contains(id) != single.Contains(id) {
-					t.Fatalf("seed %d round %d: Contains(%s) differs", seed, round, id)
+				if isPending(many, id) != isPending(single, id) {
+					t.Fatalf("seed %d round %d: whether %s is pending differs", seed, round, id)
 				}
 			}
 		}
@@ -284,9 +292,9 @@ func TestSameNonceCompetitorSurvivesFailedRound(t *testing.T) {
 	}
 	// The consensus round fails: no block commits, nothing is removed. The
 	// losing competitor must not have been destroyed.
-	if !p.Contains(b.ID()) || p.Len() != 2 {
-		t.Fatalf("competing same-nonce tx was evicted on a failed round (len=%d, contains=%v)",
-			p.Len(), p.Contains(b.ID()))
+	if !isPending(p, b.ID()) || p.Len() != 2 {
+		t.Fatalf("competing same-nonce tx was evicted on a failed round (len=%d, pending=%v)",
+			p.Len(), isPending(p, b.ID()))
 	}
 	// The next round can still propose either: drop a (say, a peer saw it
 	// fail admission elsewhere) and b must be selectable at the same nonce.

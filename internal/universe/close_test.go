@@ -63,12 +63,12 @@ func TestCloseCleanUniverse(t *testing.T) {
 	}
 }
 
-// A large Move2 is prepared on goroutines of its own from pool admission,
-// or from ExpectMove2 before that. After a real Move of a Store-100, four
-// Move2s that can never be included (their nonces leave a gap) are admitted
-// and 40 payloads that no transaction will ever carry are expected, Close
-// must wait for every preparation: the goroutine count comes back to what it
-// was before New.
+// A large Move2 is prepared on goroutines of its own from ExpectMove2; pool
+// admission starts nothing. After a real Move of a Store-100, four Move2s
+// that can never be included (their nonces leave a gap) are admitted, which
+// must start no preparation, and 40 payloads that no transaction will ever
+// carry are expected, Close must wait for every preparation: the goroutine
+// count comes back to what it was before New.
 func TestCloseWaitsForMove2Preparations(t *testing.T) {
 	keys.SharedPool() // the crypto workers live for the process
 	base := runtime.NumGoroutine()
