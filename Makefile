@@ -52,7 +52,11 @@ benchtest:
 # only a Move2 with the same source chain and storage entries may take the
 # preparation, and the preparation itself must fail and install exactly as
 # VerifyMove2 and ApplyMove2 do. The Move timeline of 24 Moves MPT ↔ IAVL on
-# the file backend is pinned to a digest.
+# the file backend is pinned to a digest. A client's transaction is admitted
+# while its deferred signature is still queued and proposed only once it
+# landed, a failed signature stays failed, and every transaction the Kitties
+# cell and the 16-chain sharded cell commit recovers to its From through a
+# full ECDSA verification (no memo, no sender cache).
 #
 # `go test -run 'A|B'` passes when a name matches nothing, so the target
 # first checks every listed name against `go test -list`: a test that is
@@ -69,9 +73,10 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestBackendConformanceDifferential TestShardedScalingCrossGOMAXPROCSDeterminism \
 	TestPreparedMove2MatchesInline TestPreparedMove2MatchesVerifyAndApply \
 	TestExpectedMove2MatchesInline TestExpectedMove2MatchesByContent \
-	TestMovePingPongDigest
+	TestMovePingPongDigest TestAdmittedWhileSignatureQueued \
+	TestFailedSignatureIsKept TestCommittedSignaturesVerify
 DETSMOKE_PKGS = ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
-	./internal/txpool/ ./internal/workload/ ./internal/bench/ \
+	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/relay/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/
 detsmoke:
 	@have=$$($(GO) test -list '.*' $(DETSMOKE_PKGS)) || { echo "$$have"; exit 1; }; \

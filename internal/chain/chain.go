@@ -494,10 +494,33 @@ func (c *Chain) NotifyTx(id hashing.Hash, l TxListener) {
 // ProposeBatch selects the next block's transactions from the pool. The
 // chain lock covers the pool's nonceOf callbacks into the state DB (nonce
 // reads warm DB caches); lock order chain.mu → pool.mu.
+//
+// A client's deferred signature (types.SignOn) is awaited here, after the
+// lock is released, and not at admission: the pool decides on From, which
+// the signing key fixed, and no block holds an unsigned transaction. A
+// transaction whose signature failed leaves the pool; its sender's later
+// transactions in this batch wait for a later block.
 func (c *Chain) ProposeBatch() []*types.Transaction {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pool.NextBatch(c.cfg.MaxBlockTxs, c.db.GetNonce)
+	batch := c.pool.NextBatch(c.cfg.MaxBlockTxs, c.db.GetNonce)
+	c.mu.Unlock()
+	var failed map[hashing.Address]bool
+	keep := batch[:0]
+	for _, tx := range batch {
+		if failed[tx.From] {
+			continue
+		}
+		if err := tx.WaitSig(); err != nil {
+			c.pool.Remove(tx.ID())
+			if failed == nil {
+				failed = make(map[hashing.Address]bool)
+			}
+			failed[tx.From] = true
+			continue
+		}
+		keep = append(keep, tx)
+	}
+	return keep
 }
 
 // ApplyBlock executes txs one after another, in block order, as the next

@@ -24,15 +24,15 @@ type Pool struct {
 // queueDepth is how many submitted jobs a pool holds beyond the ones its
 // workers are running. Deferred client signing (types.SignOn) submits one
 // job per simulated transaction from the event loop and waits for it only
-// at the delivery event, 50 ms of simulated time later; a buffer of
-// `workers` jobs (2 on a 2-core host) instead blocked the loop in Go for
-// 0.7 s of three Kitties rounds, so the overlap deferral promised mostly
-// did not happen. The delivery event still often comes first, because
-// simulated time runs far ahead of the pool: kitties_replay's loop blocks
-// in WaitSig 370–470 times per round, 0.25–0.40 s of a 0.8–1.2 s round.
-// The measured in-flight peaks are 1 908 jobs (shard_migrate), 961
-// (kitties_replay) and 3 (move_store); this is twice the largest, and
-// 65 536 measured the same. It stays bounded: bulk
+// when a block proposal selects the transaction; a buffer of `workers`
+// jobs (2 on a 2-core host) instead blocked the loop in Go for 0.7 s of
+// three Kitties rounds, so the overlap deferral promised mostly did not
+// happen. The proposal still sometimes comes first, because simulated time
+// runs far ahead of the pool: kitties_replay's loop blocks in WaitSig
+// 907–1 254 times per round, 0.16–0.22 s of a 1.2–1.5 s round (seed 1,
+// 2-core host). The measured in-flight peaks are 1 863–1 908 jobs (shard_migrate),
+// 961–992 (kitties_replay) and 3 (move_store); this is twice the largest,
+// and 65 536 measured the same. It stays bounded: bulk
 // submitters (the RPC workloads pre-sign 130 k transactions back to back)
 // still block in Go, so a pool never holds more than queueDepth closures.
 const queueDepth = 1 << 12

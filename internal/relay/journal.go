@@ -100,11 +100,9 @@ func encodeEntry(w *codec.Writer, e *Entry) {
 		w.WriteBytes(e.MoveToInput)
 	}
 	if e.Move1 != nil {
-		_ = e.Move1.WaitSig()
 		w.WriteBytes(e.Move1.Encode())
 	}
 	if e.Move2 != nil {
-		_ = e.Move2.WaitSig()
 		w.WriteBytes(e.Move2.Encode())
 	}
 	if e.Payload != nil {

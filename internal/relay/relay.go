@@ -109,18 +109,16 @@ func (cl *Client) NoteBadNonce(id hashing.ChainID) { cl.desynced[id] = true }
 // otherwise. Pool rejections roll the nonce back so a retry can reuse it;
 // duplicate rejections are expected for idempotent resubmissions and leave
 // the counter alone.
+//
+// A deferred signature is not awaited here: admission trusts From, and the
+// chain waits when a proposal selects the transaction. The submission delay
+// is simulated time, which passes in microseconds of wall time, so the
+// signature is often still queued at delivery; a wait here blocks
+// kitties_replay's event loop 399–459 times per round, 0.40–0.60 s of a
+// 1.43–2.02 s round (seed 1, 2-core host). The next proposal is up to 5 s
+// of simulated time later, and by then the signature has usually landed.
 func (cl *Client) deliver(c *chain.Chain, tx *types.Transaction) {
 	apply := func() {
-		// A deferred signature must land before admission reads it. The
-		// submission delay is simulated time, which passes in microseconds
-		// of wall time, so the signature is often still queued behind
-		// others on the crypto pool: kitties_replay's event loop blocks here
-		// 370–470 times per round, 0.25–0.40 s of a 0.8–1.2 s round (2-core
-		// host).
-		if err := tx.WaitSig(); err != nil {
-			cl.rollbackNonce(c.ChainID(), tx.Nonce)
-			return
-		}
 		if err := c.SubmitTx(tx); err != nil && !errors.Is(err, txpool.ErrDuplicate) {
 			cl.rollbackNonce(c.ChainID(), tx.Nonce)
 		}
@@ -146,10 +144,7 @@ func (cl *Client) deliver(c *chain.Chain, tx *types.Transaction) {
 	// back: a corrupted copy is a separate forged transaction, not this
 	// client's traffic failing.
 	link.DeliverBytes(
-		func() []byte {
-			_ = tx.WaitSig()
-			return tx.Encode()
-		},
+		tx.Encode,
 		func(raw []byte, corrupted bool) {
 			if !corrupted {
 				apply()
@@ -166,11 +161,11 @@ func (cl *Client) deliver(c *chain.Chain, tx *types.Transaction) {
 // sign signs tx, rolling the consumed nonce back on failure. With more
 // than one CPU the ECDSA is deferred to the shared crypto pool: From and the
 // id are still fixed synchronously, so nothing the simulation orders on can
-// change, while the signature overlaps with the event loop's work until the
-// submission delay elapses and the delivery event waits for it. A failure
-// (which a valid key makes all but impossible) then surfaces at delivery,
-// where the nonce is likewise rolled back. Simulated timelines are identical
-// either way; only wall-clock changes.
+// change, while the signature overlaps with the event loop's work until a
+// proposal selects the transaction and waits for it. A failure (which a
+// valid key makes all but impossible) then drops the transaction from the
+// pool at proposal time, and nothing rolls its nonce back. Simulated
+// timelines are identical either way; only wall-clock changes.
 func (cl *Client) sign(c *chain.Chain, tx *types.Transaction) (*types.Transaction, error) {
 	// With one CPU there is nothing to overlap with and the worker handoff
 	// is pure overhead, so the deferred path requires real parallelism.

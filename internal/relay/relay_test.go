@@ -1,6 +1,8 @@
 package relay_test
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,11 +15,26 @@ import (
 	"scmove/internal/simclock"
 	"scmove/internal/state"
 	"scmove/internal/trie"
+	"scmove/internal/types"
 	"scmove/internal/u256"
 )
 
 // testChain builds a single chain driven manually by the scheduler.
 func testChain(t *testing.T, sched *simclock.Scheduler, id hashing.ChainID, funded ...hashing.Address) *chain.Chain {
+	t.Helper()
+	c := idleChain(t, id, funded...)
+	// Produce a block every second of simulated time.
+	var produce func()
+	produce = func() {
+		c.ApplyBlock(c.ProposeBatch(), sched.NowUnix(), chain.ProposerAddress(id, 0))
+		sched.After(time.Second, produce)
+	}
+	sched.After(time.Second, produce)
+	return c
+}
+
+// idleChain builds a single chain that produces no block on its own.
+func idleChain(t *testing.T, id hashing.ChainID, funded ...hashing.Address) *chain.Chain {
 	t.Helper()
 	cfg := chain.Config{
 		ChainID: id, TreeKind: trie.KindMPT, Schedule: evm.EthereumSchedule(),
@@ -32,14 +49,89 @@ func testChain(t *testing.T, sched *simclock.Scheduler, id hashing.ChainID, fund
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Produce a block every second of simulated time.
-	var produce func()
-	produce = func() {
-		c.ApplyBlock(c.ProposeBatch(), sched.NowUnix(), chain.ProposerAddress(id, 0))
-		sched.After(time.Second, produce)
-	}
-	sched.After(time.Second, produce)
 	return c
+}
+
+// sharedPoolWorkers is the size of keys.SharedPool: creating the pool here,
+// at package init, sizes it to the process's GOMAXPROCS before any test
+// changes that.
+var sharedPoolWorkers = func() int {
+	keys.SharedPool()
+	return runtime.GOMAXPROCS(0)
+}()
+
+// TestAdmittedWhileSignatureQueued holds every shared crypto worker, so a
+// client's deferred signature cannot land. Its transfer must still pass
+// Chain.SubmitTx when the submission delay elapses, and ProposeBatch must
+// hand it out only once the workers are released, signed.
+func TestAdmittedWhileSignatureQueued(t *testing.T) {
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))) // the client defers only with a second CPU
+	defer runtime.GOMAXPROCS(prev)
+	sched := simclock.New()
+	kp := keys.Deterministic(9)
+	cl := relay.NewClient(kp, sched, 50*time.Millisecond)
+	c := idleChain(t, 1, kp.Address())
+
+	gate := make(chan struct{})
+	var release sync.Once
+	defer release.Do(func() { close(gate) })
+	var held sync.WaitGroup
+	held.Add(sharedPoolWorkers)
+	for i := 0; i < sharedPoolWorkers; i++ {
+		keys.SharedPool().Go(func() {
+			held.Done()
+			<-gate
+		})
+	}
+	held.Wait()
+
+	id, err := cl.Call(c, hashing.AddressFromBytes([]byte{0x09}), nil, u256.One())
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := make(chan struct{})
+	go func() {
+		defer close(delivered)
+		sched.RunUntil(time.Second)
+	}()
+	select {
+	case <-delivered:
+	case <-time.After(5 * time.Second):
+		release.Do(func() { close(gate) })
+		<-delivered
+		t.Fatal("delivery waited for the queued signature")
+	}
+	if got := c.PendingTxs(); got != 1 {
+		t.Fatalf("%d pending after delivery, want 1", got)
+	}
+
+	var batch []*types.Transaction
+	proposed := make(chan struct{})
+	go func() {
+		defer close(proposed)
+		batch = c.ProposeBatch()
+	}()
+	select {
+	case <-proposed:
+		t.Fatal("ProposeBatch returned while the signature was still queued")
+	case <-time.After(100 * time.Millisecond):
+	}
+	release.Do(func() { close(gate) })
+	select {
+	case <-proposed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ProposeBatch did not return after the workers were released")
+	}
+	if len(batch) != 1 || batch[0].ID() != id {
+		t.Fatalf("proposed %d transactions, want the transfer", len(batch))
+	}
+	if addr, err := batch[0].Sig.Verify(id); err != nil || addr != kp.Address() {
+		t.Fatalf("proposed signature recovers (%s, %v), want %s", addr, err, kp.Address())
+	}
+	_, receipts := c.ApplyBlock(batch, sched.NowUnix(), chain.ProposerAddress(1, 0))
+	if len(receipts) != 1 || !receipts[0].Succeeded() {
+		t.Fatalf("receipts %+v", receipts)
+	}
 }
 
 func TestClientNonceTracking(t *testing.T) {

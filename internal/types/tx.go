@@ -6,6 +6,7 @@ package types
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"scmove/internal/codec"
 	"scmove/internal/evm"
@@ -99,9 +100,19 @@ type Transaction struct {
 	// content (mutating any signed field changes the id and voids the cache).
 	verifiedID hashing.Hash
 
-	// sigDone is non-nil while a SignOn signature is being produced on a
-	// worker; WaitSig receives the result exactly once.
-	sigDone chan error
+	// pending is non-nil from SignOn until WaitSig received a signature; a
+	// failed one stays, so every later WaitSig (and every encoding) sees
+	// its error.
+	pending *pendingSig
+}
+
+// pendingSig is a SignOn signature: the worker sends its result on done
+// once, and WaitSig receives it and keeps a failure in err. It is its own
+// object, allocated by SignOn only, so that every other Transaction —
+// decoded copies included — stays in its 320-byte size class.
+type pendingSig struct {
+	done chan error
+	err  error
 }
 
 // Errors returned by transaction validation.
@@ -297,14 +308,17 @@ func (tx *Transaction) Sign(kp *keys.KeyPair) error {
 // SignOn is Sign with the ECDSA work deferred to a worker pool: From and
 // the transaction id are fixed synchronously (so the id, and everything
 // derived from it, is identical to the inline path), while the signature is
-// produced concurrently. Callers must WaitSig before reading or encoding
-// the signature. A nil pool falls back to the shared pool.
+// produced concurrently. The transaction can be admitted to a pool at once:
+// its sender is From by construction. Whoever reads the signature waits
+// first — WaitSig, or Encode, which waits itself; a chain waits when a
+// proposal selects the transaction. A nil pool falls back to the shared
+// pool.
 func (tx *Transaction) SignOn(kp *keys.KeyPair, pool *keys.Pool) {
 	tx.From = kp.Address()
 	id := tx.computeID()
 	tx.id = id
 	done := make(chan error, 1)
-	tx.sigDone = done
+	tx.pending = &pendingSig{done: done}
 	if pool == nil {
 		pool = keys.SharedPool()
 	}
@@ -315,23 +329,36 @@ func (tx *Transaction) SignOn(kp *keys.KeyPair, pool *keys.Pool) {
 			return
 		}
 		tx.Sig = sig
-		tx.verifiedID = id
-		senderCache.store(id, &tx.Sig, tx.From)
 		done <- nil
+		// A WaitSig caller parked on done (usually the event loop) is now
+		// next in line on this worker's P, where it would sit until the
+		// scheduler preempts the worker, up to 10 ms while jobs are queued.
+		// Yield so it runs now.
+		runtime.Gosched()
 	})
 }
 
 // WaitSig blocks until a pending SignOn signature lands and returns its
-// error. The channel receive orders the worker's writes (Sig, verifiedID)
-// before the caller's reads. It is idempotent: after the first call, or if
-// SignOn was never used, it returns nil immediately.
+// error. The channel receive orders the worker's write of Sig before the
+// caller's reads; the memo and the sender cache are seeded here, on the
+// caller's goroutine, so the worker shares no field but Sig. After the
+// first call, or if SignOn was never used, it returns the same result
+// without blocking.
 func (tx *Transaction) WaitSig() error {
-	if tx.sigDone == nil {
+	p := tx.pending
+	if p == nil {
 		return nil
 	}
-	err := <-tx.sigDone
-	tx.sigDone = nil
-	return err
+	if p.done != nil {
+		p.err = <-p.done
+		p.done = nil
+		if p.err == nil {
+			tx.pending = nil
+			tx.verifiedID = tx.id // freshly produced by the key for this content
+			senderCache.store(tx.id, &tx.Sig, tx.From)
+		}
+	}
+	return p.err
 }
 
 // Sender verifies the signature and returns the signer's address.
@@ -349,8 +376,13 @@ func (tx *Transaction) Sender() (hashing.Address, error) {
 
 // knownSender is Sender's two cheap tiers: the verifiedID memo, then one
 // sender-cache lookup (counted as one hit or one miss). It reports false
-// when only a full verification can decide.
+// when only a full verification can decide. While a SignOn signature is
+// pending the sender is From, the address of the key producing it, and no
+// field the worker writes is read.
 func (tx *Transaction) knownSender() (hashing.Address, bool) {
+	if p := tx.pending; p != nil && p.done != nil {
+		return tx.From, true
+	}
 	id := tx.ID()
 	if !tx.verifiedID.IsZero() && tx.verifiedID == id {
 		return tx.From, true
@@ -410,8 +442,11 @@ func (tx *Transaction) Encode() []byte {
 	return w.Bytes()
 }
 
-// EncodedSize returns len(tx.Encode()) without encoding anything.
+// EncodedSize returns len(tx.Encode()) without encoding anything. Like
+// EncodeTo it first waits for a pending SignOn signature; one that failed
+// leaves Sig empty, which no admission accepts.
 func (tx *Transaction) EncodedSize() int {
+	_ = tx.WaitSig()
 	return codec.SizeBytes(tx.unsignedSize()) + codec.SizeBytes(len(tx.Sig.PubKey)) +
 		codec.SizeBytes(len(tx.Sig.R)) + codec.SizeBytes(len(tx.Sig.S))
 }
@@ -419,6 +454,7 @@ func (tx *Transaction) EncodedSize() int {
 // EncodeTo appends tx.Encode() to w, writing each byte once: the unsigned
 // body goes straight into w behind its precomputed length.
 func (tx *Transaction) EncodeTo(w *codec.Writer) {
+	_ = tx.WaitSig()
 	size := tx.unsignedSize()
 	w.WriteUvarint(uint64(size))
 	start := w.Len()

@@ -105,6 +105,38 @@ func TestTxIDFixedBySignAndDecode(t *testing.T) {
 	}
 }
 
+// TestFailedSignatureIsKept puts a failed result on a pending SignOn
+// transaction by hand. While pending, its sender is From; once the result
+// is in, every WaitSig reports the failure (not only the first), the
+// encoding carries no signature, and Sender no longer trusts From.
+func TestFailedSignatureIsKept(t *testing.T) {
+	kp := keys.Deterministic(4)
+	tx := &Transaction{ChainID: 1, Nonce: 1, Kind: TxCall, From: kp.Address(), GasLimit: 21_000}
+	tx.id = tx.computeID()
+	done := make(chan error, 1)
+	tx.pending = &pendingSig{done: done}
+	if addr, err := tx.Sender(); err != nil || addr != kp.Address() {
+		t.Fatalf("pending signature: sender (%s, %v), want From", addr, err)
+	}
+	boom := errors.New("worker failed")
+	done <- boom
+	for i := 0; i < 2; i++ {
+		if err := tx.WaitSig(); !errors.Is(err, boom) {
+			t.Fatalf("WaitSig call %d: %v, want the worker's error", i+1, err)
+		}
+	}
+	dec, err := DecodeTransaction(tx.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dec.Sig.PubKey)+len(dec.Sig.R)+len(dec.Sig.S) != 0 {
+		t.Fatal("a failed signature must encode empty")
+	}
+	if _, err := tx.Sender(); !errors.Is(err, ErrBadTxSignature) {
+		t.Fatalf("sender after a failed signature: %v, want ErrBadTxSignature", err)
+	}
+}
+
 func TestTxValidateChainBinding(t *testing.T) {
 	kp := keys.Deterministic(1)
 	tx := mkTx(t, kp)

@@ -283,6 +283,11 @@ type kittiesRun struct {
 	startAt     time.Duration
 }
 
+// inspectUniverse, when set, is handed every universe RunKitties and
+// RunShardedScaling build, before the run starts; tests attach block
+// listeners through it.
+var inspectUniverse func(*universe.Universe)
+
 // RunKitties replays a synthetic CryptoKitties trace over sharded chains.
 func RunKitties(cfg KittiesConfig) (*KittiesResult, error) {
 	if cfg.Shards < 1 || cfg.Users < 1 || cfg.PromoCats < 2 {
@@ -309,6 +314,9 @@ func RunKitties(cfg KittiesConfig) (*KittiesResult, error) {
 		return nil, err
 	}
 	defer u.Close()
+	if inspectUniverse != nil {
+		inspectUniverse(u)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ops, cats := synthesize(cfg, rng)
 	r := &kittiesRun{

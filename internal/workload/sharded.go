@@ -153,6 +153,9 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 		return nil, err
 	}
 	defer u.Close()
+	if inspectUniverse != nil {
+		inspectUniverse(u)
+	}
 	u.Start()
 
 	res := &ShardedScalingResult{Config: cfg}
