@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test vet race benchtest detsmoke expsmoke fuzzsmoke statesmoke rpcsmoke shardsmoke experiments loc
+.PHONY: check build test vet race benchtest detsmoke expsmoke fuzzsmoke statesmoke shardsmoke experiments loc
 
-check: vet race detsmoke benchtest expsmoke fuzzsmoke statesmoke rpcsmoke shardsmoke
+check: vet race detsmoke benchtest expsmoke fuzzsmoke statesmoke shardsmoke
 
 build:
 	$(GO) build ./...
@@ -29,7 +29,8 @@ benchtest:
 
 # detsmoke runs the seeded cross-GOMAXPROCS (1, 2, NumCPU) determinism
 # checks for the parallel crypto pool (sender recovery of a block mixing
-# cached, uncached and forged transactions), the workload signing pipeline,
+# cached, uncached and forged transactions), the workload signing pipeline
+# (the Kitties cell, pinned to a digest),
 # ApplyBlock (fuzz traffic pinned to a digest), batch selection against its
 # first implementation, and the sharded universe (16-chain policy-on scaling
 # cell, pinned to a digest): bit-identical results at every worker count.
@@ -124,15 +125,6 @@ fuzzsmoke:
 		echo "fuzzsmoke: $$2 ($$1, $(FUZZTIME))"; \
 		$(GO) test -run '^$$' -fuzz "^$$2$$" -fuzztime $(FUZZTIME) $$1 || exit 1; \
 	done
-
-# rpcsmoke is the real-traffic front-door gate: a two-chain universe with
-# per-chain RPC servers on loopback, consensus over real TCP sockets, and a
-# wall-clock driver; cmd/loadgen fires 10k pre-signed transactions through
-# HTTP, requires zero rejected-valid submissions and non-empty wall-clock
-# latency histograms, and replays the identical workload on the
-# discrete-event path asserting bit-identical final state roots.
-rpcsmoke:
-	$(GO) run ./cmd/loadgen -txs 10000 -users 16 -interval 300ms -timeout 120s
 
 # statesmoke is the bounded-RSS state-backend gate: a million-account
 # genesis on the log-structured file backend with capped resident storage

@@ -11,7 +11,8 @@ import (
 // durations — sub-millisecond stages do not occur (the fastest modeled
 // link is 1 ms) and no experiment runs longer than a simulated day.
 //
-// Wall-clock front-door latencies (RPC round trips, loadgen submit→commit)
+// Wall-clock front-door latencies (the RPC servers' per-method times, read
+// by the benchmark's rpc_* workloads and TestRealtimeTCPRPCMatchesDiscreteEvent)
 // live on a very different scale: most samples are well under a
 // millisecond, and a run lasts minutes. NewWallHistogram keeps the same
 // 26-bucket doubling shape but re-bases it at 1 µs (1µs << 25 ≈ 33.6 s

@@ -1,7 +1,8 @@
 // Package rpc is a chain's front door: a minimal JSON-over-HTTP server
 // exposing transaction submission, state queries, and receipt lookups.
-// Each chain runs its own server on a loopback TCP listener; the load
-// generator (cmd/loadgen) and external tools talk to it with plain POSTs.
+// Each chain runs its own server on a loopback TCP listener; the
+// benchmark's rpc_* workloads, TestRealtimeTCPRPCMatchesDiscreteEvent
+// (internal/universe) and external tools talk to it with plain POSTs.
 //
 // The protocol is a single endpoint ("/") taking a JSON request object
 // with a "method" field — "submit", "query", or "receipt" — and returning

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,6 +18,10 @@ import (
 	"scmove/internal/types"
 	"scmove/internal/u256"
 )
+
+// rtSink receives every transfer of the live-vs-replay test: its balance,
+// summed over both chains, is the value that arrived.
+var rtSink = hashing.AddressFromBytes([]byte("rt-sink"))
 
 // realtimeConfig is a two-shard layout shared by the socket run and its
 // discrete-event twin: zero-fee workload plus pre-created proposer
@@ -39,42 +44,51 @@ func realtimeConfig(userKeys []*keys.KeyPair) Config {
 	for s := 0; s < 2; s++ {
 		spec := BurrowSpec(hashing.ChainID(s+1), registry, int64(100+s))
 		spec.Validators = 4
-		spec.Config.BlockInterval = 150 * time.Millisecond
+		spec.Config.BlockInterval = 300 * time.Millisecond
+		spec.Config.MaxBlockTxs = 2000
+		spec.Config.BlockGasLimit = 1_000_000_000
 		cfg.Specs = append(cfg.Specs, spec)
 	}
 	return cfg
 }
 
-// signedTransfers builds each user's nonce-ordered zero-fee transfers.
+// signedTransfers builds each user's nonce-ordered zero-fee unit transfers
+// to rtSink, signed on the shared crypto pool.
 func signedTransfers(t *testing.T, userKeys []*keys.KeyPair, perUser int) [][]*types.Transaction {
 	t.Helper()
-	sink := hashing.AddressFromBytes([]byte("rt-sink"))
 	out := make([][]*types.Transaction, len(userKeys))
 	for ui, kp := range userKeys {
 		cid := hashing.ChainID(ui%2 + 1)
 		for n := 0; n < perUser; n++ {
 			tx := &types.Transaction{
-				ChainID: cid, Nonce: uint64(n), Kind: types.TxCall, To: sink,
+				ChainID: cid, Nonce: uint64(n), Kind: types.TxCall, To: rtSink,
 				Value: u256.FromUint64(1), GasLimit: 100_000, GasPrice: u256.Zero(),
 			}
-			if err := tx.Sign(kp); err != nil {
+			tx.SignOn(kp, keys.SharedPool())
+			out[ui] = append(out[ui], tx)
+		}
+	}
+	for _, txs := range out {
+		for _, tx := range txs {
+			if err := tx.WaitSig(); err != nil {
 				t.Fatal(err)
 			}
-			out[ui] = append(out[ui], tx)
 		}
 	}
 	return out
 }
 
 // The full live stack — HTTP RPC front doors, consensus over loopback TCP,
-// wall-clock driver — commits a concurrent workload to the same state root
-// the deterministic discrete-event path produces for it.
+// wall-clock driver — commits 10 000 concurrent transfers to the same state
+// roots the deterministic discrete-event path produces for them. Every
+// submission must be accepted as new, the servers must record their
+// wall-clock latency, and the sink must hold the value of every transfer.
 func TestRealtimeTCPRPCMatchesDiscreteEvent(t *testing.T) {
-	userKeys := make([]*keys.KeyPair, 4)
+	const users, perUser = 16, 625
+	userKeys := make([]*keys.KeyPair, users)
 	for i := range userKeys {
 		userKeys[i] = keys.Deterministic(uint64(700 + i))
 	}
-	const perUser = 50
 	workload := signedTransfers(t, userKeys, perUser)
 
 	cfg := realtimeConfig(userKeys)
@@ -90,10 +104,27 @@ func TestRealtimeTCPRPCMatchesDiscreteEvent(t *testing.T) {
 		defer close(driverDone)
 		u.Driver().Run(stop)
 	}()
+	stopDriver := sync.OnceFunc(func() {
+		close(stop)
+		<-driverDone
+	})
+	closed := false
+	// Every exit path stops the driver and the listeners; the normal path
+	// closes the universe itself to check the error.
+	t.Cleanup(func() {
+		stopDriver()
+		if !closed {
+			u.Close()
+		}
+	})
 
+	// One client for every sender: http.Post's default transport keeps two
+	// idle connections per host, so most requests would dial anew.
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: users}}
+	t.Cleanup(client.CloseIdleConnections)
 	post := func(addr string, req *rpc.Request) *rpc.Response {
 		body, _ := json.Marshal(req)
-		httpResp, err := http.Post("http://"+addr+"/", "application/json", bytes.NewReader(body))
+		httpResp, err := client.Post("http://"+addr+"/", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Errorf("post: %v", err)
 			return &rpc.Response{}
@@ -106,26 +137,32 @@ func TestRealtimeTCPRPCMatchesDiscreteEvent(t *testing.T) {
 		return &resp
 	}
 
-	done := make(chan struct{}, len(userKeys))
+	var wg sync.WaitGroup
 	for ui, txs := range workload {
-		go func(ui int, txs []*types.Transaction) {
-			defer func() { done <- struct{}{} }()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			addr := u.RPCAddr(txs[0].ChainID)
 			for _, tx := range txs {
 				resp := post(addr, &rpc.Request{Method: "submit", Tx: hex.EncodeToString(tx.Encode())})
-				if !resp.Ok {
-					t.Errorf("user %d: submit rejected: %s", ui, resp.Error)
+				switch {
+				case !resp.Ok:
+					t.Errorf("user %d nonce %d: submit rejected: %s", ui, tx.Nonce, resp.Error)
+					return
+				case resp.Known:
+					t.Errorf("user %d nonce %d: first submission reported known", ui, tx.Nonce)
 					return
 				}
 			}
-		}(ui, txs)
+		}()
 	}
-	for range workload {
-		<-done
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow() // a sequence that stopped early would never drain
 	}
 
 	// Drain: the last receipt per user implies its whole nonce sequence.
-	deadline := time.Now().Add(60 * time.Second)
+	deadline := time.Now().Add(120 * time.Second)
 	for _, txs := range workload {
 		last := txs[len(txs)-1]
 		id := last.ID()
@@ -141,16 +178,22 @@ func TestRealtimeTCPRPCMatchesDiscreteEvent(t *testing.T) {
 			time.Sleep(50 * time.Millisecond)
 		}
 	}
-	close(stop)
-	<-driverDone
+	stopDriver()
 
 	if h := u.WallMetrics().Histogram("rpc.submit.wall"); h == nil || h.Count() == 0 {
 		t.Error("no wall-clock submit latency samples")
 	}
 	liveRoots := make(map[hashing.ChainID]hashing.Hash)
+	var sunk uint64
 	for _, id := range u.ChainIDs() {
-		liveRoots[id] = u.Chain(id).StateDB().Root()
+		db := u.Chain(id).StateDB()
+		liveRoots[id] = db.Root()
+		sunk += db.GetBalance(rtSink).Uint64()
 	}
+	if sunk != users*perUser {
+		t.Errorf("sink holds %d, want %d", sunk, users*perUser)
+	}
+	closed = true
 	if err := u.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -185,7 +228,7 @@ func TestRealtimeTCPRPCMatchesDiscreteEvent(t *testing.T) {
 	}
 	for _, id := range sim.ChainIDs() {
 		if got := sim.Chain(id).StateDB().Root(); got != liveRoots[id] {
-			t.Errorf("chain %s: socket run root %x, discrete-event root %x", id, liveRoots[id], got)
+			t.Errorf("chain %s: socket run root %s, discrete-event root %s", id, liveRoots[id], got)
 		}
 	}
 }
