@@ -86,15 +86,21 @@ detsmoke:
 	done
 	$(GO) test -run "^($$(echo $(DETSMOKE_TESTS) | tr ' ' '|'))\$$" $(DETSMOKE_PKGS)
 
-# expsmoke is the experiment-output sanity gate: a CI-scale ablations run
-# plus a chaos run with metrics and span tracing on, captured to /tmp and
-# grepped for error / out-of-gas lines. It catches both broken experiments
+# expsmoke is the experiment-output sanity gate: a CI-scale ablations run,
+# a chaos run with metrics and span tracing on, and the byzantine and
+# chaossweep runs with metrics (the byzantine run is the only binary path
+# over corrupting links), captured to /tmp and grepped for error /
+# out-of-gas lines. It catches both broken experiments
 # (a stale `granularity n=1000 … out of gas` line once sat in
 # results_full.txt unnoticed) and observability wiring that breaks a run.
 expsmoke:
 	$(GO) run ./cmd/movebench -experiment ablations -scale 0.08 > /tmp/scmove_expsmoke.txt 2>&1 \
 		|| { cat /tmp/scmove_expsmoke.txt; exit 1; }
 	$(GO) run ./cmd/movebench -experiment chaos -moves 2 -metrics -trace /tmp/scmove_expsmoke_trace.jsonl >> /tmp/scmove_expsmoke.txt 2>&1 \
+		|| { cat /tmp/scmove_expsmoke.txt; exit 1; }
+	$(GO) run ./cmd/movebench -experiment byzantine -metrics >> /tmp/scmove_expsmoke.txt 2>&1 \
+		|| { cat /tmp/scmove_expsmoke.txt; exit 1; }
+	$(GO) run ./cmd/movebench -experiment chaossweep -metrics >> /tmp/scmove_expsmoke.txt 2>&1 \
 		|| { cat /tmp/scmove_expsmoke.txt; exit 1; }
 	@if grep -Ein 'error|out of gas' /tmp/scmove_expsmoke.txt; then \
 		echo "expsmoke: error lines in experiment output (/tmp/scmove_expsmoke.txt)"; exit 1; \

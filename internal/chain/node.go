@@ -167,6 +167,17 @@ func ConnectHeaderRelayVia(src, dst *Chain, link *simnet.Link, window int) {
 	if window < 1 {
 		window = 1
 	}
+	// A corrupted copy goes through the full untrusted decode and ingest,
+	// and its rejection is counted on the link.
+	forged := func(raw []byte) {
+		cid, head, headers, err := decodeHeaderRelay(raw)
+		if err == nil {
+			err = dst.Headers().Update(cid, headers, head)
+		}
+		if err != nil {
+			link.NoteRejected()
+		}
+	}
 	src.OnBlock(func(b *types.Block, _ []*types.Receipt) {
 		head := b.Header.Height
 		lo := uint64(1)
@@ -179,31 +190,6 @@ func ConnectHeaderRelayVia(src, dst *Chain, link *simnet.Link, window int) {
 				headers = append(headers, hdr)
 			}
 		}
-		if link.Corrupts() {
-			// Corrupting links carry the wire encoding: clean copies still
-			// skip serialization (encode runs lazily, only for tampered
-			// copies), while corrupted copies go through the full untrusted
-			// decode + ingest path and are counted and dropped on rejection.
-			link.DeliverBytes(
-				func() []byte { return encodeHeaderRelay(src.ChainID(), head, headers) },
-				func(raw []byte, corrupted bool) {
-					if !corrupted {
-						if err := dst.Headers().Update(src.ChainID(), headers, head); err != nil {
-							panic(fmt.Sprintf("chain: header relay %s->%s: %v", src.ChainID(), dst.ChainID(), err))
-						}
-						return
-					}
-					cid, rHead, rHeaders, err := decodeHeaderRelay(raw)
-					if err != nil {
-						link.NoteRejected()
-						return
-					}
-					if err := dst.Headers().Update(cid, rHeaders, rHead); err != nil {
-						link.NoteRejected()
-					}
-				})
-			return
-		}
 		link.Deliver(func() {
 			// Errors indicate a misconfigured relay (unknown chain); the
 			// universe wiring registers params up front, so drop silently
@@ -211,7 +197,7 @@ func ConnectHeaderRelayVia(src, dst *Chain, link *simnet.Link, window int) {
 			if err := dst.Headers().Update(src.ChainID(), headers, head); err != nil {
 				panic(fmt.Sprintf("chain: header relay %s->%s: %v", src.ChainID(), dst.ChainID(), err))
 			}
-		})
+		}, func() []byte { return encodeHeaderRelay(src.ChainID(), head, headers) }, forged)
 	})
 }
 

@@ -45,7 +45,7 @@ func requireRoundTrip(t testing.TB, dec, tx *types.Transaction) {
 func TestBFTCommitAppliesOwnProposal(t *testing.T) {
 	kp := keys.Deterministic(1)
 	sched := simclock.New()
-	net := simnet.New(sched, simnet.Config{Seed: 1, JitterFrac: 0.1})
+	net := simnet.New(sched, simnet.Config{Seed: 1, Faults: simnet.LinkFaults{JitterFrac: 0.1}})
 	c := newChain(t, burrowConfig(2), nil, kp)
 	ids := []simnet.NodeID{1, 2, 3, 4}
 	regions := make([]simnet.Region, len(ids))

@@ -1,11 +1,11 @@
 // Package relay implements the client side of the Move protocol: a Client
-// that signs and submits transactions with realistic submission latency
-// (optionally over a lossy fault-injected link), and a Mover that drives
-// the full Move1 → proof → wait-p-blocks → Move2 sequence across two
-// chains as a crash-recoverable state machine with per-stage deadlines,
-// exponential-backoff retries, and an in-memory journal, while recording
-// the per-phase timings and gas that the paper's IBC experiments report
-// (Figs. 8 and 9).
+// that signs and submits transactions over per-chain submission links (a
+// simnet.Link: a delay plus any faults a chaos run injects), and a Mover
+// that drives the full Move1 → proof → wait-p-blocks → Move2 sequence
+// across two chains as a crash-recoverable state machine with per-stage
+// deadlines, exponential-backoff retries, and an in-memory journal, while
+// recording the per-phase timings and gas that the paper's IBC experiments
+// report (Figs. 8 and 9).
 package relay
 
 import (
@@ -16,7 +16,6 @@ import (
 	"scmove/internal/chain"
 	"scmove/internal/hashing"
 	"scmove/internal/keys"
-	"scmove/internal/simclock"
 	"scmove/internal/simnet"
 	"scmove/internal/txpool"
 	"scmove/internal/types"
@@ -39,24 +38,20 @@ var DefaultGasPrice = u256.FromUint64(2)
 // the chain for a resync against committed state) so retries never wedge
 // behind a permanently missing nonce.
 type Client struct {
-	kp          *keys.KeyPair
-	sched       *simclock.Scheduler
-	submitDelay time.Duration
-	nonces      map[hashing.ChainID]uint64
-	desynced    map[hashing.ChainID]bool
-	links       map[hashing.ChainID]*simnet.Link
+	kp       *keys.KeyPair
+	nonces   map[hashing.ChainID]uint64
+	desynced map[hashing.ChainID]bool
+	links    map[hashing.ChainID]*simnet.Link
 }
 
-// NewClient returns a client submitting with the given client-to-chain
-// latency.
-func NewClient(kp *keys.KeyPair, sched *simclock.Scheduler, submitDelay time.Duration) *Client {
+// NewClient returns a client that submits to each chain over that chain's
+// link. The client only reads links, so clients may share one map.
+func NewClient(kp *keys.KeyPair, links map[hashing.ChainID]*simnet.Link) *Client {
 	return &Client{
-		kp:          kp,
-		sched:       sched,
-		submitDelay: submitDelay,
-		nonces:      make(map[hashing.ChainID]uint64),
-		desynced:    make(map[hashing.ChainID]bool),
-		links:       make(map[hashing.ChainID]*simnet.Link),
+		kp:       kp,
+		nonces:   make(map[hashing.ChainID]uint64),
+		desynced: make(map[hashing.ChainID]bool),
+		links:    links,
 	}
 }
 
@@ -65,12 +60,6 @@ func (cl *Client) Address() hashing.Address { return cl.kp.Address() }
 
 // Key returns the client's key pair.
 func (cl *Client) Key() *keys.KeyPair { return cl.kp }
-
-// SetSubmitLink routes this client's submissions to the given chain through
-// a (possibly lossy) link instead of the fixed submission delay.
-func (cl *Client) SetSubmitLink(id hashing.ChainID, link *simnet.Link) {
-	cl.links[id] = link
-}
 
 // nextNonce hands out the next nonce for a chain, resyncing from committed
 // chain state first if a previous submission failure desynchronized the
@@ -104,11 +93,19 @@ func (cl *Client) rollbackNonce(id hashing.ChainID, nonce uint64) {
 // when a transaction commits with a nonce failure.
 func (cl *Client) NoteBadNonce(id hashing.ChainID) { cl.desynced[id] = true }
 
-// deliver hands a signed transaction to the chain over the submission path:
-// the chain's lossy link if one is set, the fixed submission delay
-// otherwise. Pool rejections roll the nonce back so a retry can reuse it;
+// deliver hands a signed transaction to the chain over its submission
+// link. Pool rejections roll the nonce back so a retry can reuse it;
 // duplicate rejections are expected for idempotent resubmissions and leave
 // the counter alone.
+//
+// A copy the link corrupts is a separate forged transaction, not this
+// client's traffic failing: it goes through the chain's full untrusted
+// ingest, and its rejection is silent and never rolls the nonce back.
+// Whether a tamper breaks the framing (decode error) or only the signature
+// (pool rejection) depends on the encoded signature lengths, which repeat
+// for a seed since signing is RFC 6979; counting them would still move the
+// byzantine counter tables. The link's own corrupted counter records the
+// event.
 //
 // A deferred signature is not awaited here: admission trusts From, and the
 // chain waits when a proposal selects the transaction. The submission delay
@@ -118,44 +115,15 @@ func (cl *Client) NoteBadNonce(id hashing.ChainID) { cl.desynced[id] = true }
 // 1.43–2.02 s round (seed 1, 2-core host). The next proposal is up to 5 s
 // of simulated time later, and by then the signature has usually landed.
 func (cl *Client) deliver(c *chain.Chain, tx *types.Transaction) {
-	apply := func() {
+	cl.links[c.ChainID()].Deliver(func() {
 		if err := c.SubmitTx(tx); err != nil && !errors.Is(err, txpool.ErrDuplicate) {
 			cl.rollbackNonce(c.ChainID(), tx.Nonce)
 		}
-	}
-	link := cl.links[c.ChainID()]
-	if link == nil {
-		cl.sched.After(cl.submitDelay, apply)
-		return
-	}
-	if !link.Corrupts() {
-		link.Deliver(apply)
-		return
-	}
-	// Corrupting link: clean copies take the fast path above (no
-	// serialization); corrupted copies are re-encoded, tampered, and pushed
-	// through the chain's full untrusted ingest. Their rejection is silent:
-	// whether a given tamper breaks the *framing* (decode error) or only the
-	// *signature* (pool rejection) depends on the encoded signature lengths.
-	// Since signing became deterministic (RFC 6979) those lengths, and so
-	// the rejection reasons, repeat for a seed, but they stay uncounted —
-	// counting them would move the byzantine counter tables. The link's own
-	// corrupted counter records the event, and the nonce is never rolled
-	// back: a corrupted copy is a separate forged transaction, not this
-	// client's traffic failing.
-	link.DeliverBytes(
-		tx.Encode,
-		func(raw []byte, corrupted bool) {
-			if !corrupted {
-				apply()
-				return
-			}
-			forged, err := types.DecodeTransaction(raw)
-			if err != nil {
-				return
-			}
+	}, tx.Encode, func(raw []byte) {
+		if forged, err := types.DecodeTransaction(raw); err == nil {
 			_ = c.SubmitTx(forged) // signature admission rejects it
-		})
+		}
+	})
 }
 
 // sign signs tx, rolling the consumed nonce back on failure. With more

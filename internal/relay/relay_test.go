@@ -13,6 +13,7 @@ import (
 	"scmove/internal/keys"
 	"scmove/internal/relay"
 	"scmove/internal/simclock"
+	"scmove/internal/simnet"
 	"scmove/internal/state"
 	"scmove/internal/trie"
 	"scmove/internal/types"
@@ -52,6 +53,16 @@ func idleChain(t *testing.T, id hashing.ChainID, funded ...hashing.Address) *cha
 	return c
 }
 
+// newClient returns a client whose submissions reach chains 1 and 2 over
+// fault-free links after delay.
+func newClient(kp *keys.KeyPair, sched *simclock.Scheduler, delay time.Duration) *relay.Client {
+	links := make(map[hashing.ChainID]*simnet.Link)
+	for _, id := range []hashing.ChainID{1, 2} {
+		links[id] = simnet.NewLink(sched, delay, simnet.LinkFaults{}, 0)
+	}
+	return relay.NewClient(kp, links)
+}
+
 // sharedPoolWorkers is the size of keys.SharedPool: creating the pool here,
 // at package init, sizes it to the process's GOMAXPROCS before any test
 // changes that.
@@ -69,7 +80,7 @@ func TestAdmittedWhileSignatureQueued(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	sched := simclock.New()
 	kp := keys.Deterministic(9)
-	cl := relay.NewClient(kp, sched, 50*time.Millisecond)
+	cl := newClient(kp, sched, 50*time.Millisecond)
 	c := idleChain(t, 1, kp.Address())
 
 	gate := make(chan struct{})
@@ -137,7 +148,7 @@ func TestAdmittedWhileSignatureQueued(t *testing.T) {
 func TestClientNonceTracking(t *testing.T) {
 	sched := simclock.New()
 	kp := keys.Deterministic(1)
-	cl := relay.NewClient(kp, sched, 10*time.Millisecond)
+	cl := newClient(kp, sched, 10*time.Millisecond)
 	c := testChain(t, sched, 1, kp.Address())
 
 	// Three rapid-fire calls get sequential nonces and all commit.
@@ -164,7 +175,7 @@ func TestClientNonceTracking(t *testing.T) {
 func TestClientSubmitDelay(t *testing.T) {
 	sched := simclock.New()
 	kp := keys.Deterministic(2)
-	cl := relay.NewClient(kp, sched, 2*time.Second)
+	cl := newClient(kp, sched, 2*time.Second)
 	c := testChain(t, sched, 1, kp.Address())
 
 	id, err := cl.Call(c, hashing.AddressFromBytes([]byte{0x02}), nil, u256.One())
@@ -188,7 +199,7 @@ func TestClientSubmitDelay(t *testing.T) {
 func TestClientChainsKeepSeparateNonces(t *testing.T) {
 	sched := simclock.New()
 	kp := keys.Deterministic(3)
-	cl := relay.NewClient(kp, sched, time.Millisecond)
+	cl := newClient(kp, sched, time.Millisecond)
 	c1 := testChain(t, sched, 1, kp.Address())
 	c2 := testChain(t, sched, 2, kp.Address())
 
@@ -236,8 +247,8 @@ func tinyPoolChain(t *testing.T, sched *simclock.Scheduler, id hashing.ChainID, 
 func TestClientNonceRollbackAndResyncOnRejection(t *testing.T) {
 	sched := simclock.New()
 	kp, other := keys.Deterministic(5), keys.Deterministic(6)
-	cl := relay.NewClient(kp, sched, time.Millisecond)
-	filler := relay.NewClient(other, sched, time.Millisecond)
+	cl := newClient(kp, sched, time.Millisecond)
+	filler := newClient(other, sched, time.Millisecond)
 	c := tinyPoolChain(t, sched, 1, kp.Address(), other.Address())
 
 	// The filler occupies the single pool slot first; the client's two
@@ -275,7 +286,7 @@ func TestClientNonceRollbackAndResyncOnRejection(t *testing.T) {
 func TestSubmitSignedIdempotent(t *testing.T) {
 	sched := simclock.New()
 	kp := keys.Deterministic(7)
-	cl := relay.NewClient(kp, sched, time.Millisecond)
+	cl := newClient(kp, sched, time.Millisecond)
 	c := testChain(t, sched, 1, kp.Address())
 
 	tx, err := cl.SignedCall(c, hashing.AddressFromBytes([]byte{0x05}), nil, u256.One())
@@ -335,7 +346,7 @@ func TestMoveResultPhaseArithmetic(t *testing.T) {
 func TestMoverFailsFastOnFailedMove1(t *testing.T) {
 	sched := simclock.New()
 	kp := keys.Deterministic(4)
-	cl := relay.NewClient(kp, sched, time.Millisecond)
+	cl := newClient(kp, sched, time.Millisecond)
 	src := testChain(t, sched, 1, kp.Address())
 	dst := testChain(t, sched, 2, kp.Address())
 

@@ -64,15 +64,12 @@ func corruptionRun(t *testing.T, seed int64, n int) (string, LinkStats) {
 	for i := 0; i < n; i++ {
 		i := i
 		msg := []byte(fmt.Sprintf("message-%03d", i))
-		link.DeliverBytes(
+		link.Deliver(
+			// Clean copies carry no bytes; the receiver uses its captured
+			// original.
+			func() { fmt.Fprintf(&transcript, "%d clean %q\n", i, msg) },
 			func() []byte { encodes++; return msg },
-			func(b []byte, corrupted bool) {
-				if !corrupted {
-					// Clean copies carry no bytes; the receiver uses its
-					// captured original.
-					fmt.Fprintf(&transcript, "%d clean %q\n", i, msg)
-					return
-				}
+			func(b []byte) {
 				fmt.Fprintf(&transcript, "%d corrupt %q\n", i, b)
 				link.NoteRejected()
 			})
@@ -134,23 +131,17 @@ func TestLinkCorruptionAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestLinkZeroCorruptRateNeverCorrupts pins that CorruptRate 0 takes the
-// exact non-corrupting path: no copy is flagged, and encode never runs.
+// TestLinkZeroCorruptRateNeverCorrupts pins that a link without
+// CorruptRate never calls encode or forged.
 func TestLinkZeroCorruptRateNeverCorrupts(t *testing.T) {
 	sched := simclock.New()
 	link := NewLink(sched, time.Millisecond, LinkFaults{DropRate: 0.2, DupRate: 0.2}, 9)
-	if link.Corrupts() {
-		t.Fatal("link without CorruptRate reports Corrupts()")
-	}
 	encodes := 0
 	for i := 0; i < 100; i++ {
-		link.DeliverBytes(
+		link.Deliver(
+			func() {},
 			func() []byte { encodes++; return []byte("x") },
-			func(b []byte, corrupted bool) {
-				if corrupted || b != nil {
-					t.Fatal("clean link delivered a corrupted copy")
-				}
-			})
+			func([]byte) { t.Fatal("clean link delivered a corrupted copy") })
 	}
 	sched.Run()
 	if encodes != 0 {
@@ -167,8 +158,8 @@ func TestLinkZeroCorruptRateNeverCorrupts(t *testing.T) {
 func TestNetworkCorruptionTampersTypedPayloads(t *testing.T) {
 	sched := simclock.New()
 	net := New(sched, Config{
-		Seed:        11,
-		CorruptRate: 0.5,
+		Seed:   11,
+		Faults: LinkFaults{CorruptRate: 0.5},
 		Tamper: func(rng *rand.Rand, payload any) (any, bool) {
 			return payload.(int) + 1000 + rng.Intn(10), true
 		},
@@ -215,9 +206,9 @@ func TestNetworkCorruptionTampersTypedPayloads(t *testing.T) {
 func TestNetworkTamperDeclineLeavesPayload(t *testing.T) {
 	sched := simclock.New()
 	net := New(sched, Config{
-		Seed:        13,
-		CorruptRate: 1.0,
-		Tamper:      func(rng *rand.Rand, payload any) (any, bool) { return payload, false },
+		Seed:   13,
+		Faults: LinkFaults{CorruptRate: 1.0},
+		Tamper: func(rng *rand.Rand, payload any) (any, bool) { return payload, false },
 	})
 	var got []any
 	for _, id := range []NodeID{1, 2} {

@@ -27,7 +27,8 @@ type probe struct {
 func TestPooledDeliveriesCarryTheirOwnMessage(t *testing.T) {
 	sched := simclock.New()
 	net := New(sched, Config{
-		Seed: 5, DupRate: 1, JitterFrac: 0.3, ReorderFrac: 0.2, CorruptRate: 0.1,
+		Seed:   5,
+		Faults: LinkFaults{DupRate: 1, JitterFrac: 0.3, ReorderFrac: 0.2, CorruptRate: 0.1},
 		Tamper: func(_ *rand.Rand, payload any) (any, bool) {
 			p := payload.(probe)
 			p.tampered = true
@@ -133,7 +134,7 @@ func TestReRegisterWhileInFlight(t *testing.T) {
 // record, a jittered Send and the Step that delivers it allocate nothing.
 func TestSendAndStepAllocateNothing(t *testing.T) {
 	sched := simclock.New()
-	net := New(sched, Config{Seed: 1, JitterFrac: 0.1})
+	net := New(sched, Config{Seed: 1, Faults: LinkFaults{JitterFrac: 0.1}})
 	for _, id := range []NodeID{1, 2} {
 		if err := net.Register(id, Region(id), func(NodeID, any) {}); err != nil {
 			t.Fatal(err)

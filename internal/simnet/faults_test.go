@@ -9,7 +9,7 @@ import (
 )
 
 func TestDuplicationDeliversTwice(t *testing.T) {
-	sched, net, boxes := setup(t, Config{DupRate: 1.0, Seed: 3})
+	sched, net, boxes := setup(t, Config{Faults: LinkFaults{DupRate: 1.0}, Seed: 3})
 	net.Send(1, 2, "x")
 	sched.Run()
 	if len(boxes[2].msgs) != 2 {
@@ -26,7 +26,7 @@ func TestReorderHoldsMessagesBack(t *testing.T) {
 	// of the base latency; with enough messages later sends overtake earlier
 	// ones.
 	sched := simclock.New()
-	net := New(sched, Config{ReorderFrac: 1.0, MaxReorderDelay: 500 * time.Millisecond, Seed: 5})
+	net := New(sched, Config{Faults: LinkFaults{ReorderFrac: 1.0, MaxReorderDelay: 500 * time.Millisecond}, Seed: 5})
 	var order []int
 	for _, id := range []NodeID{1, 2} {
 		if err := net.Register(id, 0, func(_ NodeID, payload any) {
@@ -102,7 +102,7 @@ func TestScheduleCrashDownAndRestart(t *testing.T) {
 }
 
 func TestNetworkObserveMirrorsCounters(t *testing.T) {
-	sched, net, _ := setup(t, Config{DupRate: 1.0, Seed: 2})
+	sched, net, _ := setup(t, Config{Faults: LinkFaults{DupRate: 1.0}, Seed: 2})
 	c := metrics.NewCounters()
 	net.Observe(c)
 	net.Send(1, 2, "x")
@@ -117,7 +117,7 @@ func TestLinkDeliversAfterBaseDelay(t *testing.T) {
 	sched := simclock.New()
 	link := NewLink(sched, 40*time.Millisecond, LinkFaults{}, 0)
 	var at time.Duration
-	link.Deliver(func() { at = sched.Now() })
+	link.Deliver(func() { at = sched.Now() }, nil, nil)
 	sched.Run()
 	if at != 40*time.Millisecond {
 		t.Fatalf("delivered at %v, want 40ms", at)
@@ -128,7 +128,7 @@ func TestLinkDropAndDuplicate(t *testing.T) {
 	sched := simclock.New()
 	drop := NewLink(sched, time.Millisecond, LinkFaults{DropRate: 1.0}, 1)
 	ran := 0
-	drop.Deliver(func() { ran++ })
+	drop.Deliver(func() { ran++ }, nil, nil)
 	sched.Run()
 	if ran != 0 {
 		t.Fatal("a fully lossy link must never deliver")
@@ -138,7 +138,7 @@ func TestLinkDropAndDuplicate(t *testing.T) {
 	}
 
 	dup := NewLink(sched, time.Millisecond, LinkFaults{DupRate: 1.0}, 1)
-	dup.Deliver(func() { ran++ })
+	dup.Deliver(func() { ran++ }, nil, nil)
 	sched.Run()
 	if ran != 2 {
 		t.Fatalf("duplicating link ran fn %d times, want 2", ran)
@@ -153,9 +153,9 @@ func TestLinkCutStopsDelivery(t *testing.T) {
 	if !link.Cut() {
 		t.Fatal("Cut must report the severed state")
 	}
-	link.Deliver(func() { ran++ })
+	link.Deliver(func() { ran++ }, nil, nil)
 	link.SetCut(false)
-	link.Deliver(func() { ran++ })
+	link.Deliver(func() { ran++ }, nil, nil)
 	sched.Run()
 	if ran != 1 {
 		t.Fatalf("ran = %d: cut must drop, heal must deliver", ran)
@@ -169,7 +169,7 @@ func TestLinkDeterministicPerSeed(t *testing.T) {
 			LinkFaults{DropRate: 0.3, DupRate: 0.3, JitterFrac: 0.2}, seed)
 		var times []time.Duration
 		for i := 0; i < 30; i++ {
-			link.Deliver(func() { times = append(times, sched.Now()) })
+			link.Deliver(func() { times = append(times, sched.Now()) }, nil, nil)
 		}
 		sched.Run()
 		return times
@@ -190,7 +190,7 @@ func TestLinkObserveMirrorsCounters(t *testing.T) {
 	c := metrics.NewCounters()
 	link := NewLink(sched, time.Millisecond, LinkFaults{DupRate: 1.0}, 4)
 	link.Observe(c, "submit")
-	link.Deliver(func() {})
+	link.Deliver(func() {}, nil, nil)
 	sched.Run()
 	if c.Get("submit.delivered") != 2 || c.Get("submit.duplicated") != 1 {
 		t.Fatalf("counters = %v", c.Snapshot())

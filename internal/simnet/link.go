@@ -25,17 +25,49 @@ type LinkFaults struct {
 	// MaxReorderDelay bounds the reordering hold-back (defaults to the base
 	// delay when zero).
 	MaxReorderDelay time.Duration
-	// CorruptRate is the probability a delivered copy has its bytes tampered
-	// in flight (bit flips, truncation, or junk extension). Corruption only
-	// applies to byte-level deliveries (DeliverBytes); closure deliveries
-	// have no wire representation to corrupt.
+	// CorruptRate is the probability a delivered copy is tampered in
+	// flight. A Link hands the copy's encoded bytes through DefaultTamper to
+	// Deliver's forged handler; a Network passes its typed payload to
+	// Config.Tamper.
 	CorruptRate float64
 }
 
-// active reports whether any fault is configured.
-func (f LinkFaults) active() bool {
-	return f.DropRate > 0 || f.DupRate > 0 || f.JitterFrac > 0 || f.ReorderFrac > 0 ||
-		f.CorruptRate > 0
+// copies draws whether a message is dropped, then whether it is
+// duplicated, and returns how many copies travel: 0, 1 or 2.
+func (f *LinkFaults) copies(rng *rand.Rand) int {
+	if f.DropRate > 0 && rng.Float64() < f.DropRate {
+		return 0
+	}
+	if f.DupRate > 0 && rng.Float64() < f.DupRate {
+		return 2
+	}
+	return 1
+}
+
+// corrupts draws whether one copy is tampered in flight.
+func (f *LinkFaults) corrupts(rng *rand.Rand) bool {
+	return f.CorruptRate > 0 && rng.Float64() < f.CorruptRate
+}
+
+// delay draws one copy's delivery delay: base ±jitter, then whether it is
+// held back for reordering and by how much. It reports the hold-back.
+func (f *LinkFaults) delay(rng *rand.Rand, base time.Duration) (time.Duration, bool) {
+	d := base
+	if f.JitterFrac > 0 {
+		jitter := (rng.Float64()*2 - 1) * f.JitterFrac
+		d = time.Duration(float64(d) * (1 + jitter))
+	}
+	reordered := f.ReorderFrac > 0 && rng.Float64() < f.ReorderFrac
+	if reordered {
+		hold := f.MaxReorderDelay
+		if hold <= 0 {
+			hold = base
+		}
+		if hold > 0 {
+			d += time.Duration(rng.Int63n(int64(hold) + 1))
+		}
+	}
+	return max(d, 0), reordered
 }
 
 // LinkStats counts one link's delivery events.
@@ -50,11 +82,6 @@ type LinkStats struct {
 	// (decode failure or validation error reported via NoteRejected).
 	Rejected uint64
 }
-
-// TamperFunc corrupts a message's bytes. It must treat msg as read-only and
-// return a fresh slice; rng is a per-corruption derived RNG, so the number
-// of draws a tamper makes cannot desynchronize the link's fault stream.
-type TamperFunc func(rng *rand.Rand, msg []byte) []byte
 
 // DefaultTamper flips bytes, truncates, or extends the message with junk,
 // choosing uniformly between the three. It models the full range of wire
@@ -170,10 +197,6 @@ func (l *Link) SetCut(cut bool) { l.cut = cut }
 // Cut reports whether the link is currently severed.
 func (l *Link) Cut() bool { return l.cut }
 
-// Corrupts reports whether the link can tamper message bytes; senders use
-// it to decide whether a byte-level delivery path is needed at all.
-func (l *Link) Corrupts() bool { return l.faults.CorruptRate > 0 }
-
 // Stats returns the link's delivery counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
@@ -195,95 +218,46 @@ func (l *Link) tamperRNG(idx uint64) *rand.Rand {
 	return rand.New(rand.NewSource(l.seed ^ int64(idx)*0x6A09E667F3BCC909 ^ 0x5DEECE66D))
 }
 
-// delay draws one delivery delay: base latency, ±jitter, plus an optional
-// reordering hold-back.
-func (l *Link) delay() time.Duration {
-	d := l.base
-	if l.faults.JitterFrac > 0 {
-		jitter := (l.rng.Float64()*2 - 1) * l.faults.JitterFrac
-		d = time.Duration(float64(d) * (1 + jitter))
-	}
-	if l.faults.ReorderFrac > 0 && l.rng.Float64() < l.faults.ReorderFrac {
-		max := l.faults.MaxReorderDelay
-		if max <= 0 {
-			max = l.base
-		}
-		if max > 0 {
-			d += time.Duration(l.rng.Int63n(int64(max) + 1))
-		}
-		count(l.shared.reordered, &l.stats.Reordered)
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// DeliverBytes schedules delivery of an encoded message across the link,
-// applying the same drop/dup/delay faults as Deliver plus byte corruption.
-// encode is invoked lazily — only for copies the link actually corrupts —
-// so clean deliveries cost no serialization. For clean copies fn receives
-// (nil, false) and the receiver should use its captured original message;
-// for corrupted copies it receives the tampered bytes and must treat them
-// as fully untrusted input.
-func (l *Link) DeliverBytes(encode func() []byte, fn func(b []byte, corrupted bool)) {
-	if l.cut || (l.faults.DropRate > 0 && l.rng.Float64() < l.faults.DropRate) {
-		count(l.shared.dropped, &l.stats.Dropped)
-		return
-	}
-	copies := 1
-	if l.faults.DupRate > 0 && l.rng.Float64() < l.faults.DupRate {
-		copies = 2
-		count(l.shared.duplicated, &l.stats.Duplicated)
-	}
-	for i := 0; i < copies; i++ {
-		var b []byte
-		corrupted := false
-		if l.faults.CorruptRate > 0 && l.rng.Float64() < l.faults.CorruptRate {
-			corrupted = true
-			b = DefaultTamper(l.tamperRNG(l.stats.Corrupted), encode())
-			count(l.shared.corrupted, &l.stats.Corrupted)
-			l.shared.byzCorrupted.Inc()
-		}
-		count(l.shared.delivered, &l.stats.Delivered)
-		deliver := func() { fn(b, corrupted) }
-		if l.reg.Enabled() {
-			l.reg.AddGauge(l.gInflight, 1)
-			l.reg.MaxGauge(l.gPeak, l.reg.Gauge(l.gInflight))
-			l.sched.After(l.delay(), func() {
-				l.reg.AddGauge(l.gInflight, -1)
-				deliver()
-			})
-			continue
-		}
-		l.sched.After(l.delay(), deliver)
-	}
-}
-
 // Deliver schedules fn across the link: it may run never (drop or cut),
 // once, or twice (duplication), each copy after an independently drawn
-// delay.
-func (l *Link) Deliver(fn func()) {
-	if l.cut || (l.faults.DropRate > 0 && l.rng.Float64() < l.faults.DropRate) {
+// delay. A copy the link corrupts runs forged instead, on DefaultTamper of
+// encode's bytes; the receiver must treat those as untrusted input. encode
+// runs only for corrupted copies, so a link without CorruptRate never
+// calls encode or forged, and both may be nil there.
+func (l *Link) Deliver(fn func(), encode func() []byte, forged func([]byte)) {
+	copies := 0
+	if !l.cut {
+		copies = l.faults.copies(l.rng)
+	}
+	switch copies {
+	case 0:
 		count(l.shared.dropped, &l.stats.Dropped)
 		return
-	}
-	copies := 1
-	if l.faults.DupRate > 0 && l.rng.Float64() < l.faults.DupRate {
-		copies = 2
+	case 2:
 		count(l.shared.duplicated, &l.stats.Duplicated)
 	}
 	for i := 0; i < copies; i++ {
+		run := fn
+		if l.faults.corrupts(l.rng) {
+			b := DefaultTamper(l.tamperRNG(l.stats.Corrupted), encode())
+			count(l.shared.corrupted, &l.stats.Corrupted)
+			l.shared.byzCorrupted.Inc()
+			run = func() { forged(b) }
+		}
 		count(l.shared.delivered, &l.stats.Delivered)
+		d, reordered := l.faults.delay(l.rng, l.base)
+		if reordered {
+			count(l.shared.reordered, &l.stats.Reordered)
+		}
 		if l.reg.Enabled() {
 			l.reg.AddGauge(l.gInflight, 1)
 			l.reg.MaxGauge(l.gPeak, l.reg.Gauge(l.gInflight))
-			l.sched.After(l.delay(), func() {
+			deliver := run
+			run = func() {
 				l.reg.AddGauge(l.gInflight, -1)
-				fn()
-			})
-			continue
+				deliver()
+			}
 		}
-		l.sched.After(l.delay(), fn)
+		l.sched.After(d, run)
 	}
 }

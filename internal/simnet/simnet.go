@@ -70,28 +70,14 @@ func Latency(a, b Region) time.Duration {
 
 // Config tunes network behavior.
 type Config struct {
-	// JitterFrac adds up to ±JitterFrac of the base latency, drawn from the
-	// seeded RNG. Zero disables jitter.
-	JitterFrac float64
-	// DropRate is the probability a message is silently lost.
-	DropRate float64
-	// DupRate is the probability a message is delivered twice.
-	DupRate float64
-	// ReorderFrac is the probability a message is held back by an extra
-	// random delay of up to MaxReorderDelay, letting later traffic overtake.
-	ReorderFrac float64
-	// MaxReorderDelay bounds the reordering hold-back (defaults to the base
-	// latency when zero).
-	MaxReorderDelay time.Duration
-	// CorruptRate is the probability a delivered copy is tampered via the
-	// network's Tamper hook. Copies with no Tamper installed, or that the
-	// hook declines, are delivered intact.
-	CorruptRate float64
+	// Faults applies to every message unless SetLinkFaults overrides its
+	// link. Copies drawn as corrupted go through Tamper.
+	Faults LinkFaults
 	// Tamper corrupts an in-memory WAN payload (WAN messages are typed
 	// values, not bytes, so corruption is protocol-aware). It receives a
 	// per-corruption derived RNG and must not mutate the original payload.
 	// It returns the corrupted payload and true, or (payload, false) for
-	// message kinds it does not corrupt.
+	// message kinds it does not corrupt; a nil Tamper corrupts nothing.
 	Tamper PayloadTamper
 	// Seed makes delivery timing reproducible.
 	Seed int64
@@ -99,18 +85,6 @@ type Config struct {
 
 // PayloadTamper corrupts an in-memory WAN message. See Config.Tamper.
 type PayloadTamper func(rng *rand.Rand, payload any) (any, bool)
-
-// faults extracts the global per-message fault configuration.
-func (c Config) faults() LinkFaults {
-	return LinkFaults{
-		DropRate:        c.DropRate,
-		DupRate:         c.DupRate,
-		JitterFrac:      c.JitterFrac,
-		ReorderFrac:     c.ReorderFrac,
-		MaxReorderDelay: c.MaxReorderDelay,
-		CorruptRate:     c.CorruptRate,
-	}
-}
 
 // Network delivers messages between registered nodes over the simulated
 // clock. It is single-threaded, like everything on the scheduler.
@@ -133,12 +107,7 @@ type Network struct {
 	// high-water mark.
 	free []*delivery
 
-	delivered  uint64
-	dropped    uint64
-	duplicated uint64
-	reordered  uint64
-	corrupted  uint64
-
+	stats  LinkStats
 	shared eventCounters
 	reg    *metrics.Registry // optional; feeds in-flight gauges
 	// gInflight/gPeak are the in-flight gauge names ("wan.inflight" by
@@ -193,10 +162,10 @@ func (d *delivery) deliver() {
 	// re-registration while the message is in flight takes effect (Register
 	// updates a known node's record in place).
 	if len(n.down) > 0 && n.down[to] {
-		count(n.shared.dropped, &n.dropped)
+		count(n.shared.dropped, &n.stats.Dropped)
 		return
 	}
-	count(n.shared.delivered, &n.delivered)
+	count(n.shared.delivered, &n.stats.Delivered)
 	dst.handler(from, msg)
 }
 
@@ -259,59 +228,41 @@ func (n *Network) Register(id NodeID, region Region, h Handler) error {
 func (n *Network) Send(from, to NodeID, payload any) {
 	src, okFrom := n.nodes[from]
 	dst, okTo := n.nodes[to]
-	if !okFrom || !okTo {
-		count(n.shared.dropped, &n.dropped)
+	if !okFrom || !okTo || len(n.down) > 0 && n.down[from] || len(n.cut) > 0 && n.cut[linkKey(from, to)] {
+		count(n.shared.dropped, &n.stats.Dropped)
 		return
 	}
-	if len(n.down) > 0 && n.down[from] || len(n.cut) > 0 && n.cut[linkKey(from, to)] {
-		count(n.shared.dropped, &n.dropped)
-		return
-	}
-	faults := n.cfg.faults()
+	faults := n.cfg.Faults
 	if len(n.linkFaults) > 0 {
 		if override, ok := n.linkFaults[linkKey(from, to)]; ok {
 			faults = override
 		}
 	}
-	if faults.DropRate > 0 && n.rng.Float64() < faults.DropRate {
-		count(n.shared.dropped, &n.dropped)
+	copies := faults.copies(n.rng)
+	switch copies {
+	case 0:
+		count(n.shared.dropped, &n.stats.Dropped)
 		return
-	}
-	copies := 1
-	if faults.DupRate > 0 && n.rng.Float64() < faults.DupRate {
-		copies = 2
-		count(n.shared.duplicated, &n.duplicated)
+	case 2:
+		count(n.shared.duplicated, &n.stats.Duplicated)
 	}
 	base := Latency(src.region, dst.region)
 	for i := 0; i < copies; i++ {
 		msg := payload
-		if faults.CorruptRate > 0 && n.rng.Float64() < faults.CorruptRate {
-			if n.cfg.Tamper != nil {
-				// A derived per-corruption RNG keeps the network's fault
-				// stream independent of how many draws the tamper makes
-				// (which may depend on non-deterministic payload content).
-				trng := rand.New(rand.NewSource(n.cfg.Seed ^ int64(n.corrupted)*0x6A09E667F3BCC909 ^ 0x2545F4914F6CDD1D))
-				if tampered, ok := n.cfg.Tamper(trng, payload); ok {
-					msg = tampered
-					count(n.shared.corrupted, &n.corrupted)
-					n.shared.byzCorrupted.Inc()
-				}
+		if faults.corrupts(n.rng) && n.cfg.Tamper != nil {
+			// A derived per-corruption RNG keeps the network's fault stream
+			// independent of how many draws the tamper makes (which may
+			// depend on non-deterministic payload content).
+			trng := rand.New(rand.NewSource(n.cfg.Seed ^ int64(n.stats.Corrupted)*0x6A09E667F3BCC909 ^ 0x2545F4914F6CDD1D))
+			if tampered, ok := n.cfg.Tamper(trng, payload); ok {
+				msg = tampered
+				count(n.shared.corrupted, &n.stats.Corrupted)
+				n.shared.byzCorrupted.Inc()
 			}
 		}
-		delay := base
-		if faults.JitterFrac > 0 {
-			jitter := (n.rng.Float64()*2 - 1) * faults.JitterFrac
-			delay = time.Duration(float64(delay) * (1 + jitter))
-		}
-		if faults.ReorderFrac > 0 && n.rng.Float64() < faults.ReorderFrac {
-			max := faults.MaxReorderDelay
-			if max <= 0 {
-				max = base
-			}
-			if max > 0 {
-				delay += time.Duration(n.rng.Int63n(int64(max) + 1))
-			}
-			count(n.shared.reordered, &n.reordered)
+		delay, reordered := faults.delay(n.rng, base)
+		if reordered {
+			count(n.shared.reordered, &n.stats.Reordered)
 		}
 		if n.reg.Enabled() {
 			n.reg.AddGauge(n.gInflight, 1)
@@ -390,19 +341,11 @@ func (n *Network) ScheduleCrash(id NodeID, at, restartAt time.Duration) {
 
 // Stats returns delivered and dropped message counts.
 func (n *Network) Stats() (delivered, dropped uint64) {
-	return n.delivered, n.dropped
+	return n.stats.Delivered, n.stats.Dropped
 }
 
 // FaultStats returns the full delivery event counts, including duplicates
 // and reordered messages.
-func (n *Network) FaultStats() LinkStats {
-	return LinkStats{
-		Delivered:  n.delivered,
-		Dropped:    n.dropped,
-		Duplicated: n.duplicated,
-		Reordered:  n.reordered,
-		Corrupted:  n.corrupted,
-	}
-}
+func (n *Network) FaultStats() LinkStats { return n.stats }
 
 func linkKey(a, b NodeID) [2]NodeID { return [2]NodeID{a, b} }

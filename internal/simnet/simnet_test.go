@@ -111,7 +111,7 @@ func TestLinkCut(t *testing.T) {
 
 func TestDropRate(t *testing.T) {
 	sched := simclock.New()
-	net := New(sched, Config{DropRate: 1.0, Seed: 1})
+	net := New(sched, Config{Faults: LinkFaults{DropRate: 1.0}, Seed: 1})
 	received := 0
 	for _, id := range []NodeID{1, 2} {
 		if err := net.Register(id, 0, func(NodeID, any) { received++ }); err != nil {
@@ -130,7 +130,7 @@ func TestDropRate(t *testing.T) {
 func TestJitterDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) time.Duration {
 		sched := simclock.New()
-		net := New(sched, Config{JitterFrac: 0.2, Seed: seed})
+		net := New(sched, Config{Faults: LinkFaults{JitterFrac: 0.2}, Seed: seed})
 		var at time.Duration
 		for _, id := range []NodeID{1, 2} {
 			if err := net.Register(id, Region(int(id)), func(NodeID, any) { at = sched.Now() }); err != nil {

@@ -23,7 +23,7 @@ func (fixedApp) Commit(uint64, []byte)   {}
 func BenchmarkClusterHeight(b *testing.B) {
 	const n = 10
 	sched := simclock.New()
-	net := simnet.New(sched, simnet.Config{Seed: 1, JitterFrac: 0.1})
+	net := simnet.New(sched, simnet.Config{Seed: 1, Faults: simnet.LinkFaults{JitterFrac: 0.1}})
 	ids := make([]simnet.NodeID, n)
 	regions := make([]simnet.Region, n)
 	for i := range ids {

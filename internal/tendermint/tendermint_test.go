@@ -46,7 +46,7 @@ func (a *recordingApp) Commit(height uint64, payload []byte) {
 func newCluster(t *testing.T, n int) (*simclock.Scheduler, *Cluster, *recordingApp) {
 	t.Helper()
 	sched := simclock.New()
-	net := simnet.New(sched, simnet.Config{Seed: 1, JitterFrac: 0.1})
+	net := simnet.New(sched, simnet.Config{Seed: 1, Faults: simnet.LinkFaults{JitterFrac: 0.1}})
 	app := newRecordingApp()
 	ids := make([]simnet.NodeID, n)
 	regions := make([]simnet.Region, n)
@@ -269,9 +269,10 @@ func faultyClusterFingerprint(t *testing.T) (string, *Cluster, *simnet.Network) 
 	t.Helper()
 	sched := simclock.New()
 	net := simnet.New(sched, simnet.Config{
-		Seed: 7, JitterFrac: 0.1, DropRate: 0.1, DupRate: 0.2,
-		ReorderFrac: 0.1, MaxReorderDelay: 300 * time.Millisecond,
-		CorruptRate: 0.05, Tamper: WireTamper(),
+		Seed: 7,
+		Faults: simnet.LinkFaults{JitterFrac: 0.1, DropRate: 0.1, DupRate: 0.2,
+			ReorderFrac: 0.1, MaxReorderDelay: 300 * time.Millisecond, CorruptRate: 0.05},
+		Tamper: WireTamper(),
 	})
 	app := newRecordingApp()
 	app.now = sched.Now
@@ -344,7 +345,7 @@ func TestVoteTablesBoundedByCurrentHeight(t *testing.T) {
 	const n = 7
 	sched := simclock.New()
 	log := &roundLog{
-		Transport: simnet.New(sched, simnet.Config{Seed: 1, JitterFrac: 0.1}),
+		Transport: simnet.New(sched, simnet.Config{Seed: 1, Faults: simnet.LinkFaults{JitterFrac: 0.1}}),
 		seen:      make(map[simnet.NodeID]map[[2]uint64]bool),
 	}
 	ids := make([]simnet.NodeID, n)
@@ -518,7 +519,7 @@ func TestTamperingCopiesProposalPayload(t *testing.T) {
 	}
 
 	sched := simclock.New()
-	net := simnet.New(sched, simnet.Config{Seed: 3, JitterFrac: 0.1, CorruptRate: 0.3, Tamper: WireTamper()})
+	net := simnet.New(sched, simnet.Config{Seed: 3, Faults: simnet.LinkFaults{JitterFrac: 0.1, CorruptRate: 0.3}, Tamper: WireTamper()})
 	app := &proposalKeeper{recordingApp: newRecordingApp()}
 	ids := []simnet.NodeID{1, 2, 3, 4}
 	regions := make([]simnet.Region, len(ids))

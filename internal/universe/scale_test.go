@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"scmove/internal/hashing"
+	"scmove/internal/simnet"
 	"scmove/internal/u256"
 )
 
@@ -54,11 +55,12 @@ func TestLazyRelayMeshIsOActivePairs(t *testing.T) {
 // TestLazyRelaySeedsArePositionDerived pins that a lazily created link's
 // fault stream does not depend on materialization order: two universes
 // touching pairs in different orders end with identical link seeds, which
-// the test observes through identical delivery schedules.
+// the test observes through identical drop counts on lossy relays.
 func TestLazyRelaySeedsArePositionDerived(t *testing.T) {
-	build := func(order [][2]hashing.ChainID) map[[2]hashing.ChainID]uint64 {
+	build := func(order [][2]hashing.ChainID) map[[2]hashing.ChainID]simnet.LinkStats {
 		cfg := ShardedScaleConfig(6, 4, 0)
 		cfg.Clients = 1
+		cfg.Chaos = &ChaosConfig{HeaderRelay: simnet.LinkFaults{DropRate: 0.3}, Seed: 7}
 		u, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -67,14 +69,13 @@ func TestLazyRelaySeedsArePositionDerived(t *testing.T) {
 		for _, p := range order {
 			u.EnsureRelay(p[0], p[1])
 		}
-		// Push traffic through every link and compare delivery counts after
-		// a fixed horizon: with jitter active, a seed difference shows up as
-		// a different schedule.
+		// Push traffic through every link and compare its counts after a
+		// fixed horizon: a seed difference shows up as different drops.
 		u.Start()
 		u.Run(2 * time.Minute)
-		out := make(map[[2]hashing.ChainID]uint64)
+		out := make(map[[2]hashing.ChainID]simnet.LinkStats)
 		for _, p := range order {
-			out[p] = u.RelayLink(p[0], p[1]).Stats().Delivered
+			out[p] = u.RelayLink(p[0], p[1]).Stats()
 		}
 		return out
 	}
@@ -84,8 +85,66 @@ func TestLazyRelaySeedsArePositionDerived(t *testing.T) {
 	b := build(rev)
 	for p, n := range a {
 		if b[p] != n {
-			t.Fatalf("link %v delivered %d vs %d depending on creation order", p, n, b[p])
+			t.Fatalf("link %v stats %+v vs %+v depending on creation order", p, n, b[p])
 		}
+	}
+}
+
+// TestLazyRelaySeedsMatchEagerMesh pins the single seed formula: a lazy
+// mesh built pair by pair through EnsureRelay draws the same faults on
+// every link as the eager mesh of the same configuration.
+func TestLazyRelaySeedsMatchEagerMesh(t *testing.T) {
+	build := func(lazy bool) map[[2]hashing.ChainID]simnet.LinkStats {
+		cfg := ShardedConfig(4, 1)
+		cfg.LazyRelays = lazy
+		cfg.Chaos = &ChaosConfig{HeaderRelay: simnet.LinkFaults{DropRate: 0.3, JitterFrac: 0.1}}
+		u, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer u.Close()
+		ids := u.ChainIDs()
+		for _, a := range ids {
+			for _, b := range ids {
+				if a != b {
+					u.EnsureRelay(a, b)
+				}
+			}
+		}
+		u.Start()
+		u.Run(2 * time.Minute)
+		out := make(map[[2]hashing.ChainID]simnet.LinkStats)
+		for _, a := range ids {
+			for _, b := range ids {
+				if a != b {
+					out[[2]hashing.ChainID{a, b}] = u.RelayLink(a, b).Stats()
+				}
+			}
+		}
+		return out
+	}
+	eager, lazy := build(false), build(true)
+	for p, s := range eager {
+		if lazy[p] != s {
+			t.Fatalf("link %v: eager %+v, lazy %+v", p, s, lazy[p])
+		}
+	}
+}
+
+// TestRelayerCutCoversLaterRelays pins that a relayer cut also severs the
+// relay links a lazy universe builds after the cut.
+func TestRelayerCutCoversLaterRelays(t *testing.T) {
+	cfg := ShardedScaleConfig(4, 4, 0)
+	cfg.Clients = 1
+	u, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	u.SetRelayerCut(true)
+	u.Mover(1, 2)
+	if !u.RelayLink(1, 2).Cut() || !u.RelayLink(2, 1).Cut() {
+		t.Fatal("relay links built after SetRelayerCut(true) are not cut")
 	}
 }
 

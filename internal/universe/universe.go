@@ -323,6 +323,7 @@ type Universe struct {
 	moverCfg    relay.MoverConfig
 	submitLinks map[hashing.ChainID]*simnet.Link
 	relayLinks  map[[2]hashing.ChainID]*simnet.Link
+	relayerCut  bool // SetRelayerCut's state, applied to links built later
 
 	// Scaling state (Config.LazyRelays, Users).
 	pos         map[hashing.ChainID]int // chain position in configuration order
@@ -332,7 +333,6 @@ type Universe struct {
 	relayWindow int
 	relaySeed   int64
 	users       int
-	submitDelay time.Duration
 
 	driver  *simclock.Realtime // non-nil with Config.Realtime
 	tcp     *simnet.TCP        // non-nil with Config.TCPWan
@@ -355,25 +355,20 @@ func New(cfg Config) (*Universe, error) {
 		return nil, errors.New("universe: Lanes makes a per-chain simnet.Network the transport (TCPWan would be silently ignored), and Lanes with Realtime has no test")
 	}
 	sched := simclock.New()
-	netCfg := simnet.Config{JitterFrac: 0.1, Seed: cfg.NetSeed}
+	netCfg := simnet.Config{Seed: cfg.NetSeed}
 	chaosSeed := cfg.NetSeed
 	if cfg.Chaos != nil {
 		chaosSeed = cfg.Chaos.Seed
-		wan := cfg.Chaos.WAN
-		netCfg.DropRate = wan.DropRate
-		netCfg.DupRate = wan.DupRate
-		netCfg.ReorderFrac = wan.ReorderFrac
-		netCfg.MaxReorderDelay = wan.MaxReorderDelay
-		if wan.JitterFrac > 0 {
-			netCfg.JitterFrac = wan.JitterFrac
-		}
-		if wan.CorruptRate > 0 {
-			// Consensus messages cross the WAN as typed values, not bytes, so
-			// corruption tampers with the fields an attacker on the wire could
-			// reach: proposal payload bytes and vote hashes.
-			netCfg.CorruptRate = wan.CorruptRate
-			netCfg.Tamper = tendermint.WireTamper()
-		}
+		netCfg.Faults = cfg.Chaos.WAN
+	}
+	if netCfg.Faults.JitterFrac <= 0 {
+		netCfg.Faults.JitterFrac = 0.1
+	}
+	if netCfg.Faults.CorruptRate > 0 {
+		// Consensus messages cross the WAN as typed values, not bytes, so
+		// corruption tampers with the fields an attacker on the wire could
+		// reach: proposal payload bytes and vote hashes.
+		netCfg.Tamper = tendermint.WireTamper()
 	}
 	net := simnet.New(sched, netCfg)
 	u := &Universe{
@@ -391,7 +386,6 @@ func New(cfg Config) (*Universe, error) {
 		relaySeed:   chaosSeed,
 		relayWindow: 1,
 		users:       cfg.Users,
-		submitDelay: cfg.SubmitDelay,
 	}
 	net.Observe(u.counters)
 	if cfg.Realtime {
@@ -444,12 +438,8 @@ func New(cfg Config) (*Universe, error) {
 		})
 	}
 	kg.Wait()
-	for i := range clientKeys {
-		cl := relay.NewClient(clientKeys[i], sched, cfg.SubmitDelay)
-		for id, link := range u.submitLinks {
-			cl.SetSubmitLink(id, link)
-		}
-		u.clients = append(u.clients, cl)
+	for _, kp := range clientKeys {
+		u.clients = append(u.clients, relay.NewClient(kp, u.submitLinks))
 	}
 	userFunds := cfg.UserFunds
 	if userFunds.IsZero() {
@@ -558,30 +548,18 @@ func New(cfg Config) (*Universe, error) {
 	// Bidirectional header relays between every pair, each over its own
 	// (possibly lossy) link. Each relay message re-sends a window of recent
 	// headers, so drops heal as soon as a later message gets through.
-	var relayFaults simnet.LinkFaults
-	window := 1
 	if cfg.Chaos != nil {
-		relayFaults = cfg.Chaos.HeaderRelay
-		window = cfg.Chaos.HeaderWindow
-		if window <= 0 {
-			window = 8
+		u.relayFaults = cfg.Chaos.HeaderRelay
+		u.relayWindow = cfg.Chaos.HeaderWindow
+		if u.relayWindow <= 0 {
+			u.relayWindow = 8
 		}
 	}
-	u.relayFaults = relayFaults
-	u.relayWindow = window
 	if !cfg.LazyRelays {
-		pair := 0
 		for _, a := range u.order {
 			for _, b := range u.order {
 				if a != b {
-					link := simnet.NewLink(sched, cfg.RelayDelay, relayFaults, chaosSeed+int64(pair)*104729+2)
-					link.Observe(u.counters, "headers")
-					if u.reg != nil {
-						link.SetRegistry(u.reg)
-					}
-					u.relayLinks[[2]hashing.ChainID{a, b}] = link
-					chain.ConnectHeaderRelayVia(u.chains[a], u.chains[b], link, window)
-					pair++
+					u.EnsureRelay(a, b)
 				}
 			}
 		}
@@ -636,30 +614,38 @@ func (u *Universe) RelayLink(a, b hashing.ChainID) *simnet.Link {
 func (u *Universe) RelayLinkCount() int { return len(u.relayLinks) }
 
 // EnsureRelay returns the a→b header relay link, creating it (and
-// registering its OnBlock forwarder) on first use. The link's fault seed
-// derives from the pair's configuration positions, so a lazily built mesh
-// behaves identically no matter which order traffic first touches the
-// pairs.
+// registering its OnBlock forwarder) on first use; it builds every relay
+// link, the eager mesh's too. The link's fault seed derives from the pair's
+// index among the ordered pairs of distinct chains in configuration order,
+// so a lazily built mesh draws the same faults as the eager one, no matter
+// which order traffic first touches the pairs.
 func (u *Universe) EnsureRelay(a, b hashing.ChainID) *simnet.Link {
 	key := [2]hashing.ChainID{a, b}
 	if link, ok := u.relayLinks[key]; ok {
 		return link
 	}
-	seed := u.relaySeed + (int64(u.pos[a])*int64(len(u.order))+int64(u.pos[b]))*104729 + 2
-	link := simnet.NewLink(u.Sched, u.relayDelay, u.relayFaults, seed)
+	pa, pb := u.pos[a], u.pos[b]
+	pair := pa*(len(u.order)-1) + pb
+	if pb > pa {
+		pair-- // the pair (a, a) is not a link
+	}
+	link := simnet.NewLink(u.Sched, u.relayDelay, u.relayFaults, u.relaySeed+int64(pair)*104729+2)
 	link.Observe(u.counters, "headers")
 	if u.reg != nil {
 		link.SetRegistry(u.reg)
 	}
+	link.SetCut(u.relayerCut)
 	u.relayLinks[key] = link
 	chain.ConnectHeaderRelayVia(u.chains[a], u.chains[b], link, u.relayWindow)
 	return link
 }
 
 // SetRelayerCut severs (or heals) every relayer-facing link in the
-// universe: all client submission paths and all header relays. It models a
-// relayer whose network partitions away mid-move.
+// universe: all client submission paths and all header relays, including
+// relay links EnsureRelay builds later. It models a relayer whose network
+// partitions away mid-move.
 func (u *Universe) SetRelayerCut(cut bool) {
+	u.relayerCut = cut
 	for _, link := range u.submitLinks {
 		link.SetCut(cut)
 	}
@@ -764,11 +750,7 @@ func (u *Universe) UserHome(i int) hashing.ChainID {
 // workloads create clients for exactly the users they drive, which is what
 // keeps a million-user universe cheap.
 func (u *Universe) UserClient(i int) *relay.Client {
-	cl := relay.NewClient(UserKey(i), u.Sched, u.submitDelay)
-	for id, link := range u.submitLinks {
-		cl.SetSubmitLink(id, link)
-	}
-	return cl
+	return relay.NewClient(UserKey(i), u.submitLinks)
 }
 
 // Mover returns a mover from src to dst, tuned by the chaos config (when
