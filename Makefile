@@ -57,14 +57,19 @@ benchtest:
 # while its deferred signature is still queued and proposed only once it
 # landed, a failed signature stays failed, and every transaction the Kitties
 # cell and the 16-chain sharded cell commit recovers to its From through a
-# full ECDSA verification (no memo, no sender cache).
+# full ECDSA verification (no memo, no sender cache). A committed block's
+# transactions, a Move2 payload included, are unreachable once ApplyBlock
+# and its listeners return, and a universe's counters report its client
+# blocking on a full crypto pool and on encoding a transaction whose
+# signature has not landed.
 #
 # `go test -run 'A|B'` passes when a name matches nothing, so the target
 # first checks every listed name against `go test -list`: a test that is
 # deleted, renamed or misspelt fails the gate instead of narrowing it.
 DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestBuildAllocsAreConstant TestCommitDoesNotWaitOnSharedPool \
-	TestVoteTablesBoundedByCurrentHeight TestOnVoteSteadyStateZeroAllocs \
+	TestVoteTablesBoundedByCurrentHeight TestCommittedBodiesNotRetained \
+	TestOnVoteSteadyStateZeroAllocs \
 	TestRevertedMove2RestoresStaleCopy TestMoveHomeDropsSlotsDeletedAbroad \
 	TestVerifyBatchMatchesSerial TestRecoverSendersMatchesSerialAcrossGOMAXPROCS \
 	TestSignRFC6979KnownAnswer TestRecoverSendersMixedBlockMatchesSerial \
@@ -75,7 +80,8 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestPreparedMove2MatchesInline TestPreparedMove2MatchesVerifyAndApply \
 	TestExpectedMove2MatchesInline TestExpectedMove2MatchesByContent \
 	TestMovePingPongDigest TestAdmittedWhileSignatureQueued \
-	TestFailedSignatureIsKept TestCommittedSignaturesVerify
+	TestFailedSignatureIsKept TestCommittedSignaturesVerify \
+	TestLoopWaitCountsPoolAndEncode
 DETSMOKE_PKGS = ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/relay/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/

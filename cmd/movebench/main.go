@@ -25,7 +25,10 @@
 // Move2 commit) and queue-depth gauges to the chaos and chaossweep output;
 // -trace <file> additionally dumps one JSON Lines span per protocol stage
 // and event of the chaos run. Both observe simulated time only: the
-// simulated results are bit-identical with the layer on or off.
+// simulated results are bit-identical with the layer on or off. -metrics
+// also adds to the chaos, chaossweep and byzantine counter tables where the
+// event loop blocked on another goroutine (loopwait.*: blocks and wall
+// nanoseconds per site), which, being wall time, differ between runs.
 //
 // -cpuprofile <file> and -memprofile <file> write pprof profiles of the
 // selected experiment (the CPU profile covers the whole run; the heap
@@ -53,7 +56,7 @@ func main() {
 	flag.IntVar(&chaosCfg.Moves, "moves", chaosCfg.Moves, "chaos: number of back-and-forth moves to drive")
 	flag.Float64Var(&byzCfg.CorruptRate, "corrupt", byzCfg.CorruptRate, "byzantine: per-message in-flight corruption probability on every link")
 	flag.IntVar(&byzCfg.Equivocators, "equivocators", byzCfg.Equivocators, "byzantine: equivocating validators per BFT cluster")
-	flag.BoolVar(&metricsOn, "metrics", false, "chaos/chaossweep/byzantine: render stage-latency histograms and gauges")
+	flag.BoolVar(&metricsOn, "metrics", false, "chaos/chaossweep/byzantine: render stage-latency histograms, gauges and loop-wait counters")
 	flag.StringVar(&traceFile, "trace", "", "chaos: dump a JSONL span trace to this file (implies -metrics)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after final GC) to this file")

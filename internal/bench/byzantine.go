@@ -267,8 +267,8 @@ func injectConflictingHeader(u *universe.Universe) error {
 }
 
 // Fingerprint reduces the run to everything simulated — per-move latencies,
-// final state roots, and the counter table minus the process-wide
-// sendercache.* counters — for byte-exact comparison across GOMAXPROCS
+// final state roots, and the counter table minus the process counters
+// (metrics.ProcessCounter) — for byte-exact comparison across GOMAXPROCS
 // settings and same-seed re-runs.
 func (r *ByzantineResult) Fingerprint() string {
 	var sb strings.Builder
@@ -280,7 +280,7 @@ func (r *ByzantineResult) Fingerprint() string {
 	}
 	names := make([]string, 0, len(r.Counters))
 	for name := range r.Counters {
-		if !strings.HasPrefix(name, "sendercache.") {
+		if !metrics.ProcessCounter(name) {
 			names = append(names, name)
 		}
 	}

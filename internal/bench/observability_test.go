@@ -8,12 +8,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"scmove/internal/metrics"
 )
 
 // chaosFingerprint reduces one chaos run to everything simulated: per-move
-// latencies plus the counter table, minus the sendercache.* counters (the
-// cache is process-wide and other parallel tests pollute its hit/miss
-// deltas; every other counter is driven solely by this run's seeded RNGs).
+// latencies plus the counter table, minus the process counters
+// (metrics.ProcessCounter: the sender cache is process-wide and other
+// parallel tests pollute its hit/miss deltas, and loop waits are wall time;
+// every other counter is driven solely by this run's seeded RNGs).
 func chaosFingerprint(t *testing.T, metricsOn, trace bool) string {
 	t.Helper()
 	cfg := ChaosConfig{DropRate: 0.20, DupRate: 0.20, Seed: 12345, Moves: 2,
@@ -28,7 +31,7 @@ func chaosFingerprint(t *testing.T, metricsOn, trace bool) string {
 	}
 	names := make([]string, 0, len(res.Counters))
 	for name := range res.Counters {
-		if !strings.HasPrefix(name, "sendercache.") {
+		if !metrics.ProcessCounter(name) {
 			names = append(names, name)
 		}
 	}

@@ -110,11 +110,13 @@ type Chain struct {
 	db      *state.DB
 	headers *core.HeaderStore
 
-	mu        sync.RWMutex
-	blocks    []*types.Block // height-indexed, genesis at 0
+	mu sync.RWMutex
+	// committed holds the chain's own headers, height-indexed, genesis at 0.
+	// A block's transactions are not kept: ApplyBlock hands the block to its
+	// listeners and its caller, and nothing reads a body after that.
+	committed []*types.Header
 	rootsAt   []hashing.Hash // state root after executing height i
-	receipts  map[hashing.Hash]*types.Receipt
-	txHeights map[hashing.Hash]uint64
+	txs       map[hashing.Hash]txRecord
 	pool      *txpool.Pool
 	listeners []BlockListener
 	txWaiters map[hashing.Hash][]TxListener
@@ -129,6 +131,9 @@ type Chain struct {
 	gDepth      string // "txpool.depth.<chain>"
 	gPeak       string // "txpool.peak.<chain>"
 	hInterval   string // "block.interval.<chain>"
+	// Where the event loop blocks (SetObserver; zero counts nothing).
+	sigWait  metrics.Wait // "loopwait.sig.propose"
+	prepWait metrics.Wait // "loopwait.prepare.<tree kind>"
 
 	// dispatch, when set, receives the closure that fires block listeners
 	// and tx waiters after ApplyBlock commits (see SetDispatcher). Nil fires
@@ -160,8 +165,16 @@ type move2Prep struct {
 // beyond the bound drops the oldest.
 const maxPrepared = 32
 
-// TxListener observes one transaction's execution.
-type TxListener func(rec *types.Receipt, block *types.Block)
+// txRecord is what a chain keeps of an executed transaction: the height of
+// its block and its receipt.
+type txRecord struct {
+	height uint64
+	rec    *types.Receipt
+}
+
+// TxListener observes one transaction's execution. It gets the receipt, not
+// the block: a chain keeps no block bodies (TxHeight gives the height).
+type TxListener func(rec *types.Receipt)
 
 // New creates a chain with the given peer header store and genesis
 // allocation function (may be nil).
@@ -189,10 +202,9 @@ func New(cfg Config, headers *core.HeaderStore, genesis func(db *state.DB)) (*Ch
 		cfg:       cfg,
 		db:        db,
 		headers:   headers,
-		blocks:    []*types.Block{{Header: genesisHeader}},
+		committed: []*types.Header{genesisHeader},
 		rootsAt:   []hashing.Hash{root},
-		receipts:  make(map[hashing.Hash]*types.Receipt),
-		txHeights: make(map[hashing.Hash]uint64),
+		txs:       make(map[hashing.Hash]txRecord),
 		pool:      txpool.New(cfg.ChainID, cfg.PoolLimit),
 		txWaiters: make(map[hashing.Hash][]TxListener),
 	}, nil
@@ -219,7 +231,7 @@ func (c *Chain) Head() *types.Header {
 }
 
 // head is Head without locking, for callers already holding c.mu.
-func (c *Chain) head() *types.Header { return c.blocks[len(c.blocks)-1].Header }
+func (c *Chain) head() *types.Header { return c.committed[len(c.committed)-1] }
 
 // HeaderAt returns the header at a height.
 func (c *Chain) HeaderAt(height uint64) (*types.Header, bool) {
@@ -230,10 +242,10 @@ func (c *Chain) HeaderAt(height uint64) (*types.Header, bool) {
 
 // headerAt is HeaderAt without locking.
 func (c *Chain) headerAt(height uint64) (*types.Header, bool) {
-	if height >= uint64(len(c.blocks)) {
+	if height >= uint64(len(c.committed)) {
 		return nil, false
 	}
-	return c.blocks[height].Header, true
+	return c.committed[height], true
 }
 
 // Close waits for the Move2 preparations still running, then releases the
@@ -282,16 +294,16 @@ func (c *Chain) rootAt(height uint64) (hashing.Hash, bool) {
 func (c *Chain) Receipt(id hashing.Hash) (*types.Receipt, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	r, ok := c.receipts[id]
-	return r, ok
+	t, ok := c.txs[id]
+	return t.rec, ok
 }
 
 // TxHeight returns the height at which a transaction executed.
 func (c *Chain) TxHeight(id hashing.Hash) (uint64, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	h, ok := c.txHeights[id]
-	return h, ok
+	t, ok := c.txs[id]
+	return t.height, ok
 }
 
 // StaticCall runs a read-only contract call against the current state (the
@@ -317,16 +329,24 @@ func (c *Chain) StaticCall(from, to hashing.Address, input []byte) ([]byte, erro
 // SetObserver attaches an observability registry and a simulated-clock
 // reading function (the chain never sees the scheduler directly). The chain
 // then feeds a per-chain block-interval histogram, a block.commit trace
-// event per committed block, and txpool depth/peak gauges. Recording only
-// reads state the chain already computed, so enabling it cannot change
-// simulated results. A nil registry detaches.
+// event per committed block, and txpool depth/peak gauges. It also counts,
+// in the registry's counters, the times and wall nanoseconds the event loop
+// blocks in ProposeBatch on a deferred signature (loopwait.sig.propose) and
+// in ApplyBlock on a Move2 preparation still running
+// (loopwait.prepare.<tree kind>). Recording only reads state the chain
+// already computed or times a wait that happens anyway, so enabling it
+// cannot change simulated results. A nil registry detaches.
 func (c *Chain) SetObserver(reg *metrics.Registry, now func() time.Duration) {
 	c.reg = reg
 	c.nowFn = now
 	if reg == nil || now == nil {
 		c.reg, c.nowFn = nil, nil
+		c.sigWait, c.prepWait = metrics.Wait{}, metrics.Wait{}
 		return
 	}
+	counters := reg.Counters()
+	c.sigWait = counters.Wait(metrics.LoopWaitPrefix + "sig.propose")
+	c.prepWait = counters.Wait(metrics.LoopWaitPrefix + "prepare." + c.cfg.TreeKind.String())
 	id := c.cfg.ChainID.String()
 	c.gDepth = "txpool.depth." + id
 	c.gPeak = "txpool.peak." + id
@@ -456,7 +476,7 @@ func (c *Chain) takePrepared(txs []*types.Transaction) []*core.Move2Storage {
 		if e == nil {
 			continue
 		}
-		<-e.done
+		metrics.Recv(c.prepWait, e.done)
 		if res == nil {
 			res = make([]*core.Move2Storage, len(txs))
 		}
@@ -480,15 +500,14 @@ func (c *Chain) OnBlock(l BlockListener) {
 // immediately (outside the chain lock, like every listener invocation).
 func (c *Chain) NotifyTx(id hashing.Hash, l TxListener) {
 	c.mu.Lock()
-	rec, ok := c.receipts[id]
+	t, ok := c.txs[id]
 	if !ok {
 		c.txWaiters[id] = append(c.txWaiters[id], l)
-		c.mu.Unlock()
-		return
 	}
-	block := c.blocks[c.txHeights[id]]
 	c.mu.Unlock()
-	l(rec, block)
+	if ok {
+		l(t.rec)
+	}
 }
 
 // ProposeBatch selects the next block's transactions from the pool. The
@@ -510,7 +529,7 @@ func (c *Chain) ProposeBatch() []*types.Transaction {
 		if failed[tx.From] {
 			continue
 		}
-		if err := tx.WaitSig(); err != nil {
+		if err := tx.WaitSigCounted(c.sigWait); err != nil {
 			c.pool.Remove(tx.ID())
 			if failed == nil {
 				failed = make(map[hashing.Address]bool)
@@ -579,7 +598,7 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 		GasLimit:   c.cfg.BlockGasLimit,
 	}
 	block := &types.Block{Header: header, Txs: txs}
-	c.blocks = append(c.blocks, block)
+	c.committed = append(c.committed, header)
 	// Evict included transactions from the pool only now, in one pass:
 	// proposals select without consuming, so a failed consensus round cannot
 	// lose traffic. Empty blocks have nothing to evict.
@@ -590,8 +609,7 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 	c.pool.Remove(ids...)
 	c.evictIDs = ids
 	for _, rec := range receipts {
-		c.receipts[rec.TxID] = rec
-		c.txHeights[rec.TxID] = height
+		c.txs[rec.TxID] = txRecord{height, rec}
 	}
 	// Snapshot listeners and collect fired waiters under the lock, then
 	// release it before invoking any callback: the header relay's listener
@@ -618,7 +636,7 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 			l(block, receipts)
 		}
 		for _, f := range fired {
-			f.l(f.rec, block)
+			f.l(f.rec)
 		}
 	}
 	if c.dispatch != nil && (len(listeners) > 0 || len(fired) > 0) {

@@ -224,10 +224,10 @@ func TestNotifyTx(t *testing.T) {
 	c := newChain(t, ethConfig(1), nil, kp)
 	tx := signedCall(t, kp, 1, 0, hashing.AddressFromBytes([]byte{1}), nil, 1)
 	fired := 0
-	c.NotifyTx(tx.ID(), func(rec *types.Receipt, b *types.Block) {
+	c.NotifyTx(tx.ID(), func(rec *types.Receipt) {
 		fired++
-		if !rec.Succeeded() || b.Header.Height != 1 {
-			t.Errorf("rec %+v height %d", rec, b.Header.Height)
+		if h, _ := c.TxHeight(rec.TxID); !rec.Succeeded() || h != 1 {
+			t.Errorf("rec %+v height %d", rec, h)
 		}
 	})
 	if err := c.SubmitTx(tx); err != nil {
@@ -238,7 +238,7 @@ func TestNotifyTx(t *testing.T) {
 		t.Fatalf("fired = %d", fired)
 	}
 	// Late registration fires immediately.
-	c.NotifyTx(tx.ID(), func(*types.Receipt, *types.Block) { fired++ })
+	c.NotifyTx(tx.ID(), func(*types.Receipt) { fired++ })
 	if fired != 2 {
 		t.Fatal("late NotifyTx must fire immediately")
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"scmove/internal/hashing"
+	"scmove/internal/metrics"
 )
 
 // Pool is a bounded worker pool for ECDSA work (signing and verification).
@@ -21,7 +22,7 @@ type Pool struct {
 	once sync.Once
 }
 
-// queueDepth is how many submitted jobs a pool holds beyond the ones its
+// QueueDepth is how many submitted jobs a pool holds beyond the ones its
 // workers are running. Deferred client signing (types.SignOn) submits one
 // job per simulated transaction from the event loop and waits for it only
 // when a block proposal selects the transaction; a buffer of `workers`
@@ -34,8 +35,8 @@ type Pool struct {
 // 961–992 (kitties_replay) and 3 (move_store); this is twice the largest,
 // and 65 536 measured the same. It stays bounded: bulk
 // submitters (the RPC workloads pre-sign 130 k transactions back to back)
-// still block in Go, so a pool never holds more than queueDepth closures.
-const queueDepth = 1 << 12
+// still block in Go, so a pool never holds more than QueueDepth closures.
+const QueueDepth = 1 << 12
 
 // NewPool returns a pool with the given number of workers; workers <= 0
 // sizes it to GOMAXPROCS.
@@ -43,7 +44,7 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{jobs: make(chan func(), queueDepth)}
+	p := &Pool{jobs: make(chan func(), QueueDepth)}
 	for i := 0; i < workers; i++ {
 		go p.worker()
 	}
@@ -57,12 +58,15 @@ func (p *Pool) worker() {
 }
 
 // Go runs job on a pool worker. It returns at once while fewer than
-// queueDepth jobs wait, and blocks beyond that depth — backpressure, not
+// QueueDepth jobs wait, and blocks beyond that depth — backpressure, not
 // unbounded queueing. Jobs start in submission order, so a caller that
 // waits on its own jobs also waits for everything queued before them.
 func (p *Pool) Go(job func()) {
-	p.jobs <- job
+	metrics.Send(poolWait, p.jobs, job)
 }
+
+// poolWait counts the times Go blocks beyond QueueDepth, whoever the caller.
+var poolWait = metrics.Process.Wait(metrics.LoopWaitPrefix + "pool")
 
 // Close stops the workers once queued jobs drain. A closed pool must not be
 // used again.

@@ -68,7 +68,7 @@ func TestVerifyBatchEmptyAndMismatch(t *testing.T) {
 }
 
 // TestPoolGoDoesNotBlockUpToQueueDepth holds every worker on a gate and
-// requires Go to accept queueDepth more jobs without blocking — the event
+// requires Go to accept QueueDepth more jobs without blocking — the event
 // loop's deferred signatures must not wait for a free worker — and each job
 // to run exactly once after the gate opens.
 func TestPoolGoDoesNotBlockUpToQueueDepth(t *testing.T) {
@@ -86,9 +86,9 @@ func TestPoolGoDoesNotBlockUpToQueueDepth(t *testing.T) {
 	}
 	held.Wait() // both workers are parked on the gate, the queue is empty
 
-	runs := make([]atomic.Int32, queueDepth)
+	runs := make([]atomic.Int32, QueueDepth)
 	var ran sync.WaitGroup
-	ran.Add(queueDepth)
+	ran.Add(QueueDepth)
 	submitted := make(chan struct{})
 	go func() {
 		defer close(submitted)
@@ -110,7 +110,7 @@ func TestPoolGoDoesNotBlockUpToQueueDepth(t *testing.T) {
 	<-submitted
 	ran.Wait()
 	if blocked {
-		t.Fatalf("Go blocked before %d jobs were queued behind busy workers", queueDepth)
+		t.Fatalf("Go blocked before %d jobs were queued behind busy workers", QueueDepth)
 	}
 	for i := range runs {
 		if n := runs[i].Load(); n != 1 {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Counters is a set of named monotonic event counters. The chaos tooling
@@ -77,6 +78,75 @@ func (h Handle) Add(n uint64) {
 	if h.n != nil {
 		h.n.Add(n)
 	}
+}
+
+// Wait counts the times one call site blocked on another goroutine
+// (<name>.blocks) and the wall nanoseconds it spent blocked (<name>.ns). The
+// zero Wait, which is also what a nil *Counters resolves to, counts nothing
+// and never reads the clock.
+type Wait struct{ blocks, ns Handle }
+
+// Wait resolves the pair of counters of a blocking site.
+func (c *Counters) Wait(name string) Wait {
+	return Wait{c.Handle(name + ".blocks"), c.Handle(name + ".ns")}
+}
+
+// Recv receives from ch. When w counts and the receive has to block, it
+// counts the block and its wall time.
+func Recv[T any](w Wait, ch <-chan T) T {
+	if w.blocks.n == nil {
+		return <-ch
+	}
+	select {
+	case v := <-ch:
+		return v
+	default:
+	}
+	start := time.Now()
+	v := <-ch
+	w.blocked(start)
+	return v
+}
+
+// Send sends v on ch, counting as Recv does.
+func Send[T any](w Wait, ch chan<- T, v T) {
+	if w.blocks.n == nil {
+		ch <- v
+		return
+	}
+	select {
+	case ch <- v:
+		return
+	default:
+	}
+	start := time.Now()
+	ch <- v
+	w.blocked(start)
+}
+
+func (w Wait) blocked(start time.Time) {
+	w.blocks.Inc()
+	w.ns.Add(uint64(time.Since(start)))
+}
+
+// LoopWaitPrefix starts the name of every Wait that counts where an event
+// loop blocks on another goroutine.
+const LoopWaitPrefix = "loopwait."
+
+// Process holds the counters of process-wide resources, which every
+// universe in the process shares: the Waits of the shared crypto pool
+// (loopwait.pool) and of encoding a transaction whose deferred signature
+// has not landed (loopwait.sig.encode). A universe reports what they
+// counted since it was built (universe.Counters).
+var Process = NewCounters()
+
+// ProcessCounter reports whether the named counter measures the process
+// rather than the simulation: the shared sender cache's hits and misses
+// (sendercache.*) and the wall time the event loop spent blocked
+// (loopwait.*). Their values differ between runs of one seed, so every
+// fingerprint leaves them out.
+func ProcessCounter(name string) bool {
+	return strings.HasPrefix(name, "sendercache.") || strings.HasPrefix(name, LoopWaitPrefix)
 }
 
 // Inc adds one to the named counter, creating it at zero first if needed.

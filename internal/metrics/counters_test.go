@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCountersIncAddGet(t *testing.T) {
@@ -133,5 +134,48 @@ func TestHandleConcurrentInc(t *testing.T) {
 	wg.Wait()
 	if got, want := c.Get("wan.delivered")+c.Get("wan.dropped"), uint64(2*workers*each); got != want {
 		t.Fatalf("counted %d events, want %d", got, want)
+	}
+}
+
+// TestWaitCountsOnlyBlocks: a Wait counts a receive or send that had to
+// block, with its wall time, and nothing that went through at once; the
+// zero Wait counts nothing, lists nothing and allocates nothing.
+func TestWaitCountsOnlyBlocks(t *testing.T) {
+	c := NewCounters()
+	w := c.Wait(LoopWaitPrefix + "test")
+	ready := make(chan int, 1)
+	ready <- 1
+	Recv(w, ready)
+	Send(w, ready, 2)
+	if names := c.Names(); len(names) != 0 {
+		t.Fatalf("waits that never blocked are listed: %v", names)
+	}
+	ch := make(chan int)
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		ch <- 3
+		time.Sleep(5 * time.Millisecond)
+		<-ch
+	}()
+	if v := Recv(w, ch); v != 3 {
+		t.Fatalf("received %d", v)
+	}
+	Send(w, ch, 4)
+	if got := c.Get("loopwait.test.blocks"); got != 2 {
+		t.Fatalf("%d blocks counted, want 2", got)
+	}
+	if ns := c.Get("loopwait.test.ns"); ns < uint64(5*time.Millisecond) {
+		t.Fatalf("%d ns blocked, want at least 5 ms", ns)
+	}
+	<-ready
+	var off Wait
+	if n := testing.AllocsPerRun(100, func() {
+		Send(off, ready, 5)
+		Recv(off, ready)
+	}); n != 0 {
+		t.Fatalf("the zero Wait allocates %v times per call", n)
+	}
+	if !ProcessCounter("loopwait.test.ns") || !ProcessCounter("sendercache.hits") || ProcessCounter("wan.dropped") {
+		t.Fatal("ProcessCounter must match loopwait.* and sendercache.* only")
 	}
 }

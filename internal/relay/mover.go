@@ -381,7 +381,7 @@ func (m *Mover) watchMove1(cl *Client, e *Entry) {
 	live := func() bool {
 		return m.alive && e.seq == seq && e.Stage == StageMove1Submitted
 	}
-	m.src.NotifyTx(e.Move1.ID(), func(rec *types.Receipt, _ *types.Block) {
+	m.src.NotifyTx(e.Move1.ID(), func(rec *types.Receipt) {
 		if !live() {
 			return
 		}
@@ -536,7 +536,7 @@ func (m *Mover) watchMove2(cl *Client, e *Entry) {
 	live := func() bool {
 		return m.alive && e.seq == seq && e.Stage == StageMove2Submitted
 	}
-	m.dst.NotifyTx(e.Move2.ID(), func(rec *types.Receipt, _ *types.Block) {
+	m.dst.NotifyTx(e.Move2.ID(), func(rec *types.Receipt) {
 		if !live() {
 			return
 		}

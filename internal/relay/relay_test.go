@@ -11,6 +11,7 @@ import (
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
 	"scmove/internal/keys"
+	"scmove/internal/metrics"
 	"scmove/internal/relay"
 	"scmove/internal/simclock"
 	"scmove/internal/simnet"
@@ -74,7 +75,8 @@ var sharedPoolWorkers = func() int {
 // TestAdmittedWhileSignatureQueued holds every shared crypto worker, so a
 // client's deferred signature cannot land. Its transfer must still pass
 // Chain.SubmitTx when the submission delay elapses, and ProposeBatch must
-// hand it out only once the workers are released, signed.
+// hand it out only once the workers are released, signed, and count that
+// one wait.
 func TestAdmittedWhileSignatureQueued(t *testing.T) {
 	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))) // the client defers only with a second CPU
 	defer runtime.GOMAXPROCS(prev)
@@ -82,6 +84,8 @@ func TestAdmittedWhileSignatureQueued(t *testing.T) {
 	kp := keys.Deterministic(9)
 	cl := newClient(kp, sched, 50*time.Millisecond)
 	c := idleChain(t, 1, kp.Address())
+	waits := metrics.NewCounters()
+	c.SetObserver(metrics.NewRegistryWith(waits), func() time.Duration { return 0 })
 
 	gate := make(chan struct{})
 	var release sync.Once
@@ -132,6 +136,9 @@ func TestAdmittedWhileSignatureQueued(t *testing.T) {
 	case <-proposed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("ProposeBatch did not return after the workers were released")
+	}
+	if got := waits.Get("loopwait.sig.propose.blocks"); got != 1 {
+		t.Fatalf("loopwait.sig.propose.blocks is %d, want the one wait for the queued signature", got)
 	}
 	if len(batch) != 1 || batch[0].ID() != id {
 		t.Fatalf("proposed %d transactions, want the transfer", len(batch))

@@ -41,7 +41,13 @@ func (j *journal) append(e journalEntry) { j.entries = append(j.entries, e) }
 
 func (j *journal) len() int { return len(j.entries) }
 
-func (j *journal) reset() { j.entries = j.entries[:0] }
+// reset empties the journal. It clears the entries it drops: their
+// prevTree and prevAccount would otherwise keep a displaced storage tree and
+// account clones alive until a later append overwrote the slot.
+func (j *journal) reset() {
+	clear(j.entries)
+	j.entries = j.entries[:0]
+}
 
 // revert undoes entries down to length id, newest first.
 func (j *journal) revert(db *DB, id int) {
@@ -81,5 +87,6 @@ func (j *journal) revert(db *DB, id int) {
 			db.logs = db.logs[:len(db.logs)-1]
 		}
 	}
+	clear(j.entries[id:])
 	j.entries = j.entries[:id]
 }

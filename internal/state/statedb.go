@@ -536,8 +536,9 @@ func (db *DB) RevertToSnapshot(id int) {
 	db.journal.revert(db, id)
 }
 
-// DiscardJournal forgets undo history (called after each committed tx; the
-// journal must not grow across transactions).
+// DiscardJournal forgets undo history without committing, so no earlier
+// snapshot can be reverted to. Commit discards the journal itself, once per
+// block; nothing on the execution path calls this.
 func (db *DB) DiscardJournal() { db.journal.reset() }
 
 // Commit flushes dirty accounts into the account tree and the backend, and

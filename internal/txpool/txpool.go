@@ -196,11 +196,15 @@ func (p *Pool) NextBatch(max int, nonceOf func(hashing.Address) uint64) []*types
 		lastNonce[ci] = e.tx.Nonce
 		sel = append(sel, e.tx)
 	}
+	clear(p.queue[len(keep):]) // release stale entries to the GC
 	p.queue = keep
-	p.selScratch = sel
 	p.lastNonce = lastNonce
 	batch := make([]*types.Transaction, len(sel))
 	copy(batch, sel)
+	// The scratch keeps its capacity, not the selection: a committed
+	// block's transactions must not stay reachable from the pool.
+	clear(sel)
+	p.selScratch = sel[:0]
 	return batch
 }
 

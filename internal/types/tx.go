@@ -12,6 +12,7 @@ import (
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
 	"scmove/internal/keys"
+	"scmove/internal/metrics"
 	"scmove/internal/u256"
 )
 
@@ -344,13 +345,16 @@ func (tx *Transaction) SignOn(kp *keys.KeyPair, pool *keys.Pool) {
 // caller's goroutine, so the worker shares no field but Sig. After the
 // first call, or if SignOn was never used, it returns the same result
 // without blocking.
-func (tx *Transaction) WaitSig() error {
+func (tx *Transaction) WaitSig() error { return tx.WaitSigCounted(metrics.Wait{}) }
+
+// WaitSigCounted is WaitSig that counts into w the time it blocks.
+func (tx *Transaction) WaitSigCounted(w metrics.Wait) error {
 	p := tx.pending
 	if p == nil {
 		return nil
 	}
 	if p.done != nil {
-		p.err = <-p.done
+		p.err = metrics.Recv(w, p.done)
 		p.done = nil
 		if p.err == nil {
 			tx.pending = nil
@@ -442,11 +446,16 @@ func (tx *Transaction) Encode() []byte {
 	return w.Bytes()
 }
 
+// encodeWait counts the times EncodedSize and EncodeTo block on a pending
+// SignOn signature: a corrupting submission link encodes the transaction
+// as the client submits it, before any worker may have signed it.
+var encodeWait = metrics.Process.Wait(metrics.LoopWaitPrefix + "sig.encode")
+
 // EncodedSize returns len(tx.Encode()) without encoding anything. Like
 // EncodeTo it first waits for a pending SignOn signature; one that failed
 // leaves Sig empty, which no admission accepts.
 func (tx *Transaction) EncodedSize() int {
-	_ = tx.WaitSig()
+	_ = tx.WaitSigCounted(encodeWait)
 	return codec.SizeBytes(tx.unsignedSize()) + codec.SizeBytes(len(tx.Sig.PubKey)) +
 		codec.SizeBytes(len(tx.Sig.R)) + codec.SizeBytes(len(tx.Sig.S))
 }
@@ -454,7 +463,7 @@ func (tx *Transaction) EncodedSize() int {
 // EncodeTo appends tx.Encode() to w, writing each byte once: the unsigned
 // body goes straight into w behind its precomputed length.
 func (tx *Transaction) EncodeTo(w *codec.Writer) {
-	_ = tx.WaitSig()
+	_ = tx.WaitSigCounted(encodeWait)
 	size := tx.unsignedSize()
 	w.WriteUvarint(uint64(size))
 	start := w.Len()

@@ -323,7 +323,8 @@ type Universe struct {
 	moverCfg    relay.MoverConfig
 	submitLinks map[hashing.ChainID]*simnet.Link
 	relayLinks  map[[2]hashing.ChainID]*simnet.Link
-	relayerCut  bool // SetRelayerCut's state, applied to links built later
+	relayerCut  bool              // SetRelayerCut's state, applied to links built later
+	procBase    map[string]uint64 // metrics.Process once New has provisioned; nil unless u.reg
 
 	// Scaling state (Config.LazyRelays, Users).
 	pos         map[hashing.ChainID]int // chain position in configuration order
@@ -579,6 +580,10 @@ func New(cfg Config) (*Universe, error) {
 			u.rpcs[id] = srv
 		}
 	}
+	if u.reg != nil {
+		// Provisioning's own pool waits are not the event loop's.
+		u.procBase = metrics.Process.Snapshot()
+	}
 	return u, nil
 }
 
@@ -587,12 +592,25 @@ func New(cfg Config) (*Universe, error) {
 // mover's retry/recovery/timeout counts, and the sender-cache hit/miss
 // deltas accumulated since the universe was created (folded in on each
 // call — the cache itself is process-wide, the counters per-universe).
+// With the observability layer on it also holds the loop waits: each
+// chain's (Chain.SetObserver) and the metrics.Process deltas since New
+// returned, folded in the same way.
 func (u *Universe) Counters() *metrics.Counters {
 	cur := types.ReadSenderCacheStats()
 	u.counters.Add("sendercache.hits", cur.Hits-u.scBase.Hits)
 	u.counters.Add("sendercache.misses", cur.Misses-u.scBase.Misses)
 	u.counters.Add("sendercache.evictions", cur.Evictions-u.scBase.Evictions)
 	u.scBase = cur
+	if u.reg == nil {
+		return u.counters
+	}
+	proc := metrics.Process.Snapshot()
+	for name, v := range proc {
+		if d := v - u.procBase[name]; d > 0 {
+			u.counters.Add(name, d)
+		}
+	}
+	u.procBase = proc
 	return u.counters
 }
 

@@ -415,7 +415,7 @@ func (r *kittiesRun) track(cl *relay.Client, shard hashing.ChainID, to hashing.A
 	}
 	r.outstanding++
 	r.inFlight[shard]++
-	c.NotifyTx(txid, func(rec *types.Receipt, _ *types.Block) {
+	c.NotifyTx(txid, func(rec *types.Receipt) {
 		r.outstanding--
 		r.inFlight[shard]--
 		if !rec.Succeeded() && debugTrace != nil {

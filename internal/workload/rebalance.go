@@ -175,7 +175,7 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 		if err != nil {
 			return
 		}
-		c.NotifyTx(txid, func(*types.Receipt, *types.Block) { drive(ct, i+1) })
+		c.NotifyTx(txid, func(*types.Receipt) { drive(ct, i+1) })
 	}
 	for _, ct := range cts {
 		drive(ct, 0)

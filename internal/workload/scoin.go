@@ -356,7 +356,7 @@ func (r *scoinRun) transfer(acct *account, target *account, op *scoinOp) {
 		r.opFailed(acct, op)
 		return
 	}
-	c.NotifyTx(txid, func(rec *types.Receipt, _ *types.Block) {
+	c.NotifyTx(txid, func(rec *types.Receipt) {
 		if rec.Succeeded() {
 			r.opDone(acct, op)
 			return

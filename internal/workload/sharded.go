@@ -10,6 +10,7 @@ import (
 	"scmove/internal/contracts"
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
+	"scmove/internal/metrics"
 	"scmove/internal/relay"
 	"scmove/internal/shard"
 	"scmove/internal/state"
@@ -282,7 +283,7 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 				u.Sched.After(time.Second, fire)
 				return
 			}
-			c.NotifyTx(txid, func(rec *types.Receipt, _ *types.Block) {
+			c.NotifyTx(txid, func(rec *types.Receipt) {
 				if now := u.Sched.Now(); rec.Succeeded() && now > startAt && now <= endAt {
 					committed++
 				}
@@ -319,9 +320,9 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 
 // shardedFingerprint reduces the run to everything simulated: committed
 // count, per-chain heights and state roots, final contract locations, move
-// stats, and the deterministic counters. The process-level sender cache's
-// counters (sendercache.*) are excluded — they vary with GOMAXPROCS without
-// affecting simulated results.
+// stats, and the deterministic counters. The process counters
+// (metrics.ProcessCounter: sendercache.*, loopwait.*) are excluded — they
+// vary with GOMAXPROCS and wall time without affecting simulated results.
 func shardedFingerprint(u *universe.Universe, res *ShardedScalingResult,
 	addrs []hashing.Address, loc func(int) hashing.ChainID) string {
 	var sb strings.Builder
@@ -337,7 +338,7 @@ func shardedFingerprint(u *universe.Universe, res *ShardedScalingResult,
 	snap := u.Counters().Snapshot()
 	names := make([]string, 0, len(snap))
 	for name := range snap {
-		if strings.HasPrefix(name, "sendercache.") {
+		if metrics.ProcessCounter(name) {
 			continue
 		}
 		names = append(names, name)
