@@ -132,6 +132,7 @@ fuzzsmoke:
 		'./internal/trees FuzzBuildVsIncremental' \
 		'./internal/state/backend FuzzSegmentDecode' \
 		'./internal/simnet FuzzFrameDecode' \
+		'./internal/relay FuzzDecodeJournal' \
 	; do \
 		set -- $$spec; \
 		echo "fuzzsmoke: $$2 ($$1, $(FUZZTIME))"; \

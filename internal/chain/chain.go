@@ -52,7 +52,7 @@ type Config struct {
 	// State tunes the state database's storage layer: backend selection
 	// (in-memory trees or the bounded-RSS log-structured file store), the
 	// storage-tree residency cap, and the retained-root window for
-	// historical proofs. The zero value keeps the historical in-memory
+	// historical queries. The zero value keeps the historical in-memory
 	// behaviour.
 	State state.Options
 }
@@ -258,21 +258,6 @@ func (c *Chain) Close() error {
 	c.prepMu.Unlock()
 	c.prepWG.Wait()
 	return c.db.Close()
-}
-
-// Move2ProofAt assembles the Move2 payload for a locked contract against
-// the committed state at a past height, as long as that height's root is
-// inside the state backend's retained-root window. The proof bytes are
-// bit-identical to what BuildMoveProof produced when that height was the
-// head — the trees are canonical, so the historical rebuild is exact.
-func (c *Chain) Move2ProofAt(contract hashing.Address, height uint64) (*types.Move2Payload, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	root, ok := c.rootAt(height)
-	if !ok {
-		return nil, fmt.Errorf("chain %s: no root at height %d", c.cfg.ChainID, height)
-	}
-	return core.BuildMoveProofAt(c.db, contract, height, root)
 }
 
 // RootAt returns the state root after executing the block at a height.

@@ -71,49 +71,6 @@ func BuildMoveProof(db *state.DB, contract hashing.Address, height uint64) (*typ
 	}, nil
 }
 
-// BuildMoveProofAt assembles the Move2 payload for a locked contract
-// against a *past* committed state root, served from the state backend's
-// retained-root window. It produces exactly the bytes BuildMoveProof
-// produced when root was the head: the account record, its Merkle proof,
-// and the storage payload are all rebuilt from the reverse-diff overlay at
-// that root, and the code blob is content-addressed (immutable, so the
-// current store serves any height). Use it when the proof height has
-// already been buried by later blocks — e.g. a relay that must re-prove
-// against an older, already-confirmed root instead of waiting for a new
-// head to confirm.
-func BuildMoveProofAt(db *state.DB, contract hashing.Address, height uint64, root hashing.Hash) (*types.Move2Payload, error) {
-	acct, ok, err := db.GetAccountAt(contract, root)
-	if err != nil {
-		return nil, fmt.Errorf("core: build proof at %d: %w", height, err)
-	}
-	if !ok {
-		return nil, fmt.Errorf("core: build proof at %d: no account %s", height, contract)
-	}
-	if acct.Location == db.ChainID() || acct.Location == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNotLocked, contract)
-	}
-	accountProof, err := db.ProveAccountAt(contract, root)
-	if err != nil {
-		return nil, fmt.Errorf("core: build proof at %d: %w", height, err)
-	}
-	storage, err := db.StorageEntriesAt(contract, root)
-	if err != nil {
-		return nil, fmt.Errorf("core: build proof at %d: %w", height, err)
-	}
-	var code []byte
-	if !acct.CodeHash.IsZero() {
-		code, _ = db.CodeByHash(acct.CodeHash)
-	}
-	return &types.Move2Payload{
-		Contract:     contract,
-		SourceChain:  db.ChainID(),
-		SourceHeight: height,
-		AccountProof: accountProof,
-		Code:         code,
-		Storage:      storage,
-	}, nil
-}
-
 // VerifyMove2 checks a Move2 payload on the target chain (Alg. 1 lines
 // 5-10 plus the replay and completeness rules of §III-E):
 //

@@ -62,11 +62,6 @@ func (m *memory) read(off, n uint64) []byte {
 	return out
 }
 
-// write copies b into memory at offset off.
-func (m *memory) write(off uint64, b []byte) {
-	copy(m.data[off:], b)
-}
-
 // writeWord stores a 32-byte big-endian word at offset off.
 func (m *memory) writeWord(off uint64, v u256.Int) {
 	w := v.Bytes32()

@@ -1,143 +1,9 @@
 package pow
 
 import (
-	"errors"
 	"testing"
 	"time"
-
-	"scmove/internal/hashing"
-	"scmove/internal/types"
-	"scmove/internal/u256"
 )
-
-func genesis() *types.Header {
-	return &types.Header{ChainID: 1, Height: 0, Difficulty: u256.FromUint64(1)}
-}
-
-func child(parent *types.Header, nonce uint64) *types.Header {
-	return &types.Header{
-		ChainID:    parent.ChainID,
-		Height:     parent.Height + 1,
-		ParentHash: parent.Hash(),
-		Difficulty: u256.FromUint64(1),
-		Nonce:      nonce,
-	}
-}
-
-func TestLinearChainGrowth(t *testing.T) {
-	g := genesis()
-	c := NewHeaderChain(g)
-	cur := g
-	for i := 0; i < 5; i++ {
-		next := child(cur, uint64(i))
-		reorg, err := c.Add(next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reorg {
-			t.Fatal("extending the head is not a reorg")
-		}
-		cur = next
-	}
-	if c.Head().Height != 5 {
-		t.Fatalf("head height = %d", c.Head().Height)
-	}
-	if h, ok := c.CanonicalAt(3); !ok || h.Height != 3 {
-		t.Fatal("canonical lookup failed")
-	}
-}
-
-func TestForkChoiceHeaviestWins(t *testing.T) {
-	g := genesis()
-	c := NewHeaderChain(g)
-	// Branch A: two blocks. Branch B: one block, then extended to three.
-	a1 := child(g, 1)
-	a2 := child(a1, 2)
-	b1 := child(g, 100)
-	b2 := child(b1, 101)
-	b3 := child(b2, 102)
-
-	mustAdd(t, c, a1, false)
-	mustAdd(t, c, a2, false)
-	mustAdd(t, c, b1, false) // shorter branch: no reorg
-	if c.Head().Hash() != a2.Hash() {
-		t.Fatal("head must stay on the heavier branch")
-	}
-	mustAdd(t, c, b2, false) // tie: first seen (A) wins
-	if c.Head().Hash() != a2.Hash() {
-		t.Fatal("tie must keep the first-seen head")
-	}
-	reorg, err := c.Add(b3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reorg {
-		t.Fatal("overtaking branch must reorg")
-	}
-	if c.Head().Hash() != b3.Hash() {
-		t.Fatal("head must switch to the heavier branch")
-	}
-	// Canonical view now follows branch B.
-	h1, ok := c.CanonicalAt(1)
-	if !ok || h1.Hash() != b1.Hash() {
-		t.Fatal("canonical height 1 must be b1 after the reorg")
-	}
-}
-
-func mustAdd(t *testing.T, c *HeaderChain, h *types.Header, wantReorg bool) {
-	t.Helper()
-	reorg, err := c.Add(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reorg != wantReorg {
-		t.Fatalf("reorg = %v, want %v", reorg, wantReorg)
-	}
-}
-
-func TestConfirmations(t *testing.T) {
-	g := genesis()
-	c := NewHeaderChain(g)
-	b1 := child(g, 1)
-	b2 := child(b1, 2)
-	b3 := child(b2, 3)
-	for _, h := range []*types.Header{b1, b2, b3} {
-		if _, err := c.Add(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d, ok := c.Confirmations(b1.Hash()); !ok || d != 2 {
-		t.Fatalf("confirmations(b1) = %d,%v", d, ok)
-	}
-	if d, ok := c.Confirmations(b3.Hash()); !ok || d != 0 {
-		t.Fatalf("confirmations(head) = %d,%v", d, ok)
-	}
-	// A non-canonical header has no confirmation depth.
-	orphan := child(g, 99)
-	if _, err := c.Add(orphan); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Confirmations(orphan.Hash()); ok {
-		t.Fatal("orphan must not be canonical")
-	}
-}
-
-func TestAddValidation(t *testing.T) {
-	g := genesis()
-	c := NewHeaderChain(g)
-	if _, err := c.Add(g); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("want ErrDuplicate, got %v", err)
-	}
-	orphan := &types.Header{Height: 5, ParentHash: hashing.Sum([]byte("missing")), Difficulty: u256.FromUint64(1)}
-	if _, err := c.Add(orphan); !errors.Is(err, ErrUnknownParent) {
-		t.Fatalf("want ErrUnknownParent, got %v", err)
-	}
-	bad := child(g, 1)
-	bad.Height = 7
-	if _, err := c.Add(bad); !errors.Is(err, ErrBadHeight) {
-		t.Fatalf("want ErrBadHeight, got %v", err)
-	}
-}
 
 func TestTimerMeanApproximation(t *testing.T) {
 	timer := NewTimer(42, 15*time.Second)

@@ -16,7 +16,7 @@ import (
 )
 
 // signedTx builds and signs a transaction for journal tests.
-func signedTx(t *testing.T, kp *keys.KeyPair, nonce uint64, kind types.TxKind, payload *types.Move2Payload) *types.Transaction {
+func signedTx(t testing.TB, kp *keys.KeyPair, nonce uint64, kind types.TxKind, payload *types.Move2Payload) *types.Transaction {
 	t.Helper()
 	tx := &types.Transaction{
 		ChainID:  1,
@@ -49,7 +49,7 @@ func testPayload() *types.Move2Payload {
 }
 
 // testJournal builds a journal with one entry per interesting stage.
-func testJournal(t *testing.T) *Journal {
+func testJournal(t testing.TB) *Journal {
 	t.Helper()
 	kp := keys.Deterministic(11)
 	payload := testPayload()
@@ -181,6 +181,28 @@ func TestJournalBitFlips(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("no bit flip was ever rejected")
 	}
+}
+
+// FuzzDecodeJournal feeds arbitrary bytes to the journal decoder, whose
+// input is untrusted: it must never panic, and a journal it accepts must
+// re-encode to bytes that decode to the same journal.
+func FuzzDecodeJournal(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add(testJournal(f).Encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := DecodeJournal(data)
+		if err != nil {
+			return
+		}
+		enc := j.Encode()
+		again, err := DecodeJournal(enc)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted journal failed: %v", err)
+		}
+		if !bytes.Equal(again.Encode(), enc) {
+			t.Fatal("round trip changed the journal")
+		}
+	})
 }
 
 // TestJournalTruncation decodes every strict prefix of the encoding: all

@@ -250,15 +250,12 @@ func (m *Mover) Crash() { m.alive = false }
 // retrying lost submissions and failing with a distinct error on deadline
 // or budget exhaustion.
 func (m *Mover) Move(cl *Client, contract hashing.Address, moveToInput []byte, done func(*MoveResult)) {
-	e := &Entry{
+	m.start(cl, &Entry{
 		Contract:    contract,
 		MoveToInput: moveToInput,
-		Stage:       StagePending,
 		Result:      &MoveResult{Contract: contract, StartedAt: m.sched.Now()},
 		done:        done,
-	}
-	m.journal.put(e)
-	m.submitMove1(cl, e)
+	})
 }
 
 // Complete finishes a move whose Move1 already executed (any client may do
@@ -267,14 +264,23 @@ func (m *Mover) Move(cl *Client, contract hashing.Address, moveToInput []byte, d
 // uses it because Move1 runs inside the creation transaction (Fig. 3).
 func (m *Mover) Complete(cl *Client, contract hashing.Address, done func(*MoveResult)) {
 	now := m.sched.Now()
-	e := &Entry{
+	m.start(cl, &Entry{
 		Contract: contract,
-		Stage:    StagePending,
 		Result:   &MoveResult{Contract: contract, StartedAt: now, Move1At: now},
 		done:     done,
-	}
+	})
+}
+
+// start journals a pending move and takes its first step: Move1, or, for a
+// Complete-style move (no moveTo calldata), the proof and the confirmation
+// wait.
+func (m *Mover) start(cl *Client, e *Entry) {
 	m.journal.put(e)
-	m.startConfirm(cl, e)
+	if e.MoveToInput == nil {
+		m.startConfirm(cl, e)
+		return
+	}
+	m.submitMove1(cl, e)
 }
 
 // Recover resumes every in-flight journaled move on this (restarted)
@@ -301,14 +307,9 @@ func (m *Mover) Recover(cl *Client) error {
 		m.event("relay.recover", e, metrics.A("stage", e.Stage.String()))
 		switch e.Stage {
 		case StagePending:
-			if e.MoveToInput == nil {
-				m.startConfirm(cl, e)
-			} else {
-				m.submitMove1(cl, e)
-			}
+			m.start(cl, e)
 		case StageMove1Submitted:
-			cl.SubmitSigned(m.src, e.Move1)
-			m.watchMove1(cl, e)
+			m.submitMove1(cl, e)
 		case StageWaitConfirm:
 			// The confirmation deadline restarts: a recovering relayer has no
 			// way to know how long the previous incarnation already waited.
@@ -318,8 +319,7 @@ func (m *Mover) Recover(cl *Client) error {
 			m.dst.ExpectMove2(e.Payload)
 			m.pollConfirm(cl, e)
 		case StageMove2Submitted:
-			cl.SubmitSigned(m.dst, e.Move2)
-			m.watchMove2(cl, e)
+			m.submitMove2(cl, e)
 		}
 	}
 	return nil
@@ -356,6 +356,64 @@ func (m *Mover) backoff(attempt int) time.Duration {
 	return d
 }
 
+// budget consumes one retry attempt, reporting whether any remain.
+func (m *Mover) budget(e *Entry) bool {
+	if m.cfg.MaxAttempts > 0 && e.Attempts >= m.cfg.MaxAttempts {
+		return false
+	}
+	e.Attempts++
+	return true
+}
+
+// after runs fn once the backoff for the current attempt has passed, if the
+// mover is still alive and the move is still in stage.
+func (m *Mover) after(e *Entry, stage Stage, fn func()) {
+	m.sched.After(m.backoff(e.Attempts), func() {
+		if m.alive && e.Stage == stage {
+			fn()
+		}
+	})
+}
+
+// watch arms the receipt hook and the stage deadline of a submitted leg
+// ("move1" on the source, "move2" on the target). Both stand down once the
+// mover crashes or the move leaves the stage it is in now. A receipt goes to
+// onReceipt. No receipt inside the deadline means the submission (or its
+// receipt path) was lost: one attempt of the budget is spent and, after the
+// backoff, resubmit sends the same signed transaction again — same nonce,
+// same id, idempotent.
+func (m *Mover) watch(e *Entry, c *chain.Chain, tx *types.Transaction, leg string,
+	onReceipt func(*types.Receipt), resubmit func()) {
+	stage := e.Stage
+	e.seq++
+	seq := e.seq
+	live := func() bool {
+		return m.alive && e.seq == seq && e.Stage == stage
+	}
+	c.NotifyTx(tx.ID(), func(rec *types.Receipt) {
+		if live() {
+			e.seq++
+			onReceipt(rec)
+		}
+	})
+	if m.cfg.StageDeadline <= 0 {
+		return
+	}
+	m.sched.After(m.cfg.StageDeadline, func() {
+		if !live() {
+			return
+		}
+		if !m.budget(e) {
+			m.fail(e, leg, fmt.Errorf("%w after %d attempts", ErrRetryBudget, e.Attempts))
+			return
+		}
+		m.counters.Inc("relay." + leg + "_retries")
+		m.event(leg+".retry", e, metrics.A("reason", "stage deadline"))
+		e.seq++
+		m.after(e, stage, resubmit)
+	})
+}
+
 // submitMove1 signs (if needed) and submits the Move1 transaction, then
 // watches for its receipt.
 func (m *Mover) submitMove1(cl *Client, e *Entry) {
@@ -371,79 +429,33 @@ func (m *Mover) submitMove1(cl *Client, e *Entry) {
 	e.Stage = StageMove1Submitted
 	cl.SubmitSigned(m.src, e.Move1)
 	m.event("move1.submit", e, metrics.A("attempt", strconv.Itoa(e.Attempts+1)))
-	m.watchMove1(cl, e)
+	m.watch(e, m.src, e.Move1, "move1",
+		func(rec *types.Receipt) { m.move1Receipt(cl, e, rec) },
+		func() { m.submitMove1(cl, e) })
 }
 
-// watchMove1 arms the Move1 receipt watcher and the stage deadline.
-func (m *Mover) watchMove1(cl *Client, e *Entry) {
-	e.seq++
-	seq := e.seq
-	live := func() bool {
-		return m.alive && e.seq == seq && e.Stage == StageMove1Submitted
-	}
-	m.src.NotifyTx(e.Move1.ID(), func(rec *types.Receipt) {
-		if !live() {
+// move1Receipt handles the receipt of Move1: on success the proof is built
+// and the confirmation wait starts.
+func (m *Mover) move1Receipt(cl *Client, e *Entry, rec *types.Receipt) {
+	e.Result.Move1At = m.sched.Now()
+	e.Result.Move1Gas = rec.GasUsed
+	if !rec.Succeeded() {
+		// A nonce failure is transient (the client desynced after a lost
+		// submission): resync and rebuild. Everything else — a reverting
+		// moveTo guard above all — is terminal.
+		if badNonce(rec.Err) && m.budget(e) {
+			m.counters.Inc("relay.move1_retries")
+			m.event("move1.retry", e, metrics.A("reason", "bad nonce"))
+			cl.NoteBadNonce(m.src.ChainID())
+			e.Move1 = nil
+			m.after(e, StageMove1Submitted, func() { m.submitMove1(cl, e) })
 			return
 		}
-		e.seq++
-		e.Result.Move1At = m.sched.Now()
-		e.Result.Move1Gas = rec.GasUsed
-		if !rec.Succeeded() {
-			// A nonce failure is transient (the client desynced after a lost
-			// submission): resync and rebuild. Everything else — a reverting
-			// moveTo guard above all — is terminal.
-			if badNonce(rec.Err) && m.budget(e) {
-				m.counters.Inc("relay.move1_retries")
-				m.event("move1.retry", e, metrics.A("reason", "bad nonce"))
-				cl.NoteBadNonce(m.src.ChainID())
-				e.Move1 = nil
-				m.sched.After(m.backoff(e.Attempts), func() {
-					if m.alive && e.Stage == StageMove1Submitted {
-						m.submitMove1(cl, e)
-					}
-				})
-				return
-			}
-			m.fail(e, "move1", errors.New(rec.Err))
-			return
-		}
-		m.reg.Span("move1.commit", e.Result.StartedAt, e.Result.Move1At, m.stageAttrs(e)...)
-		m.startConfirm(cl, e)
-	})
-	if m.cfg.StageDeadline <= 0 {
+		m.fail(e, "move1", errors.New(rec.Err))
 		return
 	}
-	m.sched.After(m.cfg.StageDeadline, func() {
-		if !live() {
-			return
-		}
-		// No receipt inside the deadline: the submission (or its receipt
-		// path) was lost. Resubmit the same signed transaction after the
-		// backoff — same nonce, same id, idempotent.
-		if !m.budget(e) {
-			m.fail(e, "move1", fmt.Errorf("%w after %d attempts", ErrRetryBudget, e.Attempts))
-			return
-		}
-		m.counters.Inc("relay.move1_retries")
-		m.event("move1.retry", e, metrics.A("reason", "stage deadline"))
-		e.seq++
-		m.sched.After(m.backoff(e.Attempts), func() {
-			if m.alive && e.Stage == StageMove1Submitted {
-				cl.SubmitSigned(m.src, e.Move1)
-				m.event("move1.submit", e, metrics.A("attempt", strconv.Itoa(e.Attempts+1)))
-				m.watchMove1(cl, e)
-			}
-		})
-	})
-}
-
-// budget consumes one retry attempt, reporting whether any remain.
-func (m *Mover) budget(e *Entry) bool {
-	if m.cfg.MaxAttempts > 0 && e.Attempts >= m.cfg.MaxAttempts {
-		return false
-	}
-	e.Attempts++
-	return true
+	m.reg.Span("move1.commit", e.Result.StartedAt, e.Result.Move1At, m.stageAttrs(e)...)
+	m.startConfirm(cl, e)
 }
 
 // startConfirm builds the proof (once) and enters the confirmation wait.
@@ -512,7 +524,43 @@ func (m *Mover) submitMove2(cl *Client, e *Entry) {
 	e.Stage = StageMove2Submitted
 	cl.SubmitSigned(m.dst, e.Move2)
 	m.event("move2.submit", e, metrics.A("attempt", strconv.Itoa(e.Attempts+1)))
-	m.watchMove2(cl, e)
+	m.watch(e, m.dst, e.Move2, "move2",
+		func(rec *types.Receipt) { m.move2Receipt(cl, e, rec) },
+		func() { m.submitMove2(cl, e) })
+}
+
+// move2Receipt handles the receipt of Move2: success finishes the move; a
+// transient failure rebuilds Move2 and re-enters the confirmation wait.
+func (m *Mover) move2Receipt(cl *Client, e *Entry, rec *types.Receipt) {
+	e.Result.Move2At = m.sched.Now()
+	e.Result.Move2Gas = rec.GasUsed
+	if !rec.Succeeded() {
+		if transientMove2(rec.Err) && m.budget(e) {
+			m.counters.Inc("relay.move2_retries")
+			m.event("move2.retry", e, metrics.A("reason", rec.Err))
+			if badNonce(rec.Err) {
+				cl.NoteBadNonce(m.dst.ChainID())
+			}
+			// Rebuild with a fresh nonce and re-verify confirmation depth
+			// before resubmitting. The failed attempt consumed the target's
+			// preparation of the payload; start another.
+			m.dst.ExpectMove2(e.Payload)
+			e.Move2 = nil
+			e.Stage = StageWaitConfirm
+			e.confirmAt = m.sched.Now()
+			m.after(e, StageWaitConfirm, func() { m.pollConfirm(cl, e) })
+			return
+		}
+		m.fail(e, "move2", errors.New(rec.Err))
+		return
+	}
+	e.Stage = StageDone
+	m.counters.Inc("relay.moves_completed")
+	m.reg.Span("move2.commit", e.Result.ProofReadyAt, e.Result.Move2At, m.stageAttrs(e)...)
+	m.reg.Span("move.total", e.Result.StartedAt, e.Result.Move2At, m.stageAttrs(e)...)
+	if e.done != nil {
+		e.done(e.Result)
+	}
 }
 
 // badNonce reports a receipt error of a transaction whose nonce the chain
@@ -527,75 +575,4 @@ func transientMove2(msg string) bool {
 	return badNonce(msg) ||
 		strings.Contains(msg, core.ErrNotConfirmed.Error()) ||
 		strings.Contains(msg, core.ErrNoHeader.Error())
-}
-
-// watchMove2 arms the Move2 receipt watcher and the stage deadline.
-func (m *Mover) watchMove2(cl *Client, e *Entry) {
-	e.seq++
-	seq := e.seq
-	live := func() bool {
-		return m.alive && e.seq == seq && e.Stage == StageMove2Submitted
-	}
-	m.dst.NotifyTx(e.Move2.ID(), func(rec *types.Receipt) {
-		if !live() {
-			return
-		}
-		e.seq++
-		e.Result.Move2At = m.sched.Now()
-		e.Result.Move2Gas = rec.GasUsed
-		if !rec.Succeeded() {
-			if transientMove2(rec.Err) && m.budget(e) {
-				m.counters.Inc("relay.move2_retries")
-				m.event("move2.retry", e, metrics.A("reason", rec.Err))
-				if badNonce(rec.Err) {
-					cl.NoteBadNonce(m.dst.ChainID())
-				}
-				// Rebuild with a fresh nonce and re-verify confirmation depth
-				// before resubmitting. The failed attempt consumed the target's
-				// preparation of the payload; start another.
-				m.dst.ExpectMove2(e.Payload)
-				e.Move2 = nil
-				e.Stage = StageWaitConfirm
-				e.confirmAt = m.sched.Now()
-				m.sched.After(m.backoff(e.Attempts), func() {
-					if m.alive && e.Stage == StageWaitConfirm {
-						m.pollConfirm(cl, e)
-					}
-				})
-				return
-			}
-			m.fail(e, "move2", errors.New(rec.Err))
-			return
-		}
-		e.seq++
-		e.Stage = StageDone
-		m.counters.Inc("relay.moves_completed")
-		m.reg.Span("move2.commit", e.Result.ProofReadyAt, e.Result.Move2At, m.stageAttrs(e)...)
-		m.reg.Span("move.total", e.Result.StartedAt, e.Result.Move2At, m.stageAttrs(e)...)
-		if e.done != nil {
-			e.done(e.Result)
-		}
-	})
-	if m.cfg.StageDeadline <= 0 {
-		return
-	}
-	m.sched.After(m.cfg.StageDeadline, func() {
-		if !live() {
-			return
-		}
-		if !m.budget(e) {
-			m.fail(e, "move2", fmt.Errorf("%w after %d attempts", ErrRetryBudget, e.Attempts))
-			return
-		}
-		m.counters.Inc("relay.move2_retries")
-		m.event("move2.retry", e, metrics.A("reason", "stage deadline"))
-		e.seq++
-		m.sched.After(m.backoff(e.Attempts), func() {
-			if m.alive && e.Stage == StageMove2Submitted {
-				cl.SubmitSigned(m.dst, e.Move2)
-				m.event("move2.submit", e, metrics.A("attempt", strconv.Itoa(e.Attempts+1)))
-				m.watchMove2(cl, e)
-			}
-		})
-	})
 }

@@ -1,14 +1,20 @@
 package relay
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"scmove/internal/chain"
 	"scmove/internal/core"
 	"scmove/internal/evm"
+	"scmove/internal/evm/asm"
 	"scmove/internal/hashing"
 	"scmove/internal/keys"
+	"scmove/internal/metrics"
+	"scmove/internal/simclock"
+	"scmove/internal/simnet"
 	"scmove/internal/state"
 	"scmove/internal/trie"
 	"scmove/internal/types"
@@ -71,5 +77,239 @@ func TestTransientReceiptsAreRetried(t *testing.T) {
 	}
 	if want := "bad nonce 7, account at 2"; recs[2].Err != want {
 		t.Errorf("nonce receipt %q, want %q", recs[2].Err, want)
+	}
+}
+
+// moverRig is a source chain (1) and a target chain (2) that only the test
+// drives: every second each chain that is not paused commits a block, and
+// the source's new header reaches the target's light client. The client's
+// submissions reach the target over a link the test can cut.
+type moverRig struct {
+	sched    *simclock.Scheduler
+	src, dst *chain.Chain
+	kp       *keys.KeyPair
+	toDst    *simnet.Link
+	paused   map[hashing.ChainID]bool
+	counters *metrics.Counters
+	mover    *Mover
+	contract hashing.Address
+	result   *MoveResult
+}
+
+// newMoverRig starts a move of a one-slot movable contract from chain 1 to
+// chain 2 under cfg.
+func newMoverRig(t *testing.T, cfg MoverConfig) *moverRig {
+	t.Helper()
+	sched := simclock.New()
+	kp := keys.Deterministic(21)
+	chainCfg := func(id hashing.ChainID) chain.Config {
+		return chain.Config{
+			ChainID: id, TreeKind: trie.KindMPT, Schedule: evm.EthereumSchedule(),
+			BlockGasLimit: 100_000_000, MaxBlockTxs: 100, ConfirmationDepth: 2, PoolLimit: 1000,
+		}
+	}
+	fund := func(db *state.DB) { db.AddBalance(kp.Address(), u256.FromUint64(1<<50)) }
+	src, err := chain.New(chainCfg(1), core.NewHeaderStore(chainCfg(2).Params()), fund)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := chain.New(chainCfg(2), core.NewHeaderStore(chainCfg(1).Params()), fund)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &moverRig{
+		sched: sched, src: src, dst: dst, kp: kp,
+		toDst:    simnet.NewLink(sched, time.Millisecond, simnet.LinkFaults{}, 0),
+		paused:   make(map[hashing.ChainID]bool),
+		counters: metrics.NewCounters(),
+		contract: hashing.AddressFromBytes([]byte{0xcc}),
+	}
+	// The contract moves itself to chain 2 when called anywhere else.
+	src.StateDB().CreateContract(r.contract, asm.MustAssemble(`
+		CHAINID
+		PUSH1 2
+		EQ
+		PUSH @done
+		JUMPI
+		PUSH1 2
+		MOVE
+	@done:
+		JUMPDEST
+		STOP
+	`))
+	src.StateDB().SetStorage(r.contract, evm.Word{31: 1}, evm.Word{31: 42})
+	src.StateDB().Commit()
+
+	var tick func()
+	tick = func() {
+		if !r.paused[1] {
+			src.ApplyBlock(src.ProposeBatch(), sched.NowUnix(), chain.ProposerAddress(1, 0))
+			if err := dst.Headers().Update(1, []*types.Header{src.Head()}, src.Head().Height); err != nil {
+				t.Error(err)
+			}
+		}
+		if !r.paused[2] {
+			dst.ApplyBlock(dst.ProposeBatch(), sched.NowUnix(), chain.ProposerAddress(2, 0))
+		}
+		sched.After(time.Second, tick)
+	}
+	sched.After(time.Second, tick)
+
+	cl := NewClient(kp, map[hashing.ChainID]*simnet.Link{
+		1: simnet.NewLink(sched, time.Millisecond, simnet.LinkFaults{}, 0),
+		2: r.toDst,
+	})
+	r.mover = NewMoverWith(sched, src, dst, cfg, nil, r.counters)
+	r.mover.Move(cl, r.contract, core.MoveToInput(2), func(res *MoveResult) { r.result = res })
+	return r
+}
+
+// stage is the move's journaled stage.
+func (r *moverRig) stage() Stage {
+	e, _ := r.mover.Journal().Entry(r.contract)
+	return e.Stage
+}
+
+// runUntil advances simulated time in 100 ms steps until cond holds or
+// limit passes, reporting whether cond held.
+func (r *moverRig) runUntil(cond func() bool, limit time.Duration) bool {
+	for end := r.sched.Now() + limit; r.sched.Now() < end; {
+		if cond() {
+			return true
+		}
+		r.sched.RunUntil(r.sched.Now() + 100*time.Millisecond)
+	}
+	return cond()
+}
+
+// finish runs the move to its end and returns its result.
+func (r *moverRig) finish(t *testing.T) *MoveResult {
+	t.Helper()
+	if !r.runUntil(func() bool { return r.result != nil }, 10*time.Minute) {
+		t.Fatalf("move did not finish, at %v", r.stage())
+	}
+	return r.result
+}
+
+// requireMoved checks the move completed and the contract lives on chain 2.
+func (r *moverRig) requireMoved(t *testing.T) {
+	t.Helper()
+	if res := r.finish(t); res.Err != nil {
+		t.Fatalf("move failed: %v", res.Err)
+	}
+	if r.src.StateDB().GetLocation(r.contract) != 2 || r.dst.StateDB().GetLocation(r.contract) != 2 {
+		t.Fatal("contract must be live on chain 2 only")
+	}
+}
+
+func rigConfig() MoverConfig {
+	return MoverConfig{
+		PollInterval:    500 * time.Millisecond,
+		ConfirmDeadline: 5 * time.Minute,
+		StageDeadline:   10 * time.Second,
+		RetryBase:       2 * time.Second,
+		RetryMax:        8 * time.Second,
+		MaxAttempts:     3,
+	}
+}
+
+// dropMove2 cuts the client's link to the target before Move2 is sent and
+// returns when Move2 is on the (cut) wire.
+func (r *moverRig) dropMove2(t *testing.T) {
+	t.Helper()
+	if !r.runUntil(func() bool { return r.stage() >= StageWaitConfirm }, time.Minute) {
+		t.Fatalf("move did not reach the confirmation wait, at %v", r.stage())
+	}
+	r.toDst.SetCut(true)
+	if !r.runUntil(func() bool { return r.stage() == StageMove2Submitted }, time.Minute) {
+		t.Fatalf("Move2 was not submitted, at %v", r.stage())
+	}
+}
+
+// TestMove2ResubmittedAfterStageDeadline drops the target's Move2 for one
+// stage deadline: the deadline resubmits the same transaction and the move
+// completes.
+func TestMove2ResubmittedAfterStageDeadline(t *testing.T) {
+	cfg := rigConfig()
+	r := newMoverRig(t, cfg)
+	r.dropMove2(t)
+	// Heal after the deadline fired, before the backoff resubmits.
+	r.sched.RunUntil(r.sched.Now() + cfg.StageDeadline + cfg.RetryBase/2)
+	r.toDst.SetCut(false)
+	r.requireMoved(t)
+	if got := r.counters.Get("relay.move2_retries"); got < 1 {
+		t.Fatalf("move2_retries = %d, want at least 1", got)
+	}
+	if r.toDst.Stats().Dropped == 0 {
+		t.Fatal("the cut link dropped nothing")
+	}
+}
+
+// TestMove2RetryBudgetExhausted holds the drop past two stage deadlines
+// with a budget of one resubmission: the move fails with ErrRetryBudget on
+// the Move2 leg.
+func TestMove2RetryBudgetExhausted(t *testing.T) {
+	cfg := rigConfig()
+	cfg.MaxAttempts = 1
+	r := newMoverRig(t, cfg)
+	r.dropMove2(t)
+	res := r.finish(t)
+	if !errors.Is(res.Err, ErrRetryBudget) || !strings.HasPrefix(res.Err.Error(), "move2") {
+		t.Fatalf("move ended with %v, want a move2 %v", res.Err, ErrRetryBudget)
+	}
+	if r.stage() != StageFailed {
+		t.Fatalf("journal stage = %v, want failed", r.stage())
+	}
+}
+
+// TestBadNonceReceiptIsRetried executes a leg's transaction, in a block the
+// test applies itself, after another transaction of the same sender took
+// its nonce: the receipt reports a bad nonce, and the mover resyncs,
+// rebuilds the transaction and completes the move. (A desync inside the
+// pool yields no receipt: a stale nonce is evicted, a gap waits.)
+func TestBadNonceReceiptIsRetried(t *testing.T) {
+	for _, leg := range []struct {
+		name  string
+		chain hashing.ChainID
+		stage Stage
+		tx    func(*Entry) *types.Transaction
+	}{
+		{"move1", 1, StageMove1Submitted, func(e *Entry) *types.Transaction { return e.Move1 }},
+		{"move2", 2, StageMove2Submitted, func(e *Entry) *types.Transaction { return e.Move2 }},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			r := newMoverRig(t, rigConfig())
+			c := r.src
+			if leg.chain == 2 {
+				c = r.dst
+			}
+			r.paused[leg.chain] = true
+			if !r.runUntil(func() bool { return r.stage() == leg.stage && c.PendingTxs() == 1 }, time.Minute) {
+				t.Fatalf("%s never reached the pool, at %v", leg.name, r.stage())
+			}
+			e, _ := r.mover.Journal().Entry(r.contract)
+			sent := leg.tx(e)
+			if err := sent.WaitSig(); err != nil { // a block holds signed transactions only
+				t.Fatal(err)
+			}
+			taker := &types.Transaction{
+				ChainID: leg.chain, Nonce: sent.Nonce, Kind: types.TxCall,
+				To: hashing.AddressFromBytes([]byte{0xee}), Value: u256.One(),
+				GasLimit: DefaultGasLimit, GasPrice: DefaultGasPrice,
+			}
+			if err := taker.Sign(r.kp); err != nil {
+				t.Fatal(err)
+			}
+			_, recs := c.ApplyBlock([]*types.Transaction{taker, sent}, r.sched.NowUnix(),
+				chain.ProposerAddress(leg.chain, 0))
+			if !badNonce(recs[1].Err) {
+				t.Fatalf("%s receipt %q, want a bad nonce", leg.name, recs[1].Err)
+			}
+			r.paused[leg.chain] = false
+			r.requireMoved(t)
+			if got := r.counters.Get("relay." + leg.name + "_retries"); got != 1 {
+				t.Fatalf("%s_retries = %d, want 1", leg.name, got)
+			}
+		})
 	}
 }

@@ -11,8 +11,8 @@
 //     operation and crash-restart recovery.
 //
 // Both retain reverse diffs for the last K committed roots, so a read-only
-// view of the flat state at any recent root can be opened (OpenAt) — the
-// hook historical Move2 proof generation builds on.
+// view of the flat state at any recent root can be opened (OpenAt) — what
+// the RPC's historical queries read.
 package backend
 
 import (

@@ -366,6 +366,19 @@ func testBackendConformance(t *testing.T, kind trie.Kind, seed int64) {
 		}
 		checked++
 		for di, db := range dbs {
+			// The account tree rebuilt from the historical flat view must be
+			// the tree that existed then: same root, same proof bytes.
+			r, err := db.OpenAt(snap.root)
+			if err != nil {
+				t.Fatalf("%s: OpenAt(%s): %v", configs[di].name, snap.root, err)
+			}
+			tree, err := buildAccountTree(kind, r)
+			if err != nil {
+				t.Fatalf("%s: rebuild account tree at %s: %v", configs[di].name, snap.root, err)
+			}
+			if got := tree.RootHash(); got != snap.root {
+				t.Fatalf("%s: account tree rebuilt at %s has root %s", configs[di].name, snap.root, got)
+			}
 			for _, a := range script.pool {
 				acct, ok, err := db.GetAccountAt(a, snap.root)
 				if err != nil {
@@ -378,9 +391,9 @@ func testBackendConformance(t *testing.T, kind trie.Kind, seed int64) {
 				if !ok {
 					continue
 				}
-				proof, err := db.ProveAccountAt(a, snap.root)
+				proof, err := tree.Prove(a[:])
 				if err != nil {
-					t.Fatalf("%s: ProveAccountAt(%s, %s): %v", configs[di].name, a, snap.root, err)
+					t.Fatalf("%s: prove %s in the tree rebuilt at %s: %v", configs[di].name, a, snap.root, err)
 				}
 				if !bytes.Equal(proof, snap.proofs[a]) {
 					t.Fatalf("%s: historical proof for %s at %s differs from the proof built at head",

@@ -23,7 +23,7 @@ type Options struct {
 	Backend backend.Kind
 	// Dir is the file backend's directory (required for KindFile).
 	Dir string
-	// RetainRoots is how many committed roots OpenAt/ProveAccountAt serve
+	// RetainRoots is how many committed roots OpenAt/GetAccountAt serve
 	// (0 = backend.DefaultRetainRoots).
 	RetainRoots int
 	// Deprecated: ignored — there is no flat cache. The field stays only
@@ -81,12 +81,6 @@ type DB struct {
 	// backend: least recently touched clean trees go first.
 	storageTouch map[hashing.Address]uint64
 	touchSeq     uint64
-
-	// histRoot/histTree memoize the last account tree rebuilt for a
-	// historical proof, so proving several accounts at one root is O(N)
-	// once, not per call.
-	histRoot hashing.Hash
-	histTree trie.Tree
 
 	lastRoot hashing.Hash // root of the last Commit
 	keyBuf   [32]byte     // see treeKey
@@ -336,12 +330,6 @@ func (db *DB) GetCode(addr hashing.Address) []byte {
 		return nil
 	}
 	return db.codes[acct.CodeHash]
-}
-
-// CodeByHash returns code from the content-addressed store.
-func (db *DB) CodeByHash(h hashing.Hash) ([]byte, bool) {
-	code, ok := db.codes[h]
-	return code, ok
 }
 
 // GetCodeHash implements evm.StateAccess.

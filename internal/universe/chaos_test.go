@@ -115,60 +115,82 @@ func TestChaosMoveDeterministic(t *testing.T) {
 	}
 }
 
-// TestMoverCrashRecoveryMidMove crashes the relayer after Move1 is on the
-// wire and hands its journal to a replacement Mover: the move resumes from
-// the journaled stage and completes, with the recovery counted.
+// TestMoverCrashRecoveryMidMove crashes the relayer at each stage that has
+// a transaction on the wire or a proof waiting, and restarts it from the
+// bytes of its journal: the decoded journal resumes the move, which
+// completes exactly once, with the recovery counted.
 func TestMoverCrashRecoveryMidMove(t *testing.T) {
+	for _, stage := range []relay.Stage{
+		relay.StageMove1Submitted, relay.StageWaitConfirm, relay.StageMove2Submitted,
+	} {
+		t.Run(stage.String(), func(t *testing.T) {
+			testMoverCrashRecovery(t, stage)
+		})
+	}
+}
+
+func testMoverCrashRecovery(t *testing.T, crashAt relay.Stage) {
 	u := newIBCUniverse(t, 1)
 	cl := u.Client(0)
-	bur := u.Chain(2)
+	bur, eth := u.Chain(2), u.Chain(1)
 
 	store, err := u.MustDeploy(cl, bur, contracts.StoreName,
 		contracts.StoreConstructorArgs(cl.Address(), 5), u256.Zero(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nonceBefore := eth.StateDB().GetMoveNonce(store)
 
 	m1 := u.Mover(2, 1)
 	var result *relay.MoveResult
 	m1.Move(cl, store, core.MoveToInput(1), func(r *relay.MoveResult) { result = r })
 
-	// Run until the move is journaled in flight past submission, then crash
-	// the relayer before Move2 can land.
-	ok := u.RunUntil(func() bool {
-		e, found := m1.Journal().Entry(store)
-		return found && e.Stage >= relay.StageMove1Submitted
-	}, time.Minute)
-	if !ok {
-		t.Fatal("move never reached a submitted stage")
+	// Run until the move reaches the crash stage, then crash the relayer.
+	stage := func(j *relay.Journal) relay.Stage {
+		e, _ := j.Entry(store)
+		return e.Stage
+	}
+	if !u.RunUntil(func() bool { return stage(m1.Journal()) >= crashAt }, 30*time.Minute) {
+		t.Fatalf("move never reached %v", crashAt)
+	}
+	if got := stage(m1.Journal()); got != crashAt {
+		t.Fatalf("move passed %v unobserved: at %v", crashAt, got)
 	}
 	m1.Crash()
-	crashStage, _ := m1.Journal().Entry(store)
 	u.Run(30 * time.Second) // the dead relayer misses receipts and polls
 	if result != nil {
 		t.Fatal("a crashed mover must not complete the move")
 	}
 
-	// Restart: a fresh Mover over the same journal resumes the move.
-	m2 := relay.NewMoverWith(u.Sched, u.Chain(2), u.Chain(1),
-		relay.DefaultMoverConfig(), m1.Journal(), u.Counters())
+	// Restart from bytes: a fresh Mover over the decoded journal resumes
+	// the move. The decoded entry has no completion callback, so completion
+	// is read from the journal and the chains.
+	journal, err := relay.DecodeJournal(m1.Journal().Encode())
+	if err != nil {
+		t.Fatalf("decode journal: %v", err)
+	}
+	m2 := relay.NewMoverWith(u.Sched, bur, eth, relay.DefaultMoverConfig(), journal, u.Counters())
 	if err := m2.Recover(cl); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	if !u.RunUntil(func() bool { return result != nil }, 30*time.Minute) {
-		t.Fatalf("recovered mover must finish the move (crashed at stage %v)", crashStage.Stage)
+	finished := func() bool { s := stage(journal); return s == relay.StageDone || s == relay.StageFailed }
+	if !u.RunUntil(finished, 30*time.Minute) {
+		t.Fatalf("recovered mover must finish the move, still at %v", stage(journal))
 	}
-	if result.Err != nil {
-		t.Fatalf("recovered move failed: %v", result.Err)
+	if e, _ := journal.Entry(store); e.Stage != relay.StageDone {
+		t.Fatalf("journal stage = %v (%v), want done", e.Stage, e.Result.Err)
 	}
-	if u.Chain(1).StateDB().GetLocation(store) != 1 {
-		t.Fatal("contract must arrive on the target chain")
+	if result != nil {
+		t.Fatal("the crashed mover's callback must stay silent")
+	}
+	if bur.StateDB().GetLocation(store) != 1 || eth.StateDB().GetLocation(store) != 1 {
+		t.Fatal("contract must be live on the target only")
+	}
+	if got := eth.StateDB().GetMoveNonce(store); got != nonceBefore+1 {
+		t.Fatalf("target move nonce = %d, want %d: the move must land exactly once", got, nonceBefore+1)
 	}
 	if got := u.Counters().Get("relay.recoveries"); got != 1 {
 		t.Fatalf("recoveries = %d, want 1", got)
-	}
-	if e, _ := m2.Journal().Entry(store); e.Stage != relay.StageDone {
-		t.Fatalf("journal stage = %v, want done", e.Stage)
 	}
 }
 

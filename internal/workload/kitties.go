@@ -418,9 +418,6 @@ func (r *kittiesRun) track(cl *relay.Client, shard hashing.ChainID, to hashing.A
 	c.NotifyTx(txid, func(rec *types.Receipt) {
 		r.outstanding--
 		r.inFlight[shard]--
-		if !rec.Succeeded() && debugTrace != nil {
-			debugTrace("tx on %s to %s failed: %s", shard, to, rec.Err)
-		}
 		fn(rec)
 		r.pump()
 	})
@@ -586,9 +583,6 @@ func (r *kittiesRun) opDone(op *traceOp) {
 }
 
 func (r *kittiesRun) opFailed(op *traceOp) {
-	if debugTrace != nil {
-		debugTrace("op %d kind %d failed", op.id, op.kind)
-	}
 	r.opsLeft--
 	r.res.FailedOps++
 	// Dependents of a failed op are released too (they will fail fast if

@@ -295,9 +295,6 @@ func (r *scoinRun) startOp(acct *account) {
 		return
 	}
 	op := &scoinOp{start: r.u.Sched.Now(), cross: cross}
-	if debugTrace != nil {
-		debugTrace("%v acct %s nextOp cross=%v curShard=%d targetShard=%d", r.u.Sched.Now(), acct.addr, cross, acct.shard, targetShard)
-	}
 	if targetShard == acct.shard {
 		r.transfer(acct, target, op)
 		return
@@ -308,9 +305,6 @@ func (r *scoinRun) startOp(acct *account) {
 		func(res *relay.MoveResult) {
 			acct.moving = false
 			if res.Err != nil {
-				if debugFail != nil {
-					debugFail(res.Err)
-				}
 				r.opFailed(acct, op)
 				return
 			}
@@ -382,9 +376,6 @@ func (r *scoinRun) retryTransfer(acct *account, target *account, op *scoinOp) {
 		r.u.Sched.After(5*time.Second, func() { r.retryTransfer(acct, target, op) })
 		return
 	}
-	if debugTrace != nil {
-		debugTrace("%v acct %s retry #%d curShard=%d target %s targetShard=%d", r.u.Sched.Now(), acct.addr, op.retries, acct.shard, target.addr, target.shard)
-	}
 	if target.shard == acct.shard {
 		r.transfer(acct, target, op)
 		return
@@ -398,9 +389,6 @@ func (r *scoinRun) retryTransfer(acct *account, target *account, op *scoinOp) {
 		func(res *relay.MoveResult) {
 			acct.moving = false
 			if res.Err != nil {
-				if debugFail != nil {
-					debugFail(res.Err)
-				}
 				r.opFailed(acct, op)
 				return
 			}
@@ -455,9 +443,3 @@ func (r *scoinRun) resolveShard(acct *account) {
 		}
 	}
 }
-
-// debugFail is a temporary hook.
-var debugFail func(err error)
-
-// debugTrace, when set, receives workload event traces.
-var debugTrace func(format string, args ...any)
