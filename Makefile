@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test vet race benchtest detsmoke expsmoke fuzzsmoke statesmoke shardsmoke experiments loc
+.PHONY: check build test vet race cpu1 benchtest detsmoke expsmoke fuzzsmoke statesmoke shardsmoke experiments loc
 
-check: vet race detsmoke benchtest expsmoke fuzzsmoke statesmoke shardsmoke
+check: vet race cpu1 detsmoke benchtest expsmoke fuzzsmoke statesmoke shardsmoke
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,15 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# cpu1 runs the crypto, signing and workload packages at GOMAXPROCS 1. A
+# single-CPU host now takes the same crypto-pool path as the benchmark host
+# (client signatures deferred to the shared pool, batch verification fanned
+# out to it); this target proves that path works, and gives the same
+# results, with one CPU.
+CPU1_PKGS = ./internal/keys/ ./internal/types/ ./internal/relay/ ./internal/universe/ ./internal/workload/
+cpu1:
+	$(GO) test -cpu 1 $(CPU1_PKGS)
 
 # benchtest runs the tests of the repository benchmark (benchmark/ is a
 # nested module, so `go test ./...` at the root does not reach them).

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	movebench [-experiment all|fig5|fig6|fig7|fig8|fig9|ablations|rebalance|sharded|chaos|chaossweep|byzantine] [-scale 1.0]
+//	movebench [-experiment all|fig5|fig6|fig7|fig8|fig9|ablations|sharded|chaos|chaossweep|byzantine] [-scale 1.0]
 //
 // Scale shrinks population sizes and measurement windows uniformly (0.08 is
 // the CI scale; 1.0 approximates the paper's populations). Results print as
@@ -48,7 +48,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run: all, fig5, fig6, fig7, fig8, fig9, ablations, rebalance, sharded, chaos, chaossweep, byzantine")
+	experiment := flag.String("experiment", "all", "which experiment to run: all, fig5, fig6, fig7, fig8, fig9, ablations, sharded, chaos, chaossweep, byzantine")
 	scale := flag.Float64("scale", 1.0, "population/duration scale (0.08 = CI, 1.0 = paper-like)")
 	flag.Float64Var(&chaosCfg.DropRate, "drop", chaosCfg.DropRate, "chaos: per-message drop probability on every link")
 	flag.Float64Var(&chaosCfg.DupRate, "dup", chaosCfg.DupRate, "chaos: per-message duplication probability on every link")
@@ -125,14 +125,13 @@ func run(experiment string, scale bench.Scale) error {
 		"fig8":       runFig89,
 		"fig9":       runFig89,
 		"ablations":  runAblations,
-		"rebalance":  runRebalance,
 		"chaos":      runChaos,
 		"chaossweep": runChaosSweep,
 		"byzantine":  runByzantine,
 		"sharded":    runSharded,
 	}
 	if experiment == "all" {
-		for _, name := range []string{"fig5", "fig6", "fig7", "fig8", "ablations", "rebalance", "sharded"} {
+		for _, name := range []string{"fig5", "fig6", "fig7", "fig8", "ablations", "sharded"} {
 			if err := runs[name](scale); err != nil {
 				return err
 			}
@@ -294,24 +293,6 @@ func runSharded(bench.Scale) error {
 			}
 		}
 		fmt.Println()
-		return nil
-	})
-}
-
-func runRebalance(bench.Scale) error {
-	return timed("rebalance", func() error {
-		for _, enabled := range []bool{false, true} {
-			res, err := workload.RunRebalance(workload.DefaultRebalanceConfig(4, enabled))
-			if err != nil {
-				return err
-			}
-			mode := "hot shard (no balancing)"
-			if enabled {
-				mode = "with Move-based rebalancer"
-			}
-			fmt.Printf("%s: %.1f tx/s, %d moves, distribution %v\n",
-				mode, res.Throughput, res.MovesIssued, res.FinalDistribution)
-		}
 		return nil
 	})
 }

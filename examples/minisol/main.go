@@ -69,11 +69,7 @@ func run() error {
 	burrow, ethereum := u.Chain(2), u.Chain(1)
 
 	// Deploy the bytecode on the Burrow-like chain.
-	txid, err := client.Create(burrow, code, u256.Zero())
-	if err != nil {
-		return err
-	}
-	rec, err := u.WaitTx(burrow, txid, time.Minute)
+	rec, err := u.WaitTx(burrow, client.Create(burrow, code, u256.Zero()), time.Minute)
 	if err != nil {
 		return err
 	}

@@ -201,10 +201,7 @@ func RunByzantine(cfg ByzantineConfig) (*ByzantineResult, error) {
 // demands rejection.
 func submitHostileMove2(u *universe.Universe, adv *relay.Client, target *chain.Chain,
 	payload *types.Move2Payload, kind string) error {
-	tx, err := adv.SignedMove2(target, payload)
-	if err != nil {
-		return fmt.Errorf("sign %s move2: %w", kind, err)
-	}
+	tx := adv.SignedMove2(target, payload)
 	id := tx.ID()
 	deadline := u.Sched.Now() + 30*time.Minute
 	for {

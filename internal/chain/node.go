@@ -121,7 +121,6 @@ type PoWNode struct {
 
 	minerCount int
 	nextMiner  int
-	stopped    bool
 }
 
 // NewPoWNode creates a PoW-driven chain with the given miner count and a
@@ -141,14 +140,8 @@ func NewPoWNode(sched *simclock.Scheduler, c *Chain, seed int64, minerCount int)
 // Start schedules block production.
 func (n *PoWNode) Start() { n.scheduleNext() }
 
-// Stop halts block production after the next tick.
-func (n *PoWNode) Stop() { n.stopped = true }
-
 func (n *PoWNode) scheduleNext() {
 	n.sched.After(n.timer.Next(), func() {
-		if n.stopped {
-			return
-		}
 		miner := ProposerAddress(n.Chain.ChainID(), n.nextMiner)
 		n.nextMiner = (n.nextMiner + 1) % n.minerCount
 		n.Chain.ApplyBlock(n.Chain.ProposeBatch(), n.sched.NowUnix(), miner)

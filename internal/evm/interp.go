@@ -26,15 +26,6 @@ func New(sched Schedule, state StateAccess, block BlockContext, tx TxContext, na
 	return &EVM{sched: sched, state: state, block: block, tx: tx, natives: natives}
 }
 
-// Schedule returns the gas schedule in force.
-func (e *EVM) Schedule() *Schedule { return &e.sched }
-
-// Block returns the block context.
-func (e *EVM) Block() BlockContext { return e.block }
-
-// State returns the underlying state access.
-func (e *EVM) State() StateAccess { return e.state }
-
 // frame is one call frame. Frames are pooled (acquireFrame/releaseFrame):
 // the gas meter and stack are embedded by value, and the stack and memory
 // backing arrays survive release, so a call frame costs no allocations once

@@ -2,7 +2,6 @@ package evm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"scmove/internal/hashing"
@@ -89,16 +88,6 @@ func MustNewRegistry(impls ...Native) *Registry {
 	return r
 }
 
-// Names returns the registered names in sorted order.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.byName))
-	for name := range r.byName {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Lookup resolves a native contract by name.
 func (r *Registry) Lookup(name string) (Native, bool) {
 	n, ok := r.byName[name]
@@ -141,9 +130,6 @@ func (c *NativeCall) Self() hashing.Address { return c.frame.self }
 // Caller returns the immediate caller.
 func (c *NativeCall) Caller() hashing.Address { return c.frame.caller }
 
-// Origin returns the externally-owned account that signed the transaction.
-func (c *NativeCall) Origin() hashing.Address { return c.evm.tx.Origin }
-
 // Value returns the currency attached to the call.
 func (c *NativeCall) Value() u256.Int { return c.frame.value }
 
@@ -152,12 +138,6 @@ func (c *NativeCall) ChainID() hashing.ChainID { return c.evm.block.ChainID }
 
 // Time returns the current block timestamp (unix seconds, simulated).
 func (c *NativeCall) Time() uint64 { return c.evm.block.Time }
-
-// BlockNumber returns the current block height.
-func (c *NativeCall) BlockNumber() uint64 { return c.evm.block.Number }
-
-// GasRemaining returns the gas left in this frame.
-func (c *NativeCall) GasRemaining() uint64 { return c.frame.gas.Remaining() }
 
 // UseGas consumes extra gas, for contracts that model computation beyond
 // their storage traffic.
@@ -190,22 +170,6 @@ func (c *NativeCall) SetStorage(key, value Word) error {
 	return nil
 }
 
-// Balance returns the executing contract's balance (charged as SELFBALANCE).
-func (c *NativeCall) Balance() (u256.Int, error) {
-	if err := c.frame.gas.Consume(c.evm.sched.Low); err != nil {
-		return u256.Int{}, err
-	}
-	return c.evm.state.GetBalance(c.frame.self), nil
-}
-
-// BalanceOf returns any account's balance (charged as BALANCE).
-func (c *NativeCall) BalanceOf(addr hashing.Address) (u256.Int, error) {
-	if err := c.frame.gas.Consume(c.evm.sched.Balance); err != nil {
-		return u256.Int{}, err
-	}
-	return c.evm.state.GetBalance(addr), nil
-}
-
 // CodeSizeOf returns the byte size of another account's code (charged as
 // EXTCODESIZE). Contracts use it to refuse interacting with counterparties
 // that are not deployed on this chain.
@@ -214,15 +178,6 @@ func (c *NativeCall) CodeSizeOf(addr hashing.Address) (int, error) {
 		return 0, err
 	}
 	return len(c.evm.state.GetCode(addr)), nil
-}
-
-// LocationOf returns an account's location field Lc (charged as BALANCE; it
-// is an account-trie read of the same shape).
-func (c *NativeCall) LocationOf(addr hashing.Address) (hashing.ChainID, error) {
-	if err := c.frame.gas.Consume(c.evm.sched.Balance); err != nil {
-		return 0, err
-	}
-	return c.evm.state.GetLocation(addr), nil
 }
 
 // Emit records an event log (charged as LOGn).

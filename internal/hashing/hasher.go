@@ -25,9 +25,6 @@ func NewHasher(sizeHint int) *Hasher {
 // Reset discards accumulated input, keeping the buffer capacity.
 func (h *Hasher) Reset() { h.buf = h.buf[:0] }
 
-// Len returns the number of input bytes accumulated so far.
-func (h *Hasher) Len() int { return len(h.buf) }
-
 // Byte appends a single byte.
 func (h *Hasher) Byte(b byte) { h.buf = append(h.buf, b) }
 
@@ -43,9 +40,6 @@ func (h *Hasher) LenPrefixed(p []byte) {
 	h.Uvarint(uint64(len(p)))
 	h.Write(p)
 }
-
-// Hash appends a fixed-width hash.
-func (h *Hasher) Hash(x Hash) { h.buf = append(h.buf, x[:]...) }
 
 // Sum returns the chain hash of the accumulated input without allocating.
 func (h *Hasher) Sum() Hash { return Hash(sha256.Sum256(h.buf)) }

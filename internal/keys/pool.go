@@ -105,12 +105,10 @@ func VerifyBatch(digests []hashing.Hash, sigs []Signature) ([]hashing.Address, [
 	if len(sigs) == 0 {
 		return addrs, errs
 	}
-	// A single-entry batch (or a single-CPU box) gains nothing from the
-	// pool handoff; verify inline.
-	if len(sigs) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for i := range sigs {
-			addrs[i], errs[i] = sigs[i].Verify(digests[i])
-		}
+	// A single-entry batch gains nothing from the pool handoff; verify
+	// inline.
+	if len(sigs) == 1 {
+		addrs[0], errs[0] = sigs[0].Verify(digests[0])
 		return addrs, errs
 	}
 	pool := SharedPool()

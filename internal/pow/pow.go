@@ -36,6 +36,3 @@ func (t *Timer) Next() time.Duration {
 	max := 10 * t.mean
 	return time.Duration(math.Min(math.Max(float64(d), float64(min)), float64(max)))
 }
-
-// Mean returns the configured mean interval.
-func (t *Timer) Mean() time.Duration { return t.mean }

@@ -178,12 +178,6 @@ type Mover struct {
 	alive    bool
 }
 
-// NewMover returns a mover between two chains with the default
-// configuration, a fresh journal, and its own counter set.
-func NewMover(sched *simclock.Scheduler, src, dst *chain.Chain) *Mover {
-	return NewMoverWith(sched, src, dst, DefaultMoverConfig(), NewJournal(), metrics.NewCounters())
-}
-
 // NewMoverWith returns a mover with explicit tuning, journal, and counters.
 // Passing a crashed Mover's journal and calling Recover resumes its
 // in-flight moves.
@@ -208,9 +202,6 @@ func NewMoverWith(sched *simclock.Scheduler, src, dst *chain.Chain,
 // Journal returns the mover's journal (hand it to a replacement Mover after
 // Crash to resume).
 func (m *Mover) Journal() *Journal { return m.journal }
-
-// Counters returns the mover's fault/retry counters.
-func (m *Mover) Counters() *metrics.Counters { return m.counters }
 
 // SetRegistry attaches an observability registry: the mover then emits one
 // span per protocol stage (move1.commit, p.wait, move2.commit, move.total)
@@ -418,13 +409,8 @@ func (m *Mover) watch(e *Entry, c *chain.Chain, tx *types.Transaction, leg strin
 // watches for its receipt.
 func (m *Mover) submitMove1(cl *Client, e *Entry) {
 	if e.Move1 == nil {
-		tx, err := cl.SignedCall(m.src, e.Contract, e.MoveToInput, u256.Zero())
-		if err != nil {
-			m.fail(e, "move1 sign", err)
-			return
-		}
-		e.Move1 = tx
-		e.Result.Move1Tx = tx.ID()
+		e.Move1 = cl.SignedCall(m.src, e.Contract, e.MoveToInput, u256.Zero())
+		e.Result.Move1Tx = e.Move1.ID()
 	}
 	e.Stage = StageMove1Submitted
 	cl.SubmitSigned(m.src, e.Move1)
@@ -513,13 +499,8 @@ func (m *Mover) submitMove2(cl *Client, e *Entry) {
 		m.reg.Span("p.wait", e.Result.Move1At, e.Result.ProofReadyAt, m.stageAttrs(e)...)
 	}
 	if e.Move2 == nil {
-		tx, err := cl.SignedMove2(m.dst, e.Payload)
-		if err != nil {
-			m.fail(e, "move2 sign", err)
-			return
-		}
-		e.Move2 = tx
-		e.Result.Move2Tx = tx.ID()
+		e.Move2 = cl.SignedMove2(m.dst, e.Payload)
+		e.Result.Move2Tx = e.Move2.ID()
 	}
 	e.Stage = StageMove2Submitted
 	cl.SubmitSigned(m.dst, e.Move2)

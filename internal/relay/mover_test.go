@@ -83,11 +83,13 @@ func TestTransientReceiptsAreRetried(t *testing.T) {
 // moverRig is a source chain (1) and a target chain (2) that only the test
 // drives: every second each chain that is not paused commits a block, and
 // the source's new header reaches the target's light client. The client's
-// submissions reach the target over a link the test can cut.
+// submissions reach the target over a link the test can cut. A second key,
+// funded on both chains, lets a test complete the move as another client.
 type moverRig struct {
 	sched    *simclock.Scheduler
 	src, dst *chain.Chain
 	kp       *keys.KeyPair
+	other    *keys.KeyPair
 	toDst    *simnet.Link
 	paused   map[hashing.ChainID]bool
 	counters *metrics.Counters
@@ -101,14 +103,17 @@ type moverRig struct {
 func newMoverRig(t *testing.T, cfg MoverConfig) *moverRig {
 	t.Helper()
 	sched := simclock.New()
-	kp := keys.Deterministic(21)
+	kp, other := keys.Deterministic(21), keys.Deterministic(22)
 	chainCfg := func(id hashing.ChainID) chain.Config {
 		return chain.Config{
 			ChainID: id, TreeKind: trie.KindMPT, Schedule: evm.EthereumSchedule(),
 			BlockGasLimit: 100_000_000, MaxBlockTxs: 100, ConfirmationDepth: 2, PoolLimit: 1000,
 		}
 	}
-	fund := func(db *state.DB) { db.AddBalance(kp.Address(), u256.FromUint64(1<<50)) }
+	fund := func(db *state.DB) {
+		db.AddBalance(kp.Address(), u256.FromUint64(1<<50))
+		db.AddBalance(other.Address(), u256.FromUint64(1<<50))
+	}
 	src, err := chain.New(chainCfg(1), core.NewHeaderStore(chainCfg(2).Params()), fund)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +123,7 @@ func newMoverRig(t *testing.T, cfg MoverConfig) *moverRig {
 		t.Fatal(err)
 	}
 	r := &moverRig{
-		sched: sched, src: src, dst: dst, kp: kp,
+		sched: sched, src: src, dst: dst, kp: kp, other: other,
 		toDst:    simnet.NewLink(sched, time.Millisecond, simnet.LinkFaults{}, 0),
 		paused:   make(map[hashing.ChainID]bool),
 		counters: metrics.NewCounters(),
@@ -259,6 +264,51 @@ func TestMove2RetryBudgetExhausted(t *testing.T) {
 	}
 	if r.stage() != StageFailed {
 		t.Fatalf("journal stage = %v, want failed", r.stage())
+	}
+}
+
+// TestAbandonedMoveCompletedByAnotherClient: a relayer with a budget of one
+// resubmission gives up on a dropped Move2 after Move1 committed. The
+// contract is then locked on the source and not yet live on the target. A
+// fresh Mover, driven by a client other than the owner, completes the move
+// from the committed Move1 alone (§III-B: anyone may complete a move).
+func TestAbandonedMoveCompletedByAnotherClient(t *testing.T) {
+	cfg := rigConfig()
+	cfg.MaxAttempts = 1
+	r := newMoverRig(t, cfg)
+	before := r.src.StateDB().GetMoveNonce(r.contract)
+	r.dropMove2(t)
+	if res := r.finish(t); !errors.Is(res.Err, ErrRetryBudget) || res.Move1At == 0 {
+		t.Fatalf("first relayer ended with %v (Move1 at %v), want %v after Move1 committed",
+			res.Err, res.Move1At, ErrRetryBudget)
+	}
+	if r.src.StateDB().GetLocation(r.contract) != 2 || r.dst.StateDB().Exists(r.contract) {
+		t.Fatal("after the abandoned Move2 the contract must be locked on chain 1 and absent on chain 2")
+	}
+
+	cl := NewClient(r.other, map[hashing.ChainID]*simnet.Link{
+		2: simnet.NewLink(r.sched, time.Millisecond, simnet.LinkFaults{}, 0),
+	})
+	var res *MoveResult
+	NewMoverWith(r.sched, r.src, r.dst, rigConfig(), nil, nil).
+		Complete(cl, r.contract, func(m *MoveResult) { res = m })
+	if !r.runUntil(func() bool { return res != nil }, 10*time.Minute) {
+		t.Fatal("the second relayer did not finish the move")
+	}
+	if res.Err != nil {
+		t.Fatalf("completion failed: %v", res.Err)
+	}
+	if rec, ok := r.dst.Receipt(res.Move2Tx); !ok || !rec.Succeeded() {
+		t.Fatalf("completing Move2 receipt %+v", rec)
+	}
+	if r.src.StateDB().GetLocation(r.contract) != 2 || r.dst.StateDB().GetLocation(r.contract) != 2 {
+		t.Fatal("contract must be live on chain 2 only")
+	}
+	if got := r.dst.StateDB().GetStorage(r.contract, evm.Word{31: 1}); got != (evm.Word{31: 42}) {
+		t.Fatalf("moved slot reads %x, want 42", got)
+	}
+	if got := r.dst.StateDB().GetMoveNonce(r.contract); got != before+1 {
+		t.Fatalf("move nonce %d after the move, want %d", got, before+1)
 	}
 }
 

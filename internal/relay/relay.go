@@ -10,7 +10,6 @@ package relay
 
 import (
 	"errors"
-	"runtime"
 	"time"
 
 	"scmove/internal/chain"
@@ -33,10 +32,11 @@ const DefaultGasLimit = 40_000_000
 var DefaultGasPrice = u256.FromUint64(2)
 
 // Client is one transaction-submitting principal: a key pair plus local
-// per-chain nonce counters. A failed signing or a pool rejection rolls the
-// burnt nonce back (or, when later nonces were already handed out, flags
-// the chain for a resync against committed state) so retries never wedge
-// behind a permanently missing nonce.
+// per-chain nonce counters. A pool rejection rolls the burnt nonce back
+// (or, when later nonces were already handed out, flags the chain for a
+// resync against committed state) so retries never wedge behind a
+// permanently missing nonce. Building a transaction cannot fail: the
+// signature is produced on the shared crypto pool after the build returns.
 type Client struct {
 	kp       *keys.KeyPair
 	nonces   map[hashing.ChainID]uint64
@@ -57,9 +57,6 @@ func NewClient(kp *keys.KeyPair, links map[hashing.ChainID]*simnet.Link) *Client
 
 // Address returns the client's account address.
 func (cl *Client) Address() hashing.Address { return cl.kp.Address() }
-
-// Key returns the client's key pair.
-func (cl *Client) Key() *keys.KeyPair { return cl.kp }
 
 // nextNonce hands out the next nonce for a chain, resyncing from committed
 // chain state first if a previous submission failure desynchronized the
@@ -126,26 +123,15 @@ func (cl *Client) deliver(c *chain.Chain, tx *types.Transaction) {
 	})
 }
 
-// sign signs tx, rolling the consumed nonce back on failure. With more
-// than one CPU the ECDSA is deferred to the shared crypto pool: From and the
-// id are still fixed synchronously, so nothing the simulation orders on can
-// change, while the signature overlaps with the event loop's work until a
-// proposal selects the transaction and waits for it. A failure (which a
-// valid key makes all but impossible) then drops the transaction from the
-// pool at proposal time, and nothing rolls its nonce back. Simulated
-// timelines are identical either way; only wall-clock changes.
-func (cl *Client) sign(c *chain.Chain, tx *types.Transaction) (*types.Transaction, error) {
-	// With one CPU there is nothing to overlap with and the worker handoff
-	// is pure overhead, so the deferred path requires real parallelism.
-	if runtime.GOMAXPROCS(0) > 1 {
-		tx.SignOn(cl.kp, keys.SharedPool())
-		return tx, nil
-	}
-	if err := tx.Sign(cl.kp); err != nil {
-		cl.rollbackNonce(c.ChainID(), tx.Nonce)
-		return nil, err
-	}
-	return tx, nil
+// sign defers tx's ECDSA to the shared crypto pool. From and the id are
+// fixed synchronously, so nothing the simulation orders on can change, while
+// the signature overlaps with the event loop's work until a proposal selects
+// the transaction and waits for it. A failure (which a valid key makes all
+// but impossible) then drops the transaction from the pool at proposal
+// time, and nothing rolls its nonce back.
+func (cl *Client) sign(tx *types.Transaction) *types.Transaction {
+	tx.SignOn(cl.kp, keys.SharedPool())
+	return tx
 }
 
 // SubmitSigned re-delivers an already-signed transaction over the
@@ -161,8 +147,8 @@ func (cl *Client) SubmitSigned(c *chain.Chain, tx *types.Transaction) hashing.Ha
 // SignedCall builds and signs a call transaction, consuming a nonce,
 // without submitting it. Movers use it to keep the signed bytes for
 // idempotent resubmission.
-func (cl *Client) SignedCall(c *chain.Chain, to hashing.Address, data []byte, value u256.Int) (*types.Transaction, error) {
-	return cl.sign(c, &types.Transaction{
+func (cl *Client) SignedCall(c *chain.Chain, to hashing.Address, data []byte, value u256.Int) *types.Transaction {
+	return cl.sign(&types.Transaction{
 		ChainID:  c.ChainID(),
 		Nonce:    cl.nextNonce(c),
 		Kind:     types.TxCall,
@@ -176,8 +162,8 @@ func (cl *Client) SignedCall(c *chain.Chain, to hashing.Address, data []byte, va
 
 // SignedMove2 builds and signs a Move2 transaction carrying the given proof
 // payload without submitting it.
-func (cl *Client) SignedMove2(c *chain.Chain, payload *types.Move2Payload) (*types.Transaction, error) {
-	return cl.sign(c, &types.Transaction{
+func (cl *Client) SignedMove2(c *chain.Chain, payload *types.Move2Payload) *types.Transaction {
+	return cl.sign(&types.Transaction{
 		ChainID:  c.ChainID(),
 		Nonce:    cl.nextNonce(c),
 		Kind:     types.TxMove2,
@@ -190,8 +176,8 @@ func (cl *Client) SignedMove2(c *chain.Chain, payload *types.Move2Payload) (*typ
 // SignedCreate builds and signs a deployment transaction, consuming a
 // nonce, without submitting it — for idempotent resubmission by retrying
 // harnesses.
-func (cl *Client) SignedCreate(c *chain.Chain, code []byte, value u256.Int) (*types.Transaction, error) {
-	return cl.sign(c, &types.Transaction{
+func (cl *Client) SignedCreate(c *chain.Chain, code []byte, value u256.Int) *types.Transaction {
+	return cl.sign(&types.Transaction{
 		ChainID:  c.ChainID(),
 		Nonce:    cl.nextNonce(c),
 		Kind:     types.TxCreate,
@@ -203,34 +189,13 @@ func (cl *Client) SignedCreate(c *chain.Chain, code []byte, value u256.Int) (*ty
 }
 
 // Call submits a contract call (or plain transfer) and returns the tx id.
-func (cl *Client) Call(c *chain.Chain, to hashing.Address, data []byte, value u256.Int) (hashing.Hash, error) {
-	tx, err := cl.SignedCall(c, to, data, value)
-	if err != nil {
-		return hashing.Hash{}, err
-	}
-	cl.deliver(c, tx)
-	return tx.ID(), nil
+func (cl *Client) Call(c *chain.Chain, to hashing.Address, data []byte, value u256.Int) hashing.Hash {
+	return cl.SubmitSigned(c, cl.SignedCall(c, to, data, value))
 }
 
-// Create submits a contract deployment.
-func (cl *Client) Create(c *chain.Chain, code []byte, value u256.Int) (hashing.Hash, error) {
-	tx, err := cl.SignedCreate(c, code, value)
-	if err != nil {
-		return hashing.Hash{}, err
-	}
-	cl.deliver(c, tx)
-	return tx.ID(), nil
-}
-
-// SubmitMove2 submits a Move2 transaction carrying the given proof payload.
-// Any client may complete an unfinished move this way (§III-B).
-func (cl *Client) SubmitMove2(c *chain.Chain, payload *types.Move2Payload) (hashing.Hash, error) {
-	tx, err := cl.SignedMove2(c, payload)
-	if err != nil {
-		return hashing.Hash{}, err
-	}
-	cl.deliver(c, tx)
-	return tx.ID(), nil
+// Create submits a contract deployment and returns the tx id.
+func (cl *Client) Create(c *chain.Chain, code []byte, value u256.Int) hashing.Hash {
+	return cl.SubmitSigned(c, cl.SignedCreate(c, code, value))
 }
 
 // Locate finds the chain a contract currently lives on by following the

@@ -78,8 +78,6 @@ var sharedPoolWorkers = func() int {
 // hand it out only once the workers are released, signed, and count that
 // one wait.
 func TestAdmittedWhileSignatureQueued(t *testing.T) {
-	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))) // the client defers only with a second CPU
-	defer runtime.GOMAXPROCS(prev)
 	sched := simclock.New()
 	kp := keys.Deterministic(9)
 	cl := newClient(kp, sched, 50*time.Millisecond)
@@ -100,10 +98,7 @@ func TestAdmittedWhileSignatureQueued(t *testing.T) {
 	}
 	held.Wait()
 
-	id, err := cl.Call(c, hashing.AddressFromBytes([]byte{0x09}), nil, u256.One())
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := cl.Call(c, hashing.AddressFromBytes([]byte{0x09}), nil, u256.One())
 	delivered := make(chan struct{})
 	go func() {
 		defer close(delivered)
@@ -161,10 +156,7 @@ func TestClientNonceTracking(t *testing.T) {
 	// Three rapid-fire calls get sequential nonces and all commit.
 	var ids []hashing.Hash
 	for i := 0; i < 3; i++ {
-		id, err := cl.Call(c, hashing.AddressFromBytes([]byte{0x01}), nil, u256.FromUint64(uint64(i+1)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := cl.Call(c, hashing.AddressFromBytes([]byte{0x01}), nil, u256.FromUint64(uint64(i+1)))
 		ids = append(ids, id)
 	}
 	sched.RunUntil(5 * time.Second)
@@ -185,10 +177,7 @@ func TestClientSubmitDelay(t *testing.T) {
 	cl := newClient(kp, sched, 2*time.Second)
 	c := testChain(t, sched, 1, kp.Address())
 
-	id, err := cl.Call(c, hashing.AddressFromBytes([]byte{0x02}), nil, u256.One())
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := cl.Call(c, hashing.AddressFromBytes([]byte{0x02}), nil, u256.One())
 	// Before the submit delay elapses, nothing is pending.
 	sched.RunUntil(1 * time.Second)
 	if c.PendingTxs() != 0 {
@@ -210,13 +199,8 @@ func TestClientChainsKeepSeparateNonces(t *testing.T) {
 	c1 := testChain(t, sched, 1, kp.Address())
 	c2 := testChain(t, sched, 2, kp.Address())
 
-	if _, err := cl.Call(c1, hashing.AddressFromBytes([]byte{1}), nil, u256.One()); err != nil {
-		t.Fatal(err)
-	}
-	id2, err := cl.Call(c2, hashing.AddressFromBytes([]byte{1}), nil, u256.One())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl.Call(c1, hashing.AddressFromBytes([]byte{1}), nil, u256.One())
+	id2 := cl.Call(c2, hashing.AddressFromBytes([]byte{1}), nil, u256.One())
 	sched.RunUntil(3 * time.Second)
 	// The chain-2 tx used nonce 0 there despite chain-1 traffic.
 	rec, ok := c2.Receipt(id2)
@@ -262,24 +246,17 @@ func TestClientNonceRollbackAndResyncOnRejection(t *testing.T) {
 	// rapid-fire calls (nonces 0 and 1) both bounce off the full pool. The
 	// first rejection happens with nonce 1 already handed out, so the
 	// counter cannot simply step back — it must flag a resync.
-	if _, err := filler.Call(c, hashing.AddressFromBytes([]byte{1}), nil, u256.One()); err != nil {
-		t.Fatal(err)
-	}
+	filler.Call(c, hashing.AddressFromBytes([]byte{1}), nil, u256.One())
 	sched.RunUntil(2 * time.Millisecond)
 	for i := 0; i < 2; i++ {
-		if _, err := cl.Call(c, hashing.AddressFromBytes([]byte{1}), nil, u256.One()); err != nil {
-			t.Fatal(err)
-		}
+		cl.Call(c, hashing.AddressFromBytes([]byte{1}), nil, u256.One())
 	}
 	// Both rejections land, then the block commits the filler tx.
 	sched.RunUntil(1500 * time.Millisecond)
 
 	// A fresh call must reuse nonce 0 (resynced from committed state), not
 	// wedge at nonce 2 behind the two burnt ones.
-	id, err := cl.Call(c, hashing.AddressFromBytes([]byte{1}), nil, u256.One())
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := cl.Call(c, hashing.AddressFromBytes([]byte{1}), nil, u256.One())
 	sched.RunUntil(5 * time.Second)
 	rec, ok := c.Receipt(id)
 	if !ok || !rec.Succeeded() {
@@ -296,10 +273,7 @@ func TestSubmitSignedIdempotent(t *testing.T) {
 	cl := newClient(kp, sched, time.Millisecond)
 	c := testChain(t, sched, 1, kp.Address())
 
-	tx, err := cl.SignedCall(c, hashing.AddressFromBytes([]byte{0x05}), nil, u256.One())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tx := cl.SignedCall(c, hashing.AddressFromBytes([]byte{0x05}), nil, u256.One())
 	// Triple submission before commit: the pool deduplicates by id.
 	for i := 0; i < 3; i++ {
 		cl.SubmitSigned(c, tx)
@@ -364,7 +338,7 @@ func TestMoverFailsFastOnFailedMove1(t *testing.T) {
 	src.StateDB().Commit()
 
 	var result *relay.MoveResult
-	relay.NewMover(sched, src, dst).Move(cl, reverting, core.MoveToInput(2), func(r *relay.MoveResult) {
+	relay.NewMoverWith(sched, src, dst, relay.DefaultMoverConfig(), nil, nil).Move(cl, reverting, core.MoveToInput(2), func(r *relay.MoveResult) {
 		result = r
 	})
 	sched.RunUntil(10 * time.Second)

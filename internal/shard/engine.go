@@ -26,8 +26,7 @@ type Config struct {
 	// lazy relay-link creation riding along for free).
 	Mover func(src, dst hashing.ChainID) *relay.Mover
 	// Home resolves a transaction sender to its home chain, feeding the
-	// affinity signal. Nil disables caller-home attribution; the load
-	// signal still works.
+	// affinity signal.
 	Home func(addr hashing.Address) (hashing.ChainID, bool)
 	// Interval is the policy tick spacing (default 30 s).
 	Interval time.Duration
@@ -112,9 +111,6 @@ func (e *Engine) observe(id hashing.ChainID, b *types.Block) {
 			continue
 		}
 		cw.Total++
-		if e.cfg.Home == nil {
-			continue
-		}
 		if sender, err := tx.Sender(); err == nil {
 			if home, ok := e.cfg.Home(sender); ok {
 				cw.ByHome[home]++

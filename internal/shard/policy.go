@@ -5,8 +5,7 @@
 // relay. The paper's conclusion names "decentralized load balancing smart
 // contracts for sharded blockchains" as the natural application of the
 // Move primitive (§X); this package is the centralized version of that
-// controller, shared by the rebalancing workload and the scaling
-// experiments.
+// controller, driven by the sharded scaling workload.
 package shard
 
 import (
@@ -35,8 +34,7 @@ type ContractLoad struct {
 	Total uint64
 	// ByHome buckets the window's calls by the *caller's* home chain: a
 	// contract whose callers mostly live elsewhere is cross-chain pressure
-	// the affinity policy can relieve. Only populated when the engine has a
-	// caller-home resolver.
+	// the affinity policy can relieve.
 	ByHome map[hashing.ChainID]uint64
 }
 
@@ -69,12 +67,11 @@ type Snapshot struct {
 // state between ticks (sustain windows, cooldowns); they are called from
 // one goroutine only.
 type Policy interface {
-	Name() string
 	Plan(s *Snapshot) []Migration
 }
 
-// Greedy migrates eagerly on the current window alone. Two independent
-// signals, both optional:
+// Greedy migrates eagerly on the current window alone, on two independent
+// signals:
 //
 //   - Affinity: a contract whose window traffic is dominated by callers
 //     homed on another chain moves to that chain.
@@ -82,8 +79,6 @@ type Policy interface {
 //     once past Capacity, sheds contracts to the shallowest shard until
 //     the contract-count imbalance would halve.
 type Greedy struct {
-	// Affinity enables caller-home dominance migration.
-	Affinity bool
 	// Dominance is the traffic share the winning chain must hold
 	// (default 0.5).
 	Dominance float64
@@ -100,9 +95,6 @@ type Greedy struct {
 	// a congested shard.
 	MaxMoves int
 }
-
-// Name implements Policy.
-func (g *Greedy) Name() string { return "greedy" }
 
 // Plan implements Policy.
 func (g *Greedy) Plan(s *Snapshot) []Migration {
@@ -121,26 +113,24 @@ func (g *Greedy) Plan(s *Snapshot) []Migration {
 	var out []Migration
 	planned := make(map[hashing.Address]bool)
 
-	if g.Affinity {
-		remaining := budget
-		for _, c := range s.Contracts {
-			if remaining == 0 {
-				break
+	remaining := budget
+	for _, c := range s.Contracts {
+		if remaining == 0 {
+			break
+		}
+		if c.Total < minTxs {
+			continue
+		}
+		best, bestN := c.Home, c.ByHome[c.Home]
+		for _, id := range s.Order {
+			if n := c.ByHome[id]; n > bestN {
+				best, bestN = id, n
 			}
-			if c.Total < minTxs {
-				continue
-			}
-			best, bestN := c.Home, c.ByHome[c.Home]
-			for _, id := range s.Order {
-				if n := c.ByHome[id]; n > bestN {
-					best, bestN = id, n
-				}
-			}
-			if best != c.Home && float64(bestN) >= dom*float64(c.Total) {
-				out = append(out, Migration{Contract: c.Contract, From: c.Home, To: best, Reason: "affinity"})
-				planned[c.Contract] = true
-				remaining--
-			}
+		}
+		if best != c.Home && float64(bestN) >= dom*float64(c.Total) {
+			out = append(out, Migration{Contract: c.Contract, From: c.Home, To: best, Reason: "affinity"})
+			planned[c.Contract] = true
+			remaining--
 		}
 	}
 
@@ -202,9 +192,6 @@ type sustained struct {
 	to    hashing.ChainID
 	count int
 }
-
-// Name implements Policy.
-func (h *Hysteresis) Name() string { return h.Inner.Name() + "+hysteresis" }
 
 // Plan implements Policy.
 func (h *Hysteresis) Plan(s *Snapshot) []Migration {

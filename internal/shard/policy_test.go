@@ -24,7 +24,7 @@ func snap3() *Snapshot {
 }
 
 func TestGreedyAffinityDominance(t *testing.T) {
-	g := &Greedy{Affinity: true, Dominance: 0.5, MinTxs: 4}
+	g := &Greedy{Dominance: 0.5, MinTxs: 4}
 	s := snap3()
 	s.Contracts = []*ContractLoad{
 		// Dominated by chain 2 callers: moves.
@@ -77,7 +77,7 @@ func TestGreedyLoadSheddingHalvesImbalance(t *testing.T) {
 // the affinity set churns tick to tick while the load set is the stable
 // one that survives hysteresis.
 func TestGreedyBudgetsArePerSignal(t *testing.T) {
-	g := &Greedy{Affinity: true, MinTxs: 1, Capacity: 100, MaxMoves: 2}
+	g := &Greedy{MinTxs: 1, Capacity: 100, MaxMoves: 2}
 	s := snap3()
 	s.Chains[0].Pending = 500
 	s.Chains[2].Pending = 0
@@ -107,7 +107,6 @@ func TestGreedyBudgetsArePerSignal(t *testing.T) {
 // fixedPolicy proposes a canned plan every tick.
 type fixedPolicy struct{ plan []Migration }
 
-func (f *fixedPolicy) Name() string               { return "fixed" }
 func (f *fixedPolicy) Plan(*Snapshot) []Migration { return f.plan }
 
 func TestHysteresisSustainAndCooldown(t *testing.T) {

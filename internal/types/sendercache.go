@@ -1,7 +1,6 @@
 package types
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -213,11 +212,12 @@ func (c *senderCacheState) moveToFront(e *senderCacheEntry) {
 // bit-identical at every GOMAXPROCS.
 //
 // The cheap tiers (verifiedID memo, sender cache) run inline and only the
-// misses go to the shared crypto pool. A block of consensus-decoded copies
-// is nearly all cache hits, and the pool's FIFO may hold thousands of
-// queued client signatures: a hit must not wait behind them. Each distinct
+// misses go to keys.VerifyBatch. A block of consensus-decoded copies is
+// nearly all cache hits, and the pool's FIFO may hold thousands of queued
+// client signatures: a hit must not wait behind them. Each distinct
 // transaction consults the cache once; duplicate pointers share the first
-// occurrence's result.
+// occurrence's result. The workers only verify: the memo and the sender
+// cache are seeded afterwards on the caller's goroutine, as WaitSig does.
 func RecoverSenders(txs []*Transaction) ([]hashing.Address, []error) {
 	addrs := make([]hashing.Address, len(txs))
 	errs := make([]error, len(txs))
@@ -241,22 +241,14 @@ func RecoverSenders(txs []*Transaction) ([]hashing.Address, []error) {
 		missIdx[tx] = i
 		misses = append(misses, i)
 	}
-	if len(misses) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for _, i := range misses {
-			addrs[i], errs[i] = txs[i].verifySender()
-		}
-	} else if len(misses) > 1 {
-		pool := keys.SharedPool()
-		var wg sync.WaitGroup
-		wg.Add(len(misses))
-		for _, i := range misses {
-			i := i
-			pool.Go(func() {
-				defer wg.Done()
-				addrs[i], errs[i] = txs[i].verifySender()
-			})
-		}
-		wg.Wait()
+	digests := make([]hashing.Hash, len(misses))
+	sigs := make([]keys.Signature, len(misses))
+	for k, i := range misses {
+		digests[k], sigs[k] = txs[i].ID(), txs[i].Sig
+	}
+	signers, verrs := keys.VerifyBatch(digests, sigs)
+	for k, i := range misses {
+		addrs[i], errs[i] = txs[i].acceptSender(signers[k], verrs[k])
 	}
 	for _, d := range dups {
 		addrs[d[0]], errs[d[0]] = addrs[d[1]], errs[d[1]]

@@ -400,14 +400,21 @@ func (tx *Transaction) knownSender() (hashing.Address, bool) {
 
 // verifySender is Sender's ECDSA tier, run after knownSender missed.
 func (tx *Transaction) verifySender() (hashing.Address, error) {
-	id := tx.ID()
-	addr, err := tx.Sig.Verify(id)
+	addr, err := tx.Sig.Verify(tx.ID())
+	return tx.acceptSender(addr, err)
+}
+
+// acceptSender turns one signature verification's result into the sender,
+// holding the signer to From; a success seeds the verifiedID memo and the
+// sender cache.
+func (tx *Transaction) acceptSender(addr hashing.Address, err error) (hashing.Address, error) {
 	if err != nil {
 		return hashing.Address{}, fmt.Errorf("%w: %v", ErrBadTxSignature, err)
 	}
 	if addr != tx.From {
 		return hashing.Address{}, fmt.Errorf("%w: signer %s does not match From %s", ErrBadTxSignature, addr, tx.From)
 	}
+	id := tx.ID()
 	tx.verifiedID = id
 	senderCache.store(id, &tx.Sig, addr)
 	return addr, nil

@@ -135,14 +135,6 @@ func (x Int) IsZero() bool {
 	return x.limbs[0]|x.limbs[1]|x.limbs[2]|x.limbs[3] == 0
 }
 
-// Sign reports 0 if x == 0, 1 if x > 0 when interpreted as unsigned.
-func (x Int) Sign() int {
-	if x.IsZero() {
-		return 0
-	}
-	return 1
-}
-
 // IsNegative reports whether x is negative under two's-complement
 // interpretation (bit 255 set).
 func (x Int) IsNegative() bool { return x.limbs[3]&(1<<63) != 0 }

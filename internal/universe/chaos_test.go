@@ -226,10 +226,7 @@ func TestDuplicateMove2Rejected(t *testing.T) {
 	}
 	before, beforeOK := eth.StateDB().GetAccount(store)
 	dup := u.Client(1)
-	dupID, err := dup.SubmitMove2(eth, entry.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dupID := dup.SubmitSigned(eth, dup.SignedMove2(eth, entry.Payload))
 	rec, err := u.WaitTx(eth, dupID, 10*time.Minute)
 	if err != nil {
 		t.Fatal(err)

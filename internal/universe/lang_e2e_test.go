@@ -47,10 +47,7 @@ contract Ledger {
 	eth, bur := u.Chain(1), u.Chain(2)
 
 	// Deploy the raw bytecode via a plain create transaction.
-	txid, err := cl.Create(eth, code, u256.Zero())
-	if err != nil {
-		t.Fatal(err)
-	}
+	txid := cl.Create(eth, code, u256.Zero())
 	rec, err := u.WaitTx(eth, txid, 3*time.Minute)
 	if err != nil || !rec.Succeeded() {
 		t.Fatalf("deploy: %v %+v", err, rec)

@@ -859,11 +859,7 @@ func (u *Universe) waitSigned(cl *relay.Client, c *chain.Chain, tx *types.Transa
 // retried, so it survives a lossy submission link.
 func (u *Universe) MustDeploy(cl *relay.Client, c *chain.Chain, name string, args []byte,
 	value u256.Int, timeout time.Duration) (hashing.Address, error) {
-	tx, err := cl.SignedCreate(c, evm.NativeDeployment(name, args), value)
-	if err != nil {
-		return hashing.Address{}, err
-	}
-	rec, err := u.waitSigned(cl, c, tx, timeout)
+	rec, err := u.waitSigned(cl, c, cl.SignedCreate(c, evm.NativeDeployment(name, args), value), timeout)
 	if err != nil {
 		return hashing.Address{}, err
 	}
@@ -878,11 +874,7 @@ func (u *Universe) MustDeploy(cl *relay.Client, c *chain.Chain, name string, arg
 // a lossy submission link.
 func (u *Universe) MustCall(cl *relay.Client, c *chain.Chain, to hashing.Address,
 	data []byte, value u256.Int, timeout time.Duration) (*types.Receipt, error) {
-	tx, err := cl.SignedCall(c, to, data, value)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := u.waitSigned(cl, c, tx, timeout)
+	rec, err := u.waitSigned(cl, c, cl.SignedCall(c, to, data, value), timeout)
 	if err != nil {
 		return nil, err
 	}

@@ -70,8 +70,6 @@ func TestKittiesReplayCrossGOMAXPROCSDeterminism(t *testing.T) {
 // the decoded fields. Admission trusts a pending signature's From; this
 // holds every committed transaction to the key that signed it.
 func TestCommittedSignaturesVerify(t *testing.T) {
-	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))) // deferral needs a second CPU
-	defer runtime.GOMAXPROCS(prev)
 	var blocks []*types.Block
 	inspectUniverse = func(u *universe.Universe) {
 		for _, id := range u.ChainIDs() {

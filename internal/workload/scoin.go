@@ -152,13 +152,9 @@ func (r *scoinRun) setup() error {
 	}
 	var pending []pendingCreate
 
-	submitNewAccount := func(cl *relay.Client, shard hashing.ChainID, apply func(hashing.Address, uint64)) error {
-		txid, err := cl.Call(r.u.Chain(shard), r.tokenAddr, contracts.EncodeCall("newAccount"), u256.Zero())
-		if err != nil {
-			return err
-		}
+	submitNewAccount := func(cl *relay.Client, shard hashing.ChainID, apply func(hashing.Address, uint64)) {
+		txid := cl.Call(r.u.Chain(shard), r.tokenAddr, contracts.EncodeCall("newAccount"), u256.Zero())
 		pending = append(pending, pendingCreate{txid: txid, chain: r.u.Chain(shard), apply: apply})
-		return nil
 	}
 
 	// Senders: client i lives on shard i % Shards.
@@ -167,11 +163,9 @@ func (r *scoinRun) setup() error {
 		shard := shardID(i % cfg.Shards)
 		acct := &account{owner: cl, shard: shard}
 		r.senders = append(r.senders, acct)
-		if err := submitNewAccount(cl, shard, func(addr hashing.Address, salt uint64) {
+		submitNewAccount(cl, shard, func(addr hashing.Address, salt uint64) {
 			acct.addr, acct.salt = addr, salt
-		}); err != nil {
-			return err
-		}
+		})
 	}
 	// Receivers: one dedicated owner client per shard owns all its pinned
 	// receiving accounts.
@@ -181,11 +175,9 @@ func (r *scoinRun) setup() error {
 		for j := 0; j < cfg.ReceiversPerShard; j++ {
 			acct := &account{owner: cl, shard: shard}
 			r.receivers[shard] = append(r.receivers[shard], acct)
-			if err := submitNewAccount(cl, shard, func(addr hashing.Address, salt uint64) {
+			submitNewAccount(cl, shard, func(addr hashing.Address, salt uint64) {
 				acct.addr, acct.salt = addr, salt
-			}); err != nil {
-				return err
-			}
+			})
 		}
 	}
 
@@ -345,11 +337,7 @@ func (r *scoinRun) transfer(acct *account, target *account, op *scoinOp) {
 	data := contracts.EncodeCall("transfer",
 		contracts.ArgAddress(target.addr), contracts.ArgUint(target.salt),
 		contracts.ArgU256(u256.FromUint64(1)))
-	txid, err := acct.owner.Call(c, acct.addr, data, u256.Zero())
-	if err != nil {
-		r.opFailed(acct, op)
-		return
-	}
+	txid := acct.owner.Call(c, acct.addr, data, u256.Zero())
 	c.NotifyTx(txid, func(rec *types.Receipt) {
 		if rec.Succeeded() {
 			r.opDone(acct, op)

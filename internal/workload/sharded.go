@@ -42,8 +42,7 @@ type ShardedScalingConfig struct {
 	// eventually park on the caller's home chain).
 	CrossPct float64
 	// ShardCapacity caps per-block transactions, making the single home
-	// shard the bottleneck the policy can relieve (default 60, as in the
-	// rebalance workload).
+	// shard the bottleneck the policy can relieve (default 60).
 	ShardCapacity int
 	// Policy enables the migration engine; off is the hot-shard baseline.
 	Policy bool
@@ -173,14 +172,9 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 		txids := make([]hashing.Hash, cfg.Contracts)
 		for k := range addrs {
 			owners[k] = u.Client(k)
-			tx, err := owners[k].SignedCreate(hot,
+			txids[k] = owners[k].Create(hot,
 				evm.NativeDeployment(contracts.StoreName,
 					contracts.StoreConstructorArgs(owners[k].Address(), 1)), u256.Zero())
-			if err != nil {
-				return nil, err
-			}
-			owners[k].SubmitSigned(hot, tx)
-			txids[k] = tx.ID()
 		}
 		ok := u.RunUntil(func() bool {
 			for _, id := range txids {
@@ -225,7 +219,6 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 			Interval: cfg.Interval,
 			Policy: &shard.Hysteresis{
 				Inner: &shard.Greedy{
-					Affinity:  true,
 					Dominance: 0.5,
 					MinTxs:    2,
 					Capacity:  2 * cfg.ShardCapacity,
@@ -276,13 +269,8 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 				return
 			}
 			c := u.Chain(loc(k))
-			txid, err := cl.Call(c, addrs[k],
+			txid := cl.Call(c, addrs[k],
 				contracts.EncodeCall("get", contracts.ArgUint(0)), u256.Zero())
-			if err != nil {
-				// Submission refused (e.g. pool full): back off and retry.
-				u.Sched.After(time.Second, fire)
-				return
-			}
 			c.NotifyTx(txid, func(rec *types.Receipt) {
 				if now := u.Sched.Now(); rec.Succeeded() && now > startAt && now <= endAt {
 					committed++

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"regexp"
 	"runtime"
 	"strconv"
 	"testing"
@@ -45,10 +46,11 @@ func TestShardedScalingCrossGOMAXPROCSDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedScalingPolicyGain pins the experiment's headline: with every
-// contract deployed on one congested shard, turning the migration engine
-// on spreads contracts toward their callers and raises committed
-// throughput.
+// TestShardedScalingPolicyGain pins the experiment's headline, the paper's
+// §IV-B congestion scenario: with every contract deployed on one congested
+// shard, turning the migration engine on spreads contracts across at least
+// three of the four shards, both signals fire (caller affinity and load
+// shedding), and committed throughput clearly beats the hot-shard baseline.
 func TestShardedScalingPolicyGain(t *testing.T) {
 	run := func(policy bool) *ShardedScalingResult {
 		cfg := DefaultShardedScalingConfig(4, policy)
@@ -68,11 +70,16 @@ func TestShardedScalingPolicyGain(t *testing.T) {
 	if on.Moves.Completed == 0 {
 		t.Fatal("policy run completed no migrations")
 	}
-	if on.FinalSpread < 2 {
-		t.Fatalf("policy run spread = %d, want >= 2", on.FinalSpread)
+	if on.FinalSpread < 3 {
+		t.Fatalf("policy run spread = %d, want >= 3", on.FinalSpread)
 	}
-	if on.Committed <= off.Committed {
-		t.Fatalf("policy gain = %d/%d <= 1; migration should relieve the hot shard",
+	for _, signal := range []string{"affinity", "load"} {
+		if !regexp.MustCompile(`(?m)^shard\.moves_` + signal + `=[1-9]`).MatchString(on.Fingerprint) {
+			t.Fatalf("the %s signal moved no contract", signal)
+		}
+	}
+	if float64(on.Committed) < 1.3*float64(off.Committed) {
+		t.Fatalf("policy gain = %d/%d < 1.3; migration should relieve the hot shard",
 			on.Committed, off.Committed)
 	}
 	t.Logf("policy gain %.2f (%d vs %d committed), %d moves, spread %d",
@@ -82,8 +89,8 @@ func TestShardedScalingPolicyGain(t *testing.T) {
 
 // TestShardSmoke is the full-scale gate behind `make shardsmoke`: a
 // 64-chain universe with a 100k keyed-user population (SCMOVE_SHARDSMOKE_USERS
-// scales it up to the 1M target), lazy relay mesh, parallel-tick driver, and
-// the migration engine live. The run must complete with migrations landing.
+// scales it up to the 1M target), lazy relay mesh, and the migration engine
+// live. The run must complete with migrations landing.
 func TestShardSmoke(t *testing.T) {
 	if os.Getenv("SCMOVE_SHARDSMOKE") == "" {
 		t.Skip("set SCMOVE_SHARDSMOKE=1 (make shardsmoke) to run")

@@ -187,34 +187,3 @@ func TestSCoinRejectsBadConfig(t *testing.T) {
 		t.Fatal("zero shards must be rejected")
 	}
 }
-
-func TestRebalancerSpreadsLoadAndRaisesThroughput(t *testing.T) {
-	run := func(enabled bool) *RebalanceResult {
-		res, err := RunRebalance(RebalanceConfig{
-			Shards: 4, Contracts: 120, Interval: 20 * time.Second,
-			Duration: 5 * time.Minute, Enabled: enabled, Seed: 21, ShardCapacity: 60,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run(false)
-	bal := run(true)
-	// The paper's §IV-B scenario: moving contracts off the congested shard
-	// must recover throughput.
-	if bal.Throughput < 1.3*base.Throughput {
-		t.Errorf("rebalanced %.1f tx/s must clearly beat hot-shard %.1f tx/s",
-			bal.Throughput, base.Throughput)
-	}
-	if bal.MovesIssued == 0 {
-		t.Error("rebalancer must issue moves")
-	}
-	// Contracts end up spread across shards.
-	if len(bal.FinalDistribution) < 3 {
-		t.Errorf("distribution = %v", bal.FinalDistribution)
-	}
-	if len(base.FinalDistribution) != 1 {
-		t.Errorf("baseline must stay on one shard: %v", base.FinalDistribution)
-	}
-}
