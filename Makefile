@@ -70,7 +70,16 @@ benchtest:
 # transactions, a Move2 payload included, are unreachable once ApplyBlock
 # and its listeners return, and a universe's counters report its client
 # blocking on a full crypto pool and on encoding a transaction whose
-# signature has not landed.
+# signature has not landed. The process-wide table of synthetic user
+# addresses, grown in uneven steps across a batch boundary, matches a fresh
+# key derivation entry for entry.
+#
+# The safety oracle (internal/oracle) runs after every committed block of
+# five of these cells — chaos, byzantine, the 16-chain sharded cell, Kitties
+# and the Move ping-pong timeline — and fails the cell if a contract is
+# unlocked on two chains, appears on a chain its locked copy's Lc does not
+# name, or moves at a nonce that does not grow; the cells' digests hold with
+# it attached.
 #
 # `go test -run 'A|B'` passes when a name matches nothing, so the target
 # first checks every listed name against `go test -list`: a test that is
@@ -90,7 +99,7 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestExpectedMove2MatchesInline TestExpectedMove2MatchesByContent \
 	TestMovePingPongDigest TestAdmittedWhileSignatureQueued \
 	TestFailedSignatureIsKept TestCommittedSignaturesVerify \
-	TestLoopWaitCountsPoolAndEncode
+	TestLoopWaitCountsPoolAndEncode TestUserAddressesMatchDerivation
 DETSMOKE_PKGS = ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/relay/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/
@@ -165,9 +174,12 @@ statesmoke:
 # WAN instance per chain, a 100k keyed-user population
 # (SCMOVE_SHARDSMOKE_USERS=1000000 for the full target), lazy relay mesh, and
 # the auto-migration policy engine live. The run must complete with contracts
-# actually migrating off the congested home shard.
+# actually migrating off the congested home shard. It also pins the
+# repository benchmark's shard_migrate round 0 at seed 1
+# (TestShardMigrateRound0: committed calls, simulated rate, moves, spread and
+# the fingerprint).
 shardsmoke:
-	SCMOVE_SHARDSMOKE=1 $(GO) test -run TestShardSmoke -count=1 -timeout 900s ./internal/workload/
+	SCMOVE_SHARDSMOKE=1 $(GO) test -run 'TestShardSmoke|TestShardMigrateRound0' -count=1 -timeout 900s ./internal/workload/
 
 # experiments reruns the paper's figure experiments end to end.
 experiments:

@@ -117,6 +117,9 @@ func RunByzantine(cfg ByzantineConfig) (*ByzantineResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	if inspectUniverse != nil {
+		inspectUniverse(u)
+	}
 	u.Start()
 	cl, adv := u.Client(0), u.Client(1)
 

@@ -6,19 +6,25 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"scmove/internal/oracle"
 )
 
-// byzantineFingerprint runs the Byzantine cell once and reduces it to its
-// simulated-results fingerprint.
+// byzantineFingerprint runs the Byzantine cell once, with the safety oracle
+// checking every committed block, and reduces it to its simulated-results
+// fingerprint.
 func byzantineFingerprint(t *testing.T, metricsOn bool) (*ByzantineResult, string) {
 	t.Helper()
 	cfg := DefaultByzantineConfig()
 	cfg.Moves = 2
 	cfg.Metrics = metricsOn
-	res, err := RunByzantine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var res *ByzantineResult
+	oracle.During(t, &inspectUniverse, func() {
+		var err error
+		if res, err = RunByzantine(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
 	return res, res.Fingerprint()
 }
 

@@ -71,6 +71,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	if inspectUniverse != nil {
+		inspectUniverse(u)
+	}
 	u.Start()
 	cl := u.Client(0)
 
@@ -93,6 +96,11 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	res.Counters = u.Counters().Snapshot()
 	return res, nil
 }
+
+// inspectUniverse, when set, is handed every universe RunChaos and
+// RunByzantine build, before the run starts; tests attach block listeners
+// through it.
+var inspectUniverse func(*universe.Universe)
 
 // DefaultChaosSweep is the fault-rate grid of the chaos suite: drops and
 // duplicates ramped together from a clean network to the headline 20/20

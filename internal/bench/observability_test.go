@@ -10,21 +10,26 @@ import (
 	"time"
 
 	"scmove/internal/metrics"
+	"scmove/internal/oracle"
 )
 
 // chaosFingerprint reduces one chaos run to everything simulated: per-move
 // latencies plus the counter table, minus the process counters
 // (metrics.ProcessCounter: the sender cache is process-wide and other
 // parallel tests pollute its hit/miss deltas, and loop waits are wall time;
-// every other counter is driven solely by this run's seeded RNGs).
+// every other counter is driven solely by this run's seeded RNGs). The
+// safety oracle checks every committed block of the run.
 func chaosFingerprint(t *testing.T, metricsOn, trace bool) string {
 	t.Helper()
 	cfg := ChaosConfig{DropRate: 0.20, DupRate: 0.20, Seed: 12345, Moves: 2,
 		Metrics: metricsOn, Trace: trace}
-	res, err := RunChaos(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var res *ChaosResult
+	oracle.During(t, &inspectUniverse, func() {
+		var err error
+		if res, err = RunChaos(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
 	var sb strings.Builder
 	for i, d := range res.Latency {
 		fmt.Fprintf(&sb, "move%d=%d\n", i+1, int64(d))

@@ -329,19 +329,18 @@ func (m *Mover) fail(e *Entry, stage string, err error) {
 }
 
 // backoff returns the exponential delay before resubmission attempt n
-// (1-based), capped at RetryMax.
+// (1-based), capped at RetryMax. Doubling stops at the cap, so a large
+// attempt count cannot overflow.
 func (m *Mover) backoff(attempt int) time.Duration {
 	d := m.cfg.RetryBase
 	if d <= 0 {
 		d = time.Second
 	}
-	for i := 1; i < attempt; i++ {
+	capped := m.cfg.RetryMax > 0
+	for i := 1; i < attempt && (!capped || d < m.cfg.RetryMax); i++ {
 		d *= 2
-		if m.cfg.RetryMax > 0 && d >= m.cfg.RetryMax {
-			return m.cfg.RetryMax
-		}
 	}
-	if m.cfg.RetryMax > 0 && d > m.cfg.RetryMax {
+	if capped && d > m.cfg.RetryMax {
 		d = m.cfg.RetryMax
 	}
 	return d

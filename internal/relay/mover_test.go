@@ -363,3 +363,30 @@ func TestBadNonceReceiptIsRetried(t *testing.T) {
 		})
 	}
 }
+
+// TestBackoffCapsAtRetryMax pins the resubmission delay: RetryBase doubles
+// per attempt, stops at RetryMax (also when RetryBase alone exceeds it),
+// and a RetryBase ≤ 0 starts from one second.
+func TestBackoffCapsAtRetryMax(t *testing.T) {
+	for _, c := range []struct {
+		base, max time.Duration
+		attempt   int
+		want      time.Duration
+	}{
+		{base: 10 * time.Second, max: 4 * time.Second, attempt: 1, want: 4 * time.Second},
+		{base: 2 * time.Second, max: time.Minute, attempt: 1, want: 2 * time.Second},
+		{base: 2 * time.Second, max: time.Minute, attempt: 3, want: 8 * time.Second},
+		{base: 2 * time.Second, max: time.Minute, attempt: 5, want: 32 * time.Second},
+		{base: 2 * time.Second, max: time.Minute, attempt: 6, want: time.Minute},
+		{base: 2 * time.Second, max: time.Minute, attempt: 1000, want: time.Minute},
+		{base: 0, max: time.Minute, attempt: 1, want: time.Second},
+		{base: -time.Second, max: time.Minute, attempt: 4, want: 8 * time.Second},
+		{base: 0, max: 0, attempt: 3, want: 4 * time.Second},
+	} {
+		m := &Mover{cfg: MoverConfig{RetryBase: c.base, RetryMax: c.max}}
+		if got := m.backoff(c.attempt); got != c.want {
+			t.Errorf("RetryBase %v, RetryMax %v, attempt %d: backoff %v, want %v",
+				c.base, c.max, c.attempt, got, c.want)
+		}
+	}
+}

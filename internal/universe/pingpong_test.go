@@ -9,6 +9,7 @@ import (
 
 	"scmove/internal/contracts"
 	"scmove/internal/hashing"
+	"scmove/internal/oracle"
 	"scmove/internal/state"
 	"scmove/internal/state/backend"
 	"scmove/internal/u256"
@@ -55,9 +56,10 @@ const movePingPongDigest = "a7a24bbb9beb779f8c75bcbc4db9d78428684ba334ef90a489b0
 // backend so installs evict. Every Move's simulated start and end, its Move1
 // and Move2 gas, and both chains' head hashes after it go into one sha256.
 // A change that moves a simulated event, a gas figure or a committed root
-// fails here.
+// fails here. The safety oracle checks every committed block.
 func TestMovePingPongDigest(t *testing.T) {
 	u, addrs := newPingPong(t, 2, 10, 200, 1000)
+	defer oracle.Attach(u).Check(t)
 	ids := u.ChainIDs()
 	h := sha256.New()
 	u64 := func(v uint64) { h.Write(binary.BigEndian.AppendUint64(nil, v)) }

@@ -1,6 +1,8 @@
 package universe
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -181,6 +183,91 @@ func TestBulkUserProvisioning(t *testing.T) {
 			if b := u.Chain(id).StateDB().GetBalance(addr); !b.IsZero() {
 				t.Fatalf("user %d funded off-home on %s: %s", i, id, b)
 			}
+		}
+	}
+}
+
+// emptyUserTable drops the process's user-address table so the caller's
+// calls grow it from nothing. Prefixes handed out earlier stay valid: they
+// keep their own backing array.
+func emptyUserTable() {
+	userTable.mu.Lock()
+	userTable.addrs = nil
+	userTable.mu.Unlock()
+}
+
+// TestUserAddressesMatchDerivation grows the user-address table in three
+// uneven steps — 10, then 5 000 (across the userBatch boundary), then a
+// smaller n that must not grow it — and holds every checked entry to
+// UserKey(i).Address(), including a prefix handed out before the growth.
+func TestUserAddressesMatchDerivation(t *testing.T) {
+	emptyUserTable()
+	first := UserAddresses(10)
+	all := UserAddresses(5_000)
+	small := UserAddresses(3_000)
+	if len(first) != 10 || len(all) != 5_000 || len(small) != 3_000 {
+		t.Fatalf("lengths %d, %d, %d; want 10, 5000, 3000", len(first), len(all), len(small))
+	}
+	if got := len(userTable.addrs); got != 5_000 {
+		t.Fatalf("table holds %d entries after the smaller call, want 5000", got)
+	}
+	check := func(name string, addrs []hashing.Address, i int) {
+		if want := UserKey(i).Address(); addrs[i] != want {
+			t.Fatalf("%s[%d] = %s, UserKey(%d).Address() = %s", name, i, addrs[i], i, want)
+		}
+	}
+	for i := range first {
+		check("first", first, i)
+	}
+	idx := []int{0, userBatch - 1, userBatch, 4_999}
+	for i := 1; i < 5_000; i += 97 {
+		idx = append(idx, i)
+	}
+	for _, i := range idx {
+		check("all", all, i)
+		if i < len(small) {
+			check("small", small, i)
+		}
+	}
+}
+
+// TestConcurrentBuildsShareUserTable builds two universes with different
+// Users from concurrent goroutines, both growing the table from empty, and
+// requires the genesis roots of sequential builds. Under -race this puts
+// the table's mutex to work.
+func TestConcurrentBuildsShareUserTable(t *testing.T) {
+	sizes := []int{3_000, 5_000}
+	genesisRoots := func(users int) []hashing.Hash {
+		cfg := ShardedScaleConfig(4, 4, users)
+		cfg.Clients = 1
+		u, err := New(cfg)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		defer u.Close()
+		var roots []hashing.Hash
+		for _, id := range u.ChainIDs() {
+			root, _ := u.Chain(id).RootAt(0)
+			roots = append(roots, root)
+		}
+		return roots
+	}
+	emptyUserTable()
+	concurrent := make([][]hashing.Hash, len(sizes))
+	var wg sync.WaitGroup
+	for k, n := range sizes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[k] = genesisRoots(n)
+		}()
+	}
+	wg.Wait()
+	emptyUserTable()
+	for k, n := range sizes {
+		if seq := genesisRoots(n); !slices.Equal(concurrent[k], seq) || len(seq) == 0 {
+			t.Fatalf("Users=%d: concurrent genesis roots %v, sequential %v", n, concurrent[k], seq)
 		}
 	}
 }

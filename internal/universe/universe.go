@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -195,10 +196,11 @@ type Config struct {
 	LazyRelays bool
 	// Users is the number of synthetic keyed user accounts, beyond Clients.
 	// User i's key derives from a fixed seed offset (UserKey) and is funded
-	// at genesis only on its home chain (position i mod chains), in streamed
-	// batches — addresses are not retained, so a million-user universe
-	// builds with bounded RSS. Workloads re-derive keys for the users they
-	// actually drive (UserClient).
+	// at genesis only on its home chain (position i mod chains). Addresses
+	// come from the process-wide table UserAddresses (20 bytes per user, no
+	// key pairs), so only the first build in a process derives them.
+	// Workloads re-derive keys for the users they actually drive
+	// (UserClient).
 	Users int
 	// UserFunds is each user's genesis balance on its home chain (defaults
 	// to ClientFunds when zero).
@@ -273,36 +275,52 @@ const userSeedBase = 10_000_000
 // the users they drive instead of the universe retaining a million pairs.
 func UserKey(i int) *keys.KeyPair { return keys.Deterministic(uint64(userSeedBase + i)) }
 
-// userBatch is the streaming granularity of bulk user provisioning: only
-// one batch of derived keys is alive at a time per chain genesis.
+// userBatch is how many user addresses UserAddresses derives at a time on
+// the shared crypto pool: the queue never holds more than one batch of
+// derivations, and only one batch of key pairs is alive at once.
 const userBatch = 2048
 
-// fundUsers credits every user homed on the chain at position pos (user i
-// lives on chain i mod stride). Keys are derived in parallel batches on the
-// shared crypto pool and the addresses discarded immediately after funding,
-// so provisioning a million users costs bounded memory: one batch of key
-// pairs, ever.
-func fundUsers(db *state.DB, pos, stride, users int, funds u256.Int) {
-	addrs := make([]hashing.Address, userBatch)
-	var wg sync.WaitGroup
-	for base := pos; base < users; base += stride * userBatch {
-		n := (users - base + stride - 1) / stride
-		if n > userBatch {
-			n = userBatch
-		}
-		wg.Add(n)
-		for k := 0; k < n; k++ {
-			k := k
-			idx := base + k*stride
+// userTable is the process's table of synthetic user addresses: entry i is
+// UserKey(i).Address(). It only grows, and an entry never changes once
+// written, so a prefix handed out stays valid while the table grows on.
+var userTable struct {
+	mu    sync.Mutex
+	addrs []hashing.Address
+}
+
+// UserAddresses returns the addresses of users 0..n-1, deriving the ones no
+// earlier call in this process derived. The result is a read-only prefix of
+// the table. The table costs 20 bytes per user for the life of the process,
+// and keeps no key pair: a 64-chain universe of 64 000 users derives its
+// P-256 keys once per process instead of once per build.
+func UserAddresses(n int) []hashing.Address {
+	userTable.mu.Lock()
+	defer userTable.mu.Unlock()
+	for have := len(userTable.addrs); have < n; have = len(userTable.addrs) {
+		end := min(n, have+userBatch)
+		addrs := slices.Grow(userTable.addrs, end-have)[:end]
+		var wg sync.WaitGroup
+		wg.Add(end - have)
+		for i := have; i < end; i++ {
 			keys.SharedPool().Go(func() {
 				defer wg.Done()
-				addrs[k] = UserKey(idx).Address()
+				addrs[i] = UserKey(i).Address()
 			})
 		}
 		wg.Wait()
-		for k := 0; k < n; k++ {
-			db.AddBalance(addrs[k], funds)
-		}
+		userTable.addrs = addrs
+	}
+	return userTable.addrs[:n:n]
+}
+
+// fundUsers credits every user homed on the chain at position pos (user i
+// lives on chain i mod stride), reading the addresses from UserAddresses:
+// only the first build in a process derives them, and later builds of any
+// size at most extend the table.
+func fundUsers(db *state.DB, pos, stride, users int, funds u256.Int) {
+	addrs := UserAddresses(users)
+	for i := pos; i < users; i += stride {
+		db.AddBalance(addrs[i], funds)
 	}
 }
 

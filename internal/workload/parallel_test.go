@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"scmove/internal/oracle"
 	"scmove/internal/types"
 	"scmove/internal/universe"
 )
@@ -39,7 +40,7 @@ func kittiesFingerprint(r *KittiesResult) string {
 // and pins every outcome to kittiesCellDigest: deferred signing fixes tx
 // ids before any event can order on them, sender recovery and subtree
 // hashing land by input position, so parallelism may only change wall
-// clock.
+// clock. The safety oracle checks every committed block of each run.
 func TestKittiesReplayCrossGOMAXPROCSDeterminism(t *testing.T) {
 	seen := map[int]bool{}
 	for _, procs := range []int{1, 2, runtime.NumCPU()} {
@@ -48,14 +49,18 @@ func TestKittiesReplayCrossGOMAXPROCSDeterminism(t *testing.T) {
 		}
 		seen[procs] = true
 		prev := runtime.GOMAXPROCS(procs)
-		res, err := RunKitties(KittiesConfig{
-			Shards: 2, Users: 8, PromoCats: 30, Breeds: 60,
-			LocalityBias: 0.9, OutstandingLimit: 100, Seed: 11, MaxDuration: time.Hour,
+		var res *KittiesResult
+		oracle.During(t, &inspectUniverse, func() {
+			var err error
+			res, err = RunKitties(KittiesConfig{
+				Shards: 2, Users: 8, PromoCats: 30, Breeds: 60,
+				LocalityBias: 0.9, OutstandingLimit: 100, Seed: 11, MaxDuration: time.Hour,
+			})
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
 		})
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
 		fp := kittiesFingerprint(res)
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp))); got != kittiesCellDigest {
 			t.Fatalf("GOMAXPROCS=%d: fingerprint digest %s, want %s:\n%s", procs, got, kittiesCellDigest, fp)

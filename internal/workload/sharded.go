@@ -135,10 +135,7 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 	// Active drivers submit wherever their contracts live, so they carry
 	// gas money on every chain — the bulk population stays funded only at
 	// home, which is what keeps provisioning linear.
-	driverAddrs := make([]hashing.Address, cfg.ActiveUsers)
-	for i := range driverAddrs {
-		driverAddrs[i] = universe.UserKey(i).Address()
-	}
+	driverAddrs := universe.UserAddresses(cfg.ActiveUsers)
 	ucfg.ExtraGenesis = func(_ hashing.ChainID, db *state.DB) {
 		for _, a := range driverAddrs {
 			db.AddBalance(a, u256.FromUint64(1<<50))

@@ -9,6 +9,9 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"scmove/internal/hashing"
+	"scmove/internal/oracle"
 )
 
 // shardedCellDigest is the sha256 of the 16-chain policy-on cell's
@@ -20,7 +23,8 @@ const shardedCellDigest = "4f4fba323908678973f28afccc0ddf0f3af84133a61600da2f173
 // TestShardedScalingCrossGOMAXPROCSDeterminism pins a 16-chain policy-on
 // scaling cell's fingerprint (state roots, contract locations, move stats,
 // deterministic counters) to shardedCellDigest at every GOMAXPROCS: the
-// crypto pool still varies with it, the event order must not. Wired into `make detsmoke`.
+// crypto pool still varies with it, the event order must not. The safety
+// oracle checks every committed block of each run. Wired into `make detsmoke`.
 func TestShardedScalingCrossGOMAXPROCSDeterminism(t *testing.T) {
 	seen := map[int]bool{}
 	for _, procs := range []int{1, 2, runtime.NumCPU()} {
@@ -32,11 +36,15 @@ func TestShardedScalingCrossGOMAXPROCSDeterminism(t *testing.T) {
 		cfg := DefaultShardedScalingConfig(16, true)
 		cfg.Users = 320 // provisioning scale has its own gate (shardsmoke)
 		cfg.Duration = 2 * time.Minute
-		res, err := RunShardedScaling(cfg)
-		runtime.GOMAXPROCS(old)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var res *ShardedScalingResult
+		oracle.During(t, &inspectUniverse, func() {
+			var err error
+			res, err = RunShardedScaling(cfg)
+			runtime.GOMAXPROCS(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 		if res.Moves.Completed == 0 {
 			t.Fatal("cell completed no migrations; determinism check would be vacuous")
 		}
@@ -122,4 +130,35 @@ func TestShardSmoke(t *testing.T) {
 	t.Logf("64 chains, %d users: %d committed (%.1f tx/s sim), %d/%d moves, spread %d, wall %s",
 		users, res.Committed, res.Throughput, res.Moves.Completed, res.Moves.Issued,
 		res.FinalSpread, res.Wall.Round(time.Millisecond))
+}
+
+// TestShardMigrateRound0 pins the repository benchmark's shard_migrate
+// round 0 at --seed 1 (benchmark/wl_sim.go: shardConfig) inside the main
+// module: 64 chains, 4 validators each, the policy on, a 7-minute window
+// after the default warm-up, and the round's seed written in as a
+// constant. Its values are the ones a traced run prints for round 0; a
+// change that moves any of them changed simulated behaviour. It takes 5 s
+// on a 2-core host, so it runs with shardsmoke.
+func TestShardMigrateRound0(t *testing.T) {
+	if os.Getenv("SCMOVE_SHARDSMOKE") == "" {
+		t.Skip("set SCMOVE_SHARDSMOKE=1 (make shardsmoke) to run")
+	}
+	// shardRound0Seed is subSeed(1, "shard/0") of benchmark/gen.go: the
+	// first 8 bytes of hashing.Sum("1/shard/0"), shifted right by one.
+	const shardRound0Seed = 8210383099364558552
+	cfg := DefaultShardedScalingConfig(64, true)
+	cfg.Validators = 4
+	cfg.Seed = shardRound0Seed
+	cfg.Duration = 7 * time.Minute
+	res, err := RunShardedScaling(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := hashing.Sum([]byte(res.Fingerprint))
+	got := fmt.Sprintf("committed=%d sim_tx_s=%v moves=%d spread=%d fingerprint=%x",
+		res.Committed, res.Throughput, res.Moves.Completed, res.FinalSpread, sum[:8])
+	const want = "committed=111484 sim_tx_s=265.43809523809523 moves=187 spread=64 fingerprint=2c0c972a1b16f837"
+	if got != want {
+		t.Fatalf("round 0:\n got %s\nwant %s", got, want)
+	}
 }
