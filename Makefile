@@ -38,7 +38,7 @@ benchtest:
 
 # detsmoke runs the seeded cross-GOMAXPROCS (1, 2, NumCPU) determinism
 # checks for the parallel crypto pool (sender recovery of a block mixing
-# cached, uncached and forged transactions), the workload signing pipeline
+# memoized, fresh and forged transactions), the workload signing pipeline
 # (the Kitties cell, pinned to a digest),
 # ApplyBlock (fuzz traffic pinned to a digest), batch selection against its
 # first implementation, and the sharded universe (16-chain policy-on scaling
@@ -66,8 +66,11 @@ benchtest:
 # while its deferred signature is still queued and proposed only once it
 # landed, a failed signature stays failed, and every transaction the Kitties
 # cell and the 16-chain sharded cell commit recovers to its From through a
-# full ECDSA verification (no memo, no sender cache). A committed block's
-# transactions, a Move2 payload included, are unreachable once ApplyBlock
+# full ECDSA verification (no memo). ApplyBlock recovers a block's senders
+# before it takes the chain lock, so a reader never waits on the crypto
+# pool. The repository benchmark's seed-1 kitties_replay round 0 and
+# move_store first-256 digest are pinned in the main module. A committed
+# block's transactions, a Move2 payload included, are unreachable once ApplyBlock
 # and its listeners return, and a universe's counters report its client
 # blocking on a full crypto pool and on encoding a transaction whose
 # signature has not landed. The process-wide table of synthetic user
@@ -99,7 +102,9 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestExpectedMove2MatchesInline TestExpectedMove2MatchesByContent \
 	TestMovePingPongDigest TestAdmittedWhileSignatureQueued \
 	TestFailedSignatureIsKept TestCommittedSignaturesVerify \
-	TestLoopWaitCountsPoolAndEncode TestUserAddressesMatchDerivation
+	TestLoopWaitCountsPoolAndEncode TestUserAddressesMatchDerivation \
+	TestApplyBlockRecoversSendersOutsideLock TestKittiesReplayRound0 \
+	TestMoveStoreFirst256
 DETSMOKE_PKGS = ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/relay/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/

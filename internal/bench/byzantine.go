@@ -267,7 +267,7 @@ func injectConflictingHeader(u *universe.Universe) error {
 }
 
 // Fingerprint reduces the run to everything simulated — per-move latencies,
-// final state roots, and the counter table minus the process counters
+// final state roots, and the counter table minus the loop waits
 // (metrics.ProcessCounter) — for byte-exact comparison across GOMAXPROCS
 // settings and same-seed re-runs.
 func (r *ByzantineResult) Fingerprint() string {

@@ -15,9 +15,8 @@ import (
 
 // chaosFingerprint reduces one chaos run to everything simulated: per-move
 // latencies plus the counter table, minus the process counters
-// (metrics.ProcessCounter: the sender cache is process-wide and other
-// parallel tests pollute its hit/miss deltas, and loop waits are wall time;
-// every other counter is driven solely by this run's seeded RNGs). The
+// (metrics.ProcessCounter: loop waits are wall time; every other counter is
+// driven solely by this run's seeded RNGs). The
 // safety oracle checks every committed block of the run.
 func chaosFingerprint(t *testing.T, metricsOn, trace bool) string {
 	t.Helper()

@@ -535,6 +535,15 @@ func (c *Chain) ProposeBatch() []*types.Transaction {
 // the chain.
 func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashing.Address) (*types.Block, []*types.Receipt) {
 	prepared := c.takePrepared(txs)
+	// Recover every sender before taking the lock: it reads no chain state,
+	// and a block whose senders are not yet memoized (decoded copies, a
+	// replay) waits on the crypto worker pool, which must not stall readers.
+	// Memoized senders resolve inline. Recovery is pure per transaction and
+	// results land in input order, so execution below observes exactly what
+	// it would have computed inline. Failures are re-surfaced by applyTx's
+	// own Sender call, which by then is a memoized lookup or a re-check of
+	// the failed signature.
+	types.RecoverSenders(txs)
 	c.mu.Lock()
 	height := c.head().Height + 1
 	blockCtx := evm.BlockContext{
@@ -546,14 +555,6 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 		BlockHash: c.blockHashFn(),
 	}
 	receipts := make([]*types.Receipt, 0, len(txs))
-	// Pre-recover every sender before the execution loop: sender-cache hits
-	// (usual for consensus-decoded copies) inline, misses on the crypto
-	// worker pool. Recovery is pure per transaction and results land in
-	// input order, so execution below observes exactly what it would have
-	// computed inline — this only moves the ECDSA work off the critical
-	// path. Failures are re-surfaced by applyTx's own Sender call, which by
-	// then is a memoized lookup.
-	types.RecoverSenders(txs)
 	var gasUsed uint64
 	for i, tx := range txs {
 		var s *core.Move2Storage
@@ -786,18 +787,6 @@ func (c *Chain) move2Gas(p *types.Move2Payload) uint64 {
 		s.Sha3 + s.Sha3Word*proofWords
 }
 
-// QueryHead returns the head header together with the state root after
-// executing it, read atomically under the chain lock. On LaggingStateRoot
-// chains the header's own StateRoot field trails by one block, so RPC
-// clients need this pairing rather than the raw header.
-func (c *Chain) QueryHead() (*types.Header, hashing.Hash) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	head := c.head()
-	root, _ := c.rootAt(head.Height)
-	return head, root
-}
-
 // QueryAccount returns addr's account record at the head state. It takes
 // the write lock even though it is logically a read: state-DB reads fill
 // the decoded working set.
@@ -807,42 +796,50 @@ func (c *Chain) QueryAccount(addr hashing.Address) (state.Account, bool) {
 	return c.db.GetAccount(addr)
 }
 
-// QueryStorage returns one storage slot of addr at the head state.
-func (c *Chain) QueryStorage(addr hashing.Address, key evm.Word) evm.Word {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.db.GetStorage(addr, key)
+// QueryResult is one Query's answer: the height and state root it read at,
+// and addr's account there or, for a slot query, the slot's value.
+type QueryResult struct {
+	Height  uint64
+	Root    hashing.Hash
+	Account state.Account
+	Exists  bool
+	Value   evm.Word
 }
 
-// QueryAccountAt returns addr's account record as of the committed state
-// at a past height, as long as that height's root is inside the state
-// backend's retained-root window. Historical reads are only valid between
-// blocks; holding the chain lock excludes a concurrent mid-block commit.
-func (c *Chain) QueryAccountAt(addr hashing.Address, height uint64) (state.Account, bool, error) {
+// Query reads addr's account record — or, with key set, one storage slot
+// of it — at the head state or, with height set, at that height's committed
+// root inside the state backend's retained-root window. The height, its
+// root (the state after executing it, also on LaggingStateRoot chains) and
+// the value are read under one hold of the chain lock, so they always
+// belong together; historical reads are only valid between blocks, which
+// the lock guarantees too.
+func (c *Chain) Query(addr hashing.Address, key *evm.Word, height *uint64) (QueryResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	root, ok := c.rootAt(height)
+	q := QueryResult{Height: c.head().Height}
+	if height != nil {
+		q.Height = *height
+	}
+	root, ok := c.rootAt(q.Height)
 	if !ok {
-		return state.Account{}, false, fmt.Errorf("chain %s: no root at height %d", c.cfg.ChainID, height)
+		return QueryResult{}, fmt.Errorf("chain %s: no root at height %d", c.cfg.ChainID, q.Height)
 	}
-	return c.db.GetAccountAt(addr, root)
-}
-
-// QueryStorageAt returns one storage slot of addr as of the committed
-// state at a past height inside the retained-root window.
-func (c *Chain) QueryStorageAt(addr hashing.Address, key evm.Word, height uint64) (evm.Word, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	root, ok := c.rootAt(height)
-	if !ok {
-		return evm.Word{}, fmt.Errorf("chain %s: no root at height %d", c.cfg.ChainID, height)
+	q.Root = root
+	var err error
+	switch {
+	case height == nil && key == nil:
+		q.Account, q.Exists = c.db.GetAccount(addr)
+	case height == nil:
+		q.Value = c.db.GetStorage(addr, *key)
+	case key == nil:
+		q.Account, q.Exists, err = c.db.GetAccountAt(addr, root)
+	default:
+		var r backend.Reader
+		if r, err = c.db.OpenAt(root); err == nil {
+			q.Value, _ = r.Slot(backend.SlotKey{Addr: addr, Key: *key})
+		}
 	}
-	r, err := c.db.OpenAt(root)
-	if err != nil {
-		return evm.Word{}, err
-	}
-	val, _ := r.Slot(backend.SlotKey{Addr: addr, Key: key})
-	return val, nil
+	return q, err
 }
 
 // EncodeTxList serializes a consensus payload (the proposed tx batch): the

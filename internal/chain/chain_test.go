@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"scmove/internal/codec"
 	"scmove/internal/core"
@@ -578,6 +580,84 @@ func TestApplyBlockParallelDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(recs, wantRecs) {
 			t.Fatalf("GOMAXPROCS=%d: receipts diverge", procs)
+		}
+	}
+}
+
+// sharedPoolWorkers is the size of keys.SharedPool: creating the pool here,
+// at package init, sizes it to the process's GOMAXPROCS before any test
+// changes that.
+var sharedPoolWorkers = func() int {
+	keys.SharedPool()
+	return runtime.GOMAXPROCS(0)
+}()
+
+// TestApplyBlockRecoversSendersOutsideLock holds every shared crypto worker
+// while ApplyBlock recovers the senders of a block of decoded copies, whose
+// signatures go to the pool. A reader must not wait behind that recovery:
+// QueryAccount returns while the workers are still held.
+func TestApplyBlockRecoversSendersOutsideLock(t *testing.T) {
+	kp := keys.Deterministic(1)
+	c := newChain(t, ethConfig(1), nil, kp)
+	to := hashing.AddressFromBytes([]byte{0x42})
+	block := make([]*types.Transaction, 2)
+	for i := range block {
+		dec, err := types.DecodeTransaction(signedCall(t, kp, 1, uint64(i), to, nil, 1).Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		block[i] = dec
+	}
+
+	gate := make(chan struct{})
+	var release sync.Once
+	open := func() { release.Do(func() { close(gate) }) }
+	defer open()
+	var held sync.WaitGroup
+	held.Add(sharedPoolWorkers)
+	for i := 0; i < sharedPoolWorkers; i++ {
+		keys.SharedPool().Go(func() {
+			held.Done()
+			<-gate
+		})
+	}
+	held.Wait()
+
+	var recs []*types.Receipt
+	applied := make(chan struct{})
+	go func() {
+		defer close(applied)
+		_, recs = c.ApplyBlock(block, 10, ProposerAddress(1, 0))
+	}()
+	// Wait until ApplyBlock is parked in the batch verification.
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(string(buf[:runtime.Stack(buf, true)]), "keys.VerifyBatch"); {
+		if time.Now().After(deadline) {
+			t.Fatal("ApplyBlock never reached the crypto pool")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	queried := make(chan struct{})
+	go func() {
+		defer close(queried)
+		c.QueryAccount(kp.Address())
+	}()
+	blocked := false
+	select {
+	case <-queried:
+	case <-time.After(5 * time.Second):
+		blocked = true
+	}
+	open()
+	<-applied
+	<-queried
+	if blocked {
+		t.Fatal("QueryAccount waited for ApplyBlock's sender recovery: the chain lock is held across ECDSA")
+	}
+	for i, rec := range recs {
+		if !rec.Succeeded() {
+			t.Fatalf("receipt %d: %+v", i, rec)
 		}
 	}
 }

@@ -141,12 +141,11 @@ const LoopWaitPrefix = "loopwait."
 var Process = NewCounters()
 
 // ProcessCounter reports whether the named counter measures the process
-// rather than the simulation: the shared sender cache's hits and misses
-// (sendercache.*) and the wall time the event loop spent blocked
+// rather than the simulation: the wall time the event loop spent blocked
 // (loopwait.*). Their values differ between runs of one seed, so every
 // fingerprint leaves them out.
 func ProcessCounter(name string) bool {
-	return strings.HasPrefix(name, "sendercache.") || strings.HasPrefix(name, LoopWaitPrefix)
+	return strings.HasPrefix(name, LoopWaitPrefix)
 }
 
 // Inc adds one to the named counter, creating it at zero first if needed.

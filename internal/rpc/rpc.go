@@ -135,9 +135,7 @@ func (s *Server) Addr() string {
 }
 
 // Close stops the server and waits for the serve loop to exit. Safe to call
-// twice; the second call reports the already-closed listener error from the
-// first, which callers aggregating shutdown errors can ignore via the
-// returned http.ErrServerClosed sentinel being absent.
+// twice: a call after the first (or before Start) returns nil.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	srv, done := s.srv, s.done
@@ -217,50 +215,33 @@ func (s *Server) submit(req *Request) *Response {
 }
 
 // query reads an account record — or one storage slot of it — at the head
-// state or, with Height set, at a retained historical root.
+// state or, with Height set, at a retained historical root. The reply's
+// height, root and value come from one read of the chain (Chain.Query).
 func (s *Server) query(req *Request) *Response {
 	var addr hashing.Address
 	if err := decodeFixedHex(req.Account, addr[:]); err != nil {
 		return &Response{Error: "query: account: " + err.Error()}
 	}
-	head, root := s.chain.QueryHead()
-	resp := &Response{Ok: true, Height: head.Height, Root: hex.EncodeToString(root[:])}
+	var key *evm.Word
 	if req.Slot != "" {
-		var key evm.Word
+		key = new(evm.Word)
 		if err := decodeFixedHex(req.Slot, key[:]); err != nil {
 			return &Response{Error: "query: slot: " + err.Error()}
 		}
-		var val evm.Word
-		if req.Height != nil {
-			v, err := s.chain.QueryStorageAt(addr, key, *req.Height)
-			if err != nil {
-				return &Response{Error: "query: " + err.Error()}
-			}
-			val, resp.Height = v, *req.Height
-		} else {
-			val = s.chain.QueryStorage(addr, key)
-		}
-		resp.Value = hex.EncodeToString(val[:])
+	}
+	q, err := s.chain.Query(addr, key, req.Height)
+	if err != nil {
+		return &Response{Error: "query: " + err.Error()}
+	}
+	resp := &Response{Ok: true, Height: q.Height, Root: hex.EncodeToString(q.Root[:])}
+	if key != nil {
+		resp.Value = hex.EncodeToString(q.Value[:])
 		return resp
 	}
-	if req.Height != nil {
-		a, ok, err := s.chain.QueryAccountAt(addr, *req.Height)
-		if err != nil {
-			return &Response{Error: "query: " + err.Error()}
-		}
-		resp.Height = *req.Height
-		resp.Exists = ok
-		if ok {
-			bal := a.Balance.Bytes32()
-			resp.Nonce, resp.Balance = a.Nonce, hex.EncodeToString(bal[:])
-		}
-		return resp
-	}
-	a, ok := s.chain.QueryAccount(addr)
-	resp.Exists = ok
-	if ok {
-		bal := a.Balance.Bytes32()
-		resp.Nonce, resp.Balance = a.Nonce, hex.EncodeToString(bal[:])
+	resp.Exists = q.Exists
+	if q.Exists {
+		bal := q.Account.Balance.Bytes32()
+		resp.Nonce, resp.Balance = q.Account.Nonce, hex.EncodeToString(bal[:])
 	}
 	return resp
 }

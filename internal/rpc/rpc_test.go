@@ -160,10 +160,30 @@ func TestHistoricalQuery(t *testing.T) {
 	if want := u256.FromUint64(100).Bytes32(); q.Balance != hex.EncodeToString(want[:]) {
 		t.Fatalf("balance at height 1: %s", q.Balance)
 	}
+	// The reply's root is the state root at the height it reports, pinned
+	// or head, never the head's root beside a pinned height.
+	requireRoot := func(what string, resp *Response) {
+		t.Helper()
+		root, ok := c.RootAt(resp.Height)
+		if want := hex.EncodeToString(root[:]); !ok || resp.Root != want {
+			t.Fatalf("%s: root %s at height %d, want %s", what, resp.Root, resp.Height, want)
+		}
+	}
+	if q.Height != h1 {
+		t.Fatalf("historical query reports height %d, want %d", q.Height, h1)
+	}
+	requireRoot("historical query", q)
+	key := hex.EncodeToString(make([]byte, 32))
+	requireRoot("historical slot query", call(t, s.Addr(), &Request{Method: "query", Account: hex.EncodeToString(to[:]), Slot: key, Height: &h1}))
 	head := call(t, s.Addr(), &Request{Method: "query", Account: hex.EncodeToString(to[:])})
 	if want := u256.FromUint64(300).Bytes32(); head.Balance != hex.EncodeToString(want[:]) {
 		t.Fatalf("balance at head: %s", head.Balance)
 	}
+	if head.Height != 3 {
+		t.Fatalf("head query reports height %d, want 3", head.Height)
+	}
+	requireRoot("head query", head)
+	requireRoot("head slot query", call(t, s.Addr(), &Request{Method: "query", Account: hex.EncodeToString(to[:]), Slot: key}))
 	// A height outside the retained window is an application error.
 	h99 := uint64(99)
 	bad := call(t, s.Addr(), &Request{Method: "query", Account: hex.EncodeToString(to[:]), Height: &h99})

@@ -141,7 +141,7 @@ type CodeStore interface {
 // ErrRootNotRetained reports an OpenAt root outside the retained window.
 var ErrRootNotRetained = errors.New("backend: root not retained")
 
-// DefaultRetainRoots is the number of committed roots retained for OpenAt
-// when the owner does not configure one. It comfortably covers the paper's
-// confirmation depths (p = 2 BFT, p = 6 PoW) plus proof-building slack.
+// DefaultRetainRoots is the number of committed roots retained for OpenAt.
+// It comfortably covers the paper's confirmation depths (p = 2 BFT, p = 6
+// PoW) plus proof-building slack.
 const DefaultRetainRoots = 8

@@ -96,16 +96,16 @@ const (
 // OpenFile opens (or creates) a log-structured store in dir, replaying the
 // segments into the in-memory index. A truncated tail record in the newest
 // segment — a torn write from a crash — is discarded; corruption anywhere
-// else is an error. retain is the OpenAt window (0 = DefaultRetainRoots);
+// else is an error. OpenAt serves the last DefaultRetainRoots roots;
 // retained roots do not survive a reopen, only the latest committed state
 // does.
-func OpenFile(dir string, retain int) (*File, error) {
+func OpenFile(dir string) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("backend: open %s: %w", dir, err)
 	}
 	f := &File{
 		dir:             dir,
-		hist:            newHistory(retain),
+		hist:            &history{},
 		segs:            make(map[uint32]*os.File),
 		accounts:        make(map[hashing.Address]loc),
 		slots:           make(map[hashing.Address]*contractSlots),

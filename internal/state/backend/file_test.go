@@ -41,7 +41,7 @@ func accountBatch(pairs ...any) Batch {
 
 func TestFileCommitReadReopen(t *testing.T) {
 	dir := t.TempDir()
-	f, err := OpenFile(dir, 0)
+	f, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFileCommitReadReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenFile(dir, 0)
+	re, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFileCommitReadReopen(t *testing.T) {
 
 func TestFileTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	f, err := OpenFile(dir, 0)
+	f, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFileTornTailRecovery(t *testing.T) {
 	}
 	file.Close()
 
-	re, err := OpenFile(dir, 0)
+	re, err := OpenFile(dir)
 	if err != nil {
 		t.Fatalf("reopen with torn tail: %v", err)
 	}
@@ -162,7 +162,7 @@ func TestFileTornTailRecovery(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := OpenFile(dir, 0)
+	re2, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestFileTornTailRecovery(t *testing.T) {
 
 func TestFileCorruptionLosesOnlySuffix(t *testing.T) {
 	dir := t.TempDir()
-	f, err := OpenFile(dir, 0)
+	f, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestFileCorruptionLosesOnlySuffix(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenFile(dir, 0)
+	re, err := OpenFile(dir)
 	if err != nil {
 		t.Fatalf("reopen with corrupt suffix: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestFileCorruptionLosesOnlySuffix(t *testing.T) {
 
 func TestFileCompaction(t *testing.T) {
 	dir := t.TempDir()
-	f, err := OpenFile(dir, 0)
+	f, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestFileCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	re, err := OpenFile(dir, 0)
+	re, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestIterateStorageCostIsPerContract(t *testing.T) {
 		return w
 	}
 	measure := func(unrelated int) (allocs float64, best time.Duration) {
-		f, err := OpenFile(t.TempDir(), 0)
+		f, err := OpenFile(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,12 +352,13 @@ func TestIterateStorageCostIsPerContract(t *testing.T) {
 
 func TestFileOpenAtHistory(t *testing.T) {
 	dir := t.TempDir()
-	f, err := OpenFile(dir, 2)
+	f, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	for i := byte(1); i <= 4; i++ {
+	const commits = DefaultRetainRoots + 2 // the first two roots expire
+	for i := byte(1); i <= commits; i++ {
 		b := accountBatch(tAddr(1), []byte{'v', i})
 		if i > 1 {
 			b.Accounts[0].Prev = []byte{'v', i - 1}
@@ -372,8 +373,8 @@ func TestFileOpenAtHistory(t *testing.T) {
 		}
 	}
 	roots := f.RetainedRoots()
-	if len(roots) != 2 {
-		t.Fatalf("retained %d roots, want 2", len(roots))
+	if len(roots) != DefaultRetainRoots || roots[0] != tRoot(3) {
+		t.Fatalf("retained %d roots from %s, want %d from %s", len(roots), roots[0], DefaultRetainRoots, tRoot(3))
 	}
 	r, err := f.OpenAt(tRoot(3))
 	if err != nil {
@@ -385,8 +386,10 @@ func TestFileOpenAtHistory(t *testing.T) {
 	if v, ok := r.Slot(SlotKey{Addr: tAddr(1), Key: tWord(1)}); !ok || v != tWord(3) {
 		t.Fatalf("historical slot: %x %v", v, ok)
 	}
-	if _, err := f.OpenAt(tRoot(1)); !errors.Is(err, ErrRootNotRetained) {
-		t.Fatalf("expired root error: %v", err)
+	for _, expired := range []byte{1, 2} {
+		if _, err := f.OpenAt(tRoot(expired)); !errors.Is(err, ErrRootNotRetained) {
+			t.Fatalf("expired root %d error: %v", expired, err)
+		}
 	}
 	if _, err := f.OpenAt(tRoot(99)); !errors.Is(err, ErrRootNotRetained) {
 		t.Fatalf("unknown root error: %v", err)

@@ -13,9 +13,8 @@ import (
 // can be reconstructed by overlaying reverse diffs (newest-first) on top of
 // the latest state.
 type history struct {
-	retain int
-	roots  []hashing.Hash // oldest..newest committed roots
-	diffs  []revDiff      // diffs[i]: values overwritten by the commit of roots[i]
+	roots []hashing.Hash // oldest..newest committed roots
+	diffs []revDiff      // diffs[i]: values overwritten by the commit of roots[i]
 }
 
 // revDiff is one commit's reverse diff. It retains the commit batch's own
@@ -38,21 +37,14 @@ type slotPrev struct {
 	existed bool
 }
 
-func newHistory(retain int) *history {
-	if retain <= 0 {
-		retain = DefaultRetainRoots
-	}
-	return &history{retain: retain}
-}
-
 // record appends the reverse diff of one commit and trims the window. The
 // batch's slices are retained as-is (not copied): committers build a fresh
 // batch per commit and never mutate it afterwards.
 func (h *history) record(root hashing.Hash, batch Batch) {
 	h.roots = append(h.roots, root)
 	h.diffs = append(h.diffs, revDiff{accounts: batch.Accounts, slots: batch.Slots})
-	if len(h.roots) > h.retain {
-		n := len(h.roots) - h.retain
+	if len(h.roots) > DefaultRetainRoots {
+		n := len(h.roots) - DefaultRetainRoots
 		h.roots = append(h.roots[:0:0], h.roots[n:]...)
 		h.diffs = append(h.diffs[:0:0], h.diffs[n:]...)
 	}

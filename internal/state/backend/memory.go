@@ -28,9 +28,9 @@ type Memory struct {
 var _ Backend = (*Memory)(nil)
 
 // NewMemory returns a memory backend over the owner's trees, retaining
-// reverse diffs for the last retain committed roots (0 = DefaultRetainRoots).
-func NewMemory(src TreeSource, retain int) *Memory {
-	return &Memory{src: src, hist: newHistory(retain)}
+// reverse diffs for the last DefaultRetainRoots committed roots.
+func NewMemory(src TreeSource) *Memory {
+	return &Memory{src: src, hist: &history{}}
 }
 
 // Account implements Reader.

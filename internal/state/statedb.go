@@ -15,7 +15,8 @@ import (
 )
 
 // Options tunes the state database's storage layer. The zero value is
-// in-memory trees and the default retained-root window.
+// in-memory trees. Either backend serves OpenAt/GetAccountAt for the last
+// backend.DefaultRetainRoots committed roots.
 type Options struct {
 	// Backend selects where the flat state (account records and storage
 	// slots) authoritatively lives: the in-memory trees themselves
@@ -23,9 +24,6 @@ type Options struct {
 	Backend backend.Kind
 	// Dir is the file backend's directory (required for KindFile).
 	Dir string
-	// RetainRoots is how many committed roots OpenAt/GetAccountAt serve
-	// (0 = backend.DefaultRetainRoots).
-	RetainRoots int
 	// Deprecated: ignored — there is no flat cache. The field stays only
 	// because benchmark/layers.go:589 sets it.
 	DisableFlatCache bool
@@ -170,12 +168,12 @@ func newDBCore(chainID hashing.ChainID, kind trie.Kind, opts Options) (*DB, erro
 	}
 	switch opts.Backend {
 	case backend.KindMemory:
-		db.back = backend.NewMemory(db, opts.RetainRoots)
+		db.back = backend.NewMemory(db)
 	case backend.KindFile:
 		if opts.Dir == "" {
 			return nil, fmt.Errorf("new state: file backend needs a directory")
 		}
-		fb, err := backend.OpenFile(opts.Dir, opts.RetainRoots)
+		fb, err := backend.OpenFile(opts.Dir)
 		if err != nil {
 			return nil, err
 		}

@@ -74,7 +74,7 @@ func (p *Pool) Len() int {
 }
 
 // Add validates and enqueues a transaction. The signature is recovered
-// exactly once, through the types sender cache: stateless checks and the
+// at most once (Sender memoizes it on the object): stateless checks and the
 // duplicate check run first (they are cheap and need no crypto), then a
 // single Sender call both authenticates the transaction and yields the
 // sender the pool keys nonce sequencing on.

@@ -98,7 +98,7 @@ type Transaction struct {
 
 	// verifiedID caches the tx id whose signature already checked out, so
 	// pools and executors do not repeat the ECDSA verification for the same
-	// content (mutating any signed field changes the id and voids the cache).
+	// content (mutating any signed field changes the id and voids the memo).
 	verifiedID hashing.Hash
 
 	// pending is non-nil from SignOn until WaitSig received a signature; a
@@ -300,9 +300,6 @@ func (tx *Transaction) Sign(kp *keys.KeyPair) error {
 	}
 	tx.Sig = sig
 	tx.verifiedID = id // freshly produced by the key for this content
-	// Seed the process-wide cache too: consensus decodes the proposal
-	// payload into fresh copies, and only the cache survives the copy.
-	senderCache.store(id, &tx.Sig, tx.From)
 	return nil
 }
 
@@ -341,8 +338,8 @@ func (tx *Transaction) SignOn(kp *keys.KeyPair, pool *keys.Pool) {
 
 // WaitSig blocks until a pending SignOn signature lands and returns its
 // error. The channel receive orders the worker's write of Sig before the
-// caller's reads; the memo and the sender cache are seeded here, on the
-// caller's goroutine, so the worker shares no field but Sig. After the
+// caller's reads; the memo is seeded here, on the caller's goroutine, so
+// the worker shares no field but Sig. After the
 // first call, or if SignOn was never used, it returns the same result
 // without blocking.
 func (tx *Transaction) WaitSig() error { return tx.WaitSigCounted(metrics.Wait{}) }
@@ -359,7 +356,6 @@ func (tx *Transaction) WaitSigCounted(w metrics.Wait) error {
 		if p.err == nil {
 			tx.pending = nil
 			tx.verifiedID = tx.id // freshly produced by the key for this content
-			senderCache.store(tx.id, &tx.Sig, tx.From)
 		}
 	}
 	return p.err
@@ -367,10 +363,10 @@ func (tx *Transaction) WaitSigCounted(w metrics.Wait) error {
 
 // Sender verifies the signature and returns the signer's address.
 //
-// Three tiers, cheapest first: the per-object verifiedID memo (this pointer
-// already verified), the process-wide sender cache (this exact content and
-// signature verified before, possibly on a different copy), and finally the
-// full ECDSA verification, whose success populates both tiers.
+// Two tiers, cheapest first: the per-object verifiedID memo (this pointer
+// already verified), then the full ECDSA verification, whose success sets
+// the memo. A copy of a transaction (decoded from bytes) carries no memo
+// and verifies afresh.
 func (tx *Transaction) Sender() (hashing.Address, error) {
 	if addr, ok := tx.knownSender(); ok {
 		return addr, nil
@@ -378,8 +374,7 @@ func (tx *Transaction) Sender() (hashing.Address, error) {
 	return tx.verifySender()
 }
 
-// knownSender is Sender's two cheap tiers: the verifiedID memo, then one
-// sender-cache lookup (counted as one hit or one miss). It reports false
+// knownSender is Sender's cheap tier: the verifiedID memo. It reports false
 // when only a full verification can decide. While a SignOn signature is
 // pending the sender is From, the address of the key producing it, and no
 // field the worker writes is read.
@@ -387,13 +382,8 @@ func (tx *Transaction) knownSender() (hashing.Address, bool) {
 	if p := tx.pending; p != nil && p.done != nil {
 		return tx.From, true
 	}
-	id := tx.ID()
-	if !tx.verifiedID.IsZero() && tx.verifiedID == id {
+	if !tx.verifiedID.IsZero() && tx.verifiedID == tx.ID() {
 		return tx.From, true
-	}
-	if addr, ok := senderCache.lookup(id, &tx.Sig); ok && addr == tx.From {
-		tx.verifiedID = id
-		return addr, true
 	}
 	return hashing.Address{}, false
 }
@@ -405,8 +395,7 @@ func (tx *Transaction) verifySender() (hashing.Address, error) {
 }
 
 // acceptSender turns one signature verification's result into the sender,
-// holding the signer to From; a success seeds the verifiedID memo and the
-// sender cache.
+// holding the signer to From; a success seeds the verifiedID memo.
 func (tx *Transaction) acceptSender(addr hashing.Address, err error) (hashing.Address, error) {
 	if err != nil {
 		return hashing.Address{}, fmt.Errorf("%w: %v", ErrBadTxSignature, err)
@@ -414,9 +403,7 @@ func (tx *Transaction) acceptSender(addr hashing.Address, err error) (hashing.Ad
 	if addr != tx.From {
 		return hashing.Address{}, fmt.Errorf("%w: signer %s does not match From %s", ErrBadTxSignature, addr, tx.From)
 	}
-	id := tx.ID()
-	tx.verifiedID = id
-	senderCache.store(id, &tx.Sig, addr)
+	tx.verifiedID = tx.ID()
 	return addr, nil
 }
 

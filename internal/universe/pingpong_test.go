@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -20,8 +21,20 @@ import (
 // resident storage trees, and deploys one Store-N per size on the MPT chain.
 func newPingPong(tb testing.TB, treeLimit int, sizes ...uint64) (*Universe, []hashing.Address) {
 	tb.Helper()
+	return deployStores(tb, pingPongConfig(tb, treeLimit), sizes...)
+}
+
+// pingPongConfig is newPingPong's deployment.
+func pingPongConfig(tb testing.TB, treeLimit int) Config {
 	cfg := DefaultConfig(1)
 	cfg.State = state.Options{Backend: backend.KindFile, Dir: tb.TempDir(), StorageTreeLimit: treeLimit}
+	return cfg
+}
+
+// deployStores starts a universe of cfg and deploys one Store-N per size on
+// its first chain.
+func deployStores(tb testing.TB, cfg Config, sizes ...uint64) (*Universe, []hashing.Address) {
+	tb.Helper()
 	u, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -80,6 +93,55 @@ func TestMovePingPongDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != movePingPongDigest {
 		t.Fatalf("Move timeline digest %s, pinned %s", got, movePingPongDigest)
+	}
+}
+
+// TestMoveStoreFirst256 pins the repository benchmark's move_store at
+// --seed 1 (benchmark/wl_move.go) inside the main module: sixteen Stores
+// (Store-10, -1000, -1000 and -1900, four times over) on pingPongConfig
+// with four resident trees and a 2·10⁹ block gas limit, moved
+// in the seeded order of benchmark/gen.go's moveOrder. The first 256 Moves'
+// order index, simulated timestamps and gas hash to the digest a run of the
+// benchmark prints ("first 256 moves: … digest=e1cf3a210f392995"); a
+// change that moves it changed simulated behaviour.
+func TestMoveStoreFirst256(t *testing.T) {
+	const moves = 256
+	// moveOrderSeed is subSeed(1, "moves") of benchmark/gen.go: the first
+	// 8 bytes of hashing.Sum("1/moves"), shifted right by one.
+	const moveOrderSeed = 4129762934971565732
+	cfg := pingPongConfig(t, 4)
+	for i := range cfg.Specs {
+		cfg.Specs[i].Config.BlockGasLimit = 2_000_000_000
+	}
+	var sizes []uint64
+	for i := 0; i < 4; i++ {
+		sizes = append(sizes, 10, 1000, 1000, 1900)
+	}
+	u, addrs := deployStores(t, cfg, sizes...)
+	defer oracle.Attach(u).Check(t)
+	rng := rand.New(rand.NewSource(moveOrderSeed))
+	var order []int
+	for len(order) < moves {
+		order = append(order, rng.Perm(len(addrs))...)
+	}
+	ids := u.ChainIDs()
+	loc := make([]int, len(addrs)) // index into ids of each Store's host
+	h := hashing.NewHasher(moves * 48)
+	for _, k := range order[:moves] {
+		src, dst := ids[loc[k]], ids[1-loc[k]]
+		res, err := u.MoveAndWait(u.Client(0), src, dst, addrs[k], 30*time.Minute)
+		if err != nil {
+			t.Fatalf("Store-%d #%d %s -> %s: %v", sizes[k], k, src, dst, err)
+		}
+		loc[k] = 1 - loc[k]
+		for _, v := range []uint64{uint64(k), uint64(res.StartedAt), uint64(res.Move1At),
+			uint64(res.ProofReadyAt), uint64(res.Move2At), res.Move1Gas, res.Move2Gas} {
+			h.Uvarint(v)
+		}
+	}
+	sum := h.Sum()
+	if got := hex.EncodeToString(sum[:8]); got != "e1cf3a210f392995" {
+		t.Fatalf("first %d Moves digest %s, benchmark prints e1cf3a210f392995", moves, got)
 	}
 }
 

@@ -336,8 +336,7 @@ type Universe struct {
 	clients []*relay.Client
 
 	counters    *metrics.Counters
-	reg         *metrics.Registry      // nil unless Config.Metrics/Trace
-	scBase      types.SenderCacheStats // sender-cache stats at creation
+	reg         *metrics.Registry // nil unless Config.Metrics/Trace
 	moverCfg    relay.MoverConfig
 	submitLinks map[hashing.ChainID]*simnet.Link
 	relayLinks  map[[2]hashing.ChainID]*simnet.Link
@@ -395,7 +394,6 @@ func New(cfg Config) (*Universe, error) {
 		Net:         net,
 		chains:      make(map[hashing.ChainID]*chain.Chain, len(cfg.Specs)),
 		counters:    metrics.NewCounters(),
-		scBase:      types.ReadSenderCacheStats(),
 		moverCfg:    relay.DefaultMoverConfig(),
 		submitLinks: make(map[hashing.ChainID]*simnet.Link, len(cfg.Specs)),
 		relayLinks:  make(map[[2]hashing.ChainID]*simnet.Link),
@@ -607,18 +605,11 @@ func New(cfg Config) (*Universe, error) {
 
 // Counters returns the universe's shared fault/retry counter set: simnet
 // drops and duplicates, submission and header-relay link events, every
-// mover's retry/recovery/timeout counts, and the sender-cache hit/miss
-// deltas accumulated since the universe was created (folded in on each
-// call — the cache itself is process-wide, the counters per-universe).
-// With the observability layer on it also holds the loop waits: each
-// chain's (Chain.SetObserver) and the metrics.Process deltas since New
-// returned, folded in the same way.
+// mover's retry/recovery/timeout counts. With the observability layer on
+// it also holds the loop waits: each chain's (Chain.SetObserver) and the
+// metrics.Process deltas since New returned, folded in on each call (the
+// process counters are process-wide, the counters per-universe).
 func (u *Universe) Counters() *metrics.Counters {
-	cur := types.ReadSenderCacheStats()
-	u.counters.Add("sendercache.hits", cur.Hits-u.scBase.Hits)
-	u.counters.Add("sendercache.misses", cur.Misses-u.scBase.Misses)
-	u.counters.Add("sendercache.evictions", cur.Evictions-u.scBase.Evictions)
-	u.scBase = cur
 	if u.reg == nil {
 		return u.counters
 	}

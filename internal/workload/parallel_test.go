@@ -68,10 +68,35 @@ func TestKittiesReplayCrossGOMAXPROCSDeterminism(t *testing.T) {
 	}
 }
 
+// TestKittiesReplayRound0 pins the repository benchmark's kitties_replay
+// round 0 at --seed 1 (benchmark/wl_sim.go: kittiesConfig) inside the main
+// module, with the round's seed written in as a constant. Its values are the
+// round signature a traced run prints; a change that moves any of them
+// changed simulated behaviour.
+func TestKittiesReplayRound0(t *testing.T) {
+	// kittiesRound0Seed is subSeed(1, "kitties/0") of benchmark/gen.go: the
+	// first 8 bytes of hashing.Sum("1/kitties/0"), shifted right by one.
+	const kittiesRound0Seed = 1982634216270082870
+	res, err := RunKitties(KittiesConfig{
+		Shards: 4, Users: 512, PromoCats: 4000, Breeds: 8000,
+		LocalityBias: 0.93, OutstandingLimit: 250, ShardCapacity: 175,
+		Seed: kittiesRound0Seed, MaxDuration: 12 * time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("planned=%d completed=%d failed=%d txs=%d sim=%v sim_tx_s=%v cross=%v",
+		res.PlannedOps, res.OpsCompleted, res.FailedOps, res.TxsCommitted, res.SimDuration, res.Throughput, res.CrossRate)
+	const want = "planned=10768 completed=10706 failed=62 txs=19476 sim=5m31.5s sim_tx_s=58.751131221719454 cross=0.11687926431326016"
+	if got != want {
+		t.Fatalf("round 0:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestCommittedSignaturesVerify reads back every transaction of every block
 // the Kitties cell above and the 16-chain sharded cell commit, with the
 // client signatures deferred to the crypto pool, through a full ECDSA
-// recovery: no verifiedID memo, no sender cache, and an id re-hashed from
+// recovery: no verifiedID memo and an id re-hashed from
 // the decoded fields. Admission trusts a pending signature's From; this
 // holds every committed transaction to the key that signed it.
 func TestCommittedSignaturesVerify(t *testing.T) {

@@ -306,7 +306,7 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 // shardedFingerprint reduces the run to everything simulated: committed
 // count, per-chain heights and state roots, final contract locations, move
 // stats, and the deterministic counters. The process counters
-// (metrics.ProcessCounter: sendercache.*, loopwait.*) are excluded — they
+// (metrics.ProcessCounter: loopwait.*) are excluded — they
 // vary with GOMAXPROCS and wall time without affecting simulated results.
 func shardedFingerprint(u *universe.Universe, res *ShardedScalingResult,
 	addrs []hashing.Address, loc func(int) hashing.ChainID) string {
