@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race cpu1 benchtest detsmoke expsmoke fuzzsmoke statesmoke shardsmoke experiments loc
+.PHONY: check build test vet race cpu1 benchtest detsmoke identity expsmoke fuzzsmoke statesmoke shardsmoke experiments loc
 
 check: vet race cpu1 detsmoke benchtest expsmoke fuzzsmoke statesmoke shardsmoke
 
@@ -114,6 +114,31 @@ detsmoke:
 		echo "$$have" | grep -qx "$$t" || { echo "detsmoke: no test named $$t in the listed packages"; exit 1; }; \
 	done
 	$(GO) test -run "^($$(echo $(DETSMOKE_TESTS) | tr ' ' '|'))\$$" $(DETSMOKE_PKGS)
+
+# identity prints every pinned value of simulated behaviour, one
+# `identity: <test> <value>` line each, sorted: the digest tests of detsmoke
+# (fuzz traffic per seed, the Kitties, chaos, Byzantine, 16-chain sharded and
+# faulty-cluster cells, the Move ping-pong timeline, the benchmark's seed-1
+# kitties_replay round 0 and move_store first 256 Moves) and the benchmark's
+# seed-1 shard_migrate round 0 (TestShardMigrateRound0). Each test logs the
+# value it computed before comparing it with its pin, so two commits whose
+# outputs diff clean behave identically on every pinned run. It fails if a
+# test fails or a listed test logs no line.
+IDENTITY_TESTS = TestApplyBlockFuzzTraffic TestFaultyClusterDigest \
+	TestChaosCellCrossGOMAXPROCS TestByzantineDeterminism \
+	TestKittiesReplayCrossGOMAXPROCSDeterminism TestShardedScalingCrossGOMAXPROCSDeterminism \
+	TestKittiesReplayRound0 TestShardMigrateRound0 \
+	TestMovePingPongDigest TestMoveStoreFirst256
+IDENTITY_PKGS = ./internal/chain/ ./internal/tendermint/ ./internal/bench/ \
+	./internal/workload/ ./internal/universe/
+identity:
+	@SCMOVE_SHARDSMOKE=1 $(GO) test -count=1 -v -timeout 600s \
+		-run "^($$(echo $(IDENTITY_TESTS) | tr ' ' '|'))\$$" $(IDENTITY_PKGS) > /tmp/scmove_identity.txt 2>&1 \
+		|| { cat /tmp/scmove_identity.txt; exit 1; }
+	@for t in $(IDENTITY_TESTS); do \
+		grep -Eq "identity: $$t[ /]" /tmp/scmove_identity.txt || { echo "identity: $$t logged no identity line"; exit 1; }; \
+	done
+	@grep -o 'identity: .*' /tmp/scmove_identity.txt | sort
 
 # expsmoke is the experiment-output sanity gate: a CI-scale ablations run,
 # a chaos run with metrics and span tracing on, and the byzantine and

@@ -39,9 +39,8 @@ type ByzantineConfig struct {
 	// adversary replays the genuine Move2 payload and submits a forged
 	// variant against the target chain.
 	Moves int
-	// Metrics / Trace switch on the observability registry.
+	// Metrics switches on the observability registry.
 	Metrics bool
-	Trace   bool
 }
 
 // DefaultByzantineConfig is the headline Byzantine scenario: 5% corruption
@@ -97,8 +96,7 @@ func RunByzantine(cfg ByzantineConfig) (*ByzantineResult, error) {
 		cfg.Moves = 1
 	}
 	ucfg := universe.DefaultConfig(2)
-	ucfg.Metrics = cfg.Metrics || cfg.Trace
-	ucfg.Trace = cfg.Trace
+	ucfg.Metrics = cfg.Metrics
 	faults := simnet.LinkFaults{
 		DropRate:    cfg.DropRate,
 		DupRate:     cfg.DupRate,

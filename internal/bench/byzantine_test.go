@@ -96,7 +96,9 @@ func TestByzantineDeterminism(t *testing.T) {
 				p, procs[0], baseline, off)
 		}
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(baseline))); got != byzantineCellDigest {
+	got := fmt.Sprintf("%x", sha256.Sum256([]byte(baseline)))
+	t.Logf("identity: %s %s", t.Name(), got)
+	if got != byzantineCellDigest {
 		t.Fatalf("fingerprint digest %s, want %s:\n%s", got, byzantineCellDigest, baseline)
 	}
 }

@@ -100,7 +100,9 @@ func TestChaosCellCrossGOMAXPROCS(t *testing.T) {
 		t.Fatalf("GOMAXPROCS changed simulated chaos results\none CPU:\n%sall CPUs:\n%s",
 			serial, parallel)
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(serial))); got != chaosCellDigest {
+	got := fmt.Sprintf("%x", sha256.Sum256([]byte(serial)))
+	t.Logf("identity: %s %s", t.Name(), got)
+	if got != chaosCellDigest {
 		t.Fatalf("fingerprint digest %s, want %s:\n%s", got, chaosCellDigest, serial)
 	}
 }

@@ -36,7 +36,7 @@ func readRSS() int64 {
 // TestStateSmoke is the `make statesmoke` gate: a million-account genesis
 // on the file backend with a bounded resident-tree budget,
 // update blocks, an RSS ceiling, a close-and-reopen root check, root
-// identity against the memory backend on the same script, and a Kitties
+// identity against an in-memory DB on the same script, and a Kitties
 // replay on the file backend matching the memory replay's deterministic
 // counters. Skipped unless SCMOVE_STATESMOKE is set — it takes a couple of
 // minutes and over a gigabyte of RSS (the commitment trees live in memory
@@ -116,7 +116,7 @@ func TestStateSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Root identity: the memory backend on the identical script must land
+	// Root identity: an in-memory DB on the identical script must land
 	// on the identical roots at every block.
 	mcfg := cfg
 	mcfg.Options = state.Options{}

@@ -243,7 +243,9 @@ func TestApplyBlockFuzzTraffic(t *testing.T) {
 					}
 				}
 				key := fmt.Sprintf("%s/%d", name, seed)
-				if got := fuzzDigest(wantRoots, wantHeaders, wantRecs); got != fuzzTrafficDigests[key] {
+				got := fuzzDigest(wantRoots, wantHeaders, wantRecs)
+				t.Logf("identity: TestApplyBlockFuzzTraffic/%s %s", key, got)
+				if got != fuzzTrafficDigests[key] {
 					t.Fatalf("%s: digest %s, pinned %s", key, got, fuzzTrafficDigests[key])
 				}
 			}

@@ -19,7 +19,6 @@ import (
 	"scmove/internal/hashing"
 	"scmove/internal/metrics"
 	"scmove/internal/state"
-	"scmove/internal/state/backend"
 	"scmove/internal/trie"
 	"scmove/internal/txpool"
 	"scmove/internal/types"
@@ -49,11 +48,10 @@ type Config struct {
 	Natives *evm.Registry
 	// PoolLimit bounds the pending transaction pool.
 	PoolLimit int
-	// State tunes the state database's storage layer: backend selection
-	// (in-memory trees or the bounded-RSS log-structured file store), the
-	// storage-tree residency cap, and the retained-root window for
-	// historical queries. The zero value keeps the historical in-memory
-	// behaviour.
+	// State tunes the state database's storage layer: in-memory trees
+	// only, or the bounded-RSS log-structured file store under them, and
+	// the storage-tree residency cap. The zero value keeps the state in
+	// memory.
 	State state.Options
 }
 
@@ -98,9 +96,9 @@ type BlockListener func(block *types.Block, receipts []*types.Receipt)
 //     take the read lock; internal unlocked variants serve the execution
 //     path, which already holds the write lock.
 //   - Query* and StaticCall take the full write lock even though they are
-//     logically reads: state.DB reads fill the decoded working set.
-//     Historical Query*At reads are served between blocks by
-//     construction — the lock excludes a concurrent mid-block Commit.
+//     logically reads: state.DB reads fill the decoded working set. A
+//     Query pinned to a height is served between blocks by construction —
+//     the lock excludes a concurrent mid-block Commit.
 //   - SubmitTx/SubmitTxs and ExpectMove2 take no chain lock at all; the
 //     pool and the Move2 preparation list have their own. prepMu is never
 //     held together with chain.mu or pool.mu: ApplyBlock takes its
@@ -674,10 +672,10 @@ func (c *Chain) applyTx(tx *types.Transaction, blockCtx evm.BlockContext, s *cor
 	st := c.db
 	rec := &types.Receipt{TxID: tx.ID(), Status: types.ReceiptFailed}
 	// Authenticate before touching state: executing on a trusted tx.From
-	// would let a forged From spend any account's balance. Sender memoizes
-	// through the process-wide cache, so for the overwhelmingly common case
-	// (admitted via the pool, or pre-recovered by ApplyBlock) this is a
-	// lookup, not an ECDSA verification.
+	// would let a forged From spend any account's balance. ApplyBlock
+	// recovered every sender before it took the lock (RecoverSenders), so
+	// for a transaction that verified, Sender returns its verifiedID memo:
+	// a comparison, not an ECDSA verification.
 	sender, err := tx.Sender()
 	if err != nil {
 		rec.Err = err.Error()
@@ -808,7 +806,7 @@ type QueryResult struct {
 
 // Query reads addr's account record — or, with key set, one storage slot
 // of it — at the head state or, with height set, at that height's committed
-// root inside the state backend's retained-root window. The height, its
+// root inside the state's retained-root window. The height, its
 // root (the state after executing it, also on LaggingStateRoot chains) and
 // the value are read under one hold of the chain lock, so they always
 // belong together; historical reads are only valid between blocks, which
@@ -834,10 +832,7 @@ func (c *Chain) Query(addr hashing.Address, key *evm.Word, height *uint64) (Quer
 	case key == nil:
 		q.Account, q.Exists, err = c.db.GetAccountAt(addr, root)
 	default:
-		var r backend.Reader
-		if r, err = c.db.OpenAt(root); err == nil {
-			q.Value, _ = r.Slot(backend.SlotKey{Addr: addr, Key: *key})
-		}
+		q.Value, err = c.db.GetStorageAt(addr, *key, root)
 	}
 	return q, err
 }

@@ -499,9 +499,9 @@ func TestPreparedMove2MatchesVerifyAndApply(t *testing.T) {
 // abroad one was deleted and one changed), a Move2 replaces that storage,
 // moveFinish writes and then fails, and the revert must put back the stale
 // copy exactly — every slot, the record and the state root. The second
-// attempt then commits, and the slot deleted abroad is gone from the flat
-// backend too. Run on the memory backend (the stale tree is resident) and on
-// the file backend with the tree evicted (the stale copy is only on disk).
+// attempt then commits, and the slot deleted abroad is gone from the file
+// store too. Run in memory (the stale tree is resident) and over a file
+// store with the tree evicted (the stale copy is only on disk).
 func TestRevertedMove2RestoresStaleCopy(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -597,13 +597,19 @@ func TestRevertedMove2RestoresStaleCopy(t *testing.T) {
 			attempt() // this time moveFinish succeeds
 			dst.Commit()
 			want := []state.StorageEntry{{Key: word(1), Value: word(11)}, {Key: word(2), Value: word(20)}, {Key: word(9), Value: word(99)}}
+			if got := dst.StorageEntries(contract); !slices.Equal(got, want) {
+				t.Fatalf("committed storage %v, want %v", got, want)
+			}
+			if dst.Backend() == nil {
+				return // the trees are the only copy
+			}
 			var flat []state.StorageEntry
 			dst.Backend().IterateStorage(contract, func(key, val backend.Word) bool {
 				flat = append(flat, state.StorageEntry{Key: key, Value: val})
 				return true
 			})
-			if !slices.Equal(flat, want) || !slices.Equal(dst.StorageEntries(contract), want) {
-				t.Fatalf("committed storage: backend %v, state %v, want %v", flat, dst.StorageEntries(contract), want)
+			if !slices.Equal(flat, want) {
+				t.Fatalf("committed storage in the file store %v, want %v", flat, want)
 			}
 		})
 	}

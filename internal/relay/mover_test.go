@@ -102,6 +102,16 @@ type moverRig struct {
 // chain 2 under cfg.
 func newMoverRig(t *testing.T, cfg MoverConfig) *moverRig {
 	t.Helper()
+	r, cl := newIdleRig(t)
+	r.mover = NewMoverWith(r.sched, r.src, r.dst, cfg, nil, r.counters)
+	r.mover.Move(cl, r.contract, core.MoveToInput(2), func(res *MoveResult) { r.result = res })
+	return r
+}
+
+// newIdleRig builds the rig, with both chains ticking, and the owner's
+// client; no move is started.
+func newIdleRig(t *testing.T) (*moverRig, *Client) {
+	t.Helper()
 	sched := simclock.New()
 	kp, other := keys.Deterministic(21), keys.Deterministic(22)
 	chainCfg := func(id hashing.ChainID) chain.Config {
@@ -164,9 +174,7 @@ func newMoverRig(t *testing.T, cfg MoverConfig) *moverRig {
 		1: simnet.NewLink(sched, time.Millisecond, simnet.LinkFaults{}, 0),
 		2: r.toDst,
 	})
-	r.mover = NewMoverWith(sched, src, dst, cfg, nil, r.counters)
-	r.mover.Move(cl, r.contract, core.MoveToInput(2), func(res *MoveResult) { r.result = res })
-	return r
+	return r, cl
 }
 
 // stage is the move's journaled stage.
@@ -361,6 +369,81 @@ func TestBadNonceReceiptIsRetried(t *testing.T) {
 				t.Fatalf("%s_retries = %d, want 1", leg.name, got)
 			}
 		})
+	}
+}
+
+// TestRecoverFromPendingCompletesMove restarts, through the journal's bytes,
+// a move that was accepted but whose Move1 was never submitted: Recover
+// submits Move1 and the move completes.
+func TestRecoverFromPendingCompletesMove(t *testing.T) {
+	r, cl := newIdleRig(t)
+	j := NewJournal()
+	j.put(&Entry{
+		Contract:    r.contract,
+		MoveToInput: core.MoveToInput(2),
+		Result:      &MoveResult{Contract: r.contract},
+	})
+	journal, err := DecodeJournal(j.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.mover = NewMoverWith(r.sched, r.src, r.dst, rigConfig(), journal, r.counters)
+	if err := r.mover.Recover(cl); err != nil {
+		t.Fatal(err)
+	}
+	if !r.runUntil(func() bool { return r.stage() >= StageDone }, 10*time.Minute) {
+		t.Fatalf("recovered move did not finish, at %v", r.stage())
+	}
+	if e, _ := journal.Entry(r.contract); e.Stage != StageDone {
+		t.Fatalf("journal stage = %v (%v), want done", e.Stage, e.Result.Err)
+	}
+	if r.src.StateDB().GetLocation(r.contract) != 2 || r.dst.StateDB().GetLocation(r.contract) != 2 {
+		t.Fatal("contract must be live on chain 2 only")
+	}
+	if got := r.counters.Get("relay.recoveries"); got != 1 {
+		t.Fatalf("recoveries = %d, want 1", got)
+	}
+}
+
+// TestReplayedMove2FailsMove lets another client's Move2 of the same payload
+// commit in the block ahead of the relayer's: the relayer's Move2 then fails
+// with ErrReplay, which no retry can cure, and the move ends with a move2
+// error.
+func TestReplayedMove2FailsMove(t *testing.T) {
+	r := newMoverRig(t, rigConfig())
+	r.paused[2] = true
+	if !r.runUntil(func() bool { return r.stage() == StageMove2Submitted && r.dst.PendingTxs() == 1 }, time.Minute) {
+		t.Fatalf("Move2 never reached the pool, at %v", r.stage())
+	}
+	e, _ := r.mover.Journal().Entry(r.contract)
+	if err := e.Move2.WaitSig(); err != nil { // a block holds signed transactions only
+		t.Fatal(err)
+	}
+	replay := &types.Transaction{
+		ChainID: 2, Kind: types.TxMove2, Move2: e.Payload,
+		GasLimit: DefaultGasLimit, GasPrice: DefaultGasPrice,
+	}
+	if err := replay.Sign(r.other); err != nil {
+		t.Fatal(err)
+	}
+	_, recs := r.dst.ApplyBlock([]*types.Transaction{replay, e.Move2}, r.sched.NowUnix(), chain.ProposerAddress(2, 0))
+	if !recs[0].Succeeded() || !strings.Contains(recs[1].Err, core.ErrReplay.Error()) {
+		t.Fatalf("receipts %q, %q; want the replay to succeed and the relayer's Move2 to fail with %v",
+			recs[0].Err, recs[1].Err, core.ErrReplay)
+	}
+	r.paused[2] = false
+	res := r.finish(t)
+	if res.Err == nil || !strings.HasPrefix(res.Err.Error(), "move2: ") || !strings.Contains(res.Err.Error(), core.ErrReplay.Error()) {
+		t.Fatalf("move ended with %v, want a move2 error naming %v", res.Err, core.ErrReplay)
+	}
+	if r.stage() != StageFailed {
+		t.Fatalf("journal stage = %v, want failed", r.stage())
+	}
+	if got := r.counters.Get("relay.moves_failed"); got != 1 {
+		t.Fatalf("moves_failed = %d, want 1", got)
+	}
+	if got := r.counters.Get("relay.move2_retries"); got != 0 {
+		t.Fatalf("move2_retries = %d, want 0", got)
 	}
 }
 

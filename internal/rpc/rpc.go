@@ -50,7 +50,7 @@ type Request struct {
 	// Slot optionally names a 32-byte storage key of Account (query).
 	Slot string `json:"slot,omitempty"`
 	// Height pins a query to a historical committed state inside the
-	// backend's retained-root window; nil reads the head state.
+	// state's retained-root window; nil reads the head state.
 	Height *uint64 `json:"height,omitempty"`
 }
 

@@ -31,7 +31,6 @@ import (
 // data: values live on disk until read.
 type File struct {
 	dir     string
-	hist    *history
 	segs    map[uint32]*os.File // open segments, by id
 	active  uint32              // id of the append segment
 	buf     []byte              // batch encode scratch
@@ -96,16 +95,14 @@ const (
 // OpenFile opens (or creates) a log-structured store in dir, replaying the
 // segments into the in-memory index. A truncated tail record in the newest
 // segment — a torn write from a crash — is discarded; corruption anywhere
-// else is an error. OpenAt serves the last DefaultRetainRoots roots;
-// retained roots do not survive a reopen, only the latest committed state
-// does.
+// else is an error. A reopened store holds the latest committed state
+// only.
 func OpenFile(dir string) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("backend: open %s: %w", dir, err)
 	}
 	f := &File{
 		dir:             dir,
-		hist:            &history{},
 		segs:            make(map[uint32]*os.File),
 		accounts:        make(map[hashing.Address]loc),
 		slots:           make(map[hashing.Address]*contractSlots),
@@ -282,29 +279,44 @@ func (f *File) deleted(old loc, existed bool, reclen int) {
 	f.deadBytes += int64(reclen)
 }
 
-// readValue fetches one live value from its segment.
-func (f *File) readValue(l loc) ([]byte, bool) {
-	file, ok := f.segs[l.seg]
+// read fills buf from segment seg at off.
+func (f *File) read(seg uint32, off int64, buf []byte) error {
+	file, ok := f.segs[seg]
 	if !ok {
-		return nil, false
+		return fmt.Errorf("backend: %s: segment %d is not open", f.dir, seg)
 	}
-	out := make([]byte, l.vlen)
-	if _, err := file.ReadAt(out, l.off); err != nil {
-		return nil, false
+	if _, err := file.ReadAt(buf, off); err != nil {
+		return fmt.Errorf("backend: %s: read segment %d at offset %d: %w", f.dir, seg, off, err)
 	}
-	return out, true
+	return nil
 }
 
-// Account implements Reader.
+// mustRead is read for the read paths. The index says the value is live, so
+// a failure means the store is corrupt or was closed underneath; reading the
+// value as absent would fork the state root with no error anywhere.
+func (f *File) mustRead(seg uint32, off int64, buf []byte) {
+	if err := f.read(seg, off, buf); err != nil {
+		panic(err.Error())
+	}
+}
+
+// value fetches one live value from its segment.
+func (f *File) value(l loc) []byte {
+	out := make([]byte, l.vlen)
+	f.mustRead(l.seg, l.off, out)
+	return out
+}
+
+// Account implements Backend.
 func (f *File) Account(addr hashing.Address) ([]byte, bool) {
 	l, ok := f.accounts[addr]
 	if !ok {
 		return nil, false
 	}
-	return f.readValue(l)
+	return f.value(l), true
 }
 
-// Slot implements Reader.
+// Slot implements Backend.
 func (f *File) Slot(k SlotKey) (Word, bool) {
 	cs := f.slots[k.Addr]
 	if cs == nil {
@@ -314,14 +326,8 @@ func (f *File) Slot(k SlotKey) (Word, bool) {
 	if !ok {
 		return Word{}, false
 	}
-	file, ok := f.segs[l.seg]
-	if !ok {
-		return Word{}, false
-	}
 	var w Word
-	if _, err := file.ReadAt(w[:], l.off); err != nil {
-		return Word{}, false
-	}
+	f.mustRead(l.seg, l.off, w[:])
 	return w, true
 }
 
@@ -339,20 +345,16 @@ func cmpAddr(a, b hashing.Address) int { return bytes.Compare(a[:], b[:]) }
 func cmpHash(a, b hashing.Hash) int    { return bytes.Compare(a[:], b[:]) }
 func cmpWord(a, b Word) int            { return bytes.Compare(a[:], b[:]) }
 
-// IterateAccounts implements Reader.
+// IterateAccounts implements Backend.
 func (f *File) IterateAccounts(fn func(addr hashing.Address, enc []byte) bool) {
 	for _, addr := range sortedMapKeys(f.accounts, cmpAddr) {
-		v, ok := f.readValue(f.accounts[addr])
-		if !ok {
-			continue
-		}
-		if !fn(addr, v) {
+		if !fn(addr, f.value(f.accounts[addr])) {
 			return
 		}
 	}
 }
 
-// IterateStorage implements Reader. It walks addr's own keys only, and
+// IterateStorage implements Backend. It walks addr's own keys only, and
 // fetches slots that sit back to back in a segment — a creation or a Move2
 // writes a contract's slots that way, in key order — with one read per run
 // instead of one per slot.
@@ -375,13 +377,7 @@ func (f *File) IterateStorage(addr hashing.Address, fn func(key, val Word) bool)
 		}
 		run := keys[i : i+n]
 		i += n
-		file, ok := f.segs[first.seg]
-		if !ok {
-			continue
-		}
-		if _, err := file.ReadAt(buf[:(n-1)*slotRecLen+wordSize], first.off); err != nil {
-			continue
-		}
+		f.mustRead(first.seg, first.off, buf[:(n-1)*slotRecLen+wordSize])
 		for j, key := range run {
 			if !fn(key, Word(buf[j*slotRecLen:j*slotRecLen+wordSize])) {
 				return
@@ -433,7 +429,6 @@ func (f *File) Commit(root hashing.Hash, batch Batch) error {
 		return fmt.Errorf("backend: append: %w", err)
 	}
 	f.written += int64(len(f.buf))
-	f.hist.record(root, batch)
 	if f.deadBytes > f.liveBytes && f.deadBytes > f.CompactMinBytes {
 		if err := f.compact(); err != nil {
 			return err
@@ -445,8 +440,7 @@ func (f *File) Commit(root hashing.Hash, batch Batch) error {
 // compact rewrites the live set into a fresh segment and deletes the old
 // files: accounts, then every contract's slots in key order (so each
 // contract becomes one run for IterateStorage), then code blobs. The index
-// is rewritten to point into the new segment; historical OpenAt views are
-// unaffected (the reverse-diff ring lives in memory).
+// is rewritten to point into the new segment.
 func (f *File) compact() error {
 	newID := f.active + 1
 	out, err := os.OpenFile(segmentPath(f.dir, newID), os.O_CREATE|os.O_TRUNC|os.O_RDWR|os.O_APPEND, 0o644)
@@ -466,9 +460,9 @@ func (f *File) compact() error {
 	// move copies one live record into the new segment and returns where
 	// its value now lives.
 	move := func(kind byte, key []byte, old loc) (loc, error) {
-		v, ok := f.readValue(old)
-		if !ok {
-			return loc{}, fmt.Errorf("backend: compact: lost value for key %x", key)
+		v := make([]byte, old.vlen)
+		if err := f.read(old.seg, old.off, v); err != nil {
+			return loc{}, fmt.Errorf("backend: compact: lost value for key %x: %w", key, err)
 		}
 		if len(f.buf) >= 1<<20 {
 			if err := flush(); err != nil {
@@ -546,55 +540,18 @@ func (f *File) compact() error {
 	return nil
 }
 
-// LatestRoot implements Backend. After a reopen it is the root of the last
-// durable commit marker.
-func (f *File) LatestRoot() (hashing.Hash, bool) {
-	if r, ok := f.hist.latestRoot(); ok {
-		return r, true
-	}
-	return f.root, f.hasRoot
-}
+// LatestRoot implements Backend: the root of the last commit marker, also
+// after a reopen.
+func (f *File) LatestRoot() (hashing.Hash, bool) { return f.root, f.hasRoot }
 
-// RetainedRoots implements Backend.
-func (f *File) RetainedRoots() []hashing.Hash { return f.hist.retainedRoots() }
-
-// OpenAt implements Backend.
-func (f *File) OpenAt(root hashing.Hash) (Reader, error) {
-	ov, err := f.hist.overlayAt(root)
-	if err != nil {
-		return nil, err
-	}
-	return &histReader{base: f, ov: ov}, nil
-}
-
-// Kind implements Backend.
-func (f *File) Kind() Kind { return KindFile }
-
-// Code implements CodeStore.
-func (f *File) Code(h hashing.Hash) ([]byte, bool) {
-	l, ok := f.codes[h]
-	if !ok {
-		return nil, false
-	}
-	return f.readValue(l)
-}
-
-// IterateCodes implements CodeStore.
+// IterateCodes visits every stored code blob in ascending hash order.
 func (f *File) IterateCodes(fn func(h hashing.Hash, code []byte) bool) {
 	for _, h := range sortedMapKeys(f.codes, cmpHash) {
-		v, ok := f.readValue(f.codes[h])
-		if !ok {
-			continue
-		}
-		if !fn(h, v) {
+		if !fn(h, f.value(f.codes[h])) {
 			return
 		}
 	}
 }
-
-// Persistent implements Backend: the segment files hold every live value,
-// so trees above may be dropped and rebuilt on demand.
-func (f *File) Persistent() bool { return true }
 
 // LiveKeys returns the number of live index entries (accounts, slots and
 // code blobs).

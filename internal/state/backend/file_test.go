@@ -2,8 +2,9 @@ package backend
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -61,7 +62,7 @@ func TestFileCommitReadReopen(t *testing.T) {
 	if v, ok := f.Slot(SlotKey{Addr: tAddr(1), Key: tWord(7)}); !ok || v != tWord(42) {
 		t.Fatalf("slot: %x %v", v, ok)
 	}
-	if c, ok := f.Code(codeHash); !ok || string(c) != "code" {
+	if c, ok := codeOf(f, codeHash); !ok || string(c) != "code" {
 		t.Fatalf("code: %q %v", c, ok)
 	}
 	if _, ok := f.Account(tAddr(9)); ok {
@@ -103,7 +104,7 @@ func TestFileCommitReadReopen(t *testing.T) {
 	if _, ok := re.Account(tAddr(2)); ok {
 		t.Fatal("reopened deleted account")
 	}
-	if c, ok := re.Code(codeHash); !ok || string(c) != "code" {
+	if c, ok := codeOf(re, codeHash); !ok || string(c) != "code" {
 		t.Fatalf("reopened code: %q %v", c, ok)
 	}
 	var accounts []hashing.Address
@@ -350,48 +351,48 @@ func TestIterateStorageCostIsPerContract(t *testing.T) {
 	}
 }
 
-func TestFileOpenAtHistory(t *testing.T) {
-	dir := t.TempDir()
-	f, err := OpenFile(dir)
+// TestFileUnreadableValuePanics closes the active segment underneath a store
+// that indexes a committed slot: every read of an indexed value must panic
+// rather than read the value as absent, which would let the EVM read a zero
+// slot and a rebuilt storage tree drop slots without an error anywhere.
+func TestFileUnreadableValuePanics(t *testing.T) {
+	f, err := OpenFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	const commits = DefaultRetainRoots + 2 // the first two roots expire
-	for i := byte(1); i <= commits; i++ {
-		b := accountBatch(tAddr(1), []byte{'v', i})
-		if i > 1 {
-			b.Accounts[0].Prev = []byte{'v', i - 1}
-		}
-		b.Slots = []SlotChange{{
-			Key:  SlotKey{Addr: tAddr(1), Key: tWord(1)},
-			Prev: tWord(i - 1), Cur: tWord(i),
-			PrevExisted: i > 1, CurExists: true,
-		}}
-		if err := f.Commit(tRoot(i), b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	roots := f.RetainedRoots()
-	if len(roots) != DefaultRetainRoots || roots[0] != tRoot(3) {
-		t.Fatalf("retained %d roots from %s, want %d from %s", len(roots), roots[0], DefaultRetainRoots, tRoot(3))
-	}
-	r, err := f.OpenAt(tRoot(3))
-	if err != nil {
+	b := accountBatch(tAddr(1), []byte("acct"))
+	b.Slots = []SlotChange{{Key: SlotKey{Addr: tAddr(1), Key: tWord(1)}, Cur: tWord(9), CurExists: true}}
+	if err := f.Commit(tRoot(1), b); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := r.Account(tAddr(1)); !ok || string(v) != "v\x03" {
-		t.Fatalf("historical account: %q %v", v, ok)
+	f.segs[f.active].Close()
+	for name, read := range map[string]func(){
+		"Slot":    func() { f.Slot(SlotKey{Addr: tAddr(1), Key: tWord(1)}) },
+		"Account": func() { f.Account(tAddr(1)) },
+		"IterateStorage": func() {
+			f.IterateStorage(tAddr(1), func(key, val Word) bool { return true })
+		},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%s of an unreadable value returned instead of panicking", name)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, "segment 0 at offset") {
+					t.Errorf("%s panicked with %q, want it to name segment and offset", name, msg)
+				}
+			}()
+			read()
+		}()
 	}
-	if v, ok := r.Slot(SlotKey{Addr: tAddr(1), Key: tWord(1)}); !ok || v != tWord(3) {
-		t.Fatalf("historical slot: %x %v", v, ok)
-	}
-	for _, expired := range []byte{1, 2} {
-		if _, err := f.OpenAt(tRoot(expired)); !errors.Is(err, ErrRootNotRetained) {
-			t.Fatalf("expired root %d error: %v", expired, err)
+}
+
+// codeOf reads one code blob back through IterateCodes.
+func codeOf(f *File, h hashing.Hash) (code []byte, ok bool) {
+	f.IterateCodes(func(got hashing.Hash, c []byte) bool {
+		if got == h {
+			code, ok = c, true
 		}
-	}
-	if _, err := f.OpenAt(tRoot(99)); !errors.Is(err, ErrRootNotRetained) {
-		t.Fatalf("unknown root error: %v", err)
-	}
+		return !ok
+	})
+	return code, ok
 }

@@ -2,6 +2,7 @@ package state
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -19,8 +20,9 @@ import (
 // The conformance suite drives every backend configuration through one
 // identical randomized block script and asserts they are indistinguishable:
 // same roots after every commit, same account records, same storage, same
-// proof bytes, same storage iteration (keys, values, order), same historical
-// snapshots, and (for the file backend) the same state again after a
+// proof bytes, a file store whose storage iteration (keys, values, order)
+// matches the in-memory trees, the same account and slot reads at every
+// retained root, and (for the file backend) the same state again after a
 // close-and-reopen — at the end for every file store, and in the middle of
 // the script, between compactions, for one of them. Any divergence between
 // the in-memory trees and the log-structured file store is a consensus bug,
@@ -59,9 +61,13 @@ func openConformanceDB(t *testing.T, kind trie.Kind, cfg confConfig, create bool
 	return db
 }
 
-// backendStorage lists addr's slots as the backend itself iterates them.
+// backendStorage lists addr's slots as the file store itself iterates
+// them; an in-memory DB has no store and lists none.
 func backendStorage(db *DB, addr hashing.Address) []StorageEntry {
 	var out []StorageEntry
+	if db.Backend() == nil {
+		return nil
+	}
 	db.Backend().IterateStorage(addr, func(key, val backend.Word) bool {
 		out = append(out, StorageEntry{Key: key, Value: val})
 		return true
@@ -213,23 +219,29 @@ func genConformanceScript(seed int64, blocks, opsPerBlock int) confScript {
 }
 
 // confSnapshot is what we remember about one committed root to later check
-// the historical (OpenAt) read path against what was true at the head.
+// the historical point reads (GetAccountAt, GetStorageAt) and a reopen
+// against what was true at the head.
 type confSnapshot struct {
 	root     hashing.Hash
 	accounts map[hashing.Address]Account
 	present  map[hashing.Address]bool
 	proofs   map[hashing.Address][]byte
+	slots    map[backend.SlotKey]evm.Word
 }
 
-func takeConfSnapshot(t *testing.T, db *DB, root hashing.Hash, pool []hashing.Address) confSnapshot {
+func takeConfSnapshot(t *testing.T, db *DB, root hashing.Hash, script confScript) confSnapshot {
 	t.Helper()
 	snap := confSnapshot{
 		root:     root,
 		accounts: make(map[hashing.Address]Account),
 		present:  make(map[hashing.Address]bool),
 		proofs:   make(map[hashing.Address][]byte),
+		slots:    make(map[backend.SlotKey]evm.Word),
 	}
-	for _, a := range pool {
+	for _, a := range script.pool {
+		for _, k := range script.slots {
+			snap.slots[backend.SlotKey{Addr: a, Key: k}] = db.GetStorage(a, k)
+		}
 		acct, ok := db.GetAccount(a)
 		snap.present[a] = ok
 		if !ok {
@@ -291,9 +303,10 @@ func testBackendConformance(t *testing.T, kind trie.Kind, seed int64) {
 				}
 			}
 		}
-		// Every read surface must agree at the new head.
+		// Every read surface must agree at the new head; each file store
+		// iterates exactly the storage the in-memory trees hold.
 		for _, a := range script.pool {
-			wantIter := backendStorage(ref, a)
+			wantIter := ref.StorageEntries(a)
 			for i, db := range dbs[1:] {
 				if got := backendStorage(db, a); !slices.Equal(got, wantIter) {
 					t.Fatalf("block %d: IterateStorage(%s): %s yields %d slots %v, %s yields %d slots %v",
@@ -347,38 +360,15 @@ func testBackendConformance(t *testing.T, kind trie.Kind, seed int64) {
 				}
 			}
 		}
-		snaps = append(snaps, takeConfSnapshot(t, ref, root, script.pool))
+		snaps = append(snaps, takeConfSnapshot(t, ref, root, script))
 	}
 
-	// Historical reads: every retained root must replay to exactly what the
-	// head looked like when that root was committed, on every backend.
-	retained := make(map[hashing.Hash]bool)
-	for _, r := range ref.RetainedRoots() {
-		retained[r] = true
-	}
-	if len(retained) == 0 {
-		t.Fatalf("no retained roots after %d commits", confBlocks)
-	}
-	checked := 0
-	for _, snap := range snaps {
-		if !retained[snap.root] {
-			continue
-		}
-		checked++
+	// Historical reads: at every retained root — the last retainRoots
+	// commits — every configuration must read each pool account and each
+	// of its script slots exactly as the head showed them when that root
+	// was committed.
+	for _, snap := range snaps[len(snaps)-retainRoots:] {
 		for di, db := range dbs {
-			// The account tree rebuilt from the historical flat view must be
-			// the tree that existed then: same root, same proof bytes.
-			r, err := db.OpenAt(snap.root)
-			if err != nil {
-				t.Fatalf("%s: OpenAt(%s): %v", configs[di].name, snap.root, err)
-			}
-			tree, err := buildAccountTree(kind, r)
-			if err != nil {
-				t.Fatalf("%s: rebuild account tree at %s: %v", configs[di].name, snap.root, err)
-			}
-			if got := tree.RootHash(); got != snap.root {
-				t.Fatalf("%s: account tree rebuilt at %s has root %s", configs[di].name, snap.root, got)
-			}
 			for _, a := range script.pool {
 				acct, ok, err := db.GetAccountAt(a, snap.root)
 				if err != nil {
@@ -388,25 +378,21 @@ func testBackendConformance(t *testing.T, kind trie.Kind, seed int64) {
 					t.Fatalf("%s: historical account %s at %s: got (%+v,%v), head saw (%+v,%v)",
 						configs[di].name, a, snap.root, acct, ok, snap.accounts[a], snap.present[a])
 				}
-				if !ok {
-					continue
-				}
-				proof, err := tree.Prove(a[:])
-				if err != nil {
-					t.Fatalf("%s: prove %s in the tree rebuilt at %s: %v", configs[di].name, a, snap.root, err)
-				}
-				if !bytes.Equal(proof, snap.proofs[a]) {
-					t.Fatalf("%s: historical proof for %s at %s differs from the proof built at head",
-						configs[di].name, a, snap.root)
+				for _, k := range script.slots {
+					v, err := db.GetStorageAt(a, k, snap.root)
+					if err != nil {
+						t.Fatalf("%s: GetStorageAt(%s, %x, %s): %v", configs[di].name, a, k, snap.root, err)
+					}
+					if want := snap.slots[backend.SlotKey{Addr: a, Key: k}]; v != want {
+						t.Fatalf("%s: historical slot %s/%x at %s reads %x, head saw %x",
+							configs[di].name, a, k, snap.root, v, want)
+					}
 				}
 			}
 		}
 	}
-	if checked < 2 {
-		t.Fatalf("only %d retained roots overlapped the recorded snapshots", checked)
-	}
-	if _, err := ref.OpenAt(hashing.Sum([]byte("never-committed"))); err == nil {
-		t.Fatal("OpenAt accepted an unknown root")
+	if _, _, err := ref.GetAccountAt(script.pool[0], hashing.Sum([]byte("never-committed"))); !errors.Is(err, ErrRootNotRetained) {
+		t.Fatalf("GetAccountAt at an unknown root: %v, want %v", err, ErrRootNotRetained)
 	}
 
 	// File backends must come back bit-identical after close + reopen.

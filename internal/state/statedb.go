@@ -15,12 +15,11 @@ import (
 )
 
 // Options tunes the state database's storage layer. The zero value is
-// in-memory trees. Either backend serves OpenAt/GetAccountAt for the last
-// backend.DefaultRetainRoots committed roots.
+// in-memory trees.
 type Options struct {
-	// Backend selects where the flat state (account records and storage
-	// slots) authoritatively lives: the in-memory trees themselves
-	// (KindMemory, the default) or a log-structured file store (KindFile).
+	// Backend selects whether the trees are the only copy of the state
+	// (KindMemory, the default) or a log-structured file store holds the
+	// flat account records, slots and code under them (KindFile).
 	Backend backend.Kind
 	// Dir is the file backend's directory (required for KindFile).
 	Dir string
@@ -28,9 +27,9 @@ type Options struct {
 	// because benchmark/layers.go:589 sets it.
 	DisableFlatCache bool
 	// StorageTreeLimit caps the number of resident per-account storage
-	// trees when the backend is persistent: after each commit, the least
-	// recently touched clean trees beyond the cap are dropped and rebuilt
-	// from the backend on demand. 0 keeps every tree resident.
+	// trees over a file store: after each commit, the least recently
+	// touched clean trees beyond the cap are dropped and rebuilt from the
+	// store on demand. 0 keeps every tree resident.
 	StorageTreeLimit int
 }
 
@@ -40,8 +39,10 @@ type Options struct {
 //
 // Reads are layered: the per-block decoded working set, then the
 // authenticated trees, then — for storage of accounts whose tree is not
-// resident — the backend. Commits flush the trees and the backend together,
-// so state roots are bit-identical across backends by construction.
+// resident — the file store. Commits flush the trees and the file store
+// together, so state roots are bit-identical with and without one by
+// construction. Every commit records its reverse diff in the retained-root
+// history (history.go), which serves the point reads at a past root.
 //
 // DB is not safe for concurrent use; each chain node owns one.
 type DB struct {
@@ -56,7 +57,8 @@ type DB struct {
 	dirty       map[hashing.Address]struct{}  // accounts to flush on Commit
 	dirtyOrder  []hashing.Address             // dirty addresses, insertion order (sorted at Commit)
 
-	back backend.Backend
+	file *backend.File // nil: the trees are the only copy
+	hist history
 
 	// slotDelta records, per block, the committed pre-image of every
 	// storage slot written since the last Commit (first write wins), so the
@@ -67,21 +69,20 @@ type DB struct {
 	// replaced holds, for every account whose storage was installed
 	// wholesale since the last Commit (Move2 import, SELFDESTRUCT, stale
 	// pruning), the tree that was live before the first install — nil when
-	// none was resident and the backend holds the committed slots. Writes to
+	// none was resident and the file store holds the committed slots. Writes to
 	// such an account skip slotDelta: Commit diffs its whole storage, old
 	// against new, instead.
 	replaced map[hashing.Address]trie.Tree
-	// newCodes lists code hashes first seen since the last Commit, so a
-	// persistent backend can store the blobs.
+	// newCodes lists code hashes first seen since the last Commit, so the
+	// file store can store the blobs.
 	newCodes []hashing.Hash
 
-	// storageTouch drives storage-tree eviction under a persistent
-	// backend: least recently touched clean trees go first.
+	// storageTouch drives storage-tree eviction over a file store: least
+	// recently touched clean trees go first.
 	storageTouch map[hashing.Address]uint64
 	touchSeq     uint64
 
-	lastRoot hashing.Hash // root of the last Commit
-	keyBuf   [32]byte     // see treeKey
+	keyBuf [32]byte // see treeKey
 
 	logs    []*evm.Log
 	journal journal
@@ -93,10 +94,9 @@ type prevSlot struct {
 }
 
 var _ evm.StateAccess = (*DB)(nil)
-var _ backend.TreeSource = (*DB)(nil)
 
 // NewDB returns an empty state for the given chain, using the chain's state
-// tree kind for commitments and proofs, and the in-memory backend.
+// tree kind for commitments and proofs, held in memory only.
 func NewDB(chainID hashing.ChainID, kind trie.Kind) (*DB, error) {
 	return NewDBWith(chainID, kind, Options{})
 }
@@ -107,43 +107,40 @@ func NewDBWith(chainID hashing.ChainID, kind trie.Kind, opts Options) (*DB, erro
 	if err != nil {
 		return nil, err
 	}
-	if opts.Backend == backend.KindFile {
-		if fb, ok := db.back.(*backend.File); ok && fb.LiveKeys() > 0 {
-			db.Close()
-			return nil, fmt.Errorf("new state: %s is not empty (use OpenDB to reopen)", opts.Dir)
-		}
+	if db.file != nil && db.file.LiveKeys() > 0 {
+		db.Close()
+		return nil, fmt.Errorf("new state: %s is not empty (use OpenDB to reopen)", opts.Dir)
 	}
 	return db, nil
 }
 
-// OpenDB reopens a state database from a persistent backend's directory,
-// rebuilding the authenticated account tree (and, lazily, the storage
-// trees) from the flat records. The rebuilt tree's root must equal the
-// store's last committed root — canonical trees make the check exact.
+// OpenDB reopens a state database from a file store's directory, rebuilding
+// the authenticated account tree (and, lazily, the storage trees) from the
+// flat records. The rebuilt tree's root must equal the store's last
+// committed root — canonical trees make the check exact. That root starts
+// the retained-root history; older roots do not survive a reopen.
 func OpenDB(chainID hashing.ChainID, kind trie.Kind, opts Options) (*DB, error) {
 	if opts.Backend != backend.KindFile {
-		return nil, fmt.Errorf("open state: backend %s is not persistent", opts.Backend)
+		return nil, fmt.Errorf("open state: backend %s keeps no store to reopen", opts.Backend)
 	}
 	db, err := newDBCore(chainID, kind, opts)
 	if err != nil {
 		return nil, err
 	}
-	if db.accountTree, err = buildAccountTree(kind, db.back); err != nil {
+	if db.accountTree, err = buildAccountTree(kind, db.file); err != nil {
 		db.Close()
 		return nil, fmt.Errorf("open state: rebuild account tree: %w", err)
 	}
-	if cs, ok := db.back.(backend.CodeStore); ok {
-		cs.IterateCodes(func(h hashing.Hash, code []byte) bool {
-			db.codes[h] = code
-			return true
-		})
-	}
-	if want, ok := db.back.LatestRoot(); ok {
+	db.file.IterateCodes(func(h hashing.Hash, code []byte) bool {
+		db.codes[h] = code
+		return true
+	})
+	if want, ok := db.file.LatestRoot(); ok {
 		if got := db.accountTree.RootHash(); got != want {
 			db.Close()
 			return nil, fmt.Errorf("open state: rebuilt root %s, store committed %s", got, want)
 		}
-		db.lastRoot = want
+		db.hist.record(want, backend.Batch{})
 	}
 	return db, nil
 }
@@ -168,16 +165,13 @@ func newDBCore(chainID hashing.ChainID, kind trie.Kind, opts Options) (*DB, erro
 	}
 	switch opts.Backend {
 	case backend.KindMemory:
-		db.back = backend.NewMemory(db)
 	case backend.KindFile:
 		if opts.Dir == "" {
 			return nil, fmt.Errorf("new state: file backend needs a directory")
 		}
-		fb, err := backend.OpenFile(opts.Dir)
-		if err != nil {
+		if db.file, err = backend.OpenFile(opts.Dir); err != nil {
 			return nil, err
 		}
-		db.back = fb
 	default:
 		return nil, fmt.Errorf("new state: unknown backend kind %d", opts.Backend)
 	}
@@ -190,18 +184,25 @@ func (db *DB) ChainID() hashing.ChainID { return db.chainID }
 // TreeKind returns the state tree kind used for commitments.
 func (db *DB) TreeKind() trie.Kind { return db.kind }
 
-// Backend exposes the flat-state backend (benchmarks, conformance tests,
-// and rebuild tooling read it directly).
-func (db *DB) Backend() backend.Backend { return db.back }
+// Backend returns the file store under the trees (benchmarks and
+// conformance tests read it directly), or nil for an in-memory DB.
+func (db *DB) Backend() backend.Backend {
+	if db.file == nil {
+		return nil
+	}
+	return db.file
+}
 
-// Close releases the backend's resources (file handles for the
-// log-structured store). The DB must not be used afterwards.
-func (db *DB) Close() error { return db.back.Close() }
+// Close releases the file store's handles, if there is a store. The DB must
+// not be used afterwards.
+func (db *DB) Close() error {
+	if db.file == nil {
+		return nil
+	}
+	return db.file.Close()
+}
 
-// AccountTree implements backend.TreeSource.
-func (db *DB) AccountTree() trie.Tree { return db.accountTree }
-
-// StorageTreeAt implements backend.TreeSource.
+// StorageTreeAt returns addr's storage tree if one is resident.
 func (db *DB) StorageTreeAt(addr hashing.Address) (trie.Tree, bool) {
 	t, ok := db.storage[addr]
 	return t, ok
@@ -339,17 +340,17 @@ func (db *DB) GetCodeHash(addr hashing.Address) hashing.Hash {
 }
 
 // storageTree returns the live storage tree for addr, creating it lazily —
-// and, under a persistent backend, rebuilding an evicted tree from the
-// backend's flat slots (the tree is canonical, so the rebuild reproduces
-// the committed storage root bit for bit).
+// and, over a file store, rebuilding an evicted tree from the store's flat
+// slots (the tree is canonical, so the rebuild reproduces the committed
+// storage root bit for bit).
 func (db *DB) storageTree(addr hashing.Address) trie.Tree {
 	db.touchStorage(addr)
 	if t, ok := db.storage[addr]; ok {
 		return t
 	}
 	var t trie.Tree
-	if db.back.Persistent() {
-		t = db.buildStorageTree(db.backendEntries(addr, 0))
+	if db.file != nil {
+		t = db.buildStorageTree(db.fileEntries(addr, 0))
 	} else {
 		t = trees.MustNew(db.kind, 32)
 	}
@@ -370,13 +371,13 @@ func (db *DB) buildStorageTree(entries []StorageEntry) trie.Tree {
 	return t
 }
 
-// buildAccountTree returns the account tree over the records r lists.
-func buildAccountTree(kind trie.Kind, r backend.Reader) (trie.Tree, error) {
+// buildAccountTree returns the account tree over the records f holds.
+func buildAccountTree(kind trie.Kind, f *backend.File) (trie.Tree, error) {
 	var (
 		addrs []hashing.Address
 		encs  [][]byte
 	)
-	r.IterateAccounts(func(addr hashing.Address, enc []byte) bool {
+	f.IterateAccounts(func(addr hashing.Address, enc []byte) bool {
 		addrs, encs = append(addrs, addr), append(encs, enc)
 		return true
 	})
@@ -387,7 +388,7 @@ func buildAccountTree(kind trie.Kind, r backend.Reader) (trie.Tree, error) {
 
 // touchStorage refreshes addr's eviction recency.
 func (db *DB) touchStorage(addr hashing.Address) {
-	if db.opts.StorageTreeLimit <= 0 || !db.back.Persistent() {
+	if db.opts.StorageTreeLimit <= 0 || db.file == nil {
 		return
 	}
 	db.touchSeq++
@@ -395,14 +396,14 @@ func (db *DB) touchStorage(addr hashing.Address) {
 }
 
 // GetStorage implements evm.StateAccess: a read of the live tree or, for an
-// account whose tree is not resident, of the backend.
+// account whose tree is not resident, of the file store.
 func (db *DB) GetStorage(addr hashing.Address, key evm.Word) evm.Word {
 	var w evm.Word
 	if t, resident := db.storage[addr]; resident {
 		v, _ := t.Get(db.treeKey(key[:]))
 		copy(w[:], v)
-	} else if db.back.Persistent() {
-		v, _ := db.back.Slot(backend.SlotKey{Addr: addr, Key: key})
+	} else if db.file != nil {
+		v, _ := db.file.Slot(backend.SlotKey{Addr: addr, Key: key})
 		w = evm.Word(v)
 	}
 	return w
@@ -527,8 +528,9 @@ func (db *DB) RevertToSnapshot(id int) {
 // block; nothing on the execution path calls this.
 func (db *DB) DiscardJournal() { db.journal.reset() }
 
-// Commit flushes dirty accounts into the account tree and the backend, and
-// returns the state root. The journal is discarded: committed state cannot
+// Commit flushes dirty accounts into the account tree and the file store,
+// records the reverse diff in the retained-root history, and returns the
+// state root. The journal is discarded: committed state cannot
 // be reverted. The decoded working set is released (it would otherwise grow
 // monotonically across blocks); the next block re-decodes what it touches.
 func (db *DB) Commit() hashing.Hash {
@@ -593,10 +595,12 @@ func (db *DB) Commit() hashing.Hash {
 	// flushed into the tree) or clean read-throughs of it.
 	clear(db.cache)
 	root := db.accountTree.RootHash()
-	if err := db.back.Commit(root, batch); err != nil {
-		panic(fmt.Sprintf("state: backend commit: %v", err))
+	if db.file != nil {
+		if err := db.file.Commit(root, batch); err != nil {
+			panic(fmt.Sprintf("state: backend commit: %v", err))
+		}
 	}
-	db.lastRoot = root
+	db.hist.record(root, batch)
 	db.evictStorageTrees()
 	return root
 }
@@ -610,8 +614,8 @@ func (db *DB) buildBatch() backend.Batch {
 		Accounts: make([]backend.AccountChange, len(db.dirtyOrder)),
 	}
 	// Previous encodings are copied into one shared arena instead of one
-	// allocation each. The arena must be fresh per commit — the backend's
-	// reverse-diff history retains the slices for the whole retention
+	// allocation each. The arena must be fresh per commit — the
+	// retained-root history retains the slices for the whole retention
 	// window. A growth reallocation strands earlier slices on the old
 	// backing array, which stays correct: those bytes are never rewritten.
 	var arena []byte
@@ -633,12 +637,12 @@ func (db *DB) buildBatch() backend.Batch {
 
 // dropCommittedAccount removes a deleted (or empty) account's record and
 // every trace of its storage: the committed tree entry and the resident
-// storage tree. Slots the backend still holds
+// storage tree. Slots the file store still holds
 // are deleted by the slot delta, which is materialized after this runs and
 // reads the now-missing tree as all-gone. Without the teardown, storage
 // written after an in-block DeleteAccount would outlive the account in the
-// resident tree but not in a rebuilt one — the backends would disagree the
-// moment the address is recreated.
+// resident tree but not in a rebuilt one — an in-memory DB and one over a
+// file store would disagree the moment the address is recreated.
 func (db *DB) dropCommittedAccount(addr hashing.Address) {
 	if err := db.accountTree.Delete(addr[:]); err != nil {
 		panic(fmt.Sprintf("state: commit delete: %v", err))
@@ -754,19 +758,19 @@ func (db *DB) appendStorageDiff(batch *backend.Batch, addr hashing.Address, writ
 
 // committedStorage returns what the last Commit left in the storage of an
 // account in replaced, ascending by key: the contents of the tree its first
-// install displaced (or the backend's slots when none was resident), with
+// install displaced (or the file store's slots when none was resident), with
 // the slots written before that install put back to their pre-images.
 func (db *DB) committedStorage(addr hashing.Address, written []backend.SlotKey) []StorageEntry {
 	var old []StorageEntry
 	if t := db.replaced[addr]; t != nil {
 		old = treeEntries(t)
-	} else if db.back.Persistent() {
+	} else if db.file != nil {
 		// A returning contract usually comes back about as large as it left.
 		sizeHint := 0
 		if cur, ok := db.storage[addr]; ok {
 			sizeHint = cur.Len()
 		}
-		old = db.backendEntries(addr, sizeHint)
+		old = db.fileEntries(addr, sizeHint)
 	}
 	for _, sk := range written {
 		pre := db.slotDelta[sk]
@@ -786,12 +790,12 @@ func (db *DB) committedStorage(addr hashing.Address, written []backend.SlotKey) 
 }
 
 // evictStorageTrees drops the least recently touched clean storage trees
-// beyond the configured cap. Only meaningful with a persistent backend
-// (the trees are rebuilt from its flat slots on demand); eviction order is
+// beyond the configured cap. Only meaningful over a file store (the trees
+// are rebuilt from its flat slots on demand); eviction order is
 // deterministic (touch sequence, then address).
 func (db *DB) evictStorageTrees() {
 	limit := db.opts.StorageTreeLimit
-	if limit <= 0 || !db.back.Persistent() || len(db.storage) <= limit {
+	if limit <= 0 || db.file == nil || len(db.storage) <= limit {
 		return
 	}
 	type candidate struct {
@@ -839,15 +843,15 @@ func (db *DB) ProveAccount(addr hashing.Address) ([]byte, error) {
 
 // StorageEntries returns all storage of addr in ascending key order — the
 // state payload V of a move proof (paper Alg. 1, Move2). Accounts whose
-// tree is not resident read straight from the backend.
+// tree is not resident read straight from the file store.
 func (db *DB) StorageEntries(addr hashing.Address) []StorageEntry {
 	if t, ok := db.storage[addr]; ok {
 		return treeEntries(t)
 	}
-	if !db.back.Persistent() {
+	if db.file == nil {
 		return nil
 	}
-	return db.backendEntries(addr, 0)
+	return db.fileEntries(addr, 0)
 }
 
 func treeEntries(t trie.Tree) []StorageEntry {
@@ -859,11 +863,11 @@ func treeEntries(t trie.Tree) []StorageEntry {
 	return out
 }
 
-// backendEntries reads addr's committed slots from the backend, ascending by
+// fileEntries reads addr's committed slots from the file store, ascending by
 // key; sizeHint presizes the result.
-func (db *DB) backendEntries(addr hashing.Address, sizeHint int) []StorageEntry {
+func (db *DB) fileEntries(addr hashing.Address, sizeHint int) []StorageEntry {
 	out := make([]StorageEntry, 0, sizeHint)
-	db.back.IterateStorage(addr, func(key, val backend.Word) bool {
+	db.file.IterateStorage(addr, func(key, val backend.Word) bool {
 		out = append(out, StorageEntry{Key: key, Value: val})
 		return true
 	})

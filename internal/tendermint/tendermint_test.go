@@ -329,7 +329,9 @@ func TestFaultyClusterDigest(t *testing.T) {
 		t.Fatalf("the run left a fault path unexercised: height %d, evidence %d proposal / %d vote, wan %+v",
 			cluster.CommittedHeight(), proposals, votes, s)
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp))); got != faultyClusterDigest {
+	got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp)))
+	t.Logf("identity: %s %s", t.Name(), got)
+	if got != faultyClusterDigest {
 		t.Fatalf("fingerprint digest %s, want %s:\n%.2000s", got, faultyClusterDigest, fp)
 	}
 }

@@ -310,10 +310,8 @@ func TestPartitionThenHealCompletesMove(t *testing.T) {
 // forever: instead of polling indefinitely, the move must fail with
 // ErrConfirmTimeout once the confirmation deadline passes.
 func TestConfirmDeadlineFailsMoveDistinctly(t *testing.T) {
-	moverCfg := relay.DefaultMoverConfig()
-	moverCfg.ConfirmDeadline = 2 * time.Minute
 	cfg := DefaultConfig(1)
-	cfg.Chaos = &ChaosConfig{Seed: 5, Mover: &moverCfg}
+	cfg.Chaos = &ChaosConfig{Seed: 5}
 	u, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +325,9 @@ func TestConfirmDeadlineFailsMoveDistinctly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := u.Mover(2, 1)
+	moverCfg := relay.DefaultMoverConfig()
+	moverCfg.ConfirmDeadline = 2 * time.Minute
+	m := relay.NewMoverWith(u.Sched, u.Chain(2), u.Chain(1), moverCfg, nil, u.Counters())
 	var result *relay.MoveResult
 	m.Move(cl, store, core.MoveToInput(1), func(r *relay.MoveResult) { result = r })
 	ok := u.RunUntil(func() bool {

@@ -91,7 +91,9 @@ func TestMovePingPongDigest(t *testing.T) {
 			h.Write(head[:])
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != movePingPongDigest {
+	got := hex.EncodeToString(h.Sum(nil))
+	t.Logf("identity: %s %s", t.Name(), got)
+	if got != movePingPongDigest {
 		t.Fatalf("Move timeline digest %s, pinned %s", got, movePingPongDigest)
 	}
 }
@@ -140,7 +142,9 @@ func TestMoveStoreFirst256(t *testing.T) {
 		}
 	}
 	sum := h.Sum()
-	if got := hex.EncodeToString(sum[:8]); got != "e1cf3a210f392995" {
+	got := hex.EncodeToString(sum[:8])
+	t.Logf("identity: %s %s", t.Name(), got)
+	if got != "e1cf3a210f392995" {
 		t.Fatalf("first %d Moves digest %s, benchmark prints e1cf3a210f392995", moves, got)
 	}
 }

@@ -121,8 +121,6 @@ type ChaosConfig struct {
 	Equivocators int
 	// Seed decorrelates the chaos RNGs from the base NetSeed.
 	Seed int64
-	// Mover overrides the relayer's deadline/retry tuning.
-	Mover *relay.MoverConfig
 }
 
 // Config describes a universe.
@@ -337,7 +335,6 @@ type Universe struct {
 
 	counters    *metrics.Counters
 	reg         *metrics.Registry // nil unless Config.Metrics/Trace
-	moverCfg    relay.MoverConfig
 	submitLinks map[hashing.ChainID]*simnet.Link
 	relayLinks  map[[2]hashing.ChainID]*simnet.Link
 	relayerCut  bool              // SetRelayerCut's state, applied to links built later
@@ -394,7 +391,6 @@ func New(cfg Config) (*Universe, error) {
 		Net:         net,
 		chains:      make(map[hashing.ChainID]*chain.Chain, len(cfg.Specs)),
 		counters:    metrics.NewCounters(),
-		moverCfg:    relay.DefaultMoverConfig(),
 		submitLinks: make(map[hashing.ChainID]*simnet.Link, len(cfg.Specs)),
 		relayLinks:  make(map[[2]hashing.ChainID]*simnet.Link),
 		pos:         make(map[hashing.ChainID]int, len(cfg.Specs)),
@@ -421,9 +417,6 @@ func New(cfg Config) (*Universe, error) {
 		u.reg = metrics.NewRegistryWith(u.counters)
 		u.reg.EnableTrace(cfg.Trace)
 		net.SetRegistry(u.reg)
-	}
-	if cfg.Chaos != nil && cfg.Chaos.Mover != nil {
-		u.moverCfg = *cfg.Chaos.Mover
 	}
 
 	// One (possibly lossy) submission link per chain, shared by every
@@ -780,8 +773,8 @@ func (u *Universe) UserClient(i int) *relay.Client {
 	return relay.NewClient(UserKey(i), u.submitLinks)
 }
 
-// Mover returns a mover from src to dst, tuned by the chaos config (when
-// set) and wired into the universe's shared counters. Each call returns a
+// Mover returns a mover from src to dst with the default tuning
+// (relay.DefaultMoverConfig), wired into the universe's shared counters. Each call returns a
 // fresh mover with its own journal; hold on to one to exercise
 // crash-recovery via Crash/Recover.
 func (u *Universe) Mover(src, dst hashing.ChainID) *relay.Mover {
@@ -793,7 +786,7 @@ func (u *Universe) Mover(src, dst hashing.ChainID) *relay.Mover {
 		u.EnsureRelay(dst, src)
 	}
 	m := relay.NewMoverWith(u.Sched, u.chains[src], u.chains[dst],
-		u.moverCfg, relay.NewJournal(), u.counters)
+		relay.DefaultMoverConfig(), relay.NewJournal(), u.counters)
 	m.SetRegistry(u.reg)
 	return m
 }

@@ -62,7 +62,11 @@ func TestKittiesReplayCrossGOMAXPROCSDeterminism(t *testing.T) {
 			}
 		})
 		fp := kittiesFingerprint(res)
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp))); got != kittiesCellDigest {
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp)))
+		if procs == 1 {
+			t.Logf("identity: %s %s", t.Name(), got)
+		}
+		if got != kittiesCellDigest {
 			t.Fatalf("GOMAXPROCS=%d: fingerprint digest %s, want %s:\n%s", procs, got, kittiesCellDigest, fp)
 		}
 	}
@@ -88,6 +92,7 @@ func TestKittiesReplayRound0(t *testing.T) {
 	got := fmt.Sprintf("planned=%d completed=%d failed=%d txs=%d sim=%v sim_tx_s=%v cross=%v",
 		res.PlannedOps, res.OpsCompleted, res.FailedOps, res.TxsCommitted, res.SimDuration, res.Throughput, res.CrossRate)
 	const want = "planned=10768 completed=10706 failed=62 txs=19476 sim=5m31.5s sim_tx_s=58.751131221719454 cross=0.11687926431326016"
+	t.Logf("identity: %s %s", t.Name(), got)
 	if got != want {
 		t.Fatalf("round 0:\n got %s\nwant %s", got, want)
 	}

@@ -48,7 +48,11 @@ func TestShardedScalingCrossGOMAXPROCSDeterminism(t *testing.T) {
 		if res.Moves.Completed == 0 {
 			t.Fatal("cell completed no migrations; determinism check would be vacuous")
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(res.Fingerprint))); got != shardedCellDigest {
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(res.Fingerprint)))
+		if procs == 1 {
+			t.Logf("identity: %s %s", t.Name(), got)
+		}
+		if got != shardedCellDigest {
 			t.Fatalf("GOMAXPROCS=%d: fingerprint digest %s, want %s:\n%.800s", procs, got, shardedCellDigest, res.Fingerprint)
 		}
 	}
@@ -158,6 +162,7 @@ func TestShardMigrateRound0(t *testing.T) {
 	got := fmt.Sprintf("committed=%d sim_tx_s=%v moves=%d spread=%d fingerprint=%x",
 		res.Committed, res.Throughput, res.Moves.Completed, res.FinalSpread, sum[:8])
 	const want = "committed=111484 sim_tx_s=265.43809523809523 moves=187 spread=64 fingerprint=2c0c972a1b16f837"
+	t.Logf("identity: %s %s", t.Name(), got)
 	if got != want {
 		t.Fatalf("round 0:\n got %s\nwant %s", got, want)
 	}
