@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test vet race cpu1 benchtest detsmoke identity expsmoke fuzzsmoke statesmoke shardsmoke experiments loc
+.PHONY: check build test vet race cpu1 benchtest detsmoke identity relaycov expsmoke fuzzsmoke statesmoke shardsmoke experiments loc
 
-check: vet race cpu1 detsmoke benchtest expsmoke fuzzsmoke statesmoke shardsmoke
+check: vet race cpu1 detsmoke relaycov benchtest expsmoke fuzzsmoke statesmoke shardsmoke
 
 build:
 	$(GO) build ./...
@@ -139,6 +139,21 @@ identity:
 		grep -Eq "identity: $$t[ /]" /tmp/scmove_identity.txt || { echo "identity: $$t logged no identity line"; exit 1; }; \
 	done
 	@grep -o 'identity: .*' /tmp/scmove_identity.txt | sort
+
+# relaycov is the relayer's branch-coverage gate: it runs the whole suite
+# with coverage of internal/relay and fails, printing the unrun blocks, when
+# relay/mover.go and relay/journal.go together leave more than
+# RELAYCOV_MAX statements unrun. -coverpkg writes one line per block per
+# test binary; a block ran if any binary ran it.
+RELAYCOV_MAX = 5
+relaycov:
+	@$(GO) test -coverpkg=scmove/internal/relay -coverprofile=/tmp/scmove_relaycov.out ./... > /tmp/scmove_relaycov.txt 2>&1 \
+		|| { cat /tmp/scmove_relaycov.txt; exit 1; }
+	@awk -F'[: ]' -v max=$(RELAYCOV_MAX) ' \
+		NR > 1 && $$1 ~ /internal\/relay\/(mover|journal)\.go$$/ { k = $$1 ":" $$2; n[k] = $$3; c[k] += $$4 } \
+		END { for (k in n) if (c[k] == 0) { print "relaycov: unrun " k " (" n[k] " statements)"; s += n[k] } \
+			printf "relaycov: %d statements of relay/mover.go and relay/journal.go unrun, at most %d allowed\n", s, max; \
+			exit s > max }' /tmp/scmove_relaycov.out
 
 # expsmoke is the experiment-output sanity gate: a CI-scale ablations run,
 # a chaos run with metrics and span tracing on, and the byzantine and

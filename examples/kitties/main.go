@@ -68,24 +68,18 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var pregnancy uint64
-	for _, log := range rec.Logs {
-		if len(log.Topics) == 1 && log.Topics[0] == contracts.TopicPregnant {
-			pregnancy = u256.FromBytes(log.Data).Uint64()
-		}
+	pregnancy, err := contracts.Pregnant(rec.Logs)
+	if err != nil {
+		return err
 	}
 	rec, err = u.MustCall(breeder, burrow, registry,
 		contracts.EncodeCall("giveBirth", contracts.ArgUint(pregnancy)), u256.Zero(), time.Minute)
 	if err != nil {
 		return err
 	}
-	var kitten scmove.Address
-	for _, log := range rec.Logs {
-		if len(log.Topics) == 1 && log.Topics[0] == contracts.TopicKittyCreated {
-			if kitten, err = contracts.AsAddress(log.Data); err != nil {
-				return err
-			}
-		}
+	kitten, err := contracts.KittyCreated(rec.Logs)
+	if err != nil {
+		return err
 	}
 	genes, err := burrow.StaticCall(breeder.Address(), kitten, contracts.EncodeCall("genes"))
 	if err != nil {
@@ -115,19 +109,13 @@ func promo(u *scmove.Universe, gameOwner *scmove.Client, c *chain.Chain,
 	if err != nil {
 		return cat{}, err
 	}
-	for i := len(rec.Logs) - 1; i >= 0; i-- {
-		log := rec.Logs[i]
-		if len(log.Topics) == 1 && log.Topics[0] == contracts.TopicKittyCreated {
-			addr, err := contracts.AsAddress(log.Data)
-			if err != nil {
-				return cat{}, err
-			}
-			ret, err := c.StaticCall(owner, addr, contracts.EncodeCall("salt"))
-			if err != nil {
-				return cat{}, err
-			}
-			return cat{addr: addr, salt: u256.FromBytes(ret).Uint64()}, nil
-		}
+	addr, err := contracts.KittyCreated(rec.Logs)
+	if err != nil {
+		return cat{}, err
 	}
-	return cat{}, fmt.Errorf("KittyCreated event missing")
+	ret, err := c.StaticCall(owner, addr, contracts.EncodeCall("salt"))
+	if err != nil {
+		return cat{}, err
+	}
+	return cat{addr: addr, salt: u256.FromBytes(ret).Uint64()}, nil
 }

@@ -43,13 +43,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var pegged scmove.Address
-	for _, log := range rec.Logs {
-		if len(log.Topics) == 1 && log.Topics[0] == contracts.TopicRelayCreated {
-			if pegged, err = contracts.AsAddress(log.Data); err != nil {
-				return err
-			}
-		}
+	pegged, err := contracts.RelayCreated(rec.Logs)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("locked %d wei in pegged contract %s (Move1 ran at creation)\n", locked, pegged)
 

@@ -92,9 +92,6 @@ type ByzantineResult struct {
 // Any violation returns an error; the caller gets a result whose
 // fingerprint is byte-identical across GOMAXPROCS and same-seed re-runs.
 func RunByzantine(cfg ByzantineConfig) (*ByzantineResult, error) {
-	if cfg.Moves <= 0 {
-		cfg.Moves = 1
-	}
 	ucfg := universe.DefaultConfig(2)
 	ucfg.Metrics = cfg.Metrics
 	faults := simnet.LinkFaults{

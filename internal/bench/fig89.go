@@ -11,7 +11,6 @@ import (
 	"scmove/internal/metrics"
 	"scmove/internal/relay"
 	"scmove/internal/state"
-	"scmove/internal/types"
 	"scmove/internal/u256"
 	"scmove/internal/universe"
 )
@@ -191,9 +190,9 @@ func runIBCApp(app string, from, to hashing.ChainID) (IBCRow, error) {
 				return err
 			}
 			row.CompleteGas += rec.GasUsed
-			pregnancy, ok := pregnancyOf(rec)
-			if !ok {
-				return fmt.Errorf("no pregnancy event")
+			pregnancy, err := contracts.Pregnant(rec.Logs)
+			if err != nil {
+				return err
 			}
 			rec, err = u.MustCall(cl, dst, registry,
 				contracts.EncodeCall("giveBirth", contracts.ArgUint(pregnancy)), u256.Zero(), setupTimeout)
@@ -250,16 +249,8 @@ func newTokenAccount(u *universe.Universe, cl *relay.Client, c *chain.Chain,
 	if err != nil {
 		return namedAccount{}, err
 	}
-	for _, log := range rec.Logs {
-		if len(log.Topics) == 1 && log.Topics[0] == contracts.TopicCreatedAccount {
-			addr, salt, err := contracts.DecodeNewAccountResult(log.Data)
-			if err != nil {
-				return namedAccount{}, err
-			}
-			return namedAccount{addr: addr, salt: salt}, nil
-		}
-	}
-	return namedAccount{}, fmt.Errorf("CreatedAccount event missing")
+	addr, salt, err := contracts.CreatedAccount(rec.Logs)
+	return namedAccount{addr: addr, salt: salt}, err
 }
 
 // newPromoKitty mints a promotional cat owned by the client.
@@ -272,31 +263,15 @@ func newPromoKitty(u *universe.Universe, cl *relay.Client, c *chain.Chain,
 	if err != nil {
 		return namedAccount{}, err
 	}
-	for i := len(rec.Logs) - 1; i >= 0; i-- {
-		log := rec.Logs[i]
-		if len(log.Topics) == 1 && log.Topics[0] == contracts.TopicKittyCreated {
-			addr, err := contracts.AsAddress(log.Data)
-			if err != nil {
-				return namedAccount{}, err
-			}
-			ret, err := c.StaticCall(cl.Address(), addr, contracts.EncodeCall("salt"))
-			if err != nil {
-				return namedAccount{}, err
-			}
-			return namedAccount{addr: addr, salt: u256.FromBytes(ret).Uint64()}, nil
-		}
+	addr, err := contracts.KittyCreated(rec.Logs)
+	if err != nil {
+		return namedAccount{}, err
 	}
-	return namedAccount{}, fmt.Errorf("KittyCreated event missing")
-}
-
-// pregnancyOf extracts the pregnancy id from a breed receipt.
-func pregnancyOf(rec *types.Receipt) (uint64, bool) {
-	for _, log := range rec.Logs {
-		if len(log.Topics) == 1 && log.Topics[0] == contracts.TopicPregnant {
-			return u256.FromBytes(log.Data).Uint64(), true
-		}
+	ret, err := c.StaticCall(cl.Address(), addr, contracts.EncodeCall("salt"))
+	if err != nil {
+		return namedAccount{}, err
 	}
-	return 0, false
+	return namedAccount{addr: addr, salt: u256.FromBytes(ret).Uint64()}, nil
 }
 
 // String renders the Fig. 8 and Fig. 9 tables.

@@ -18,9 +18,9 @@ type StateDBConfig struct {
 	Accounts        int
 	Contracts       int
 	SlotsPerAccount int
-	// BlockAccounts is how many accounts are funded per commit during
-	// population (0 = one commit for everything). Smaller blocks model a
-	// chain that grew over many heights and bound the per-commit batch.
+	// BlockAccounts (positive) is how many accounts are funded per commit
+	// during population. Smaller blocks model a chain that grew over many
+	// heights and bound the per-commit batch.
 	BlockAccounts int
 	ChainID       hashing.ChainID
 	Kind          trie.Kind
@@ -65,10 +65,6 @@ func BuildStateDB(cfg StateDBConfig) (*state.DB, error) {
 // cfg.SlotsPerAccount storage slots each. Deterministic: the same cfg
 // produces the same committed root on every backend.
 func PopulateStateDB(db *state.DB, cfg StateDBConfig) error {
-	blockSize := cfg.BlockAccounts
-	if blockSize <= 0 {
-		blockSize = cfg.Accounts
-	}
 	if cfg.Contracts > cfg.Accounts {
 		return fmt.Errorf("statebench: %d contracts > %d accounts", cfg.Contracts, cfg.Accounts)
 	}
@@ -84,11 +80,11 @@ func PopulateStateDB(db *state.DB, cfg StateDBConfig) error {
 				db.SetStorage(addr, key, val)
 			}
 		}
-		if (i+1)%blockSize == 0 {
+		if (i+1)%cfg.BlockAccounts == 0 {
 			db.Commit()
 		}
 	}
-	if cfg.Accounts%blockSize != 0 {
+	if cfg.Accounts%cfg.BlockAccounts != 0 {
 		db.Commit()
 	}
 	return nil

@@ -123,12 +123,9 @@ type PoWNode struct {
 	nextMiner  int
 }
 
-// NewPoWNode creates a PoW-driven chain with the given miner count and a
-// seeded block timer.
+// NewPoWNode creates a PoW-driven chain with the given (positive) miner
+// count and a seeded block timer.
 func NewPoWNode(sched *simclock.Scheduler, c *Chain, seed int64, minerCount int) *PoWNode {
-	if minerCount <= 0 {
-		minerCount = 1
-	}
 	return &PoWNode{
 		Chain:      c,
 		sched:      sched,
@@ -154,12 +151,10 @@ func (n *PoWNode) scheduleNext() {
 // chains run exactly this kind of relay (paper §IV-A). Each committed block
 // relays the last `window` headers plus the head height, so a dropped relay
 // message heals as soon as any later one gets through — the retransmission
-// behaviour real IBC relayers implement. Use a window comfortably larger
-// than the longest outage, in blocks, the deployment should ride out.
+// behaviour real IBC relayers implement. The window is at least 1; use one
+// comfortably larger than the longest outage, in blocks, the deployment
+// should ride out.
 func ConnectHeaderRelayVia(src, dst *Chain, link *simnet.Link, window int) {
-	if window < 1 {
-		window = 1
-	}
 	// A corrupted copy goes through the full untrusted decode and ingest,
 	// and its rejection is counted on the link.
 	forged := func(raw []byte) {

@@ -23,6 +23,21 @@ import (
 // ErrBadCall reports malformed calldata.
 var ErrBadCall = errors.New("contracts: malformed call data")
 
+// ErrNoEvent reports receipt logs that lack the event a decoder reads.
+var ErrNoEvent = errors.New("contracts: event missing")
+
+// eventData returns the data of the first log whose one topic is topic.
+// Every decoded event is emitted once per call, so the first is the only
+// one.
+func eventData(logs []*evm.Log, topic hashing.Hash, name string) ([]byte, error) {
+	for _, log := range logs {
+		if len(log.Topics) == 1 && log.Topics[0] == topic {
+			return log.Data, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: %s", ErrNoEvent, name)
+}
+
 // EncodeCall builds calldata for a native contract method.
 func EncodeCall(method string, args ...[]byte) []byte {
 	w := codec.NewWriter(64)

@@ -1,6 +1,7 @@
 package contracts_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -257,17 +258,11 @@ func newTokenFixture(t *testing.T) *tokenFixture {
 
 	newAccount := func(kp *keys.KeyPair) (hashing.Address, uint64) {
 		rec := h.call(1, kp, token, contracts.EncodeCall("newAccount"), 0)
-		for _, log := range rec.Logs {
-			if len(log.Topics) == 1 && log.Topics[0] == contracts.TopicCreatedAccount {
-				addr, salt, err := contracts.DecodeNewAccountResult(log.Data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return addr, salt
-			}
+		addr, salt, err := contracts.CreatedAccount(onlyOne(t, rec, contracts.TopicCreatedAccount))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatal("CreatedAccount event missing")
-		return hashing.Address{}, 0
+		return addr, salt
 	}
 	accA, saltA := newAccount(alice)
 	accB, saltB := newAccount(bob)
@@ -412,7 +407,7 @@ func (f *kittyFixture) promo(kp *keys.KeyPair, genes byte) (hashing.Address, uin
 	g[31] = genes
 	rec := f.h.call(1, f.owner, f.registry, contracts.EncodeCall("createPromoKitty",
 		contracts.ArgWord(g), contracts.ArgAddress(kp.Address())), 0)
-	cat, err := contracts.AsAddress(lastKittyCreated(rec))
+	cat, err := contracts.KittyCreated(onlyOne(f.h.t, rec, contracts.TopicKittyCreated))
 	if err != nil {
 		f.h.t.Fatal(err)
 	}
@@ -420,13 +415,37 @@ func (f *kittyFixture) promo(kp *keys.KeyPair, genes byte) (hashing.Address, uin
 	return cat, salt
 }
 
-func lastKittyCreated(rec *types.Receipt) []byte {
-	for i := len(rec.Logs) - 1; i >= 0; i-- {
-		if len(rec.Logs[i].Topics) == 1 && rec.Logs[i].Topics[0] == contracts.TopicKittyCreated {
-			return rec.Logs[i].Data
+// onlyOne returns rec's logs after checking that they hold exactly one event
+// of topic: the contracts emit each decoded event once per call, which is
+// what lets the decoders take the first.
+func onlyOne(t *testing.T, rec *types.Receipt, topic hashing.Hash) []*evm.Log {
+	t.Helper()
+	n := 0
+	for _, log := range rec.Logs {
+		if len(log.Topics) == 1 && log.Topics[0] == topic {
+			n++
 		}
 	}
-	return nil
+	if n != 1 {
+		t.Fatalf("%d events of topic %s in one call, want 1", n, topic)
+	}
+	return rec.Logs
+}
+
+// TestDecodersReportMissingEvent: logs without the decoded event (here,
+// another contract's event with the same data) are ErrNoEvent, not a zero
+// value.
+func TestDecodersReportMissingEvent(t *testing.T) {
+	logs := []*evm.Log{{Topics: []hashing.Hash{contracts.TopicTransfer}, Data: make([]byte, 52)}}
+	_, err1 := contracts.KittyCreated(logs)
+	_, err2 := contracts.Pregnant(logs)
+	_, _, err3 := contracts.CreatedAccount(logs)
+	_, err4 := contracts.RelayCreated(logs)
+	for i, err := range []error{err1, err2, err3, err4} {
+		if !errors.Is(err, contracts.ErrNoEvent) {
+			t.Errorf("decoder %d: %v, want %v", i+1, err, contracts.ErrNoEvent)
+		}
+	}
 }
 
 func TestKittiesPromoAndGuards(t *testing.T) {
@@ -453,17 +472,12 @@ func TestKittiesBreedAndGiveBirth(t *testing.T) {
 	rec := h.call(1, f.breeder, f.registry, contracts.EncodeCall("breed",
 		contracts.ArgAddress(catA), contracts.ArgUint(saltA),
 		contracts.ArgAddress(catB), contracts.ArgUint(saltB)), 0)
-	var pregnancy uint64
-	for _, log := range rec.Logs {
-		if len(log.Topics) == 1 && log.Topics[0] == contracts.TopicPregnant {
-			pregnancy = u256.FromBytes(log.Data).Uint64()
-		}
-	}
-	if pregnancy == 0 {
-		t.Fatal("Pregnant event missing")
+	pregnancy, err := contracts.Pregnant(onlyOne(t, rec, contracts.TopicPregnant))
+	if err != nil || pregnancy == 0 {
+		t.Fatalf("pregnancy %d (%v)", pregnancy, err)
 	}
 	rec = h.call(1, f.breeder, f.registry, contracts.EncodeCall("giveBirth", contracts.ArgUint(pregnancy)), 0)
-	child, err := contracts.AsAddress(lastKittyCreated(rec))
+	child, err := contracts.KittyCreated(onlyOne(t, rec, contracts.TopicKittyCreated))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,14 +523,12 @@ func TestKittiesSiblingsCannotMate(t *testing.T) {
 		rec := h.call(1, f.breeder, f.registry, contracts.EncodeCall("breed",
 			contracts.ArgAddress(catA), contracts.ArgUint(saltA),
 			contracts.ArgAddress(catB), contracts.ArgUint(saltB)), 0)
-		var id uint64
-		for _, log := range rec.Logs {
-			if len(log.Topics) == 1 && log.Topics[0] == contracts.TopicPregnant {
-				id = u256.FromBytes(log.Data).Uint64()
-			}
+		id, err := contracts.Pregnant(onlyOne(t, rec, contracts.TopicPregnant))
+		if err != nil {
+			t.Fatal(err)
 		}
 		rec = h.call(1, f.breeder, f.registry, contracts.EncodeCall("giveBirth", contracts.ArgUint(id)), 0)
-		child, err := contracts.AsAddress(lastKittyCreated(rec))
+		child, err := contracts.KittyCreated(onlyOne(t, rec, contracts.TopicKittyCreated))
 		if err != nil {
 			t.Fatal(err)
 		}

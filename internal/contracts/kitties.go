@@ -20,6 +20,26 @@ var (
 	TopicPregnant     = hashing.Sum([]byte("Pregnant(uint)"))
 )
 
+// KittyCreated decodes, from a createPromoKitty or giveBirth receipt's
+// logs, the address of the Kitty the registry spawned.
+func KittyCreated(logs []*evm.Log) (hashing.Address, error) {
+	data, err := eventData(logs, TopicKittyCreated, "KittyCreated")
+	if err != nil {
+		return hashing.Address{}, err
+	}
+	return AsAddress(data)
+}
+
+// Pregnant decodes, from a breed receipt's logs, the pregnancy id that
+// giveBirth takes.
+func Pregnant(logs []*evm.Log) (uint64, error) {
+	data, err := eventData(logs, TopicPregnant, "Pregnant")
+	if err != nil {
+		return 0, err
+	}
+	return u256.FromBytes(data).Uint64(), nil
+}
+
 // Registry storage slots (application region 0x03).
 func kittySlot(n byte) evm.Word {
 	var w evm.Word

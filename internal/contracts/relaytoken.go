@@ -22,6 +22,16 @@ var (
 	TopicRelayCreated = hashing.Sum([]byte("RelayCreated(address)"))
 )
 
+// RelayCreated decodes, from a TokenRelay create receipt's logs, the pegged
+// token the relay created.
+func RelayCreated(logs []*evm.Log) (hashing.Address, error) {
+	data, err := eventData(logs, TopicRelayCreated, "RelayCreated")
+	if err != nil {
+		return hashing.Address{}, err
+	}
+	return AsAddress(data)
+}
+
 // Relay storage slots (application region 0x04).
 func relaySlot(n byte) evm.Word {
 	var w evm.Word

@@ -151,6 +151,16 @@ func (sc SCoin) newAccountFor(call *evm.NativeCall, owner hashing.Address) ([]by
 	return event, nil
 }
 
+// CreatedAccount decodes, from a newAccount receipt's logs, the account the
+// factory created and its salt.
+func CreatedAccount(logs []*evm.Log) (hashing.Address, uint64, error) {
+	data, err := eventData(logs, TopicCreatedAccount, "CreatedAccount")
+	if err != nil {
+		return hashing.Address{}, 0, err
+	}
+	return DecodeNewAccountResult(data)
+}
+
 // DecodeNewAccountResult parses newAccount's return value.
 func DecodeNewAccountResult(ret []byte) (hashing.Address, uint64, error) {
 	if len(ret) != hashing.AddressSize+32 {

@@ -21,7 +21,7 @@ func setupSwap(t *testing.T) (h *harness, swap, catA, catB hashing.Address) {
 		g[31] = genes
 		rec := h.call(1, owner, registry, contracts.EncodeCall("createPromoKitty",
 			contracts.ArgWord(g), contracts.ArgAddress(to)), 0)
-		cat, err := contracts.AsAddress(lastKittyCreated(rec))
+		cat, err := contracts.KittyCreated(onlyOne(t, rec, contracts.TopicKittyCreated))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestSwapAfterCrossChainMove(t *testing.T) {
 		g[31] = genes
 		rec := h.call(chain, owner, reg, contracts.EncodeCall("createPromoKitty",
 			contracts.ArgWord(g), contracts.ArgAddress(to)), 0)
-		cat, err := contracts.AsAddress(lastKittyCreated(rec))
+		cat, err := contracts.KittyCreated(onlyOne(t, rec, contracts.TopicKittyCreated))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sync"
 
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
@@ -154,13 +153,6 @@ func checkCode(codeHash hashing.Hash, code []byte) error {
 	return nil
 }
 
-// splitMin is the smallest payload, in storage entries, whose source-kind
-// root PrepareMove2 computes on a goroutine of its own beside the
-// target-kind build. On a 2-core host the split costs 20 % more than one
-// goroutine doing both at 64 entries, breaks even at 128, and saves 20 % at
-// 256 and 27 % at 1 000.
-const splitMin = 128
-
 // Move2Storage is the part of a Move2 that grows with the moved contract's
 // storage: the root of the carried entries in the source chain's tree kind,
 // which the completeness check (VerifyMove2 step 5) compares with the proven
@@ -180,10 +172,10 @@ type Move2Storage struct {
 // PrepareMove2 computes p's Move2Storage for a target whose state trees are
 // of the given kind. When the kinds match, one Build serves both: its root
 // is the completeness check and the tree is the install. When they differ,
-// a payload of at least splitMin entries has its source-kind root and its
-// target-kind tree computed on two goroutines. It reads only p and
-// hs.Params, which is fixed when the store is built, and touches no state,
-// so it may run on any goroutine while the target executes blocks.
+// the source-kind root is computed first, then the target-kind tree. It
+// reads only p and hs.Params, which is fixed when the store is built, and
+// touches no state, so it may run on any goroutine while the target
+// executes blocks.
 func PrepareMove2(hs *HeaderStore, target trie.Kind, p *types.Move2Payload) *Move2Storage {
 	params, err := hs.Params(p.SourceChain)
 	if err != nil {
@@ -194,32 +186,12 @@ func PrepareMove2(hs *HeaderStore, target trie.Kind, p *types.Move2Payload) *Mov
 		return &Move2Storage{Err: err}
 	}
 	var s Move2Storage
-	switch {
-	case params.TreeKind == target:
+	if params.TreeKind == target {
 		if s.Tree, err = buildHashed(target, entries); err == nil {
 			s.Root = s.Tree.RootHash()
 		}
-	case len(entries) >= splitMin:
-		var (
-			wg       sync.WaitGroup
-			buildErr error
-		)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.Root, err = trees.RootOf(params.TreeKind, 32, len(entries), entryAt(entries))
-		}()
-		s.Tree, buildErr = buildHashed(target, entries)
-		wg.Wait()
-		// Both kinds refuse a run through the same trie.CheckRun, so the two
-		// errors agree; the source's is the one VerifyMove2 reports.
-		if err == nil {
-			err = buildErr
-		}
-	default:
-		if s.Root, err = trees.RootOf(params.TreeKind, 32, len(entries), entryAt(entries)); err == nil {
-			s.Tree, err = buildHashed(target, entries)
-		}
+	} else if s.Root, err = trees.RootOf(params.TreeKind, 32, len(entries), entryAt(entries)); err == nil {
+		s.Tree, err = buildHashed(target, entries)
 	}
 	if err != nil {
 		return &Move2Storage{Err: fmt.Errorf("%w: %v", ErrIncompleteSet, err)}

@@ -421,14 +421,14 @@ func TestMoveToInputRoundTrip(t *testing.T) {
 // it replaces on a chain: verifying with its result must fail exactly as
 // VerifyMove2 does, error text included, and installing its tree must leave
 // the state root ApplyMove2 leaves — for MPT → IAVL, IAVL → MPT and
-// IAVL → IAVL, at sizes on both sides of the two-goroutine split.
+// IAVL → IAVL, at 3, 127 and 178 entries.
 func TestPreparedMove2MatchesVerifyAndApply(t *testing.T) {
 	kinds := map[hashing.ChainID]trie.Kind{chainA: trie.KindMPT, chainB: trie.KindIAVL, 3: trie.KindIAVL}
 	params := func(id hashing.ChainID) ChainParams {
 		return ChainParams{ID: id, TreeKind: kinds[id], ConfirmationDepth: 1}
 	}
 	for _, pair := range [][2]hashing.ChainID{{chainA, chainB}, {chainB, chainA}, {3, chainB}} {
-		for _, slots := range []int{3, splitMin - 1, splitMin + 50} {
+		for _, slots := range []int{3, 127, 178} {
 			src, err := state.NewDB(pair[0], kinds[pair[0]])
 			if err != nil {
 				t.Fatal(err)

@@ -306,8 +306,7 @@ func (m *Mover) Recover(cl *Client) error {
 			// way to know how long the previous incarnation already waited.
 			// The target may still hold the crashed incarnation's expectation
 			// of this payload; ExpectMove2 then keeps that one.
-			e.confirmAt = m.sched.Now()
-			m.dst.ExpectMove2(e.Payload)
+			m.awaitConfirm(e)
 			m.pollConfirm(cl, e)
 		case StageMove2Submitted:
 			m.submitMove2(cl, e)
@@ -456,14 +455,19 @@ func (m *Mover) startConfirm(cl *Client, e *Entry) {
 			return
 		}
 		e.Payload = payload
-		// The payload is final: the target's storage work can run while the
-		// source's headers become p blocks deep.
-		m.dst.ExpectMove2(payload)
 	}
-	e.Stage = StageWaitConfirm
 	e.Attempts = 0
-	e.confirmAt = m.sched.Now()
+	m.awaitConfirm(e)
 	m.pollConfirm(cl, e)
+}
+
+// awaitConfirm announces the final payload to the target (Chain.ExpectMove2),
+// so the target's storage work runs while the source's headers become p
+// blocks deep, and enters the confirmation wait, whose deadline starts now.
+func (m *Mover) awaitConfirm(e *Entry) {
+	m.dst.ExpectMove2(e.Payload)
+	e.Stage = StageWaitConfirm
+	e.confirmAt = m.sched.Now()
 }
 
 // pollConfirm polls the target light client until the proof's source height
@@ -523,11 +527,9 @@ func (m *Mover) move2Receipt(cl *Client, e *Entry, rec *types.Receipt) {
 			}
 			// Rebuild with a fresh nonce and re-verify confirmation depth
 			// before resubmitting. The failed attempt consumed the target's
-			// preparation of the payload; start another.
-			m.dst.ExpectMove2(e.Payload)
+			// preparation of the payload; awaitConfirm starts another.
 			e.Move2 = nil
-			e.Stage = StageWaitConfirm
-			e.confirmAt = m.sched.Now()
+			m.awaitConfirm(e)
 			m.after(e, StageWaitConfirm, func() { m.pollConfirm(cl, e) })
 			return
 		}

@@ -473,3 +473,43 @@ func TestBackoffCapsAtRetryMax(t *testing.T) {
 		}
 	}
 }
+
+// TestStageString names every stage the journal can hold, and an unknown
+// one by its number.
+func TestStageString(t *testing.T) {
+	for stage, want := range map[Stage]string{
+		StagePending:        "pending",
+		StageMove1Submitted: "move1-submitted",
+		StageWaitConfirm:    "wait-confirm",
+		StageMove2Submitted: "move2-submitted",
+		StageDone:           "done",
+		StageFailed:         "failed",
+		Stage(42):           "stage(42)",
+	} {
+		if got := stage.String(); got != want {
+			t.Errorf("Stage(%d).String() = %q, want %q", uint8(stage), got, want)
+		}
+	}
+}
+
+// TestCompleteUnlockedContractFails: Complete on a contract whose Move1
+// never ran has no proof to build, so the move fails at once on the
+// "build proof" step with core.ErrNotLocked, and nothing is announced to
+// the target or submitted.
+func TestCompleteUnlockedContractFails(t *testing.T) {
+	r, cl := newIdleRig(t)
+	r.mover = NewMoverWith(r.sched, r.src, r.dst, rigConfig(), nil, r.counters)
+	r.mover.Complete(cl, r.contract, func(res *MoveResult) { r.result = res })
+	if r.result == nil {
+		t.Fatal("Complete on an unlocked contract did not finish synchronously")
+	}
+	if err := r.result.Err; !errors.Is(err, core.ErrNotLocked) || !strings.HasPrefix(err.Error(), "build proof: ") {
+		t.Fatalf("move ended with %v, want build proof: %v", err, core.ErrNotLocked)
+	}
+	if r.stage() != StageFailed || r.counters.Get("relay.moves_failed") != 1 {
+		t.Fatalf("journal stage %v, moves_failed %d; want failed, 1", r.stage(), r.counters.Get("relay.moves_failed"))
+	}
+	if e, _ := r.mover.Journal().Entry(r.contract); e.Payload != nil || e.Move2 != nil {
+		t.Fatal("a failed proof build left a payload or a Move2 in the journal")
+	}
+}

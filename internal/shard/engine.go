@@ -28,7 +28,7 @@ type Config struct {
 	// Home resolves a transaction sender to its home chain, feeding the
 	// affinity signal.
 	Home func(addr hashing.Address) (hashing.ChainID, bool)
-	// Interval is the policy tick spacing (default 30 s).
+	// Interval is the policy tick spacing; it must be positive.
 	Interval time.Duration
 	// Policy decides the migrations.
 	Policy Policy
@@ -51,10 +51,9 @@ type Stats struct {
 // from scheduler events (ticks and block listeners), so the engine needs no
 // locking.
 type Engine struct {
-	cfg      Config
-	interval time.Duration
-	chains   map[hashing.ChainID]*chain.Chain
-	order    []hashing.ChainID
+	cfg    Config
+	chains map[hashing.ChainID]*chain.Chain
+	order  []hashing.ChainID
 
 	loc     map[hashing.Address]hashing.ChainID
 	owner   map[hashing.Address]*relay.Client
@@ -70,18 +69,14 @@ type Engine struct {
 // New builds an engine and registers its block listeners; call Track for
 // each managed contract, then Start.
 func New(cfg Config) *Engine {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 30 * time.Second
-	}
 	e := &Engine{
-		cfg:      cfg,
-		interval: cfg.Interval,
-		chains:   make(map[hashing.ChainID]*chain.Chain, len(cfg.Chains)),
-		loc:      make(map[hashing.Address]hashing.ChainID),
-		owner:    make(map[hashing.Address]*relay.Client),
-		window:   make(map[hashing.Address]*ContractLoad),
-		chWin:    make(map[hashing.ChainID]*ChainLoad),
-		moving:   make(map[hashing.Address]bool),
+		cfg:    cfg,
+		chains: make(map[hashing.ChainID]*chain.Chain, len(cfg.Chains)),
+		loc:    make(map[hashing.Address]hashing.ChainID),
+		owner:  make(map[hashing.Address]*relay.Client),
+		window: make(map[hashing.Address]*ContractLoad),
+		chWin:  make(map[hashing.ChainID]*ChainLoad),
+		moving: make(map[hashing.Address]bool),
 	}
 	for _, c := range cfg.Chains {
 		c := c
@@ -154,7 +149,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // Start schedules the recurring policy tick.
 func (e *Engine) Start() {
-	e.cfg.Clock.After(e.interval, e.tick)
+	e.cfg.Clock.After(e.cfg.Interval, e.tick)
 }
 
 // Stop halts ticking and observation; in-flight moves still run to
@@ -175,7 +170,7 @@ func (e *Engine) tick() {
 		e.issue(m)
 	}
 	e.reset()
-	e.cfg.Clock.After(e.interval, e.tick)
+	e.cfg.Clock.After(e.cfg.Interval, e.tick)
 }
 
 // snapshot assembles the policy's view: chains in configuration order,

@@ -179,9 +179,9 @@ func (g *Greedy) Plan(s *Snapshot) []Migration {
 type Hysteresis struct {
 	Inner Policy
 	// Sustain is how many consecutive ticks the same (contract, target)
-	// proposal must recur before it fires (default 2).
+	// proposal must recur before it fires.
 	Sustain int
-	// Cooldown is how many ticks a contract rests after a move (default 3).
+	// Cooldown is how many ticks a contract rests after a move.
 	Cooldown int
 
 	streak map[hashing.Address]sustained
@@ -198,14 +198,6 @@ func (h *Hysteresis) Plan(s *Snapshot) []Migration {
 	if h.streak == nil {
 		h.streak = make(map[hashing.Address]sustained)
 		h.cool = make(map[hashing.Address]int)
-	}
-	sustain := h.Sustain
-	if sustain <= 0 {
-		sustain = 2
-	}
-	cooldown := h.Cooldown
-	if cooldown <= 0 {
-		cooldown = 3
 	}
 	for c, left := range h.cool {
 		if left <= 0 {
@@ -228,10 +220,10 @@ func (h *Hysteresis) Plan(s *Snapshot) []Migration {
 		} else {
 			st = sustained{to: m.To, count: 1}
 		}
-		if st.count >= sustain {
+		if st.count >= h.Sustain {
 			out = append(out, m)
 			delete(h.streak, m.Contract)
-			h.cool[m.Contract] = cooldown
+			h.cool[m.Contract] = h.Cooldown
 			continue
 		}
 		h.streak[m.Contract] = st

@@ -11,10 +11,10 @@ import (
 	"scmove/internal/u256"
 )
 
-// TestLazyRelayMeshIsOActivePairs pins the scaling contract of LazyRelays:
-// a 64-chain universe builds with zero relay links, the first mover
-// materializes exactly its pair (both directions), and an eager universe
-// of the same shape pays for the full quadratic mesh.
+// TestLazyRelayMeshIsOActivePairs pins the scaling contract of the lazy
+// relay mesh (Config.Lanes): a 64-chain universe builds with zero relay
+// links, the first mover materializes exactly its pair (both directions),
+// and an eager universe of the same shape pays for the full quadratic mesh.
 func TestLazyRelayMeshIsOActivePairs(t *testing.T) {
 	const shards = 64
 	cfg := ShardedScaleConfig(shards, 4, 0)
@@ -93,12 +93,12 @@ func TestLazyRelaySeedsArePositionDerived(t *testing.T) {
 }
 
 // TestLazyRelaySeedsMatchEagerMesh pins the single seed formula: a lazy
-// mesh built pair by pair through EnsureRelay draws the same faults on
-// every link as the eager mesh of the same configuration.
+// mesh (Lanes) built pair by pair through EnsureRelay draws the same faults
+// on every link as the eager mesh of the same configuration without Lanes.
 func TestLazyRelaySeedsMatchEagerMesh(t *testing.T) {
 	build := func(lazy bool) map[[2]hashing.ChainID]simnet.LinkStats {
 		cfg := ShardedConfig(4, 1)
-		cfg.LazyRelays = lazy
+		cfg.Lanes = lazy
 		cfg.Chaos = &ChaosConfig{HeaderRelay: simnet.LinkFaults{DropRate: 0.3, JitterFrac: 0.1}}
 		u, err := New(cfg)
 		if err != nil {

@@ -126,10 +126,9 @@ type ChaosConfig struct {
 // Config describes a universe.
 type Config struct {
 	Specs []ChainSpec
-	// Clients is the number of pre-funded client key pairs.
+	// Clients is the number of pre-funded client key pairs, each funded
+	// with clientFunds on every chain.
 	Clients int
-	// ClientFunds is each client's genesis balance on every chain.
-	ClientFunds u256.Int
 	// SubmitDelay is the client-to-chain submission latency.
 	SubmitDelay time.Duration
 	// RelayDelay is the header relay latency between chains.
@@ -172,38 +171,39 @@ type Config struct {
 	// encoded frames between validator goroutines — instead of the
 	// discrete-event network. Requires Realtime.
 	TCPWan bool
-	// Lanes means exactly the two things the sharded fingerprint depends
-	// on, and nothing else. Each chain's consensus cluster gets its own
-	// simnet.Network, seeded NetSeed + position·1 000 003 + 11 and labelled
-	// "wan.<chain>" in the gauges, instead of sharing Universe.Net. And each
-	// chain's block listeners and tx waiters fire from a fresh event at the
-	// current simulated time (chain.SetDispatcher with
-	// sched.At(sched.Now(), fn)), after the event that committed the block
-	// has returned, instead of inside it. Every chain still runs on the one
-	// timeline (DESIGN.md §16 has the name's history). Rejected with
-	// Realtime.
+	// Lanes is the sharded layout; it means exactly three things. Each
+	// chain's consensus cluster gets its own simnet.Network, seeded
+	// NetSeed + position·1 000 003 + 11 and labelled "wan.<chain>" in the
+	// gauges, instead of sharing Universe.Net. Each chain's block listeners
+	// and tx waiters fire from a fresh event at the current simulated time
+	// (chain.SetDispatcher with sched.At(sched.Now(), fn)), after the event
+	// that committed the block has returned, instead of inside it. And the
+	// O(chains²) header-relay mesh is built lazily: a link comes into
+	// existence on first use, when Mover (or EnsureRelay) touches a pair,
+	// so set-up costs O(active pairs) — at 64 chains the eager mesh is 4032
+	// links and listeners, almost all of which a sharded workload never
+	// exercises. Link fault seeds derive from the chain pair's positions,
+	// not creation order, so a lazily built link behaves as the eager
+	// mesh's does. Every chain still runs on the one timeline (DESIGN.md
+	// §16 has the name's history). Rejected with Realtime.
 	Lanes bool
-	// LazyRelays skips building the O(chains²) bidirectional header-relay
-	// mesh at construction: links come into existence on first use, when
-	// Mover (or EnsureRelay) touches a pair. Setup cost becomes
-	// O(active pairs) — at 64 chains the eager mesh is 4032 links and
-	// listeners, almost all of which a sharded workload never exercises.
-	// Link fault seeds derive from the chain pair's positions, not creation
-	// order, so lazily created links behave identically no matter which
-	// order traffic first touches them.
-	LazyRelays bool
 	// Users is the number of synthetic keyed user accounts, beyond Clients.
 	// User i's key derives from a fixed seed offset (UserKey) and is funded
-	// at genesis only on its home chain (position i mod chains). Addresses
-	// come from the process-wide table UserAddresses (20 bytes per user, no
-	// key pairs), so only the first build in a process derives them.
+	// with userFunds at genesis only on its home chain (position i mod
+	// chains). Addresses come from the process-wide table UserAddresses (20
+	// bytes per user, no key pairs), so only the first build in a process
+	// derives them.
 	// Workloads re-derive keys for the users they actually drive
 	// (UserClient).
 	Users int
-	// UserFunds is each user's genesis balance on its home chain (defaults
-	// to ClientFunds when zero).
-	UserFunds u256.Int
 }
+
+// Genesis balances: a client's on every chain, a synthetic user's on its
+// home chain.
+const (
+	clientFunds = 1 << 60
+	userFunds   = 1 << 50
+)
 
 // DefaultConfig returns a two-chain (Ethereum + Burrow) universe matching
 // the paper's IBC deployment, with the standard contract registry.
@@ -215,7 +215,6 @@ func DefaultConfig(clients int) Config {
 			BurrowSpec(2, registry, 43),
 		},
 		Clients:     clients,
-		ClientFunds: u256.FromUint64(1 << 60),
 		SubmitDelay: 50 * time.Millisecond,
 		RelayDelay:  50 * time.Millisecond,
 		NetSeed:     7,
@@ -229,7 +228,6 @@ func ShardedConfig(shards, clients int) Config {
 	registry := contracts.NewRegistry()
 	cfg := Config{
 		Clients:     clients,
-		ClientFunds: u256.FromUint64(1 << 60),
 		SubmitDelay: 50 * time.Millisecond,
 		RelayDelay:  50 * time.Millisecond,
 		NetSeed:     7,
@@ -241,17 +239,16 @@ func ShardedConfig(shards, clients int) Config {
 }
 
 // ShardedScaleConfig returns an S-shard Burrow deployment tuned for the
-// scaling experiments: a WAN instance per chain (Lanes), a lazily built
-// header-relay mesh, and a keyed user population funded across the shards.
-// validators ≤ 0 keeps the paper's 10 per shard; the scaling grid uses 4 to
-// keep the consensus message volume proportionate at 64 chains. A handful of
-// regular clients ride along as relayer/deployer identities.
+// scaling experiments: a WAN instance per chain and a lazily built
+// header-relay mesh (Lanes), and a keyed user population funded across the
+// shards. validators ≤ 0 keeps BurrowSpec's 10 per shard, which the
+// `movebench -experiment sharded` grid and the 16-chain detsmoke cell run;
+// the benchmark's shard_migrate cell sets 4. A handful of regular clients
+// ride along as relayer/deployer identities.
 func ShardedScaleConfig(shards, validators, users int) Config {
 	cfg := ShardedConfig(shards, 4)
 	cfg.Lanes = true
-	cfg.LazyRelays = true
 	cfg.Users = users
-	cfg.UserFunds = u256.FromUint64(1 << 50)
 	if validators > 0 {
 		for i := range cfg.Specs {
 			cfg.Specs[i].Validators = validators
@@ -315,10 +312,10 @@ func UserAddresses(n int) []hashing.Address {
 // lives on chain i mod stride), reading the addresses from UserAddresses:
 // only the first build in a process derives them, and later builds of any
 // size at most extend the table.
-func fundUsers(db *state.DB, pos, stride, users int, funds u256.Int) {
+func fundUsers(db *state.DB, pos, stride, users int) {
 	addrs := UserAddresses(users)
 	for i := pos; i < users; i += stride {
-		db.AddBalance(addrs[i], funds)
+		db.AddBalance(addrs[i], u256.FromUint64(userFunds))
 	}
 }
 
@@ -340,9 +337,8 @@ type Universe struct {
 	relayerCut  bool              // SetRelayerCut's state, applied to links built later
 	procBase    map[string]uint64 // metrics.Process once New has provisioned; nil unless u.reg
 
-	// Scaling state (Config.LazyRelays, Users).
+	// Scaling state (Config.Lanes, Users).
 	pos         map[hashing.ChainID]int // chain position in configuration order
-	lazyRelays  bool
 	relayDelay  time.Duration
 	relayFaults simnet.LinkFaults
 	relayWindow int
@@ -394,7 +390,6 @@ func New(cfg Config) (*Universe, error) {
 		submitLinks: make(map[hashing.ChainID]*simnet.Link, len(cfg.Specs)),
 		relayLinks:  make(map[[2]hashing.ChainID]*simnet.Link),
 		pos:         make(map[hashing.ChainID]int, len(cfg.Specs)),
-		lazyRelays:  cfg.LazyRelays,
 		relayDelay:  cfg.RelayDelay,
 		relaySeed:   chaosSeed,
 		relayWindow: 1,
@@ -451,10 +446,6 @@ func New(cfg Config) (*Universe, error) {
 	for _, kp := range clientKeys {
 		u.clients = append(u.clients, relay.NewClient(kp, u.submitLinks))
 	}
-	userFunds := cfg.UserFunds
-	if userFunds.IsZero() {
-		userFunds = cfg.ClientFunds
-	}
 	posOf := make(map[hashing.ChainID]int, len(cfg.Specs))
 	for i, spec := range cfg.Specs {
 		posOf[spec.Config.ChainID] = i
@@ -462,10 +453,10 @@ func New(cfg Config) (*Universe, error) {
 	genesisFor := func(id hashing.ChainID) func(db *state.DB) {
 		return func(db *state.DB) {
 			for _, kp := range clientKeys {
-				db.AddBalance(kp.Address(), cfg.ClientFunds)
+				db.AddBalance(kp.Address(), u256.FromUint64(clientFunds))
 			}
 			if cfg.Users > 0 {
-				fundUsers(db, posOf[id], len(cfg.Specs), cfg.Users, userFunds)
+				fundUsers(db, posOf[id], len(cfg.Specs), cfg.Users)
 			}
 			if cfg.ExtraGenesis != nil {
 				cfg.ExtraGenesis(id, db)
@@ -565,7 +556,7 @@ func New(cfg Config) (*Universe, error) {
 			u.relayWindow = 8
 		}
 	}
-	if !cfg.LazyRelays {
+	if !cfg.Lanes {
 		for _, a := range u.order {
 			for _, b := range u.order {
 				if a != b {
@@ -622,14 +613,14 @@ func (u *Universe) Counters() *metrics.Counters {
 func (u *Universe) Metrics() *metrics.Registry { return u.reg }
 
 // RelayLink returns the header relay link from chain a to chain b, or nil
-// when it does not exist yet (Config.LazyRelays defers creation to first
-// use; see EnsureRelay).
+// when it does not exist yet (Config.Lanes defers creation to first use;
+// see EnsureRelay).
 func (u *Universe) RelayLink(a, b hashing.ChainID) *simnet.Link {
 	return u.relayLinks[[2]hashing.ChainID{a, b}]
 }
 
 // RelayLinkCount returns how many header-relay links exist right now. With
-// LazyRelays it measures the active pair set; the eager mesh is always
+// Lanes it measures the active pair set; the eager mesh is always
 // chains×(chains−1).
 func (u *Universe) RelayLinkCount() int { return len(u.relayLinks) }
 
@@ -778,13 +769,12 @@ func (u *Universe) UserClient(i int) *relay.Client {
 // fresh mover with its own journal; hold on to one to exercise
 // crash-recovery via Crash/Recover.
 func (u *Universe) Mover(src, dst hashing.ChainID) *relay.Mover {
-	if u.lazyRelays {
-		// A move needs headers flowing both ways: the destination verifies
-		// the Move1 proof against src headers, and the relayer confirms the
-		// Move2 result with dst headers on the source side.
-		u.EnsureRelay(src, dst)
-		u.EnsureRelay(dst, src)
-	}
+	// A move needs headers flowing both ways: the destination verifies the
+	// Move1 proof against src headers, and the relayer confirms the Move2
+	// result with dst headers on the source side. Without Lanes both links
+	// already exist.
+	u.EnsureRelay(src, dst)
+	u.EnsureRelay(dst, src)
 	m := relay.NewMoverWith(u.Sched, u.chains[src], u.chains[dst],
 		relay.DefaultMoverConfig(), relay.NewJournal(), u.counters)
 	m.SetRegistry(u.reg)

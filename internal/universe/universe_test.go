@@ -215,17 +215,9 @@ func TestFig3CurrencyPegging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pegged hashing.Address
-	for _, log := range rec.Logs {
-		if len(log.Topics) == 1 && log.Topics[0] == contracts.TopicRelayCreated {
-			pegged, err = contracts.AsAddress(log.Data)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if pegged.IsZero() {
-		t.Fatal("RelayCreated event missing")
+	pegged, err := contracts.RelayCreated(rec.Logs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if eth.StateDB().GetLocation(pegged) != 2 {
 		t.Fatal("pegged token must be locked towards chain 2")

@@ -443,8 +443,8 @@ func (r *kittiesRun) startPromo(op *traceOp) {
 				r.opFailed(op)
 				return
 			}
-			addr, ok := kittyFromLogs(rec)
-			if !ok {
+			addr, err := contracts.KittyCreated(rec.Logs)
+			if err != nil {
 				r.opFailed(op)
 				return
 			}
@@ -532,8 +532,8 @@ func (r *kittiesRun) breedColocated(op *traceOp) {
 				r.opFailed(op)
 				return
 			}
-			pregnancy, ok := pregnancyFromLogs(rec)
-			if !ok {
+			pregnancy, err := contracts.Pregnant(rec.Logs)
+			if err != nil {
 				r.opFailed(op)
 				return
 			}
@@ -544,8 +544,8 @@ func (r *kittiesRun) breedColocated(op *traceOp) {
 						r.opFailed(op)
 						return
 					}
-					child, ok := kittyFromLogs(rec)
-					if !ok {
+					child, err := contracts.KittyCreated(rec.Logs)
+					if err != nil {
 						r.opFailed(op)
 						return
 					}
@@ -595,24 +595,4 @@ func (r *kittiesRun) releaseDependents(op *traceOp) {
 		}
 	}
 	r.pump()
-}
-
-func kittyFromLogs(rec *types.Receipt) (hashing.Address, bool) {
-	for i := len(rec.Logs) - 1; i >= 0; i-- {
-		log := rec.Logs[i]
-		if len(log.Topics) == 1 && log.Topics[0] == contracts.TopicKittyCreated {
-			addr, err := contracts.AsAddress(log.Data)
-			return addr, err == nil
-		}
-	}
-	return hashing.Address{}, false
-}
-
-func pregnancyFromLogs(rec *types.Receipt) (uint64, bool) {
-	for _, log := range rec.Logs {
-		if len(log.Topics) == 1 && log.Topics[0] == contracts.TopicPregnant {
-			return u256.FromBytes(log.Data).Uint64(), true
-		}
-	}
-	return 0, false
 }

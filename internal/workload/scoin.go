@@ -38,12 +38,17 @@ type SCoinConfig struct {
 	// that themselves move, fail on conflicts, and retry after a random
 	// 0-10 block backoff.
 	Retries bool
-	// ThinkTime is the maximum uniform pause between a client's operations
-	// (decorrelates the closed loops from the block schedule). Defaults to
-	// 2 s.
-	ThinkTime time.Duration
-	Seed      int64
+	Seed    int64
 }
+
+const (
+	// thinkTime is the maximum uniform pause between a client's operations
+	// (decorrelates the closed loops from the block schedule).
+	thinkTime = 2 * time.Second
+	// maxRetries is how often a conflicting transfer is retried before the
+	// operation is abandoned (Retries mode).
+	maxRetries = 20
+)
 
 // SCoinResult aggregates the benchmark measurements.
 type SCoinResult struct {
@@ -81,9 +86,10 @@ type account struct {
 
 // scoinRun is the mutable benchmark state.
 type scoinRun struct {
-	cfg SCoinConfig
-	u   *universe.Universe
-	rng *rand.Rand
+	cfg    SCoinConfig
+	u      *universe.Universe
+	chains []*chain.Chain // in configuration order, for relay.Locate
+	rng    *rand.Rand
 
 	tokenAddr hashing.Address
 	senders   []*account // one per client
@@ -91,19 +97,15 @@ type scoinRun struct {
 
 	startAt, endAt time.Duration
 
-	res        *SCoinResult
-	opsDone    int
-	crossOps   int
-	maxRetries int
+	res      *SCoinResult
+	opsDone  int
+	crossOps int
 }
 
 // RunSCoin executes the benchmark and returns its measurements.
 func RunSCoin(cfg SCoinConfig) (*SCoinResult, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("workload: need at least one shard")
-	}
-	if cfg.ReceiversPerShard <= 0 {
-		cfg.ReceiversPerShard = 16
 	}
 	ownerKey := contracts.WellKnown("scoin-owner")
 	tokenAddr := contracts.WellKnown("scoin-factory")
@@ -129,7 +131,9 @@ func RunSCoin(cfg SCoinConfig) (*SCoinResult, error) {
 			Timeline:    metrics.NewTimeline(10 * time.Second),
 			RetryCounts: make(map[int]int),
 		},
-		maxRetries: 20,
+	}
+	for _, id := range u.ChainIDs() {
+		run.chains = append(run.chains, u.Chain(id))
 	}
 	u.Start()
 	if err := run.setup(); err != nil {
@@ -197,20 +201,11 @@ func (r *scoinRun) setup() error {
 		if !rec.Succeeded() {
 			return fmt.Errorf("workload: newAccount failed: %s", rec.Err)
 		}
-		applied := false
-		for _, log := range rec.Logs {
-			if len(log.Topics) == 1 && log.Topics[0] == contracts.TopicCreatedAccount {
-				addr, salt, err := contracts.DecodeNewAccountResult(log.Data)
-				if err != nil {
-					return err
-				}
-				p.apply(addr, salt)
-				applied = true
-			}
+		addr, salt, err := contracts.CreatedAccount(rec.Logs)
+		if err != nil {
+			return fmt.Errorf("workload: newAccount: %w", err)
 		}
-		if !applied {
-			return fmt.Errorf("workload: CreatedAccount event missing")
-		}
+		p.apply(addr, salt)
 	}
 	return nil
 }
@@ -254,11 +249,7 @@ func (r *scoinRun) measure() {
 // nextOp schedules one closed-loop operation for the sender after a short
 // random think time.
 func (r *scoinRun) nextOp(acct *account) {
-	think := r.cfg.ThinkTime
-	if think <= 0 {
-		think = 2 * time.Second
-	}
-	r.u.Sched.After(time.Duration(r.rng.Int63n(int64(think))), func() {
+	r.u.Sched.After(time.Duration(r.rng.Int63n(int64(thinkTime))), func() {
 		r.startOp(acct)
 	})
 }
@@ -343,7 +334,7 @@ func (r *scoinRun) transfer(acct *account, target *account, op *scoinOp) {
 			r.opDone(acct, op)
 			return
 		}
-		if !r.cfg.Retries || op.retries >= r.maxRetries {
+		if !r.cfg.Retries || op.retries >= maxRetries {
 			r.opFailed(acct, op)
 			return
 		}
@@ -414,20 +405,9 @@ func (r *scoinRun) opFailed(acct *account, op *scoinOp) {
 }
 
 // resolveShard refreshes the client's view of its account's location by
-// reading the Lc field (every shard's tombstone points at the true home).
+// chasing the Lc field from any shard that knows the account (§III-G(b)).
 func (r *scoinRun) resolveShard(acct *account) {
-	for s := 0; s < r.cfg.Shards; s++ {
-		id := shardID(s)
-		db := r.u.Chain(id).StateDB()
-		if !db.Exists(acct.addr) {
-			continue
-		}
-		if loc := db.GetLocation(acct.addr); loc == id {
-			acct.shard = id
-			return
-		} else if r.u.Chain(loc) != nil && r.u.Chain(loc).StateDB().GetLocation(acct.addr) == loc {
-			acct.shard = loc
-			return
-		}
+	if loc, ok := relay.Locate(r.chains, acct.addr); ok {
+		acct.shard = loc
 	}
 }

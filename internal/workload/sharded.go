@@ -26,34 +26,25 @@ import (
 type ShardedScalingConfig struct {
 	// Chains is the shard count (the grid runs 4 / 16 / 64).
 	Chains int
-	// Validators per shard (0 keeps ShardedScaleConfig's default of 4).
+	// Validators per shard (0 keeps BurrowSpec's 10, as the sharded grid
+	// and the 16-chain detsmoke cell run; the benchmark's shard_migrate
+	// cell sets 4).
 	Validators int
-	// Users is the synthetic keyed population funded at genesis.
+	// Users is the synthetic keyed population funded at genesis, at least
+	// activePerChain (4) per chain: those users drive traffic, the rest
+	// exist to prove provisioning scales.
 	Users int
-	// ActiveUsers drive traffic (default 4 per chain); the rest exist to
-	// prove provisioning scales.
-	ActiveUsers int
-	// Contracts are all deployed on the first shard (default 2 per chain).
+	// Contracts are all deployed on the first shard (2 per chain by
+	// default), a multiple of Chains.
 	Contracts int
-	// Outstanding is each driver's closed-loop depth (default 8).
-	Outstanding int
-	// CrossPct of calls target a uniformly random contract instead of one
-	// from the caller's own community (whose contracts the policy will
-	// eventually park on the caller's home chain).
-	CrossPct float64
-	// ShardCapacity caps per-block transactions, making the single home
-	// shard the bottleneck the policy can relieve (default 60).
-	ShardCapacity int
 	// Policy enables the migration engine; off is the hot-shard baseline.
 	Policy bool
-	// Interval is the policy tick (default 20 s).
-	Interval time.Duration
 	// Warmup runs traffic (and the policy) before measurement starts: the
 	// congested start stacks a deep backlog on the hot shard, and draining
 	// it is a transient that would otherwise dominate the window at high
 	// chain counts.
 	Warmup time.Duration
-	// Duration is the measured window (default 4 min).
+	// Duration is the measured window (4 min by default).
 	Duration time.Duration
 	Seed     int64
 	// Deprecated: ignored — the parallel per-tick driver is gone. The field
@@ -61,21 +52,31 @@ type ShardedScalingConfig struct {
 	ParallelTick bool
 }
 
+// The scaling cell's fixed shape. Per chain, activePerChain users drive
+// closed-loop traffic, each with outstanding calls in flight. crossFrac of
+// calls target a uniformly random contract instead of one from the
+// caller's own community (whose contracts the policy will eventually park
+// on the caller's home chain). A block holds at most shardCapacity
+// transactions, which makes the single home shard the bottleneck the
+// policy can relieve, and the policy ticks every policyTick.
+const (
+	activePerChain = 4
+	outstanding    = 8
+	crossFrac      = 0.1
+	shardCapacity  = 60
+	policyTick     = 20 * time.Second
+)
+
 // DefaultShardedScalingConfig returns the grid cell for one chain count.
 func DefaultShardedScalingConfig(chains int, policy bool) ShardedScalingConfig {
 	return ShardedScalingConfig{
-		Chains:        chains,
-		Users:         1000 * chains,
-		ActiveUsers:   4 * chains,
-		Contracts:     2 * chains,
-		Outstanding:   8,
-		CrossPct:      0.1,
-		ShardCapacity: 60,
-		Policy:        policy,
-		Interval:      20 * time.Second,
-		Warmup:        3 * time.Minute,
-		Duration:      4 * time.Minute,
-		Seed:          31,
+		Chains:    chains,
+		Users:     1000 * chains,
+		Contracts: 2 * chains,
+		Policy:    policy,
+		Warmup:    3 * time.Minute,
+		Duration:  4 * time.Minute,
+		Seed:      31,
 	}
 }
 
@@ -108,41 +109,21 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 	if cfg.Chains < 2 {
 		return nil, fmt.Errorf("workload: sharded scaling needs at least two chains")
 	}
-	if cfg.ActiveUsers <= 0 {
-		cfg.ActiveUsers = 4 * cfg.Chains
-	}
-	if cfg.Contracts <= 0 {
-		cfg.Contracts = 2 * cfg.Chains
-	}
-	if cfg.Outstanding <= 0 {
-		cfg.Outstanding = 8
-	}
-	if cfg.ShardCapacity <= 0 {
-		cfg.ShardCapacity = 60
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 20 * time.Second
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 4 * time.Minute
-	}
-	if cfg.Users < cfg.ActiveUsers {
-		cfg.Users = cfg.ActiveUsers
-	}
+	activeUsers := activePerChain * cfg.Chains
 
 	ucfg := universe.ShardedScaleConfig(cfg.Chains, cfg.Validators, cfg.Users)
 	ucfg.Clients = cfg.Contracts // one deployer/owner client per contract
 	// Active drivers submit wherever their contracts live, so they carry
 	// gas money on every chain — the bulk population stays funded only at
 	// home, which is what keeps provisioning linear.
-	driverAddrs := universe.UserAddresses(cfg.ActiveUsers)
+	driverAddrs := universe.UserAddresses(activeUsers)
 	ucfg.ExtraGenesis = func(_ hashing.ChainID, db *state.DB) {
 		for _, a := range driverAddrs {
 			db.AddBalance(a, u256.FromUint64(1<<50))
 		}
 	}
 	for i := range ucfg.Specs {
-		ucfg.Specs[i].Config.MaxBlockTxs = cfg.ShardCapacity
+		ucfg.Specs[i].Config.MaxBlockTxs = shardCapacity
 	}
 	wallStart := time.Now()
 	u, err := universe.New(ucfg)
@@ -195,8 +176,8 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 
 	// Active users: clients over re-derived keys, plus the caller-home map
 	// the affinity policy resolves senders against.
-	drivers := make([]*relay.Client, cfg.ActiveUsers)
-	homes := make(map[hashing.Address]hashing.ChainID, cfg.ActiveUsers)
+	drivers := make([]*relay.Client, activeUsers)
+	homes := make(map[hashing.Address]hashing.ChainID, activeUsers)
 	for i := range drivers {
 		drivers[i] = u.UserClient(i)
 		homes[drivers[i].Address()] = u.UserHome(i)
@@ -213,12 +194,12 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 				h, ok := homes[addr]
 				return h, ok
 			},
-			Interval: cfg.Interval,
+			Interval: policyTick,
 			Policy: &shard.Hysteresis{
 				Inner: &shard.Greedy{
 					Dominance: 0.5,
 					MinTxs:    2,
-					Capacity:  2 * cfg.ShardCapacity,
+					Capacity:  2 * shardCapacity,
 					MaxMoves:  16,
 				},
 				Sustain:  2,
@@ -240,7 +221,7 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 
 	// Closed-loop drivers. User i's community is the contracts k ≡ i mod S:
 	// their callers all live on chain order[k mod S], which is where the
-	// affinity policy will eventually park them. CrossPct of calls go to a
+	// affinity policy will eventually park them. crossFrac of calls go to a
 	// uniformly random contract instead.
 	startAt := u.Sched.Now() + cfg.Warmup
 	endAt := startAt + cfg.Duration
@@ -256,7 +237,7 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 				return
 			}
 			k := i%S + S*rng.Intn(cfg.Contracts/S)
-			if cfg.CrossPct > 0 && rng.Float64() < cfg.CrossPct {
+			if rng.Float64() < crossFrac {
 				k = rng.Intn(cfg.Contracts)
 			}
 			if eng != nil && eng.IsMoving(addrs[k]) {
@@ -275,7 +256,7 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 				fire()
 			})
 		}
-		for n := 0; n < cfg.Outstanding; n++ {
+		for n := 0; n < outstanding; n++ {
 			fire()
 		}
 	}
