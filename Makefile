@@ -104,7 +104,7 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestFailedSignatureIsKept TestCommittedSignaturesVerify \
 	TestLoopWaitCountsPoolAndEncode TestUserAddressesMatchDerivation \
 	TestApplyBlockRecoversSendersOutsideLock TestKittiesReplayRound0 \
-	TestMoveStoreFirst256
+	TestMoveStoreFirst256 TestVerifyMemoConcurrentMatchesSerial
 DETSMOKE_PKGS = ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/relay/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/
@@ -196,6 +196,7 @@ fuzzsmoke:
 		'./internal/state/backend FuzzSegmentDecode' \
 		'./internal/simnet FuzzFrameDecode' \
 		'./internal/relay FuzzDecodeJournal' \
+		'./internal/keys FuzzDecodePub' \
 	; do \
 		set -- $$spec; \
 		echo "fuzzsmoke: $$2 ($$1, $(FUZZTIME))"; \

@@ -143,36 +143,17 @@ type Signature struct {
 	R, S   []byte
 }
 
-// SignerAddress returns the address of the key that produced the signature.
-func (sig Signature) SignerAddress() (hashing.Address, error) {
-	if _, err := decodePub(sig.PubKey); err != nil {
-		return hashing.Address{}, err
-	}
-	return hashing.AccountAddress(sig.PubKey), nil
-}
-
 // Verify checks the signature over digest and returns the signer address.
+// The key's decoding comes from a process-wide memo (see pubMemo); the
+// signature itself is checked on every call.
 func (sig Signature) Verify(digest hashing.Hash) (hashing.Address, error) {
-	pub, err := decodePub(sig.PubKey)
+	k, err := decodePub(sig.PubKey)
 	if err != nil {
 		return hashing.Address{}, err
 	}
-	r := new(big.Int).SetBytes(sig.R)
-	s := new(big.Int).SetBytes(sig.S)
-	if !ecdsa.Verify(pub, digest[:], r, s) {
-		return hashing.Address{}, ErrBadSignature
-	}
-	return hashing.AccountAddress(sig.PubKey), nil
+	return k.verify(digest, sig.R, sig.S)
 }
 
 func encodePub(pub *ecdsa.PublicKey) []byte {
 	return elliptic.MarshalCompressed(elliptic.P256(), pub.X, pub.Y)
-}
-
-func decodePub(enc []byte) (*ecdsa.PublicKey, error) {
-	x, y := elliptic.UnmarshalCompressed(elliptic.P256(), enc)
-	if x == nil {
-		return nil, ErrShortKey
-	}
-	return &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}, nil
 }

@@ -76,16 +76,17 @@ func TestDeterministicIsStable(t *testing.T) {
 
 func TestAddressMatchesSignerAddress(t *testing.T) {
 	kp := Deterministic(7)
-	sig, err := kp.Sign(hashing.Sum([]byte("m")))
+	digest := hashing.Sum([]byte("m"))
+	sig, err := kp.Sign(digest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := sig.SignerAddress()
+	addr, err := sig.Verify(digest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if addr != kp.Address() {
-		t.Fatal("SignerAddress must match the key pair address")
+		t.Fatal("the signer address Verify returns must match the key pair address")
 	}
 }
 

@@ -61,7 +61,7 @@ type Response struct {
 	Error string `json:"error,omitempty"`
 
 	// submit: the transaction id, and whether the pool already knew it
-	// (resubmissions are idempontent successes, not errors).
+	// (resubmissions are idempotent successes, not errors).
 	ID    string `json:"id,omitempty"`
 	Known bool   `json:"known,omitempty"`
 

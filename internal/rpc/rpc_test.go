@@ -2,9 +2,11 @@ package rpc
 
 import (
 	"bytes"
+	"crypto/elliptic"
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -236,17 +238,56 @@ func TestHostileRequests(t *testing.T) {
 		t.Fatalf("GET: status %d", getResp.StatusCode)
 	}
 
-	// The server still answers after all that.
-	tx := &types.Transaction{
-		ChainID: 1, Nonce: 0, Kind: types.TxCall, To: hashing.AddressFromBytes([]byte{9}),
-		Value: u256.FromUint64(1), GasLimit: 1_000_000, GasPrice: u256.FromUint64(2),
+	// The server still answers after all that. The honest submission also
+	// puts kp's public key in the process-wide decoded-key memo.
+	signed := func(nonce uint64) *types.Transaction {
+		tx := &types.Transaction{
+			ChainID: 1, Nonce: nonce, Kind: types.TxCall, To: hashing.AddressFromBytes([]byte{9}),
+			Value: u256.FromUint64(1), GasLimit: 1_000_000, GasPrice: u256.FromUint64(2),
+		}
+		if err := tx.Sign(kp); err != nil {
+			t.Fatal(err)
+		}
+		return tx
 	}
-	if err := tx.Sign(kp); err != nil {
-		t.Fatal(err)
-	}
-	if resp := call(t, s.Addr(), &Request{Method: "submit", Tx: hex.EncodeToString(tx.Encode())}); !resp.Ok {
+	if resp := call(t, s.Addr(), &Request{Method: "submit", Tx: hex.EncodeToString(signed(0).Encode())}); !resp.Ok {
 		t.Fatalf("healthy submit after hostile traffic: %+v", resp)
 	}
+
+	// Well-formed transactions with bad signatures are refused, even from a
+	// key the memo holds: a tampered S on kp's key, and a key whose x has
+	// no point on the curve.
+	badS := signed(1)
+	badS.Sig.S = append([]byte{}, badS.Sig.S...)
+	badS.Sig.S[0] ^= 0x40
+	offCurve := signed(1)
+	offCurve.Sig.PubKey = offCurveKey(t)
+	pending := c.PendingTxs()
+	for name, tx := range map[string]*types.Transaction{"tampered S": badS, "off-curve key": offCurve} {
+		resp := call(t, s.Addr(), &Request{Method: "submit", Tx: hex.EncodeToString(tx.Encode())})
+		if resp.Ok || !strings.Contains(resp.Error, types.ErrBadTxSignature.Error()) {
+			t.Errorf("%s: want a refusal naming the signature, got %+v", name, resp)
+		}
+		if got := c.PendingTxs(); got != pending {
+			t.Errorf("%s: pending transactions %d, want %d", name, got, pending)
+		}
+	}
+}
+
+// offCurveKey returns a compressed P-256 encoding whose x has no point on
+// the curve.
+func offCurveKey(t *testing.T) []byte {
+	t.Helper()
+	enc := make([]byte, 33)
+	enc[0] = 0x02
+	for x := 1; x < 1<<16; x++ {
+		enc[31], enc[32] = byte(x>>8), byte(x)
+		if px, _ := elliptic.UnmarshalCompressed(elliptic.P256(), enc); px == nil {
+			return enc
+		}
+	}
+	t.Fatal("no off-curve x below 2^16")
+	return nil
 }
 
 func TestCloseIsIdempotentAndFast(t *testing.T) {
