@@ -75,7 +75,13 @@ benchtest:
 # blocking on a full crypto pool and on encoding a transaction whose
 # signature has not landed. The process-wide table of synthetic user
 # addresses, grown in uneven steps across a batch boundary, matches a fresh
-# key derivation entry for entry.
+# key derivation entry for entry. A Move's storage path allocates only what
+# it keeps: a warm file-store walk of a 1000-slot contract allocates nothing
+# and eight concurrent walks list what a serial one lists, the Move2 payload
+# of an evicted contract is one slice of exactly its slot count, an MPT node
+# carries no child array outside a branch (at most 112 bytes) and Build of
+# 1000 slots allocates at most 60 % of what the inline-array layout did, and
+# the retained-root history slides in place once its window is full.
 #
 # The safety oracle (internal/oracle) runs after every committed block of
 # five of these cells — chaos, byzantine, the 16-chain sharded cell, Kitties
@@ -104,10 +110,14 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestFailedSignatureIsKept TestCommittedSignaturesVerify \
 	TestLoopWaitCountsPoolAndEncode TestUserAddressesMatchDerivation \
 	TestApplyBlockRecoversSendersOutsideLock TestKittiesReplayRound0 \
-	TestMoveStoreFirst256 TestVerifyMemoConcurrentMatchesSerial
+	TestMoveStoreFirst256 TestVerifyMemoConcurrentMatchesSerial \
+	TestIterateStorageWarmAllocFree TestIterateStorageConcurrentReaders \
+	TestStorageEntriesOfEvictedContractAllocOnce TestNodeLayout TestBuildBytes \
+	TestHistoryRecordAllocFreeOnceFull TestHistoryWindow
 DETSMOKE_PKGS = ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/relay/ \
-	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/
+	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/ \
+	./internal/state/backend/ ./internal/mpt/
 detsmoke:
 	@have=$$($(GO) test -list '.*' $(DETSMOKE_PKGS)) || { echo "$$have"; exit 1; }; \
 	for t in $(DETSMOKE_TESTS); do \

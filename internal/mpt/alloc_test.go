@@ -2,7 +2,9 @@ package mpt
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // Allocation-regression tests: the trie sits under every SLOAD/SSTORE of
@@ -59,5 +61,41 @@ func TestSetOverwriteAllocsBounded(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("Set overwrite allocates %.1f objects/op, want <= 1 (the value copy)", allocs)
+	}
+}
+
+// TestNodeLayout pins what a node costs: a leaf, the most common node,
+// carries no branch's child array.
+func TestNodeLayout(t *testing.T) {
+	if size := unsafe.Sizeof(node{}); size > 112 {
+		t.Fatalf("node is %d bytes, want <= 112", size)
+	}
+}
+
+// TestBuildBytes pins what Build keeps of a run of 1000 storage slots laid
+// out as a contract lays out its variables (consecutive 32-byte slot keys,
+// 32-byte values): the nodes, no child array outside a branch, and of the
+// keys only the nibbles the leaves and extensions keep. The same run cost
+// 352 304 bytes when every node carried a child array and every key was
+// expanded whole.
+func TestBuildBytes(t *testing.T) {
+	const before = 352_304
+	keys := make([][32]byte, 1000)
+	for i := range keys {
+		binary.BigEndian.PutUint64(keys[i][24:], uint64(i+1))
+	}
+	at := func(i int) ([]byte, []byte) { return keys[i][:], keys[(i+7)%len(keys)][:] }
+	const runs = 20
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	start := ms.TotalAlloc
+	for i := 0; i < runs; i++ {
+		if _, err := Build(32, len(keys), at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	if got := (ms.TotalAlloc - start) / runs; got > before*60/100 {
+		t.Fatalf("Build of 1000 slots allocates %d bytes, want <= %d (60 %% of %d)", got, before*60/100, before)
 	}
 }

@@ -17,62 +17,90 @@ import (
 // sorted — is a child run. Fixed-length distinct keys always differ before
 // they end, which is why a branch never holds a value.
 
-// builder materialises a run: every key is expanded once into one nibble
-// slab the nodes' paths slice into, values go to a second slab, and the
-// nodes come from a third, sized exactly by a counting pass.
-type builder struct {
-	at     func(i int) (key, value []byte)
-	width  int // nibbles per key
-	nibs   []byte
-	values []byte
-	nodes  []node
+// walker reads a run's packed keys in place; builder and rooter share it.
+type walker struct {
+	at    func(i int) (key, value []byte)
+	width int // nibbles per key
 }
 
-// row returns the nibbles of the run's i-th key.
-func (b *builder) row(i int) []byte {
-	return b.nibs[i*b.width : (i+1)*b.width : (i+1)*b.width]
+func (w *walker) key(i int) []byte {
+	key, _ := w.at(i)
+	return key
 }
 
 // branchAt returns the depth at which the run [lo, hi), hi-lo > 1, whose
 // keys agree on their first d nibbles, branches.
-func (b *builder) branchAt(lo, hi, d int) int {
-	return d + commonPrefix(b.row(lo)[d:], b.row(hi - 1)[d:])
+func (w *walker) branchAt(lo, hi, d int) int {
+	first, last := w.key(lo), w.key(hi-1)
+	p := d
+	for nibbleAt(first, p) == nibbleAt(last, p) {
+		p++
+	}
+	return p
 }
 
 // childEnd returns the end of the child run that starts at i: the keys of
 // [i, hi) that carry the i-th key's nibble at depth p.
-func (b *builder) childEnd(i, hi, p int) int {
-	nib := b.nibs[i*b.width+p]
+func (w *walker) childEnd(i, hi, p int) int {
+	nib := nibbleAt(w.key(i), p)
 	j := i + 1
-	for j < hi && b.nibs[j*b.width+p] == nib {
+	for j < hi && nibbleAt(w.key(j), p) == nib {
 		j++
 	}
 	return j
 }
 
-// count returns the number of nodes build makes for the same arguments.
-func (b *builder) count(lo, hi, d int) int {
+// builder materialises a run into four slabs, each sized exactly by a
+// counting pass: the nibble paths the leaves and extensions keep, the
+// values, the nodes, and the branches' child arrays. A nibble a branch
+// consumes is never copied: the branch holds it as its child's index.
+type builder struct {
+	walker
+	nibs   []byte
+	values []byte
+	nodes  []node
+	arrays [][16]*node
+}
+
+// shape counts what build makes for a run.
+type shape struct{ nodes, branches, nibs int }
+
+// count adds to s what build makes for the same arguments.
+func (b *builder) count(lo, hi, d int, s *shape) {
+	s.nodes++
 	if hi-lo == 1 {
-		return 1
+		s.nibs += b.width - d
+		return
 	}
 	p := b.branchAt(lo, hi, d)
-	c := 1
+	s.branches++
 	if p > d {
-		c = 2 // an extension in front of the branch
+		s.nodes++ // an extension in front of the branch
+		s.nibs += p - d
 	}
 	for i := lo; i < hi; {
 		j := b.childEnd(i, hi, p)
-		c += b.count(i, j, p+1)
+		b.count(i, j, p+1, s)
 		i = j
 	}
-	return c
 }
 
 func (b *builder) node(kind nodeKind) *node {
 	b.nodes = b.nodes[:len(b.nodes)+1]
 	n := &b.nodes[len(b.nodes)-1]
 	n.kind = kind
+	if kind == kindBranch {
+		b.arrays = b.arrays[:len(b.arrays)+1]
+		n.children = &b.arrays[len(b.arrays)-1]
+	}
 	return n
+}
+
+// path copies the nibbles [from, to) of the run's i-th key to the path slab.
+func (b *builder) path(i, from, to int) []byte {
+	start := len(b.nibs)
+	b.nibs = appendPath(b.nibs, b.key(i), from, to)
+	return b.nibs[start:len(b.nibs):len(b.nibs)]
 }
 
 // build returns the canonical subtree of the run [lo, hi), whose keys agree
@@ -80,7 +108,7 @@ func (b *builder) node(kind nodeKind) *node {
 func (b *builder) build(lo, hi, d int) *node {
 	if hi-lo == 1 {
 		leaf := b.node(kindLeaf)
-		leaf.nibbles = b.row(lo)[d:]
+		leaf.nibbles = b.path(lo, d, b.width)
 		_, value := b.at(lo)
 		b.values = append(b.values, value...)
 		leaf.value = b.values[len(b.values)-len(value) : len(b.values) : len(b.values)]
@@ -90,20 +118,20 @@ func (b *builder) build(lo, hi, d int) *node {
 	branch := b.node(kindBranch)
 	for i := lo; i < hi; {
 		j := b.childEnd(i, hi, p)
-		branch.children[b.nibs[i*b.width+p]] = b.build(i, j, p+1)
+		branch.children[nibbleAt(b.key(i), p)] = b.build(i, j, p+1)
 		i = j
 	}
 	if p == d {
 		return branch
 	}
 	ext := b.node(kindExt)
-	ext.nibbles = b.row(lo)[d:p:p]
+	ext.nibbles = b.path(lo, d, p)
 	ext.child = branch
 	return ext
 }
 
 // Build returns the trie holding exactly the n entries at(0) … at(n-1),
-// which must form a strictly ascending run. It allocates three slabs,
+// which must form a strictly ascending run. It allocates four slabs,
 // whatever n is; the result is an ordinary trie, not yet hashed.
 func Build(keyLen, n int, at func(i int) (key, value []byte)) (*Tree, error) {
 	t := New(keyLen)
@@ -114,14 +142,13 @@ func Build(keyLen, n int, at func(i int) (key, value []byte)) (*Tree, error) {
 	if n == 0 {
 		return t, nil
 	}
-	b := builder{at: at, width: 2 * keyLen}
-	b.nibs = make([]byte, n*b.width)
-	for i := 0; i < n; i++ {
-		key, _ := at(i)
-		expandNibbles(b.row(i), key)
-	}
+	b := builder{walker: walker{at: at, width: 2 * keyLen}}
+	var s shape
+	b.count(0, n, 0, &s)
+	b.nibs = make([]byte, 0, s.nibs)
 	b.values = make([]byte, 0, valueBytes)
-	b.nodes = make([]node, 0, b.count(0, n, 0))
+	b.nodes = make([]node, 0, s.nodes)
+	b.arrays = make([][16]*node, 0, s.branches)
 	t.root, t.count = b.build(0, n, 0), n
 	return t, nil
 }
@@ -134,18 +161,6 @@ func nibbleAt(key []byte, p int) byte {
 	return key[p/2] & 0x0f
 }
 
-// rooter hashes a run top-down without building it. It reads the packed
-// keys in place, so besides the recursion's stack it holds nothing.
-type rooter struct {
-	at    func(i int) (key, value []byte)
-	width int // nibbles per key
-}
-
-func (r *rooter) key(i int) []byte {
-	key, _ := r.at(i)
-	return key
-}
-
 // appendPath appends the nibbles [from, to) of a packed key to b.
 func appendPath(b, key []byte, from, to int) []byte {
 	for p := from; p < to; p++ {
@@ -153,6 +168,10 @@ func appendPath(b, key []byte, from, to int) []byte {
 	}
 	return b
 }
+
+// rooter hashes a run top-down without building it. It reads the packed
+// keys in place, so besides the recursion's stack it holds nothing.
+type rooter struct{ walker }
 
 // hash returns the hash of the node build returns for the same arguments.
 func (r *rooter) hash(lo, hi, d int) hashing.Hash {
@@ -165,19 +184,11 @@ func (r *rooter) hash(lo, hi, d int) hashing.Hash {
 		_, value := r.at(lo)
 		return hashing.Sum(appendLeaf(enc[:0], appendPath(path[:0], first, d, r.width), value))
 	}
-	last := r.key(hi - 1)
-	p := d
-	for nibbleAt(first, p) == nibbleAt(last, p) {
-		p++
-	}
+	p := r.branchAt(lo, hi, d)
 	var children [16]hashing.Hash
 	for i := lo; i < hi; {
-		nib := nibbleAt(r.key(i), p)
-		j := i + 1
-		for j < hi && nibbleAt(r.key(j), p) == nib {
-			j++
-		}
-		children[nib] = r.hash(i, j, p+1)
+		j := r.childEnd(i, hi, p)
+		children[nibbleAt(r.key(i), p)] = r.hash(i, j, p+1)
 		i = j
 	}
 	h := hashing.Sum(appendBranch(enc[:0], &children))
@@ -193,6 +204,6 @@ func RootOf(keyLen, n int, at func(i int) (key, value []byte)) (hashing.Hash, er
 	if _, err := trie.CheckRun(keyLen, n, at); err != nil || n == 0 {
 		return hashing.Hash{}, err
 	}
-	r := rooter{at: at, width: 2 * keyLen}
+	r := rooter{walker{at: at, width: 2 * keyLen}}
 	return r.hash(0, n, 0), nil
 }

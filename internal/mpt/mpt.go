@@ -36,17 +36,26 @@ const (
 	kindBranch
 )
 
+// node is one trie node of any kind. Only a branch carries the 16-slot
+// child array, behind a pointer: leaves outnumber branches, and held inline
+// the array would add 128 B to every node. clean sits beside kind to share
+// its word.
 type node struct {
 	kind     nodeKind
-	nibbles  []byte // leaf: remaining key path; ext: shared path
-	value    []byte // leaf only
-	child    *node  // ext only
-	children [16]*node
+	clean    bool
+	nibbles  []byte     // leaf: remaining key path; ext: shared path
+	value    []byte     // leaf only
+	child    *node      // ext only
+	children *[16]*node // branch only
 
 	// hash caches the node hash while the subtree is clean, so unchanged
 	// subtrees are not re-hashed by RootHash or Prove.
-	hash  hashing.Hash
-	clean bool
+	hash hashing.Hash
+}
+
+// newBranch returns an empty branch with its own child array.
+func newBranch() *node {
+	return &node{kind: kindBranch, children: new([16]*node)}
 }
 
 // Tree is a Merkle Patricia trie. Construct with New; the zero value is not
@@ -144,8 +153,11 @@ func (t *Tree) RootHash() hashing.Hash {
 	return t.root.hashNode()
 }
 
-// Iterate visits entries in ascending key order.
+// Iterate visits entries in ascending key order. One key buffer serves the
+// whole walk: key is valid only during the callback, and value must not be
+// modified (trie.Tree.Iterate).
 func (t *Tree) Iterate(fn func(key, value []byte) bool) {
+	key := make([]byte, t.keyLen)
 	var walk func(n *node, prefix []byte) bool
 	walk = func(n *node, prefix []byte) bool {
 		if n == nil {
@@ -153,7 +165,7 @@ func (t *Tree) Iterate(fn func(key, value []byte) bool) {
 		}
 		switch n.kind {
 		case kindLeaf:
-			key := nibblesToBytes(append(prefix, n.nibbles...))
+			packNibbles(key, append(prefix, n.nibbles...))
 			return fn(key, n.value)
 		case kindExt:
 			return walk(n.child, append(prefix, n.nibbles...))
@@ -187,7 +199,7 @@ func insert(n *node, nibs, value []byte) (*node, bool) {
 			return n, false
 		}
 		p := commonPrefix(n.nibbles, nibs)
-		branch := &node{kind: kindBranch}
+		branch := newBranch()
 		// Fixed-length keys guarantee divergence before either path is
 		// exhausted, so both remainders are non-empty.
 		old := &node{kind: kindLeaf, nibbles: n.nibbles[p+1:], value: n.value}
@@ -202,7 +214,7 @@ func insert(n *node, nibs, value []byte) (*node, bool) {
 			return n, added
 		}
 		// Split the extension at the divergence point.
-		branch := &node{kind: kindBranch}
+		branch := newBranch()
 		branch.children[n.nibbles[p]] = wrapExt(n.nibbles[p+1:], n.child)
 		branch.children[nibs[p]] = &node{kind: kindLeaf, nibbles: cloneNibs(nibs[p+1:]), value: value}
 		return wrapExt(nibs[:p], branch), true
@@ -406,8 +418,14 @@ func expandNibbles(dst, key []byte) {
 // nibblesToBytes packs nibbles back into bytes; the count must be even.
 func nibblesToBytes(nibs []byte) []byte {
 	out := make([]byte, len(nibs)/2)
-	for i := range out {
-		out[i] = nibs[i*2]<<4 | nibs[i*2+1]
-	}
+	packNibbles(out, nibs)
 	return out
+}
+
+// packNibbles packs nibbles, two to a byte, into dst, which must hold
+// len(nibs)/2 bytes.
+func packNibbles(dst, nibs []byte) {
+	for i := range dst {
+		dst[i] = nibs[i*2]<<4 | nibs[i*2+1]
+	}
 }

@@ -3,6 +3,9 @@ package state
 import (
 	"testing"
 
+	"scmove/internal/evm"
+	"scmove/internal/state/backend"
+	"scmove/internal/trie"
 	"scmove/internal/u256"
 )
 
@@ -64,5 +67,44 @@ func TestWarmReadsZeroAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("warm GetBalance allocates %.1f per call", avg)
+	}
+}
+
+// TestStorageEntriesOfEvictedContractAllocOnce pins the Move2 payload read
+// of a contract whose tree is not resident: one allocation, the result
+// slice, sized exactly by the file store's slot count.
+func TestStorageEntriesOfEvictedContractAllocOnce(t *testing.T) {
+	const slots = 300
+	db, err := NewDBWith(localChain, trie.KindMPT, Options{Backend: backend.KindFile, Dir: t.TempDir(), StorageTreeLimit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	a, other := addr(1), addr(2)
+	db.SetNonce(a, 1)
+	db.SetNonce(other, 1)
+	for i := 0; i < slots; i++ {
+		var key evm.Word
+		key[30], key[31] = byte(i>>8), byte(i)
+		db.SetStorage(a, key, word(byte(i%251+1)))
+	}
+	db.Commit()
+	db.SetStorage(other, word(1), word(1)) // evicts a's tree
+	db.Commit()
+	if _, resident := db.StorageTreeAt(a); resident {
+		t.Fatal("the contract's tree is still resident")
+	}
+	db.StorageEntries(a) // the store caches the contract's sorted keys
+	var entries []StorageEntry
+	if n := testing.AllocsPerRun(20, func() { entries = db.StorageEntries(a) }); n != 1 {
+		t.Fatalf("StorageEntries of an evicted contract allocates %.0f objects, want 1", n)
+	}
+	if len(entries) != slots || cap(entries) != slots {
+		t.Fatalf("StorageEntries: len %d cap %d, want both %d", len(entries), cap(entries), slots)
+	}
+	for i, e := range entries {
+		if e.Key[30] != byte(i>>8) || e.Key[31] != byte(i) || e.Value != word(byte(i%251+1)) {
+			t.Fatalf("entry %d: %x = %x", i, e.Key, e.Value)
+		}
 	}
 }

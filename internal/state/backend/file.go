@@ -48,6 +48,11 @@ type File struct {
 	// triggers (avoids rewriting tiny stores). Tests lower it.
 	CompactMinBytes int64
 
+	// runBuf is IterateStorage's run buffer. A reader takes it for the
+	// length of its walk and puts it back; one that finds it taken by a
+	// concurrent reader allocates its own.
+	runBuf atomic.Pointer[[]byte]
+
 	closed bool
 }
 
@@ -364,7 +369,13 @@ func (f *File) IterateStorage(addr hashing.Address, fn func(key, val Word) bool)
 		return
 	}
 	keys := cs.sortedKeys()
-	buf := make([]byte, min(len(keys), maxRunSlots)*slotRecLen)
+	bp := f.runBuf.Swap(nil)
+	if bp == nil {
+		buf := make([]byte, maxRunSlots*slotRecLen)
+		bp = &buf
+	}
+	defer f.runBuf.Store(bp)
+	buf := *bp
 	for i := 0; i < len(keys); {
 		first := cs.locs[keys[i]]
 		n := 1
@@ -384,6 +395,15 @@ func (f *File) IterateStorage(addr hashing.Address, fn func(key, val Word) bool)
 			}
 		}
 	}
+}
+
+// SlotCount returns the number of live slots addr holds: the length of its
+// IterateStorage walk.
+func (f *File) SlotCount(addr hashing.Address) int {
+	if cs := f.slots[addr]; cs != nil {
+		return len(cs.locs)
+	}
+	return 0
 }
 
 // Commit implements Backend: append the batch and a commit marker to the

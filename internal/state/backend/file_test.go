@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -348,6 +350,93 @@ func TestIterateStorageCostIsPerContract(t *testing.T) {
 	}
 	if crowdBest > 4*aloneBest+200*time.Microsecond {
 		t.Fatalf("walk takes %v alone and %v beside 100k accounts", aloneBest, crowdBest)
+	}
+}
+
+// storeOf1000 returns a store holding one 1000-slot contract written in one
+// commit, then one slot rewritten later so a walk crosses a run boundary,
+// and the contract's slots as a walk must list them.
+func storeOf1000(t *testing.T) (*File, hashing.Address, []Word) {
+	t.Helper()
+	f, err := OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	contract := tAddr(0xC0)
+	var own Batch
+	for i := 0; i < 1000; i++ {
+		var key Word
+		key[30], key[31] = byte(i>>8), byte(i)
+		own.Slots = append(own.Slots, SlotChange{Key: SlotKey{Addr: contract, Key: key}, Cur: tWord(byte(i%251 + 1)), CurExists: true})
+	}
+	if err := f.Commit(tRoot(1), own); err != nil {
+		t.Fatal(err)
+	}
+	own.Slots[500].Cur = tWord(0xFF)
+	if err := f.Commit(tRoot(2), Batch{Slots: own.Slots[500:501]}); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Word, 0, 2*len(own.Slots))
+	for _, sc := range own.Slots {
+		want = append(want, sc.Key.Key, sc.Cur)
+	}
+	return f, contract, want
+}
+
+// TestIterateStorageWarmAllocFree pins that a storage walk allocates
+// nothing once the store has walked the contract before: the sorted keys
+// are cached and the run buffer is the store's own.
+func TestIterateStorageWarmAllocFree(t *testing.T) {
+	f, contract, want := storeOf1000(t)
+	walk := func() {
+		i := 0
+		f.IterateStorage(contract, func(key, val Word) bool {
+			if key != want[2*i] || val != want[2*i+1] {
+				t.Fatalf("slot %d: got %x = %x", i, key, val)
+			}
+			i++
+			return true
+		})
+		if i != len(want)/2 || i != f.SlotCount(contract) {
+			t.Fatalf("walk visited %d slots, SlotCount says %d, want %d", i, f.SlotCount(contract), len(want)/2)
+		}
+	}
+	walk()
+	if a := testing.AllocsPerRun(20, walk); a != 0 {
+		t.Fatalf("warm walk of 1000 slots allocates %.0f objects, want 0", a)
+	}
+}
+
+// TestIterateStorageConcurrentReaders runs eight walks of one contract at
+// once, cold, so they race for the sorted-key cache and the run buffer:
+// each must list exactly what a serial walk lists.
+func TestIterateStorageConcurrentReaders(t *testing.T) {
+	f, contract, want := storeOf1000(t)
+	const readers = 8
+	got := make([][]Word, readers)
+	var wg sync.WaitGroup
+	for r := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				got[r] = got[r][:0]
+				f.IterateStorage(contract, func(key, val Word) bool {
+					got[r] = append(got[r], key, val)
+					return true
+				})
+				if !slices.Equal(got[r], want) {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for r := range got {
+		if !slices.Equal(got[r], want) {
+			t.Fatalf("reader %d listed %d words, differing from the serial walk's %d", r, len(got[r]), len(want))
+		}
 	}
 }
 

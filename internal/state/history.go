@@ -42,24 +42,28 @@ type revDiff struct {
 	slots    []backend.SlotChange
 }
 
-// record appends the reverse diff of one commit and trims the window. The
-// batch's slices are retained as-is (not copied): Commit builds a fresh
-// batch per block and never mutates it afterwards.
+// record appends the reverse diff of one commit, dropping the oldest once
+// the window is full. The ring slides in place, so once full a commit
+// allocates nothing here. The batch's slices are retained as-is (not
+// copied): Commit builds a fresh batch per block and never mutates it
+// afterwards.
 func (h *history) record(root hashing.Hash, batch backend.Batch) {
+	if len(h.roots) == retainRoots {
+		copy(h.roots, h.roots[1:])
+		copy(h.diffs, h.diffs[1:])
+		h.roots, h.diffs = h.roots[:retainRoots-1], h.diffs[:retainRoots-1]
+	}
 	h.roots = append(h.roots, root)
 	h.diffs = append(h.diffs, revDiff{accounts: batch.Accounts, slots: batch.Slots})
-	if len(h.roots) > retainRoots {
-		n := len(h.roots) - retainRoots
-		h.roots = append(h.roots[:0:0], h.roots[n:]...)
-		h.diffs = append(h.diffs[:0:0], h.diffs[n:]...)
-	}
 }
 
 // since returns the reverse diffs of the commits after root, oldest first,
 // or reports the root unknown. The newest occurrence of a recurring root
 // wins (roots are canonical: equal roots mean equal contents, and the newest
 // needs the fewest diffs). Walked oldest first, the value the state held at
-// root is the one the first later commit replaced.
+// root is the one the first later commit replaced. The result aliases the
+// ring, which record overwrites in place: it must not be held across a
+// record.
 func (h *history) since(root hashing.Hash) ([]revDiff, error) {
 	for i := len(h.roots) - 1; i >= 0; i-- {
 		if h.roots[i] == root {

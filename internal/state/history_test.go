@@ -86,3 +86,29 @@ func TestReopenedDBServesHeadRoot(t *testing.T) {
 		t.Fatalf("reopened slot at the head root: %x, %v; want %x", v, err, word(9))
 	}
 }
+
+// TestHistoryRecordAllocFreeOnceFull pins that a commit's history entry
+// costs no allocation once the window is full: the ring slides in place,
+// oldest out, and keeps the newest retainRoots roots in commit order.
+func TestHistoryRecordAllocFreeOnceFull(t *testing.T) {
+	var h history
+	root := func(i int) hashing.Hash { return hashing.Sum([]byte{byte(i), byte(i >> 8)}) }
+	n := 0
+	for ; n < retainRoots; n++ {
+		h.record(root(n), backend.Batch{})
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		h.record(root(n), backend.Batch{})
+		n++
+	}); a != 0 {
+		t.Fatalf("record into a full window allocates %.0f objects, want 0", a)
+	}
+	if len(h.roots) != retainRoots || len(h.diffs) != retainRoots {
+		t.Fatalf("window holds %d roots and %d diffs, want %d", len(h.roots), len(h.diffs), retainRoots)
+	}
+	for i, r := range h.roots {
+		if want := root(n - retainRoots + i); r != want {
+			t.Fatalf("window slot %d holds %s, want %s", i, r, want)
+		}
+	}
+}

@@ -350,7 +350,7 @@ func (db *DB) storageTree(addr hashing.Address) trie.Tree {
 	}
 	var t trie.Tree
 	if db.file != nil {
-		t = db.buildStorageTree(db.fileEntries(addr, 0))
+		t = db.buildStorageTree(db.fileEntries(addr))
 	} else {
 		t = trees.MustNew(db.kind, 32)
 	}
@@ -765,12 +765,7 @@ func (db *DB) committedStorage(addr hashing.Address, written []backend.SlotKey) 
 	if t := db.replaced[addr]; t != nil {
 		old = treeEntries(t)
 	} else if db.file != nil {
-		// A returning contract usually comes back about as large as it left.
-		sizeHint := 0
-		if cur, ok := db.storage[addr]; ok {
-			sizeHint = cur.Len()
-		}
-		old = db.fileEntries(addr, sizeHint)
+		old = db.fileEntries(addr)
 	}
 	for _, sk := range written {
 		pre := db.slotDelta[sk]
@@ -851,9 +846,11 @@ func (db *DB) StorageEntries(addr hashing.Address) []StorageEntry {
 	if db.file == nil {
 		return nil
 	}
-	return db.fileEntries(addr, 0)
+	return db.fileEntries(addr)
 }
 
+// treeEntries copies t's entries out, ascending by key: Iterate's key and
+// value are valid only during its callback.
 func treeEntries(t trie.Tree) []StorageEntry {
 	out := make([]StorageEntry, 0, t.Len())
 	t.Iterate(func(k, v []byte) bool {
@@ -864,9 +861,9 @@ func treeEntries(t trie.Tree) []StorageEntry {
 }
 
 // fileEntries reads addr's committed slots from the file store, ascending by
-// key; sizeHint presizes the result.
-func (db *DB) fileEntries(addr hashing.Address, sizeHint int) []StorageEntry {
-	out := make([]StorageEntry, 0, sizeHint)
+// key, into one slice of exactly the store's slot count.
+func (db *DB) fileEntries(addr hashing.Address) []StorageEntry {
+	out := make([]StorageEntry, 0, db.file.SlotCount(addr))
 	db.file.IterateStorage(addr, func(key, val backend.Word) bool {
 		out = append(out, StorageEntry{Key: key, Value: val})
 		return true

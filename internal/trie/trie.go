@@ -105,7 +105,9 @@ type Tree interface {
 	// if the key is absent.
 	Prove(key []byte) ([]byte, error)
 	// Iterate visits all entries in ascending key order until fn returns
-	// false. The callback must not mutate the tree.
+	// false. The callback must not mutate the tree. key and value are valid
+	// only during the callback: an implementation may reuse one key buffer
+	// for the whole walk, so a caller that keeps either copies it.
 	Iterate(fn func(key, value []byte) bool)
 	// Len returns the number of entries.
 	Len() int
