@@ -57,6 +57,9 @@ func (e *Entry) validate() error {
 	default:
 		return fmt.Errorf("unknown stage %d", uint8(e.Stage))
 	}
+	if e.Attempts < 0 || e.Attempts > maxAttempts {
+		return fmt.Errorf("%d attempts outside the budget 0..%d", e.Attempts, maxAttempts)
+	}
 	return nil
 }
 

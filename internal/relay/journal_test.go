@@ -3,6 +3,7 @@ package relay
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
 	"scmove/internal/keys"
+	"scmove/internal/metrics"
 	"scmove/internal/simclock"
 	"scmove/internal/types"
 	"scmove/internal/u256"
@@ -183,6 +185,44 @@ func TestJournalBitFlips(t *testing.T) {
 	}
 }
 
+// TestJournalRejectsAttemptsOutsideBudget: an entry's attempt count must
+// lie in 0..maxAttempts. A count of 2⁶³ or more decodes to a negative int,
+// which would never reach the budget and retry the move without end; one
+// above the budget is as corrupt. Both are rejected, and a spent budget is
+// not.
+func TestJournalRejectsAttemptsOutsideBudget(t *testing.T) {
+	for _, c := range []struct {
+		attempts int
+		ok       bool
+	}{{maxAttempts, true}, {maxAttempts + 1, false}, {math.MinInt64, false}, {-1, false}} {
+		j := testJournal(t)
+		e, _ := j.Entry(hashing.AddressFromBytes([]byte{0x01}))
+		e.Attempts = c.attempts
+		_, err := DecodeJournal(j.Encode())
+		if c.ok != (err == nil) || (err != nil && !errors.Is(err, ErrCorruptJournal)) {
+			t.Errorf("attempts %d: decode error %v, want accepted %v", c.attempts, err, c.ok)
+		}
+	}
+}
+
+// TestValidateNamesTheHole: validate rejects what no decoder produces — an
+// entry without its result record, or at a stage that does not exist —
+// naming what is wrong.
+func TestValidateNamesTheHole(t *testing.T) {
+	for _, c := range []struct {
+		entry *Entry
+		want  string
+	}{
+		{&Entry{Stage: StagePending}, "missing result record"},
+		{&Entry{Stage: Stage(42), Result: &MoveResult{}}, "unknown stage 42"},
+		{&Entry{Stage: StagePending, Attempts: -3, Result: &MoveResult{}}, "-3 attempts outside the budget"},
+	} {
+		if err := c.entry.validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("validate = %v, want %q", err, c.want)
+		}
+	}
+}
+
 // FuzzDecodeJournal feeds arbitrary bytes to the journal decoder, whose
 // input is untrusted: it must never panic, and a journal it accepts must
 // re-encode to bytes that decode to the same journal.
@@ -244,7 +284,7 @@ func TestRecoverRejectsMalformedEntry(t *testing.T) {
 		Stage:    StageMove1Submitted, // but Move1 is nil
 		Result:   &MoveResult{Contract: contract},
 	})
-	m := NewMoverWith(simclock.New(), nil, nil, DefaultMoverConfig(), j, nil)
+	m := NewMover(simclock.New(), nil, nil, j, metrics.NewCounters())
 	err := m.Recover(nil)
 	if err == nil {
 		t.Fatal("recover accepted a stage-inconsistent entry")

@@ -3,6 +3,7 @@ package relay
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -25,47 +26,24 @@ var (
 	ErrRetryBudget = errors.New("relay: retry budget exhausted")
 )
 
-// MoverConfig tunes the move state machine's deadlines and retry policy.
-type MoverConfig struct {
-	// PollInterval is how often the relayer re-checks the target light
-	// client for confirmation depth.
-	PollInterval time.Duration
-	// ConfirmDeadline bounds the total wait for the proof height to become
-	// p blocks deep on the target; exceeding it fails the move with
-	// ErrConfirmTimeout. Zero means no deadline.
-	ConfirmDeadline time.Duration
-	// StageDeadline bounds the wait for a submitted transaction (Move1 or
-	// Move2) to commit before it is resubmitted.
-	StageDeadline time.Duration
-	// RetryBase is the initial backoff before a resubmission; it doubles
-	// per attempt up to RetryMax.
-	RetryBase time.Duration
-	// RetryMax caps the exponential backoff.
-	RetryMax time.Duration
-	// MaxAttempts is the per-stage resubmission budget.
-	MaxAttempts int
-}
-
-// DefaultMoverConfig returns deadlines generous enough for the paper's
-// slowest chain (15 s expected PoW blocks, p = 6) with a retry budget that
-// rides out double-digit loss rates.
-func DefaultMoverConfig() MoverConfig {
-	return MoverConfig{
-		PollInterval:    500 * time.Millisecond,
-		ConfirmDeadline: 15 * time.Minute,
-		StageDeadline:   90 * time.Second,
-		RetryBase:       2 * time.Second,
-		RetryMax:        time.Minute,
-		MaxAttempts:     10,
-	}
-}
+// The relayer's timings. They suit the paper's slowest chain (15 s expected
+// PoW blocks, p = 6), and the retry budget rides out double-digit loss rates.
+const (
+	pollInterval    = 500 * time.Millisecond // how often a confirmation wait reads the target's light client
+	confirmDeadline = 15 * time.Minute       // the longest confirmation wait, then ErrConfirmTimeout
+	stageDeadline   = 90 * time.Second       // the wait for a submitted leg's receipt before resubmitting it
+	retryBase       = 2 * time.Second        // the first backoff; it doubles per attempt up to retryMax
+	retryMax        = time.Minute
+	maxAttempts     = 10 // resubmissions per stage, then ErrRetryBudget
+)
 
 // Stage is the durable position of a move in the relayer state machine.
 type Stage uint8
 
 // Move stages in order.
 const (
-	// StagePending: accepted, Move1 not yet submitted.
+	// StagePending: accepted, Move1 not yet submitted (or refused for its
+	// nonce, and to be signed anew).
 	StagePending Stage = iota
 	// StageMove1Submitted: Move1 signed and on the wire, awaiting receipt.
 	StageMove1Submitted
@@ -79,21 +57,12 @@ const (
 	StageFailed
 )
 
+var stageNames = [...]string{"pending", "move1-submitted", "wait-confirm", "move2-submitted", "done", "failed"}
+
 // String names the stage.
 func (s Stage) String() string {
-	switch s {
-	case StagePending:
-		return "pending"
-	case StageMove1Submitted:
-		return "move1-submitted"
-	case StageWaitConfirm:
-		return "wait-confirm"
-	case StageMove2Submitted:
-		return "move2-submitted"
-	case StageDone:
-		return "done"
-	case StageFailed:
-		return "failed"
+	if int(s) < len(stageNames) {
+		return stageNames[s]
 	}
 	return fmt.Sprintf("stage(%d)", uint8(s))
 }
@@ -113,9 +82,8 @@ type Entry struct {
 	Result    *MoveResult
 	done      func(*MoveResult)
 	confirmAt time.Duration // when the confirmation wait started
-	// seq invalidates outstanding timers and receipt watchers whenever the
-	// entry transitions; a crashed Mover's stale callbacks see a newer seq
-	// and stand down.
+	// seq counts the events the move has handled: a timer or receipt hook
+	// armed before the latest one stands down (Mover.arm).
 	seq uint64
 }
 
@@ -166,35 +134,27 @@ func (j *Journal) put(e *Entry) {
 // state machine: every stage has a deadline, submissions retry with
 // exponential backoff against a budget, resubmission is idempotent (the
 // move nonce makes a duplicated Move2 a no-op on the target), and the
-// journal lets a restarted Mover resume in-flight moves.
+// journal lets a restarted Mover resume in-flight moves. Every decision is
+// step's; the Mover only carries out its actions and turns receipts,
+// timers, proofs and polls back into events.
 type Mover struct {
 	sched    *simclock.Scheduler
 	src      *chain.Chain
 	dst      *chain.Chain
-	cfg      MoverConfig
 	journal  *Journal
 	counters *metrics.Counters
 	reg      *metrics.Registry // optional; nil records nothing
 	alive    bool
 }
 
-// NewMoverWith returns a mover with explicit tuning, journal, and counters.
-// Passing a crashed Mover's journal and calling Recover resumes its
-// in-flight moves.
-func NewMoverWith(sched *simclock.Scheduler, src, dst *chain.Chain,
-	cfg MoverConfig, journal *Journal, counters *metrics.Counters) *Mover {
-	if journal == nil {
-		journal = NewJournal()
-	}
-	if counters == nil {
-		counters = metrics.NewCounters()
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 500 * time.Millisecond
-	}
+// NewMover returns a mover that journals into journal and counts into
+// counters. Passing a crashed Mover's journal and calling Recover resumes
+// its in-flight moves.
+func NewMover(sched *simclock.Scheduler, src, dst *chain.Chain,
+	journal *Journal, counters *metrics.Counters) *Mover {
 	return &Mover{
 		sched: sched, src: src, dst: dst,
-		cfg: cfg, journal: journal, counters: counters,
+		journal: journal, counters: counters,
 		alive: true,
 	}
 }
@@ -220,15 +180,6 @@ func (m *Mover) event(name string, e *Entry, attrs ...metrics.Attr) {
 	m.reg.Event(name, m.sched.Now(), attrs...)
 }
 
-// stageAttrs tags a stage span with its move's contract (only when the
-// span will actually be retained).
-func (m *Mover) stageAttrs(e *Entry) []metrics.Attr {
-	if !m.reg.TraceEnabled() {
-		return nil
-	}
-	return []metrics.Attr{metrics.A("contract", e.Contract.String())}
-}
-
 // Crash simulates a relayer crash: the Mover stops reacting to every
 // pending timer and receipt notification. The journal survives; a new
 // Mover over the same journal resumes via Recover.
@@ -241,7 +192,7 @@ func (m *Mover) Crash() { m.alive = false }
 // retrying lost submissions and failing with a distinct error on deadline
 // or budget exhaustion.
 func (m *Mover) Move(cl *Client, contract hashing.Address, moveToInput []byte, done func(*MoveResult)) {
-	m.start(cl, &Entry{
+	m.accept(cl, &Entry{
 		Contract:    contract,
 		MoveToInput: moveToInput,
 		Result:      &MoveResult{Contract: contract, StartedAt: m.sched.Now()},
@@ -255,23 +206,17 @@ func (m *Mover) Move(cl *Client, contract hashing.Address, moveToInput []byte, d
 // uses it because Move1 runs inside the creation transaction (Fig. 3).
 func (m *Mover) Complete(cl *Client, contract hashing.Address, done func(*MoveResult)) {
 	now := m.sched.Now()
-	m.start(cl, &Entry{
+	m.accept(cl, &Entry{
 		Contract: contract,
 		Result:   &MoveResult{Contract: contract, StartedAt: now, Move1At: now},
 		done:     done,
 	})
 }
 
-// start journals a pending move and takes its first step: Move1, or, for a
-// Complete-style move (no moveTo calldata), the proof and the confirmation
-// wait.
-func (m *Mover) start(cl *Client, e *Entry) {
+// accept journals a new move and starts it.
+func (m *Mover) accept(cl *Client, e *Entry) {
 	m.journal.put(e)
-	if e.MoveToInput == nil {
-		m.startConfirm(cl, e)
-		return
-	}
-	m.submitMove1(cl, e)
+	m.handle(cl, e, event{kind: evStart})
 }
 
 // Recover resumes every in-flight journaled move on this (restarted)
@@ -296,253 +241,311 @@ func (m *Mover) Recover(cl *Client) error {
 	for _, e := range inflight {
 		m.counters.Inc("relay.recoveries")
 		m.event("relay.recover", e, metrics.A("stage", e.Stage.String()))
-		switch e.Stage {
-		case StagePending:
-			m.start(cl, e)
-		case StageMove1Submitted:
-			m.submitMove1(cl, e)
-		case StageWaitConfirm:
-			// The confirmation deadline restarts: a recovering relayer has no
-			// way to know how long the previous incarnation already waited.
-			// The target may still hold the crashed incarnation's expectation
-			// of this payload; ExpectMove2 then keeps that one.
-			m.awaitConfirm(e)
-			m.pollConfirm(cl, e)
-		case StageMove2Submitted:
-			m.submitMove2(cl, e)
-		}
+		m.handle(cl, e, event{kind: evRecover})
 	}
 	return nil
 }
 
-// fail terminates a move with an error.
-func (m *Mover) fail(e *Entry, stage string, err error) {
+// handle delivers ev to e: it bumps e.seq, so that every timer and receipt
+// hook armed before now stands down, runs step and carries out its actions
+// in order. Building the proof and polling the target answer at once, with
+// the next event; step lists them last.
+func (m *Mover) handle(cl *Client, e *Entry, ev event) {
 	e.seq++
-	e.Stage = StageFailed
-	e.Result.Err = fmt.Errorf("%s: %w", stage, err)
-	m.counters.Inc("relay.moves_failed")
-	m.event("move.failed", e, metrics.A("stage", stage))
-	if e.done != nil {
-		e.done(e.Result)
-	}
-}
-
-// backoff returns the exponential delay before resubmission attempt n
-// (1-based), capped at RetryMax. Doubling stops at the cap, so a large
-// attempt count cannot overflow.
-func (m *Mover) backoff(attempt int) time.Duration {
-	d := m.cfg.RetryBase
-	if d <= 0 {
-		d = time.Second
-	}
-	capped := m.cfg.RetryMax > 0
-	for i := 1; i < attempt && (!capped || d < m.cfg.RetryMax); i++ {
-		d *= 2
-	}
-	if capped && d > m.cfg.RetryMax {
-		d = m.cfg.RetryMax
-	}
-	return d
-}
-
-// budget consumes one retry attempt, reporting whether any remain.
-func (m *Mover) budget(e *Entry) bool {
-	if m.cfg.MaxAttempts > 0 && e.Attempts >= m.cfg.MaxAttempts {
-		return false
-	}
-	e.Attempts++
-	return true
-}
-
-// after runs fn once the backoff for the current attempt has passed, if the
-// mover is still alive and the move is still in stage.
-func (m *Mover) after(e *Entry, stage Stage, fn func()) {
-	m.sched.After(m.backoff(e.Attempts), func() {
-		if m.alive && e.Stage == stage {
-			fn()
+	ev.now = m.sched.Now()
+	for _, a := range step(e, ev) {
+		switch a.do {
+		case doSubmit:
+			m.submit(cl, e, a.leg)
+		case doRetry:
+			m.counters.Inc("relay." + a.leg + "_retries")
+			m.event(a.leg+".retry", e, metrics.A("reason", a.name))
+			if badNonce(a.name) { // the client desynced after a lost submission
+				cl.desynced[m.legChain(a.leg).ChainID()] = true
+			}
+			m.timer(cl, e, a.after)
+		case doBuildProof:
+			// Against the current committed state: the contract is locked, so
+			// its record cannot change, and this head's root will reach the
+			// target's light client within p blocks.
+			payload, err := core.BuildMoveProof(m.src.StateDB(), e.Contract, m.src.Head().Height)
+			m.handle(cl, e, event{kind: evProof, payload: payload, err: err})
+		case doExpect:
+			m.dst.ExpectMove2(e.Payload)
+		case doPoll:
+			ready := m.dst.Headers().ConfirmedAt(e.Payload.SourceChain, e.Payload.SourceHeight)
+			m.handle(cl, e, event{kind: evPoll, ready: ready})
+		case doTimer:
+			m.timer(cl, e, a.after)
+		case doCount:
+			m.counters.Inc(a.name)
+		case doSpan:
+			var attrs []metrics.Attr // the contract, when the span is retained
+			if m.reg.TraceEnabled() {
+				attrs = []metrics.Attr{metrics.A("contract", e.Contract.String())}
+			}
+			m.reg.Span(a.name, a.from, a.to, attrs...)
+		case doFinish:
+			if e.Stage == StageFailed {
+				m.counters.Inc("relay.moves_failed")
+				m.event("move.failed", e, metrics.A("stage", a.name))
+			} else {
+				m.counters.Inc("relay.moves_completed")
+			}
+			if e.done != nil {
+				e.done(e.Result)
+			}
 		}
-	})
+	}
 }
 
-// watch arms the receipt hook and the stage deadline of a submitted leg
-// ("move1" on the source, "move2" on the target). Both stand down once the
-// mover crashes or the move leaves the stage it is in now. A receipt goes to
-// onReceipt. No receipt inside the deadline means the submission (or its
-// receipt path) was lost: one attempt of the budget is spent and, after the
-// backoff, resubmit sends the same signed transaction again — same nonce,
-// same id, idempotent.
-func (m *Mover) watch(e *Entry, c *chain.Chain, tx *types.Transaction, leg string,
-	onReceipt func(*types.Receipt), resubmit func()) {
-	stage := e.Stage
-	e.seq++
-	seq := e.seq
-	live := func() bool {
-		return m.alive && e.seq == seq && e.Stage == stage
-	}
-	c.NotifyTx(tx.ID(), func(rec *types.Receipt) {
-		if live() {
-			e.seq++
-			onReceipt(rec)
-		}
-	})
-	if m.cfg.StageDeadline <= 0 {
-		return
-	}
-	m.sched.After(m.cfg.StageDeadline, func() {
-		if !live() {
-			return
-		}
-		if !m.budget(e) {
-			m.fail(e, leg, fmt.Errorf("%w after %d attempts", ErrRetryBudget, e.Attempts))
-			return
-		}
-		m.counters.Inc("relay." + leg + "_retries")
-		m.event(leg+".retry", e, metrics.A("reason", "stage deadline"))
-		e.seq++
-		m.after(e, stage, resubmit)
-	})
+// hook delivers events to one move while it handles nothing else. Every
+// timer and receipt goes through one (Mover.arm), so the hooks of a crashed
+// mover, or of a stage the move has left, still fire but stand down.
+type hook struct {
+	m   *Mover
+	cl  *Client
+	e   *Entry
+	seq uint64
 }
 
-// submitMove1 signs (if needed) and submits the Move1 transaction, then
-// watches for its receipt.
-func (m *Mover) submitMove1(cl *Client, e *Entry) {
-	if e.Move1 == nil {
+// arm returns a hook on e as it is now: a value, so a timer allocates only its closure.
+func (m *Mover) arm(cl *Client, e *Entry) hook { return hook{m, cl, e, e.seq} }
+
+// deliver hands ev to the move if the mover is alive and the move has
+// handled no event since the hook was armed.
+func (h hook) deliver(ev event) {
+	if h.m.alive && h.e.seq == h.seq {
+		h.m.handle(h.cl, h.e, ev)
+	}
+}
+
+// timer delivers evTimer to e after d.
+func (m *Mover) timer(cl *Client, e *Entry, d time.Duration) {
+	h := m.arm(cl, e)
+	m.sched.After(d, func() { h.deliver(event{kind: evTimer}) })
+}
+
+// legChain is the chain a leg ("move1" or "move2") is submitted to.
+func (m *Mover) legChain(leg string) *chain.Chain {
+	if leg == "move1" {
+		return m.src
+	}
+	return m.dst
+}
+
+// submit sends a leg's transaction, signing it first if there is none, and
+// arms its receipt hook and stage deadline.
+func (m *Mover) submit(cl *Client, e *Entry, leg string) {
+	switch {
+	case leg == "move1" && e.Move1 == nil:
 		e.Move1 = cl.SignedCall(m.src, e.Contract, e.MoveToInput, u256.Zero())
 		e.Result.Move1Tx = e.Move1.ID()
-	}
-	e.Stage = StageMove1Submitted
-	cl.SubmitSigned(m.src, e.Move1)
-	m.event("move1.submit", e, metrics.A("attempt", strconv.Itoa(e.Attempts+1)))
-	m.watch(e, m.src, e.Move1, "move1",
-		func(rec *types.Receipt) { m.move1Receipt(cl, e, rec) },
-		func() { m.submitMove1(cl, e) })
-}
-
-// move1Receipt handles the receipt of Move1: on success the proof is built
-// and the confirmation wait starts.
-func (m *Mover) move1Receipt(cl *Client, e *Entry, rec *types.Receipt) {
-	e.Result.Move1At = m.sched.Now()
-	e.Result.Move1Gas = rec.GasUsed
-	if !rec.Succeeded() {
-		// A nonce failure is transient (the client desynced after a lost
-		// submission): resync and rebuild. Everything else — a reverting
-		// moveTo guard above all — is terminal.
-		if badNonce(rec.Err) && m.budget(e) {
-			m.counters.Inc("relay.move1_retries")
-			m.event("move1.retry", e, metrics.A("reason", "bad nonce"))
-			cl.NoteBadNonce(m.src.ChainID())
-			e.Move1 = nil
-			m.after(e, StageMove1Submitted, func() { m.submitMove1(cl, e) })
-			return
-		}
-		m.fail(e, "move1", errors.New(rec.Err))
-		return
-	}
-	m.reg.Span("move1.commit", e.Result.StartedAt, e.Result.Move1At, m.stageAttrs(e)...)
-	m.startConfirm(cl, e)
-}
-
-// startConfirm builds the proof (once) and enters the confirmation wait.
-func (m *Mover) startConfirm(cl *Client, e *Entry) {
-	if e.Payload == nil {
-		// Build the proof against the current committed state: the contract
-		// is locked, so its record cannot change, and this head's root will
-		// reach the target's light client within p blocks.
-		proofHeight := m.src.Head().Height
-		payload, err := core.BuildMoveProof(m.src.StateDB(), e.Contract, proofHeight)
-		if err != nil {
-			m.fail(e, "build proof", err)
-			return
-		}
-		e.Payload = payload
-	}
-	e.Attempts = 0
-	m.awaitConfirm(e)
-	m.pollConfirm(cl, e)
-}
-
-// awaitConfirm announces the final payload to the target (Chain.ExpectMove2),
-// so the target's storage work runs while the source's headers become p
-// blocks deep, and enters the confirmation wait, whose deadline starts now.
-func (m *Mover) awaitConfirm(e *Entry) {
-	m.dst.ExpectMove2(e.Payload)
-	e.Stage = StageWaitConfirm
-	e.confirmAt = m.sched.Now()
-}
-
-// pollConfirm polls the target light client until the proof's source height
-// is p blocks deep, failing with ErrConfirmTimeout past the deadline.
-func (m *Mover) pollConfirm(cl *Client, e *Entry) {
-	e.seq++
-	seq := e.seq
-	if m.dst.Headers().ConfirmedAt(e.Payload.SourceChain, e.Payload.SourceHeight) {
-		m.submitMove2(cl, e)
-		return
-	}
-	if m.cfg.ConfirmDeadline > 0 && m.sched.Now()-e.confirmAt >= m.cfg.ConfirmDeadline {
-		m.counters.Inc("relay.confirm_timeouts")
-		m.fail(e, "confirm", ErrConfirmTimeout)
-		return
-	}
-	m.counters.Inc("relay.confirm_retries")
-	m.sched.After(m.cfg.PollInterval, func() {
-		if m.alive && e.seq == seq && e.Stage == StageWaitConfirm {
-			m.pollConfirm(cl, e)
-		}
-	})
-}
-
-// submitMove2 signs (if needed) and submits the Move2 transaction, then
-// watches for its receipt.
-func (m *Mover) submitMove2(cl *Client, e *Entry) {
-	if e.Result.ProofReadyAt == 0 {
-		e.Result.ProofReadyAt = m.sched.Now()
-		// The p-block confirmation wait: Move1 inclusion (or move
-		// acceptance, for Complete-style moves) to proof-confirmed depth.
-		m.reg.Span("p.wait", e.Result.Move1At, e.Result.ProofReadyAt, m.stageAttrs(e)...)
-	}
-	if e.Move2 == nil {
+	case leg == "move2" && e.Move2 == nil:
 		e.Move2 = cl.SignedMove2(m.dst, e.Payload)
 		e.Result.Move2Tx = e.Move2.ID()
 	}
-	e.Stage = StageMove2Submitted
-	cl.SubmitSigned(m.dst, e.Move2)
-	m.event("move2.submit", e, metrics.A("attempt", strconv.Itoa(e.Attempts+1)))
-	m.watch(e, m.dst, e.Move2, "move2",
-		func(rec *types.Receipt) { m.move2Receipt(cl, e, rec) },
-		func() { m.submitMove2(cl, e) })
+	c := m.legChain(leg)
+	tx := e.Move1
+	if leg == "move2" {
+		tx = e.Move2
+	}
+	cl.SubmitSigned(c, tx)
+	m.event(leg+".submit", e, metrics.A("attempt", strconv.Itoa(e.Attempts+1)))
+	h := m.arm(cl, e)
+	c.NotifyTx(tx.ID(), func(rec *types.Receipt) { h.deliver(event{kind: evReceipt, rec: rec}) })
+	m.sched.After(stageDeadline, func() { h.deliver(event{kind: evDeadline}) })
 }
 
-// move2Receipt handles the receipt of Move2: success finishes the move; a
-// transient failure rebuilds Move2 and re-enters the confirmation wait.
-func (m *Mover) move2Receipt(cl *Client, e *Entry, rec *types.Receipt) {
-	e.Result.Move2At = m.sched.Now()
-	e.Result.Move2Gas = rec.GasUsed
-	if !rec.Succeeded() {
-		if transientMove2(rec.Err) && m.budget(e) {
-			m.counters.Inc("relay.move2_retries")
-			m.event("move2.retry", e, metrics.A("reason", rec.Err))
-			if badNonce(rec.Err) {
-				cl.NoteBadNonce(m.dst.ChainID())
-			}
-			// Rebuild with a fresh nonce and re-verify confirmation depth
-			// before resubmitting. The failed attempt consumed the target's
-			// preparation of the payload; awaitConfirm starts another.
-			e.Move2 = nil
-			m.awaitConfirm(e)
-			m.after(e, StageWaitConfirm, func() { m.pollConfirm(cl, e) })
-			return
+// eventKind names what happened to a move.
+type eventKind uint8
+
+const (
+	evStart    eventKind = iota // Move or Complete accepted it
+	evRecover                   // a restarted Mover resumes it
+	evReceipt                   // the submitted leg's receipt arrived
+	evDeadline                  // the submitted leg's stage deadline passed
+	evTimer                     // a backoff or the poll interval passed
+	evProof                     // the proof was built (payload) or not (err)
+	evPoll                      // the target's light client answered (ready)
+)
+
+// event is one input to step.
+type event struct {
+	kind    eventKind
+	now     time.Duration // the time of delivery
+	rec     *types.Receipt
+	payload *types.Move2Payload
+	err     error
+	ready   bool // the proof height is p blocks deep on the target
+}
+
+// actionKind names one effect step asks of the driver.
+type actionKind uint8
+
+const (
+	doSubmit     actionKind = iota // sign the leg's transaction if there is none, send it, arm receipt and deadline
+	doRetry                        // count and trace the leg's retry (name: why; a bad nonce resyncs the client), back off
+	doBuildProof                   // build the proof; answered by evProof
+	doExpect                       // announce the payload to the target (Chain.ExpectMove2)
+	doPoll                         // ask the target's light client; answered by evPoll
+	doTimer                        // arm evTimer after the delay
+	doCount                        // increment the named counter
+	doSpan                         // record the named span
+	doFinish                       // count and report the move's end (name: the step that failed)
+)
+
+// action is one effect of a step.
+type action struct {
+	do       actionKind
+	leg      string // "move1" or "move2"
+	name     string
+	after    time.Duration
+	from, to time.Duration
+}
+
+// The confirmation wait's two rows return these shared lists, which the
+// driver only reads: a wait of minutes polls hundreds of times per move.
+var (
+	pollNow   = []action{{do: doPoll}}
+	pollLater = []action{{do: doCount, name: "relay.confirm_retries"}, {do: doTimer, after: pollInterval}}
+)
+
+// step is the relayer's transition function: it moves e on by one event and
+// returns, in order, what the driver is to do. It reads no clock, chain or
+// RNG. Each case is a row of the (stage × event) table; a pair with no row
+// — a stale or out-of-order event — changes nothing and asks for nothing,
+// so Done and Failed absorb every event.
+func step(e *Entry, ev event) []action {
+	at := func(s Stage, kinds ...eventKind) bool { return e.Stage == s && slices.Contains(kinds, ev.kind) }
+	leg := "move1"
+	if e.Stage == StageMove2Submitted {
+		leg = "move2"
+	}
+	switch {
+	case at(StagePending, evStart, evRecover, evTimer) && e.MoveToInput == nil: // Complete-style
+		return confirm(e, ev.now)
+	case at(StagePending, evStart, evRecover, evTimer), at(StageMove1Submitted, evRecover, evTimer):
+		e.Stage = StageMove1Submitted
+		return []action{{do: doSubmit, leg: "move1"}}
+	case at(StagePending, evProof), at(StageMove1Submitted, evProof):
+		if ev.err != nil {
+			return fail(e, "build proof", ev.err)
 		}
-		m.fail(e, "move2", errors.New(rec.Err))
-		return
+		e.Payload = ev.payload
+		return confirm(e, ev.now)
+	case at(StageMove1Submitted, evDeadline), at(StageMove2Submitted, evDeadline):
+		// The submission (or its receipt path) was lost. After the backoff
+		// the same signed transaction goes out again: same nonce, same id,
+		// idempotent.
+		if e.Attempts >= maxAttempts {
+			return fail(e, leg, fmt.Errorf("%w after %d attempts", ErrRetryBudget, e.Attempts))
+		}
+		return []action{retry(e, leg, "stage deadline")}
+	case at(StageMove1Submitted, evReceipt):
+		e.Result.Move1At = ev.now
+		e.Result.Move1Gas = ev.rec.GasUsed
+		if ev.rec.Succeeded() {
+			span := action{do: doSpan, name: "move1.commit", from: e.Result.StartedAt, to: ev.now}
+			return append([]action{span}, confirm(e, ev.now)...)
+		}
+		// A nonce failure is transient (the client desynced after a lost
+		// submission): the signed Move1 is dead, so the move is pending
+		// again, to be signed anew after the resync. Everything else — a
+		// reverting moveTo guard above all — is terminal.
+		if badNonce(ev.rec.Err) && e.Attempts < maxAttempts {
+			e.Stage = StagePending
+			e.Move1 = nil
+			return []action{retry(e, leg, "bad nonce")}
+		}
+		return fail(e, leg, errors.New(ev.rec.Err))
+	case at(StageWaitConfirm, evRecover):
+		// The confirmation deadline restarts: a recovering relayer has no
+		// way to know how long the previous incarnation already waited.
+		// The target may still hold the crashed incarnation's expectation
+		// of this payload; ExpectMove2 then keeps that one.
+		return []action{await(e, ev.now), {do: doPoll}}
+	case at(StageWaitConfirm, evTimer):
+		return pollNow
+	case at(StageWaitConfirm, evPoll) && ev.ready, at(StageMove2Submitted, evRecover, evTimer):
+		var acts []action
+		if e.Result.ProofReadyAt == 0 {
+			// The p-block confirmation wait: Move1 inclusion (or move
+			// acceptance, for Complete-style moves) to proof-confirmed depth.
+			e.Result.ProofReadyAt = ev.now
+			acts = append(acts, action{do: doSpan, name: "p.wait", from: e.Result.Move1At, to: ev.now})
+		}
+		e.Stage = StageMove2Submitted
+		return append(acts, action{do: doSubmit, leg: "move2"})
+	case at(StageWaitConfirm, evPoll) && ev.now-e.confirmAt >= confirmDeadline:
+		return append([]action{{do: doCount, name: "relay.confirm_timeouts"}},
+			fail(e, "confirm", ErrConfirmTimeout)...)
+	case at(StageWaitConfirm, evPoll):
+		return pollLater
+	case at(StageMove2Submitted, evReceipt):
+		e.Result.Move2At = ev.now
+		e.Result.Move2Gas = ev.rec.GasUsed
+		if ev.rec.Succeeded() {
+			e.Stage = StageDone
+			return []action{
+				{do: doSpan, name: "move2.commit", from: e.Result.ProofReadyAt, to: ev.now},
+				{do: doSpan, name: "move.total", from: e.Result.StartedAt, to: ev.now},
+				{do: doFinish},
+			}
+		}
+		if transientMove2(ev.rec.Err) && e.Attempts < maxAttempts {
+			// Rebuild with a fresh nonce and re-check the confirmation depth
+			// before resubmitting. The failed attempt consumed the target's
+			// preparation of the payload; the wait announces it again.
+			e.Move2 = nil
+			return []action{await(e, ev.now), retry(e, leg, ev.rec.Err)}
+		}
+		return fail(e, leg, errors.New(ev.rec.Err))
 	}
-	e.Stage = StageDone
-	m.counters.Inc("relay.moves_completed")
-	m.reg.Span("move2.commit", e.Result.ProofReadyAt, e.Result.Move2At, m.stageAttrs(e)...)
-	m.reg.Span("move.total", e.Result.StartedAt, e.Result.Move2At, m.stageAttrs(e)...)
-	if e.done != nil {
-		e.done(e.Result)
+	return nil
+}
+
+// confirm enters the confirmation wait, asking for the proof first if
+// there is none.
+func confirm(e *Entry, now time.Duration) []action {
+	if e.Payload == nil {
+		return []action{{do: doBuildProof}}
 	}
+	e.Attempts = 0
+	return []action{await(e, now), {do: doPoll}}
+}
+
+// await enters the confirmation wait, whose deadline runs from now, and
+// announces the payload to the target (Chain.ExpectMove2), so the target's
+// storage work runs while the source's headers become p blocks deep.
+func await(e *Entry, now time.Duration) action {
+	e.Stage = StageWaitConfirm
+	e.confirmAt = now
+	return action{do: doExpect}
+}
+
+// retry spends one attempt of e's budget on a retry of leg.
+func retry(e *Entry, leg, reason string) action {
+	e.Attempts++
+	return action{do: doRetry, leg: leg, name: reason, after: backoff(e.Attempts)}
+}
+
+// backoff returns the delay before resubmission attempt n (1-based):
+// retryBase doubling per attempt, capped at retryMax. Doubling stops at the
+// cap, so a large attempt count cannot overflow.
+func backoff(attempt int) time.Duration {
+	d := retryBase
+	for i := 1; i < attempt && d < retryMax; i++ {
+		d *= 2
+	}
+	return min(d, retryMax)
+}
+
+// fail terminates a move with an error from the named step.
+func fail(e *Entry, what string, err error) []action {
+	e.Stage = StageFailed
+	e.Result.Err = fmt.Errorf("%s: %w", what, err)
+	return []action{{do: doFinish, name: what}}
 }
 
 // badNonce reports a receipt error of a transaction whose nonce the chain

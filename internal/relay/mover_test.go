@@ -2,6 +2,7 @@ package relay
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -82,16 +83,21 @@ func TestTransientReceiptsAreRetried(t *testing.T) {
 
 // moverRig is a source chain (1) and a target chain (2) that only the test
 // drives: every second each chain that is not paused commits a block, and
-// the source's new header reaches the target's light client. The client's
-// submissions reach the target over a link the test can cut. A second key,
-// funded on both chains, lets a test complete the move as another client.
+// the source's new header reaches the target's light client unless the
+// test withholds it (a withheld header arrives with the first one let
+// through). The client's submissions reach the target over a link the test
+// can cut. A second key, funded on both chains, lets a test complete the
+// move as another client.
 type moverRig struct {
 	sched    *simclock.Scheduler
 	src, dst *chain.Chain
 	kp       *keys.KeyPair
 	other    *keys.KeyPair
+	cl       *Client
 	toDst    *simnet.Link
 	paused   map[hashing.ChainID]bool
+	withhold bool
+	held     []*types.Header
 	counters *metrics.Counters
 	mover    *Mover
 	contract hashing.Address
@@ -99,18 +105,18 @@ type moverRig struct {
 }
 
 // newMoverRig starts a move of a one-slot movable contract from chain 1 to
-// chain 2 under cfg.
-func newMoverRig(t *testing.T, cfg MoverConfig) *moverRig {
+// chain 2.
+func newMoverRig(t *testing.T) *moverRig {
 	t.Helper()
-	r, cl := newIdleRig(t)
-	r.mover = NewMoverWith(r.sched, r.src, r.dst, cfg, nil, r.counters)
-	r.mover.Move(cl, r.contract, core.MoveToInput(2), func(res *MoveResult) { r.result = res })
+	r := newIdleRig(t)
+	r.mover = NewMover(r.sched, r.src, r.dst, NewJournal(), r.counters)
+	r.mover.Move(r.cl, r.contract, core.MoveToInput(2), func(res *MoveResult) { r.result = res })
 	return r
 }
 
 // newIdleRig builds the rig, with both chains ticking, and the owner's
 // client; no move is started.
-func newIdleRig(t *testing.T) (*moverRig, *Client) {
+func newIdleRig(t *testing.T) *moverRig {
 	t.Helper()
 	sched := simclock.New()
 	kp, other := keys.Deterministic(21), keys.Deterministic(22)
@@ -159,8 +165,12 @@ func newIdleRig(t *testing.T) (*moverRig, *Client) {
 	tick = func() {
 		if !r.paused[1] {
 			src.ApplyBlock(src.ProposeBatch(), sched.NowUnix(), chain.ProposerAddress(1, 0))
-			if err := dst.Headers().Update(1, []*types.Header{src.Head()}, src.Head().Height); err != nil {
-				t.Error(err)
+			r.held = append(r.held, src.Head())
+			if !r.withhold {
+				if err := dst.Headers().Update(1, r.held, src.Head().Height); err != nil {
+					t.Error(err)
+				}
+				r.held = nil
 			}
 		}
 		if !r.paused[2] {
@@ -170,11 +180,11 @@ func newIdleRig(t *testing.T) (*moverRig, *Client) {
 	}
 	sched.After(time.Second, tick)
 
-	cl := NewClient(kp, map[hashing.ChainID]*simnet.Link{
+	r.cl = NewClient(kp, map[hashing.ChainID]*simnet.Link{
 		1: simnet.NewLink(sched, time.Millisecond, simnet.LinkFaults{}, 0),
 		2: r.toDst,
 	})
-	return r, cl
+	return r
 }
 
 // stage is the move's journaled stage.
@@ -198,7 +208,7 @@ func (r *moverRig) runUntil(cond func() bool, limit time.Duration) bool {
 // finish runs the move to its end and returns its result.
 func (r *moverRig) finish(t *testing.T) *MoveResult {
 	t.Helper()
-	if !r.runUntil(func() bool { return r.result != nil }, 10*time.Minute) {
+	if !r.runUntil(func() bool { return r.result != nil }, time.Hour) {
 		t.Fatalf("move did not finish, at %v", r.stage())
 	}
 	return r.result
@@ -212,17 +222,6 @@ func (r *moverRig) requireMoved(t *testing.T) {
 	}
 	if r.src.StateDB().GetLocation(r.contract) != 2 || r.dst.StateDB().GetLocation(r.contract) != 2 {
 		t.Fatal("contract must be live on chain 2 only")
-	}
-}
-
-func rigConfig() MoverConfig {
-	return MoverConfig{
-		PollInterval:    500 * time.Millisecond,
-		ConfirmDeadline: 5 * time.Minute,
-		StageDeadline:   10 * time.Second,
-		RetryBase:       2 * time.Second,
-		RetryMax:        8 * time.Second,
-		MaxAttempts:     3,
 	}
 }
 
@@ -243,11 +242,10 @@ func (r *moverRig) dropMove2(t *testing.T) {
 // stage deadline: the deadline resubmits the same transaction and the move
 // completes.
 func TestMove2ResubmittedAfterStageDeadline(t *testing.T) {
-	cfg := rigConfig()
-	r := newMoverRig(t, cfg)
+	r := newMoverRig(t)
 	r.dropMove2(t)
 	// Heal after the deadline fired, before the backoff resubmits.
-	r.sched.RunUntil(r.sched.Now() + cfg.StageDeadline + cfg.RetryBase/2)
+	r.sched.RunUntil(r.sched.Now() + stageDeadline + retryBase/2)
 	r.toDst.SetCut(false)
 	r.requireMoved(t)
 	if got := r.counters.Get("relay.move2_retries"); got < 1 {
@@ -258,32 +256,31 @@ func TestMove2ResubmittedAfterStageDeadline(t *testing.T) {
 	}
 }
 
-// TestMove2RetryBudgetExhausted holds the drop past two stage deadlines
-// with a budget of one resubmission: the move fails with ErrRetryBudget on
-// the Move2 leg.
+// TestMove2RetryBudgetExhausted holds the drop past every stage deadline
+// of the budget: after maxAttempts resubmissions the move fails with
+// ErrRetryBudget on the Move2 leg.
 func TestMove2RetryBudgetExhausted(t *testing.T) {
-	cfg := rigConfig()
-	cfg.MaxAttempts = 1
-	r := newMoverRig(t, cfg)
+	r := newMoverRig(t)
 	r.dropMove2(t)
 	res := r.finish(t)
 	if !errors.Is(res.Err, ErrRetryBudget) || !strings.HasPrefix(res.Err.Error(), "move2") {
 		t.Fatalf("move ended with %v, want a move2 %v", res.Err, ErrRetryBudget)
+	}
+	if got := r.counters.Get("relay.move2_retries"); got != maxAttempts {
+		t.Fatalf("move2_retries = %d, want %d", got, maxAttempts)
 	}
 	if r.stage() != StageFailed {
 		t.Fatalf("journal stage = %v, want failed", r.stage())
 	}
 }
 
-// TestAbandonedMoveCompletedByAnotherClient: a relayer with a budget of one
-// resubmission gives up on a dropped Move2 after Move1 committed. The
-// contract is then locked on the source and not yet live on the target. A
-// fresh Mover, driven by a client other than the owner, completes the move
-// from the committed Move1 alone (§III-B: anyone may complete a move).
+// TestAbandonedMoveCompletedByAnotherClient: a relayer exhausts its retry
+// budget on a dropped Move2 after Move1 committed. The contract is then
+// locked on the source and not yet live on the target. A fresh Mover,
+// driven by a client other than the owner, completes the move from the
+// committed Move1 alone (§III-B: anyone may complete a move).
 func TestAbandonedMoveCompletedByAnotherClient(t *testing.T) {
-	cfg := rigConfig()
-	cfg.MaxAttempts = 1
-	r := newMoverRig(t, cfg)
+	r := newMoverRig(t)
 	before := r.src.StateDB().GetMoveNonce(r.contract)
 	r.dropMove2(t)
 	if res := r.finish(t); !errors.Is(res.Err, ErrRetryBudget) || res.Move1At == 0 {
@@ -298,7 +295,7 @@ func TestAbandonedMoveCompletedByAnotherClient(t *testing.T) {
 		2: simnet.NewLink(r.sched, time.Millisecond, simnet.LinkFaults{}, 0),
 	})
 	var res *MoveResult
-	NewMoverWith(r.sched, r.src, r.dst, rigConfig(), nil, nil).
+	NewMover(r.sched, r.src, r.dst, NewJournal(), metrics.NewCounters()).
 		Complete(cl, r.contract, func(m *MoveResult) { res = m })
 	if !r.runUntil(func() bool { return res != nil }, 10*time.Minute) {
 		t.Fatal("the second relayer did not finish the move")
@@ -321,10 +318,11 @@ func TestAbandonedMoveCompletedByAnotherClient(t *testing.T) {
 }
 
 // TestBadNonceReceiptIsRetried executes a leg's transaction, in a block the
-// test applies itself, after another transaction of the same sender took
-// its nonce: the receipt reports a bad nonce, and the mover resyncs,
-// rebuilds the transaction and completes the move. (A desync inside the
-// pool yields no receipt: a stale nonce is evicted, a gap waits.)
+// test applies itself, after two other transactions of the same sender took
+// its nonce and the next: the receipt reports a bad nonce, and the mover
+// resyncs the client's counter (one behind the account now), rebuilds the
+// transaction and completes the move. (A desync inside the pool yields no
+// receipt: a stale nonce is evicted, a gap waits.)
 func TestBadNonceReceiptIsRetried(t *testing.T) {
 	for _, leg := range []struct {
 		name  string
@@ -336,7 +334,7 @@ func TestBadNonceReceiptIsRetried(t *testing.T) {
 		{"move2", 2, StageMove2Submitted, func(e *Entry) *types.Transaction { return e.Move2 }},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
-			r := newMoverRig(t, rigConfig())
+			r := newMoverRig(t)
 			c := r.src
 			if leg.chain == 2 {
 				c = r.dst
@@ -350,18 +348,21 @@ func TestBadNonceReceiptIsRetried(t *testing.T) {
 			if err := sent.WaitSig(); err != nil { // a block holds signed transactions only
 				t.Fatal(err)
 			}
-			taker := &types.Transaction{
-				ChainID: leg.chain, Nonce: sent.Nonce, Kind: types.TxCall,
-				To: hashing.AddressFromBytes([]byte{0xee}), Value: u256.One(),
-				GasLimit: DefaultGasLimit, GasPrice: DefaultGasPrice,
+			var block []*types.Transaction
+			for i := uint64(0); i < 2; i++ {
+				taker := &types.Transaction{
+					ChainID: leg.chain, Nonce: sent.Nonce + i, Kind: types.TxCall,
+					To: hashing.AddressFromBytes([]byte{0xee}), Value: u256.One(),
+					GasLimit: DefaultGasLimit, GasPrice: DefaultGasPrice,
+				}
+				if err := taker.Sign(r.kp); err != nil {
+					t.Fatal(err)
+				}
+				block = append(block, taker)
 			}
-			if err := taker.Sign(r.kp); err != nil {
-				t.Fatal(err)
-			}
-			_, recs := c.ApplyBlock([]*types.Transaction{taker, sent}, r.sched.NowUnix(),
-				chain.ProposerAddress(leg.chain, 0))
-			if !badNonce(recs[1].Err) {
-				t.Fatalf("%s receipt %q, want a bad nonce", leg.name, recs[1].Err)
+			_, recs := c.ApplyBlock(append(block, sent), r.sched.NowUnix(), chain.ProposerAddress(leg.chain, 0))
+			if !badNonce(recs[2].Err) {
+				t.Fatalf("%s receipt %q, want a bad nonce", leg.name, recs[2].Err)
 			}
 			r.paused[leg.chain] = false
 			r.requireMoved(t)
@@ -376,7 +377,7 @@ func TestBadNonceReceiptIsRetried(t *testing.T) {
 // a move that was accepted but whose Move1 was never submitted: Recover
 // submits Move1 and the move completes.
 func TestRecoverFromPendingCompletesMove(t *testing.T) {
-	r, cl := newIdleRig(t)
+	r := newIdleRig(t)
 	j := NewJournal()
 	j.put(&Entry{
 		Contract:    r.contract,
@@ -387,8 +388,8 @@ func TestRecoverFromPendingCompletesMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.mover = NewMoverWith(r.sched, r.src, r.dst, rigConfig(), journal, r.counters)
-	if err := r.mover.Recover(cl); err != nil {
+	r.mover = NewMover(r.sched, r.src, r.dst, journal, r.counters)
+	if err := r.mover.Recover(r.cl); err != nil {
 		t.Fatal(err)
 	}
 	if !r.runUntil(func() bool { return r.stage() >= StageDone }, 10*time.Minute) {
@@ -410,7 +411,7 @@ func TestRecoverFromPendingCompletesMove(t *testing.T) {
 // with ErrReplay, which no retry can cure, and the move ends with a move2
 // error.
 func TestReplayedMove2FailsMove(t *testing.T) {
-	r := newMoverRig(t, rigConfig())
+	r := newMoverRig(t)
 	r.paused[2] = true
 	if !r.runUntil(func() bool { return r.stage() == StageMove2Submitted && r.dst.PendingTxs() == 1 }, time.Minute) {
 		t.Fatalf("Move2 never reached the pool, at %v", r.stage())
@@ -447,29 +448,95 @@ func TestReplayedMove2FailsMove(t *testing.T) {
 	}
 }
 
-// TestBackoffCapsAtRetryMax pins the resubmission delay: RetryBase doubles
-// per attempt, stops at RetryMax (also when RetryBase alone exceeds it),
-// and a RetryBase ≤ 0 starts from one second.
+// TestEarlyMove2IsRetried hands the driver a "ready" poll answer that the
+// target's light client does not back — the race transientMove2 describes
+// — while the rig withholds the source's headers: once before the target
+// knows the proof height at all (ErrNoHeader), once when it knows it but
+// not p blocks deep (ErrNotConfirmed). The poll timer armed before the
+// answer stands down. The failed receipt is transient: the move retries
+// once, announces its payload again, waits for the real confirmation and
+// completes.
+func TestEarlyMove2IsRetried(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		want  error
+		known bool // the target holds the proof height's header
+	}{{"no header", core.ErrNoHeader, false}, {"not confirmed", core.ErrNotConfirmed, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newIdleRig(t)
+			r.withhold = !c.known
+			r.mover = NewMover(r.sched, r.src, r.dst, NewJournal(), r.counters)
+			before := r.src.StateDB().GetMoveNonce(r.contract)
+			r.mover.Move(r.cl, r.contract, core.MoveToInput(2), func(res *MoveResult) { r.result = res })
+			if !r.runUntil(func() bool { return r.stage() == StageWaitConfirm }, time.Minute) {
+				t.Fatalf("move did not reach the confirmation wait, at %v", r.stage())
+			}
+			e, _ := r.mover.Journal().Entry(r.contract)
+			height := e.Payload.SourceHeight
+			if c.known && !r.runUntil(func() bool { return r.dst.Headers().Head(1) >= height }, time.Minute) {
+				t.Fatal("the proof height never reached the target")
+			}
+			r.withhold = true
+			if r.dst.Headers().ConfirmedAt(1, height) {
+				t.Fatal("the proof height is confirmed already")
+			}
+			r.mover.handle(r.cl, e, event{kind: evPoll, ready: true})
+			if r.stage() != StageMove2Submitted {
+				t.Fatalf("a ready answer left the move at %v", r.stage())
+			}
+			// The poll timer armed before the answer is stale now: it fires
+			// and stands down, so Move2 goes out once.
+			r.paused[2] = true
+			r.sched.RunUntil(r.sched.Now() + pollInterval + 10*time.Millisecond)
+			r.paused[2] = false
+			if got := r.toDst.Stats().Delivered; got != 1 {
+				t.Fatalf("%d Move2 submissions reached the target, want 1", got)
+			}
+			pre := snapshot(e)
+			var rec *types.Receipt
+			r.dst.NotifyTx(e.Move2.ID(), func(got *types.Receipt) { rec = got })
+			if !r.runUntil(func() bool { return rec != nil }, time.Minute) {
+				t.Fatal("the early Move2 never committed")
+			}
+			if !strings.Contains(rec.Err, c.want.Error()) || !transientMove2(rec.Err) {
+				t.Fatalf("early Move2 receipt %q, want a transient %v", rec.Err, c.want)
+			}
+			// The driver took this step on the receipt; on a copy, it shows
+			// the payload announced again.
+			if acts := step(pre, event{kind: evReceipt, now: r.sched.Now(), rec: rec}); !slices.Contains(acts, action{do: doExpect}) {
+				t.Fatalf("transient receipt: actions %+v announce nothing", acts)
+			}
+			if r.stage() != StageWaitConfirm || r.counters.Get("relay.move2_retries") != 1 {
+				t.Fatalf("after the receipt: at %v, move2_retries %d; want wait-confirm, 1",
+					r.stage(), r.counters.Get("relay.move2_retries"))
+			}
+			r.withhold = false
+			r.requireMoved(t)
+			if got := r.counters.Get("relay.move2_retries"); got != 1 {
+				t.Fatalf("move2_retries = %d, want 1", got)
+			}
+			if got := r.dst.StateDB().GetMoveNonce(r.contract); got != before+1 {
+				t.Fatalf("move nonce %d after the move, want %d", got, before+1)
+			}
+		})
+	}
+}
+
+// TestBackoffCapsAtRetryMax pins the resubmission delay: retryBase doubles
+// per attempt and stops at retryMax, however many attempts there were.
 func TestBackoffCapsAtRetryMax(t *testing.T) {
 	for _, c := range []struct {
-		base, max time.Duration
-		attempt   int
-		want      time.Duration
+		attempt int
+		want    time.Duration
 	}{
-		{base: 10 * time.Second, max: 4 * time.Second, attempt: 1, want: 4 * time.Second},
-		{base: 2 * time.Second, max: time.Minute, attempt: 1, want: 2 * time.Second},
-		{base: 2 * time.Second, max: time.Minute, attempt: 3, want: 8 * time.Second},
-		{base: 2 * time.Second, max: time.Minute, attempt: 5, want: 32 * time.Second},
-		{base: 2 * time.Second, max: time.Minute, attempt: 6, want: time.Minute},
-		{base: 2 * time.Second, max: time.Minute, attempt: 1000, want: time.Minute},
-		{base: 0, max: time.Minute, attempt: 1, want: time.Second},
-		{base: -time.Second, max: time.Minute, attempt: 4, want: 8 * time.Second},
-		{base: 0, max: 0, attempt: 3, want: 4 * time.Second},
+		{attempt: 1, want: 2 * time.Second},
+		{attempt: 3, want: 8 * time.Second},
+		{attempt: 5, want: 32 * time.Second},
+		{attempt: 6, want: time.Minute},
+		{attempt: 1000, want: time.Minute},
 	} {
-		m := &Mover{cfg: MoverConfig{RetryBase: c.base, RetryMax: c.max}}
-		if got := m.backoff(c.attempt); got != c.want {
-			t.Errorf("RetryBase %v, RetryMax %v, attempt %d: backoff %v, want %v",
-				c.base, c.max, c.attempt, got, c.want)
+		if got := backoff(c.attempt); got != c.want {
+			t.Errorf("attempt %d: backoff %v, want %v", c.attempt, got, c.want)
 		}
 	}
 }
@@ -497,9 +564,9 @@ func TestStageString(t *testing.T) {
 // "build proof" step with core.ErrNotLocked, and nothing is announced to
 // the target or submitted.
 func TestCompleteUnlockedContractFails(t *testing.T) {
-	r, cl := newIdleRig(t)
-	r.mover = NewMoverWith(r.sched, r.src, r.dst, rigConfig(), nil, r.counters)
-	r.mover.Complete(cl, r.contract, func(res *MoveResult) { r.result = res })
+	r := newIdleRig(t)
+	r.mover = NewMover(r.sched, r.src, r.dst, NewJournal(), r.counters)
+	r.mover.Complete(r.cl, r.contract, func(res *MoveResult) { r.result = res })
 	if r.result == nil {
 		t.Fatal("Complete on an unlocked contract did not finish synchronously")
 	}

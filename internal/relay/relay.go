@@ -2,10 +2,10 @@
 // that signs and submits transactions over per-chain submission links (a
 // simnet.Link: a delay plus any faults a chaos run injects), and a Mover
 // that drives the full Move1 → proof → wait-p-blocks → Move2 sequence
-// across two chains as a crash-recoverable state machine with per-stage
-// deadlines, exponential-backoff retries, and an in-memory journal, while
-// recording the per-phase timings and gas that the paper's IBC experiments
-// report (Figs. 8 and 9).
+// across two chains. One pure transition function, step, decides every
+// stage (deadlines, backoff, the retry budget) from an in-memory journal
+// entry; the Mover carries out its actions and records the per-phase
+// timings and gas of the paper's IBC experiments (Figs. 8 and 9).
 package relay
 
 import (
@@ -85,10 +85,6 @@ func (cl *Client) rollbackNonce(id hashing.ChainID, nonce uint64) {
 	}
 	cl.desynced[id] = true
 }
-
-// NoteBadNonce flags the chain's nonce counter for a resync; movers call it
-// when a transaction commits with a nonce failure.
-func (cl *Client) NoteBadNonce(id hashing.ChainID) { cl.desynced[id] = true }
 
 // deliver hands a signed transaction to the chain over its submission
 // link. Pool rejections roll the nonce back so a retry can reuse it;

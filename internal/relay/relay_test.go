@@ -338,7 +338,7 @@ func TestMoverFailsFastOnFailedMove1(t *testing.T) {
 	src.StateDB().Commit()
 
 	var result *relay.MoveResult
-	relay.NewMoverWith(sched, src, dst, relay.DefaultMoverConfig(), nil, nil).Move(cl, reverting, core.MoveToInput(2), func(r *relay.MoveResult) {
+	relay.NewMover(sched, src, dst, relay.NewJournal(), metrics.NewCounters()).Move(cl, reverting, core.MoveToInput(2), func(r *relay.MoveResult) {
 		result = r
 	})
 	sched.RunUntil(10 * time.Second)

@@ -169,7 +169,7 @@ func testMoverCrashRecovery(t *testing.T, crashAt relay.Stage) {
 	if err != nil {
 		t.Fatalf("decode journal: %v", err)
 	}
-	m2 := relay.NewMoverWith(u.Sched, bur, eth, relay.DefaultMoverConfig(), journal, u.Counters())
+	m2 := relay.NewMover(u.Sched, bur, eth, journal, u.Counters())
 	if err := m2.Recover(cl); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -308,7 +308,7 @@ func TestPartitionThenHealCompletesMove(t *testing.T) {
 
 // TestConfirmDeadlineFailsMoveDistinctly keeps the relayer partitioned
 // forever: instead of polling indefinitely, the move must fail with
-// ErrConfirmTimeout once the confirmation deadline passes.
+// ErrConfirmTimeout once the 15-minute confirmation deadline passes.
 func TestConfirmDeadlineFailsMoveDistinctly(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Chaos = &ChaosConfig{Seed: 5}
@@ -325,9 +325,7 @@ func TestConfirmDeadlineFailsMoveDistinctly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	moverCfg := relay.DefaultMoverConfig()
-	moverCfg.ConfirmDeadline = 2 * time.Minute
-	m := relay.NewMoverWith(u.Sched, u.Chain(2), u.Chain(1), moverCfg, nil, u.Counters())
+	m := relay.NewMover(u.Sched, u.Chain(2), u.Chain(1), relay.NewJournal(), u.Counters())
 	var result *relay.MoveResult
 	m.Move(cl, store, core.MoveToInput(1), func(r *relay.MoveResult) { result = r })
 	ok := u.RunUntil(func() bool {

@@ -764,10 +764,9 @@ func (u *Universe) UserClient(i int) *relay.Client {
 	return relay.NewClient(UserKey(i), u.submitLinks)
 }
 
-// Mover returns a mover from src to dst with the default tuning
-// (relay.DefaultMoverConfig), wired into the universe's shared counters. Each call returns a
-// fresh mover with its own journal; hold on to one to exercise
-// crash-recovery via Crash/Recover.
+// Mover returns a mover from src to dst, wired into the universe's shared
+// counters and registry. Each call returns a fresh mover with its own
+// journal; hold on to one to exercise crash-recovery via Crash/Recover.
 func (u *Universe) Mover(src, dst hashing.ChainID) *relay.Mover {
 	// A move needs headers flowing both ways: the destination verifies the
 	// Move1 proof against src headers, and the relayer confirms the Move2
@@ -775,8 +774,7 @@ func (u *Universe) Mover(src, dst hashing.ChainID) *relay.Mover {
 	// already exist.
 	u.EnsureRelay(src, dst)
 	u.EnsureRelay(dst, src)
-	m := relay.NewMoverWith(u.Sched, u.chains[src], u.chains[dst],
-		relay.DefaultMoverConfig(), relay.NewJournal(), u.counters)
+	m := relay.NewMover(u.Sched, u.chains[src], u.chains[dst], relay.NewJournal(), u.counters)
 	m.SetRegistry(u.reg)
 	return m
 }
