@@ -150,20 +150,22 @@ identity:
 	done
 	@grep -o 'identity: .*' /tmp/scmove_identity.txt | sort
 
-# relaycov is the relayer's branch-coverage gate: it runs the whole suite
-# with coverage of internal/relay and fails, printing the unrun blocks, when
-# relay/mover.go and relay/journal.go together leave any statement unrun
-# (more than RELAYCOV_MAX, which is 0: every row of the transition function
-# step and every defensive validate branch has a test). -coverpkg writes one
-# line per block per test binary; a block ran if any binary ran it.
+# relaycov is the branch-coverage gate of the Move's two decision sites: it
+# runs the whole suite with coverage of internal/relay and internal/shard
+# and fails, printing the unrun blocks, when relay/mover.go,
+# relay/journal.go and shard/policy.go together leave any statement unrun
+# (more than RELAYCOV_MAX, which is 0: every row of the relayer's
+# transition function step, every defensive validate branch and every
+# branch of the migration policy has a test). -coverpkg writes one line per
+# block per test binary; a block ran if any binary ran it.
 RELAYCOV_MAX = 0
 relaycov:
-	@$(GO) test -coverpkg=scmove/internal/relay -coverprofile=/tmp/scmove_relaycov.out ./... > /tmp/scmove_relaycov.txt 2>&1 \
+	@$(GO) test -coverpkg=scmove/internal/relay,scmove/internal/shard -coverprofile=/tmp/scmove_relaycov.out ./... > /tmp/scmove_relaycov.txt 2>&1 \
 		|| { cat /tmp/scmove_relaycov.txt; exit 1; }
 	@awk -F'[: ]' -v max=$(RELAYCOV_MAX) ' \
-		NR > 1 && $$1 ~ /internal\/relay\/(mover|journal)\.go$$/ { k = $$1 ":" $$2; n[k] = $$3; c[k] += $$4 } \
+		NR > 1 && $$1 ~ /internal\/(relay\/(mover|journal)|shard\/policy)\.go$$/ { k = $$1 ":" $$2; n[k] = $$3; c[k] += $$4 } \
 		END { for (k in n) if (c[k] == 0) { print "relaycov: unrun " k " (" n[k] " statements)"; s += n[k] } \
-			printf "relaycov: %d statements of relay/mover.go and relay/journal.go unrun, at most %d allowed\n", s, max; \
+			printf "relaycov: %d statements of relay/mover.go, relay/journal.go and shard/policy.go unrun, at most %d allowed\n", s, max; \
 			exit s > max }' /tmp/scmove_relaycov.out
 
 # expsmoke is the experiment-output sanity gate: a CI-scale ablations run,

@@ -104,7 +104,6 @@ func RunByzantine(cfg ByzantineConfig) (*ByzantineResult, error) {
 		WAN:          faults,
 		Submit:       faults,
 		HeaderRelay:  faults,
-		HeaderWindow: 64,
 		Seed:         cfg.Seed,
 		Equivocators: cfg.Equivocators,
 	}

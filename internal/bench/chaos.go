@@ -61,11 +61,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	ucfg.Trace = cfg.Trace
 	faults := simnet.LinkFaults{DropRate: cfg.DropRate, DupRate: cfg.DupRate, JitterFrac: 0.1}
 	ucfg.Chaos = &universe.ChaosConfig{
-		WAN:          faults,
-		Submit:       faults,
-		HeaderRelay:  faults,
-		HeaderWindow: 64,
-		Seed:         cfg.Seed,
+		WAN:         faults,
+		Submit:      faults,
+		HeaderRelay: faults,
+		Seed:        cfg.Seed,
 	}
 	u, err := universe.New(ucfg)
 	if err != nil {

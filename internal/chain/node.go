@@ -86,14 +86,15 @@ func (a *bftApp) Commit(height uint64, payload []byte) {
 }
 
 // NewBFTNode creates a chain with a validator cluster of len(ids) members
-// placed in the given regions. The transport seam decides what carries
+// placed in the given regions, proposing a block every BlockInterval of the
+// chain's configuration. The transport seam decides what carries
 // consensus traffic: the deterministic discrete-event network by default,
 // or real TCP sockets for wall-clock runs. Call Start to begin producing
 // blocks.
 func NewBFTNode(sched *simclock.Scheduler, net simnet.Transport, c *Chain,
-	cfg tendermint.Config, ids []simnet.NodeID, regions []simnet.Region) (*BFTNode, error) {
+	ids []simnet.NodeID, regions []simnet.Region) (*BFTNode, error) {
 	app := &bftApp{chain: c, sched: sched}
-	cluster, err := tendermint.NewCluster(sched, net, app, cfg, ids, regions)
+	cluster, err := tendermint.NewCluster(sched, net, app, c.cfg.BlockInterval, ids, regions)
 	if err != nil {
 		return nil, fmt.Errorf("bft node: %w", err)
 	}

@@ -11,7 +11,6 @@ import (
 	"scmove/internal/metrics"
 	"scmove/internal/simclock"
 	"scmove/internal/simnet"
-	"scmove/internal/tendermint"
 	"scmove/internal/types"
 )
 
@@ -46,10 +45,12 @@ func TestBFTCommitAppliesOwnProposal(t *testing.T) {
 	kp := keys.Deterministic(1)
 	sched := simclock.New()
 	net := simnet.New(sched, simnet.Config{Seed: 1, Faults: simnet.LinkFaults{JitterFrac: 0.1}})
-	c := newChain(t, burrowConfig(2), nil, kp)
+	cfg := burrowConfig(2)
+	cfg.BlockInterval = 5 * time.Second
+	c := newChain(t, cfg, nil, kp)
 	ids := []simnet.NodeID{1, 2, 3, 4}
 	regions := make([]simnet.Region, len(ids))
-	node, err := NewBFTNode(sched, net, c, tendermint.DefaultConfig(), ids, regions)
+	node, err := NewBFTNode(sched, net, c, ids, regions)
 	if err != nil {
 		t.Fatal(err)
 	}

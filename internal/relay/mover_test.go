@@ -114,15 +114,22 @@ func newMoverRig(t *testing.T) *moverRig {
 	return r
 }
 
-// newIdleRig builds the rig, with both chains ticking, and the owner's
-// client; no move is started.
+// newIdleRig builds the rig on two MPT chains, with both chains ticking,
+// and the owner's client; no move is started.
 func newIdleRig(t *testing.T) *moverRig {
+	t.Helper()
+	return newIdleRigOn(t, trie.KindMPT, trie.KindMPT)
+}
+
+// newIdleRigOn is newIdleRig with the source's and the target's state
+// trees of the given kinds.
+func newIdleRigOn(t *testing.T, srcKind, dstKind trie.Kind) *moverRig {
 	t.Helper()
 	sched := simclock.New()
 	kp, other := keys.Deterministic(21), keys.Deterministic(22)
-	chainCfg := func(id hashing.ChainID) chain.Config {
+	chainCfg := func(id hashing.ChainID, kind trie.Kind) chain.Config {
 		return chain.Config{
-			ChainID: id, TreeKind: trie.KindMPT, Schedule: evm.EthereumSchedule(),
+			ChainID: id, TreeKind: kind, Schedule: evm.EthereumSchedule(),
 			BlockGasLimit: 100_000_000, MaxBlockTxs: 100, ConfirmationDepth: 2, PoolLimit: 1000,
 		}
 	}
@@ -130,11 +137,11 @@ func newIdleRig(t *testing.T) *moverRig {
 		db.AddBalance(kp.Address(), u256.FromUint64(1<<50))
 		db.AddBalance(other.Address(), u256.FromUint64(1<<50))
 	}
-	src, err := chain.New(chainCfg(1), core.NewHeaderStore(chainCfg(2).Params()), fund)
+	src, err := chain.New(chainCfg(1, srcKind), core.NewHeaderStore(chainCfg(2, dstKind).Params()), fund)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := chain.New(chainCfg(2), core.NewHeaderStore(chainCfg(1).Params()), fund)
+	dst, err := chain.New(chainCfg(2, dstKind), core.NewHeaderStore(chainCfg(1, srcKind).Params()), fund)
 	if err != nil {
 		t.Fatal(err)
 	}

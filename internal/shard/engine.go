@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"time"
+	"slices"
 
 	"scmove/internal/chain"
 	"scmove/internal/core"
@@ -28,10 +28,6 @@ type Config struct {
 	// Home resolves a transaction sender to its home chain, feeding the
 	// affinity signal.
 	Home func(addr hashing.Address) (hashing.ChainID, bool)
-	// Interval is the policy tick spacing; it must be positive.
-	Interval time.Duration
-	// Policy decides the migrations.
-	Policy Policy
 	// Counters, when set, receives shard.* event counts.
 	Counters *metrics.Counters
 	// Registry, when set, receives the shard.moving gauge.
@@ -51,19 +47,19 @@ type Stats struct {
 // from scheduler events (ticks and block listeners), so the engine needs no
 // locking.
 type Engine struct {
-	cfg    Config
-	chains map[hashing.ChainID]*chain.Chain
-	order  []hashing.ChainID
+	cfg Config
+	pol *policy
+	// shards holds each chain's id and MaxBlockTxs, in configuration
+	// order; a snapshot copies it and fills in the pool depths.
+	shards []chainLoad
 
 	loc     map[hashing.Address]hashing.ChainID
 	owner   map[hashing.Address]*relay.Client
 	tracked []hashing.Address // registration order — the policy's iteration order
-	window  map[hashing.Address]*ContractLoad
-	chWin   map[hashing.ChainID]*ChainLoad
+	window  map[hashing.Address]*contractLoad
 	moving  map[hashing.Address]bool
 
-	stats   Stats
-	stopped bool
+	stats Stats
 }
 
 // New builds an engine and registers its block listeners; call Track for
@@ -71,32 +67,21 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:    cfg,
-		chains: make(map[hashing.ChainID]*chain.Chain, len(cfg.Chains)),
+		pol:    newPolicy(),
 		loc:    make(map[hashing.Address]hashing.ChainID),
 		owner:  make(map[hashing.Address]*relay.Client),
-		window: make(map[hashing.Address]*ContractLoad),
-		chWin:  make(map[hashing.ChainID]*ChainLoad),
+		window: make(map[hashing.Address]*contractLoad),
 		moving: make(map[hashing.Address]bool),
 	}
 	for _, c := range cfg.Chains {
-		c := c
-		id := c.ChainID()
-		e.chains[id] = c
-		e.order = append(e.order, id)
-		e.chWin[id] = &ChainLoad{ID: id, MaxTxs: c.Config().MaxBlockTxs}
-		c.OnBlock(func(b *types.Block, _ []*types.Receipt) { e.observe(id, b) })
+		e.shards = append(e.shards, chainLoad{id: c.ChainID(), maxTxs: c.Config().MaxBlockTxs})
+		c.OnBlock(e.observe)
 	}
 	return e
 }
 
-// observe folds one committed block into the traffic windows.
-func (e *Engine) observe(id hashing.ChainID, b *types.Block) {
-	if e.stopped {
-		return
-	}
-	w := e.chWin[id]
-	w.Blocks++
-	w.Txs += uint64(len(b.Txs))
+// observe folds one committed block into the contracts' traffic windows.
+func (e *Engine) observe(b *types.Block, _ []*types.Receipt) {
 	for _, tx := range b.Txs {
 		if tx.Kind != types.TxCall {
 			continue
@@ -105,10 +90,10 @@ func (e *Engine) observe(id hashing.ChainID, b *types.Block) {
 		if !ok {
 			continue
 		}
-		cw.Total++
+		cw.total++
 		if sender, err := tx.Sender(); err == nil {
 			if home, ok := e.cfg.Home(sender); ok {
-				cw.ByHome[home]++
+				cw.byHome[home]++
 			}
 		}
 	}
@@ -124,9 +109,9 @@ func (e *Engine) Track(contract hashing.Address, home hashing.ChainID, owner *re
 	e.loc[contract] = home
 	e.owner[contract] = owner
 	e.tracked = append(e.tracked, contract)
-	e.window[contract] = &ContractLoad{
-		Contract: contract,
-		ByHome:   make(map[hashing.ChainID]uint64, len(e.order)),
+	e.window[contract] = &contractLoad{
+		contract: contract,
+		byHome:   make(map[hashing.ChainID]uint64, len(e.shards)),
 	}
 }
 
@@ -149,95 +134,77 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // Start schedules the recurring policy tick.
 func (e *Engine) Start() {
-	e.cfg.Clock.After(e.cfg.Interval, e.tick)
+	e.cfg.Clock.After(interval, e.tick)
 }
 
-// Stop halts ticking and observation; in-flight moves still run to
-// completion (the relayer owns them).
-func (e *Engine) Stop() { e.stopped = true }
-
+// tick issues every migration the policy plans. A planned move always
+// starts at the contract's current home and goes elsewhere: the snapshot
+// leaves out moving contracts, and the policy proposes from home.
 func (e *Engine) tick() {
-	if e.stopped {
-		return
-	}
 	e.stats.Ticks++
 	e.count("shard.ticks")
-	snap := e.snapshot()
-	for _, m := range e.cfg.Policy.Plan(snap) {
-		if e.moving[m.Contract] || e.loc[m.Contract] != m.From || m.From == m.To {
-			continue
-		}
+	for _, m := range e.pol.plan(e.snapshot()) {
 		e.issue(m)
 	}
 	e.reset()
-	e.cfg.Clock.After(e.cfg.Interval, e.tick)
+	e.cfg.Clock.After(interval, e.tick)
 }
 
 // snapshot assembles the policy's view: chains in configuration order,
 // contracts in registration order, mid-move contracts excluded.
-func (e *Engine) snapshot() *Snapshot {
-	s := &Snapshot{
-		Now:   e.cfg.Clock.Now(),
-		Order: e.order,
-	}
-	for _, id := range e.order {
-		w := *e.chWin[id]
-		w.Pending = e.chains[id].PendingTxs()
-		s.Chains = append(s.Chains, w)
+func (e *Engine) snapshot() *snapshot {
+	s := &snapshot{chains: slices.Clone(e.shards)}
+	for i, c := range e.cfg.Chains {
+		s.chains[i].pending = c.PendingTxs()
 	}
 	for _, addr := range e.tracked {
 		if e.moving[addr] {
 			continue
 		}
 		w := e.window[addr]
-		w.Home = e.loc[addr]
-		s.Contracts = append(s.Contracts, w)
+		w.home = e.loc[addr]
+		s.contracts = append(s.contracts, w)
 	}
 	return s
 }
 
-// reset ages the traffic windows for the next interval. Contract windows
+// reset ages the contracts' traffic windows for the next interval. They
 // are leaky buckets — each tick keeps 3/4 of the count — so a contract
 // whose community traffic is thin but persistent (the norm at 64 chains,
 // where a congested hot shard spreads a few hundred calls per window over
 // a hundred contracts) still accumulates a stable affinity signal instead
-// of flickering around the MinTxs floor and never sustaining through
-// hysteresis. Chain windows are true per-interval windows and reset hard.
+// of flickering around the minTxs floor and never sustaining through
+// damping.
 func (e *Engine) reset() {
 	for _, w := range e.window {
-		w.Total = w.Total * 3 / 4
-		for k, n := range w.ByHome {
+		w.total = w.total * 3 / 4
+		for k, n := range w.byHome {
 			if n = n * 3 / 4; n == 0 {
-				delete(w.ByHome, k)
+				delete(w.byHome, k)
 			} else {
-				w.ByHome[k] = n
+				w.byHome[k] = n
 			}
 		}
-	}
-	for _, w := range e.chWin {
-		w.Blocks, w.Txs = 0, 0
 	}
 }
 
 // issue launches one migration through the relay.
-func (e *Engine) issue(m Migration) {
-	e.moving[m.Contract] = true
+func (e *Engine) issue(m migration) {
+	e.moving[m.contract] = true
 	e.stats.Issued++
 	e.count("shard.moves_issued")
-	if m.Reason != "" {
-		e.count("shard.moves_" + m.Reason)
-	}
+	e.count("shard.moves_" + m.reason)
 	e.gauge()
-	mover := e.cfg.Mover(m.From, m.To)
-	mover.Move(e.owner[m.Contract], m.Contract, core.MoveToInput(m.To), func(r *relay.MoveResult) {
-		delete(e.moving, m.Contract)
+	mover := e.cfg.Mover(m.from, m.to)
+	mover.Move(e.owner[m.contract], m.contract, core.MoveToInput(m.to), func(r *relay.MoveResult) {
+		delete(e.moving, m.contract)
 		e.gauge()
 		if r.Err != nil {
 			e.stats.Failed++
 			e.count("shard.moves_failed")
 			return
 		}
-		e.loc[m.Contract] = m.To
+		e.loc[m.contract] = m.to
 		e.stats.Completed++
 		e.count("shard.moves_completed")
 	})

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"scmove/internal/hashing"
@@ -12,159 +14,138 @@ func addr(b byte) hashing.Address {
 	return a
 }
 
-func snap3() *Snapshot {
-	return &Snapshot{
-		Order: []hashing.ChainID{1, 2, 3},
-		Chains: []ChainLoad{
-			{ID: 1, MaxTxs: 60},
-			{ID: 2, MaxTxs: 60},
-			{ID: 3, MaxTxs: 60},
-		},
+// chains builds one chainLoad per pool depth, ids 1, 2, …, each capped at
+// the sharded workload's 60 transactions a block: the load threshold is
+// then 120.
+func chains(pending ...int) []chainLoad {
+	out := make([]chainLoad, len(pending))
+	for i, p := range pending {
+		out[i] = chainLoad{id: hashing.ChainID(i + 1), pending: p, maxTxs: 60}
 	}
+	return out
 }
 
-func TestGreedyAffinityDominance(t *testing.T) {
-	g := &Greedy{Dominance: 0.5, MinTxs: 4}
-	s := snap3()
-	s.Contracts = []*ContractLoad{
-		// Dominated by chain 2 callers: moves.
-		{Contract: addr(1), Home: 1, Total: 10,
-			ByHome: map[hashing.ChainID]uint64{1: 2, 2: 8}},
-		// Majority local: stays.
-		{Contract: addr(2), Home: 1, Total: 10,
-			ByHome: map[hashing.ChainID]uint64{1: 7, 2: 3}},
-		// Dominated remotely but under the MinTxs floor: stays.
-		{Contract: addr(3), Home: 1, Total: 3,
-			ByHome: map[hashing.ChainID]uint64{3: 3}},
+// load is contract b homed on home with the given window traffic by
+// caller home.
+func load(b byte, home hashing.ChainID, byHome map[hashing.ChainID]uint64) *contractLoad {
+	c := &contractLoad{contract: addr(b), home: home, byHome: byHome}
+	for _, n := range byHome {
+		c.total += n
 	}
-	out := g.Plan(s)
-	if len(out) != 1 {
-		t.Fatalf("planned %d moves, want 1: %+v", len(out), out)
-	}
-	if m := out[0]; m.Contract != addr(1) || m.From != 1 || m.To != 2 || m.Reason != "affinity" {
-		t.Fatalf("wrong move: %+v", m)
-	}
+	return c
 }
 
-func TestGreedyLoadSheddingHalvesImbalance(t *testing.T) {
-	g := &Greedy{Capacity: 100, MaxMoves: 8}
-	s := snap3()
-	s.Chains[0].Pending = 500 // hot
-	s.Chains[1].Pending = 50
-	s.Chains[2].Pending = 10 // cold
-	for i := 0; i < 6; i++ {
-		s.Contracts = append(s.Contracts, &ContractLoad{Contract: addr(byte(i + 1)), Home: 1})
+func format(plan []migration) string {
+	var parts []string
+	for _, m := range plan {
+		parts = append(parts, fmt.Sprintf("%d:%d>%d:%s", m.contract[0], m.from, m.to, m.reason))
 	}
-	out := g.Plan(s)
-	// quota = (6 - 0) / 2 = 3, all hot -> cold.
-	if len(out) != 3 {
-		t.Fatalf("planned %d moves, want 3: %+v", len(out), out)
-	}
-	for _, m := range out {
-		if m.From != 1 || m.To != 3 || m.Reason != "load" {
-			t.Fatalf("wrong move: %+v", m)
+	return strings.Join(parts, " ")
+}
+
+// TestPropose runs the proposal step at the production constants
+// (dominance 0.5, minTxs 2, maxMoves 16, threshold two blocks of 60).
+func TestPropose(t *testing.T) {
+	// Forty contracts on chain 1, every one called only from chain 2: the
+	// affinity signal fills its budget of 16 and the load signal, with its
+	// own budget, sheds the next 16 to the shallowest pool (chain 2).
+	var dominated []*contractLoad
+	var budgets []string
+	for i := 1; i <= 40; i++ {
+		dominated = append(dominated, load(byte(i), 1, map[hashing.ChainID]uint64{2: 10}))
+		switch {
+		case i <= maxMoves:
+			budgets = append(budgets, fmt.Sprintf("%d:1>2:affinity", i))
+		case i <= 2*maxMoves:
+			budgets = append(budgets, fmt.Sprintf("%d:1>2:load", i))
 		}
 	}
-	// Below the congestion threshold nothing sheds.
-	s.Chains[0].Pending = 90
-	if out := g.Plan(s); len(out) != 0 {
-		t.Fatalf("uncongested shard shed %d contracts", len(out))
-	}
-}
-
-// TestGreedyBudgetsArePerSignal pins the starvation fix: a full slate of
-// affinity proposals must not consume the load signal's budget — at scale
-// the affinity set churns tick to tick while the load set is the stable
-// one that survives hysteresis.
-func TestGreedyBudgetsArePerSignal(t *testing.T) {
-	g := &Greedy{MinTxs: 1, Capacity: 100, MaxMoves: 2}
-	s := snap3()
-	s.Chains[0].Pending = 500
-	s.Chains[2].Pending = 0
-	for i := 0; i < 8; i++ {
-		c := &ContractLoad{Contract: addr(byte(i + 1)), Home: 1, Total: 10,
-			ByHome: map[hashing.ChainID]uint64{2: 10}}
-		s.Contracts = append(s.Contracts, c)
-	}
-	out := g.Plan(s)
-	byReason := map[string]int{}
-	for _, m := range out {
-		byReason[m.Reason]++
-	}
-	if byReason["affinity"] != 2 || byReason["load"] != 2 {
-		t.Fatalf("per-signal budgets violated: %v (want 2 affinity + 2 load)", byReason)
-	}
-	// No contract is planned twice across the two signals.
-	seen := map[hashing.Address]bool{}
-	for _, m := range out {
-		if seen[m.Contract] {
-			t.Fatalf("contract %v planned twice", m.Contract)
+	onHot := func(n int) []*contractLoad {
+		var cs []*contractLoad
+		for i := 1; i <= n; i++ {
+			cs = append(cs, load(byte(i), 1, nil))
 		}
-		seen[m.Contract] = true
+		return cs
+	}
+	for _, tc := range []struct {
+		name      string
+		chains    []chainLoad
+		contracts []*contractLoad
+		want      string
+	}{
+		{"affinity", chains(0, 0, 0), []*contractLoad{
+			load(1, 1, map[hashing.ChainID]uint64{1: 2, 2: 8}),
+			// Majority local: stays.
+			load(2, 1, map[hashing.ChainID]uint64{1: 7, 2: 3}),
+			// Remote but under the minTxs floor: stays.
+			load(3, 1, map[hashing.ChainID]uint64{3: 1}),
+			// Exactly half is dominant.
+			load(4, 1, map[hashing.ChainID]uint64{1: 4, 3: 5, 2: 1}),
+		}, "1:1>2:affinity 4:1>3:affinity"},
+		{"tie-stays-home", chains(0, 0), []*contractLoad{
+			load(1, 1, map[hashing.ChainID]uint64{1: 5, 2: 5}),
+		}, ""},
+		{"load-halves-imbalance", chains(500, 50, 10),
+			append([]*contractLoad{load(7, 2, nil)}, onHot(6)...),
+			"1:1>3:load 2:1>3:load 3:1>3:load"},
+		// Two blocks' worth is not congested; one more is.
+		{"load-at-threshold", chains(120, 50, 10), onHot(6), ""},
+		{"load-past-threshold", chains(121, 50, 10), onHot(2), "1:1>3:load"},
+		{"load-below-threshold", chains(90, 50, 10), onHot(6), ""},
+		{"load-hot-not-first", chains(10, 500),
+			[]*contractLoad{load(1, 2, nil), load(2, 2, nil)}, "1:2>1:load"},
+		{"load-cold-holds-more", chains(500, 0),
+			[]*contractLoad{load(1, 1, nil), load(2, 2, nil), load(3, 2, nil)}, ""},
+		{"per-signal-budgets", chains(500, 0, 0), dominated, strings.Join(budgets, " ")},
+		{"single-chain", chains(500), []*contractLoad{
+			load(1, 1, map[hashing.ChainID]uint64{2: 10}),
+		}, ""},
+		{"equal-pools", chains(500, 500, 500), onHot(6), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := format(propose(&snapshot{chains: tc.chains, contracts: tc.contracts})); got != tc.want {
+				t.Errorf("\n got %q\nwant %q", got, tc.want)
+			}
+		})
 	}
 }
 
-// fixedPolicy proposes a canned plan every tick.
-type fixedPolicy struct{ plan []Migration }
-
-func (f *fixedPolicy) Plan(*Snapshot) []Migration { return f.plan }
-
-func TestHysteresisSustainAndCooldown(t *testing.T) {
-	m := Migration{Contract: addr(1), From: 1, To: 2, Reason: "affinity"}
-	inner := &fixedPolicy{plan: []Migration{m}}
-	h := &Hysteresis{Inner: inner, Sustain: 2, Cooldown: 3}
-	s := snap3()
-
-	if out := h.Plan(s); len(out) != 0 {
-		t.Fatalf("fired on first proposal: %+v", out)
-	}
-	if out := h.Plan(s); len(out) != 1 {
-		t.Fatalf("did not fire after sustain: %+v", out)
-	}
-	// Cooldown: the same proposal is suppressed for the next 3 ticks even
-	// though the inner policy keeps making it...
-	for i := 0; i < 3; i++ {
-		if out := h.Plan(s); len(out) != 0 {
-			t.Fatalf("fired during cooldown tick %d: %+v", i, out)
-		}
-	}
-	// ...after which the sustain count starts over.
-	if out := h.Plan(s); len(out) != 0 {
-		t.Fatal("fired without re-sustaining after cooldown")
-	}
-	if out := h.Plan(s); len(out) != 1 {
-		t.Fatal("did not fire after re-sustaining")
-	}
-}
-
-func TestHysteresisLapsedStreakResets(t *testing.T) {
-	m := Migration{Contract: addr(1), From: 1, To: 2}
-	inner := &fixedPolicy{plan: []Migration{m}}
-	h := &Hysteresis{Inner: inner, Sustain: 2, Cooldown: 1}
-	s := snap3()
-
-	h.Plan(s) // streak 1
-	inner.plan = nil
-	h.Plan(s) // proposal lapses; streak must reset
-	inner.plan = []Migration{m}
-	if out := h.Plan(s); len(out) != 0 {
-		t.Fatalf("lapsed streak carried over: %+v", out)
-	}
-	if out := h.Plan(s); len(out) != 1 {
-		t.Fatal("did not fire after a fresh sustain")
-	}
-}
-
-func TestHysteresisTargetChangeResets(t *testing.T) {
-	inner := &fixedPolicy{plan: []Migration{{Contract: addr(1), From: 1, To: 2}}}
-	h := &Hysteresis{Inner: inner, Sustain: 2, Cooldown: 1}
-	s := snap3()
-	h.Plan(s) // streak 1 toward chain 2
-	inner.plan = []Migration{{Contract: addr(1), From: 1, To: 3}}
-	if out := h.Plan(s); len(out) != 0 {
-		t.Fatalf("fired on a changed target: %+v", out)
-	}
-	if out := h.Plan(s); len(out) != 1 {
-		t.Fatal("did not fire after sustaining the new target")
+// TestDamp feeds damp one contract's proposal tick by tick, at the
+// production sustain 2 and cooldown 3.
+func TestDamp(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// to is the proposed target on each tick; 0 proposes nothing.
+		to []hashing.ChainID
+		// fire has one byte per tick: '+' when damp issues the move.
+		fire string
+	}{
+		// Fires on the second tick, rests three ticks, then must sustain
+		// afresh.
+		{"sustain-and-cooldown", []hashing.ChainID{2, 2, 2, 2, 2, 2, 2}, ".+....+"},
+		{"lapsed-streak", []hashing.ChainID{2, 0, 2, 2}, "...+"},
+		{"target-change", []hashing.ChainID{2, 3, 3}, "..+"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPolicy()
+			var fired strings.Builder
+			for _, to := range tc.to {
+				var proposed []migration
+				if to != 0 {
+					proposed = []migration{{contract: addr(1), from: 1, to: to, reason: "affinity"}}
+				}
+				switch out := p.damp(proposed); {
+				case len(out) == 0:
+					fired.WriteByte('.')
+				case len(out) == 1 && out[0] == proposed[0]:
+					fired.WriteByte('+')
+				default:
+					t.Fatalf("damp returned %+v for %+v", out, proposed)
+				}
+			}
+			if fired.String() != tc.fire {
+				t.Errorf("fired %q, want %q", fired.String(), tc.fire)
+			}
+		})
 	}
 }

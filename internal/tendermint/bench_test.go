@@ -3,6 +3,7 @@ package tendermint
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"scmove/internal/simclock"
 	"scmove/internal/simnet"
@@ -30,7 +31,7 @@ func BenchmarkClusterHeight(b *testing.B) {
 		ids[i] = simnet.NodeID(i + 1)
 		regions[i] = simnet.Region(i % simnet.RegionCount)
 	}
-	cluster, err := NewCluster(sched, net, fixedApp("empty block"), DefaultConfig(), ids, regions)
+	cluster, err := NewCluster(sched, net, fixedApp("empty block"), 5*time.Second, ids, regions)
 	if err != nil {
 		b.Fatal(err)
 	}

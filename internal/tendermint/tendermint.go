@@ -35,36 +35,24 @@ type App interface {
 	Commit(height uint64, payload []byte)
 }
 
-// Config tunes a validator cluster.
-type Config struct {
-	// Interval is the wait between a commit and the next proposal (the
-	// paper configures 5 s).
-	Interval time.Duration
-	// ProposeTimeout bounds waiting for a proposal before moving to the
-	// next round (and proposer).
-	ProposeTimeout time.Duration
-	// MaxRoundTimeout caps the per-round timeout growth. Without a cap a
-	// long partition drives the round count — and with it the linear
-	// timeout — so high that the cluster waits minutes before retrying
-	// after the partition heals. Zero means uncapped.
-	MaxRoundTimeout time.Duration
-}
-
-// DefaultConfig returns the experiment configuration of §VI.
-func DefaultConfig() Config {
-	return Config{
-		Interval:        5 * time.Second,
-		ProposeTimeout:  2 * time.Second,
-		MaxRoundTimeout: 30 * time.Second,
-	}
-}
+// Round r of a height times out after min(proposeTimeout·(r+1),
+// maxRoundTimeout) and hands over to the next proposer. The linear growth
+// eventually outwaits WAN latency under crash faults; the cap keeps a long
+// partition from driving the round count — and with it the timeout — so
+// high that the cluster waits minutes before retrying after it heals.
+const (
+	proposeTimeout  = 2 * time.Second
+	maxRoundTimeout = 30 * time.Second
+)
 
 // Cluster is one shard's validator set plus its replicated application.
 // Consensus runs on every validator; the deterministic payload execution
 // runs once, on the first commit observation (re-execution on the other
 // validators would be byte-identical, so the simulation skips it).
 type Cluster struct {
-	cfg        Config
+	// interval is the wait between a commit and the next proposal (the
+	// paper configures 5 s).
+	interval   time.Duration
 	sched      *simclock.Scheduler
 	net        simnet.Transport
 	app        App
@@ -160,15 +148,15 @@ func (c *Cluster) noteEquivocation(ev Evidence) {
 	c.evidence = append(c.evidence, ev)
 }
 
-// NewCluster creates n validators on the given network nodes and regions.
-// Nodes must already be distinct ids; regions assigns each validator's
-// placement.
+// NewCluster creates n validators on the given network nodes and regions,
+// proposing a block every interval. Nodes must already be distinct ids;
+// regions assigns each validator's placement.
 func NewCluster(sched *simclock.Scheduler, net simnet.Transport, app App,
-	cfg Config, ids []simnet.NodeID, regions []simnet.Region) (*Cluster, error) {
+	interval time.Duration, ids []simnet.NodeID, regions []simnet.Region) (*Cluster, error) {
 	if len(ids) == 0 || len(ids) != len(regions) {
 		return nil, fmt.Errorf("tendermint: need matching ids and regions, got %d/%d", len(ids), len(regions))
 	}
-	c := &Cluster{cfg: cfg, sched: sched, net: net, app: app}
+	c := &Cluster{interval: interval, sched: sched, net: net, app: app}
 	c.validators = make([]*Validator, len(ids))
 	for i, id := range ids {
 		v := &Validator{cluster: c, id: id, index: i, n: len(ids)}
@@ -460,14 +448,9 @@ func (v *Validator) startRound() {
 		}
 	}
 	// Round timeout: if this round does not decide in time, try the next
-	// proposer. Grows linearly with the round to eventually outwait WAN
-	// latency under crash faults, capped so liveness recovers promptly
-	// after long partitions.
+	// proposer.
 	height, round := v.height, v.round
-	timeout := v.cluster.cfg.ProposeTimeout * time.Duration(round+1)
-	if max := v.cluster.cfg.MaxRoundTimeout; max > 0 && timeout > max {
-		timeout = max
-	}
+	timeout := min(proposeTimeout*time.Duration(round+1), maxRoundTimeout)
 	v.cluster.sched.After(timeout, func() {
 		if v.crashed || v.decided || v.height != height || v.round != round {
 			return
@@ -616,7 +599,7 @@ func (v *Validator) onVote(msg msgVote) {
 			v.decided = true
 			v.cluster.commit(v.height, v.proposal)
 			height := v.height
-			v.cluster.sched.After(v.cluster.cfg.Interval, func() {
+			v.cluster.sched.After(v.cluster.interval, func() {
 				if !v.crashed && v.height == height {
 					v.startHeight(height + 1)
 				}

@@ -54,7 +54,7 @@ func newCluster(t *testing.T, n int) (*simclock.Scheduler, *Cluster, *recordingA
 		ids[i] = simnet.NodeID(i + 1)
 		regions[i] = simnet.Region(i % simnet.RegionCount)
 	}
-	cluster, err := NewCluster(sched, net, app, DefaultConfig(), ids, regions)
+	cluster, err := NewCluster(sched, net, app, 5*time.Second, ids, regions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,25 +187,22 @@ func TestScheduleCrashRestartOutage(t *testing.T) {
 func TestRoundTimeoutCapped(t *testing.T) {
 	sched := simclock.New()
 	net := simnet.New(sched, simnet.Config{Seed: 1})
-	cfg := DefaultConfig()
-	cfg.ProposeTimeout = 2 * time.Second
-	cfg.MaxRoundTimeout = 10 * time.Second
 	ids := []simnet.NodeID{1, 2, 3, 4}
 	regions := make([]simnet.Region, 4)
-	cluster, err := NewCluster(sched, net, newRecordingApp(), cfg, ids, regions)
+	cluster, err := NewCluster(sched, net, newRecordingApp(), 5*time.Second, ids, regions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With only 2 of 4 validators up the cluster cannot commit; rounds keep
-	// advancing. Uncapped, round r waits 2(r+1) seconds, so by 10 minutes a
-	// validator would sit at round ~23; capped at 10 s it must churn through
-	// far more rounds, which is what bounds the post-partition recovery time.
+	// advancing. Uncapped, round r waits 2(r+1) seconds, so by 30 minutes a
+	// validator would sit at round ~41; capped at 30 s it reaches ~67, and
+	// that steady pace is what bounds the post-partition recovery time.
 	cluster.CrashValidator(2)
 	cluster.CrashValidator(3)
 	cluster.Start()
-	sched.RunUntil(10 * time.Minute)
-	if r := cluster.validators[0].round; r < 40 {
-		t.Fatalf("round = %d after 10 min, want steady ~10 s rounds under the cap", r)
+	sched.RunUntil(30 * time.Minute)
+	if r := cluster.validators[0].round; r < 55 {
+		t.Fatalf("round = %d after 30 min, want steady 30 s rounds under the cap", r)
 	}
 }
 
@@ -283,7 +280,7 @@ func faultyClusterFingerprint(t *testing.T) (string, *Cluster, *simnet.Network) 
 		ids[i] = simnet.NodeID(i + 1)
 		regions[i] = simnet.Region(i % simnet.RegionCount)
 	}
-	cluster, err := NewCluster(sched, net, app, DefaultConfig(), ids, regions)
+	cluster, err := NewCluster(sched, net, app, 5*time.Second, ids, regions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +353,7 @@ func TestVoteTablesBoundedByCurrentHeight(t *testing.T) {
 		ids[i] = simnet.NodeID(i + 1)
 		regions[i] = simnet.Region(i % simnet.RegionCount)
 	}
-	cluster, err := NewCluster(sched, log, newRecordingApp(), DefaultConfig(), ids, regions)
+	cluster, err := NewCluster(sched, log, newRecordingApp(), 5*time.Second, ids, regions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +522,7 @@ func TestTamperingCopiesProposalPayload(t *testing.T) {
 	app := &proposalKeeper{recordingApp: newRecordingApp()}
 	ids := []simnet.NodeID{1, 2, 3, 4}
 	regions := make([]simnet.Region, len(ids))
-	cluster, err := NewCluster(sched, net, app, DefaultConfig(), ids, regions)
+	cluster, err := NewCluster(sched, net, app, 5*time.Second, ids, regions)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,10 @@ import (
 func chaosConfig(clients int, seed int64, faults simnet.LinkFaults) Config {
 	cfg := DefaultConfig(clients)
 	cfg.Chaos = &ChaosConfig{
-		WAN:          faults,
-		Submit:       faults,
-		HeaderRelay:  faults,
-		HeaderWindow: 64,
-		Seed:         seed,
+		WAN:         faults,
+		Submit:      faults,
+		HeaderRelay: faults,
+		Seed:        seed,
 	}
 	return cfg
 }
@@ -249,7 +248,7 @@ func TestDuplicateMove2Rejected(t *testing.T) {
 // confirmation-retry counter reflecting the outage.
 func TestPartitionThenHealCompletesMove(t *testing.T) {
 	cfg := DefaultConfig(1)
-	cfg.Chaos = &ChaosConfig{HeaderWindow: 64, Seed: 99}
+	cfg.Chaos = &ChaosConfig{Seed: 99}
 	u, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

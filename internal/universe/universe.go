@@ -108,12 +108,10 @@ type ChaosConfig struct {
 	WAN simnet.LinkFaults
 	// Submit applies to every client→chain submission link.
 	Submit simnet.LinkFaults
-	// HeaderRelay applies to every inter-chain header relay link.
+	// HeaderRelay applies to every inter-chain header relay link. Each
+	// relay message then re-sends the chaosHeaderWindow most recent
+	// headers.
 	HeaderRelay simnet.LinkFaults
-	// HeaderWindow is how many recent headers each relay message re-sends
-	// (dropped relay messages heal once any later one arrives). Defaults
-	// to 8; raise it to ride out longer partitions.
-	HeaderWindow int
 	// Equivocators makes the first N non-zero validator indices of every
 	// BFT cluster Byzantine: they send conflicting proposals and votes for
 	// the same height/round to different peers. Keep N ≤ f (the cluster
@@ -122,6 +120,12 @@ type ChaosConfig struct {
 	// Seed decorrelates the chaos RNGs from the base NetSeed.
 	Seed int64
 }
+
+// chaosHeaderWindow is how many recent headers a relay message re-sends
+// under chaos: a dropped relay message heals once any later one arrives,
+// and a window this wide also rides out a partition of many blocks
+// (TestPartitionThenHealCompletesMove).
+const chaosHeaderWindow = 64
 
 // Config describes a universe.
 type Config struct {
@@ -523,9 +527,7 @@ func New(cfg Config) (*Universe, error) {
 				nextNodeID++
 				regions[i] = simnet.Region((int(spec.Seed) + i) % simnet.RegionCount)
 			}
-			tmCfg := tendermint.DefaultConfig()
-			tmCfg.Interval = spec.Config.BlockInterval
-			node, err := chain.NewBFTNode(sched, tp, c, tmCfg, ids, regions)
+			node, err := chain.NewBFTNode(sched, tp, c, ids, regions)
 			if err != nil {
 				return fail(err)
 			}
@@ -551,10 +553,7 @@ func New(cfg Config) (*Universe, error) {
 	// headers, so drops heal as soon as a later message gets through.
 	if cfg.Chaos != nil {
 		u.relayFaults = cfg.Chaos.HeaderRelay
-		u.relayWindow = cfg.Chaos.HeaderWindow
-		if u.relayWindow <= 0 {
-			u.relayWindow = 8
-		}
+		u.relayWindow = chaosHeaderWindow
 	}
 	if !cfg.Lanes {
 		for _, a := range u.order {

@@ -58,13 +58,12 @@ type ShardedScalingConfig struct {
 // caller's own community (whose contracts the policy will eventually park
 // on the caller's home chain). A block holds at most shardCapacity
 // transactions, which makes the single home shard the bottleneck the
-// policy can relieve, and the policy ticks every policyTick.
+// policy can relieve.
 const (
 	activePerChain = 4
 	outstanding    = 8
 	crossFrac      = 0.1
 	shardCapacity  = 60
-	policyTick     = 20 * time.Second
 )
 
 // DefaultShardedScalingConfig returns the grid cell for one chain count.
@@ -194,17 +193,6 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 				h, ok := homes[addr]
 				return h, ok
 			},
-			Interval: policyTick,
-			Policy: &shard.Hysteresis{
-				Inner: &shard.Greedy{
-					Dominance: 0.5,
-					MinTxs:    2,
-					Capacity:  2 * shardCapacity,
-					MaxMoves:  16,
-				},
-				Sustain:  2,
-				Cooldown: 3,
-			},
 			Counters: u.Counters(),
 			Registry: u.Metrics(),
 		}
@@ -266,7 +254,6 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 		// Let in-flight migrations settle before reading final locations.
 		u.RunUntil(func() bool { return eng.Moving() == 0 }, 10*time.Minute)
 		res.Moves = eng.Stats()
-		eng.Stop()
 	}
 
 	res.Committed = committed
