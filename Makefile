@@ -169,12 +169,13 @@ relaycov:
 			exit s > max }' /tmp/scmove_relaycov.out
 
 # expsmoke is the experiment-output sanity gate: a CI-scale ablations run,
-# a chaos run with metrics and span tracing on, and the byzantine and
+# a chaos run with metrics and span tracing on, the byzantine and
 # chaossweep runs with metrics (the byzantine run is the only binary path
-# over corrupting links), captured to /tmp and grepped for error /
-# out-of-gas lines. It catches both broken experiments
-# (a stale `granularity n=1000 … out of gas` line once sat in
-# results_full.txt unnoticed) and observability wiring that breaks a run.
+# over corrupting links) and the three examples, captured to /tmp and
+# grepped for error / out-of-gas lines; any nonzero exit fails it too. It
+# catches both broken experiments (a stale `granularity n=1000 … out of
+# gas` line once sat in results_full.txt unnoticed) and observability
+# wiring that breaks a run.
 expsmoke:
 	$(GO) run ./cmd/movebench -experiment ablations -scale 0.08 > /tmp/scmove_expsmoke.txt 2>&1 \
 		|| { cat /tmp/scmove_expsmoke.txt; exit 1; }
@@ -184,6 +185,10 @@ expsmoke:
 		|| { cat /tmp/scmove_expsmoke.txt; exit 1; }
 	$(GO) run ./cmd/movebench -experiment chaossweep -metrics >> /tmp/scmove_expsmoke.txt 2>&1 \
 		|| { cat /tmp/scmove_expsmoke.txt; exit 1; }
+	@for ex in quickstart tokenrelay kitties; do \
+		echo "$(GO) run ./examples/$$ex"; \
+		$(GO) run ./examples/$$ex >> /tmp/scmove_expsmoke.txt 2>&1 || { cat /tmp/scmove_expsmoke.txt; exit 1; }; \
+	done
 	@if grep -Ein 'error|out of gas' /tmp/scmove_expsmoke.txt; then \
 		echo "expsmoke: error lines in experiment output (/tmp/scmove_expsmoke.txt)"; exit 1; \
 	else \

@@ -1,7 +1,7 @@
-// Package asm implements a two-pass assembler and a disassembler for the
-// EVM bytecode executed by internal/evm. It is how this repository authors
-// low-level movable contracts, standing in for the paper's extended
-// Solidity toolchain on the bytecode level (§III-D).
+// Package asm implements a two-pass assembler for the EVM bytecode
+// executed by internal/evm. It is how this repository authors low-level
+// movable contracts, standing in for the paper's extended Solidity
+// toolchain on the bytecode level (§III-D).
 //
 // Source format: whitespace-separated mnemonics; "; ..." comments to end of
 // line; "@name:" defines a label; "PUSH @name" pushes a label address
@@ -184,24 +184,4 @@ func safeHex(s string) (v u256.Int, err error) {
 		}
 	}()
 	return u256.MustFromHex(s), nil
-}
-
-// Disassemble renders bytecode as one instruction per line.
-func Disassemble(code []byte) []string {
-	var out []string
-	for pc := 0; pc < len(code); {
-		op := evm.Opcode(code[pc])
-		if n := op.PushSize(); n > 0 {
-			end := pc + 1 + n
-			if end > len(code) {
-				end = len(code)
-			}
-			out = append(out, fmt.Sprintf("%04x: %s 0x%x", pc, op, code[pc+1:end]))
-			pc = end
-			continue
-		}
-		out = append(out, fmt.Sprintf("%04x: %s", pc, op))
-		pc++
-	}
-	return out
 }

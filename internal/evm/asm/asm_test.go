@@ -2,7 +2,6 @@ package asm
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"scmove/internal/evm"
@@ -92,32 +91,6 @@ func TestErrors(t *testing.T) {
 				t.Fatalf("source %q must not assemble", tc.src)
 			}
 		})
-	}
-}
-
-func TestDisassembleRoundTrip(t *testing.T) {
-	src := `
-		PUSH1 0x2a
-		PUSH1 0x00
-		SSTORE
-		STOP
-	`
-	code := MustAssemble(src)
-	lines := Disassemble(code)
-	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"PUSH1 0x2a", "SSTORE", "STOP"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("disassembly missing %q:\n%s", want, joined)
-		}
-	}
-}
-
-func TestDisassembleTruncatedPush(t *testing.T) {
-	// PUSH32 with only 2 bytes of immediate left must not panic.
-	code := []byte{byte(evm.Push(32)), 0xaa, 0xbb}
-	lines := Disassemble(code)
-	if len(lines) != 1 || !strings.Contains(lines[0], "PUSH32") {
-		t.Fatalf("lines = %v", lines)
 	}
 }
 

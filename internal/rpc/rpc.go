@@ -10,7 +10,8 @@
 // bad hex, wrong lengths, and unknown methods are 4xx-level application
 // errors, never panics. Per-method wall-clock latencies land in the
 // registry's wall histograms (rpc.submit.wall, rpc.query.wall,
-// rpc.receipt.wall).
+// rpc.receipt.wall). The same mux serves net/http/pprof under
+// /debug/pprof/, so a live chain can be profiled where it runs.
 package rpc
 
 import (
@@ -21,6 +22,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync"
 	"time"
 
@@ -110,6 +112,14 @@ func (s *Server) Start(addr string) error {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handle)
+	// The profiler rides on this server's own mux, not
+	// http.DefaultServeMux; it is on wherever RPC is, on the same
+	// (loopback by default) listener.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	srv := &http.Server{Handler: mux}
 	done := make(chan struct{})
 	s.mu.Lock()

@@ -308,3 +308,43 @@ func TestCloseIsIdempotentAndFast(t *testing.T) {
 		t.Fatal("close took too long")
 	}
 }
+
+// TestPprofBesideRPC checks the profiler served on the RPC mux: GET
+// /debug/pprof/ answers, "/" stays POST-only, and submit and query work as
+// before.
+func TestPprofBesideRPC(t *testing.T) {
+	kp := keys.Deterministic(5)
+	c := testChain(t, kp)
+	s := startServer(t, c, nil)
+
+	for path, want := range map[string]int{
+		"/debug/pprof/": http.StatusOK,
+		"/":             http.StatusMethodNotAllowed,
+	} {
+		resp, err := http.Get("http://" + s.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+
+	to := hashing.AddressFromBytes([]byte{0x78})
+	tx := &types.Transaction{
+		ChainID: 1, Nonce: 0, Kind: types.TxCall, To: to,
+		Value: u256.FromUint64(700), GasLimit: 1_000_000, GasPrice: u256.FromUint64(2),
+	}
+	if err := tx.Sign(kp); err != nil {
+		t.Fatal(err)
+	}
+	if sub := call(t, s.Addr(), &Request{Method: "submit", Tx: hex.EncodeToString(tx.Encode())}); !sub.Ok || sub.Known {
+		t.Fatalf("submit: %+v", sub)
+	}
+	c.ApplyBlock(c.ProposeBatch(), 1000, chain.ProposerAddress(1, 0))
+	q := call(t, s.Addr(), &Request{Method: "query", Account: hex.EncodeToString(to[:])})
+	if want := u256.FromUint64(700).Bytes32(); !q.Ok || !q.Exists || q.Balance != hex.EncodeToString(want[:]) {
+		t.Fatalf("query: %+v", q)
+	}
+}

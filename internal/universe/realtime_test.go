@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 	"testing"
@@ -82,7 +83,8 @@ func signedTransfers(t *testing.T, userKeys []*keys.KeyPair, perUser int) [][]*t
 // wall-clock driver — commits 10 000 concurrent transfers to the same state
 // roots the deterministic discrete-event path produces for them. Every
 // submission must be accepted as new, the servers must record their
-// wall-clock latency, and the sink must hold the value of every transfer.
+// wall-clock latency, one of them must serve a goroutine profile under
+// /debug/pprof/ mid-run, and the sink must hold the value of every transfer.
 func TestRealtimeTCPRPCMatchesDiscreteEvent(t *testing.T) {
 	const users, perUser = 16, 625
 	userKeys := make([]*keys.KeyPair, users)
@@ -159,6 +161,17 @@ func TestRealtimeTCPRPCMatchesDiscreteEvent(t *testing.T) {
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow() // a sequence that stopped early would never drain
+	}
+
+	// The profiler answers on the serving mux while the chains still run.
+	profResp, err := client.Get("http://" + u.RPCAddr(u.ChainIDs()[0]) + "/debug/pprof/goroutine?debug=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := io.ReadAll(profResp.Body)
+	profResp.Body.Close()
+	if err != nil || profResp.StatusCode != http.StatusOK || !bytes.Contains(prof, []byte("goroutine profile:")) {
+		t.Fatalf("pprof goroutine: status %d, err %v, body %.80q", profResp.StatusCode, err, prof)
 	}
 
 	// Drain: the last receipt per user implies its whole nonce sequence.
