@@ -113,7 +113,10 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestMoveStoreFirst256 TestVerifyMemoConcurrentMatchesSerial \
 	TestIterateStorageWarmAllocFree TestIterateStorageConcurrentReaders \
 	TestStorageEntriesOfEvictedContractAllocOnce TestNodeLayout TestBuildBytes \
-	TestHistoryRecordAllocFreeOnceFull TestHistoryWindow
+	TestHistoryRecordAllocFreeOnceFull TestHistoryWindow \
+	TestSetStorageAllocatesOnlyTreeCopies TestSteadyStateCommitAllocatesOnlyTreeWork \
+	TestTransferAndStaticCallAllocateNoEVM TestRecycledHistoryMatchesSnapshots \
+	TestBFTProposalBytesStayPut
 DETSMOKE_PKGS = ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/relay/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/ \

@@ -119,6 +119,11 @@ type Chain struct {
 	listeners []BlockListener
 	txWaiters map[hashing.Hash][]TxListener
 	evictIDs  []hashing.Hash // ApplyBlock's pool-eviction scratch
+	// vm is the one interpreter every transaction and StaticCall runs in,
+	// rebound (evm.EVM.Reset) for each; both hold c.mu while they use it.
+	vm evm.EVM
+	// blockHash is the EVM's BLOCKHASH resolver, built once (blockHashFn).
+	blockHash func(uint64) hashing.Hash
 
 	// Optional observability (SetObserver): block-interval histogram, block
 	// commit trace events, and pool-depth gauges. The chain cannot see the
@@ -196,7 +201,7 @@ func New(cfg Config, headers *core.HeaderStore, genesis func(db *state.DB)) (*Ch
 		// Header h carries the root of h-1; the genesis header has none.
 		genesisHeader.StateRoot = hashing.ZeroHash
 	}
-	return &Chain{
+	c := &Chain{
 		cfg:       cfg,
 		db:        db,
 		headers:   headers,
@@ -205,7 +210,9 @@ func New(cfg Config, headers *core.HeaderStore, genesis func(db *state.DB)) (*Ch
 		txs:       make(map[hashing.Hash]txRecord),
 		pool:      txpool.New(cfg.ChainID, cfg.PoolLimit),
 		txWaiters: make(map[hashing.Hash][]TxListener),
-	}, nil
+	}
+	c.blockHash = c.blockHashFn()
+	return c, nil
 }
 
 // Config returns the chain configuration.
@@ -302,10 +309,10 @@ func (c *Chain) StaticCall(from, to hashing.Address, input []byte) ([]byte, erro
 		Number:    head.Height,
 		Time:      head.Time,
 		GasLimit:  c.cfg.BlockGasLimit,
-		BlockHash: c.blockHashFn(),
+		BlockHash: c.blockHash,
 	}
-	vm := evm.New(c.cfg.Schedule, c.db, blockCtx, evm.TxContext{Origin: from}, c.cfg.Natives)
-	ret, _, err := vm.StaticCall(from, to, input, c.cfg.BlockGasLimit)
+	c.vm.Reset(c.cfg.Schedule, c.db, blockCtx, evm.TxContext{Origin: from}, c.cfg.Natives)
+	ret, _, err := c.vm.StaticCall(from, to, input, c.cfg.BlockGasLimit)
 	return ret, err
 }
 
@@ -550,7 +557,7 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 		Time:      now,
 		Coinbase:  proposer,
 		GasLimit:  c.cfg.BlockGasLimit,
-		BlockHash: c.blockHashFn(),
+		BlockHash: c.blockHash,
 	}
 	receipts := make([]*types.Receipt, 0, len(txs))
 	var gasUsed uint64
@@ -704,8 +711,8 @@ func (c *Chain) applyTx(tx *types.Transaction, blockCtx evm.BlockContext, s *cor
 		st.SetNonce(sender, tx.Nonce+1)
 	}
 
-	vm := evm.New(c.cfg.Schedule, st, blockCtx,
-		evm.TxContext{Origin: sender, GasPrice: tx.GasPrice}, c.cfg.Natives)
+	vm := &c.vm
+	vm.Reset(c.cfg.Schedule, st, blockCtx, evm.TxContext{Origin: sender, GasPrice: tx.GasPrice}, c.cfg.Natives)
 	gas := tx.GasLimit - intrinsic
 
 	var (

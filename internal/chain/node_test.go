@@ -137,3 +137,56 @@ func TestBFTCommitDecodesOtherPayloads(t *testing.T) {
 			len(applied), counters.Get("byzantine.badpayload.committed"))
 	}
 }
+
+// TestBFTProposalBytesStayPut: six blocks of one transfer each, proposed
+// back to back, so consecutive proposal payloads have equal lengths and
+// different bytes. The cluster's payload-hash memo knows a payload by its
+// slice alone and, under go test, re-hashes on every hit: a Propose that
+// encoded into its previous proposal's buffer would hand it the same slice
+// with new bytes, and it would panic. Each height commits its own transfer.
+func TestBFTProposalBytesStayPut(t *testing.T) {
+	kp := keys.Deterministic(1)
+	sched := simclock.New()
+	net := simnet.New(sched, simnet.Config{Seed: 1})
+	cfg := burrowConfig(2)
+	cfg.BlockInterval = 5 * time.Second
+	cfg.MaxBlockTxs = 1
+	c := newChain(t, cfg, nil, kp)
+	ids := []simnet.NodeID{1, 2, 3, 4}
+	node, err := NewBFTNode(sched, net, c, ids, make([]simnet.Region, len(ids)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	var submitted []*types.Transaction
+	for i := uint64(0); i < n; i++ {
+		tx := signedCall(t, kp, 2, i, hashing.AddressFromBytes([]byte{7, byte(i)}), nil, 1+i)
+		if err := c.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+		submitted = append(submitted, tx)
+	}
+	var payloads [][]byte
+	c.OnBlock(func(b *types.Block, _ []*types.Receipt) {
+		if len(b.Txs) > 0 {
+			payloads = append(payloads, EncodeTxList(b.Txs))
+		}
+	})
+	node.Start()
+	sched.RunUntil(time.Minute)
+	if len(payloads) != n {
+		t.Fatalf("%d blocks with transactions, want %d", len(payloads), n)
+	}
+	equalLengths := 0
+	for i, p := range payloads {
+		if want := EncodeTxList(submitted[i : i+1]); !bytes.Equal(p, want) {
+			t.Fatalf("height %d committed another payload than its own transfer", i+1)
+		}
+		if i > 0 && len(p) == len(payloads[i-1]) {
+			equalLengths++
+		}
+	}
+	if equalLengths == 0 {
+		t.Fatal("no two consecutive payloads have equal lengths: the run cannot catch a rewritten buffer")
+	}
+}

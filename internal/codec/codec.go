@@ -33,6 +33,10 @@ func NewWriter(sizeHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, sizeHint)}
 }
 
+// AppendTo returns a writer that appends to buf, for an encoder writing
+// into a buffer its caller owns; Bytes returns buf extended.
+func AppendTo(buf []byte) Writer { return Writer{buf: buf} }
+
 // Bytes returns the encoded bytes. The returned slice aliases the writer's
 // buffer; callers must not retain it across further writes.
 func (w *Writer) Bytes() []byte { return w.buf }

@@ -38,9 +38,14 @@ func eventData(logs []*evm.Log, topic hashing.Hash, name string) ([]byte, error)
 	return nil, fmt.Errorf("%w: %s", ErrNoEvent, name)
 }
 
-// EncodeCall builds calldata for a native contract method.
+// EncodeCall builds calldata for a native contract method, in one buffer of
+// exactly its size.
 func EncodeCall(method string, args ...[]byte) []byte {
-	w := codec.NewWriter(64)
+	size := codec.SizeBytes(len(method)) + codec.SizeUvarint(uint64(len(args)))
+	for _, a := range args {
+		size += codec.SizeBytes(len(a))
+	}
+	w := codec.NewWriter(size)
 	w.WriteString(method)
 	w.WriteUvarint(uint64(len(args)))
 	for _, a := range args {
@@ -49,7 +54,9 @@ func EncodeCall(method string, args ...[]byte) []byte {
 	return w.Bytes()
 }
 
-// DecodeCall parses calldata built by EncodeCall.
+// DecodeCall parses calldata built by EncodeCall. The arguments alias
+// input and must not be written: every caller converts them (AsAddress,
+// AsUint, …) before the call returns.
 func DecodeCall(input []byte) (method string, args [][]byte, err error) {
 	r := codec.NewReader(input)
 	method = r.ReadString()
@@ -59,7 +66,8 @@ func DecodeCall(input []byte) (method string, args [][]byte, err error) {
 	}
 	args = make([][]byte, 0, n)
 	for i := uint64(0); i < n; i++ {
-		args = append(args, r.ReadBytes())
+		a := r.ReadBytesView()
+		args = append(args, a[:len(a):len(a)])
 	}
 	if err := r.Finish(); err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrBadCall, err)

@@ -10,7 +10,8 @@ import (
 )
 
 // EVM executes message calls and contract creations against a StateAccess.
-// One EVM value serves one transaction; it is not safe for concurrent use.
+// One EVM value serves one transaction at a time (Reset rebinds it to the
+// next); it is not safe for concurrent use.
 type EVM struct {
 	sched   Schedule
 	state   StateAccess
@@ -23,7 +24,16 @@ type EVM struct {
 // New returns an interpreter bound to the given state and context. natives
 // may be nil when only bytecode contracts are executed.
 func New(sched Schedule, state StateAccess, block BlockContext, tx TxContext, natives *Registry) *EVM {
-	return &EVM{sched: sched, state: state, block: block, tx: tx, natives: natives}
+	e := new(EVM)
+	e.Reset(sched, state, block, tx, natives)
+	return e
+}
+
+// Reset rebinds e to the given state and context, leaving it as New would
+// have returned it, so that a caller running one transaction after another
+// keeps one EVM instead of allocating one per transaction.
+func (e *EVM) Reset(sched Schedule, state StateAccess, block BlockContext, tx TxContext, natives *Registry) {
+	*e = EVM{sched: sched, state: state, block: block, tx: tx, natives: natives}
 }
 
 // frame is one call frame. Frames are pooled (acquireFrame/releaseFrame):
@@ -43,6 +53,15 @@ type frame struct {
 	mem        memory
 	stk        stack
 	returnData []byte
+
+	native NativeCall // the host handle of a native contract's frame
+}
+
+// nativeCall returns f's host handle for impl, running in e. It lives in
+// the pooled frame, so a native call allocates no handle.
+func (f *frame) nativeCall(e *EVM, impl Native) *NativeCall {
+	f.native = NativeCall{evm: e, frame: f, impl: impl}
+	return &f.native
 }
 
 // framePool recycles call frames across message calls; a frame is acquired
@@ -194,9 +213,8 @@ func (e *EVM) createAt(caller, addr hashing.Address, code []byte, impl Native,
 		childFrame.value = value
 		childFrame.gas = GasMeter{remaining: childGas}
 		childFrame.stk.limit = int(e.sched.StackLimit)
-		childCall := &NativeCall{evm: e, frame: childFrame, impl: impl}
 		e.depth++
-		err := impl.OnCreate(childCall, args)
+		err := impl.OnCreate(childFrame.nativeCall(e, impl), args)
 		e.depth--
 		childLeft := childFrame.gas.Remaining()
 		releaseFrame(childFrame)
@@ -1006,8 +1024,7 @@ func (e *EVM) opCall(f *frame, op Opcode, expand func(off, size u256.Int) (uint6
 
 // runNative executes a registered native contract within frame f.
 func (e *EVM) runNative(f *frame, n Native) ([]byte, error) {
-	call := &NativeCall{evm: e, frame: f, impl: n}
-	return n.Run(call, f.input)
+	return n.Run(f.nativeCall(e, n), f.input)
 }
 
 // jumpdestCache memoizes jumpdest analysis by code hash: contracts are

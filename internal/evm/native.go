@@ -117,7 +117,8 @@ func (r *Registry) lookupByCode(code []byte) (Native, bool) {
 // state-touching method charges gas through the frame's meter and enforces
 // the same static/move-lock rules as the corresponding opcodes, so native
 // and bytecode contracts are indistinguishable to the protocol and to the
-// gas measurements.
+// gas measurements. A NativeCall is valid only during the Run or OnCreate
+// it is passed to: it lives in the call's pooled frame.
 type NativeCall struct {
 	evm   *EVM
 	frame *frame

@@ -11,7 +11,9 @@
 // errors, never panics. Per-method wall-clock latencies land in the
 // registry's wall histograms (rpc.submit.wall, rpc.query.wall,
 // rpc.receipt.wall). The same mux serves net/http/pprof under
-// /debug/pprof/, so a live chain can be profiled where it runs.
+// /debug/pprof/, so a live chain can be profiled where it runs, and GET
+// /metrics: the process's heap, GC and goroutine counts and the chain's
+// head height and pool depth, in the Prometheus text format.
 package rpc
 
 import (
@@ -23,6 +25,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	rtmetrics "runtime/metrics"
 	"sync"
 	"time"
 
@@ -120,6 +123,7 @@ func (s *Server) Start(addr string) error {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/metrics", s.serveMetrics)
 	srv := &http.Server{Handler: mux}
 	done := make(chan struct{})
 	s.mu.Lock()
@@ -132,6 +136,35 @@ func (s *Server) Start(addr string) error {
 		_ = srv.Serve(ln)
 	}()
 	return nil
+}
+
+// runtimeMetrics are the runtime/metrics samples /metrics exposes, under
+// their Prometheus names. Each is a uint64.
+var runtimeMetrics = [...]struct{ key, name, typ, help string }{
+	{"/gc/heap/allocs:bytes", "go_gc_heap_allocs_bytes_total", "counter", "Cumulative bytes allocated on the heap."},
+	{"/gc/heap/live:bytes", "go_gc_heap_live_bytes", "gauge", "Heap bytes the last GC cycle marked live."},
+	{"/gc/cycles/total:gc-cycles", "go_gc_cycles_total", "counter", "Completed GC cycles."},
+	{"/sched/goroutines:goroutines", "go_sched_goroutines", "gauge", "Live goroutines."},
+}
+
+// serveMetrics writes the process's runtime samples and the chain's head
+// height and pool depth in the Prometheus text exposition format.
+func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
+	var samples [len(runtimeMetrics)]rtmetrics.Sample
+	for i, m := range runtimeMetrics {
+		samples[i].Name = m.key
+	}
+	rtmetrics.Read(samples[:])
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	write := func(name, typ, help, labels string, v uint64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s%s %d\n", name, help, name, typ, name, labels, v)
+	}
+	for i, m := range runtimeMetrics {
+		write(m.name, m.typ, m.help, "", samples[i].Value.Uint64())
+	}
+	chainLabel := fmt.Sprintf("{chain=\"%d\"}", uint64(s.chain.ChainID()))
+	write("scmove_chain_head_height", "gauge", "Height of the chain's head block.", chainLabel, s.chain.Head().Height)
+	write("scmove_txpool_depth", "gauge", "Transactions pending in the chain's pool.", chainLabel, uint64(s.chain.PendingTxs()))
 }
 
 // Addr returns the listener's address (host:port), or "" before Start.

@@ -5,7 +5,9 @@ import (
 	"crypto/elliptic"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -346,5 +348,82 @@ func TestPprofBesideRPC(t *testing.T) {
 	q := call(t, s.Addr(), &Request{Method: "query", Account: hex.EncodeToString(to[:])})
 	if want := u256.FromUint64(700).Bytes32(); !q.Ok || !q.Exists || q.Balance != hex.EncodeToString(want[:]) {
 		t.Fatalf("query: %+v", q)
+	}
+}
+
+// scrapeMetrics GETs /metrics and returns its samples by name (labels
+// included), failing unless every line is a comment or "name value".
+func scrapeMetrics(t *testing.T, addr string) map[string]uint64 {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain") {
+		t.Fatalf("GET /metrics: status %d, content type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	out := make(map[string]uint64)
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		if strings.HasPrefix(line, "# ") {
+			continue
+		}
+		name, val, ok := strings.Cut(line, " ")
+		v, err := strconv.ParseUint(val, 10, 64)
+		if !ok || err != nil {
+			t.Fatalf("malformed sample line %q", line)
+		}
+		out[name] = v
+	}
+	return out
+}
+
+// TestMetricsBesideRPC checks GET /metrics on the RPC mux: the runtime's
+// heap, GC and goroutine samples, and the chain's head height and pool
+// depth as they stand.
+func TestMetricsBesideRPC(t *testing.T) {
+	kp := keys.Deterministic(6)
+	c := testChain(t, kp)
+	s := startServer(t, c, nil)
+	to := hashing.AddressFromBytes([]byte{0x79})
+	for n := uint64(0); n < 3; n++ {
+		tx := &types.Transaction{
+			ChainID: 1, Nonce: n, Kind: types.TxCall, To: to,
+			Value: u256.FromUint64(1), GasLimit: 1_000_000, GasPrice: u256.FromUint64(2),
+		}
+		if err := tx.Sign(kp); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			c.ApplyBlock(c.ProposeBatch(), 1000, chain.ProposerAddress(1, 0))
+		}
+	}
+
+	m := scrapeMetrics(t, s.Addr())
+	for name, want := range map[string]uint64{
+		`scmove_chain_head_height{chain="1"}`: 1,
+		`scmove_txpool_depth{chain="1"}`:      2,
+	} {
+		if got, ok := m[name]; !ok || got != want {
+			t.Fatalf("%s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	// The live heap and the cycle count read 0 until the first GC ends.
+	for _, name := range []string{"go_gc_heap_live_bytes", "go_gc_cycles_total"} {
+		if _, ok := m[name]; !ok {
+			t.Fatalf("%s is missing", name)
+		}
+	}
+	for _, name := range []string{"go_gc_heap_allocs_bytes_total", "go_sched_goroutines"} {
+		if m[name] == 0 {
+			t.Fatalf("%s is missing or zero", name)
+		}
 	}
 }

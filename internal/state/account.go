@@ -32,7 +32,18 @@ type Account struct {
 // Encode returns the canonical encoding committed into the account tree and
 // carried inside move proofs.
 func (a *Account) Encode() []byte {
-	w := codec.NewWriter(96)
+	return a.appendEncoding(make([]byte, 0, a.encodedSize()))
+}
+
+// encodedSize is the length of Encode's result.
+func (a *Account) encodedSize() int {
+	return codec.SizeUvarint(a.Nonce) + 3*32 +
+		codec.SizeUvarint(uint64(a.Location)) + codec.SizeUvarint(a.MoveNonce)
+}
+
+// appendEncoding appends Encode's bytes to dst.
+func (a *Account) appendEncoding(dst []byte) []byte {
+	w := codec.AppendTo(dst)
 	w.WriteUvarint(a.Nonce)
 	w.WriteWord(a.Balance.Bytes32())
 	w.WriteHash(a.CodeHash)

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"scmove/internal/evm"
+	"scmove/internal/hashing"
 	"scmove/internal/state/backend"
+	"scmove/internal/trees"
 	"scmove/internal/trie"
 	"scmove/internal/u256"
 )
@@ -106,5 +108,122 @@ func TestStorageEntriesOfEvictedContractAllocOnce(t *testing.T) {
 		if e.Key[30] != byte(i>>8) || e.Key[31] != byte(i) || e.Value != word(byte(i%251+1)) {
 			t.Fatalf("entry %d: %x = %x", i, e.Key, e.Value)
 		}
+	}
+}
+
+// TestSetStorageAllocatesOnlyTreeCopies pins cut one of the block path: a
+// write of an existing slot allocates exactly what the storage tree's own
+// Set allocates (its copies of key and value, and any node it adds), and
+// the DB adds nothing — the key and value reach the tree through the DB's
+// scratch, not by moving SetStorage's parameters to the heap.
+func TestSetStorageAllocatesOnlyTreeCopies(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under -race")
+	}
+	for _, kind := range []trie.Kind{trie.KindMPT, trie.KindIAVL} {
+		t.Run(kind.String(), func(t *testing.T) {
+			db, err := NewDB(localChain, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := addr(1)
+			for i := byte(1); i <= 8; i++ {
+				db.SetStorage(a, word(i), word(i))
+			}
+			db.Commit()
+			key, val := word(3), word(42)
+			db.SetStorage(a, key, val) // the block's first write of the slot
+			tree := db.storage[a]
+			set := testing.AllocsPerRun(100, func() {
+				if err := tree.Set(key[:], val[:]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			write := testing.AllocsPerRun(100, func() {
+				db.SetStorage(a, key, val)
+				db.DiscardJournal()
+			})
+			if set == 0 || write != set {
+				t.Fatalf("SetStorage allocates %.1f objects, the tree's Set %.1f: want equal and nonzero", write, set)
+			}
+		})
+	}
+}
+
+// steadyBlock writes the same shape every block — a balance and one slot of
+// each of four accounts, the slot's value moving — and commits.
+func steadyBlock(db *DB, i int) {
+	for j := byte(1); j <= 4; j++ {
+		db.AddBalance(addr(j), u256.FromUint64(1))
+		db.SetStorage(addr(j), word(1), word(byte(i%250+1)))
+	}
+	db.Commit()
+}
+
+// TestSteadyStateCommitAllocatesOnlyTreeWork pins cut two: once the
+// retained-root window is full and every diff in it was built for a block of
+// this shape, a block allocates exactly what the same calls on bare trees
+// allocate. The commit batch, its encoding arena and its slot changes are
+// built in the arrays of the diff the window dropped, and the working set's
+// records and the journal reuse theirs.
+func TestSteadyStateCommitAllocatesOnlyTreeWork(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under -race")
+	}
+	for _, kind := range []trie.Kind{trie.KindMPT, trie.KindIAVL} {
+		t.Run(kind.String(), func(t *testing.T) {
+			db, err := NewDB(localChain, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			for ; i < 3*retainRoots; i++ {
+				steadyBlock(db, i)
+			}
+			block := testing.AllocsPerRun(50, func() {
+				steadyBlock(db, i)
+				i++
+			})
+
+			// The same tree calls, on bare trees holding the same keys, with
+			// keys and values in buffers made up front as the DB's are.
+			accounts := trees.MustNew(kind, hashing.AddressSize)
+			slots := make([]trie.Tree, 4)
+			addrs := make([][]byte, 4)
+			key, val := make([]byte, 32), make([]byte, 32)
+			key[31], val[31] = 1, 1
+			enc := (&Account{Balance: u256.FromUint64(1000), StorageRoot: hashing.Sum([]byte{1}), Location: localChain}).Encode()
+			for j := range slots {
+				a := addr(byte(j + 1))
+				addrs[j] = a[:]
+				slots[j] = trees.MustNew(kind, 32)
+				if err := slots[j].Set(key, val); err != nil {
+					t.Fatal(err)
+				}
+				if err := accounts.Set(addrs[j], enc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tree := testing.AllocsPerRun(50, func() {
+				val[31] = byte(i%250 + 1)
+				i++
+				for j, s := range slots {
+					accounts.Get(addrs[j])
+					s.Get(key)
+					if err := s.Set(key, val); err != nil {
+						t.Fatal(err)
+					}
+					s.RootHash()
+					if err := accounts.Set(addrs[j], enc); err != nil {
+						t.Fatal(err)
+					}
+					s.Get(key)
+				}
+				accounts.RootHash()
+			})
+			if tree == 0 || block != tree {
+				t.Fatalf("a steady-state block allocates %.1f objects, its tree calls %.1f: want equal and nonzero", block, tree)
+			}
+		})
 	}
 }

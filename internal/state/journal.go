@@ -55,20 +55,17 @@ func (j *journal) revert(db *DB, id int) {
 		e := j.entries[i]
 		switch e.kind {
 		case jAccount:
-			if e.prevAccount == nil {
-				db.cache[e.addr] = nil
-			} else {
-				cp := *e.prevAccount
-				db.cache[e.addr] = &cp
-			}
+			// The entry's record goes back into the working set: the entry
+			// is dropped below, so nothing else holds it.
+			db.cache[e.addr] = e.prevAccount
 		case jStorage:
 			t := db.storageTree(e.addr)
 			if e.prevExisted {
-				if err := t.Set(e.key[:], e.prevValue[:]); err != nil {
+				if err := t.Set(db.treeKey(e.key[:]), db.treeValue(e.prevValue[:])); err != nil {
 					panic(fmt.Sprintf("state: journal revert set: %v", err))
 				}
 			} else {
-				if err := t.Delete(e.key[:]); err != nil {
+				if err := t.Delete(db.treeKey(e.key[:])); err != nil {
 					panic(fmt.Sprintf("state: journal revert delete: %v", err))
 				}
 			}

@@ -2,9 +2,9 @@ package state
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
@@ -54,6 +54,7 @@ type DB struct {
 	storage     map[hashing.Address]trie.Tree // live storage trees
 	codes       map[hashing.Hash][]byte       // content-addressed code
 	cache       map[hashing.Address]*Account  // decoded working set (released on Commit)
+	records     records                       // backs every *Account of cache and journal
 	dirty       map[hashing.Address]struct{}  // accounts to flush on Commit
 	dirtyOrder  []hashing.Address             // dirty addresses, insertion order (sorted at Commit)
 
@@ -83,6 +84,11 @@ type DB struct {
 	touchSeq     uint64
 
 	keyBuf [32]byte // see treeKey
+	valBuf [32]byte // see treeValue
+
+	// flushed is Commit's scratch: the working copy each dirty address
+	// flushes, nil for a deletion. Cleared after every Commit.
+	flushed []*Account
 
 	logs    []*evm.Log
 	journal journal
@@ -140,7 +146,7 @@ func OpenDB(chainID hashing.ChainID, kind trie.Kind, opts Options) (*DB, error) 
 			db.Close()
 			return nil, fmt.Errorf("open state: rebuilt root %s, store committed %s", got, want)
 		}
-		db.hist.record(want, backend.Batch{})
+		db.hist.record(want, revDiff{})
 	}
 	return db, nil
 }
@@ -225,23 +231,28 @@ func (db *DB) account(addr hashing.Address) *Account {
 		// corrupted-state invariant violation.
 		panic(fmt.Sprintf("state: corrupt account record for %s: %v", addr, err))
 	}
-	db.cache[addr] = &acct
-	return &acct
+	p := db.records.add(acct)
+	db.cache[addr] = p
+	return p
 }
 
-// treeKey copies k into the DB's scratch buffer for a read of a tree. The
-// trees are reached through an interface, so slicing a parameter for the call
-// would move the parameter to the heap — an allocation per read, taken before
-// the working set is even consulted. Get does not retain its key.
+// treeKey copies k into the DB's scratch buffer for a call into a tree. The
+// trees are reached through an interface, so slicing a parameter or a loop
+// variable for the call would move it to the heap — an allocation per call,
+// taken before the tree does any work. trie.Tree's Get, Set and Delete retain
+// neither slice.
 func (db *DB) treeKey(k []byte) []byte { return append(db.keyBuf[:0], k...) }
+
+// treeValue is treeKey's twin for a storage word passed to Set.
+func (db *DB) treeValue(v []byte) []byte { return append(db.valBuf[:0], v...) }
 
 // mutable returns the working copy of addr, creating the account if absent,
 // and journals the previous version for revert.
 func (db *DB) mutable(addr hashing.Address) *Account {
 	acct := db.account(addr)
-	db.journal.append(journalEntry{kind: jAccount, addr: addr, prevAccount: cloneAccount(acct)})
+	db.journal.append(journalEntry{kind: jAccount, addr: addr, prevAccount: db.clone(acct)})
 	if acct == nil {
-		acct = &Account{Location: db.chainID}
+		acct = db.records.add(Account{Location: db.chainID})
 		db.cache[addr] = acct
 	}
 	db.markDirty(addr)
@@ -260,12 +271,46 @@ func (db *DB) markDirty(addr hashing.Address) {
 	db.dirtyOrder = append(db.dirtyOrder, addr)
 }
 
-func cloneAccount(a *Account) *Account {
+// clone returns a copy of a in a record of its own, nil for nil.
+func (db *DB) clone(a *Account) *Account {
 	if a == nil {
 		return nil
 	}
-	cp := *a
-	return &cp
+	return db.records.add(*a)
+}
+
+// records hands out the Account records of the working set — decoded,
+// created and journaled copies — from chunks of recordChunk. The working set
+// and the journal are the only holders of a record, and Commit releases
+// both, so reset hands the first chunk to the next block instead of the
+// garbage collector. Later chunks go with their block: a chain keeps one
+// chunk, not its largest block's working set, which a process running
+// dozens of chains would pay for in resident memory.
+type records struct {
+	chunks [][]Account
+	used   int // records handed out since the last reset
+}
+
+// recordChunk is the number of records in one chunk (30 KiB).
+const recordChunk = 256
+
+// reset takes every record back, keeping the first chunk.
+func (r *records) reset() {
+	clear(r.chunks[min(len(r.chunks), 1):])
+	r.chunks = r.chunks[:min(len(r.chunks), 1)]
+	r.used = 0
+}
+
+// add returns a record holding a.
+func (r *records) add(a Account) *Account {
+	c := r.used / recordChunk
+	if c == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]Account, recordChunk))
+	}
+	p := &r.chunks[c][r.used%recordChunk]
+	r.used++
+	*p = a
+	return p
 }
 
 // Exists implements evm.StateAccess.
@@ -414,7 +459,7 @@ func (db *DB) SetStorage(addr hashing.Address, key, value evm.Word) {
 	// One tree lookup feeds the journal entry, the existence check, and the
 	// per-block committed pre-image.
 	t := db.storageTree(addr)
-	prevBytes, hadPrev := t.Get(key[:])
+	prevBytes, hadPrev := t.Get(db.treeKey(key[:]))
 	var prev evm.Word
 	copy(prev[:], prevBytes)
 	db.journal.append(journalEntry{
@@ -432,12 +477,12 @@ func (db *DB) SetStorage(addr hashing.Address, key, value evm.Word) {
 	if value == zero {
 		// Fixed-length keys are enforced at this boundary, so errors are
 		// impossible; check anyway to honor the Tree contract.
-		if err := t.Delete(key[:]); err != nil {
+		if err := t.Delete(db.treeKey(key[:])); err != nil {
 			panic(fmt.Sprintf("state: storage delete: %v", err))
 		}
 		return
 	}
-	if err := t.Set(key[:], value[:]); err != nil {
+	if err := t.Set(db.treeKey(key[:]), db.treeValue(value[:])); err != nil {
 		panic(fmt.Sprintf("state: storage set: %v", err))
 	}
 }
@@ -474,7 +519,7 @@ func (db *DB) DeleteAccount(addr hashing.Address) {
 	db.journal.append(journalEntry{
 		kind:        jAccount,
 		addr:        addr,
-		prevAccount: cloneAccount(db.account(addr)),
+		prevAccount: db.clone(db.account(addr)),
 	})
 	db.cache[addr] = nil
 	db.WipeStorage(addr)
@@ -536,55 +581,22 @@ func (db *DB) DiscardJournal() { db.journal.reset() }
 func (db *DB) Commit() hashing.Hash {
 	// markDirty appends in first-touch order; sort once for the
 	// deterministic flush (map iteration is randomized).
-	sort.Slice(db.dirtyOrder, func(i, j int) bool {
-		return bytes.Compare(db.dirtyOrder[i][:], db.dirtyOrder[j][:]) < 0
-	})
-	batch := db.buildBatch()
-	for i, addr := range db.dirtyOrder {
-		acct, inCache := db.cache[addr]
-		if !inCache {
-			// Dirty without a working-set entry: the address was touched
-			// only through SetStorage (storage writes alone never
-			// materialize the record). Load the committed record so the
-			// flush updates its storage root instead of mistaking the
-			// missing entry for a deletion.
-			acct = db.account(addr)
-		}
-		if acct == nil {
-			db.dropCommittedAccount(addr)
-			continue
-		}
-		if t, ok := db.storage[addr]; ok {
-			acct.StorageRoot = t.RootHash()
-		}
-		if acct.isEmpty(db.chainID) {
-			db.dropCommittedAccount(addr)
-			continue
-		}
-		enc := acct.Encode()
-		batch.Accounts[i].Cur = enc
-		if err := db.accountTree.Set(addr[:], enc); err != nil {
-			panic(fmt.Sprintf("state: commit set: %v", err))
-		}
-	}
+	slices.SortFunc(db.dirtyOrder, func(a, b hashing.Address) int { return bytes.Compare(a[:], b[:]) })
+	reuse := db.hist.reusable()
+	accounts, arena := db.flushAccounts(reuse)
 	// Drop no-op account transitions (created then deleted in one block, or
 	// dirtied but restored by a revert): they would pollute the reverse
 	// diffs and append dead file records for nothing.
-	liveAccs := batch.Accounts[:0]
-	for _, ac := range batch.Accounts {
-		if ac.Prev == nil && ac.Cur == nil {
-			continue
-		}
-		if bytes.Equal(ac.Prev, ac.Cur) {
-			continue
-		}
-		liveAccs = append(liveAccs, ac)
+	batch := backend.Batch{
+		Accounts: slices.DeleteFunc(accounts, func(ac backend.AccountChange) bool {
+			return bytes.Equal(ac.Prev, ac.Cur)
+		}),
+		Codes: db.newCodeBlobs(),
 	}
-	batch.Accounts = liveAccs
 	// Materialize the slot delta only now, after the flush: an account
 	// deleted at commit has just lost its storage tree, so its slots read
 	// back as gone and the batch records their deletion.
-	db.appendSlotChanges(&batch)
+	batch.Slots = db.appendSlotChanges(reuse.slots[:0])
 	clear(db.dirty)
 	db.dirtyOrder = db.dirtyOrder[:0]
 	clear(db.slotDelta)
@@ -592,47 +604,116 @@ func (db *DB) Commit() hashing.Hash {
 	db.newCodes = db.newCodes[:0]
 	db.journal.reset()
 	// Release the decoded working set: entries are either dirty (now
-	// flushed into the tree) or clean read-throughs of it.
+	// flushed into the tree) or clean read-throughs of it. With the journal
+	// reset too, nothing holds a record any more.
 	clear(db.cache)
+	db.records.reset()
 	root := db.accountTree.RootHash()
 	if db.file != nil {
 		if err := db.file.Commit(root, batch); err != nil {
 			panic(fmt.Sprintf("state: backend commit: %v", err))
 		}
 	}
-	db.hist.record(root, batch)
+	db.hist.record(root, revDiff{accounts: batch.Accounts, slots: batch.Slots, arena: arena})
 	db.evictStorageTrees()
 	return root
 }
 
-// buildBatch assembles the account and code half of the commit batch:
-// previous account encodings (captured before the tree flush) and new code
-// blobs. Cur fields of account changes are filled in by the flush loop;
-// slot changes are appended afterwards by appendSlotChanges.
-func (db *DB) buildBatch() backend.Batch {
-	batch := backend.Batch{
-		Accounts: make([]backend.AccountChange, len(db.dirtyOrder)),
+// flushAccounts writes every dirty account into the account tree and
+// returns the account half of the commit batch, in dirtyOrder, with the
+// arena that holds every change's previous and new encoding.
+//
+// The batch is built in the arrays of reuse, the reverse diff this
+// commit's record drops from the retained-root ring: no read can need it
+// once the commit is done, while the ring keeps every other batch, with its
+// arena, for the whole window. An array is replaced only when it is too
+// short, by one of exactly the size this commit needs — the arena's size is
+// summed before the first copy, so no slice of it is ever stranded by a
+// growth reallocation.
+func (db *DB) flushAccounts(reuse revDiff) ([]backend.AccountChange, []byte) {
+	n := len(db.dirtyOrder)
+	accounts := reuse.accounts[:0]
+	if cap(accounts) < n {
+		accounts = make([]backend.AccountChange, 0, n)
 	}
-	// Previous encodings are copied into one shared arena instead of one
-	// allocation each. The arena must be fresh per commit — the
-	// retained-root history retains the slices for the whole retention
-	// window. A growth reallocation strands earlier slices on the old
-	// backing array, which stays correct: those bytes are never rewritten.
-	var arena []byte
+	accounts = accounts[:n]
+	// First pass, before any tree write: each account's previous encoding
+	// (a view of the tree's value until the second pass copies it), the
+	// working copy it flushes, and the arena both need.
+	need := 0
+	flushed := db.flushed[:0]
 	for i, addr := range db.dirtyOrder {
-		batch.Accounts[i].Addr = addr
-		if prev, ok := db.accountTree.Get(addr[:]); ok {
+		prev, _ := db.accountTree.Get(db.treeKey(addr[:]))
+		acct := db.flushedAccount(addr)
+		accounts[i] = backend.AccountChange{Addr: addr, Prev: prev}
+		need += len(prev)
+		if acct != nil {
+			need += acct.encodedSize()
+		}
+		flushed = append(flushed, acct)
+	}
+	arena := reuse.arena[:0]
+	if cap(arena) < need {
+		arena = make([]byte, 0, need)
+	}
+	for i, addr := range db.dirtyOrder {
+		ac := &accounts[i]
+		if ac.Prev != nil {
 			off := len(arena)
-			arena = append(arena, prev...)
-			batch.Accounts[i].Prev = arena[off:len(arena):len(arena)]
+			arena = append(arena, ac.Prev...)
+			ac.Prev = arena[off:len(arena):len(arena)]
+		}
+		acct := flushed[i]
+		if acct == nil {
+			db.dropCommittedAccount(addr)
+			continue
+		}
+		off := len(arena)
+		arena = acct.appendEncoding(arena)
+		ac.Cur = arena[off:len(arena):len(arena)]
+		if err := db.accountTree.Set(db.treeKey(addr[:]), ac.Cur); err != nil {
+			panic(fmt.Sprintf("state: commit set: %v", err))
 		}
 	}
+	clear(flushed)
+	db.flushed = flushed[:0]
+	return accounts, arena
+}
+
+// flushedAccount returns the working copy of a dirty address with its
+// storage root brought up to date, or nil when the commit deletes the
+// account: it does not exist, or it carries no information.
+func (db *DB) flushedAccount(addr hashing.Address) *Account {
+	acct, inCache := db.cache[addr]
+	if !inCache {
+		// Dirty without a working-set entry: the address was touched only
+		// through SetStorage (storage writes alone never materialize the
+		// record). Load the committed record so the flush updates its
+		// storage root instead of mistaking the missing entry for a
+		// deletion.
+		acct = db.account(addr)
+	}
+	if acct == nil {
+		return nil
+	}
+	if t, ok := db.storage[addr]; ok {
+		acct.StorageRoot = t.RootHash()
+	}
+	if acct.isEmpty(db.chainID) {
+		return nil
+	}
+	return acct
+}
+
+// newCodeBlobs lists the code blobs first stored since the last Commit.
+func (db *DB) newCodeBlobs() []backend.CodeBlob {
+	var codes []backend.CodeBlob
 	for _, h := range db.newCodes {
 		if code, ok := db.codes[h]; ok { // reverted codes are gone from the map
-			batch.Codes = append(batch.Codes, backend.CodeBlob{Hash: h, Code: code})
+			codes = append(codes, backend.CodeBlob{Hash: h, Code: code})
 		}
 	}
-	return batch
+	return codes
 }
 
 // dropCommittedAccount removes a deleted (or empty) account's record and
@@ -644,48 +725,51 @@ func (db *DB) buildBatch() backend.Batch {
 // resident tree but not in a rebuilt one — an in-memory DB and one over a
 // file store would disagree the moment the address is recreated.
 func (db *DB) dropCommittedAccount(addr hashing.Address) {
-	if err := db.accountTree.Delete(addr[:]); err != nil {
+	if err := db.accountTree.Delete(db.treeKey(addr[:])); err != nil {
 		panic(fmt.Sprintf("state: commit delete: %v", err))
 	}
 	delete(db.storage, addr)
 	delete(db.storageTouch, addr)
 }
 
-// appendSlotChanges turns the per-block slot pre-image map, and the whole
-// storage of every account in replaced, into the sorted slot changes of the
-// commit batch. Called after the account flush so commit-time deletions read
-// back as missing slots.
-func (db *DB) appendSlotChanges(batch *backend.Batch) {
+// appendSlotChanges appends to slots, sorted, the slot changes of the
+// commit batch: the per-block slot pre-image map, and the whole storage of
+// every account in replaced. Called after the account flush so commit-time
+// deletions read back as missing slots.
+//
+// slots is grown, when short, to one change per written slot. A replaced
+// account's diff grows it further only as far as it actually changes: the
+// bound there, every slot of the old storage and of the new, overstates a
+// contract returning to an unchanged stale copy (a Move2 home) by its whole
+// storage, where the diff is empty.
+func (db *DB) appendSlotChanges(slots []backend.SlotChange) []backend.SlotChange {
 	if len(db.slotDelta) == 0 && len(db.replaced) == 0 {
-		return
+		return slots
+	}
+	if cap(slots)-len(slots) < len(db.slotDelta) {
+		slots = append(make([]backend.SlotChange, 0, len(slots)+len(db.slotDelta)), slots...)
 	}
 	// The key scratch is reused across commits (keys are values, nothing
-	// retains them); the change slice is presized to skip growth copies.
+	// retains them).
 	keys := db.slotKeyScratch[:0]
-	if cap(keys) < len(db.slotDelta) {
-		keys = make([]backend.SlotKey, 0, len(db.slotDelta))
-	}
 	for sk := range db.slotDelta {
 		keys = append(keys, sk)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if c := bytes.Compare(keys[i].Addr[:], keys[j].Addr[:]); c != 0 {
-			return c < 0
+	slices.SortFunc(keys, func(a, b backend.SlotKey) int {
+		if c := bytes.Compare(a.Addr[:], b.Addr[:]); c != 0 {
+			return c
 		}
-		return bytes.Compare(keys[i].Key[:], keys[j].Key[:]) < 0
+		return bytes.Compare(a.Key[:], b.Key[:])
 	})
 	whole := make([]hashing.Address, 0, len(db.replaced))
 	for addr := range db.replaced {
 		whole = append(whole, addr)
 	}
-	sort.Slice(whole, func(i, j int) bool { return bytes.Compare(whole[i][:], whole[j][:]) < 0 })
-	if batch.Slots == nil {
-		batch.Slots = make([]backend.SlotChange, 0, len(db.slotDelta))
-	}
+	slices.SortFunc(whole, func(a, b hashing.Address) int { return bytes.Compare(a[:], b[:]) })
 	for i := 0; i < len(keys); {
 		sk := keys[i]
 		for len(whole) > 0 && bytes.Compare(whole[0][:], sk.Addr[:]) < 0 {
-			db.appendStorageDiff(batch, whole[0], nil)
+			slots = db.appendStorageDiff(slots, whole[0], nil)
 			whole = whole[1:]
 		}
 		if len(whole) > 0 && whole[0] == sk.Addr {
@@ -695,7 +779,7 @@ func (db *DB) appendSlotChanges(batch *backend.Batch) {
 			for j < len(keys) && keys[j].Addr == sk.Addr {
 				j++
 			}
-			db.appendStorageDiff(batch, sk.Addr, keys[i:j])
+			slots = db.appendStorageDiff(slots, sk.Addr, keys[i:j])
 			whole = whole[1:]
 			i = j
 			continue
@@ -705,7 +789,7 @@ func (db *DB) appendSlotChanges(batch *backend.Batch) {
 		var cur backend.Word
 		var exists bool
 		if t, ok := db.storage[sk.Addr]; ok {
-			if v, found := t.Get(sk.Key[:]); found {
+			if v, found := t.Get(db.treeKey(sk.Key[:])); found {
 				copy(cur[:], v)
 				exists = true
 			}
@@ -713,24 +797,25 @@ func (db *DB) appendSlotChanges(batch *backend.Batch) {
 		if exists == prev.existed && cur == prev.val {
 			continue // written, then restored to the committed value
 		}
-		batch.Slots = append(batch.Slots, backend.SlotChange{
+		slots = append(slots, backend.SlotChange{
 			Key: sk, Prev: prev.val, Cur: cur,
 			PrevExisted: prev.existed, CurExists: exists,
 		})
 	}
 	for _, addr := range whole {
-		db.appendStorageDiff(batch, addr, nil)
+		slots = db.appendStorageDiff(slots, addr, nil)
 	}
 	db.slotKeyScratch = keys
+	return slots
 }
 
 // appendStorageDiff appends the slot changes of one account in replaced:
 // a merge of its committed storage (both sides ascending by key) with the
 // live tree. written lists the account's slotDelta keys, ascending.
-func (db *DB) appendStorageDiff(batch *backend.Batch, addr hashing.Address, written []backend.SlotKey) {
+func (db *DB) appendStorageDiff(slots []backend.SlotChange, addr hashing.Address, written []backend.SlotKey) []backend.SlotChange {
 	old := db.committedStorage(addr, written)
 	gone := func(e StorageEntry) {
-		batch.Slots = append(batch.Slots, backend.SlotChange{
+		slots = append(slots, backend.SlotChange{
 			Key: backend.SlotKey{Addr: addr, Key: e.Key}, Prev: e.Value, PrevExisted: true,
 		})
 	}
@@ -746,7 +831,7 @@ func (db *DB) appendStorageDiff(batch *backend.Batch, addr hashing.Address, writ
 				old = old[1:]
 			}
 			if !ch.PrevExisted || ch.Prev != ch.Cur {
-				batch.Slots = append(batch.Slots, ch)
+				slots = append(slots, ch)
 			}
 			return true
 		})
@@ -754,6 +839,7 @@ func (db *DB) appendStorageDiff(batch *backend.Batch, addr hashing.Address, writ
 	for _, e := range old {
 		gone(e)
 	}
+	return slots
 }
 
 // committedStorage returns what the last Commit left in the storage of an
@@ -801,11 +887,11 @@ func (db *DB) evictStorageTrees() {
 	for addr := range db.storage {
 		cands = append(cands, candidate{addr: addr, seq: db.storageTouch[addr]})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].seq != cands[j].seq {
-			return cands[i].seq < cands[j].seq
+	slices.SortFunc(cands, func(a, b candidate) int {
+		if a.seq != b.seq {
+			return cmp.Compare(a.seq, b.seq)
 		}
-		return bytes.Compare(cands[i].addr[:], cands[j].addr[:]) < 0
+		return bytes.Compare(a.addr[:], b.addr[:])
 	})
 	for _, c := range cands[:len(db.storage)-limit] {
 		delete(db.storage, c.addr)
@@ -833,7 +919,7 @@ func (db *DB) GetAccount(addr hashing.Address) (Account, bool) {
 // tree, valid against the root of the last Commit. The account must have
 // been committed.
 func (db *DB) ProveAccount(addr hashing.Address) ([]byte, error) {
-	return db.accountTree.Prove(addr[:])
+	return db.accountTree.Prove(db.treeKey(addr[:]))
 }
 
 // StorageEntries returns all storage of addr in ascending key order — the

@@ -57,6 +57,22 @@ func TestAccountRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAccountEncodedSize: Commit sizes its encoding arena with
+// encodedSize before it encodes, so the two must agree for every varint
+// width.
+func TestAccountEncodedSize(t *testing.T) {
+	for _, a := range []Account{
+		{},
+		{Nonce: 127, Location: 127, MoveNonce: 127},
+		{Nonce: 128, Balance: u256.FromUint64(1 << 40), Location: 1 << 20, MoveNonce: 1 << 35},
+		{Nonce: ^uint64(0), Location: hashing.ChainID(^uint64(0)), MoveNonce: ^uint64(0)},
+	} {
+		if enc := a.Encode(); len(enc) != a.encodedSize() || cap(enc) != len(enc) {
+			t.Fatalf("%+v: encoding of %d bytes (cap %d), encodedSize %d", a, len(enc), cap(enc), a.encodedSize())
+		}
+	}
+}
+
 func TestDecodeAccountRejectsGarbage(t *testing.T) {
 	if _, err := DecodeAccount([]byte{1, 2, 3}); err == nil {
 		t.Fatal("expected decode error")

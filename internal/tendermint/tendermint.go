@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"testing"
 	"time"
 
 	"scmove/internal/hashing"
@@ -81,15 +82,20 @@ type Cluster struct {
 	}
 }
 
-// payloadHash returns hashing.Sum(payload).
+// payloadHash returns hashing.Sum(payload). The memo rests on nothing
+// rewriting a proposal's bytes in place; under go test every memo hit
+// re-hashes and panics if they were.
 func (c *Cluster) payloadHash(payload []byte) hashing.Hash {
 	if len(payload) == 0 {
 		return hashing.Sum(payload)
 	}
-	if m := &c.hashed; m.first != &payload[0] || m.len != len(payload) {
+	m := &c.hashed
+	if m.first != &payload[0] || m.len != len(payload) {
 		m.first, m.len, m.hash = &payload[0], len(payload), hashing.Sum(payload)
+	} else if testing.Testing() && hashing.Sum(payload) != m.hash {
+		panic("tendermint: a proposal payload was rewritten in place after it was hashed")
 	}
-	return c.hashed.hash
+	return m.hash
 }
 
 // Evidence records one detected equivocation: a validator observed two

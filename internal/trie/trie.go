@@ -89,7 +89,10 @@ func CheckRun(keyLen, n int, at func(i int) (key, value []byte)) (valueBytes int
 // Tree is an authenticated key-value store with membership proofs.
 //
 // All keys in one tree must have the same length (set at construction).
-// Values must be non-empty; Delete removes a key entirely.
+// Values must be non-empty; Delete removes a key entirely. Get, Set, Delete
+// and Prove retain neither their key nor their value: Set stores copies, so
+// a caller may pass a scratch buffer and reuse it as soon as the call
+// returns.
 type Tree interface {
 	// Get returns the value stored under key and whether it exists.
 	Get(key []byte) ([]byte, bool)

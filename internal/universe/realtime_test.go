@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -172,6 +173,19 @@ func TestRealtimeTCPRPCMatchesDiscreteEvent(t *testing.T) {
 	profResp.Body.Close()
 	if err != nil || profResp.StatusCode != http.StatusOK || !bytes.Contains(prof, []byte("goroutine profile:")) {
 		t.Fatalf("pprof goroutine: status %d, err %v, body %.80q", profResp.StatusCode, err, prof)
+	}
+	// So does /metrics, with the runtime's samples and the chain's head.
+	first := u.ChainIDs()[0]
+	metResp, err := client.Get("http://" + u.RPCAddr(first) + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	met, err := io.ReadAll(metResp.Body)
+	metResp.Body.Close()
+	head := fmt.Sprintf("scmove_chain_head_height{chain=\"%d\"} ", uint64(first))
+	if err != nil || metResp.StatusCode != http.StatusOK ||
+		!bytes.Contains(met, []byte("\ngo_gc_heap_allocs_bytes_total ")) || !bytes.Contains(met, []byte(head)) {
+		t.Fatalf("metrics: status %d, err %v, body %.200q", metResp.StatusCode, err, met)
 	}
 
 	// Drain: the last receipt per user implies its whole nonce sequence.
