@@ -82,6 +82,12 @@ benchtest:
 # carries no child array outside a branch (at most 112 bytes) and Build of
 # 1000 slots allocates at most 60 % of what the inline-array layout did, and
 # the retained-root history slides in place once its window is full.
+# Consensus over TCP encodes a message once per broadcast, writes every peer
+# the frame bytes a per-peer Send always wrote (the message encodings are
+# pinned too), and decodes a proposal frame
+# in place; a simulated-WAN Broadcast allocates nothing, and a node's own
+# proposal is applied from its transactions only while they still encode to
+# the decided bytes.
 #
 # The safety oracle (internal/oracle) runs after every committed block of
 # five of these cells — chaos, byzantine, the 16-chain sharded cell, Kitties
@@ -116,11 +122,13 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestHistoryRecordAllocFreeOnceFull TestHistoryWindow \
 	TestSetStorageAllocatesOnlyTreeCopies TestSteadyStateCommitAllocatesOnlyTreeWork \
 	TestTransferAndStaticCallAllocateNoEVM TestRecycledHistoryMatchesSnapshots \
-	TestBFTProposalBytesStayPut
+	TestBFTProposalBytesStayPut TestBroadcastWireBytesUnchanged TestBroadcastEncodesOnce \
+	TestDecodeFrameInPlace TestProposalFrameDecodesInPlace TestSendAndStepAllocateNothing \
+	TestBFTCommitCatchesEditedProposal TestWireBytesPinned
 DETSMOKE_PKGS = ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/relay/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/ \
-	./internal/state/backend/ ./internal/mpt/
+	./internal/state/backend/ ./internal/mpt/ ./internal/simnet/
 detsmoke:
 	@have=$$($(GO) test -list '.*' $(DETSMOKE_PKGS)) || { echo "$$have"; exit 1; }; \
 	for t in $(DETSMOKE_TESTS); do \
@@ -216,6 +224,7 @@ fuzzsmoke:
 		'./internal/trees FuzzBuildVsIncremental' \
 		'./internal/state/backend FuzzSegmentDecode' \
 		'./internal/simnet FuzzFrameDecode' \
+		'./internal/tendermint FuzzWireDecode' \
 		'./internal/relay FuzzDecodeJournal' \
 		'./internal/relay FuzzStep' \
 		'./internal/keys FuzzDecodePub' \

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"testing"
 
 	"scmove/internal/codec"
 	"scmove/internal/hashing"
@@ -55,8 +56,10 @@ func (a *bftApp) Propose(height uint64) []byte {
 // Commit applies the decided payload. When it is byte for byte the one this
 // node proposed, its transactions are the proposal's own: DecodeTxList of
 // those bytes yields them field for field, ids included, since nothing
-// edits a transaction once it is signed. Any other payload — another
-// validator's, a tampered copy, an equivocating twin — is decoded.
+// edits a transaction once it is signed. Under go test that branch
+// re-encodes them and panics if an edit slipped in between Propose and
+// Commit. Any other payload — another validator's, a tampered copy, an
+// equivocating twin — is decoded.
 func (a *bftApp) Commit(height uint64, payload []byte) {
 	proposer := ProposerAddress(a.chain.ChainID(), int(height)%10)
 	var (
@@ -65,6 +68,9 @@ func (a *bftApp) Commit(height uint64, payload []byte) {
 	)
 	if a.proposed != nil && bytes.Equal(payload, a.proposed) {
 		txs = a.proposedTxs
+		if testing.Testing() && !bytes.Equal(EncodeTxList(txs), payload) {
+			panic("chain: a proposed transaction was edited between Propose and Commit")
+		}
 	} else {
 		txs, err = DecodeTxList(payload)
 	}

@@ -3,6 +3,7 @@ package chain
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,6 +137,31 @@ func TestBFTCommitDecodesOtherPayloads(t *testing.T) {
 		t.Fatalf("twin: applied %d transactions, %d bad payloads counted; want 0 and 1",
 			len(applied), counters.Get("byzantine.badpayload.committed"))
 	}
+}
+
+// TestBFTCommitCatchesEditedProposal: applying the proposal's own
+// transactions is sound only while they still encode to the decided bytes.
+// A transaction edited between Propose and Commit must panic under go test
+// rather than apply content nobody agreed on.
+func TestBFTCommitCatchesEditedProposal(t *testing.T) {
+	kp := keys.Deterministic(1)
+	c := newChain(t, burrowConfig(2), nil, kp)
+	app := &bftApp{chain: c, sched: simclock.New()}
+	tx := signedCall(t, kp, 2, 0, hashing.AddressFromBytes([]byte{7}), nil, 1)
+	if err := c.SubmitTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	payload := app.Propose(1)
+	if len(app.proposedTxs) != 1 || app.proposedTxs[0] != tx {
+		t.Fatalf("proposed %d transactions, want the one submitted", len(app.proposedTxs))
+	}
+	tx.GasLimit++
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "edited between Propose and Commit") {
+			t.Fatalf("Commit of a proposal edited after Propose: recovered %q, want the edit panic", r)
+		}
+	}()
+	app.Commit(1, payload)
 }
 
 // TestBFTProposalBytesStayPut: six blocks of one transfer each, proposed

@@ -131,11 +131,12 @@ func TestReRegisterWhileInFlight(t *testing.T) {
 
 // TestSendAndStepAllocateNothing pins the per-message cost of the simulated
 // WAN on the path every fault-free run takes: once the free list holds a
-// record, a jittered Send and the Step that delivers it allocate nothing.
+// record, a jittered Send and the Step that delivers it allocate nothing,
+// and neither do a Broadcast to three peers and the Steps that deliver it.
 func TestSendAndStepAllocateNothing(t *testing.T) {
 	sched := simclock.New()
 	net := New(sched, Config{Seed: 1, Faults: LinkFaults{JitterFrac: 0.1}})
-	for _, id := range []NodeID{1, 2} {
+	for _, id := range []NodeID{1, 2, 3, 4} {
 		if err := net.Register(id, Region(id), func(NodeID, any) {}); err != nil {
 			t.Fatal(err)
 		}
@@ -147,5 +148,15 @@ func TestSendAndStepAllocateNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Send + Step allocates %.1f times per message", allocs)
+	}
+	peers := []NodeID{2, 3, 4}
+	allocs = testing.AllocsPerRun(1000, func() {
+		net.Broadcast(1, peers, payload)
+		for range peers {
+			sched.Step()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Broadcast to %d peers + Steps allocates %.1f times", len(peers), allocs)
 	}
 }

@@ -272,6 +272,15 @@ func (n *Network) Send(from, to NodeID, payload any) {
 	}
 }
 
+// Broadcast is Send to each peer in to, in the given order: the fault,
+// jitter and corruption draws are exactly those of the Send loop it
+// stands for.
+func (n *Network) Broadcast(from NodeID, to []NodeID, payload any) {
+	for _, id := range to {
+		n.Send(from, id, payload)
+	}
+}
+
 // SetNodeDown crashes or revives a node; a down node neither sends nor
 // receives.
 func (n *Network) SetNodeDown(id NodeID, down bool) {

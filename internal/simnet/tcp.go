@@ -50,10 +50,15 @@ type tcpNode struct {
 	addr    string
 }
 
-// tcpConn serializes writers on one directed link.
+// tcpConn serializes writers on one directed link. head, iov and bufs
+// hold the frame being written (a local net.Buffers would escape to the
+// heap through WriteTo), so a frame costs the link no allocation.
 type tcpConn struct {
-	mu sync.Mutex
-	c  net.Conn
+	mu   sync.Mutex
+	c    net.Conn
+	head [maxFrameHead]byte
+	iov  [2][]byte
+	bufs net.Buffers
 }
 
 // DefaultMaxFrame bounds one frame: a full consensus proposal carrying a
@@ -125,22 +130,55 @@ func (t *TCP) SetNodeDown(id NodeID, down bool) {
 	t.mu.Unlock()
 }
 
-// Send encodes payload and writes one frame on the (from, to)
-// connection, dialing it on first use. Failures of any kind drop the
-// message — consensus tolerates loss — and are counted.
+// Send writes payload as one frame on the (from, to) connection: it is
+// Broadcast to a single peer.
 func (t *TCP) Send(from, to NodeID, payload any) {
-	t.sent.Add(1)
+	t.Broadcast(from, []NodeID{to}, payload)
+}
+
+// Broadcast encodes payload once and writes it as one frame on each
+// (from, peer) connection in turn, dialing a link on first use. A frame is
+// its own header and the shared body, written together in one vectored
+// write, so the body is never copied per peer. Failures of any kind drop
+// that peer's copy — consensus tolerates loss — and are counted.
+func (t *TCP) Broadcast(from NodeID, to []NodeID, payload any) {
+	t.sent.Add(uint64(len(to)))
+	var (
+		body    []byte
+		encoded bool
+	)
+	for i, id := range to {
+		conn, addr, ok := t.link(from, id)
+		if !ok {
+			t.dropped.Add(1)
+			continue
+		}
+		if !encoded {
+			var err error
+			if body, err = t.codec.EncodePayload(payload); err != nil {
+				t.dropped.Add(uint64(len(to) - i))
+				return
+			}
+			encoded = true
+		}
+		if frameBodyLen(from, id, len(body)) > t.maxFrame || !conn.write(addr, from, id, body) {
+			t.dropped.Add(1)
+		}
+	}
+}
+
+// link returns the connection record of (from, to), creating it on first
+// use, and the peer's address; false means the message must be dropped (a
+// closed transport, a down end, an unknown peer).
+func (t *TCP) link(from, to NodeID) (*tcpConn, string, bool) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed || t.down[from] || t.down[to] {
-		t.mu.Unlock()
-		t.dropped.Add(1)
-		return
+		return nil, "", false
 	}
 	dst, ok := t.nodes[to]
 	if !ok {
-		t.mu.Unlock()
-		t.dropped.Add(1)
-		return
+		return nil, "", false
 	}
 	link := tcpLink{from, to}
 	conn := t.conns[link]
@@ -148,37 +186,34 @@ func (t *TCP) Send(from, to NodeID, payload any) {
 		conn = &tcpConn{}
 		t.conns[link] = conn
 	}
-	t.mu.Unlock()
+	return conn, dst.addr, true
+}
 
-	body, err := t.codec.EncodePayload(payload)
-	if err != nil {
-		t.dropped.Add(1)
-		return
-	}
-	frame := EncodeFrame(from, to, body)
-	if len(frame) > t.maxFrame+frameHeaderSize {
-		t.dropped.Add(1)
-		return
-	}
-
-	// One writer at a time per link: the connection mutex both serializes
-	// frames (FIFO per link, like the in-process network) and makes the
-	// lazy dial race-free.
-	conn.mu.Lock()
-	defer conn.mu.Unlock()
-	if conn.c == nil {
-		c, err := net.Dial("tcp", dst.addr)
+// write sends the frame of payload from one node to another, dialing addr
+// if the link has no socket yet. One writer at a time per link: the
+// connection mutex both serializes frames (FIFO per link, like the
+// in-process network) and makes the lazy dial race-free. A failed write
+// closes the socket; the link's next frame dials again.
+func (c *tcpConn) write(addr string, from, to NodeID, payload []byte) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.c == nil {
+		nc, err := net.Dial("tcp", addr)
 		if err != nil {
-			t.dropped.Add(1)
-			return
+			return false
 		}
-		conn.c = c
+		c.c = nc
 	}
-	if _, err := conn.c.Write(frame); err != nil {
-		conn.c.Close()
-		conn.c = nil
-		t.dropped.Add(1)
+	// WriteTo consumes bufs and clears each buffer it writes, so the
+	// payload is not held past this frame.
+	c.bufs = append(c.iov[:0], appendFrameHead(c.head[:0], from, to, len(payload)), payload)
+	if _, err := c.bufs.WriteTo(c.c); err != nil {
+		clear(c.iov[:])
+		c.c.Close()
+		c.c = nil
+		return false
 	}
+	return true
 }
 
 // Stats returns cumulative (sent, delivered, dropped, rejected) counts.
@@ -231,6 +266,9 @@ func (t *TCP) acceptLoop(node *tcpNode) {
 func (t *TCP) readLoop(node *tcpNode, c net.Conn) {
 	defer c.Close()
 	for {
+		// Every frame lands in a buffer of its own: a decoded proposal's
+		// payload aliases it and is held by the validator long after the
+		// next frame is read.
 		body, err := ReadFrame(c, t.maxFrame)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
@@ -277,25 +315,40 @@ func (t *TCP) deliver(node *tcpNode, from, to NodeID, payload any) {
 //	uvarint from | uvarint to | length-prefixed payload bytes
 //
 // The prefix is checked against maxFrame before any allocation, and the
-// body decoder re-bounds the payload with ReadBytesMax, so a hostile
-// length claim can never cost more memory than the attacker actually
-// transmitted.
+// body decoder checks the payload's length claim against the bytes that
+// remain before it looks at them, so a hostile length claim can never cost
+// more memory than the attacker actually transmitted. appendFrameHead
+// writes everything in front of the payload; EncodeFrame and Broadcast
+// both frame through it.
 const frameHeaderSize = 4
+
+// maxFrameHead bounds what appendFrameHead writes: the length prefix and
+// three uvarints.
+const maxFrameHead = frameHeaderSize + 3*binary.MaxVarintLen64
 
 // ErrFrameTooLarge reports a length prefix exceeding the frame bound.
 var ErrFrameTooLarge = errors.New("simnet: frame exceeds size bound")
 
-// EncodeFrame builds one wire frame.
-func EncodeFrame(from, to NodeID, payload []byte) []byte {
-	w := codec.NewWriter(len(payload) + 24)
+// frameBodyLen is the length prefix of a frame with a payloadLen-byte
+// payload: the route and the length-prefixed payload.
+func frameBodyLen(from, to NodeID, payloadLen int) int {
+	return codec.SizeUvarint(uint64(from)) + codec.SizeUvarint(uint64(to)) + codec.SizeBytes(payloadLen)
+}
+
+// appendFrameHead appends the bytes of a frame that precede its
+// payloadLen-byte payload.
+func appendFrameHead(dst []byte, from, to NodeID, payloadLen int) []byte {
+	w := codec.AppendTo(binary.BigEndian.AppendUint32(dst, uint32(frameBodyLen(from, to, payloadLen))))
 	w.WriteUvarint(uint64(from))
 	w.WriteUvarint(uint64(to))
-	w.WriteBytes(payload)
-	body := w.Bytes()
-	frame := make([]byte, frameHeaderSize+len(body))
-	binary.BigEndian.PutUint32(frame, uint32(len(body)))
-	copy(frame[frameHeaderSize:], body)
-	return frame
+	w.WriteUvarint(uint64(payloadLen))
+	return w.Bytes()
+}
+
+// EncodeFrame builds one wire frame.
+func EncodeFrame(from, to NodeID, payload []byte) []byte {
+	frame := appendFrameHead(make([]byte, 0, frameHeaderSize+frameBodyLen(from, to, len(payload))), from, to, len(payload))
+	return append(frame, payload...)
 }
 
 // ReadFrame reads one length-prefixed frame body off r, refusing length
@@ -322,12 +375,17 @@ func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
 }
 
 // DecodeFrame parses a frame body into its route and payload bytes. The
-// payload slice aliases body.
+// payload aliases body — nothing is copied — so body must not be reused
+// while the payload, or anything decoded in place from it, is held. A
+// payload longer than maxFrame (≥ 0) fails with codec.ErrOverflow.
 func DecodeFrame(body []byte, maxFrame int) (from, to NodeID, payload []byte, err error) {
 	r := codec.NewReader(body)
 	from = NodeID(r.ReadUvarint())
 	to = NodeID(r.ReadUvarint())
-	payload = r.ReadBytesMax(maxFrame)
+	payload = r.ReadBytesView()
+	if maxFrame >= 0 && len(payload) > maxFrame {
+		return 0, 0, nil, fmt.Errorf("simnet: decode frame: %w", codec.ErrOverflow)
+	}
 	if err := r.Finish(); err != nil {
 		return 0, 0, nil, fmt.Errorf("simnet: decode frame: %w", err)
 	}

@@ -3,11 +3,13 @@ package simnet
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,8 +115,8 @@ func TestFrameMidFrameDisconnect(t *testing.T) {
 	}
 }
 
-// DecodeFrame bounds its payload with ReadBytesMax: a body whose inner
-// length claim exceeds the remaining bytes (or the bound) errors.
+// DecodeFrame bounds its payload: a body whose inner length claim exceeds
+// the remaining bytes (or the bound) errors.
 func TestDecodeFrameHostileBody(t *testing.T) {
 	cases := [][]byte{
 		nil,                   // empty body
@@ -134,6 +136,220 @@ func TestDecodeFrameHostileBody(t *testing.T) {
 	body := append(frame[frameHeaderSize:], 0xEE)
 	if _, _, _, err := DecodeFrame(body, DefaultMaxFrame); err == nil {
 		t.Error("trailing bytes decoded cleanly")
+	}
+}
+
+// TestDecodeFrameInPlace: decoding a frame body copies nothing — the
+// payload aliases the body — and allocates nothing at all.
+func TestDecodeFrameInPlace(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xAB}, 64<<10)
+	body := EncodeFrame(7, 9, payload)[frameHeaderSize:]
+	var got []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if _, _, got, err = DecodeFrame(body, DefaultMaxFrame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DecodeFrame allocates %.1f times per frame", allocs)
+	}
+	if !bytes.Equal(got, payload) || &got[0] != &body[len(body)-len(payload)] {
+		t.Fatal("the decoded payload is not the frame body's own bytes")
+	}
+	// The bound still holds on a payload the body has room for.
+	if _, _, _, err := DecodeFrame(body, len(payload)-1); !errors.Is(err, codec.ErrOverflow) {
+		t.Fatalf("payload over the bound: err = %v, want codec.ErrOverflow", err)
+	}
+}
+
+// rawCodec carries byte payloads as they are.
+type rawCodec struct{}
+
+func (rawCodec) EncodePayload(p any) ([]byte, error) { return p.([]byte), nil }
+func (rawCodec) DecodePayload(b []byte) (any, error) { return b, nil }
+
+// TestBroadcastWireBytesUnchanged: a Broadcast writes to every peer exactly
+// the bytes EncodeFrame wrote per Send before broadcasts existed, frame
+// after frame in order. The payloads are the tendermint wire encodings of a
+// proposal (height 7, round 1, a 25-byte block, from validator 2) and of
+// its precommit; one peer id takes a two-byte varint.
+func TestBroadcastWireBytesUnchanged(t *testing.T) {
+	const (
+		proposal = "010701196120626c6f636b3a203031323334353637383961626364656602"
+		vote     = "0202070186b5dc8df61b3272334fb048a08d2ca8eb26233ec779b6c3695be707f414d16502"
+	)
+	want := map[NodeID]string{
+		2: "0000002101021e010701196120626c6f636b3a203031323334353637383961626364656602" +
+			"000000280102250202070186b5dc8df61b3272334fb048a08d2ca8eb26233ec779b6c3695be707f414d16502",
+		3: "0000002101031e010701196120626c6f636b3a203031323334353637383961626364656602" +
+			"000000280103250202070186b5dc8df61b3272334fb048a08d2ca8eb26233ec779b6c3695be707f414d16502",
+		300: "0000002201ac021e010701196120626c6f636b3a203031323334353637383961626364656602" +
+			"0000002901ac02250202070186b5dc8df61b3272334fb048a08d2ca8eb26233ec779b6c3695be707f414d16502",
+	}
+	peers := []NodeID{2, 3, 300}
+	tr := NewTCP(rawCodec{}, nil, 0)
+	defer tr.Close()
+	got := make(map[NodeID]chan string, len(peers))
+	for _, id := range append([]NodeID{1}, peers...) {
+		if err := tr.Register(id, 0, func(NodeID, any) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each peer's address leads to a plain listener that reads raw bytes.
+	for _, id := range peers {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		tr.mu.Lock()
+		tr.nodes[id].addr = ln.Addr().String()
+		tr.mu.Unlock()
+		ch := make(chan string, 1)
+		got[id] = ch
+		n := len(want[id]) / 2
+		go func() {
+			c, err := ln.Accept()
+			if err != nil {
+				ch <- err.Error()
+				return
+			}
+			defer c.Close()
+			c.SetReadDeadline(time.Now().Add(10 * time.Second))
+			buf := make([]byte, n)
+			if _, err := io.ReadFull(c, buf); err != nil {
+				ch <- err.Error()
+				return
+			}
+			ch <- hex.EncodeToString(buf)
+		}()
+	}
+	for _, p := range []string{proposal, vote} {
+		b, err := hex.DecodeString(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Broadcast(1, peers, b)
+	}
+	for _, id := range peers {
+		select {
+		case s := <-got[id]:
+			if s != want[id] {
+				t.Errorf("peer %d read\n%s\nwant\n%s", id, s, want[id])
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("peer %d was never dialed", id)
+		}
+	}
+	if sent, _, dropped, _ := tr.Stats(); sent != 6 || dropped != 0 {
+		t.Fatalf("sent %d, dropped %d; want 6 and 0", sent, dropped)
+	}
+}
+
+// countingCodec is stringCodec counting its encodings.
+type countingCodec struct {
+	stringCodec
+	encodes atomic.Int64
+}
+
+func (c *countingCodec) EncodePayload(payload any) ([]byte, error) {
+	c.encodes.Add(1)
+	return c.stringCodec.EncodePayload(payload)
+}
+
+// TestBroadcastEncodesOnce: a Broadcast to three peers encodes its payload
+// once, and so does a Send; every copy is delivered.
+func TestBroadcastEncodesOnce(t *testing.T) {
+	wc := &countingCodec{}
+	tr := NewTCP(wc, nil, 0)
+	defer tr.Close()
+	delivered := make(chan string, 8)
+	for id := NodeID(1); id <= 4; id++ {
+		if err := tr.Register(id, 0, func(_ NodeID, payload any) { delivered <- payload.(string) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	await := func(n int, want string) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			select {
+			case s := <-delivered:
+				if s != want {
+					t.Fatalf("delivered %q, want %q", s, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d of %d copies of %q delivered", i, n, want)
+			}
+		}
+	}
+	tr.Broadcast(1, []NodeID{2, 3, 4}, "proposal")
+	await(3, "proposal")
+	if n := wc.encodes.Load(); n != 1 {
+		t.Fatalf("a Broadcast to 3 peers encoded %d times, want 1", n)
+	}
+	tr.Send(1, 2, "vote")
+	await(1, "vote")
+	if n := wc.encodes.Load(); n != 2 {
+		t.Fatalf("a Send encoded %d times, want 1", n-1)
+	}
+}
+
+// TestBroadcastConcurrentSenders: goroutines broadcasting at once over the
+// same links share each link's frame buffers under its mutex; every peer
+// gets every message whole, each sender's in the order it sent them.
+func TestBroadcastConcurrentSenders(t *testing.T) {
+	const senders, msgs = 4, 50
+	tr := NewTCP(stringCodec{}, nil, 0)
+	defer tr.Close()
+	var mu sync.Mutex
+	got := make(map[NodeID][]string)
+	delivered := make(chan struct{}, 3*senders*msgs)
+	for id := NodeID(1); id <= 4; id++ {
+		if err := tr.Register(id, 0, func(_ NodeID, payload any) {
+			mu.Lock()
+			got[id] = append(got[id], payload.(string))
+			mu.Unlock()
+			delivered <- struct{}{}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < msgs; i++ {
+				tr.Broadcast(1, []NodeID{2, 3, 4}, fmt.Sprintf("%d-%03d", g, i))
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < 3*senders*msgs; i++ {
+		select {
+		case <-delivered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("timed out after %d deliveries", i)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for id := NodeID(2); id <= 4; id++ {
+		next := make([]int, senders)
+		for _, s := range got[id] {
+			var g, i int
+			if _, err := fmt.Sscanf(s, "%d-%d", &g, &i); err != nil || g < 0 || g >= senders {
+				t.Fatalf("peer %d got %q", id, s)
+			}
+			if i != next[g] {
+				t.Fatalf("peer %d got %q out of order (want %d-%03d)", id, s, g, next[g])
+			}
+			next[g]++
+		}
+		if len(got[id]) != senders*msgs {
+			t.Fatalf("peer %d got %d messages, want %d", id, len(got[id]), senders*msgs)
+		}
 	}
 }
 

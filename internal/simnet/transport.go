@@ -4,7 +4,8 @@
 // nothing about its behaviour changes — and the TCP transport (tcp.go)
 // carries the same messages over real loopback sockets for wall-clock
 // experiments. The seam is exactly the surface consensus uses: register a
-// handler, send a payload, administratively partition a node.
+// handler, send a payload to one peer or to several, administratively
+// partition a node.
 package simnet
 
 // Transport delivers opaque payloads between registered nodes. Payloads
@@ -20,6 +21,10 @@ type Transport interface {
 	// injected fault, broken socket) are dropped silently — consensus is
 	// built to survive loss.
 	Send(from, to NodeID, payload any)
+	// Broadcast delivers one payload from a node to each of the given
+	// peers, in order, with Send's semantics per peer. A byte-level
+	// transport encodes the payload once for all of them.
+	Broadcast(from NodeID, to []NodeID, payload any)
 	// SetNodeDown administratively isolates a node (crash simulation):
 	// while down it neither receives nor sends.
 	SetNodeDown(id NodeID, down bool)

@@ -173,6 +173,9 @@ func NewCluster(sched *simclock.Scheduler, net simnet.Transport, app App,
 			return nil, fmt.Errorf("tendermint: register validator %d: %w", i, err)
 		}
 	}
+	for i, v := range c.validators {
+		v.peers = slices.Concat(ids[:i], ids[i+1:])
+	}
 	return c, nil
 }
 
@@ -337,6 +340,9 @@ type Validator struct {
 	index   int
 	n       int
 	crashed bool
+	// peers is every other validator's node id, in validator order: the
+	// recipients of each broadcast.
+	peers []simnet.NodeID
 
 	height       uint64
 	round        int
@@ -468,17 +474,15 @@ func (v *Validator) startRound() {
 }
 
 func (v *Validator) broadcast(msg any) {
-	for _, other := range v.cluster.validators {
-		if other.index != v.index {
-			v.cluster.net.Send(v.id, other.id, msg)
-		}
-	}
+	v.cluster.net.Broadcast(v.id, v.peers, msg)
 }
 
 // broadcastEquivocating sends the genuine message to every peer and the
 // conflicting twin as an extra message to odd-indexed peers. Sending both
 // to the same receivers is what makes the conflict observable — and
-// convertible to evidence — rather than a silent split vote.
+// convertible to evidence — rather than a silent split vote. It stays a
+// Send per message: the genuine/twin interleaving per peer is part of what
+// the Byzantine digests pin.
 func (v *Validator) broadcastEquivocating(genuine, twin any) {
 	for _, other := range v.cluster.validators {
 		if other.index == v.index {

@@ -14,8 +14,14 @@ import (
 // vote crosses as one frame payload in this format.
 //
 // Decoding treats input as hostile in the codec package's style: the
-// proposal payload is ReadBytesMax-bounded, claimed indices are
-// range-checked, and trailing bytes are an error.
+// proposal payload's length claim is checked against the bytes that remain
+// and against maxWirePayload before it is read, claimed indices are
+// range-checked, and trailing bytes are an error. A proposal's payload is
+// decoded in place: it aliases the frame it arrived in, which the TCP
+// transport allocates afresh for every frame. Decoding is exact: every
+// field must be minimally encoded, so a message decodes only from the
+// bytes EncodePayload writes for it and no two encodings of one message
+// are accepted.
 
 const (
 	wireProposal byte = 1
@@ -31,15 +37,30 @@ const (
 	maxWireIndex = 1 << 20
 )
 
+// errNonCanonical rejects a message one of whose varints is longer than
+// its minimal encoding.
+var errNonCanonical = errors.New("tendermint: decode message: non-canonical encoding")
+
 // WireMessages returns the codec for tendermint's WAN message types.
 func WireMessages() simnet.WireCodec { return wireMessages{} }
 
 type wireMessages struct{}
 
+// proposalSize and voteSize are the lengths of EncodePayload's output.
+func proposalSize(m msgProposal) int {
+	return codec.SizeUvarint(uint64(wireProposal)) + codec.SizeUvarint(m.Height) +
+		codec.SizeUvarint(uint64(m.Round)) + codec.SizeBytes(len(m.Payload)) + codec.SizeUvarint(uint64(m.From))
+}
+
+func voteSize(m msgVote) int {
+	return codec.SizeUvarint(uint64(wireVote)) + codec.SizeUvarint(uint64(m.Kind)) + codec.SizeUvarint(m.Height) +
+		codec.SizeUvarint(uint64(m.Round)) + len(m.PayloadHash) + codec.SizeUvarint(uint64(m.From))
+}
+
 func (wireMessages) EncodePayload(payload any) ([]byte, error) {
 	switch msg := payload.(type) {
 	case msgProposal:
-		w := codec.NewWriter(len(msg.Payload) + 32)
+		w := codec.NewWriter(proposalSize(msg))
 		w.WriteUvarint(uint64(wireProposal))
 		w.WriteUvarint(msg.Height)
 		w.WriteUvarint(uint64(msg.Round))
@@ -47,7 +68,7 @@ func (wireMessages) EncodePayload(payload any) ([]byte, error) {
 		w.WriteUvarint(uint64(msg.From))
 		return w.Bytes(), nil
 	case msgVote:
-		w := codec.NewWriter(64)
+		w := codec.NewWriter(voteSize(msg))
 		w.WriteUvarint(uint64(wireVote))
 		w.WriteUvarint(uint64(msg.Kind))
 		w.WriteUvarint(msg.Height)
@@ -63,12 +84,15 @@ func (wireMessages) EncodePayload(payload any) ([]byte, error) {
 func (wireMessages) DecodePayload(b []byte) (any, error) {
 	r := codec.NewReader(b)
 	kind := r.ReadUvarint()
-	switch byte(kind) {
-	case wireProposal:
+	switch kind {
+	case uint64(wireProposal):
 		var msg msgProposal
 		msg.Height = r.ReadUvarint()
 		round := r.ReadUvarint()
-		msg.Payload = r.ReadBytesMax(maxWirePayload)
+		msg.Payload = r.ReadBytesView()
+		if len(msg.Payload) > maxWirePayload {
+			return nil, fmt.Errorf("tendermint: decode proposal: %w", codec.ErrOverflow)
+		}
 		from := r.ReadUvarint()
 		if err := r.Finish(); err != nil {
 			return nil, fmt.Errorf("tendermint: decode proposal: %w", err)
@@ -77,8 +101,13 @@ func (wireMessages) DecodePayload(b []byte) (any, error) {
 			return nil, errors.New("tendermint: decode proposal: index out of range")
 		}
 		msg.Round, msg.From = int(round), int(from)
+		// Finish consumed every byte, and a varint longer than its minimal
+		// form is the only way the fields can fill more than they need.
+		if len(b) != proposalSize(msg) {
+			return nil, errNonCanonical
+		}
 		return msg, nil
-	case wireVote:
+	case uint64(wireVote):
 		var msg msgVote
 		vk := r.ReadUvarint()
 		msg.Height = r.ReadUvarint()
@@ -95,6 +124,9 @@ func (wireMessages) DecodePayload(b []byte) (any, error) {
 			return nil, errors.New("tendermint: decode vote: index out of range")
 		}
 		msg.Kind, msg.Round, msg.From = voteKind(vk), int(round), int(from)
+		if len(b) != voteSize(msg) {
+			return nil, errNonCanonical
+		}
 		return msg, nil
 	default:
 		if err := r.Err(); err != nil {

@@ -187,6 +187,12 @@ func TestRealtimeTCPRPCMatchesDiscreteEvent(t *testing.T) {
 		!bytes.Contains(met, []byte("\ngo_gc_heap_allocs_bytes_total ")) || !bytes.Contains(met, []byte(head)) {
 		t.Fatalf("metrics: status %d, err %v, body %.200q", metResp.StatusCode, err, met)
 	}
+	// Beside the scrape, the consensus transport: real peers accept every
+	// frame the validators write.
+	sent, delivered, dropped, rejected, ok := u.TCPStats()
+	if !ok || rejected != 0 || dropped != 0 || delivered == 0 || delivered > sent {
+		t.Fatalf("tcp stats: ok %v, sent %d, delivered %d, dropped %d, rejected %d", ok, sent, delivered, dropped, rejected)
+	}
 
 	// Drain: the last receipt per user implies its whole nonce sequence.
 	deadline := time.Now().Add(120 * time.Second)
@@ -232,6 +238,9 @@ func TestRealtimeTCPRPCMatchesDiscreteEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sim.Close()
+	if _, _, _, _, ok := sim.TCPStats(); ok {
+		t.Error("a discrete-event universe reports TCP stats")
+	}
 	sim.Start()
 	for _, txs := range workload {
 		c := sim.Chain(txs[0].ChainID)

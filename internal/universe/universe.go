@@ -724,6 +724,17 @@ func (u *Universe) RPCAddr(id hashing.ChainID) string {
 	return ""
 }
 
+// TCPStats returns the live consensus transport's cumulative (sent,
+// delivered, dropped, rejected) frame counts, safe to read while the
+// universe runs; ok is false without Config.TCPWan.
+func (u *Universe) TCPStats() (sent, delivered, dropped, rejected uint64, ok bool) {
+	if u.tcp == nil {
+		return 0, 0, 0, 0, false
+	}
+	sent, delivered, dropped, rejected = u.tcp.Stats()
+	return sent, delivered, dropped, rejected, true
+}
+
 // WallMetrics returns the wall-clock metrics registry the RPC servers
 // record into (per-method latency histograms), or nil when RPC is off.
 // Quantiles are only safe to read after ingress stops.
