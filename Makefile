@@ -80,14 +80,18 @@ benchtest:
 # and eight concurrent walks list what a serial one lists, the Move2 payload
 # of an evicted contract is one slice of exactly its slot count, an MPT node
 # carries no child array outside a branch (at most 112 bytes) and Build of
-# 1000 slots allocates at most 60 % of what the inline-array layout did, and
-# the retained-root history slides in place once its window is full.
+# 1000 slots allocates at most 60 % of what the inline-array layout did,
+# the retained-root history slides in place once its window is full, and a
+# Move2 home's commit over a stale file-store copy allocates the same bytes
+# at 500 and at 2 000 slots. A block that takes a Move2 preparation whose
+# payload was edited after ExpectMove2 panics under go test.
 # Consensus over TCP encodes a message once per broadcast, writes every peer
 # the frame bytes a per-peer Send always wrote (the message encodings are
 # pinned too), and decodes a proposal frame
 # in place; a simulated-WAN Broadcast allocates nothing, and a node's own
 # proposal is applied from its transactions only while they still encode to
-# the decided bytes.
+# the decided bytes; a connection's reader allocates its frames' bodies and
+# nothing else.
 #
 # The safety oracle (internal/oracle) runs after every committed block of
 # five of these cells — chaos, byzantine, the 16-chain sharded cell, Kitties
@@ -124,7 +128,9 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestTransferAndStaticCallAllocateNoEVM TestRecycledHistoryMatchesSnapshots \
 	TestBFTProposalBytesStayPut TestBroadcastWireBytesUnchanged TestBroadcastEncodesOnce \
 	TestDecodeFrameInPlace TestProposalFrameDecodesInPlace TestSendAndStepAllocateNothing \
-	TestBFTCommitCatchesEditedProposal TestWireBytesPinned
+	TestBFTCommitCatchesEditedProposal TestWireBytesPinned \
+	TestMove2HomeCommitAllocationFlat TestExpectedMove2CatchesEditedPayload \
+	TestReadFramesAllocateOnlyBodies
 DETSMOKE_PKGS = ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/relay/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/ \
@@ -223,6 +229,7 @@ fuzzsmoke:
 		'./internal/core FuzzVerifyMove2Storage' \
 		'./internal/trees FuzzBuildVsIncremental' \
 		'./internal/state/backend FuzzSegmentDecode' \
+		'./internal/state/backend FuzzFileSlotIndex' \
 		'./internal/simnet FuzzFrameDecode' \
 		'./internal/tendermint FuzzWireDecode' \
 		'./internal/relay FuzzDecodeJournal' \

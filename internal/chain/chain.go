@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"testing"
 	"time"
 
 	"scmove/internal/codec"
@@ -449,7 +450,9 @@ func (c *Chain) startPrep(p *types.Move2Payload) *move2Prep {
 // belongs to txs[i] and is nil where there was none (res itself is nil when
 // no transaction had one). ApplyBlock calls it before taking c.mu, so
 // neither readers nor submitters wait on a preparation. A taken result whose
-// transaction fails before applyMove2 is dropped with the block.
+// transaction fails before applyMove2 is dropped with the block. Under go
+// test it panics when a result no longer matches its transaction's
+// entries: the payload was modified after ExpectMove2.
 func (c *Chain) takePrepared(txs []*types.Transaction) []*core.Move2Storage {
 	var res []*core.Move2Storage
 	for i, tx := range txs {
@@ -467,6 +470,9 @@ func (c *Chain) takePrepared(txs []*types.Transaction) []*core.Move2Storage {
 			continue
 		}
 		metrics.Recv(c.prepWait, e.done)
+		if testing.Testing() && !e.res.Matches(c.headers, tx.Move2) {
+			panic(fmt.Sprintf("chain %s: the Move2 payload of %s changed after ExpectMove2 prepared it", c.cfg.ChainID, tx.Move2.Contract))
+		}
 		if res == nil {
 			res = make([]*core.Move2Storage, len(txs))
 		}

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -383,6 +384,34 @@ func TestExpectedMove2MatchesByContent(t *testing.T) {
 	if n := preparedCount(c); n != 0 {
 		t.Fatalf("%d expectations after Close", n)
 	}
+}
+
+// TestExpectedMove2CatchesEditedPayload: one storage entry of a payload is
+// edited between ExpectMove2 and the block that applies it. The block's
+// transaction carries that very object, so it finds the expectation by
+// content, and under go test takePrepared recomputes the source-kind root
+// over the edited entries and panics instead of installing a tree built
+// from entries the transaction no longer carries.
+func TestExpectedMove2CatchesEditedPayload(t *testing.T) {
+	kp := keys.Deterministic(1)
+	payloads, root := lockedPayloads(t, mptSource, 2, movedContract{stopCode, 100})
+	p := payloads[0]
+	c := newChain(t, burrowConfig(2), []core.ChainParams{mptSource}, kp)
+	trustSource(t, c, mptSource, root)
+	c.ExpectMove2(p)
+	c.prepMu.Lock()
+	prep := c.prep[0]
+	c.prepMu.Unlock()
+	<-prep.done // the edit comes after the preparation read the entries
+	p.Storage[42].Value[31] ^= 1
+	tx := move2Tx(t, kp, 2, 0, p)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "changed after ExpectMove2") {
+			t.Fatalf("ApplyBlock of an edited payload panicked with %v, want the prepared-result check", r)
+		}
+	}()
+	c.ApplyBlock([]*types.Transaction{tx}, 10, ProposerAddress(2, 0))
+	t.Fatal("ApplyBlock took the preparation of a payload edited after ExpectMove2")
 }
 
 // TestExpectedMove2Bounded: expectations that no block ever takes stay at

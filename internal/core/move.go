@@ -199,6 +199,18 @@ func PrepareMove2(hs *HeaderStore, target trie.Kind, p *types.Move2Payload) *Mov
 	return &s
 }
 
+// Matches reports whether s is still PrepareMove2's result for p: the
+// completeness root recomputed over p's entries is s.Root, or both fail.
+// A payload edited after its preparation does not match.
+func (s *Move2Storage) Matches(hs *HeaderStore, p *types.Move2Payload) bool {
+	params, err := hs.Params(p.SourceChain)
+	if err != nil {
+		return s.Err != nil
+	}
+	root, err := storageRoot(params.TreeKind, p.Storage)
+	return (err == nil) == (s.Err == nil) && root == s.Root
+}
+
 // buildHashed builds the storage tree of a checked run and hashes it, so the
 // block that installs it finds its root already computed.
 func buildHashed(kind trie.Kind, entries []types.StorageEntry) (trie.Tree, error) {

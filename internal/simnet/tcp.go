@@ -265,11 +265,12 @@ func (t *TCP) acceptLoop(node *tcpNode) {
 // byte stream is not possible anyway.
 func (t *TCP) readLoop(node *tcpNode, c net.Conn) {
 	defer c.Close()
+	var hdr [frameHeaderSize]byte // every frame's length prefix, one array per connection
 	for {
 		// Every frame lands in a buffer of its own: a decoded proposal's
 		// payload aliases it and is held by the validator long after the
 		// next frame is read.
-		body, err := ReadFrame(c, t.maxFrame)
+		body, err := readFrame(c, &hdr, t.maxFrame)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				t.rejected.Add(1)
@@ -357,6 +358,12 @@ func EncodeFrame(from, to NodeID, payload []byte) []byte {
 // returns io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	var hdr [frameHeaderSize]byte
+	return readFrame(r, &hdr, maxFrame)
+}
+
+// readFrame is ReadFrame with the length prefix read into hdr, so a reader
+// of many frames allocates their bodies only.
+func readFrame(r io.Reader, hdr *[frameHeaderSize]byte, maxFrame int) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.EOF

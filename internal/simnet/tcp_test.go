@@ -163,6 +163,34 @@ func TestDecodeFrameInPlace(t *testing.T) {
 	}
 }
 
+// TestReadFramesAllocateOnlyBodies: a connection's reader reads every
+// frame's length prefix into the one array it keeps for the connection, so
+// reading N frames allocates the N bodies and nothing else.
+func TestReadFramesAllocateOnlyBodies(t *testing.T) {
+	const frames = 16
+	var stream []byte
+	for i := 0; i < frames; i++ {
+		stream = append(stream, EncodeFrame(NodeID(i), 9, bytes.Repeat([]byte{byte(i)}, 100+i))...)
+	}
+	r := bytes.NewReader(stream)
+	var hdr [frameHeaderSize]byte
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(stream)
+		for i := 0; i < frames; i++ {
+			body, err := readFrame(r, &hdr, DefaultMaxFrame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if from, _, payload, err := DecodeFrame(body, DefaultMaxFrame); err != nil || from != NodeID(i) || len(payload) != 100+i {
+				t.Fatalf("frame %d: from %d, %d payload bytes, err %v", i, from, len(payload), err)
+			}
+		}
+	})
+	if allocs != frames {
+		t.Fatalf("reading %d frames allocates %.1f objects, want one body each", frames, allocs)
+	}
+}
+
 // rawCodec carries byte payloads as they are.
 type rawCodec struct{}
 

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"runtime"
 	"testing"
 
 	"scmove/internal/evm"
@@ -96,7 +97,7 @@ func TestStorageEntriesOfEvictedContractAllocOnce(t *testing.T) {
 	if _, resident := db.StorageTreeAt(a); resident {
 		t.Fatal("the contract's tree is still resident")
 	}
-	db.StorageEntries(a) // the store caches the contract's sorted keys
+	db.StorageEntries(a) // the store's read buffer exists from here on
 	var entries []StorageEntry
 	if n := testing.AllocsPerRun(20, func() { entries = db.StorageEntries(a) }); n != 1 {
 		t.Fatalf("StorageEntries of an evicted contract allocates %.0f objects, want 1", n)
@@ -223,6 +224,71 @@ func TestSteadyStateCommitAllocatesOnlyTreeWork(t *testing.T) {
 			})
 			if tree == 0 || block != tree {
 				t.Fatalf("a steady-state block allocates %.1f objects, its tree calls %.1f: want equal and nonzero", block, tree)
+			}
+		})
+	}
+}
+
+// TestMove2HomeCommitAllocationFlat pins what committing a Move2 home costs
+// over a file store: a contract returns to a chain whose only copy of its
+// storage is the locked stale one in the file store, and the commit diffs
+// the installed tree against that copy. The copy is read into the DB's
+// scratch, so once one commit has grown it, the commit allocates the same
+// bytes for a 500-slot and a 2 000-slot contract.
+func TestMove2HomeCommitAllocationFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under -race")
+	}
+	for _, kind := range []trie.Kind{trie.KindMPT, trie.KindIAVL} {
+		t.Run(kind.String(), func(t *testing.T) {
+			measure := func(slots int) uint64 {
+				db, err := NewDBWith(localChain, kind, Options{Backend: backend.KindFile, Dir: t.TempDir()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				a := addr(1)
+				db.CreateContract(a, []byte{0x00})
+				entries := make([]StorageEntry, slots)
+				for i := range entries {
+					entries[i].Key[30], entries[i].Key[31] = byte(i>>8), byte(i)
+					entries[i].Value = word(byte(i%251 + 1))
+					db.SetStorage(a, entries[i].Key, entries[i].Value)
+				}
+				root := db.Commit()
+				acct, _ := db.GetAccount(a)
+				// home installs the storage as a Move2 does, over a stale
+				// copy that only the file store holds, and commits.
+				home := func(measured bool) uint64 {
+					delete(db.storage, a)
+					tree := db.buildStorageTree(entries)
+					tree.RootHash()
+					db.ImportAccount(a, acct, nil, tree)
+					var before, after runtime.MemStats
+					if measured {
+						runtime.ReadMemStats(&before)
+					}
+					got := db.Commit()
+					if measured {
+						runtime.ReadMemStats(&after)
+					}
+					if got != root {
+						t.Fatalf("%d slots: the Move2 home moved the root to %s, want %s", slots, got, root)
+					}
+					return after.TotalAlloc - before.TotalAlloc
+				}
+				for i := 0; i < retainRoots; i++ {
+					home(false)
+				}
+				best := home(true)
+				for i := 0; i < 4; i++ {
+					best = min(best, home(true))
+				}
+				return best
+			}
+			small, large := measure(500), measure(2000)
+			if small != large {
+				t.Fatalf("a Move2 home's commit allocates %d B at 500 slots and %d B at 2 000: want equal", small, large)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,9 +24,10 @@ import (
 // the old files. Commit markers carry the state root, so a reopened store
 // knows which committed root its contents correspond to.
 //
-// The index is split by record kind, and slots again by contract, so
-// iterating one contract's storage touches that contract's keys only —
-// never the rest of the state.
+// The index is split by record kind, and slots again by contract: each
+// contract's live slots are one key-ascending run, so iterating one
+// contract's storage touches that contract's keys only — never the rest of
+// the state — and needs no sort.
 //
 // RSS is bounded by the index (a few dozen bytes per live key), not by the
 // data: values live on disk until read.
@@ -37,7 +39,7 @@ type File struct {
 	written int64               // bytes appended to the active segment
 
 	accounts  map[hashing.Address]loc
-	slots     map[hashing.Address]*contractSlots
+	slots     map[hashing.Address]contractSlots
 	codes     map[hashing.Hash]loc
 	liveBytes int64        // record bytes reachable through the index
 	deadBytes int64        // record bytes superseded or deleted
@@ -52,6 +54,9 @@ type File struct {
 	// length of its walk and puts it back; one that finds it taken by a
 	// concurrent reader allocates its own.
 	runBuf atomic.Pointer[[]byte]
+	// changed is Commit's scratch: one contract's slot changes, then the
+	// keys among them its run does not hold yet.
+	changed contractSlots
 
 	closed bool
 }
@@ -64,23 +69,24 @@ type loc struct {
 	reclen uint32 // full record length, for dead-byte accounting
 }
 
-// contractSlots indexes the live slots of one contract.
-type contractSlots struct {
-	locs map[Word]loc
-	// order caches the keys ascending until the key set changes (nil then);
-	// overwriting a value keeps it. Atomic because IterateStorage fills it
-	// and readers may run concurrently: two that race build the same slice.
-	order atomic.Pointer[[]Word]
+// slot is one entry of a contract's run: a key and where its value lives.
+// During replay and inside Commit a tombstone is a slot too, with vlen 0
+// (a live slot value is always wordSize bytes).
+type slot struct {
+	key Word
+	loc
 }
 
-// sortedKeys returns the contract's slot keys in ascending order.
-func (cs *contractSlots) sortedKeys() []Word {
-	if p := cs.order.Load(); p != nil {
-		return *p
-	}
-	keys := sortedMapKeys(cs.locs, cmpWord)
-	cs.order.Store(&keys)
-	return keys
+func (s slot) tombstone() bool { return s.vlen == 0 }
+
+// contractSlots is the run of one contract's live slots, ascending by key.
+// Readers only read it, so concurrent walks need no synchronization;
+// Commit, which the owner never runs beside a read, merges into it.
+type contractSlots []slot
+
+// find returns the position of key in the run, or where it would go.
+func (cs contractSlots) find(key Word) (int, bool) {
+	return slices.BinarySearchFunc(cs, key, func(s slot, k Word) int { return cmpWord(s.key, k) })
 }
 
 var _ Backend = (*File)(nil)
@@ -110,7 +116,7 @@ func OpenFile(dir string) (*File, error) {
 		dir:             dir,
 		segs:            make(map[uint32]*os.File),
 		accounts:        make(map[hashing.Address]loc),
-		slots:           make(map[hashing.Address]*contractSlots),
+		slots:           make(map[hashing.Address]contractSlots),
 		codes:           make(map[hashing.Hash]loc),
 		CompactMinBytes: defaultCompactMinBytes,
 	}
@@ -124,6 +130,7 @@ func OpenFile(dir string) (*File, error) {
 			return nil, err
 		}
 	}
+	f.settleRuns()
 	if len(ids) == 0 {
 		if err := f.openActive(0); err != nil {
 			return nil, err
@@ -173,7 +180,9 @@ func (f *File) openActive(id uint32) error {
 }
 
 // replaySegment loads one existing segment into the index. tail marks the
-// newest segment, whose last record may be torn.
+// newest segment, whose last record may be torn. Slot records only pile up
+// in their contract's run, in log order; settleRuns turns the piles into
+// runs once every segment is read.
 func (f *File) replaySegment(id uint32, tail bool) error {
 	path := segmentPath(f.dir, id)
 	data, err := os.ReadFile(path)
@@ -206,7 +215,9 @@ func (f *File) replaySegment(id uint32, tail bool) error {
 	return nil
 }
 
-// applyRecord folds one decoded record into the index.
+// applyRecord folds one decoded record into the index. A slot record, upsert
+// or tombstone, is appended to its contract's pile for settleRuns: only
+// replay passes slot records here.
 func (f *File) applyRecord(seg uint32, off int64, rec record, reclen int) {
 	l := loc{
 		seg:    seg,
@@ -225,33 +236,9 @@ func (f *File) applyRecord(seg uint32, off int64, rec record, reclen int) {
 		old, ok := f.accounts[addr]
 		delete(f.accounts, addr)
 		f.deleted(old, ok, reclen)
-	case recSlot:
-		addr, key := hashing.Address(rec.Key[:addrSize]), Word(rec.Key[addrSize:])
-		cs := f.slots[addr]
-		if cs == nil {
-			cs = &contractSlots{locs: make(map[Word]loc)}
-			f.slots[addr] = cs
-		}
-		old, ok := cs.locs[key]
-		cs.locs[key] = l
-		if !ok {
-			cs.order.Store(nil)
-		}
-		f.replaced(old, ok, reclen)
-	case recSlotDel:
-		addr, key := hashing.Address(rec.Key[:addrSize]), Word(rec.Key[addrSize:])
-		var old loc
-		var ok bool
-		if cs := f.slots[addr]; cs != nil {
-			if old, ok = cs.locs[key]; ok {
-				delete(cs.locs, key)
-				cs.order.Store(nil)
-				if len(cs.locs) == 0 {
-					delete(f.slots, addr)
-				}
-			}
-		}
-		f.deleted(old, ok, reclen)
+	case recSlot, recSlotDel:
+		addr := hashing.Address(rec.Key[:addrSize])
+		f.slots[addr] = append(f.slots[addr], slot{key: Word(rec.Key[addrSize:]), loc: l})
 	case recCode:
 		h := hashing.Hash(rec.Key)
 		old, ok := f.codes[h]
@@ -261,6 +248,43 @@ func (f *File) applyRecord(seg uint32, off int64, rec record, reclen int) {
 		copy(f.root[:], rec.Key)
 		f.hasRoot = true
 		f.deadBytes += int64(reclen) // markers are never live
+	}
+}
+
+// settleRuns turns every contract's pile of replayed slot records into its
+// run: one sort by key, then log position, after which the last record of
+// each key decides — a value is live, a tombstone drops the key — and every
+// other record of the key is dead, exactly as applying them one by one
+// would have counted it. A compacted segment holds each contract's slots
+// in key order already, so the sort mostly confirms.
+func (f *File) settleRuns() {
+	for addr, pile := range f.slots {
+		slices.SortFunc(pile, func(a, b slot) int {
+			if c := cmpWord(a.key, b.key); c != 0 {
+				return c
+			}
+			if a.seg != b.seg {
+				return cmp.Compare(a.seg, b.seg)
+			}
+			return cmp.Compare(a.off, b.off)
+		})
+		run := pile[:0]
+		for i, s := range pile {
+			if i+1 < len(pile) && pile[i+1].key == s.key || s.tombstone() {
+				f.deadBytes += int64(s.reclen)
+				continue
+			}
+			f.liveBytes += int64(s.reclen)
+			run = append(run, s)
+		}
+		switch {
+		case len(run) == 0:
+			delete(f.slots, addr)
+		case cap(run) > 2*len(run):
+			f.slots[addr] = slices.Clone(run)
+		default:
+			f.slots[addr] = run
+		}
 	}
 }
 
@@ -324,15 +348,12 @@ func (f *File) Account(addr hashing.Address) ([]byte, bool) {
 // Slot implements Backend.
 func (f *File) Slot(k SlotKey) (Word, bool) {
 	cs := f.slots[k.Addr]
-	if cs == nil {
-		return Word{}, false
-	}
-	l, ok := cs.locs[k.Key]
+	i, ok := cs.find(k.Key)
 	if !ok {
 		return Word{}, false
 	}
 	var w Word
-	f.mustRead(l.seg, l.off, w[:])
+	f.mustRead(cs[i].seg, cs[i].off, w[:])
 	return w, true
 }
 
@@ -359,16 +380,15 @@ func (f *File) IterateAccounts(fn func(addr hashing.Address, enc []byte) bool) {
 	}
 }
 
-// IterateStorage implements Backend. It walks addr's own keys only, and
-// fetches slots that sit back to back in a segment — a creation or a Move2
-// writes a contract's slots that way, in key order — with one read per run
+// IterateStorage implements Backend. It walks addr's run, and fetches slots
+// that sit back to back in a segment — a creation or a Move2 writes a
+// contract's slots that way, in key order — with one read per stretch
 // instead of one per slot.
 func (f *File) IterateStorage(addr hashing.Address, fn func(key, val Word) bool) {
 	cs := f.slots[addr]
-	if cs == nil {
+	if len(cs) == 0 {
 		return
 	}
-	keys := cs.sortedKeys()
 	bp := f.runBuf.Swap(nil)
 	if bp == nil {
 		buf := make([]byte, maxRunSlots*slotRecLen)
@@ -376,40 +396,37 @@ func (f *File) IterateStorage(addr hashing.Address, fn func(key, val Word) bool)
 	}
 	defer f.runBuf.Store(bp)
 	buf := *bp
-	for i := 0; i < len(keys); {
-		first := cs.locs[keys[i]]
+	for len(cs) > 0 {
 		n := 1
-		for last := first; i+n < len(keys) && n < maxRunSlots; n++ {
-			next := cs.locs[keys[i+n]]
-			if next.seg != last.seg || next.off != last.off+slotRecLen {
-				break
-			}
-			last = next
+		for n < len(cs) && n < maxRunSlots && cs[n].seg == cs[0].seg && cs[n].off == cs[n-1].off+slotRecLen {
+			n++
 		}
-		run := keys[i : i+n]
-		i += n
-		f.mustRead(first.seg, first.off, buf[:(n-1)*slotRecLen+wordSize])
-		for j, key := range run {
-			if !fn(key, Word(buf[j*slotRecLen:j*slotRecLen+wordSize])) {
+		f.mustRead(cs[0].seg, cs[0].off, buf[:(n-1)*slotRecLen+wordSize])
+		for j := range cs[:n] {
+			if !fn(cs[j].key, Word(buf[j*slotRecLen:j*slotRecLen+wordSize])) {
 				return
 			}
 		}
+		cs = cs[n:]
 	}
 }
 
 // SlotCount returns the number of live slots addr holds: the length of its
 // IterateStorage walk.
-func (f *File) SlotCount(addr hashing.Address) int {
-	if cs := f.slots[addr]; cs != nil {
-		return len(cs.locs)
-	}
-	return 0
-}
+func (f *File) SlotCount(addr hashing.Address) int { return len(f.slots[addr]) }
 
 // Commit implements Backend: append the batch and a commit marker to the
 // active segment, fold it into the index, and compact if the dead-byte
-// ratio warrants it.
+// ratio warrants it. batch.Slots must be strictly ascending by (address,
+// key), as Batch promises: each contract's changes are merged into its run
+// in one pass.
 func (f *File) Commit(root hashing.Hash, batch Batch) error {
+	for i := 1; i < len(batch.Slots); i++ {
+		a, b := batch.Slots[i-1].Key, batch.Slots[i].Key
+		if c := cmpAddr(a.Addr, b.Addr); c > 0 || c == 0 && cmpWord(a.Key, b.Key) >= 0 {
+			return fmt.Errorf("backend: commit: slot changes not strictly ascending at %d", i)
+		}
+	}
 	f.buf = f.buf[:0]
 	base := f.written
 	encOne := func(kind byte, key, value []byte) (int64, int) {
@@ -417,7 +434,6 @@ func (f *File) Commit(root hashing.Hash, batch Batch) error {
 		f.buf = appendRecord(f.buf, kind, key, value)
 		return base + int64(start), len(f.buf) - start
 	}
-	var slotKey [slotSize]byte
 	for _, ac := range batch.Accounts {
 		if ac.Cur != nil {
 			off, n := encOne(recAccount, ac.Addr[:], ac.Cur)
@@ -427,17 +443,28 @@ func (f *File) Commit(root hashing.Hash, batch Batch) error {
 			f.applyRecord(f.active, off, record{Kind: recAccountDel, Key: ac.Addr[:]}, n)
 		}
 	}
-	for _, sc := range batch.Slots {
-		copy(slotKey[:addrSize], sc.Key.Addr[:])
-		copy(slotKey[addrSize:], sc.Key.Key[:])
-		if sc.CurExists {
-			val := sc.Cur
-			off, n := encOne(recSlot, slotKey[:], val[:])
-			f.applyRecord(f.active, off, record{Kind: recSlot, Key: slotKey[:], Value: val[:]}, n)
-		} else {
-			off, n := encOne(recSlotDel, slotKey[:], nil)
-			f.applyRecord(f.active, off, record{Kind: recSlotDel, Key: slotKey[:]}, n)
+	var slotKey [slotSize]byte
+	for i := 0; i < len(batch.Slots); {
+		addr := batch.Slots[i].Key.Addr
+		copy(slotKey[:addrSize], addr[:])
+		changed := f.changed[:0]
+		for ; i < len(batch.Slots) && batch.Slots[i].Key.Addr == addr; i++ {
+			sc := &batch.Slots[i]
+			copy(slotKey[addrSize:], sc.Key.Key[:])
+			kind, value := byte(recSlotDel), []byte(nil)
+			if sc.CurExists {
+				kind, value = recSlot, sc.Cur[:]
+			}
+			off, n := encOne(kind, slotKey[:], value)
+			rec := record{Kind: kind, Key: slotKey[:], Value: value}
+			changed = append(changed, slot{key: sc.Key.Key, loc: loc{
+				seg:    f.active,
+				off:    off + int64(valueOffset(rec)),
+				vlen:   uint32(len(value)),
+				reclen: uint32(n),
+			}})
 		}
+		f.changed = f.mergeSlots(addr, changed)
 	}
 	for _, cb := range batch.Codes {
 		off, n := encOne(recCode, cb.Hash[:], cb.Code)
@@ -455,6 +482,74 @@ func (f *File) Commit(root hashing.Hash, batch Batch) error {
 		}
 	}
 	return nil
+}
+
+// mergeSlots folds one contract's changes, ascending by key (a tombstone
+// for a deletion), into its run and accounts for the bytes. An overwrite
+// replaces the key's loc in place. Deletions are then squeezed out in one
+// forward pass, and new keys merged in from the back in one backward pass,
+// so k changes to an n-slot run cost O(k log n) when they only overwrite
+// and O(n + k) otherwise — never a shift of the run per key. A change whose
+// key is at, or belongs at, the run position after the previous change's is
+// found without a search: a contract written or deleted whole costs O(n).
+// It returns changes emptied, for reuse.
+func (f *File) mergeSlots(addr hashing.Address, changes contractSlots) contractSlots {
+	cs := f.slots[addr]
+	added, dropped := changes[:0], 0
+	next := 0 // cs[:next] holds only keys below the next change's
+	for _, ch := range changes {
+		i, found := next, false
+		if i < len(cs) {
+			if c := cmpWord(cs[i].key, ch.key); c == 0 {
+				found = true
+			} else if c < 0 {
+				i, found = cs[i+1:].find(ch.key)
+				i += next + 1
+			}
+		}
+		next = i
+		if found {
+			next++
+		}
+		switch {
+		case ch.tombstone():
+			var old loc
+			if found {
+				old = cs[i].loc
+				cs[i].vlen = 0
+				dropped++
+			}
+			f.deleted(old, found, int(ch.reclen))
+		case found:
+			f.replaced(cs[i].loc, true, int(ch.reclen))
+			cs[i].loc = ch.loc
+		default:
+			f.replaced(loc{}, false, int(ch.reclen))
+			added = append(added, ch)
+		}
+	}
+	if dropped > 0 {
+		cs = slices.DeleteFunc(cs, func(s slot) bool { return s.tombstone() })
+	}
+	if len(added) > 0 {
+		n := len(cs)
+		cs = slices.Grow(cs, len(added))[:n+len(added)]
+		for i, j, w := n-1, len(added)-1, len(cs)-1; j >= 0; w-- {
+			if i >= 0 && cmpWord(cs[i].key, added[j].key) > 0 {
+				cs[w] = cs[i]
+				i--
+			} else {
+				cs[w] = added[j]
+				j--
+			}
+		}
+	}
+	if len(cs) == 0 {
+		delete(f.slots, addr)
+	} else {
+		f.slots[addr] = cs
+	}
+	return changes[:0]
 }
 
 // compact rewrites the live set into a fresh segment and deletes the old
@@ -501,7 +596,7 @@ func (f *File) compact() error {
 		}, nil
 	}
 	accounts := make(map[hashing.Address]loc, len(f.accounts))
-	slots := make(map[hashing.Address]*contractSlots, len(f.slots))
+	slots := make(map[hashing.Address]contractSlots, len(f.slots))
 	codes := make(map[hashing.Hash]loc, len(f.codes))
 	rewrite := func() error {
 		for _, addr := range sortedMapKeys(f.accounts, cmpAddr) {
@@ -513,18 +608,15 @@ func (f *File) compact() error {
 		}
 		var slotKey [slotSize]byte
 		for _, addr := range sortedMapKeys(f.slots, cmpAddr) {
-			old := f.slots[addr]
-			keys := old.sortedKeys()
-			cs := &contractSlots{locs: make(map[Word]loc, len(keys))}
-			cs.order.Store(&keys)
+			cs := slices.Clone(f.slots[addr])
 			copy(slotKey[:addrSize], addr[:])
-			for _, key := range keys {
-				copy(slotKey[addrSize:], key[:])
-				l, err := move(recSlot, slotKey[:], old.locs[key])
+			for i := range cs {
+				copy(slotKey[addrSize:], cs[i].key[:])
+				l, err := move(recSlot, slotKey[:], cs[i].loc)
 				if err != nil {
 					return err
 				}
-				cs.locs[key] = l
+				cs[i].loc = l
 			}
 			slots[addr] = cs
 		}
@@ -578,7 +670,7 @@ func (f *File) IterateCodes(fn func(h hashing.Hash, code []byte) bool) {
 func (f *File) LiveKeys() int {
 	n := len(f.accounts) + len(f.codes)
 	for _, cs := range f.slots {
-		n += len(cs.locs)
+		n += len(cs)
 	}
 	return n
 }

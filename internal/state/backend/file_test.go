@@ -385,8 +385,8 @@ func storeOf1000(t *testing.T) (*File, hashing.Address, []Word) {
 }
 
 // TestIterateStorageWarmAllocFree pins that a storage walk allocates
-// nothing once the store has walked the contract before: the sorted keys
-// are cached and the run buffer is the store's own.
+// nothing once the store has walked a contract before: the contract's run
+// is already in key order and the read buffer is the store's own.
 func TestIterateStorageWarmAllocFree(t *testing.T) {
 	f, contract, want := storeOf1000(t)
 	walk := func() {
@@ -409,8 +409,8 @@ func TestIterateStorageWarmAllocFree(t *testing.T) {
 }
 
 // TestIterateStorageConcurrentReaders runs eight walks of one contract at
-// once, cold, so they race for the sorted-key cache and the run buffer:
-// each must list exactly what a serial walk lists.
+// once, cold, so they race for the store's read buffer and share the
+// contract's run: each must list exactly what a serial walk lists.
 func TestIterateStorageConcurrentReaders(t *testing.T) {
 	f, contract, want := storeOf1000(t)
 	const readers = 8
@@ -484,4 +484,38 @@ func codeOf(f *File, h hashing.Hash) (code []byte, ok bool) {
 		return !ok
 	})
 	return code, ok
+}
+
+// BenchmarkCommitDeleteContract times one commit that deletes every slot
+// of a 50 000-slot contract, what pruning a moved-away contract's stale
+// copy writes. The contract is rewritten, untimed, before each one.
+func BenchmarkCommitDeleteContract(b *testing.B) {
+	const slots = 50_000
+	f, err := OpenFile(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	contract := tAddr(0xC0)
+	write, wipe := Batch{Slots: make([]SlotChange, slots)}, Batch{Slots: make([]SlotChange, slots)}
+	for i := range write.Slots {
+		var key Word
+		key[29], key[30], key[31] = byte(i>>16), byte(i>>8), byte(i)
+		write.Slots[i] = SlotChange{Key: SlotKey{Addr: contract, Key: key}, Cur: tWord(byte(i%251 + 1)), CurExists: true}
+		wipe.Slots[i] = SlotChange{Key: write.Slots[i].Key, Prev: write.Slots[i].Cur, PrevExisted: true}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := f.Commit(tRoot(1), write); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := f.Commit(tRoot(2), wipe); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := f.SlotCount(contract); n != 0 {
+		b.Fatalf("%d slots left", n)
+	}
 }

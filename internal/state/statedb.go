@@ -67,6 +67,9 @@ type DB struct {
 	slotDelta map[backend.SlotKey]prevSlot
 	// slotKeyScratch is the reusable sort scratch for appendSlotChanges.
 	slotKeyScratch []backend.SlotKey
+	// committedScratch is the reusable buffer committedStorage reads a
+	// wholesale-replaced account's committed storage into.
+	committedScratch []StorageEntry
 	// replaced holds, for every account whose storage was installed
 	// wholesale since the last Commit (Move2 import, SELFDESTRUCT, stale
 	// pruning), the tree that was live before the first install — nil when
@@ -845,13 +848,20 @@ func (db *DB) appendStorageDiff(slots []backend.SlotChange, addr hashing.Address
 // committedStorage returns what the last Commit left in the storage of an
 // account in replaced, ascending by key: the contents of the tree its first
 // install displaced (or the file store's slots when none was resident), with
-// the slots written before that install put back to their pre-images.
+// the slots written before that install put back to their pre-images. The
+// result is the DB's scratch, valid until the next call.
 func (db *DB) committedStorage(addr hashing.Address, written []backend.SlotKey) []StorageEntry {
-	var old []StorageEntry
+	old := db.committedScratch[:0]
 	if t := db.replaced[addr]; t != nil {
-		old = treeEntries(t)
+		t.Iterate(func(k, v []byte) bool {
+			old = append(old, StorageEntry{Key: evm.Word(k), Value: evm.Word(v)})
+			return true
+		})
 	} else if db.file != nil {
-		old = db.fileEntries(addr)
+		db.file.IterateStorage(addr, func(key, val backend.Word) bool {
+			old = append(old, StorageEntry{Key: key, Value: val})
+			return true
+		})
 	}
 	for _, sk := range written {
 		pre := db.slotDelta[sk]
@@ -867,6 +877,7 @@ func (db *DB) committedStorage(addr hashing.Address, written []backend.SlotKey) 
 			old = slices.Delete(old, i, i+1)
 		}
 	}
+	db.committedScratch = old
 	return old
 }
 
