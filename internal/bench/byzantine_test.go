@@ -7,25 +7,33 @@ import (
 	"strings"
 	"testing"
 
+	"scmove/internal/journal"
 	"scmove/internal/oracle"
 )
 
 // byzantineFingerprint runs the Byzantine cell once, with the safety oracle
 // checking every committed block, and reduces it to its simulated-results
 // fingerprint.
-func byzantineFingerprint(t *testing.T, metricsOn bool) (*ByzantineResult, string) {
+func byzantineFingerprint(t *testing.T, metricsOn bool) (*ByzantineResult, string, *journal.Journal) {
 	t.Helper()
 	cfg := DefaultByzantineConfig()
 	cfg.Moves = 2
 	cfg.Metrics = metricsOn
 	var res *ByzantineResult
-	oracle.During(t, &inspectUniverse, func() {
+	j := oracle.During(t, &inspectUniverse, func() {
 		var err error
 		if res, err = RunByzantine(cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
-	return res, res.Fingerprint()
+	for i, d := range res.Latency {
+		j.Tail("move", i+1, "latency", d)
+	}
+	for _, root := range res.Roots {
+		j.Tail("root", root)
+	}
+	j.Counters(res.Counters)
+	return res, res.Fingerprint(), j
 }
 
 // TestByzantineCellInvariants exercises the full adversarial scenario once:
@@ -34,7 +42,7 @@ func byzantineFingerprint(t *testing.T, metricsOn bool) (*ByzantineResult, strin
 // safety invariants (all rejections, evidence recorded, consensus alive);
 // the test pins the shape of the result on top.
 func TestByzantineCellInvariants(t *testing.T) {
-	res, fp := byzantineFingerprint(t, false)
+	res, fp, _ := byzantineFingerprint(t, false)
 	if got := len(res.Latency); got != 2 {
 		t.Fatalf("completed moves = %d, want 2", got)
 	}
@@ -68,37 +76,38 @@ func TestByzantineCellInvariants(t *testing.T) {
 // votes, and an equivocating validator's evidence.
 const byzantineCellDigest = "02ea980fcb51ad45234c887da17c4b1b4aaf4304da81efc41adf914c78866f48"
 
+// byzantineCellJournal is the digest of the two-Move Byzantine cell's
+// journal.
+const byzantineCellJournal = "691fdb19415d689c5c64d58cdf59946c00c1eaaa19774c33606c19c4f1c19fa1"
+
 // TestByzantineDeterminism is the determinism contract under active
-// corruption: the same seed must produce byte-identical latencies, final
-// state roots, and fault counters at GOMAXPROCS 1, 2, and the host's CPU
-// count, with the observability layer on or off — and that fingerprint must
-// hash to byzantineCellDigest. Corruption decisions and tamper bytes all
-// come from seeded RNGs keyed by event index, so any divergence means a
-// fault drew from a nondeterministic source. Wired into `make detsmoke`.
+// corruption: the same seed must produce the same journal — every committed
+// block, then the per-Move latencies, final state roots and fault counters —
+// at GOMAXPROCS 1, 2, and the host's CPU count, with the observability layer
+// on or off, and that journal must hash to byzantineCellJournal. Corruption
+// decisions and tamper bytes all come from seeded RNGs keyed by event
+// index, so any divergence means a fault drew from a nondeterministic
+// source. Wired into `make detsmoke`.
 func TestByzantineDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-GOMAXPROCS byzantine runs are slow in -short mode")
 	}
-	procs := []int{1, 2, runtime.NumCPU()}
-	baseline := ""
-	for _, p := range procs {
+	var base *journal.Journal
+	baseFP := ""
+	for _, p := range []int{1, 2, runtime.NumCPU()} {
 		prev := runtime.GOMAXPROCS(p)
-		_, off := byzantineFingerprint(t, false)
-		_, on := byzantineFingerprint(t, true)
+		_, offFP, off := byzantineFingerprint(t, false)
+		_, _, on := byzantineFingerprint(t, true)
 		runtime.GOMAXPROCS(prev)
-		if off != on {
-			t.Fatalf("GOMAXPROCS=%d: enabling metrics changed simulated results\noff:\n%son:\n%s", p, off, on)
-		}
-		if baseline == "" {
-			baseline = off
-		} else if off != baseline {
-			t.Fatalf("GOMAXPROCS=%d: results diverged from GOMAXPROCS=%d\nbase:\n%sgot:\n%s",
-				p, procs[0], baseline, off)
+		journal.Same(t, fmt.Sprintf("GOMAXPROCS=%d, metrics off and on", p), off, on)
+		if base == nil {
+			base, baseFP = off, offFP
+		} else {
+			journal.Same(t, fmt.Sprintf("GOMAXPROCS=1 and %d", p), base, off)
 		}
 	}
-	got := fmt.Sprintf("%x", sha256.Sum256([]byte(baseline)))
-	t.Logf("identity: %s %s", t.Name(), got)
-	if got != byzantineCellDigest {
-		t.Fatalf("fingerprint digest %s, want %s:\n%s", got, byzantineCellDigest, baseline)
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(baseFP))); got != byzantineCellDigest {
+		t.Fatalf("fingerprint digest %s, want %s", got, byzantineCellDigest)
 	}
+	base.Check(t, byzantineCellJournal)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"scmove/internal/journal"
 	"scmove/internal/metrics"
 	"scmove/internal/oracle"
 )
@@ -18,17 +19,21 @@ import (
 // (metrics.ProcessCounter: loop waits are wall time; every other counter is
 // driven solely by this run's seeded RNGs). The
 // safety oracle checks every committed block of the run.
-func chaosFingerprint(t *testing.T, metricsOn, trace bool) string {
+func chaosFingerprint(t *testing.T, metricsOn, trace bool) (string, *journal.Journal) {
 	t.Helper()
 	cfg := ChaosConfig{DropRate: 0.20, DupRate: 0.20, Seed: 12345, Moves: 2,
 		Metrics: metricsOn, Trace: trace}
 	var res *ChaosResult
-	oracle.During(t, &inspectUniverse, func() {
+	j := oracle.During(t, &inspectUniverse, func() {
 		var err error
 		if res, err = RunChaos(cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
+	for i, d := range res.Latency {
+		j.Tail("move", i+1, "latency", d)
+	}
+	j.Counters(res.Counters)
 	var sb strings.Builder
 	for i, d := range res.Latency {
 		fmt.Fprintf(&sb, "move%d=%d\n", i+1, int64(d))
@@ -43,36 +48,34 @@ func chaosFingerprint(t *testing.T, metricsOn, trace bool) string {
 	for _, name := range names {
 		fmt.Fprintf(&sb, "%s=%d\n", name, res.Counters[name])
 	}
-	return sb.String()
+	return sb.String(), j
 }
 
 // TestMetricsDoNotPerturbSimulation is the determinism contract of the
 // observability layer: running the chaos scenario with histograms, gauges,
-// and span tracing fully enabled must produce byte-identical simulated
-// results to running with the layer off — at GOMAXPROCS 1, 2, and the
-// host's CPU count alike. Recording only reads state inside callbacks that
-// already run, so any divergence means an instrumentation point scheduled
-// an event, drew randomness, or mutated simulation state.
+// and span tracing fully enabled must produce the journal of running with
+// the layer off — at GOMAXPROCS 1, 2, and the host's CPU count alike.
+// Recording only reads state inside callbacks that already run, so any
+// divergence means an instrumentation point scheduled an event, drew
+// randomness, or mutated simulation state.
 func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-GOMAXPROCS chaos runs are slow in -short mode")
 	}
-	procs := []int{1, 2, runtime.NumCPU()}
-	baseline := ""
-	for _, p := range procs {
+	var base *journal.Journal
+	for _, p := range []int{1, 2, runtime.NumCPU()} {
 		prev := runtime.GOMAXPROCS(p)
-		off := chaosFingerprint(t, false, false)
-		on := chaosFingerprint(t, true, true)
+		offFP, off := chaosFingerprint(t, false, false)
+		onFP, on := chaosFingerprint(t, true, true)
 		runtime.GOMAXPROCS(prev)
-		if off != on {
-			t.Fatalf("GOMAXPROCS=%d: enabling metrics+trace changed simulated results\noff:\n%son:\n%s",
-				p, off, on)
+		if offFP != onFP {
+			t.Fatalf("old fingerprint differs")
 		}
-		if baseline == "" {
-			baseline = off
-		} else if off != baseline {
-			t.Fatalf("GOMAXPROCS=%d: simulated results diverged from GOMAXPROCS=%d run\nbase:\n%sgot:\n%s",
-				p, procs[0], baseline, off)
+		journal.Same(t, fmt.Sprintf("GOMAXPROCS=%d, metrics and trace off and on", p), off, on)
+		if base == nil {
+			base = off
+		} else {
+			journal.Same(t, fmt.Sprintf("GOMAXPROCS=1 and %d", p), base, off)
 		}
 	}
 }
@@ -81,30 +84,31 @@ func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 // on, no trace), computed at commit 95d553f.
 const chaosCellDigest = "0812c3dba8bd794d1103ca3524445b21f11a77b2ff942858c127b070ad50ea90"
 
+// chaosCellJournal is the digest of the chaos cell's journal (metrics on,
+// no trace).
+const chaosCellJournal = "cb79f2cbe5b5c61baa1d812b472c4d3d7de79a843b4ba14d01d1198cd5169c68"
+
 // TestChaosCellCrossGOMAXPROCS is the chaos cell of the determinism suite:
 // the full fault-injected Move scenario (20% drops, 20% duplicates on every
-// path) must produce identical simulated results on one CPU and on all of
-// them — sender pre-recovery and the harness fan out across the worker
-// pool; what they compute may not depend on it — and those results must
-// hash to chaosCellDigest.
+// path) must produce the same journal — every committed block, then the
+// per-Move latencies and the counter table — on one CPU and on all of them
+// (sender pre-recovery and the harness fan out across the worker pool; what
+// they compute may not depend on it), and that journal must hash to
+// chaosCellJournal.
 func TestChaosCellCrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-GOMAXPROCS chaos runs are slow in -short mode")
 	}
 	prev := runtime.GOMAXPROCS(1)
-	serial := chaosFingerprint(t, true, false)
+	serialFP, serial := chaosFingerprint(t, true, false)
 	runtime.GOMAXPROCS(runtime.NumCPU())
-	parallel := chaosFingerprint(t, true, false)
+	_, parallel := chaosFingerprint(t, true, false)
 	runtime.GOMAXPROCS(prev)
-	if serial != parallel {
-		t.Fatalf("GOMAXPROCS changed simulated chaos results\none CPU:\n%sall CPUs:\n%s",
-			serial, parallel)
+	journal.Same(t, "GOMAXPROCS=1 and NumCPU", serial, parallel)
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(serialFP))); got != chaosCellDigest {
+		t.Fatalf("fingerprint digest %s, want %s", got, chaosCellDigest)
 	}
-	got := fmt.Sprintf("%x", sha256.Sum256([]byte(serial)))
-	t.Logf("identity: %s %s", t.Name(), got)
-	if got != chaosCellDigest {
-		t.Fatalf("fingerprint digest %s, want %s:\n%s", got, chaosCellDigest, serial)
-	}
+	serial.Check(t, chaosCellJournal)
 }
 
 // TestChaosStageHistogramsPopulated pins the end-to-end wiring: a chaos run

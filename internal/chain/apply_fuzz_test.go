@@ -6,13 +6,13 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"scmove/internal/evm/asm"
 	"scmove/internal/hashing"
+	"scmove/internal/journal"
 	"scmove/internal/keys"
 	"scmove/internal/metrics"
 	"scmove/internal/types"
@@ -132,8 +132,9 @@ func buildFuzzTraffic(t *testing.T, seed int64, chainID hashing.ChainID) [][]*ty
 
 // runFuzzChain replays the block stream on a fresh chain (observer attached,
 // so the observability hooks run too) and returns every commit root, header
-// hash, and receipt.
-func runFuzzChain(t *testing.T, cfg Config, blocks [][]*types.Transaction) ([]hashing.Hash, []hashing.Hash, []*types.Receipt) {
+// hash, and receipt, and the run's journal: a line per block, then the
+// state root after the last one.
+func runFuzzChain(t *testing.T, cfg Config, blocks [][]*types.Transaction) ([]hashing.Hash, []hashing.Hash, []*types.Receipt, *journal.Journal) {
 	t.Helper()
 	kps := fuzzSenders()
 	c := newChain(t, cfg, nil, kps[0])
@@ -147,16 +148,20 @@ func runFuzzChain(t *testing.T, cfg Config, blocks [][]*types.Transaction) ([]ha
 	db.Commit()
 	c.SetObserver(metrics.NewRegistry(), func() time.Duration { return 0 })
 
+	var j journal.Journal
 	var roots, headers []hashing.Hash
 	var receipts []*types.Receipt
+	var root hashing.Hash
 	for i, blk := range blocks {
 		b, recs := c.ApplyBlock(blk, uint64(1000+i), ProposerAddress(cfg.ChainID, 0))
-		root, _ := c.RootAt(b.Header.Height)
+		j.Block(b, recs)
+		root, _ = c.RootAt(b.Header.Height)
 		roots = append(roots, root)
 		headers = append(headers, b.Header.Hash())
 		receipts = append(receipts, recs...)
 	}
-	return roots, headers, receipts
+	j.Tail("root", fmt.Sprintf("%x", root))
+	return roots, headers, receipts, &j
 }
 
 // fuzzDigest folds every root, header hash and receipt field of a run —
@@ -210,44 +215,50 @@ var fuzzTrafficDigests = map[string]string{
 	"iavl/3": "42837d3772c2b1d7a79ded6f9e939bbd317cb93a7066d70cb2add5ae5707133b",
 }
 
+// fuzzTrafficJournals are the digests of the fuzz traffic's journals per
+// tree kind and seed.
+var fuzzTrafficJournals = map[string]string{
+	"mpt/1":  "91c6abfb0cae2ca8745c7ff7336febf7e7e610dd7c2e8700ff3baddf85085643",
+	"mpt/2":  "bc7e36a8b4153bf477b79038e63b19723bd358305a3f59ee6101a5c1e3343a7b",
+	"mpt/3":  "c0ed50c7147a69bcca4b90a73475d21fd8e02786a2b8544a6d006b6b04531bed",
+	"iavl/1": "f4891a370e8b8b536b5a73e5a226db6833b214577a0d9d224bf4365dfbdfb049",
+	"iavl/2": "6539894fac09dc35f7c03a6a9496584f5826fd1702866c5096368fb45f3f95cb",
+	"iavl/3": "2194a375f322ed8a806da76f85c2a88af4f237fddae241a74c464ec5dc8c4876",
+}
+
 // TestApplyBlockFuzzTraffic replays randomized traffic — conflicts,
 // failures, forgeries, duplicates, self-destructs, creates, chaotic block
-// sizes — and requires bit-identical roots, header hashes and receipts at
-// every GOMAXPROCS (sender pre-recovery fans out), and equal to the pinned
-// digest: a change to what any transaction does to state or reports in its
-// receipt fails here, not only in an end-to-end fingerprint.
+// sizes — and requires the same journal (roots, header hashes and
+// receipts) at every GOMAXPROCS (sender pre-recovery fans out), hashing to
+// the pinned digest: a change to what any transaction does to state or
+// reports in its receipt fails here, not only in an end-to-end cell.
 func TestApplyBlockFuzzTraffic(t *testing.T) {
 	for _, cfgOf := range []func(hashing.ChainID) Config{ethConfig, burrowConfig} {
 		cfg := cfgOf(1)
 		name := cfg.TreeKind.String()
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				var wantRoots, wantHeaders []hashing.Hash
-				var wantRecs []*types.Receipt
-				for i, procs := range []int{1, 2, 4, runtime.NumCPU()} {
-					prev := runtime.GOMAXPROCS(procs)
-					roots, headers, recs := runFuzzChain(t, cfg, buildFuzzTraffic(t, seed, cfg.ChainID))
-					runtime.GOMAXPROCS(prev)
-					if i == 0 {
-						wantRoots, wantHeaders, wantRecs = roots, headers, recs
-						continue
+				t.Run(fmt.Sprint(seed), func(t *testing.T) {
+					var first *journal.Journal
+					var wantRoots, wantHeaders []hashing.Hash
+					var wantRecs []*types.Receipt
+					for i, procs := range []int{1, 2, 4, runtime.NumCPU()} {
+						prev := runtime.GOMAXPROCS(procs)
+						roots, headers, recs, j := runFuzzChain(t, cfg, buildFuzzTraffic(t, seed, cfg.ChainID))
+						runtime.GOMAXPROCS(prev)
+						if i == 0 {
+							first = j
+							wantRoots, wantHeaders, wantRecs = roots, headers, recs
+							continue
+						}
+						journal.Same(t, fmt.Sprintf("GOMAXPROCS=1 and %d", procs), first, j)
 					}
-					if !reflect.DeepEqual(roots, wantRoots) {
-						t.Fatalf("seed %d GOMAXPROCS=%d: state roots diverge", seed, procs)
+					key := fmt.Sprintf("%s/%d", name, seed)
+					if got := fuzzDigest(wantRoots, wantHeaders, wantRecs); got != fuzzTrafficDigests[key] {
+						t.Fatalf("%s: digest %s, pinned %s", key, got, fuzzTrafficDigests[key])
 					}
-					if !reflect.DeepEqual(headers, wantHeaders) {
-						t.Fatalf("seed %d GOMAXPROCS=%d: header hashes diverge", seed, procs)
-					}
-					if !reflect.DeepEqual(recs, wantRecs) {
-						t.Fatalf("seed %d GOMAXPROCS=%d: receipts diverge", seed, procs)
-					}
-				}
-				key := fmt.Sprintf("%s/%d", name, seed)
-				got := fuzzDigest(wantRoots, wantHeaders, wantRecs)
-				t.Logf("identity: TestApplyBlockFuzzTraffic/%s %s", key, got)
-				if got != fuzzTrafficDigests[key] {
-					t.Fatalf("%s: digest %s, pinned %s", key, got, fuzzTrafficDigests[key])
-				}
+					first.Check(t, fuzzTrafficJournals[key])
+				})
 			}
 		})
 	}

@@ -9,23 +9,28 @@
 //     ever goes back.
 //
 // Only tests import it. It reads state through the chains' query accessors
-// and changes nothing, so a cell's fingerprint is the same with it attached.
+// and changes nothing, so a cell's journal is the same with it attached; it
+// writes that journal (internal/journal) from the same block listener.
 package oracle
 
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"scmove/internal/chain"
 	"scmove/internal/core"
 	"scmove/internal/hashing"
+	"scmove/internal/journal"
 	"scmove/internal/types"
 )
 
-// Universe is what Attach needs of a universe: its chains in order.
+// Universe is what Attach needs of a universe: its chains in order and its
+// simulated clock.
 type Universe interface {
 	ChainIDs() []hashing.ChainID
 	Chain(hashing.ChainID) *chain.Chain
+	Now() time.Duration
 }
 
 // copyState is one chain's copy of a contract as the oracle last read it.
@@ -57,6 +62,9 @@ type Oracle struct {
 	blocks     int
 	locks      int
 	violations []error
+	// Journal has a line for every block the oracle checked, in commit
+	// order, each stamped with the simulated instant of its commit.
+	Journal *journal.Journal
 }
 
 // Attach registers the oracle as a block listener on every chain of u. It
@@ -68,6 +76,7 @@ func Attach(u Universe) *Oracle {
 	o := &Oracle{
 		chains:    map[hashing.ChainID]*chain.Chain{},
 		contracts: map[hashing.Address]*record{},
+		Journal:   &journal.Journal{Now: u.Now},
 	}
 	for _, id := range u.ChainIDs() {
 		c := u.Chain(id)
@@ -94,10 +103,11 @@ func (o *Oracle) Check(tb testing.TB) {
 }
 
 // During sets *hook to attach an oracle to the universe that run builds,
-// runs run, and then checks the oracle; hook is the test seam of the code
-// under test (workload.inspectUniverse, bench.inspectUniverse). It reports
-// also when run itself failed, and fails tb if run built no universe.
-func During[U Universe](tb testing.TB, hook *func(U), run func()) {
+// runs run, checks the oracle and returns its journal; hook is the test seam
+// of the code under test (workload.inspectUniverse, bench.inspectUniverse).
+// It reports also when run itself failed, and fails tb if run built no
+// universe.
+func During[U Universe](tb testing.TB, hook *func(U), run func()) *journal.Journal {
 	tb.Helper()
 	var o *Oracle
 	*hook = func(u U) { o = Attach(u) }
@@ -110,6 +120,10 @@ func During[U Universe](tb testing.TB, hook *func(U), run func()) {
 		o.Check(tb)
 	}()
 	run()
+	if o == nil {
+		return new(journal.Journal)
+	}
+	return o.Journal
 }
 
 func (o *Oracle) failf(x hashing.ChainID, height uint64, format string, args ...any) {
@@ -146,6 +160,7 @@ func (o *Oracle) track(x hashing.ChainID, contract hashing.Address, before copyS
 }
 
 func (o *Oracle) onBlock(x hashing.ChainID, b *types.Block, receipts []*types.Receipt) {
+	o.Journal.Block(b, receipts)
 	o.blocks++
 	h := b.Header.Height
 	var installed []hashing.Address

@@ -24,6 +24,8 @@ func (c rigChains) Chain(id hashing.ChainID) *chain.Chain {
 	return c.r.dst
 }
 
+func (c rigChains) Now() time.Duration { return c.r.sched.Now() }
+
 // TestCrashAtEveryStep crashes the relayer at every point of a Move, MPT →
 // IAVL and IAVL → MPT. The crash points are the events Mover.handle
 // delivers: an uncrashed Move handles n of them, and for every k up to n

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"scmove/internal/hashing"
+	"scmove/internal/journal"
 	"scmove/internal/metrics"
 	"scmove/internal/simclock"
 	"scmove/internal/simnet"
@@ -255,6 +256,9 @@ func TestDeterministicRuns(t *testing.T) {
 // commit 95d553f.
 const faultyClusterDigest = "0036b8917bf495a8f9f7ab4ef0a2614733bcd9b029b6ab5674e79878493fd321"
 
+// faultyClusterJournal is the digest of the faulty cluster's journal.
+const faultyClusterJournal = "c17701ee6f19d9a0539c72f075d94e233b015800d3aa69a0b23d79bc8c83fc48"
+
 // faultyClusterFingerprint runs ten validators for fifteen simulated minutes
 // under every fault the network and the cluster inject — drops, duplicates,
 // reordering, tampered proposals and votes, a lossy per-link override, a
@@ -262,7 +266,7 @@ const faultyClusterDigest = "0036b8917bf495a8f9f7ab4ef0a2614733bcd9b029b6ab5674e
 // validator equivocating both proposals and votes — and reduces the run to
 // its commits, the evidence in detection order, where each validator stands
 // and the network's fault counts.
-func faultyClusterFingerprint(t *testing.T) (string, *Cluster, *simnet.Network) {
+func faultyClusterFingerprint(t *testing.T) (string, *journal.Journal, *Cluster, *simnet.Network) {
 	t.Helper()
 	sched := simclock.New()
 	net := simnet.New(sched, simnet.Config{
@@ -303,7 +307,18 @@ func faultyClusterFingerprint(t *testing.T) (string, *Cluster, *simnet.Network) 
 		fmt.Fprintf(&sb, "validator %d: height %d round %d\n", v.index, v.height, v.round)
 	}
 	fmt.Fprintf(&sb, "wan %+v\n", net.FaultStats())
-	return sb.String(), cluster, net
+	var j journal.Journal
+	for _, h := range app.order {
+		j.Tail("commit", h, "at", app.times[h], "payload", hashing.Sum(app.commits[h]))
+	}
+	for _, ev := range cluster.Evidence() {
+		j.Tail("evidence", fmt.Sprintf("%+v", ev))
+	}
+	for _, v := range cluster.validators {
+		j.Tail("validator", v.index, "height", v.height, "round", v.round)
+	}
+	j.Tail("wan", fmt.Sprintf("%+v", net.FaultStats()))
+	return sb.String(), &j, cluster, net
 }
 
 // TestFaultyClusterDigest pins the vote tables, the evidence rules and every
@@ -311,7 +326,7 @@ func faultyClusterFingerprint(t *testing.T) (string, *Cluster, *simnet.Network) 
 // of them and its fingerprint must hash to faultyClusterDigest. Wired into
 // `make detsmoke`.
 func TestFaultyClusterDigest(t *testing.T) {
-	fp, cluster, net := faultyClusterFingerprint(t)
+	fp, j, cluster, net := faultyClusterFingerprint(t)
 	var proposals, votes int
 	for _, ev := range cluster.Evidence() {
 		if ev.Proposal {
@@ -327,10 +342,10 @@ func TestFaultyClusterDigest(t *testing.T) {
 			cluster.CommittedHeight(), proposals, votes, s)
 	}
 	got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp)))
-	t.Logf("identity: %s %s", t.Name(), got)
 	if got != faultyClusterDigest {
 		t.Fatalf("fingerprint digest %s, want %s:\n%.2000s", got, faultyClusterDigest, fp)
 	}
+	j.Check(t, faultyClusterJournal)
 }
 
 // TestVoteTablesBoundedByCurrentHeight runs a long chain with an

@@ -62,17 +62,22 @@ func deployStores(tb testing.TB, cfg Config, sizes ...uint64) (*Universe, []hash
 // computed at commit a52d732.
 const movePingPongDigest = "a7a24bbb9beb779f8c75bcbc4db9d78428684ba334ef90a489b0b5039df70d37"
 
+// movePingPongJournal is the digest of TestMovePingPongDigest's journal.
+const movePingPongJournal = "7e9f62210b7d24ba92cae6871b83b246a301ca6809e45d7912f6aab797e65824"
+
 // TestMovePingPongDigest pins the Move timeline the benchmark's move_store
 // workload measures, inside `go test ./...`: Store-10, Store-200 and
 // Store-1000 each moved MPT → IAVL and straight back, four times over, 24 Moves
 // alternating direction, with two resident storage trees on the file
-// backend so installs evict. Every Move's simulated start and end, its Move1
-// and Move2 gas, and both chains' head hashes after it go into one sha256.
-// A change that moves a simulated event, a gas figure or a committed root
-// fails here. The safety oracle checks every committed block.
+// backend so installs evict. The journal holds every block both chains
+// commit during the Moves, then each Move's simulated start and end and its
+// Move1 and Move2 gas. A change that moves a simulated event, a gas figure
+// or a committed root fails here. The safety oracle checks every committed
+// block.
 func TestMovePingPongDigest(t *testing.T) {
 	u, addrs := newPingPong(t, 2, 10, 200, 1000)
-	defer oracle.Attach(u).Check(t)
+	o := oracle.Attach(u)
+	defer o.Check(t)
 	ids := u.ChainIDs()
 	h := sha256.New()
 	u64 := func(v uint64) { h.Write(binary.BigEndian.AppendUint64(nil, v)) }
@@ -82,6 +87,7 @@ func TestMovePingPongDigest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("move %d %s -> %s: %v", i, src, dst, err)
 		}
+		o.Journal.Tail("move", i, "started", res.StartedAt, "move2", res.Move2At, "gas", res.Move1Gas, res.Move2Gas)
 		u64(uint64(res.StartedAt))
 		u64(uint64(res.Move2At))
 		u64(res.Move1Gas)
@@ -91,11 +97,10 @@ func TestMovePingPongDigest(t *testing.T) {
 			h.Write(head[:])
 		}
 	}
-	got := hex.EncodeToString(h.Sum(nil))
-	t.Logf("identity: %s %s", t.Name(), got)
-	if got != movePingPongDigest {
+	if got := hex.EncodeToString(h.Sum(nil)); got != movePingPongDigest {
 		t.Fatalf("Move timeline digest %s, pinned %s", got, movePingPongDigest)
 	}
+	o.Journal.Check(t, movePingPongJournal)
 }
 
 // TestMoveStoreFirst256 pins the repository benchmark's move_store at

@@ -789,6 +789,9 @@ func (u *Universe) Mover(src, dst hashing.ChainID) *relay.Mover {
 	return m
 }
 
+// Now returns the simulated time.
+func (u *Universe) Now() time.Duration { return u.Sched.Now() }
+
 // Run advances the simulation by d.
 func (u *Universe) Run(d time.Duration) {
 	u.Sched.RunUntil(u.Sched.Now() + d)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"scmove/internal/journal"
 	"scmove/internal/oracle"
 	"scmove/internal/types"
 	"scmove/internal/universe"
@@ -35,13 +36,19 @@ func kittiesFingerprint(r *KittiesResult) string {
 	return b.String()
 }
 
+// kittiesCellJournal is the digest of the Kitties cell's journal.
+const kittiesCellJournal = "60c63898d57c74634fc8c03695b1bf8172f36f3472e9c15d4fa9cd66a4f2a087"
+
 // TestKittiesReplayCrossGOMAXPROCSDeterminism replays the same seeded trace
 // serially and with the parallel signing/recovery/commit pipeline enabled,
-// and pins every outcome to kittiesCellDigest: deferred signing fixes tx
-// ids before any event can order on them, sender recovery and subtree
-// hashing land by input position, so parallelism may only change wall
-// clock. The safety oracle checks every committed block of each run.
+// and pins every outcome to kittiesCellJournal: the journal of every
+// committed block, then the result's throughput, simulated duration, the
+// four counts and the starvation markers. Deferred signing fixes tx ids
+// before any event can order on them, sender recovery and subtree hashing
+// land by input position, so parallelism may only change wall clock. The
+// safety oracle checks every committed block of each run.
 func TestKittiesReplayCrossGOMAXPROCSDeterminism(t *testing.T) {
+	var first *journal.Journal
 	seen := map[int]bool{}
 	for _, procs := range []int{1, 2, runtime.NumCPU()} {
 		if seen[procs] {
@@ -50,7 +57,7 @@ func TestKittiesReplayCrossGOMAXPROCSDeterminism(t *testing.T) {
 		seen[procs] = true
 		prev := runtime.GOMAXPROCS(procs)
 		var res *KittiesResult
-		oracle.During(t, &inspectUniverse, func() {
+		j := oracle.During(t, &inspectUniverse, func() {
 			var err error
 			res, err = RunKitties(KittiesConfig{
 				Shards: 2, Users: 8, PromoCats: 30, Breeds: 60,
@@ -61,15 +68,23 @@ func TestKittiesReplayCrossGOMAXPROCSDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		j.Tail("result", "throughput", res.Throughput, "sim", res.SimDuration, "txs", res.TxsCommitted,
+			"ops", res.OpsCompleted, "failed", res.FailedOps, "cross", res.CrossRate)
+		for _, id := range slices.Sorted(maps.Keys(res.StarvedAt)) {
+			j.Tail("starved", id, "at", res.StarvedAt[id])
+		}
 		fp := kittiesFingerprint(res)
 		got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp)))
-		if procs == 1 {
-			t.Logf("identity: %s %s", t.Name(), got)
-		}
 		if got != kittiesCellDigest {
 			t.Fatalf("GOMAXPROCS=%d: fingerprint digest %s, want %s:\n%s", procs, got, kittiesCellDigest, fp)
 		}
+		if first == nil {
+			first = j
+		} else {
+			journal.Same(t, fmt.Sprintf("GOMAXPROCS=1 and %d", procs), first, j)
+		}
 	}
+	first.Check(t, kittiesCellJournal)
 }
 
 // TestKittiesReplayRound0 pins the repository benchmark's kitties_replay
