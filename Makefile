@@ -100,6 +100,15 @@ benchtest:
 # name, or moves at a nonce that does not grow; the cells' digests hold with
 # it attached.
 #
+# Every digest cell but the sharded one pins the sha256 of its block journal
+# (internal/journal, DESIGN §18): one line per committed block per chain
+# (written by the oracle's block listener in the universe cells), then the
+# cell's tail lines. A cross-GOMAXPROCS or metrics on/off comparison that
+# parts prints the first differing line; a moved pin prints the first line
+# where the run parts from the journal the last passing run left under
+# os.TempDir()/scmove-journal/. The journal's own tests pin its line format on a
+# hand-built two-block chain and its first-difference report.
+#
 # `go test -run 'A|B'` passes when a name matches nothing, so the target
 # first checks every listed name against `go test -list`: a test that is
 # deleted, renamed or misspelt fails the gate instead of narrowing it.
@@ -130,8 +139,9 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestDecodeFrameInPlace TestProposalFrameDecodesInPlace TestSendAndStepAllocateNothing \
 	TestBFTCommitCatchesEditedProposal TestWireBytesPinned \
 	TestMove2HomeCommitAllocationFlat TestExpectedMove2CatchesEditedPayload \
-	TestReadFramesAllocateOnlyBodies
-DETSMOKE_PKGS = ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
+	TestReadFramesAllocateOnlyBodies TestJournalGolden TestJournalNamesFirstDifference \
+	TestCheckNamesLineAgainstReference
+DETSMOKE_PKGS = ./internal/journal/ ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/relay/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/ \
 	./internal/state/backend/ ./internal/mpt/ ./internal/simnet/
@@ -143,14 +153,16 @@ detsmoke:
 	$(GO) test -run "^($$(echo $(DETSMOKE_TESTS) | tr ' ' '|'))\$$" $(DETSMOKE_PKGS)
 
 # identity prints every pinned value of simulated behaviour, one
-# `identity: <test> <value>` line each, sorted: the digest tests of detsmoke
-# (fuzz traffic per seed, the Kitties, chaos, Byzantine, 16-chain sharded and
-# faulty-cluster cells, the Move ping-pong timeline, the benchmark's seed-1
-# kitties_replay round 0 and move_store first 256 Moves) and the benchmark's
+# `identity: <test> <value>` line each, sorted: the journal digests of the
+# detsmoke cells (fuzz traffic per tree kind and seed, the faulty cluster, the
+# chaos, Byzantine and Kitties cells, the Move ping-pong timeline), the
+# 16-chain sharded cell's fingerprint digest, the benchmark's seed-1
+# kitties_replay round 0 and move_store first 256 Moves, and the benchmark's
 # seed-1 shard_migrate round 0 (TestShardMigrateRound0). Each test logs the
 # value it computed before comparing it with its pin, so two commits whose
-# outputs diff clean behave identically on every pinned run. It fails if a
-# test fails or a listed test logs no line.
+# outputs diff clean behave identically on every pinned run; where a journal
+# digest moved, the test's failure names the first line that parted. It
+# fails if a test fails or a listed test logs no line.
 IDENTITY_TESTS = TestApplyBlockFuzzTraffic TestFaultyClusterDigest \
 	TestChaosCellCrossGOMAXPROCS TestByzantineDeterminism \
 	TestKittiesReplayCrossGOMAXPROCSDeterminism TestShardedScalingCrossGOMAXPROCSDeterminism \

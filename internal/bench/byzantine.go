@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"scmove/internal/chain"
@@ -258,31 +256,6 @@ func injectConflictingHeader(u *universe.Universe) error {
 		return fmt.Errorf("byzantine: forged header OVERWROTE a confirmed root")
 	}
 	return nil
-}
-
-// Fingerprint reduces the run to everything simulated — per-move latencies,
-// final state roots, and the counter table minus the loop waits
-// (metrics.ProcessCounter) — for byte-exact comparison across GOMAXPROCS
-// settings and same-seed re-runs.
-func (r *ByzantineResult) Fingerprint() string {
-	var sb strings.Builder
-	for i, d := range r.Latency {
-		fmt.Fprintf(&sb, "move%d=%d\n", i+1, int64(d))
-	}
-	for _, root := range r.Roots {
-		fmt.Fprintf(&sb, "root %s\n", root)
-	}
-	names := make([]string, 0, len(r.Counters))
-	for name := range r.Counters {
-		if !metrics.ProcessCounter(name) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&sb, "%s=%d\n", name, r.Counters[name])
-	}
-	return sb.String()
 }
 
 // String renders the per-move latencies, attack tally, and counter table.

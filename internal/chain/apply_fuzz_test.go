@@ -1,9 +1,6 @@
 package chain
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -131,10 +128,10 @@ func buildFuzzTraffic(t *testing.T, seed int64, chainID hashing.ChainID) [][]*ty
 }
 
 // runFuzzChain replays the block stream on a fresh chain (observer attached,
-// so the observability hooks run too) and returns every commit root, header
-// hash, and receipt, and the run's journal: a line per block, then the
-// state root after the last one.
-func runFuzzChain(t *testing.T, cfg Config, blocks [][]*types.Transaction) ([]hashing.Hash, []hashing.Hash, []*types.Receipt, *journal.Journal) {
+// so the observability hooks run too) and returns its journal: a line per
+// block, then the state root after the last one (a Burrow-like header
+// carries the root before its block).
+func runFuzzChain(t *testing.T, cfg Config, blocks [][]*types.Transaction) *journal.Journal {
 	t.Helper()
 	kps := fuzzSenders()
 	c := newChain(t, cfg, nil, kps[0])
@@ -149,70 +146,12 @@ func runFuzzChain(t *testing.T, cfg Config, blocks [][]*types.Transaction) ([]ha
 	c.SetObserver(metrics.NewRegistry(), func() time.Duration { return 0 })
 
 	var j journal.Journal
-	var roots, headers []hashing.Hash
-	var receipts []*types.Receipt
-	var root hashing.Hash
 	for i, blk := range blocks {
-		b, recs := c.ApplyBlock(blk, uint64(1000+i), ProposerAddress(cfg.ChainID, 0))
-		j.Block(b, recs)
-		root, _ = c.RootAt(b.Header.Height)
-		roots = append(roots, root)
-		headers = append(headers, b.Header.Hash())
-		receipts = append(receipts, recs...)
+		j.Block(c.ApplyBlock(blk, uint64(1000+i), ProposerAddress(cfg.ChainID, 0)))
 	}
+	root, _ := c.RootAt(c.Head().Height)
 	j.Tail("root", fmt.Sprintf("%x", root))
-	return roots, headers, receipts, &j
-}
-
-// fuzzDigest folds every root, header hash and receipt field of a run —
-// status, gas, created address, error text, and each log's address, topics
-// and data — into one hash, each variable-length part length-prefixed.
-func fuzzDigest(roots, headers []hashing.Hash, receipts []*types.Receipt) string {
-	h := sha256.New()
-	u64 := func(v uint64) {
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	blob := func(b []byte) {
-		u64(uint64(len(b)))
-		h.Write(b)
-	}
-	u64(uint64(len(roots)))
-	for i := range roots {
-		h.Write(roots[i][:])
-		h.Write(headers[i][:])
-	}
-	u64(uint64(len(receipts)))
-	for _, rec := range receipts {
-		h.Write(rec.TxID[:])
-		u64(uint64(rec.Status))
-		u64(rec.GasUsed)
-		h.Write(rec.Created[:])
-		blob([]byte(rec.Err))
-		u64(uint64(len(rec.Logs)))
-		for _, l := range rec.Logs {
-			h.Write(l.Address[:])
-			u64(uint64(len(l.Topics)))
-			for _, topic := range l.Topics {
-				h.Write(topic[:])
-			}
-			blob(l.Data)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// fuzzTrafficDigests are fuzzDigest of the fuzz traffic per tree kind and
-// seed, computed at the last commit that still had the parallel executors
-// (eca7487, where all three engines agreed on them).
-var fuzzTrafficDigests = map[string]string{
-	"mpt/1":  "f2ce9259a517e48ef0dd9acf9afac9418d85853ecd775cd6ee4353247efbd855",
-	"mpt/2":  "9ea88f4a9a0a792eb01dd12c99bfc966e2017f6f08458473fdb734d873204071",
-	"mpt/3":  "86d884bcb4efd13f756fd8810c18a81bba0173eb8eae426742259dd73f722020",
-	"iavl/1": "854b284a73f42a89e883e4636c925044c8144ab8ae76a2f93e31441e8459cb07",
-	"iavl/2": "a2113e0936651d532780cb6a5853c7c6fe16e0db813504f49f148b20cc9f9c86",
-	"iavl/3": "42837d3772c2b1d7a79ded6f9e939bbd317cb93a7066d70cb2add5ae5707133b",
+	return &j
 }
 
 // fuzzTrafficJournals are the digests of the fuzz traffic's journals per
@@ -240,24 +179,17 @@ func TestApplyBlockFuzzTraffic(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprint(seed), func(t *testing.T) {
 					var first *journal.Journal
-					var wantRoots, wantHeaders []hashing.Hash
-					var wantRecs []*types.Receipt
-					for i, procs := range []int{1, 2, 4, runtime.NumCPU()} {
+					for _, procs := range []int{1, 2, 4, runtime.NumCPU()} {
 						prev := runtime.GOMAXPROCS(procs)
-						roots, headers, recs, j := runFuzzChain(t, cfg, buildFuzzTraffic(t, seed, cfg.ChainID))
+						j := runFuzzChain(t, cfg, buildFuzzTraffic(t, seed, cfg.ChainID))
 						runtime.GOMAXPROCS(prev)
-						if i == 0 {
+						if first == nil {
 							first = j
-							wantRoots, wantHeaders, wantRecs = roots, headers, recs
-							continue
+						} else {
+							journal.Same(t, fmt.Sprintf("GOMAXPROCS=1 and %d", procs), first, j)
 						}
-						journal.Same(t, fmt.Sprintf("GOMAXPROCS=1 and %d", procs), first, j)
 					}
-					key := fmt.Sprintf("%s/%d", name, seed)
-					if got := fuzzDigest(wantRoots, wantHeaders, wantRecs); got != fuzzTrafficDigests[key] {
-						t.Fatalf("%s: digest %s, pinned %s", key, got, fuzzTrafficDigests[key])
-					}
-					first.Check(t, fuzzTrafficJournals[key])
+					first.Check(t, fuzzTrafficJournals[fmt.Sprintf("%s/%d", name, seed)])
 				})
 			}
 		})

@@ -1,8 +1,6 @@
 package universe
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
 	"testing"
@@ -58,10 +56,6 @@ func deployStores(tb testing.TB, cfg Config, sizes ...uint64) (*Universe, []hash
 	return u, addrs
 }
 
-// movePingPongDigest is the sha256 of TestMovePingPongDigest's timeline,
-// computed at commit a52d732.
-const movePingPongDigest = "a7a24bbb9beb779f8c75bcbc4db9d78428684ba334ef90a489b0b5039df70d37"
-
 // movePingPongJournal is the digest of TestMovePingPongDigest's journal.
 const movePingPongJournal = "7e9f62210b7d24ba92cae6871b83b246a301ca6809e45d7912f6aab797e65824"
 
@@ -79,8 +73,6 @@ func TestMovePingPongDigest(t *testing.T) {
 	o := oracle.Attach(u)
 	defer o.Check(t)
 	ids := u.ChainIDs()
-	h := sha256.New()
-	u64 := func(v uint64) { h.Write(binary.BigEndian.AppendUint64(nil, v)) }
 	for i := 0; i < 24; i++ {
 		src, dst := ids[i%2], ids[1-i%2]
 		res, err := u.MoveAndWait(u.Client(0), src, dst, addrs[i/2%len(addrs)], 30*time.Minute)
@@ -88,17 +80,6 @@ func TestMovePingPongDigest(t *testing.T) {
 			t.Fatalf("move %d %s -> %s: %v", i, src, dst, err)
 		}
 		o.Journal.Tail("move", i, "started", res.StartedAt, "move2", res.Move2At, "gas", res.Move1Gas, res.Move2Gas)
-		u64(uint64(res.StartedAt))
-		u64(uint64(res.Move2At))
-		u64(res.Move1Gas)
-		u64(res.Move2Gas)
-		for _, id := range ids {
-			head := u.Chain(id).Head().Hash()
-			h.Write(head[:])
-		}
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != movePingPongDigest {
-		t.Fatalf("Move timeline digest %s, pinned %s", got, movePingPongDigest)
 	}
 	o.Journal.Check(t, movePingPongJournal)
 }

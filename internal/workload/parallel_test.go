@@ -6,7 +6,6 @@ import (
 	"maps"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,26 +14,6 @@ import (
 	"scmove/internal/types"
 	"scmove/internal/universe"
 )
-
-// kittiesCellDigest is the sha256 of the Kitties cell's fingerprint
-// (kittiesFingerprint), computed at commit 96053c1.
-const kittiesCellDigest = "f0e1aea65a96fc5dfcac79643ef1d673e3e41c6079162ff2ee34d65aa12200f4"
-
-// kittiesFingerprint renders what a Kitties replay is judged by: throughput,
-// simulated duration, the four counts, the committed-tx timeline and the
-// starvation markers in chain order.
-func kittiesFingerprint(r *KittiesResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "throughput %v sim %v txs %d ops %d failed %d cross %v\n",
-		r.Throughput, r.SimDuration, r.TxsCommitted, r.OpsCompleted, r.FailedOps, r.CrossRate)
-	for _, p := range r.Timeline.Series() {
-		fmt.Fprintf(&b, "at %v tps %v\n", p.At, p.TPS)
-	}
-	for _, id := range slices.Sorted(maps.Keys(r.StarvedAt)) {
-		fmt.Fprintf(&b, "starved %s at %v\n", id, r.StarvedAt[id])
-	}
-	return b.String()
-}
 
 // kittiesCellJournal is the digest of the Kitties cell's journal.
 const kittiesCellJournal = "60c63898d57c74634fc8c03695b1bf8172f36f3472e9c15d4fa9cd66a4f2a087"
@@ -72,11 +51,6 @@ func TestKittiesReplayCrossGOMAXPROCSDeterminism(t *testing.T) {
 			"ops", res.OpsCompleted, "failed", res.FailedOps, "cross", res.CrossRate)
 		for _, id := range slices.Sorted(maps.Keys(res.StarvedAt)) {
 			j.Tail("starved", id, "at", res.StarvedAt[id])
-		}
-		fp := kittiesFingerprint(res)
-		got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp)))
-		if got != kittiesCellDigest {
-			t.Fatalf("GOMAXPROCS=%d: fingerprint digest %s, want %s:\n%s", procs, got, kittiesCellDigest, fp)
 		}
 		if first == nil {
 			first = j
