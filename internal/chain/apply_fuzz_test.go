@@ -143,9 +143,10 @@ func runFuzzChain(t *testing.T, cfg Config, blocks [][]*types.Transaction) *jour
 	db.CreateContract(fuzzDisjointAddr, fuzzDisjointCode)
 	db.CreateContract(fuzzBoomAddr, fuzzBoomCode)
 	db.Commit()
-	c.SetObserver(metrics.NewRegistry(), func() time.Duration { return 0 })
+	zero := func() time.Duration { return 0 }
+	c.SetObserver(metrics.NewRegistry(), zero)
 
-	var j journal.Journal
+	j := journal.Journal{Now: zero}
 	for i, blk := range blocks {
 		j.Block(c.ApplyBlock(blk, uint64(1000+i), ProposerAddress(cfg.ChainID, 0)))
 	}

@@ -57,11 +57,6 @@ func (w *Writer) WriteUvarint(v uint64) {
 	w.buf = binary.AppendUvarint(w.buf, v)
 }
 
-// WriteUint64 appends a fixed-width big-endian 64-bit integer.
-func (w *Writer) WriteUint64(v uint64) {
-	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
-}
-
 // WriteBool appends a boolean as a single byte.
 func (w *Writer) WriteBool(v bool) {
 	if v {
@@ -133,15 +128,6 @@ func (r *Reader) ReadUvarint() uint64 {
 	}
 	r.off += n
 	return v
-}
-
-// ReadUint64 reads a fixed-width big-endian 64-bit integer.
-func (r *Reader) ReadUint64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
 }
 
 // ReadBool reads a boolean byte.

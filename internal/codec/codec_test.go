@@ -12,7 +12,6 @@ import (
 func TestRoundTripAllTypes(t *testing.T) {
 	w := NewWriter(64)
 	w.WriteUvarint(300)
-	w.WriteUint64(1 << 40)
 	w.WriteBool(true)
 	w.WriteBool(false)
 	w.WriteBytes([]byte{1, 2, 3})
@@ -29,9 +28,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 	r := NewReader(w.Bytes())
 	if got := r.ReadUvarint(); got != 300 {
 		t.Errorf("uvarint = %d", got)
-	}
-	if got := r.ReadUint64(); got != 1<<40 {
-		t.Errorf("uint64 = %d", got)
 	}
 	if !r.ReadBool() || r.ReadBool() {
 		t.Error("bool round-trip failed")
@@ -57,10 +53,10 @@ func TestRoundTripAllTypes(t *testing.T) {
 }
 
 func TestTruncatedInput(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteUint64(42)
+	w := NewWriter(32)
+	w.WriteHash(hashing.Sum([]byte("h")))
 	r := NewReader(w.Bytes()[:4])
-	_ = r.ReadUint64()
+	_ = r.ReadHash()
 	if !errors.Is(r.Err(), ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", r.Err())
 	}
@@ -81,8 +77,8 @@ func TestLengthPrefixOverflow(t *testing.T) {
 
 func TestErrorsStick(t *testing.T) {
 	r := NewReader(nil)
-	_ = r.ReadUint64() // fails
-	_ = r.ReadBool()   // must stay failed, return zero
+	_ = r.ReadHash() // fails
+	_ = r.ReadBool() // must stay failed, return zero
 	if r.Err() == nil {
 		t.Fatal("error must stick")
 	}

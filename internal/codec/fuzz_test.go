@@ -16,7 +16,6 @@ func FuzzReaderRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, u uint64, b bool, blob []byte, s string) {
 		w := NewWriter(32 + len(blob) + len(s))
 		w.WriteUvarint(u)
-		w.WriteUint64(u)
 		w.WriteBool(b)
 		w.WriteBytes(blob)
 		w.WriteString(s)
@@ -25,9 +24,6 @@ func FuzzReaderRoundTrip(f *testing.F) {
 		r := NewReader(enc)
 		if got := r.ReadUvarint(); got != u {
 			t.Fatalf("uvarint: %d != %d", got, u)
-		}
-		if got := r.ReadUint64(); got != u {
-			t.Fatalf("uint64: %d != %d", got, u)
 		}
 		if got := r.ReadBool(); got != b {
 			t.Fatalf("bool: %v != %v", got, b)
@@ -46,7 +42,6 @@ func FuzzReaderRoundTrip(f *testing.F) {
 		for cut := 0; cut < len(enc); cut++ {
 			pr := NewReader(enc[:cut])
 			pr.ReadUvarint()
-			pr.ReadUint64()
 			pr.ReadBool()
 			pr.ReadBytes()
 			pr.ReadString()
@@ -74,7 +69,6 @@ func FuzzReaderHostile(f *testing.F) {
 			t.Fatalf("ReadBytesMax(16) returned %d bytes", len(b))
 		}
 		r.ReadUvarint()
-		r.ReadUint64()
 		r.ReadBool()
 		r.ReadHash()
 		r.ReadAddress()

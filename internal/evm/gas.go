@@ -134,7 +134,6 @@ func (s *Schedule) IntrinsicGas(data []byte, create bool) uint64 {
 // GasMeter tracks gas available to one call frame tree.
 type GasMeter struct {
 	remaining uint64
-	used      uint64
 }
 
 // NewGasMeter returns a meter with the given gas budget.
@@ -145,30 +144,18 @@ func NewGasMeter(limit uint64) *GasMeter {
 // Consume deducts amount, returning ErrOutOfGas if the budget is exhausted.
 func (g *GasMeter) Consume(amount uint64) error {
 	if amount > g.remaining {
-		g.used += g.remaining
 		g.remaining = 0
 		return fmt.Errorf("%w: need %d", ErrOutOfGas, amount)
 	}
 	g.remaining -= amount
-	g.used += amount
 	return nil
 }
 
 // Refund returns unused gas to the meter (used when a child frame finishes).
-func (g *GasMeter) Refund(amount uint64) {
-	g.remaining += amount
-	if amount > g.used {
-		g.used = 0
-		return
-	}
-	g.used -= amount
-}
+func (g *GasMeter) Refund(amount uint64) { g.remaining += amount }
 
 // Remaining returns the gas still available.
 func (g *GasMeter) Remaining() uint64 { return g.remaining }
-
-// Used returns the gas consumed so far.
-func (g *GasMeter) Used() uint64 { return g.used }
 
 // memoryGas returns the total gas cost of expanding memory to size bytes.
 func memoryGas(s *Schedule, sizeWords uint64) uint64 {

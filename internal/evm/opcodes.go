@@ -212,11 +212,3 @@ func buildNameIndex() map[string]Opcode {
 	}
 	return m
 }
-
-// valid reports whether op is part of the instruction set.
-func (op Opcode) valid() bool {
-	if _, ok := opNames[op]; ok {
-		return op != INVALID
-	}
-	return op.IsPush() || (op >= DUP1 && op <= DUP16) || (op >= SWAP1 && op <= SWAP16)
-}

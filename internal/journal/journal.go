@@ -1,11 +1,8 @@
-// Package journal records what a simulated run committed as text: one line
+// Package journal records what a simulated run committed, as text: one line
 // per committed block per chain, in commit order, then labelled tail lines
-// for what a cell adds after the run (Move results, counters). A digest test
-// pins the sha256 of that text; when the digest moves, Check names the first
-// line where the run parted from the last passing one.
-//
-// Only tests import it. It imports neither chain nor tendermint, whose own
-// tests use it.
+// (Move results, counters). A digest test pins its sha256, and Check names
+// the first line where a run parts from the last passing one. Only tests
+// import it; it imports neither chain nor tendermint, whose tests use it.
 package journal
 
 import (
@@ -25,35 +22,21 @@ import (
 	"scmove/internal/types"
 )
 
-// Journal is the text of one run. Its zero value is empty and ready.
+// Journal is the text of one run.
 type Journal struct {
-	// Now, when set, reads the simulated clock: each block line then
-	// carries the instant the block was committed at.
-	Now   func() time.Duration
-	lines []string
+	// Now reads the simulated clock; Block stamps each line with it.
+	Now  func() time.Duration
+	text strings.Builder
 }
 
 // Block appends the line of one committed block:
 //
-//	chain 2 height 17 time 1700000085 at 1m25.000000001s txs 3 root … hash … receipts …
+//	chain 2 height 17 time 85 at 1m25.000000001s txs 3 root … hash … receipts …
 //
-// time is the header's (unix seconds), at the clock's reading (0s without
-// one), and root, hash and receipts the first 8 bytes, in hex, of the
-// header's state root, the header hash and Receipts(rs).
+// with the header's time (unix seconds), the clock's reading, and the first
+// 8 bytes of the state root, the header hash and a digest of every receipt's
+// tx id, status, gas, created address, error text and logs.
 func (j *Journal) Block(b *types.Block, rs []*types.Receipt) {
-	var at time.Duration
-	if j.Now != nil {
-		at = j.Now()
-	}
-	h := b.Header
-	root, hash, recs := h.StateRoot, h.Hash(), Receipts(rs)
-	j.lines = append(j.lines, fmt.Sprintf("chain %d height %d time %d at %v txs %d root %x hash %x receipts %x",
-		uint64(h.ChainID), h.Height, h.Time, at, len(b.Txs), root[:8], hash[:8], recs[:8]))
-}
-
-// Receipts hashes every field of rs: each receipt's tx id, status, gas,
-// created address and error text, and each log's address, topics and data.
-func Receipts(rs []*types.Receipt) hashing.Hash {
 	h := hashing.NewHasher(128 * len(rs))
 	for _, r := range rs {
 		h.Write(r.TxID[:])
@@ -71,17 +54,18 @@ func Receipts(rs []*types.Receipt) hashing.Hash {
 			h.LenPrefixed(l.Data)
 		}
 	}
-	return h.Sum()
+	hd, hash, recs := b.Header, b.Header.Hash(), h.Sum()
+	fmt.Fprintf(&j.text, "chain %d height %d time %d at %v txs %d root %x hash %x receipts %x\n",
+		uint64(hd.ChainID), hd.Height, hd.Time, j.Now(), len(b.Txs), hd.StateRoot[:8], hash[:8], recs[:8])
 }
 
 // Tail appends the line "label v1 v2 …", each value formatted with %v.
 func (j *Journal) Tail(label string, vs ...any) {
-	j.lines = append(j.lines, strings.TrimSuffix(fmt.Sprintln(append([]any{label}, vs...)...), "\n"))
+	fmt.Fprintln(&j.text, append([]any{label}, vs...)...)
 }
 
-// Counters appends one "counter name value" line per counter, in name
-// order, leaving out the process counters (metrics.ProcessCounter): they
-// measure wall time, which differs between runs of one seed.
+// Counters appends one "counter name value" line per counter in name order,
+// but for metrics.ProcessCounter's, which read wall time.
 func (j *Journal) Counters(cs map[string]uint64) {
 	for _, name := range slices.Sorted(maps.Keys(cs)) {
 		if !metrics.ProcessCounter(name) {
@@ -90,17 +74,8 @@ func (j *Journal) Counters(cs map[string]uint64) {
 	}
 }
 
-// String returns the journal's text, one line per entry, each ending in a
-// newline.
-func (j *Journal) String() string {
-	if len(j.lines) == 0 {
-		return ""
-	}
-	return strings.Join(j.lines, "\n") + "\n"
-}
-
-// Digest is the hex sha256 of String.
-func (j *Journal) Digest() string { return digest(j.String()) }
+// String returns the journal's text, each line ending in a newline.
+func (j *Journal) String() string { return j.text.String() }
 
 func digest(text string) string {
 	sum := sha256.Sum256([]byte(text))
@@ -113,14 +88,14 @@ func Diff(a, b string) string {
 	if a == b {
 		return ""
 	}
-	as, bs := strings.Split(a, "\n"), strings.Split(b, "\n")
+	as, bs := strings.SplitAfter(a, "\n"), strings.SplitAfter(b, "\n")
 	i := 0
 	for i < len(as) && i < len(bs) && as[i] == bs[i] {
 		i++
 	}
 	line := func(ls []string) string {
-		if i < len(ls) && (i < len(ls)-1 || ls[i] != "") {
-			return ls[i]
+		if i < len(ls) && ls[i] != "" {
+			return strings.TrimSuffix(ls[i], "\n")
 		}
 		return "(end of journal)"
 	}
@@ -137,9 +112,9 @@ func Same(tb testing.TB, what string, a, b *Journal) {
 }
 
 // Check logs "identity: <test> <digest>" and fails tb unless the digest is
-// want. A passing run leaves its journal under os.TempDir() as the
-// reference of this test and pin; a failing one writes its own journal
-// beside it and names the first line where it parts from the reference.
+// want. A pass leaves the journal under os.TempDir() as the reference of this
+// test and pin; a failure writes its own there too and names the first line
+// where it parts from the reference.
 func (j *Journal) Check(tb testing.TB, want string) {
 	tb.Helper()
 	text := j.String()
@@ -147,27 +122,16 @@ func (j *Journal) Check(tb testing.TB, want string) {
 	tb.Logf("identity: %s %s", tb.Name(), got)
 	ref := file(tb.Name(), want)
 	if got == want {
-		if err := write(ref, text); err != nil {
-			tb.Logf("journal: no reference kept: %v", err)
-		}
+		keep(tb, ref, text)
 		return
 	}
 	mine := file(tb.Name(), got)
-	if err := write(mine, text); err != nil {
-		mine = fmt.Sprintf("not written (%v)", err)
+	keep(tb, mine, text)
+	msg := "no reference journal at " + ref + ": a passing run of this test writes one"
+	if old, err := os.ReadFile(ref); err == nil && digest(string(old)) == want {
+		msg = "parts from the reference " + ref + " at " + Diff(string(old), text)
 	}
-	old, err := os.ReadFile(ref)
-	switch {
-	case err != nil:
-		tb.Fatalf("journal digest %s, pinned %s; this run's journal is %s, and there is no reference journal "+
-			"(%v): a passing run of this test writes one", got, want, mine, err)
-	case digest(string(old)) != want:
-		tb.Fatalf("journal digest %s, pinned %s; this run's journal is %s, and the reference %s does not hash to the pin",
-			got, want, mine, ref)
-	default:
-		tb.Fatalf("journal digest %s, pinned %s; parts from the reference %s at %s\n(this run's journal: %s)",
-			got, want, ref, Diff(string(old), text), mine)
-	}
+	tb.Fatalf("journal digest %s, pinned %s; %s\n(this run's journal: %s)", got, want, msg, mine)
 }
 
 // file is where the journal of test that hashes to sum is kept.
@@ -175,23 +139,12 @@ func file(test, sum string) string {
 	return filepath.Join(os.TempDir(), "scmove-journal", strings.ReplaceAll(test, "/", "_")+"-"+sum[:16]+".txt")
 }
 
-// write puts text at path through a rename, so a concurrent reader sees a
-// whole journal or none.
-func write(path, text string) error {
+// keep writes text to path. A failure is only logged: the kept journal is
+// a diagnostic, the pin is the check.
+func keep(tb testing.TB, path, text string) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
+		tb.Logf("journal: %v", err)
+	} else if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		tb.Logf("journal: %v", err)
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(f.Name()) // gone already once renamed
-	if _, err := f.WriteString(text); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(f.Name(), path)
 }

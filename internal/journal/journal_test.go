@@ -99,7 +99,7 @@ func TestJournalNamesFirstDifference(t *testing.T) {
 // receipt's gas fails naming that block's line of it.
 func TestCheckNamesLineAgainstReference(t *testing.T) {
 	pass := journalOf(twoBlocks(), twoReceipts())
-	pin := pass.Digest()
+	pin := digest(pass.String())
 	pass.Check(t, pin)
 	bs, rs := twoBlocks(), twoReceipts()
 	rs[1][1].GasUsed--

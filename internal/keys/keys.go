@@ -11,7 +11,6 @@ import (
 	"crypto"
 	"crypto/ecdsa"
 	"crypto/elliptic"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -28,20 +27,11 @@ var (
 )
 
 // KeyPair is an account key pair. The zero value is unusable; construct
-// with Generate or Deterministic.
+// with Deterministic.
 type KeyPair struct {
 	priv *ecdsa.PrivateKey
 	pub  []byte // encoded public key, computed once
 	addr hashing.Address
-}
-
-// Generate creates a new key pair from crypto/rand.
-func Generate() (*KeyPair, error) {
-	priv, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("generate key: %w", err)
-	}
-	return fromPriv(priv), nil
 }
 
 // Deterministic creates a key pair derived from a seed. Simulations use this

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
+	"crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"math/big"
@@ -13,10 +14,11 @@ import (
 )
 
 func TestSignVerifyRoundTrip(t *testing.T) {
-	kp, err := Generate()
+	priv, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
+	kp := fromPriv(priv)
 	digest := hashing.Sum([]byte("tx payload"))
 	sig, err := kp.Sign(digest)
 	if err != nil {

@@ -77,17 +77,6 @@ func (t *Timeline) Total() int {
 	return sum
 }
 
-// Rate returns the average events per second between the first and last
-// bucket (the aggregate throughput of Figs. 5 and 6).
-func (t *Timeline) Rate() float64 {
-	pts := t.Series()
-	if len(pts) == 0 {
-		return 0
-	}
-	span := time.Duration(len(pts)) * t.bucket
-	return float64(t.Total()) / span.Seconds()
-}
-
 // Latencies records a latency sample set.
 type Latencies struct {
 	samples []time.Duration
@@ -123,22 +112,6 @@ func (l *Latencies) Mean() time.Duration {
 		sum += s
 	}
 	return sum / time.Duration(len(l.samples))
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100).
-func (l *Latencies) Percentile(p float64) time.Duration {
-	if len(l.samples) == 0 {
-		return 0
-	}
-	l.sort()
-	idx := int(p/100*float64(len(l.samples))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(l.samples) {
-		idx = len(l.samples) - 1
-	}
-	return l.samples[idx]
 }
 
 // CDFPoint is one point of a cumulative distribution function.

@@ -227,9 +227,6 @@ type Span struct {
 	Attrs []Attr
 }
 
-// Dur returns the span's duration.
-func (s Span) Dur() time.Duration { return s.End - s.Start }
-
 // Span records a completed interval: its duration feeds the histogram of
 // the same name, and with tracing enabled the span is retained for the
 // JSONL dump.

@@ -122,7 +122,7 @@ func TestRegistrySpansAndTrace(t *testing.T) {
 	if len(spans) != 2 || spans[0].Name != "move1.commit" || spans[1].Name != "move1.submit" {
 		t.Fatalf("retained spans = %+v", spans)
 	}
-	if spans[0].Dur() != 4*time.Second || spans[1].Dur() != 0 {
+	if spans[0].End-spans[0].Start != 4*time.Second || spans[1].End != spans[1].Start {
 		t.Fatal("span durations wrong")
 	}
 

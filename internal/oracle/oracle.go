@@ -9,8 +9,7 @@
 //     ever goes back.
 //
 // Only tests import it. It reads state through the chains' query accessors
-// and changes nothing, so a cell's journal is the same with it attached; it
-// writes that journal (internal/journal) from the same block listener.
+// and changes nothing, so a cell's journal, which it writes, is the same.
 package oracle
 
 import (
@@ -25,8 +24,7 @@ import (
 	"scmove/internal/types"
 )
 
-// Universe is what Attach needs of a universe: its chains in order and its
-// simulated clock.
+// Universe is what Attach needs of a universe: its chains in order, its clock.
 type Universe interface {
 	ChainIDs() []hashing.ChainID
 	Chain(hashing.ChainID) *chain.Chain
@@ -62,8 +60,7 @@ type Oracle struct {
 	blocks     int
 	locks      int
 	violations []error
-	// Journal has a line for every block the oracle checked, in commit
-	// order, each stamped with the simulated instant of its commit.
+	// Journal has a line per block checked, stamped with its commit instant.
 	Journal *journal.Journal
 }
 
@@ -103,10 +100,9 @@ func (o *Oracle) Check(tb testing.TB) {
 }
 
 // During sets *hook to attach an oracle to the universe that run builds,
-// runs run, checks the oracle and returns its journal; hook is the test seam
-// of the code under test (workload.inspectUniverse, bench.inspectUniverse).
-// It reports also when run itself failed, and fails tb if run built no
-// universe.
+// runs run, checks the oracle and returns its journal; hook is the seam of
+// the code under test (workload.inspectUniverse, bench.inspectUniverse). It
+// reports also when run itself failed, and fails tb if run built no universe.
 func During[U Universe](tb testing.TB, hook *func(U), run func()) *journal.Journal {
 	tb.Helper()
 	var o *Oracle

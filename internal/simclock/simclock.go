@@ -92,9 +92,6 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 	}
 }
 
-// Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.queue) }
-
 // NextAt peeks at the earliest queued event's time without running it.
 // The realtime driver uses it to decide how long to sleep on the wall
 // clock before the next due event.

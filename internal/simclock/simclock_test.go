@@ -62,8 +62,8 @@ func TestRunUntilLeavesLaterEvents(t *testing.T) {
 	if s.Now() != 2*time.Second {
 		t.Fatalf("now = %v", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d", s.Pending())
+	if at, ok := s.NextAt(); !ok || at != 5*time.Second {
+		t.Fatalf("next event (%v, %v), want the one at 5s", at, ok)
 	}
 	s.Run()
 	if ran != 2 {

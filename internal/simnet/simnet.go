@@ -309,12 +309,6 @@ func (n *Network) SetLinkFaults(a, b NodeID, f LinkFaults) {
 	n.linkFaults[linkKey(b, a)] = f
 }
 
-// ClearLinkFaults removes a per-link fault override.
-func (n *Network) ClearLinkFaults(a, b NodeID) {
-	delete(n.linkFaults, linkKey(a, b))
-	delete(n.linkFaults, linkKey(b, a))
-}
-
 // SchedulePartition cuts every link between the given group and the rest of
 // the network at simulated time `at` and heals it at `healAt`. Nodes are
 // resolved at fire time, so nodes registered after the call still partition.
@@ -336,15 +330,6 @@ func (n *Network) SchedulePartition(at, healAt time.Duration, group ...NodeID) {
 	n.sched.At(at, func() { setCut(true) })
 	if healAt > at {
 		n.sched.At(healAt, func() { setCut(false) })
-	}
-}
-
-// ScheduleCrash takes a node down at simulated time `at` and restarts it at
-// `restartAt`. A restartAt ≤ at leaves the node down permanently.
-func (n *Network) ScheduleCrash(id NodeID, at, restartAt time.Duration) {
-	n.sched.At(at, func() { n.SetNodeDown(id, true) })
-	if restartAt > at {
-		n.sched.At(restartAt, func() { n.SetNodeDown(id, false) })
 	}
 }
 

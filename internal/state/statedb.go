@@ -1016,6 +1016,3 @@ func (db *DB) PruneStale(addr hashing.Address) error {
 	working.Balance = u256.Zero()
 	return nil
 }
-
-// AccountCount returns the number of accounts in the committed tree.
-func (db *DB) AccountCount() int { return db.accountTree.Len() }

@@ -216,9 +216,8 @@ func TestEmptyAccountOmittedFromTree(t *testing.T) {
 	a := addr(1)
 	db.AddBalance(a, u256.FromUint64(5))
 	db.SubBalance(a, u256.FromUint64(5))
-	db.Commit()
-	if db.AccountCount() != 0 {
-		t.Fatalf("empty account committed: count=%d", db.AccountCount())
+	if root, empty := db.Commit(), newTestDB(t).Commit(); root != empty {
+		t.Fatalf("empty account committed: root %s, an empty DB's %s", root, empty)
 	}
 }
 

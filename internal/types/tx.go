@@ -420,18 +420,6 @@ func (tx *Transaction) ValidateStateless(chain hashing.ChainID) error {
 	return nil
 }
 
-// Validate performs all stateless checks for a chain with the given id,
-// including signature verification.
-func (tx *Transaction) Validate(chain hashing.ChainID) error {
-	if err := tx.ValidateStateless(chain); err != nil {
-		return err
-	}
-	if _, err := tx.Sender(); err != nil {
-		return err
-	}
-	return nil
-}
-
 // Encode serializes the full signed transaction into one buffer of exactly
 // EncodedSize bytes.
 func (tx *Transaction) Encode() []byte {

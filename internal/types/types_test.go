@@ -140,10 +140,13 @@ func TestFailedSignatureIsKept(t *testing.T) {
 func TestTxValidateChainBinding(t *testing.T) {
 	kp := keys.Deterministic(1)
 	tx := mkTx(t, kp)
-	if err := tx.Validate(1); err != nil {
+	if err := tx.ValidateStateless(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Validate(2); !errors.Is(err, ErrTxChainID) {
+	if from, err := tx.Sender(); err != nil || from != kp.Address() {
+		t.Fatalf("sender (%s, %v), want %s", from, err, kp.Address())
+	}
+	if err := tx.ValidateStateless(2); !errors.Is(err, ErrTxChainID) {
 		t.Fatalf("want ErrTxChainID, got %v", err)
 	}
 }
@@ -154,7 +157,7 @@ func TestMove2RequiresPayload(t *testing.T) {
 	if err := tx.Sign(kp); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Validate(1); !errors.Is(err, ErrMissingPayload) {
+	if err := tx.ValidateStateless(1); !errors.Is(err, ErrMissingPayload) {
 		t.Fatalf("want ErrMissingPayload, got %v", err)
 	}
 }

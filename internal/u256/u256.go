@@ -196,19 +196,6 @@ func (x Int) Add(y Int) Int {
 	return z
 }
 
-// AddOverflow returns x + y mod 2^256 and whether the addition wrapped.
-func (x Int) AddOverflow(y Int) (Int, bool) {
-	var (
-		z Int
-		c uint64
-	)
-	z.limbs[0], c = bits.Add64(x.limbs[0], y.limbs[0], 0)
-	z.limbs[1], c = bits.Add64(x.limbs[1], y.limbs[1], c)
-	z.limbs[2], c = bits.Add64(x.limbs[2], y.limbs[2], c)
-	z.limbs[3], c = bits.Add64(x.limbs[3], y.limbs[3], c)
-	return z, c != 0
-}
-
 // Sub returns x - y mod 2^256.
 func (x Int) Sub(y Int) Int {
 	var (
@@ -220,19 +207,6 @@ func (x Int) Sub(y Int) Int {
 	z.limbs[2], b = bits.Sub64(x.limbs[2], y.limbs[2], b)
 	z.limbs[3], _ = bits.Sub64(x.limbs[3], y.limbs[3], b)
 	return z
-}
-
-// SubUnderflow returns x - y mod 2^256 and whether the subtraction borrowed.
-func (x Int) SubUnderflow(y Int) (Int, bool) {
-	var (
-		z Int
-		b uint64
-	)
-	z.limbs[0], b = bits.Sub64(x.limbs[0], y.limbs[0], 0)
-	z.limbs[1], b = bits.Sub64(x.limbs[1], y.limbs[1], b)
-	z.limbs[2], b = bits.Sub64(x.limbs[2], y.limbs[2], b)
-	z.limbs[3], b = bits.Sub64(x.limbs[3], y.limbs[3], b)
-	return z, b != 0
 }
 
 // Neg returns -x mod 2^256 (two's complement).

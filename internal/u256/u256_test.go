@@ -289,22 +289,6 @@ func TestNegTwosComplement(t *testing.T) {
 	}
 }
 
-func TestOverflowFlags(t *testing.T) {
-	maxInt := zero.Not()
-	if _, over := maxInt.AddOverflow(one); !over {
-		t.Error("max+1 should overflow")
-	}
-	if _, over := FromUint64(1).AddOverflow(FromUint64(2)); over {
-		t.Error("1+2 should not overflow")
-	}
-	if _, under := zero.SubUnderflow(one); !under {
-		t.Error("0-1 should underflow")
-	}
-	if _, under := FromUint64(5).SubUnderflow(FromUint64(3)); under {
-		t.Error("5-3 should not underflow")
-	}
-}
-
 func TestBitLen(t *testing.T) {
 	if got := Zero().BitLen(); got != 0 {
 		t.Errorf("BitLen(0) = %d", got)

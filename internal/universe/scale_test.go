@@ -24,16 +24,16 @@ func TestLazyRelayMeshIsOActivePairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer u.Close()
-	if got := u.RelayLinkCount(); got != 0 {
+	if got := len(u.relayLinks); got != 0 {
 		t.Fatalf("lazy 64-chain universe built %d relay links, want 0", got)
 	}
 	u.Mover(1, 2)
-	if got := u.RelayLinkCount(); got != 2 {
+	if got := len(u.relayLinks); got != 2 {
 		t.Fatalf("one mover materialized %d relay links, want 2", got)
 	}
 	// Idempotent: a second mover over the same pair creates nothing new.
 	u.Mover(2, 1)
-	if got := u.RelayLinkCount(); got != 2 {
+	if got := len(u.relayLinks); got != 2 {
 		t.Fatalf("repeat mover grew the mesh to %d links, want 2", got)
 	}
 	if u.RelayLink(1, 2) == nil || u.RelayLink(2, 1) == nil {
@@ -49,7 +49,7 @@ func TestLazyRelayMeshIsOActivePairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ue.Close()
-	if got := ue.RelayLinkCount(); got != 8*7 {
+	if got := len(ue.relayLinks); got != 8*7 {
 		t.Fatalf("eager 8-chain universe has %d links, want %d", got, 8*7)
 	}
 }

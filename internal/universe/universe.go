@@ -618,11 +618,6 @@ func (u *Universe) RelayLink(a, b hashing.ChainID) *simnet.Link {
 	return u.relayLinks[[2]hashing.ChainID{a, b}]
 }
 
-// RelayLinkCount returns how many header-relay links exist right now. With
-// Lanes it measures the active pair set; the eager mesh is always
-// chains×(chains−1).
-func (u *Universe) RelayLinkCount() int { return len(u.relayLinks) }
-
 // EnsureRelay returns the a→b header relay link, creating it (and
 // registering its OnBlock forwarder) on first use; it builds every relay
 // link, the eager mesh's too. The link's fault seed derives from the pair's
