@@ -237,6 +237,8 @@ fuzzsmoke:
 		'./internal/types FuzzDecodeTransaction' \
 		'./internal/types FuzzDecodeHeader' \
 		'./internal/types FuzzDecodeMove2Payload' \
+		'./internal/chain FuzzDecodeTxList' \
+		'./internal/chain FuzzHeaderRelayDecode' \
 		'./internal/core FuzzVerifyMove2AccountProof' \
 		'./internal/core FuzzVerifyMove2Storage' \
 		'./internal/trees FuzzBuildVsIncremental' \
