@@ -12,8 +12,7 @@ import (
 
 // byzantineJournal runs the Byzantine cell once, with the safety oracle
 // checking every committed block, and returns its result and journal: the
-// blocks, then each Move's latency, the final state roots and the counter
-// table.
+// blocks, the Move latencies, the final state roots and the counters.
 func byzantineJournal(t *testing.T, metricsOn bool) (*ByzantineResult, *journal.Journal) {
 	t.Helper()
 	cfg := DefaultByzantineConfig()
@@ -26,12 +25,8 @@ func byzantineJournal(t *testing.T, metricsOn bool) (*ByzantineResult, *journal.
 			t.Fatal(err)
 		}
 	})
-	for i, d := range res.Latency {
-		j.Tail("move", i+1, "latency", d)
-	}
-	for _, root := range res.Roots {
-		j.Tail("root", root)
-	}
+	j.Tail("latencies", res.Latency)
+	j.Tail("roots", res.Roots)
 	j.Counters(res.Counters)
 	return res, j
 }
@@ -72,16 +67,15 @@ func TestByzantineCellInvariants(t *testing.T) {
 
 // byzantineCellJournal is the digest of the two-Move Byzantine cell's
 // journal.
-const byzantineCellJournal = "691fdb19415d689c5c64d58cdf59946c00c1eaaa19774c33606c19c4f1c19fa1"
+const byzantineCellJournal = "89a081fc238bdbc0e34cea644550258c0e81e65103b5d5885a7b1c13e6101355"
 
 // TestByzantineDeterminism is the determinism contract under active
-// corruption: the same seed must produce the same journal — every committed
-// block, then the per-Move latencies, final state roots and fault counters —
-// at GOMAXPROCS 1, 2, and the host's CPU count, with the observability layer
-// on or off, and that journal must hash to byzantineCellJournal. Corruption
-// decisions and tamper bytes all come from seeded RNGs keyed by event
-// index, so any divergence means a fault drew from a nondeterministic
-// source. Wired into `make detsmoke`.
+// corruption: the same seed must produce the same journal at GOMAXPROCS 1,
+// 2, and the host's CPU count, with the observability layer on or off — and
+// that journal must hash to byzantineCellJournal. Corruption decisions and
+// tamper bytes all come from seeded RNGs keyed by event index, so any
+// divergence means a fault drew from a nondeterministic source. Wired into
+// `make detsmoke`.
 func TestByzantineDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-GOMAXPROCS byzantine runs are slow in -short mode")
@@ -93,11 +87,7 @@ func TestByzantineDeterminism(t *testing.T) {
 		_, on := byzantineJournal(t, true)
 		runtime.GOMAXPROCS(prev)
 		journal.Same(t, fmt.Sprintf("GOMAXPROCS=%d, metrics off and on", p), off, on)
-		if base == nil {
-			base = off
-		} else {
-			journal.Same(t, fmt.Sprintf("GOMAXPROCS=1 and %d", p), base, off)
-		}
+		base = journal.Same(t, fmt.Sprintf("GOMAXPROCS=1 and %d", p), base, off)
 	}
 	base.Check(t, byzantineCellJournal)
 }

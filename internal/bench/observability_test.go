@@ -12,8 +12,8 @@ import (
 )
 
 // chaosJournal runs the chaos cell once, with the safety oracle checking
-// every committed block, and returns its journal: the blocks, then each
-// Move's latency and the counter table.
+// every committed block, and returns its journal: the blocks, the Move
+// latencies and the counters.
 func chaosJournal(t *testing.T, metricsOn, trace bool) *journal.Journal {
 	t.Helper()
 	cfg := ChaosConfig{DropRate: 0.20, DupRate: 0.20, Seed: 12345, Moves: 2,
@@ -25,9 +25,7 @@ func chaosJournal(t *testing.T, metricsOn, trace bool) *journal.Journal {
 			t.Fatal(err)
 		}
 	})
-	for i, d := range res.Latency {
-		j.Tail("move", i+1, "latency", d)
-	}
+	j.Tail("latencies", res.Latency)
 	j.Counters(res.Counters)
 	return j
 }
@@ -50,25 +48,19 @@ func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 		on := chaosJournal(t, true, true)
 		runtime.GOMAXPROCS(prev)
 		journal.Same(t, fmt.Sprintf("GOMAXPROCS=%d, metrics and trace off and on", p), off, on)
-		if base == nil {
-			base = off
-		} else {
-			journal.Same(t, fmt.Sprintf("GOMAXPROCS=1 and %d", p), base, off)
-		}
+		base = journal.Same(t, fmt.Sprintf("GOMAXPROCS=1 and %d", p), base, off)
 	}
 }
 
 // chaosCellJournal is the digest of the chaos cell's journal (metrics on,
 // no trace).
-const chaosCellJournal = "cb79f2cbe5b5c61baa1d812b472c4d3d7de79a843b4ba14d01d1198cd5169c68"
+const chaosCellJournal = "baa009526cf3dbb8747c2c62b905b534143970fa2750c37ba139b897a9c7745d"
 
 // TestChaosCellCrossGOMAXPROCS is the chaos cell of the determinism suite:
 // the full fault-injected Move scenario (20% drops, 20% duplicates on every
-// path) must produce the same journal — every committed block, then the
-// per-Move latencies and the counter table — on one CPU and on all of them
-// (sender pre-recovery and the harness fan out across the worker pool; what
-// they compute may not depend on it), and that journal must hash to
-// chaosCellJournal.
+// path) must produce the same journal on one CPU and on all of them (sender
+// pre-recovery and the harness fan out across the worker pool; what they
+// compute may not depend on it), and it must hash to chaosCellJournal.
 func TestChaosCellCrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-GOMAXPROCS chaos runs are slow in -short mode")

@@ -184,11 +184,7 @@ func TestApplyBlockFuzzTraffic(t *testing.T) {
 						prev := runtime.GOMAXPROCS(procs)
 						j := runFuzzChain(t, cfg, buildFuzzTraffic(t, seed, cfg.ChainID))
 						runtime.GOMAXPROCS(prev)
-						if first == nil {
-							first = j
-						} else {
-							journal.Same(t, fmt.Sprintf("GOMAXPROCS=1 and %d", procs), first, j)
-						}
+						first = journal.Same(t, fmt.Sprintf("GOMAXPROCS=1 and %d", procs), first, j)
 					}
 					first.Check(t, fuzzTrafficJournals[fmt.Sprintf("%s/%d", name, seed)])
 				})

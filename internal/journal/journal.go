@@ -82,12 +82,9 @@ func digest(text string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Diff returns "" when a and b are the same text, and otherwise the number
-// and both versions of the first line where they part.
+// Diff returns the number and both versions of the first line where two
+// different texts part.
 func Diff(a, b string) string {
-	if a == b {
-		return ""
-	}
 	as, bs := strings.SplitAfter(a, "\n"), strings.SplitAfter(b, "\n")
 	i := 0
 	for i < len(as) && i < len(bs) && as[i] == bs[i] {
@@ -102,13 +99,18 @@ func Diff(a, b string) string {
 	return fmt.Sprintf("line %d:\n  - %s\n  + %s", i+1, line(as), line(bs))
 }
 
-// Same fails tb when two journals of what should be the same run differ,
-// naming the first line where they part; what says which runs they are.
-func Same(tb testing.TB, what string, a, b *Journal) {
+// Same fails tb, naming the first line where they part, when the journal b
+// of a run differs from a, an earlier run's; what names the runs. It returns
+// the journal to compare the next run with: b when a is nil, else a.
+func Same(tb testing.TB, what string, a, b *Journal) *Journal {
 	tb.Helper()
-	if d := Diff(a.String(), b.String()); d != "" {
-		tb.Fatalf("%s: journals part at %s", what, d)
+	if a == nil {
+		return b
 	}
+	if as, bs := a.String(), b.String(); as != bs {
+		tb.Fatalf("%s: journals part at %s", what, Diff(as, bs))
+	}
+	return a
 }
 
 // Check logs "identity: <test> <digest>" and fails tb unless the digest is
@@ -139,8 +141,7 @@ func file(test, sum string) string {
 	return filepath.Join(os.TempDir(), "scmove-journal", strings.ReplaceAll(test, "/", "_")+"-"+sum[:16]+".txt")
 }
 
-// keep writes text to path. A failure is only logged: the kept journal is
-// a diagnostic, the pin is the check.
+// keep writes text to path, and only logs a failure: the pin is the check.
 func keep(tb testing.TB, path, text string) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		tb.Logf("journal: %v", err)

@@ -63,11 +63,10 @@ const movePingPongJournal = "7e9f62210b7d24ba92cae6871b83b246a301ca6809e45d7912f
 // workload measures, inside `go test ./...`: Store-10, Store-200 and
 // Store-1000 each moved MPT → IAVL and straight back, four times over, 24 Moves
 // alternating direction, with two resident storage trees on the file
-// backend so installs evict. The journal holds every block both chains
-// commit during the Moves, then each Move's simulated start and end and its
-// Move1 and Move2 gas. A change that moves a simulated event, a gas figure
-// or a committed root fails here. The safety oracle checks every committed
-// block.
+// backend so installs evict. The journal holds every block of the Moves and
+// each Move's simulated start and end and gas: a change that moves a
+// simulated event, a gas figure or a committed root fails here. The safety
+// oracle checks every committed block.
 func TestMovePingPongDigest(t *testing.T) {
 	u, addrs := newPingPong(t, 2, 10, 200, 1000)
 	o := oracle.Attach(u)
