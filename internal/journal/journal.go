@@ -82,9 +82,9 @@ func digest(text string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Diff returns the number and both versions of the first line where two
+// diff returns the number and both versions of the first line where two
 // different texts part.
-func Diff(a, b string) string {
+func diff(a, b string) string {
 	as, bs := strings.SplitAfter(a, "\n"), strings.SplitAfter(b, "\n")
 	i := 0
 	for i < len(as) && i < len(bs) && as[i] == bs[i] {
@@ -108,7 +108,7 @@ func Same(tb testing.TB, what string, a, b *Journal) *Journal {
 		return b
 	}
 	if as, bs := a.String(), b.String(); as != bs {
-		tb.Fatalf("%s: journals part at %s", what, Diff(as, bs))
+		tb.Fatalf("%s: journals part at %s", what, diff(as, bs))
 	}
 	return a
 }
@@ -131,7 +131,7 @@ func (j *Journal) Check(tb testing.TB, want string) {
 	keep(tb, mine, text)
 	msg := "no reference journal at " + ref + ": a passing run of this test writes one"
 	if old, err := os.ReadFile(ref); err == nil && digest(string(old)) == want {
-		msg = "parts from the reference " + ref + " at " + Diff(string(old), text)
+		msg = "parts from the reference " + ref + " at " + diff(string(old), text)
 	}
 	tb.Fatalf("journal digest %s, pinned %s; %s\n(this run's journal: %s)", got, want, msg, mine)
 }

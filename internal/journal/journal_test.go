@@ -40,7 +40,7 @@ func journalOf(blocks []*types.Block, recs [][]*types.Receipt) *Journal {
 	for k = range blocks {
 		j.Block(blocks[k], recs[k])
 	}
-	j.Tail("move", 1, "latency", 3*time.Second)
+	j.Tail("latencies", []time.Duration{3 * time.Second, time.Minute})
 	j.Counters(map[string]uint64{"wan.dropped": 4, "loopwait.sig.propose": 9, "relay.moves_completed": 1})
 	return j
 }
@@ -51,17 +51,17 @@ func journalOf(blocks []*types.Block, recs [][]*types.Receipt) *Journal {
 func TestJournalGolden(t *testing.T) {
 	const golden = `chain 2 height 1 time 5 at 5s txs 0 root 2b53d21379ba77e9 hash 030027950a1ab8c7 receipts e3b0c44298fc1c14
 chain 2 height 2 time 10 at 10.000000001s txs 2 root f4cee9432566e6a4 hash 46af0e3517db17da receipts 3991bd6cdc10544f
-move 1 latency 3s
+latencies [3s 1m0s]
 counter relay.moves_completed 1
 counter wan.dropped 4
 `
 	if got := journalOf(twoBlocks(), twoReceipts()).String(); got != golden {
-		t.Fatalf("journal text moved, %s", Diff(golden, got))
+		t.Fatalf("journal text moved, %s", diff(golden, got))
 	}
 }
 
 // TestJournalNamesFirstDifference edits one field at a time — a receipt's
-// gas, a log's data, a header's state root — and requires Diff to name the
+// gas, a log's data, a header's state root — and requires diff to name the
 // line of that block and no other, and Same to report it.
 func TestJournalNamesFirstDifference(t *testing.T) {
 	want := journalOf(twoBlocks(), twoReceipts()).String()
@@ -77,7 +77,7 @@ func TestJournalNamesFirstDifference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			bs, rs := twoBlocks(), twoReceipts()
 			tc.edit(bs, rs)
-			d := Diff(want, journalOf(bs, rs).String())
+			d := diff(want, journalOf(bs, rs).String())
 			if !strings.HasPrefix(d, tc.line) || strings.Count(d, "\n") != 2 {
 				t.Fatalf("edit of the %s reported as %q, want the %s line", tc.name, d, tc.line)
 			}
@@ -88,7 +88,7 @@ func TestJournalNamesFirstDifference(t *testing.T) {
 			}
 		})
 	}
-	if d := Diff(want, strings.TrimSuffix(want, "counter wan.dropped 4\n")); !strings.HasPrefix(d, "line 5:") ||
+	if d := diff(want, strings.TrimSuffix(want, "counter wan.dropped 4\n")); !strings.HasPrefix(d, "line 5:") ||
 		!strings.HasSuffix(d, "+ (end of journal)") {
 		t.Fatalf("a journal cut short is reported as %q", d)
 	}
