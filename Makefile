@@ -84,7 +84,16 @@ benchtest:
 # the retained-root history slides in place once its window is full, and a
 # Move2 home's commit over a stale file-store copy allocates the same bytes
 # at 500 and at 2 000 slots. A block that takes a Move2 preparation whose
-# payload was edited after ExpectMove2 panics under go test.
+# payload was edited after ExpectMove2 panics under go test, and so does a
+# transaction edited after it was signed, where a pool admits it and where
+# a block applies it.
+# A Move2 home ships a delta against the target's stale copy: a ping-pong
+# with 0, 1, 10 and 100 % of the slots written abroad leaves the same
+# storage, storage root, Lc, move nonce and Move2 gas at home as the full
+# payload a pruned copy forces, and neither the relayer's delta build nor
+# ExpectMove2's read of the copy allocates per slot. A file-store commit
+# whose segment write fails leaves the index, the byte counts and the root
+# as they were.
 # Consensus over TCP encodes a message once per broadcast, writes every peer
 # the frame bytes a per-peer Send always wrote (the message encodings are
 # pinned too), and decodes a proposal frame
@@ -106,8 +115,11 @@ benchtest:
 # cell's tail lines. A cross-GOMAXPROCS or metrics on/off comparison that
 # parts prints the first differing line; a moved pin prints the first line
 # where the run parts from the journal the last passing run left under
-# os.TempDir()/scmove-journal/. The journal's own tests pin its line format on a
-# hand-built two-block chain and its first-difference report.
+# os.TempDir()/scmove-journal/. Each digest test also logs a state digest,
+# the journal without the block lines' hash and receipts fields: it stays
+# where only the bytes of the transactions moved. The journal's own tests
+# pin its line format on a hand-built two-block chain, its first-difference
+# report, and which edits move which digest.
 #
 # `go test -run 'A|B'` passes when a name matches nothing, so the target
 # first checks every listed name against `go test -list`: a test that is
@@ -140,7 +152,8 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestBFTCommitCatchesEditedProposal TestWireBytesPinned \
 	TestMove2HomeCommitAllocationFlat TestExpectedMove2CatchesEditedPayload \
 	TestReadFramesAllocateOnlyBodies TestJournalGolden TestJournalNamesFirstDifference \
-	TestCheckNamesLineAgainstReference
+	TestCheckNamesLineAgainstReference TestEditedTransactionPanics TestDeltaMove2MatchesFull \
+	TestDeltaWorkAllocatesNoRun TestFailedCommitLeavesStoreAsItWas
 DETSMOKE_PKGS = ./internal/journal/ ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/relay/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/ \
@@ -161,8 +174,11 @@ detsmoke:
 # seed-1 shard_migrate round 0 (TestShardMigrateRound0). Each test logs the
 # value it computed before comparing it with its pin, so two commits whose
 # outputs diff clean behave identically on every pinned run; where a journal
-# digest moved, the test's failure names the first line that parted. It
-# fails if a test fails or a listed test logs no line.
+# digest moved, the test's failure names the first line that parted. A
+# journal test logs its state digest too (`identity: <test> state …`):
+# equal state digests under moved full ones mean the same committed state,
+# heights and times, carried by other transaction bytes. It fails if a test
+# fails or a listed test logs no line.
 IDENTITY_TESTS = TestApplyBlockFuzzTraffic TestFaultyClusterDigest \
 	TestChaosCellCrossGOMAXPROCS TestByzantineDeterminism \
 	TestKittiesReplayCrossGOMAXPROCSDeterminism TestShardedScalingCrossGOMAXPROCSDeterminism \
@@ -228,6 +244,10 @@ expsmoke:
 # seed corpora under testdata/fuzz/ (go test allows one -fuzz pattern per
 # invocation, hence the loop). Any crasher fails the target and leaves the
 # reproducer in the package's testdata/fuzz/ directory.
+# FuzzVerifyMove2Storage runs a delta mode too (entry >= 128): flipped,
+# dropped and doubled entries and added or dropped tombstones of a delta
+# Move2 home are refused, inline and prepared alike. The payload, tx and
+# tx-list decoders are seeded with a delta's base and deleted keys.
 FUZZTIME ?= 5s
 fuzzsmoke:
 	@set -e; \

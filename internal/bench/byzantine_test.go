@@ -67,7 +67,7 @@ func TestByzantineCellInvariants(t *testing.T) {
 
 // byzantineCellJournal is the digest of the two-Move Byzantine cell's
 // journal.
-const byzantineCellJournal = "89a081fc238bdbc0e34cea644550258c0e81e65103b5d5885a7b1c13e6101355"
+const byzantineCellJournal = "294a96daf7b07342da6f371e8a799a251e14061ea36f799bdbde2b578f166725"
 
 // TestByzantineDeterminism is the determinism contract under active
 // corruption: the same seed must produce the same journal at GOMAXPROCS 1,

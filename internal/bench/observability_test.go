@@ -54,7 +54,7 @@ func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 
 // chaosCellJournal is the digest of the chaos cell's journal (metrics on,
 // no trace).
-const chaosCellJournal = "baa009526cf3dbb8747c2c62b905b534143970fa2750c37ba139b897a9c7745d"
+const chaosCellJournal = "e792284a137023fdccc9494f69157531651c85ed34bd323d1ec1709f1a4f9a06"
 
 // TestChaosCellCrossGOMAXPROCS is the chaos cell of the determinism suite:
 // the full fault-injected Move scenario (20% drops, 20% duplicates on every

@@ -153,14 +153,23 @@ type Chain struct {
 	prep       []*move2Prep
 	prepClosed bool
 	prepWG     sync.WaitGroup
+	// runs are storage runs a delta's preparation is done with (its base,
+	// its merge), kept under prepMu for the next one to read into.
+	runs [][]types.StorageEntry
+	// deltaBase and deltaMerged are applyMove2's scratch for a delta nobody
+	// announced; c.mu guards them.
+	deltaBase, deltaMerged []types.StorageEntry
 }
 
 // move2Prep is the storage work of the Move2 payload p; res is set before
-// done closes.
+// done closes. base is a delta's base as ExpectMove2 read it and merged the
+// run its merge was done in, both nil for a full payload; they go back to
+// the free list when a block takes the preparation.
 type move2Prep struct {
-	p    *types.Move2Payload
-	done chan struct{}
-	res  *core.Move2Storage
+	p            *types.Move2Payload
+	base, merged []types.StorageEntry
+	done         chan struct{}
+	res          *core.Move2Storage
 }
 
 // maxPrepared bounds the preparation list: a Store-1900 Move2's prepared
@@ -389,57 +398,117 @@ func (c *Chain) SubmitTxs(txs []*types.Transaction) []error {
 // and sharded (2–3) Move stays below it.
 const prepareMin = 16
 
-// preparable reports whether tx is a Move2 whose payload ExpectMove2 would
-// prepare.
+// preparable reports whether tx is a Move2 whose payload ExpectMove2 may
+// have prepared: a full payload counts its own entries; a delta's count is
+// its merge's, which only its base can tell, so every delta may have one.
 func preparable(tx *types.Transaction) bool {
-	return tx.Kind == types.TxMove2 && tx.Move2 != nil && len(tx.Move2.Storage) >= prepareMin
+	return tx.Kind == types.TxMove2 && tx.Move2 != nil && (tx.Move2.IsDelta() || len(tx.Move2.Storage) >= prepareMin)
 }
 
 // ExpectMove2 starts core.PrepareMove2 — the completeness root and the tree
 // to install — for a Move2 payload that a transaction is expected to carry
 // here later, on a goroutine of the chain's own. A relayer calls it as soon
 // as it holds the payload, so the work overlaps the source's confirmation
-// wait. ApplyBlock takes the result for a Move2 with the same source chain
-// and storage entries (see takePrepared); p must not be modified afterwards.
-// A payload below prepareMin entries, or one already expected, is ignored;
-// beyond maxPrepared expectations a new one drops the oldest. A Move2 nobody
-// announced (sent over RPC, replayed, forged) is computed by applyMove2 with
-// the same pure function, so simulated results never depend on this.
+// wait. For a delta it first reads the base, this chain's copy of the
+// contract, here on the caller's goroutine, and the goroutine prepares the
+// merge (core.PrepareMove2Delta): the hashing stays off the event loop, and
+// both runs come from, and go back to, the chain's free list. ApplyBlock
+// takes the result for a Move2 with the same source chain, storage entries,
+// base and deleted keys (see takePrepared); p must not be modified
+// afterwards. A payload that stands for fewer than prepareMin entries, a
+// delta whose base is not this chain's copy, or one already expected, is
+// ignored; beyond maxPrepared expectations a new one drops the oldest. A
+// Move2 nobody announced (sent over RPC, replayed, forged) is computed by
+// applyMove2 with the same pure function, so simulated results never depend
+// on this.
 func (c *Chain) ExpectMove2(p *types.Move2Payload) {
-	if p == nil || len(p.Storage) < prepareMin {
+	if p == nil {
+		return
+	}
+	var base []types.StorageEntry
+	if p.IsDelta() {
+		var err error
+		buf := c.takeRun()
+		c.mu.Lock()
+		base, err = core.AppendMove2Base(buf, c.db, p)
+		c.mu.Unlock()
+		if err != nil || core.CountMerge(base, p) < prepareMin {
+			c.putRun(base)
+			return
+		}
+	} else if len(p.Storage) < prepareMin {
 		return
 	}
 	c.prepMu.Lock()
 	defer c.prepMu.Unlock()
 	if c.prepClosed || c.findPrepared(p) >= 0 {
+		c.putRunLocked(base)
 		return
 	}
 	if len(c.prep) == maxPrepared {
 		c.prep = slices.Delete(c.prep, 0, 1)
 	}
-	c.prep = append(c.prep, c.startPrep(p))
+	c.prep = append(c.prep, c.startPrep(p, base))
+}
+
+// maxRuns bounds the free list of storage runs: two per preparation.
+const maxRuns = 2 * maxPrepared
+
+// takeRun returns an empty storage run from the free list, or nil.
+func (c *Chain) takeRun() []types.StorageEntry {
+	c.prepMu.Lock()
+	defer c.prepMu.Unlock()
+	n := len(c.runs)
+	if n == 0 {
+		return nil
+	}
+	r := c.runs[n-1]
+	c.runs[n-1] = nil
+	c.runs = c.runs[:n-1]
+	return r
+}
+
+// putRun gives r back to the free list.
+func (c *Chain) putRun(r []types.StorageEntry) {
+	c.prepMu.Lock()
+	defer c.prepMu.Unlock()
+	c.putRunLocked(r)
+}
+
+// putRunLocked is putRun for a caller that holds prepMu.
+func (c *Chain) putRunLocked(r []types.StorageEntry) {
+	if cap(r) > 0 && len(c.runs) < maxRuns {
+		c.runs = append(c.runs, r[:0])
+	}
 }
 
 // findPrepared returns the index of the preparation whose payload has p's
-// source chain and storage entries, the only parts of a payload
-// core.PrepareMove2 reads, or -1. Entries are compared by value: a payload
-// that differs in one slot, forged or rebuilt, is not the one expected, and
-// the copy a consensus commit decodes finds the entry as well as the
-// relayer's own object does. The caller holds prepMu.
+// source chain, storage entries, base and deleted keys, the only parts of a
+// payload its preparation reads (a delta's base entries are pinned by the
+// base root, which apply checks again), or -1. Entries are compared by
+// value: a payload that differs in one slot, forged or rebuilt, is not the
+// one expected, and the copy a consensus commit decodes finds the entry as
+// well as the relayer's own object does. The caller holds prepMu.
 func (c *Chain) findPrepared(p *types.Move2Payload) int {
 	return slices.IndexFunc(c.prep, func(e *move2Prep) bool {
-		return e.p.SourceChain == p.SourceChain && slices.Equal(e.p.Storage, p.Storage)
+		return e.p.SourceChain == p.SourceChain && e.p.Base == p.Base &&
+			slices.Equal(e.p.Storage, p.Storage) && slices.Equal(e.p.Deleted, p.Deleted)
 	})
 }
 
-// startPrep starts core.PrepareMove2 for p on a goroutine of its own, which
-// Close waits for. The caller holds prepMu.
-func (c *Chain) startPrep(p *types.Move2Payload) *move2Prep {
-	e := &move2Prep{p: p, done: make(chan struct{})}
+// startPrep starts p's preparation on a goroutine of its own, which Close
+// waits for. A delta's merge is done in a run from the free list. The
+// caller holds prepMu.
+func (c *Chain) startPrep(p *types.Move2Payload, base []types.StorageEntry) *move2Prep {
+	e := &move2Prep{p: p, base: base, done: make(chan struct{})}
 	c.prepWG.Add(1)
 	go func() {
 		defer c.prepWG.Done()
-		e.res = core.PrepareMove2(c.headers, c.cfg.TreeKind, p)
+		if p.IsDelta() {
+			e.res, e.merged = core.PrepareMove2Delta(c.headers, c.cfg.TreeKind, p, base, c.takeRun())
+		} else {
+			e.res = core.PrepareMove2(c.headers, c.cfg.TreeKind, p)
+		}
 		close(e.done)
 	}()
 	return e
@@ -470,9 +539,11 @@ func (c *Chain) takePrepared(txs []*types.Transaction) []*core.Move2Storage {
 			continue
 		}
 		metrics.Recv(c.prepWait, e.done)
-		if testing.Testing() && !e.res.Matches(c.headers, tx.Move2) {
+		if testing.Testing() && !e.res.Matches(c.headers, tx.Move2, e.base, e.merged) {
 			panic(fmt.Sprintf("chain %s: the Move2 payload of %s changed after ExpectMove2 prepared it", c.cfg.ChainID, tx.Move2.Contract))
 		}
+		c.putRun(e.base)
+		c.putRun(e.merged)
 		if res == nil {
 			res = make([]*core.Move2Storage, len(txs))
 		}
@@ -545,6 +616,9 @@ func (c *Chain) ProposeBatch() []*types.Transaction {
 // and waiters fire after it is released, so they can freely call back into
 // the chain.
 func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashing.Address) (*types.Block, []*types.Receipt) {
+	for _, tx := range txs {
+		tx.CheckID()
+	}
 	prepared := c.takePrepared(txs)
 	// Recover every sender before taking the lock: it reads no chain state,
 	// and a block whose senders are not yet memoized (decoded copies, a
@@ -755,26 +829,35 @@ func (c *Chain) applyTx(tx *types.Transaction, blockCtx evm.BlockContext, s *cor
 // one SSTORE per storage entry plus proof verification), verifies the
 // payload, imports the contract, and runs moveFinish(·). s is the payload's
 // storage work ExpectMove2 prepared; without one it is computed here.
+//
+// A delta pays what the full payload it stands for pays: gas for the code
+// it installs and for every entry of its merge, not for the few it carries
+// (DESIGN §17.11). Its merge is therefore counted before the charge
+// (deltaCharge).
 func (c *Chain) applyMove2(vm *evm.EVM, tx *types.Transaction, gas uint64, s *core.Move2Storage) (uint64, error) {
 	if !tx.Value.IsZero() {
 		return gas, errors.New("move2 transaction must not carry value")
 	}
 	p := tx.Move2
-	cost := c.move2Gas(p)
+	st := c.db
+	code, n := p.Code, len(p.Storage)
+	if p.IsDelta() {
+		code, n, s = c.deltaCharge(p, s)
+	}
+	cost := c.move2Gas(code, n, p.AccountProof)
 	if cost > gas {
 		return 0, fmt.Errorf("%w: move2 needs %d", evm.ErrOutOfGas, cost)
 	}
 	gas -= cost
-	st := c.db
 	snap := st.Snapshot()
-	if s == nil {
+	if s == nil && !p.IsDelta() {
 		s = core.PrepareMove2(c.headers, c.cfg.TreeKind, p)
 	}
 	acct, err := core.VerifyPreparedMove2(c.cfg.ChainID, st, c.headers, p, s)
 	if err != nil {
 		return gas, err
 	}
-	st.ImportAccount(p.Contract, acct, p.Code, s.Tree)
+	st.ImportAccount(p.Contract, acct, code, s.Tree)
 	// moveFinish(·): the custom completion routine (Alg. 1 line 13). Its
 	// failure aborts the whole Move2.
 	_, left, err := vm.Call(tx.From, p.Contract, core.MoveFinishInput, u256.Zero(), gas)
@@ -785,16 +868,42 @@ func (c *Chain) applyMove2(vm *evm.EVM, tx *types.Transaction, gas uint64, s *co
 	return left, nil
 }
 
-// move2Gas prices a Move2 payload: contract recreation (Create base +
-// per-byte code deposit where the schedule charges it), one storage write
-// per recreated entry, and hashing work proportional to the proof size.
-func (c *Chain) move2Gas(p *types.Move2Payload) uint64 {
+// deltaCharge returns what the delta p is charged for — the code it
+// installs and the entries of its merge into this chain's copy of the
+// contract — and its storage work: s, when ExpectMove2 prepared it against
+// the copy still here, else computed now in the chain's scratch. A delta
+// whose base is not the copy here gets no storage work
+// (core.VerifyPreparedMove2 refuses it), and is charged for its merge into
+// whatever copy the chain holds, counted without refusal
+// (core.CountMerge): a replay of a delta that has landed pays what the
+// replay of its full payload would.
+func (c *Chain) deltaCharge(p *types.Move2Payload, s *core.Move2Storage) ([]byte, int, *core.Move2Storage) {
+	code, err := core.Move2Code(c.db, p)
+	if err == nil && s != nil {
+		return code, s.N, s
+	}
+	c.deltaBase = c.db.AppendStorage(c.deltaBase[:0], p.Contract)
+	if err != nil {
+		if len(code) == 0 {
+			code = c.db.GetCode(p.Contract)
+		}
+		return code, core.CountMerge(c.deltaBase, p), nil
+	}
+	s, c.deltaMerged = core.PrepareMove2Delta(c.headers, c.cfg.TreeKind, p, c.deltaBase, c.deltaMerged)
+	return code, s.N, s
+}
+
+// move2Gas prices a Move2 that installs code and n storage entries with
+// this account proof: contract recreation (Create base + per-byte code
+// deposit where the schedule charges it), one storage write per recreated
+// entry, and hashing work proportional to the proof size.
+func (c *Chain) move2Gas(code []byte, n int, proof []byte) uint64 {
 	s := &c.cfg.Schedule
-	codeSize := evm.BillableCodeSize(c.cfg.Natives, p.Code)
-	proofWords := uint64(len(p.AccountProof)+31) / 32
+	codeSize := evm.BillableCodeSize(c.cfg.Natives, code)
+	proofWords := uint64(len(proof)+31) / 32
 	return s.Create +
 		s.CodeByte*codeSize +
-		s.SStoreSet*uint64(len(p.Storage)) +
+		s.SStoreSet*uint64(n) +
 		s.Sha3 + s.Sha3Word*proofWords
 }
 

@@ -370,9 +370,10 @@ func TestMove2GasGrowsWithState(t *testing.T) {
 		}
 		return &types.Move2Payload{Storage: entries, Code: []byte("some contract code")}
 	}
-	g1 := c.move2Gas(mk(1))
-	g10 := c.move2Gas(mk(10))
-	g100 := c.move2Gas(mk(100))
+	gas := func(p *types.Move2Payload) uint64 { return c.move2Gas(p.Code, len(p.Storage), p.AccountProof) }
+	g1 := gas(mk(1))
+	g10 := gas(mk(10))
+	g100 := gas(mk(100))
 	sched := cfg.Schedule
 	if g10-g1 != 9*sched.SStoreSet || g100-g10 != 90*sched.SStoreSet {
 		t.Fatalf("gas must grow linearly in entries: %d %d %d", g1, g10, g100)
@@ -462,6 +463,11 @@ func forgedFromTx(t *testing.T, kp *keys.KeyPair, chainID hashing.ChainID) *type
 		t.Fatal(err)
 	}
 	forged.From = hashing.AddressFromBytes([]byte{0xAA})
+	// Through the wire once more, as a peer would send it: the id is the
+	// forged content's (types.CheckID refuses an object edited in place).
+	if forged, err = types.DecodeTransaction(forged.Encode()); err != nil {
+		t.Fatal(err)
+	}
 	return forged
 }
 

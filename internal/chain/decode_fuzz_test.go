@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"scmove/internal/evm"
 	"scmove/internal/hashing"
 	"scmove/internal/keys"
 	"scmove/internal/types"
@@ -19,7 +20,11 @@ import (
 func allocBound(n int) uint64 { return 16*uint64(n) + 4096 }
 
 // allocated runs decode and returns the bytes the heap grew by meanwhile.
+// Like testing.AllocsPerRun it runs at GOMAXPROCS 1, so that what other
+// goroutines allocate meanwhile (the fuzzing engine's, under -fuzz) is not
+// counted as the decoder's.
 func allocated(decode func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	decode()
@@ -34,11 +39,14 @@ func allocated(decode func()) uint64 {
 func FuzzDecodeTxList(f *testing.F) {
 	kp := keys.Deterministic(3)
 	var txs []*types.Transaction
-	for i, kind := range []types.TxKind{types.TxCall, types.TxCreate, types.TxMove2} {
+	for i, kind := range []types.TxKind{types.TxCall, types.TxCreate, types.TxMove2, types.TxMove2} {
 		tx := &types.Transaction{ChainID: 1, Nonce: uint64(i), Kind: kind, GasLimit: 21_000,
 			To: hashing.AddressFromBytes([]byte{9}), Value: u256.FromUint64(5), Data: []byte("data")}
 		if kind == types.TxMove2 {
 			tx.Move2 = &types.Move2Payload{Contract: hashing.AddressFromBytes([]byte{7}), SourceChain: 2}
+		}
+		if i == 3 { // a delta: a base and a deleted key
+			tx.Move2.Base, tx.Move2.Deleted = hashing.Sum([]byte("base")), []evm.Word{{4}}
 		}
 		if err := tx.Sign(kp); err != nil {
 			f.Fatal(err)
@@ -48,6 +56,7 @@ func FuzzDecodeTxList(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(EncodeTxList(nil))
 	f.Add(EncodeTxList(txs[:1]))
+	f.Add(EncodeTxList(txs[:3]))
 	f.Add(EncodeTxList(txs))
 	f.Add([]byte{0x80, 0x80, 0x40}) // a count of 2^20 over no input
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -576,3 +576,34 @@ func TestConcurrentMove2Submission(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEditedTransactionPanics edits Value on a signed transaction, which
+// leaves its id memo and the verifiedID beside it naming content it no
+// longer has, and requires both places a transaction enters — a pool's
+// admission and a block's application — to panic under go test instead of
+// trusting the memo.
+func TestEditedTransactionPanics(t *testing.T) {
+	kp := keys.Deterministic(1)
+	for _, enter := range []struct {
+		name string
+		fn   func(c *Chain, tx *types.Transaction)
+	}{
+		{"pool", func(c *Chain, tx *types.Transaction) { _ = c.SubmitTx(tx) }},
+		{"block", func(c *Chain, tx *types.Transaction) {
+			c.ApplyBlock([]*types.Transaction{tx}, 10, ProposerAddress(2, 0))
+		}},
+	} {
+		t.Run(enter.name, func(t *testing.T) {
+			c := newChain(t, burrowConfig(2), nil, kp)
+			tx := signedCall(t, kp, 2, 0, hashing.AddressFromBytes([]byte{9}), nil, 1)
+			tx.Value = u256.FromUint64(1_000_000)
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "changed after it was signed") {
+					t.Fatalf("an edited transaction panicked with %v, want the id check", r)
+				}
+			}()
+			enter.fn(c, tx)
+			t.Fatal("an edited transaction was taken on its stale id")
+		})
+	}
+}

@@ -67,6 +67,12 @@ func FuzzVerifyMove2AccountProof(f *testing.F) {
 // swap and the duplicate leave the set of slots what the source proved:
 // they are refused because a payload lists each slot once, in key order.
 // Verifying with PrepareMove2's result must give the inline verdict.
+//
+// entry >= 128 runs the delta mode on newDeltaCase's return trip: the same
+// flips, and (pos >= 128) a tombstone for a key the copy lacks, the
+// tombstone dropped, an entry carried twice or an entry dropped; any change
+// is refused, and the verdict over PrepareMove2Delta's result is the inline
+// one.
 func FuzzVerifyMove2Storage(f *testing.F) {
 	src, err := state.NewDB(chainA, trie.KindMPT)
 	if err != nil {
@@ -90,14 +96,29 @@ func FuzzVerifyMove2Storage(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add(uint8(0), uint8(0), uint8(0))   // identity
-	f.Add(uint8(1), uint8(31), uint8(1))  // flip value byte
-	f.Add(uint8(2), uint8(0), uint8(9))   // flip key byte
-	f.Add(uint8(1), uint8(128), uint8(0)) // swap entries 1 and 2
-	f.Add(uint8(3), uint8(128), uint8(0)) // swap the last entry with the first
-	f.Add(uint8(2), uint8(192), uint8(0)) // carry entry 2 twice
+	f.Add(uint8(0), uint8(0), uint8(0))     // identity
+	f.Add(uint8(1), uint8(31), uint8(1))    // flip value byte
+	f.Add(uint8(2), uint8(0), uint8(9))     // flip key byte
+	f.Add(uint8(1), uint8(128), uint8(0))   // swap entries 1 and 2
+	f.Add(uint8(3), uint8(128), uint8(0))   // swap the last entry with the first
+	f.Add(uint8(2), uint8(192), uint8(0))   // carry entry 2 twice
+	f.Add(uint8(128), uint8(0), uint8(0))   // delta: identity
+	f.Add(uint8(128), uint8(31), uint8(1))  // delta: flip value byte
+	f.Add(uint8(129), uint8(0), uint8(9))   // delta: flip key byte
+	f.Add(uint8(128), uint8(128), uint8(0)) // delta: tombstone for a key the copy lacks
+	f.Add(uint8(128), uint8(160), uint8(0)) // delta: tombstone dropped
+	f.Add(uint8(129), uint8(192), uint8(0)) // delta: carry entry 1 twice
+	f.Add(uint8(128), uint8(224), uint8(0)) // delta: drop entry 0
+
+	dc := newDeltaCase(f)
+	genuine := dc.delta(f)
+	base := dc.dst.StorageEntries(dc.contract)
 
 	f.Fuzz(func(t *testing.T, entry, pos, delta uint8) {
+		if entry >= 128 {
+			fuzzDelta(t, dc, genuine, base, entry, pos, delta)
+			return
+		}
 		dst, err := state.NewDB(chainB, trie.KindIAVL)
 		if err != nil {
 			t.Fatal(err)
@@ -139,4 +160,46 @@ func FuzzVerifyMove2Storage(f *testing.F) {
 			t.Fatalf("prepared verification says %v, inline %v", prepErr, err)
 		}
 	})
+}
+
+// fuzzDelta is FuzzVerifyMove2Storage's delta mode: it mutates the genuine
+// delta as the arguments say and checks the inline and the prepared
+// verdicts.
+func fuzzDelta(t *testing.T, dc deltaCase, genuine *types.Move2Payload, base []types.StorageEntry, entry, pos, delta uint8) {
+	p := *genuine
+	p.Storage, p.Deleted = slices.Clone(genuine.Storage), slices.Clone(genuine.Deleted)
+	i := int(entry) % len(p.Storage)
+	mutated := true
+	switch {
+	case pos >= 224:
+		p.Storage = slices.Delete(p.Storage, i, i+1)
+	case pos >= 192:
+		p.Storage = slices.Insert(p.Storage, i, p.Storage[i])
+	case pos >= 160:
+		p.Deleted = nil
+	case pos >= 128:
+		p.Deleted = append(p.Deleted, word(7))
+	case delta != 0:
+		e := p.Storage[i]
+		if pos%2 == 0 {
+			e.Key[pos%32] ^= delta
+		} else {
+			e.Value[pos%32] ^= delta
+		}
+		mutated = e != genuine.Storage[i]
+		p.Storage[i] = e
+	default:
+		mutated = false
+	}
+	_, err := VerifyMove2(chainB, dc.dst, dc.hs, &p)
+	if mutated && err == nil {
+		t.Fatalf("mutated delta accepted (entry %d pos %d delta %d): %+v", entry, pos, delta, p)
+	}
+	if !mutated && err != nil {
+		t.Fatalf("genuine delta rejected: %v", err)
+	}
+	s, _ := PrepareMove2Delta(dc.hs, dc.dst.TreeKind(), &p, base, nil)
+	if _, prepErr := VerifyPreparedMove2(chainB, dc.dst, dc.hs, &p, s); fmt.Sprint(prepErr) != fmt.Sprint(err) {
+		t.Fatalf("prepared verification says %v, inline %v", prepErr, err)
+	}
 }

@@ -42,6 +42,11 @@ var (
 	ErrReplay         = errors.New("core: stale move nonce (replayed Move2)")
 	ErrIncompleteCode = errors.New("core: code does not match the proven code hash")
 	ErrIncompleteSet  = errors.New("core: storage payload does not rebuild the proven storage root")
+	// ErrStaleBase refuses a delta Move2 whose base is not the target's copy
+	// of the contract: the copy was pruned or replaced since the relayer
+	// read it, or was never there. A full payload of the same proof does not
+	// depend on the copy.
+	ErrStaleBase = errors.New("core: move2 delta base is not the target's copy")
 )
 
 // HeaderStore is one chain's light-client view of its peers: block headers

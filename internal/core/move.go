@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
@@ -49,25 +50,253 @@ func IsMoveFinishInput(input []byte) bool {
 // cannot change afterwards; the proof stays valid against this height's
 // root even as other accounts keep changing in later blocks.
 func BuildMoveProof(db *state.DB, contract hashing.Address, height uint64) (*types.Move2Payload, error) {
+	p, _, err := proveLocked(db, contract, height)
+	if err != nil {
+		return nil, err
+	}
+	p.Code, p.Storage = db.GetCode(contract), db.StorageEntries(contract)
+	return p, nil
+}
+
+// proveLocked is the part of a Move2 payload that every form shares: the
+// contract, the source and the account proof, for a contract locked on
+// db's chain. It returns the proven record too.
+func proveLocked(db *state.DB, contract hashing.Address, height uint64) (*types.Move2Payload, state.Account, error) {
 	acct, ok := db.GetAccount(contract)
 	if !ok {
-		return nil, fmt.Errorf("core: build proof: no account %s", contract)
+		return nil, acct, fmt.Errorf("core: build proof: no account %s", contract)
 	}
 	if acct.Location == db.ChainID() || acct.Location == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNotLocked, contract)
+		return nil, acct, fmt.Errorf("%w: %s", ErrNotLocked, contract)
 	}
 	accountProof, err := db.ProveAccount(contract)
 	if err != nil {
-		return nil, fmt.Errorf("core: build proof: %w", err)
+		return nil, acct, fmt.Errorf("core: build proof: %w", err)
 	}
 	return &types.Move2Payload{
 		Contract:     contract,
 		SourceChain:  db.ChainID(),
 		SourceHeight: height,
 		AccountProof: accountProof,
-		Code:         db.GetCode(contract),
-		Storage:      db.StorageEntries(contract),
+	}, acct, nil
+}
+
+// MoveScratch is BuildMoveDelta's reusable memory: the runs of the two
+// copies it compares. The zero value is ready; a payload never aliases it.
+type MoveScratch struct {
+	src, dst []types.StorageEntry
+}
+
+// BuildMoveDelta is BuildMoveProof for a Move to the chain whose state is
+// dst. When dst holds a copy of the contract with storage — the locked copy
+// an earlier Move left there — the payload is a delta against that copy
+// (types.Move2Payload): the entries whose values differ from it, the keys
+// it holds that the source has deleted, and the code only if the copy's
+// code hash is not the proven one — unless that would carry as many bytes
+// of storage as the full payload, when most of the contract changed.
+// Otherwise it is BuildMoveProof's full payload, byte for byte. The two
+// copies are read into sc, which keeps the memory for the next call.
+func BuildMoveDelta(src, dst *state.DB, contract hashing.Address, height uint64, sc *MoveScratch) (*types.Move2Payload, error) {
+	base, ok := dst.GetAccount(contract)
+	if !ok || base.StorageRoot.IsZero() {
+		return BuildMoveProof(src, contract, height)
+	}
+	p, acct, err := proveLocked(src, contract, height)
+	if err != nil {
+		return nil, err
+	}
+	sc.src = src.AppendStorage(sc.src[:0], contract)
+	sc.dst = dst.AppendStorage(sc.dst[:0], contract)
+	var changed, deleted int
+	diffRuns(sc.src, sc.dst, func(types.StorageEntry) { changed++ }, func(evm.Word) { deleted++ })
+	if changed*storageEntrySize+deleted*storageKeySize >= len(sc.src)*storageEntrySize {
+		p.Code, p.Storage = src.GetCode(contract), slices.Clone(sc.src)
+		return p, nil
+	}
+	p.Base = base.StorageRoot
+	if base.CodeHash != acct.CodeHash {
+		p.Code = src.GetCode(contract)
+	}
+	if changed > 0 {
+		p.Storage = make([]types.StorageEntry, 0, changed)
+	}
+	if deleted > 0 {
+		p.Deleted = make([]evm.Word, 0, deleted)
+	}
+	diffRuns(sc.src, sc.dst,
+		func(e types.StorageEntry) { p.Storage = append(p.Storage, e) },
+		func(k evm.Word) { p.Deleted = append(p.Deleted, k) })
+	return p, nil
+}
+
+// The encoded sizes of a storage entry and of a deleted key.
+const (
+	storageEntrySize = 64
+	storageKeySize   = 32
+)
+
+// diffRuns walks two ascending runs, the source's storage and the target's
+// copy, and hands changed every source entry the copy lacks or holds with
+// another value, and deleted every key only the copy holds, both in key
+// order.
+func diffRuns(src, dst []types.StorageEntry, changed func(types.StorageEntry), deleted func(evm.Word)) {
+	for len(src) > 0 || len(dst) > 0 {
+		c := 1
+		switch {
+		case len(src) == 0:
+		case len(dst) == 0:
+			c = -1
+		default:
+			c = bytes.Compare(src[0].Key[:], dst[0].Key[:])
+		}
+		switch {
+		case c < 0:
+			changed(src[0])
+			src = src[1:]
+		case c > 0:
+			deleted(dst[0].Key)
+			dst = dst[1:]
+		default:
+			if src[0].Value != dst[0].Value {
+				changed(src[0])
+			}
+			src, dst = src[1:], dst[1:]
+		}
+	}
+}
+
+// FullMove2 returns the full payload the delta p stands for: p's proof with
+// the code and complete storage of src's copy of the contract. They are
+// what they were at p's source height: the contract is locked on src, and
+// nothing writes a locked copy. A relayer sends it when the target refuses
+// p's base (ErrStaleBase).
+func FullMove2(src *state.DB, p *types.Move2Payload) (*types.Move2Payload, error) {
+	if acct, ok := src.GetAccount(p.Contract); !ok || acct.Location == src.ChainID() || acct.Location == 0 {
+		return nil, fmt.Errorf("%w: %s", ErrNotLocked, p.Contract)
+	}
+	return &types.Move2Payload{
+		Contract:     p.Contract,
+		SourceChain:  p.SourceChain,
+		SourceHeight: p.SourceHeight,
+		AccountProof: p.AccountProof,
+		Code:         src.GetCode(p.Contract),
+		Storage:      src.StorageEntries(p.Contract),
 	}, nil
+}
+
+// Move2Code returns the code a Move2 installs on the target whose state is
+// db: the payload's, or, for a delta that carries none, the base copy's.
+// A delta whose base is not db's copy of the contract is refused with
+// ErrStaleBase (and the payload's code returned). A full payload reads
+// nothing from db.
+func Move2Code(db *state.DB, p *types.Move2Payload) ([]byte, error) {
+	if !p.IsDelta() {
+		return p.Code, nil
+	}
+	if base, ok := db.GetAccount(p.Contract); !ok || base.StorageRoot != p.Base {
+		return p.Code, fmt.Errorf("%w: %s", ErrStaleBase, p.Contract)
+	}
+	if len(p.Code) > 0 {
+		return p.Code, nil
+	}
+	return db.GetCode(p.Contract), nil
+}
+
+// AppendMove2Base appends to dst the storage of db's copy of a delta's
+// contract, ascending by key, or refuses with ErrStaleBase when that copy
+// is not p's base.
+func AppendMove2Base(dst []types.StorageEntry, db *state.DB, p *types.Move2Payload) ([]types.StorageEntry, error) {
+	if _, err := Move2Code(db, p); err != nil {
+		return dst, err
+	}
+	return db.AppendStorage(dst, p.Contract), nil
+}
+
+// CountMerge is the number of entries the delta p stands for over base,
+// counted without refusing anything: every key of base or of p's entries,
+// less the keys of base that p deletes. For a delta MergeMove2 accepts it
+// is the merge's length. A target charges a delta's gas for this count
+// over the copy it holds, whether or not that copy is p's base.
+func CountMerge(base []types.StorageEntry, p *types.Move2Payload) int {
+	n := len(base)
+	i := 0
+	for _, u := range p.Storage {
+		for i < len(base) && bytes.Compare(base[i].Key[:], u.Key[:]) < 0 {
+			i++
+		}
+		if i == len(base) || base[i].Key != u.Key {
+			n++
+		}
+	}
+	i = 0
+	for _, k := range p.Deleted {
+		for i < len(base) && bytes.Compare(base[i].Key[:], k[:]) < 0 {
+			i++
+		}
+		if i < len(base) && base[i].Key == k {
+			n--
+		}
+	}
+	return n
+}
+
+// MergeMove2 appends to dst the storage a delta p stands for over base, its
+// base copy's storage ascending by key: base with p's entries written over
+// it and p's deleted keys removed. The result is ascending, every key once,
+// no value zero, as a full payload's storage is; its root is what
+// completeness checks. A delta that cannot come from a correct relayer is
+// refused, wrapping ErrIncompleteSet: entries or deleted keys not strictly
+// ascending, a zero value, a deleted key that base lacks or that p also
+// writes.
+func MergeMove2(dst, base []types.StorageEntry, p *types.Move2Payload) ([]types.StorageEntry, error) {
+	ups, dels := p.Storage, p.Deleted
+	if err := checkValues(ups); err != nil {
+		return dst, err
+	}
+	for i := 1; i < len(ups); i++ {
+		if bytes.Compare(ups[i-1].Key[:], ups[i].Key[:]) >= 0 {
+			return dst, fmt.Errorf("%w: delta entries not strictly ascending at %d", ErrIncompleteSet, i)
+		}
+	}
+	for i := 1; i < len(dels); i++ {
+		if bytes.Compare(dels[i-1][:], dels[i][:]) >= 0 {
+			return dst, fmt.Errorf("%w: deleted keys not strictly ascending at %d", ErrIncompleteSet, i)
+		}
+	}
+	// A deleted key below the key in hand is one base does not hold: every
+	// base key below it has been passed, and a deleted one consumed.
+	lacks := func(k evm.Word) bool { return len(dels) > 0 && bytes.Compare(dels[0][:], k[:]) < 0 }
+	for len(base) > 0 || len(ups) > 0 {
+		if len(ups) == 0 || len(base) > 0 && bytes.Compare(base[0].Key[:], ups[0].Key[:]) < 0 {
+			e := base[0]
+			base = base[1:]
+			if lacks(e.Key) {
+				break
+			}
+			if len(dels) > 0 && dels[0] == e.Key {
+				dels = dels[1:]
+				continue
+			}
+			dst = append(dst, e)
+			continue
+		}
+		u := ups[0]
+		ups = ups[1:]
+		if len(base) > 0 && base[0].Key == u.Key {
+			base = base[1:]
+		}
+		if lacks(u.Key) {
+			break
+		}
+		if len(dels) > 0 && dels[0] == u.Key {
+			return dst, fmt.Errorf("%w: delta writes and deletes %x", ErrIncompleteSet, u.Key)
+		}
+		dst = append(dst, u)
+	}
+	if len(dels) > 0 {
+		return dst, fmt.Errorf("%w: delta deletes %x, which its base does not hold", ErrIncompleteSet, dels[0])
+	}
+	return dst, nil
 }
 
 // VerifyMove2 checks a Move2 payload on the target chain (Alg. 1 lines
@@ -82,6 +311,12 @@ func BuildMoveProof(db *state.DB, contract hashing.Address, height uint64) (*typ
 //  5. Completeness — rebuilding the storage tree (in the source chain's
 //     tree kind) from the carried entries reproduces the proven storage
 //     root, so no entry can be omitted, altered, or injected.
+//
+// A delta payload is checked for replay (6) right after Lc, then against
+// db's copy of the contract, its base (ErrStaleBase): a delta replayed
+// after it landed is a replay, not a stale base. Steps 4 and 5 then check
+// the code it installs and the merge of the delta into the base
+// (MergeMove2) exactly as they check a full payload's code and entries.
 //  6. Replay — the proven move nonce exceeds the target's high-water mark
 //     for this contract (Fig. 2).
 //
@@ -118,13 +353,28 @@ func VerifyPreparedMove2(local hashing.ChainID, db *state.DB, hs *HeaderStore, p
 	if acct.Location != local {
 		return state.Account{}, fmt.Errorf("%w: Lc = %s, this chain is %s", ErrWrongTarget, acct.Location, local)
 	}
-	if err := checkCode(acct.CodeHash, p.Code); err != nil {
+	if p.IsDelta() {
+		if err := checkReplay(db, p, acct); err != nil {
+			return state.Account{}, err
+		}
+	}
+	code, err := Move2Code(db, p)
+	if err != nil {
+		return state.Account{}, err
+	}
+	if err := checkCode(acct.CodeHash, code); err != nil {
 		return state.Account{}, err
 	}
 	var rebuilt hashing.Hash
-	if s != nil {
+	switch {
+	case s != nil:
 		rebuilt, err = s.Root, s.Err
-	} else {
+	case p.IsDelta():
+		var merged []types.StorageEntry
+		if merged, err = mergeOver(db, p); err == nil {
+			rebuilt, err = storageRoot(params.TreeKind, merged)
+		}
+	default:
 		rebuilt, err = storageRoot(params.TreeKind, p.Storage)
 	}
 	if err != nil {
@@ -133,11 +383,19 @@ func VerifyPreparedMove2(local hashing.ChainID, db *state.DB, hs *HeaderStore, p
 	if rebuilt != acct.StorageRoot {
 		return state.Account{}, fmt.Errorf("%w: rebuilt root %s, proven %s", ErrIncompleteSet, rebuilt, acct.StorageRoot)
 	}
-	if seen := db.GetMoveNonce(p.Contract); acct.MoveNonce <= seen {
-		return state.Account{}, fmt.Errorf("%w: proven nonce %d, already seen %d",
-			ErrReplay, acct.MoveNonce, seen)
+	if err := checkReplay(db, p, acct); err != nil {
+		return state.Account{}, err
 	}
 	return acct, nil
+}
+
+// checkReplay refuses a Move2 whose proven move nonce does not exceed the
+// target's high-water mark for the contract.
+func checkReplay(db *state.DB, p *types.Move2Payload, acct state.Account) error {
+	if seen := db.GetMoveNonce(p.Contract); acct.MoveNonce <= seen {
+		return fmt.Errorf("%w: proven nonce %d, already seen %d", ErrReplay, acct.MoveNonce, seen)
+	}
+	return nil
 }
 
 func checkCode(codeHash hashing.Hash, code []byte) error {
@@ -154,11 +412,13 @@ func checkCode(codeHash hashing.Hash, code []byte) error {
 }
 
 // Move2Storage is the part of a Move2 that grows with the moved contract's
-// storage: the root of the carried entries in the source chain's tree kind,
-// which the completeness check (VerifyMove2 step 5) compares with the proven
+// storage: the root of its entries in the source chain's tree kind, which
+// the completeness check (VerifyMove2 step 5) compares with the proven
 // record's, and the storage tree the target installs, built in the target's
-// kind and hashed. It is a pure function of the payload, so one computed for
-// any copy of a transaction serves every copy with the same id.
+// kind and hashed. The entries are a full payload's, or a delta's merged
+// into its base. It is a pure function of the payload (and, for a delta,
+// of the base), so one computed for any copy of a transaction serves every
+// copy with the same id.
 type Move2Storage struct {
 	// Err is why the entries cannot be the proven storage — a zero value, or
 	// keys out of order or repeated — wrapping ErrIncompleteSet; Root and
@@ -167,6 +427,10 @@ type Move2Storage struct {
 	Err  error
 	Root hashing.Hash
 	Tree trie.Tree
+	// N is the number of entries the Move2 stands for, which its gas is
+	// charged for: a full payload's, or, for a delta, CountMerge's over its
+	// base — the merge's length when the merge succeeds.
+	N int
 }
 
 // PrepareMove2 computes p's Move2Storage for a target whose state trees are
@@ -175,17 +439,33 @@ type Move2Storage struct {
 // the source-kind root is computed first, then the target-kind tree. It
 // reads only p and hs.Params, which is fixed when the store is built, and
 // touches no state, so it may run on any goroutine while the target
-// executes blocks.
+// executes blocks. A delta is prepared by PrepareMove2Delta.
 func PrepareMove2(hs *HeaderStore, target trie.Kind, p *types.Move2Payload) *Move2Storage {
-	params, err := hs.Params(p.SourceChain)
+	return prepare(hs, target, p.SourceChain, p.Storage)
+}
+
+// PrepareMove2Delta is PrepareMove2 for a delta over base, the target's
+// copy's storage as AppendMove2Base read it: it merges p into base
+// (MergeMove2) in merged, scratch that it returns for reuse, and prepares
+// the merge. Like PrepareMove2 it touches no state.
+func PrepareMove2Delta(hs *HeaderStore, target trie.Kind, p *types.Move2Payload, base, merged []types.StorageEntry) (*Move2Storage, []types.StorageEntry) {
+	merged, err := MergeMove2(merged[:0], base, p)
 	if err != nil {
-		return &Move2Storage{Err: err}
+		return &Move2Storage{Err: err, N: CountMerge(base, p)}, merged
 	}
-	entries := p.Storage
+	return prepare(hs, target, p.SourceChain, merged), merged
+}
+
+// prepare is PrepareMove2 over the entries a Move2 stands for.
+func prepare(hs *HeaderStore, target trie.Kind, source hashing.ChainID, entries []types.StorageEntry) *Move2Storage {
+	params, err := hs.Params(source)
+	if err != nil {
+		return &Move2Storage{Err: err, N: len(entries)}
+	}
 	if err := checkValues(entries); err != nil {
-		return &Move2Storage{Err: err}
+		return &Move2Storage{Err: err, N: len(entries)}
 	}
-	var s Move2Storage
+	s := Move2Storage{N: len(entries)}
 	if params.TreeKind == target {
 		if s.Tree, err = buildHashed(target, entries); err == nil {
 			s.Root = s.Tree.RootHash()
@@ -194,20 +474,27 @@ func PrepareMove2(hs *HeaderStore, target trie.Kind, p *types.Move2Payload) *Mov
 		s.Tree, err = buildHashed(target, entries)
 	}
 	if err != nil {
-		return &Move2Storage{Err: fmt.Errorf("%w: %v", ErrIncompleteSet, err)}
+		return &Move2Storage{Err: fmt.Errorf("%w: %v", ErrIncompleteSet, err), N: len(entries)}
 	}
 	return &s
 }
 
-// Matches reports whether s is still PrepareMove2's result for p: the
-// completeness root recomputed over p's entries is s.Root, or both fail.
-// A payload edited after its preparation does not match.
-func (s *Move2Storage) Matches(hs *HeaderStore, p *types.Move2Payload) bool {
+// Matches reports whether s is still the preparation of p — over base, for
+// a delta, merged in scratch: the completeness root recomputed over the
+// entries p stands for is s.Root, or both fail. A payload edited after its
+// preparation does not match.
+func (s *Move2Storage) Matches(hs *HeaderStore, p *types.Move2Payload, base, scratch []types.StorageEntry) bool {
 	params, err := hs.Params(p.SourceChain)
 	if err != nil {
 		return s.Err != nil
 	}
-	root, err := storageRoot(params.TreeKind, p.Storage)
+	entries := p.Storage
+	if p.IsDelta() {
+		if entries, err = MergeMove2(scratch[:0], base, p); err != nil {
+			return s.Err != nil
+		}
+	}
+	root, err := storageRoot(params.TreeKind, entries)
 	return (err == nil) == (s.Err == nil) && root == s.Root
 }
 
@@ -260,15 +547,33 @@ func entryAt(entries []types.StorageEntry) func(i int) (key, value []byte) {
 
 // ApplyMove2 recreates the verified contract locally (Alg. 1 lines 11-12):
 // the account record is imported with this chain as its location, the code
-// installed, and the storage tree built from the payload installed as the
-// contract's whole storage through the journaled state, so a later failure
-// in moveFinish rolls the recreation back too. A chain that prepared the
-// payload installs its Move2Storage tree with state.DB.ImportAccount
-// instead of building another.
+// installed, and the storage tree built from the payload — a delta merged
+// into its base — installed as the contract's whole storage through the
+// journaled state, so a later failure in moveFinish rolls the recreation
+// back too. A chain that prepared the payload installs its Move2Storage
+// tree with state.DB.ImportAccount instead of building another.
 func ApplyMove2(db *state.DB, p *types.Move2Payload, acct state.Account) {
-	t, err := trees.Build(db.TreeKind(), 32, len(p.Storage), entryAt(p.Storage))
+	code, err := Move2Code(db, p)
+	entries := p.Storage
+	if err == nil && p.IsDelta() {
+		entries, err = mergeOver(db, p)
+	}
+	var t trie.Tree
+	if err == nil {
+		t, err = trees.Build(db.TreeKind(), 32, len(entries), entryAt(entries))
+	}
 	if err != nil {
 		panic(fmt.Sprintf("core: apply an unverified Move2 payload: %v", err))
 	}
-	db.ImportAccount(p.Contract, acct, p.Code, t)
+	db.ImportAccount(p.Contract, acct, code, t)
+}
+
+// mergeOver is the storage the delta p stands for on db, in memory of its
+// own: db's copy, its base, merged with p.
+func mergeOver(db *state.DB, p *types.Move2Payload) ([]types.StorageEntry, error) {
+	base, err := AppendMove2Base(nil, db, p)
+	if err != nil {
+		return nil, err
+	}
+	return MergeMove2(nil, base, p)
 }

@@ -58,7 +58,7 @@ func lockContract(t *testing.T, db *state.DB, contract hashing.Address, target h
 // publish feeds hs with a header chain for the given chain id so that the
 // root of height is trusted: for lagging chains the root lands in height+1,
 // and the head is advanced p blocks past the root-bearing header.
-func publish(t *testing.T, hs *HeaderStore, params ChainParams, height uint64, root hashing.Hash) {
+func publish(t testing.TB, hs *HeaderStore, params ChainParams, height uint64, root hashing.Hash) {
 	t.Helper()
 	rootHeight := height
 	if params.LaggingStateRoot {

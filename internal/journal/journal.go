@@ -12,6 +12,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -82,6 +83,19 @@ func digest(text string) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// blockIdentity matches the end of a block line that names what a block
+// carried rather than what it committed: its header hash (which covers the
+// transaction ids) and its receipts' digest (which covers them too).
+var blockIdentity = regexp.MustCompile(`(?m)^(chain \d+ height \d+ .* root [0-9a-f]+) hash [0-9a-f]+ receipts [0-9a-f]+$`)
+
+// stateDigest is the digest of text with each block line's hash and
+// receipts fields dropped: it moves when a run commits other state, at
+// other heights or times, and stays when only the bytes of the
+// transactions that led there differ.
+func stateDigest(text string) string {
+	return digest(blockIdentity.ReplaceAllString(text, "$1"))
+}
+
 // diff returns the number and both versions of the first line where two
 // different texts part.
 func diff(a, b string) string {
@@ -113,8 +127,9 @@ func Same(tb testing.TB, what string, a, b *Journal) *Journal {
 	return a
 }
 
-// Check logs "identity: <test> <digest>" and fails tb unless the digest is
-// want. A pass leaves the journal under os.TempDir() as the reference of this
+// Check logs "identity: <test> <digest>" and "identity: <test> state
+// <digest>", the second over the journal without the block lines' hash and
+// receipts fields (stateDigest), and fails tb unless the first is want. A pass leaves the journal under os.TempDir() as the reference of this
 // test and pin; a failure writes its own there too and names the first line
 // where it parts from the reference.
 func (j *Journal) Check(tb testing.TB, want string) {
@@ -122,6 +137,7 @@ func (j *Journal) Check(tb testing.TB, want string) {
 	text := j.String()
 	got := digest(text)
 	tb.Logf("identity: %s %s", tb.Name(), got)
+	tb.Logf("identity: %s state %s", tb.Name(), stateDigest(text))
 	ref := file(tb.Name(), want)
 	if got == want {
 		keep(tb, ref, text)

@@ -58,28 +58,46 @@ counter wan.dropped 4
 	if got := journalOf(twoBlocks(), twoReceipts()).String(); got != golden {
 		t.Fatalf("journal text moved, %s", diff(golden, got))
 	}
+	const state = `chain 2 height 1 time 5 at 5s txs 0 root 2b53d21379ba77e9
+chain 2 height 2 time 10 at 10.000000001s txs 2 root f4cee9432566e6a4
+latencies [3s 1m0s]
+counter relay.moves_completed 1
+counter wan.dropped 4
+`
+	if got, want := stateDigest(golden), digest(state); got != want {
+		t.Fatalf("state digest %s, want the digest of the lines without hash and receipts %s", got, want)
+	}
 }
 
 // TestJournalNamesFirstDifference edits one field at a time — a receipt's
 // gas, a log's data, a header's state root — and requires diff to name the
-// line of that block and no other, and Same to report it.
+// line of that block and no other, and Same to report it. An edited receipt
+// moves the full digest only; an edited root moves the state digest too.
 func TestJournalNamesFirstDifference(t *testing.T) {
 	want := journalOf(twoBlocks(), twoReceipts()).String()
 	for _, tc := range []struct {
-		name string
-		edit func([]*types.Block, [][]*types.Receipt)
-		line string
+		name       string
+		edit       func([]*types.Block, [][]*types.Receipt)
+		line       string
+		stateMoves bool
 	}{
-		{"receipt gas", func(_ []*types.Block, rs [][]*types.Receipt) { rs[1][0].GasUsed++ }, "line 2:"},
-		{"log data", func(_ []*types.Block, rs [][]*types.Receipt) { rs[1][1].Logs[0].Data[1] = 3 }, "line 2:"},
-		{"state root", func(bs []*types.Block, _ [][]*types.Receipt) { bs[0].Header.StateRoot[31] ^= 1 }, "line 1:"},
+		{"receipt gas", func(_ []*types.Block, rs [][]*types.Receipt) { rs[1][0].GasUsed++ }, "line 2:", false},
+		{"log data", func(_ []*types.Block, rs [][]*types.Receipt) { rs[1][1].Logs[0].Data[1] = 3 }, "line 2:", false},
+		{"state root", func(bs []*types.Block, _ [][]*types.Receipt) { bs[0].Header.StateRoot[0] ^= 1 }, "line 1:", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bs, rs := twoBlocks(), twoReceipts()
 			tc.edit(bs, rs)
-			d := diff(want, journalOf(bs, rs).String())
+			got := journalOf(bs, rs).String()
+			d := diff(want, got)
 			if !strings.HasPrefix(d, tc.line) || strings.Count(d, "\n") != 2 {
 				t.Fatalf("edit of the %s reported as %q, want the %s line", tc.name, d, tc.line)
+			}
+			if digest(got) == digest(want) {
+				t.Fatalf("edit of the %s left the digest", tc.name)
+			}
+			if moved := stateDigest(got) != stateDigest(want); moved != tc.stateMoves {
+				t.Fatalf("edit of the %s: state digest moved %v, want %v", tc.name, moved, tc.stateMoves)
 			}
 			ft := &fakeTB{TB: t}
 			Same(ft, "runs", journalOf(twoBlocks(), twoReceipts()), journalOf(bs, rs))

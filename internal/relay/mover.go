@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"scmove/internal/chain"
@@ -267,8 +268,14 @@ func (m *Mover) handle(cl *Client, e *Entry, ev event) {
 		case doBuildProof:
 			// Against the current committed state: the contract is locked, so
 			// its record cannot change, and this head's root will reach the
-			// target's light client within p blocks.
-			payload, err := core.BuildMoveProof(m.src.StateDB(), e.Contract, m.src.Head().Height)
+			// target's light client within p blocks. Where the target holds a
+			// copy of the contract, the payload is a delta against it.
+			moveScratchMu.Lock()
+			payload, err := core.BuildMoveDelta(m.src.StateDB(), m.dst.StateDB(), e.Contract, m.src.Head().Height, &moveScratch)
+			moveScratchMu.Unlock()
+			m.handle(cl, e, event{kind: evProof, payload: payload, err: err})
+		case doFullPayload:
+			payload, err := core.FullMove2(m.src.StateDB(), e.Payload)
 			m.handle(cl, e, event{kind: evProof, payload: payload, err: err})
 		case doExpect:
 			m.dst.ExpectMove2(e.Payload)
@@ -298,6 +305,14 @@ func (m *Mover) handle(cl *Client, e *Entry, ev event) {
 		}
 	}
 }
+
+// moveScratch is the memory BuildMoveDelta reads the two copies of a
+// contract into, shared by every mover of the process (a universe makes a
+// mover per Move) and kept across Moves; moveScratchMu guards it.
+var (
+	moveScratchMu sync.Mutex
+	moveScratch   core.MoveScratch
+)
 
 // hook delivers events to one move while it handles nothing else. Every
 // timer and receipt goes through one (Mover.arm), so the hooks of a crashed
@@ -366,7 +381,7 @@ const (
 	evReceipt                   // the submitted leg's receipt arrived
 	evDeadline                  // the submitted leg's stage deadline passed
 	evTimer                     // a backoff or the poll interval passed
-	evProof                     // the proof was built (payload) or not (err)
+	evProof                     // the proof or the full payload was built (payload) or not (err)
 	evPoll                      // the target's light client answered (ready)
 )
 
@@ -384,15 +399,16 @@ type event struct {
 type actionKind uint8
 
 const (
-	doSubmit     actionKind = iota // sign the leg's transaction if there is none, send it, arm receipt and deadline
-	doRetry                        // count and trace the leg's retry (name: why; a bad nonce resyncs the client), back off
-	doBuildProof                   // build the proof; answered by evProof
-	doExpect                       // announce the payload to the target (Chain.ExpectMove2)
-	doPoll                         // ask the target's light client; answered by evPoll
-	doTimer                        // arm evTimer after the delay
-	doCount                        // increment the named counter
-	doSpan                         // record the named span
-	doFinish                       // count and report the move's end (name: the step that failed)
+	doSubmit      actionKind = iota // sign the leg's transaction if there is none, send it, arm receipt and deadline
+	doRetry                         // count and trace the leg's retry (name: why; a bad nonce resyncs the client), back off
+	doBuildProof                    // build the proof, a delta where the target holds a copy; answered by evProof
+	doFullPayload                   // rebuild the delta payload in full on its proof (core.FullMove2); answered by evProof
+	doExpect                        // announce the payload to the target (Chain.ExpectMove2)
+	doPoll                          // ask the target's light client; answered by evPoll
+	doTimer                         // arm evTimer after the delay
+	doCount                         // increment the named counter
+	doSpan                          // record the named span
+	doFinish                        // count and report the move's end (name: the step that failed)
 )
 
 // action is one effect of a step.
@@ -493,6 +509,11 @@ func step(e *Entry, ev event) []action {
 				{do: doFinish},
 			}
 		}
+		if staleBase(ev.rec.Err) && e.Payload.IsDelta() {
+			// The target no longer holds the copy the delta was computed
+			// against. The proof still stands; send the full payload.
+			return []action{{do: doFullPayload}}
+		}
 		if transientMove2(ev.rec.Err) && e.Attempts < maxAttempts {
 			// Rebuild with a fresh nonce and re-check the confirmation depth
 			// before resubmitting. The failed attempt consumed the target's
@@ -501,6 +522,15 @@ func step(e *Entry, ev event) []action {
 			return []action{await(e, ev.now), retry(e, leg, ev.rec.Err)}
 		}
 		return fail(e, leg, errors.New(ev.rec.Err))
+	case at(StageMove2Submitted, evProof):
+		if ev.err != nil {
+			return fail(e, "build proof", ev.err)
+		}
+		// The full payload replaces the refused delta: a new Move2, announced
+		// to the target and sent after the first backoff. It spends no
+		// attempt: a full payload has no base to be refused for.
+		e.Payload, e.Move2 = ev.payload, nil
+		return []action{await(e, ev.now), {do: doCount, name: "relay.full_fallbacks"}, {do: doTimer, after: retryBase}}
 	}
 	return nil
 }
@@ -551,6 +581,10 @@ func fail(e *Entry, what string, err error) []action {
 // badNonce reports a receipt error of a transaction whose nonce the chain
 // refused.
 func badNonce(msg string) bool { return strings.Contains(msg, chain.ErrBadNonce.Error()) }
+
+// staleBase reports the receipt error of a delta Move2 whose base the
+// target no longer holds.
+func staleBase(msg string) bool { return strings.Contains(msg, core.ErrStaleBase.Error()) }
 
 // transientMove2 reports receipt errors worth a retry: nonce desyncs and
 // confirmation races (the depth check can regress only if our poll and the

@@ -10,6 +10,7 @@ import (
 
 	"scmove/internal/chain"
 	"scmove/internal/core"
+	"scmove/internal/evm"
 	"scmove/internal/hashing"
 	"scmove/internal/keys"
 	"scmove/internal/types"
@@ -117,6 +118,7 @@ func TestStep(t *testing.T) {
 		return action{do: doRetry, leg: leg, name: reason, after: backoff(attempt)}
 	}
 	spent := func(e *Entry) { e.Attempts = maxAttempts }
+	delta := func(e *Entry) { e.Payload = deltaPayload() }
 	complete := func(e *Entry) { e.MoveToInput = nil }
 	errWith := func(prefix string, target error) func(*testing.T, *Entry) {
 		return func(t *testing.T, e *Entry) {
@@ -265,6 +267,31 @@ func TestStep(t *testing.T) {
 			ev:   event{kind: evReceipt, rec: receipt(core.ErrNoHeader)},
 			acts: []action{{do: doFinish, name: "move2"}}, want: StageFailed,
 			check: errWith("move2: "+core.ErrNoHeader.Error(), nil)},
+		{name: "stale base of a delta rebuilds it in full", stage: StageMove2Submitted, setup: delta,
+			ev: event{kind: evReceipt, rec: receipt(core.ErrStaleBase)}, acts: []action{{do: doFullPayload}},
+			want: StageMove2Submitted, check: func(t *testing.T, e *Entry) {
+				if e.Move2 != x.move2 || !e.Payload.IsDelta() {
+					t.Fatal("the refused Move2 and its delta must stay until the full payload is built")
+				}
+			}},
+		{name: "stale base of a full payload fails", stage: StageMove2Submitted,
+			ev:   event{kind: evReceipt, rec: receipt(core.ErrStaleBase)},
+			acts: []action{{do: doFinish, name: "move2"}}, want: StageFailed,
+			check: errWith("move2: "+core.ErrStaleBase.Error(), nil)},
+		{name: "full payload waits again", stage: StageMove2Submitted, setup: delta,
+			ev:   event{kind: evProof, payload: built},
+			acts: []action{expect, {do: doCount, name: "relay.full_fallbacks"}, {do: doTimer, after: retryBase}},
+			want: StageWaitConfirm,
+			check: func(t *testing.T, e *Entry) {
+				if e.Payload != built || e.Move2 != nil || e.confirmAt != now || e.Attempts != 0 {
+					t.Fatalf("payload kept %v, Move2 %v, wait from %v, attempts %d",
+						e.Payload == built, e.Move2, e.confirmAt, e.Attempts)
+				}
+			}},
+		{name: "failed full payload fails", stage: StageMove2Submitted, setup: delta,
+			ev:   event{kind: evProof, err: core.ErrNotLocked},
+			acts: []action{{do: doFinish, name: "build proof"}}, want: StageFailed,
+			check: errWith("build proof: ", core.ErrNotLocked)},
 	}
 	// A transient Move2 receipt drops Move2, re-announces the payload and
 	// waits again from now.
@@ -323,6 +350,15 @@ func TestStep(t *testing.T) {
 	}
 }
 
+// deltaPayload is testPayload as a delta: one changed entry, one deleted
+// key and no code, against a base.
+func deltaPayload() *types.Move2Payload {
+	p := testPayload()
+	p.Code, p.Storage = nil, p.Storage[1:]
+	p.Base, p.Deleted = hashing.Sum([]byte("base")), []evm.Word{{5}}
+	return p
+}
+
 // stepEdges are the stage changes the table allows, self-loops included.
 var stepEdges = map[Stage][]Stage{
 	StagePending:        {StagePending, StageMove1Submitted, StageWaitConfirm, StageFailed},
@@ -341,7 +377,7 @@ func fuzzEvent(b byte, now *time.Duration, payload *types.Move2Payload) event {
 	ev := event{kind: eventKind(b % 7), now: *now, ready: v%2 == 0}
 	switch ev.kind {
 	case evReceipt:
-		ev.rec = receipt([]error{nil, chain.ErrBadNonce, core.ErrNoHeader, core.ErrNotConfirmed, core.ErrReplay}[v%5])
+		ev.rec = receipt([]error{nil, chain.ErrBadNonce, core.ErrNoHeader, core.ErrNotConfirmed, core.ErrReplay, core.ErrStaleBase}[v%6])
 	case evProof:
 		if v%2 == 0 {
 			ev.payload = payload
@@ -353,8 +389,8 @@ func fuzzEvent(b byte, now *time.Duration, payload *types.Move2Payload) event {
 }
 
 // FuzzStep drives step from a random stage through a random sequence of
-// events (data[0] picks the stage, data[1] the attempts and the move's
-// style, every later byte one event) and checks what a crash-at-any-step
+// events (data[0] picks the stage, and whether the payload is a delta;
+// data[1] the attempts and the move's style; every later byte one event) and checks what a crash-at-any-step
 // sweep relies on: Done and Failed absorb every event untouched, Attempts
 // stays inside the budget, the stage moves only along the table's edges,
 // and after every step, with the driver's signing filled in, the entry
@@ -369,6 +405,7 @@ func FuzzStep(f *testing.F) {
 		{2, 0, 251, 6},                          // the confirmation deadline passes
 		{1, 10, 12, 1, 0},                       // failed proof, then absorbed events
 		{4, 0, 0, 1, 2, 3, 4, 5, 6},             // done absorbs everything
+		{0x81, 0, 37, 5, 6, 2},                  // stale base, full payload, poll, Move2
 	} {
 		f.Add(seed)
 	}
@@ -378,6 +415,9 @@ func FuzzStep(f *testing.F) {
 			return
 		}
 		e := x.entry(Stage(data[0] % 6))
+		if data[0]&0x80 != 0 && e.Payload != nil {
+			e.Payload = deltaPayload()
+		}
 		e.Attempts = int(data[1]&0x7f) % (maxAttempts + 1)
 		if data[1]&0x80 != 0 {
 			e.MoveToInput = nil

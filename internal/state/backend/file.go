@@ -3,6 +3,7 @@ package backend
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -420,6 +421,12 @@ func (f *File) SlotCount(addr hashing.Address) int { return len(f.slots[addr]) }
 // ratio warrants it. batch.Slots must be strictly ascending by (address,
 // key), as Batch promises: each contract's changes are merged into its run
 // in one pass.
+//
+// The whole batch is encoded and written before any of it is indexed. A
+// failed or short write truncates the segment back to what the last commit
+// left and returns the error with the index, the byte counts and the
+// latest root untouched, so the store still serves, and reopens to, the
+// last good commit.
 func (f *File) Commit(root hashing.Hash, batch Batch) error {
 	for i := 1; i < len(batch.Slots); i++ {
 		a, b := batch.Slots[i-1].Key, batch.Slots[i].Key
@@ -428,53 +435,18 @@ func (f *File) Commit(root hashing.Hash, batch Batch) error {
 		}
 	}
 	f.buf = f.buf[:0]
-	base := f.written
-	encOne := func(kind byte, key, value []byte) (int64, int) {
-		start := len(f.buf)
+	walkBatch(root, batch, func(kind byte, key, value []byte) {
 		f.buf = appendRecord(f.buf, kind, key, value)
-		return base + int64(start), len(f.buf) - start
-	}
-	for _, ac := range batch.Accounts {
-		if ac.Cur != nil {
-			off, n := encOne(recAccount, ac.Addr[:], ac.Cur)
-			f.applyRecord(f.active, off, record{Kind: recAccount, Key: ac.Addr[:], Value: ac.Cur}, n)
-		} else {
-			off, n := encOne(recAccountDel, ac.Addr[:], nil)
-			f.applyRecord(f.active, off, record{Kind: recAccountDel, Key: ac.Addr[:]}, n)
-		}
-	}
-	var slotKey [slotSize]byte
-	for i := 0; i < len(batch.Slots); {
-		addr := batch.Slots[i].Key.Addr
-		copy(slotKey[:addrSize], addr[:])
-		changed := f.changed[:0]
-		for ; i < len(batch.Slots) && batch.Slots[i].Key.Addr == addr; i++ {
-			sc := &batch.Slots[i]
-			copy(slotKey[addrSize:], sc.Key.Key[:])
-			kind, value := byte(recSlotDel), []byte(nil)
-			if sc.CurExists {
-				kind, value = recSlot, sc.Cur[:]
-			}
-			off, n := encOne(kind, slotKey[:], value)
-			rec := record{Kind: kind, Key: slotKey[:], Value: value}
-			changed = append(changed, slot{key: sc.Key.Key, loc: loc{
-				seg:    f.active,
-				off:    off + int64(valueOffset(rec)),
-				vlen:   uint32(len(value)),
-				reclen: uint32(n),
-			}})
-		}
-		f.changed = f.mergeSlots(addr, changed)
-	}
-	for _, cb := range batch.Codes {
-		off, n := encOne(recCode, cb.Hash[:], cb.Code)
-		f.applyRecord(f.active, off, record{Kind: recCode, Key: cb.Hash[:], Value: cb.Code}, n)
-	}
-	off, n := encOne(recCommit, root[:], nil)
-	f.applyRecord(f.active, off, record{Kind: recCommit, Key: root[:]}, n)
+	})
 	if _, err := f.segs[f.active].Write(f.buf); err != nil {
+		// O_APPEND writes at the end whatever the handle's offset, so cutting
+		// the file back is all a retry needs.
+		if terr := os.Truncate(segmentPath(f.dir, f.active), f.written); terr != nil {
+			err = errors.Join(err, terr)
+		}
 		return fmt.Errorf("backend: append: %w", err)
 	}
+	f.index(root, batch)
 	f.written += int64(len(f.buf))
 	if f.deadBytes > f.liveBytes && f.deadBytes > f.CompactMinBytes {
 		if err := f.compact(); err != nil {
@@ -482,6 +454,68 @@ func (f *File) Commit(root hashing.Hash, batch Batch) error {
 		}
 	}
 	return nil
+}
+
+// walkBatch hands emit the records of a commit in the order Commit writes
+// them: accounts, slots, code blobs, then the commit marker.
+func walkBatch(root hashing.Hash, batch Batch, emit func(kind byte, key, value []byte)) {
+	for _, ac := range batch.Accounts {
+		if ac.Cur != nil {
+			emit(recAccount, ac.Addr[:], ac.Cur)
+		} else {
+			emit(recAccountDel, ac.Addr[:], nil)
+		}
+	}
+	var slotKey [slotSize]byte
+	for i := range batch.Slots {
+		sc := &batch.Slots[i]
+		copy(slotKey[:addrSize], sc.Key.Addr[:])
+		copy(slotKey[addrSize:], sc.Key.Key[:])
+		if sc.CurExists {
+			emit(recSlot, slotKey[:], sc.Cur[:])
+		} else {
+			emit(recSlotDel, slotKey[:], nil)
+		}
+	}
+	for _, cb := range batch.Codes {
+		emit(recCode, cb.Hash[:], cb.Code)
+	}
+	emit(recCommit, root[:], nil)
+}
+
+// index folds a batch Commit has just written at f.written into the index
+// and the byte counts, each contract's slot changes merged into its run in
+// one pass.
+func (f *File) index(root hashing.Hash, batch Batch) {
+	off := f.written
+	var addr hashing.Address
+	changed := f.changed[:0]
+	walkBatch(root, batch, func(kind byte, key, value []byte) {
+		rec := record{Kind: kind, Key: key, Value: value}
+		n := recordLen(kind, len(key), len(value))
+		at := off
+		off += int64(n)
+		if kind != recSlot && kind != recSlotDel {
+			if len(changed) > 0 {
+				changed = f.mergeSlots(addr, changed)
+			}
+			f.applyRecord(f.active, at, rec, n)
+			return
+		}
+		if a := hashing.Address(key[:addrSize]); a != addr || len(changed) == 0 {
+			if len(changed) > 0 {
+				changed = f.mergeSlots(addr, changed)
+			}
+			addr = a
+		}
+		changed = append(changed, slot{key: Word(key[addrSize:]), loc: loc{
+			seg:    f.active,
+			off:    at + int64(valueOffset(rec)),
+			vlen:   uint32(len(value)),
+			reclen: uint32(n),
+		}})
+	})
+	f.changed = changed
 }
 
 // mergeSlots folds one contract's changes, ascending by key (a tombstone
@@ -677,14 +711,6 @@ func (f *File) LiveKeys() int {
 
 // SegmentBytes returns the live/dead byte split of the store.
 func (f *File) SegmentBytes() (live, dead int64) { return f.liveBytes, f.deadBytes }
-
-// Sync forces the active segment to stable storage.
-func (f *File) Sync() error {
-	if file, ok := f.segs[f.active]; ok {
-		return file.Sync()
-	}
-	return nil
-}
 
 // Close implements Backend. Closing an already-closed store is an error:
 // it almost always means two owners both think they are responsible for the

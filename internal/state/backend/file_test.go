@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -517,5 +518,100 @@ func BenchmarkCommitDeleteContract(b *testing.B) {
 	}
 	if n := f.SlotCount(contract); n != 0 {
 		b.Fatalf("%d slots left", n)
+	}
+}
+
+// TestFailedCommitLeavesStoreAsItWas fails a commit's segment write (the
+// active segment's handle swapped for a read-only one of the same file) and
+// requires the store to read exactly as before it: slots, runs, counts,
+// byte accounting, root and append offset. The next commit on a writable
+// handle succeeds, and a reopen gives its root.
+func TestFailedCommitLeavesStoreAsItWas(t *testing.T) {
+	dir := t.TempDir()
+	f, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := tAddr(1)
+	good := accountBatch(a, []byte("acct-1"))
+	for k := byte(1); k <= 4; k++ {
+		good.Slots = append(good.Slots, SlotChange{Key: SlotKey{Addr: a, Key: tWord(k)}, Cur: tWord(10 + k), CurExists: true})
+	}
+	if err := f.Commit(tRoot(1), good); err != nil {
+		t.Fatal(err)
+	}
+	type view struct {
+		slots          []string
+		count, live    int
+		liveB, deadB   int64
+		root           hashing.Hash
+		hasRoot        bool
+		written        int64
+		slot2, slot9   Word
+		found2, found9 bool
+	}
+	look := func() view {
+		var v view
+		f.IterateStorage(a, func(key, val Word) bool {
+			v.slots = append(v.slots, fmt.Sprintf("%x=%x", key[31], val[31]))
+			return true
+		})
+		v.count, v.live = f.SlotCount(a), f.LiveKeys()
+		v.liveB, v.deadB = f.SegmentBytes()
+		v.root, v.hasRoot = f.LatestRoot()
+		v.written = f.written
+		v.slot2, v.found2 = f.Slot(SlotKey{Addr: a, Key: tWord(2)})
+		v.slot9, v.found9 = f.Slot(SlotKey{Addr: a, Key: tWord(9)})
+		return v
+	}
+	before := look()
+
+	bad := accountBatch(a, []byte("acct-1b"), tAddr(2), []byte("acct-2"))
+	bad.Slots = []SlotChange{
+		{Key: SlotKey{Addr: a, Key: tWord(2)}, Prev: tWord(12), PrevExisted: true},
+		{Key: SlotKey{Addr: a, Key: tWord(3)}, Prev: tWord(13), Cur: tWord(99), PrevExisted: true, CurExists: true},
+		{Key: SlotKey{Addr: a, Key: tWord(9)}, Cur: tWord(9), CurExists: true},
+	}
+	bad.Codes = []CodeBlob{{Hash: hashing.Sum([]byte("code")), Code: []byte("code")}}
+	writable := f.segs[f.active]
+	ro, err := os.Open(segmentPath(dir, f.active))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.segs[f.active] = ro
+	if err := f.Commit(tRoot(2), bad); err == nil {
+		t.Fatal("a commit whose write failed returned no error")
+	}
+	f.segs[f.active] = writable
+	ro.Close()
+	if after := look(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a failed commit changed the store:\n before %+v\n after  %+v", before, after)
+	}
+	if _, ok := f.Account(tAddr(2)); ok {
+		t.Fatal("a failed commit indexed an account")
+	}
+	if fi, err := os.Stat(segmentPath(dir, f.active)); err != nil || fi.Size() != f.written {
+		t.Fatalf("segment is %v bytes (%v), the store wrote %d", fi.Size(), err, f.written)
+	}
+
+	if err := f.Commit(tRoot(3), bad); err != nil {
+		t.Fatalf("the commit after a failed one: %v", err)
+	}
+	if v, ok := f.Slot(SlotKey{Addr: a, Key: tWord(3)}); !ok || v != tWord(99) {
+		t.Fatalf("slot 3 = %x, %v after the retried commit", v, ok)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if root, ok := g.LatestRoot(); !ok || root != tRoot(3) {
+		t.Fatalf("reopened root %x, want the last good commit's %x", root, tRoot(3))
+	}
+	if g.SlotCount(a) != 4 {
+		t.Fatalf("reopened run holds %d slots, want 4", g.SlotCount(a))
 	}
 }

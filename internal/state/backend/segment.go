@@ -63,6 +63,16 @@ type record struct {
 	Value []byte // recAccount / recSlot only
 }
 
+// recordLen is the length appendRecord encodes a record of kind with a key
+// and a value of these lengths to.
+func recordLen(kind byte, keyLen, valueLen int) int {
+	n := 1 + keyLen + crcSize
+	if kind == recAccount || kind == recSlot || kind == recCode {
+		n += uvarintLen(uint64(valueLen)) + valueLen
+	}
+	return n
+}
+
 // appendRecord appends one encoded record (including its checksum) to dst.
 func appendRecord(dst []byte, kind byte, key, value []byte) []byte {
 	start := len(dst)

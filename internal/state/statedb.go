@@ -938,7 +938,7 @@ func (db *DB) ProveAccount(addr hashing.Address) ([]byte, error) {
 // tree is not resident read straight from the file store.
 func (db *DB) StorageEntries(addr hashing.Address) []StorageEntry {
 	if t, ok := db.storage[addr]; ok {
-		return treeEntries(t)
+		return appendTreeEntries(make([]StorageEntry, 0, t.Len()), t)
 	}
 	if db.file == nil {
 		return nil
@@ -946,10 +946,22 @@ func (db *DB) StorageEntries(addr hashing.Address) []StorageEntry {
 	return db.fileEntries(addr)
 }
 
-// treeEntries copies t's entries out, ascending by key: Iterate's key and
-// value are valid only during its callback.
-func treeEntries(t trie.Tree) []StorageEntry {
-	out := make([]StorageEntry, 0, t.Len())
+// AppendStorage is StorageEntries appending to dst: a caller that reads
+// storage over and over (a relayer comparing two copies, a target reading
+// a Move2's base) reuses one buffer instead of allocating per read.
+func (db *DB) AppendStorage(dst []StorageEntry, addr hashing.Address) []StorageEntry {
+	if t, ok := db.storage[addr]; ok {
+		return appendTreeEntries(dst, t)
+	}
+	if db.file == nil {
+		return dst
+	}
+	return db.appendFileEntries(dst, addr)
+}
+
+// appendTreeEntries copies t's entries out to dst, ascending by key:
+// Iterate's key and value are valid only during its callback.
+func appendTreeEntries(out []StorageEntry, t trie.Tree) []StorageEntry {
 	t.Iterate(func(k, v []byte) bool {
 		out = append(out, StorageEntry{Key: evm.Word(k), Value: evm.Word(v)})
 		return true
@@ -960,7 +972,12 @@ func treeEntries(t trie.Tree) []StorageEntry {
 // fileEntries reads addr's committed slots from the file store, ascending by
 // key, into one slice of exactly the store's slot count.
 func (db *DB) fileEntries(addr hashing.Address) []StorageEntry {
-	out := make([]StorageEntry, 0, db.file.SlotCount(addr))
+	return db.appendFileEntries(make([]StorageEntry, 0, db.file.SlotCount(addr)), addr)
+}
+
+// appendFileEntries appends addr's committed slots in the file store to
+// out, ascending by key.
+func (db *DB) appendFileEntries(out []StorageEntry, addr hashing.Address) []StorageEntry {
 	db.file.IterateStorage(addr, func(key, val backend.Word) bool {
 		out = append(out, StorageEntry{Key: key, Value: val})
 		return true

@@ -93,6 +93,7 @@ func (p *Pool) Len() int {
 // single-threaded caller the re-check is a no-op and the decision order —
 // stateless, duplicate, capacity, signature — is the historical one.
 func (p *Pool) Add(tx *types.Transaction) error {
+	tx.CheckID()
 	if err := tx.ValidateStateless(p.chainID); err != nil {
 		return fmt.Errorf("admit tx: %w", err)
 	}

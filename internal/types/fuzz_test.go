@@ -3,8 +3,10 @@ package types
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"scmove/internal/evm"
 	"scmove/internal/hashing"
 	"scmove/internal/iavl"
 	"scmove/internal/keys"
@@ -104,6 +106,20 @@ func fuzzSeedTx(tb testing.TB, kind TxKind) *Transaction {
 	return tx
 }
 
+// fuzzSeedDelta is fuzzSeedTx's Move2 as a delta: a base, two deleted keys
+// and no code.
+func fuzzSeedDelta(tb testing.TB) *Transaction {
+	tb.Helper()
+	tx := fuzzSeedTx(tb, TxMove2)
+	m := *tx.Move2
+	m.Code, m.Base, m.Deleted = nil, hashing.Sum([]byte("base")), []evm.Word{{3}, {4}}
+	signed := &Transaction{ChainID: tx.ChainID, Nonce: tx.Nonce, Kind: TxMove2, GasLimit: tx.GasLimit, GasPrice: tx.GasPrice, Move2: &m}
+	if err := signed.Sign(keys.Deterministic(77)); err != nil {
+		tb.Fatal(err)
+	}
+	return signed
+}
+
 // FuzzDecodeTransaction feeds arbitrary bytes to the transaction decoder:
 // it must never panic, and anything it accepts must survive a re-encode /
 // re-decode round trip with identical identity, re-encode to EncodedSize
@@ -112,6 +128,7 @@ func FuzzDecodeTransaction(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(fuzzSeedTx(f, TxCall).Encode())
 	f.Add(fuzzSeedTx(f, TxMove2).Encode())
+	f.Add(fuzzSeedDelta(f).Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := bytes.Clone(data) // the engine's input must not be written
 		tx, err := DecodeTransaction(in)
@@ -170,17 +187,19 @@ func FuzzDecodeHeader(f *testing.F) {
 func FuzzDecodeMove2Payload(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(EncodeMove2Payload(fuzzSeedTx(f, TxMove2).Move2))
+	f.Add(EncodeMove2Payload(fuzzSeedDelta(f).Move2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMove2Payload(data)
 		if err != nil {
 			return
 		}
-		m2, err := DecodeMove2Payload(EncodeMove2Payload(m))
+		enc := EncodeMove2Payload(m)
+		m2, err := DecodeMove2Payload(enc)
 		if err != nil {
 			t.Fatalf("re-decode of accepted payload failed: %v", err)
 		}
-		if len(m2.Storage) != len(m.Storage) || m2.Contract != m.Contract {
-			t.Fatal("round trip changed payload")
+		if !reflect.DeepEqual(m2, m) || !bytes.Equal(EncodeMove2Payload(m2), enc) {
+			t.Fatalf("round trip changed payload:\n %+v\n %+v", m, m2)
 		}
 	})
 }

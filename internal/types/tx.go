@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"testing"
 
 	"scmove/internal/codec"
 	"scmove/internal/evm"
@@ -49,6 +50,16 @@ type StorageEntry = evm.StorageEntry
 
 // Move2Payload is the proof bundle of a Move2 transaction: everything the
 // target chain needs to verify V ↦ m and recreate contract c (§III-C,E).
+//
+// A payload is full or a delta (DESIGN §17.11). A full payload carries the
+// code and the complete storage. A delta names, in Base, the target's copy
+// of the contract it was computed against, and carries only what differs
+// from that copy: the entries whose values changed or are new, the keys
+// deleted since, and the code only when the copy's code hash is not the
+// proven one. The target merges the delta into its copy and verifies the
+// merge exactly as it verifies a full payload's storage. A full payload is
+// a delta against nothing: Base is zero and the encoding ends after
+// Storage, as it always did.
 type Move2Payload struct {
 	// Contract is the identifier of the moved contract c.
 	Contract hashing.Address
@@ -59,12 +70,26 @@ type Move2Payload struct {
 	// AccountProof proves the contract's account record against the source
 	// state root m.
 	AccountProof []byte
-	// Code is the contract code; H(Code) must match the proven record.
+	// Code is the contract code; H(Code) must match the proven record. A
+	// delta leaves it empty to mean the base copy's code.
 	Code []byte
-	// Storage is the complete storage V; the target rebuilds the storage
-	// tree and compares its root with the proven record (completeness).
+	// Storage is the complete storage V, strictly ascending by key; the
+	// target rebuilds the storage tree and compares its root with the proven
+	// record (completeness). A delta carries only the entries whose values
+	// differ from the base copy's, ascending.
 	Storage []StorageEntry
+	// Base is zero in a full payload. In a delta it is the storage root of
+	// the target's copy of the contract, in the target's tree kind: the copy
+	// the delta was computed against.
+	Base hashing.Hash
+	// Deleted lists, strictly ascending, the keys the base copy holds and
+	// the source no longer does. Empty in a full payload.
+	Deleted []evm.Word
 }
+
+// IsDelta reports whether m is a delta against the target's copy rather
+// than a full payload.
+func (m *Move2Payload) IsDelta() bool { return !m.Base.IsZero() }
 
 // Transaction is a signed message submitted to one chain.
 //
@@ -157,10 +182,14 @@ func (tx *Transaction) writeUnsigned(w *codec.Writer) {
 
 // move2Size is the length of encodeMove2's output.
 func move2Size(m *Move2Payload) int {
-	return hashing.AddressSize + codec.SizeUvarint(uint64(m.SourceChain)) +
+	n := hashing.AddressSize + codec.SizeUvarint(uint64(m.SourceChain)) +
 		codec.SizeUvarint(m.SourceHeight) + codec.SizeBytes(len(m.AccountProof)) +
 		codec.SizeBytes(len(m.Code)) + codec.SizeUvarint(uint64(len(m.Storage))) +
 		storageEntrySize*len(m.Storage)
+	if m.IsDelta() {
+		n += hashing.HashSize + codec.SizeUvarint(uint64(len(m.Deleted))) + 32*len(m.Deleted)
+	}
+	return n
 }
 
 func encodeMove2(w *codec.Writer, m *Move2Payload) {
@@ -174,13 +203,35 @@ func encodeMove2(w *codec.Writer, m *Move2Payload) {
 		w.WriteWord(e.Key)
 		w.WriteWord(e.Value)
 	}
+	// A delta's fields follow Storage; a full payload ends there.
+	if m.IsDelta() {
+		w.WriteHash(m.Base)
+		w.WriteUvarint(uint64(len(m.Deleted)))
+		for _, k := range m.Deleted {
+			w.WriteWord(k)
+		}
+	}
 }
 
 // storageEntrySize is the encoded size of one StorageEntry (two 32-byte
 // words); decoders use it to bound preallocation from a hostile count.
 const storageEntrySize = 64
 
-func decodeMove2(r *codec.Reader) *Move2Payload {
+// maxMove2Entries bounds the entries and the deleted keys a decoded payload
+// may claim.
+const maxMove2Entries = 1 << 20
+
+// errOversizedMove2 and errZeroBase refuse payloads whose bytes parse: a
+// count above maxMove2Entries, and delta fields that name no base (a full
+// payload ends after Storage).
+var (
+	errOversizedMove2 = errors.New("oversized storage set")
+	errZeroBase       = errors.New("delta fields with a zero base")
+)
+
+// decodeMove2 reads an encodeMove2 encoding that runs to the end of r: the
+// bytes left after Storage, if any, are a delta's fields.
+func decodeMove2(r *codec.Reader) (*Move2Payload, error) {
 	var m Move2Payload
 	m.Contract = r.ReadAddress()
 	m.SourceChain = hashing.ChainID(r.ReadUvarint())
@@ -188,8 +239,8 @@ func decodeMove2(r *codec.Reader) *Move2Payload {
 	m.AccountProof = r.ReadBytes()
 	m.Code = r.ReadBytes()
 	n := r.ReadUvarint()
-	if n > 1<<20 {
-		return nil
+	if n > maxMove2Entries {
+		return nil, errOversizedMove2
 	}
 	// Preallocate at most what the remaining input could actually hold: a
 	// corrupted count costs O(remaining) memory, never O(claimed) — the
@@ -200,11 +251,28 @@ func decodeMove2(r *codec.Reader) *Move2Payload {
 		e.Key = r.ReadWord()
 		e.Value = r.ReadWord()
 		if r.Err() != nil {
-			return nil
+			return nil, r.Err()
 		}
 		m.Storage = append(m.Storage, e)
 	}
-	return &m
+	if r.Remaining() == 0 || r.Err() != nil {
+		return &m, r.Err()
+	}
+	if m.Base = r.ReadHash(); m.Base.IsZero() {
+		return nil, errZeroBase
+	}
+	if n = r.ReadUvarint(); n > maxMove2Entries {
+		return nil, errOversizedMove2
+	}
+	m.Deleted = make([]evm.Word, 0, r.CapCount(n, 32))
+	for i := uint64(0); i < n; i++ {
+		k := r.ReadWord()
+		if r.Err() != nil {
+			return nil, r.Err()
+		}
+		m.Deleted = append(m.Deleted, k)
+	}
+	return &m, r.Err()
 }
 
 // EncodeMove2Payload serializes a standalone Move2 payload (the relay
@@ -218,17 +286,27 @@ func EncodeMove2Payload(m *Move2Payload) []byte {
 // DecodeMove2Payload parses a standalone Move2 payload encoding.
 func DecodeMove2Payload(b []byte) (*Move2Payload, error) {
 	r := codec.NewReader(b)
-	m := decodeMove2(r)
-	if m == nil {
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("decode move2 payload: %w", err)
-		}
-		return nil, errors.New("decode move2 payload: oversized storage set")
+	m, err := decodeMove2(r)
+	if err == nil {
+		err = r.Finish()
 	}
-	if err := r.Finish(); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("decode move2 payload: %w", err)
 	}
 	return m, nil
+}
+
+// CheckID panics, under go test only, when tx's id is fixed and a field it
+// covers has changed since Sign, SignOn or DecodeTransaction fixed it: the
+// memo would then name content the transaction no longer has, and the
+// verifiedID beside it would vouch for a sender nobody checked. A pool
+// calls it as it admits a transaction and a chain as it applies a block.
+func (tx *Transaction) CheckID() {
+	if testing.Testing() && !tx.id.IsZero() {
+		if got := tx.computeID(); got != tx.id {
+			panic(fmt.Sprintf("types: transaction %s was changed after it was signed (its fields hash to %s)", tx.id, got))
+		}
+	}
 }
 
 // ID returns the transaction identifier: the hash of the unsigned encoding.
@@ -283,6 +361,13 @@ func (tx *Transaction) hashUnsigned(h *hashing.Hasher) {
 		for _, e := range m.Storage {
 			h.Write(e.Key[:])
 			h.Write(e.Value[:])
+		}
+		if m.IsDelta() {
+			h.Write(m.Base[:])
+			h.Uvarint(uint64(len(m.Deleted)))
+			for _, k := range m.Deleted {
+				h.Write(k[:])
+			}
 		}
 	} else {
 		h.Byte(0)
@@ -491,13 +576,11 @@ func DecodeTransaction(b []byte) (*Transaction, error) {
 	tx.GasPrice = u256.FromBytes(gp[:])
 	tx.Data = ur.ReadBytes()
 	if ur.ReadBool() {
-		tx.Move2 = decodeMove2(ur)
-		if tx.Move2 == nil {
-			if err := ur.Err(); err != nil {
-				return nil, fmt.Errorf("decode tx: %w", err)
-			}
-			return nil, errors.New("decode tx: oversized move2 payload")
+		m, err := decodeMove2(ur)
+		if err != nil {
+			return nil, fmt.Errorf("decode tx: move2 payload: %w", err)
 		}
+		tx.Move2 = m
 	}
 	if err := ur.Finish(); err != nil {
 		return nil, fmt.Errorf("decode tx: %w", err)

@@ -359,6 +359,19 @@ func TestIDMatchesUnsignedEncoding(t *testing.T) {
 				},
 			},
 		},
+		{
+			ChainID: 2,
+			Kind:    TxMove2,
+			Move2: &Move2Payload{
+				Contract:     hashing.AddressFromBytes([]byte{0x11}),
+				SourceChain:  9,
+				SourceHeight: 12,
+				AccountProof: []byte("proof-bytes"),
+				Storage:      []StorageEntry{{Key: evm.Word{3}, Value: evm.Word{5}}},
+				Base:         hashing.Sum([]byte("base")),
+				Deleted:      []evm.Word{{1}, {7}},
+			},
+		},
 	}
 	for i, tx := range txs {
 		if got, want := tx.ID(), hashing.Sum(tx.encodeUnsigned()); got != want {

@@ -2,15 +2,18 @@ package universe
 
 import (
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"scmove/internal/contracts"
+	"scmove/internal/evm"
 	"scmove/internal/hashing"
 	"scmove/internal/oracle"
 	"scmove/internal/state"
 	"scmove/internal/state/backend"
+	"scmove/internal/types"
 	"scmove/internal/u256"
 )
 
@@ -57,7 +60,7 @@ func deployStores(tb testing.TB, cfg Config, sizes ...uint64) (*Universe, []hash
 }
 
 // movePingPongJournal is the digest of TestMovePingPongDigest's journal.
-const movePingPongJournal = "7e9f62210b7d24ba92cae6871b83b246a301ca6809e45d7912f6aab797e65824"
+const movePingPongJournal = "b0089bfeb6e4b189d56ed6a4b176f9c5eaae1a06ea13dc75ea7416f9ecfca1aa"
 
 // TestMovePingPongDigest pins the Move timeline the benchmark's move_store
 // workload measures, inside `go test ./...`: Store-10, Store-200 and
@@ -134,37 +137,83 @@ func TestMoveStoreFirst256(t *testing.T) {
 	}
 }
 
+// writeStore writes pct % of an n-slot Store's slots on chain c through
+// its set method, one call each, and waits for the last: every fifth
+// written slot is deleted, the others take a value derived from round.
+func writeStore(tb testing.TB, u *Universe, c hashing.ChainID, store hashing.Address, n, pct, round int) {
+	tb.Helper()
+	k := n * pct / 100
+	if k == 0 && pct > 0 {
+		k = 1
+	}
+	cl, ch := u.Client(0), u.Chain(c)
+	var last hashing.Hash
+	for j := 0; j < k; j++ {
+		var v evm.Word
+		if j%5 != 4 {
+			v = evm.Word(hashing.Sum([]byte(fmt.Sprintf("%d/%d", round, j))))
+		}
+		last = cl.Call(ch, store, contracts.EncodeCall("set", contracts.ArgUint(uint64(j*n/k)), contracts.ArgWord(v)), u256.Zero())
+	}
+	if k > 0 {
+		if rec, err := u.WaitTx(ch, last, 30*time.Minute); err != nil || !rec.Succeeded() {
+			tb.Fatalf("write %d%% of Store-%d: %v %v", pct, n, err, rec)
+		}
+	}
+}
+
 // BenchmarkMovePingPong times one Store-1000 Move in each direction between
 // the MPT and the IAVL chain of newPingPong (four resident trees, as in the
-// benchmark's move_store): ns and allocations per Move, the Move back
-// untimed. Run it with a fixed count, e.g. `go test -run '^$' -bench
-// MovePingPong -benchtime 200x ./internal/universe`.
+// benchmark's move_store), with 0, 1, 10 and 100 % of its slots written
+// (a fifth of them deleted) on the source before each timed Move: ns,
+// allocations and Move2 payload bytes per Move. The writes and the Move
+// back are untimed; from the second Move on, each Move returns to a chain
+// holding the contract's stale copy. Run it with a fixed count, e.g. `go
+// test -run '^$' -bench MovePingPong -benchtime 20x ./internal/universe`.
 func BenchmarkMovePingPong(b *testing.B) {
 	for _, dir := range []struct {
 		name     string
 		fromIAVL bool
 	}{{"mpt-iavl", false}, {"iavl-mpt", true}} {
-		b.Run(dir.name, func(b *testing.B) {
-			u, addrs := newPingPong(b, 4, 1000)
-			ids := u.ChainIDs()
-			src, dst := ids[0], ids[1]
-			move := func(from, to hashing.ChainID) {
-				if _, err := u.MoveAndWait(u.Client(0), from, to, addrs[0], 30*time.Minute); err != nil {
-					b.Fatal(err)
+		for _, pct := range []int{0, 1, 10, 100} {
+			b.Run(fmt.Sprintf("%s/written-%d%%", dir.name, pct), func(b *testing.B) {
+				u, addrs := newPingPong(b, 4, 1000)
+				ids := u.ChainIDs()
+				src, dst := ids[0], ids[1]
+				move := func(from, to hashing.ChainID) {
+					if _, err := u.MoveAndWait(u.Client(0), from, to, addrs[0], 30*time.Minute); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			if dir.fromIAVL {
-				move(src, dst)
-				src, dst = dst, src
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				move(src, dst)
-				b.StopTimer()
+				if dir.fromIAVL {
+					move(src, dst)
+					src, dst = dst, src
+				}
+				var payload *types.Move2Payload
+				u.Chain(dst).OnBlock(func(blk *types.Block, _ []*types.Receipt) {
+					for _, tx := range blk.Txs {
+						if tx.Kind == types.TxMove2 {
+							payload = tx.Move2
+						}
+					}
+				})
+				move(src, dst) // the first Move leaves a stale copy on src
 				move(dst, src)
-				b.StartTimer()
-			}
-		})
+				bytes := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					writeStore(b, u, src, addrs[0], 1000, pct, i)
+					b.StartTimer()
+					move(src, dst)
+					b.StopTimer()
+					bytes += len(types.EncodeMove2Payload(payload))
+					move(dst, src)
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(bytes)/float64(b.N), "payload-B/op")
+			})
+		}
 	}
 }

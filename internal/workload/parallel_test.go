@@ -14,7 +14,7 @@ import (
 )
 
 // kittiesCellJournal is the digest of the Kitties cell's journal.
-const kittiesCellJournal = "e6fc429df1b6b94e7d037a3ef8395753c9436dcd5a375350fd7db7d00b8e5926"
+const kittiesCellJournal = "f0b206d85812642c999a3bd92bdb6289b018c598460016a16e02a504b0f9faab"
 
 // TestKittiesReplayCrossGOMAXPROCSDeterminism replays the same seeded trace
 // serially and with the parallel signing/recovery/commit pipeline enabled,
