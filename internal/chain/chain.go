@@ -100,10 +100,13 @@ type BlockListener func(block *types.Block, receipts []*types.Receipt)
 //     logically reads: state.DB reads fill the decoded working set. A
 //     Query pinned to a height is served between blocks by construction —
 //     the lock excludes a concurrent mid-block Commit.
-//   - SubmitTx/SubmitTxs and ExpectMove2 take no chain lock at all; the
-//     pool and the Move2 preparation list have their own. prepMu is never
-//     held together with chain.mu or pool.mu: ApplyBlock takes its
-//     preparations before it locks.
+//   - SubmitTx/SubmitTxs take no chain lock at all; the pool and the Move2
+//     preparation list have their own. ExpectMove2 takes the write lock only
+//     to read the copy a delta merges into. prepMu is never held together
+//     with pool.mu, nor chain.mu taken under it: ApplyBlock takes its
+//     preparations before it locks, and a Move2 applied under chain.mu
+//     takes prepMu only for the free list of storage runs (takeRun,
+//     putRun).
 type Chain struct {
 	cfg     Config
 	db      *state.DB
@@ -153,18 +156,15 @@ type Chain struct {
 	prep       []*move2Prep
 	prepClosed bool
 	prepWG     sync.WaitGroup
-	// runs are storage runs a delta's preparation is done with (its base,
-	// its merge), kept under prepMu for the next one to read into.
+	// runs are storage runs a Move2's storage work is done with (the copy it
+	// is merged into, the merge), kept under prepMu for the next one.
 	runs [][]types.StorageEntry
-	// deltaBase and deltaMerged are applyMove2's scratch for a delta nobody
-	// announced; c.mu guards them.
-	deltaBase, deltaMerged []types.StorageEntry
 }
 
 // move2Prep is the storage work of the Move2 payload p; res is set before
-// done closes. base is a delta's base as ExpectMove2 read it and merged the
-// run its merge was done in, both nil for a full payload; they go back to
-// the free list when a block takes the preparation.
+// done closes. base is the copy ExpectMove2 read for it to be merged into
+// (empty for a full payload) and merged the run its merge was done in; they
+// go back to the free list when a block takes the preparation.
 type move2Prep struct {
 	p            *types.Move2Payload
 	base, merged []types.StorageEntry
@@ -398,20 +398,20 @@ func (c *Chain) SubmitTxs(txs []*types.Transaction) []error {
 // and sharded (2–3) Move stays below it.
 const prepareMin = 16
 
-// preparable reports whether tx is a Move2 whose payload ExpectMove2 may
-// have prepared: a full payload counts its own entries; a delta's count is
-// its merge's, which only its base can tell, so every delta may have one.
+// preparable reports whether tx is a Move2, whose payload ExpectMove2 may
+// have prepared: the count that decides it is its merge's, which only the
+// copy it was merged into can tell.
 func preparable(tx *types.Transaction) bool {
-	return tx.Kind == types.TxMove2 && tx.Move2 != nil && (tx.Move2.IsDelta() || len(tx.Move2.Storage) >= prepareMin)
+	return tx.Kind == types.TxMove2 && tx.Move2 != nil
 }
 
 // ExpectMove2 starts core.PrepareMove2 — the completeness root and the tree
 // to install — for a Move2 payload that a transaction is expected to carry
 // here later, on a goroutine of the chain's own. A relayer calls it as soon
 // as it holds the payload, so the work overlaps the source's confirmation
-// wait. For a delta it first reads the base, this chain's copy of the
-// contract, here on the caller's goroutine, and the goroutine prepares the
-// merge (core.PrepareMove2Delta): the hashing stays off the event loop, and
+// wait. It first reads the copy of the contract a delta is merged into
+// (nothing for a full payload) here, on the caller's goroutine, and the
+// goroutine merges and hashes: the hashing stays off the event loop, and
 // both runs come from, and go back to, the chain's free list. ApplyBlock
 // takes the result for a Move2 with the same source chain, storage entries,
 // base and deleted keys (see takePrepared); p must not be modified
@@ -425,18 +425,13 @@ func (c *Chain) ExpectMove2(p *types.Move2Payload) {
 	if p == nil {
 		return
 	}
-	var base []types.StorageEntry
-	if p.IsDelta() {
-		var err error
-		buf := c.takeRun()
-		c.mu.Lock()
-		base, err = core.AppendMove2Base(buf, c.db, p)
-		c.mu.Unlock()
-		if err != nil || core.CountMerge(base, p) < prepareMin {
-			c.putRun(base)
-			return
-		}
-	} else if len(p.Storage) < prepareMin {
+	buf := c.takeRun()
+	c.mu.Lock()
+	_, err := core.Move2Code(c.db, p)
+	base := core.AppendMove2Base(buf, c.db, p)
+	c.mu.Unlock()
+	if err != nil || core.CountMerge(base, p) < prepareMin {
+		c.putRun(base)
 		return
 	}
 	c.prepMu.Lock()
@@ -496,19 +491,15 @@ func (c *Chain) findPrepared(p *types.Move2Payload) int {
 	})
 }
 
-// startPrep starts p's preparation on a goroutine of its own, which Close
-// waits for. A delta's merge is done in a run from the free list. The
+// startPrep starts p's preparation over base on a goroutine of its own,
+// which Close waits for. The merge is done in a run from the free list. The
 // caller holds prepMu.
 func (c *Chain) startPrep(p *types.Move2Payload, base []types.StorageEntry) *move2Prep {
 	e := &move2Prep{p: p, base: base, done: make(chan struct{})}
 	c.prepWG.Add(1)
 	go func() {
 		defer c.prepWG.Done()
-		if p.IsDelta() {
-			e.res, e.merged = core.PrepareMove2Delta(c.headers, c.cfg.TreeKind, p, base, c.takeRun())
-		} else {
-			e.res = core.PrepareMove2(c.headers, c.cfg.TreeKind, p)
-		}
+		e.res, e.merged = core.PrepareMove2(c.headers, c.cfg.TreeKind, p, base, c.takeRun())
 		close(e.done)
 	}()
 	return e
@@ -831,18 +822,29 @@ func (c *Chain) applyTx(tx *types.Transaction, blockCtx evm.BlockContext, s *cor
 // storage work ExpectMove2 prepared; without one it is computed here.
 //
 // A delta pays what the full payload it stands for pays: gas for the code
-// it installs and for every entry of its merge, not for the few it carries
-// (DESIGN §17.11). Its merge is therefore counted before the charge
-// (deltaCharge).
+// it installs and for every entry of its merge into this chain's copy, not
+// for the few it carries (DESIGN §17.11). That count is a scan of the copy
+// without hashing (core.CountMerge), and the charge comes before any merge
+// or hashing: a Move2 that cannot pay makes the chain do no O(n) hashing.
+// A delta whose base is not the copy here is charged for its merge into
+// whatever copy the chain holds, so a replay of a delta that has landed
+// pays what the replay of its full payload would; it gets no storage work,
+// since core.VerifyPreparedMove2 refuses it first.
 func (c *Chain) applyMove2(vm *evm.EVM, tx *types.Transaction, gas uint64, s *core.Move2Storage) (uint64, error) {
 	if !tx.Value.IsZero() {
 		return gas, errors.New("move2 transaction must not carry value")
 	}
-	p := tx.Move2
-	st := c.db
-	code, n := p.Code, len(p.Storage)
-	if p.IsDelta() {
-		code, n, s = c.deltaCharge(p, s)
+	p, st := tx.Move2, c.db
+	code, baseErr := core.Move2Code(st, p)
+	var base []types.StorageEntry
+	if s == nil || baseErr != nil {
+		base = core.AppendMove2Base(c.takeRun(), st, p)
+		defer c.putRun(base)
+		s = nil
+	}
+	n := core.CountMerge(base, p)
+	if s != nil {
+		n = s.N
 	}
 	cost := c.move2Gas(code, n, p.AccountProof)
 	if cost > gas {
@@ -850,8 +852,10 @@ func (c *Chain) applyMove2(vm *evm.EVM, tx *types.Transaction, gas uint64, s *co
 	}
 	gas -= cost
 	snap := st.Snapshot()
-	if s == nil && !p.IsDelta() {
-		s = core.PrepareMove2(c.headers, c.cfg.TreeKind, p)
+	if s == nil && baseErr == nil {
+		var merged []types.StorageEntry
+		s, merged = core.PrepareMove2(c.headers, c.cfg.TreeKind, p, base, c.takeRun())
+		defer c.putRun(merged)
 	}
 	acct, err := core.VerifyPreparedMove2(c.cfg.ChainID, st, c.headers, p, s)
 	if err != nil {
@@ -866,31 +870,6 @@ func (c *Chain) applyMove2(vm *evm.EVM, tx *types.Transaction, gas uint64, s *co
 		return left, fmt.Errorf("moveFinish: %w", err)
 	}
 	return left, nil
-}
-
-// deltaCharge returns what the delta p is charged for — the code it
-// installs and the entries of its merge into this chain's copy of the
-// contract — and its storage work: s, when ExpectMove2 prepared it against
-// the copy still here, else computed now in the chain's scratch. A delta
-// whose base is not the copy here gets no storage work
-// (core.VerifyPreparedMove2 refuses it), and is charged for its merge into
-// whatever copy the chain holds, counted without refusal
-// (core.CountMerge): a replay of a delta that has landed pays what the
-// replay of its full payload would.
-func (c *Chain) deltaCharge(p *types.Move2Payload, s *core.Move2Storage) ([]byte, int, *core.Move2Storage) {
-	code, err := core.Move2Code(c.db, p)
-	if err == nil && s != nil {
-		return code, s.N, s
-	}
-	c.deltaBase = c.db.AppendStorage(c.deltaBase[:0], p.Contract)
-	if err != nil {
-		if len(code) == 0 {
-			code = c.db.GetCode(p.Contract)
-		}
-		return code, core.CountMerge(c.deltaBase, p), nil
-	}
-	s, c.deltaMerged = core.PrepareMove2Delta(c.headers, c.cfg.TreeKind, p, c.deltaBase, c.deltaMerged)
-	return code, s.N, s
 }
 
 // move2Gas prices a Move2 that installs code and n storage entries with

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"scmove/internal/core"
@@ -96,5 +97,64 @@ func TestDeltaWorkAllocatesNoRun(t *testing.T) {
 	small, large := measure(500), measure(2000)
 	if small != large || small.readAllocs > 2 {
 		t.Fatalf("allocations at 500 slots %+v, at 2 000 %+v: want equal, and at most 2 per read", small, large)
+	}
+}
+
+// TestUnpaidDeltaDoesNoStorageWork sends a delta Move2 nobody announced —
+// one entry, the target's copy as its base, no valid proof — with a gas
+// limit one below the gas of the full payload it stands for. It is refused
+// out of gas, and the refusal allocates no more bytes for a 2 000-slot
+// contract than for a 500-slot one: the count before the charge scans the
+// copy, and nothing is merged, hashed or built. At the exact gas the
+// delta passes the charge and is refused for its proof.
+func TestUnpaidDeltaDoesNoStorageWork(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under -race")
+	}
+	kp := keys.Deterministic(1)
+	contract := hashing.AddressFromBytes([]byte{0xde})
+	refusal := func(n int) uint64 {
+		c := newChain(t, burrowConfig(2), []core.ChainParams{mptSource}, kp)
+		fillContract(c.StateDB(), contract, n, mptSource.ID)
+		copyAcct, _ := c.StateDB().GetAccount(contract)
+		p := &types.Move2Payload{
+			Contract:     contract,
+			SourceChain:  mptSource.ID,
+			SourceHeight: 1,
+			AccountProof: []byte("not a proof"),
+			Base:         copyAcct.StorageRoot,
+			Storage:      []types.StorageEntry{{Key: slotWord(7), Value: slotWord(70_000)}},
+		}
+		cost := c.cfg.Schedule.IntrinsicGas(nil, false) + c.move2Gas(stopCode, n, p.AccountProof)
+		txs := make([]*types.Transaction, 3)
+		for i, gas := range []uint64{cost - 1, cost - 1, cost} {
+			txs[i] = move2Tx(t, kp, 2, uint64(i), p)
+			txs[i].GasLimit = gas
+			if err := txs[i].Sign(kp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		apply := func(tx *types.Transaction) *types.Receipt {
+			_, rs := c.ApplyBlock([]*types.Transaction{tx}, 10+tx.Nonce, ProposerAddress(2, 0))
+			return rs[0]
+		}
+		// The first refusal leaves the run the copy was read into on the
+		// chain's free list; the second reads into it.
+		apply(txs[0])
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := apply(txs[1])
+		runtime.ReadMemStats(&after)
+		if !strings.Contains(rec.Err, evm.ErrOutOfGas.Error()) || rec.GasUsed != cost-1 {
+			t.Fatalf("%d slots: a delta one gas short reads %q, used %d of %d", n, rec.Err, rec.GasUsed, cost-1)
+		}
+		if rec := apply(txs[2]); rec.Succeeded() || strings.Contains(rec.Err, evm.ErrOutOfGas.Error()) {
+			t.Fatalf("%d slots: a delta at its exact gas reads %q, want its proof refused", n, rec.Err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := refusal(500), refusal(2000)
+	if large > small+1024 {
+		t.Fatalf("an unpaid delta allocates %d bytes at 500 slots, %d at 2 000: it did storage work", small, large)
 	}
 }

@@ -177,8 +177,8 @@ func TestVerifyRefusesBadDeltas(t *testing.T) {
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("VerifyMove2 = %v, want %v", err, tc.want)
 			}
-			if base, berr := AppendMove2Base(nil, c.dst, p); berr == nil {
-				s, _ := PrepareMove2Delta(c.hs, c.dst.TreeKind(), p, base, nil)
+			if _, berr := Move2Code(c.dst, p); berr == nil {
+				s, _ := PrepareMove2(c.hs, c.dst.TreeKind(), p, AppendMove2Base(nil, c.dst, p), nil)
 				if _, perr := VerifyPreparedMove2(chainB, c.dst, c.hs, p, s); fmt.Sprint(perr) != fmt.Sprint(err) {
 					t.Fatalf("prepared verification says %v, inline %v", perr, err)
 				}

@@ -71,7 +71,7 @@ func FuzzVerifyMove2AccountProof(f *testing.F) {
 // entry >= 128 runs the delta mode on newDeltaCase's return trip: the same
 // flips, and (pos >= 128) a tombstone for a key the copy lacks, the
 // tombstone dropped, an entry carried twice or an entry dropped; any change
-// is refused, and the verdict over PrepareMove2Delta's result is the inline
+// is refused, and the verdict over PrepareMove2's result is the inline
 // one.
 func FuzzVerifyMove2Storage(f *testing.F) {
 	src, err := state.NewDB(chainA, trie.KindMPT)
@@ -155,7 +155,7 @@ func FuzzVerifyMove2Storage(f *testing.F) {
 			t.Fatalf("unmutated payload rejected: %v", err)
 		}
 		// The prepared verdict is the inline one, error text included.
-		_, prepErr := VerifyPreparedMove2(chainB, dst, hs, &p, PrepareMove2(hs, dst.TreeKind(), &p))
+		_, prepErr := VerifyPreparedMove2(chainB, dst, hs, &p, prepared(hs, dst.TreeKind(), &p))
 		if fmt.Sprint(prepErr) != fmt.Sprint(err) {
 			t.Fatalf("prepared verification says %v, inline %v", prepErr, err)
 		}
@@ -198,7 +198,7 @@ func fuzzDelta(t *testing.T, dc deltaCase, genuine *types.Move2Payload, base []t
 	if !mutated && err != nil {
 		t.Fatalf("genuine delta rejected: %v", err)
 	}
-	s, _ := PrepareMove2Delta(dc.hs, dc.dst.TreeKind(), &p, base, nil)
+	s, _ := PrepareMove2(dc.hs, dc.dst.TreeKind(), &p, base, nil)
 	if _, prepErr := VerifyPreparedMove2(chainB, dc.dst, dc.hs, &p, s); fmt.Sprint(prepErr) != fmt.Sprint(err) {
 		t.Fatalf("prepared verification says %v, inline %v", prepErr, err)
 	}

@@ -185,38 +185,40 @@ func FullMove2(src *state.DB, p *types.Move2Payload) (*types.Move2Payload, error
 }
 
 // Move2Code returns the code a Move2 installs on the target whose state is
-// db: the payload's, or, for a delta that carries none, the base copy's.
-// A delta whose base is not db's copy of the contract is refused with
-// ErrStaleBase (and the payload's code returned). A full payload reads
-// nothing from db.
+// db: the payload's, or, for a delta that carries none, the copy's. A delta
+// whose base is not db's copy of the contract is refused with ErrStaleBase.
+// A full payload, a delta against nothing, reads nothing from db.
 func Move2Code(db *state.DB, p *types.Move2Payload) ([]byte, error) {
+	code := p.Code
 	if !p.IsDelta() {
-		return p.Code, nil
+		return code, nil
+	}
+	if len(code) == 0 {
+		code = db.GetCode(p.Contract)
 	}
 	if base, ok := db.GetAccount(p.Contract); !ok || base.StorageRoot != p.Base {
-		return p.Code, fmt.Errorf("%w: %s", ErrStaleBase, p.Contract)
+		return code, fmt.Errorf("%w: %s", ErrStaleBase, p.Contract)
 	}
-	if len(p.Code) > 0 {
-		return p.Code, nil
-	}
-	return db.GetCode(p.Contract), nil
+	return code, nil
 }
 
-// AppendMove2Base appends to dst the storage of db's copy of a delta's
-// contract, ascending by key, or refuses with ErrStaleBase when that copy
-// is not p's base.
-func AppendMove2Base(dst []types.StorageEntry, db *state.DB, p *types.Move2Payload) ([]types.StorageEntry, error) {
-	if _, err := Move2Code(db, p); err != nil {
-		return dst, err
+// AppendMove2Base appends to dst the storage of db's copy of the contract,
+// ascending by key, that a Move2 is merged into: nothing for a full
+// payload, the copy db holds for a delta, whether or not it is the delta's
+// base (Move2Code tells).
+func AppendMove2Base(dst []types.StorageEntry, db *state.DB, p *types.Move2Payload) []types.StorageEntry {
+	if !p.IsDelta() {
+		return dst
 	}
-	return db.AppendStorage(dst, p.Contract), nil
+	return db.AppendStorage(dst, p.Contract)
 }
 
-// CountMerge is the number of entries the delta p stands for over base,
-// counted without refusing anything: every key of base or of p's entries,
-// less the keys of base that p deletes. For a delta MergeMove2 accepts it
-// is the merge's length. A target charges a delta's gas for this count
-// over the copy it holds, whether or not that copy is p's base.
+// CountMerge is the number of entries p stands for over base, counted
+// without refusing anything and without hashing: every key of base or of
+// p's entries, less the keys of base that p deletes. For a payload
+// MergeMove2 accepts it is the merge's length; for a full payload it is
+// len(p.Storage). A target charges a Move2's gas for this count over the
+// copy it holds, whether or not that copy is p's base.
 func CountMerge(base []types.StorageEntry, p *types.Move2Payload) int {
 	n := len(base)
 	i := 0
@@ -240,16 +242,21 @@ func CountMerge(base []types.StorageEntry, p *types.Move2Payload) int {
 	return n
 }
 
-// MergeMove2 appends to dst the storage a delta p stands for over base, its
-// base copy's storage ascending by key: base with p's entries written over
-// it and p's deleted keys removed. The result is ascending, every key once,
+// MergeMove2 appends to dst the storage p stands for over base, its base
+// copy's storage ascending by key: base with p's entries written over it
+// and p's deleted keys removed. The result is ascending, every key once,
 // no value zero, as a full payload's storage is; its root is what
 // completeness checks. A delta that cannot come from a correct relayer is
 // refused, wrapping ErrIncompleteSet: entries or deleted keys not strictly
 // ascending, a zero value, a deleted key that base lacks or that p also
-// writes.
+// writes. Over an empty base with nothing deleted — a full payload — the
+// result is p.Storage itself, unchecked and uncopied: the completeness
+// root refuses what is out of shape there.
 func MergeMove2(dst, base []types.StorageEntry, p *types.Move2Payload) ([]types.StorageEntry, error) {
 	ups, dels := p.Storage, p.Deleted
+	if len(base) == 0 && len(dels) == 0 {
+		return ups, nil
+	}
 	if err := checkValues(ups); err != nil {
 		return dst, err
 	}
@@ -304,21 +311,28 @@ func MergeMove2(dst, base []types.StorageEntry, p *types.Move2Payload) ([]types.
 //
 //  1. VS — the referenced source state root is known to the light client
 //     and at least p blocks deep.
+//
 //  2. VP — the account proof verifies against that root and binds the
 //     contract identifier to its account record.
+//
 //  3. Lc — the proven record's location names this chain.
+//
 //  4. The carried code hashes to the proven code hash.
+//
 //  5. Completeness — rebuilding the storage tree (in the source chain's
 //     tree kind) from the carried entries reproduces the proven storage
 //     root, so no entry can be omitted, altered, or injected.
 //
-// A delta payload is checked for replay (6) right after Lc, then against
-// db's copy of the contract, its base (ErrStaleBase): a delta replayed
-// after it landed is a replay, not a stale base. Steps 4 and 5 then check
-// the code it installs and the merge of the delta into the base
-// (MergeMove2) exactly as they check a full payload's code and entries.
 //  6. Replay — the proven move nonce exceeds the target's high-water mark
 //     for this contract (Fig. 2).
+//
+// A delta is checked against db's copy of the contract, its base, right
+// after Lc (ErrStaleBase); a delta refused there whose nonce is also stale
+// is refused as a replay (6), since one replayed after it landed finds its
+// own result in place of its base. Steps 4 and 5 check the code it
+// installs and the merge of the delta into the base (MergeMove2) exactly
+// as they check a full payload's code and entries: a full payload is a
+// delta against nothing.
 //
 // On success it returns the proven account record; the caller applies it
 // with ApplyMove2.
@@ -353,29 +367,24 @@ func VerifyPreparedMove2(local hashing.ChainID, db *state.DB, hs *HeaderStore, p
 	if acct.Location != local {
 		return state.Account{}, fmt.Errorf("%w: Lc = %s, this chain is %s", ErrWrongTarget, acct.Location, local)
 	}
-	if p.IsDelta() {
-		if err := checkReplay(db, p, acct); err != nil {
-			return state.Account{}, err
-		}
-	}
 	code, err := Move2Code(db, p)
 	if err != nil {
+		if rerr := checkReplay(db, p, acct); rerr != nil {
+			return state.Account{}, rerr
+		}
 		return state.Account{}, err
 	}
 	if err := checkCode(acct.CodeHash, code); err != nil {
 		return state.Account{}, err
 	}
 	var rebuilt hashing.Hash
-	switch {
-	case s != nil:
+	if s != nil {
 		rebuilt, err = s.Root, s.Err
-	case p.IsDelta():
-		var merged []types.StorageEntry
-		if merged, err = mergeOver(db, p); err == nil {
-			rebuilt, err = storageRoot(params.TreeKind, merged)
+	} else {
+		var entries []types.StorageEntry
+		if entries, err = MergeMove2(nil, AppendMove2Base(nil, db, p), p); err == nil {
+			rebuilt, err = storageRoot(params.TreeKind, entries)
 		}
-	default:
-		rebuilt, err = storageRoot(params.TreeKind, p.Storage)
 	}
 	if err != nil {
 		return state.Account{}, err
@@ -428,44 +437,37 @@ type Move2Storage struct {
 	Root hashing.Hash
 	Tree trie.Tree
 	// N is the number of entries the Move2 stands for, which its gas is
-	// charged for: a full payload's, or, for a delta, CountMerge's over its
-	// base — the merge's length when the merge succeeds.
+	// charged for: CountMerge's over its base, the merge's length when the
+	// merge succeeds.
 	N int
 }
 
-// PrepareMove2 computes p's Move2Storage for a target whose state trees are
-// of the given kind. When the kinds match, one Build serves both: its root
-// is the completeness check and the tree is the install. When they differ,
-// the source-kind root is computed first, then the target-kind tree. It
-// reads only p and hs.Params, which is fixed when the store is built, and
-// touches no state, so it may run on any goroutine while the target
-// executes blocks. A delta is prepared by PrepareMove2Delta.
-func PrepareMove2(hs *HeaderStore, target trie.Kind, p *types.Move2Payload) *Move2Storage {
-	return prepare(hs, target, p.SourceChain, p.Storage)
-}
-
-// PrepareMove2Delta is PrepareMove2 for a delta over base, the target's
-// copy's storage as AppendMove2Base read it: it merges p into base
-// (MergeMove2) in merged, scratch that it returns for reuse, and prepares
-// the merge. Like PrepareMove2 it touches no state.
-func PrepareMove2Delta(hs *HeaderStore, target trie.Kind, p *types.Move2Payload, base, merged []types.StorageEntry) (*Move2Storage, []types.StorageEntry) {
-	merged, err := MergeMove2(merged[:0], base, p)
-	if err != nil {
-		return &Move2Storage{Err: err, N: CountMerge(base, p)}, merged
+// PrepareMove2 computes p's Move2Storage over base, the target's copy as
+// AppendMove2Base read it, for a target whose state trees are of the given
+// kind. It merges p into base (MergeMove2) in scratch, which it returns for
+// reuse. When the kinds match, one Build serves both the completeness check
+// and the install: its root is the one, its tree the other. When they
+// differ, the source-kind root is computed first, then the target-kind
+// tree. It reads only p, base and hs.Params, which is fixed when the store
+// is built, and touches no state, so it may run on any goroutine while the
+// target executes blocks.
+func PrepareMove2(hs *HeaderStore, target trie.Kind, p *types.Move2Payload, base, scratch []types.StorageEntry) (*Move2Storage, []types.StorageEntry) {
+	entries, err := MergeMove2(scratch[:0], base, p)
+	if len(base) > 0 || len(p.Deleted) > 0 {
+		scratch = entries // the merge was built there
 	}
-	return prepare(hs, target, p.SourceChain, merged), merged
-}
-
-// prepare is PrepareMove2 over the entries a Move2 stands for.
-func prepare(hs *HeaderStore, target trie.Kind, source hashing.ChainID, entries []types.StorageEntry) *Move2Storage {
-	params, err := hs.Params(source)
+	n := CountMerge(base, p)
 	if err != nil {
-		return &Move2Storage{Err: err, N: len(entries)}
+		return &Move2Storage{Err: err, N: n}, scratch
+	}
+	params, err := hs.Params(p.SourceChain)
+	if err != nil {
+		return &Move2Storage{Err: err, N: n}, scratch
 	}
 	if err := checkValues(entries); err != nil {
-		return &Move2Storage{Err: err, N: len(entries)}
+		return &Move2Storage{Err: err, N: n}, scratch
 	}
-	s := Move2Storage{N: len(entries)}
+	s := Move2Storage{N: n}
 	if params.TreeKind == target {
 		if s.Tree, err = buildHashed(target, entries); err == nil {
 			s.Root = s.Tree.RootHash()
@@ -474,25 +476,23 @@ func prepare(hs *HeaderStore, target trie.Kind, source hashing.ChainID, entries 
 		s.Tree, err = buildHashed(target, entries)
 	}
 	if err != nil {
-		return &Move2Storage{Err: fmt.Errorf("%w: %v", ErrIncompleteSet, err), N: len(entries)}
+		return &Move2Storage{Err: fmt.Errorf("%w: %v", ErrIncompleteSet, err), N: n}, scratch
 	}
-	return &s
+	return &s, scratch
 }
 
-// Matches reports whether s is still the preparation of p — over base, for
-// a delta, merged in scratch: the completeness root recomputed over the
-// entries p stands for is s.Root, or both fail. A payload edited after its
-// preparation does not match.
+// Matches reports whether s is still the preparation of p over base, merged
+// in scratch: the completeness root recomputed over the entries p stands
+// for is s.Root, or both fail. A payload edited after its preparation does
+// not match.
 func (s *Move2Storage) Matches(hs *HeaderStore, p *types.Move2Payload, base, scratch []types.StorageEntry) bool {
 	params, err := hs.Params(p.SourceChain)
 	if err != nil {
 		return s.Err != nil
 	}
-	entries := p.Storage
-	if p.IsDelta() {
-		if entries, err = MergeMove2(scratch[:0], base, p); err != nil {
-			return s.Err != nil
-		}
+	entries, err := MergeMove2(scratch[:0], base, p)
+	if err != nil {
+		return s.Err != nil
 	}
 	root, err := storageRoot(params.TreeKind, entries)
 	return (err == nil) == (s.Err == nil) && root == s.Root
@@ -554,9 +554,9 @@ func entryAt(entries []types.StorageEntry) func(i int) (key, value []byte) {
 // tree with state.DB.ImportAccount instead of building another.
 func ApplyMove2(db *state.DB, p *types.Move2Payload, acct state.Account) {
 	code, err := Move2Code(db, p)
-	entries := p.Storage
-	if err == nil && p.IsDelta() {
-		entries, err = mergeOver(db, p)
+	var entries []types.StorageEntry
+	if err == nil {
+		entries, err = MergeMove2(nil, AppendMove2Base(nil, db, p), p)
 	}
 	var t trie.Tree
 	if err == nil {
@@ -566,14 +566,4 @@ func ApplyMove2(db *state.DB, p *types.Move2Payload, acct state.Account) {
 		panic(fmt.Sprintf("core: apply an unverified Move2 payload: %v", err))
 	}
 	db.ImportAccount(p.Contract, acct, code, t)
-}
-
-// mergeOver is the storage the delta p stands for on db, in memory of its
-// own: db's copy, its base, merged with p.
-func mergeOver(db *state.DB, p *types.Move2Payload) ([]types.StorageEntry, error) {
-	base, err := AppendMove2Base(nil, db, p)
-	if err != nil {
-		return nil, err
-	}
-	return MergeMove2(nil, base, p)
 }

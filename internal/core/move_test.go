@@ -417,6 +417,12 @@ func TestMoveToInputRoundTrip(t *testing.T) {
 	}
 }
 
+// prepared is PrepareMove2 for a full payload, over no base.
+func prepared(hs *HeaderStore, target trie.Kind, p *types.Move2Payload) *Move2Storage {
+	s, _ := PrepareMove2(hs, target, p, nil, nil)
+	return s
+}
+
 // TestPreparedMove2MatchesVerifyAndApply holds PrepareMove2 to the functions
 // it replaces on a chain: verifying with its result must fail exactly as
 // VerifyMove2 does, error text included, and installing its tree must leave
@@ -472,7 +478,7 @@ func TestPreparedMove2MatchesVerifyAndApply(t *testing.T) {
 					t.Fatal(err)
 				}
 				refAcct, refErr := VerifyMove2(pair[1], ref, hs, p)
-				s := PrepareMove2(hs, kinds[pair[1]], p)
+				s := prepared(hs, kinds[pair[1]], p)
 				acct, gotErr := VerifyPreparedMove2(pair[1], got, hs, p, s)
 				if fmt.Sprint(gotErr) != fmt.Sprint(refErr) {
 					t.Fatalf("%s→%s, %d slots, payload %d: prepared says %v, VerifyMove2 %v",
