@@ -12,7 +12,6 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
-	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -23,11 +22,15 @@ import (
 	"scmove/internal/types"
 )
 
-// Journal is the text of one run.
+// Journal is the text of one run, and beside it its state text: the same
+// lines, but each block's header hash and receipts digest replaced by a
+// digest of the receipts without their tx ids. The state text moves when a
+// run commits other state or other outcomes, at other heights or times,
+// and stays when only the bytes of the transactions that led there differ.
 type Journal struct {
 	// Now reads the simulated clock; Block stamps each line with it.
-	Now  func() time.Duration
-	text strings.Builder
+	Now         func() time.Duration
+	text, state strings.Builder
 }
 
 // Block appends the line of one committed block:
@@ -36,11 +39,25 @@ type Journal struct {
 //
 // with the header's time (unix seconds), the clock's reading, and the first
 // 8 bytes of the state root, the header hash and a digest of every receipt's
-// tx id, status, gas, created address, error text and logs.
+// tx id, status, gas, created address, error text and logs. The state
+// text's line ends "root … outcomes …" instead, the last a digest of the
+// receipts without their tx ids.
 func (j *Journal) Block(b *types.Block, rs []*types.Receipt) {
+	hd, hash, recs, outs := b.Header, b.Header.Hash(), receiptsDigest(rs, true), receiptsDigest(rs, false)
+	line := fmt.Sprintf("chain %d height %d time %d at %v txs %d root %x",
+		uint64(hd.ChainID), hd.Height, hd.Time, j.Now(), len(b.Txs), hd.StateRoot[:8])
+	fmt.Fprintf(&j.text, "%s hash %x receipts %x\n", line, hash[:8], recs[:8])
+	fmt.Fprintf(&j.state, "%s outcomes %x\n", line, outs[:8])
+}
+
+// receiptsDigest hashes every receipt's status, gas, created address, error
+// text and logs, and with ids its tx id too.
+func receiptsDigest(rs []*types.Receipt, ids bool) hashing.Hash {
 	h := hashing.NewHasher(128 * len(rs))
 	for _, r := range rs {
-		h.Write(r.TxID[:])
+		if ids {
+			h.Write(r.TxID[:])
+		}
 		h.Uvarint(uint64(r.Status))
 		h.Uvarint(r.GasUsed)
 		h.Write(r.Created[:])
@@ -55,14 +72,14 @@ func (j *Journal) Block(b *types.Block, rs []*types.Receipt) {
 			h.LenPrefixed(l.Data)
 		}
 	}
-	hd, hash, recs := b.Header, b.Header.Hash(), h.Sum()
-	fmt.Fprintf(&j.text, "chain %d height %d time %d at %v txs %d root %x hash %x receipts %x\n",
-		uint64(hd.ChainID), hd.Height, hd.Time, j.Now(), len(b.Txs), hd.StateRoot[:8], hash[:8], recs[:8])
+	return h.Sum()
 }
 
 // Tail appends the line "label v1 v2 …", each value formatted with %v.
 func (j *Journal) Tail(label string, vs ...any) {
-	fmt.Fprintln(&j.text, append([]any{label}, vs...)...)
+	line := fmt.Sprintln(append([]any{label}, vs...)...)
+	j.text.WriteString(line)
+	j.state.WriteString(line)
 }
 
 // Counters appends one "counter name value" line per counter in name order,
@@ -81,19 +98,6 @@ func (j *Journal) String() string { return j.text.String() }
 func digest(text string) string {
 	sum := sha256.Sum256([]byte(text))
 	return hex.EncodeToString(sum[:])
-}
-
-// blockIdentity matches the end of a block line that names what a block
-// carried rather than what it committed: its header hash (which covers the
-// transaction ids) and its receipts' digest (which covers them too).
-var blockIdentity = regexp.MustCompile(`(?m)^(chain \d+ height \d+ .* root [0-9a-f]+) hash [0-9a-f]+ receipts [0-9a-f]+$`)
-
-// stateDigest is the digest of text with each block line's hash and
-// receipts fields dropped: it moves when a run commits other state, at
-// other heights or times, and stays when only the bytes of the
-// transactions that led there differ.
-func stateDigest(text string) string {
-	return digest(blockIdentity.ReplaceAllString(text, "$1"))
 }
 
 // diff returns the number and both versions of the first line where two
@@ -128,16 +132,16 @@ func Same(tb testing.TB, what string, a, b *Journal) *Journal {
 }
 
 // Check logs "identity: <test> <digest>" and "identity: <test> state
-// <digest>", the second over the journal without the block lines' hash and
-// receipts fields (stateDigest), and fails tb unless the first is want. A pass leaves the journal under os.TempDir() as the reference of this
-// test and pin; a failure writes its own there too and names the first line
-// where it parts from the reference.
+// <digest>", the second over the state text, and fails tb unless the first
+// is want. A pass leaves the journal under os.TempDir() as the reference of
+// this test and pin; a failure writes its own there too and names the
+// first line where it parts from the reference.
 func (j *Journal) Check(tb testing.TB, want string) {
 	tb.Helper()
 	text := j.String()
 	got := digest(text)
 	tb.Logf("identity: %s %s", tb.Name(), got)
-	tb.Logf("identity: %s state %s", tb.Name(), stateDigest(text))
+	tb.Logf("identity: %s state %s", tb.Name(), digest(j.state.String()))
 	ref := file(tb.Name(), want)
 	if got == want {
 		keep(tb, ref, text)

@@ -55,40 +55,45 @@ latencies [3s 1m0s]
 counter relay.moves_completed 1
 counter wan.dropped 4
 `
-	if got := journalOf(twoBlocks(), twoReceipts()).String(); got != golden {
+	j := journalOf(twoBlocks(), twoReceipts())
+	if got := j.String(); got != golden {
 		t.Fatalf("journal text moved, %s", diff(golden, got))
 	}
-	const state = `chain 2 height 1 time 5 at 5s txs 0 root 2b53d21379ba77e9
-chain 2 height 2 time 10 at 10.000000001s txs 2 root f4cee9432566e6a4
+	const state = `chain 2 height 1 time 5 at 5s txs 0 root 2b53d21379ba77e9 outcomes e3b0c44298fc1c14
+chain 2 height 2 time 10 at 10.000000001s txs 2 root f4cee9432566e6a4 outcomes 12ca12a276c5a68e
 latencies [3s 1m0s]
 counter relay.moves_completed 1
 counter wan.dropped 4
 `
-	if got, want := stateDigest(golden), digest(state); got != want {
-		t.Fatalf("state digest %s, want the digest of the lines without hash and receipts %s", got, want)
+	if got := j.state.String(); got != state {
+		t.Fatalf("state text moved, %s", diff(state, got))
 	}
 }
 
 // TestJournalNamesFirstDifference edits one field at a time — a receipt's
-// gas, a log's data, a header's state root — and requires diff to name the
-// line of that block and no other, and Same to report it. An edited receipt
-// moves the full digest only; an edited root moves the state digest too.
+// tx id, its gas, a log's data, a header's state root — and requires diff
+// to name the line of that block and no other, and Same to report it. An
+// edited tx id moves the full digest only; an edited receipt or root moves
+// the state digest too.
 func TestJournalNamesFirstDifference(t *testing.T) {
-	want := journalOf(twoBlocks(), twoReceipts()).String()
+	ref := journalOf(twoBlocks(), twoReceipts())
+	want := ref.String()
 	for _, tc := range []struct {
 		name       string
 		edit       func([]*types.Block, [][]*types.Receipt)
 		line       string
 		stateMoves bool
 	}{
-		{"receipt gas", func(_ []*types.Block, rs [][]*types.Receipt) { rs[1][0].GasUsed++ }, "line 2:", false},
-		{"log data", func(_ []*types.Block, rs [][]*types.Receipt) { rs[1][1].Logs[0].Data[1] = 3 }, "line 2:", false},
+		{"tx id", func(_ []*types.Block, rs [][]*types.Receipt) { rs[1][0].TxID[0] ^= 1 }, "line 2:", false},
+		{"receipt gas", func(_ []*types.Block, rs [][]*types.Receipt) { rs[1][0].GasUsed++ }, "line 2:", true},
+		{"log data", func(_ []*types.Block, rs [][]*types.Receipt) { rs[1][1].Logs[0].Data[1] = 3 }, "line 2:", true},
 		{"state root", func(bs []*types.Block, _ [][]*types.Receipt) { bs[0].Header.StateRoot[0] ^= 1 }, "line 1:", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bs, rs := twoBlocks(), twoReceipts()
 			tc.edit(bs, rs)
-			got := journalOf(bs, rs).String()
+			j := journalOf(bs, rs)
+			got := j.String()
 			d := diff(want, got)
 			if !strings.HasPrefix(d, tc.line) || strings.Count(d, "\n") != 2 {
 				t.Fatalf("edit of the %s reported as %q, want the %s line", tc.name, d, tc.line)
@@ -96,7 +101,7 @@ func TestJournalNamesFirstDifference(t *testing.T) {
 			if digest(got) == digest(want) {
 				t.Fatalf("edit of the %s left the digest", tc.name)
 			}
-			if moved := stateDigest(got) != stateDigest(want); moved != tc.stateMoves {
+			if moved := j.state.String() != ref.state.String(); moved != tc.stateMoves {
 				t.Fatalf("edit of the %s: state digest moved %v, want %v", tc.name, moved, tc.stateMoves)
 			}
 			ft := &fakeTB{TB: t}
