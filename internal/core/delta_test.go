@@ -14,9 +14,10 @@ import (
 )
 
 // deltaCase is a contract returning home: dst (IAVL) holds the copy it left
-// there, slots 1-4 (10, 20, 30, 40); abroad on src (MPT) slot 1 became 11,
-// slot 3 was deleted and slot 5 written, and the contract is locked towards
-// dst with its proven root published.
+// there, slots 1-4 (10, 20, 30, 40) and 11-13 (110, 120, 130); abroad on src
+// (MPT) slot 1 became 11, slot 3 was deleted and slot 5 written, and the
+// contract is locked towards dst with its proven root published. The delta
+// carries under half the full payload's bytes, so it is sent as one.
 type deltaCase struct {
 	src, dst *state.DB
 	hs       *HeaderStore
@@ -35,7 +36,7 @@ func newDeltaCase(t testing.TB) deltaCase {
 	}
 	c := deltaCase{src: src, dst: dst, hs: NewHeaderStore(paramsA(), paramsB()), contract: addr(0xd0)}
 	dst.CreateContract(c.contract, []byte("movable code"))
-	for i := byte(1); i <= 4; i++ {
+	for _, i := range []byte{1, 2, 3, 4, 11, 12, 13} {
 		dst.SetStorage(c.contract, word(i), word(10*i))
 	}
 	dst.SetLocation(c.contract, chainA)
@@ -43,7 +44,7 @@ func newDeltaCase(t testing.TB) deltaCase {
 	dst.Commit()
 
 	src.CreateContract(c.contract, []byte("movable code"))
-	for _, kv := range [][2]byte{{1, 11}, {2, 20}, {4, 40}, {5, 50}} {
+	for _, kv := range [][2]byte{{1, 11}, {2, 20}, {4, 40}, {5, 50}, {11, 110}, {12, 120}, {13, 130}} {
 		src.SetStorage(c.contract, word(kv[0]), word(kv[1]))
 	}
 	src.SetLocation(c.contract, chainB)
@@ -117,6 +118,25 @@ func TestBuildMoveDeltaShipsOnlyChanges(t *testing.T) {
 	}
 	if first.IsDelta() || !slices.Equal(types.EncodeMove2Payload(first), types.EncodeMove2Payload(full)) {
 		t.Fatal("a Move to a chain without a copy must carry the full payload, byte for byte")
+	}
+}
+
+// TestBuildMoveDeltaSendsLargeDeltasInFull: once the delta would carry more
+// than half the full payload's storage bytes — here five of seven entries
+// changed and one deleted — the payload is BuildMoveProof's, byte for byte.
+func TestBuildMoveDeltaSendsLargeDeltasInFull(t *testing.T) {
+	c := newDeltaCase(t)
+	for _, k := range []byte{11, 12, 13} {
+		c.src.SetStorage(c.contract, word(k), word(k))
+	}
+	c.src.Commit()
+	p := c.delta(t)
+	built, err := BuildMoveProof(c.src, c.contract, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.IsDelta() || !slices.Equal(types.EncodeMove2Payload(p), types.EncodeMove2Payload(built)) {
+		t.Fatalf("a delta of 5 entries and a deletion over 7 entries was sent as %+v, want the full payload", p)
 	}
 }
 
@@ -201,11 +221,11 @@ func TestCountMergeIsTheMergeLength(t *testing.T) {
 	if n := CountMerge(base, p); n != len(merged) || n != len(c.src.StorageEntries(c.contract)) {
 		t.Fatalf("CountMerge %d, merge %d entries", n, len(merged))
 	}
-	p.Deleted = append(p.Deleted, word(7)) // refused by the merge, counted as 4
+	p.Deleted = append(p.Deleted, word(7)) // refused by the merge, counted as 7
 	if _, err := MergeMove2(nil, base, p); err == nil {
 		t.Fatal("a tombstone for an absent key merged")
 	}
-	if n := CountMerge(base, p); n != 4 {
-		t.Fatalf("CountMerge of a refused delta %d, want 4", n)
+	if n := CountMerge(base, p); n != 7 {
+		t.Fatalf("CountMerge of a refused delta %d, want 7", n)
 	}
 }

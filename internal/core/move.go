@@ -92,10 +92,12 @@ type MoveScratch struct {
 // an earlier Move left there — the payload is a delta against that copy
 // (types.Move2Payload): the entries whose values differ from it, the keys
 // it holds that the source has deleted, and the code only if the copy's
-// code hash is not the proven one — unless that would carry as many bytes
-// of storage as the full payload, when most of the contract changed.
+// code hash is not the proven one — unless that would carry more than half
+// the full payload's bytes of storage. Such a delta saves less than it
+// costs: the target reads its copy to merge it, on its event loop.
 // Otherwise it is BuildMoveProof's full payload, byte for byte. The two
-// copies are read into sc, which keeps the memory for the next call.
+// copies are read into sc, which keeps the memory for the next call; the
+// walk that sizes the delta stops once it is over the half.
 func BuildMoveDelta(src, dst *state.DB, contract hashing.Address, height uint64, sc *MoveScratch) (*types.Move2Payload, error) {
 	base, ok := dst.GetAccount(contract)
 	if !ok || base.StorageRoot.IsZero() {
@@ -108,8 +110,12 @@ func BuildMoveDelta(src, dst *state.DB, contract hashing.Address, height uint64,
 	sc.src = src.AppendStorage(sc.src[:0], contract)
 	sc.dst = dst.AppendStorage(sc.dst[:0], contract)
 	var changed, deleted int
-	diffRuns(sc.src, sc.dst, func(types.StorageEntry) { changed++ }, func(evm.Word) { deleted++ })
-	if changed*storageEntrySize+deleted*storageKeySize >= len(sc.src)*storageEntrySize {
+	small := func() bool {
+		return 2*(changed*storageEntrySize+deleted*storageKeySize) <= len(sc.src)*storageEntrySize
+	}
+	if !diffRuns(sc.src, sc.dst,
+		func(types.StorageEntry) bool { changed++; return small() },
+		func(evm.Word) bool { deleted++; return small() }) {
 		p.Code, p.Storage = src.GetCode(contract), slices.Clone(sc.src)
 		return p, nil
 	}
@@ -124,8 +130,8 @@ func BuildMoveDelta(src, dst *state.DB, contract hashing.Address, height uint64,
 		p.Deleted = make([]evm.Word, 0, deleted)
 	}
 	diffRuns(sc.src, sc.dst,
-		func(e types.StorageEntry) { p.Storage = append(p.Storage, e) },
-		func(k evm.Word) { p.Deleted = append(p.Deleted, k) })
+		func(e types.StorageEntry) bool { p.Storage = append(p.Storage, e); return true },
+		func(k evm.Word) bool { p.Deleted = append(p.Deleted, k); return true })
 	return p, nil
 }
 
@@ -138,8 +144,8 @@ const (
 // diffRuns walks two ascending runs, the source's storage and the target's
 // copy, and hands changed every source entry the copy lacks or holds with
 // another value, and deleted every key only the copy holds, both in key
-// order.
-func diffRuns(src, dst []types.StorageEntry, changed func(types.StorageEntry), deleted func(evm.Word)) {
+// order. It stops, returning false, when either returns false.
+func diffRuns(src, dst []types.StorageEntry, changed func(types.StorageEntry) bool, deleted func(evm.Word) bool) bool {
 	for len(src) > 0 || len(dst) > 0 {
 		c := 1
 		switch {
@@ -149,20 +155,25 @@ func diffRuns(src, dst []types.StorageEntry, changed func(types.StorageEntry), d
 		default:
 			c = bytes.Compare(src[0].Key[:], dst[0].Key[:])
 		}
+		more := true
 		switch {
 		case c < 0:
-			changed(src[0])
+			more = changed(src[0])
 			src = src[1:]
 		case c > 0:
-			deleted(dst[0].Key)
+			more = deleted(dst[0].Key)
 			dst = dst[1:]
 		default:
 			if src[0].Value != dst[0].Value {
-				changed(src[0])
+				more = changed(src[0])
 			}
 			src, dst = src[1:], dst[1:]
 		}
+		if !more {
+			return false
+		}
 	}
+	return true
 }
 
 // FullMove2 returns the full payload the delta p stands for: p's proof with

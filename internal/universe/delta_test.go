@@ -26,8 +26,8 @@ type homeCopy struct {
 // Move2 home is a delta against the stale copy; in the other the stale copy
 // is pruned first, which forces the full payload. Both must leave the same
 // storage, storage root, Lc and move nonce at home, for the same Move2 gas.
-// At 100 % a delta can carry as many bytes as the full payload, and the
-// relayer then sends the full one there too.
+// At 100 % a delta would carry more than half the full payload's bytes,
+// and the relayer sends the full one there too.
 func TestDeltaMove2MatchesFull(t *testing.T) {
 	for _, pct := range []int{0, 1, 10, 100} {
 		t.Run(fmt.Sprintf("written-%d%%", pct), func(t *testing.T) {
@@ -75,8 +75,8 @@ func TestDeltaMove2MatchesFull(t *testing.T) {
 					got[i] = homeCopy{acct.StorageRoot, db.GetLocation(store), db.GetMoveNonce(store),
 						res.Move2Gas, runs[i].last.IsDelta()}
 				}
-				if pct < 100 && !got[0].delta || got[1].delta {
-					t.Fatalf("trip %d: the Move2s home were delta %v and %v, want a delta and a full payload",
+				if got[0].delta != (pct < 100) || got[1].delta {
+					t.Fatalf("trip %d: the Move2s home were delta %v and %v, want a delta below 100 %% and a full payload",
 						trip, got[0].delta, got[1].delta)
 				}
 				if !slices.Equal(entries[0], entries[1]) {
