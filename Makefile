@@ -115,9 +115,10 @@ benchtest:
 # cell's tail lines. A cross-GOMAXPROCS or metrics on/off comparison that
 # parts prints the first differing line; a moved pin prints the first line
 # where the run parts from the journal the last passing run left under
-# os.TempDir()/scmove-journal/. Each digest test also logs a state digest,
-# the journal without the block lines' hash and receipts fields: it stays
-# where only the bytes of the transactions moved. The journal's own tests
+# os.TempDir()/scmove-journal/. Each digest test also logs a state digest:
+# the journal with each block line's hash and receipts fields replaced by a
+# digest of the receipts without their tx ids. It stays where only the
+# bytes of the transactions moved. The journal's own tests
 # pin its line format on a hand-built two-block chain, its first-difference
 # report, and which edits move which digest.
 #
@@ -177,7 +178,8 @@ detsmoke:
 # digest moved, the test's failure names the first line that parted. A
 # journal test logs its state digest too (`identity: <test> state …`):
 # equal state digests under moved full ones mean the same committed state,
-# heights and times, carried by other transaction bytes. It fails if a test
+# heights, times and receipt outcomes (status, gas, error text, logs),
+# carried by other transaction bytes. It fails if a test
 # fails or a listed test logs no line.
 IDENTITY_TESTS = TestApplyBlockFuzzTraffic TestFaultyClusterDigest \
 	TestChaosCellCrossGOMAXPROCS TestByzantineDeterminism \

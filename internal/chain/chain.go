@@ -398,13 +398,6 @@ func (c *Chain) SubmitTxs(txs []*types.Transaction) []error {
 // and sharded (2–3) Move stays below it.
 const prepareMin = 16
 
-// preparable reports whether tx is a Move2, whose payload ExpectMove2 may
-// have prepared: the count that decides it is its merge's, which only the
-// copy it was merged into can tell.
-func preparable(tx *types.Transaction) bool {
-	return tx.Kind == types.TxMove2 && tx.Move2 != nil
-}
-
 // ExpectMove2 starts core.PrepareMove2 — the completeness root and the tree
 // to install — for a Move2 payload that a transaction is expected to carry
 // here later, on a goroutine of the chain's own. A relayer calls it as soon
@@ -516,7 +509,9 @@ func (c *Chain) startPrep(p *types.Move2Payload, base []types.StorageEntry) *mov
 func (c *Chain) takePrepared(txs []*types.Transaction) []*core.Move2Storage {
 	var res []*core.Move2Storage
 	for i, tx := range txs {
-		if !preparable(tx) {
+		// Every Move2 may have a preparation: the count that decides it is
+		// its merge's, which only the copy it was merged into can tell.
+		if tx.Kind != types.TxMove2 || tx.Move2 == nil {
 			continue
 		}
 		var e *move2Prep
