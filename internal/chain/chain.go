@@ -831,15 +831,16 @@ func (c *Chain) applyMove2(vm *evm.EVM, tx *types.Transaction, gas uint64, s *co
 	}
 	p, st := tx.Move2, c.db
 	code, baseErr := core.Move2Code(st, p)
-	var base []types.StorageEntry
-	if s == nil || baseErr != nil {
+	var (
+		base []types.StorageEntry
+		n    int
+	)
+	if s != nil && baseErr == nil {
+		n = s.N
+	} else {
 		base = core.AppendMove2Base(c.takeRun(), st, p)
 		defer c.putRun(base)
-		s = nil
-	}
-	n := core.CountMerge(base, p)
-	if s != nil {
-		n = s.N
+		s, n = nil, core.CountMerge(base, p)
 	}
 	cost := c.move2Gas(code, n, p.AccountProof)
 	if cost > gas {
