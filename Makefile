@@ -94,6 +94,17 @@ benchtest:
 # ExpectMove2's read of the copy allocates per slot. A file-store commit
 # whose segment write fails leaves the index, the byte counts and the root
 # as they were.
+# A delta Move2 home is k SSTOREs on the target's copy: a one-entry home
+# builds the same tree nodes at 500 and 2 000 slots — none over a resident
+# copy, one stub's over a copy eviction shrank to hash stubs — on MPT and
+# IAVL targets from either kind, and reads the copy whole once, in the
+# relayer's build, which lends it to the preparation. A delta one gas short
+# reads as many slots at 500 as at 2 000 before it is refused. A same-kind
+# delta is refused by the copy's updated root with VerifyMove2's errors, and
+# the revert restores the copy. An evicted tree keeps at most
+# 9·n/StubEntries nodes; a write into a stub whose slots the file store no
+# longer holds as committed panics naming the contract, and so does a
+# whole-tree rebuild whose root is not the committed storage root.
 # Consensus over TCP encodes a message once per broadcast, writes every peer
 # the frame bytes a per-peer Send always wrote (the message encodings are
 # pinned too), and decodes a proposal frame
@@ -154,7 +165,10 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestMove2HomeCommitAllocationFlat TestExpectedMove2CatchesEditedPayload \
 	TestReadFramesAllocateOnlyBodies TestJournalGolden TestJournalNamesFirstDifference \
 	TestCheckNamesLineAgainstReference TestEditedTransactionPanics TestDeltaMove2MatchesFull \
-	TestDeltaWorkAllocatesNoRun TestFailedCommitLeavesStoreAsItWas
+	TestDeltaWorkAllocatesNoRun TestFailedCommitLeavesStoreAsItWas \
+	TestDeltaHomeNodesScaleWithK TestDeltaHomeReadsCopyOnce TestUnpaidDeltaDoesNoStorageWork \
+	TestSameKindDeltaInstallRefusesAsVerify TestShrinkKeepsBoundedSkeleton \
+	TestStubExpansionChecksTheStubHash TestRebuiltStorageTreeChecksCommittedRoot
 DETSMOKE_PKGS = ./internal/journal/ ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/relay/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/ \
@@ -250,6 +264,9 @@ expsmoke:
 # dropped and doubled entries and added or dropped tombstones of a delta
 # Move2 home are refused, inline and prepared alike. The payload, tx and
 # tx-list decoders are seeded with a delta's base and deleted keys.
+# FuzzStorageSkeleton replays random sets and deletes on both tree kinds,
+# shrinking to hash stubs at random points, and requires Get, Iterate, Len
+# and RootHash to match a fresh Build after every op.
 FUZZTIME ?= 5s
 fuzzsmoke:
 	@set -e; \
@@ -264,6 +281,7 @@ fuzzsmoke:
 		'./internal/core FuzzVerifyMove2AccountProof' \
 		'./internal/core FuzzVerifyMove2Storage' \
 		'./internal/trees FuzzBuildVsIncremental' \
+		'./internal/trees FuzzStorageSkeleton' \
 		'./internal/state/backend FuzzSegmentDecode' \
 		'./internal/state/backend FuzzFileSlotIndex' \
 		'./internal/simnet FuzzFrameDecode' \

@@ -101,12 +101,12 @@ type BlockListener func(block *types.Block, receipts []*types.Receipt)
 //     Query pinned to a height is served between blocks by construction —
 //     the lock excludes a concurrent mid-block Commit.
 //   - SubmitTx/SubmitTxs take no chain lock at all; the pool and the Move2
-//     preparation list have their own. ExpectMove2 takes the write lock only
-//     to read the copy a delta merges into. prepMu is never held together
-//     with pool.mu, nor chain.mu taken under it: ApplyBlock takes its
-//     preparations before it locks, and a Move2 applied under chain.mu
-//     takes prepMu only for the free list of storage runs (takeRun,
-//     putRun).
+//     preparation list have their own. BuildMoveDelta and ExpectMove2 take
+//     the write lock only to read the copy a delta is built against and
+//     merged into. prepMu is never held together with pool.mu, nor chain.mu
+//     taken under it: ApplyBlock takes its preparations before it locks,
+//     and a Move2 applied under chain.mu takes prepMu only for the free
+//     list of storage runs (takeRun, putRun).
 type Chain struct {
 	cfg     Config
 	db      *state.DB
@@ -159,6 +159,10 @@ type Chain struct {
 	// runs are storage runs a Move2's storage work is done with (the copy it
 	// is merged into, the merge), kept under prepMu for the next one.
 	runs [][]types.StorageEntry
+	// lent is the copy BuildMoveDelta last read for the delta lentFor, kept
+	// under prepMu for the ExpectMove2 that announces it.
+	lent    []types.StorageEntry
+	lentFor *types.Move2Payload
 }
 
 // move2Prep is the storage work of the Move2 payload p; res is set before
@@ -398,38 +402,70 @@ func (c *Chain) SubmitTxs(txs []*types.Transaction) []error {
 // and sharded (2–3) Move stays below it.
 const prepareMin = 16
 
-// ExpectMove2 starts core.PrepareMove2 — the completeness root and the tree
-// to install — for a Move2 payload that a transaction is expected to carry
-// here later, on a goroutine of the chain's own. A relayer calls it as soon
-// as it holds the payload, so the work overlaps the source's confirmation
-// wait. It first reads the copy of the contract a delta is merged into
-// (nothing for a full payload) here, on the caller's goroutine, and the
-// goroutine merges and hashes: the hashing stays off the event loop, and
-// both runs come from, and go back to, the chain's free list. ApplyBlock
-// takes the result for a Move2 with the same source chain, storage entries,
-// base and deleted keys (see takePrepared); p must not be modified
-// afterwards. A payload that stands for fewer than prepareMin entries, a
-// delta whose base is not this chain's copy, or one already expected, is
-// ignored; beyond maxPrepared expectations a new one drops the oldest. A
-// Move2 nobody announced (sent over RPC, replayed, forged) is computed by
-// applyMove2 with the same pure function, so simulated results never depend
-// on this.
+// BuildMoveDelta is core.BuildMoveDelta for a Move to this chain from the
+// chain whose state is src: it reads this chain's copy of the contract
+// under the chain's lock, into sc's target-side run (one from the chain's
+// free list, when sc has none). For a delta it keeps that run for the
+// ExpectMove2 that announces the payload, so the copy is read once per
+// Move2 home, and hands sc a run from the free list in exchange.
+func (c *Chain) BuildMoveDelta(src *state.DB, contract hashing.Address, height uint64, sc *core.MoveScratch) (*types.Move2Payload, error) {
+	if sc.Target == nil {
+		sc.Target = c.takeRun()
+	}
+	c.mu.Lock()
+	p, err := core.BuildMoveDelta(src, c.db, contract, height, sc)
+	c.mu.Unlock()
+	if err != nil || !p.IsDelta() {
+		return p, err
+	}
+	c.prepMu.Lock()
+	defer c.prepMu.Unlock()
+	c.putRunLocked(c.lent)
+	c.lent, c.lentFor, sc.Target = sc.Target, p, c.takeRunLocked()
+	return p, nil
+}
+
+// ExpectMove2 starts core.PrepareMove2 — the completeness root, and for a
+// full payload the tree to install — for a Move2 payload that a
+// transaction is expected to carry here later, on a goroutine of the
+// chain's own. A relayer calls it as soon as it holds the payload, so the
+// work overlaps the source's confirmation wait. A delta from a chain of
+// this chain's tree kind needs no preparation (core.NeedsPreparation); any
+// other delta is merged into this chain's copy of the contract, which
+// BuildMoveDelta lent for it, or which is read here, on the caller's
+// goroutine, when it did not. The goroutine merges and hashes: the hashing
+// stays off the event loop, and both runs come from, and go back to, the
+// chain's free list. ApplyBlock takes the result for a Move2 with the same
+// source chain, storage entries, base and deleted keys (see takePrepared);
+// p must not be modified afterwards. A payload that stands for fewer than
+// prepareMin entries, a delta whose base is not this chain's copy, or one
+// already expected, is ignored; beyond maxPrepared expectations a new one
+// drops the oldest. A Move2 nobody announced (sent over RPC, replayed,
+// forged) is computed by applyMove2 with the same pure function, so
+// simulated results never depend on this.
 func (c *Chain) ExpectMove2(p *types.Move2Payload) {
 	if p == nil {
 		return
 	}
-	buf := c.takeRun()
+	c.prepMu.Lock()
+	base := c.lent
+	if c.lentFor != p {
+		c.putRunLocked(base)
+		base = nil
+	}
+	c.lent, c.lentFor = nil, nil
+	c.prepMu.Unlock()
 	c.mu.Lock()
 	_, err := core.Move2Code(c.db, p)
-	base := core.AppendMove2Base(buf, c.db, p)
-	c.mu.Unlock()
-	if err != nil || core.CountMerge(base, p) < prepareMin {
-		c.putRun(base)
-		return
+	prepare := err == nil && core.NeedsPreparation(c.headers, c.cfg.TreeKind, p) &&
+		core.Move2Entries(c.db, p) >= prepareMin
+	if prepare && base == nil && p.IsDelta() {
+		base = core.AppendMove2Base(c.takeRun(), c.db, p)
 	}
+	c.mu.Unlock()
 	c.prepMu.Lock()
 	defer c.prepMu.Unlock()
-	if c.prepClosed || c.findPrepared(p) >= 0 {
+	if !prepare || c.prepClosed || c.findPrepared(p) >= 0 {
 		c.putRunLocked(base)
 		return
 	}
@@ -446,6 +482,11 @@ const maxRuns = 2 * maxPrepared
 func (c *Chain) takeRun() []types.StorageEntry {
 	c.prepMu.Lock()
 	defer c.prepMu.Unlock()
+	return c.takeRunLocked()
+}
+
+// takeRunLocked is takeRun for a caller that holds prepMu.
+func (c *Chain) takeRunLocked() []types.StorageEntry {
 	n := len(c.runs)
 	if n == 0 {
 		return nil
@@ -813,51 +854,52 @@ func (c *Chain) applyTx(tx *types.Transaction, blockCtx evm.BlockContext, s *cor
 
 // applyMove2 charges the recreation gas of Alg. 1 (contract creation plus
 // one SSTORE per storage entry plus proof verification), verifies the
-// payload, imports the contract, and runs moveFinish(·). s is the payload's
-// storage work ExpectMove2 prepared; without one it is computed here.
+// payload, installs the contract, and runs moveFinish(·). s is the
+// payload's storage work ExpectMove2 prepared; without one it is computed
+// here where the payload needs one (core.NeedsPreparation).
 //
 // A delta pays what the full payload it stands for pays: gas for the code
 // it installs and for every entry of its merge into this chain's copy, not
-// for the few it carries (DESIGN §17.11). That count is a scan of the copy
-// without hashing (core.CountMerge), and the charge comes before any merge
-// or hashing: a Move2 that cannot pay makes the chain do no O(n) hashing.
-// A delta whose base is not the copy here is charged for its merge into
-// whatever copy the chain holds, so a replay of a delta that has landed
-// pays what the replay of its full payload would; it gets no storage work,
-// since core.VerifyPreparedMove2 refuses it first.
+// for the few it carries (DESIGN §17.11). That count is the copy's slot
+// count plus a point read per key the delta names (core.Move2Entries), and
+// the charge comes before any other storage work: a Move2 that cannot pay
+// makes the chain read no more than its k slots. Only then is the copy
+// read whole, and only for a delta that needs a preparation: one from a
+// chain of another tree kind, whose completeness root is hashed over the
+// merge. A delta from a chain of this chain's kind is written into the copy
+// and checked by the copy's updated root (core.InstallMove2). A delta whose
+// base is not the copy here is charged for its merge into whatever copy the
+// chain holds, so a replay of a delta that has landed pays what the replay
+// of its full payload would; it gets no storage work, since
+// core.InstallMove2 refuses it first.
 func (c *Chain) applyMove2(vm *evm.EVM, tx *types.Transaction, gas uint64, s *core.Move2Storage) (uint64, error) {
 	if !tx.Value.IsZero() {
 		return gas, errors.New("move2 transaction must not carry value")
 	}
 	p, st := tx.Move2, c.db
 	code, baseErr := core.Move2Code(st, p)
-	var (
-		base []types.StorageEntry
-		n    int
-	)
-	if s != nil && baseErr == nil {
-		n = s.N
-	} else {
-		base = core.AppendMove2Base(c.takeRun(), st, p)
-		defer c.putRun(base)
-		s, n = nil, core.CountMerge(base, p)
-	}
-	cost := c.move2Gas(code, n, p.AccountProof)
+	cost := c.move2Gas(code, core.Move2Entries(st, p), p.AccountProof)
 	if cost > gas {
 		return 0, fmt.Errorf("%w: move2 needs %d", evm.ErrOutOfGas, cost)
 	}
 	gas -= cost
 	snap := st.Snapshot()
-	if s == nil && baseErr == nil {
+	if baseErr != nil {
+		s = nil
+	} else if s == nil && core.NeedsPreparation(c.headers, c.cfg.TreeKind, p) {
+		base := core.AppendMove2Base(c.takeRun(), st, p)
 		var merged []types.StorageEntry
 		s, merged = core.PrepareMove2(c.headers, c.cfg.TreeKind, p, base, c.takeRun())
-		defer c.putRun(merged)
+		c.putRun(base)
+		c.putRun(merged)
 	}
-	acct, err := core.VerifyPreparedMove2(c.cfg.ChainID, st, c.headers, p, s)
-	if err != nil {
+	if s != nil {
+		st.TreeWork().Built(s.Nodes)
+	}
+	if err := core.InstallMove2(c.cfg.ChainID, st, c.headers, p, s); err != nil {
+		st.RevertToSnapshot(snap)
 		return gas, err
 	}
-	st.ImportAccount(p.Contract, acct, code, s.Tree)
 	// moveFinish(·): the custom completion routine (Alg. 1 line 13). Its
 	// failure aborts the whole Move2.
 	_, left, err := vm.Call(tx.From, p.Contract, core.MoveFinishInput, u256.Zero(), gas)

@@ -15,18 +15,23 @@ import (
 
 // deltaCase is a contract returning home: dst (IAVL) holds the copy it left
 // there, slots 1-4 (10, 20, 30, 40) and 11-13 (110, 120, 130); abroad on src
-// (MPT) slot 1 became 11, slot 3 was deleted and slot 5 written, and the
-// contract is locked towards dst with its proven root published. The delta
-// carries under half the full payload's bytes, so it is sent as one.
+// (MPT, or the source's kind in newDeltaCaseFrom) slot 1 became 11, slot 3
+// was deleted and slot 5 written, and the contract is locked towards dst
+// with its proven root published. The delta carries under half the full
+// payload's bytes, so it is sent as one.
 type deltaCase struct {
 	src, dst *state.DB
 	hs       *HeaderStore
 	contract hashing.Address
 }
 
-func newDeltaCase(t testing.TB) deltaCase {
+func newDeltaCase(t testing.TB) deltaCase { return newDeltaCaseFrom(t, paramsA()) }
+
+// newDeltaCaseFrom is newDeltaCase with the contract abroad on the chain of
+// the given parameters.
+func newDeltaCaseFrom(t testing.TB, from ChainParams) deltaCase {
 	t.Helper()
-	src, err := state.NewDB(chainA, trie.KindMPT)
+	src, err := state.NewDB(from.ID, from.TreeKind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +39,12 @@ func newDeltaCase(t testing.TB) deltaCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := deltaCase{src: src, dst: dst, hs: NewHeaderStore(paramsA(), paramsB()), contract: addr(0xd0)}
+	c := deltaCase{src: src, dst: dst, hs: NewHeaderStore(from, paramsB()), contract: addr(0xd0)}
 	dst.CreateContract(c.contract, []byte("movable code"))
 	for _, i := range []byte{1, 2, 3, 4, 11, 12, 13} {
 		dst.SetStorage(c.contract, word(i), word(10*i))
 	}
-	dst.SetLocation(c.contract, chainA)
+	dst.SetLocation(c.contract, from.ID)
 	dst.SetMoveNonce(c.contract, 1)
 	dst.Commit()
 
@@ -50,7 +55,7 @@ func newDeltaCase(t testing.TB) deltaCase {
 	src.SetLocation(c.contract, chainB)
 	src.SetMoveNonce(c.contract, 2)
 	src.Commit()
-	publish(t, c.hs, paramsA(), 1, src.Root())
+	publish(t, c.hs, from, 1, src.Root())
 	return c
 }
 
@@ -207,9 +212,9 @@ func TestVerifyRefusesBadDeltas(t *testing.T) {
 	}
 }
 
-// TestCountMergeIsTheMergeLength: the gas count of a delta is its merge's
-// length whenever the merge succeeds, and the copy's key set grown by the
-// delta's new keys, less its deleted ones, otherwise.
+// TestCountMergeIsTheMergeLength: the gas count of a delta (Move2Entries)
+// is its merge's length whenever the merge succeeds, and the copy's key set
+// grown by the delta's new keys, less its deleted ones, otherwise.
 func TestCountMergeIsTheMergeLength(t *testing.T) {
 	c := newDeltaCase(t)
 	p := c.delta(t)
@@ -218,14 +223,69 @@ func TestCountMergeIsTheMergeLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := CountMerge(base, p); n != len(merged) || n != len(c.src.StorageEntries(c.contract)) {
-		t.Fatalf("CountMerge %d, merge %d entries", n, len(merged))
+	if n := Move2Entries(c.dst, p); n != len(merged) || n != len(c.src.StorageEntries(c.contract)) {
+		t.Fatalf("Move2Entries %d, merge %d entries", n, len(merged))
 	}
 	p.Deleted = append(p.Deleted, word(7)) // refused by the merge, counted as 7
 	if _, err := MergeMove2(nil, base, p); err == nil {
 		t.Fatal("a tombstone for an absent key merged")
 	}
-	if n := CountMerge(base, p); n != 7 {
-		t.Fatalf("CountMerge of a refused delta %d, want 7", n)
+	if n := Move2Entries(c.dst, p); n != 7 {
+		t.Fatalf("Move2Entries of a refused delta %d, want 7", n)
+	}
+}
+
+// TestSameKindDeltaInstallRefusesAsVerify: a delta between two chains of
+// one tree kind needs no preparation; InstallMove2 writes it into the copy
+// and compares the copy's updated root with the proven one. Every bad delta
+// that the copy's content decides is refused with VerifyMove2's error, the
+// forged, dropped and injected entries and the dropped tombstone by that
+// root, and the revert leaves the copy as it was. The genuine delta
+// installs the source's storage, as ApplyMove2 does.
+func TestSameKindDeltaInstallRefusesAsVerify(t *testing.T) {
+	burrow := ChainParams{ID: 3, TreeKind: trie.KindIAVL, ConfirmationDepth: 2}
+	for _, tc := range []struct {
+		name string
+		edit func(p *types.Move2Payload)
+	}{
+		{"forged entry", func(p *types.Move2Payload) { p.Storage[0].Value = word(12) }},
+		{"dropped entry", func(p *types.Move2Payload) { p.Storage = p.Storage[1:] }},
+		{"duplicated entry", func(p *types.Move2Payload) { p.Storage = slices.Insert(p.Storage, 1, p.Storage[1]) }},
+		{"injected entry", func(p *types.Move2Payload) {
+			p.Storage = append(p.Storage, types.StorageEntry{Key: word(9), Value: word(90)})
+		}},
+		{"tombstone for a key the copy lacks", func(p *types.Move2Payload) { p.Deleted = append(p.Deleted, word(7)) }},
+		{"written and deleted", func(p *types.Move2Payload) { p.Deleted = []evm.Word{word(1), word(3)} }},
+		{"dropped tombstone", func(p *types.Move2Payload) { p.Deleted = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newDeltaCaseFrom(t, burrow)
+			p := c.delta(t)
+			tc.edit(p)
+			_, want := VerifyMove2(chainB, c.dst, c.hs, p)
+			if !errors.Is(want, ErrIncompleteSet) {
+				t.Fatalf("VerifyMove2 = %v, want %v", want, ErrIncompleteSet)
+			}
+			before, root := c.dst.StorageEntries(c.contract), c.dst.Root()
+			snap := c.dst.Snapshot()
+			if err := InstallMove2(chainB, c.dst, c.hs, p, nil); fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Fatalf("InstallMove2 = %v, VerifyMove2 %v", err, want)
+			}
+			c.dst.RevertToSnapshot(snap)
+			if got := c.dst.StorageEntries(c.contract); !slices.Equal(got, before) || c.dst.Commit() != root {
+				t.Fatalf("the refused delta left the copy %v, was %v", got, before)
+			}
+		})
+	}
+	c := newDeltaCaseFrom(t, burrow)
+	p := c.delta(t)
+	if !p.IsDelta() || NeedsPreparation(c.hs, trie.KindIAVL, p) {
+		t.Fatalf("a same-kind delta %+v asks for a preparation", p)
+	}
+	if err := InstallMove2(chainB, c.dst, c.hs, p, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.dst.StorageEntries(c.contract), c.src.StorageEntries(c.contract); !slices.Equal(got, want) {
+		t.Fatalf("the delta installed %v, the source holds %v", got, want)
 	}
 }

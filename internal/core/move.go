@@ -84,7 +84,11 @@ func proveLocked(db *state.DB, contract hashing.Address, height uint64) (*types.
 // MoveScratch is BuildMoveDelta's reusable memory: the runs of the two
 // copies it compares. The zero value is ready; a payload never aliases it.
 type MoveScratch struct {
-	src, dst []types.StorageEntry
+	src []types.StorageEntry
+	// Target is the run the target's copy is read into, which a caller may
+	// take and replace: a target chain keeps it for the delta's preparation
+	// (chain.Chain.BuildMoveDelta).
+	Target []types.StorageEntry
 }
 
 // BuildMoveDelta is BuildMoveProof for a Move to the chain whose state is
@@ -108,12 +112,12 @@ func BuildMoveDelta(src, dst *state.DB, contract hashing.Address, height uint64,
 		return nil, err
 	}
 	sc.src = src.AppendStorage(sc.src[:0], contract)
-	sc.dst = dst.AppendStorage(sc.dst[:0], contract)
+	sc.Target = dst.AppendStorage(sc.Target[:0], contract)
 	var changed, deleted int
 	small := func() bool {
 		return 2*(changed*storageEntrySize+deleted*storageKeySize) <= len(sc.src)*storageEntrySize
 	}
-	if !diffRuns(sc.src, sc.dst,
+	if !diffRuns(sc.src, sc.Target,
 		func(types.StorageEntry) bool { changed++; return small() },
 		func(evm.Word) bool { deleted++; return small() }) {
 		p.Code, p.Storage = src.GetCode(contract), slices.Clone(sc.src)
@@ -129,7 +133,7 @@ func BuildMoveDelta(src, dst *state.DB, contract hashing.Address, height uint64,
 	if deleted > 0 {
 		p.Deleted = make([]evm.Word, 0, deleted)
 	}
-	diffRuns(sc.src, sc.dst,
+	diffRuns(sc.src, sc.Target,
 		func(e types.StorageEntry) bool { p.Storage = append(p.Storage, e); return true },
 		func(k evm.Word) bool { p.Deleted = append(p.Deleted, k); return true })
 	return p, nil
@@ -224,29 +228,27 @@ func AppendMove2Base(dst []types.StorageEntry, db *state.DB, p *types.Move2Paylo
 	return db.AppendStorage(dst, p.Contract)
 }
 
-// CountMerge is the number of entries p stands for over base, counted
-// without refusing anything and without hashing: every key of base or of
-// p's entries, less the keys of base that p deletes. For a payload
-// MergeMove2 accepts it is the merge's length; for a full payload it is
-// len(p.Storage). A target charges a Move2's gas for this count over the
-// copy it holds, whether or not that copy is p's base.
-func CountMerge(base []types.StorageEntry, p *types.Move2Payload) int {
-	n := len(base)
-	i := 0
+// Move2Entries is the number of storage entries p stands for on the target
+// whose state is db, which a Move2's gas is charged for, counted without
+// refusing anything and without reading the copy: len(p.Storage) for a
+// full payload; for a delta, the slot count of db's copy of the contract,
+// plus one for each of p's entries whose key the copy lacks, less one for
+// each of p's deleted keys that it holds — k point reads, whatever the
+// copy's size. For a delta MergeMove2 accepts it is the merge's length. A
+// target charges a Move2 for this count over the copy it holds, whether or
+// not that copy is p's base.
+func Move2Entries(db *state.DB, p *types.Move2Payload) int {
+	if !p.IsDelta() {
+		return len(p.Storage)
+	}
+	n := db.StorageLen(p.Contract)
 	for _, u := range p.Storage {
-		for i < len(base) && bytes.Compare(base[i].Key[:], u.Key[:]) < 0 {
-			i++
-		}
-		if i == len(base) || base[i].Key != u.Key {
+		if db.GetStorage(p.Contract, u.Key) == (evm.Word{}) {
 			n++
 		}
 	}
-	i = 0
 	for _, k := range p.Deleted {
-		for i < len(base) && bytes.Compare(base[i].Key[:], k[:]) < 0 {
-			i++
-		}
-		if i < len(base) && base[i].Key == k {
+		if db.GetStorage(p.Contract, k) != (evm.Word{}) {
 			n--
 		}
 	}
@@ -268,18 +270,8 @@ func MergeMove2(dst, base []types.StorageEntry, p *types.Move2Payload) ([]types.
 	if len(base) == 0 && len(dels) == 0 {
 		return ups, nil
 	}
-	if err := checkValues(ups); err != nil {
+	if err := checkDeltaOrder(p); err != nil {
 		return dst, err
-	}
-	for i := 1; i < len(ups); i++ {
-		if bytes.Compare(ups[i-1].Key[:], ups[i].Key[:]) >= 0 {
-			return dst, fmt.Errorf("%w: delta entries not strictly ascending at %d", ErrIncompleteSet, i)
-		}
-	}
-	for i := 1; i < len(dels); i++ {
-		if bytes.Compare(dels[i-1][:], dels[i][:]) >= 0 {
-			return dst, fmt.Errorf("%w: deleted keys not strictly ascending at %d", ErrIncompleteSet, i)
-		}
 	}
 	// A deleted key below the key in hand is one base does not hold: every
 	// base key below it has been passed, and a deleted one consumed.
@@ -356,57 +348,203 @@ func VerifyMove2(local hashing.ChainID, db *state.DB, hs *HeaderStore, p *types.
 // same checks in the same order, failing with the same errors. A nil s
 // computes the root, as VerifyMove2 does.
 func VerifyPreparedMove2(local hashing.ChainID, db *state.DB, hs *HeaderStore, p *types.Move2Payload, s *Move2Storage) (state.Account, error) {
-	params, err := hs.Params(p.SourceChain)
+	c, err := verifyClaim(local, db, hs, p)
 	if err != nil {
 		return state.Account{}, err
+	}
+	if err := c.complete(db, p, s); err != nil {
+		return state.Account{}, err
+	}
+	return c.acct, nil
+}
+
+// claim is what VerifyMove2's steps 1-4 establish of a payload: the proven
+// account record, the code the Move2 installs, and the source chain's tree
+// kind, the kind of the proven storage root.
+type claim struct {
+	acct   state.Account
+	code   []byte
+	source trie.Kind
+}
+
+// verifyClaim runs VerifyMove2's steps 1-4, the base check of a delta among
+// them, in its order and with its errors.
+func verifyClaim(local hashing.ChainID, db *state.DB, hs *HeaderStore, p *types.Move2Payload) (claim, error) {
+	params, err := hs.Params(p.SourceChain)
+	if err != nil {
+		return claim{}, err
 	}
 	root, err := hs.TrustedStateRoot(p.SourceChain, p.SourceHeight)
 	if err != nil {
-		return state.Account{}, err
+		return claim{}, err
 	}
 	entry, err := trees.VerifyProof(params.TreeKind, root, p.AccountProof)
 	if err != nil {
-		return state.Account{}, fmt.Errorf("%w: %v", ErrBadProof, err)
+		return claim{}, fmt.Errorf("%w: %v", ErrBadProof, err)
 	}
 	if !bytes.Equal(entry.Key, p.Contract[:]) {
-		return state.Account{}, fmt.Errorf("%w: proof is for %x, not %s", ErrBadProof, entry.Key, p.Contract)
+		return claim{}, fmt.Errorf("%w: proof is for %x, not %s", ErrBadProof, entry.Key, p.Contract)
 	}
 	acct, err := state.DecodeAccount(entry.Value)
 	if err != nil {
-		return state.Account{}, fmt.Errorf("%w: %v", ErrBadProof, err)
+		return claim{}, fmt.Errorf("%w: %v", ErrBadProof, err)
 	}
 	if acct.Location != local {
-		return state.Account{}, fmt.Errorf("%w: Lc = %s, this chain is %s", ErrWrongTarget, acct.Location, local)
+		return claim{}, fmt.Errorf("%w: Lc = %s, this chain is %s", ErrWrongTarget, acct.Location, local)
 	}
 	code, err := Move2Code(db, p)
 	if err != nil {
 		if rerr := checkReplay(db, p, acct); rerr != nil {
-			return state.Account{}, rerr
+			return claim{}, rerr
 		}
-		return state.Account{}, err
+		return claim{}, err
 	}
 	if err := checkCode(acct.CodeHash, code); err != nil {
-		return state.Account{}, err
+		return claim{}, err
 	}
-	var rebuilt hashing.Hash
+	return claim{acct: acct, code: code, source: params.TreeKind}, nil
+}
+
+// complete runs VerifyMove2's steps 5 and 6 over s, p's preparation, or,
+// for a nil s, over the completeness root computed here.
+func (c claim) complete(db *state.DB, p *types.Move2Payload, s *Move2Storage) error {
+	var (
+		rebuilt hashing.Hash
+		err     error
+	)
 	if s != nil {
 		rebuilt, err = s.Root, s.Err
 	} else {
 		var entries []types.StorageEntry
 		if entries, err = MergeMove2(nil, AppendMove2Base(nil, db, p), p); err == nil {
-			rebuilt, err = storageRoot(params.TreeKind, entries)
+			rebuilt, err = storageRoot(c.source, entries)
 		}
 	}
 	if err != nil {
-		return state.Account{}, err
+		return err
 	}
-	if rebuilt != acct.StorageRoot {
-		return state.Account{}, fmt.Errorf("%w: rebuilt root %s, proven %s", ErrIncompleteSet, rebuilt, acct.StorageRoot)
+	if err := c.checkRoot(rebuilt); err != nil {
+		return err
 	}
-	if err := checkReplay(db, p, acct); err != nil {
-		return state.Account{}, err
+	return checkReplay(db, p, c.acct)
+}
+
+// checkRoot refuses a storage root, rebuilt from a payload, that is not the
+// proven one.
+func (c claim) checkRoot(rebuilt hashing.Hash) error {
+	if rebuilt != c.acct.StorageRoot {
+		return fmt.Errorf("%w: rebuilt root %s, proven %s", ErrIncompleteSet, rebuilt, c.acct.StorageRoot)
 	}
-	return acct, nil
+	return nil
+}
+
+// InstallMove2 verifies p on the target whose state is db and installs it
+// through the journaled state: VerifyPreparedMove2 then ApplyMove2, with
+// their checks in their order and their errors — except for a delta from a
+// chain of db's own tree kind, which needs no preparation and is verified
+// by installing it. Its entries and deleted keys are written into the copy
+// as SSTOREs (O(k log n), the few stubs they land in rebuilt), and the
+// copy's updated storage root, which for one kind is the completeness
+// root, is compared with the proven one before anything else runs. So a
+// refused delta may have written the copy: the caller reverts to a
+// snapshot taken before. s is p's preparation (NeedsPreparation): a full
+// payload's tree comes from it, and a cross-kind delta's completeness root
+// is computed here, as VerifyMove2 does, when s is nil.
+func InstallMove2(local hashing.ChainID, db *state.DB, hs *HeaderStore, p *types.Move2Payload, s *Move2Storage) error {
+	c, err := verifyClaim(local, db, hs, p)
+	if err != nil {
+		return err
+	}
+	if p.IsDelta() && c.source == db.TreeKind() {
+		if err := checkDelta(db, p); err != nil {
+			return err
+		}
+		writeDelta(db, p)
+		updated, _ := db.GetAccount(p.Contract)
+		if err := c.checkRoot(updated.StorageRoot); err != nil {
+			return err
+		}
+		if err := checkReplay(db, p, c.acct); err != nil {
+			return err
+		}
+		db.ImportAccount(p.Contract, c.acct, c.code, nil)
+		return nil
+	}
+	if err := c.complete(db, p, s); err != nil {
+		return err
+	}
+	if p.IsDelta() {
+		writeDelta(db, p)
+		db.ImportAccount(p.Contract, c.acct, c.code, nil)
+		return nil
+	}
+	db.ImportAccount(p.Contract, c.acct, c.code, s.Tree)
+	return nil
+}
+
+// NeedsPreparation reports whether InstallMove2 needs p's preparation on a
+// target whose state trees are of the given kind: every payload but a
+// delta from a chain of that kind. A payload from a chain hs does not know
+// gets one too, which carries the error VerifyMove2 reports first.
+func NeedsPreparation(hs *HeaderStore, target trie.Kind, p *types.Move2Payload) bool {
+	params, err := hs.Params(p.SourceChain)
+	return !p.IsDelta() || err != nil || params.TreeKind != target
+}
+
+// checkDelta refuses, as MergeMove2 would and with its errors, a delta
+// that cannot come from a correct relayer — a zero value, entries or
+// deleted keys not strictly ascending, a key both written and deleted, a
+// deleted key db's copy lacks — reading only the copy's slots that p
+// deletes. What it passes, MergeMove2 merges.
+func checkDelta(db *state.DB, p *types.Move2Payload) error {
+	if err := checkDeltaOrder(p); err != nil {
+		return err
+	}
+	// MergeMove2 walks both in key order and stops at the first deleted key
+	// that is written too or that the base lacks.
+	for _, k := range p.Deleted {
+		if _, written := slices.BinarySearchFunc(p.Storage, k, func(e types.StorageEntry, k evm.Word) int {
+			return bytes.Compare(e.Key[:], k[:])
+		}); written {
+			return fmt.Errorf("%w: delta writes and deletes %x", ErrIncompleteSet, k)
+		}
+		if db.GetStorage(p.Contract, k) == (evm.Word{}) {
+			return fmt.Errorf("%w: delta deletes %x, which its base does not hold", ErrIncompleteSet, k)
+		}
+	}
+	return nil
+}
+
+// checkDeltaOrder refuses a zero-valued entry, and entries or deleted keys
+// not strictly ascending: what MergeMove2 and checkDelta check first.
+func checkDeltaOrder(p *types.Move2Payload) error {
+	ups, dels := p.Storage, p.Deleted
+	if err := checkValues(ups); err != nil {
+		return err
+	}
+	for i := 1; i < len(ups); i++ {
+		if bytes.Compare(ups[i-1].Key[:], ups[i].Key[:]) >= 0 {
+			return fmt.Errorf("%w: delta entries not strictly ascending at %d", ErrIncompleteSet, i)
+		}
+	}
+	for i := 1; i < len(dels); i++ {
+		if bytes.Compare(dels[i-1][:], dels[i][:]) >= 0 {
+			return fmt.Errorf("%w: deleted keys not strictly ascending at %d", ErrIncompleteSet, i)
+		}
+	}
+	return nil
+}
+
+// writeDelta writes a checked delta into db's copy of the contract through
+// the journaled state, as SSTOREs: each entry written, each deleted key
+// cleared.
+func writeDelta(db *state.DB, p *types.Move2Payload) {
+	for _, u := range p.Storage {
+		db.SetStorage(p.Contract, u.Key, u.Value)
+	}
+	for _, k := range p.Deleted {
+		db.SetStorage(p.Contract, k, evm.Word{})
+	}
 }
 
 // checkReplay refuses a Move2 whose proven move nonce does not exceed the
@@ -434,11 +572,12 @@ func checkCode(codeHash hashing.Hash, code []byte) error {
 // Move2Storage is the part of a Move2 that grows with the moved contract's
 // storage: the root of its entries in the source chain's tree kind, which
 // the completeness check (VerifyMove2 step 5) compares with the proven
-// record's, and the storage tree the target installs, built in the target's
-// kind and hashed. The entries are a full payload's, or a delta's merged
-// into its base. It is a pure function of the payload (and, for a delta,
-// of the base), so one computed for any copy of a transaction serves every
-// copy with the same id.
+// record's, and, for a full payload, the storage tree the target installs,
+// built in the target's kind and hashed. The entries are a full payload's,
+// or a delta's merged into its base; a delta needs no tree, since it is
+// written into the target's copy slot by slot (InstallMove2). It is a pure
+// function of the payload (and, for a delta, of the base), so one computed
+// for any copy of a transaction serves every copy with the same id.
 type Move2Storage struct {
 	// Err is why the entries cannot be the proven storage — a zero value, or
 	// keys out of order or repeated — wrapping ErrIncompleteSet; Root and
@@ -447,48 +586,53 @@ type Move2Storage struct {
 	Err  error
 	Root hashing.Hash
 	Tree trie.Tree
-	// N is the number of entries the Move2 stands for, which its gas is
-	// charged for: CountMerge's over its base, the merge's length when the
-	// merge succeeds.
-	N int
+	// Nodes is the number of tree nodes the preparation built: Tree's.
+	Nodes int
 }
 
 // PrepareMove2 computes p's Move2Storage over base, the target's copy as
 // AppendMove2Base read it, for a target whose state trees are of the given
 // kind. It merges p into base (MergeMove2) in scratch, which it returns for
-// reuse. When the kinds match, one Build serves both the completeness check
-// and the install: its root is the one, its tree the other. When they
-// differ, the source-kind root is computed first, then the target-kind
-// tree. It reads only p, base and hs.Params, which is fixed when the store
-// is built, and touches no state, so it may run on any goroutine while the
-// target executes blocks.
+// reuse, and hashes the merge in the source chain's kind without building
+// it (trees.RootOf). Only a full payload gets a tree: when the kinds match,
+// one Build serves both the completeness check and the install, its root
+// the one and its tree the other; when they differ, the target-kind tree
+// is built after the root. It reads only p, base and hs.Params, which is
+// fixed when the store is built, and touches no state, so it may run on
+// any goroutine while the target executes blocks.
 func PrepareMove2(hs *HeaderStore, target trie.Kind, p *types.Move2Payload, base, scratch []types.StorageEntry) (*Move2Storage, []types.StorageEntry) {
 	entries, err := MergeMove2(scratch[:0], base, p)
 	if len(base) > 0 || len(p.Deleted) > 0 {
 		scratch = entries // the merge was built there
 	}
-	n := CountMerge(base, p)
 	if err != nil {
-		return &Move2Storage{Err: err, N: n}, scratch
+		return &Move2Storage{Err: err}, scratch
 	}
 	params, err := hs.Params(p.SourceChain)
 	if err != nil {
-		return &Move2Storage{Err: err, N: n}, scratch
+		return &Move2Storage{Err: err}, scratch
 	}
 	if err := checkValues(entries); err != nil {
-		return &Move2Storage{Err: err, N: n}, scratch
+		return &Move2Storage{Err: err}, scratch
 	}
-	s := Move2Storage{N: n}
-	if params.TreeKind == target {
-		if s.Tree, err = buildHashed(target, entries); err == nil {
+	var (
+		s    Move2Storage
+		work trie.Work
+	)
+	switch {
+	case p.IsDelta() || params.TreeKind != target:
+		if s.Root, err = trees.RootOf(params.TreeKind, 32, len(entries), entryAt(entries)); err == nil && !p.IsDelta() {
+			s.Tree, err = buildHashed(&work, target, entries)
+		}
+	default:
+		if s.Tree, err = buildHashed(&work, target, entries); err == nil {
 			s.Root = s.Tree.RootHash()
 		}
-	} else if s.Root, err = trees.RootOf(params.TreeKind, 32, len(entries), entryAt(entries)); err == nil {
-		s.Tree, err = buildHashed(target, entries)
 	}
 	if err != nil {
-		return &Move2Storage{Err: fmt.Errorf("%w: %v", ErrIncompleteSet, err), N: n}, scratch
+		return &Move2Storage{Err: fmt.Errorf("%w: %v", ErrIncompleteSet, err)}, scratch
 	}
+	s.Nodes = int(work.Nodes())
 	return &s, scratch
 }
 
@@ -509,10 +653,11 @@ func (s *Move2Storage) Matches(hs *HeaderStore, p *types.Move2Payload, base, scr
 	return (err == nil) == (s.Err == nil) && root == s.Root
 }
 
-// buildHashed builds the storage tree of a checked run and hashes it, so the
-// block that installs it finds its root already computed.
-func buildHashed(kind trie.Kind, entries []types.StorageEntry) (trie.Tree, error) {
-	t, err := trees.Build(kind, 32, len(entries), entryAt(entries))
+// buildHashed builds the storage tree of a checked run, counting its nodes
+// in w, and hashes it, so the block that installs it finds its root already
+// computed.
+func buildHashed(w *trie.Work, kind trie.Kind, entries []types.StorageEntry) (trie.Tree, error) {
+	t, err := trees.Build(w, kind, 32, len(entries), entryAt(entries))
 	if err != nil {
 		return nil, err
 	}
@@ -556,22 +701,25 @@ func entryAt(entries []types.StorageEntry) func(i int) (key, value []byte) {
 	}
 }
 
-// ApplyMove2 recreates the verified contract locally (Alg. 1 lines 11-12):
-// the account record is imported with this chain as its location, the code
-// installed, and the storage tree built from the payload — a delta merged
-// into its base — installed as the contract's whole storage through the
-// journaled state, so a later failure in moveFinish rolls the recreation
-// back too. A chain that prepared the payload installs its Move2Storage
-// tree with state.DB.ImportAccount instead of building another.
+// ApplyMove2 recreates the verified contract locally (Alg. 1 lines 11-12)
+// through the journaled state, so a later failure in moveFinish rolls the
+// recreation back too: the account record is imported with this chain as
+// its location and the code installed; a full payload's storage is built
+// into a tree installed as the contract's whole storage, and a delta's
+// entries and deleted keys are written into the target's copy as SSTOREs.
+// A chain installs with InstallMove2, which verifies too.
 func ApplyMove2(db *state.DB, p *types.Move2Payload, acct state.Account) {
 	code, err := Move2Code(db, p)
-	var entries []types.StorageEntry
-	if err == nil {
-		entries, err = MergeMove2(nil, AppendMove2Base(nil, db, p), p)
+	if err == nil && p.IsDelta() {
+		if err = checkDelta(db, p); err == nil {
+			writeDelta(db, p)
+			db.ImportAccount(p.Contract, acct, code, nil)
+			return
+		}
 	}
 	var t trie.Tree
 	if err == nil {
-		t, err = trees.Build(db.TreeKind(), 32, len(entries), entryAt(entries))
+		t, err = trees.Build(db.TreeWork(), db.TreeKind(), 32, len(p.Storage), entryAt(p.Storage))
 	}
 	if err != nil {
 		panic(fmt.Sprintf("core: apply an unverified Move2 payload: %v", err))

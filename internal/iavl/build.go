@@ -23,15 +23,23 @@ import (
 const spineDepth = 64
 
 // Build returns the tree holding exactly the n entries at(0) … at(n-1),
-// which must form a strictly ascending run. Nodes come from one slab and
-// key and value bytes from another, whatever n is; the result is an
-// ordinary tree, not yet hashed.
-func Build(keyLen, n int, at func(i int) (key, value []byte)) (*Tree, error) {
+// which must form a strictly ascending run, and counts its nodes in w.
+// Nodes come from one slab and key and value bytes from another, whatever
+// n is; the result is an ordinary tree, not yet hashed.
+func Build(w *trie.Work, keyLen, n int, at func(i int) (key, value []byte)) (*Tree, error) {
 	t := New(keyLen)
 	valueBytes, err := trie.CheckRun(keyLen, n, at)
 	if err != nil {
 		return nil, err
 	}
+	t.root, t.count = buildRun(w, keyLen, n, valueBytes, at), n
+	return t, nil
+}
+
+// buildRun returns the root of the treap of a checked run of n entries, nil
+// for none, and counts its nodes in w.
+func buildRun(w *trie.Work, keyLen, n, valueBytes int, at func(i int) (key, value []byte)) *node {
+	w.Built(n)
 	nodes := make([]node, n)
 	data := make([]byte, 0, n*keyLen+valueBytes)
 	var buf [spineDepth]*node
@@ -53,10 +61,10 @@ func Build(keyLen, n int, at func(i int) (key, value []byte)) (*Tree, error) {
 		}
 		spine = append(spine, x)
 	}
-	if n > 0 {
-		t.root, t.count = spine[0], n
+	if n == 0 {
+		return nil
 	}
-	return t, nil
+	return spine[0]
 }
 
 // pending is a right-spine node of the streaming pass: its left subtree is

@@ -25,6 +25,9 @@ const (
 	tagPrio = 0x50 // 'P', priority derivation domain
 )
 
+// A stub (stub.go) stands for a clean subtree that Shrink dropped: it keeps
+// the subtree's hash and entry count, and in key and value its lowest and
+// highest key; the tree's source serves its entries.
 type node struct {
 	key, value  []byte
 	prio        hashing.Hash
@@ -34,6 +37,10 @@ type node struct {
 	// subtrees are not re-hashed by RootHash or Prove.
 	hash  hashing.Hash
 	clean bool
+	stub  bool
+	// size is a stub's entry count; on a resident node it is Shrink's
+	// scratch, stale outside it.
+	size uint32
 }
 
 // Tree is a canonical Merkle search tree. Construct with New.
@@ -41,6 +48,7 @@ type Tree struct {
 	root   *node
 	keyLen int
 	count  int
+	sk     *skeleton // set by Shrink (stub.go)
 }
 
 var _ trie.Tree = (*Tree)(nil)
@@ -60,6 +68,9 @@ func (t *Tree) Len() int { return t.count }
 func (t *Tree) Get(key []byte) ([]byte, bool) {
 	n := t.root
 	for n != nil {
+		if n.stub {
+			return t.stubGet(n, key)
+		}
 		switch bytes.Compare(key, n.key) {
 		case 0:
 			return n.value, true
@@ -85,7 +96,7 @@ func (t *Tree) Set(key, value []byte) error {
 	v := make([]byte, len(value))
 	copy(v, value)
 	var added bool
-	t.root, added = insert(t.root, k, v)
+	t.root, added = t.insert(t.root, k, v)
 	if added {
 		t.count++
 	}
@@ -98,7 +109,7 @@ func (t *Tree) Delete(key []byte) error {
 		return fmt.Errorf("%w: got %d want %d", trie.ErrKeyLength, len(key), t.keyLen)
 	}
 	var removed bool
-	t.root, removed = remove(t.root, key)
+	t.root, removed = t.remove(t.root, key)
 	if removed {
 		t.count--
 	}
@@ -120,6 +131,14 @@ func (t *Tree) Iterate(fn func(key, value []byte) bool) {
 		if n == nil {
 			return true
 		}
+		if n.stub {
+			more := true
+			t.sk.src.Range(n.key, n.value, func(k, v []byte) bool {
+				more = fn(k, v)
+				return more
+			})
+			return more
+		}
 		return walk(n.left) && fn(n.key, n.value) && walk(n.right)
 	}
 	walk(t.root)
@@ -140,9 +159,14 @@ func priority(key []byte) hashing.Hash {
 // higher reports whether priority a wins over b (max-treap ordering).
 func higher(a, b hashing.Hash) bool { return bytes.Compare(a[:], b[:]) > 0 }
 
-func insert(n *node, key, value []byte) (*node, bool) {
+// insert returns the updated subtree and whether key is new. A stub on the
+// search path is expanded first.
+func (t *Tree) insert(n *node, key, value []byte) (*node, bool) {
 	if n == nil {
 		return &node{key: key, value: value, prio: priority(key)}, true
+	}
+	if n.stub {
+		n = t.expand(n)
 	}
 	n.clean = false
 	switch bytes.Compare(key, n.key) {
@@ -150,14 +174,14 @@ func insert(n *node, key, value []byte) (*node, bool) {
 		n.value = value
 		return n, false
 	case -1:
-		child, added := insert(n.left, key, value)
+		child, added := t.insert(n.left, key, value)
 		n.left = child
 		if higher(n.left.prio, n.prio) {
 			n = rotateRight(n)
 		}
 		return n, added
 	default:
-		child, added := insert(n.right, key, value)
+		child, added := t.insert(n.right, key, value)
 		n.right = child
 		if higher(n.right.prio, n.prio) {
 			n = rotateLeft(n)
@@ -166,20 +190,28 @@ func insert(n *node, key, value []byte) (*node, bool) {
 	}
 }
 
-func remove(n *node, key []byte) (*node, bool) {
+// remove returns the updated subtree and whether key was removed. A stub
+// that holds key is expanded first.
+func (t *Tree) remove(n *node, key []byte) (*node, bool) {
 	if n == nil {
 		return nil, false
 	}
+	if n.stub {
+		if _, ok := t.stubGet(n, key); !ok {
+			return n, false
+		}
+		n = t.expand(n)
+	}
 	switch bytes.Compare(key, n.key) {
 	case -1:
-		child, removed := remove(n.left, key)
+		child, removed := t.remove(n.left, key)
 		if removed {
 			n.clean = false
 			n.left = child
 		}
 		return n, removed
 	case 1:
-		child, removed := remove(n.right, key)
+		child, removed := t.remove(n.right, key)
 		if removed {
 			n.clean = false
 			n.right = child
@@ -187,29 +219,37 @@ func remove(n *node, key []byte) (*node, bool) {
 		return n, removed
 	default:
 		// Rotate the node down until it is a leaf, preserving heap order.
-		return dissolve(n), true
+		return t.dissolve(n), true
 	}
 }
 
 // dissolve removes n from its subtree by rotating the higher-priority child
-// up until n has at most one child, then splicing it out.
-func dissolve(n *node) *node {
+// up until n has at most one child, then splicing it out. A stub child is
+// expanded before a rotation, which needs its priority and shape; one that
+// takes n's place whole keeps its range and stays a stub.
+func (t *Tree) dissolve(n *node) *node {
 	switch {
 	case n.left == nil:
 		return n.right
 	case n.right == nil:
 		return n.left
-	case higher(n.left.prio, n.right.prio):
+	}
+	if n.left.stub {
+		n.left = t.expand(n.left)
+	}
+	if n.right.stub {
+		n.right = t.expand(n.right)
+	}
+	if higher(n.left.prio, n.right.prio) {
 		r := rotateRight(n)
 		r.clean = false
-		r.right = dissolve(r.right)
-		return r
-	default:
-		r := rotateLeft(n)
-		r.clean = false
-		r.left = dissolve(r.left)
+		r.right = t.dissolve(r.right)
 		return r
 	}
+	r := rotateLeft(n)
+	r.clean = false
+	r.left = t.dissolve(r.left)
+	return r
 }
 
 func rotateRight(n *node) *node {

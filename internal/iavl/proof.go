@@ -20,6 +20,9 @@ func (t *Tree) Prove(key []byte) ([]byte, error) {
 	// sizes the one buffer the proof is written into.
 	var pathBuf [spineDepth]*node
 	path, size := pathBuf[:0], 0
+	if t.Stubs() > 0 {
+		t.openPath(key)
+	}
 	for n := t.root; ; {
 		if n == nil {
 			return nil, fmt.Errorf("%w: key absent", trie.ErrInvalidProof)

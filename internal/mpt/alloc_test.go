@@ -90,7 +90,7 @@ func TestBuildBytes(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	start := ms.TotalAlloc
 	for i := 0; i < runs; i++ {
-		if _, err := Build(32, len(keys), at); err != nil {
+		if _, err := Build(nil, 32, len(keys), at); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -131,9 +131,10 @@ func (b *builder) build(lo, hi, d int) *node {
 }
 
 // Build returns the trie holding exactly the n entries at(0) … at(n-1),
-// which must form a strictly ascending run. It allocates four slabs,
-// whatever n is; the result is an ordinary trie, not yet hashed.
-func Build(keyLen, n int, at func(i int) (key, value []byte)) (*Tree, error) {
+// which must form a strictly ascending run, and counts its nodes in w. It
+// allocates four slabs, whatever n is; the result is an ordinary trie, not
+// yet hashed.
+func Build(w *trie.Work, keyLen, n int, at func(i int) (key, value []byte)) (*Tree, error) {
 	t := New(keyLen)
 	valueBytes, err := trie.CheckRun(keyLen, n, at)
 	if err != nil {
@@ -142,15 +143,23 @@ func Build(keyLen, n int, at func(i int) (key, value []byte)) (*Tree, error) {
 	if n == 0 {
 		return t, nil
 	}
+	t.root, t.count = buildAt(w, keyLen, n, valueBytes, 0, at), n
+	return t, nil
+}
+
+// buildAt returns the subtree, d nibbles deep, of a checked run of n > 0
+// entries whose keys agree on their first d nibbles, and counts its nodes
+// in w.
+func buildAt(w *trie.Work, keyLen, n, valueBytes, d int, at func(i int) (key, value []byte)) *node {
 	b := builder{walker: walker{at: at, width: 2 * keyLen}}
 	var s shape
-	b.count(0, n, 0, &s)
+	b.count(0, n, d, &s)
 	b.nibs = make([]byte, 0, s.nibs)
 	b.values = make([]byte, 0, valueBytes)
 	b.nodes = make([]node, 0, s.nodes)
 	b.arrays = make([][16]*node, 0, s.branches)
-	t.root, t.count = b.build(0, n, 0), n
-	return t, nil
+	w.Built(s.nodes)
+	return b.build(0, n, d)
 }
 
 // nibbleAt returns the p-th nibble of a packed key.

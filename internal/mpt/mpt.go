@@ -34,15 +34,22 @@ const (
 	kindLeaf nodeKind = iota + 1
 	kindExt
 	kindBranch
+	// kindStub stands for a clean subtree that Shrink dropped: it keeps the
+	// subtree's hash and entry count, and the tree's source serves the
+	// entries (stub.go).
+	kindStub
 )
 
 // node is one trie node of any kind. Only a branch carries the 16-slot
 // child array, behind a pointer: leaves outnumber branches, and held inline
-// the array would add 128 B to every node. clean sits beside kind to share
-// its word.
+// the array would add 128 B to every node. clean and size sit beside kind to
+// share its word.
 type node struct {
-	kind     nodeKind
-	clean    bool
+	kind  nodeKind
+	clean bool
+	// size is a stub's entry count; on any other node it is Shrink's
+	// scratch, stale outside it.
+	size     uint32
 	nibbles  []byte     // leaf: remaining key path; ext: shared path
 	value    []byte     // leaf only
 	child    *node      // ext only
@@ -67,7 +74,8 @@ type Tree struct {
 	root       *node
 	keyLen     int
 	count      int
-	nibScratch []byte // reusable key-nibble buffer for Get/Set/Delete/Prove
+	nibScratch []byte    // reusable key-nibble buffer for Get/Set/Delete/Prove
+	sk         *skeleton // set by Shrink (stub.go)
 }
 
 var _ trie.Tree = (*Tree)(nil)
@@ -108,6 +116,9 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 				return nil, false
 			}
 			n, nibs = n.children[nibs[0]], nibs[1:]
+		case kindStub:
+			t.sk.key = append(t.sk.key[:0], key...)
+			return t.sk.src.Get(t.sk.key)
 		}
 	}
 	return nil, false
@@ -125,7 +136,7 @@ func (t *Tree) Set(key, value []byte) error {
 	copy(val, value)
 	var added bool
 	// keyNibbles is a scratch buffer: insert copies any path it retains.
-	t.root, added = insert(t.root, t.keyNibbles(key), val)
+	t.root, added = t.insert(t.root, t.keyNibbles(key), val)
 	if added {
 		t.count++
 	}
@@ -137,8 +148,11 @@ func (t *Tree) Delete(key []byte) error {
 	if len(key) != t.keyLen {
 		return fmt.Errorf("%w: got %d want %d", trie.ErrKeyLength, len(key), t.keyLen)
 	}
+	if t.Stubs() > 0 {
+		t.sk.key = append(t.sk.key[:0], key...)
+	}
 	var removed bool
-	t.root, removed = remove(t.root, t.keyNibbles(key))
+	t.root, removed = t.remove(t.root, t.keyNibbles(key))
 	if removed {
 		t.count--
 	}
@@ -169,6 +183,14 @@ func (t *Tree) Iterate(fn func(key, value []byte) bool) {
 			return fn(key, n.value)
 		case kindExt:
 			return walk(n.child, append(prefix, n.nibbles...))
+		case kindStub:
+			lo, hi := t.stubRange(prefix)
+			more := true
+			t.sk.src.Range(lo, hi, func(k, v []byte) bool {
+				more = fn(k, v)
+				return more
+			})
+			return more
 		default: // branch
 			for i := 0; i < 16; i++ {
 				if n.children[i] == nil {
@@ -185,11 +207,15 @@ func (t *Tree) Iterate(fn func(key, value []byte) bool) {
 }
 
 // insert returns the updated subtree and whether a new key was added (as
-// opposed to replacing an existing value). nibs may point into the tree's
-// scratch buffer, so any retained path is copied (cloneNibs).
-func insert(n *node, nibs, value []byte) (*node, bool) {
+// opposed to replacing an existing value). nibs is the tail of the key's
+// nibbles in the tree's scratch buffer, so any retained path is copied
+// (cloneNibs). A stub on the path is expanded first.
+func (t *Tree) insert(n *node, nibs, value []byte) (*node, bool) {
 	if n == nil {
 		return &node{kind: kindLeaf, nibbles: cloneNibs(nibs), value: value}, true
+	}
+	if n.kind == kindStub {
+		n = t.expand(n, t.nibScratch[:len(t.nibScratch)-len(nibs)])
 	}
 	n.clean = false
 	switch n.kind {
@@ -209,7 +235,7 @@ func insert(n *node, nibs, value []byte) (*node, bool) {
 	case kindExt:
 		p := commonPrefix(n.nibbles, nibs)
 		if p == len(n.nibbles) {
-			child, added := insert(n.child, nibs[p:], value)
+			child, added := t.insert(n.child, nibs[p:], value)
 			n.child = child
 			return n, added
 		}
@@ -220,17 +246,25 @@ func insert(n *node, nibs, value []byte) (*node, bool) {
 		return wrapExt(nibs[:p], branch), true
 	default: // branch
 		idx := nibs[0]
-		child, added := insert(n.children[idx], nibs[1:], value)
+		child, added := t.insert(n.children[idx], nibs[1:], value)
 		n.children[idx] = child
 		return n, added
 	}
 }
 
 // remove returns the updated (canonicalized) subtree and whether a key was
-// actually removed.
-func remove(n *node, nibs []byte) (*node, bool) {
+// actually removed. A stub that holds the key is expanded first, and so is
+// one left the only child of a branch: the branch collapses into it, which
+// needs its shape.
+func (t *Tree) remove(n *node, nibs []byte) (*node, bool) {
 	if n == nil {
 		return nil, false
+	}
+	if n.kind == kindStub {
+		if _, ok := t.sk.src.Get(t.sk.key); !ok {
+			return n, false
+		}
+		n = t.expand(n, t.nibScratch[:len(t.nibScratch)-len(nibs)])
 	}
 	switch n.kind {
 	case kindLeaf:
@@ -242,7 +276,7 @@ func remove(n *node, nibs []byte) (*node, bool) {
 		if !bytes.HasPrefix(nibs, n.nibbles) {
 			return n, false
 		}
-		child, removed := remove(n.child, nibs[len(n.nibbles):])
+		child, removed := t.remove(n.child, nibs[len(n.nibbles):])
 		if !removed {
 			return n, false
 		}
@@ -253,7 +287,7 @@ func remove(n *node, nibs []byte) (*node, bool) {
 		return mergeExt(n.nibbles, child), true
 	default: // branch
 		idx := nibs[0]
-		child, removed := remove(n.children[idx], nibs[1:])
+		child, removed := t.remove(n.children[idx], nibs[1:])
 		if !removed {
 			return n, false
 		}
@@ -274,7 +308,15 @@ func remove(n *node, nibs []byte) (*node, bool) {
 		// cnt == 1: the branch is redundant; splice the nibble into the
 		// surviving child. (cnt == 0 cannot happen: a branch always has at
 		// least two children by construction.)
-		return mergeExt([]byte{byte(last)}, n.children[last]), true
+		only := n.children[last]
+		if only.kind == kindStub {
+			depth := len(t.nibScratch) - len(nibs) // the branch's
+			prefix := make([]byte, depth+1)
+			copy(prefix, t.nibScratch[:depth])
+			prefix[depth] = byte(last)
+			only = t.expand(only, prefix)
+		}
+		return mergeExt([]byte{byte(last)}, only), true
 	}
 }
 

@@ -22,6 +22,9 @@ func (t *Tree) Prove(key []byte) ([]byte, error) {
 	var pathBuf [16]*node
 	path, size := pathBuf[:0], 0
 	nibs := t.keyNibbles(key)
+	if t.Stubs() > 0 {
+		t.openPath(nibs)
+	}
 	for n, rest := t.root, nibs; ; {
 		if n == nil {
 			return nil, fmt.Errorf("%w: key absent", trie.ErrInvalidProof)

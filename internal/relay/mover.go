@@ -269,9 +269,10 @@ func (m *Mover) handle(cl *Client, e *Entry, ev event) {
 			// Against the current committed state: the contract is locked, so
 			// its record cannot change, and this head's root will reach the
 			// target's light client within p blocks. Where the target holds a
-			// copy of the contract, the payload is a delta against it.
+			// copy of the contract, the payload is a delta against it, and the
+			// target keeps the copy it read for the payload's preparation.
 			moveScratchMu.Lock()
-			payload, err := core.BuildMoveDelta(m.src.StateDB(), m.dst.StateDB(), e.Contract, m.src.Head().Height, &moveScratch)
+			payload, err := m.dst.BuildMoveDelta(m.src.StateDB(), e.Contract, m.src.Head().Height, &moveScratch)
 			moveScratchMu.Unlock()
 			m.handle(cl, e, event{kind: evProof, payload: payload, err: err})
 		case doFullPayload:

@@ -74,8 +74,8 @@ func TestWarmReadsZeroAlloc(t *testing.T) {
 }
 
 // TestStorageEntriesOfEvictedContractAllocOnce pins the Move2 payload read
-// of a contract whose tree is not resident: one allocation, the result
-// slice, sized exactly by the file store's slot count.
+// of a contract whose tree eviction shrank to hash stubs: one allocation,
+// the result slice, sized exactly by the file store's slot count.
 func TestStorageEntriesOfEvictedContractAllocOnce(t *testing.T) {
 	const slots = 300
 	db, err := NewDBWith(localChain, trie.KindMPT, Options{Backend: backend.KindFile, Dir: t.TempDir(), StorageTreeLimit: 1})
@@ -94,8 +94,8 @@ func TestStorageEntriesOfEvictedContractAllocOnce(t *testing.T) {
 	db.Commit()
 	db.SetStorage(other, word(1), word(1)) // evicts a's tree
 	db.Commit()
-	if _, resident := db.StorageTreeAt(a); resident {
-		t.Fatal("the contract's tree is still resident")
+	if tree, _ := db.StorageTreeAt(a); trees.Stubs(tree) == 0 {
+		t.Fatal("the contract's tree did not shrink to stubs")
 	}
 	db.StorageEntries(a) // the store's read buffer exists from here on
 	var entries []StorageEntry

@@ -386,7 +386,28 @@ func (f *File) IterateAccounts(fn func(addr hashing.Address, enc []byte) bool) {
 // contract's slots that way, in key order — with one read per stretch
 // instead of one per slot.
 func (f *File) IterateStorage(addr hashing.Address, fn func(key, val Word) bool) {
+	f.walkRun(f.slots[addr], func(s *slot, val []byte) bool { return fn(s.key, Word(val)) })
+}
+
+// IterateStorageRange is IterateStorage over the slots of addr whose keys
+// lie in [lo, hi]: one binary search finds the first, and the walk reads
+// back-to-back values with one read per stretch. key and val are valid only
+// during the callback.
+func (f *File) IterateStorageRange(addr hashing.Address, lo, hi Word, fn func(key, val []byte) bool) {
 	cs := f.slots[addr]
+	i, _ := cs.find(lo)
+	j, found := cs.find(hi)
+	if found {
+		j++
+	}
+	if i < j {
+		f.walkRun(cs[i:j], func(s *slot, val []byte) bool { return fn(s.key[:], val) })
+	}
+}
+
+// walkRun reads the values of the run cs and hands fn each slot with its
+// value, which is valid only during the call.
+func (f *File) walkRun(cs contractSlots, fn func(s *slot, val []byte) bool) {
 	if len(cs) == 0 {
 		return
 	}
@@ -404,7 +425,7 @@ func (f *File) IterateStorage(addr hashing.Address, fn func(key, val Word) bool)
 		}
 		f.mustRead(cs[0].seg, cs[0].off, buf[:(n-1)*slotRecLen+wordSize])
 		for j := range cs[:n] {
-			if !fn(cs[j].key, Word(buf[j*slotRecLen:j*slotRecLen+wordSize])) {
+			if !fn(&cs[j], buf[j*slotRecLen:j*slotRecLen+wordSize]) {
 				return
 			}
 		}

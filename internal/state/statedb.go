@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"testing"
 
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
@@ -26,10 +27,11 @@ type Options struct {
 	// Deprecated: ignored — there is no flat cache. The field stays only
 	// because benchmark/layers.go:589 sets it.
 	DisableFlatCache bool
-	// StorageTreeLimit caps the number of resident per-account storage
-	// trees over a file store: after each commit, the least recently
-	// touched clean trees beyond the cap are dropped and rebuilt from the
-	// store on demand. 0 keeps every tree resident.
+	// StorageTreeLimit caps the number of whole per-account storage trees
+	// over a file store: after each commit, the least recently touched
+	// trees beyond the cap shrink to their top levels and hash stubs
+	// (trees.Shrink), whose slots the store serves. 0 keeps every tree
+	// whole.
 	StorageTreeLimit int
 }
 
@@ -81,10 +83,18 @@ type DB struct {
 	// file store can store the blobs.
 	newCodes []hashing.Hash
 
-	// storageTouch drives storage-tree eviction over a file store: least
-	// recently touched clean trees go first.
+	// storageTouch drives storage-tree eviction over a file store: it holds
+	// the trees touched since they last shrank, and the least recently
+	// touched shrink first.
 	storageTouch map[hashing.Address]uint64
 	touchSeq     uint64
+
+	// work counts the tree nodes built for this state: bulk builds, stub
+	// expansions and, through TreeWork, the chain's Move2 preparations.
+	work trie.Work
+	// slotsRead counts the storage entries handed out: one per GetStorage,
+	// one per entry StorageEntries and AppendStorage list.
+	slotsRead uint64
 
 	keyBuf [32]byte // see treeKey
 	valBuf [32]byte // see treeValue
@@ -216,6 +226,14 @@ func (db *DB) StorageTreeAt(addr hashing.Address) (trie.Tree, bool) {
 	t, ok := db.storage[addr]
 	return t, ok
 }
+
+// TreeWork returns the count of tree nodes built for this state. A chain's
+// Move2 preparations, which build off its state, count here too.
+func (db *DB) TreeWork() *trie.Work { return &db.work }
+
+// SlotsRead returns the number of storage entries read so far: one per
+// GetStorage, one per entry StorageEntries and AppendStorage list.
+func (db *DB) SlotsRead() uint64 { return db.slotsRead }
 
 // account returns the cached working copy of addr, decoding it from the
 // account tree on first touch. Returns nil if the account does not exist.
@@ -388,9 +406,12 @@ func (db *DB) GetCodeHash(addr hashing.Address) hashing.Hash {
 }
 
 // storageTree returns the live storage tree for addr, creating it lazily —
-// and, over a file store, rebuilding an evicted tree from the store's flat
-// slots (the tree is canonical, so the rebuild reproduces the committed
-// storage root bit for bit).
+// and, over a file store, building it from the store's flat slots when
+// none is resident: a contract first touched, one evicted whole (at most
+// trees.StubEntries slots; eviction shrinks a larger tree instead), or any
+// after a reopen. The tree is canonical, so the rebuild reproduces the
+// committed storage root bit for bit; under go test it panics when it does
+// not.
 func (db *DB) storageTree(addr hashing.Address) trie.Tree {
 	db.touchStorage(addr)
 	if t, ok := db.storage[addr]; ok {
@@ -399,6 +420,9 @@ func (db *DB) storageTree(addr hashing.Address) trie.Tree {
 	var t trie.Tree
 	if db.file != nil {
 		t = db.buildStorageTree(db.fileEntries(addr))
+		if testing.Testing() {
+			db.checkRebuilt(addr, t)
+		}
 	} else {
 		t = trees.MustNew(db.kind, 32)
 	}
@@ -406,11 +430,28 @@ func (db *DB) storageTree(addr hashing.Address) trie.Tree {
 	return t
 }
 
+// checkRebuilt panics when t, addr's storage tree rebuilt from the file
+// store, does not hash to the storage root of addr's committed record: the
+// store lost or altered a slot.
+func (db *DB) checkRebuilt(addr hashing.Address, t trie.Tree) {
+	var want hashing.Hash
+	if enc, ok := db.accountTree.Get(db.treeKey(addr[:])); ok {
+		acct, err := DecodeAccount(enc)
+		if err != nil {
+			panic(fmt.Sprintf("state: corrupt account record for %s: %v", addr, err))
+		}
+		want = acct.StorageRoot
+	}
+	if got := t.RootHash(); got != want {
+		panic(fmt.Sprintf("state: the storage of %s rebuilt from the file store hashes to %s, its committed root is %s", addr, got, want))
+	}
+}
+
 // buildStorageTree returns the storage tree of exactly these slots, which
 // must be what StorageEntries lists: ascending by key, no slot twice, none
 // zero.
 func (db *DB) buildStorageTree(entries []StorageEntry) trie.Tree {
-	t, err := trees.Build(db.kind, 32, len(entries), func(i int) (key, value []byte) {
+	t, err := trees.Build(&db.work, db.kind, 32, len(entries), func(i int) (key, value []byte) {
 		return entries[i].Key[:], entries[i].Value[:]
 	})
 	if err != nil {
@@ -429,7 +470,7 @@ func buildAccountTree(kind trie.Kind, f *backend.File) (trie.Tree, error) {
 		addrs, encs = append(addrs, addr), append(encs, enc)
 		return true
 	})
-	return trees.Build(kind, hashing.AddressSize, len(addrs), func(i int) (key, value []byte) {
+	return trees.Build(nil, kind, hashing.AddressSize, len(addrs), func(i int) (key, value []byte) {
 		return addrs[i][:], encs[i]
 	})
 }
@@ -444,8 +485,10 @@ func (db *DB) touchStorage(addr hashing.Address) {
 }
 
 // GetStorage implements evm.StateAccess: a read of the live tree or, for an
-// account whose tree is not resident, of the file store.
+// account whose tree is not resident or a slot under a hash stub, of the
+// file store.
 func (db *DB) GetStorage(addr hashing.Address, key evm.Word) evm.Word {
+	db.slotsRead++
 	var w evm.Word
 	if t, resident := db.storage[addr]; resident {
 		v, _ := t.Get(db.treeKey(key[:]))
@@ -526,6 +569,18 @@ func (db *DB) DeleteAccount(addr hashing.Address) {
 	})
 	db.cache[addr] = nil
 	db.WipeStorage(addr)
+}
+
+// StorageLen returns the number of slots addr's storage holds, without
+// reading them.
+func (db *DB) StorageLen(addr hashing.Address) int {
+	if t, ok := db.storage[addr]; ok {
+		return t.Len()
+	}
+	if db.file == nil {
+		return 0
+	}
+	return db.file.SlotCount(addr)
 }
 
 // WipeStorage empties addr's storage (the account record is untouched).
@@ -847,12 +902,13 @@ func (db *DB) appendStorageDiff(slots []backend.SlotChange, addr hashing.Address
 
 // committedStorage returns what the last Commit left in the storage of an
 // account in replaced, ascending by key: the contents of the tree its first
-// install displaced (or the file store's slots when none was resident), with
-// the slots written before that install put back to their pre-images. The
+// install displaced, with the slots written before that install put back to
+// their pre-images — or the file store's slots, when none was resident or
+// it had shrunk to stubs the store would serve one range at a time. The
 // result is the DB's scratch, valid until the next call.
 func (db *DB) committedStorage(addr hashing.Address, written []backend.SlotKey) []StorageEntry {
 	old := db.committedScratch[:0]
-	if t := db.replaced[addr]; t != nil {
+	if t := db.replaced[addr]; t != nil && (db.file == nil || trees.Stubs(t) == 0) {
 		t.Iterate(func(k, v []byte) bool {
 			old = append(old, StorageEntry{Key: evm.Word(k), Value: evm.Word(v)})
 			return true
@@ -881,22 +937,27 @@ func (db *DB) committedStorage(addr hashing.Address, written []backend.SlotKey) 
 	return old
 }
 
-// evictStorageTrees drops the least recently touched clean storage trees
-// beyond the configured cap. Only meaningful over a file store (the trees
-// are rebuilt from its flat slots on demand); eviction order is
+// evictStorageTrees shrinks the least recently touched storage trees
+// beyond the configured cap to their top levels and hash stubs
+// (trees.Shrink): the file store serves the stubs' slots, and a later write
+// rebuilds only the stub it lands in. A tree small enough to be one stub is
+// dropped instead. A shrunk tree is touched again by its next write, and
+// shrinks again — expanded stubs included — once it is among the least
+// recently touched. Only meaningful over a file store, and run after
+// Commit, when every tree holds what the store holds; eviction order is
 // deterministic (touch sequence, then address).
 func (db *DB) evictStorageTrees() {
 	limit := db.opts.StorageTreeLimit
-	if limit <= 0 || db.file == nil || len(db.storage) <= limit {
+	if limit <= 0 || db.file == nil || len(db.storageTouch) <= limit {
 		return
 	}
 	type candidate struct {
 		addr hashing.Address
 		seq  uint64
 	}
-	cands := make([]candidate, 0, len(db.storage))
-	for addr := range db.storage {
-		cands = append(cands, candidate{addr: addr, seq: db.storageTouch[addr]})
+	cands := make([]candidate, 0, len(db.storageTouch))
+	for addr, seq := range db.storageTouch {
+		cands = append(cands, candidate{addr: addr, seq: seq})
 	}
 	slices.SortFunc(cands, func(a, b candidate) int {
 		if a.seq != b.seq {
@@ -904,11 +965,40 @@ func (db *DB) evictStorageTrees() {
 		}
 		return bytes.Compare(a.addr[:], b.addr[:])
 	})
-	for _, c := range cands[:len(db.storage)-limit] {
-		delete(db.storage, c.addr)
+	for _, c := range cands[:len(cands)-limit] {
 		delete(db.storageTouch, c.addr)
+		t, ok := db.storage[c.addr]
+		switch {
+		case !ok:
+		case t.Len() <= trees.StubEntries:
+			// It would shrink to one stub: dropped, a write rebuilds it from
+			// the store whole, at a stub's cost.
+			delete(db.storage, c.addr)
+		default:
+			trees.Shrink(t, &slotSource{file: db.file, addr: c.addr}, &db.work)
+		}
 	}
 }
+
+// slotSource serves the stubs of one contract's storage tree from the
+// contract's sorted run in the file store.
+type slotSource struct {
+	file *backend.File
+	addr hashing.Address
+	val  backend.Word // Get's value
+}
+
+func (s *slotSource) Get(key []byte) ([]byte, bool) {
+	var ok bool
+	s.val, ok = s.file.Slot(backend.SlotKey{Addr: s.addr, Key: backend.Word(key)})
+	return s.val[:], ok
+}
+
+func (s *slotSource) Range(lo, hi []byte, fn func(key, value []byte) bool) {
+	s.file.IterateStorageRange(s.addr, backend.Word(lo), backend.Word(hi), fn)
+}
+
+func (s *slotSource) String() string { return "the storage of " + s.addr.String() }
 
 // Root returns the last committed state root without flushing.
 func (db *DB) Root() hashing.Hash { return db.accountTree.RootHash() }
@@ -935,37 +1025,58 @@ func (db *DB) ProveAccount(addr hashing.Address) ([]byte, error) {
 
 // StorageEntries returns all storage of addr in ascending key order — the
 // state payload V of a move proof (paper Alg. 1, Move2). Accounts whose
-// tree is not resident read straight from the file store.
+// tree is not resident, or shrunk and unwritten since the last Commit, read
+// straight from the file store.
 func (db *DB) StorageEntries(addr hashing.Address) []StorageEntry {
-	if t, ok := db.storage[addr]; ok {
-		return appendTreeEntries(make([]StorageEntry, 0, t.Len()), t)
+	if t, ok := db.treeToRead(addr); ok {
+		return db.appendTreeEntries(make([]StorageEntry, 0, t.Len()), t)
 	}
 	if db.file == nil {
 		return nil
 	}
-	return db.fileEntries(addr)
+	out := db.fileEntries(addr)
+	db.slotsRead += uint64(len(out))
+	return out
 }
 
 // AppendStorage is StorageEntries appending to dst: a caller that reads
 // storage over and over (a relayer comparing two copies, a target reading
 // a Move2's base) reuses one buffer instead of allocating per read.
 func (db *DB) AppendStorage(dst []StorageEntry, addr hashing.Address) []StorageEntry {
-	if t, ok := db.storage[addr]; ok {
-		return appendTreeEntries(dst, t)
+	if t, ok := db.treeToRead(addr); ok {
+		return db.appendTreeEntries(dst, t)
 	}
 	if db.file == nil {
 		return dst
 	}
-	return db.appendFileEntries(dst, addr)
+	n := len(dst)
+	dst = db.appendFileEntries(dst, addr)
+	db.slotsRead += uint64(len(dst) - n)
+	return dst
+}
+
+// treeToRead returns the tree a whole-storage read of addr walks: the
+// resident one, unless it has hash stubs and no write since the last
+// Commit — then it holds what the file store holds, and the store's run is
+// one sequential read where the stubs would be one range read each.
+func (db *DB) treeToRead(addr hashing.Address) (trie.Tree, bool) {
+	t, ok := db.storage[addr]
+	if !ok || db.file == nil || trees.Stubs(t) == 0 {
+		return t, ok
+	}
+	_, written := db.dirty[addr]
+	return t, written
 }
 
 // appendTreeEntries copies t's entries out to dst, ascending by key:
 // Iterate's key and value are valid only during its callback.
-func appendTreeEntries(out []StorageEntry, t trie.Tree) []StorageEntry {
+func (db *DB) appendTreeEntries(out []StorageEntry, t trie.Tree) []StorageEntry {
+	n := len(out)
 	t.Iterate(func(k, v []byte) bool {
 		out = append(out, StorageEntry{Key: evm.Word(k), Value: evm.Word(v)})
 		return true
 	})
+	db.slotsRead += uint64(len(out) - n)
 	return out
 }
 
@@ -993,7 +1104,9 @@ type StorageEntry = evm.StorageEntry
 // failing transaction rolls everything back. storage, a tree of the DB's
 // kind that the DB owns from here on, becomes the account's whole storage:
 // a stale copy kept from an earlier residency is replaced, not merged into
-// — a slot deleted abroad must not come back to life here.
+// — a slot deleted abroad must not come back to life here. A nil storage
+// keeps the storage the account has: a delta Move2 has written its changes
+// into the stale copy already, slot by slot.
 func (db *DB) ImportAccount(addr hashing.Address, acct Account, code []byte, storage trie.Tree) {
 	working := db.mutable(addr)
 	working.Nonce = acct.Nonce
@@ -1011,7 +1124,9 @@ func (db *DB) ImportAccount(addr hashing.Address, acct Account, code []byte, sto
 		}
 		working.CodeHash = h
 	}
-	db.installStorage(addr, storage)
+	if storage != nil {
+		db.installStorage(addr, storage)
+	}
 }
 
 // PruneStale removes the storage and code reference of a contract that has

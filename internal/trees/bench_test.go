@@ -129,7 +129,7 @@ func BenchmarkRebuild1000(b *testing.B) {
 		b.Run("build", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tr, err := trees.Build(kind, 32, len(keys), at)
+				tr, err := trees.Build(nil, kind, 32, len(keys), at)
 				if err != nil {
 					b.Fatal(err)
 				}

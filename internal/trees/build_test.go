@@ -143,7 +143,7 @@ func TestBuildMatchesIncremental(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%d", shape.name, n), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(n)*31 + int64(shape.keyLen)))
 					r := randomRun(rng, n, shape.keyLen, shape.valueLen)
-					built, err := trees.Build(kind, shape.keyLen, len(r), r.at)
+					built, err := trees.Build(nil, kind, shape.keyLen, len(r), r.at)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -223,11 +223,11 @@ func TestBuildRefusesBadRuns(t *testing.T) {
 		{"empty value", run{good[0], {key(2), nil}}, trie.ErrEmptyValue},
 	}
 	forEachKind(t, func(t *testing.T, kind trie.Kind) {
-		if _, err := trees.Build(kind, testKeyLen, len(good), good.at); err != nil {
+		if _, err := trees.Build(nil, kind, testKeyLen, len(good), good.at); err != nil {
 			t.Fatalf("good run refused: %v", err)
 		}
 		for _, c := range cases {
-			if tr, err := trees.Build(kind, testKeyLen, len(c.r), c.r.at); !errors.Is(err, c.want) || tr != nil {
+			if tr, err := trees.Build(nil, kind, testKeyLen, len(c.r), c.r.at); !errors.Is(err, c.want) || tr != nil {
 				t.Errorf("Build(%s): tree %v, error %v, want %v", c.name, tr, err, c.want)
 			}
 			if root, err := trees.RootOf(kind, testKeyLen, len(c.r), c.r.at); !errors.Is(err, c.want) || !root.IsZero() {
@@ -235,7 +235,7 @@ func TestBuildRefusesBadRuns(t *testing.T) {
 			}
 		}
 	})
-	if _, err := trees.Build(trie.Kind(99), testKeyLen, 0, good.at); err == nil {
+	if _, err := trees.Build(nil, trie.Kind(99), testKeyLen, 0, good.at); err == nil {
 		t.Error("Build of an unknown kind must error")
 	}
 	if _, err := trees.RootOf(trie.Kind(99), testKeyLen, 0, good.at); err == nil {
@@ -259,7 +259,7 @@ func TestBuildAllocsAreConstant(t *testing.T) {
 		var built trie.Tree
 		if a := testing.AllocsPerRun(20, func() {
 			var err error
-			if built, err = trees.Build(kind, 32, len(r), r.at); err != nil {
+			if built, err = trees.Build(nil, kind, 32, len(r), r.at); err != nil {
 				t.Fatal(err)
 			}
 		}); a > 16 {
@@ -298,7 +298,7 @@ func FuzzBuildVsIncremental(f *testing.F) {
 		r := sortedRun(entries)
 		rng := rand.New(rand.NewSource(int64(len(r))))
 		for _, kind := range kinds {
-			built, err := trees.Build(kind, keyLen, len(r), r.at)
+			built, err := trees.Build(nil, kind, keyLen, len(r), r.at)
 			if err != nil {
 				t.Fatal(err)
 			}

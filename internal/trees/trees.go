@@ -35,20 +35,21 @@ func MustNew(kind trie.Kind, keyLen int) trie.Tree {
 }
 
 // Build returns a tree of the given kind holding exactly the n entries
-// at(0) … at(n-1), which must form a strictly ascending run (trie.CheckRun).
-// It is what n Sets on New's tree give — the same root, proofs and shape,
-// both kinds being canonical — in one linear pass and a fixed number of
-// allocations. Every rebuild from sorted contents goes through it.
-func Build(kind trie.Kind, keyLen, n int, at func(i int) (key, value []byte)) (trie.Tree, error) {
+// at(0) … at(n-1), which must form a strictly ascending run (trie.CheckRun),
+// and counts the nodes it builds in w (nil counts nothing). It is what n
+// Sets on New's tree give — the same root, proofs and shape, both kinds
+// being canonical — in one linear pass and a fixed number of allocations.
+// Every rebuild from sorted contents goes through it.
+func Build(w *trie.Work, kind trie.Kind, keyLen, n int, at func(i int) (key, value []byte)) (trie.Tree, error) {
 	var (
 		t   trie.Tree
 		err error
 	)
 	switch kind {
 	case trie.KindMPT:
-		t, err = mpt.Build(keyLen, n, at)
+		t, err = mpt.Build(w, keyLen, n, at)
 	case trie.KindIAVL:
-		t, err = iavl.Build(keyLen, n, at)
+		t, err = iavl.Build(w, keyLen, n, at)
 	default:
 		err = fmt.Errorf("trees: unknown tree kind %d", kind)
 	}
@@ -58,7 +59,7 @@ func Build(kind trie.Kind, keyLen, n int, at func(i int) (key, value []byte)) (t
 	return t, nil
 }
 
-// RootOf returns Build(kind, keyLen, n, at).RootHash() without keeping a
+// RootOf returns Build(nil, kind, keyLen, n, at).RootHash() without keeping a
 // tree: the run is hashed as it is read and no node is materialised.
 func RootOf(kind trie.Kind, keyLen, n int, at func(i int) (key, value []byte)) (hashing.Hash, error) {
 	switch kind {
@@ -81,5 +82,41 @@ func VerifyProof(kind trie.Kind, root hashing.Hash, proof []byte) (trie.ProvenEn
 		return iavl.VerifyProof(root, proof)
 	default:
 		return trie.ProvenEntry{}, fmt.Errorf("trees: unknown tree kind %d", kind)
+	}
+}
+
+// StubEntries is the largest subtree Shrink drops to a hash stub. A write
+// into a stub rebuilds at most this many entries, and a shrunk tree keeps
+// 4 to 9·n/StubEntries nodes of its n entries; DESIGN §17.12 has the
+// measurement it was chosen by.
+const StubEntries = 64
+
+// Shrink drops every maximal subtree of t of at most StubEntries entries
+// to a stub that keeps only its hash (mpt.Tree.Shrink, iavl.Tree.Shrink),
+// and returns the number of nodes t keeps. From then on src serves the
+// stubs' entries, and w counts the nodes a write rebuilds from it. t must
+// hold exactly what src holds, and src must go on holding each stub's
+// entries until a write expands it.
+func Shrink(t trie.Tree, src trie.Source, w *trie.Work) int {
+	switch t := t.(type) {
+	case *mpt.Tree:
+		return t.Shrink(StubEntries, src, w)
+	case *iavl.Tree:
+		return t.Shrink(StubEntries, src, w)
+	default:
+		panic(fmt.Sprintf("trees: cannot shrink a %T", t))
+	}
+}
+
+// Stubs returns the number of stubs t holds: zero for a tree Shrink never
+// reached, and for one every stub of which a write has expanded.
+func Stubs(t trie.Tree) int {
+	switch t := t.(type) {
+	case *mpt.Tree:
+		return t.Stubs()
+	case *iavl.Tree:
+		return t.Stubs()
+	default:
+		return 0
 	}
 }

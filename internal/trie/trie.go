@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"scmove/internal/hashing"
 )
@@ -121,4 +122,75 @@ type Tree interface {
 type ProvenEntry struct {
 	Key   []byte
 	Value []byte
+}
+
+// Source serves the entries a tree's hash stubs stand for. A tree whose
+// store holds every committed entry elsewhere — a contract's sorted run in
+// the file store — can drop a clean subtree down to a stub that keeps only
+// its cached hash (see the trees' Shrink): its entries are read back from
+// the Source when a read reaches it, and rebuilt from it when a write
+// does. Get's value, and Range's key and value, are valid only until the
+// next call into the Source.
+type Source interface {
+	// Get returns the value stored under key.
+	Get(key []byte) ([]byte, bool)
+	// Range calls fn for every entry whose key lies in [lo, hi], in
+	// ascending key order, until fn returns false.
+	Range(lo, hi []byte, fn func(key, value []byte) bool)
+	// String names the source in the panic of a stub whose rebuilt
+	// entries do not hash to the stub's hash.
+	String() string
+}
+
+// Work counts the tree nodes one chain builds: bulk builds, the stubs a
+// write expands, and a Move2's preparation. It is a count of work done, a
+// pure function of what the chain executes, so two runs of one simulation
+// read the same count. The zero value is ready; a nil *Work counts
+// nothing. It is safe for concurrent use: a preparation builds on a
+// goroutine of its own.
+type Work struct{ nodes atomic.Uint64 }
+
+// Built adds n nodes built.
+func (w *Work) Built(n int) {
+	if w != nil {
+		w.nodes.Add(uint64(n))
+	}
+}
+
+// Nodes returns the nodes built so far.
+func (w *Work) Nodes() uint64 {
+	if w == nil {
+		return 0
+	}
+	return w.nodes.Load()
+}
+
+// Run collects entries read from a Source for a rebuild: one byte slab
+// holds every key and value, so collecting allocates once per growth, not
+// once per entry. Its At is the accessor a bulk build reads.
+type Run struct {
+	keyLen int
+	data   []byte
+	ends   []int // entry i's value ends at ends[i]
+}
+
+// NewRun returns an empty run of keyLen-byte keys.
+func NewRun(keyLen int) *Run { return &Run{keyLen: keyLen} }
+
+// Add appends one entry; key must be keyLen bytes long.
+func (r *Run) Add(key, value []byte) {
+	r.data = append(append(r.data, key...), value...)
+	r.ends = append(r.ends, len(r.data))
+}
+
+// Len returns the number of entries.
+func (r *Run) Len() int { return len(r.ends) }
+
+// At returns the i-th entry.
+func (r *Run) At(i int) (key, value []byte) {
+	start := 0
+	if i > 0 {
+		start = r.ends[i-1]
+	}
+	return r.data[start : start+r.keyLen], r.data[start+r.keyLen : r.ends[i]]
 }

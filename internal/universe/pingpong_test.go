@@ -166,7 +166,8 @@ func writeStore(tb testing.TB, u *Universe, c hashing.ChainID, store hashing.Add
 // the MPT and the IAVL chain of newPingPong (four resident trees, as in the
 // benchmark's move_store), with 0, 1, 10 and 100 % of its slots written
 // (a fifth of them deleted) on the source before each timed Move: ns,
-// allocations and Move2 payload bytes per Move. The writes and the Move
+// allocations, Move2 payload bytes and the tree nodes the target builds
+// (state.DB.TreeWork) per Move. The writes and the Move
 // back are untimed; from the second Move on, each Move returns to a chain
 // holding the contract's stale copy. Run it with a fixed count, e.g. `go
 // test -run '^$' -bench MovePingPong -benchtime 20x ./internal/universe`.
@@ -200,19 +201,24 @@ func BenchmarkMovePingPong(b *testing.B) {
 				move(src, dst) // the first Move leaves a stale copy on src
 				move(dst, src)
 				bytes := 0
+				var nodes uint64
+				work := u.Chain(dst).StateDB().TreeWork()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					writeStore(b, u, src, addrs[0], 1000, pct, i)
+					built := work.Nodes()
 					b.StartTimer()
 					move(src, dst)
 					b.StopTimer()
+					nodes += work.Nodes() - built
 					bytes += len(types.EncodeMove2Payload(payload))
 					move(dst, src)
 					b.StartTimer()
 				}
 				b.ReportMetric(float64(bytes)/float64(b.N), "payload-B/op")
+				b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 			})
 		}
 	}
