@@ -104,7 +104,9 @@ benchtest:
 # the revert restores the copy. An evicted tree keeps at most
 # 9·n/StubEntries nodes; a write into a stub whose slots the file store no
 # longer holds as committed panics naming the contract, and so does a
-# whole-tree rebuild whose root is not the committed storage root.
+# whole-tree rebuild whose root is not the committed storage root. The
+# backend conformance script runs again with contracts of up to 100 slots,
+# whose evicted trees shrink to stubs, and must match the in-memory trees.
 # Consensus over TCP encodes a message once per broadcast, writes every peer
 # the frame bytes a per-peer Send always wrote (the message encodings are
 # pinned too), and decodes a proposal frame
@@ -168,7 +170,8 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestDeltaWorkAllocatesNoRun TestFailedCommitLeavesStoreAsItWas \
 	TestDeltaHomeNodesScaleWithK TestDeltaHomeReadsCopyOnce TestUnpaidDeltaDoesNoStorageWork \
 	TestSameKindDeltaInstallRefusesAsVerify TestShrinkKeepsBoundedSkeleton \
-	TestStubExpansionChecksTheStubHash TestRebuiltStorageTreeChecksCommittedRoot
+	TestStubExpansionChecksTheStubHash TestRebuiltStorageTreeChecksCommittedRoot \
+	TestBackendConformanceWithSkeletons
 DETSMOKE_PKGS = ./internal/journal/ ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/relay/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/ \

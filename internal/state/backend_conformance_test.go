@@ -13,6 +13,7 @@ import (
 	"scmove/internal/evm"
 	"scmove/internal/hashing"
 	"scmove/internal/state/backend"
+	"scmove/internal/trees"
 	"scmove/internal/trie"
 	"scmove/internal/u256"
 )
@@ -104,16 +105,20 @@ type confScript struct {
 	slots  []evm.Word
 }
 
-func genConformanceScript(seed int64, blocks, opsPerBlock int) confScript {
+// genConformanceScript draws the script. Its storage ops write nslots
+// slots; past trees.StubEntries of them a storage op writes a random number
+// of slots at once, so that trees grow large enough for eviction to shrink
+// them to hash stubs.
+func genConformanceScript(seed int64, blocks, opsPerBlock, nslots int) confScript {
 	rng := rand.New(rand.NewSource(seed))
 	pool := make([]hashing.Address, 24)
 	for i := range pool {
 		h := hashing.Sum([]byte{byte(i), 0xA5})
 		copy(pool[i][:], h[:])
 	}
-	slots := make([]evm.Word, 8)
+	slots := make([]evm.Word, nslots)
 	for i := range slots {
-		slots[i] = word(byte(i + 1))
+		slots[i][30], slots[i][31] = byte((i+1)>>8), byte(i+1)
 	}
 	s := confScript{pool: pool, slots: slots}
 
@@ -132,6 +137,17 @@ func genConformanceScript(seed int64, blocks, opsPerBlock int) confScript {
 				}
 			}
 		case k <= 4: // storage writes, including zero (deletes)
+			if len(slots) > trees.StubEntries {
+				writes := make([]StorageEntry, rng.Intn(len(slots)))
+				for i := range writes {
+					writes[i] = StorageEntry{Key: slots[rng.Intn(len(slots))], Value: word(byte(rng.Intn(5)))}
+				}
+				return func(db *DB) {
+					for _, w := range writes {
+						db.SetStorage(addr, w.Key, w.Value)
+					}
+				}
+			}
 			key := slots[rng.Intn(len(slots))]
 			val := word(byte(rng.Intn(5))) // 0 = delete
 			return func(db *DB) { db.SetStorage(addr, key, val) }
@@ -260,19 +276,37 @@ func takeConfSnapshot(t *testing.T, db *DB, root hashing.Hash, script confScript
 func TestBackendConformanceDifferential(t *testing.T) {
 	for _, kind := range []trie.Kind{trie.KindMPT, trie.KindIAVL} {
 		t.Run(kind.String(), func(t *testing.T) {
-			testBackendConformance(t, kind, int64(0xC04F)+int64(kind))
+			testBackendConformance(t, kind, int64(0xC04F)+int64(kind), 8)
 		})
 	}
 }
 
-func testBackendConformance(t *testing.T, kind trie.Kind, seed int64) {
+// TestBackendConformanceWithSkeletons runs the conformance script with
+// contracts of up to 100 slots, whose evicted trees shrink to hash stubs:
+// writes, deletes, reverts, imports, prunes, deletions and a reopen over
+// skeletons must leave what the in-memory trees hold.
+func TestBackendConformanceWithSkeletons(t *testing.T) {
+	for _, kind := range []trie.Kind{trie.KindMPT, trie.KindIAVL} {
+		t.Run(kind.String(), func(t *testing.T) {
+			testBackendConformance(t, kind, int64(0x5CE1)+int64(kind), 100)
+		})
+	}
+}
+
+func testBackendConformance(t *testing.T, kind trie.Kind, seed int64, nslots int) {
 	configs := conformanceConfigs(t)
 	dbs := make([]*DB, len(configs))
 	for i, cfg := range configs {
 		dbs[i] = openConformanceDB(t, kind, cfg, true)
 	}
 
-	script := genConformanceScript(seed, confBlocks, 40)
+	script := genConformanceScript(seed, confBlocks, 40, nslots)
+	shrunk := false // whether any file store held a tree with stubs
+	defer func() {
+		if nslots > trees.StubEntries && !shrunk && !t.Failed() {
+			t.Errorf("no tree shrank to stubs: the script exercised no skeleton")
+		}
+	}()
 	ref := dbs[0]
 	var snaps []confSnapshot
 
@@ -287,6 +321,10 @@ func testBackendConformance(t *testing.T, kind trie.Kind, seed int64) {
 			if got := db.Commit(); got != root {
 				t.Fatalf("block %d: %s root %s, %s root %s",
 					b, configs[0].name, root, configs[i+1].name, got)
+			}
+			for _, a := range script.pool {
+				tree, _ := db.StorageTreeAt(a)
+				shrunk = shrunk || trees.Stubs(tree) > 0
 			}
 		}
 		if b == confReopenAfter {
