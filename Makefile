@@ -10,10 +10,14 @@ build:
 test:
 	$(GO) test ./...
 
+# vet first runs the go/ast check that every exported function or method of
+# internal/ has a program caller or a reason on its allow-list
+# (exports_test.go), so a test-only export fails in seconds.
 # benchmark/ is a nested module, invisible to `go vet ./...`; vetting it is
 # what notices a deprecated shim that no longer matches what benchmark/ sets.
 # `gofmt -l .` walks both modules; any file it lists fails the target.
 vet:
+	$(GO) test -count=1 -run 'TestExportsHaveProgramCallers|TestTestOnlyExportsFixture' .
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "vet: gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...

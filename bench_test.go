@@ -10,6 +10,7 @@ import (
 
 	"scmove/internal/bench"
 	"scmove/internal/contracts"
+	"scmove/internal/hashing"
 	"scmove/internal/u256"
 )
 
@@ -78,13 +79,23 @@ func BenchmarkFig8IBCLatency(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if row, ok := res.Row(bench.AppStore1, 1); ok {
+		if row, ok := ibcRow(res, bench.AppStore1, 1); ok {
 			b.ReportMetric(row.TotalLatency().Seconds(), "eth->burrow-total-s")
 		}
-		if row, ok := res.Row(bench.AppStore1, 2); ok {
+		if row, ok := ibcRow(res, bench.AppStore1, 2); ok {
 			b.ReportMetric(row.TotalLatency().Seconds(), "burrow->eth-total-s")
 		}
 	}
+}
+
+// ibcRow returns res's entry for an app and direction.
+func ibcRow(res *bench.IBCResult, app string, from hashing.ChainID) (bench.IBCRow, bool) {
+	for _, row := range res.Rows {
+		if row.App == app && row.From == from {
+			return row, true
+		}
+	}
+	return bench.IBCRow{}, false
 }
 
 // BenchmarkFig9Gas measures the gas and monetary cost breakdown (Fig. 9).
@@ -94,11 +105,11 @@ func BenchmarkFig9Gas(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if row, ok := res.Row(bench.AppSCoin, 2); ok {
+		if row, ok := ibcRow(res, bench.AppSCoin, 2); ok {
 			b.ReportMetric(float64(row.TotalGas())/1e6, "scoin-Mgas")
 			b.ReportMetric(row.USD(), "scoin-usd")
 		}
-		if row, ok := res.Row(bench.AppStore100, 2); ok {
+		if row, ok := ibcRow(res, bench.AppStore100, 2); ok {
 			b.ReportMetric(float64(row.TotalGas())/1e6, "store100-Mgas")
 		}
 	}

@@ -150,6 +150,16 @@ func TestFig7ShapeRetriesSkewed(t *testing.T) {
 	}
 }
 
+// Row returns the entry for an app and direction.
+func (r *IBCResult) Row(app string, from hashing.ChainID) (IBCRow, bool) {
+	for _, row := range r.Rows {
+		if row.App == app && row.From == from {
+			return row, true
+		}
+	}
+	return IBCRow{}, false
+}
+
 func TestFig8And9Shapes(t *testing.T) {
 	res, err := RunFig8And9()
 	if err != nil {

@@ -80,16 +80,6 @@ type IBCResult struct {
 	Rows []IBCRow
 }
 
-// Row returns the entry for an app and direction.
-func (r *IBCResult) Row(app string, from hashing.ChainID) (IBCRow, bool) {
-	for _, row := range r.Rows {
-		if row.App == app && row.From == from {
-			return row, true
-		}
-	}
-	return IBCRow{}, false
-}
-
 // RunFig8And9 runs every application in both directions on fresh
 // two-chain universes (chain 1 Ethereum-like PoW p=6, chain 2 Burrow-like
 // BFT p=2, §VI).

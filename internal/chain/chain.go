@@ -33,7 +33,7 @@ type Config struct {
 	Schedule evm.Schedule
 	// BlockGasLimit is the limit the chain advertises: it goes into every
 	// header and is what GASLIMIT returns. Nothing enforces it — MaxBlockTxs
-	// is the only cap on a block. ROADMAP item 5 is where fitting the
+	// is the only cap on a block. ROADMAP item 8 is where fitting the
 	// per-block limit becomes a Move1 precondition.
 	BlockGasLimit uint64
 	// MaxBlockTxs caps the transactions per block.

@@ -73,11 +73,6 @@ func (KittyRegistry) Name() string { return KittyRegistryName }
 // CodeSize emulates the deployed game contract.
 func (KittyRegistry) CodeSize() int { return 8000 }
 
-// KittyRegistryConstructorArgs builds OnCreate args.
-func KittyRegistryConstructorArgs(owner hashing.Address) []byte {
-	return EncodeCall("init", ArgAddress(owner))
-}
-
 // OnCreate stores the game owner.
 func (KittyRegistry) OnCreate(call *evm.NativeCall, args []byte) error {
 	method, argv, err := DecodeCall(args)

@@ -17,19 +17,3 @@ func NewRegistry() *evm.Registry {
 		Swap{},
 	)
 }
-
-// NewRegistryWithResidency returns a registry whose movable contracts
-// enforce the given minimum residency in seconds (Listing 1's "3 days"
-// guard) before they may move again.
-func NewRegistryWithResidency(seconds uint64) *evm.Registry {
-	return evm.MustNewRegistry(
-		SCoin{},
-		SAccount{Residency: seconds},
-		Store{Residency: seconds},
-		KittyRegistry{},
-		Kitty{Residency: seconds},
-		TokenRelay{},
-		PeggedToken{},
-		Swap{},
-	)
-}

@@ -49,12 +49,6 @@ func (SCoin) Name() string { return SCoinName }
 // CodeSize emulates the deployed token factory.
 func (SCoin) CodeSize() int { return 3000 }
 
-// SCoinConstructorArgs builds OnCreate args: the token owner and the grant
-// of tokens credited to each newly created account (the experiment faucet).
-func SCoinConstructorArgs(owner hashing.Address, grant u256.Int) []byte {
-	return EncodeCall("init", ArgAddress(owner), ArgU256(grant))
-}
-
 // OnCreate stores the owner and per-account grant.
 func (SCoin) OnCreate(call *evm.NativeCall, args []byte) error {
 	method, argv, err := DecodeCall(args)

@@ -185,8 +185,7 @@ func TestVerifyRefusesBadDeltas(t *testing.T) {
 			// The copy's record names other code; its storage, the base, is
 			// the one the delta was built against.
 			acct, _ := c.dst.GetAccount(c.contract)
-			tree, _ := c.dst.StorageTreeAt(c.contract)
-			c.dst.ImportAccount(c.contract, acct, []byte("other code"), tree)
+			c.dst.ImportAccount(c.contract, acct, []byte("other code"), nil)
 			c.dst.SetLocation(c.contract, chainA)
 			c.dst.Commit()
 		}, ErrIncompleteCode},

@@ -259,30 +259,26 @@ func Move2Entries(db *state.DB, p *types.Move2Payload) int {
 // copy's storage ascending by key: base with p's entries written over it
 // and p's deleted keys removed. The result is ascending, every key once,
 // no value zero, as a full payload's storage is; its root is what
-// completeness checks. A delta that cannot come from a correct relayer is
-// refused, wrapping ErrIncompleteSet: entries or deleted keys not strictly
-// ascending, a zero value, a deleted key that base lacks or that p also
-// writes. Over an empty base with nothing deleted — a full payload — the
-// result is p.Storage itself, unchecked and uncopied: the completeness
-// root refuses what is out of shape there.
+// completeness checks. A delta checkDelta refuses over base is refused
+// with its error. Over an empty base with nothing deleted — a full
+// payload — the result is p.Storage itself, unchecked and uncopied: the
+// completeness root refuses what is out of shape there.
 func MergeMove2(dst, base []types.StorageEntry, p *types.Move2Payload) ([]types.StorageEntry, error) {
 	ups, dels := p.Storage, p.Deleted
 	if len(base) == 0 && len(dels) == 0 {
 		return ups, nil
 	}
-	if err := checkDeltaOrder(p); err != nil {
+	if err := checkDelta(p, func(k evm.Word) bool {
+		_, found := slices.BinarySearchFunc(base, k, compareKey)
+		return found
+	}); err != nil {
 		return dst, err
 	}
-	// A deleted key below the key in hand is one base does not hold: every
-	// base key below it has been passed, and a deleted one consumed.
-	lacks := func(k evm.Word) bool { return len(dels) > 0 && bytes.Compare(dels[0][:], k[:]) < 0 }
+	// Every deleted key is in base and not written.
 	for len(base) > 0 || len(ups) > 0 {
 		if len(ups) == 0 || len(base) > 0 && bytes.Compare(base[0].Key[:], ups[0].Key[:]) < 0 {
 			e := base[0]
 			base = base[1:]
-			if lacks(e.Key) {
-				break
-			}
 			if len(dels) > 0 && dels[0] == e.Key {
 				dels = dels[1:]
 				continue
@@ -290,21 +286,11 @@ func MergeMove2(dst, base []types.StorageEntry, p *types.Move2Payload) ([]types.
 			dst = append(dst, e)
 			continue
 		}
-		u := ups[0]
-		ups = ups[1:]
-		if len(base) > 0 && base[0].Key == u.Key {
+		if len(base) > 0 && base[0].Key == ups[0].Key {
 			base = base[1:]
 		}
-		if lacks(u.Key) {
-			break
-		}
-		if len(dels) > 0 && dels[0] == u.Key {
-			return dst, fmt.Errorf("%w: delta writes and deletes %x", ErrIncompleteSet, u.Key)
-		}
-		dst = append(dst, u)
-	}
-	if len(dels) > 0 {
-		return dst, fmt.Errorf("%w: delta deletes %x, which its base does not hold", ErrIncompleteSet, dels[0])
+		dst = append(dst, ups[0])
+		ups = ups[1:]
 	}
 	return dst, nil
 }
@@ -456,7 +442,7 @@ func InstallMove2(local hashing.ChainID, db *state.DB, hs *HeaderStore, p *types
 		return err
 	}
 	if p.IsDelta() && c.source == db.TreeKind() {
-		if err := checkDelta(db, p); err != nil {
+		if err := checkDelta(p, copyHolds(db, p.Contract)); err != nil {
 			return err
 		}
 		writeDelta(db, p)
@@ -491,33 +477,13 @@ func NeedsPreparation(hs *HeaderStore, target trie.Kind, p *types.Move2Payload) 
 	return !p.IsDelta() || err != nil || params.TreeKind != target
 }
 
-// checkDelta refuses, as MergeMove2 would and with its errors, a delta
-// that cannot come from a correct relayer — a zero value, entries or
-// deleted keys not strictly ascending, a key both written and deleted, a
-// deleted key db's copy lacks — reading only the copy's slots that p
-// deletes. What it passes, MergeMove2 merges.
-func checkDelta(db *state.DB, p *types.Move2Payload) error {
-	if err := checkDeltaOrder(p); err != nil {
-		return err
-	}
-	// MergeMove2 walks both in key order and stops at the first deleted key
-	// that is written too or that the base lacks.
-	for _, k := range p.Deleted {
-		if _, written := slices.BinarySearchFunc(p.Storage, k, func(e types.StorageEntry, k evm.Word) int {
-			return bytes.Compare(e.Key[:], k[:])
-		}); written {
-			return fmt.Errorf("%w: delta writes and deletes %x", ErrIncompleteSet, k)
-		}
-		if db.GetStorage(p.Contract, k) == (evm.Word{}) {
-			return fmt.Errorf("%w: delta deletes %x, which its base does not hold", ErrIncompleteSet, k)
-		}
-	}
-	return nil
-}
-
-// checkDeltaOrder refuses a zero-valued entry, and entries or deleted keys
-// not strictly ascending: what MergeMove2 and checkDelta check first.
-func checkDeltaOrder(p *types.Move2Payload) error {
+// checkDelta refuses a delta that cannot come from a correct relayer,
+// wrapping ErrIncompleteSet: a zero value, entries or deleted keys not
+// strictly ascending, or a deleted key that p also writes or that its base
+// does not hold, the first such key reported. holds reports whether the
+// base holds a key; it is asked once per deleted key. What checkDelta
+// passes, MergeMove2 merges and writeDelta writes.
+func checkDelta(p *types.Move2Payload, holds func(evm.Word) bool) error {
 	ups, dels := p.Storage, p.Deleted
 	if err := checkValues(ups); err != nil {
 		return err
@@ -532,7 +498,25 @@ func checkDeltaOrder(p *types.Move2Payload) error {
 			return fmt.Errorf("%w: deleted keys not strictly ascending at %d", ErrIncompleteSet, i)
 		}
 	}
+	for _, k := range dels {
+		if _, written := slices.BinarySearchFunc(ups, k, compareKey); written {
+			return fmt.Errorf("%w: delta writes and deletes %x", ErrIncompleteSet, k)
+		}
+		if !holds(k) {
+			return fmt.Errorf("%w: delta deletes %x, which its base does not hold", ErrIncompleteSet, k)
+		}
+	}
 	return nil
+}
+
+// copyHolds is checkDelta's holds over db's copy of contract: a point read.
+func copyHolds(db *state.DB, contract hashing.Address) func(evm.Word) bool {
+	return func(k evm.Word) bool { return db.GetStorage(contract, k) != (evm.Word{}) }
+}
+
+// compareKey orders a storage entry against a key.
+func compareKey(e types.StorageEntry, k evm.Word) int {
+	return bytes.Compare(e.Key[:], k[:])
 }
 
 // writeDelta writes a checked delta into db's copy of the contract through
@@ -711,7 +695,7 @@ func entryAt(entries []types.StorageEntry) func(i int) (key, value []byte) {
 func ApplyMove2(db *state.DB, p *types.Move2Payload, acct state.Account) {
 	code, err := Move2Code(db, p)
 	if err == nil && p.IsDelta() {
-		if err = checkDelta(db, p); err == nil {
+		if err = checkDelta(p, copyHolds(db, p.Contract)); err == nil {
 			writeDelta(db, p)
 			db.ImportAccount(p.Contract, acct, code, nil)
 			return

@@ -580,7 +580,6 @@ func TestRevertedMove2RestoresStaleCopy(t *testing.T) {
 				return snap
 			}
 			dst.RevertToSnapshot(attempt()) // moveFinish failed
-			dst.DiscardJournal()
 			if got := dst.StorageEntries(contract); !slices.Equal(got, stale) {
 				t.Fatalf("storage after the revert %v, stale copy %v", got, stale)
 			}

@@ -22,8 +22,8 @@ import (
 // Unlike the discrete-event Network this transport is driven by the
 // operating system: delivery order across links, latency, and
 // interleaving are whatever the kernel produces. The deterministic path
-// stays the default; TCP exists to measure the system against real
-// hardware (ROADMAP item 4).
+// stays the default; TCP carries consensus for the live stack: the
+// benchmark's rpc_* workloads and TestRealtimeTCPRPCMatchesDiscreteEvent.
 type TCP struct {
 	codec    WireCodec
 	dispatch func(func())
@@ -352,17 +352,11 @@ func EncodeFrame(from, to NodeID, payload []byte) []byte {
 	return append(frame, payload...)
 }
 
-// ReadFrame reads one length-prefixed frame body off r, refusing length
+// readFrame reads one length-prefixed frame body off r, refusing length
 // claims above maxFrame before allocating anything. A clean EOF at a
 // frame boundary returns io.EOF; a disconnect mid-prefix or mid-body
-// returns io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	var hdr [frameHeaderSize]byte
-	return readFrame(r, &hdr, maxFrame)
-}
-
-// readFrame is ReadFrame with the length prefix read into hdr, so a reader
-// of many frames allocates their bodies only.
+// returns io.ErrUnexpectedEOF. The prefix is read into hdr, so a reader of
+// many frames allocates their bodies only.
 func readFrame(r io.Reader, hdr *[frameHeaderSize]byte, maxFrame int) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {

@@ -42,7 +42,7 @@ func (stringCodec) DecodePayload(b []byte) (any, error) {
 func TestFrameRoundTrip(t *testing.T) {
 	payload := []byte("consensus message bytes")
 	frame := EncodeFrame(7, 9, payload)
-	body, err := ReadFrame(bytes.NewReader(frame), DefaultMaxFrame)
+	body, err := readFrame(bytes.NewReader(frame), new([frameHeaderSize]byte), DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,16 +61,16 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameOversizedLengthPrefix(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 0xFFFFFFFF)
-	if _, err := ReadFrame(bytes.NewReader(hdr[:]), DefaultMaxFrame); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readFrame(bytes.NewReader(hdr[:]), new([frameHeaderSize]byte), DefaultMaxFrame); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 	// One byte above the bound is refused; exactly at the bound is not.
 	binary.BigEndian.PutUint32(hdr[:], 17)
-	if _, err := ReadFrame(bytes.NewReader(hdr[:]), 16); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readFrame(bytes.NewReader(hdr[:]), new([frameHeaderSize]byte), 16); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge at bound+1", err)
 	}
 	body := append([]byte{0, 0, 0, 4}, []byte("abcd")...)
-	if _, err := ReadFrame(bytes.NewReader(body), 4); err != nil {
+	if _, err := readFrame(bytes.NewReader(body), new([frameHeaderSize]byte), 4); err != nil {
 		t.Fatalf("frame at exactly maxFrame refused: %v", err)
 	}
 }
@@ -80,13 +80,13 @@ func TestFrameOversizedLengthPrefix(t *testing.T) {
 func TestFrameTruncatedBody(t *testing.T) {
 	frame := EncodeFrame(1, 2, []byte("full payload"))
 	for cut := 1; cut < len(frame); cut++ {
-		_, err := ReadFrame(bytes.NewReader(frame[:cut]), DefaultMaxFrame)
+		_, err := readFrame(bytes.NewReader(frame[:cut]), new([frameHeaderSize]byte), DefaultMaxFrame)
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut=%d: err = %v, want ErrUnexpectedEOF", cut, err)
 		}
 	}
 	// Zero bytes is a clean EOF — the peer closed between frames.
-	if _, err := ReadFrame(bytes.NewReader(nil), DefaultMaxFrame); !errors.Is(err, io.EOF) {
+	if _, err := readFrame(bytes.NewReader(nil), new([frameHeaderSize]byte), DefaultMaxFrame); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty stream: err = %v, want io.EOF", err)
 	}
 }
@@ -102,7 +102,7 @@ func TestFrameMidFrameDisconnect(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := ReadFrame(server, DefaultMaxFrame)
+		_, err := readFrame(server, new([frameHeaderSize]byte), DefaultMaxFrame)
 		done <- err
 	}()
 	select {
@@ -527,7 +527,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxFrame = 1 << 16
-		body, err := ReadFrame(bytes.NewReader(data), maxFrame)
+		body, err := readFrame(bytes.NewReader(data), new([frameHeaderSize]byte), maxFrame)
 		if err != nil {
 			return
 		}
@@ -537,7 +537,7 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		// Accepted frames survive a round trip.
 		again := EncodeFrame(from, to, payload)
-		body2, err := ReadFrame(bytes.NewReader(again), maxFrame)
+		body2, err := readFrame(bytes.NewReader(again), new([frameHeaderSize]byte), maxFrame)
 		if err != nil {
 			t.Fatalf("re-read: %v", err)
 		}

@@ -142,7 +142,7 @@ func TestSetStorageAllocatesOnlyTreeCopies(t *testing.T) {
 			})
 			write := testing.AllocsPerRun(100, func() {
 				db.SetStorage(a, key, val)
-				db.DiscardJournal()
+				db.journal.reset()
 			})
 			if set == 0 || write != set {
 				t.Fatalf("SetStorage allocates %.1f objects, the tree's Set %.1f: want equal and nonzero", write, set)

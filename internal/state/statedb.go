@@ -626,11 +626,6 @@ func (db *DB) RevertToSnapshot(id int) {
 	db.journal.revert(db, id)
 }
 
-// DiscardJournal forgets undo history without committing, so no earlier
-// snapshot can be reverted to. Commit discards the journal itself, once per
-// block; nothing on the execution path calls this.
-func (db *DB) DiscardJournal() { db.journal.reset() }
-
 // Commit flushes dirty accounts into the account tree and the file store,
 // records the reverse diff in the retained-root history, and returns the
 // state root. The journal is discarded: committed state cannot

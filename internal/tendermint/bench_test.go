@@ -37,9 +37,9 @@ func BenchmarkClusterHeight(b *testing.B) {
 	}
 	cluster.Start()
 	commit := func(height uint64) {
-		for cluster.CommittedHeight() < height {
+		for cluster.committed < height {
 			if !sched.Step() {
-				b.Fatalf("the cluster stopped at height %d", cluster.CommittedHeight())
+				b.Fatalf("the cluster stopped at height %d", cluster.committed)
 			}
 		}
 	}
@@ -50,7 +50,7 @@ func BenchmarkClusterHeight(b *testing.B) {
 	mallocs := ms.Mallocs
 	start, _ := net.Stats()
 	b.ResetTimer()
-	commit(cluster.CommittedHeight() + uint64(b.N))
+	commit(cluster.committed + uint64(b.N))
 	b.StopTimer()
 	runtime.ReadMemStats(&ms)
 	end, _ := net.Stats()

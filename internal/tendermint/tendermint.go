@@ -230,9 +230,6 @@ func (c *Cluster) NodeIDs() []simnet.NodeID {
 	return ids
 }
 
-// CommittedHeight returns the highest committed height.
-func (c *Cluster) CommittedHeight() uint64 { return c.committed }
-
 // commit applies the payload once per height.
 func (c *Cluster) commit(height uint64, payload []byte) {
 	if height <= c.committed {

@@ -65,7 +65,7 @@ func TestClusterCommitsSuccessiveHeights(t *testing.T) {
 	cluster.Start()
 	sched.RunUntil(62 * time.Second)
 
-	got := cluster.CommittedHeight()
+	got := cluster.committed
 	// 5 s interval plus WAN voting: expect roughly one block per 5-6 s.
 	if got < 9 || got > 13 {
 		t.Fatalf("committed height = %d, want ≈11", got)
@@ -106,7 +106,7 @@ func TestToleratesFCrashFaults(t *testing.T) {
 	cluster.CrashValidator(7)
 	cluster.Start()
 	sched.RunUntil(90 * time.Second)
-	if got := cluster.CommittedHeight(); got < 5 {
+	if got := cluster.committed; got < 5 {
 		t.Fatalf("committed height = %d with f faults, want progress", got)
 	}
 }
@@ -117,7 +117,7 @@ func TestCrashedProposerRotatesOut(t *testing.T) {
 	cluster.CrashValidator(1)
 	cluster.Start()
 	sched.RunUntil(30 * time.Second)
-	if cluster.CommittedHeight() < 1 {
+	if cluster.committed < 1 {
 		t.Fatal("cluster must commit past a crashed proposer via round change")
 	}
 }
@@ -129,7 +129,7 @@ func TestHaltsBeyondF(t *testing.T) {
 	}
 	cluster.Start()
 	sched.RunUntil(60 * time.Second)
-	if got := cluster.CommittedHeight(); got != 0 {
+	if got := cluster.committed; got != 0 {
 		t.Fatalf("committed height = %d with >f faults, want 0 (safety)", got)
 	}
 }
@@ -152,12 +152,12 @@ func TestRestartValidatorRejoins(t *testing.T) {
 	}
 	cluster.Start()
 	sched.RunUntil(60 * time.Second)
-	if got := cluster.CommittedHeight(); got != 0 {
+	if got := cluster.committed; got != 0 {
 		t.Fatalf("height = %d before restart, want halt", got)
 	}
 	cluster.RestartValidator(0)
 	sched.RunUntil(4 * time.Minute)
-	if got := cluster.CommittedHeight(); got < 3 {
+	if got := cluster.committed; got < 3 {
 		t.Fatalf("height = %d after restart, want recovery", got)
 	}
 }
@@ -170,14 +170,14 @@ func TestScheduleCrashRestartOutage(t *testing.T) {
 	}
 	cluster.Start()
 	sched.RunUntil(30 * time.Second)
-	beforeOutage := cluster.CommittedHeight()
+	beforeOutage := cluster.committed
 	if beforeOutage < 2 {
 		t.Fatalf("height = %d before the outage", beforeOutage)
 	}
 	sched.RunUntil(2 * time.Minute)
-	duringOutage := cluster.CommittedHeight()
+	duringOutage := cluster.committed
 	sched.RunUntil(6 * time.Minute)
-	after := cluster.CommittedHeight()
+	after := cluster.committed
 	if after <= duringOutage {
 		t.Fatalf("height stuck at %d after restarts", after)
 	}
@@ -219,7 +219,7 @@ func TestStragglerCatchesUpAfterLoss(t *testing.T) {
 	cluster.Start()
 	sched.RunUntil(60 * time.Second)
 	behind := cluster.validators[0].height
-	committed := cluster.CommittedHeight()
+	committed := cluster.committed
 	if behind >= committed {
 		t.Fatalf("isolated validator at %d, cluster at %d: expected a straggler", behind, committed)
 	}
@@ -228,7 +228,7 @@ func TestStragglerCatchesUpAfterLoss(t *testing.T) {
 	}
 	sched.RunUntil(2 * time.Minute)
 	if got := cluster.validators[0].height; got <= committed {
-		t.Fatalf("validator stuck at %d after heal (cluster committed %d)", got, cluster.CommittedHeight())
+		t.Fatalf("validator stuck at %d after heal (cluster committed %d)", got, cluster.committed)
 	}
 }
 
@@ -318,10 +318,10 @@ func TestFaultyClusterDigest(t *testing.T) {
 		}
 	}
 	s := net.FaultStats()
-	if cluster.CommittedHeight() < 20 || proposals == 0 || votes == 0 ||
+	if cluster.committed < 20 || proposals == 0 || votes == 0 ||
 		s.Dropped == 0 || s.Duplicated == 0 || s.Reordered == 0 || s.Corrupted == 0 {
 		t.Fatalf("the run left a fault path unexercised: height %d, evidence %d proposal / %d vote, wan %+v",
-			cluster.CommittedHeight(), proposals, votes, s)
+			cluster.committed, proposals, votes, s)
 	}
 	j.Check(t, faultyClusterJournal)
 }
@@ -397,11 +397,11 @@ func TestVoteTablesBoundedByCurrentHeight(t *testing.T) {
 			}
 		}
 	}
-	for cluster.CommittedHeight() < 1000 {
+	for cluster.committed < 1000 {
 		sched.RunUntil(sched.Now() + time.Minute)
 		check()
 		if sched.Now() > 4*time.Hour {
-			t.Fatalf("only %d heights after %v", cluster.CommittedHeight(), sched.Now())
+			t.Fatalf("only %d heights after %v", cluster.committed, sched.Now())
 		}
 	}
 	if len(cluster.Evidence()) == 0 {

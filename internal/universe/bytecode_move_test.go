@@ -92,7 +92,7 @@ func TestBytecodeContractMovesAcrossChains(t *testing.T) {
 
 	// Deploy the raw bytecode via a plain create transaction.
 	txid := cl.Create(eth, ledgerCode(), u256.Zero())
-	rec, err := u.WaitTx(eth, txid, 3*time.Minute)
+	rec, err := u.waitTx(eth, txid, 3*time.Minute)
 	if err != nil || !rec.Succeeded() {
 		t.Fatalf("deploy: %v %+v", err, rec)
 	}

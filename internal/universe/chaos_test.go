@@ -37,6 +37,20 @@ func newChaosUniverse(t *testing.T, clients int, seed int64, faults simnet.LinkF
 	return u
 }
 
+// setRelayerCut severs (or heals) every relayer-facing link in the
+// universe: all client submission paths and all header relays, including
+// relay links EnsureRelay builds later. It models a relayer whose network
+// partitions away mid-move.
+func (u *Universe) setRelayerCut(cut bool) {
+	u.relayerCut = cut
+	for _, link := range u.submitLinks {
+		link.SetCut(cut)
+	}
+	for _, link := range u.relayLinks {
+		link.SetCut(cut)
+	}
+}
+
 // TestMoveUnder20PctDropAndDup is the headline chaos scenario: every link in
 // the universe — validator WAN, client submissions, header relays — drops
 // 20% of messages and duplicates another 20%, with jitter. A full
@@ -226,7 +240,7 @@ func TestDuplicateMove2Rejected(t *testing.T) {
 	before, beforeOK := eth.StateDB().GetAccount(store)
 	dup := u.Client(1)
 	dupID := dup.SubmitSigned(eth, dup.SignedMove2(eth, entry.Payload))
-	rec, err := u.WaitTx(eth, dupID, 10*time.Minute)
+	rec, err := u.waitTx(eth, dupID, 10*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +290,7 @@ func TestPartitionThenHealCompletesMove(t *testing.T) {
 		t.Fatal("move1 never committed")
 	}
 	baseline := u.Counters().Get("relay.confirm_retries")
-	u.SetRelayerCut(true)
+	u.setRelayerCut(true)
 	// Several blocks on both chains pass with the relayer isolated: the
 	// target light client learns nothing, confirmation cannot progress.
 	u.Run(2 * time.Minute)
@@ -288,7 +302,7 @@ func TestPartitionThenHealCompletesMove(t *testing.T) {
 		t.Fatalf("confirmation polling must keep retrying through the outage, got %d retries", duringOutage)
 	}
 
-	u.SetRelayerCut(false)
+	u.setRelayerCut(false)
 	if !u.RunUntil(func() bool { return result != nil }, 30*time.Minute) {
 		t.Fatal("move must complete after the partition heals")
 	}
@@ -336,12 +350,8 @@ func TestConfirmDeadlineFailsMoveDistinctly(t *testing.T) {
 	}
 	// Cut only the header relays: the light client freezes, and the
 	// confirmation deadline must fire.
-	for _, a := range u.ChainIDs() {
-		for _, b := range u.ChainIDs() {
-			if a != b {
-				u.RelayLink(a, b).SetCut(true)
-			}
-		}
+	for _, link := range u.relayLinks {
+		link.SetCut(true)
 	}
 	if !u.RunUntil(func() bool { return result != nil }, 30*time.Minute) {
 		t.Fatal("move must fail instead of polling forever")

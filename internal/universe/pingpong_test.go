@@ -156,7 +156,7 @@ func writeStore(tb testing.TB, u *Universe, c hashing.ChainID, store hashing.Add
 		last = cl.Call(ch, store, contracts.EncodeCall("set", contracts.ArgUint(uint64(j*n/k)), contracts.ArgWord(v)), u256.Zero())
 	}
 	if k > 0 {
-		if rec, err := u.WaitTx(ch, last, 30*time.Minute); err != nil || !rec.Succeeded() {
+		if rec, err := u.waitTx(ch, last, 30*time.Minute); err != nil || !rec.Succeeded() {
 			tb.Fatalf("write %d%% of Store-%d: %v %v", pct, n, err, rec)
 		}
 	}

@@ -36,10 +36,10 @@ func TestLazyRelayMeshIsOActivePairs(t *testing.T) {
 	if got := len(u.relayLinks); got != 2 {
 		t.Fatalf("repeat mover grew the mesh to %d links, want 2", got)
 	}
-	if u.RelayLink(1, 2) == nil || u.RelayLink(2, 1) == nil {
-		t.Fatal("materialized links not visible via RelayLink")
+	if u.relayLinks[[2]hashing.ChainID{1, 2}] == nil || u.relayLinks[[2]hashing.ChainID{2, 1}] == nil {
+		t.Fatal("materialized links not in the mesh")
 	}
-	if u.RelayLink(1, 3) != nil {
+	if u.relayLinks[[2]hashing.ChainID{1, 3}] != nil {
 		t.Fatal("untouched pair has a link")
 	}
 
@@ -77,7 +77,7 @@ func TestLazyRelaySeedsArePositionDerived(t *testing.T) {
 		u.Run(2 * time.Minute)
 		out := make(map[[2]hashing.ChainID]simnet.LinkStats)
 		for _, p := range order {
-			out[p] = u.RelayLink(p[0], p[1]).Stats()
+			out[p] = u.relayLinks[p].Stats()
 		}
 		return out
 	}
@@ -119,7 +119,8 @@ func TestLazyRelaySeedsMatchEagerMesh(t *testing.T) {
 		for _, a := range ids {
 			for _, b := range ids {
 				if a != b {
-					out[[2]hashing.ChainID{a, b}] = u.RelayLink(a, b).Stats()
+					p := [2]hashing.ChainID{a, b}
+					out[p] = u.relayLinks[p].Stats()
 				}
 			}
 		}
@@ -143,10 +144,10 @@ func TestRelayerCutCoversLaterRelays(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer u.Close()
-	u.SetRelayerCut(true)
+	u.setRelayerCut(true)
 	u.Mover(1, 2)
-	if !u.RelayLink(1, 2).Cut() || !u.RelayLink(2, 1).Cut() {
-		t.Fatal("relay links built after SetRelayerCut(true) are not cut")
+	if !u.relayLinks[[2]hashing.ChainID{1, 2}].Cut() || !u.relayLinks[[2]hashing.ChainID{2, 1}].Cut() {
+		t.Fatal("relay links built after setRelayerCut(true) are not cut")
 	}
 }
 

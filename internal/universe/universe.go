@@ -338,7 +338,7 @@ type Universe struct {
 	reg         *metrics.Registry // nil unless Config.Metrics/Trace
 	submitLinks map[hashing.ChainID]*simnet.Link
 	relayLinks  map[[2]hashing.ChainID]*simnet.Link
-	relayerCut  bool              // SetRelayerCut's state, applied to links built later
+	relayerCut  bool              // a relayer partition: EnsureRelay cuts the links it builds
 	procBase    map[string]uint64 // metrics.Process once New has provisioned; nil unless u.reg
 
 	// Scaling state (Config.Lanes, Users).
@@ -611,13 +611,6 @@ func (u *Universe) Counters() *metrics.Counters {
 // record into and renders nothing.
 func (u *Universe) Metrics() *metrics.Registry { return u.reg }
 
-// RelayLink returns the header relay link from chain a to chain b, or nil
-// when it does not exist yet (Config.Lanes defers creation to first use;
-// see EnsureRelay).
-func (u *Universe) RelayLink(a, b hashing.ChainID) *simnet.Link {
-	return u.relayLinks[[2]hashing.ChainID{a, b}]
-}
-
 // EnsureRelay returns the a→b header relay link, creating it (and
 // registering its OnBlock forwarder) on first use; it builds every relay
 // link, the eager mesh's too. The link's fault seed derives from the pair's
@@ -643,20 +636,6 @@ func (u *Universe) EnsureRelay(a, b hashing.ChainID) *simnet.Link {
 	u.relayLinks[key] = link
 	chain.ConnectHeaderRelayVia(u.chains[a], u.chains[b], link, u.relayWindow)
 	return link
-}
-
-// SetRelayerCut severs (or heals) every relayer-facing link in the
-// universe: all client submission paths and all header relays, including
-// relay links EnsureRelay builds later. It models a relayer whose network
-// partitions away mid-move.
-func (u *Universe) SetRelayerCut(cut bool) {
-	u.relayerCut = cut
-	for _, link := range u.submitLinks {
-		link.SetCut(cut)
-	}
-	for _, link := range u.relayLinks {
-		link.SetCut(cut)
-	}
 }
 
 // Start launches every chain's consensus. With Realtime the launch is
@@ -808,9 +787,9 @@ func (u *Universe) RunUntil(cond func() bool, timeout time.Duration) bool {
 // ErrTxTimeout reports a transaction that did not commit in time.
 var ErrTxTimeout = errors.New("universe: transaction did not commit in time")
 
-// WaitTx advances the simulation until the transaction executes on c,
+// waitTx advances the simulation until the transaction executes on c,
 // returning its receipt.
-func (u *Universe) WaitTx(c *chain.Chain, id hashing.Hash, timeout time.Duration) (*types.Receipt, error) {
+func (u *Universe) waitTx(c *chain.Chain, id hashing.Hash, timeout time.Duration) (*types.Receipt, error) {
 	ok := u.RunUntil(func() bool {
 		_, found := c.Receipt(id)
 		return found
@@ -834,20 +813,9 @@ func (u *Universe) waitSigned(cl *relay.Client, c *chain.Chain, tx *types.Transa
 	deadline := u.Sched.Now() + timeout
 	for {
 		cl.SubmitSigned(c, tx)
-		window := resubmitEvery
-		if left := deadline - u.Sched.Now(); left < window {
-			window = left
-		}
-		ok := u.RunUntil(func() bool {
-			_, found := c.Receipt(txid)
-			return found
-		}, window)
-		if ok {
-			rec, _ := c.Receipt(txid)
-			return rec, nil
-		}
-		if u.Sched.Now() >= deadline {
-			return nil, fmt.Errorf("%w: %s on %s", ErrTxTimeout, txid, c.ChainID())
+		rec, err := u.waitTx(c, txid, min(resubmitEvery, deadline-u.Sched.Now()))
+		if err == nil || u.Sched.Now() >= deadline {
+			return rec, err
 		}
 	}
 }
