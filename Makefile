@@ -60,7 +60,7 @@ benchtest:
 # and every rebuild goes through — indistinguishable from a Set loop (root,
 # proofs, later writes), refusing runs that are not strictly ascending, and
 # constant in allocations. A Move2 prepared off the event loop from the
-# moment ExpectMove2 announces its payload must apply exactly as one computed
+# moment BuildMove2 builds its payload must apply exactly as one computed
 # at apply (receipts, gas, error text, roots, and an installed storage that
 # reads back as a Set loop over the payload; MPT ↔ IAVL and IAVL → IAVL),
 # only a Move2 with the same source chain and storage entries may take the
@@ -88,21 +88,22 @@ benchtest:
 # the retained-root history slides in place once its window is full, and a
 # Move2 home's commit over a stale file-store copy allocates the same bytes
 # at 500 and at 2 000 slots. A block that takes a Move2 preparation whose
-# payload was edited after ExpectMove2 panics under go test, and so does a
+# payload was edited after BuildMove2 panics under go test, and so does a
 # transaction edited after it was signed, where a pool admits it and where
 # a block applies it.
 # A Move2 home ships a delta against the target's stale copy: a ping-pong
 # with 0, 1, 10 and 100 % of the slots written abroad leaves the same
 # storage, storage root, Lc, move nonce and Move2 gas at home as the full
-# payload a pruned copy forces, and neither the relayer's delta build nor
-# ExpectMove2's read of the copy allocates per slot. A file-store commit
+# payload a pruned copy forces, and a delta home — the build that reads
+# both copies, its preparation and a block's taking of it — does not
+# allocate per slot. A file-store commit
 # whose segment write fails leaves the index, the byte counts and the root
 # as they were.
 # A delta Move2 home is k SSTOREs on the target's copy: a one-entry home
 # builds the same tree nodes at 500 and 2 000 slots — none over a resident
 # copy, one stub's over a copy eviction shrank to hash stubs — on MPT and
 # IAVL targets from either kind, and reads the copy whole once, in the
-# relayer's build, which lends it to the preparation. A delta one gas short
+# relayer's build, which hands it to the preparation. A delta one gas short
 # reads as many slots at 500 as at 2 000 before it is refused. A same-kind
 # delta is refused by the copy's updated root with VerifyMove2's errors, and
 # the revert restores the copy. An evicted tree keeps at most
@@ -330,7 +331,8 @@ shardsmoke:
 experiments:
 	$(GO) run ./cmd/movebench -experiment all -scale 0.08
 
-# loc prints the non-test Go lines outside benchmark/: the size of the
-# program that ROADMAP.md's "Minimal" aim tracks. It is not part of check.
+# loc prints the non-test Go lines outside benchmark/ and testdata/: the
+# size of the program that ROADMAP.md's "Minimal" aim tracks (no build
+# compiles a testdata/ fixture). It is not part of check.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -exec cat {} + | wc -l
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' ! -path '*/testdata/*' -exec cat {} + | wc -l

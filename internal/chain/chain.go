@@ -101,12 +101,12 @@ type BlockListener func(block *types.Block, receipts []*types.Receipt)
 //     Query pinned to a height is served between blocks by construction —
 //     the lock excludes a concurrent mid-block Commit.
 //   - SubmitTx/SubmitTxs take no chain lock at all; the pool and the Move2
-//     preparation list have their own. BuildMoveDelta and ExpectMove2 take
-//     the write lock only to read the copy a delta is built against and
-//     merged into. prepMu is never held together with pool.mu, nor chain.mu
-//     taken under it: ApplyBlock takes its preparations before it locks,
-//     and a Move2 applied under chain.mu takes prepMu only for the free
-//     list of storage runs (takeRun, putRun).
+//     preparation slot have their own. BuildMove2 takes the write lock to
+//     read the copy a payload is built against, and prepMu under it to
+//     start the payload's preparation. prepMu is never held together with
+//     pool.mu, nor chain.mu taken under it: ApplyBlock takes its
+//     preparation before it locks, and a Move2 applied under chain.mu that
+//     has none computes it in the chain's scratch, without prepMu.
 type Chain struct {
 	cfg     Config
 	db      *state.DB
@@ -147,40 +147,31 @@ type Chain struct {
 	// inline.
 	dispatch func(func())
 
-	// prep holds, oldest first, the storage work ExpectMove2 started for
-	// Move2 payloads a transaction is expected to carry here. An entry
-	// leaves when ApplyBlock takes it for a Move2 with the same content,
-	// when a newer one beyond maxPrepared drops it, or at Close, which
-	// waits on prepWG for every goroutine started.
+	// prep is the slot of the storage work BuildMove2 last started for a
+	// Move2 payload a transaction is expected to carry here. A block that
+	// applies a Move2 with the same content takes it; the slot then keeps
+	// its runs, with p nil, for the next preparation. A build that finds it
+	// untaken replaces it and leaves its runs to the goroutine still
+	// running on them. Close waits on prepWG for every goroutine started.
 	prepMu     sync.Mutex
-	prep       []*move2Prep
+	prep       *move2Prep
 	prepClosed bool
 	prepWG     sync.WaitGroup
-	// runs are storage runs a Move2's storage work is done with (the copy it
-	// is merged into, the merge), kept under prepMu for the next one.
-	runs [][]types.StorageEntry
-	// lent is the copy BuildMoveDelta last read for the delta lentFor, kept
-	// under prepMu for the ExpectMove2 that announces it.
-	lent    []types.StorageEntry
-	lentFor *types.Move2Payload
+	// scratch is what BuildMove2 reads the source's and this chain's
+	// copies of a contract into, and the runs a Move2 computed at apply is
+	// merged in; c.mu guards it.
+	scratch core.MoveScratch
 }
 
 // move2Prep is the storage work of the Move2 payload p; res is set before
-// done closes. base is the copy ExpectMove2 read for it to be merged into
-// (empty for a full payload) and merged the run its merge was done in; they
-// go back to the free list when a block takes the preparation.
+// done closes. base is the copy BuildMove2 read for it to be merged into
+// (empty for a full payload) and merged the run its merge was done in.
 type move2Prep struct {
 	p            *types.Move2Payload
 	base, merged []types.StorageEntry
 	done         chan struct{}
 	res          *core.Move2Storage
 }
-
-// maxPrepared bounds the preparation list: a Store-1900 Move2's prepared
-// tree takes 0.37 MiB (IAVL) to 0.63 MiB (MPT), and the Move workloads here
-// have at most one preparable Move2 expected at a time. An expectation
-// beyond the bound drops the oldest.
-const maxPrepared = 32
 
 // txRecord is what a chain keeps of an executed transaction: the height of
 // its block and its receipt.
@@ -394,7 +385,7 @@ func (c *Chain) SubmitTxs(txs []*types.Transaction) []error {
 }
 
 // prepareMin is the smallest Move2 payload, in storage entries, that
-// ExpectMove2 prepares. What the event loop pays for one Move2 — admission
+// BuildMove2 prepares. What the event loop pays for one Move2 — admission
 // plus the block that applies it, MPT → IAVL on a 2-core host — computed at
 // apply against prepared is 15 against 20 µs at 4 entries, 22 against 22 at
 // 8 and 24 against 19 at 16; from there the inline cost grows with the
@@ -402,179 +393,114 @@ func (c *Chain) SubmitTxs(txs []*types.Transaction) []error {
 // and sharded (2–3) Move stays below it.
 const prepareMin = 16
 
-// BuildMoveDelta is core.BuildMoveDelta for a Move to this chain from the
-// chain whose state is src: it reads this chain's copy of the contract
-// under the chain's lock, into sc's target-side run (one from the chain's
-// free list, when sc has none). For a delta it keeps that run for the
-// ExpectMove2 that announces the payload, so the copy is read once per
-// Move2 home, and hands sc a run from the free list in exchange.
-func (c *Chain) BuildMoveDelta(src *state.DB, contract hashing.Address, height uint64, sc *core.MoveScratch) (*types.Move2Payload, error) {
-	if sc.Target == nil {
-		sc.Target = c.takeRun()
-	}
+// BuildMove2 is core.BuildMoveDelta for a Move to this chain from the
+// chain whose state is src, built under this chain's lock in the chain's
+// scratch: a delta against this chain's copy of the contract where it
+// holds one, the full payload otherwise. A relayer calls it as soon as the
+// Move1 block commits. For a payload that needs a preparation
+// (core.NeedsPreparation) and stands for at least prepareMin entries it
+// also starts core.PrepareMove2 — the completeness root, and for a full
+// payload the tree to install — on a goroutine of the chain's own, over
+// the copy the build just read, so the work overlaps the source's
+// confirmation wait. ApplyBlock takes the result for a Move2 with the same
+// source chain, storage entries, base and deleted keys (see takePrepared);
+// the payload must not be modified afterwards. A Move2 whose preparation
+// was replaced, or that BuildMove2 never built (sent over RPC, replayed,
+// retried, forged), is computed by applyMove2 with the same pure function,
+// so simulated results never depend on this.
+func (c *Chain) BuildMove2(src *state.DB, contract hashing.Address, height uint64) (*types.Move2Payload, error) {
 	c.mu.Lock()
-	p, err := core.BuildMoveDelta(src, c.db, contract, height, sc)
-	c.mu.Unlock()
-	if err != nil || !p.IsDelta() {
-		return p, err
+	defer c.mu.Unlock()
+	p, err := core.BuildMoveDelta(src, c.db, contract, height, &c.scratch)
+	if err != nil {
+		return nil, err
 	}
-	c.prepMu.Lock()
-	defer c.prepMu.Unlock()
-	c.putRunLocked(c.lent)
-	c.lent, c.lentFor, sc.Target = sc.Target, p, c.takeRunLocked()
+	// A delta stands for the source's storage, the run it was diffed
+	// against.
+	n := len(p.Storage)
+	if p.IsDelta() {
+		n = len(c.scratch.Source)
+	}
+	c.prepare(p, n)
 	return p, nil
 }
 
-// ExpectMove2 starts core.PrepareMove2 — the completeness root, and for a
-// full payload the tree to install — for a Move2 payload that a
-// transaction is expected to carry here later, on a goroutine of the
-// chain's own. A relayer calls it as soon as it holds the payload, so the
-// work overlaps the source's confirmation wait. A delta from a chain of
-// this chain's tree kind needs no preparation (core.NeedsPreparation); any
-// other delta is merged into this chain's copy of the contract, which
-// BuildMoveDelta lent for it, or which is read here, on the caller's
-// goroutine, when it did not. The goroutine merges and hashes: the hashing
-// stays off the event loop, and both runs come from, and go back to, the
-// chain's free list. ApplyBlock takes the result for a Move2 with the same
-// source chain, storage entries, base and deleted keys (see takePrepared);
-// p must not be modified afterwards. A payload that stands for fewer than
-// prepareMin entries, a delta whose base is not this chain's copy, or one
-// already expected, is ignored; beyond maxPrepared expectations a new one
-// drops the oldest. A Move2 nobody announced (sent over RPC, replayed,
-// forged) is computed by applyMove2 with the same pure function, so
-// simulated results never depend on this.
-func (c *Chain) ExpectMove2(p *types.Move2Payload) {
-	if p == nil {
+// prepare starts, in the slot, the preparation of p, which stands for n
+// storage entries, if it needs one and n is at least prepareMin. A delta is
+// merged into its base, the copy BuildMoveDelta just read into
+// c.scratch.Target, which prepare hands to the slot for the slot's free
+// base run. The caller holds c.mu.
+func (c *Chain) prepare(p *types.Move2Payload, n int) {
+	if n < prepareMin || !core.NeedsPreparation(c.headers, c.cfg.TreeKind, p) {
 		return
 	}
 	c.prepMu.Lock()
-	base := c.lent
-	if c.lentFor != p {
-		c.putRunLocked(base)
-		base = nil
-	}
-	c.lent, c.lentFor = nil, nil
-	c.prepMu.Unlock()
-	c.mu.Lock()
-	_, err := core.Move2Code(c.db, p)
-	prepare := err == nil && core.NeedsPreparation(c.headers, c.cfg.TreeKind, p) &&
-		core.Move2Entries(c.db, p) >= prepareMin
-	if prepare && base == nil && p.IsDelta() {
-		base = core.AppendMove2Base(c.takeRun(), c.db, p)
-	}
-	c.mu.Unlock()
-	c.prepMu.Lock()
 	defer c.prepMu.Unlock()
-	if !prepare || c.prepClosed || c.findPrepared(p) >= 0 {
-		c.putRunLocked(base)
+	if c.prepClosed {
 		return
 	}
-	if len(c.prep) == maxPrepared {
-		c.prep = slices.Delete(c.prep, 0, 1)
+	e := &move2Prep{p: p, done: make(chan struct{})}
+	if old := c.prep; old != nil && old.p == nil { // taken: its runs are free
+		e.base, e.merged = old.base[:0], old.merged
 	}
-	c.prep = append(c.prep, c.startPrep(p, base))
-}
-
-// maxRuns bounds the free list of storage runs: two per preparation.
-const maxRuns = 2 * maxPrepared
-
-// takeRun returns an empty storage run from the free list, or nil.
-func (c *Chain) takeRun() []types.StorageEntry {
-	c.prepMu.Lock()
-	defer c.prepMu.Unlock()
-	return c.takeRunLocked()
-}
-
-// takeRunLocked is takeRun for a caller that holds prepMu.
-func (c *Chain) takeRunLocked() []types.StorageEntry {
-	n := len(c.runs)
-	if n == 0 {
-		return nil
+	if p.IsDelta() {
+		e.base, c.scratch.Target = c.scratch.Target, e.base
 	}
-	r := c.runs[n-1]
-	c.runs[n-1] = nil
-	c.runs = c.runs[:n-1]
-	return r
-}
-
-// putRun gives r back to the free list.
-func (c *Chain) putRun(r []types.StorageEntry) {
-	c.prepMu.Lock()
-	defer c.prepMu.Unlock()
-	c.putRunLocked(r)
-}
-
-// putRunLocked is putRun for a caller that holds prepMu.
-func (c *Chain) putRunLocked(r []types.StorageEntry) {
-	if cap(r) > 0 && len(c.runs) < maxRuns {
-		c.runs = append(c.runs, r[:0])
-	}
-}
-
-// findPrepared returns the index of the preparation whose payload has p's
-// source chain, storage entries, base and deleted keys, the only parts of a
-// payload its preparation reads (a delta's base entries are pinned by the
-// base root, which apply checks again), or -1. Entries are compared by
-// value: a payload that differs in one slot, forged or rebuilt, is not the
-// one expected, and the copy a consensus commit decodes finds the entry as
-// well as the relayer's own object does. The caller holds prepMu.
-func (c *Chain) findPrepared(p *types.Move2Payload) int {
-	return slices.IndexFunc(c.prep, func(e *move2Prep) bool {
-		return e.p.SourceChain == p.SourceChain && e.p.Base == p.Base &&
-			slices.Equal(e.p.Storage, p.Storage) && slices.Equal(e.p.Deleted, p.Deleted)
-	})
-}
-
-// startPrep starts p's preparation over base on a goroutine of its own,
-// which Close waits for. The merge is done in a run from the free list. The
-// caller holds prepMu.
-func (c *Chain) startPrep(p *types.Move2Payload, base []types.StorageEntry) *move2Prep {
-	e := &move2Prep{p: p, base: base, done: make(chan struct{})}
+	c.prep = e
 	c.prepWG.Add(1)
 	go func() {
 		defer c.prepWG.Done()
-		e.res, e.merged = core.PrepareMove2(c.headers, c.cfg.TreeKind, p, base, c.takeRun())
+		e.res, e.merged = core.PrepareMove2(c.headers, c.cfg.TreeKind, e.p, e.base, e.merged)
 		close(e.done)
 	}()
-	return e
 }
 
-// takePrepared removes the preparations of txs' Move2s from the list and
-// returns their results, waiting for any still being computed: res[i]
+// takePrepared takes the preparation of txs' Move2 from the slot and
+// returns its result, waiting for it if it is still being computed: res[i]
 // belongs to txs[i] and is nil where there was none (res itself is nil when
-// no transaction had one). ApplyBlock calls it before taking c.mu, so
-// neither readers nor submitters wait on a preparation. A taken result whose
-// transaction fails before applyMove2 is dropped with the block. Under go
-// test it panics when a result no longer matches its transaction's
-// entries: the payload was modified after ExpectMove2.
+// no transaction had one). A preparation is taken for a Move2 whose source
+// chain, storage entries, base and deleted keys equal its payload's, the
+// only parts its preparation reads (a delta's base entries are pinned by
+// the base root, which apply checks again). Entries are compared by value:
+// a payload that differs in one slot, forged or rebuilt, is not the one
+// prepared, and the copy a consensus commit decodes finds it as well as the
+// relayer's own object does. ApplyBlock calls it before taking c.mu, so
+// neither readers nor submitters wait on a preparation. A taken result
+// whose transaction fails before applyMove2 is dropped with the block.
+// Under go test it panics when a result no longer matches its
+// transaction's entries: the payload was modified after BuildMove2.
 func (c *Chain) takePrepared(txs []*types.Transaction) []*core.Move2Storage {
 	var res []*core.Move2Storage
 	for i, tx := range txs {
-		// Every Move2 may have a preparation: the count that decides it is
-		// its merge's, which only the copy it was merged into can tell.
-		if tx.Kind != types.TxMove2 || tx.Move2 == nil {
+		p := tx.Move2
+		if tx.Kind != types.TxMove2 || p == nil {
 			continue
 		}
-		var e *move2Prep
 		c.prepMu.Lock()
-		if j := c.findPrepared(tx.Move2); j >= 0 {
-			e = c.prep[j]
-			c.prep = slices.Delete(c.prep, j, j+1) // clears the vacated slot
-		}
-		c.prepMu.Unlock()
-		if e == nil {
+		e := c.prep
+		if e == nil || e.p == nil || e.p.SourceChain != p.SourceChain || e.p.Base != p.Base ||
+			!slices.Equal(e.p.Storage, p.Storage) || !slices.Equal(e.p.Deleted, p.Deleted) {
+			c.prepMu.Unlock()
 			continue
 		}
+		c.prep = nil
+		c.prepMu.Unlock()
 		metrics.Recv(c.prepWait, e.done)
-		if testing.Testing() && !e.res.Matches(c.headers, tx.Move2, e.base, e.merged) {
-			panic(fmt.Sprintf("chain %s: the Move2 payload of %s changed after ExpectMove2 prepared it", c.cfg.ChainID, tx.Move2.Contract))
+		if testing.Testing() && !e.res.Matches(c.headers, p, e.base, e.merged) {
+			panic(fmt.Sprintf("chain %s: the Move2 payload of %s changed after BuildMove2 prepared it", c.cfg.ChainID, p.Contract))
 		}
-		c.putRun(e.base)
-		c.putRun(e.merged)
 		if res == nil {
 			res = make([]*core.Move2Storage, len(txs))
 		}
 		res[i] = e.res
+		// The slot keeps the runs for the next preparation, unless a build
+		// filled it meanwhile.
+		c.prepMu.Lock()
+		if c.prep == nil {
+			e.p, e.res = nil, nil
+			c.prep = e
+		}
+		c.prepMu.Unlock()
 	}
 	return res
 }
@@ -855,8 +781,9 @@ func (c *Chain) applyTx(tx *types.Transaction, blockCtx evm.BlockContext, s *cor
 // applyMove2 charges the recreation gas of Alg. 1 (contract creation plus
 // one SSTORE per storage entry plus proof verification), verifies the
 // payload, installs the contract, and runs moveFinish(·). s is the
-// payload's storage work ExpectMove2 prepared; without one it is computed
-// here where the payload needs one (core.NeedsPreparation).
+// payload's storage work BuildMove2 prepared; without one it is computed
+// here, in the chain's scratch, where the payload needs one
+// (core.NeedsPreparation).
 //
 // A delta pays what the full payload it stands for pays: gas for the code
 // it installs and for every entry of its merge into this chain's copy, not
@@ -887,11 +814,9 @@ func (c *Chain) applyMove2(vm *evm.EVM, tx *types.Transaction, gas uint64, s *co
 	if baseErr != nil {
 		s = nil
 	} else if s == nil && core.NeedsPreparation(c.headers, c.cfg.TreeKind, p) {
-		base := core.AppendMove2Base(c.takeRun(), st, p)
-		var merged []types.StorageEntry
-		s, merged = core.PrepareMove2(c.headers, c.cfg.TreeKind, p, base, c.takeRun())
-		c.putRun(base)
-		c.putRun(merged)
+		sc := &c.scratch
+		sc.Target = core.AppendMove2Base(sc.Target[:0], st, p)
+		s, sc.Source = core.PrepareMove2(c.headers, c.cfg.TreeKind, p, sc.Target, sc.Source)
 	}
 	if s != nil {
 		st.TreeWork().Built(s.Nodes)

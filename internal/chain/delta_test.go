@@ -35,22 +35,20 @@ func fillContract(db *state.DB, contract hashing.Address, n int, loc hashing.Cha
 }
 
 // TestDeltaWorkAllocatesNoRun pins the two O(n) reads of a Move2 home to
-// memory that is reused: the relayer's delta build (Chain.BuildMoveDelta
-// reading the source's copy into its scratch and the target's into a run
-// from the target's free list, which it lends to the preparation) and
-// ExpectMove2's read of the target's copy when nothing was lent. Each
-// allocates the same objects and bytes for a 500-slot contract as for a
-// 2 000-slot one; the read allocates at most the two closures of a
-// resident tree's walk.
+// memory that is reused: BuildMove2 reads the source's copy and the
+// target's into the chain's scratch, and hands the target's to the
+// delta's preparation in the slot, whose merge is done in the slot's run.
+// Once a block has taken a preparation, a home — the build, the
+// preparation and the block's taking of its result — allocates the same
+// objects and bytes for a 500-slot contract as for a 2 000-slot one.
 func TestDeltaWorkAllocatesNoRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under -race")
 	}
 	contract := hashing.AddressFromBytes([]byte{0xde})
 	type cost struct {
-		buildAllocs float64
-		buildBytes  uint64
-		readAllocs  float64
+		allocs float64
+		bytes  uint64
 	}
 	measure := func(n int) cost {
 		src, err := state.NewDB(mptSource.ID, trie.KindMPT)
@@ -63,45 +61,32 @@ func TestDeltaWorkAllocatesNoRun(t *testing.T) {
 		c := newChain(t, burrowConfig(2), []core.ChainParams{mptSource}, keys.Deterministic(1))
 		fillContract(c.StateDB(), contract, n, mptSource.ID)
 
-		sc := new(core.MoveScratch)
-		var p *types.Move2Payload
-		build := func() {
-			if p, err = c.BuildMoveDelta(src, contract, 1, sc); err != nil {
+		tx := &types.Transaction{Kind: types.TxMove2}
+		home := func() {
+			if tx.Move2, err = c.BuildMove2(src, contract, 1); err != nil {
 				t.Fatal(err)
 			}
+			if res := c.takePrepared([]*types.Transaction{tx}); res == nil || res[0].Err != nil || res[0].Tree != nil {
+				t.Fatalf("%d slots: the preparation was not taken, or failed, or built a tree", n)
+			}
 		}
-		build()
-		if !p.IsDelta() || len(p.Storage) != 1 || len(p.Deleted) != 0 {
+		home()
+		if p := tx.Move2; !p.IsDelta() || len(p.Storage) != 1 || len(p.Deleted) != 0 {
 			t.Fatalf("%d slots: the delta carries %d entries and %d deleted keys, want 1 and 0", n, len(p.Storage), len(p.Deleted))
 		}
-		var got cost
-		got.buildAllocs = testing.AllocsPerRun(20, build)
-		got.buildBytes = ^uint64(0)
+		got := cost{allocs: testing.AllocsPerRun(20, home), bytes: ^uint64(0)}
 		for i := 0; i < 5; i++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			build()
+			home()
 			runtime.ReadMemStats(&after)
-			got.buildBytes = min(got.buildBytes, after.TotalAlloc-before.TotalAlloc)
-		}
-
-		c.ExpectMove2(p)
-		c.prepMu.Lock()
-		e := c.prep[0]
-		c.prepMu.Unlock()
-		<-e.done
-		// The payload is expected already: a second ExpectMove2, lent
-		// nothing, reads the base, finds the expectation and puts the run
-		// back.
-		got.readAllocs = testing.AllocsPerRun(20, func() { c.ExpectMove2(p) })
-		if preparedCount(c) != 1 || e.res.Err != nil || e.res.Tree != nil {
-			t.Fatalf("%d slots: %d preparations, the first with a tree %v (%v)", n, preparedCount(c), e.res.Tree != nil, e.res.Err)
+			got.bytes = min(got.bytes, after.TotalAlloc-before.TotalAlloc)
 		}
 		return got
 	}
 	small, large := measure(500), measure(2000)
-	if small != large || small.readAllocs > 2 {
-		t.Fatalf("allocations at 500 slots %+v, at 2 000 %+v: want equal, and at most 2 per read", small, large)
+	if small != large {
+		t.Fatalf("allocations at 500 slots %+v, at 2 000 %+v: want equal", small, large)
 	}
 }
 
@@ -146,8 +131,7 @@ func TestUnpaidDeltaDoesNoStorageWork(t *testing.T) {
 			_, rs := c.ApplyBlock([]*types.Transaction{tx}, 10+tx.Nonce, ProposerAddress(2, 0))
 			return rs[0]
 		}
-		// The first refusal leaves the run the copy was read into on the
-		// chain's free list; the second reads into it.
+		// The first refusal warms what the second reads through.
 		apply(txs[0])
 		var before, after runtime.MemStats
 		reads := c.StateDB().SlotsRead()
@@ -180,8 +164,8 @@ type homeWork struct{ reads, nodes uint64 }
 // hash stubs when evicted (a file store keeping one whole tree, and
 // another contract written since). Abroad, on a state of from's kind, slot
 // 7 was written and the contract locked towards the chain, whose light
-// client trusts that state's root. The relayer's steps are
-// Chain.BuildMoveDelta and ExpectMove2; a block then applies the Move2.
+// client trusts that state's root. The relayer's step is Chain.BuildMove2;
+// a block then applies the Move2.
 func deltaHome(t *testing.T, cfg Config, from core.ChainParams, n int, evicted bool) homeWork {
 	t.Helper()
 	kp := keys.Deterministic(1)
@@ -211,11 +195,10 @@ func deltaHome(t *testing.T, cfg Config, from core.ChainParams, n int, evicted b
 	trustSource(t, c, from, src.Commit())
 
 	reads, nodes := db.SlotsRead(), db.TreeWork().Nodes()
-	p, err := c.BuildMoveDelta(src, contract, 1, new(core.MoveScratch))
+	p, err := c.BuildMove2(src, contract, 1)
 	if err != nil || !p.IsDelta() || len(p.Storage) != 1 || len(p.Deleted) != 0 {
 		t.Fatalf("%d slots: the payload %+v (%v) is not a one-entry delta", n, p, err)
 	}
-	c.ExpectMove2(p)
 	tx := move2Tx(t, kp, cfg.ChainID, 0, p)
 	tx.GasLimit = 100_000_000
 	if err := tx.Sign(kp); err != nil {
@@ -267,7 +250,7 @@ func TestDeltaHomeNodesScaleWithK(t *testing.T) {
 
 // TestDeltaHomeReadsCopyOnce pins the reads of a delta Move2 home on its
 // target: the copy is read whole once, by the relayer's delta build, which
-// lends it to the preparation of a delta that needs one; beyond that the
+// hands it to the preparation of a delta that needs one; beyond that the
 // home reads the same few slots at 500 and at 2 000 slots.
 func TestDeltaHomeReadsCopyOnce(t *testing.T) {
 	deltaHomes(t, func(t *testing.T, home func(n int) homeWork, _ bool) {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"scmove/internal/core"
 	"scmove/internal/evm/asm"
@@ -42,10 +43,11 @@ type movedContract struct {
 	slots int
 }
 
-// lockedPayloads commits, in a fresh state of src's kind, one contract per
+// lockedSource commits, in a fresh state of src's kind, one contract per
 // spec, each with spec.slots storage slots and locked towards target, and
-// returns their Move2 payloads against that state's root at height 1.
-func lockedPayloads(t testing.TB, src core.ChainParams, target hashing.ChainID, specs ...movedContract) ([]*types.Move2Payload, hashing.Hash) {
+// returns that state, whose root a Move2's proof at height 1 is against,
+// and the contracts' addresses.
+func lockedSource(t testing.TB, src core.ChainParams, target hashing.ChainID, specs ...movedContract) (*state.DB, []hashing.Address) {
 	t.Helper()
 	db, err := state.NewDB(src.ID, src.TreeKind)
 	if err != nil {
@@ -63,14 +65,41 @@ func lockedPayloads(t testing.TB, src core.ChainParams, target hashing.ChainID, 
 		db.SetLocation(addrs[i], target)
 		db.SetMoveNonce(addrs[i], 1)
 	}
-	root := db.Commit()
-	payloads := make([]*types.Move2Payload, len(specs))
+	db.Commit()
+	return db, addrs
+}
+
+// lockedPayloads is lockedSource's contracts' Move2 payloads at height 1,
+// with the state root they are proven against.
+func lockedPayloads(t testing.TB, src core.ChainParams, target hashing.ChainID, specs ...movedContract) ([]*types.Move2Payload, hashing.Hash) {
+	t.Helper()
+	db, addrs := lockedSource(t, src, target, specs...)
+	payloads := make([]*types.Move2Payload, len(addrs))
 	for i, a := range addrs {
+		var err error
 		if payloads[i], err = core.BuildMoveProof(db, a, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return payloads, root
+	return payloads, db.Root()
+}
+
+// expect starts the preparation of p, a full payload that may be forged,
+// as BuildMove2 does for a payload it built.
+func expect(c *Chain, p *types.Move2Payload) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.prepare(p, len(p.Storage))
+}
+
+// prepared is c's untaken Move2 preparation, or nil.
+func prepared(c *Chain) *move2Prep {
+	c.prepMu.Lock()
+	defer c.prepMu.Unlock()
+	if c.prep == nil || c.prep.p == nil {
+		return nil
+	}
+	return c.prep
 }
 
 // trustSource makes c's light client trust root as src's state at height 1.
@@ -120,13 +149,6 @@ func tampered(p *types.Move2Payload, edit func(s []types.StorageEntry) []types.S
 	cp := *p
 	cp.Storage = edit(slices.Clone(p.Storage))
 	return &cp
-}
-
-// preparedCount is the length of c's Move2 preparation list.
-func preparedCount(c *Chain) int {
-	c.prepMu.Lock()
-	defer c.prepMu.Unlock()
-	return len(c.prep)
 }
 
 // waitGoroutines waits up to a few seconds for the goroutine count to fall
@@ -202,7 +224,7 @@ func move2Cases(t *testing.T, pair move2Pair) ([]move2Case, hashing.Hash) {
 // requireSameBlocks applies tx, as wire copies, in one block on each chain
 // and requires the receipts (status, gas, error text, logs), state roots and
 // header hashes to agree, the receipt's error to be the case's, no
-// preparation to be left listed, and a Move2 that succeeded to read back on
+// preparation to be left untaken, and a Move2 that succeeded to read back on
 // every chain (requireReadBack).
 func requireSameBlocks(t *testing.T, tc move2Case, tx *types.Transaction, now uint64, chains ...*Chain) {
 	t.Helper()
@@ -212,8 +234,8 @@ func requireSameBlocks(t *testing.T, tc move2Case, tx *types.Transaction, now ui
 	)
 	for i, c := range chains {
 		b, r := c.ApplyBlock([]*types.Transaction{wireCopy(t, tx)}, now, ProposerAddress(c.ChainID(), 0))
-		if n := preparedCount(c); n != 0 {
-			t.Fatalf("%s: chain %d has %d prepared entries left after the block", tc.name, i, n)
+		if prepared(c) != nil {
+			t.Fatalf("%s: chain %d has a preparation left after the block", tc.name, i)
 		}
 		if i == 0 {
 			first, recs = b, r
@@ -263,10 +285,10 @@ func requireReadBack(t *testing.T, name string, c *Chain, p *types.Move2Payload)
 
 // TestPreparedMove2MatchesInline is the differential of the two ways a Move2
 // reaches its storage work: prepared off the event loop from the moment a
-// relayer announces the payload (ExpectMove2), or computed inline at apply
-// because nobody did. Neither chain's pool sees the transaction, as on a
-// validator handed another's proposal: one chain is told to expect each
-// payload, the other is not, and both are handed the blocks as wire copies.
+// relayer builds the payload (BuildMove2, here on payloads it could not
+// have built too), or computed inline at apply because nobody did. Neither
+// chain's pool sees the transaction, as on a validator handed another's
+// proposal: one chain prepares each payload, the other does not, and both are handed the blocks as wire copies.
 // The receipts (status, gas, error text, logs), state roots and header
 // hashes must agree block for block, for MPT → IAVL, IAVL → MPT and
 // IAVL → IAVL, on valid payloads and on every failure class — and where two
@@ -282,14 +304,9 @@ func TestPreparedMove2MatchesInline(t *testing.T) {
 			trustSource(t, inline, pair.src, root)
 			for i, tc := range cases {
 				tx := move2Tx(t, kp, pair.dst.ChainID, uint64(i), tc.payload)
-				prep.ExpectMove2(tc.payload)
-				want := 0
-				if len(tc.payload.Storage) >= prepareMin {
-					want = 1
-				}
-				if got := preparedCount(prep); got != want {
-					t.Fatalf("%s: %d preparations listed for %d slots, want %d",
-						tc.name, got, len(tc.payload.Storage), want)
+				expect(prep, tc.payload)
+				if got, want := prepared(prep) != nil, len(tc.payload.Storage) >= prepareMin; got != want {
+					t.Fatalf("%s: prepared %v for %d slots, want %v", tc.name, got, len(tc.payload.Storage), want)
 				}
 				requireSameBlocks(t, tc, tx, uint64(100+i), prep, inline)
 			}
@@ -298,9 +315,9 @@ func TestPreparedMove2MatchesInline(t *testing.T) {
 }
 
 // TestExpectedMove2MatchesInline extends the differential to pool
-// admission, which prepares nothing: one chain is told to expect each
-// payload and then admits the transaction, which must leave the expectation
-// for the block; the other only admits it, which must list nothing. Both
+// admission, which prepares nothing: one chain prepares each payload and
+// then admits the transaction, which must leave the preparation for the
+// block; the other only admits it, which must prepare nothing. Both
 // must agree block for block on every case of TestPreparedMove2MatchesInline.
 func TestExpectedMove2MatchesInline(t *testing.T) {
 	for _, pair := range []move2Pair{mptToIAVL, iavlToMPT, iavlToIAVL} {
@@ -313,22 +330,19 @@ func TestExpectedMove2MatchesInline(t *testing.T) {
 			trustSource(t, admitted, pair.src, root)
 			for i, tc := range cases {
 				tx := move2Tx(t, kp, pair.dst.ChainID, uint64(i), tc.payload)
-				expected.ExpectMove2(tc.payload)
-				want := 0
-				if len(tc.payload.Storage) >= prepareMin {
-					want = 1
-				}
+				expect(expected, tc.payload)
+				want := len(tc.payload.Storage) >= prepareMin
 				for _, c := range []*Chain{expected, admitted} {
 					if err := c.SubmitTx(tx); err != nil {
 						t.Fatalf("%s: admission: %v", tc.name, err)
 					}
 				}
-				if got := preparedCount(expected); got != want {
-					t.Fatalf("%s: %d preparations listed after admitting %d slots, want %d",
+				if got := prepared(expected) != nil; got != want {
+					t.Fatalf("%s: prepared %v after admitting %d slots, want %v",
 						tc.name, got, len(tc.payload.Storage), want)
 				}
-				if n := preparedCount(admitted); n != 0 {
-					t.Fatalf("%s: admission alone listed %d preparations", tc.name, n)
+				if prepared(admitted) != nil {
+					t.Fatalf("%s: admission alone prepared the payload", tc.name)
 				}
 				requireSameBlocks(t, tc, tx, uint64(100+i), expected, admitted)
 			}
@@ -336,12 +350,12 @@ func TestExpectedMove2MatchesInline(t *testing.T) {
 	}
 }
 
-// TestExpectedMove2MatchesByContent: a block takes an expectation only for a
+// TestExpectedMove2MatchesByContent: a block takes a preparation only for a
 // Move2 carrying the same source chain and the same storage entries. A Move2
-// whose expectation names another source chain is computed at apply and
-// succeeds; one whose storage differs from the expected in one slot's value
-// is computed at apply and still fails completeness. Both expectations stay
-// listed after their blocks, until Close.
+// whose prepared payload names another source chain is computed at apply
+// and succeeds; one whose storage differs from the prepared in one slot's
+// value is computed at apply and still fails completeness. Each
+// preparation stays in the slot after its block, until Close.
 func TestExpectedMove2MatchesByContent(t *testing.T) {
 	kp := keys.Deterministic(1)
 	payloads, root := lockedPayloads(t, mptSource, 2, movedContract{stopCode, 100})
@@ -357,20 +371,20 @@ func TestExpectedMove2MatchesByContent(t *testing.T) {
 		if len(recs) != 1 {
 			t.Fatalf("Move2 %d: %d receipts", nonce, len(recs))
 		}
-		if n := preparedCount(c); n != int(nonce)+1 {
-			t.Fatalf("Move2 %d: %d expectations left after its block, want %d", nonce, n, nonce+1)
+		if prepared(c) == nil {
+			t.Fatalf("Move2 %d: a block took a preparation of other content", nonce)
 		}
 		return recs[0]
 	}
 
 	otherSource := *honest
 	otherSource.SourceChain = iavlSource.ID
-	c.ExpectMove2(&otherSource)
+	expect(c, &otherSource)
 	if rec := submit(0, honest); !rec.Succeeded() {
 		t.Fatalf("honest Move2: %s", rec.Err)
 	}
 
-	c.ExpectMove2(honest)
+	expect(c, honest)
 	forged := tampered(honest, func(s []types.StorageEntry) []types.StorageEntry {
 		s[42].Value[31] ^= 1
 		return s
@@ -381,94 +395,121 @@ func TestExpectedMove2MatchesByContent(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := preparedCount(c); n != 0 {
-		t.Fatalf("%d expectations after Close", n)
+	if prepared(c) != nil {
+		t.Fatal("a preparation is left after Close")
 	}
 }
 
 // TestExpectedMove2CatchesEditedPayload: one storage entry of a payload is
-// edited between ExpectMove2 and the block that applies it. The block's
-// transaction carries that very object, so it finds the expectation by
+// edited between BuildMove2 and the block that applies it. The block's
+// transaction carries that very object, so it finds the preparation by
 // content, and under go test takePrepared recomputes the source-kind root
 // over the edited entries and panics instead of installing a tree built
 // from entries the transaction no longer carries.
 func TestExpectedMove2CatchesEditedPayload(t *testing.T) {
 	kp := keys.Deterministic(1)
-	payloads, root := lockedPayloads(t, mptSource, 2, movedContract{stopCode, 100})
-	p := payloads[0]
+	src, addrs := lockedSource(t, mptSource, 2, movedContract{stopCode, 100})
 	c := newChain(t, burrowConfig(2), []core.ChainParams{mptSource}, kp)
-	trustSource(t, c, mptSource, root)
-	c.ExpectMove2(p)
-	c.prepMu.Lock()
-	prep := c.prep[0]
-	c.prepMu.Unlock()
-	<-prep.done // the edit comes after the preparation read the entries
+	trustSource(t, c, mptSource, src.Root())
+	p, err := c.BuildMove2(src, addrs[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-prepared(c).done // the edit comes after the preparation read the entries
 	p.Storage[42].Value[31] ^= 1
 	tx := move2Tx(t, kp, 2, 0, p)
 	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "changed after ExpectMove2") {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "changed after BuildMove2") {
 			t.Fatalf("ApplyBlock of an edited payload panicked with %v, want the prepared-result check", r)
 		}
 	}()
 	c.ApplyBlock([]*types.Transaction{tx}, 10, ProposerAddress(2, 0))
-	t.Fatal("ApplyBlock took the preparation of a payload edited after ExpectMove2")
+	t.Fatal("ApplyBlock took the preparation of a payload edited after BuildMove2")
 }
 
-// TestExpectedMove2Bounded: expectations that no block ever takes stay at
-// maxPrepared, the oldest leaving first, a payload expected twice is
-// prepared once, and one below prepareMin not at all; one a block takes from
-// the middle of the list leaves no pointer behind in its backing array.
-// Close waits for every preparation started, after which the goroutine count
-// is back where it was before the chain existed.
+// TestExpectedMove2Bounded: a chain holds at most one preparation, in one
+// slot, and a payload below prepareMin gets none. A second BuildMove2 while
+// the first preparation is untaken replaces it and leaves the first
+// goroutine its runs: no run is shared between the two, or with the
+// chain's scratch (under -race a shared run is a reported race as well). A
+// block takes the second, and the next build reuses its runs. Close waits
+// for every goroutine started, after which the goroutine count is back
+// where it was before the chain existed.
 func TestExpectedMove2Bounded(t *testing.T) {
 	keys.SharedPool() // the crypto workers live for the process
 	base := runtime.NumGoroutine()
-	specs := make([]movedContract, maxPrepared+8)
-	for i := range specs {
-		specs[i] = movedContract{stopCode, prepareMin + i}
-	}
-	payloads, _ := lockedPayloads(t, mptSource, 2, specs...)
-	small, _ := lockedPayloads(t, mptSource, 2, movedContract{stopCode, prepareMin - 1})
 	kp := keys.Deterministic(1)
+	contract, small := hashing.AddressFromBytes([]byte{0xde}), hashing.AddressFromBytes([]byte{0xdf})
+	src, err := state.NewDB(mptSource.ID, trie.KindMPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillContract(src, contract, 200, 2)
+	fillContract(src, small, prepareMin-1, 2)
+	src.SetStorage(contract, slotWord(7), slotWord(70_000))
+	src.SetMoveNonce(contract, 1)
 	c := newChain(t, burrowConfig(2), []core.ChainParams{mptSource}, kp)
-	c.ExpectMove2(small[0])
-	c.ExpectMove2(nil)
-	for _, p := range payloads {
-		c.ExpectMove2(p)
-		c.ExpectMove2(p)
+	fillContract(c.StateDB(), contract, 200, mptSource.ID)
+	trustSource(t, c, mptSource, src.Commit())
+	build := func() (*types.Move2Payload, *move2Prep) {
+		t.Helper()
+		p, err := c.BuildMove2(src, contract, 1)
+		if err != nil || !p.IsDelta() {
+			t.Fatalf("the build: %v, delta %v", err, p != nil && p.IsDelta())
+		}
+		e := prepared(c)
+		if e == nil || e.p != p {
+			t.Fatal("the build left its preparation out of the slot")
+		}
+		return p, e
 	}
-	if n := preparedCount(c); n != maxPrepared {
-		t.Fatalf("%d expectations, want the bound %d", n, maxPrepared)
+	if _, err := c.BuildMove2(src, small, 1); err != nil || prepared(c) != nil {
+		t.Fatalf("a payload of %d entries: %v, prepared %v", prepareMin-1, err, prepared(c) != nil)
 	}
-	listed := payloads[len(payloads)-maxPrepared:]
-	c.prepMu.Lock()
-	for i, e := range c.prep {
-		if e.p != listed[i] {
-			t.Errorf("expectation %d is for %s, want %s", i, e.p.Contract, listed[i].Contract)
+
+	_, first := build()
+	p, second := build()
+	if first == second {
+		t.Fatal("the second build did not replace the untaken preparation")
+	}
+	<-first.done
+	<-second.done
+	c.mu.Lock()
+	runs := [][]types.StorageEntry{first.base, first.merged, second.base, second.merged, c.scratch.Source, c.scratch.Target}
+	c.mu.Unlock()
+	for i, r := range runs {
+		for _, q := range runs[i+1:] {
+			if cap(r) > 0 && cap(q) > 0 && unsafe.SliceData(r) == unsafe.SliceData(q) {
+				t.Fatalf("run %d is shared with another preparation or the scratch", i)
+			}
 		}
 	}
-	c.prepMu.Unlock()
-	taken := listed[maxPrepared/2]
-	tx := wireCopy(t, move2Tx(t, kp, 2, 0, taken))
-	if _, recs := c.ApplyBlock([]*types.Transaction{tx}, 10, ProposerAddress(2, 0)); len(recs) != 1 {
-		t.Fatalf("%d receipts", len(recs))
+
+	tx := wireCopy(t, move2Tx(t, kp, 2, 0, p))
+	if _, recs := c.ApplyBlock([]*types.Transaction{tx}, 10, ProposerAddress(2, 0)); !recs[0].Succeeded() {
+		t.Fatalf("the Move2: %s", recs[0].Err)
 	}
 	c.prepMu.Lock()
-	if n := len(c.prep); n != maxPrepared-1 {
-		t.Errorf("%d expectations after a block took one, want %d", n, maxPrepared-1)
-	}
-	if slices.ContainsFunc(c.prep, func(e *move2Prep) bool { return e.p == taken }) {
-		t.Error("the block's Move2 left its expectation listed")
-	}
-	if spare := c.prep[len(c.prep):cap(c.prep)]; slices.ContainsFunc(spare, func(e *move2Prep) bool { return e != nil }) {
-		t.Error("a taken expectation is still reachable from the list's backing array")
-	}
-	left := slices.Clone(c.prep)
+	kept := c.prep == second && second.p == nil && second.res == nil
 	c.prepMu.Unlock()
+	if !kept {
+		t.Fatal("the slot does not keep the taken preparation's runs, and only them")
+	}
+	_, third := build()
+	<-third.done
+	c.mu.Lock()
+	reused := unsafe.SliceData(third.merged) == unsafe.SliceData(second.merged) &&
+		unsafe.SliceData(c.scratch.Target) == unsafe.SliceData(second.base)
+	c.mu.Unlock()
+	if !reused {
+		t.Fatal("the build after a taken preparation did not reuse its runs")
+	}
+
+	_, fourth := build()
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range left {
+	for _, e := range []*move2Prep{first, second, third, fourth} {
 		select {
 		case <-e.done:
 		default:
@@ -479,10 +520,11 @@ func TestExpectedMove2Bounded(t *testing.T) {
 }
 
 // TestConcurrentMove2Submission submits Move2s from several goroutines at
-// once, through SubmitTx and SubmitTxs and each twice, half of them announced
-// by ExpectMove2 first, while a drainer proposes and applies blocks; run it
+// once, through SubmitTx and SubmitTxs and each twice, half of them built by
+// BuildMove2 first, while a drainer proposes and applies blocks; run it
 // under -race (`make race`, or `-race -count=10`). Every Move2 must commit
-// exactly once, and the preparation list must end empty.
+// exactly once, and no preparation may be left untaken: the last one built
+// is the payload of a transaction submitted after it.
 func TestConcurrentMove2Submission(t *testing.T) {
 	const (
 		goroutines = 4
@@ -492,7 +534,7 @@ func TestConcurrentMove2Submission(t *testing.T) {
 	for i := range specs {
 		specs[i] = movedContract{stopCode, 20 + 20*i} // split from 128 entries on
 	}
-	payloads, root := lockedPayloads(t, mptSource, 2, specs...)
+	src, addrs := lockedSource(t, mptSource, 2, specs...)
 	kps := make([]*keys.KeyPair, goroutines)
 	for g := range kps {
 		kps[g] = keys.Deterministic(uint64(500 + g))
@@ -502,22 +544,28 @@ func TestConcurrentMove2Submission(t *testing.T) {
 		c.StateDB().AddBalance(kp.Address(), u256.FromUint64(fund))
 	}
 	c.StateDB().Commit()
-	trustSource(t, c, mptSource, root)
+	trustSource(t, c, mptSource, src.Root())
 	txs := make([][]*types.Transaction, goroutines)
 	for g, kp := range kps {
 		for n := 0; n < perSender; n++ {
-			txs[g] = append(txs[g], move2Tx(t, kp, 2, uint64(n), payloads[g*perSender+n]))
+			p, err := core.BuildMoveProof(src, addrs[g*perSender+n], 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			txs[g] = append(txs[g], move2Tx(t, kp, 2, uint64(n), p))
 		}
 	}
 
 	var wg sync.WaitGroup
 	for g := range txs {
 		wg.Add(1)
-		go func(batch []*types.Transaction, useBatch, expect bool) {
+		go func(batch []*types.Transaction, useBatch, build bool) {
 			defer wg.Done()
 			for _, tx := range batch {
-				if expect {
-					c.ExpectMove2(tx.Move2)
+				if build {
+					if _, err := c.BuildMove2(src, tx.Move2.Contract, 1); err != nil {
+						t.Errorf("build: %v", err)
+					}
 				}
 				// The second submission is a duplicate while the first is
 				// pending, or re-admitted once it committed and then evicted
@@ -569,8 +617,8 @@ func TestConcurrentMove2Submission(t *testing.T) {
 			}
 		}
 	}
-	if n := preparedCount(c); n != 0 {
-		t.Fatalf("%d preparations left with the pool empty", n)
+	if prepared(c) != nil {
+		t.Fatal("a preparation is left untaken with the pool empty")
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

@@ -41,10 +41,12 @@ func TestCommittedBodiesNotRetained(t *testing.T) {
 //go:noinline
 func commitTracked(t *testing.T, c *Chain, kp *keys.KeyPair) (*atomic.Int32, int32) {
 	t.Helper()
-	payloads, root := lockedPayloads(t, mptSource, 2, movedContract{stopCode, prepareMin})
-	trustSource(t, c, mptSource, root)
-	p := payloads[0]
-	c.ExpectMove2(p)
+	src, addrs := lockedSource(t, mptSource, 2, movedContract{stopCode, prepareMin})
+	trustSource(t, c, mptSource, src.Root())
+	p, err := c.BuildMove2(src, addrs[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	move2 := move2Tx(t, kp, 2, 0, p)
 	transfer := signedCall(t, kp, 2, 1, hashing.AddressFromBytes([]byte{1}), nil, 1)
 	for _, tx := range []*types.Transaction{move2, transfer} {

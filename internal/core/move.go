@@ -81,14 +81,14 @@ func proveLocked(db *state.DB, contract hashing.Address, height uint64) (*types.
 	}, acct, nil
 }
 
-// MoveScratch is BuildMoveDelta's reusable memory: the runs of the two
-// copies it compares. The zero value is ready; a payload never aliases it.
+// MoveScratch is BuildMoveDelta's reusable memory: the runs the source's
+// and the target's copies are read into. After a delta, Source holds the
+// storage the delta stands for and Target its base. The zero value is
+// ready; a payload never aliases it, so a caller may take either run and
+// replace it (chain.Chain.BuildMove2 hands Target to the delta's
+// preparation).
 type MoveScratch struct {
-	src []types.StorageEntry
-	// Target is the run the target's copy is read into, which a caller may
-	// take and replace: a target chain keeps it for the delta's preparation
-	// (chain.Chain.BuildMoveDelta).
-	Target []types.StorageEntry
+	Source, Target []types.StorageEntry
 }
 
 // BuildMoveDelta is BuildMoveProof for a Move to the chain whose state is
@@ -111,16 +111,16 @@ func BuildMoveDelta(src, dst *state.DB, contract hashing.Address, height uint64,
 	if err != nil {
 		return nil, err
 	}
-	sc.src = src.AppendStorage(sc.src[:0], contract)
+	sc.Source = src.AppendStorage(sc.Source[:0], contract)
 	sc.Target = dst.AppendStorage(sc.Target[:0], contract)
 	var changed, deleted int
 	small := func() bool {
-		return 2*(changed*storageEntrySize+deleted*storageKeySize) <= len(sc.src)*storageEntrySize
+		return 2*(changed*storageEntrySize+deleted*storageKeySize) <= len(sc.Source)*storageEntrySize
 	}
-	if !diffRuns(sc.src, sc.Target,
+	if !diffRuns(sc.Source, sc.Target,
 		func(types.StorageEntry) bool { changed++; return small() },
 		func(evm.Word) bool { deleted++; return small() }) {
-		p.Code, p.Storage = src.GetCode(contract), slices.Clone(sc.src)
+		p.Code, p.Storage = src.GetCode(contract), slices.Clone(sc.Source)
 		return p, nil
 	}
 	p.Base = base.StorageRoot
@@ -133,7 +133,7 @@ func BuildMoveDelta(src, dst *state.DB, contract hashing.Address, height uint64,
 	if deleted > 0 {
 		p.Deleted = make([]evm.Word, 0, deleted)
 	}
-	diffRuns(sc.src, sc.Target,
+	diffRuns(sc.Source, sc.Target,
 		func(e types.StorageEntry) bool { p.Storage = append(p.Storage, e); return true },
 		func(k evm.Word) bool { p.Deleted = append(p.Deleted, k); return true })
 	return p, nil

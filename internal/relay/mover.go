@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"scmove/internal/chain"
@@ -269,17 +268,15 @@ func (m *Mover) handle(cl *Client, e *Entry, ev event) {
 			// Against the current committed state: the contract is locked, so
 			// its record cannot change, and this head's root will reach the
 			// target's light client within p blocks. Where the target holds a
-			// copy of the contract, the payload is a delta against it, and the
-			// target keeps the copy it read for the payload's preparation.
-			moveScratchMu.Lock()
-			payload, err := m.dst.BuildMoveDelta(m.src.StateDB(), e.Contract, m.src.Head().Height, &moveScratch)
-			moveScratchMu.Unlock()
+			// copy of the contract, the payload is a delta against it. The
+			// target starts the payload's preparation as it builds it, so its
+			// storage work runs while the source's headers become p blocks
+			// deep.
+			payload, err := m.dst.BuildMove2(m.src.StateDB(), e.Contract, m.src.Head().Height)
 			m.handle(cl, e, event{kind: evProof, payload: payload, err: err})
 		case doFullPayload:
 			payload, err := core.FullMove2(m.src.StateDB(), e.Payload)
 			m.handle(cl, e, event{kind: evProof, payload: payload, err: err})
-		case doExpect:
-			m.dst.ExpectMove2(e.Payload)
 		case doPoll:
 			ready := m.dst.Headers().ConfirmedAt(e.Payload.SourceChain, e.Payload.SourceHeight)
 			m.handle(cl, e, event{kind: evPoll, ready: ready})
@@ -306,14 +303,6 @@ func (m *Mover) handle(cl *Client, e *Entry, ev event) {
 		}
 	}
 }
-
-// moveScratch is the memory BuildMoveDelta reads the two copies of a
-// contract into, shared by every mover of the process (a universe makes a
-// mover per Move) and kept across Moves; moveScratchMu guards it.
-var (
-	moveScratchMu sync.Mutex
-	moveScratch   core.MoveScratch
-)
 
 // hook delivers events to one move while it handles nothing else. Every
 // timer and receipt goes through one (Mover.arm), so the hooks of a crashed
@@ -402,9 +391,8 @@ type actionKind uint8
 const (
 	doSubmit      actionKind = iota // sign the leg's transaction if there is none, send it, arm receipt and deadline
 	doRetry                         // count and trace the leg's retry (name: why; a bad nonce resyncs the client), back off
-	doBuildProof                    // build the proof, a delta where the target holds a copy; answered by evProof
+	doBuildProof                    // build the proof, a delta where the target holds a copy (Chain.BuildMove2); answered by evProof
 	doFullPayload                   // rebuild the delta payload in full on its proof (core.FullMove2); answered by evProof
-	doExpect                        // announce the payload to the target (Chain.ExpectMove2)
 	doPoll                          // ask the target's light client; answered by evPoll
 	doTimer                         // arm evTimer after the delay
 	doCount                         // increment the named counter
@@ -421,8 +409,9 @@ type action struct {
 	from, to time.Duration
 }
 
-// The confirmation wait's two rows return these shared lists, which the
-// driver only reads: a wait of minutes polls hundreds of times per move.
+// The confirmation wait's rows return these shared lists, which
+// Mover.handle only reads: a wait of minutes polls hundreds of times per
+// move.
 var (
 	pollNow   = []action{{do: doPoll}}
 	pollLater = []action{{do: doCount, name: "relay.confirm_retries"}, {do: doTimer, after: pollInterval}}
@@ -479,9 +468,10 @@ func step(e *Entry, ev event) []action {
 	case at(StageWaitConfirm, evRecover):
 		// The confirmation deadline restarts: a recovering relayer has no
 		// way to know how long the previous incarnation already waited.
-		// The target may still hold the crashed incarnation's expectation
-		// of this payload; ExpectMove2 then keeps that one.
-		return []action{await(e, ev.now), {do: doPoll}}
+		// The target may still hold the crashed incarnation's preparation
+		// of this payload; the Move2 takes it if no build replaced it.
+		await(e, ev.now)
+		return pollNow
 	case at(StageWaitConfirm, evTimer):
 		return pollNow
 	case at(StageWaitConfirm, evPoll) && ev.ready, at(StageMove2Submitted, evRecover, evTimer):
@@ -518,20 +508,22 @@ func step(e *Entry, ev event) []action {
 		if transientMove2(ev.rec.Err) && e.Attempts < maxAttempts {
 			// Rebuild with a fresh nonce and re-check the confirmation depth
 			// before resubmitting. The failed attempt consumed the target's
-			// preparation of the payload; the wait announces it again.
+			// preparation of the payload; the retry computes it at apply.
 			e.Move2 = nil
-			return []action{await(e, ev.now), retry(e, leg, ev.rec.Err)}
+			await(e, ev.now)
+			return []action{retry(e, leg, ev.rec.Err)}
 		}
 		return fail(e, leg, errors.New(ev.rec.Err))
 	case at(StageMove2Submitted, evProof):
 		if ev.err != nil {
 			return fail(e, "build proof", ev.err)
 		}
-		// The full payload replaces the refused delta: a new Move2, announced
-		// to the target and sent after the first backoff. It spends no
+		// The full payload replaces the refused delta: a new Move2, sent
+		// after the first backoff and computed at apply. It spends no
 		// attempt: a full payload has no base to be refused for.
 		e.Payload, e.Move2 = ev.payload, nil
-		return []action{await(e, ev.now), {do: doCount, name: "relay.full_fallbacks"}, {do: doTimer, after: retryBase}}
+		await(e, ev.now)
+		return []action{{do: doCount, name: "relay.full_fallbacks"}, {do: doTimer, after: retryBase}}
 	}
 	return nil
 }
@@ -543,16 +535,14 @@ func confirm(e *Entry, now time.Duration) []action {
 		return []action{{do: doBuildProof}}
 	}
 	e.Attempts = 0
-	return []action{await(e, now), {do: doPoll}}
+	await(e, now)
+	return pollNow
 }
 
-// await enters the confirmation wait, whose deadline runs from now, and
-// announces the payload to the target (Chain.ExpectMove2), so the target's
-// storage work runs while the source's headers become p blocks deep.
-func await(e *Entry, now time.Duration) action {
+// await enters the confirmation wait, whose deadline runs from now.
+func await(e *Entry, now time.Duration) {
 	e.Stage = StageWaitConfirm
 	e.confirmAt = now
-	return action{do: doExpect}
 }
 
 // retry spends one attempt of e's budget on a retry of leg.

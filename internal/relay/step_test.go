@@ -110,7 +110,7 @@ func TestStep(t *testing.T) {
 	built := testPayload()
 	submit1 := action{do: doSubmit, leg: "move1"}
 	submit2 := action{do: doSubmit, leg: "move2"}
-	expect, poll := action{do: doExpect}, action{do: doPoll}
+	poll := action{do: doPoll}
 	span := func(name string, from time.Duration) action {
 		return action{do: doSpan, name: name, from: from, to: now}
 	}
@@ -146,14 +146,14 @@ func TestStep(t *testing.T) {
 			ev: event{kind: evStart}, acts: []action{{do: doBuildProof}}, want: StagePending},
 		{name: "Complete with a proof waits at once", stage: StagePending,
 			setup: func(e *Entry) { complete(e); e.Payload, e.Attempts = built, 3 },
-			ev:    event{kind: evRecover}, acts: []action{expect, poll}, want: StageWaitConfirm,
+			ev:    event{kind: evRecover}, acts: []action{poll}, want: StageWaitConfirm,
 			check: func(t *testing.T, e *Entry) {
 				if e.Attempts != 0 || e.confirmAt != now {
 					t.Fatalf("attempts %d, wait from %v; want 0, %v", e.Attempts, e.confirmAt, now)
 				}
 			}},
 		{name: "proof of a Complete enters the wait", stage: StagePending, setup: complete,
-			ev: event{kind: evProof, payload: built}, acts: []action{expect, poll}, want: StageWaitConfirm,
+			ev: event{kind: evProof, payload: built}, acts: []action{poll}, want: StageWaitConfirm,
 			check: func(t *testing.T, e *Entry) {
 				if e.Payload != built {
 					t.Fatal("payload not kept")
@@ -185,7 +185,7 @@ func TestStep(t *testing.T) {
 		{name: "Move1 receipt with a proof waits at once", stage: StageMove1Submitted,
 			setup: func(e *Entry) { e.Payload, e.Attempts = built, 2 },
 			ev:    event{kind: evReceipt, rec: receipt(nil)},
-			acts:  []action{span("move1.commit", time.Second), expect, poll}, want: StageWaitConfirm,
+			acts:  []action{span("move1.commit", time.Second), poll}, want: StageWaitConfirm,
 			check: attempts(0)},
 		{name: "bad-nonce Move1 is pending again", stage: StageMove1Submitted,
 			ev:   event{kind: evReceipt, rec: receipt(chain.ErrBadNonce)},
@@ -205,16 +205,16 @@ func TestStep(t *testing.T) {
 			check: errWith("move1: execution reverted", nil)},
 		{name: "proof after Move1 enters the wait", stage: StageMove1Submitted,
 			setup: func(e *Entry) { e.Attempts = 4 },
-			ev:    event{kind: evProof, payload: built}, acts: []action{expect, poll}, want: StageWaitConfirm,
+			ev:    event{kind: evProof, payload: built}, acts: []action{poll}, want: StageWaitConfirm,
 			check: attempts(0)},
 		{name: "failed proof after Move1 fails", stage: StageMove1Submitted,
 			ev:   event{kind: evProof, err: core.ErrNotLocked},
 			acts: []action{{do: doFinish, name: "build proof"}}, want: StageFailed,
 			check: errWith("build proof: ", core.ErrNotLocked)},
 
-		{name: "recover re-announces and polls", stage: StageWaitConfirm,
+		{name: "recover polls", stage: StageWaitConfirm,
 			setup: func(e *Entry) { e.Attempts = 2 },
-			ev:    event{kind: evRecover}, acts: []action{expect, poll}, want: StageWaitConfirm,
+			ev:    event{kind: evRecover}, acts: []action{poll}, want: StageWaitConfirm,
 			check: func(t *testing.T, e *Entry) {
 				if e.confirmAt != now || e.Attempts != 2 {
 					t.Fatalf("wait from %v, attempts %d; want %v, 2", e.confirmAt, e.Attempts, now)
@@ -280,7 +280,7 @@ func TestStep(t *testing.T) {
 			check: errWith("move2: "+core.ErrStaleBase.Error(), nil)},
 		{name: "full payload waits again", stage: StageMove2Submitted, setup: delta,
 			ev:   event{kind: evProof, payload: built},
-			acts: []action{expect, {do: doCount, name: "relay.full_fallbacks"}, {do: doTimer, after: retryBase}},
+			acts: []action{{do: doCount, name: "relay.full_fallbacks"}, {do: doTimer, after: retryBase}},
 			want: StageWaitConfirm,
 			check: func(t *testing.T, e *Entry) {
 				if e.Payload != built || e.Move2 != nil || e.confirmAt != now || e.Attempts != 0 {
@@ -293,12 +293,11 @@ func TestStep(t *testing.T) {
 			acts: []action{{do: doFinish, name: "build proof"}}, want: StageFailed,
 			check: errWith("build proof: ", core.ErrNotLocked)},
 	}
-	// A transient Move2 receipt drops Move2, re-announces the payload and
-	// waits again from now.
+	// A transient Move2 receipt drops Move2 and waits again from now.
 	for _, err := range []error{core.ErrNoHeader, core.ErrNotConfirmed, chain.ErrBadNonce} {
 		rows = append(rows, stepRow{name: "transient Move2 waits again: " + err.Error(), stage: StageMove2Submitted,
 			ev:   event{kind: evReceipt, rec: receipt(err)},
-			acts: []action{expect, retry("move2", err.Error(), 1)}, want: StageWaitConfirm,
+			acts: []action{retry("move2", err.Error(), 1)}, want: StageWaitConfirm,
 			check: func(t *testing.T, e *Entry) {
 				if e.Move2 != nil || e.confirmAt != now || e.Attempts != 1 {
 					t.Fatalf("Move2 %v, wait from %v, attempts %d", e.Move2, e.confirmAt, e.Attempts)

@@ -63,12 +63,13 @@ func TestCloseCleanUniverse(t *testing.T) {
 	}
 }
 
-// A large Move2 is prepared on goroutines of its own from ExpectMove2; pool
+// A large Move2 is prepared on a goroutine of its own from BuildMove2; pool
 // admission starts nothing. After a real Move of a Store-100, four Move2s
 // that can never be included (their nonces leave a gap) are admitted, which
-// must start no preparation, and 40 payloads that no transaction will ever
-// carry are expected, Close must wait for every preparation: the goroutine
-// count comes back to what it was before New.
+// must start no preparation, and three payloads that no transaction will
+// ever carry are built, each replacing the last one's untaken preparation.
+// Close must wait for every preparation: the goroutine count comes back to
+// what it was before New.
 func TestCloseWaitsForMove2Preparations(t *testing.T) {
 	keys.SharedPool() // the crypto workers live for the process
 	base := runtime.NumGoroutine()
@@ -99,10 +100,10 @@ func TestCloseWaitsForMove2Preparations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 40; i++ {
-		never := *payload
-		never.Storage = payload.Storage[i%2 : 50+i]
-		u.Chain(ids[1]).ExpectMove2(&never)
+	for range 3 {
+		if _, err := u.Chain(ids[1]).BuildMove2(u.Chain(ids[0]).StateDB(), store, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := u.Close(); err != nil {
 		t.Fatal(err)
