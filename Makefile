@@ -118,7 +118,11 @@ benchtest:
 # in place; a simulated-WAN Broadcast allocates nothing, and a node's own
 # proposal is applied from its transactions only while they still encode to
 # the decided bytes; a connection's reader allocates its frames' bodies and
-# nothing else.
+# nothing else. A ten-validator cluster commits a steady-state height —
+# proposal, votes, deliveries, round and next-height timers — without
+# allocating (the cluster probe: 189 deliveries per height, 0.000
+# allocations per delivery over 1 000 heights), and so does a relayer's
+# poll of the target's light client.
 #
 # The safety oracle (internal/oracle) runs after every committed block of
 # five of these cells — chaos, byzantine, the 16-chain sharded cell, Kitties
@@ -176,7 +180,8 @@ DETSMOKE_TESTS = TestBuildMatchesIncremental TestBuildRefusesBadRuns \
 	TestDeltaHomeNodesScaleWithK TestDeltaHomeReadsCopyOnce TestUnpaidDeltaDoesNoStorageWork \
 	TestSameKindDeltaInstallRefusesAsVerify TestShrinkKeepsBoundedSkeleton \
 	TestStubExpansionChecksTheStubHash TestRebuiltStorageTreeChecksCommittedRoot \
-	TestBackendConformanceWithSkeletons
+	TestBackendConformanceWithSkeletons TestClusterHeightAllocatesNothing \
+	TestHeightProbeFigures TestPollAllocatesNothing
 DETSMOKE_PKGS = ./internal/journal/ ./internal/keys/ ./internal/types/ ./internal/state/ ./internal/chain/ \
 	./internal/txpool/ ./internal/workload/ ./internal/bench/ ./internal/relay/ \
 	./internal/tendermint/ ./internal/core/ ./internal/universe/ ./internal/trees/ \

@@ -71,6 +71,8 @@ type ByzantineResult struct {
 	counters *metrics.Counters
 	// Registry holds stage histograms and gauges; nil unless Metrics/Trace.
 	Registry *metrics.Registry
+	// Ledger is the universe's event and WAN delivery count at the end.
+	Ledger universe.Ledger
 }
 
 // RunByzantine drives cfg.Moves moves of a Store contract between the two
@@ -171,6 +173,7 @@ func RunByzantine(cfg ByzantineConfig) (*ByzantineResult, error) {
 	}
 
 	res.Counters = u.Counters().Snapshot()
+	res.Ledger = u.Ledger()
 	for _, id := range u.ChainIDs() {
 		res.Roots = append(res.Roots, fmt.Sprintf("%s=%s", id, u.Chain(id).Head().StateRoot))
 	}

@@ -8,6 +8,7 @@ import (
 
 	"scmove/internal/journal"
 	"scmove/internal/oracle"
+	"scmove/internal/universe"
 )
 
 // byzantineJournal runs the Byzantine cell once, with the safety oracle
@@ -66,13 +67,17 @@ func TestByzantineCellInvariants(t *testing.T) {
 }
 
 // byzantineCellJournal is the digest of the two-Move Byzantine cell's
-// journal.
+// journal, and byzantineCellLedger its event loop's count of events and WAN
+// deliveries.
 const byzantineCellJournal = "294a96daf7b07342da6f371e8a799a251e14061ea36f799bdbde2b578f166725"
+
+var byzantineCellLedger = universe.Ledger{Events: 9446, Deliveries: 8227}
 
 // TestByzantineDeterminism is the determinism contract under active
 // corruption: the same seed must produce the same journal at GOMAXPROCS 1,
 // 2, and the host's CPU count, with the observability layer on or off — and
-// that journal must hash to byzantineCellJournal. Corruption decisions and
+// that journal must hash to byzantineCellJournal, with byzantineCellLedger's
+// events and deliveries. Corruption decisions and
 // tamper bytes all come from seeded RNGs keyed by event index, so any
 // divergence means a fault drew from a nondeterministic source. Wired into
 // `make detsmoke`.
@@ -80,12 +85,17 @@ func TestByzantineDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-GOMAXPROCS byzantine runs are slow in -short mode")
 	}
-	var base *journal.Journal
+	var (
+		base   *journal.Journal
+		logged bool
+	)
 	for _, p := range []int{1, 2, runtime.NumCPU()} {
 		prev := runtime.GOMAXPROCS(p)
-		_, off := byzantineJournal(t, false)
-		_, on := byzantineJournal(t, true)
+		resOff, off := byzantineJournal(t, false)
+		resOn, on := byzantineJournal(t, true)
 		runtime.GOMAXPROCS(prev)
+		checkLedger(t, &logged, resOff.Ledger, byzantineCellLedger)
+		checkLedger(t, &logged, resOn.Ledger, byzantineCellLedger)
 		journal.Same(t, fmt.Sprintf("GOMAXPROCS=%d, metrics off and on", p), off, on)
 		base = journal.Same(t, fmt.Sprintf("GOMAXPROCS=1 and %d", p), base, off)
 	}

@@ -49,6 +49,8 @@ type ChaosResult struct {
 	// Registry holds the stage-latency histograms and gauges (and, with
 	// Trace, the span dump); nil unless Config.Metrics/Trace.
 	Registry *metrics.Registry
+	// Ledger is the universe's event and WAN delivery count at the end.
+	Ledger universe.Ledger
 }
 
 // RunChaos drives cfg.Moves sequential moves of a Store contract between
@@ -93,6 +95,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		from, to = to, from
 	}
 	res.Counters = u.Counters().Snapshot()
+	res.Ledger = u.Ledger()
 	return res, nil
 }
 

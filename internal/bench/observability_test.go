@@ -9,12 +9,13 @@ import (
 
 	"scmove/internal/journal"
 	"scmove/internal/oracle"
+	"scmove/internal/universe"
 )
 
 // chaosJournal runs the chaos cell once, with the safety oracle checking
-// every committed block, and returns its journal: the blocks, the Move
-// latencies and the counters.
-func chaosJournal(t *testing.T, metricsOn, trace bool) *journal.Journal {
+// every committed block, and returns its result and journal: the blocks,
+// the Move latencies and the counters.
+func chaosJournal(t *testing.T, metricsOn, trace bool) (*ChaosResult, *journal.Journal) {
 	t.Helper()
 	cfg := ChaosConfig{DropRate: 0.20, DupRate: 0.20, Seed: 12345, Moves: 2,
 		Metrics: metricsOn, Trace: trace}
@@ -27,7 +28,23 @@ func chaosJournal(t *testing.T, metricsOn, trace bool) *journal.Journal {
 	})
 	j.Tail("latencies", res.Latency)
 	j.Counters(res.Counters)
-	return j
+	return res, j
+}
+
+// checkLedger fails unless a cell's event loop ran the pinned number of
+// events and WAN deliveries; the first call of a test logs both as
+// identity lines.
+func checkLedger(t *testing.T, logged *bool, got, want universe.Ledger) {
+	t.Helper()
+	if !*logged {
+		t.Logf("identity: %s events %d", t.Name(), got.Events)
+		t.Logf("identity: %s deliveries %d", t.Name(), got.Deliveries)
+		*logged = true
+	}
+	if got != want {
+		t.Fatalf("the event loop ran %d events and %d WAN deliveries, pinned %d and %d",
+			got.Events, got.Deliveries, want.Events, want.Deliveries)
+	}
 }
 
 // TestMetricsDoNotPerturbSimulation is the determinism contract of the
@@ -44,8 +61,8 @@ func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 	var base *journal.Journal
 	for _, p := range []int{1, 2, runtime.NumCPU()} {
 		prev := runtime.GOMAXPROCS(p)
-		off := chaosJournal(t, false, false)
-		on := chaosJournal(t, true, true)
+		_, off := chaosJournal(t, false, false)
+		_, on := chaosJournal(t, true, true)
 		runtime.GOMAXPROCS(prev)
 		journal.Same(t, fmt.Sprintf("GOMAXPROCS=%d, metrics and trace off and on", p), off, on)
 		base = journal.Same(t, fmt.Sprintf("GOMAXPROCS=1 and %d", p), base, off)
@@ -53,22 +70,29 @@ func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 }
 
 // chaosCellJournal is the digest of the chaos cell's journal (metrics on,
-// no trace).
+// no trace), and chaosCellLedger its event loop's count of events and WAN
+// deliveries.
 const chaosCellJournal = "e792284a137023fdccc9494f69157531651c85ed34bd323d1ec1709f1a4f9a06"
+
+var chaosCellLedger = universe.Ledger{Events: 12720, Deliveries: 10919}
 
 // TestChaosCellCrossGOMAXPROCS is the chaos cell of the determinism suite:
 // the full fault-injected Move scenario (20% drops, 20% duplicates on every
 // path) must produce the same journal on one CPU and on all of them (sender
 // pre-recovery and the harness fan out across the worker pool; what they
-// compute may not depend on it), and it must hash to chaosCellJournal.
+// compute may not depend on it), and it must hash to chaosCellJournal and
+// run chaosCellLedger's events and deliveries.
 func TestChaosCellCrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-GOMAXPROCS chaos runs are slow in -short mode")
 	}
+	var logged bool
 	prev := runtime.GOMAXPROCS(1)
-	serial := chaosJournal(t, true, false)
+	res, serial := chaosJournal(t, true, false)
+	checkLedger(t, &logged, res.Ledger, chaosCellLedger)
 	runtime.GOMAXPROCS(runtime.NumCPU())
-	parallel := chaosJournal(t, true, false)
+	res, parallel := chaosJournal(t, true, false)
+	checkLedger(t, &logged, res.Ledger, chaosCellLedger)
 	runtime.GOMAXPROCS(prev)
 	journal.Same(t, "GOMAXPROCS=1 and NumCPU", serial, parallel)
 	serial.Check(t, chaosCellJournal)

@@ -901,10 +901,18 @@ func (c *Chain) Query(addr hashing.Address, key *evm.Word, height *uint64) (Quer
 	return q, err
 }
 
+// emptyTxList is the payload of every empty batch. One array serves them
+// all: nothing writes a payload once it is encoded, and its capacity is its
+// length, so an append copies.
+var emptyTxList = []byte{0}
+
 // EncodeTxList serializes a consensus payload (the proposed tx batch): the
 // count, then each transaction's encoding behind its length, written once
 // into one buffer of exactly the payload's size.
 func EncodeTxList(txs []*types.Transaction) []byte {
+	if len(txs) == 0 {
+		return emptyTxList
+	}
 	size := codec.SizeUvarint(uint64(len(txs)))
 	for _, tx := range txs {
 		size += codec.SizeBytes(tx.EncodedSize())

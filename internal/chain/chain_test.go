@@ -450,6 +450,9 @@ func TestEncodeTxListMatchesNestedForm(t *testing.T) {
 	if a := testing.AllocsPerRun(20, func() { EncodeTxList(txs) }); a != 1 {
 		t.Fatalf("EncodeTxList allocates %.1f times, want 1", a)
 	}
+	if a := testing.AllocsPerRun(20, func() { EncodeTxList(nil) }); a != 0 {
+		t.Fatalf("EncodeTxList of an empty batch allocates %.1f times, want 0", a)
+	}
 }
 
 // forgedFromTx signs a transaction with kp, then rewrites From to another

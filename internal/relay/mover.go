@@ -145,6 +145,10 @@ type Mover struct {
 	counters *metrics.Counters
 	reg      *metrics.Registry // optional; nil records nothing
 	alive    bool
+	// timers holds the timer records not armed. A record comes back as it
+	// fires, so the list never holds more than were once armed together,
+	// and a wait of minutes polls without allocating.
+	timers []*timer
 }
 
 // NewMover returns a mover that journals into journal and counts into
@@ -314,7 +318,8 @@ type hook struct {
 	seq uint64
 }
 
-// arm returns a hook on e as it is now: a value, so a timer allocates only its closure.
+// arm returns a hook on e as it is now: a value, which a timer record or a
+// receipt hook's closure holds.
 func (m *Mover) arm(cl *Client, e *Entry) hook { return hook{m, cl, e, e.seq} }
 
 // deliver hands ev to the move if the mover is alive and the move has
@@ -325,10 +330,33 @@ func (h hook) deliver(ev event) {
 	}
 }
 
+// timer is an armed backoff or poll timer. Its run func is bound once,
+// when the record is allocated, so arming it costs no closure.
+type timer struct {
+	h   hook
+	run func()
+}
+
 // timer delivers evTimer to e after d.
 func (m *Mover) timer(cl *Client, e *Entry, d time.Duration) {
-	h := m.arm(cl, e)
-	m.sched.After(d, func() { h.deliver(event{kind: evTimer}) })
+	var t *timer
+	if k := len(m.timers); k > 0 {
+		t = m.timers[k-1]
+		m.timers = m.timers[:k-1]
+	} else {
+		t = new(timer)
+		t.run = t.fire
+	}
+	t.h = m.arm(cl, e)
+	m.sched.After(d, t.run)
+}
+
+// fire puts the record back, then delivers evTimer through its hook.
+func (t *timer) fire() {
+	h := t.h
+	t.h = hook{}
+	h.m.timers = append(h.m.timers, t)
+	h.deliver(event{kind: evTimer})
 }
 
 // legChain is the chain a leg ("move1" or "move2") is submitted to.

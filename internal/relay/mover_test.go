@@ -533,6 +533,29 @@ func TestEarlyMove2IsRetried(t *testing.T) {
 	}
 }
 
+// TestPollAllocatesNothing: once the confirmation wait has armed its first
+// timer, a poll — the timer firing, the target's light client answering
+// not yet, the retry count and the next timer — allocates nothing.
+func TestPollAllocatesNothing(t *testing.T) {
+	r := newIdleRig(t)
+	r.withhold = true // the proof height never reaches the target
+	r.mover = NewMover(r.sched, r.src, r.dst, NewJournal(), r.counters)
+	r.mover.Move(r.cl, r.contract, core.MoveToInput(2), func(res *MoveResult) { r.result = res })
+	if !r.runUntil(func() bool { return r.stage() == StageWaitConfirm }, time.Minute) {
+		t.Fatalf("move did not reach the confirmation wait, at %v", r.stage())
+	}
+	r.paused[1], r.paused[2] = true, true
+	r.sched.RunUntil(r.sched.Now() + 2*pollInterval)
+	before := r.counters.Get("relay.confirm_retries")
+	const runs = 50
+	if allocs := testing.AllocsPerRun(runs, func() { r.sched.RunUntil(r.sched.Now() + pollInterval) }); allocs != 0 {
+		t.Fatalf("a poll allocates %.1f objects", allocs)
+	}
+	if polls := r.counters.Get("relay.confirm_retries") - before; polls != runs+1 {
+		t.Fatalf("%d polls ran, want %d", polls, runs+1)
+	}
+}
+
 // TestBackoffCapsAtRetryMax pins the resubmission delay: retryBase doubles
 // per attempt and stops at retryMax, however many attempts there were.
 func TestBackoffCapsAtRetryMax(t *testing.T) {

@@ -24,11 +24,13 @@ import (
 // the scheduler sits on every hot path of the simulator. The func a caller
 // hands in is the caller's cost: a closure literal capturing variables
 // allocates at every call. Hot callers schedule a func value bound once
-// instead, as simnet does with a pooled record per WAN message.
+// instead: simnet a pooled record per WAN message, tendermint and the
+// relayer a pooled record per timer.
 type Scheduler struct {
 	now    time.Duration
 	queue  []event
 	nextID uint64
+	ran    uint64
 }
 
 // New returns an empty scheduler at time zero.
@@ -36,6 +38,9 @@ func New() *Scheduler { return &Scheduler{} }
 
 // Now returns the current simulated time since the simulation epoch.
 func (s *Scheduler) Now() time.Duration { return s.now }
+
+// Ran returns the number of events run so far.
+func (s *Scheduler) Ran() uint64 { return s.ran }
 
 // NowUnix returns the simulated time as unix-style seconds (block
 // timestamps use this form).
@@ -71,6 +76,7 @@ func (s *Scheduler) Step() bool {
 		s.siftDown(0)
 	}
 	s.now = ev.at
+	s.ran++
 	ev.fn()
 	return true
 }

@@ -140,8 +140,13 @@ func (t *TCP) Send(from, to NodeID, payload any) {
 // (from, peer) connection in turn, dialing a link on first use. A frame is
 // its own header and the shared body, written together in one vectored
 // write, so the body is never copied per peer. Failures of any kind drop
-// that peer's copy — consensus tolerates loss — and are counted.
+// that peer's copy — consensus tolerates loss — and are counted. A
+// Releaser payload is released on return: its bytes are encoded by then,
+// or no peer could take them.
 func (t *TCP) Broadcast(from NodeID, to []NodeID, payload any) {
+	if rel, ok := payload.(Releaser); ok {
+		defer rel.Release()
+	}
 	t.sent.Add(uint64(len(to)))
 	var (
 		body    []byte

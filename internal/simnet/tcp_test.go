@@ -323,6 +323,67 @@ func TestBroadcastEncodesOnce(t *testing.T) {
 	}
 }
 
+// releasing is a Releaser carrying a string; it notes how many times its
+// codec had encoded it when it was released.
+type releasing struct {
+	s        string
+	codec    *countingCodec
+	released []int64 // encodes at each release
+}
+
+func (r *releasing) Release() { r.released = append(r.released, r.codec.encodes.Load()) }
+
+// releasingCodec encodes a *releasing as its string.
+type releasingCodec struct{ countingCodec }
+
+func (c *releasingCodec) EncodePayload(payload any) ([]byte, error) {
+	return c.countingCodec.EncodePayload(payload.(*releasing).s)
+}
+
+// TestBroadcastReleasesAfterEncoding: a Releaser handed to TCP comes back
+// once, when Broadcast or Send returns: after its one encoding, or without
+// one when no peer could take it (a down node, an unknown peer).
+func TestBroadcastReleasesAfterEncoding(t *testing.T) {
+	wc := &releasingCodec{}
+	tr := NewTCP(wc, nil, 0)
+	defer tr.Close()
+	delivered := make(chan string, 8)
+	for id := NodeID(1); id <= 4; id++ {
+		if err := tr.Register(id, 0, func(_ NodeID, payload any) { delivered <- payload.(string) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(r *releasing, encodes int64) {
+		t.Helper()
+		if len(r.released) != 1 || r.released[0] != encodes {
+			t.Fatalf("%q: released with the codec's encode count at %v, want once at %d", r.s, r.released, encodes)
+		}
+	}
+	proposal := &releasing{s: "proposal", codec: &wc.countingCodec}
+	tr.Broadcast(1, []NodeID{2, 3, 4}, proposal)
+	check(proposal, 1)
+	for i := 0; i < 3; i++ {
+		select {
+		case s := <-delivered:
+			if s != "proposal" {
+				t.Fatalf("delivered %q", s)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of 3 copies delivered", i)
+		}
+	}
+	tr.SetNodeDown(2, true)
+	vote := &releasing{s: "vote", codec: &wc.countingCodec}
+	tr.Send(1, 2, vote)
+	check(vote, 1) // dropped: never encoded
+	lost := &releasing{s: "lost", codec: &wc.countingCodec}
+	tr.Broadcast(1, []NodeID{2, 99}, lost)
+	check(lost, 1)
+	if _, _, dropped, _ := tr.Stats(); dropped != 3 {
+		t.Fatalf("dropped %d copies, want 3", dropped)
+	}
+}
+
 // TestBroadcastConcurrentSenders: goroutines broadcasting at once over the
 // same links share each link's frame buffers under its mutex; every peer
 // gets every message whole, each sender's in the order it sent them.

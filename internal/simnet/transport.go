@@ -11,7 +11,8 @@ package simnet
 // Transport delivers opaque payloads between registered nodes. Payloads
 // cross a Transport by reference in the in-process implementations and as
 // codec-encoded frames over sockets; senders must treat a payload as
-// immutable once handed over.
+// immutable once handed over, and a Releaser payload as theirs again only
+// once the transport has released it.
 type Transport interface {
 	// Register adds a node and its delivery handler. Registering an
 	// existing id replaces its handler (restart after a crash).

@@ -80,7 +80,30 @@ type Cluster struct {
 		len   int
 		hash  hashing.Hash
 	}
+
+	// The pooled records not in use: an honest proposal or vote the
+	// transport has released, a validator timer that has fired. Each list
+	// holds at most the high-water mark of its records in use.
+	freeProposals freeList[proposalRec]
+	freeVotes     freeList[voteRec]
+	freeTimers    freeList[timer]
 }
+
+// freeList is a stack of records not in use.
+type freeList[T any] []*T
+
+// take pops a record, or allocates one when the list is empty.
+func (l *freeList[T]) take() *T {
+	k := len(*l)
+	if k == 0 {
+		return new(T)
+	}
+	r := (*l)[k-1]
+	*l = (*l)[:k-1]
+	return r
+}
+
+func (l *freeList[T]) put(r *T) { *l = append(*l, r) }
 
 // payloadHash returns hashing.Sum(payload). The memo rests on nothing
 // rewriting a proposal's bytes in place; under go test every memo hit
@@ -264,6 +287,34 @@ type msgVote struct {
 	From        int
 }
 
+// proposalRec and voteRec carry an honest validator's proposal and votes
+// over the transport: records of the cluster's free lists, which the
+// transport hands back once it is done with them (simnet.Releaser), so a
+// message costs no boxing. Receivers copy the message out.
+type proposalRec struct {
+	msgProposal
+	c *Cluster
+}
+
+type voteRec struct {
+	msgVote
+	c *Cluster
+}
+
+func (r *proposalRec) Release() {
+	r.Payload = nil
+	r.c.freeProposals.put(r)
+}
+
+func (r *voteRec) Release() { r.c.freeVotes.put(r) }
+
+// pendingMsg is a buffered message: the vote if isVote, else the proposal.
+type pendingMsg struct {
+	proposal msgProposal
+	vote     msgVote
+	isVote   bool
+}
+
 // roundVotes holds one round's share of a validator's vote tables at the
 // current height.
 type roundVotes struct {
@@ -356,9 +407,12 @@ type Validator struct {
 	// heights wait in pending), so startHeight truncates votes, keeping each
 	// entry's storage for the next height: the tables hold 3n slots per
 	// round seen at this height, nothing of chain history.
-	votes   []roundVotes
-	pending []any // messages for heights/rounds not yet started
-	byz     ByzantineBehavior
+	votes []roundVotes
+	// pending holds the messages for heights and rounds not yet started;
+	// spare is the storage of the buffer drained last, which the next
+	// drain takes over.
+	pending, spare []pendingMsg
+	byz            ByzantineBehavior
 }
 
 // roundVotes returns the tables of round at the current height, opening
@@ -421,13 +475,64 @@ func (v *Validator) startHeight(h uint64) {
 	v.startRound()
 }
 
-// drainPending replays buffered messages that have become current.
+// drainPending replays buffered messages that have become current. A
+// message may start a height, which drains again: that inner drain takes
+// the buffer this one's messages went to, and keeps its storage.
 func (v *Validator) drainPending() {
 	pending := v.pending
-	v.pending = nil
-	for _, msg := range pending {
-		v.handle(msg)
+	v.pending, v.spare = v.spare[:0], nil
+	for i := range pending {
+		if m := &pending[i]; m.isVote {
+			v.handleVote(m.vote)
+		} else {
+			v.handleProposal(m.proposal)
+		}
 	}
+	if v.spare == nil {
+		clear(pending) // drop the payloads
+		v.spare = pending[:0]
+	}
+}
+
+// timer is a validator's pooled scheduler event: the round timeout, or
+// with next the wait between a commit and the next height. Its run func is
+// bound once, when the record is allocated, so arming it costs no closure.
+type timer struct {
+	v      *Validator
+	height uint64
+	round  int
+	next   bool
+	run    func()
+}
+
+// after arms a timer for the current height and round, d from now.
+func (v *Validator) after(d time.Duration, next bool) {
+	t := v.cluster.freeTimers.take()
+	if t.run == nil {
+		t.run = t.fire
+	}
+	t.v, t.height, t.round, t.next = v, v.height, v.round, next
+	v.cluster.sched.After(d, t.run)
+}
+
+// fire puts the record back, then moves the validator on unless it left the
+// timer's height (or, for a round timeout, its round) or crashed.
+func (t *timer) fire() {
+	v, height, round, next := t.v, t.height, t.round, t.next
+	t.v = nil
+	v.cluster.freeTimers.put(t)
+	if next {
+		if !v.crashed && v.height == height {
+			v.startHeight(height + 1)
+		}
+		return
+	}
+	// The round did not decide in time: try the next proposer.
+	if v.crashed || v.decided || v.height != height || v.round != round {
+		return
+	}
+	v.round++
+	v.startRound()
 }
 
 func (v *Validator) startRound() {
@@ -450,26 +555,19 @@ func (v *Validator) startRound() {
 			twin := msg
 			twin.Payload = append(append([]byte(nil), payload...), 0xDE, 0xAD, byte(v.height))
 			v.broadcastEquivocating(msg, twin)
-			v.handle(msg)
 		} else {
-			v.broadcast(msg)
-			v.handle(msg) // deliver to self
+			r := v.cluster.freeProposals.take()
+			r.msgProposal, r.c = msg, v.cluster
+			v.broadcast(r)
 		}
+		v.handleProposal(msg) // deliver to self
 	}
-	// Round timeout: if this round does not decide in time, try the next
-	// proposer.
-	height, round := v.height, v.round
-	timeout := min(proposeTimeout*time.Duration(round+1), maxRoundTimeout)
-	v.cluster.sched.After(timeout, func() {
-		if v.crashed || v.decided || v.height != height || v.round != round {
-			return
-		}
-		v.round++
-		v.startRound()
-	})
+	v.after(min(proposeTimeout*time.Duration(v.round+1), maxRoundTimeout), false)
 	v.drainPending()
 }
 
+// broadcast sends msg to every peer. A Releaser msg comes back to its free
+// list through the transport.
 func (v *Validator) broadcast(msg any) {
 	v.cluster.net.Broadcast(v.id, v.peers, msg)
 }
@@ -479,7 +577,8 @@ func (v *Validator) broadcast(msg any) {
 // to the same receivers is what makes the conflict observable — and
 // convertible to evidence — rather than a silent split vote. It stays a
 // Send per message: the genuine/twin interleaving per peer is part of what
-// the Byzantine digests pin.
+// the Byzantine digests pin. Both go to several Sends, so they are plain
+// values, never pooled records.
 func (v *Validator) broadcastEquivocating(genuine, twin any) {
 	for _, other := range v.cluster.validators {
 		if other.index == v.index {
@@ -502,7 +601,9 @@ func (v *Validator) castVote(vote msgVote) {
 		v.onVote(vote)
 		return
 	}
-	v.broadcast(vote)
+	r := v.cluster.freeVotes.take()
+	r.msgVote, r.c = vote, v.cluster
+	v.broadcast(r)
 	v.onVote(vote)
 }
 
@@ -519,26 +620,43 @@ func (v *Validator) catchUp(msgHeight uint64) {
 	v.startHeight(v.cluster.committed + 1)
 }
 
+// handle takes a message off the transport: a pooled record or, from a
+// decoder, a tamper or an equivocating validator, a plain value.
 func (v *Validator) handle(payload any) {
+	switch msg := payload.(type) {
+	case *proposalRec:
+		v.handleProposal(msg.msgProposal)
+	case msgProposal:
+		v.handleProposal(msg)
+	case *voteRec:
+		v.handleVote(msg.msgVote)
+	case msgVote:
+		v.handleVote(msg)
+	}
+}
+
+func (v *Validator) handleProposal(msg msgProposal) {
 	if v.crashed {
 		return
 	}
-	switch msg := payload.(type) {
-	case msgProposal:
-		v.catchUp(msg.Height)
-		if msg.Height > v.height || (msg.Height == v.height && msg.Round > v.round) {
-			v.pending = append(v.pending, msg)
-			return
-		}
-		v.onProposal(msg)
-	case msgVote:
-		v.catchUp(msg.Height)
-		if msg.Height > v.height {
-			v.pending = append(v.pending, msg)
-			return
-		}
-		v.onVote(msg)
+	v.catchUp(msg.Height)
+	if msg.Height > v.height || (msg.Height == v.height && msg.Round > v.round) {
+		v.pending = append(v.pending, pendingMsg{proposal: msg})
+		return
 	}
+	v.onProposal(msg)
+}
+
+func (v *Validator) handleVote(msg msgVote) {
+	if v.crashed {
+		return
+	}
+	v.catchUp(msg.Height)
+	if msg.Height > v.height {
+		v.pending = append(v.pending, pendingMsg{vote: msg, isVote: true})
+		return
+	}
+	v.onVote(msg)
 }
 
 func (v *Validator) onProposal(msg msgProposal) {
@@ -605,12 +723,7 @@ func (v *Validator) onVote(msg msgVote) {
 		if votes >= quorum && v.hasProposal && msg.PayloadHash == v.proposalHash && !v.decided {
 			v.decided = true
 			v.cluster.commit(v.height, v.proposal)
-			height := v.height
-			v.cluster.sched.After(v.cluster.interval, func() {
-				if !v.crashed && v.height == height {
-					v.startHeight(height + 1)
-				}
-			})
+			v.after(v.cluster.interval, true)
 		}
 	}
 }
@@ -624,13 +737,28 @@ func (v *Validator) onVote(msg msgVote) {
 func WireTamper() simnet.PayloadTamper {
 	return func(rng *rand.Rand, payload any) (any, bool) {
 		switch msg := payload.(type) {
+		case *proposalRec:
+			return tamperProposal(rng, msg.msgProposal), true
 		case msgProposal:
-			msg.Payload = simnet.DefaultTamper(rng, msg.Payload)
-			return msg, true
+			return tamperProposal(rng, msg), true
+		case *voteRec:
+			return tamperVote(rng, msg.msgVote), true
 		case msgVote:
-			msg.PayloadHash[rng.Intn(len(msg.PayloadHash))] ^= byte(1 + rng.Intn(255))
-			return msg, true
+			return tamperVote(rng, msg), true
 		}
 		return payload, false
 	}
+}
+
+// tamperProposal and tamperVote return a corrupted copy of a message, as a
+// plain value: a pooled record goes back to its list once delivered, and
+// the copy outlives it.
+func tamperProposal(rng *rand.Rand, msg msgProposal) msgProposal {
+	msg.Payload = simnet.DefaultTamper(rng, msg.Payload)
+	return msg
+}
+
+func tamperVote(rng *rand.Rand, msg msgVote) msgVote {
+	msg.PayloadHash[rng.Intn(len(msg.PayloadHash))] ^= byte(1 + rng.Intn(255))
+	return msg
 }

@@ -421,7 +421,11 @@ func (l *roundLog) Register(id simnet.NodeID, region simnet.Region, h simnet.Han
 	l.seen[id] = seen
 	return l.Transport.Register(id, region, func(from simnet.NodeID, payload any) {
 		switch msg := payload.(type) {
+		case *proposalRec:
+			seen[[2]uint64{msg.Height, uint64(msg.Round)}] = true
 		case msgProposal:
+			seen[[2]uint64{msg.Height, uint64(msg.Round)}] = true
+		case *voteRec:
 			seen[[2]uint64{msg.Height, uint64(msg.Round)}] = true
 		case msgVote:
 			seen[[2]uint64{msg.Height, uint64(msg.Round)}] = true

@@ -59,26 +59,38 @@ func voteSize(m msgVote) int {
 
 func (wireMessages) EncodePayload(payload any) ([]byte, error) {
 	switch msg := payload.(type) {
+	case *proposalRec:
+		return encodeProposal(msg.msgProposal), nil
 	case msgProposal:
-		w := codec.NewWriter(proposalSize(msg))
-		w.WriteUvarint(uint64(wireProposal))
-		w.WriteUvarint(msg.Height)
-		w.WriteUvarint(uint64(msg.Round))
-		w.WriteBytes(msg.Payload)
-		w.WriteUvarint(uint64(msg.From))
-		return w.Bytes(), nil
+		return encodeProposal(msg), nil
+	case *voteRec:
+		return encodeVote(msg.msgVote), nil
 	case msgVote:
-		w := codec.NewWriter(voteSize(msg))
-		w.WriteUvarint(uint64(wireVote))
-		w.WriteUvarint(uint64(msg.Kind))
-		w.WriteUvarint(msg.Height)
-		w.WriteUvarint(uint64(msg.Round))
-		w.WriteHash(msg.PayloadHash)
-		w.WriteUvarint(uint64(msg.From))
-		return w.Bytes(), nil
+		return encodeVote(msg), nil
 	default:
 		return nil, fmt.Errorf("tendermint: unencodable payload type %T", payload)
 	}
+}
+
+func encodeProposal(msg msgProposal) []byte {
+	w := codec.NewWriter(proposalSize(msg))
+	w.WriteUvarint(uint64(wireProposal))
+	w.WriteUvarint(msg.Height)
+	w.WriteUvarint(uint64(msg.Round))
+	w.WriteBytes(msg.Payload)
+	w.WriteUvarint(uint64(msg.From))
+	return w.Bytes()
+}
+
+func encodeVote(msg msgVote) []byte {
+	w := codec.NewWriter(voteSize(msg))
+	w.WriteUvarint(uint64(wireVote))
+	w.WriteUvarint(uint64(msg.Kind))
+	w.WriteUvarint(msg.Height)
+	w.WriteUvarint(uint64(msg.Round))
+	w.WriteHash(msg.PayloadHash)
+	w.WriteUvarint(uint64(msg.From))
+	return w.Bytes()
 }
 
 func (wireMessages) DecodePayload(b []byte) (any, error) {

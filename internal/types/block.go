@@ -1,6 +1,7 @@
 package types
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"scmove/internal/codec"
@@ -33,19 +34,28 @@ type Header struct {
 
 // Encode returns the canonical header encoding.
 func (h *Header) Encode() []byte {
-	w := codec.NewWriter(192)
-	w.WriteUvarint(uint64(h.ChainID))
-	w.WriteUvarint(h.Height)
-	w.WriteHash(h.ParentHash)
-	w.WriteHash(h.StateRoot)
-	w.WriteHash(h.TxRoot)
-	w.WriteUvarint(h.Time)
-	w.WriteAddress(h.Proposer)
-	w.WriteUvarint(h.GasUsed)
-	w.WriteUvarint(h.GasLimit)
-	w.WriteWord(h.Difficulty.Bytes32())
-	w.WriteUvarint(h.Nonce)
-	return w.Bytes()
+	return h.appendTo(make([]byte, 0, maxHeaderSize))
+}
+
+// maxHeaderSize bounds the header encoding: six uvarints, three hashes, an
+// address and a word.
+const maxHeaderSize = 6*binary.MaxVarintLen64 + 3*hashing.HashSize + hashing.AddressSize + 32
+
+// appendTo appends the header's encoding to b. It writes the slice, not a
+// codec.Writer, so that Hash's stack buffer stays on the stack.
+func (h *Header) appendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(h.ChainID))
+	b = binary.AppendUvarint(b, h.Height)
+	b = append(b, h.ParentHash[:]...)
+	b = append(b, h.StateRoot[:]...)
+	b = append(b, h.TxRoot[:]...)
+	b = binary.AppendUvarint(b, h.Time)
+	b = append(b, h.Proposer[:]...)
+	b = binary.AppendUvarint(b, h.GasUsed)
+	b = binary.AppendUvarint(b, h.GasLimit)
+	d := h.Difficulty.Bytes32()
+	b = append(b, d[:]...)
+	return binary.AppendUvarint(b, h.Nonce)
 }
 
 // DecodeHeader parses an encoded header.
@@ -70,8 +80,12 @@ func DecodeHeader(b []byte) (*Header, error) {
 	return &h, nil
 }
 
-// Hash returns the block hash.
-func (h *Header) Hash() hashing.Hash { return hashing.Sum(h.Encode()) }
+// Hash returns the block hash: the hash of Encode's bytes, encoded on the
+// stack.
+func (h *Header) Hash() hashing.Hash {
+	var buf [maxHeaderSize]byte
+	return hashing.Sum(h.appendTo(buf[:0]))
+}
 
 // Block is a header together with its transaction body.
 type Block struct {
@@ -79,14 +93,19 @@ type Block struct {
 	Txs    []*Transaction
 }
 
-// TxRoot computes the commitment over an ordered transaction list.
+// TxRoot computes the commitment over an ordered transaction list: the
+// hash of the count and each transaction's id, written into a pooled
+// hasher.
 func TxRoot(txs []*Transaction) hashing.Hash {
-	w := codec.NewWriter(32 * (len(txs) + 1))
-	w.WriteUvarint(uint64(len(txs)))
+	h := hashing.AcquireHasher()
+	h.Uvarint(uint64(len(txs)))
 	for _, tx := range txs {
-		w.WriteHash(tx.ID())
+		id := tx.ID()
+		h.Write(id[:])
 	}
-	return hashing.Sum(w.Bytes())
+	sum := h.Sum()
+	hashing.ReleaseHasher(h)
+	return sum
 }
 
 // ReceiptStatus reports how a transaction executed.

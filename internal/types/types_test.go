@@ -3,6 +3,7 @@ package types
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"scmove/internal/codec"
@@ -252,6 +253,53 @@ func TestTxRootSensitiveToOrderAndContent(t *testing.T) {
 	}
 	if TxRoot(nil) != TxRoot([]*Transaction{}) {
 		t.Fatal("nil and empty lists must agree")
+	}
+}
+
+// TestHashedEncodingsPinned: a header is hashed from a stack array and a
+// tx root from a pooled hasher, and both must hash the bytes the codec
+// writer produced for them (the values are pinned from it). The widest
+// header fills maxHeaderSize exactly, and hashing a header allocates
+// nothing.
+func TestHashedEncodingsPinned(t *testing.T) {
+	widest := &Header{ChainID: math.MaxUint64, Height: math.MaxUint64, ParentHash: hashing.Sum([]byte("p")),
+		StateRoot: hashing.Sum([]byte("s")), TxRoot: hashing.Sum([]byte("t")), Time: math.MaxUint64,
+		Proposer: hashing.AddressFromBytes([]byte{0xff}), GasUsed: math.MaxUint64, GasLimit: math.MaxUint64,
+		Difficulty: u256.FromBytes(bytes.Repeat([]byte{0xff}, 32)), Nonce: math.MaxUint64}
+	for _, c := range []struct {
+		h    *Header
+		want string
+	}{
+		{widest, "0x3788dda233dbd5c74f55ac7ce9be5e012e8a5c58e17cdc58f7331011b3625521"},
+		{&Header{}, "0xf911d00c6d988eeb76aa722c8c01f0c9b77d90f0bd23da5dc056f4dab1860896"},
+	} {
+		if got := c.h.Hash(); got.Hex() != c.want || got != hashing.Sum(c.h.Encode()) {
+			t.Fatalf("header %+v hashes to %s, want %s", c.h, got.Hex(), c.want)
+		}
+	}
+	if n := len(widest.Encode()); n != maxHeaderSize {
+		t.Fatalf("the widest header encodes to %d bytes, maxHeaderSize is %d", n, maxHeaderSize)
+	}
+	kp := keys.Deterministic(3)
+	tx1 := mkTx(t, kp)
+	tx2 := mkTx(t, kp)
+	tx2.Nonce = 4
+	if err := tx2.Sign(kp); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		txs  []*Transaction
+		want string
+	}{
+		{[]*Transaction{tx1, tx2}, "0x3e387b7883757467ad9a691096dc271e1d0a1dd3a36eb7d9ae6b34e767ffaab4"},
+		{nil, "0x6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"},
+	} {
+		if got := TxRoot(c.txs).Hex(); got != c.want {
+			t.Fatalf("TxRoot of %d txs is %s, want %s", len(c.txs), got, c.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { widest.Hash() }); allocs != 0 {
+		t.Fatalf("Header.Hash allocates %.1f objects", allocs)
 	}
 }
 

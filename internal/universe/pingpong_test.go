@@ -59,8 +59,11 @@ func deployStores(tb testing.TB, cfg Config, sizes ...uint64) (*Universe, []hash
 	return u, addrs
 }
 
-// movePingPongJournal is the digest of TestMovePingPongDigest's journal.
+// movePingPongJournal is the digest of TestMovePingPongDigest's journal,
+// and movePingPongLedger the events and WAN deliveries its event loop runs.
 const movePingPongJournal = "b0089bfeb6e4b189d56ed6a4b176f9c5eaae1a06ea13dc75ea7416f9ecfca1aa"
+
+var movePingPongLedger = Ledger{Events: 73349, Deliveries: 63315}
 
 // TestMovePingPongDigest pins the Move timeline the benchmark's move_store
 // workload measures, inside `go test ./...`: Store-10, Store-200 and
@@ -68,8 +71,9 @@ const movePingPongJournal = "b0089bfeb6e4b189d56ed6a4b176f9c5eaae1a06ea13dc75ea7
 // alternating direction, with two resident storage trees on the file
 // backend so installs evict. The journal holds every block of the Moves and
 // each Move's simulated start and end and gas: a change that moves a
-// simulated event, a gas figure or a committed root fails here. The safety
-// oracle checks every committed block.
+// simulated event, a gas figure or a committed root fails here, and so does
+// one that runs another number of scheduler events or WAN deliveries. The
+// safety oracle checks every committed block.
 func TestMovePingPongDigest(t *testing.T) {
 	u, addrs := newPingPong(t, 2, 10, 200, 1000)
 	o := oracle.Attach(u)
@@ -82,6 +86,13 @@ func TestMovePingPongDigest(t *testing.T) {
 			t.Fatalf("move %d %s -> %s: %v", i, src, dst, err)
 		}
 		o.Journal.Tail("move", i, "started", res.StartedAt, "move2", res.Move2At, "gas", res.Move1Gas, res.Move2Gas)
+	}
+	ledger := u.Ledger()
+	t.Logf("identity: %s events %d", t.Name(), ledger.Events)
+	t.Logf("identity: %s deliveries %d", t.Name(), ledger.Deliveries)
+	if ledger != movePingPongLedger {
+		t.Errorf("the event loop ran %d events and %d WAN deliveries, pinned %d and %d",
+			ledger.Events, ledger.Deliveries, movePingPongLedger.Events, movePingPongLedger.Deliveries)
 	}
 	o.Journal.Check(t, movePingPongJournal)
 }
@@ -166,8 +177,10 @@ func writeStore(tb testing.TB, u *Universe, c hashing.ChainID, store hashing.Add
 // the MPT and the IAVL chain of newPingPong (four resident trees, as in the
 // benchmark's move_store), with 0, 1, 10 and 100 % of its slots written
 // (a fifth of them deleted) on the source before each timed Move: ns,
-// allocations, Move2 payload bytes and the tree nodes the target builds
-// (state.DB.TreeWork) per Move. The writes and the Move
+// allocations, Move2 payload bytes, the tree nodes the target builds
+// (state.DB.TreeWork), and the scheduler events and WAN deliveries the
+// event loop runs (Universe.Ledger) per Move: exact counts where ns/op is
+// noisy. The writes and the Move
 // back are untimed; from the second Move on, each Move returns to a chain
 // holding the contract's stale copy. Run it with a fixed count, e.g. `go
 // test -run '^$' -bench MovePingPong -benchtime 20x ./internal/universe`.
@@ -201,24 +214,29 @@ func BenchmarkMovePingPong(b *testing.B) {
 				move(src, dst) // the first Move leaves a stale copy on src
 				move(dst, src)
 				bytes := 0
-				var nodes uint64
+				var nodes, events, deliveries uint64
 				work := u.Chain(dst).StateDB().TreeWork()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					writeStore(b, u, src, addrs[0], 1000, pct, i)
-					built := work.Nodes()
+					built, before := work.Nodes(), u.Ledger()
 					b.StartTimer()
 					move(src, dst)
 					b.StopTimer()
+					after := u.Ledger()
 					nodes += work.Nodes() - built
+					events += after.Events - before.Events
+					deliveries += after.Deliveries - before.Deliveries
 					bytes += len(types.EncodeMove2Payload(payload))
 					move(dst, src)
 					b.StartTimer()
 				}
 				b.ReportMetric(float64(bytes)/float64(b.N), "payload-B/op")
 				b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+				b.ReportMetric(float64(events)/float64(b.N), "events/op")
+				b.ReportMetric(float64(deliveries)/float64(b.N), "deliveries/op")
 			})
 		}
 	}

@@ -766,6 +766,22 @@ func (u *Universe) Mover(src, dst hashing.ChainID) *relay.Mover {
 // Now returns the simulated time.
 func (u *Universe) Now() time.Duration { return u.Sched.Now() }
 
+// Ledger counts the work of a universe's event loop so far.
+type Ledger struct {
+	// Events is the number of scheduler events run.
+	Events uint64
+	// Deliveries is the number of WAN message copies handed to a
+	// validator, over every simulated network of the universe ("wan.delivered").
+	Deliveries uint64
+}
+
+// Ledger returns what the universe's event loop has done so far. Both
+// counts are simulated behaviour: a change that moves either moved an
+// event.
+func (u *Universe) Ledger() Ledger {
+	return Ledger{Events: u.Sched.Ran(), Deliveries: u.counters.Get("wan.delivered")}
+}
+
 // Run advances the simulation by d.
 func (u *Universe) Run(d time.Duration) {
 	u.Sched.RunUntil(u.Sched.Now() + d)
