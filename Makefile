@@ -197,7 +197,7 @@ detsmoke:
 # `identity: <test> <value>` line each, sorted: the journal digests of the
 # detsmoke cells (fuzz traffic per tree kind and seed, the faulty cluster, the
 # chaos, Byzantine and Kitties cells, the Move ping-pong timeline), the
-# 16-chain sharded cell's fingerprint digest, the benchmark's seed-1
+# 16-chain sharded cell's fingerprint digest and ledger, the benchmark's seed-1
 # kitties_replay round 0 and move_store first 256 Moves, and the benchmark's
 # seed-1 shard_migrate round 0 (TestShardMigrateRound0). Each test logs the
 # value it computed before comparing it with its pin, so two commits whose
@@ -207,7 +207,8 @@ detsmoke:
 # equal state digests under moved full ones mean the same committed state,
 # heights, times and receipt outcomes (status, gas, error text, logs),
 # carried by other transaction bytes. It fails if a test
-# fails or a listed test logs no line.
+# fails or a listed test logs no line. Each run writes to its own
+# temporary directory, so two checkouts can run it side by side.
 IDENTITY_TESTS = TestApplyBlockFuzzTraffic TestFaultyClusterDigest \
 	TestChaosCellCrossGOMAXPROCS TestByzantineDeterminism \
 	TestKittiesReplayCrossGOMAXPROCSDeterminism TestShardedScalingCrossGOMAXPROCSDeterminism \
@@ -216,13 +217,14 @@ IDENTITY_TESTS = TestApplyBlockFuzzTraffic TestFaultyClusterDigest \
 IDENTITY_PKGS = ./internal/chain/ ./internal/tendermint/ ./internal/bench/ \
 	./internal/workload/ ./internal/universe/
 identity:
-	@SCMOVE_SHARDSMOKE=1 $(GO) test -count=1 -v -timeout 600s \
-		-run "^($$(echo $(IDENTITY_TESTS) | tr ' ' '|'))\$$" $(IDENTITY_PKGS) > /tmp/scmove_identity.txt 2>&1 \
-		|| { cat /tmp/scmove_identity.txt; exit 1; }
-	@for t in $(IDENTITY_TESTS); do \
-		grep -Eq "identity: $$t[ /]" /tmp/scmove_identity.txt || { echo "identity: $$t logged no identity line"; exit 1; }; \
-	done
-	@grep -o 'identity: .*' /tmp/scmove_identity.txt | sort
+	@d=$$(mktemp -d) || exit 1; trap 'rm -rf "$$d"' EXIT; \
+	SCMOVE_SHARDSMOKE=1 $(GO) test -count=1 -v -timeout 600s \
+		-run "^($$(echo $(IDENTITY_TESTS) | tr ' ' '|'))\$$" $(IDENTITY_PKGS) > "$$d/identity.txt" 2>&1 \
+		|| { cat "$$d/identity.txt"; exit 1; }; \
+	for t in $(IDENTITY_TESTS); do \
+		grep -Eq "identity: $$t[ /]" "$$d/identity.txt" || { echo "identity: $$t logged no identity line"; exit 1; }; \
+	done; \
+	grep -o 'identity: .*' "$$d/identity.txt" | sort
 
 # relaycov is the branch-coverage gate of the Move's two decision sites: it
 # runs the whole suite with coverage of internal/relay and internal/shard
@@ -234,40 +236,40 @@ identity:
 # block per test binary; a block ran if any binary ran it.
 RELAYCOV_MAX = 0
 relaycov:
-	@$(GO) test -coverpkg=scmove/internal/relay,scmove/internal/shard -coverprofile=/tmp/scmove_relaycov.out ./... > /tmp/scmove_relaycov.txt 2>&1 \
-		|| { cat /tmp/scmove_relaycov.txt; exit 1; }
-	@awk -F'[: ]' -v max=$(RELAYCOV_MAX) ' \
+	@d=$$(mktemp -d) || exit 1; trap 'rm -rf "$$d"' EXIT; \
+	$(GO) test -coverpkg=scmove/internal/relay,scmove/internal/shard -coverprofile="$$d/relaycov.out" ./... > "$$d/relaycov.txt" 2>&1 \
+		|| { cat "$$d/relaycov.txt"; exit 1; }; \
+	awk -F'[: ]' -v max=$(RELAYCOV_MAX) ' \
 		NR > 1 && $$1 ~ /internal\/(relay\/(mover|journal)|shard\/policy)\.go$$/ { k = $$1 ":" $$2; n[k] = $$3; c[k] += $$4 } \
 		END { for (k in n) if (c[k] == 0) { print "relaycov: unrun " k " (" n[k] " statements)"; s += n[k] } \
 			printf "relaycov: %d statements of relay/mover.go, relay/journal.go and shard/policy.go unrun, at most %d allowed\n", s, max; \
-			exit s > max }' /tmp/scmove_relaycov.out
+			exit s > max }' "$$d/relaycov.out"
 
 # expsmoke is the experiment-output sanity gate: a CI-scale ablations run,
 # a chaos run with metrics and span tracing on, the byzantine and
 # chaossweep runs with metrics (the byzantine run is the only binary path
-# over corrupting links) and the three examples, captured to /tmp and
-# grepped for error / out-of-gas lines; any nonzero exit fails it too. It
-# catches both broken experiments (a stale `granularity n=1000 … out of
-# gas` line once sat in results_full.txt unnoticed) and observability
-# wiring that breaks a run.
+# over corrupting links) and the three examples, captured to a directory
+# of the run's own (mktemp -d, removed on exit, so two checkouts checked
+# side by side never read each other's output) and grepped for error /
+# out-of-gas lines; any nonzero exit fails it too. It catches both broken
+# experiments (a stale `granularity n=1000 … out of gas` line once sat in
+# results_full.txt unnoticed) and observability wiring that breaks a run.
 expsmoke:
-	$(GO) run ./cmd/movebench -experiment ablations -scale 0.08 > /tmp/scmove_expsmoke.txt 2>&1 \
-		|| { cat /tmp/scmove_expsmoke.txt; exit 1; }
-	$(GO) run ./cmd/movebench -experiment chaos -moves 2 -metrics -trace /tmp/scmove_expsmoke_trace.jsonl >> /tmp/scmove_expsmoke.txt 2>&1 \
-		|| { cat /tmp/scmove_expsmoke.txt; exit 1; }
-	$(GO) run ./cmd/movebench -experiment byzantine -metrics >> /tmp/scmove_expsmoke.txt 2>&1 \
-		|| { cat /tmp/scmove_expsmoke.txt; exit 1; }
-	$(GO) run ./cmd/movebench -experiment chaossweep -metrics >> /tmp/scmove_expsmoke.txt 2>&1 \
-		|| { cat /tmp/scmove_expsmoke.txt; exit 1; }
-	@for ex in quickstart tokenrelay kitties; do \
+	@d=$$(mktemp -d) || exit 1; trap 'rm -rf "$$d"' EXIT; out="$$d/expsmoke.txt"; \
+	for args in "-experiment ablations -scale 0.08" \
+		"-experiment chaos -moves 2 -metrics -trace $$d/trace.jsonl" \
+		"-experiment byzantine -metrics" "-experiment chaossweep -metrics"; do \
+		echo "$(GO) run ./cmd/movebench $$args"; \
+		$(GO) run ./cmd/movebench $$args >> "$$out" 2>&1 || { cat "$$out"; exit 1; }; \
+	done; \
+	for ex in quickstart tokenrelay kitties; do \
 		echo "$(GO) run ./examples/$$ex"; \
-		$(GO) run ./examples/$$ex >> /tmp/scmove_expsmoke.txt 2>&1 || { cat /tmp/scmove_expsmoke.txt; exit 1; }; \
-	done
-	@if grep -Ein 'error|out of gas' /tmp/scmove_expsmoke.txt; then \
-		echo "expsmoke: error lines in experiment output (/tmp/scmove_expsmoke.txt)"; exit 1; \
-	else \
-		echo "expsmoke: clean ($$(wc -l < /tmp/scmove_expsmoke_trace.jsonl) trace spans)"; \
-	fi
+		$(GO) run ./examples/$$ex >> "$$out" 2>&1 || { cat "$$out"; exit 1; }; \
+	done; \
+	if grep -Ein 'error|out of gas' "$$out"; then \
+		echo "expsmoke: error lines in experiment output"; exit 1; \
+	fi; \
+	echo "expsmoke: clean ($$(wc -l < "$$d/trace.jsonl") trace spans)"
 
 # fuzzsmoke runs every native fuzz target for ~5s against the committed
 # seed corpora under testdata/fuzz/ (go test allows one -fuzz pattern per
@@ -321,8 +323,8 @@ statesmoke:
 	SCMOVE_STATESMOKE=1 $(GO) test -v -run TestStateSmoke -count=1 -timeout 900s ./internal/bench/
 	$(GO) test -run TestIterateStorageCostIsPerContract -count=1 ./internal/state/backend/
 
-# shardsmoke is the sharded-universe scale gate: a 64-chain universe with a
-# WAN instance per chain, a 100k keyed-user population
+# shardsmoke is the sharded-universe scale gate: a 64-chain universe on one
+# WAN, a 100k keyed-user population
 # (SCMOVE_SHARDSMOKE_USERS=1000000 for the full target), lazy relay mesh, and
 # the auto-migration policy engine live. The run must complete with contracts
 # actually migrating off the congested home shard. It also pins the

@@ -52,3 +52,31 @@ func TestTransferAndStaticCallAllocateNoEVM(t *testing.T) {
 		t.Fatalf("StaticCall allocates %.1f objects, want 0", n)
 	}
 }
+
+// TestApplyEmptyBlockAllocations pins what ApplyBlock allocates around the
+// block itself: an empty block with one OnBlock listener and one NotifyTx
+// waiter for a transaction it does not hold. The listener and the waiter
+// fire in two loops once the lock is released, with no closure around them.
+func TestApplyEmptyBlockAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under -race")
+	}
+	c := newChain(t, ethConfig(1), nil, keys.Deterministic(1))
+	blocks := 0
+	c.OnBlock(func(*types.Block, []*types.Receipt) { blocks++ })
+	c.NotifyTx(hashing.Hash{1}, func(*types.Receipt) { t.Fatal("waiter fired for a transaction no block holds") })
+	proposer := ProposerAddress(1, 0)
+	now := uint64(1)
+	const runs = 100
+	n := testing.AllocsPerRun(runs, func() {
+		c.ApplyBlock(nil, now, proposer)
+		now++
+	})
+	if blocks != runs+1 {
+		t.Fatalf("listener fired %d times, want %d", blocks, runs+1)
+	}
+	// The header the chain keeps and the block its listeners get.
+	if n != 2 {
+		t.Fatalf("ApplyBlock of an empty block allocates %.1f objects, want 2", n)
+	}
+}

@@ -142,11 +142,6 @@ type Chain struct {
 	sigWait  metrics.Wait // "loopwait.sig.propose"
 	prepWait metrics.Wait // "loopwait.prepare.<tree kind>"
 
-	// dispatch, when set, receives the closure that fires block listeners
-	// and tx waiters after ApplyBlock commits (see SetDispatcher). Nil fires
-	// inline.
-	dispatch func(func())
-
 	// prep is the slot of the storage work BuildMove2 last started for a
 	// Move2 payload a transaction is expected to carry here. A block that
 	// applies a Move2 with the same content takes it; the slot then keeps
@@ -348,15 +343,6 @@ func (c *Chain) SetObserver(reg *metrics.Registry, now func() time.Duration) {
 	c.hInterval = "block.interval." + id
 	c.lastBlockAt = now()
 }
-
-// SetDispatcher routes ApplyBlock's post-commit listener and waiter fires
-// through d instead of invoking them inline. Universes with Config.Lanes
-// pass a d that schedules the fire as a fresh event at the current simulated
-// time, so callbacks that touch other chains or shared client state (header
-// relays, client nonce bookkeeping, workload drivers) run after the event
-// that committed the block has returned, not inside it. A nil d restores
-// inline firing.
-func (c *Chain) SetDispatcher(d func(func())) { c.dispatch = d }
 
 // observePoolDepth refreshes the pool-depth gauge and its high-water mark.
 func (c *Chain) observePoolDepth() {
@@ -655,18 +641,11 @@ func (c *Chain) ApplyBlock(txs []*types.Transaction, now uint64, proposer hashin
 		}
 	}
 	c.mu.Unlock()
-	fire := func() {
-		for _, l := range listeners {
-			l(block, receipts)
-		}
-		for _, f := range fired {
-			f.l(f.rec)
-		}
+	for _, l := range listeners {
+		l(block, receipts)
 	}
-	if c.dispatch != nil && (len(listeners) > 0 || len(fired) > 0) {
-		c.dispatch(fire)
-	} else {
-		fire()
+	for _, f := range fired {
+		f.l(f.rec)
 	}
 	c.observeBlock(block)
 	return block, receipts

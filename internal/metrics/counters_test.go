@@ -114,8 +114,8 @@ func TestZeroHandleCountsNothing(t *testing.T) {
 	Handle{}.Inc()
 }
 
-// TestHandleConcurrentInc: laned universes count from concurrent wave
-// workers (run under -race).
+// TestHandleConcurrentInc: a handle may be incremented from several
+// goroutines at once (run under -race).
 func TestHandleConcurrentInc(t *testing.T) {
 	c := NewCounters()
 	const workers, each = 8, 1000

@@ -121,13 +121,13 @@ type Network struct {
 	stats  LinkStats
 	shared eventCounters
 	reg    *metrics.Registry // optional; feeds in-flight gauges
-	// gInflight/gPeak are the in-flight gauge names ("wan.inflight" by
-	// default), precomputed so the per-message send/delivery paths never
-	// build strings. Universes with Config.Lanes run one Network per chain
-	// and give each a per-chain label, so every chain reports its own
-	// high-water mark.
-	gInflight, gPeak string
 }
+
+// The in-flight gauge names.
+const (
+	gInflight = "wan.inflight"
+	gPeak     = "wan.inflight.peak"
+)
 
 type nodeInfo struct {
 	region  Region
@@ -178,7 +178,7 @@ func (d *delivery) deliver() {
 	d.dst, d.msg, d.flight = nil, nil, nil
 	n.free = append(n.free, d)
 	if n.reg.Enabled() {
-		n.reg.AddGauge(n.gInflight, -1)
+		n.reg.AddGauge(gInflight, -1)
 	}
 	// Down-state and handler are read at delivery time, so a crash or a
 	// re-registration while the message is in flight takes effect (Register
@@ -220,9 +220,7 @@ func (n *Network) land(f *flight) {
 	}
 }
 
-// New returns an empty network on the given scheduler. A universe with
-// Config.Lanes builds one per chain, so each consensus cluster's WAN traffic
-// draws from its own seeded fault stream.
+// New returns an empty network on the given scheduler.
 func New(sched *simclock.Scheduler, cfg Config) *Network {
 	return &Network{
 		sched:      sched,
@@ -232,8 +230,6 @@ func New(sched *simclock.Scheduler, cfg Config) *Network {
 		down:       make(map[NodeID]bool),
 		cut:        make(map[[2]NodeID]bool),
 		linkFaults: make(map[[2]NodeID]LinkFaults),
-		gInflight:  "wan.inflight",
-		gPeak:      "wan.inflight.peak",
 	}
 }
 
@@ -242,18 +238,10 @@ func New(sched *simclock.Scheduler, cfg Config) *Network {
 func (n *Network) Observe(c *metrics.Counters) { n.shared = resolveEventCounters(c, "wan") }
 
 // SetRegistry attaches an observability registry: the network then tracks
-// the number of WAN messages in flight ("<label>.inflight") and its
-// high-water mark ("<label>.inflight.peak"). Updates happen inside
-// send/delivery paths that already run, so enabling them cannot perturb
-// simulated results.
+// the number of WAN messages in flight ("wan.inflight") and its high-water
+// mark ("wan.inflight.peak"). Updates happen inside send/delivery paths that
+// already run, so enabling them cannot perturb simulated results.
 func (n *Network) SetRegistry(reg *metrics.Registry) { n.reg = reg }
-
-// SetGaugeLabel overrides the gauge name prefix (default "wan"). Per-chain
-// networks use "wan.<chain>" so their in-flight peaks never share a key.
-func (n *Network) SetGaugeLabel(label string) {
-	n.gInflight = label + ".inflight"
-	n.gPeak = label + ".inflight.peak"
-}
 
 // Register adds a node in the given region. Registering an existing id
 // replaces its handler (used to restart crashed nodes).
@@ -336,8 +324,8 @@ func (n *Network) send(f *flight, from, to NodeID, payload any) {
 			count(n.shared.reordered, &n.stats.Reordered)
 		}
 		if n.reg.Enabled() {
-			n.reg.AddGauge(n.gInflight, 1)
-			n.reg.MaxGauge(n.gPeak, n.reg.Gauge(n.gInflight))
+			n.reg.AddGauge(gInflight, 1)
+			n.reg.MaxGauge(gPeak, n.reg.Gauge(gInflight))
 		}
 		f.left++
 		n.sched.After(delay, n.newDelivery(from, to, dst, msg, f).run)

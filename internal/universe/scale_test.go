@@ -12,7 +12,7 @@ import (
 )
 
 // TestLazyRelayMeshIsOActivePairs pins the scaling contract of the lazy
-// relay mesh (Config.Lanes): a 64-chain universe builds with zero relay
+// relay mesh (Config.LazyRelays): a 64-chain universe builds with zero relay
 // links, the first mover materializes exactly its pair (both directions),
 // and an eager universe of the same shape pays for the full quadratic mesh.
 func TestLazyRelayMeshIsOActivePairs(t *testing.T) {
@@ -93,12 +93,12 @@ func TestLazyRelaySeedsArePositionDerived(t *testing.T) {
 }
 
 // TestLazyRelaySeedsMatchEagerMesh pins the single seed formula: a lazy
-// mesh (Lanes) built pair by pair through EnsureRelay draws the same faults
-// on every link as the eager mesh of the same configuration without Lanes.
+// mesh (LazyRelays) built pair by pair through EnsureRelay draws the same
+// faults on every link as the eager mesh of the same configuration.
 func TestLazyRelaySeedsMatchEagerMesh(t *testing.T) {
 	build := func(lazy bool) map[[2]hashing.ChainID]simnet.LinkStats {
 		cfg := ShardedConfig(4, 1)
-		cfg.Lanes = lazy
+		cfg.LazyRelays = lazy
 		cfg.Chaos = &ChaosConfig{HeaderRelay: simnet.LinkFaults{DropRate: 0.3, JitterFrac: 0.1}}
 		u, err := New(cfg)
 		if err != nil {
@@ -273,12 +273,13 @@ func TestConcurrentBuildsShareUserTable(t *testing.T) {
 	}
 }
 
-// TestLanedConfigValidation pins the one combination Lanes rejects.
-func TestLanedConfigValidation(t *testing.T) {
+// TestLazyRelaysRealtimeRejected pins the one combination LazyRelays
+// rejects: the lazy relay mesh on the realtime driver, which no test runs.
+func TestLazyRelaysRealtimeRejected(t *testing.T) {
 	cfg := DefaultConfig(1)
-	cfg.Lanes = true
+	cfg.LazyRelays = true
 	cfg.Realtime = true
 	if _, err := New(cfg); err == nil {
-		t.Fatal("Lanes+Realtime accepted")
+		t.Fatal("LazyRelays+Realtime accepted")
 	}
 }

@@ -175,22 +175,21 @@ type Config struct {
 	// encoded frames between validator goroutines — instead of the
 	// discrete-event network. Requires Realtime.
 	TCPWan bool
-	// Lanes is the sharded layout; it means exactly three things. Each
-	// chain's consensus cluster gets its own simnet.Network, seeded
-	// NetSeed + position·1 000 003 + 11 and labelled "wan.<chain>" in the
-	// gauges, instead of sharing Universe.Net. Each chain's block listeners
-	// and tx waiters fire from a fresh event at the current simulated time
-	// (chain.SetDispatcher with sched.At(sched.Now(), fn)), after the event
-	// that committed the block has returned, instead of inside it. And the
-	// O(chains²) header-relay mesh is built lazily: a link comes into
-	// existence on first use, when Mover (or EnsureRelay) touches a pair,
-	// so set-up costs O(active pairs) — at 64 chains the eager mesh is 4032
-	// links and listeners, almost all of which a sharded workload never
-	// exercises. Link fault seeds derive from the chain pair's positions,
-	// not creation order, so a lazily built link behaves as the eager
-	// mesh's does. Every chain still runs on the one timeline (DESIGN.md
-	// §16 has the name's history). Rejected with Realtime.
-	Lanes bool
+	// LazyRelays builds the O(chains²) header-relay mesh lazily: a link
+	// comes into existence on first use, when Mover (or EnsureRelay)
+	// touches a pair, so set-up costs O(active pairs) — at 64 chains the
+	// eager mesh is 4032 links and listeners, almost all of which a sharded
+	// workload never exercises. Link fault seeds derive from the chain
+	// pair's positions, not creation order, so a lazily built link behaves
+	// as the eager mesh's does. A link relays only headers committed after
+	// it was built, so CompleteAndWait cannot finish a Move1 that executed
+	// before any Mover touched its pair; the small universes stay eager for
+	// that (examples/tokenrelay). The knob stays because the eager mesh
+	// costs at scale: at 64 chains (shard_migrate, seed 1, two runs on a
+	// 2-core host) it committed the same calls and Moves but read
+	// alloc_kb_per_op 7.02 → 7.87 KiB (+12 %) and peak_rss_mb 216 →
+	// 279–294 MiB (DESIGN.md §16). Rejected with Realtime.
+	LazyRelays bool
 	// Users is the number of synthetic keyed user accounts, beyond Clients.
 	// User i's key derives from a fixed seed offset (UserKey) and is funded
 	// with userFunds at genesis only on its home chain (position i mod
@@ -243,15 +242,15 @@ func ShardedConfig(shards, clients int) Config {
 }
 
 // ShardedScaleConfig returns an S-shard Burrow deployment tuned for the
-// scaling experiments: a WAN instance per chain and a lazily built
-// header-relay mesh (Lanes), and a keyed user population funded across the
-// shards. validators ≤ 0 keeps BurrowSpec's 10 per shard, which the
-// `movebench -experiment sharded` grid and the 16-chain detsmoke cell run;
-// the benchmark's shard_migrate cell sets 4. A handful of regular clients
-// ride along as relayer/deployer identities.
+// scaling experiments: a lazily built header-relay mesh (LazyRelays) and a
+// keyed user population funded across the shards. validators ≤ 0 keeps
+// BurrowSpec's 10 per shard, which the `movebench -experiment sharded`
+// grid and the 16-chain detsmoke cell run; the benchmark's shard_migrate
+// cell sets 4. A handful of regular clients ride along as
+// relayer/deployer identities.
 func ShardedScaleConfig(shards, validators, users int) Config {
 	cfg := ShardedConfig(shards, 4)
-	cfg.Lanes = true
+	cfg.LazyRelays = true
 	cfg.Users = users
 	if validators > 0 {
 		for i := range cfg.Specs {
@@ -341,7 +340,7 @@ type Universe struct {
 	relayerCut  bool              // a relayer partition: EnsureRelay cuts the links it builds
 	procBase    map[string]uint64 // metrics.Process once New has provisioned; nil unless u.reg
 
-	// Scaling state (Config.Lanes, Users).
+	// Scaling state (Config.LazyRelays, Users).
 	pos         map[hashing.ChainID]int // chain position in configuration order
 	relayDelay  time.Duration
 	relayFaults simnet.LinkFaults
@@ -366,8 +365,8 @@ func New(cfg Config) (*Universe, error) {
 	if cfg.Realtime && cfg.Chaos != nil {
 		return nil, errors.New("universe: Chaos is a discrete-event feature, incompatible with Realtime")
 	}
-	if cfg.Lanes && cfg.Realtime {
-		return nil, errors.New("universe: Lanes makes a per-chain simnet.Network the transport (TCPWan would be silently ignored), and Lanes with Realtime has no test")
+	if cfg.LazyRelays && cfg.Realtime {
+		return nil, errors.New("universe: LazyRelays with Realtime has no test: no realtime program moves contracts, and no test runs the lazy relay mesh on the realtime driver")
 	}
 	sched := simclock.New()
 	netCfg := simnet.Config{Seed: cfg.NetSeed}
@@ -503,20 +502,6 @@ func New(cfg Config) (*Universe, error) {
 			c.SetObserver(u.reg, sched.Now)
 		}
 
-		tp := transport
-		if cfg.Lanes {
-			laneNetCfg := netCfg
-			laneNetCfg.Seed = netCfg.Seed + int64(pos)*1_000_003 + 11
-			cnet := simnet.New(sched, laneNetCfg)
-			cnet.Observe(u.counters)
-			cnet.SetGaugeLabel("wan." + spec.Config.ChainID.String())
-			if u.reg != nil {
-				cnet.SetRegistry(u.reg)
-			}
-			tp = cnet
-			c.SetDispatcher(func(fire func()) { sched.At(sched.Now(), fire) })
-		}
-
 		switch spec.Consensus {
 		case ConsensusBFT:
 			n := spec.Validators
@@ -527,7 +512,7 @@ func New(cfg Config) (*Universe, error) {
 				nextNodeID++
 				regions[i] = simnet.Region((int(spec.Seed) + i) % simnet.RegionCount)
 			}
-			node, err := chain.NewBFTNode(sched, tp, c, ids, regions)
+			node, err := chain.NewBFTNode(sched, transport, c, ids, regions)
 			if err != nil {
 				return fail(err)
 			}
@@ -555,7 +540,7 @@ func New(cfg Config) (*Universe, error) {
 		u.relayFaults = cfg.Chaos.HeaderRelay
 		u.relayWindow = chaosHeaderWindow
 	}
-	if !cfg.Lanes {
+	if !cfg.LazyRelays {
 		for _, a := range u.order {
 			for _, b := range u.order {
 				if a != b {
@@ -754,8 +739,8 @@ func (u *Universe) UserClient(i int) *relay.Client {
 func (u *Universe) Mover(src, dst hashing.ChainID) *relay.Mover {
 	// A move needs headers flowing both ways: the destination verifies the
 	// Move1 proof against src headers, and the relayer confirms the Move2
-	// result with dst headers on the source side. Without Lanes both links
-	// already exist.
+	// result with dst headers on the source side. Without LazyRelays both
+	// links already exist.
 	u.EnsureRelay(src, dst)
 	u.EnsureRelay(dst, src)
 	m := relay.NewMover(u.Sched, u.chains[src], u.chains[dst], relay.NewJournal(), u.counters)
@@ -771,7 +756,7 @@ type Ledger struct {
 	// Events is the number of scheduler events run.
 	Events uint64
 	// Deliveries is the number of WAN message copies handed to a
-	// validator, over every simulated network of the universe ("wan.delivered").
+	// validator ("wan.delivered").
 	Deliveries uint64
 }
 

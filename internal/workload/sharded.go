@@ -97,6 +97,8 @@ type ShardedScalingResult struct {
 	// Fingerprint reduces everything simulated to a comparable string:
 	// identical at any GOMAXPROCS.
 	Fingerprint string
+	// Ledger is the universe's event and WAN delivery count at the end.
+	Ledger universe.Ledger
 }
 
 // RunShardedScaling builds an S-shard universe (universe.ShardedScaleConfig)
@@ -268,6 +270,7 @@ func RunShardedScaling(cfg ShardedScalingConfig) (*ShardedScalingResult, error) 
 	}
 	res.Wall = time.Since(wallStart)
 	res.Fingerprint = shardedFingerprint(u, res, addrs, loc)
+	res.Ledger = u.Ledger()
 	return res, nil
 }
 

@@ -12,19 +12,22 @@ import (
 
 	"scmove/internal/hashing"
 	"scmove/internal/oracle"
+	"scmove/internal/universe"
 )
 
 // shardedCellDigest is the sha256 of the 16-chain policy-on cell's
-// fingerprint, computed at commit bf5749c — the last one with the parallel
-// per-tick driver, where the serial driver and the worker pool both produced
-// it at GOMAXPROCS 1 and 2.
-const shardedCellDigest = "4f4fba323908678973f28afccc0ddf0f3af84133a61600da2f173ba317041aa6"
+// fingerprint, and shardedCellLedger the events and WAN deliveries its event
+// loop runs.
+const shardedCellDigest = "1a3c5e9423c96c2b4422ea2de7f96dc82175a6c38be1bc1e86814e8708899e99"
+
+var shardedCellLedger = universe.Ledger{Events: 243069, Deliveries: 178038}
 
 // TestShardedScalingCrossGOMAXPROCSDeterminism pins a 16-chain policy-on
 // scaling cell's fingerprint (state roots, contract locations, move stats,
-// deterministic counters) to shardedCellDigest at every GOMAXPROCS: the
-// crypto pool still varies with it, the event order must not. The safety
-// oracle checks every committed block of each run. Wired into `make detsmoke`.
+// deterministic counters) to shardedCellDigest and its event loop's work to
+// shardedCellLedger at every GOMAXPROCS: the crypto pool still varies with
+// it, the event order must not. The safety oracle checks every committed
+// block of each run. Wired into `make detsmoke`.
 func TestShardedScalingCrossGOMAXPROCSDeterminism(t *testing.T) {
 	seen := map[int]bool{}
 	for _, procs := range []int{1, 2, runtime.NumCPU()} {
@@ -51,9 +54,15 @@ func TestShardedScalingCrossGOMAXPROCSDeterminism(t *testing.T) {
 		got := fmt.Sprintf("%x", sha256.Sum256([]byte(res.Fingerprint)))
 		if procs == 1 {
 			t.Logf("identity: %s %s", t.Name(), got)
+			t.Logf("identity: %s events %d", t.Name(), res.Ledger.Events)
+			t.Logf("identity: %s deliveries %d", t.Name(), res.Ledger.Deliveries)
 		}
 		if got != shardedCellDigest {
 			t.Fatalf("GOMAXPROCS=%d: fingerprint digest %s, want %s:\n%.800s", procs, got, shardedCellDigest, res.Fingerprint)
+		}
+		if res.Ledger != shardedCellLedger {
+			t.Fatalf("GOMAXPROCS=%d: the event loop ran %d events and %d WAN deliveries, pinned %d and %d", procs,
+				res.Ledger.Events, res.Ledger.Deliveries, shardedCellLedger.Events, shardedCellLedger.Deliveries)
 		}
 	}
 }
@@ -161,7 +170,7 @@ func TestShardMigrateRound0(t *testing.T) {
 	sum := hashing.Sum([]byte(res.Fingerprint))
 	got := fmt.Sprintf("committed=%d sim_tx_s=%v moves=%d spread=%d fingerprint=%x",
 		res.Committed, res.Throughput, res.Moves.Completed, res.FinalSpread, sum[:8])
-	const want = "committed=111484 sim_tx_s=265.43809523809523 moves=187 spread=64 fingerprint=2c0c972a1b16f837"
+	const want = "committed=110160 sim_tx_s=262.2857142857143 moves=185 spread=64 fingerprint=28103379cdcbc22c"
 	t.Logf("identity: %s %s", t.Name(), got)
 	if got != want {
 		t.Fatalf("round 0:\n got %s\nwant %s", got, want)
