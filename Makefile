@@ -206,9 +206,12 @@ detsmoke:
 # journal test logs its state digest too (`identity: <test> state …`):
 # equal state digests under moved full ones mean the same committed state,
 # heights, times and receipt outcomes (status, gas, error text, logs),
-# carried by other transaction bytes. It fails if a test
-# fails or a listed test logs no line. Each run writes to its own
-# temporary directory, so two checkouts can run it side by side.
+# carried by other transaction bytes. It fails if a test fails or a listed
+# test logs no line; it then still prints the sorted lines it got first, so
+# a diff of two runs shows exactly the moved values, and after them the
+# failures: the test output without its run, pass and identity lines. Each
+# run writes to its own temporary directory, so two checkouts can run it
+# side by side.
 IDENTITY_TESTS = TestApplyBlockFuzzTraffic TestFaultyClusterDigest \
 	TestChaosCellCrossGOMAXPROCS TestByzantineDeterminism \
 	TestKittiesReplayCrossGOMAXPROCSDeterminism TestShardedScalingCrossGOMAXPROCSDeterminism \
@@ -219,12 +222,17 @@ IDENTITY_PKGS = ./internal/chain/ ./internal/tendermint/ ./internal/bench/ \
 identity:
 	@d=$$(mktemp -d) || exit 1; trap 'rm -rf "$$d"' EXIT; \
 	SCMOVE_SHARDSMOKE=1 $(GO) test -count=1 -v -timeout 600s \
-		-run "^($$(echo $(IDENTITY_TESTS) | tr ' ' '|'))\$$" $(IDENTITY_PKGS) > "$$d/identity.txt" 2>&1 \
-		|| { cat "$$d/identity.txt"; exit 1; }; \
-	for t in $(IDENTITY_TESTS); do \
-		grep -Eq "identity: $$t[ /]" "$$d/identity.txt" || { echo "identity: $$t logged no identity line"; exit 1; }; \
+		-run "^($$(echo $(IDENTITY_TESTS) | tr ' ' '|'))\$$" $(IDENTITY_PKGS) > "$$d/identity.txt" 2>&1; \
+	status=$$?; \
+	grep -o 'identity: .*' "$$d/identity.txt" | sort; \
+	missing=; for t in $(IDENTITY_TESTS); do \
+		grep -Eq "identity: $$t[ /]" "$$d/identity.txt" || missing="$$missing $$t"; \
 	done; \
-	grep -o 'identity: .*' "$$d/identity.txt" | sort
+	[ $$status -eq 0 ] && [ -z "$$missing" ] && exit 0; \
+	echo "identity failures:"; \
+	for t in $$missing; do echo "$$t logged no identity line"; done; \
+	grep -Ev '^(=== (RUN|PAUSE|CONT)|[[:space:]]*--- PASS|PASS$$|ok[[:space:]])|identity: |oracle: [0-9]+ blocks, ' "$$d/identity.txt"; \
+	exit 1
 
 # relaycov is the branch-coverage gate of the Move's two decision sites: it
 # runs the whole suite with coverage of internal/relay and internal/shard
@@ -325,8 +333,8 @@ statesmoke:
 
 # shardsmoke is the sharded-universe scale gate: a 64-chain universe on one
 # WAN, a 100k keyed-user population
-# (SCMOVE_SHARDSMOKE_USERS=1000000 for the full target), lazy relay mesh, and
-# the auto-migration policy engine live. The run must complete with contracts
+# (SCMOVE_SHARDSMOKE_USERS=1000000 for the full target), header relays built
+# per moving pair, and the auto-migration policy engine live. The run must complete with contracts
 # actually migrating off the congested home shard. It also pins the
 # repository benchmark's shard_migrate round 0 at seed 1
 # (TestShardMigrateRound0: committed calls, simulated rate, moves, spread and

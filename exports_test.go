@@ -29,8 +29,8 @@ var exportAllowList = map[string]string{
 	"state.DB.SlotsRead":                      "the work ledger and the per-transaction work bound (ROADMAP 22(a), 29)",
 	"state.DB.StorageTreeAt":                  "core and chain tests check a copy's eviction through it",
 	"state.OpenDB":                            "reopening a file store, the cold path (ROADMAP 11); bench's statesmoke reopens with it",
+	"simnet.Link.SetCut":                      "relayer partitions in relay's and universe's tests, and in the chaos sweep (ROADMAP 31(a))",
 	"simnet.EncodeFrame":                      "the inverse of DecodeFrame; tendermint's wire tests frame a proposal with it",
-	"universe.Universe.TCPStats":              "the TCP counters that /debug/chain serves (ROADMAP 4(b), 10(b))",
 	"u256.FromLimbs":                          "the inverse of Int.Limbs, kept beside it",
 	"workload.DefaultKittiesConfig":           "the documented scaled-down Fig. 5 replay; bench's statesmoke runs it",
 }

@@ -31,9 +31,10 @@ func chaosJournal(t *testing.T, metricsOn, trace bool) (*ChaosResult, *journal.J
 	return res, j
 }
 
-// checkLedger fails unless a cell's event loop ran the pinned number of
-// events and WAN deliveries; the first call of a test logs both as
-// identity lines.
+// checkLedger marks the test failed unless a cell's event loop ran the
+// pinned number of events and WAN deliveries; the first call of a test logs
+// both as identity lines. It does not stop the test, so a moved ledger
+// still lets the cell log and check its journal.
 func checkLedger(t *testing.T, logged *bool, got, want universe.Ledger) {
 	t.Helper()
 	if !*logged {
@@ -42,7 +43,7 @@ func checkLedger(t *testing.T, logged *bool, got, want universe.Ledger) {
 		*logged = true
 	}
 	if got != want {
-		t.Fatalf("the event loop ran %d events and %d WAN deliveries, pinned %d and %d",
+		t.Errorf("the event loop ran %d events and %d WAN deliveries, pinned %d and %d",
 			got.Events, got.Deliveries, want.Events, want.Deliveries)
 	}
 }
@@ -72,9 +73,9 @@ func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 // chaosCellJournal is the digest of the chaos cell's journal (metrics on,
 // no trace), and chaosCellLedger its event loop's count of events and WAN
 // deliveries.
-const chaosCellJournal = "e792284a137023fdccc9494f69157531651c85ed34bd323d1ec1709f1a4f9a06"
+const chaosCellJournal = "d61e66c9f6eec7a7f70d76f4911598f60e2bc629bbc3b057b9953c75240a0891"
 
-var chaosCellLedger = universe.Ledger{Events: 12720, Deliveries: 10919}
+var chaosCellLedger = universe.Ledger{Events: 12765, Deliveries: 10919}
 
 // TestChaosCellCrossGOMAXPROCS is the chaos cell of the determinism suite:
 // the full fault-injected Move scenario (20% drops, 20% duplicates on every

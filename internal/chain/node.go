@@ -158,7 +158,10 @@ func (n *PoWNode) scheduleNext() {
 // chains run exactly this kind of relay (paper §IV-A). Each committed block
 // relays the last `window` headers plus the head height, so a dropped relay
 // message heals as soon as any later one gets through — the retransmission
-// behaviour real IBC relayers implement. The window is at least 1; use one
+// behaviour real IBC relayers implement. A relay connected to a source past
+// genesis sends the window ending at the source's head once, at connect
+// time, so a relay built after a Move1 committed still carries the header
+// its Move2 is proved against. The window is at least 1; use one
 // comfortably larger than the longest outage, in blocks, the deployment
 // should ride out.
 func ConnectHeaderRelayVia(src, dst *Chain, link *simnet.Link, window int) {
@@ -173,8 +176,7 @@ func ConnectHeaderRelayVia(src, dst *Chain, link *simnet.Link, window int) {
 			link.NoteRejected()
 		}
 	}
-	src.OnBlock(func(b *types.Block, _ []*types.Receipt) {
-		head := b.Header.Height
+	relay := func(head uint64) {
 		lo := uint64(1)
 		if head > uint64(window) {
 			lo = head - uint64(window) + 1
@@ -193,7 +195,11 @@ func ConnectHeaderRelayVia(src, dst *Chain, link *simnet.Link, window int) {
 				panic(fmt.Sprintf("chain: header relay %s->%s: %v", src.ChainID(), dst.ChainID(), err))
 			}
 		}, func() []byte { return encodeHeaderRelay(src.ChainID(), head, headers) }, forged)
-	})
+	}
+	if head := src.Head().Height; head > 0 {
+		relay(head)
+	}
+	src.OnBlock(func(b *types.Block, _ []*types.Receipt) { relay(b.Header.Height) })
 }
 
 // encodeHeaderRelay serializes one relay message: source chain id, head

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"scmove/internal/core"
 	"scmove/internal/hashing"
 	"scmove/internal/keys"
 	"scmove/internal/metrics"
@@ -36,6 +37,33 @@ func requireRoundTrip(t testing.TB, dec, tx *types.Transaction) {
 	}
 	if !same {
 		t.Fatalf("transaction %s does not survive its encoding:\n got %+v\nwant %+v", tx.ID(), dec, tx)
+	}
+}
+
+// TestHeaderRelayConnectSendsHead: a relay connected to a source past
+// genesis delivers the source's head one relay delay later, with no new
+// block on the source, so a Move1 committed before the relay existed is
+// provable on the target.
+func TestHeaderRelayConnectSendsHead(t *testing.T) {
+	kp := keys.Deterministic(1)
+	sched := simclock.New()
+	src := newChain(t, ethConfig(1), nil, kp)
+	dst := newChain(t, burrowConfig(2), []core.ChainParams{ethConfig(1).Params()}, kp)
+	for h := uint64(1); h <= 3; h++ {
+		src.ApplyBlock(src.ProposeBatch(), 15*h, ProposerAddress(1, 0))
+	}
+	const delay = 50 * time.Millisecond
+	ConnectHeaderRelayVia(src, dst, simnet.NewLink(sched, delay, simnet.LinkFaults{}, 1), 2)
+	sched.RunUntil(delay - time.Nanosecond)
+	if got := dst.Headers().Head(1); got != 0 {
+		t.Fatalf("target saw source head %d before the relay delay", got)
+	}
+	sched.RunUntil(delay)
+	if got := dst.Headers().Head(1); got != 3 {
+		t.Fatalf("target's view of the source head = %d one relay delay after connecting, want 3", got)
+	}
+	if src.Head().Height != 3 {
+		t.Fatalf("source height %d: the test must commit no block after connecting", src.Head().Height)
 	}
 }
 

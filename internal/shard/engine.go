@@ -22,8 +22,8 @@ type Config struct {
 	Clock *simclock.Scheduler
 	// Chains lists the shards in configuration order.
 	Chains []*chain.Chain
-	// Mover returns a relayer between two shards (universe.Mover, with
-	// lazy relay-link creation riding along for free).
+	// Mover returns a relayer between two shards (universe.Mover, which
+	// builds the pair's header relays on first use).
 	Mover func(src, dst hashing.ChainID) *relay.Mover
 	// Home resolves a transaction sender to its home chain, feeding the
 	// affinity signal.

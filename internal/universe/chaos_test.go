@@ -38,11 +38,10 @@ func newChaosUniverse(t *testing.T, clients int, seed int64, faults simnet.LinkF
 }
 
 // setRelayerCut severs (or heals) every relayer-facing link in the
-// universe: all client submission paths and all header relays, including
-// relay links EnsureRelay builds later. It models a relayer whose network
-// partitions away mid-move.
+// universe: all client submission paths and the header relays built so far
+// (a Mover builds its pair's). It models a relayer whose network partitions
+// away mid-move.
 func (u *Universe) setRelayerCut(cut bool) {
-	u.relayerCut = cut
 	for _, link := range u.submitLinks {
 		link.SetCut(cut)
 	}
@@ -338,7 +337,7 @@ func TestConfirmDeadlineFailsMoveDistinctly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := relay.NewMover(u.Sched, u.Chain(2), u.Chain(1), relay.NewJournal(), u.Counters())
+	m := u.Mover(2, 1) // builds the pair's two header relays
 	var result *relay.MoveResult
 	m.Move(cl, store, core.MoveToInput(1), func(r *relay.MoveResult) { result = r })
 	ok := u.RunUntil(func() bool {
@@ -350,8 +349,13 @@ func TestConfirmDeadlineFailsMoveDistinctly(t *testing.T) {
 	}
 	// Cut only the header relays: the light client freezes, and the
 	// confirmation deadline must fire.
+	cut := 0
 	for _, link := range u.relayLinks {
 		link.SetCut(true)
+		cut++
+	}
+	if cut != 2 {
+		t.Fatalf("cut %d header relays, want the pair's 2", cut)
 	}
 	if !u.RunUntil(func() bool { return result != nil }, 30*time.Minute) {
 		t.Fatal("move must fail instead of polling forever")

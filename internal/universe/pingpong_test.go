@@ -63,7 +63,7 @@ func deployStores(tb testing.TB, cfg Config, sizes ...uint64) (*Universe, []hash
 // and movePingPongLedger the events and WAN deliveries its event loop runs.
 const movePingPongJournal = "b0089bfeb6e4b189d56ed6a4b176f9c5eaae1a06ea13dc75ea7416f9ecfca1aa"
 
-var movePingPongLedger = Ledger{Events: 73349, Deliveries: 63315}
+var movePingPongLedger = Ledger{Events: 73345, Deliveries: 63315}
 
 // TestMovePingPongDigest pins the Move timeline the benchmark's move_store
 // workload measures, inside `go test ./...`: Store-10, Store-200 and

@@ -80,6 +80,17 @@ func signedTransfers(t *testing.T, userKeys []*keys.KeyPair, perUser int) [][]*t
 	return out
 }
 
+// tcpStats returns the live consensus transport's cumulative (sent,
+// delivered, dropped, rejected) frame counts, safe to read while the
+// universe runs; ok is false without Config.TCPWan.
+func (u *Universe) tcpStats() (sent, delivered, dropped, rejected uint64, ok bool) {
+	if u.tcp == nil {
+		return 0, 0, 0, 0, false
+	}
+	sent, delivered, dropped, rejected = u.tcp.Stats()
+	return sent, delivered, dropped, rejected, true
+}
+
 // The full live stack — HTTP RPC front doors, consensus over loopback TCP,
 // wall-clock driver — commits 10 000 concurrent transfers to the same state
 // roots the deterministic discrete-event path produces for them. Every
@@ -189,7 +200,7 @@ func TestRealtimeTCPRPCMatchesDiscreteEvent(t *testing.T) {
 	}
 	// Beside the scrape, the consensus transport: real peers accept every
 	// frame the validators write.
-	sent, delivered, dropped, rejected, ok := u.TCPStats()
+	sent, delivered, dropped, rejected, ok := u.tcpStats()
 	if !ok || rejected != 0 || dropped != 0 || delivered == 0 || delivered > sent {
 		t.Fatalf("tcp stats: ok %v, sent %d, delivered %d, dropped %d, rejected %d", ok, sent, delivered, dropped, rejected)
 	}
@@ -238,7 +249,7 @@ func TestRealtimeTCPRPCMatchesDiscreteEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	if _, _, _, _, ok := sim.TCPStats(); ok {
+	if _, _, _, _, ok := sim.tcpStats(); ok {
 		t.Error("a discrete-event universe reports TCP stats")
 	}
 	sim.Start()

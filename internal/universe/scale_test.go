@@ -11,11 +11,11 @@ import (
 	"scmove/internal/u256"
 )
 
-// TestLazyRelayMeshIsOActivePairs pins the scaling contract of the lazy
-// relay mesh (Config.LazyRelays): a 64-chain universe builds with zero relay
-// links, the first mover materializes exactly its pair (both directions),
-// and an eager universe of the same shape pays for the full quadratic mesh.
-func TestLazyRelayMeshIsOActivePairs(t *testing.T) {
+// TestRelayMeshIsOActivePairs pins the scaling contract of the relay mesh:
+// a universe builds with zero relay links, 2 chains or 64, the first mover
+// materializes exactly its pair (both directions), and a repeat mover over
+// the pair builds nothing.
+func TestRelayMeshIsOActivePairs(t *testing.T) {
 	const shards = 64
 	cfg := ShardedScaleConfig(shards, 4, 0)
 	cfg.Clients = 1
@@ -25,7 +25,7 @@ func TestLazyRelayMeshIsOActivePairs(t *testing.T) {
 	}
 	defer u.Close()
 	if got := len(u.relayLinks); got != 0 {
-		t.Fatalf("lazy 64-chain universe built %d relay links, want 0", got)
+		t.Fatalf("64-chain universe built %d relay links, want 0", got)
 	}
 	u.Mover(1, 2)
 	if got := len(u.relayLinks); got != 2 {
@@ -43,22 +43,25 @@ func TestLazyRelayMeshIsOActivePairs(t *testing.T) {
 		t.Fatal("untouched pair has a link")
 	}
 
-	eager := ShardedConfig(8, 1)
-	ue, err := New(eager)
+	ud, err := New(DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ue.Close()
-	if got := len(ue.relayLinks); got != 8*7 {
-		t.Fatalf("eager 8-chain universe has %d links, want %d", got, 8*7)
+	defer ud.Close()
+	if got := len(ud.relayLinks); got != 0 {
+		t.Fatalf("2-chain universe built %d relay links, want 0", got)
+	}
+	ud.Mover(2, 1)
+	if got := len(ud.relayLinks); got != 2 {
+		t.Fatalf("a mover on the 2-chain universe materialized %d relay links, want 2", got)
 	}
 }
 
-// TestLazyRelaySeedsArePositionDerived pins that a lazily created link's
-// fault stream does not depend on materialization order: two universes
-// touching pairs in different orders end with identical link seeds, which
-// the test observes through identical drop counts on lossy relays.
-func TestLazyRelaySeedsArePositionDerived(t *testing.T) {
+// TestRelaySeedsArePositionDerived pins that a relay link's fault stream
+// does not depend on materialization order: two universes touching pairs in
+// different orders end with identical link seeds, which the test observes
+// through identical drop counts on lossy relays.
+func TestRelaySeedsArePositionDerived(t *testing.T) {
 	build := func(order [][2]hashing.ChainID) map[[2]hashing.ChainID]simnet.LinkStats {
 		cfg := ShardedScaleConfig(6, 4, 0)
 		cfg.Clients = 1
@@ -69,7 +72,7 @@ func TestLazyRelaySeedsArePositionDerived(t *testing.T) {
 		}
 		defer u.Close()
 		for _, p := range order {
-			u.EnsureRelay(p[0], p[1])
+			u.ensureRelay(p[0], p[1])
 		}
 		// Push traffic through every link and compare its counts after a
 		// fixed horizon: a seed difference shows up as different drops.
@@ -89,65 +92,6 @@ func TestLazyRelaySeedsArePositionDerived(t *testing.T) {
 		if b[p] != n {
 			t.Fatalf("link %v stats %+v vs %+v depending on creation order", p, n, b[p])
 		}
-	}
-}
-
-// TestLazyRelaySeedsMatchEagerMesh pins the single seed formula: a lazy
-// mesh (LazyRelays) built pair by pair through EnsureRelay draws the same
-// faults on every link as the eager mesh of the same configuration.
-func TestLazyRelaySeedsMatchEagerMesh(t *testing.T) {
-	build := func(lazy bool) map[[2]hashing.ChainID]simnet.LinkStats {
-		cfg := ShardedConfig(4, 1)
-		cfg.LazyRelays = lazy
-		cfg.Chaos = &ChaosConfig{HeaderRelay: simnet.LinkFaults{DropRate: 0.3, JitterFrac: 0.1}}
-		u, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer u.Close()
-		ids := u.ChainIDs()
-		for _, a := range ids {
-			for _, b := range ids {
-				if a != b {
-					u.EnsureRelay(a, b)
-				}
-			}
-		}
-		u.Start()
-		u.Run(2 * time.Minute)
-		out := make(map[[2]hashing.ChainID]simnet.LinkStats)
-		for _, a := range ids {
-			for _, b := range ids {
-				if a != b {
-					p := [2]hashing.ChainID{a, b}
-					out[p] = u.relayLinks[p].Stats()
-				}
-			}
-		}
-		return out
-	}
-	eager, lazy := build(false), build(true)
-	for p, s := range eager {
-		if lazy[p] != s {
-			t.Fatalf("link %v: eager %+v, lazy %+v", p, s, lazy[p])
-		}
-	}
-}
-
-// TestRelayerCutCoversLaterRelays pins that a relayer cut also severs the
-// relay links a lazy universe builds after the cut.
-func TestRelayerCutCoversLaterRelays(t *testing.T) {
-	cfg := ShardedScaleConfig(4, 4, 0)
-	cfg.Clients = 1
-	u, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Close()
-	u.setRelayerCut(true)
-	u.Mover(1, 2)
-	if !u.relayLinks[[2]hashing.ChainID{1, 2}].Cut() || !u.relayLinks[[2]hashing.ChainID{2, 1}].Cut() {
-		t.Fatal("relay links built after setRelayerCut(true) are not cut")
 	}
 }
 
@@ -270,16 +214,5 @@ func TestConcurrentBuildsShareUserTable(t *testing.T) {
 		if seq := genesisRoots(n); !slices.Equal(concurrent[k], seq) || len(seq) == 0 {
 			t.Fatalf("Users=%d: concurrent genesis roots %v, sequential %v", n, concurrent[k], seq)
 		}
-	}
-}
-
-// TestLazyRelaysRealtimeRejected pins the one combination LazyRelays
-// rejects: the lazy relay mesh on the realtime driver, which no test runs.
-func TestLazyRelaysRealtimeRejected(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.LazyRelays = true
-	cfg.Realtime = true
-	if _, err := New(cfg); err == nil {
-		t.Fatal("LazyRelays+Realtime accepted")
 	}
 }

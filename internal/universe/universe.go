@@ -175,21 +175,6 @@ type Config struct {
 	// encoded frames between validator goroutines — instead of the
 	// discrete-event network. Requires Realtime.
 	TCPWan bool
-	// LazyRelays builds the O(chains²) header-relay mesh lazily: a link
-	// comes into existence on first use, when Mover (or EnsureRelay)
-	// touches a pair, so set-up costs O(active pairs) — at 64 chains the
-	// eager mesh is 4032 links and listeners, almost all of which a sharded
-	// workload never exercises. Link fault seeds derive from the chain
-	// pair's positions, not creation order, so a lazily built link behaves
-	// as the eager mesh's does. A link relays only headers committed after
-	// it was built, so CompleteAndWait cannot finish a Move1 that executed
-	// before any Mover touched its pair; the small universes stay eager for
-	// that (examples/tokenrelay). The knob stays because the eager mesh
-	// costs at scale: at 64 chains (shard_migrate, seed 1, two runs on a
-	// 2-core host) it committed the same calls and Moves but read
-	// alloc_kb_per_op 7.02 → 7.87 KiB (+12 %) and peak_rss_mb 216 →
-	// 279–294 MiB (DESIGN.md §16). Rejected with Realtime.
-	LazyRelays bool
 	// Users is the number of synthetic keyed user accounts, beyond Clients.
 	// User i's key derives from a fixed seed offset (UserKey) and is funded
 	// with userFunds at genesis only on its home chain (position i mod
@@ -242,15 +227,13 @@ func ShardedConfig(shards, clients int) Config {
 }
 
 // ShardedScaleConfig returns an S-shard Burrow deployment tuned for the
-// scaling experiments: a lazily built header-relay mesh (LazyRelays) and a
-// keyed user population funded across the shards. validators ≤ 0 keeps
-// BurrowSpec's 10 per shard, which the `movebench -experiment sharded`
-// grid and the 16-chain detsmoke cell run; the benchmark's shard_migrate
-// cell sets 4. A handful of regular clients ride along as
-// relayer/deployer identities.
+// scaling experiments: a keyed user population funded across the shards.
+// validators ≤ 0 keeps BurrowSpec's 10 per shard, which the `movebench
+// -experiment sharded` grid and the 16-chain detsmoke cell run; the
+// benchmark's shard_migrate cell sets 4. A handful of regular clients ride
+// along as relayer/deployer identities.
 func ShardedScaleConfig(shards, validators, users int) Config {
 	cfg := ShardedConfig(shards, 4)
-	cfg.LazyRelays = true
 	cfg.Users = users
 	if validators > 0 {
 		for i := range cfg.Specs {
@@ -336,11 +319,10 @@ type Universe struct {
 	counters    *metrics.Counters
 	reg         *metrics.Registry // nil unless Config.Metrics/Trace
 	submitLinks map[hashing.ChainID]*simnet.Link
-	relayLinks  map[[2]hashing.ChainID]*simnet.Link
-	relayerCut  bool              // a relayer partition: EnsureRelay cuts the links it builds
-	procBase    map[string]uint64 // metrics.Process once New has provisioned; nil unless u.reg
+	relayLinks  map[[2]hashing.ChainID]*simnet.Link // built on first use by ensureRelay
+	procBase    map[string]uint64                   // metrics.Process once New has provisioned; nil unless u.reg
 
-	// Scaling state (Config.LazyRelays, Users).
+	// Relay-link and user state.
 	pos         map[hashing.ChainID]int // chain position in configuration order
 	relayDelay  time.Duration
 	relayFaults simnet.LinkFaults
@@ -364,9 +346,6 @@ func New(cfg Config) (*Universe, error) {
 	}
 	if cfg.Realtime && cfg.Chaos != nil {
 		return nil, errors.New("universe: Chaos is a discrete-event feature, incompatible with Realtime")
-	}
-	if cfg.LazyRelays && cfg.Realtime {
-		return nil, errors.New("universe: LazyRelays with Realtime has no test: no realtime program moves contracts, and no test runs the lazy relay mesh on the realtime driver")
 	}
 	sched := simclock.New()
 	netCfg := simnet.Config{Seed: cfg.NetSeed}
@@ -533,21 +512,13 @@ func New(cfg Config) (*Universe, error) {
 		}
 	}
 
-	// Bidirectional header relays between every pair, each over its own
-	// (possibly lossy) link. Each relay message re-sends a window of recent
-	// headers, so drops heal as soon as a later message gets through.
+	// Header relays are built per ordered pair on first use (ensureRelay),
+	// each over its own (possibly lossy) link. Each relay message re-sends a
+	// window of recent headers, so drops heal as soon as a later message
+	// gets through.
 	if cfg.Chaos != nil {
 		u.relayFaults = cfg.Chaos.HeaderRelay
 		u.relayWindow = chaosHeaderWindow
-	}
-	if !cfg.LazyRelays {
-		for _, a := range u.order {
-			for _, b := range u.order {
-				if a != b {
-					u.EnsureRelay(a, b)
-				}
-			}
-		}
 	}
 
 	// Front-door RPC servers, one per chain on an ephemeral loopback port.
@@ -596,16 +567,16 @@ func (u *Universe) Counters() *metrics.Counters {
 // record into and renders nothing.
 func (u *Universe) Metrics() *metrics.Registry { return u.reg }
 
-// EnsureRelay returns the a→b header relay link, creating it (and
-// registering its OnBlock forwarder) on first use; it builds every relay
-// link, the eager mesh's too. The link's fault seed derives from the pair's
-// index among the ordered pairs of distinct chains in configuration order,
-// so a lazily built mesh draws the same faults as the eager one, no matter
-// which order traffic first touches the pairs.
-func (u *Universe) EnsureRelay(a, b hashing.ChainID) *simnet.Link {
+// ensureRelay builds the a→b header relay link and registers its OnBlock
+// forwarder, which relays a's current head at once, unless the link
+// exists. The link's fault seed derives from the pair's index among
+// the ordered pairs of distinct chains in configuration order, so a link
+// draws the same faults no matter which order traffic first touches the
+// pairs.
+func (u *Universe) ensureRelay(a, b hashing.ChainID) {
 	key := [2]hashing.ChainID{a, b}
-	if link, ok := u.relayLinks[key]; ok {
-		return link
+	if u.relayLinks[key] != nil {
+		return
 	}
 	pa, pb := u.pos[a], u.pos[b]
 	pair := pa*(len(u.order)-1) + pb
@@ -617,10 +588,8 @@ func (u *Universe) EnsureRelay(a, b hashing.ChainID) *simnet.Link {
 	if u.reg != nil {
 		link.SetRegistry(u.reg)
 	}
-	link.SetCut(u.relayerCut)
 	u.relayLinks[key] = link
 	chain.ConnectHeaderRelayVia(u.chains[a], u.chains[b], link, u.relayWindow)
-	return link
 }
 
 // Start launches every chain's consensus. With Realtime the launch is
@@ -683,17 +652,6 @@ func (u *Universe) RPCAddr(id hashing.ChainID) string {
 	return ""
 }
 
-// TCPStats returns the live consensus transport's cumulative (sent,
-// delivered, dropped, rejected) frame counts, safe to read while the
-// universe runs; ok is false without Config.TCPWan.
-func (u *Universe) TCPStats() (sent, delivered, dropped, rejected uint64, ok bool) {
-	if u.tcp == nil {
-		return 0, 0, 0, 0, false
-	}
-	sent, delivered, dropped, rejected = u.tcp.Stats()
-	return sent, delivered, dropped, rejected, true
-}
-
 // WallMetrics returns the wall-clock metrics registry the RPC servers
 // record into (per-method latency histograms), or nil when RPC is off.
 // Quantiles are only safe to read after ingress stops.
@@ -734,15 +692,17 @@ func (u *Universe) UserClient(i int) *relay.Client {
 }
 
 // Mover returns a mover from src to dst, wired into the universe's shared
-// counters and registry. Each call returns a fresh mover with its own
-// journal; hold on to one to exercise crash-recovery via Crash/Recover.
+// counters and registry, and builds the pair's two header relays if no
+// earlier Mover did. Each call returns a fresh mover with its own journal;
+// hold on to one to exercise crash-recovery via Crash/Recover.
 func (u *Universe) Mover(src, dst hashing.ChainID) *relay.Mover {
 	// A move needs headers flowing both ways: the destination verifies the
 	// Move1 proof against src headers, and the relayer confirms the Move2
-	// result with dst headers on the source side. Without LazyRelays both
-	// links already exist.
-	u.EnsureRelay(src, dst)
-	u.EnsureRelay(dst, src)
+	// result with dst headers on the source side. A new link relays its
+	// source's head at once, so a Move1 that ran before the pair had links
+	// (Complete) is provable.
+	u.ensureRelay(src, dst)
+	u.ensureRelay(dst, src)
 	m := relay.NewMover(u.Sched, u.chains[src], u.chains[dst], relay.NewJournal(), u.counters)
 	m.SetRegistry(u.reg)
 	return m
@@ -838,9 +798,13 @@ func (u *Universe) MustDeploy(cl *relay.Client, c *chain.Chain, name string, arg
 
 // MustCall submits a call via the client and runs the simulation until it
 // commits, returning the receipt. The submission is retried, so it survives
-// a lossy submission link.
+// a lossy submission link. A moveTo(dst) call is a Move1 issued without a
+// Mover: it builds the c→dst header relay its Move2 is verified against.
 func (u *Universe) MustCall(cl *relay.Client, c *chain.Chain, to hashing.Address,
 	data []byte, value u256.Int, timeout time.Duration) (*types.Receipt, error) {
+	if dst, ok := core.ParseMoveToInput(data); ok && dst != c.ChainID() && u.chains[dst] != nil {
+		u.ensureRelay(c.ChainID(), dst)
+	}
 	rec, err := u.waitSigned(cl, c, cl.SignedCall(c, to, data, value), timeout)
 	if err != nil {
 		return nil, err

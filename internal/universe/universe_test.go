@@ -7,6 +7,7 @@ import (
 
 	"scmove/internal/chain"
 	"scmove/internal/contracts"
+	"scmove/internal/core"
 	"scmove/internal/hashing"
 	"scmove/internal/relay"
 	"scmove/internal/state"
@@ -27,6 +28,8 @@ func newIBCUniverse(t *testing.T, clients int) *Universe {
 
 func TestChainsProduceBlocks(t *testing.T) {
 	u := newIBCUniverse(t, 1)
+	u.ensureRelay(1, 2)
+	u.ensureRelay(2, 1)
 	u.Run(2 * time.Minute)
 	eth, bur := u.Chain(1), u.Chain(2)
 	if eth.Head().Height < 4 || eth.Head().Height > 14 {
@@ -41,6 +44,34 @@ func TestChainsProduceBlocks(t *testing.T) {
 	}
 	if got := eth.Headers().Head(2); got+2 < bur.Head().Height {
 		t.Fatalf("eth's view of burrow head = %d, burrow at %d", got, bur.Head().Height)
+	}
+}
+
+// TestHandIssuedMove1BuildsItsRelay: a moveTo call sent through MustCall,
+// with no Mover, builds the source→target header relay, so the target's
+// light client confirms the Move1's height (the Move layer replay of the
+// repository benchmark proves against it).
+func TestHandIssuedMove1BuildsItsRelay(t *testing.T) {
+	u := newIBCUniverse(t, 1)
+	cl := u.Client(0)
+	eth, bur := u.Chain(1), u.Chain(2)
+	store, err := u.MustDeploy(cl, eth, contracts.StoreName,
+		contracts.StoreConstructorArgs(cl.Address(), 2), u256.Zero(), 3*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(u.relayLinks) != 0 {
+		t.Fatalf("a deploy built %d relay links", len(u.relayLinks))
+	}
+	if _, err := u.MustCall(cl, eth, store, core.MoveToInput(2), u256.Zero(), 3*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if len(u.relayLinks) != 1 || u.relayLinks[[2]hashing.ChainID{1, 2}] == nil {
+		t.Fatalf("relay links after a hand-issued Move1: %v, want only 1→2", u.relayLinks)
+	}
+	h := eth.Head().Height
+	if !u.RunUntil(func() bool { return bur.Headers().ConfirmedAt(1, h) }, 30*time.Minute) {
+		t.Fatalf("source height %d never confirmed on the target", h)
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 // shardedCellDigest is the sha256 of the 16-chain policy-on cell's
 // fingerprint, and shardedCellLedger the events and WAN deliveries its event
 // loop runs.
-const shardedCellDigest = "1a3c5e9423c96c2b4422ea2de7f96dc82175a6c38be1bc1e86814e8708899e99"
+const shardedCellDigest = "b956213057cbf25b0300c88c3c9804235170c77b55c6be9b8d79ac6a1353911e"
 
-var shardedCellLedger = universe.Ledger{Events: 243069, Deliveries: 178038}
+var shardedCellLedger = universe.Ledger{Events: 243125, Deliveries: 178038}
 
 // TestShardedScalingCrossGOMAXPROCSDeterminism pins a 16-chain policy-on
 // scaling cell's fingerprint (state roots, contract locations, move stats,
@@ -110,8 +110,8 @@ func TestShardedScalingPolicyGain(t *testing.T) {
 
 // TestShardSmoke is the full-scale gate behind `make shardsmoke`: a
 // 64-chain universe with a 100k keyed-user population (SCMOVE_SHARDSMOKE_USERS
-// scales it up to the 1M target), lazy relay mesh, and the migration engine
-// live. The run must complete with migrations landing.
+// scales it up to the 1M target), header relays built per moving pair, and
+// the migration engine live. The run must complete with migrations landing.
 func TestShardSmoke(t *testing.T) {
 	if os.Getenv("SCMOVE_SHARDSMOKE") == "" {
 		t.Skip("set SCMOVE_SHARDSMOKE=1 (make shardsmoke) to run")
@@ -170,7 +170,7 @@ func TestShardMigrateRound0(t *testing.T) {
 	sum := hashing.Sum([]byte(res.Fingerprint))
 	got := fmt.Sprintf("committed=%d sim_tx_s=%v moves=%d spread=%d fingerprint=%x",
 		res.Committed, res.Throughput, res.Moves.Completed, res.FinalSpread, sum[:8])
-	const want = "committed=110160 sim_tx_s=262.2857142857143 moves=185 spread=64 fingerprint=28103379cdcbc22c"
+	const want = "committed=110160 sim_tx_s=262.2857142857143 moves=185 spread=64 fingerprint=99010484b6252d2a"
 	t.Logf("identity: %s %s", t.Name(), got)
 	if got != want {
 		t.Fatalf("round 0:\n got %s\nwant %s", got, want)
